@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint fmtcheck race verify bench smoke
+.PHONY: build test vet lint fmtcheck race verify benchcheck bench smoke
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,14 @@ race:
 # verify is the full pre-merge gate: tier-1 (build + test) plus vet, the
 # custom lint suite, formatting, and the race detector.
 verify: build vet lint fmtcheck test race
+
+# benchcheck runs the repo benchmark's own tests (bench/ is a module of
+# its own, so `go test ./...` at the root does not reach it): its unit
+# tests plus one -quick pass over a 3-node ring that fails if any symbol,
+# flag, log line or /metrics series listed in bench/README.md "What the
+# benchmark depends on" was renamed.
+benchcheck:
+	cd bench && $(GO) test ./...
 
 # smoke runs the multi-process end-to-end test: a 5-node dhsnode ring
 # over loopback TCP, a known workload, and a counted estimate checked

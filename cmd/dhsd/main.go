@@ -23,13 +23,11 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -53,10 +51,6 @@ func main() {
 	lim := fs.Int("lim", 5, "per-interval probe budget")
 	seed := fs.Uint64("seed", 1, "probe-target randomness seed")
 
-	// Ring-client throughput knobs.
-	peerConns := fs.Int("peer-conns", netdht.DefaultPeerConns, "pooled TCP connections per peer")
-	probePar := fs.Int("probe-parallel", netdht.DefaultProbeParallel, "concurrent probes per counting interval (1: sequential scan)")
-
 	// Serving knobs.
 	cacheTTL := fs.Duration("cache-ttl", time.Second, "estimate cache lifetime (0: cache disabled)")
 	cacheShards := fs.Int("cache-shards", 0, "cache shard count, rounded up to a power of two (0: default)")
@@ -69,7 +63,7 @@ func main() {
 	if *entry == "" {
 		log.Fatal("dhsd: -entry is required")
 	}
-	kind, err := parseKind(*kindName)
+	kind, err := sketch.ParseKind(*kindName)
 	if err != nil {
 		log.Fatalf("dhsd: %v", err)
 	}
@@ -78,9 +72,7 @@ func main() {
 	client, err := netdht.NewClient(netdht.ClientConfig{
 		Entry: *entry,
 		K:     *k, M: *m, Kind: kind, Lim: *lim, Seed: *seed,
-		PeerConns:     *peerConns,
-		ProbeParallel: *probePar,
-		Metrics:       reg,
+		Metrics: reg,
 	})
 	if err != nil {
 		log.Fatalf("dhsd: %v", err)
@@ -128,19 +120,4 @@ func main() {
 	close(quit)
 	wg.Wait()
 	client.Close()
-}
-
-func parseKind(s string) (sketch.Kind, error) {
-	switch strings.ToLower(s) {
-	case "pcsa":
-		return sketch.KindPCSA, nil
-	case "sll", "superloglog":
-		return sketch.KindSuperLogLog, nil
-	case "loglog", "ll":
-		return sketch.KindLogLog, nil
-	case "hll", "hyperloglog":
-		return sketch.KindHyperLogLog, nil
-	default:
-		return 0, fmt.Errorf("unknown estimator kind %q (want pcsa, sll, loglog, or hll)", s)
-	}
 }

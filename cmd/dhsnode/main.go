@@ -302,7 +302,7 @@ func mustClient(entry string, cc clientCfg) *netdht.Client {
 	if entry == "" {
 		log.Fatal("-entry is required")
 	}
-	kind, err := parseKind(*cc.kind)
+	kind, err := sketch.ParseKind(*cc.kind)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -315,19 +315,4 @@ func mustClient(entry string, cc clientCfg) *netdht.Client {
 		log.Fatal(err)
 	}
 	return c
-}
-
-func parseKind(s string) (sketch.Kind, error) {
-	switch strings.ToLower(s) {
-	case "pcsa":
-		return sketch.KindPCSA, nil
-	case "sll", "superloglog":
-		return sketch.KindSuperLogLog, nil
-	case "loglog", "ll":
-		return sketch.KindLogLog, nil
-	case "hll", "hyperloglog":
-		return sketch.KindHyperLogLog, nil
-	default:
-		return 0, fmt.Errorf("unknown estimator kind %q (want pcsa, sll, loglog, or hll)", s)
-	}
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 
 	"dhsketch/internal/dht"
-	"dhsketch/internal/obs"
-	"dhsketch/internal/sketch"
 )
 
 // CountAdaptive estimates the metric's cardinality with the two-phase
@@ -70,24 +68,12 @@ func (d *DHS) CountAdaptiveFrom(src dht.Node, metric uint64, p float64) (Estimat
 	if err != nil {
 		return Estimate{}, err
 	}
-	limFor := d.Eq6LimSchedule(first.Value, p)
-
-	states := []*metricState{newMetricState(metric, d.cfg.M)}
-	var cost CountCost
-	var q scanQuality
-	rng, pass := d.countPass() // the second pass is its own counting pass
-	pt := passTracer{t: d.env.Tracer(), env: d.env, pass: pass}
-	pt.emit(obs.KindCountStart, src.ID(), -1, 1, nil)
-	if d.cfg.Kind == sketch.KindPCSA {
-		cost, q = d.scanAscending(src, states, limFor, rng, &pt)
-	} else {
-		cost, q = d.scanDescending(src, states, limFor, rng, &pt)
-	}
-	cost.add(first.Cost)
-	R := states[0].finalR(d, d.cfg.Kind)
-	quality := q.forMetric(states[0])
-	quality.ProbesAttempted += first.Quality.ProbesAttempted
-	quality.ProbesFailed += first.Quality.ProbesFailed
-	quality.Degraded = quality.Degraded || first.Quality.Degraded
-	return Estimate{Value: d.estimateFromR(R), R: R, Cost: cost, Quality: quality}, nil
+	// The second pass is its own counting pass.
+	ests, _ := d.scanPass(src, []uint64{metric}, d.Eq6LimSchedule(first.Value, p))
+	est := ests[0]
+	est.Cost.add(first.Cost)
+	est.Quality.ProbesAttempted += first.Quality.ProbesAttempted
+	est.Quality.ProbesFailed += first.Quality.ProbesFailed
+	est.Quality.Degraded = est.Quality.Degraded || first.Quality.Degraded
+	return est, nil
 }

@@ -15,10 +15,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"dhsketch/internal/dht"
-	"dhsketch/internal/hashutil"
 	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
 	"dhsketch/internal/store"
@@ -156,44 +154,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) validate() error {
+// validate checks the configuration and returns the sketch geometry it
+// describes.
+func (c Config) validate() (Geometry, error) {
 	if c.Overlay == nil {
-		return errors.New("core: config needs an overlay")
+		return Geometry{}, errors.New("core: config needs an overlay")
 	}
 	if c.Env == nil {
-		return errors.New("core: config needs a sim environment")
-	}
-	if c.K > c.Overlay.Bits() {
-		return fmt.Errorf("core: bitmap length k=%d exceeds overlay ID length L=%d", c.K, c.Overlay.Bits())
-	}
-	if c.M < 1 || !hashutil.IsPowerOfTwo(uint64(c.M)) {
-		return fmt.Errorf("core: number of bitmaps %d is not a positive power of two", c.M)
-	}
-	if c.M > 1 && hashutil.Log2(uint64(c.M)) >= c.K {
-		return fmt.Errorf("core: log2(m)=%d must be below k=%d", hashutil.Log2(uint64(c.M)), c.K)
-	}
-	if c.Kind == sketch.KindSuperLogLog || c.Kind == sketch.KindLogLog {
-		if c.M < 2 {
-			return errors.New("core: LogLog-family estimators need at least 2 bitmaps")
-		}
+		return Geometry{}, errors.New("core: config needs a sim environment")
 	}
 	if c.Lim < 1 {
-		return errors.New("core: lim must be positive")
+		return Geometry{}, errors.New("core: lim must be positive")
 	}
 	if c.Replication < 0 {
-		return errors.New("core: negative replication degree")
-	}
-	if c.ShiftBits > 0 {
-		c2 := uint(0)
-		if c.M > 1 {
-			c2 = hashutil.Log2(uint64(c.M))
-		}
-		if c.ShiftBits >= c.K-c2 {
-			return fmt.Errorf("core: shift %d leaves no usable bit positions", c.ShiftBits)
-		}
+		return Geometry{}, errors.New("core: negative replication degree")
 	}
 	if c.TTL < 0 {
-		return errors.New("core: negative TTL")
+		return Geometry{}, errors.New("core: negative TTL")
 	}
-	return nil
+	return NewGeometry(Geometry{
+		IDBits: c.Overlay.Bits(), K: c.K, M: c.M, Kind: c.Kind,
+		ShiftBits: c.ShiftBits, TrimmedScan: c.TrimmedScan,
+	})
 }

@@ -1,13 +1,11 @@
 package core
 
 import (
-	"math/bits"
 	"math/rand/v2"
 
 	"dhsketch/internal/dht"
 	"dhsketch/internal/obs"
 	"dhsketch/internal/sim"
-	"dhsketch/internal/sketch"
 )
 
 // passTracer carries one counting pass's tracing context through the scan
@@ -81,50 +79,38 @@ func (d *DHS) CountAllFrom(src dht.Node, metrics []uint64) ([]Estimate, error) {
 		// and transient failures degrade gracefully.
 		return nil, dht.ErrNodeDown
 	}
-	states := make([]*metricState, len(metrics))
-	for i, metric := range metrics {
-		states[i] = newMetricState(metric, d.cfg.M)
-	}
-
-	var cost CountCost
-	var q scanQuality
-	limFor := d.limSchedule()
-	rng, pass := d.countPass()
-	pt := passTracer{t: d.env.Tracer(), env: d.env, pass: pass}
-	pt.emit(obs.KindCountStart, src.ID(), -1, int64(len(metrics)), nil)
-	if d.cfg.Kind == sketch.KindPCSA {
-		cost, q = d.scanAscending(src, states, limFor, rng, &pt)
-	} else {
-		cost, q = d.scanDescending(src, states, limFor, rng, &pt)
-	}
-	if m, ok := d.overlay.(dht.Maintainer); ok && !m.Converged() {
-		// The pass ran against stale protocol state; flag the estimates
-		// so callers can weigh them accordingly.
-		q.repairWindow = true
-	}
-
-	ests := make([]Estimate, len(states))
-	for i, st := range states {
-		R := st.finalR(d, d.cfg.Kind)
-		ests[i] = Estimate{
-			Value:   d.estimateFromR(R),
-			R:       R,
-			Quality: q.forMetric(st),
-		}
+	ests, pt := d.scanPass(src, metrics, d.limSchedule())
+	// The pass ran against stale protocol state when the overlay has
+	// repairs pending; flag the estimates so callers can weigh them
+	// accordingly.
+	m, ok := d.overlay.(dht.Maintainer)
+	repairWindow := ok && !m.Converged()
+	for i := range ests {
+		ests[i].Quality.RepairWindow = repairWindow
 		if pt.t != nil {
 			pt.t.Event(obs.Event{
-				Tick: d.env.Clock.Now(), Kind: obs.KindCountDone, Pass: pass,
-				Node: src.ID(), Metric: st.metric, Bit: -1,
-				Arg: int64(st.unresolved),
+				Tick: d.env.Clock.Now(), Kind: obs.KindCountDone, Pass: pt.pass,
+				Node: src.ID(), Metric: metrics[i], Bit: -1,
+				Arg: int64(ests[i].Quality.VectorsUnresolved),
 			})
 		}
 	}
-	// The pass cost is indivisible across metrics (that is the point of
-	// multi-dimensional counting); report it on every estimate.
-	for i := range ests {
-		ests[i].Cost = cost
-	}
 	return ests, nil
+}
+
+// scanPass runs one counting pass from src with the given per-bit probe
+// budget: the shared scan over this handle's successor-walk prober. Every
+// estimate carries the pass's whole cost; the pass's tracing context is
+// returned for events the caller appends.
+func (d *DHS) scanPass(src dht.Node, metrics []uint64, limFor func(bit int) int) ([]Estimate, passTracer) {
+	rng, pass := d.countPass()
+	w := &walkProber{d: d, src: src, rng: rng, pt: passTracer{t: d.env.Tracer(), env: d.env, pass: pass}}
+	w.pt.emit(obs.KindCountStart, src.ID(), -1, int64(len(metrics)), nil)
+	ests := d.geom.Scan(w, metrics, limFor)
+	for i := range ests {
+		ests[i].Cost = w.cost
+	}
+	return ests, w.pt
 }
 
 // limSchedule returns the per-bit probe-budget function for a counting
@@ -144,248 +130,11 @@ func (d *DHS) limSchedule() func(bit int) int {
 	}
 }
 
-// metricState tracks the per-vector resolution of one metric during a
-// counting pass.
-type metricState struct {
-	metric     uint64
-	R          []int  // resolved statistic per vector
-	resolved   []bool // whether vector j has its statistic
-	unresolved int
-	// foundHere marks vectors observed set at the current bit position
-	// (ascending PCSA scans need it to decide leftmost zeros).
-	foundHere []bool
-	// scratch is the caller-owned probe-reply buffer: every probe's
-	// bitset answer for this metric is written into it in place
-	// (Store.AppendBitsWithBit), so the steady-state probe path
-	// allocates nothing. Sized ⌈m/64⌉; grows only if a foreign handle
-	// with larger m shares the overlay.
-	scratch []uint64
-}
-
-func newMetricState(metric uint64, m int) *metricState {
-	st := &metricState{
-		metric:     metric,
-		R:          make([]int, m),
-		resolved:   make([]bool, m),
-		unresolved: m,
-		foundHere:  make([]bool, m),
-		scratch:    make([]uint64, 0, (m+63)/64),
-	}
-	for i := range st.R {
-		st.R[i] = -1
-	}
-	return st
-}
-
-// finalR returns the per-vector statistics with unresolved vectors filled
-// by the family's convention: PCSA vectors that never showed a zero have
-// their leftmost zero just past the top usable bit; LogLog-family vectors
-// never observed stay at -1 (empty bucket).
-func (st *metricState) finalR(d *DHS, kind sketch.Kind) []int {
-	out := append([]int(nil), st.R...)
-	if kind == sketch.KindPCSA {
-		for j := range out {
-			if !st.resolved[j] {
-				out[j] = int(d.maxBit) + 1
-			}
-		}
-	}
-	return out
-}
-
-// scanQuality aggregates the failure accounting of one counting pass.
-type scanQuality struct {
-	attempted    int  // probe budget spent, incl. failed steps
-	failed       int  // steps lost to drops, timeouts, or down nodes
-	skipped      int  // intervals where no node could be probed at all
-	stale        int  // hops wasted on stale routing state (see Quality)
-	repairWindow bool // pass overlapped a stabilization repair window
-}
-
-func (q *scanQuality) add(out intervalOutcome) {
-	q.attempted += out.attempted
-	q.failed += out.failed
-	q.stale += out.stale
-	if out.visited == 0 {
-		q.skipped++
-	}
-}
-
-// forMetric combines the pass-wide failure accounting with one metric's
-// resolution state into its Estimate's Quality.
-func (q scanQuality) forMetric(st *metricState) Quality {
-	return Quality{
-		ProbesAttempted:   q.attempted,
-		ProbesFailed:      q.failed,
-		IntervalsSkipped:  q.skipped,
-		VectorsUnresolved: st.unresolved,
-		StaleRetries:      q.stale,
-		RepairWindow:      q.repairWindow,
-		Degraded:          q.failed > 0 || q.skipped > 0 || q.stale > 0,
-	}
-}
-
-// scanDescending implements Algorithm 1 for the LogLog family: visit the
-// bit intervals from the most significant usable position downward; the
-// first set bit seen for a vector is its maximum, R[j]. A skipped
-// interval (all probes failed) can only lose maxima, never invent them,
-// so no special handling is needed beyond recording it.
-func (d *DHS) scanDescending(src dht.Node, states []*metricState, limFor func(bit int) int, rng *rand.Rand, pt *passTracer) (CountCost, scanQuality) {
-	var cost CountCost
-	var q scanQuality
-	start := int(d.cfg.K) - 1 // Algorithm 1 scans the full bitmap length
-	if d.cfg.TrimmedScan {
-		// Ablation beyond the paper: skip positions above k − log₂(m),
-		// which the vector index makes unreachable.
-		start = int(d.maxBit)
-	}
-	if int(d.maxBit) > start {
-		// Range clamp, independent of the ablation: with m = 1 no hash
-		// bits go to the vector index, ranks reach bit k, and a scan
-		// capped at k−1 would silently drop the top statistic.
-		start = int(d.maxBit)
-	}
-	pc := d.newPassCtx()
-	for bit := start; bit >= int(d.cfg.ShiftBits); bit-- {
-		if totalUnresolved(states) == 0 {
-			break
-		}
-		c, out := d.probeIntervalLim(src, uint(bit), limFor(bit), states, pc, rng, pt, func(n dht.Node) bool {
-			s := storeIfPresent(n)
-			now := d.env.Clock.Now()
-			for _, st := range states {
-				if st.unresolved == 0 {
-					continue
-				}
-				st.scratch = s.AppendBitsWithBit(st.scratch, st.metric, uint8(bit), now)
-				for wi, w := range st.scratch {
-					base := wi << 6
-					for ; w != 0; w &= w - 1 {
-						v := base + bits.TrailingZeros64(w)
-						if v >= len(st.resolved) {
-							continue // foreign vector index (mismatched m); ignore
-						}
-						if !st.resolved[v] {
-							st.resolved[v] = true
-							st.R[v] = bit
-							st.unresolved--
-							if st.unresolved == 0 {
-								pc.metricResolved()
-							}
-						}
-					}
-				}
-			}
-			return totalUnresolved(states) == 0
-		})
-		cost.add(c)
-		q.add(out)
-	}
-	return cost, q
-}
-
-// scanAscending implements the PCSA variant: visit intervals from the
-// least significant stored position upward; a vector's statistic is the
-// first position where no set bit can be found within lim probes (its
-// leftmost zero). Unlike the descending scan, declaring a zero requires
-// exhausting the probe budget, which is why DHS-PCSA degrades faster than
-// DHS-sLL when intervals get sparse (§5.2, "Accuracy").
-func (d *DHS) scanAscending(src dht.Node, states []*metricState, limFor func(bit int) int, rng *rand.Rand, pt *passTracer) (CountCost, scanQuality) {
-	var cost CountCost
-	var q scanQuality
-	pc := d.newPassCtx()
-	for bit := int(d.cfg.ShiftBits); bit <= int(d.maxBit); bit++ {
-		if totalUnresolved(states) == 0 {
-			break
-		}
-		for _, st := range states {
-			clearBools(st.foundHere)
-		}
-		c, out := d.probeIntervalLim(src, uint(bit), limFor(bit), states, pc, rng, pt, func(n dht.Node) bool {
-			s := storeIfPresent(n)
-			now := d.env.Clock.Now()
-			allFound := true
-			for _, st := range states {
-				if st.unresolved == 0 {
-					continue
-				}
-				st.scratch = s.AppendBitsWithBit(st.scratch, st.metric, uint8(bit), now)
-				for wi, w := range st.scratch {
-					base := wi << 6
-					for ; w != 0; w &= w - 1 {
-						v := base + bits.TrailingZeros64(w)
-						if v >= len(st.foundHere) {
-							continue // foreign vector index (mismatched m); ignore
-						}
-						st.foundHere[v] = true
-					}
-				}
-				for j := range st.foundHere {
-					if !st.resolved[j] && !st.foundHere[j] {
-						allFound = false
-						break
-					}
-				}
-			}
-			// Early exit only when every unresolved vector of every
-			// metric is known set at this position: then no zero can be
-			// declared here and the scan moves on.
-			return allFound
-		})
-		cost.add(c)
-		q.add(out)
-		if out.visited == 0 {
-			// No node of this interval answered: the pass has zero
-			// evidence at this position. Declaring leftmost zeros from
-			// no evidence would collapse the estimate, so the position
-			// is skipped and vectors stay open for later bits.
-			continue
-		}
-		// Vectors with no set bit found at this position have their
-		// leftmost zero here.
-		for _, st := range states {
-			if st.unresolved == 0 {
-				continue
-			}
-			for j := range st.foundHere {
-				if !st.resolved[j] && !st.foundHere[j] {
-					st.resolved[j] = true
-					st.R[j] = bit
-					st.unresolved--
-				}
-			}
-		}
-	}
-	return cost, q
-}
-
-func totalUnresolved(states []*metricState) int {
-	total := 0
-	for _, st := range states {
-		total += st.unresolved
-	}
-	return total
-}
-
-func clearBools(b []bool) {
-	for i := range b {
-		b[i] = false
-	}
-}
-
 // inIntervalRange reports whether id lies in [lo, lo+size) on the 2^64
 // ring. The unsigned subtraction handles intervals whose upper end wraps
 // past zero (the top interval's lo+size is exactly 2^64).
 func inIntervalRange(id, lo, size uint64) bool {
 	return id-lo < size
-}
-
-// intervalOutcome reports what one interval's probe walk achieved.
-type intervalOutcome struct {
-	attempted int // probe budget spent, incl. failed steps
-	failed    int // steps lost to drops, timeouts, or down nodes
-	visited   int // nodes successfully probed
-	stale     int // hops wasted on stale routing entries + list fallbacks
 }
 
 // routeFrom issues one routed lookup, preferring the overlay's Router
@@ -420,81 +169,71 @@ func (d *DHS) walkFallback(cur dht.Node) dht.Node {
 	return nil
 }
 
-// passCtx caches the probe-reply size of the current counting pass so
-// the per-probe cost accounting is a single addition. A reply carries
-// ⌈m/8⌉ bytes for every metric that still has unresolved vectors;
-// recomputing that sum per probe is wasted work, because it only
-// changes when a metric becomes fully resolved — refresh recomputes it
-// at each interval entry and metricResolved adjusts it in place when a
-// descending-scan visitor closes out a metric mid-interval.
-type passCtx struct {
-	perMetric int // reply bytes per still-unresolved metric, ⌈m/8⌉
-	resp      int // current probe-reply size incl. the message header
+// walkProber is the in-process Prober: Algorithm 1's probe-and-retry
+// walk over a dht.Overlay whose nodes' stores it reads directly. It
+// meters every step against the environment's Traffic record and its own
+// CountCost, and emits the pass's trace events.
+type walkProber struct {
+	d     *DHS
+	src   dht.Node
+	rng   *rand.Rand // the pass's private stream
+	pt    passTracer
+	cost  CountCost
+	reply storeReply
 }
 
-func (d *DHS) newPassCtx() *passCtx {
-	return &passCtx{perMetric: (d.cfg.M + 7) / 8}
+// storeReply answers a probe from a node's store as of one instant.
+type storeReply struct {
+	s   *Store
+	bit uint8
+	now int64
 }
 
-// refresh recomputes the reply size from the states' current resolution.
-func (pc *passCtx) refresh(states []*metricState) {
-	pc.resp = MsgHeaderBytes
-	for _, st := range states {
-		if st.unresolved > 0 {
-			pc.resp += pc.perMetric
-		}
-	}
+func (r *storeReply) AppendVectors(dst []uint64, metric uint64) []uint64 {
+	return r.s.AppendBitsWithBit(dst, metric, r.bit, r.now)
 }
 
-// metricResolved shrinks the reply by one metric's bitmaps — called the
-// moment a metric's last vector resolves.
-func (pc *passCtx) metricResolved() {
-	pc.resp -= pc.perMetric
-}
-
-// probeIntervalLim performs the probe-and-retry walk of Algorithm 1 on
+// ProbeInterval performs the probe-and-retry walk of Algorithm 1 on
 // one bit's ID-space interval: route to a uniformly random identifier in
 // the interval, probe its owner, then retry — blindly along successors
 // in the default mode, boundary-aware in EdgeAware mode — up to lim
-// spent probes. visit is called once per probed node and returns true
-// when the counting pass is fully resolved.
+// spent probes, stopping early once the visitor reports the interval
+// exhausted.
 //
 // Failure awareness: a failed lookup, probe, or successor/predecessor
-// step consumes one unit of the probe budget (lim bounds work, not
-// successes) and the walk re-enters the interval at a fresh random
-// target instead of aborting — a dead node costs a probe, never the
-// pass. Traffic spent before a failure is metered as dropped.
+// step consumes one unit of the probe budget and the walk re-enters the
+// interval at a fresh random target instead of aborting — a dead node
+// costs a probe, never the pass. Traffic spent before a failure is
+// metered as dropped.
 //
-// All randomness comes from rng, the calling pass's private stream, so
-// concurrent passes neither contend on nor perturb each other.
-func (d *DHS) probeIntervalLim(src dht.Node, bit uint, lim int, states []*metricState, pc *passCtx, rng *rand.Rand, pt *passTracer, visit func(dht.Node) bool) (CountCost, intervalOutcome) {
-	lo, size := d.intervalForBit(bit)
-
-	var cost CountCost
-	var out intervalOutcome
-
-	// The reply size is a pure function of which metrics are still
-	// unresolved; recompute it once per interval and let the visitors
-	// adjust it via pc.metricResolved. The accounting reads it before
-	// visit runs, so a probe is always costed at the pre-reply state —
-	// the node answered for every metric that was open when asked.
-	pc.refresh(states)
+// All randomness comes from the pass's private stream, so concurrent
+// passes neither contend on nor perturb each other.
+func (w *walkProber) ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcome {
+	d, pt, cost := w.d, &w.pt, &w.cost
+	lo, size := d.geom.Interval(bit)
+	var out IntervalOutcome
 
 	probe := func(n dht.Node, h int) bool {
+		// A reply carries ⌈m/8⌉ bytes for every metric that still has
+		// unresolved vectors. The size is read before Visit runs, so a
+		// probe is always costed at the pre-reply state — the node
+		// answered for every metric that was open when asked.
+		resp := MsgHeaderBytes + v.Open()*((d.cfg.M+7)/8)
 		n.Counters().AddProbed()
-		out.visited++
+		out.Visited++
 		cost.NodesVisited++
 		cost.Hops += int64(h)
-		cost.Bytes += int64(h) * int64(ProbeReqBytes+pc.resp)
-		d.env.Traffic.Account(h, ProbeReqBytes+pc.resp)
+		cost.Bytes += int64(h) * int64(ProbeReqBytes+resp)
+		d.env.Traffic.Account(h, ProbeReqBytes+resp)
 		pt.emit(obs.KindProbe, n.ID(), int(bit), int64(h), nil)
-		return visit(n)
+		w.reply = storeReply{s: storeIfPresent(n), bit: uint8(bit), now: d.env.Clock.Now()}
+		return v.Visit(&w.reply)
 	}
 
 	// fail records a failed step: the budget is spent and the traffic
 	// the request consumed before failing is metered as dropped.
 	fail := func(hops int) {
-		out.failed++
+		out.Failed++
 		if hops > 0 {
 			cost.Hops += int64(hops)
 			cost.Bytes += int64(hops) * int64(ProbeReqBytes)
@@ -508,10 +247,10 @@ func (d *DHS) probeIntervalLim(src dht.Node, bit uint, lim int, states []*metric
 	// insertion paths (see CountCost.Lookups); the failed attempt is
 	// still visible in Quality.ProbesAttempted/ProbesFailed.
 	enter := func() (dht.Node, int, bool) {
-		target := sim.UniformIn(rng, lo, size)
-		n, hops, stale, err := d.routeFrom(src, target)
-		out.attempted++
-		out.stale += stale
+		target := sim.UniformIn(w.rng, lo, size)
+		n, hops, stale, err := d.routeFrom(w.src, target)
+		out.Attempted++
+		out.Stale += stale
 		if err != nil {
 			pt.emit(obs.KindLookup, 0, int(bit), int64(hops), err)
 			fail(hops)
@@ -529,7 +268,7 @@ func (d *DHS) probeIntervalLim(src dht.Node, bit uint, lim int, states []*metric
 		// construction always lies inside the interval). Successor
 		// retries also discover replicas stored past the home node.
 		var home, cur dht.Node
-		for out.attempted < lim {
+		for out.Attempted < lim {
 			if cur == nil {
 				// (Re-)enter the interval at a fresh random target. The
 				// wrap-around anchor is reset to the newly entered node:
@@ -544,12 +283,12 @@ func (d *DHS) probeIntervalLim(src dht.Node, bit uint, lim int, states []*metric
 				cur = n
 				home = n
 				if probe(cur, hops) {
-					return cost, out
+					return out
 				}
 				continue
 			}
 			next, err := d.overlay.Successor(cur)
-			out.attempted++
+			out.Attempted++
 			if err != nil {
 				pt.emit(obs.KindWalkStep, 0, int(bit), 1, err)
 				fail(1)
@@ -559,14 +298,14 @@ func (d *DHS) probeIntervalLim(src dht.Node, bit uint, lim int, states []*metric
 				// the extension (or with the list exhausted) the walk
 				// re-enters the interval afresh, as before.
 				if fb := d.walkFallback(cur); fb != nil {
-					out.stale++
+					out.Stale++
 					pt.emit(obs.KindWalkStep, fb.ID(), int(bit), 1, nil)
 					if fb == home {
-						return cost, out // wrapped around a tiny ring
+						return out // wrapped around a tiny ring
 					}
 					cur = fb
 					if probe(cur, 1) {
-						return cost, out
+						return out
 					}
 					continue
 				}
@@ -575,14 +314,14 @@ func (d *DHS) probeIntervalLim(src dht.Node, bit uint, lim int, states []*metric
 			}
 			pt.emit(obs.KindWalkStep, next.ID(), int(bit), 1, nil)
 			if next == home {
-				return cost, out // wrapped all the way around a tiny ring
+				return out // wrapped all the way around a tiny ring
 			}
 			cur = next
 			if probe(cur, 1) {
-				return cost, out
+				return out
 			}
 		}
-		return cost, out
+		return out
 	}
 
 	// Edge-aware variant (an ablation beyond the paper): exploit the
@@ -590,8 +329,8 @@ func (d *DHS) probeIntervalLim(src dht.Node, bit uint, lim int, states []*metric
 	// succeed.
 	var home dht.Node
 	for home == nil {
-		if out.attempted >= lim {
-			return cost, out
+		if out.Attempted >= lim {
+			return out
 		}
 		n, hops, ok := enter()
 		if !ok {
@@ -599,7 +338,7 @@ func (d *DHS) probeIntervalLim(src dht.Node, bit uint, lim int, states []*metric
 		}
 		home = n
 		if probe(home, hops) {
-			return cost, out
+			return out
 		}
 	}
 
@@ -609,22 +348,22 @@ func (d *DHS) probeIntervalLim(src dht.Node, bit uint, lim int, states []*metric
 	// spends a probe and ends the phase: boundary knowledge is useless
 	// once the walk's position is unknown.
 	cur := home
-	for out.attempted < lim && inIntervalRange(cur.ID(), lo, size) {
+	for out.Attempted < lim && inIntervalRange(cur.ID(), lo, size) {
 		next, err := d.overlay.Successor(cur)
 		if err != nil {
 			pt.emit(obs.KindWalkStep, 0, int(bit), 1, err)
-			out.attempted++
+			out.Attempted++
 			fail(1)
 			break
 		}
 		pt.emit(obs.KindWalkStep, next.ID(), int(bit), 1, nil)
 		if next == home {
-			return cost, out // wrapped all the way around a tiny ring
+			return out // wrapped all the way around a tiny ring
 		}
 		cur = next
-		out.attempted++
+		out.Attempted++
 		if probe(cur, 1) {
-			return cost, out
+			return out
 		}
 	}
 
@@ -632,11 +371,11 @@ func (d *DHS) probeIntervalLim(src dht.Node, bit uint, lim int, states []*metric
 	// predecessors still lie inside the interval (nodes below it own no
 	// interval keys).
 	back := home
-	for out.attempted < lim {
+	for out.Attempted < lim {
 		prev, err := d.overlay.Predecessor(back)
 		if err != nil {
 			pt.emit(obs.KindWalkStep, 0, int(bit), -1, err)
-			out.attempted++
+			out.Attempted++
 			fail(1)
 			break
 		}
@@ -645,10 +384,10 @@ func (d *DHS) probeIntervalLim(src dht.Node, bit uint, lim int, states []*metric
 			break
 		}
 		back = prev
-		out.attempted++
+		out.Attempted++
 		if probe(back, 1) {
-			return cost, out
+			return out
 		}
 	}
-	return cost, out
+	return out
 }

@@ -6,10 +6,8 @@ import (
 	"sync/atomic"
 
 	"dhsketch/internal/dht"
-	"dhsketch/internal/hashutil"
 	"dhsketch/internal/md4"
 	"dhsketch/internal/sim"
-	"dhsketch/internal/sketch"
 )
 
 // DHS is a Distributed Hash Sketch handle. It is a client-side view: all
@@ -25,11 +23,10 @@ import (
 // they mutate overlay state the counting surface only reads.
 type DHS struct {
 	cfg     Config
+	geom    Geometry
 	overlay dht.Overlay
 	env     *sim.Env
 	rng     *rand.Rand
-	c       uint // log2(M)
-	maxBit  uint // highest usable bit position (k - log2 m)
 
 	// countSeq numbers counting passes; pass p draws its targets from
 	// the stream PCG(seed, countSalt^p), so sequential runs are exactly
@@ -46,20 +43,16 @@ type DHS struct {
 // New validates the configuration and returns a DHS handle.
 func New(cfg Config) (*DHS, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	geom, err := cfg.validate()
+	if err != nil {
 		return nil, err
-	}
-	var c uint
-	if cfg.M > 1 {
-		c = hashutil.Log2(uint64(cfg.M))
 	}
 	return &DHS{
 		cfg:       cfg,
+		geom:      geom,
 		overlay:   cfg.Overlay,
 		env:       cfg.Env,
 		rng:       cfg.Env.Derive("dhs"),
-		c:         c,
-		maxBit:    cfg.K - c,
 		countSalt: md4.Sum64([]byte(fmt.Sprintf("%d|dhs-count", cfg.Env.Seed()))),
 	}, nil
 }
@@ -81,7 +74,7 @@ func (d *DHS) Config() Config { return d.cfg }
 
 // MaxBit returns the highest usable bit position k − log₂(m); the
 // counting scan covers positions [ShiftBits, MaxBit].
-func (d *DHS) MaxBit() uint { return d.maxBit }
+func (d *DHS) MaxBit() uint { return d.geom.MaxBit() }
 
 // MetricID derives a metric identifier from a human-readable name, e.g.
 // "relation-R/cardinality" or "relation-R/attr-a/bucket-17". Estimated
@@ -94,43 +87,6 @@ func MetricID(name string) uint64 {
 // for hashing a document's content or a tuple's primary key.
 func ItemID(label string) uint64 {
 	return md4.Sum64([]byte("item|" + label))
-}
-
-// split maps an item's DHT key to (vector, bit position) per §3.4:
-// vector = lsb_k(id) mod m, bit = ρ(lsb_k(id) div m).
-func (d *DHS) split(itemID uint64) (vector int32, bit uint) {
-	if d.cfg.M == 1 {
-		return 0, hashutil.Rho(hashutil.Lsb(itemID, d.cfg.K), d.cfg.K)
-	}
-	v, r := hashutil.Split(itemID, d.cfg.K, d.cfg.M)
-	return int32(v), r
-}
-
-// intervalForBit returns the ID-space interval that stores the given bit
-// position. With the §3.5 bit-shift variant (ShiftBits = b), bit i is
-// stored in the larger interval I_{i−b} ("assigning the ith DHT interval
-// to the (i+b)th bit"): its placements then spread over about 2^b times
-// more distinct nodes, so no single node's crash can erase a sparse bit.
-// The price — the paper does not analyze it — is findability: per-node
-// placement density drops by the same 2^b factor, so counting a shifted
-// DHS needs a correspondingly larger probe budget (raise Lim or use
-// CountAdaptive). Bits below b are never stored; they are assumed set,
-// valid when the counted cardinality is well beyond 2^b per vector.
-func (d *DHS) intervalForBit(bit uint) (lo, size uint64) {
-	return hashutil.Interval(d.overlay.Bits(), d.cfg.K, bit-d.cfg.ShiftBits)
-}
-
-// storable reports whether a bit position is recorded at all: with
-// ShiftBits = b, positions below b are assumed set and never stored.
-func (d *DHS) storable(bit uint) bool {
-	return bit >= d.cfg.ShiftBits
-}
-
-// randomIDInIntervalFor draws a uniform target identifier for the bit's
-// interval.
-func (d *DHS) randomIDInIntervalFor(bit uint) uint64 {
-	lo, size := d.intervalForBit(bit)
-	return sim.UniformIn(d.rng, lo, size)
 }
 
 // Estimate is the result of one counting operation, with the cost
@@ -210,33 +166,6 @@ func (c *CountCost) add(other CountCost) {
 	c.NodesVisited += other.NodesVisited
 	c.Hops += other.Hops
 	c.Bytes += other.Bytes
-}
-
-// estimateFromR turns reconstructed per-vector statistics into a
-// cardinality estimate using the configured estimator family.
-func (d *DHS) estimateFromR(R []int) float64 {
-	switch d.cfg.Kind {
-	case sketch.KindPCSA:
-		return sketch.EstimatePCSA(R)
-	case sketch.KindSuperLogLog:
-		return sketch.EstimateSuperLogLog(ranksFromMaxBits(R))
-	case sketch.KindLogLog:
-		return sketch.EstimateLogLog(ranksFromMaxBits(R))
-	case sketch.KindHyperLogLog:
-		return sketch.EstimateHyperLogLog(ranksFromMaxBits(R))
-	default:
-		panic(fmt.Sprintf("core: unknown estimator kind %v", d.cfg.Kind))
-	}
-}
-
-// ranksFromMaxBits converts 0-based maximum bit positions (-1 = vector
-// never observed) to the 1-based ranks the LogLog-family formulas expect.
-func ranksFromMaxBits(R []int) []int {
-	ranks := make([]int, len(R))
-	for i, r := range R {
-		ranks[i] = r + 1
-	}
-	return ranks
 }
 
 // StorageBytesPerNode returns the current DHS storage footprint of every

@@ -359,7 +359,7 @@ func TestShiftBitsVariant(t *testing.T) {
 		t.Errorf("shifted DHS error %.3f", e)
 	}
 	// Bit i is stored in interval I_{i−b}: bit b maps to I_0.
-	lo, size := d.intervalForBit(4)
+	lo, size := d.geom.Interval(4)
 	if wantLo, wantSize := uint64(1)<<63, uint64(1)<<63; lo != wantLo || size != wantSize {
 		t.Errorf("bit 4 interval = [%d,+%d), want [%d,+%d)", lo, size, wantLo, wantSize)
 	}

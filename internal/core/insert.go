@@ -74,8 +74,8 @@ func (d *DHS) Insert(metric uint64, itemID uint64) (InsertCost, error) {
 // the new draw sidesteps the failed node) after a bounded linear backoff
 // on the virtual clock, so transient down-windows can pass.
 func (d *DHS) InsertFrom(src dht.Node, metric uint64, itemID uint64) (InsertCost, error) {
-	vector, bit := d.split(itemID)
-	if !d.storable(bit) {
+	vector, bit := d.geom.Split(itemID)
+	if !d.geom.Stored(bit) {
 		// ShiftBits variant: the b low-order positions are assumed set
 		// and never stored; recording such an item is free.
 		return InsertCost{}, nil
@@ -106,7 +106,7 @@ func (d *DHS) storeBit(src dht.Node, key TupleKey) (InsertCost, error) {
 			d.env.Clock.Advance(int64(attempt))
 			cost.Retries++
 		}
-		target := d.randomIDInIntervalFor(uint(key.Bit))
+		target := d.geom.Target(d.rng, uint(key.Bit))
 		home, hops, err := d.overlay.LookupFrom(src, target)
 		if err != nil {
 			lastErr = err
@@ -187,8 +187,8 @@ func (d *DHS) BulkInsertFrom(src dht.Node, metric uint64, itemIDs []uint64) (Ins
 	// Group distinct (vector, bit) pairs by bit.
 	byBit := make(map[uint8]map[int32]struct{})
 	for _, id := range itemIDs {
-		vector, bit := d.split(id)
-		if !d.storable(bit) {
+		vector, bit := d.geom.Split(id)
+		if !d.geom.Stored(bit) {
 			continue
 		}
 		b := uint8(bit)
@@ -202,7 +202,7 @@ func (d *DHS) BulkInsertFrom(src dht.Node, metric uint64, itemIDs []uint64) (Ins
 	retries := d.insertRetries()
 	// Iterate bit positions in fixed order: map iteration order would
 	// perturb the deterministic target-selection RNG across runs.
-	for b := uint(0); b <= d.maxBit; b++ {
+	for b := uint(0); b <= d.geom.MaxBit(); b++ {
 		bit := uint8(b)
 		vectors, ok := byBit[bit]
 		if !ok {
@@ -217,7 +217,7 @@ func (d *DHS) BulkInsertFrom(src dht.Node, metric uint64, itemIDs []uint64) (Ins
 				d.env.Clock.Advance(int64(attempt))
 				cost.Retries++
 			}
-			target := d.randomIDInIntervalFor(uint(bit))
+			target := d.geom.Target(d.rng, uint(bit))
 			n, hops, err := d.overlay.LookupFrom(src, target)
 			if err != nil {
 				lastErr = err

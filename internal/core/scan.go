@@ -1,0 +1,249 @@
+package core
+
+import (
+	"math/bits"
+
+	"dhsketch/internal/sketch"
+)
+
+// Prober is the transport half of Algorithm 1 — the one step the
+// simulated overlays and the TCP ring perform differently: how the
+// identifier interval of one bit position is probed. Everything else of
+// a counting pass (scan order, per-vector resolution, the estimate, the
+// failure accounting) is Geometry.Scan, shared by both.
+type Prober interface {
+	// ProbeInterval spends up to lim units of probe budget on the
+	// interval storing bit. It calls v.Visit once per node that answers
+	// — never concurrently — and may stop once Visit returns true. A
+	// failed step consumes budget like a successful one (lim bounds
+	// work, not successes); the outcome reports what the budget bought.
+	ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcome
+}
+
+// Reply is one probed node's answer at the probed bit position.
+type Reply interface {
+	// AppendVectors overwrites dst with the bitset of metric's vectors
+	// whose probed bit is set on the node — vector v is bit v%64 of word
+	// v/64, trailing zero words optional — and returns it.
+	AppendVectors(dst []uint64, metric uint64) []uint64
+}
+
+// IntervalOutcome reports what one interval's probing achieved.
+type IntervalOutcome struct {
+	Attempted int // probe budget spent, incl. failed steps
+	Failed    int // steps lost to drops, timeouts, or down nodes
+	Visited   int // nodes successfully probed
+	Stale     int // hops wasted on stale routing entries + list fallbacks
+}
+
+// metricState tracks the per-vector resolution of one metric during a
+// counting pass.
+type metricState struct {
+	metric     uint64
+	R          []int  // resolved statistic per vector
+	resolved   []bool // whether vector j has its statistic
+	unresolved int
+	// foundHere marks vectors observed set at the current bit position
+	// (ascending PCSA scans need it to decide leftmost zeros).
+	foundHere []bool
+	// scratch is the probe-reply buffer: every Reply's bitset for this
+	// metric is written into it in place, so the steady-state probe path
+	// allocates nothing. Sized ⌈m/64⌉; grows only if a foreign handle
+	// with larger m shares the overlay.
+	scratch []uint64
+}
+
+func newMetricState(metric uint64, m int) *metricState {
+	st := &metricState{
+		metric:     metric,
+		R:          make([]int, m),
+		resolved:   make([]bool, m),
+		unresolved: m,
+		foundHere:  make([]bool, m),
+		scratch:    make([]uint64, 0, (m+63)/64),
+	}
+	for i := range st.R {
+		st.R[i] = -1
+	}
+	return st
+}
+
+// Visitor is the resolution state of one counting pass, handed to the
+// Prober so it can deliver replies and ask which metrics are still open.
+type Visitor struct {
+	ascending bool
+	bit       int // position being probed
+	states    []*metricState
+	open      int // metrics with unresolved vectors
+}
+
+// Open returns how many metrics still have unresolved vectors — the
+// metrics a probe issued now has to ask for.
+func (v *Visitor) Open() int { return v.open }
+
+// Metrics returns the identifiers of the still-open metrics, in a slice
+// the caller owns.
+func (v *Visitor) Metrics() []uint64 {
+	open := make([]uint64, 0, v.open)
+	for _, st := range v.states {
+		if st.unresolved > 0 {
+			open = append(open, st.metric)
+		}
+	}
+	return open
+}
+
+// Visit folds one node's reply into the pass and reports whether the
+// current interval has nothing more to teach: every vector resolved
+// (descending), or every unresolved vector already seen set here so no
+// zero can be declared (ascending). Vector indexes at or beyond m — a
+// writer with mismatched geometry — are ignored.
+func (v *Visitor) Visit(r Reply) bool {
+	done := true
+	for _, st := range v.states {
+		if st.unresolved == 0 {
+			continue
+		}
+		st.scratch = r.AppendVectors(st.scratch, st.metric)
+		for wi, w := range st.scratch {
+			base := wi << 6
+			for ; w != 0; w &= w - 1 {
+				j := base + bits.TrailingZeros64(w)
+				if j >= len(st.resolved) {
+					continue
+				}
+				if v.ascending {
+					st.foundHere[j] = true
+				} else if !st.resolved[j] {
+					// Scanning downward, the first set bit seen for a
+					// vector is its maximum.
+					st.resolve(j, v.bit)
+				}
+			}
+		}
+		if v.ascending {
+			for j := range st.foundHere {
+				if !st.resolved[j] && !st.foundHere[j] {
+					done = false
+					break
+				}
+			}
+		} else if st.unresolved == 0 {
+			v.open--
+		}
+	}
+	if v.ascending {
+		return done
+	}
+	return v.open == 0
+}
+
+func (st *metricState) resolve(j, bit int) {
+	st.resolved[j] = true
+	st.R[j] = bit
+	st.unresolved--
+}
+
+// declareZeros closes an ascending interval that produced evidence:
+// vectors with no set bit found at this position have their leftmost
+// zero here.
+func (v *Visitor) declareZeros() {
+	for _, st := range v.states {
+		if st.unresolved == 0 {
+			continue
+		}
+		for j := range st.foundHere {
+			if !st.resolved[j] && !st.foundHere[j] {
+				st.resolve(j, v.bit)
+			}
+		}
+		if st.unresolved == 0 {
+			v.open--
+		}
+	}
+}
+
+// scanQuality aggregates the failure accounting of one counting pass.
+type scanQuality struct {
+	attempted int // probe budget spent, incl. failed steps
+	failed    int // steps lost to drops, timeouts, or down nodes
+	skipped   int // intervals where no node could be probed at all
+	stale     int // hops wasted on stale routing state (see Quality)
+}
+
+func (q *scanQuality) add(out IntervalOutcome) {
+	q.attempted += out.Attempted
+	q.failed += out.Failed
+	q.stale += out.Stale
+	if out.Visited == 0 {
+		q.skipped++
+	}
+}
+
+// forMetric combines the pass-wide failure accounting with one metric's
+// resolution state into its Estimate's Quality.
+func (q scanQuality) forMetric(st *metricState) Quality {
+	return Quality{
+		ProbesAttempted:   q.attempted,
+		ProbesFailed:      q.failed,
+		IntervalsSkipped:  q.skipped,
+		VectorsUnresolved: st.unresolved,
+		StaleRetries:      q.stale,
+		Degraded:          q.failed > 0 || q.skipped > 0 || q.stale > 0,
+	}
+}
+
+// Scan runs one counting pass of Algorithm 1 for all metrics at once
+// (§4.2: the bit→interval mapping is shared, so each probed node answers
+// for every open metric) and returns one Estimate per metric, Cost left
+// zero for the caller's transport to fill in. limFor gives the probe
+// budget of each bit position.
+//
+// LogLog family: visit the intervals from the most significant position
+// downward; the first set bit seen for a vector is its maximum. An
+// interval where every probe failed can only lose maxima, never invent
+// them, so it is recorded and the scan moves on.
+//
+// PCSA: visit the intervals from the least significant stored position
+// upward; a vector's statistic is the first position where no set bit is
+// found within the budget (its leftmost zero). Declaring a zero needs
+// the budget exhausted, which is why DHS-PCSA degrades faster than
+// DHS-sLL when intervals get sparse (§5.2, "Accuracy") — and needs some
+// evidence: an interval where no node answered is skipped with its
+// vectors left open for later bits, because declaring zeros from no
+// evidence would collapse the estimate.
+//
+// The pass never aborts on a dead or unreachable node; what was lost is
+// reported in each Estimate's Quality.
+func (g *Geometry) Scan(p Prober, metrics []uint64, limFor func(bit int) int) []Estimate {
+	v := &Visitor{
+		ascending: g.Kind == sketch.KindPCSA,
+		states:    make([]*metricState, len(metrics)),
+		open:      len(metrics),
+	}
+	for i, metric := range metrics {
+		v.states[i] = newMetricState(metric, g.M)
+	}
+
+	var q scanQuality
+	first, last, step := g.scanRange()
+	for v.bit = first; v.bit != last+step && v.open > 0; v.bit += step {
+		if v.ascending {
+			for _, st := range v.states {
+				clear(st.foundHere)
+			}
+		}
+		out := p.ProbeInterval(uint(v.bit), limFor(v.bit), v)
+		q.add(out)
+		if v.ascending && out.Visited > 0 {
+			v.declareZeros()
+		}
+	}
+
+	ests := make([]Estimate, len(v.states))
+	for i, st := range v.states {
+		R := g.finalR(st)
+		ests[i] = Estimate{Value: g.estimateFromR(R), R: R, Quality: q.forMetric(st)}
+	}
+	return ests
+}

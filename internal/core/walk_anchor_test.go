@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"dhsketch/internal/dht"
+	"dhsketch/internal/obs"
 	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
 )
@@ -121,14 +122,19 @@ func TestWalkAnchorResetsOnReentry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	states := []*metricState{newMetricState(MetricID("anchor"), d.cfg.M)}
-	var visited []uint64
+	// The stores are empty, so the visitor never resolves and the walk
+	// runs until wrap or budget; the probed nodes are read off the trace.
+	ring := obs.NewRing(64)
 	rng, _ := d.countPass()
-	cost, out := d.probeIntervalLim(overlay.nodes[0], 0, 16, states, d.newPassCtx(), rng, &passTracer{},
-		func(n dht.Node) bool {
-			visited = append(visited, n.ID())
-			return false // never resolved: the walk runs until wrap or budget
-		})
+	w := &walkProber{d: d, src: overlay.nodes[0], rng: rng, pt: passTracer{t: ring, env: env}}
+	v := &Visitor{states: []*metricState{newMetricState(MetricID("anchor"), d.cfg.M)}, open: 1}
+	out := w.ProbeInterval(0, 16, v)
+	var visited []uint64
+	for _, e := range ring.Events() {
+		if e.Kind == obs.KindProbe {
+			visited = append(visited, e.Node)
+		}
+	}
 
 	want := []uint64{100, 300, 400, 100, 200} // A, C, D, A, B
 	if len(visited) != len(want) {
@@ -139,15 +145,15 @@ func TestWalkAnchorResetsOnReentry(t *testing.T) {
 			t.Fatalf("visited %v, want %v", visited, want)
 		}
 	}
-	if out.failed != 1 {
-		t.Errorf("failed steps = %d, want 1", out.failed)
+	if out.Failed != 1 {
+		t.Errorf("failed steps = %d, want 1", out.Failed)
 	}
 	// Budget spent: 2 lookups + 1 failed successor + 4 successful
 	// successor steps = 7 of the 16 allowed.
-	if out.attempted != 7 {
-		t.Errorf("attempted = %d, want 7", out.attempted)
+	if out.Attempted != 7 {
+		t.Errorf("attempted = %d, want 7", out.Attempted)
 	}
-	if cost.NodesVisited != len(want) {
-		t.Errorf("NodesVisited = %d, want %d", cost.NodesVisited, len(want))
+	if w.cost.NodesVisited != len(want) {
+		t.Errorf("NodesVisited = %d, want %d", w.cost.NodesVisited, len(want))
 	}
 }

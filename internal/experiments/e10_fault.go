@@ -51,7 +51,7 @@ func RunE10(p Params, fractions []float64) (*E10Result, error) {
 		// The bit-shift variant spreads each bit over 2^b more nodes —
 		// free insertion-side redundancy — but the same factor dilutes
 		// per-node findability, so it must ship with a larger counting
-		// budget (lim scaled by 2^b; see the intervalForBit discussion).
+		// budget (lim scaled by 2^b; see core.Geometry.Interval).
 		{"shift b=2, lim=20", func(c *core.Config) { c.ShiftBits = 2; c.Lim = 20 }},
 	}
 

@@ -158,6 +158,13 @@ func (l *Loader) expand(patterns []string) ([]string, error) {
 			if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 				return filepath.SkipDir
 			}
+			if path != root {
+				// A nested module (bench/) is not part of this one: the go
+				// tool's ./... stops at its go.mod, and so does this walk.
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
+			}
 			if hasGoFiles(path) {
 				add(path)
 			}

@@ -11,16 +11,18 @@ import (
 	"dhsketch/internal/sketch"
 )
 
-// slowEchoServer accepts connections and answers every frame with a
-// pong after holding it for delay — a stand-in peer that makes RPC
-// serialization visible as wall-clock time.
-func slowEchoServer(t *testing.T, delay time.Duration) string {
+// fakePeer accepts connections and answers every frame with what handle
+// returns for it — a stand-in ring member under the test's control.
+// handle also receives the peer's own address, so it can name itself as
+// a key's owner.
+func fakePeer(t *testing.T, handle func(self string, req []byte) []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	t.Cleanup(func() { ln.Close() })
+	self := ln.Addr().String()
 	go func() {
 		for {
 			c, err := ln.Accept()
@@ -30,18 +32,28 @@ func slowEchoServer(t *testing.T, delay time.Duration) string {
 			go func() {
 				defer c.Close()
 				for {
-					if _, err := readFrame(c); err != nil {
+					req, err := readFrame(c)
+					if err != nil {
 						return
 					}
-					time.Sleep(delay)
-					if err := writeFrame(c, encodePong()); err != nil {
+					if err := writeFrame(c, handle(self, req)); err != nil {
 						return
 					}
 				}
 			}()
 		}
 	}()
-	return ln.Addr().String()
+	return self
+}
+
+// slowEchoServer answers every frame with a pong after holding it for
+// delay — a peer that makes RPC serialization visible as wall-clock
+// time.
+func slowEchoServer(t *testing.T, delay time.Duration) string {
+	return fakePeer(t, func(string, []byte) []byte {
+		time.Sleep(delay)
+		return encodePong()
+	})
 }
 
 // TestPeerPoolParallelExchanges pins the PR-10 throughput fix: with a

@@ -305,3 +305,18 @@ func decodeErr(buf []byte) (code byte, hops, stale uint16, err error) {
 	}
 	return buf[2], binary.BigEndian.Uint16(buf[3:]), binary.BigEndian.Uint16(buf[5:]), nil
 }
+
+// replyErr splits a typed failure out of a reply frame. err is nil when
+// raw is any other frame; otherwise it is the dht-taxonomy error of the
+// code the peer sent, returned with the partial route cost, or the decode
+// error of a malformed frame (code 0 — no errno is zero).
+func replyErr(raw []byte) (code byte, hops, stale uint16, err error) {
+	if len(raw) < 2 || raw[1] != tagErr {
+		return 0, 0, 0, nil
+	}
+	code, hops, stale, err = decodeErr(raw)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return code, hops, stale, errnoErr(code)
+}

@@ -8,6 +8,7 @@ import (
 	"dhsketch/internal/dht"
 	"dhsketch/internal/dht/dhttest"
 	"dhsketch/internal/sim"
+	"dhsketch/internal/wire"
 )
 
 // newTestCluster builds a cluster and registers its teardown.
@@ -154,6 +155,33 @@ func TestControlMessageRoundTrips(t *testing.T) {
 	}
 	if _, err := decodeAck(encodePong()); err == nil {
 		t.Fatal("decodeAck accepted a pong frame")
+	}
+}
+
+// TestMaskReplyWords: the probe reply's byte masks reach the shared
+// scan as 64-bit bitset words with every vector at the same index, for
+// mask lengths below, at and above one word, and a metric the reply
+// does not carry reads as empty.
+func TestMaskReplyWords(t *testing.T) {
+	for _, m := range []int{1, 4, 16, 64, 128, 512} {
+		mask := make([]byte, wire.MaskBytes(m))
+		set := map[int]bool{0: true, m / 3: true, m / 2: true, m - 1: true}
+		for v := range set {
+			wire.SetVec(mask, v)
+		}
+		r := &maskReply{metrics: []uint64{7, 9}, masks: [][]byte{make([]byte, len(mask)), mask}}
+		words := r.AppendVectors([]uint64{^uint64(0), 1, 2}, 9)
+		if want := (m + 63) / 64; len(words) != want {
+			t.Fatalf("m=%d: %d words, want %d", m, len(words), want)
+		}
+		for v := 0; v < len(words)*64; v++ {
+			if got := words[v/64]>>(v%64)&1 == 1; got != set[v] {
+				t.Errorf("m=%d: vector %d set=%v, want %v", m, v, got, set[v])
+			}
+		}
+		if other := r.AppendVectors(words, 8); len(other) != 0 {
+			t.Errorf("m=%d: unknown metric answered %v", m, other)
+		}
 	}
 }
 

@@ -27,8 +27,7 @@ const (
 // serialization wall for a query frontend fanning many concurrent
 // probes at the same owners — so the default is wide enough for the
 // counting scan's intra-interval parallelism while staying far below
-// any file-descriptor budget. Configurable via ClientConfig.PeerConns
-// and Options.PeerConns.
+// any file-descriptor budget.
 const DefaultPeerConns = 4
 
 // mapNetErr folds a transport failure into the dht error taxonomy the
@@ -116,9 +115,6 @@ func newPeerPool(dialTimeout, rpcTimeout time.Duration, connsPer int) *peerPool 
 	}
 	if rpcTimeout <= 0 {
 		rpcTimeout = defaultRPCTimeout
-	}
-	if connsPer <= 0 {
-		connsPer = DefaultPeerConns
 	}
 	return &peerPool{
 		dialTimeout: dialTimeout,

@@ -8,13 +8,79 @@ import (
 	"testing"
 	"time"
 
+	"dhsketch/internal/sketch"
 	"dhsketch/internal/wire"
 )
 
 // Regression tests for the dhslint v2 findings fixed in this package:
 // the probe-request allocation bound (wirebounds), the symmetric
 // writeFrame size check, and the handleConn idle deadline
-// (conndeadline).
+// (conndeadline) — and for client input that used to be accepted and
+// then crash a later Count: unusable sketch geometry and probe replies
+// of the wrong shape.
+
+// TestNewClientRejectsUnusableGeometry: m = 1 with a LogLog-family
+// estimator has no α constant (the first Count panicked in the
+// estimator), and m = 65536 wraps the probe request's 16-bit vector
+// count to zero (the empty reply mask was then indexed out of range).
+// Both must fail at construction.
+func TestNewClientRejectsUnusableGeometry(t *testing.T) {
+	for _, cfg := range []ClientConfig{
+		{Entry: "127.0.0.1:1", K: 16, M: 1, Kind: sketch.KindSuperLogLog},
+		{Entry: "127.0.0.1:1", K: 24, M: 65536, Kind: sketch.KindSuperLogLog},
+	} {
+		if c, err := NewClient(cfg); err == nil {
+			c.Close()
+			t.Errorf("NewClient accepted k=%d m=%d kind=%v", cfg.K, cfg.M, cfg.Kind)
+		}
+	}
+}
+
+// TestCountFailsMisshapenProbeReply: a peer running a different -m (or
+// a hostile one) answers probes with masks that do not match the
+// request. Each such reply must count as a failed probe — a degraded
+// estimate — instead of being indexed as if it had the client's m.
+func TestCountFailsMisshapenProbeReply(t *testing.T) {
+	replies := map[string]wire.ProbeResp{
+		"short mask":      {NumVecs: 8, VecMasks: [][]byte{{0xFF}}},
+		"long mask":       {NumVecs: 128, VecMasks: [][]byte{make([]byte, 16)}},
+		"no mask":         {NumVecs: 64},
+		"one mask extra":  {NumVecs: 64, VecMasks: [][]byte{make([]byte, 8), make([]byte, 8)}},
+		"zero-vector ack": {NumVecs: 0, VecMasks: [][]byte{{}}},
+	}
+	for name, reply := range replies {
+		t.Run(name, func(t *testing.T) {
+			entry := fakePeer(t, func(self string, req []byte) []byte {
+				if req[1] == tagFindSucc {
+					return encodeFindSuccResp(findSuccRespMsg{owner: nodeRef{id: 1, addr: self}})
+				}
+				raw, err := wire.EncodeProbeResp(reply)
+				if err != nil {
+					t.Errorf("EncodeProbeResp: %v", err)
+				}
+				return raw
+			})
+			// K=8, M=64: the scan covers bits 2..0. Every target routes
+			// to the one fake owner, so each interval probes it once and
+			// spends its second attempt on the duplicate.
+			c, err := NewClient(ClientConfig{Entry: entry, K: 8, M: 64, Kind: sketch.KindSuperLogLog, Lim: 2})
+			if err != nil {
+				t.Fatalf("NewClient: %v", err)
+			}
+			defer c.Close()
+			res, err := c.Count(42)
+			if err != nil {
+				t.Fatalf("Count: %v", err)
+			}
+			// The estimate of the all-empty sketch is the estimator's
+			// affair; the accounting is what is under test.
+			want := CountResult{Estimate: res.Estimate, ProbesAttempted: 6, ProbesFailed: 3, IntervalsSkipped: 3, Degraded: true}
+			if res != want {
+				t.Errorf("Count = %+v, want %+v", res, want)
+			}
+		})
+	}
+}
 
 // TestProbeReqOversizeRejected: a 400-odd-byte probe request claiming
 // 65535 vectors across 200 metrics would demand ~1.6 MiB of mask

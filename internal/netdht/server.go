@@ -36,10 +36,6 @@ type Options struct {
 	DialTimeout time.Duration
 	RPCTimeout  time.Duration
 
-	// PeerConns is the outbound connection-pool width per peer address.
-	// Zero means DefaultPeerConns.
-	PeerConns int
-
 	// Now supplies the coarse tick clock TTL expiry is evaluated
 	// against. Nil means the server's own maintenance tick counter —
 	// suitable for a daemon; a Cluster passes its sim clock so stores
@@ -121,7 +117,7 @@ func NewServer(listen string, opt Options) (*Server, error) {
 		cfg:     opt.Protocol.WithDefaults(),
 		addr:    addr,
 		ln:      ln,
-		peers:   newPeerPool(opt.DialTimeout, opt.RPCTimeout, opt.PeerConns),
+		peers:   newPeerPool(opt.DialTimeout, opt.RPCTimeout, DefaultPeerConns),
 		logf:    opt.Logf,
 		inConns: make(map[net.Conn]struct{}),
 		quit:    make(chan struct{}),
@@ -450,14 +446,11 @@ func (s *Server) forwardTo(addr string, key uint64, hops, stale int, deliver boo
 	if err != nil {
 		return findSuccRespMsg{}, 0, err
 	}
-	if len(raw) >= 2 && raw[1] == tagErr {
-		code, h, st, derr := decodeErr(raw)
-		if derr != nil {
-			return findSuccRespMsg{}, 0, derr
-		}
-		if code == errnoNodeDown {
-			// The peer answered while shutting down: same as unreachable.
-			return findSuccRespMsg{}, 0, dht.ErrNodeDown
+	if code, h, st, err := replyErr(raw); err != nil {
+		if code == 0 || code == errnoNodeDown {
+			// An undecodable reply, or the peer answered while shutting
+			// down: same as unreachable.
+			return findSuccRespMsg{}, 0, err
 		}
 		return findSuccRespMsg{hops: h, stale: st}, code, nil
 	}
@@ -592,12 +585,8 @@ func (s *Server) neighborsRPC(addr string) (neighborsRespMsg, error) {
 	if err != nil {
 		return neighborsRespMsg{}, err
 	}
-	if len(raw) >= 2 && raw[1] == tagErr {
-		code, _, _, derr := decodeErr(raw)
-		if derr != nil {
-			return neighborsRespMsg{}, derr
-		}
-		return neighborsRespMsg{}, errnoErr(code)
+	if _, _, _, err := replyErr(raw); err != nil {
+		return neighborsRespMsg{}, err
 	}
 	return decodeNeighborsResp(raw)
 }
@@ -814,12 +803,8 @@ func (s *Server) Join(bootstrap string) error {
 	if err != nil {
 		return fmt.Errorf("netdht: join via %s: %w", bootstrap, err)
 	}
-	if len(raw) >= 2 && raw[1] == tagErr {
-		code, _, _, derr := decodeErr(raw)
-		if derr == nil {
-			derr = errnoErr(code)
-		}
-		return fmt.Errorf("netdht: join via %s: %w", bootstrap, derr)
+	if _, _, _, err := replyErr(raw); err != nil {
+		return fmt.Errorf("netdht: join via %s: %w", bootstrap, err)
 	}
 	resp, err := decodeFindSuccResp(raw)
 	if err != nil {

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"dhsketch/internal/hashutil"
 )
@@ -80,6 +81,24 @@ func (k Kind) String() string {
 		return "HyperLogLog"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
+	}
+}
+
+// ParseKind resolves an estimator family from the name the command-line
+// tools accept, case-insensitively: pcsa; sll or superloglog; loglog or
+// ll; hll or hyperloglog.
+func ParseKind(s string) (Kind, error) {
+	switch strings.ToLower(s) {
+	case "pcsa":
+		return KindPCSA, nil
+	case "sll", "superloglog":
+		return KindSuperLogLog, nil
+	case "loglog", "ll":
+		return KindLogLog, nil
+	case "hll", "hyperloglog":
+		return KindHyperLogLog, nil
+	default:
+		return 0, fmt.Errorf("unknown estimator kind %q (want pcsa, sll, loglog, or hll)", s)
 	}
 }
 
