@@ -1,11 +1,13 @@
-// stab.go implements the protocol-level variant of the Chord overlay:
-// instead of the static Ring's atomically consistent routing state, each
-// node maintains its own successor list, predecessor pointer, and finger
-// table, and periodic stabilize / fix-fingers / check-predecessor rounds
-// — driven by the deterministic simulation clock, never the wall clock —
-// repair that state after joins and crash-stop failures (Stoica et al.
-// 2001 §E; see also SNIPPETS.md Snippet 3 for the networked shape of the
-// same timers). Between a membership event and convergence, routing
+// stab.go is the simulated protocol-level Chord overlay: instead of the
+// static Ring's atomically consistent routing state, each node runs the
+// protocol state machine of machine.go — its own successor list,
+// predecessor pointer and finger table, repaired after joins and
+// crash-stop failures by periodic stabilize / fix-fingers /
+// check-predecessor rounds (Stoica et al. 2001 §E) — over the in-memory
+// transport below, on the deterministic simulation clock, never the wall
+// clock. This file holds only what is the simulator's: the protocol
+// config and schedule, the node type, the transport with its metering,
+// and the ring that drives rounds. Between a membership event and convergence, routing
 // traverses stale entries: dead successors and fingers are discovered by
 // timeout, cost hops, and are routed around via the successor list. That
 // transient is exactly what the churn experiment (e15) measures.
@@ -13,14 +15,10 @@ package chord
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand/v2"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"dhsketch/internal/dht"
-	"dhsketch/internal/md4"
 	"dhsketch/internal/obs"
 	"dhsketch/internal/sim"
 )
@@ -130,22 +128,15 @@ func (c ProtocolConfig) SettleWindow(events int) int64 {
 // SNode is one member of a StabilizingRing. Unlike the static Node, its
 // liveness and application pointer are atomics: the counting surface
 // reads both without holding the ring lock while protocol rounds and
-// crash-stop injection mutate them.
+// crash-stop injection mutate them. Its protocol state is a Machine, the
+// same state machine a networked server runs.
 type SNode struct {
 	id       uint64
 	name     string
 	alive    atomic.Bool
 	app      atomic.Pointer[appBox]
 	counters dht.Counters
-
-	// Protocol state, guarded by the ring's mu: the believed successor
-	// list in ring order (possibly stale — entries may be dead until a
-	// stabilize round prunes them), the believed predecessor, the cached
-	// finger table, and the fix-fingers cursor.
-	pred       *SNode
-	succ       []*SNode
-	fingers    [fingerBits]*SNode
-	nextFinger int
+	proto    *Machine
 }
 
 // appBox wraps the application state so a nil interface is storable in
@@ -177,6 +168,9 @@ func (n *SNode) SetApp(state any) { n.app.Store(&appBox{v: state}) }
 // Counters returns the node's load counters.
 func (n *SNode) Counters() *dht.Counters { return &n.counters }
 
+// Protocol returns the node's protocol state machine.
+func (n *SNode) Protocol() *Machine { return n.proto }
+
 // ProtoStats counts the stabilization protocol's work and traffic.
 // Protocol maintenance is metered here, not in the environment's Traffic
 // record, so experiment measurements of data-plane operations (inserts,
@@ -199,7 +193,8 @@ type ProtoStats struct {
 // StabilizingRing is a Chord overlay whose routing state is maintained
 // by the per-node stabilization protocol instead of atomic global
 // updates. It implements dht.Overlay plus the optional Router,
-// SuccessorLister, Maintainer, and Crasher extensions.
+// SuccessorLister, Maintainer, and Crasher extensions; the oracle half
+// of that surface is the embedded Membership's.
 //
 // Concurrency: the routing surface (Lookup, LookupFrom, RouteFrom,
 // Successor, Predecessor, Owner, Nodes, SuccessorList, Converged) takes
@@ -209,44 +204,26 @@ type ProtoStats struct {
 // atomics, so the lock-free reads the counting layer performs against
 // nodes it already holds stay race-free.
 type StabilizingRing struct {
+	*Membership[*SNode]
 	env *sim.Env
-	cfg ProtocolConfig
-
-	// rngMu serializes RandomNode draws (concurrent counting surface).
-	rngMu sync.Mutex
-	rng   *rand.Rand
-
-	mu sync.RWMutex
-	// live is the ground-truth membership oracle: alive nodes in ID
-	// order. Owner and Nodes resolve against it at zero simulated cost;
-	// routing never consults it.
-	live []*SNode
-	all  map[uint64]*SNode
 
 	// joinRNG draws bootstrap nodes for joins — its own derived stream,
 	// so joins do not perturb RandomNode's.
 	joinRNG *rand.Rand
-
-	// lastStep is the tick Step last caught up to; protocol rounds due
-	// in (lastStep, now] run on the next Step.
-	lastStep int64
-
-	// Convergence tracking: stabClean records that the most recent
-	// stabilize sweep changed nothing; fingerCleanStreak counts
-	// consecutive clean fix-fingers sweeps. The ring is converged when
-	// stabilize is clean and a full finger cycle has been clean — from
-	// then on sweeps are skipped until the next membership event.
-	stabClean         bool
-	fingerCleanStreak int
-	converged         bool
 
 	// repair, when set, is invoked during stabilize whenever a node's
 	// successor list gains members: repair(n, added) re-replicates n's
 	// application state to the new successors (core.DHS.RepairFunc).
 	repair func(n dht.Node, added []dht.Node)
 
-	stats   ProtoStats
-	maxHops int
+	// stats is guarded by the write lock: only protocol rounds and
+	// membership events meter.
+	stats ProtoStats
+
+	// The two faces of the in-memory transport: protocol rounds and joins
+	// call through protoPeers, which meters; data-plane routes through
+	// dataPeers.
+	protoPeers, dataPeers memPeers
 }
 
 // NewStabilizing creates a ring of n nodes running the stabilization
@@ -259,69 +236,46 @@ func NewStabilizing(env *sim.Env, n int, cfg ProtocolConfig) *StabilizingRing {
 	if n <= 0 {
 		panic("chord: ring needs at least one node")
 	}
-	cfg = cfg.withDefaults()
 	r := &StabilizingRing{
-		env:       env,
-		cfg:       cfg,
-		rng:       env.Derive("chord"),
-		joinRNG:   env.Derive("chord-stab-join"),
-		all:       make(map[uint64]*SNode, n),
-		lastStep:  env.Clock.Now(),
-		stabClean: true,
-		converged: true,
-		maxHops:   256,
+		Membership: NewMembership[*SNode](cfg, env.Derive("chord"), env.Clock.Now()),
+		env:        env,
+		joinRNG:    env.Derive("chord-stab-join"),
 	}
-	r.fingerCleanStreak = cfg.fingerCycle()
+	r.protoPeers = memPeers{r: r, metered: true}
+	r.dataPeers = memPeers{r: r}
 	for i := 0; i < n; i++ {
 		r.addSNode(fmt.Sprintf("node-%d:4000", i))
 	}
-	N := len(r.live)
-	for i, nd := range r.live {
-		if N > 1 {
-			nd.pred = r.live[(i-1+N)%N]
-		}
-		listLen := cfg.SuccListLen
-		if listLen > N-1 {
-			listLen = N - 1
-		}
-		for j := 1; j <= listLen; j++ {
-			nd.succ = append(nd.succ, r.live[(i+j)%N])
-		}
-		for b := range nd.fingers {
-			nd.fingers[b] = r.live[r.sOwnerIndex(nd.id+uint64(1)<<uint(b))]
-		}
-	}
+	r.SeedConverged()
 	return r
 }
 
-// addSNode creates a node from name (re-hashing on ID collision, like
-// the static ring) and splices it into the live oracle. Caller holds mu
-// or is the constructor.
+// addSNode creates a node from name and splices it into the live
+// oracle. Caller holds mu or is the constructor.
 func (r *StabilizingRing) addSNode(name string) *SNode {
-	label := name
-	id := md4.Sum64([]byte(label))
-	for _, taken := r.all[id]; taken; _, taken = r.all[id] {
-		label += "'"
-		id = md4.Sum64([]byte(label))
-	}
-	n := &SNode{id: id, name: name}
+	n := &SNode{id: r.NewID(name), name: name}
+	n.proto = NewMachine(Ref{ID: n.id, Addr: name, mem: n}, r.cfg, ringLocked{})
 	n.alive.Store(true)
-	r.all[id] = n
-	idx := sort.Search(len(r.live), func(i int) bool { return r.live[i].id >= id })
-	r.live = append(r.live, nil)
-	copy(r.live[idx+1:], r.live[idx:])
-	r.live[idx] = n
+	r.Add(n)
 	return n
 }
 
-// sOwnerIndex returns the index in live of the clockwise successor of
-// key. Caller holds mu.
-func (r *StabilizingRing) sOwnerIndex(key uint64) int {
-	idx := sort.Search(len(r.live), func(i int) bool { return r.live[i].id >= key })
-	if idx == len(r.live) {
-		return 0
-	}
-	return idx
+// ringLocked is the per-node lock of a simulated node: none. The ring's
+// RWMutex already orders every access to protocol state — rounds and
+// joins write under the write lock, routes read under the read lock.
+type ringLocked struct{}
+
+func (ringLocked) Lock()   {}
+func (ringLocked) Unlock() {}
+
+// memPeers is the in-memory transport: a call reaches the named node
+// through shared memory, and a call to a crashed node fails with
+// dht.ErrNodeDown. It owns the protocol's traffic metering; metered is
+// off for data-plane routes, which run under the read lock and are
+// accounted by the layer that issued them.
+type memPeers struct {
+	r       *StabilizingRing
+	metered bool
 }
 
 // meter accounts one protocol message into the protocol traffic record.
@@ -330,6 +284,79 @@ func (r *StabilizingRing) meter(hops, bytes int) {
 	r.stats.Messages++
 	r.stats.Hops += int64(hops)
 	r.stats.Bytes += int64(hops) * int64(bytes)
+}
+
+// reach resolves to; an exchange with a dead node is a one-hop message
+// that times out.
+func (p *memPeers) reach(to Ref) (*SNode, error) {
+	if to.mem.alive.Load() {
+		return to.mem, nil
+	}
+	p.r.stats.Timeouts++
+	p.r.meter(1, protoMsgBytes)
+	return nil, dht.ErrNodeDown
+}
+
+func (p *memPeers) Neighbors(to Ref) (Neighbors, error) {
+	n, err := p.reach(to)
+	if err != nil {
+		return Neighbors{}, err
+	}
+	// One exchange: the predecessor and the successor list.
+	p.r.meter(1, protoMsgBytes+8*p.r.cfg.SuccListLen)
+	return n.proto.Neighbors(), nil
+}
+
+// Notify rides on the Neighbors exchange that precedes it: no message
+// of its own.
+func (p *memPeers) Notify(to, self Ref) (bool, error) {
+	n, err := p.reach(to)
+	if err != nil {
+		return false, err
+	}
+	changed := n.proto.HandleNotify(self)
+	if changed {
+		p.r.stats.PredRepairs++
+	}
+	return changed, nil
+}
+
+// Ping costs nothing while the peer answers (liveness rides on regular
+// traffic); a dead one costs the timeout.
+func (p *memPeers) Ping(to Ref) error {
+	_, err := p.reach(to)
+	return err
+}
+
+// FindSucc meters a protocol route as one message of as many hops as it
+// takes, each hop — answered or timed out — at protoMsgBytes.
+func (p *memPeers) FindSucc(to Ref, key uint64, hops, stale int, deliver bool) (Found, error) {
+	n := to.mem
+	up := n.alive.Load()
+	if p.metered && hops > 0 {
+		if hops == 1 {
+			p.r.stats.Messages++
+		}
+		p.r.stats.Hops++
+		p.r.stats.Bytes += protoMsgBytes
+		if !up {
+			p.r.stats.Timeouts++
+		}
+	}
+	if !up {
+		return Found{}, dht.ErrNodeDown
+	}
+	if hops > 0 {
+		n.counters.AddRouted()
+	}
+	return n.proto.HandleFindSucc(p, key, hops, stale, deliver), nil
+}
+
+// Reseed models an out-of-band rejoin: the oracle names the node's true
+// successor. Counted — it is a protocol shortcut.
+func (p *memPeers) Reseed(self, _ Ref) Ref {
+	p.r.stats.Reseeds++
+	return p.r.live[p.r.ownerIndex(self.ID+1)].proto.Self()
 }
 
 // traceEvent emits one protocol trace event; one nil check when tracing
@@ -342,56 +369,8 @@ func (r *StabilizingRing) traceEvent(tick int64, kind obs.Kind, node uint64, arg
 	t.Event(obs.Event{Tick: tick, Kind: kind, Node: node, Bit: -1, Arg: arg})
 }
 
-// Bits returns the identifier length (64).
-func (r *StabilizingRing) Bits() uint { return 64 }
-
 // Env returns the simulation environment the ring accounts against.
 func (r *StabilizingRing) Env() *sim.Env { return r.env }
-
-// Config returns the (defaulted) protocol configuration.
-func (r *StabilizingRing) Config() ProtocolConfig { return r.cfg }
-
-// Size returns the number of live nodes.
-func (r *StabilizingRing) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.live)
-}
-
-// Nodes returns the live nodes in ID order (ground truth).
-func (r *StabilizingRing) Nodes() []dht.Node {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]dht.Node, len(r.live))
-	for i, n := range r.live {
-		out[i] = n
-	}
-	return out
-}
-
-// RandomNode returns a uniformly chosen live node.
-func (r *StabilizingRing) RandomNode() dht.Node {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.live) == 0 {
-		return nil
-	}
-	r.rngMu.Lock()
-	idx := r.rng.IntN(len(r.live))
-	r.rngMu.Unlock()
-	return r.live[idx]
-}
-
-// Owner returns the live node responsible for key at zero simulated
-// cost — the membership oracle, not a routed operation.
-func (r *StabilizingRing) Owner(key uint64) (dht.Node, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.live) == 0 {
-		return nil, dht.ErrNoRoute
-	}
-	return r.live[r.sOwnerIndex(key)], nil
-}
 
 // Stats returns a snapshot of the protocol counters.
 func (r *StabilizingRing) Stats() ProtoStats {
@@ -408,14 +387,6 @@ func (r *StabilizingRing) SetRepair(fn func(n dht.Node, added []dht.Node)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.repair = fn
-}
-
-// Converged reports whether the protocol state is quiescent (see
-// dht.Maintainer).
-func (r *StabilizingRing) Converged() bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.converged
 }
 
 // Lookup routes to the believed owner of key from a random origin.
@@ -439,11 +410,11 @@ func (r *StabilizingRing) LookupFrom(src dht.Node, key uint64) (dht.Node, int, e
 // purely on the per-node protocol state, so between a membership event
 // and convergence it pays timeouts for dead successors and fingers and
 // falls back through the successor list — or fails with dht.ErrNoRoute
-// if a node's entire successor list is dead.
+// when no entry that could carry the key answers.
 func (r *StabilizingRing) RouteFrom(src dht.Node, key uint64) (dht.Route, error) {
-	cur, ok := src.(*SNode)
-	if !ok {
-		return dht.Route{}, fmt.Errorf("chord: foreign node type %T", src)
+	cur, err := r.member(src)
+	if err != nil {
+		return dht.Route{}, err
 	}
 	if !cur.alive.Load() {
 		return dht.Route{}, dht.ErrNodeDown
@@ -453,166 +424,11 @@ func (r *StabilizingRing) RouteFrom(src dht.Node, key uint64) (dht.Route, error)
 	if len(r.live) == 0 {
 		return dht.Route{}, dht.ErrNoRoute
 	}
-	n, hops, stale, err := r.routeLocked(cur, key)
-	if err != nil {
-		return dht.Route{Hops: hops, Stale: stale}, err
+	f := cur.proto.Route(&r.dataPeers, key, 0, 0)
+	if f.Err != nil {
+		return dht.Route{Hops: f.Hops, Stale: f.Stale}, f.Err
 	}
-	return dht.Route{Node: n, Hops: hops, Stale: stale}, nil
-}
-
-// routeLocked is the greedy protocol router. Caller holds mu (read or
-// write — fix-fingers routes under the write lock).
-//
-// Invariant: every forward step moves strictly clockwise toward the key
-// without passing it, so the remaining distance decreases and routing
-// terminates; maxHops additionally bounds the timeout cost of stale
-// entries. A dead successor or finger that would have been contacted
-// costs one hop and one stale count — the timeout a real node would pay
-// to discover the death.
-func (r *StabilizingRing) routeLocked(cur *SNode, key uint64) (*SNode, int, int, error) {
-	if len(r.live) == 1 {
-		return cur, 0, 0, nil
-	}
-	hops, stale := 0, 0
-	// Local ownership shortcut: a node with a live predecessor knows its
-	// own range (pred, cur] and answers for it without forwarding.
-	if p := cur.pred; p != nil && p.alive.Load() && p != cur {
-		if d := dist(p.id, key); d > 0 && d <= dist(p.id, cur.id) {
-			return cur, 0, 0, nil
-		}
-	}
-	for {
-		dKey := dist(cur.id, key)
-		if dKey == 0 {
-			return cur, hops, stale, nil
-		}
-		// Believed successor: the first alive entry of the list; every
-		// dead entry ahead of it costs a discovery timeout.
-		var succ *SNode
-		for _, s := range cur.succ {
-			if s.alive.Load() {
-				succ = s
-				break
-			}
-			hops++
-			stale++
-			if hops >= r.maxHops {
-				return nil, hops, stale, dht.ErrNoRoute
-			}
-		}
-		if succ == nil {
-			// The node's entire successor list is dead: the walk cannot
-			// proceed from here.
-			return nil, hops, stale, dht.ErrNoRoute
-		}
-		if dKey <= dist(cur.id, succ.id) {
-			// key ∈ (cur, succ]: the successor is the believed owner.
-			hops++
-			succ.counters.AddRouted()
-			return succ, hops, stale, nil
-		}
-		// Closest preceding alive finger; dead candidates that would
-		// have been contacted cost a timeout each.
-		var next *SNode
-		for i := bits.Len64(dKey-1) - 1; i >= 0; i-- {
-			f := cur.fingers[i]
-			if f == nil || f == cur {
-				continue
-			}
-			d := dist(cur.id, f.id)
-			if d == 0 || d >= dKey {
-				continue
-			}
-			if !f.alive.Load() {
-				hops++
-				stale++
-				if hops >= r.maxHops {
-					return nil, hops, stale, dht.ErrNoRoute
-				}
-				continue
-			}
-			next = f
-			break
-		}
-		if next == nil {
-			next = succ
-		}
-		hops++
-		if hops > r.maxHops {
-			return nil, hops, stale, dht.ErrNoRoute
-		}
-		next.counters.AddRouted()
-		cur = next
-	}
-}
-
-// Successor returns the node's believed successor — the head of its
-// successor list — or dht.ErrNodeDown when that head is dead and not
-// yet repaired; callers then fall back through SuccessorList. A dead
-// node's successor is resolved against the membership oracle, like the
-// static ring's.
-func (r *StabilizingRing) Successor(n dht.Node) (dht.Node, error) {
-	cn, ok := n.(*SNode)
-	if !ok {
-		return nil, fmt.Errorf("chord: foreign node type %T", n)
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.live) == 0 {
-		return nil, dht.ErrNoRoute
-	}
-	if !cn.alive.Load() {
-		return r.live[r.sOwnerIndex(cn.id+1)], nil
-	}
-	if len(cn.succ) == 0 {
-		if len(r.live) == 1 {
-			return cn, nil
-		}
-		return nil, dht.ErrNoRoute
-	}
-	head := cn.succ[0]
-	if !head.alive.Load() {
-		return nil, dht.ErrNodeDown
-	}
-	return head, nil
-}
-
-// Predecessor returns the live node immediately preceding n, resolved
-// against the membership oracle (the static ring resolves it the same
-// way).
-func (r *StabilizingRing) Predecessor(n dht.Node) (dht.Node, error) {
-	cn, ok := n.(*SNode)
-	if !ok {
-		return nil, fmt.Errorf("chord: foreign node type %T", n)
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.live) == 0 {
-		return nil, dht.ErrNoRoute
-	}
-	idx := sort.Search(len(r.live), func(i int) bool { return r.live[i].id >= cn.id })
-	idx--
-	if idx < 0 {
-		idx = len(r.live) - 1
-	}
-	return r.live[idx], nil
-}
-
-// SuccessorList returns n's current believed successors in ring order,
-// possibly including dead entries (see dht.SuccessorLister). It is the
-// node's local state, read at zero simulated cost.
-func (r *StabilizingRing) SuccessorList(n dht.Node) []dht.Node {
-	cn, ok := n.(*SNode)
-	if !ok {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]dht.Node, len(cn.succ))
-	for i, s := range cn.succ {
-		out[i] = s
-	}
-	return out
+	return dht.Route{Node: f.Owner.mem, Hops: f.Hops, Stale: f.Stale}, nil
 }
 
 // Join adds a new node: it bootstraps through an existing node, routes
@@ -625,10 +441,8 @@ func (r *StabilizingRing) Join(name string) dht.Node {
 	defer r.mu.Unlock()
 	n := r.addSNode(name)
 	r.stats.Joins++
+	r.conv.disturb()
 	if len(r.live) == 1 {
-		for i := range n.fingers {
-			n.fingers[i] = n
-		}
 		return n
 	}
 	// Deterministic bootstrap draw among the pre-join members.
@@ -637,42 +451,10 @@ func (r *StabilizingRing) Join(name string) dht.Node {
 	if boot == n {
 		boot = r.live[(idx+1)%len(r.live)]
 	}
-	s, hops, _, err := r.routeLocked(boot, n.id)
-	if err != nil {
-		// The bootstrap's region is mid-repair; fall back to an
-		// out-of-band seed (counted — it is a protocol shortcut).
-		s = r.live[r.sOwnerIndex(n.id+1)]
-		if s == n {
-			s = r.live[r.sOwnerIndex(n.id+1)]
-		}
-		r.stats.Reseeds++
-		hops = 0
+	if _, err := n.proto.Join(&r.protoPeers, boot.proto.Self()); err != nil {
+		// The bootstrap is alive and Reseed always answers.
+		panic("chord: simulated join cannot fail")
 	}
-	if hops > 0 {
-		r.meter(hops, protoMsgBytes)
-	}
-	n.succ = append(n.succ, s)
-	for _, e := range s.succ {
-		if len(n.succ) >= r.cfg.SuccListLen {
-			break
-		}
-		if e != n && e != s {
-			n.succ = append(n.succ, e)
-		}
-	}
-	for i := range n.fingers {
-		n.fingers[i] = s
-	}
-	// The join RPC carries the successor list and the notify.
-	r.meter(1, protoMsgBytes+8*r.cfg.SuccListLen)
-	if s.pred == nil || !s.pred.alive.Load() ||
-		(s.pred != n && dist(s.pred.id, n.id) < dist(s.pred.id, s.id)) {
-		s.pred = n
-		r.stats.PredRepairs++
-	}
-	r.stabClean = false
-	r.fingerCleanStreak = 0
-	r.converged = false
 	return n
 }
 
@@ -685,18 +467,11 @@ func (r *StabilizingRing) Crash(n dht.Node) {
 	if !ok || !cn.alive.Load() {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cn.alive.Store(false)
-	idx := sort.Search(len(r.live), func(i int) bool { return r.live[i].id >= cn.id })
-	if idx < len(r.live) && r.live[idx] == cn {
-		r.live = append(r.live[:idx], r.live[idx+1:]...)
-	}
-	r.stats.Crashes++
-	r.stabClean = false
-	r.fingerCleanStreak = 0
-	r.converged = false
-	r.traceEvent(r.env.Clock.Now(), obs.KindCrash, cn.id, 0)
+	r.Remove(cn, func() {
+		cn.alive.Store(false)
+		r.stats.Crashes++
+		r.traceEvent(r.env.Clock.Now(), obs.KindCrash, cn.id, 0)
+	})
 }
 
 // Leave removes the node gracefully. At this layer graceful departure
@@ -711,186 +486,57 @@ func (r *StabilizingRing) Leave(n dht.Node) { r.Crash(n) }
 func (r *StabilizingRing) Step() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	now := r.env.Clock.Now()
-	if r.converged {
-		r.lastStep = now
+	r.conv.advance(r.env.Clock.Now(), r.cfg, r.sweep)
+}
+
+// sweep runs one protocol round on every live node, in ID order, and
+// accounts what it changed. Caller holds the write lock.
+func (r *StabilizingRing) sweep(t int64, round RoundSet) (changes int) {
+	p := &r.protoPeers
+	switch round {
+	case RoundStabilize:
+		r.stats.StabilizeSweeps++
+		for _, n := range r.live {
+			notified := r.stats.PredRepairs
+			c, gained := n.proto.Stabilize(p)
+			changes += c
+			r.stats.SuccRepairs += int64(c) - (r.stats.PredRepairs - notified)
+			r.repairTo(n, gained)
+		}
+		r.traceEvent(t, obs.KindStabilize, 0, int64(changes))
+	case RoundFixFingers:
+		for _, n := range r.live {
+			changes += n.proto.FixFingers(p)
+		}
+		r.stats.FingerFixes += int64(changes)
+	case RoundCheckPred:
+		for _, n := range r.live {
+			if n.proto.CheckPredecessor(p).Valid() {
+				changes++
+			}
+		}
+		r.stats.PredRepairs += int64(changes)
+	}
+	return changes
+}
+
+// repairTo pushes n's tuples to the successors its list just gained —
+// the alive ones; a push to a dead entry would only time out, and the
+// protocol prunes those itself.
+func (r *StabilizingRing) repairTo(n *SNode, gained []Ref) {
+	if r.repair == nil {
 		return
 	}
-	for t := r.lastStep + 1; t <= now; t++ {
-		due := r.cfg.DueAt(t)
-		if due.Has(RoundStabilize) {
-			r.stabilizeSweep(t)
-		}
-		if due.Has(RoundFixFingers) {
-			r.fixFingersSweep(t)
-		}
-		if due.Has(RoundCheckPred) {
-			r.checkPredSweep(t)
-		}
-		if r.converged {
-			break
+	var added []dht.Node
+	for _, g := range gained {
+		if g.mem.alive.Load() {
+			added = append(added, g.mem)
 		}
 	}
-	r.lastStep = now
-}
-
-func (r *StabilizingRing) updateConverged() {
-	r.converged = r.stabClean && r.fingerCleanStreak >= r.cfg.fingerCycle()
-}
-
-// stabilizeSweep runs one stabilize/notify round on every live node:
-// prune dead successor-list heads, adopt the successor's predecessor
-// when it sits in between, refresh the list from the successor's, and
-// notify. When the list gains members, the repair callback re-replicates
-// the node's tuples to them.
-func (r *StabilizingRing) stabilizeSweep(t int64) {
-	r.stats.StabilizeSweeps++
-	changes := 0
-	rcap := r.cfg.SuccListLen
-	for _, n := range r.live {
-		old := append([]*SNode(nil), n.succ...)
-		// Discover dead heads by timeout.
-		for len(n.succ) > 0 && !n.succ[0].alive.Load() {
-			n.succ = n.succ[1:]
-			changes++
-			r.stats.SuccRepairs++
-			r.stats.Timeouts++
-			r.meter(1, protoMsgBytes)
-		}
-		if len(n.succ) == 0 {
-			if len(r.live) == 1 {
-				continue
-			}
-			// Every known successor died before repair caught up: reseed
-			// from ground truth, modeling an out-of-band rejoin.
-			n.succ = append(n.succ, r.live[r.sOwnerIndex(n.id+1)])
-			r.stats.Reseeds++
-			changes++
-		}
-		s := n.succ[0]
-		// One exchange: ask s for its predecessor and successor list.
-		r.meter(1, protoMsgBytes+8*rcap)
-		if p := s.pred; p != nil && p != n && p.alive.Load() && dist(n.id, p.id) < dist(n.id, s.id) {
-			// p joined between n and s: adopt it as successor and fetch
-			// its list too.
-			s = p
-			changes++
-			r.stats.SuccRepairs++
-			r.meter(1, protoMsgBytes+8*rcap)
-		}
-		newList := make([]*SNode, 0, rcap)
-		newList = append(newList, s)
-		for _, e := range s.succ {
-			if len(newList) >= rcap {
-				break
-			}
-			if e == n || containsSNode(newList, e) {
-				continue
-			}
-			newList = append(newList, e)
-		}
-		if !sameSNodes(n.succ, newList) {
-			changes++
-			r.stats.SuccRepairs++
-		}
-		n.succ = newList
-		n.fingers[0] = s
-		// Notify: n proposes itself as s's predecessor.
-		if s.pred == nil || !s.pred.alive.Load() ||
-			(s.pred != n && dist(s.pred.id, n.id) < dist(s.pred.id, s.id)) {
-			s.pred = n
-			changes++
-			r.stats.PredRepairs++
-		}
-		// Replica repair: push n's tuples to list members it did not
-		// know before (alive ones only — dead entries get pruned later).
-		if r.repair != nil {
-			var added []dht.Node
-			for _, e := range newList {
-				if e.alive.Load() && !containsSNode(old, e) {
-					added = append(added, e)
-				}
-			}
-			if len(added) > 0 {
-				r.stats.RepairCalls++
-				r.repair(n, added)
-			}
-		}
+	if len(added) > 0 {
+		r.stats.RepairCalls++
+		r.repair(n, added)
 	}
-	r.stabClean = changes == 0
-	r.updateConverged()
-	r.traceEvent(t, obs.KindStabilize, 0, int64(changes))
-}
-
-// fixFingersSweep refreshes FingersPerRound finger entries per node by
-// routing to each entry's target through the current protocol state.
-func (r *StabilizingRing) fixFingersSweep(t int64) {
-	changes := 0
-	for _, n := range r.live {
-		for j := 0; j < r.cfg.FingersPerRound; j++ {
-			i := n.nextFinger
-			n.nextFinger = (n.nextFinger + 1) % fingerBits
-			f, hops, _, err := r.routeLocked(n, n.id+uint64(1)<<uint(i))
-			if hops > 0 {
-				r.meter(hops, protoMsgBytes)
-			}
-			if err != nil {
-				r.stats.Timeouts++
-				continue // entry stays; retried next cycle
-			}
-			if n.fingers[i] != f {
-				n.fingers[i] = f
-				changes++
-				r.stats.FingerFixes++
-			}
-		}
-	}
-	if changes == 0 {
-		r.fingerCleanStreak++
-	} else {
-		r.fingerCleanStreak = 0
-	}
-	r.updateConverged()
-}
-
-// checkPredSweep clears predecessor pointers that point at dead nodes,
-// so the next stabilize round's notify can repair them.
-func (r *StabilizingRing) checkPredSweep(int64) {
-	changes := 0
-	for _, n := range r.live {
-		if n.pred != nil && !n.pred.alive.Load() {
-			n.pred = nil
-			changes++
-			r.stats.PredRepairs++
-			r.stats.Timeouts++
-			r.meter(1, protoMsgBytes)
-		}
-	}
-	if changes > 0 {
-		r.stabClean = false
-		r.updateConverged()
-	}
-}
-
-func containsSNode(list []*SNode, n *SNode) bool {
-	for _, e := range list {
-		if e == n {
-			return true
-		}
-	}
-	return false
-}
-
-func sameSNodes(a, b []*SNode) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Interface conformance, including the optional extensions.

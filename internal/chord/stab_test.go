@@ -32,29 +32,30 @@ func checkInvariants(t *testing.T, r *StabilizingRing, step string) {
 	defer r.mu.RUnlock()
 	N := len(r.live)
 	for i, n := range r.live {
+		pred, succ, fingers := n.proto.State()
 		wantLen := r.cfg.SuccListLen
 		if wantLen > N-1 {
 			wantLen = N - 1
 		}
-		if len(n.succ) != wantLen {
+		if len(succ) != wantLen {
 			t.Fatalf("%s: node %016x successor list has %d entries, want %d",
-				step, n.id, len(n.succ), wantLen)
+				step, n.id, len(succ), wantLen)
 		}
-		for j, s := range n.succ {
-			if want := r.live[(i+j+1)%N]; s != want {
+		for j, s := range succ {
+			if want := r.live[(i+j+1)%N]; s != want.proto.Self() {
 				t.Fatalf("%s: node %016x succ[%d] = %016x, want %016x",
-					step, n.id, j, s.id, want.id)
+					step, n.id, j, s.ID, want.id)
 			}
 		}
 		if N > 1 {
-			if want := r.live[(i-1+N)%N]; n.pred != want {
-				t.Fatalf("%s: node %016x pred = %v, want %016x", step, n.id, n.pred, want.id)
+			if want := r.live[(i-1+N)%N]; pred != want.proto.Self() {
+				t.Fatalf("%s: node %016x pred = %v, want %016x", step, n.id, pred, want.id)
 			}
 		}
-		for b := range n.fingers {
-			if want := r.live[r.sOwnerIndex(n.id+uint64(1)<<uint(b))]; n.fingers[b] != want {
+		for b := range fingers {
+			if want := r.live[r.ownerIndex(n.id+uint64(1)<<uint(b))]; fingers[b] != want.proto.Self() {
 				t.Fatalf("%s: node %016x finger[%d] = %016x, want %016x",
-					step, n.id, b, n.fingers[b].id, want.id)
+					step, n.id, b, fingers[b].ID, want.id)
 			}
 		}
 	}

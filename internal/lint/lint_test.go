@@ -64,6 +64,14 @@ func TestLockRPC(t *testing.T) {
 	linttest.Run(t, testdata, lint.LockRPCAnalyzer, "lockrpc/a")
 }
 
+// TestLockRPCThroughInterface: the state-machine package calls the
+// network only through an interface implemented in a package that
+// imports it; the interface method must carry the implementation's
+// netio fact back.
+func TestLockRPCThroughInterface(t *testing.T) {
+	linttest.Run(t, testdata, lint.LockRPCAnalyzer, "lockrpc/peers", "lockrpc/tcp")
+}
+
 func TestGoroLifecycle(t *testing.T) {
 	linttest.Run(t, testdata, lint.GoroLifecycleAnalyzer, "gorolifecycle/a")
 }
@@ -121,6 +129,7 @@ func TestMatchScopes(t *testing.T) {
 		{lint.ConnDeadlineAnalyzer, "dhsketch/internal/netdht", true},
 		{lint.ConnDeadlineAnalyzer, "dhsketch/internal/wire", false},
 		{lint.LockRPCAnalyzer, "dhsketch/internal/netdht", true},
+		{lint.LockRPCAnalyzer, "dhsketch/internal/chord", true},
 		{lint.LockRPCAnalyzer, "dhsketch/internal/serve", true},
 		{lint.LockRPCAnalyzer, "dhsketch/cmd/dhsnode", true},
 		{lint.LockRPCAnalyzer, "dhsketch/cmd/dhsd", true},
@@ -159,6 +168,7 @@ func TestMatchScopes(t *testing.T) {
 		"dhsketch/cmd/dhsd":         false,
 		"dhsketch/cmd/dhsload":      false,
 		"dhsketch/internal/store":   true,
+		"dhsketch/internal/chord":   true,
 		"dhsketch/internal/core":    true,
 	} {
 		if got := lint.DeterminismAnalyzer.Match(path); got != want {

@@ -18,7 +18,12 @@ import (
 // Phase one records a netio fact for every function in the load set
 // that performs network I/O: a net.Dial* call, a Read/Write method call
 // on a connection-shaped value or through a reader/writer interface, an
-// io.ReadFull-style transfer, or a call to a function already marked.
+// io.ReadFull-style transfer, or a call to a function already marked. An
+// interface method is marked when any implementation in the load set
+// is — the Chord state machine in internal/chord reaches the network
+// only through its Peers interface, whose TCP implementation lives in a
+// package that imports it, so following concrete callees alone would
+// leave "no peer call under the node's lock" unchecked there.
 // Phase two tracks Lock/RLock→Unlock/RUnlock intervals per canonical
 // mutex expression inside each function of a matched package (a
 // deferred unlock extends the interval to the function's end) and
@@ -33,6 +38,7 @@ var LockRPCAnalyzer = &Analyzer{
 	Doc:  "forbid network I/O while holding a sync.Mutex/RWMutex acquired in the enclosing function",
 	Match: func(pkgPath string) bool {
 		return pathHasSuffix(pkgPath, "internal/netdht") ||
+			pathHasSuffix(pkgPath, "internal/chord") ||
 			pathHasSuffix(pkgPath, "internal/serve") ||
 			pathHasSuffix(pkgPath, "cmd/dhsnode") ||
 			pathHasSuffix(pkgPath, "cmd/dhsd")
@@ -74,6 +80,7 @@ func netIOIn(pass *Pass, call *ast.CallExpr) string {
 }
 
 func runNetIOFacts(pass *Pass) error {
+	ifaces, impls := namedTypesSoFar(pass)
 	for changed := true; changed; {
 		changed = false
 		for _, file := range pass.Pkg.Syntax {
@@ -107,19 +114,85 @@ func runNetIOFacts(pass *Pass) error {
 				}
 			}
 		}
+		if markNetIOInterfaces(pass, ifaces, impls) {
+			changed = true
+		}
 	}
 	return nil
 }
 
-// mutexMethod resolves call to a sync.Mutex/sync.RWMutex method,
-// returning the canonical mutex expression and the method name.
+// namedTypesSoFar lists the method-set interfaces and the concrete
+// named types declared in the packages loaded up to and including the
+// current one (generic types excluded).
+func namedTypesSoFar(pass *Pass) (ifaces, impls []*types.Named) {
+	for _, pkg := range pass.All {
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok || named.TypeParams().Len() > 0 {
+				continue
+			}
+			if it, ok := named.Underlying().(*types.Interface); !ok {
+				impls = append(impls, named)
+			} else if it.IsMethodSet() && it.NumMethods() > 0 {
+				ifaces = append(ifaces, named)
+			}
+		}
+		if pkg == pass.Pkg {
+			break
+		}
+	}
+	return ifaces, impls
+}
+
+// markNetIOInterfaces gives an interface method the netio fact of an
+// implementation's method. It pairs every concrete named type with
+// every interface among the packages loaded so far, taking only pairs
+// that involve the current package (earlier packages paired among
+// themselves on their own pass), and reports whether it marked anything
+// new.
+func markNetIOInterfaces(pass *Pass, ifaces, impls []*types.Named) bool {
+	marked := false
+	for _, in := range ifaces {
+		it := in.Underlying().(*types.Interface)
+		for _, impl := range impls {
+			if in.Obj().Pkg() != pass.Pkg.Types && impl.Obj().Pkg() != pass.Pkg.Types {
+				continue
+			}
+			ptr := types.NewPointer(impl)
+			if !types.Implements(ptr, it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				if pass.Facts.Get(m) != nil {
+					continue
+				}
+				obj, _, _ := types.LookupFieldOrMethod(ptr, true, m.Pkg(), m.Name())
+				if fact, ok := pass.Facts.Get(obj).(*netIOFact); ok {
+					pass.Facts.Set(m, &netIOFact{why: impl.Obj().Name() + "." + m.Name() + " → " + fact.why})
+					marked = true
+				}
+			}
+		}
+	}
+	return marked
+}
+
+// mutexMethod resolves call to a sync.Mutex/sync.RWMutex method — or
+// the same method through a sync.Locker — returning the canonical mutex
+// expression and the method name.
 func mutexMethod(info *types.Info, call *ast.CallExpr) (canon, name string, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
 		return "", "", false
 	}
 	f, _ := info.Uses[sel.Sel].(*types.Func)
-	if f == nil || !recvNamed(f, "sync", "Mutex", "RWMutex") {
+	if f == nil || !recvNamed(f, "sync", "Mutex", "RWMutex", "Locker") {
 		return "", "", false
 	}
 	switch f.Name() {

@@ -39,7 +39,7 @@ type Status struct {
 
 // Status snapshots the server for /statusz (and tests).
 func (s *Server) Status() Status {
-	pred, succ, fingers := s.snapshotState()
+	pred, succ, fingers := s.node.State()
 	st := Status{
 		ID:         fmt.Sprintf("%016x", s.id),
 		Name:       s.name,
@@ -49,16 +49,16 @@ func (s *Server) Status() Status {
 		Tick:       s.tick.Load(),
 		Successors: make([]string, 0, len(succ)),
 	}
-	if pred.valid() {
-		st.Predecessor = pred.addr
+	if pred.Valid() {
+		st.Predecessor = pred.Addr
 	}
 	for _, sc := range succ {
-		st.Successors = append(st.Successors, sc.addr)
+		st.Successors = append(st.Successors, sc.Addr)
 	}
 	distinct := make(map[string]struct{})
 	for _, f := range fingers {
-		if f.valid() && f.id != s.id {
-			distinct[f.addr] = struct{}{}
+		if f.Valid() && f.ID != s.id {
+			distinct[f.Addr] = struct{}{}
 		}
 	}
 	st.Fingers = len(distinct)
@@ -80,8 +80,7 @@ func (s *Server) Healthy() (bool, string) {
 	if !s.alive.Load() {
 		return false, "shutting down"
 	}
-	_, succ, _ := s.snapshotState()
-	if s.linked.Load() && len(succ) == 0 {
+	if _, ok := s.node.Successor(); s.linked.Load() && !ok {
 		return false, "partitioned: no successors"
 	}
 	return true, "ok"

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"dhsketch/internal/chord"
 	"dhsketch/internal/core"
 	"dhsketch/internal/dht"
 	"dhsketch/internal/metrics"
@@ -136,18 +137,18 @@ func (c *Client) randomTarget(bit uint) uint64 {
 // findOwner routes key through the entry node and returns the owner's
 // identity. The entry makes the first routing decision itself, so the
 // client never needs the ring topology.
-func (c *Client) findOwner(key uint64) (nodeRef, error) {
+func (c *Client) findOwner(key uint64) (chord.Ref, error) {
 	raw, err := c.peers.exchangeRetry(c.cfg.Entry,
 		encodeFindSucc(findSuccMsg{key: key}), c.cfg.Retries, c.cfg.Backoff)
 	if err != nil {
-		return nodeRef{}, err
+		return chord.Ref{}, err
 	}
 	if _, _, _, err := replyErr(raw); err != nil {
-		return nodeRef{}, err
+		return chord.Ref{}, err
 	}
 	resp, err := decodeFindSuccResp(raw)
 	if err != nil {
-		return nodeRef{}, err
+		return chord.Ref{}, err
 	}
 	return resp.owner, nil
 }
@@ -180,8 +181,8 @@ func (c *Client) Insert(metric, itemID uint64) error {
 		Bit:    uint8(bit),
 		TTL:    wire.ClampTTL(c.cfg.TTL),
 	})
-	if err := c.ack(owner.addr, req); err != nil {
-		return fmt.Errorf("netdht: insert at %s: %w", owner.addr, err)
+	if err := c.ack(owner.Addr, req); err != nil {
+		return fmt.Errorf("netdht: insert at %s: %w", owner.Addr, err)
 	}
 	return nil
 }
@@ -258,13 +259,13 @@ func (p rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Interv
 		var masks [][]byte
 		if err == nil {
 			mu.Lock()
-			seen := visited[owner.id]
-			visited[owner.id] = true
+			seen := visited[owner.ID]
+			visited[owner.ID] = true
 			mu.Unlock()
 			if seen {
 				return
 			}
-			masks, err = p.c.probe(owner.addr, req, len(reply.metrics))
+			masks, err = p.c.probe(owner.Addr, req, len(reply.metrics))
 		}
 		mu.Lock()
 		defer mu.Unlock()

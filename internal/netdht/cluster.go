@@ -2,14 +2,11 @@ package netdht
 
 import (
 	"fmt"
-	"math/rand/v2"
-	"sort"
 	"sync"
 	"time"
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/dht"
-	"dhsketch/internal/md4"
 	"dhsketch/internal/sim"
 )
 
@@ -31,31 +28,18 @@ import (
 // round *payloads* are real RPC exchanges; their wall-clock duration is
 // not simulated.
 type Cluster struct {
+	// Membership is the oracle half of the overlay surface, the
+	// convergence tracker and the DueAt sweep loop — the same ones the
+	// simulated ring embeds.
+	*chord.Membership[*Server]
 	env *sim.Env
-	cfg chord.ProtocolConfig
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	// stepMu serializes Step drivers. It is a dedicated lock precisely so
-	// the protocol rounds' RPCs never run under mu: concurrent readers of
-	// the membership oracle (Owner, RandomNode, routed counting) must not
-	// queue behind a round that is busy timing out against a dead peer.
+	// the protocol rounds' RPCs never run under the membership lock:
+	// concurrent readers of the oracle (Owner, RandomNode, routed
+	// counting) must not queue behind a round that is busy timing out
+	// against a dead peer.
 	stepMu sync.Mutex
-
-	mu   sync.RWMutex
-	live []*Server // alive servers in ID order: the membership oracle
-	all  map[uint64]*Server
-
-	// epoch counts membership changes (crashes). Step snapshots it before
-	// running rounds unlocked and discards its convergence bookkeeping if
-	// a crash intervened.
-	epoch int
-
-	lastStep          int64
-	stabClean         bool
-	fingerCleanStreak int
-	converged         bool
 }
 
 // Loopback transport timings: tight enough that discovering a crashed
@@ -65,12 +49,6 @@ const (
 	clusterDialTimeout = 500 * time.Millisecond
 	clusterRPCTimeout  = 2 * time.Second
 )
-
-// fingerCycle mirrors chord's convergence requirement: the number of
-// fix-fingers sweeps that cover one node's full table.
-func fingerCycle(cfg chord.ProtocolConfig) int {
-	return (64 + cfg.FingersPerRound - 1) / cfg.FingersPerRound
-}
 
 // NewCluster builds a ring of n servers on loopback listeners. Node
 // names and identifier derivation match the simulated rings
@@ -83,28 +61,15 @@ func NewCluster(env *sim.Env, n int, cfg chord.ProtocolConfig) (*Cluster, error)
 	if n <= 0 {
 		panic("netdht: cluster needs at least one node")
 	}
-	cfg = cfg.WithDefaults()
 	c := &Cluster{
-		env:       env,
-		cfg:       cfg,
-		rng:       env.Derive("netdht"),
-		all:       make(map[uint64]*Server, n),
-		lastStep:  env.Clock.Now(),
-		stabClean: true,
-		converged: true,
+		Membership: chord.NewMembership[*Server](cfg, env.Derive("netdht"), env.Clock.Now()),
+		env:        env,
 	}
-	c.fingerCleanStreak = fingerCycle(cfg)
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("node-%d:4000", i)
-		label := name
-		id := md4.Sum64([]byte(label))
-		for _, taken := c.all[id]; taken; _, taken = c.all[id] {
-			label += "'"
-			id = md4.Sum64([]byte(label))
-		}
 		s, err := NewServer("127.0.0.1:0", Options{
 			Name:        name,
-			Protocol:    cfg,
+			Protocol:    c.Config(),
 			DialTimeout: clusterDialTimeout,
 			RPCTimeout:  clusterRPCTimeout,
 			Now:         env.Clock.Now,
@@ -114,100 +79,19 @@ func NewCluster(env *sim.Env, n int, cfg chord.ProtocolConfig) (*Cluster, error)
 			return nil, err
 		}
 		// Identifier derivation (incl. collision re-hash) is the
-		// cluster's, not the listener's: no peer traffic exists yet, so
-		// rewriting the identity is safe.
-		s.id = id
-		s.name = name
-		c.all[id] = s
-		c.live = append(c.live, s)
+		// membership's, not the listener's.
+		s.setID(c.NewID(name))
+		c.Add(s)
 	}
-	sort.Slice(c.live, func(i, j int) bool { return c.live[i].id < c.live[j].id })
-
-	// Pre-seed converged protocol state, mirroring chord.NewStabilizing.
-	N := len(c.live)
-	for i, s := range c.live {
-		var pred nodeRef
-		if N > 1 {
-			pred = c.live[(i-1+N)%N].ref()
-		}
-		listLen := cfg.SuccListLen
-		if listLen > N-1 {
-			listLen = N - 1
-		}
-		succ := make([]nodeRef, 0, listLen)
-		for j := 1; j <= listLen; j++ {
-			succ = append(succ, c.live[(i+j)%N].ref())
-		}
-		var fingers [64]nodeRef
-		for b := range fingers {
-			fingers[b] = c.live[c.sOwnerIndex(s.id+uint64(1)<<uint(b))].ref()
-		}
-		s.seed(pred, succ, fingers)
+	c.SeedConverged()
+	for _, s := range c.Live() {
+		s.markLinked()
 	}
 	return c, nil
 }
 
-// sOwnerIndex returns the index in live of the clockwise successor of
-// key. Caller holds mu (or is the constructor).
-func (c *Cluster) sOwnerIndex(key uint64) int {
-	idx := sort.Search(len(c.live), func(i int) bool { return c.live[i].id >= key })
-	if idx == len(c.live) {
-		return 0
-	}
-	return idx
-}
-
-// Bits returns the identifier length (64).
-func (c *Cluster) Bits() uint { return 64 }
-
 // Servers returns the live servers in ID order.
-func (c *Cluster) Servers() []*Server {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]*Server(nil), c.live...)
-}
-
-// Size returns the number of live nodes.
-func (c *Cluster) Size() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.live)
-}
-
-// Nodes returns the live nodes in ID order (ground truth).
-func (c *Cluster) Nodes() []dht.Node {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]dht.Node, len(c.live))
-	for i, s := range c.live {
-		out[i] = s
-	}
-	return out
-}
-
-// RandomNode returns a uniformly chosen live node.
-func (c *Cluster) RandomNode() dht.Node {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.live) == 0 {
-		return nil
-	}
-	c.rngMu.Lock()
-	idx := c.rng.IntN(len(c.live))
-	c.rngMu.Unlock()
-	return c.live[idx]
-}
-
-// Owner returns the live node responsible for key at zero cost — the
-// membership oracle, never a network operation.
-func (c *Cluster) Owner(key uint64) (dht.Node, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.live) == 0 {
-		return nil, dht.ErrNoRoute
-	}
-	return c.live[c.sOwnerIndex(key)], nil
-}
+func (c *Cluster) Servers() []*Server { return c.Live() }
 
 // Lookup routes to the believed owner of key from a random origin.
 func (c *Cluster) Lookup(key uint64) (dht.Node, int, error) {
@@ -241,90 +125,17 @@ func (c *Cluster) RouteFrom(src dht.Node, key uint64) (dht.Route, error) {
 	if c.Size() == 0 {
 		return dht.Route{}, dht.ErrNoRoute
 	}
-	resp, errno := s.routeLocal(key, 0, 0)
-	if errno != 0 {
-		return dht.Route{Hops: int(resp.hops), Stale: int(resp.stale)}, errnoErr(errno)
+	f := s.node.Route(tcpPeers{s}, key, 0, 0)
+	rt := dht.Route{Hops: f.Hops, Stale: f.Stale}
+	if f.Err != nil {
+		return rt, f.Err
 	}
-	c.mu.RLock()
-	owner := c.all[resp.owner.id]
-	c.mu.RUnlock()
-	if owner == nil {
-		return dht.Route{Hops: int(resp.hops), Stale: int(resp.stale)},
-			fmt.Errorf("%w: route reached unknown node %016x", dht.ErrLost, resp.owner.id)
-	}
-	return dht.Route{Node: owner, Hops: int(resp.hops), Stale: int(resp.stale)}, nil
-}
-
-// Successor returns the node's believed successor — the head of its
-// successor list — or dht.ErrNodeDown when that head is dead and not
-// yet repaired; callers then fall back through SuccessorList. A dead
-// node's successor resolves against the membership oracle, like the
-// simulated rings'.
-func (c *Cluster) Successor(n dht.Node) (dht.Node, error) {
-	s, ok := n.(*Server)
+	owner, ok := c.ByID(f.Owner.ID)
 	if !ok {
-		return nil, fmt.Errorf("netdht: foreign node type %T", n)
+		return rt, fmt.Errorf("%w: route reached unknown node %016x", dht.ErrLost, f.Owner.ID)
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.live) == 0 {
-		return nil, dht.ErrNoRoute
-	}
-	if !s.alive.Load() {
-		return c.live[c.sOwnerIndex(s.id+1)], nil
-	}
-	succ := s.successorRefs()
-	if len(succ) == 0 {
-		if len(c.live) == 1 {
-			return s, nil
-		}
-		return nil, dht.ErrNoRoute
-	}
-	head := c.all[succ[0].id]
-	if head == nil || !head.alive.Load() {
-		return nil, dht.ErrNodeDown
-	}
-	return head, nil
-}
-
-// Predecessor returns the live node immediately preceding n, resolved
-// against the membership oracle.
-func (c *Cluster) Predecessor(n dht.Node) (dht.Node, error) {
-	s, ok := n.(*Server)
-	if !ok {
-		return nil, fmt.Errorf("netdht: foreign node type %T", n)
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.live) == 0 {
-		return nil, dht.ErrNoRoute
-	}
-	idx := sort.Search(len(c.live), func(i int) bool { return c.live[i].id >= s.id })
-	idx--
-	if idx < 0 {
-		idx = len(c.live) - 1
-	}
-	return c.live[idx], nil
-}
-
-// SuccessorList returns n's believed successors in ring order, possibly
-// including dead entries (see dht.SuccessorLister) — the node's local
-// state, read without touching the network.
-func (c *Cluster) SuccessorList(n dht.Node) []dht.Node {
-	s, ok := n.(*Server)
-	if !ok {
-		return nil
-	}
-	refs := s.successorRefs()
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]dht.Node, 0, len(refs))
-	for _, r := range refs {
-		if srv := c.all[r.id]; srv != nil {
-			out = append(out, srv)
-		}
-	}
-	return out
+	rt.Node = owner
+	return rt, nil
 }
 
 // Crash kills the server permanently (crash-stop, see dht.Crasher): it
@@ -337,111 +148,46 @@ func (c *Cluster) Crash(n dht.Node) {
 	if !ok || !s.alive.Load() {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s.Close()
-	idx := sort.Search(len(c.live), func(i int) bool { return c.live[i].id >= s.id })
-	if idx < len(c.live) && c.live[idx] == s {
-		c.live = append(c.live[:idx], c.live[idx+1:]...)
-	}
-	c.epoch++
-	c.stabClean = false
-	c.fingerCleanStreak = 0
-	c.converged = false
+	c.Remove(s, s.Close)
 }
 
 // Step runs every protocol round due at the current virtual time (see
-// dht.Maintainer), sweeping live servers in ID order. The schedule is
-// chord.ProtocolConfig.DueAt — identical to the simulated ring's — but
-// each round's exchanges are real RPCs, so liveness is discovered by
-// connection failure rather than a shared-memory flag.
+// dht.Maintainer), sweeping live servers in ID order — the simulated
+// ring's schedule and sweep loop, but each round's exchanges are real
+// RPCs, so liveness is discovered by connection failure.
 //
-// The rounds run without holding mu (lockrpc invariant, DESIGN.md §10):
-// Step snapshots the live set and convergence bookkeeping, drives the
-// RPCs under stepMu only, and writes the bookkeeping back unless a
-// concurrent Crash bumped the membership epoch — in which case the
-// stale results are discarded and the ring simply stabilizes on a later
-// Step. A round sweeping a server that crashed mid-step is safe: closed
-// servers answer their rounds with an immediate no-op.
+// The rounds run without holding the membership lock (lockrpc
+// invariant, DESIGN.md §10; see chord.Membership.StepDetached). A round
+// sweeping a server that crashed mid-step is safe: closed servers
+// answer their rounds with an immediate no-op.
 func (c *Cluster) Step() {
 	//dhslint:allow lockrpc(stepMu exists to serialize Step drivers and is deliberately held across the round RPCs; no RPC handler or oracle read ever takes it)
 	c.stepMu.Lock()
 	defer c.stepMu.Unlock()
-
-	c.mu.Lock()
-	now := c.env.Clock.Now()
-	start := c.lastStep + 1
-	c.lastStep = now
-	if c.converged {
-		c.mu.Unlock()
-		return
-	}
-	live := append([]*Server(nil), c.live...)
-	epoch := c.epoch
-	stabClean := c.stabClean
-	streak := c.fingerCleanStreak
-	c.mu.Unlock()
-
-	converged := false
-	for t := start; t <= now && !converged; t++ {
-		due := c.cfg.DueAt(t)
-		if due.Has(chord.RoundStabilize) {
-			changes := 0
-			for _, s := range live {
-				changes += s.stabilizeRound()
-			}
-			stabClean = changes == 0
-		}
-		if due.Has(chord.RoundFixFingers) {
-			changes := 0
-			for _, s := range live {
-				changes += s.fixFingersRound()
-			}
-			if changes == 0 {
-				streak++
-			} else {
-				streak = 0
-			}
-		}
-		if due.Has(chord.RoundCheckPred) {
-			changes := 0
-			for _, s := range live {
-				changes += s.checkPredRound()
-			}
-			if changes > 0 {
-				stabClean = false
-			}
-		}
-		converged = stabClean && streak >= fingerCycle(c.cfg)
-	}
-
-	c.mu.Lock()
-	if c.epoch == epoch {
-		c.stabClean = stabClean
-		c.fingerCleanStreak = streak
-		c.converged = converged
-	}
-	c.mu.Unlock()
+	c.StepDetached(c.env.Clock.Now(), sweepServers)
 }
 
-// Converged reports whether the protocol state is quiescent (see
-// dht.Maintainer).
-func (c *Cluster) Converged() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.converged
+// sweepServers runs one protocol round on every server and totals the
+// state changes.
+func sweepServers(live []*Server, round chord.RoundSet) (changes int) {
+	for _, s := range live {
+		switch round {
+		case chord.RoundStabilize:
+			changes += s.stabilizeRound()
+		case chord.RoundFixFingers:
+			changes += s.fixFingersRound()
+		case chord.RoundCheckPred:
+			changes += s.checkPredRound()
+		}
+	}
+	return changes
 }
 
-// Close shuts every server down, live or crashed.
+// Close shuts every live server down; crashed ones already are.
 func (c *Cluster) Close() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, s := range c.all {
-		if s.alive.Load() {
-			s.Close()
-		}
+	for _, s := range c.Live() {
+		c.Crash(s)
 	}
-	c.live = nil
 }
 
 // Interface conformance, including the optional extensions.

@@ -1,0 +1,84 @@
+package netdht
+
+import (
+	"reflect"
+	"testing"
+
+	"dhsketch/internal/chord"
+)
+
+// FuzzDecodeControl feeds arbitrary frames to the control-plane decoders
+// — the parsers of everything a peer can send that internal/wire does
+// not cover. Whatever the input, a decoder must not panic, and whatever
+// it accepts must survive a re-encode: decode(encode(decode(buf))) is
+// the value decode(buf) gave.
+func FuzzDecodeControl(f *testing.F) {
+	a, b := chord.Ref{ID: 1, Addr: "10.0.0.1:4000"}, chord.Ref{ID: 1 << 63, Addr: "b:2"}
+	for _, seed := range [][]byte{
+		encodeFindSucc(findSuccMsg{flags: flagForwarded | flagDeliver, key: 42, hops: 3, stale: 1}),
+		encodeFindSuccResp(findSuccRespMsg{hops: 5, stale: 2, owner: a}),
+		encodeNeighborsResp(neighborsRespMsg{self: a, pred: b, succ: []chord.Ref{b, a}}),
+		encodeNeighborsResp(neighborsRespMsg{self: a}),
+		encodeNotify(b),
+		encodeAck(true),
+		encodeErr(errnoNoRoute, 7, 7),
+		// The empty-address refs the decoders used to accept.
+		encodeNotify(chord.Ref{ID: 7}),
+		encodeFindSuccResp(findSuccRespMsg{owner: chord.Ref{ID: 7}}),
+		encodeNeighborsResp(neighborsRespMsg{self: a, succ: []chord.Ref{{ID: 7}}}),
+		{},
+	} {
+		f.Add(seed)
+		if len(seed) > 3 {
+			f.Add(seed[:len(seed)-1])
+		}
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		// Every decoder sees every input: each must reject the others'
+		// tags, not misparse them.
+		fixpoint(t, buf, decodeFindSucc, encodeFindSucc)
+		fixpoint(t, buf, decodeFindSuccResp, encodeFindSuccResp)
+		fixpoint(t, buf, decodeNeighborsResp, encodeNeighborsResp)
+		fixpoint(t, buf, decodeNotify, encodeNotify)
+		fixpoint(t, buf, decodeAck, encodeAck)
+		fixpoint(t, buf,
+			func(b []byte) (e [3]uint16, err error) {
+				code, hops, stale, err := decodeErr(b)
+				return [3]uint16{uint16(code), hops, stale}, err
+			},
+			func(e [3]uint16) []byte { return encodeErr(byte(e[0]), e[1], e[2]) })
+
+		// No accepted frame carries a ref that names nobody.
+		var refs []chord.Ref
+		if r, err := decodeNotify(buf); err == nil {
+			refs = append(refs, r)
+		}
+		if m, err := decodeFindSuccResp(buf); err == nil {
+			refs = append(refs, m.owner)
+		}
+		if m, err := decodeNeighborsResp(buf); err == nil {
+			refs = append(append(refs, m.self), m.succ...)
+		}
+		for _, r := range refs {
+			if !r.Valid() {
+				t.Fatalf("decoded a ref with an empty address: %+v", r)
+			}
+		}
+	})
+}
+
+// fixpoint checks one decoder/encoder pair against buf.
+func fixpoint[M any](t *testing.T, buf []byte, dec func([]byte) (M, error), enc func(M) []byte) {
+	t.Helper()
+	m, err := dec(buf)
+	if err != nil {
+		return
+	}
+	m2, err := dec(enc(m))
+	if err != nil {
+		t.Fatalf("re-encoded %T rejected: %v", m, err)
+	}
+	if !reflect.DeepEqual(m, m2) {
+		t.Fatalf("%T not a fixpoint: %+v != %+v", m, m2, m)
+	}
+}

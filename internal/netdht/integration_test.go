@@ -123,11 +123,11 @@ func waitForRing(t *testing.T, servers []*Server, timeout time.Duration) {
 func ringClosed(first *Server, live map[uint64]*Server) bool {
 	cur, seen := first, map[uint64]bool{first.id: true}
 	for i := 0; i < len(live); i++ {
-		succ := cur.successorRefs()
+		succ := cur.node.Neighbors().Succ
 		if len(succ) == 0 {
 			return len(live) == 1
 		}
-		next, ok := live[succ[0].id]
+		next, ok := live[succ[0].ID]
 		if !ok {
 			return false
 		}

@@ -330,10 +330,7 @@ func (s *Server) registerMetrics(reg *metrics.Registry) {
 
 	reg.GaugeFunc("netdht_successors", "entries in the believed successor list",
 		func() float64 {
-			s.mu.Lock()
-			n := len(s.succ)
-			s.mu.Unlock()
-			return float64(n)
+			return float64(len(s.node.Neighbors().Succ))
 		})
 	reg.GaugeFunc("netdht_peer_conns", "cached outbound peer connections",
 		func() float64 { return float64(s.peers.size()) })

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"dhsketch/internal/chord"
 	"dhsketch/internal/dht"
 	"dhsketch/internal/wire"
 )
@@ -85,24 +86,31 @@ func errnoErr(code byte) error {
 	}
 }
 
-// appendRef serializes a nodeRef: id(8) + addr length(2) + addr bytes.
-func appendRef(buf []byte, r nodeRef) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, r.id)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.addr)))
-	return append(buf, r.addr...)
+// appendRef serializes a chord.Ref: id(8) + addr length(2) + addr bytes.
+func appendRef(buf []byte, r chord.Ref) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, r.ID)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Addr)))
+	return append(buf, r.Addr...)
 }
 
-// decodeRef parses one nodeRef and returns the remaining buffer.
-func decodeRef(buf []byte) (nodeRef, []byte, error) {
+// decodeRef parses one chord.Ref and returns the remaining buffer. Every
+// ref on the wire names a peer (an unknown predecessor is a flag byte,
+// not a ref), so an empty address — the in-memory "no such peer" — is
+// malformed: accepted, it would be installed as a successor nobody can
+// dial.
+func decodeRef(buf []byte) (chord.Ref, []byte, error) {
 	if len(buf) < 10 {
-		return nodeRef{}, nil, wire.ErrShort
+		return chord.Ref{}, nil, wire.ErrShort
 	}
 	id := binary.BigEndian.Uint64(buf)
 	n := int(binary.BigEndian.Uint16(buf[8:]))
-	if len(buf) < 10+n {
-		return nodeRef{}, nil, wire.ErrShort
+	if n == 0 {
+		return chord.Ref{}, nil, wire.ErrBadMessage
 	}
-	return nodeRef{id: id, addr: string(buf[10 : 10+n])}, buf[10+n:], nil
+	if len(buf) < 10+n {
+		return chord.Ref{}, nil, wire.ErrShort
+	}
+	return chord.Ref{ID: id, Addr: string(buf[10 : 10+n])}, buf[10+n:], nil
 }
 
 // findSuccMsg is one routing step in flight: the key, the flags above,
@@ -146,11 +154,11 @@ func decodeFindSucc(buf []byte) (findSuccMsg, error) {
 type findSuccRespMsg struct {
 	hops  uint16
 	stale uint16
-	owner nodeRef
+	owner chord.Ref
 }
 
 func encodeFindSuccResp(m findSuccRespMsg) []byte {
-	buf := make([]byte, 6, 16+len(m.owner.addr))
+	buf := make([]byte, 6, 16+len(m.owner.Addr))
 	buf[0] = wire.Version
 	buf[1] = tagFindSuccResp
 	binary.BigEndian.PutUint16(buf[2:], m.hops)
@@ -178,9 +186,9 @@ func decodeFindSuccResp(buf []byte) (findSuccRespMsg, error) {
 // precedes it and its successor list in ring order — the payload one
 // stabilize exchange fetches.
 type neighborsRespMsg struct {
-	self nodeRef
-	pred nodeRef // zero when unknown
-	succ []nodeRef
+	self chord.Ref
+	pred chord.Ref // zero when unknown
+	succ []chord.Ref
 }
 
 func encodeNeighborsReq() []byte { return []byte{wire.Version, tagNeighbors} }
@@ -190,7 +198,7 @@ func encodeNeighborsResp(m neighborsRespMsg) []byte {
 	buf[0] = wire.Version
 	buf[1] = tagNeighborsResp
 	buf = appendRef(buf, m.self)
-	if m.pred.valid() {
+	if m.pred.Valid() {
 		buf = append(buf, 1)
 		buf = appendRef(buf, m.pred)
 	} else {
@@ -232,7 +240,7 @@ func decodeNeighborsResp(buf []byte) (neighborsRespMsg, error) {
 	count := int(rest[0])
 	rest = rest[1:]
 	for i := 0; i < count; i++ {
-		var s nodeRef
+		var s chord.Ref
 		if s, rest, err = decodeRef(rest); err != nil {
 			return m, err
 		}
@@ -241,19 +249,19 @@ func decodeNeighborsResp(buf []byte) (neighborsRespMsg, error) {
 	return m, nil
 }
 
-func encodeNotify(self nodeRef) []byte {
-	buf := make([]byte, 2, 16+len(self.addr))
+func encodeNotify(self chord.Ref) []byte {
+	buf := make([]byte, 2, 16+len(self.Addr))
 	buf[0] = wire.Version
 	buf[1] = tagNotify
 	return appendRef(buf, self)
 }
 
-func decodeNotify(buf []byte) (nodeRef, error) {
+func decodeNotify(buf []byte) (chord.Ref, error) {
 	if len(buf) < 2 {
-		return nodeRef{}, wire.ErrShort
+		return chord.Ref{}, wire.ErrShort
 	}
 	if buf[0] != wire.Version || buf[1] != tagNotify {
-		return nodeRef{}, wire.ErrBadMessage
+		return chord.Ref{}, wire.ErrBadMessage
 	}
 	r, _, err := decodeRef(buf[2:])
 	return r, err

@@ -8,7 +8,10 @@
 // failure-aware counting, Estimate.Quality, the experiments — runs
 // over it unchanged.
 //
-// Two deployment shapes share the protocol code:
+// The protocol itself is internal/chord's Machine — the same state
+// machine the simulated StabilizingRing runs; this package gives it a
+// TCP transport (tcpPeers) and RPC handlers. Two deployment shapes
+// share that code:
 //
 //   - Cluster: N Servers inside one test process, each with its own
 //     loopback listener and socket-backed peer connections. Routed
@@ -41,23 +44,6 @@ import (
 
 	"dhsketch/internal/dht"
 )
-
-// dist is clockwise distance on the 2^64 identifier ring: how far b is
-// ahead of a. dist(a,a) = 0; unsigned wraparound handles the rest.
-func dist(a, b uint64) uint64 { return b - a }
-
-// maxHops bounds a single routed lookup, including hops wasted on
-// unreachable peers — the same backstop the simulated rings use.
-const maxHops = 256
-
-// nodeRef names a remote peer: its ring identifier and its TCP address.
-// The zero value (empty address) means "no such peer".
-type nodeRef struct {
-	id   uint64
-	addr string
-}
-
-func (r nodeRef) valid() bool { return r.addr != "" }
 
 // appBox wraps application state so a nil interface is storable in an
 // atomic pointer (same trick as chord.SNode).

@@ -107,16 +107,16 @@ func TestControlMessageRoundTrips(t *testing.T) {
 		t.Fatalf("findSucc round trip: %+v, %v", gotFS, err)
 	}
 
-	fr := findSuccRespMsg{hops: 3, stale: 1, owner: nodeRef{id: 42, addr: "127.0.0.1:9999"}}
+	fr := findSuccRespMsg{hops: 3, stale: 1, owner: chord.Ref{ID: 42, Addr: "127.0.0.1:9999"}}
 	gotFR, err := decodeFindSuccResp(encodeFindSuccResp(fr))
 	if err != nil || gotFR != fr {
 		t.Fatalf("findSuccResp round trip: %+v, %v", gotFR, err)
 	}
 
 	nb := neighborsRespMsg{
-		self: nodeRef{id: 1, addr: "a:1"},
-		pred: nodeRef{id: 2, addr: "b:2"},
-		succ: []nodeRef{{id: 3, addr: "c:3"}, {id: 4, addr: "d:4"}},
+		self: chord.Ref{ID: 1, Addr: "a:1"},
+		pred: chord.Ref{ID: 2, Addr: "b:2"},
+		succ: []chord.Ref{{ID: 3, Addr: "c:3"}, {ID: 4, Addr: "d:4"}},
 	}
 	gotNB, err := decodeNeighborsResp(encodeNeighborsResp(nb))
 	if err != nil || gotNB.self != nb.self || gotNB.pred != nb.pred || len(gotNB.succ) != 2 ||
@@ -125,13 +125,13 @@ func TestControlMessageRoundTrips(t *testing.T) {
 	}
 
 	// No predecessor is representable.
-	nb.pred = nodeRef{}
+	nb.pred = chord.Ref{}
 	gotNB, err = decodeNeighborsResp(encodeNeighborsResp(nb))
-	if err != nil || gotNB.pred.valid() {
+	if err != nil || gotNB.pred.Valid() {
 		t.Fatalf("neighbors without pred: %+v, %v", gotNB, err)
 	}
 
-	n := nodeRef{id: 99, addr: "e:5"}
+	n := chord.Ref{ID: 99, Addr: "e:5"}
 	gotN, err := decodeNotify(encodeNotify(n))
 	if err != nil || gotN != n {
 		t.Fatalf("notify round trip: %+v, %v", gotN, err)
@@ -213,8 +213,8 @@ func TestClusterCrashRecovery(t *testing.T) {
 	settleCluster(t, c, env)
 
 	for _, s := range c.Servers() {
-		for _, ref := range s.successorRefs() {
-			if ref.id == victim.ID() {
+		for _, ref := range s.node.Neighbors().Succ {
+			if ref.ID == victim.ID() {
 				t.Fatalf("node %016x still lists crashed %016x as successor", s.ID(), victim.ID())
 			}
 		}

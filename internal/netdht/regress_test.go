@@ -5,9 +5,11 @@ import (
 	"errors"
 	"io"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
+	"dhsketch/internal/chord"
 	"dhsketch/internal/sketch"
 	"dhsketch/internal/wire"
 )
@@ -52,7 +54,7 @@ func TestCountFailsMisshapenProbeReply(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			entry := fakePeer(t, func(self string, req []byte) []byte {
 				if req[1] == tagFindSucc {
-					return encodeFindSuccResp(findSuccRespMsg{owner: nodeRef{id: 1, addr: self}})
+					return encodeFindSuccResp(findSuccRespMsg{owner: chord.Ref{ID: 1, Addr: self}})
 				}
 				raw, err := wire.EncodeProbeResp(reply)
 				if err != nil {
@@ -180,5 +182,62 @@ func TestServerReapsIdleConn(t *testing.T) {
 		// A RST surfaces as ECONNRESET rather than EOF; both prove the
 		// server-side close happened.
 		t.Logf("idle conn closed with %v (accepted: any server-side close)", err)
+	}
+}
+
+// TestEmptyAddressRefRejected: a ref with a zero-length address names
+// nobody, but the decoders used to pass it on. One such notify sent to
+// a fresh ring of one installed a successor nobody can dial and latched
+// linked; the next stabilize round emptied the list and /healthz
+// reported a partition for a node that never had a peer. The frame must
+// bounce with errnoBad and leave the node exactly as it was, and a
+// caller handed such a ref in a reply must see a failed exchange.
+func TestEmptyAddressRefRejected(t *testing.T) {
+	s, err := NewServer("127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(s.Close)
+	before := s.Status()
+
+	c, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := writeFrame(c, encodeNotify(chord.Ref{ID: 7})); err != nil {
+		t.Fatalf("write notify: %v", err)
+	}
+	raw, err := readFrame(c)
+	if err != nil {
+		t.Fatalf("read reply: %v", err)
+	}
+	if code, _, _, derr := decodeErr(raw); derr != nil || code != errnoBad {
+		t.Fatalf("empty-address notify got % x (errno %d, %v), want errnoBad", raw, code, derr)
+	}
+	if after := s.Status(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("rejected notify changed the node:\nbefore %+v\nafter  %+v", before, after)
+	}
+	s.stabilizeRound()
+	if ok, msg := s.Healthy(); !ok {
+		t.Fatalf("ring of one unhealthy after a rejected notify: %s", msg)
+	}
+
+	valid := chord.Ref{ID: 1, Addr: "a:1"}
+	for name, frame := range map[string][]byte{
+		"find_succ owner": encodeFindSuccResp(findSuccRespMsg{owner: chord.Ref{ID: 2}}),
+		"neighbors self":  encodeNeighborsResp(neighborsRespMsg{self: chord.Ref{ID: 2}}),
+		"neighbors succ":  encodeNeighborsResp(neighborsRespMsg{self: valid, succ: []chord.Ref{valid, {ID: 3}}}),
+	} {
+		var err error
+		if frame[1] == tagFindSuccResp {
+			_, err = decodeFindSuccResp(frame)
+		} else {
+			_, err = decodeNeighborsResp(frame)
+		}
+		if !errors.Is(err, wire.ErrBadMessage) {
+			t.Errorf("%s with an empty address decoded: err = %v, want ErrBadMessage", name, err)
+		}
 	}
 }

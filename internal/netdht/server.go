@@ -3,7 +3,6 @@ package netdht
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"net"
 	"strconv"
 	"strings"
@@ -57,11 +56,10 @@ type Options struct {
 }
 
 // Server is one networked ring member: a TCP listener speaking the
-// framed wire + control protocol, the node's Chord state (predecessor,
-// successor list, fingers), and the DHS data plane (tuple store, probe
-// answering). It implements dht.Node; the overlay surface over a set
-// of Servers is provided by Cluster (in-process) or by a remote peer's
-// routing RPCs (cmd/dhsnode).
+// framed wire + control protocol, the node's Chord state machine, and
+// the DHS data plane (tuple store, probe answering). It implements
+// dht.Node; the overlay surface over a set of Servers is provided by
+// Cluster (in-process) or by a remote peer's routing RPCs (cmd/dhsnode).
 type Server struct {
 	nodeCore
 	cfg   chord.ProtocolConfig
@@ -83,11 +81,11 @@ type Server struct {
 	// domain when StartMaintenance drives the protocol.
 	tick atomic.Int64
 
-	mu         sync.Mutex // guards the Chord state below
-	pred       nodeRef
-	succ       []nodeRef
-	fingers    [64]nodeRef
-	nextFinger int
+	// node is the Chord protocol state machine (internal/chord) — the
+	// same one the simulated ring runs; mu is its lock, never held across
+	// an RPC.
+	mu   sync.Mutex
+	node *chord.Machine
 
 	storeMu sync.Mutex // serializes lazy store creation
 
@@ -122,8 +120,8 @@ func NewServer(listen string, opt Options) (*Server, error) {
 		inConns: make(map[net.Conn]struct{}),
 		quit:    make(chan struct{}),
 	}
-	s.id = md4.Sum64([]byte(name))
 	s.name = name
+	s.setID(md4.Sum64([]byte(name)))
 	s.alive.Store(true)
 	if opt.Now != nil {
 		s.nowFn = opt.Now
@@ -139,7 +137,15 @@ func NewServer(listen string, opt Options) (*Server, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.addr }
 
-func (s *Server) ref() nodeRef { return nodeRef{id: s.id, addr: s.addr} }
+// setID fixes the node's ring identifier and starts its protocol state
+// as a ring of one. Construction only: no peer traffic exists yet.
+func (s *Server) setID(id uint64) {
+	s.id = id
+	s.node = chord.NewMachine(chord.Ref{ID: id, Addr: s.addr}, s.cfg, &s.mu)
+}
+
+// Protocol returns the node's protocol state machine.
+func (s *Server) Protocol() *chord.Machine { return s.node }
 
 // logKV emits one structured operational log line: "event=<name>"
 // followed by the key=value pairs in the order given (stable per call
@@ -169,35 +175,6 @@ func kvValue(v any) string {
 		return strconv.Quote(str)
 	}
 	return str
-}
-
-// seed installs protocol state directly — the Cluster constructor's
-// pre-converged bootstrap, mirroring chord.NewStabilizing.
-func (s *Server) seed(pred nodeRef, succ []nodeRef, fingers [64]nodeRef) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pred = pred
-	s.succ = append([]nodeRef(nil), succ...)
-	s.fingers = fingers
-	if len(succ) > 0 {
-		s.linked.Store(true)
-	}
-}
-
-// snapshotState returns a copy of the Chord state for local decisions;
-// never held across an RPC.
-func (s *Server) snapshotState() (pred nodeRef, succ []nodeRef, fingers [64]nodeRef) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.pred, append([]nodeRef(nil), s.succ...), s.fingers
-}
-
-// successorRefs returns the believed successor list (local state, zero
-// network cost — the dht.SuccessorLister contract).
-func (s *Server) successorRefs() []nodeRef {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]nodeRef(nil), s.succ...)
 }
 
 // ensureStore returns the node's tuple store, creating one on first
@@ -317,8 +294,11 @@ func (s *Server) handleRequest(req []byte) []byte {
 // Routing
 
 // handleFindSucc is the recursive routing step: meter the hop that
-// reached us, answer directly when this node is the delivery target,
-// otherwise keep routing from here.
+// reached us and let the state machine answer — itself when this node
+// is the delivery target, otherwise whatever routing on from here finds.
+// The forwarded peer meters its own Routed increment (flagForwarded),
+// so a lookup's hop count equals the Routed increments it caused — the
+// dhttest metering invariant — without any shared counter.
 func (s *Server) handleFindSucc(req []byte) []byte {
 	m, err := decodeFindSucc(req)
 	if err != nil {
@@ -330,136 +310,92 @@ func (s *Server) handleFindSucc(req []byte) []byte {
 	if m.flags&flagForwarded != 0 {
 		s.counters.AddRouted()
 	}
-	if m.flags&flagDeliver != 0 {
-		return encodeFindSuccResp(findSuccRespMsg{hops: m.hops, stale: m.stale, owner: s.ref()})
+	f := s.node.HandleFindSucc(tcpPeers{s}, m.key, int(m.hops), int(m.stale), m.flags&flagDeliver != 0)
+	if f.Err != nil {
+		return encodeErr(errnoOf(f.Err), uint16(f.Hops), uint16(f.Stale))
 	}
-	resp, errno := s.routeLocal(m.key, int(m.hops), int(m.stale))
-	if errno != 0 {
-		return encodeErr(errno, resp.hops, resp.stale)
-	}
-	return encodeFindSuccResp(resp)
+	return encodeFindSuccResp(findSuccRespMsg{hops: uint16(f.Hops), stale: uint16(f.Stale), owner: f.Owner})
 }
 
-// routeLocal makes one node's routing decision for key, with hops and
-// stale accumulated so far, and drives the rest of the route over the
-// network. The decision procedure mirrors chord's routeLocked with
-// liveness discovered by contact instead of shared memory:
-//
-//   - if this node owns the key (identifier match, known (pred, self]
-//     range, or an empty successor list — a ring of one), answer self;
-//   - if the key lies within the successor list, deliver to the first
-//     reachable entry that covers it; every unreachable entry ahead of
-//     it costs the discovery timeout — one hop, one stale;
-//   - otherwise forward to the closest preceding reachable finger,
-//     falling back through the successor list, unreachable candidates
-//     costing one hop + one stale each.
-//
-// The forwarded peer meters its own Routed increment (flagForwarded),
-// so a lookup's hop count equals the Routed increments it caused —
-// the dhttest metering invariant — without any shared counter.
-func (s *Server) routeLocal(key uint64, hops, stale int) (findSuccRespMsg, byte) {
-	pred, succ, fingers := s.snapshotState()
-	self := findSuccRespMsg{hops: uint16(hops), stale: uint16(stale), owner: s.ref()}
+// tcpPeers is the TCP transport of the Chord protocol: each call is one
+// request/reply exchange through the server's peer pool, and any failed
+// exchange — refused, timed out, undecodable, or answered by a node
+// that is shutting down — is how the protocol learns a peer is gone.
+type tcpPeers struct{ s *Server }
 
-	dKey := dist(s.id, key)
-	if dKey == 0 || len(succ) == 0 {
-		return self, 0
+func (p tcpPeers) Neighbors(to chord.Ref) (chord.Neighbors, error) {
+	raw, err := p.s.peers.exchange(to.Addr, encodeNeighborsReq())
+	if err == nil {
+		_, _, _, err = replyErr(raw)
 	}
-	if pred.valid() && pred.id != s.id {
-		if d := dist(pred.id, key); d > 0 && d <= dist(pred.id, s.id) {
-			return self, 0
-		}
+	var nb neighborsRespMsg
+	if err == nil {
+		nb, err = decodeNeighborsResp(raw)
 	}
-
-	// Successor distances increase along the list, so the entries that
-	// cover the key form a suffix; the first of them is the believed
-	// owner, the rest are its backups.
-	for _, sc := range succ {
-		if sc.id == s.id || dKey > dist(s.id, sc.id) {
-			continue
-		}
-		resp, errno, err := s.forwardTo(sc.addr, key, hops+1, stale, true)
-		if err == nil {
-			return resp, errno
-		}
-		hops++
-		stale++
-		if hops >= maxHops {
-			return findSuccRespMsg{hops: uint16(hops), stale: uint16(stale)}, errnoNoRoute
-		}
-	}
-	if dKey <= dist(s.id, succ[len(succ)-1].id) {
-		// The key was within the list but every covering entry was
-		// unreachable: the walk cannot proceed from here.
-		return findSuccRespMsg{hops: uint16(hops), stale: uint16(stale)}, errnoNoRoute
-	}
-
-	// Closest preceding finger, highest first; then the successor list.
-	for i := bits.Len64(dKey-1) - 1; i >= 0; i-- {
-		f := fingers[i]
-		if !f.valid() || f.id == s.id {
-			continue
-		}
-		d := dist(s.id, f.id)
-		if d == 0 || d >= dKey {
-			continue
-		}
-		resp, errno, err := s.forwardTo(f.addr, key, hops+1, stale, false)
-		if err == nil {
-			return resp, errno
-		}
-		hops++
-		stale++
-		if hops >= maxHops {
-			return findSuccRespMsg{hops: uint16(hops), stale: uint16(stale)}, errnoNoRoute
-		}
-	}
-	for _, sc := range succ {
-		if sc.id == s.id {
-			continue
-		}
-		resp, errno, err := s.forwardTo(sc.addr, key, hops+1, stale, false)
-		if err == nil {
-			return resp, errno
-		}
-		hops++
-		stale++
-		if hops >= maxHops {
-			break
-		}
-	}
-	return findSuccRespMsg{hops: uint16(hops), stale: uint16(stale)}, errnoNoRoute
-}
-
-// forwardTo sends one routing step to addr. A transport failure (err
-// != nil) means the candidate could not be reached — the caller pays
-// the discovery timeout and tries the next one. A decoded reply is
-// terminal: either the owner or a typed downstream routing failure.
-func (s *Server) forwardTo(addr string, key uint64, hops, stale int, deliver bool) (findSuccRespMsg, byte, error) {
-	flags := byte(flagForwarded)
-	if deliver {
-		flags |= flagDeliver
-	}
-	raw, err := s.peers.exchange(addr, encodeFindSucc(findSuccMsg{
-		flags: flags, key: key, hops: uint16(hops), stale: uint16(stale),
-	}))
 	if err != nil {
-		return findSuccRespMsg{}, 0, err
+		p.s.logKV("successor-unreachable", "successor", to.Addr, "err", err)
+		return chord.Neighbors{}, err
+	}
+	return chord.Neighbors{Pred: nb.pred, Succ: nb.succ}, nil
+}
+
+func (p tcpPeers) Notify(to, self chord.Ref) (bool, error) {
+	raw, err := p.s.peers.exchange(to.Addr, encodeNotify(self))
+	if err != nil {
+		return false, err
+	}
+	return decodeAck(raw)
+}
+
+func (p tcpPeers) Ping(to chord.Ref) error {
+	raw, err := p.s.peers.exchange(to.Addr, encodePing())
+	if err != nil {
+		return err
+	}
+	if len(raw) < 2 || raw[1] != tagPong {
+		return fmt.Errorf("%w: unexpected ping reply", dht.ErrLost)
+	}
+	return nil
+}
+
+// FindSucc sends one routing step. An origin contact (hops == 0, a
+// joiner reaching its bootstrap) is not a metered hop and is retried
+// like a client's entry request; a forwarded step gets one attempt —
+// the sender has other candidates. A decoded reply is terminal: the
+// owner, or a typed downstream routing failure.
+func (p tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver bool) (chord.Found, error) {
+	m := findSuccMsg{key: key, hops: uint16(hops), stale: uint16(stale)}
+	if deliver {
+		m.flags |= flagDeliver
+	}
+	var raw []byte
+	var err error
+	if hops == 0 {
+		raw, err = p.s.peers.exchangeRetry(to.Addr, encodeFindSucc(m), 3, 0)
+	} else {
+		m.flags |= flagForwarded
+		raw, err = p.s.peers.exchange(to.Addr, encodeFindSucc(m))
+	}
+	if err != nil {
+		return chord.Found{}, err
 	}
 	if code, h, st, err := replyErr(raw); err != nil {
 		if code == 0 || code == errnoNodeDown {
-			// An undecodable reply, or the peer answered while shutting
-			// down: same as unreachable.
-			return findSuccRespMsg{}, 0, err
+			return chord.Found{}, err
 		}
-		return findSuccRespMsg{hops: h, stale: st}, code, nil
+		return chord.Found{Hops: int(h), Stale: int(st), Err: err}, nil
 	}
 	resp, err := decodeFindSuccResp(raw)
 	if err != nil {
-		return findSuccRespMsg{}, 0, err
+		return chord.Found{}, err
 	}
-	return resp, 0, nil
+	return chord.Found{Owner: resp.owner, Hops: int(resp.hops), Stale: int(resp.stale)}, nil
 }
+
+// Reseed: a daemon has no oracle. Its predecessor is the one other peer
+// it knows — on a small ring the node that will re-close it; with none
+// the node is partitioned until someone notifies it.
+func (p tcpPeers) Reseed(_, pred chord.Ref) chord.Ref { return pred }
 
 // ---------------------------------------------------------------------
 // Data plane: insert and probe RPCs (the cmd/dhsnode path; in-process
@@ -541,14 +477,14 @@ func (s *Server) handleProbeReq(req []byte) []byte {
 }
 
 // ---------------------------------------------------------------------
-// Stabilization protocol (the PR-6 rounds, over RPC)
+// Stabilization protocol: the state machine's rounds, timed and logged
 
 func (s *Server) handleNeighbors() []byte {
 	if !s.alive.Load() {
 		return encodeErr(errnoNodeDown, 0, 0)
 	}
-	pred, succ, _ := s.snapshotState()
-	return encodeNeighborsResp(neighborsRespMsg{self: s.ref(), pred: pred, succ: succ})
+	nb := s.node.Neighbors()
+	return encodeNeighborsResp(neighborsRespMsg{self: s.node.Self(), pred: nb.Pred, succ: nb.Succ})
 }
 
 func (s *Server) handleNotify(req []byte) []byte {
@@ -559,202 +495,54 @@ func (s *Server) handleNotify(req []byte) []byte {
 	if !s.alive.Load() {
 		return encodeErr(errnoNodeDown, 0, 0)
 	}
-	changed := false
-	s.mu.Lock()
-	if n.id != s.id {
-		if !s.pred.valid() ||
-			(s.pred.id != n.id && dist(s.pred.id, n.id) < dist(s.pred.id, s.id)) {
-			s.pred = n
-			changed = true
-		}
-		if len(s.succ) == 0 {
-			// A ring of one learns its first peer: the notifier is both
-			// predecessor and successor.
-			s.succ = []nodeRef{n}
-			s.fingers[0] = n
-			s.linked.Store(true)
-			changed = true
-		}
+	changed := s.node.HandleNotify(n)
+	if changed {
+		s.markLinked()
 	}
-	s.mu.Unlock()
 	return encodeAck(changed)
 }
 
-func (s *Server) neighborsRPC(addr string) (neighborsRespMsg, error) {
-	raw, err := s.peers.exchange(addr, encodeNeighborsReq())
-	if err != nil {
-		return neighborsRespMsg{}, err
+// markLinked latches linked once the node holds a successor.
+func (s *Server) markLinked() {
+	if _, ok := s.node.Successor(); ok {
+		s.linked.Store(true)
 	}
-	if _, _, _, err := replyErr(raw); err != nil {
-		return neighborsRespMsg{}, err
-	}
-	return decodeNeighborsResp(raw)
 }
 
-func (s *Server) notifyRPC(addr string, self nodeRef) (bool, error) {
-	raw, err := s.peers.exchange(addr, encodeNotify(self))
-	if err != nil {
-		return false, err
+// runRound runs one of the state machine's rounds under the round
+// timer; the daemon ticker (maintenanceTick) and Cluster.Step both come
+// through here. A closed server's rounds are no-ops. The result is the
+// number of state changes — zero means a quiescent neighbourhood.
+func (s *Server) runRound(slot int, round func(chord.Peers) int) int {
+	tm := s.m.startRound(slot)
+	n := 0
+	if s.alive.Load() {
+		n = round(tcpPeers{s})
 	}
-	return decodeAck(raw)
+	s.m.finishRound(slot, tm, n)
+	return n
 }
 
-func (s *Server) pingRPC(addr string) error {
-	raw, err := s.peers.exchange(addr, encodePing())
-	if err != nil {
-		return err
-	}
-	if len(raw) < 2 || raw[1] != tagPong {
-		return fmt.Errorf("%w: unexpected ping reply", dht.ErrLost)
-	}
-	return nil
-}
-
-// stabilizeRound runs one stabilize/notify exchange: prune unreachable
-// successor-list heads (each discovery a timeout), adopt the
-// successor's predecessor when it slots in between, refresh the list
-// from the successor's, and notify. Returns the number of state
-// changes — zero means the round observed a quiescent neighborhood.
-// The wrapper meters the round's wall-clock duration and changes; both
-// the daemon ticker (maintenanceTick) and Cluster.Step come through it.
 func (s *Server) stabilizeRound() int {
-	tm := s.m.startRound(roundStabilize)
-	n := s.doStabilizeRound()
-	s.m.finishRound(roundStabilize, tm, n)
-	return n
+	return s.runRound(roundStabilize, func(p chord.Peers) int {
+		n, _ := s.node.Stabilize(p)
+		return n
+	})
 }
 
-func (s *Server) doStabilizeRound() int {
-	if !s.alive.Load() {
-		return 0
-	}
-	_, succ, _ := s.snapshotState()
-	if len(succ) == 0 {
-		return 0 // a ring of one has nothing to stabilize
-	}
-	changes := 0
-	var head nodeRef
-	var nb neighborsRespMsg
-	for _, sc := range succ {
-		resp, err := s.neighborsRPC(sc.addr)
-		if err != nil {
-			changes++ // dead head discovered by timeout
-			s.logKV("successor-unreachable", "successor", sc.addr, "err", err)
-			continue
-		}
-		head, nb = sc, resp
-		break
-	}
-	if !head.valid() {
-		// Every known successor is unreachable. Fall back to the
-		// predecessor as a successor seed — on a small ring that is the
-		// node that will re-close it; with no predecessor either, the
-		// node is partitioned and retries next round.
-		s.mu.Lock()
-		if s.pred.valid() && s.pred.id != s.id {
-			s.succ = []nodeRef{s.pred}
-		} else {
-			s.succ = nil
-		}
-		s.mu.Unlock()
-		return changes + 1
-	}
-	sref := head
-	if nb.pred.valid() && nb.pred.id != s.id && nb.pred.id != sref.id &&
-		dist(s.id, nb.pred.id) < dist(s.id, sref.id) {
-		// A node joined between us and our successor: adopt it.
-		if presp, err := s.neighborsRPC(nb.pred.addr); err == nil {
-			sref, nb = nb.pred, presp
-			changes++
-		}
-	}
-	rcap := s.cfg.SuccListLen
-	newList := make([]nodeRef, 0, rcap)
-	newList = append(newList, sref)
-	for _, e := range nb.succ {
-		if len(newList) >= rcap {
-			break
-		}
-		if e.id == s.id || containsRef(newList, e) {
-			continue
-		}
-		newList = append(newList, e)
-	}
-	s.mu.Lock()
-	if !sameRefs(s.succ, newList) {
-		changes++
-	}
-	s.succ = newList
-	s.fingers[0] = sref
-	s.mu.Unlock()
-	if adopted, err := s.notifyRPC(sref.addr, s.ref()); err == nil && adopted {
-		changes++
-	}
-	return changes
-}
-
-// fixFingersRound refreshes FingersPerRound finger entries by routing
-// to each entry's target through the live network.
 func (s *Server) fixFingersRound() int {
-	tm := s.m.startRound(roundFixFingers)
-	n := s.doFixFingersRound()
-	s.m.finishRound(roundFixFingers, tm, n)
-	return n
+	return s.runRound(roundFixFingers, s.node.FixFingers)
 }
 
-func (s *Server) doFixFingersRound() int {
-	if !s.alive.Load() {
-		return 0
-	}
-	changes := 0
-	for j := 0; j < s.cfg.FingersPerRound; j++ {
-		s.mu.Lock()
-		i := s.nextFinger
-		s.nextFinger = (s.nextFinger + 1) % len(s.fingers)
-		s.mu.Unlock()
-		resp, errno := s.routeLocal(s.id+uint64(1)<<uint(i), 0, 0)
-		if errno != 0 {
-			continue // entry stays; retried next cycle
-		}
-		s.mu.Lock()
-		if s.fingers[i] != resp.owner {
-			s.fingers[i] = resp.owner
-			changes++
-		}
-		s.mu.Unlock()
-	}
-	return changes
-}
-
-// checkPredRound clears a predecessor that no longer answers pings, so
-// the next notify can repair it.
 func (s *Server) checkPredRound() int {
-	tm := s.m.startRound(roundCheckPred)
-	n := s.doCheckPredRound()
-	s.m.finishRound(roundCheckPred, tm, n)
-	return n
-}
-
-func (s *Server) doCheckPredRound() int {
-	if !s.alive.Load() {
-		return 0
-	}
-	s.mu.Lock()
-	pred := s.pred
-	s.mu.Unlock()
-	if !pred.valid() {
-		return 0
-	}
-	if err := s.pingRPC(pred.addr); err == nil {
-		return 0
-	}
-	s.mu.Lock()
-	if s.pred == pred {
-		s.pred = nodeRef{}
-	}
-	s.mu.Unlock()
-	s.logKV("predecessor-cleared", "predecessor", pred.addr)
-	return 1
+	return s.runRound(roundCheckPred, func(p chord.Peers) int {
+		pred := s.node.CheckPredecessor(p)
+		if !pred.Valid() {
+			return 0
+		}
+		s.logKV("predecessor-cleared", "predecessor", pred.Addr)
+		return 1
+	})
 }
 
 // maintenanceTick advances the virtual protocol tick and runs whatever
@@ -794,51 +582,16 @@ func (s *Server) StartMaintenance(period time.Duration) {
 	}()
 }
 
-// Join links this server into the ring reachable at bootstrap: route
-// to our own identifier to find our successor, adopt its successor
-// list, and notify it. The rest of the ring learns about us through
+// Join links this server into the ring reachable at bootstrap (see
+// chord.Machine.Join). The rest of the ring learns about us through
 // its stabilize rounds.
 func (s *Server) Join(bootstrap string) error {
-	raw, err := s.peers.exchangeRetry(bootstrap, encodeFindSucc(findSuccMsg{key: s.id}), 3, 0)
+	succ, err := s.node.Join(tcpPeers{s}, chord.Ref{Addr: bootstrap})
 	if err != nil {
 		return fmt.Errorf("netdht: join via %s: %w", bootstrap, err)
-	}
-	if _, _, _, err := replyErr(raw); err != nil {
-		return fmt.Errorf("netdht: join via %s: %w", bootstrap, err)
-	}
-	resp, err := decodeFindSuccResp(raw)
-	if err != nil {
-		return fmt.Errorf("netdht: join via %s: %w", bootstrap, err)
-	}
-	succ0 := resp.owner
-	if succ0.id == s.id {
-		return fmt.Errorf("netdht: join via %s: identifier collision with %s", bootstrap, succ0.addr)
-	}
-	nb, err := s.neighborsRPC(succ0.addr)
-	if err != nil {
-		return fmt.Errorf("netdht: join: successor %s: %w", succ0.addr, err)
-	}
-	s.mu.Lock()
-	list := []nodeRef{succ0}
-	for _, e := range nb.succ {
-		if len(list) >= s.cfg.SuccListLen {
-			break
-		}
-		if e.id == s.id || containsRef(list, e) {
-			continue
-		}
-		list = append(list, e)
-	}
-	s.succ = list
-	for i := range s.fingers {
-		s.fingers[i] = succ0
-	}
-	s.mu.Unlock()
-	if _, err := s.notifyRPC(succ0.addr, s.ref()); err != nil {
-		return fmt.Errorf("netdht: join: notify %s: %w", succ0.addr, err)
 	}
 	s.linked.Store(true)
-	s.logKV("joined", "bootstrap", bootstrap, "successor", succ0.addr)
+	s.logKV("joined", "bootstrap", bootstrap, "successor", succ.Addr)
 	return nil
 }
 
@@ -859,27 +612,6 @@ func (s *Server) Close() {
 	s.inMu.Unlock()
 	s.wg.Wait()
 	s.logKV("server-closed", "addr", s.addr)
-}
-
-func containsRef(list []nodeRef, r nodeRef) bool {
-	for _, e := range list {
-		if e.id == r.id {
-			return true
-		}
-	}
-	return false
-}
-
-func sameRefs(a, b []nodeRef) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 var _ dht.Node = (*Server)(nil)
