@@ -48,9 +48,11 @@ smoke:
 	./scripts/smoke.sh
 
 # bench runs the benchmark suite (root macro-benchmarks, the
-# internal/store probe-reply micro-benchmarks, and the internal/serve
-# sustained-throughput serving benchmarks — qps/p50/p99 against a real
-# loopback ring) and converts the text output into machine-readable
+# internal/store probe-reply micro-benchmarks, the internal/netdht
+# uncached-count rung — find_succ, probes and wire bytes per scan on
+# loopback clusters — and the internal/serve sustained-throughput
+# serving benchmarks — qps/p50/p99 against a real loopback ring) and
+# converts the text output into machine-readable
 # JSON via cmd/benchjson, so a run can be committed as a
 # perf-trajectory point:
 #
@@ -67,6 +69,6 @@ BENCHTXT  ?= bench.out
 BENCHJSON ?= bench.json
 
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) . ./internal/store ./internal/serve | tee $(BENCHTXT)
+	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) . ./internal/store ./internal/netdht ./internal/serve | tee $(BENCHTXT)
 	$(GO) run ./cmd/benchjson < $(BENCHTXT) > $(BENCHJSON)
 	@echo "wrote $(BENCHJSON)"

@@ -61,6 +61,9 @@ type Found struct {
 	Hops  int
 	Stale int // hops spent discovering unreachable peers
 	Err   error
+	// Near is the owner's neighbourhood when the origin asked its transport
+	// for it (netdht's counting scan), else nil; the protocol never reads it.
+	Near *Neighbors
 }
 
 // Peers is everything a node asks of the rest of the ring. A non-nil

@@ -1,9 +1,11 @@
 package netdht
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"time"
 
@@ -56,10 +58,10 @@ type ClientConfig struct {
 	Metrics *metrics.Registry
 }
 
-// DefaultProbeParallel is how many of an interval's Lim probe attempts
-// the counting scan keeps in flight. The attempts are independent
-// uniform probes, so running them concurrently changes neither the
-// estimate nor the accounting — only the wall-clock latency of a pass.
+// DefaultProbeParallel is how many of an interval's probes the counting
+// scan keeps in flight. The probes are independent, so running them
+// concurrently changes neither the estimate nor the accounting — only
+// the wall-clock latency of a pass.
 const DefaultProbeParallel = 4
 
 func (c ClientConfig) withDefaults() ClientConfig {
@@ -91,6 +93,10 @@ type Client struct {
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
+
+	// scanFlags go on the counting scan's lookups: flagNeighbors. A test
+	// clears it to get a scan whose segment map stays empty.
+	scanFlags byte
 }
 
 // NewClient validates the configuration and prepares the connection
@@ -110,10 +116,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("netdht: %w", err)
 	}
 	c := &Client{
-		cfg:   cfg,
-		geom:  geom,
-		peers: newPeerPool(cfg.DialTimeout, cfg.RPCTimeout, DefaultPeerConns),
-		rng:   rand.New(rand.NewPCG(cfg.Seed, 0x6a09e667f3bcc908)),
+		cfg:       cfg,
+		geom:      geom,
+		peers:     newPeerPool(cfg.DialTimeout, cfg.RPCTimeout, DefaultPeerConns),
+		rng:       rand.New(rand.NewPCG(cfg.Seed, 0x6a09e667f3bcc908)),
+		scanFlags: flagNeighbors,
 	}
 	if cfg.Metrics != nil {
 		c.peers.m = newPoolMetrics(cfg.Metrics)
@@ -134,23 +141,19 @@ func (c *Client) randomTarget(bit uint) uint64 {
 	return c.geom.Target(c.rng, bit)
 }
 
-// findOwner routes key through the entry node and returns the owner's
-// identity. The entry makes the first routing decision itself, so the
-// client never needs the ring topology.
-func (c *Client) findOwner(key uint64) (chord.Ref, error) {
+// findSucc routes key through the entry node and returns the terminal
+// reply: the owner and, with flagNeighbors, its neighbourhood. The entry
+// makes the first routing decision, so the client needs no ring topology.
+func (c *Client) findSucc(key uint64, flags byte) (findSuccRespMsg, error) {
 	raw, err := c.peers.exchangeRetry(c.cfg.Entry,
-		encodeFindSucc(findSuccMsg{key: key}), c.cfg.Retries, c.cfg.Backoff)
+		encodeFindSucc(findSuccMsg{flags: flags, key: key}), c.cfg.Retries, c.cfg.Backoff)
 	if err != nil {
-		return chord.Ref{}, err
+		return findSuccRespMsg{}, err
 	}
 	if _, _, _, err := replyErr(raw); err != nil {
-		return chord.Ref{}, err
+		return findSuccRespMsg{}, err
 	}
-	resp, err := decodeFindSuccResp(raw)
-	if err != nil {
-		return chord.Ref{}, err
-	}
-	return resp.owner, nil
+	return decodeFindSuccResp(raw)
 }
 
 // ack sends req to addr with retries and verifies the reply is an ack.
@@ -171,7 +174,7 @@ func (c *Client) ack(addr string, req []byte) error {
 // bit's interval, and store the tuple there (§3.4 over the wire).
 func (c *Client) Insert(metric, itemID uint64) error {
 	vector, bit := c.geom.Split(itemID)
-	owner, err := c.findOwner(c.randomTarget(bit))
+	found, err := c.findSucc(c.randomTarget(bit), 0)
 	if err != nil {
 		return fmt.Errorf("netdht: insert lookup: %w", err)
 	}
@@ -181,8 +184,8 @@ func (c *Client) Insert(metric, itemID uint64) error {
 		Bit:    uint8(bit),
 		TTL:    wire.ClampTTL(c.cfg.TTL),
 	})
-	if err := c.ack(owner.Addr, req); err != nil {
-		return fmt.Errorf("netdht: insert at %s: %w", owner.Addr, err)
+	if err := c.ack(found.owner.Addr, req); err != nil {
+		return fmt.Errorf("netdht: insert at %s: %w", found.owner.Addr, err)
 	}
 	return nil
 }
@@ -217,7 +220,7 @@ type CountResult struct {
 // DefaultPeerConns sockets per peer.
 func (c *Client) Count(metric uint64) (CountResult, error) {
 	lim := func(int) int { return c.cfg.Lim }
-	est := c.geom.Scan(rpcProber{c}, []uint64{metric}, lim)[0]
+	est := c.geom.Scan(&rpcProber{c: c}, []uint64{metric}, lim)[0]
 	return CountResult{
 		Estimate:         est.Value,
 		ProbesAttempted:  est.Quality.ProbesAttempted,
@@ -227,15 +230,80 @@ func (c *Client) Count(metric uint64) (CountResult, error) {
 	}, nil
 }
 
-// rpcProber is the wire's core.Prober. Each of an interval's lim
-// attempts routes a fresh uniform target through find_succ and probes
-// its owner — the RPC surface has no successor walk — with up to
-// DefaultProbeParallel attempts in flight. An owner already probed
-// within the interval is not probed again but still spends budget,
-// mirroring the simulator's duplicate-visit cost.
-type rpcProber struct{ c *Client }
+// segmentMap is what one scan has learned of the ring from its lookup
+// replies: arcs (lo, owner.ID] of the identifier circle, sorted by owner.
+type segmentMap []segment
 
-func (p rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.IntervalOutcome {
+type segment struct {
+	lo    uint64
+	owner chord.Ref
+}
+
+func (m segmentMap) search(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(m, id, func(s segment, id uint64) int { return cmp.Compare(s.owner.ID, id) })
+}
+
+// resolve names the first known node at or after target, and reports
+// whether its arc reaches back far enough to cover target.
+func (m segmentMap) resolve(target uint64) (owner chord.Ref, covered bool) {
+	if len(m) == 0 {
+		return chord.Ref{}, false
+	}
+	i, _ := m.search(target)
+	s := m[i%len(m)]
+	d := target - s.lo
+	return s.owner, d != 0 && d <= s.owner.ID-s.lo
+}
+
+// learn adds the arcs one reply's neighbourhood spells out — (pred,
+// owner], (owner, s₀], (s₀, s₁], … — a later reply replacing what an
+// earlier one said about the same node.
+func (m *segmentMap) learn(r findSuccRespMsg) {
+	if r.near == nil {
+		return
+	}
+	prev := r.near.Pred
+	for _, n := range append([]chord.Ref{r.owner}, r.near.Succ...) {
+		if prev.Valid() { // an unknown predecessor leaves the owner's own arc unknown
+			i, known := m.search(n.ID)
+			if !known {
+				*m = slices.Insert(*m, i, segment{})
+			}
+			(*m)[i] = segment{lo: prev.ID, owner: n}
+		}
+		prev = n
+	}
+}
+
+// rpcProber is the wire's core.Prober, one per scan. Where Algorithm 1
+// routes once per interval and walks successors, the prober has every
+// lookup bring the owner's neighbourhood back and keeps it in a segment
+// map: an interval draws its lim uniform targets as ever and routes only
+// those no segment covers. Adjacent bits are adjacent identifier ranges,
+// so the map carries over between intervals; it dies with the scan. Each
+// distinct owner is probed once, DefaultProbeParallel probes in flight; a
+// target whose owner the interval has already met spends budget without
+// a second probe, mirroring the simulator's duplicate-visit cost.
+type rpcProber struct {
+	c *Client
+	// mu serializes the map and an interval's accounting, visited set and Visits.
+	mu   sync.Mutex
+	ring segmentMap
+}
+
+// lookup routes target through the ring and folds the reply into the map.
+func (p *rpcProber) lookup(target uint64) (chord.Ref, error) {
+	r, err := p.c.findSucc(target, p.c.scanFlags)
+	if err != nil {
+		return chord.Ref{}, err
+	}
+	p.mu.Lock()
+	p.ring.learn(r)
+	p.mu.Unlock()
+	return r.owner, nil
+}
+
+func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.IntervalOutcome {
 	out := core.IntervalOutcome{Attempted: lim}
 	reply := maskReply{metrics: v.Metrics()}
 	req, err := wire.EncodeProbeReq(wire.ProbeReq{
@@ -248,27 +316,33 @@ func (p rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Interv
 		return out
 	}
 
-	// mu serializes the accounting, the visited set and every Visit, so
-	// the visitor sees one reply at a time. The attempts are already in
-	// flight when a Visit reports the interval exhausted, so that hint
-	// is not acted on: every interval spends exactly lim attempts.
-	var mu sync.Mutex
 	visited := make(map[uint64]bool)
-	attempt := func() {
-		owner, err := p.c.findOwner(p.c.randomTarget(bit))
-		var masks [][]byte
-		if err == nil {
-			mu.Lock()
-			seen := visited[owner.ID]
-			visited[owner.ID] = true
-			mu.Unlock()
-			if seen {
-				return
+	// first marks owner visited; false if the interval had met it before.
+	first := func(owner chord.Ref) bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		seen := visited[owner.ID]
+		visited[owner.ID] = true
+		return !seen
+	}
+	// probe spends target's attempt on owner. Probes are in flight when a
+	// Visit reports the interval exhausted: every interval spends lim attempts.
+	probe := func(target uint64, owner chord.Ref, viaMap bool) {
+		masks, err := p.c.probe(owner.Addr, req, len(reply.metrics))
+		if err != nil && viaMap {
+			// The map named a node that does not answer: ask the ring. The
+			// same answer fails the attempt, like any lookup naming a dead node.
+			if again, lerr := p.lookup(target); lerr != nil {
+				err = lerr
+			} else if again.ID != owner.ID {
+				if !first(again) {
+					return
+				}
+				masks, err = p.c.probe(again.Addr, req, len(reply.metrics))
 			}
-			masks, err = p.c.probe(owner.Addr, req, len(reply.metrics))
 		}
-		mu.Lock()
-		defer mu.Unlock()
+		p.mu.Lock()
+		defer p.mu.Unlock()
 		if err != nil {
 			out.Failed++
 			return
@@ -280,16 +354,33 @@ func (p rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Interv
 
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, DefaultProbeParallel)
+	routed, unrouted := 0, 0
 	for i := 0; i < lim; i++ {
+		target := p.c.randomTarget(bit)
+		p.mu.Lock()
+		owner, viaMap := p.ring.resolve(target)
+		p.mu.Unlock()
+		if !viaMap {
+			routed++
+			if owner, err = p.lookup(target); err != nil {
+				unrouted++
+				continue
+			}
+		}
+		if !first(owner) {
+			continue
+		}
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			attempt()
+			probe(target, owner, viaMap)
 		}()
 	}
 	wg.Wait()
+	out.Failed += unrouted
+	p.c.peers.m.scanTargets(lim-routed, routed)
 	return out
 }
 

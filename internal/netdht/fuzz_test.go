@@ -16,7 +16,11 @@ func FuzzDecodeControl(f *testing.F) {
 	a, b := chord.Ref{ID: 1, Addr: "10.0.0.1:4000"}, chord.Ref{ID: 1 << 63, Addr: "b:2"}
 	for _, seed := range [][]byte{
 		encodeFindSucc(findSuccMsg{flags: flagForwarded | flagDeliver, key: 42, hops: 3, stale: 1}),
+		encodeFindSucc(findSuccMsg{flags: flagNeighbors, key: 42}),
 		encodeFindSuccResp(findSuccRespMsg{hops: 5, stale: 2, owner: a}),
+		// The flagged reply: the owner's neighbourhood behind it.
+		encodeFindSuccResp(findSuccRespMsg{hops: 5, stale: 2, owner: a, near: &chord.Neighbors{Pred: b, Succ: []chord.Ref{b, a}}}),
+		encodeFindSuccResp(findSuccRespMsg{owner: a, near: &chord.Neighbors{}}),
 		encodeNeighborsResp(neighborsRespMsg{self: a, pred: b, succ: []chord.Ref{b, a}}),
 		encodeNeighborsResp(neighborsRespMsg{self: a}),
 		encodeNotify(b),
@@ -25,6 +29,7 @@ func FuzzDecodeControl(f *testing.F) {
 		// The empty-address refs the decoders used to accept.
 		encodeNotify(chord.Ref{ID: 7}),
 		encodeFindSuccResp(findSuccRespMsg{owner: chord.Ref{ID: 7}}),
+		encodeFindSuccResp(findSuccRespMsg{owner: a, near: &chord.Neighbors{Pred: chord.Ref{ID: 7, Addr: "x"}, Succ: []chord.Ref{{ID: 7}}}}),
 		encodeNeighborsResp(neighborsRespMsg{self: a, succ: []chord.Ref{{ID: 7}}}),
 		{},
 	} {
@@ -55,6 +60,14 @@ func FuzzDecodeControl(f *testing.F) {
 		}
 		if m, err := decodeFindSuccResp(buf); err == nil {
 			refs = append(refs, m.owner)
+			if m.near != nil {
+				refs = append(refs, m.near.Succ...)
+			}
+			// Nothing may follow an accepted reply: it encodes to exactly
+			// as many bytes as the frame held.
+			if len(encodeFindSuccResp(m)) != len(buf) {
+				t.Fatalf("findSuccResp accepted %d bytes but encodes %d", len(buf), len(encodeFindSuccResp(m)))
+			}
 		}
 		if m, err := decodeNeighborsResp(buf); err == nil {
 			refs = append(append(refs, m.self), m.succ...)

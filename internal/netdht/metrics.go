@@ -225,6 +225,9 @@ type poolMetrics struct {
 	redials    *metrics.Counter
 	retries    *metrics.Counter
 
+	// The counting scan's interval targets, by how the owner was found.
+	targetsByMap, targetsByLookup *metrics.Counter
+
 	bytesOut *metrics.Counter
 	bytesIn  *metrics.Counter
 	frameOut *metrics.Histogram
@@ -254,6 +257,8 @@ func newPoolMetrics(reg *metrics.Registry) *poolMetrics {
 	for i, name := range errClassNames {
 		m.errClasses[i] = reg.Counter("netdht_out_errors_total", "outbound transport failures by errno class", metrics.L("class", name))
 	}
+	m.targetsByMap = reg.Counter("netdht_scan_targets_total", "counting-scan interval targets by how the owner was found", metrics.L("resolved", "map"))
+	m.targetsByLookup = reg.Counter("netdht_scan_targets_total", "counting-scan interval targets by how the owner was found", metrics.L("resolved", "lookup"))
 	return m
 }
 
@@ -313,6 +318,15 @@ func (m *poolMetrics) retryAttempt() {
 		return
 	}
 	m.retries.Inc()
+}
+
+// scanTargets meters one interval's targets of a counting scan.
+func (m *poolMetrics) scanTargets(byMap, byLookup int) {
+	if m == nil {
+		return
+	}
+	m.targetsByMap.Add(uint64(byMap))
+	m.targetsByLookup.Add(uint64(byLookup))
 }
 
 // ---------------------------------------------------------------------

@@ -41,6 +41,9 @@ const (
 	// networked form of the simulated router returning its successor
 	// without another forwarding decision.
 	flagDeliver = 1 << 1
+	// flagNeighbors asks the node the route ends at to attach its
+	// neighbourhood to the reply; only the client's counting scan sets it.
+	flagNeighbors = 1 << 2
 )
 
 // Typed error codes carried by tagErr, mapping the dht error taxonomy
@@ -149,12 +152,57 @@ func decodeFindSucc(buf []byte) (findSuccMsg, error) {
 	}, nil
 }
 
-// findSuccRespMsg is the terminal routing reply, relayed verbatim back
-// along the forwarding chain: the believed owner and the total cost.
+// appendNeighbors serializes a neighbourhood: predecessor flag(1), the
+// predecessor's ref when known, successor count(1), the successors' refs.
+func appendNeighbors(buf []byte, nb chord.Neighbors) []byte {
+	if nb.Pred.Valid() {
+		buf = appendRef(append(buf, 1), nb.Pred)
+	} else {
+		buf = append(buf, 0)
+	}
+	buf = append(buf, byte(len(nb.Succ)))
+	for _, s := range nb.Succ {
+		buf = appendRef(buf, s)
+	}
+	return buf
+}
+
+// decodeNeighbors parses that and returns the remaining buffer; a count
+// of more successors than the rest of the frame could hold is refused.
+func decodeNeighbors(buf []byte) (nb chord.Neighbors, rest []byte, err error) {
+	if len(buf) < 1 {
+		return nb, nil, wire.ErrShort
+	}
+	rest = buf[1:]
+	if buf[0] != 0 {
+		if nb.Pred, rest, err = decodeRef(rest); err != nil {
+			return nb, nil, err
+		}
+	}
+	const minRef = 11 // id(8) + length(2) + a one-byte address
+	if len(rest) < 1 || int(rest[0])*minRef > len(rest)-1 {
+		return nb, nil, wire.ErrShort
+	}
+	count := int(rest[0])
+	rest = rest[1:]
+	for i := 0; i < count; i++ {
+		var s chord.Ref
+		if s, rest, err = decodeRef(rest); err != nil {
+			return nb, nil, err
+		}
+		nb.Succ = append(nb.Succ, s)
+	}
+	return nb, rest, nil
+}
+
+// findSuccRespMsg is the terminal routing reply — the believed owner,
+// the total cost and, when the origin set flagNeighbors, the owner's
+// neighbourhood — decoded and re-encoded at each hop on its way back.
 type findSuccRespMsg struct {
 	hops  uint16
 	stale uint16
 	owner chord.Ref
+	near  *chord.Neighbors // nil: the short, unflagged layout
 }
 
 func encodeFindSuccResp(m findSuccRespMsg) []byte {
@@ -163,7 +211,11 @@ func encodeFindSuccResp(m findSuccRespMsg) []byte {
 	buf[1] = tagFindSuccResp
 	binary.BigEndian.PutUint16(buf[2:], m.hops)
 	binary.BigEndian.PutUint16(buf[4:], m.stale)
-	return appendRef(buf, m.owner)
+	buf = appendRef(buf, m.owner)
+	if m.near != nil {
+		buf = appendNeighbors(buf, *m.near)
+	}
+	return buf
 }
 
 func decodeFindSuccResp(buf []byte) (findSuccRespMsg, error) {
@@ -177,8 +229,16 @@ func decodeFindSuccResp(buf []byte) (findSuccRespMsg, error) {
 		hops:  binary.BigEndian.Uint16(buf[2:]),
 		stale: binary.BigEndian.Uint16(buf[4:]),
 	}
-	var err error
-	m.owner, _, err = decodeRef(buf[6:])
+	owner, rest, err := decodeRef(buf[6:])
+	m.owner = owner
+	if err != nil || len(rest) == 0 {
+		return m, err
+	}
+	nb, rest, err := decodeNeighbors(rest)
+	if err == nil && len(rest) != 0 {
+		err = wire.ErrBadMessage // nothing may follow the neighbourhood
+	}
+	m.near = &nb
 	return m, err
 }
 
@@ -197,18 +257,7 @@ func encodeNeighborsResp(m neighborsRespMsg) []byte {
 	buf := make([]byte, 2, 64)
 	buf[0] = wire.Version
 	buf[1] = tagNeighborsResp
-	buf = appendRef(buf, m.self)
-	if m.pred.Valid() {
-		buf = append(buf, 1)
-		buf = appendRef(buf, m.pred)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = append(buf, byte(len(m.succ)))
-	for _, s := range m.succ {
-		buf = appendRef(buf, s)
-	}
-	return buf
+	return appendNeighbors(appendRef(buf, m.self), chord.Neighbors{Pred: m.pred, Succ: m.succ})
 }
 
 func decodeNeighborsResp(buf []byte) (neighborsRespMsg, error) {
@@ -224,29 +273,9 @@ func decodeNeighborsResp(buf []byte) (neighborsRespMsg, error) {
 	if m.self, rest, err = decodeRef(rest); err != nil {
 		return m, err
 	}
-	if len(rest) < 1 {
-		return m, wire.ErrShort
-	}
-	hasPred := rest[0] != 0
-	rest = rest[1:]
-	if hasPred {
-		if m.pred, rest, err = decodeRef(rest); err != nil {
-			return m, err
-		}
-	}
-	if len(rest) < 1 {
-		return m, wire.ErrShort
-	}
-	count := int(rest[0])
-	rest = rest[1:]
-	for i := 0; i < count; i++ {
-		var s chord.Ref
-		if s, rest, err = decodeRef(rest); err != nil {
-			return m, err
-		}
-		m.succ = append(m.succ, s)
-	}
-	return m, nil
+	nb, _, err := decodeNeighbors(rest)
+	m.pred, m.succ = nb.Pred, nb.Succ
+	return m, err
 }
 
 func encodeNotify(self chord.Ref) []byte {

@@ -298,7 +298,8 @@ func (s *Server) handleRequest(req []byte) []byte {
 // is the delivery target, otherwise whatever routing on from here finds.
 // The forwarded peer meters its own Routed increment (flagForwarded),
 // so a lookup's hop count equals the Routed increments it caused — the
-// dhttest metering invariant — without any shared counter.
+// dhttest metering invariant — without any shared counter. On
+// flagNeighbors the node named owner attaches its neighbourhood.
 func (s *Server) handleFindSucc(req []byte) []byte {
 	m, err := decodeFindSucc(req)
 	if err != nil {
@@ -310,18 +311,26 @@ func (s *Server) handleFindSucc(req []byte) []byte {
 	if m.flags&flagForwarded != 0 {
 		s.counters.AddRouted()
 	}
-	f := s.node.HandleFindSucc(tcpPeers{s}, m.key, int(m.hops), int(m.stale), m.flags&flagDeliver != 0)
+	near := m.flags&flagNeighbors != 0
+	f := s.node.HandleFindSucc(tcpPeers{s, near}, m.key, int(m.hops), int(m.stale), m.flags&flagDeliver != 0)
 	if f.Err != nil {
 		return encodeErr(errnoOf(f.Err), uint16(f.Hops), uint16(f.Stale))
 	}
-	return encodeFindSuccResp(findSuccRespMsg{hops: uint16(f.Hops), stale: uint16(f.Stale), owner: f.Owner})
+	if near && f.Owner.ID == s.id {
+		nb := s.node.Neighbors()
+		f.Near = &nb
+	}
+	return encodeFindSuccResp(findSuccRespMsg{hops: uint16(f.Hops), stale: uint16(f.Stale), owner: f.Owner, near: f.Near})
 }
 
 // tcpPeers is the TCP transport of the Chord protocol: each call is one
 // request/reply exchange through the server's peer pool, and any failed
 // exchange — refused, timed out, undecodable, or answered by a node
 // that is shutting down — is how the protocol learns a peer is gone.
-type tcpPeers struct{ s *Server }
+type tcpPeers struct {
+	s    *Server
+	near bool // relaying a find_succ with flagNeighbors: forward it set
+}
 
 func (p tcpPeers) Neighbors(to chord.Ref) (chord.Neighbors, error) {
 	raw, err := p.s.peers.exchange(to.Addr, encodeNeighborsReq())
@@ -368,6 +377,9 @@ func (p tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver bo
 	if deliver {
 		m.flags |= flagDeliver
 	}
+	if p.near {
+		m.flags |= flagNeighbors
+	}
 	var raw []byte
 	var err error
 	if hops == 0 {
@@ -389,7 +401,7 @@ func (p tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver bo
 	if err != nil {
 		return chord.Found{}, err
 	}
-	return chord.Found{Owner: resp.owner, Hops: int(resp.hops), Stale: int(resp.stale)}, nil
+	return chord.Found{Owner: resp.owner, Hops: int(resp.hops), Stale: int(resp.stale), Near: resp.near}, nil
 }
 
 // Reseed: a daemon has no oracle. Its predecessor is the one other peer
@@ -517,7 +529,7 @@ func (s *Server) runRound(slot int, round func(chord.Peers) int) int {
 	tm := s.m.startRound(slot)
 	n := 0
 	if s.alive.Load() {
-		n = round(tcpPeers{s})
+		n = round(tcpPeers{s: s})
 	}
 	s.m.finishRound(slot, tm, n)
 	return n
@@ -586,7 +598,7 @@ func (s *Server) StartMaintenance(period time.Duration) {
 // chord.Machine.Join). The rest of the ring learns about us through
 // its stabilize rounds.
 func (s *Server) Join(bootstrap string) error {
-	succ, err := s.node.Join(tcpPeers{s}, chord.Ref{Addr: bootstrap})
+	succ, err := s.node.Join(tcpPeers{s: s}, chord.Ref{Addr: bootstrap})
 	if err != nil {
 		return fmt.Errorf("netdht: join via %s: %w", bootstrap, err)
 	}

@@ -215,6 +215,17 @@ if [ "${hits%.*}" -eq 0 ]; then
 fi
 echo "   dhsd cache hits: $hits"
 
+# A counting scan routes a target only when its segment map does not
+# cover it (DESIGN.md §14): a handful of find_succ per fan-out on this
+# ring, where routing every target of every interval costs about 45.
+lookups=$(metric_value "$LOGDIR/metrics-dhsd.prom" 'netdht_out_rpc_total{tag="find_succ"}')
+fanouts=$(metric_value "$LOGDIR/metrics-dhsd.prom" 'dhsd_fanout_seconds_count')
+if ! awk -v l="$lookups" -v f="$fanouts" 'BEGIN { exit !(f > 0 && l > 0 && l / f <= 12) }'; then
+    echo "== dhsd made $lookups find_succ lookups over $fanouts fan-outs, want 0 < lookups/fan-out <= 12" >&2
+    exit 1
+fi
+echo "   dhsd lookups per fan-out: $lookups / $fanouts"
+
 curl -fsS --max-time 5 "http://$DHSD/healthz" >/dev/null || {
     echo "== dhsd /healthz failed against a live ring" >&2
     exit 1
