@@ -157,7 +157,10 @@ func runInsert(args []string) {
 	cc := clientFlags(fs)
 	fs.Parse(args)
 
-	c := mustClient(*entry, cc)
+	// A private registry, only to report what the run cost: the peer pool
+	// observes one outbound frame per exchange it starts, retries included.
+	reg := metrics.New()
+	c := mustClient(*entry, cc, reg)
 	defer c.Close()
 	m := core.MetricID(*metric)
 	start := time.Now()
@@ -166,7 +169,8 @@ func runInsert(args []string) {
 			log.Fatalf("insert %d/%d: %v", i, *items, err)
 		}
 	}
-	log.Printf("inserted %d items under %q in %v", *items, *metric, time.Since(start).Round(time.Millisecond))
+	exchanges := reg.Histogram("netdht_out_frame_bytes", "", metrics.DefSizeBuckets, metrics.L("dir", "out")).Count()
+	log.Printf("inserted %d items under %q in %v exchanges=%d", *items, *metric, time.Since(start).Round(time.Millisecond), exchanges)
 }
 
 func runCount(args []string) {
@@ -179,7 +183,7 @@ func runCount(args []string) {
 	cc := clientFlags(fs)
 	fs.Parse(args)
 
-	c := mustClient(*entry, cc)
+	c := mustClient(*entry, cc, nil)
 	defer c.Close()
 	start := time.Now()
 	res, err := c.Count(core.MetricID(*metric))
@@ -298,7 +302,7 @@ func clientFlags(fs *flag.FlagSet) clientCfg {
 	}
 }
 
-func mustClient(entry string, cc clientCfg) *netdht.Client {
+func mustClient(entry string, cc clientCfg, reg *metrics.Registry) *netdht.Client {
 	if entry == "" {
 		log.Fatal("-entry is required")
 	}
@@ -309,7 +313,7 @@ func mustClient(entry string, cc clientCfg) *netdht.Client {
 	c, err := netdht.NewClient(netdht.ClientConfig{
 		Entry: entry,
 		K:     *cc.k, M: *cc.m, Kind: kind, Lim: *cc.lim,
-		TTL: *cc.ttl, Seed: *cc.seed,
+		TTL: *cc.ttl, Seed: *cc.seed, Metrics: reg,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -7,7 +7,6 @@ import (
 	"dhsketch/internal/chord"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/sim"
-	"dhsketch/internal/sketch"
 )
 
 // BenchmarkClientCountUncached is the ladder's rung for one uncached
@@ -20,31 +19,13 @@ import (
 func BenchmarkClientCountUncached(b *testing.B) {
 	for _, n := range []int{8, 32} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			cl, err := NewCluster(sim.NewEnv(1), n, chord.ProtocolConfig{})
-			if err != nil {
-				b.Fatalf("NewCluster: %v", err)
-			}
-			b.Cleanup(cl.Close)
-			reg := metrics.New()
-			c, err := NewClient(ClientConfig{
-				Entry: cl.Servers()[0].Addr(), K: 16, M: 64, Kind: sketch.KindSuperLogLog,
-				Lim: 5, Seed: 7, Metrics: reg,
-			})
-			if err != nil {
-				b.Fatalf("NewClient: %v", err)
-			}
-			b.Cleanup(c.Close)
+			c, reg := benchClient(b, n)
 			for i := 0; i < 2000; i++ {
 				if err := c.Insert(1, uint64(i)*0x9e3779b97f4a7c15+1); err != nil {
 					b.Fatalf("insert %d: %v", i, err)
 				}
 			}
-			wireBytes := func() uint64 {
-				return reg.Counter("netdht_out_bytes_total", "", metrics.L("dir", "out")).Value() +
-					reg.Counter("netdht_out_bytes_total", "", metrics.L("dir", "in")).Value()
-			}
-
-			lookups, probes, bytes := outRPCs(reg, "find_succ"), outRPCs(reg, "probe"), wireBytes()
+			lookups, probes, bytes := outRPCs(reg, "find_succ"), outRPCs(reg, "probe"), wireBytes(reg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if res, err := c.Count(1); err != nil || res.Degraded {
@@ -55,7 +36,52 @@ func BenchmarkClientCountUncached(b *testing.B) {
 			ops := float64(b.N)
 			b.ReportMetric(float64(outRPCs(reg, "find_succ")-lookups)/ops, "find_succ/op")
 			b.ReportMetric(float64(outRPCs(reg, "probe")-probes)/ops, "probes/op")
-			b.ReportMetric(float64(wireBytes()-bytes)/ops, "wire-B/op")
+			b.ReportMetric(float64(wireBytes(reg)-bytes)/ops, "wire-B/op")
 		})
 	}
+}
+
+// BenchmarkClientInsert is the write-side rung: one Client.Insert — the
+// routed store — against the same clusters at the same geometry. Beside
+// ns/op it reports the client's exchanges and wire bytes per insert, all
+// tags together: 1 and 30 (a 24-byte request, a 6-byte ack) until
+// something retries, where a lookup followed by a store cost 2 and 58.
+func BenchmarkClientInsert(b *testing.B) {
+	for _, n := range []int{8, 32} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			c, reg := benchClient(b, n)
+			if err := c.Insert(1, 1); err != nil { // dial outside the timer
+				b.Fatalf("insert: %v", err)
+			}
+			x0, bytes := outExchanges(reg), wireBytes(reg)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.Insert(1, uint64(i)*0x9e3779b97f4a7c15+1); err != nil {
+					b.Fatalf("insert %d: %v", i, err)
+				}
+			}
+			b.StopTimer()
+			ops := float64(b.N)
+			b.ReportMetric(float64(outExchanges(reg)-x0)/ops, "exchanges/op")
+			b.ReportMetric(float64(wireBytes(reg)-bytes)/ops, "wire-B/op")
+		})
+	}
+}
+
+// benchClient starts a converged n-server loopback cluster and an
+// instrumented client entering it at the first server, at the repo
+// benchmark's geometry.
+func benchClient(b *testing.B, n int) (*Client, *metrics.Registry) {
+	cl, err := NewCluster(sim.NewEnv(1), n, chord.ProtocolConfig{})
+	if err != nil {
+		b.Fatalf("NewCluster: %v", err)
+	}
+	b.Cleanup(cl.Close)
+	return storeClient(b, cl.Servers()[0].Addr(), 7)
+}
+
+// wireBytes is what a client's exchanges have moved, both directions.
+func wireBytes(reg *metrics.Registry) uint64 {
+	return reg.Counter("netdht_out_bytes_total", "", metrics.L("dir", "out")).Value() +
+		reg.Counter("netdht_out_bytes_total", "", metrics.L("dir", "in")).Value()
 }

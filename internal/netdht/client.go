@@ -156,36 +156,38 @@ func (c *Client) findSucc(key uint64, flags byte) (findSuccRespMsg, error) {
 	return decodeFindSuccResp(raw)
 }
 
-// ack sends req to addr with retries and verifies the reply is an ack.
-func (c *Client) ack(addr string, req []byte) error {
-	raw, err := c.peers.exchangeRetry(addr, req, c.cfg.Retries, c.cfg.Backoff)
+// store routes key through the entry node with a tuple frame behind the
+// request, and returns the ack of the node the route ended at, which
+// stored it. Any other reply — a node that routed the key and says nothing
+// of the tuple — is an error: an unapplied store is never read as an ack.
+func (c *Client) store(key uint64, frame []byte) (storeAckMsg, error) {
+	raw, err := c.peers.exchangeRetry(c.cfg.Entry,
+		encodeFindSucc(findSuccMsg{key: key, store: frame}), c.cfg.Retries, c.cfg.Backoff)
 	if err != nil {
-		return err
+		return storeAckMsg{}, err
 	}
 	if _, _, _, err := replyErr(raw); err != nil {
-		return err
+		return storeAckMsg{}, err
 	}
-	_, err = decodeAck(raw)
-	return err
+	return decodeStoreAck(raw)
 }
 
 // Insert records one item occurrence under metric: split the item's key
-// into (vector, bit), route to the owner of a uniform target in the
-// bit's interval, and store the tuple there (§3.4 over the wire).
+// into (vector, bit) and send the tuple, in one routed exchange, to the
+// owner of a uniform target in the bit's interval (§3.2's one-lookup
+// insertion over the wire). The ring places the tuple when it arrives,
+// so the client keeps no owner and sends no second request; a refresh is
+// idempotent, so a hop that retries after a lost ack does no harm.
 func (c *Client) Insert(metric, itemID uint64) error {
 	vector, bit := c.geom.Split(itemID)
-	found, err := c.findSucc(c.randomTarget(bit), 0)
-	if err != nil {
-		return fmt.Errorf("netdht: insert lookup: %w", err)
-	}
-	req := wire.EncodeInsert(wire.Insert{
+	_, err := c.store(c.randomTarget(bit), wire.EncodeInsert(wire.Insert{
 		Metric: metric,
 		Vector: uint16(vector),
 		Bit:    uint8(bit),
 		TTL:    wire.ClampTTL(c.cfg.TTL),
-	})
-	if err := c.ack(found.owner.Addr, req); err != nil {
-		return fmt.Errorf("netdht: insert at %s: %w", found.owner.Addr, err)
+	}))
+	if err != nil {
+		return fmt.Errorf("netdht: insert lookup via %s: %w", c.cfg.Entry, err)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dhsketch/internal/chord"
+	"dhsketch/internal/wire"
 )
 
 // FuzzDecodeControl feeds arbitrary frames to the control-plane decoders
@@ -17,6 +18,11 @@ func FuzzDecodeControl(f *testing.F) {
 	for _, seed := range [][]byte{
 		encodeFindSucc(findSuccMsg{flags: flagForwarded | flagDeliver, key: 42, hops: 3, stale: 1}),
 		encodeFindSucc(findSuccMsg{flags: flagNeighbors, key: 42}),
+		// The routed store: the same header, a tuple frame behind it; and its ack.
+		encodeFindSucc(findSuccMsg{flags: flagForwarded, key: 42, hops: 1, store: wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2, TTL: 9})}),
+		encodeFindSucc(findSuccMsg{key: 42, store: wire.EncodeBulkInsert(wire.BulkInsert{Metric: 7, Bit: 2, Vectors: []uint16{1, 2}})}),
+		encodeFindSucc(findSuccMsg{key: 42, store: encodePing()}),
+		encodeStoreAck(storeAckMsg{hops: 3, stale: 1}),
 		encodeFindSuccResp(findSuccRespMsg{hops: 5, stale: 2, owner: a}),
 		// The flagged reply: the owner's neighbourhood behind it.
 		encodeFindSuccResp(findSuccRespMsg{hops: 5, stale: 2, owner: a, near: &chord.Neighbors{Pred: b, Succ: []chord.Ref{b, a}}}),
@@ -46,12 +52,27 @@ func FuzzDecodeControl(f *testing.F) {
 		fixpoint(t, buf, decodeNeighborsResp, encodeNeighborsResp)
 		fixpoint(t, buf, decodeNotify, encodeNotify)
 		fixpoint(t, buf, decodeAck, encodeAck)
+		fixpoint(t, buf, decodeStoreAck, encodeStoreAck)
 		fixpoint(t, buf,
 			func(b []byte) (e [3]uint16, err error) {
 				code, hops, stale, err := decodeErr(b)
 				return [3]uint16{uint16(code), hops, stale}, err
 			},
 			func(e [3]uint16) []byte { return encodeErr(byte(e[0]), e[1], e[2]) })
+
+		// A routed store carries one data-plane tuple frame to the end of
+		// the request, and its ack ends where its fields do.
+		if m, err := decodeFindSucc(buf); err == nil && m.store != nil {
+			if tag := m.store[1]; tag != wire.TagInsert && tag != wire.TagBulkInsert {
+				t.Fatalf("store accepted a payload with tag %#x", tag)
+			}
+			if len(encodeFindSucc(m)) != len(buf) {
+				t.Fatalf("store accepted %d bytes but encodes %d", len(buf), len(encodeFindSucc(m)))
+			}
+		}
+		if m, err := decodeStoreAck(buf); err == nil && len(encodeStoreAck(m)) != len(buf) {
+			t.Fatalf("store ack accepted %d bytes but encodes %d", len(buf), len(encodeStoreAck(m)))
+		}
 
 		// No accepted frame carries a ref that names nobody.
 		var refs []chord.Ref

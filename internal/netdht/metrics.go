@@ -24,8 +24,9 @@ import (
 // registry map or build label slices.
 
 // Tag slots partition the RPC tag space the same way dispatch does:
-// the four control tags, the three data-plane tags, and a catch-all
-// for malformed or unknown frames.
+// the four control tags, the three data-plane tags (a routed store is an
+// insert at every hop that carries it), and a catch-all for malformed or
+// unknown frames.
 const (
 	slotFindSucc = iota
 	slotNeighbors
@@ -53,7 +54,7 @@ func tagSlot(tag byte) int {
 		return slotNotify
 	case tagPing:
 		return slotPing
-	case wire.TagInsert:
+	case wire.TagInsert, tagStore: // a tuple on its way to a store, direct or routed
 		return slotInsert
 	case wire.TagBulkInsert:
 		return slotBulkInsert

@@ -24,6 +24,8 @@ const (
 	tagAck           = 0x15 // generic success reply (carries one flag byte)
 	tagPing          = 0x16 // liveness check
 	tagPong          = 0x17
+	tagStore         = 0x18 // route a key like tagFindSucc and store the enclosed tuple frame where the route ends
+	tagStoreAck      = 0x19 // terminal reply to tagStore: the tuple is stored; route cost, no owner
 	tagErr           = 0x1F // typed failure reply
 )
 
@@ -118,38 +120,102 @@ func decodeRef(buf []byte) (chord.Ref, []byte, error) {
 
 // findSuccMsg is one routing step in flight: the key, the flags above,
 // and the route cost accumulated so far (hops and stale hops), which
-// the eventual owner echoes back in its reply.
+// the eventual owner echoes back in its reply. With store set it is a
+// tagStore frame — the paper's one-lookup insertion: the same header with
+// a whole tuple frame behind it, set by the inserting client, forwarded
+// unchanged by every hop and applied by the node the route ends at.
 type findSuccMsg struct {
 	flags byte
 	key   uint64
 	hops  uint16
 	stale uint16
+	store []byte // nil: a plain tagFindSucc
 }
 
+const findSuccHeader = 15
+
 func encodeFindSucc(m findSuccMsg) []byte {
-	buf := make([]byte, 15)
+	buf := make([]byte, findSuccHeader, findSuccHeader+len(m.store))
 	buf[0] = wire.Version
 	buf[1] = tagFindSucc
+	if m.store != nil {
+		buf[1] = tagStore
+	}
 	buf[2] = m.flags
 	binary.BigEndian.PutUint64(buf[3:], m.key)
 	binary.BigEndian.PutUint16(buf[11:], m.hops)
 	binary.BigEndian.PutUint16(buf[13:], m.stale)
-	return buf
+	return append(buf, m.store...)
 }
 
 func decodeFindSucc(buf []byte) (findSuccMsg, error) {
-	if len(buf) < 15 {
+	if len(buf) < findSuccHeader {
 		return findSuccMsg{}, wire.ErrShort
 	}
-	if buf[0] != wire.Version || buf[1] != tagFindSucc {
+	if buf[0] != wire.Version || (buf[1] != tagFindSucc && buf[1] != tagStore) {
 		return findSuccMsg{}, wire.ErrBadMessage
 	}
-	return findSuccMsg{
+	m := findSuccMsg{
 		flags: buf[2],
 		key:   binary.BigEndian.Uint64(buf[3:]),
 		hops:  binary.BigEndian.Uint16(buf[11:]),
 		stale: binary.BigEndian.Uint16(buf[13:]),
-	}, nil
+	}
+	if buf[1] == tagStore {
+		m.store = buf[findSuccHeader:]
+		return m, checkTupleFrame(m.store)
+	}
+	return m, nil
+}
+
+// insertFrameLen is the one length a wire.TagInsert frame has.
+var insertFrameLen = len(wire.EncodeInsert(wire.Insert{}))
+
+// checkTupleFrame admits as a routed store's payload exactly one
+// data-plane tuple frame and nothing behind it: the storing node hands
+// the payload to its insert handlers, so a nested control frame, or bytes
+// wire's own decoders would skip, must not get past the first hop.
+func checkTupleFrame(p []byte) (err error) {
+	if len(p) < 2 {
+		return wire.ErrShort
+	}
+	switch p[1] {
+	case wire.TagInsert:
+		if _, err = wire.DecodeInsert(p); err == nil && len(p) != insertFrameLen {
+			err = wire.ErrBadMessage
+		}
+	case wire.TagBulkInsert:
+		_, err = wire.DecodeBulkInsert(p) // its vector count is the frame's length
+	default:
+		err = wire.ErrBadMessage
+	}
+	return err
+}
+
+// storeAckMsg answers a tagStore once the tuple is in the store of the
+// node the route ended at: what the route cost, relayed back hop by hop.
+// It names no owner — nothing is sent there afterwards.
+type storeAckMsg struct{ hops, stale uint16 }
+
+const storeAckLen = 6
+
+func encodeStoreAck(m storeAckMsg) []byte {
+	buf := make([]byte, storeAckLen)
+	buf[0] = wire.Version
+	buf[1] = tagStoreAck
+	binary.BigEndian.PutUint16(buf[2:], m.hops)
+	binary.BigEndian.PutUint16(buf[4:], m.stale)
+	return buf
+}
+
+func decodeStoreAck(buf []byte) (storeAckMsg, error) {
+	if len(buf) < storeAckLen {
+		return storeAckMsg{}, wire.ErrShort
+	}
+	if buf[0] != wire.Version || buf[1] != tagStoreAck || len(buf) != storeAckLen {
+		return storeAckMsg{}, wire.ErrBadMessage
+	}
+	return storeAckMsg{hops: binary.BigEndian.Uint16(buf[2:]), stale: binary.BigEndian.Uint16(buf[4:])}, nil
 }
 
 // appendNeighbors serializes a neighbourhood: predecessor flag(1), the

@@ -2,6 +2,7 @@ package netdht
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"dhsketch/internal/chord"
@@ -103,7 +104,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestControlMessageRoundTrips(t *testing.T) {
 	fs := findSuccMsg{flags: flagForwarded | flagDeliver, key: 0xDEADBEEFCAFE, hops: 7, stale: 2}
 	gotFS, err := decodeFindSucc(encodeFindSucc(fs))
-	if err != nil || gotFS != fs {
+	if err != nil || !reflect.DeepEqual(gotFS, fs) {
 		t.Fatalf("findSucc round trip: %+v, %v", gotFS, err)
 	}
 

@@ -101,6 +101,15 @@ func outRPCs(reg *metrics.Registry, tag string) uint64 {
 	return reg.Counter("netdht_out_rpc_total", "outbound RPC exchanges", metrics.L("tag", tag)).Value()
 }
 
+// outExchanges sums that counter over every tag: all the exchanges a
+// client started, the repo benchmark's msgs_per_op numerator.
+func outExchanges(reg *metrics.Registry) (sum uint64) {
+	for _, tag := range tagSlotNames {
+		sum += outRPCs(reg, tag)
+	}
+	return sum
+}
+
 // TestScanSegmentMapEquivalence: on a converged ring the segment map
 // changes what a scan costs, not what it learns. Two clients with one
 // seed — one with the map bypassed — draw the same targets, probe the

@@ -268,7 +268,7 @@ func (s *Server) handleRequest(req []byte) []byte {
 		return encodeErr(errnoBad, 0, 0)
 	}
 	switch req[1] {
-	case tagFindSucc:
+	case tagFindSucc, tagStore:
 		return s.handleFindSucc(req)
 	case tagNeighbors:
 		return s.handleNeighbors()
@@ -299,7 +299,11 @@ func (s *Server) handleRequest(req []byte) []byte {
 // The forwarded peer meters its own Routed increment (flagForwarded),
 // so a lookup's hop count equals the Routed increments it caused — the
 // dhttest metering invariant — without any shared counter. On
-// flagNeighbors the node named owner attaches its neighbourhood.
+// flagNeighbors the node named owner attaches its neighbourhood. A
+// tagStore ends the same way, except that the node the route ends at —
+// delivered to, or finding it owns the key — stores the enclosed tuple
+// frame before it answers, after Route has returned and so never under
+// the machine's lock; every hop before it relays the ack.
 func (s *Server) handleFindSucc(req []byte) []byte {
 	m, err := decodeFindSucc(req)
 	if err != nil {
@@ -312,9 +316,21 @@ func (s *Server) handleFindSucc(req []byte) []byte {
 		s.counters.AddRouted()
 	}
 	near := m.flags&flagNeighbors != 0
-	f := s.node.HandleFindSucc(tcpPeers{s, near}, m.key, int(m.hops), int(m.stale), m.flags&flagDeliver != 0)
+	f := s.node.HandleFindSucc(tcpPeers{s, near, m.store}, m.key, int(m.hops), int(m.stale), m.flags&flagDeliver != 0)
 	if f.Err != nil {
 		return encodeErr(errnoOf(f.Err), uint16(f.Hops), uint16(f.Stale))
+	}
+	if m.store != nil {
+		if f.Owner.Addr == s.addr { // a relayed ack names no owner
+			apply := s.handleInsert
+			if m.store[1] == wire.TagBulkInsert {
+				apply = s.handleBulkInsert
+			}
+			if code, _, _, err := replyErr(apply(m.store)); err != nil {
+				return encodeErr(code, uint16(f.Hops), uint16(f.Stale))
+			}
+		}
+		return encodeStoreAck(storeAckMsg{hops: uint16(f.Hops), stale: uint16(f.Stale)})
 	}
 	if near && f.Owner.ID == s.id {
 		nb := s.node.Neighbors()
@@ -328,8 +344,9 @@ func (s *Server) handleFindSucc(req []byte) []byte {
 // exchange — refused, timed out, undecodable, or answered by a node
 // that is shutting down — is how the protocol learns a peer is gone.
 type tcpPeers struct {
-	s    *Server
-	near bool // relaying a find_succ with flagNeighbors: forward it set
+	s     *Server
+	near  bool   // relaying a find_succ with flagNeighbors: forward it set
+	store []byte // relaying a tagStore: the tuple frame to forward with it
 }
 
 func (p tcpPeers) Neighbors(to chord.Ref) (chord.Neighbors, error) {
@@ -371,9 +388,11 @@ func (p tcpPeers) Ping(to chord.Ref) error {
 // joiner reaching its bootstrap) is not a metered hop and is retried
 // like a client's entry request; a forwarded step gets one attempt —
 // the sender has other candidates. A decoded reply is terminal: the
-// owner, or a typed downstream routing failure.
+// owner, or a typed downstream routing failure. A relayed store is
+// answered by a store ack and by nothing else: a peer that routed the key
+// but says nothing of the tuple is one more candidate that failed.
 func (p tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver bool) (chord.Found, error) {
-	m := findSuccMsg{key: key, hops: uint16(hops), stale: uint16(stale)}
+	m := findSuccMsg{key: key, hops: uint16(hops), stale: uint16(stale), store: p.store}
 	if deliver {
 		m.flags |= flagDeliver
 	}
@@ -397,6 +416,10 @@ func (p tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver bo
 		}
 		return chord.Found{Hops: int(h), Stale: int(st), Err: err}, nil
 	}
+	if p.store != nil {
+		ack, err := decodeStoreAck(raw)
+		return chord.Found{Hops: int(ack.hops), Stale: int(ack.stale)}, err
+	}
 	resp, err := decodeFindSuccResp(raw)
 	if err != nil {
 		return chord.Found{}, err
@@ -411,7 +434,9 @@ func (p tcpPeers) Reseed(_, pred chord.Ref) chord.Ref { return pred }
 
 // ---------------------------------------------------------------------
 // Data plane: insert and probe RPCs (the cmd/dhsnode path; in-process
-// clusters let core access the store directly, like the simulator)
+// clusters let core access the store directly, like the simulator). The
+// client's inserts reach the two insert handlers as the payload of a
+// routed store (handleFindSucc); a direct frame is answered all the same.
 
 func (s *Server) expiryFor(ttl uint16) int64 {
 	if ttl == 0 {

@@ -118,7 +118,17 @@ for pid in "${PIDS[@]}"; do
 done
 
 echo "== inserting $ITEMS items"
-"$BIN" insert -entry "$ENTRY" -metric smoke -items "$ITEMS" | tee "$LOGDIR/insert.log"
+"$BIN" insert -entry "$ENTRY" -metric smoke -items "$ITEMS" 2>&1 | tee "$LOGDIR/insert.log"
+
+# An insert is one routed exchange at the client (DESIGN.md §14): the
+# request carries the tuple to the node the route ends at. A lookup
+# followed by a separate store would read 2 x ITEMS here.
+exchanges=$(sed -n 's/.* exchanges=\([0-9]*\).*/\1/p' "$LOGDIR/insert.log" | tail -n1)
+if ! awk -v x="${exchanges:-0}" -v n="$ITEMS" 'BEGIN { exit !(x >= n && x <= 1.1 * n) }'; then
+    echo "== $ITEMS inserts cost the client '${exchanges}' exchanges, want $ITEMS <= exchanges <= 1.1 x $ITEMS" >&2
+    exit 1
+fi
+echo "   client exchanges per insert: $exchanges / $ITEMS"
 
 echo "== counting (expect $ITEMS, tol $TOL)"
 "$BIN" count -entry "$ENTRY" -metric smoke -expect "$ITEMS" -tol "$TOL" | tee "$LOGDIR/count.log"
