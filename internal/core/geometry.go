@@ -99,10 +99,10 @@ func (g *Geometry) Target(rng *rand.Rand, bit uint) uint64 {
 	return sim.UniformIn(rng, lo, size)
 }
 
-// scanRange returns the first and last bit position of a counting scan
+// ScanRange returns the first and last bit position of a counting scan
 // and the step between them: ascending from the lowest stored position
 // for PCSA (leftmost zeros), descending for the LogLog family (maxima).
-func (g *Geometry) scanRange() (first, last, step int) {
+func (g *Geometry) ScanRange() (first, last, step int) {
 	low, top := int(g.ShiftBits), int(g.MaxBit())
 	if g.Kind == sketch.KindPCSA {
 		return low, top, 1

@@ -226,7 +226,7 @@ func (g *Geometry) Scan(p Prober, metrics []uint64, limFor func(bit int) int) []
 	}
 
 	var q scanQuality
-	first, last, step := g.scanRange()
+	first, last, step := g.ScanRange()
 	for v.bit = first; v.bit != last+step && v.open > 0; v.bit += step {
 		if v.ascending {
 			for _, st := range v.states {

@@ -5,37 +5,53 @@ import (
 	"testing"
 
 	"dhsketch/internal/chord"
+	"dhsketch/internal/core"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/sim"
 )
 
 // BenchmarkClientCountUncached is the ladder's rung for one uncached
-// Algorithm-1 scan over the wire: Client.Count against a converged
+// Algorithm-1 scan over the wire: Client.Count's scan against a converged
 // loopback Cluster holding one loaded metric, at the repo benchmark's
-// geometry (k=16, m=64, sLL, lim=5). Beside ns/op it reports what the
-// scan cost in exchanges and bytes, read from the client's own
-// netdht_out_* series: find_succ/op is the number the segment map
-// lowers, probes/op the evidence gathered, which it must not change.
+// geometry (k=16, m=64, sLL, lim=5) and with item ids hashed the way its
+// load generator hashes them — a multiplicative sequence is a stratified
+// sample of the low 16 bits and ends the scan an interval or two early.
+// Beside ns/op it reports what the scan cost in exchanges and bytes, read
+// from the client's own netdht_out_* series: find_succ/op is the number
+// the segment map lowers; visits/op is the evidence gathered, (interval,
+// owner) answers; owners/op the distinct nodes that gave it, and probes/op
+// the exchanges it took — one per owner, not one per visit. The n32 row
+// is the honest shape of that saving: arcs shrink as the ring grows, so
+// more of the visits are first visits.
 func BenchmarkClientCountUncached(b *testing.B) {
 	for _, n := range []int{8, 32} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			c, reg := benchClient(b, n)
 			for i := 0; i < 2000; i++ {
-				if err := c.Insert(1, uint64(i)*0x9e3779b97f4a7c15+1); err != nil {
+				if err := c.Insert(1, core.ItemID(fmt.Sprint("item-", i))); err != nil {
 					b.Fatalf("insert %d: %v", i, err)
 				}
 			}
 			lookups, probes, bytes := outRPCs(reg, "find_succ"), outRPCs(reg, "probe"), wireBytes(reg)
+			visits, owners := 0, 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if res, err := c.Count(1); err != nil || res.Degraded {
-					b.Fatalf("Count = %+v, %v", res, err)
+				met := map[uint64]bool{}
+				p := &rpcProber{c: c, onVisit: func(_ uint, owner chord.Ref, _ bool) {
+					visits++
+					met[owner.ID] = true
+				}}
+				if est := c.geom.Scan(p, []uint64{1}, func(int) int { return c.cfg.Lim })[0]; est.Quality.Degraded {
+					b.Fatalf("scan = %+v", est)
 				}
+				owners += len(met)
 			}
 			b.StopTimer()
 			ops := float64(b.N)
 			b.ReportMetric(float64(outRPCs(reg, "find_succ")-lookups)/ops, "find_succ/op")
 			b.ReportMetric(float64(outRPCs(reg, "probe")-probes)/ops, "probes/op")
+			b.ReportMetric(float64(owners)/ops, "owners/op")
+			b.ReportMetric(float64(visits)/ops, "visits/op")
 			b.ReportMetric(float64(wireBytes(reg)-bytes)/ops, "wire-B/op")
 		})
 	}

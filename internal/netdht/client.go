@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sync"
@@ -236,10 +237,20 @@ func (c *Client) Count(metric uint64) (CountResult, error) {
 // replies: arcs (lo, owner.ID] of the identifier circle, sorted by owner.
 type segmentMap []segment
 
+// segment is one arc; lo == owner.ID is the whole circle, which learn
+// never records and only an inherited arc (reroute) reaches.
 type segment struct {
 	lo    uint64
 	owner chord.Ref
 }
+
+// covers reports whether id lies on the arc: at 1 … owner.ID−lo from lo,
+// less one on both sides so that a zero width wraps to every distance.
+func (s segment) covers(id uint64) bool { return id-s.lo-1 <= s.owner.ID-s.lo-1 }
+
+// meets reports whether the arc shares a point with [lo, lo+size): two
+// arcs of a circle do when one holds the other's first point.
+func (s segment) meets(lo, size uint64) bool { return s.covers(lo) || s.lo+1-lo < size }
 
 func (m segmentMap) search(id uint64) (int, bool) {
 	return slices.BinarySearchFunc(m, id, func(s segment, id uint64) int { return cmp.Compare(s.owner.ID, id) })
@@ -253,8 +264,16 @@ func (m segmentMap) resolve(target uint64) (owner chord.Ref, covered bool) {
 	}
 	i, _ := m.search(target)
 	s := m[i%len(m)]
-	d := target - s.lo
-	return s.owner, d != 0 && d <= s.owner.ID-s.lo
+	return s.owner, s.covers(target)
+}
+
+// set records owner's arc, replacing what the map said of the node.
+func (m *segmentMap) set(lo uint64, owner chord.Ref) {
+	i, known := m.search(owner.ID)
+	if !known {
+		*m = slices.Insert(*m, i, segment{})
+	}
+	(*m)[i] = segment{lo: lo, owner: owner}
 }
 
 // learn adds the arcs one reply's neighbourhood spells out — (pred,
@@ -266,15 +285,29 @@ func (m *segmentMap) learn(r findSuccRespMsg) {
 	}
 	prev := r.near.Pred
 	for _, n := range append([]chord.Ref{r.owner}, r.near.Succ...) {
-		if prev.Valid() { // an unknown predecessor leaves the owner's own arc unknown
-			i, known := m.search(n.ID)
-			if !known {
-				*m = slices.Insert(*m, i, segment{})
-			}
-			(*m)[i] = segment{lo: prev.ID, owner: n}
+		// An unknown predecessor leaves the owner's own arc unknown, and a
+		// reply that repeats a node spells out no arc.
+		if prev.Valid() && prev.ID != n.ID {
+			m.set(prev.ID, n)
 		}
 		prev = n
 	}
+}
+
+// answers is what one owner said of a run of bit positions, kept for the
+// life of the scan: bits × len(metrics) masks, bit-major from position low.
+type answers struct {
+	low, bits int
+	metrics   []uint64
+	masks     [][]byte
+}
+
+func (a answers) holds(bit uint) bool { return int(bit) >= a.low && int(bit) < a.low+a.bits }
+
+// at returns the owner's reply for one position the run holds.
+func (a answers) at(bit uint) *maskReply {
+	i := (int(bit) - a.low) * len(a.metrics)
+	return &maskReply{metrics: a.metrics, masks: a.masks[i : i+len(a.metrics)]}
 }
 
 // rpcProber is the wire's core.Prober, one per scan. Where Algorithm 1
@@ -282,15 +315,23 @@ func (m *segmentMap) learn(r findSuccRespMsg) {
 // lookup bring the owner's neighbourhood back and keeps it in a segment
 // map: an interval draws its lim uniform targets as ever and routes only
 // those no segment covers. Adjacent bits are adjacent identifier ranges,
-// so the map carries over between intervals; it dies with the scan. Each
-// distinct owner is probed once, DefaultProbeParallel probes in flight; a
-// target whose owner the interval has already met spends budget without
-// a second probe, mirroring the simulator's duplicate-visit cost.
+// so the map carries over between intervals, and so do the owners: the
+// first probe of a node asks for every position of the scan its arc still
+// holds, and the intervals that follow are answered from what it said —
+// a snapshot as old as the scan's first contact with the node. Both die
+// with the scan. Each distinct owner is visited once per interval,
+// DefaultProbeParallel probes in flight; a target whose owner the
+// interval has already met spends budget without a second visit,
+// mirroring the simulator's duplicate-visit cost.
 type rpcProber struct {
 	c *Client
-	// mu serializes the map and an interval's accounting, visited set and Visits.
+	// mu serializes the map, the answers and an interval's accounting,
+	// visited set and Visits.
 	mu   sync.Mutex
 	ring segmentMap
+	told map[uint64]answers // by owner ID
+	// onVisit, when a test sets it, hears of every answered visit under mu.
+	onVisit func(bit uint, owner chord.Ref, viaWire bool)
 }
 
 // lookup routes target through the ring and folds the reply into the map.
@@ -305,19 +346,84 @@ func (p *rpcProber) lookup(target uint64) (chord.Ref, error) {
 	return r.owner, nil
 }
 
+// reroute is for a target the map resolved to a node that does not
+// answer: forget the node — its arc and what it said — and ask the ring.
+// A different owner whose reply does not itself account for target
+// inherits the arc, so the dead node is paid for once, not once for every
+// interval its arc crosses. The same owner again is learnt again, and
+// fails the attempt like any lookup naming a dead node.
+func (p *rpcProber) reroute(target uint64, dead chord.Ref) (chord.Ref, error) {
+	p.mu.Lock()
+	i, known := p.ring.search(dead.ID)
+	var lo uint64
+	if known {
+		lo = p.ring[i].lo
+		p.ring = slices.Delete(p.ring, i, i+1)
+	}
+	delete(p.told, dead.ID)
+	p.mu.Unlock()
+	owner, err := p.lookup(target)
+	if err != nil || owner.ID == dead.ID || !known {
+		return owner, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if now, covered := p.ring.resolve(target); !covered || now.ID != owner.ID {
+		p.ring.set(lo, owner)
+	}
+	return owner, nil
+}
+
+// run is the request a first probe of owner at bit sends: bit, and with
+// it the positions the scan visits next whose intervals meet the owner's
+// arc as the map has it, as far as one frame can carry the reply. An
+// owner the map does not hold is asked for bit alone.
+func (p *rpcProber) run(bit uint, owner chord.Ref, metrics []uint64) wire.ProbeReq {
+	g := &p.c.geom
+	_, last, step := g.ScanRange()
+	end := int(bit)
+	if i, known := p.ring.search(owner.ID); known {
+		fit := min(math.MaxUint16, (maxFrame-8)/wire.MaskBytes(g.M)) / len(metrics)
+		for bits := 2; bits <= fit && end != last; bits++ {
+			lo, size := g.Interval(uint(end + step))
+			if !p.ring[i].meets(lo, size) {
+				break
+			}
+			end += step
+		}
+	}
+	low := min(int(bit), end)
+	return wire.ProbeReq{Bit: uint8(low), Span: uint8(max(int(bit), end) - low), NumVecs: uint16(g.M), Metrics: metrics}
+}
+
+// answer returns what owner says of bit: what the scan already holds, else
+// what a probe for bit's run brings back, which the scan holds from then
+// on. A failure is not kept.
+func (p *rpcProber) answer(bit uint, owner chord.Ref, metrics []uint64) (a answers, viaWire bool, err error) {
+	p.mu.Lock()
+	if a = p.told[owner.ID]; a.holds(bit) {
+		p.mu.Unlock()
+		return a, false, nil
+	}
+	req := p.run(bit, owner, metrics)
+	p.mu.Unlock()
+	masks, err := p.c.probe(owner.Addr, req)
+	if err != nil {
+		return answers{}, false, err
+	}
+	a = answers{low: int(req.Bit), bits: int(req.Span) + 1, metrics: metrics, masks: masks}
+	p.mu.Lock()
+	if p.told == nil {
+		p.told = make(map[uint64]answers)
+	}
+	p.told[owner.ID] = a
+	p.mu.Unlock()
+	return a, true, nil
+}
+
 func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.IntervalOutcome {
 	out := core.IntervalOutcome{Attempted: lim}
-	reply := maskReply{metrics: v.Metrics()}
-	req, err := wire.EncodeProbeReq(wire.ProbeReq{
-		Bit:     uint8(bit),
-		NumVecs: uint16(p.c.geom.M),
-		Metrics: reply.metrics,
-	})
-	if err != nil {
-		out.Failed = lim // more metrics than one request can name
-		return out
-	}
-
+	metrics := v.Metrics()
 	visited := make(map[uint64]bool)
 	// first marks owner visited; false if the interval had met it before.
 	first := func(owner chord.Ref) bool {
@@ -327,31 +433,43 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 		visited[owner.ID] = true
 		return !seen
 	}
-	// probe spends target's attempt on owner. Probes are in flight when a
+	probed := 0
+	visit := func(owner chord.Ref) error {
+		a, viaWire, err := p.answer(bit, owner, metrics)
+		if err != nil {
+			return err
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if viaWire {
+			probed++
+		}
+		if p.onVisit != nil {
+			p.onVisit(bit, owner, viaWire)
+		}
+		out.Visited++
+		v.Visit(a.at(bit))
+		return nil
+	}
+	// spend spends target's attempt on owner. Probes are in flight when a
 	// Visit reports the interval exhausted: every interval spends lim attempts.
-	probe := func(target uint64, owner chord.Ref, viaMap bool) {
-		masks, err := p.c.probe(owner.Addr, req, len(reply.metrics))
+	spend := func(target uint64, owner chord.Ref, viaMap bool) {
+		err := visit(owner)
 		if err != nil && viaMap {
-			// The map named a node that does not answer: ask the ring. The
-			// same answer fails the attempt, like any lookup naming a dead node.
-			if again, lerr := p.lookup(target); lerr != nil {
+			if again, lerr := p.reroute(target, owner); lerr != nil {
 				err = lerr
 			} else if again.ID != owner.ID {
 				if !first(again) {
 					return
 				}
-				masks, err = p.c.probe(again.Addr, req, len(reply.metrics))
+				err = visit(again)
 			}
 		}
-		p.mu.Lock()
-		defer p.mu.Unlock()
 		if err != nil {
+			p.mu.Lock()
 			out.Failed++
-			return
+			p.mu.Unlock()
 		}
-		out.Visited++
-		reply.masks = masks
-		v.Visit(&reply)
 	}
 
 	var wg sync.WaitGroup
@@ -364,6 +482,7 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 		p.mu.Unlock()
 		if !viaMap {
 			routed++
+			var err error
 			if owner, err = p.lookup(target); err != nil {
 				unrouted++
 				continue
@@ -377,21 +496,28 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			probe(target, owner, viaMap)
+			spend(target, owner, viaMap)
 		}()
 	}
 	wg.Wait()
 	out.Failed += unrouted
 	p.c.peers.m.scanTargets(lim-routed, routed)
+	p.c.peers.m.scanVisits(probed, out.Visited-probed)
 	return out
 }
 
 // probe asks the node at addr for its vector masks and checks the reply
-// has the shape the request asked for — one mask of ⌈m/8⌉ bytes per
-// metric. A peer built with a different m, or a hostile one, fails the
-// probe here instead of indexing out of range in the scan.
-func (c *Client) probe(addr string, req []byte, metrics int) ([][]byte, error) {
-	raw, err := c.peers.exchangeRetry(addr, req, c.cfg.Retries, c.cfg.Backoff)
+// has the shape the request asked for — the run's length, and for each of
+// its positions one mask of ⌈m/8⌉ bytes per metric. A peer built with a
+// different m, one that answers a run with a single position, or a
+// hostile one, fails the probe here instead of indexing out of range in
+// the scan.
+func (c *Client) probe(addr string, req wire.ProbeReq) ([][]byte, error) {
+	frame, err := wire.EncodeProbeReq(req)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := c.peers.exchangeRetry(addr, frame, c.cfg.Retries, c.cfg.Backoff)
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +525,7 @@ func (c *Client) probe(addr string, req []byte, metrics int) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.VecMasks) != metrics {
+	if resp.Span != req.Span || len(resp.VecMasks) != (int(req.Span)+1)*len(req.Metrics) {
 		return nil, wire.ErrBadMessage
 	}
 	for _, mask := range resp.VecMasks {

@@ -228,6 +228,8 @@ type poolMetrics struct {
 
 	// The counting scan's interval targets, by how the owner was found.
 	targetsByMap, targetsByLookup *metrics.Counter
+	// Its (interval, owner) visits, by where the owner's answer came from.
+	visitsByWire, visitsByMemo *metrics.Counter
 
 	bytesOut *metrics.Counter
 	bytesIn  *metrics.Counter
@@ -260,6 +262,8 @@ func newPoolMetrics(reg *metrics.Registry) *poolMetrics {
 	}
 	m.targetsByMap = reg.Counter("netdht_scan_targets_total", "counting-scan interval targets by how the owner was found", metrics.L("resolved", "map"))
 	m.targetsByLookup = reg.Counter("netdht_scan_targets_total", "counting-scan interval targets by how the owner was found", metrics.L("resolved", "lookup"))
+	m.visitsByWire = reg.Counter("netdht_scan_visits_total", "counting-scan owner visits by where the answer came from", metrics.L("served", "wire"))
+	m.visitsByMemo = reg.Counter("netdht_scan_visits_total", "counting-scan owner visits by where the answer came from", metrics.L("served", "memo"))
 	return m
 }
 
@@ -328,6 +332,16 @@ func (m *poolMetrics) scanTargets(byMap, byLookup int) {
 	}
 	m.targetsByMap.Add(uint64(byMap))
 	m.targetsByLookup.Add(uint64(byLookup))
+}
+
+// scanVisits meters one interval's answered visits: those a probe
+// exchange served and those the scan's remembered answers did.
+func (m *poolMetrics) scanVisits(byWire, byMemo int) {
+	if m == nil {
+		return
+	}
+	m.visitsByWire.Add(uint64(byWire))
+	m.visitsByMemo.Add(uint64(byMemo))
 }
 
 // ---------------------------------------------------------------------

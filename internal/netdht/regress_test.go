@@ -11,6 +11,7 @@ import (
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/sketch"
+	"dhsketch/internal/store"
 	"dhsketch/internal/wire"
 )
 
@@ -126,6 +127,75 @@ func TestProbeReqOversizeRejected(t *testing.T) {
 	}
 	if len(resp.VecMasks) != 1 || len(resp.VecMasks[0]) != wire.MaskBytes(64) {
 		t.Fatalf("probe reply shape: %d masks of %d bytes", len(resp.VecMasks), len(resp.VecMasks[0]))
+	}
+}
+
+// TestProbeRunServed: a request for the run Bit … Bit+Span is answered
+// with what the single-bit requests for those positions are answered
+// with, bit-major, and counts as one probe; a run whose reply would not
+// fit a frame, or whose masks its count field, is refused with errnoBad —
+// the oversize bound covers the span too.
+func TestProbeRunServed(t *testing.T) {
+	s, err := NewServer("127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(s.Close)
+	st := s.ensureStore()
+	for bit := uint8(2); bit < 7; bit++ {
+		st.Set(store.Key{Metric: 7, Vector: int32(bit), Bit: bit}, 0)
+		st.Set(store.Key{Metric: 9, Vector: int32(40 + bit), Bit: bit}, 0)
+	}
+	encode := func(q wire.ProbeReq) []byte {
+		t.Helper()
+		req, err := wire.EncodeProbeReq(q)
+		if err != nil {
+			t.Fatalf("EncodeProbeReq: %v", err)
+		}
+		return req
+	}
+	probe := func(q wire.ProbeReq) wire.ProbeResp {
+		t.Helper()
+		resp, err := wire.DecodeProbeResp(s.dispatch(encode(q)))
+		if err != nil {
+			t.Fatalf("probe %+v: %v", q, err)
+		}
+		return resp
+	}
+
+	before := s.counters.Snapshot().Probed
+	run := probe(wire.ProbeReq{Bit: 1, Span: 6, NumVecs: 64, Metrics: []uint64{7, 9}})
+	if n := s.counters.Snapshot().Probed - before; n != 1 {
+		t.Errorf("a run of 7 positions counted %d probes, want 1", n)
+	}
+	if run.Bit != 1 || run.Span != 6 || len(run.VecMasks) != 14 {
+		t.Fatalf("run reply: bit %d span %d, %d masks", run.Bit, run.Span, len(run.VecMasks))
+	}
+	for b := 0; b < 7; b++ {
+		one := probe(wire.ProbeReq{Bit: uint8(1 + b), NumVecs: 64, Metrics: []uint64{7, 9}})
+		if one.Span != 0 || !reflect.DeepEqual(one.VecMasks, run.VecMasks[2*b:2*b+2]) {
+			t.Errorf("position %d: run says %x, single-bit probe %x", 1+b, run.VecMasks[2*b:2*b+2], one.VecMasks)
+		}
+		if has := wire.HasVec(run.VecMasks[2*b], 1+b); has != (b >= 1 && b < 6) {
+			t.Errorf("position %d, metric 7: vector %d set = %v", 1+b, 1+b, has)
+		}
+	}
+
+	offField := encode(wire.ProbeReq{Bit: 200, Span: 55, NumVecs: 64, Metrics: []uint64{7}})
+	offField[len(offField)-1]++ // 200+56: what only a hostile encoder sends
+	for name, req := range map[string][]byte{
+		// 100 metrics × 8 KiB masks fit a frame for one position, not for two.
+		"reply beyond the frame":   encode(wire.ProbeReq{Span: 1, NumVecs: 65535, Metrics: make([]uint64, 100)}),
+		"masks beyond the count":   encode(wire.ProbeReq{Span: 255, NumVecs: 8, Metrics: make([]uint64, 257)}),
+		"masks of no width at all": encode(wire.ProbeReq{Span: 255, NumVecs: 0, Metrics: make([]uint64, 65535)}),
+		"run off the bit field":    offField,
+	} {
+		if code, _, _, err := decodeErr(s.dispatch(req)); err != nil || code != errnoBad {
+			t.Errorf("%s: errno = %d (%v), want errnoBad", name, code, err)
+		}
+	}
+	if 8+100*wire.MaskBytes(65535) > maxFrame || 8+2*100*wire.MaskBytes(65535) <= maxFrame {
+		t.Error("test premise broken: the two-position reply must be the one that overflows")
 	}
 }
 

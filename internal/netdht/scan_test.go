@@ -18,10 +18,11 @@ import (
 	"dhsketch/internal/wire"
 )
 
-// Tests for the counting scan's segment map: what the map resolves, that
-// a scan with it gathers the evidence a scan without it gathers at a
-// fifth of the lookups, and that a stale entry costs a failed probe and
-// a real lookup, nothing more.
+// Tests for the counting scan's segment map and remembered answers: what
+// the map resolves, that a scan with it gathers the evidence a scan
+// without it gathers at a fifth of the lookups and one probe exchange per
+// owner, and that a stale entry costs a failed probe and a real lookup,
+// once.
 
 // TestSegmentMapResolve: one reply's neighbourhood spells out the arcs
 // (pred, owner], (owner, s₀], (s₀, s₁]; targets inside them resolve
@@ -73,27 +74,110 @@ func TestSegmentMapResolve(t *testing.T) {
 	}
 }
 
-// recordingProber wraps a scan's prober and notes, per interval, which
-// servers' probe counters moved: the (bit, owner) set of the scan. An
-// interval probes an owner at most once, so a moved counter is one probe.
-type recordingProber struct {
-	inner   core.Prober
-	servers []*Server
-	probed  map[string]bool // "bit/ownerID"
+// visit is one answered (interval, owner) step of a scan.
+type visit struct {
+	bit   uint
+	owner uint64
 }
 
-func (r *recordingProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.IntervalOutcome {
-	before := make([]int64, len(r.servers))
-	for i, s := range r.servers {
-		before[i] = s.counters.Snapshot().Probed
+// visitLog is rpcProber.onVisit's listener: the (bit, owner) set of a
+// scan, and the part of it a probe exchange served.
+type visitLog struct{ all, wire map[visit]bool }
+
+func newVisitLog() *visitLog { return &visitLog{all: map[visit]bool{}, wire: map[visit]bool{}} }
+
+func (l *visitLog) hear(bit uint, owner chord.Ref, viaWire bool) {
+	l.all[visit{bit, owner.ID}] = true
+	if viaWire {
+		l.wire[visit{bit, owner.ID}] = true
 	}
-	out := r.inner.ProbeInterval(bit, lim, v)
-	for i, s := range r.servers {
-		if s.counters.Snapshot().Probed != before[i] {
-			r.probed[fmt.Sprintf("%d/%016x", bit, s.ID())] = true
+}
+
+// owners counts the distinct nodes in a visit set.
+func owners(set map[visit]bool) int {
+	ids := map[uint64]bool{}
+	for v := range set {
+		ids[v.owner] = true
+	}
+	return len(ids)
+}
+
+// refProber is Algorithm 1's interval probing with nothing remembered:
+// every target routed, every distinct owner of an interval asked for that
+// one position, one exchange after the other. It gathers what rpcProber
+// must gather, at the price rpcProber must undercut.
+type refProber struct {
+	c      *Client
+	visits map[visit]bool
+}
+
+func (r *refProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.IntervalOutcome {
+	out := core.IntervalOutcome{Attempted: lim}
+	metrics := v.Metrics()
+	seen := map[uint64]bool{}
+	for i := 0; i < lim; i++ {
+		f, err := r.c.findSucc(r.c.randomTarget(bit), 0)
+		if err != nil {
+			out.Failed++
+			continue
 		}
+		if seen[f.owner.ID] {
+			continue
+		}
+		seen[f.owner.ID] = true
+		masks, err := r.c.probe(f.owner.Addr, wire.ProbeReq{Bit: uint8(bit), NumVecs: uint16(r.c.geom.M), Metrics: metrics})
+		if err != nil {
+			out.Failed++
+			continue
+		}
+		out.Visited++
+		r.visits[visit{bit, f.owner.ID}] = true
+		v.Visit(&maskReply{metrics: metrics, masks: masks})
 	}
 	return out
+}
+
+// twinClients builds two instrumented clients of one seed at the repo
+// benchmark's geometry and has them insert half of 600 items each under
+// metric 5, so their target streams stay in step, draw for draw.
+func twinClients(t *testing.T, entry string, kind sketch.Kind, lim int) (clients [2]*Client, regs [2]*metrics.Registry) {
+	t.Helper()
+	for i := range clients {
+		regs[i] = metrics.New()
+		c, err := NewClient(ClientConfig{
+			Entry: entry, K: 16, M: 64, Kind: kind, Lim: lim, Seed: 9,
+			DialTimeout: time.Second, RPCTimeout: 5 * time.Second, Metrics: regs[i],
+		})
+		if err != nil {
+			t.Fatalf("NewClient: %v", err)
+		}
+		t.Cleanup(c.Close)
+		clients[i] = c
+	}
+	for i := 0; i < 600; i++ {
+		if err := clients[i%2].Insert(5, uint64(i)*0x9e3779b97f4a7c15+1); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	return clients, regs
+}
+
+// zeroMasks answers a probe request as a node with an empty store does:
+// all-zero masks, in the shape the request asks for.
+func zeroMasks(t *testing.T, req []byte) []byte {
+	q, err := wire.DecodeProbeReq(req)
+	if err != nil {
+		t.Errorf("DecodeProbeReq(%x): %v", req, err)
+	}
+	masks := make([][]byte, (int(q.Span)+1)*len(q.Metrics))
+	for i := range masks {
+		masks[i] = make([]byte, wire.MaskBytes(int(q.NumVecs)))
+	}
+	raw, err := wire.EncodeProbeResp(wire.ProbeResp{Bit: q.Bit, Span: q.Span, NumVecs: q.NumVecs, VecMasks: masks})
+	if err != nil {
+		t.Errorf("EncodeProbeResp: %v", err)
+	}
+	return raw
 }
 
 // outRPCs reads a client registry's outbound exchange counter for tag.
@@ -112,41 +196,22 @@ func outExchanges(reg *metrics.Registry) (sum uint64) {
 
 // TestScanSegmentMapEquivalence: on a converged ring the segment map
 // changes what a scan costs, not what it learns. Two clients with one
-// seed — one with the map bypassed — draw the same targets, probe the
+// seed — one with the map bypassed — draw the same targets, visit the
 // same (bit, owner) set and return the identical CountResult; the one
 // with the map routes at most once per scanned interval, where routing
-// every target costs Lim times that.
+// every target costs Lim times that, and — knowing the arcs — asks each
+// owner for a run of positions, where the one without asks for one
+// position at every visit.
 func TestScanSegmentMapEquivalence(t *testing.T) {
 	for _, kind := range []sketch.Kind{sketch.KindSuperLogLog, sketch.KindPCSA} {
 		t.Run(kind.String(), func(t *testing.T) {
 			env := sim.NewEnv(21)
 			cl := newTestCluster(t, env, 8)
 			settleCluster(t, cl, env)
-			servers := cl.Servers()
 
 			const lim = 5
-			regs := [2]*metrics.Registry{metrics.New(), metrics.New()}
-			var clients [2]*Client
-			for i := range clients {
-				c, err := NewClient(ClientConfig{
-					Entry: servers[0].Addr(), K: 16, M: 64, Kind: kind, Lim: lim, Seed: 9,
-					DialTimeout: time.Second, RPCTimeout: 5 * time.Second, Metrics: regs[i],
-				})
-				if err != nil {
-					t.Fatalf("NewClient: %v", err)
-				}
-				t.Cleanup(c.Close)
-				clients[i] = c
-			}
+			clients, regs := twinClients(t, cl.Servers()[0].Addr(), kind, lim)
 			clients[1].scanFlags = 0 // no neighbourhoods, no map; clients[0] keeps it
-
-			// Both clients insert half the items each: their target
-			// streams stay in step, draw for draw.
-			for i := 0; i < 600; i++ {
-				if err := clients[i%2].Insert(5, uint64(i)*0x9e3779b97f4a7c15+1); err != nil {
-					t.Fatalf("insert %d: %v", i, err)
-				}
-			}
 
 			var results [2]CountResult
 			var lookups, probes [2]uint64
@@ -172,8 +237,8 @@ func TestScanSegmentMapEquivalence(t *testing.T) {
 			if lookups[1] != intervals*lim {
 				t.Errorf("scan without the map made %d lookups, want every target routed (%d)", lookups[1], intervals*lim)
 			}
-			if probes[0] != probes[1] || probes[0] == 0 {
-				t.Errorf("probes per Count: %d with the map, %d without", probes[0], probes[1])
+			if probes[0] == 0 || probes[0] >= probes[1] || probes[1] < intervals {
+				t.Errorf("probes per Count: %d with the map, %d without, over %d intervals", probes[0], probes[1], intervals)
 			}
 			byMap := regs[0].Counter("netdht_scan_targets_total", "", metrics.L("resolved", "map")).Value()
 			byLookup := regs[0].Counter("netdht_scan_targets_total", "", metrics.L("resolved", "lookup")).Value()
@@ -181,40 +246,187 @@ func TestScanSegmentMapEquivalence(t *testing.T) {
 				t.Errorf("scan_targets_total map=%d lookup=%d, want lookup=%d and %d in all", byMap, byLookup, lookups[0], intervals*lim)
 			}
 
-			// A second scan, recorded interval by interval.
-			var sets [2]map[string]bool
+			// A second scan, recorded visit by visit.
+			var logs [2]*visitLog
 			var ests [2]core.Estimate
 			for i, c := range clients {
-				rec := &recordingProber{inner: &rpcProber{c: c}, servers: servers, probed: map[string]bool{}}
-				ests[i] = c.geom.Scan(rec, []uint64{5}, func(int) int { return lim })[0]
-				sets[i] = rec.probed
+				logs[i] = newVisitLog()
+				ests[i] = c.geom.Scan(&rpcProber{c: c, onVisit: logs[i].hear}, []uint64{5}, func(int) int { return lim })[0]
 			}
-			if !reflect.DeepEqual(sets[0], sets[1]) {
-				t.Errorf("(bit, owner) sets differ:\n with map %v\n without  %v", sets[0], sets[1])
+			if !reflect.DeepEqual(logs[0].all, logs[1].all) {
+				t.Errorf("(bit, owner) sets differ:\n with map %v\n without  %v", logs[0].all, logs[1].all)
 			}
-			if len(sets[0]) == 0 || !reflect.DeepEqual(ests[0], ests[1]) {
-				t.Errorf("recorded scans differ or probed nothing: %+v vs %+v", ests[0], ests[1])
+			if len(logs[0].all) == 0 || !reflect.DeepEqual(ests[0], ests[1]) {
+				t.Errorf("recorded scans differ or visited nothing: %+v vs %+v", ests[0], ests[1])
+			}
+			if !reflect.DeepEqual(logs[1].wire, logs[1].all) {
+				t.Errorf("scan without the map remembered answers it had no arc for: %d of %d visits probed", len(logs[1].wire), len(logs[1].all))
 			}
 		})
 	}
+}
+
+// TestScanOneProbePerOwner: what the scan remembers changes its price,
+// not its evidence. Against refProber from the same seed, rpcProber
+// returns the identical estimate from the identical (bit, owner) visits —
+// and pays one probe exchange per distinct owner where the reference
+// pays one per visit. The one exception is the node owning both ends of
+// the identifier circle: no run of adjacent positions joins them, so a
+// scan that meets it at both asks it twice.
+func TestScanOneProbePerOwner(t *testing.T) {
+	for _, kind := range []sketch.Kind{sketch.KindSuperLogLog, sketch.KindPCSA} {
+		t.Run(kind.String(), func(t *testing.T) {
+			env := sim.NewEnv(21)
+			cl := newTestCluster(t, env, 8)
+			settleCluster(t, cl, env)
+			servers := cl.Servers()
+			probed := func() (n uint64) {
+				for _, s := range servers {
+					n += uint64(s.counters.Snapshot().Probed)
+				}
+				return n
+			}
+
+			const lim = 5
+			limFor := func(int) int { return lim }
+			clients, regs := twinClients(t, servers[0].Addr(), kind, lim)
+			c := clients[0]
+
+			log := newVisitLog()
+			p0, s0 := outRPCs(regs[0], "probe"), probed()
+			est := c.geom.Scan(&rpcProber{c: c, onVisit: log.hear}, []uint64{5}, limFor)[0]
+			exchanges, served := outRPCs(regs[0], "probe")-p0, probed()-s0
+
+			ref := &refProber{c: clients[1], visits: map[visit]bool{}}
+			p0 = outRPCs(regs[1], "probe")
+			want := clients[1].geom.Scan(ref, []uint64{5}, limFor)[0]
+			if !reflect.DeepEqual(est, want) || est.Quality.Degraded || est.Value == 0 {
+				t.Errorf("estimates differ:\n remembered %+v\n reference  %+v", est, want)
+			}
+			if !reflect.DeepEqual(log.all, ref.visits) {
+				t.Errorf("(bit, owner) sets differ:\n remembered %v\n reference  %v", log.all, ref.visits)
+			}
+			if paid := outRPCs(regs[1], "probe") - p0; paid != uint64(len(ref.visits)) {
+				t.Errorf("reference scan paid %d probes for %d visits", paid, len(ref.visits))
+			}
+
+			// The first node's arc runs from the last node over zero to
+			// itself. Visited from above the last node and from below
+			// itself, it is the one owner asked twice.
+			budget := uint64(owners(log.all))
+			first, last := servers[0].ID(), servers[len(servers)-1].ID()
+			var above, below bool
+			for v := range log.all {
+				if lo, size := c.geom.Interval(v.bit); v.owner == first {
+					above = above || (lo > first && lo+size-1 > last)
+					below = below || lo <= first
+				}
+			}
+			if above && below {
+				budget++
+			}
+			if budget >= uint64(len(log.all)) {
+				t.Fatalf("test premise broken: %d visits name %d owners, nothing to remember", len(log.all), budget)
+			}
+			if exchanges != budget || served != budget || uint64(len(log.wire)) != budget {
+				t.Errorf("%d visits of %d owners cost %d probe exchanges (%d served, %d heard), want %d",
+					len(log.all), owners(log.all), exchanges, served, len(log.wire), budget)
+			}
+			byWire := regs[0].Counter("netdht_scan_visits_total", "", metrics.L("served", "wire")).Value()
+			byMemo := regs[0].Counter("netdht_scan_visits_total", "", metrics.L("served", "memo")).Value()
+			if byWire != budget || byWire+byMemo != uint64(len(log.all)) {
+				t.Errorf("scan_visits_total wire=%d memo=%d, want wire=%d and %d in all", byWire, byMemo, budget, len(log.all))
+			}
+		})
+	}
+}
+
+// TestScanOwnerCrashedAfterAnswer: what an owner said outlives it. The
+// node that answers the descending scan's first interval holds the next
+// several positions too; crashed right after that answer, it still
+// serves them from the scan's memory, and the estimate is the healthy
+// ring's, not a degraded one.
+func TestScanOwnerCrashedAfterAnswer(t *testing.T) {
+	env := sim.NewEnv(21)
+	cl := newTestCluster(t, env, 8)
+	settleCluster(t, cl, env)
+	servers := cl.Servers()
+
+	const lim = 5
+	limFor := func(int) int { return lim }
+	// Enter at the last node: the scan starts at the first one's arc.
+	clients, _ := twinClients(t, servers[len(servers)-1].Addr(), sketch.KindSuperLogLog, lim)
+	want := clients[1].geom.Scan(&refProber{c: clients[1], visits: map[visit]bool{}}, []uint64{5}, limFor)[0]
+
+	log := newVisitLog()
+	p := &rpcProber{c: clients[0], onVisit: log.hear}
+	var crashed uint64
+	est := clients[0].geom.Scan(proberFunc(func(bit uint, lim int, v *core.Visitor) core.IntervalOutcome {
+		out := p.ProbeInterval(bit, lim, v)
+		if crashed == 0 {
+			if len(log.all) != 1 {
+				t.Fatalf("first interval visited %v, want one owner", log.all)
+			}
+			for v := range log.all {
+				crashed = v.owner
+			}
+			for _, s := range servers {
+				if s.ID() == crashed {
+					cl.Crash(s)
+				}
+			}
+		}
+		return out
+	}), []uint64{5}, limFor)[0]
+
+	if !reflect.DeepEqual(est, want) || est.Quality.Degraded {
+		t.Errorf("estimate over a crashed owner's answers:\n got  %+v\n want %+v", est, want)
+	}
+	visits, exchanges := 0, 0
+	for v := range log.all {
+		if v.owner == crashed {
+			visits++
+			if log.wire[v] {
+				exchanges++
+			}
+		}
+	}
+	if visits < 3 || exchanges != 1 {
+		t.Errorf("crashed owner served %d intervals in %d exchanges, want its run of several in the one before it died", visits, exchanges)
+	}
+}
+
+// proberFunc adapts a function to core.Prober.
+type proberFunc func(bit uint, lim int, v *core.Visitor) core.IntervalOutcome
+
+func (f proberFunc) ProbeInterval(bit uint, lim int, v *core.Visitor) core.IntervalOutcome {
+	return f(bit, lim, v)
 }
 
 // TestScanStaleMapEntry: a lookup reply names a successor that is dead
 // by the time the scan probes it. The probe fails, the target goes back
 // through find_succ, and the books follow the rules a dead owner named
 // by a lookup has always followed: a ring that now names a live node
-// costs nothing but the detour, a ring that still names the dead one
-// costs a failed attempt per interval.
+// costs nothing but the detour — once: the live node inherits the dead
+// one's arc, so the intervals that follow neither probe the dead node nor
+// route again — and a ring that still names the dead one costs a failed
+// attempt per interval.
 func TestScanStaleMapEntry(t *testing.T) {
 	// Two members: the fake peer at 2⁶², owning bit 2's interval, and a
 	// dead node at the top of the circle, owning those of bits 1 and 0.
 	const liveID, deadID = 1 << 62, math.MaxUint64
 	for name, tc := range map[string]struct {
 		repaired bool
+		lookups  int32
 		want     CountResult
 	}{
-		"ring repaired":       {true, CountResult{ProbesAttempted: 6}},
-		"ring still names it": {false, CountResult{ProbesAttempted: 6, ProbesFailed: 2, IntervalsSkipped: 2, Degraded: true}},
+		// One lookup fills the map; bit 1 resolves both targets to the
+		// dead node, probes it once and re-routes once, and bit 0 finds
+		// the live node holding the whole circle.
+		"ring repaired": {true, 2, CountResult{ProbesAttempted: 6}},
+		// Every re-route teaches the dead node's arc again: bits 1 and 0
+		// each probe it once and re-route once.
+		"ring still names it": {false, 3, CountResult{ProbesAttempted: 6, ProbesFailed: 2, IntervalsSkipped: 2, Degraded: true}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dead := chord.Ref{ID: deadID, Addr: deadAddr(t)}
@@ -239,11 +451,7 @@ func TestScanStaleMapEntry(t *testing.T) {
 							near: &chord.Neighbors{Pred: live, Succ: []chord.Ref{live}}})
 					}
 				case wire.TagProbeReq:
-					raw, err := wire.EncodeProbeResp(wire.ProbeResp{NumVecs: 64, VecMasks: [][]byte{make([]byte, 8)}})
-					if err != nil {
-						t.Errorf("EncodeProbeResp: %v", err)
-					}
-					return raw
+					return zeroMasks(t, req)
 				}
 				return encodeErr(errnoBad, 0, 0)
 			})
@@ -270,10 +478,98 @@ func TestScanStaleMapEntry(t *testing.T) {
 			if res != tc.want {
 				t.Errorf("Count = %+v, want %+v", res, tc.want)
 			}
-			// One lookup fills the map; bits 1 and 0 each resolve both
-			// targets to the dead node, probe it once and re-route once.
-			if n := lookups.Load(); n != 3 {
-				t.Errorf("fake entry served %d lookups, want 3", n)
+			if n := lookups.Load(); n != tc.lookups {
+				t.Errorf("fake entry served %d lookups, want %d", n, tc.lookups)
+			}
+		})
+	}
+}
+
+// TestScanRangedReplyShape: an owner asked for a run of positions that
+// answers with another shape — the single position a node predating runs
+// sends, a run of another length, masks that do not divide over it — has
+// failed that probe: nothing of it is indexed or remembered, and the next
+// interval asks again.
+func TestScanRangedReplyShape(t *testing.T) {
+	masks := func(n, size int) [][]byte {
+		out := make([][]byte, n)
+		for i := range out {
+			out[i] = make([]byte, size)
+		}
+		return out
+	}
+	for name, tc := range map[string]struct {
+		reply func(q wire.ProbeReq) wire.ProbeResp
+		want  CountResult
+	}{
+		"the run asked for": {
+			func(q wire.ProbeReq) wire.ProbeResp {
+				return wire.ProbeResp{Bit: q.Bit, Span: q.Span, NumVecs: 64, VecMasks: masks(2, 8)}
+			},
+			CountResult{ProbesAttempted: 6},
+		},
+		"one position": {
+			func(q wire.ProbeReq) wire.ProbeResp {
+				return wire.ProbeResp{Bit: q.Bit, NumVecs: 64, VecMasks: masks(1, 8)}
+			},
+			CountResult{ProbesAttempted: 6, ProbesFailed: 1, IntervalsSkipped: 1, Degraded: true},
+		},
+		"a longer run": {
+			func(q wire.ProbeReq) wire.ProbeResp {
+				return wire.ProbeResp{Bit: q.Bit, Span: 3, NumVecs: 64, VecMasks: masks(4, 8)}
+			},
+			CountResult{ProbesAttempted: 6, ProbesFailed: 1, IntervalsSkipped: 1, Degraded: true},
+		},
+		"masks for two metrics": {
+			func(q wire.ProbeReq) wire.ProbeResp {
+				return wire.ProbeResp{Bit: q.Bit, Span: q.Span, NumVecs: 64, VecMasks: masks(4, 8)}
+			},
+			CountResult{ProbesAttempted: 6, ProbesFailed: 1, IntervalsSkipped: 1, Degraded: true},
+		},
+		"masks of another m": {
+			func(q wire.ProbeReq) wire.ProbeResp {
+				return wire.ProbeResp{Bit: q.Bit, Span: q.Span, NumVecs: 8, VecMasks: masks(2, 1)}
+			},
+			CountResult{ProbesAttempted: 6, ProbesFailed: 1, IntervalsSkipped: 1, Degraded: true},
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var ranged atomic.Int32
+			// One node at 2⁶² whose arc starts at the top of the circle: it
+			// holds bit 2's interval and the first identifier of bit 1's,
+			// so the scan's first probe asks for both positions.
+			entry := fakePeer(t, func(self string, req []byte) []byte {
+				if req[1] == tagFindSucc {
+					return encodeFindSuccResp(findSuccRespMsg{owner: chord.Ref{ID: 1 << 62, Addr: self},
+						near: &chord.Neighbors{Pred: chord.Ref{ID: math.MaxUint64, Addr: "nobody:1"}}})
+				}
+				q, err := wire.DecodeProbeReq(req)
+				if err != nil {
+					t.Errorf("DecodeProbeReq: %v", err)
+				}
+				if q.Span == 0 {
+					return zeroMasks(t, req)
+				}
+				ranged.Add(1)
+				raw, err := wire.EncodeProbeResp(tc.reply(q))
+				if err != nil {
+					t.Errorf("EncodeProbeResp: %v", err)
+				}
+				return raw
+			})
+			// K=8, M=64: the descending scan covers bits 2..0.
+			c, err := NewClient(ClientConfig{Entry: entry, K: 8, M: 64, Kind: sketch.KindSuperLogLog, Lim: 2})
+			if err != nil {
+				t.Fatalf("NewClient: %v", err)
+			}
+			defer c.Close()
+			res, err := c.Count(42)
+			if err != nil {
+				t.Fatalf("Count: %v", err)
+			}
+			tc.want.Estimate = res.Estimate
+			if res != tc.want || ranged.Load() != 1 {
+				t.Errorf("Count = %+v after %d ranged probes, want %+v after 1", res, ranged.Load(), tc.want)
 			}
 		})
 	}
@@ -322,13 +618,14 @@ func TestFindSuccRespNeighbourhoodCodec(t *testing.T) {
 	}
 }
 
-// TestNilPoolMetricsScanTargets: the scan's per-interval hook is a
-// one-branch no-op with metrics off, like every other pool hook.
+// TestNilPoolMetricsScanTargets: the scan's per-interval hooks are
+// one-branch no-ops with metrics off, like every other pool hook.
 func TestNilPoolMetricsScanTargets(t *testing.T) {
 	var m *poolMetrics
 	if n := testing.AllocsPerRun(100, func() {
 		m.scanTargets(3, 2)
+		m.scanVisits(1, 4)
 	}); n != 0 {
-		t.Errorf("nil poolMetrics.scanTargets allocated %.1f/op, want 0", n)
+		t.Errorf("nil poolMetrics scan hooks allocated %.1f/op, want 0", n)
 	}
 }

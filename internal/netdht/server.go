@@ -487,26 +487,34 @@ func (s *Server) handleProbeReq(req []byte) []byte {
 	st, _ := s.App().(*store.Store)
 	now := s.nowFn()
 	maskLen := wire.MaskBytes(int(m.NumVecs))
-	// NumVecs and the metric list are peer-controlled: a 12-byte request
-	// claiming 65535 vectors across 65535 metrics would demand ~512 MiB
-	// of mask allocations. Refuse any request whose reply could not fit
-	// one frame before allocating for it (wirebounds invariant).
-	if 8+len(m.Metrics)*maskLen > maxFrame {
+	bits := int(m.Span) + 1
+	// Span, NumVecs and the metric list are peer-controlled: a 12-byte
+	// request claiming 65535 vectors across 65535 metrics would demand
+	// ~512 MiB of mask allocations, a run of 256 positions as many times
+	// more. Refuse any request whose reply could not fit one frame, or
+	// its masks the reply's count field, before allocating for it
+	// (wirebounds invariant).
+	if bits*len(m.Metrics) > math.MaxUint16 || 8+bits*len(m.Metrics)*maskLen > maxFrame {
 		return encodeErr(errnoBad, 0, 0)
 	}
-	masks := make([][]byte, len(m.Metrics))
-	for i, metric := range m.Metrics {
-		mask := make([]byte, maskLen)
-		if st != nil {
-			for _, v := range st.VectorsWithBit(metric, m.Bit, now) {
-				if v >= 0 && int(v) < int(m.NumVecs) {
-					wire.SetVec(mask, int(v))
+	// Bit-major, one allocation: every metric's mask for Bit, then Bit+1, …
+	body := make([]byte, bits*len(m.Metrics)*maskLen)
+	masks := make([][]byte, 0, bits*len(m.Metrics))
+	for b := 0; b < bits; b++ {
+		for _, metric := range m.Metrics {
+			mask := body[:maskLen:maskLen]
+			body = body[maskLen:]
+			if st != nil {
+				for _, v := range st.VectorsWithBit(metric, m.Bit+uint8(b), now) {
+					if v >= 0 && int(v) < int(m.NumVecs) {
+						wire.SetVec(mask, int(v))
+					}
 				}
 			}
+			masks = append(masks, mask)
 		}
-		masks[i] = mask
 	}
-	resp, err := wire.EncodeProbeResp(wire.ProbeResp{Bit: m.Bit, NumVecs: m.NumVecs, VecMasks: masks})
+	resp, err := wire.EncodeProbeResp(wire.ProbeResp{Bit: m.Bit, Span: m.Span, NumVecs: m.NumVecs, VecMasks: masks})
 	if err != nil {
 		return encodeErr(errnoBad, 0, 0)
 	}

@@ -81,6 +81,11 @@ func FuzzDecodeProbeReq(f *testing.F) {
 		f.Fatal(err)
 	}
 	seedBuf(f, enc)
+	ranged, err := EncodeProbeReq(ProbeReq{Bit: 3, Span: 7, NumVecs: 64, Metrics: []uint64{1}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seedBuf(f, ranged)
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		m, err := DecodeProbeReq(buf)
 		if err != nil {
@@ -94,7 +99,7 @@ func FuzzDecodeProbeReq(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded probe request rejected: %v", err)
 		}
-		if m2.Bit != m.Bit || m2.NumVecs != m.NumVecs || len(m2.Metrics) != len(m.Metrics) {
+		if m2.Bit != m.Bit || m2.Span != m.Span || m2.NumVecs != m.NumVecs || len(m2.Metrics) != len(m.Metrics) {
 			t.Fatalf("probe request not a fixpoint: %+v != %+v", m2, m)
 		}
 		for i := range m.Metrics {
@@ -116,10 +121,19 @@ func FuzzDecodeProbeResp(f *testing.F) {
 	seedBuf(f, enc)
 	// A declared mask count far beyond the actual buffer.
 	f.Add([]byte{Version, TagProbeResp, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0})
+	// A run of two positions, two metrics each.
+	ranged, err := EncodeProbeResp(ProbeResp{Bit: 7, Span: 1, NumVecs: 512, VecMasks: [][]byte{mask, mask, mask, mask}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seedBuf(f, ranged)
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		m, err := DecodeProbeResp(buf)
 		if err != nil {
 			return
+		}
+		if len(m.VecMasks)%(int(m.Span)+1) != 0 || int(m.Bit)+int(m.Span) > 255 {
+			t.Fatalf("accepted %d masks for the run %d+%d", len(m.VecMasks), m.Bit, m.Span)
 		}
 		for _, vm := range m.VecMasks {
 			if len(vm) != MaskBytes(int(m.NumVecs)) {
@@ -134,7 +148,7 @@ func FuzzDecodeProbeResp(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded probe reply rejected: %v", err)
 		}
-		if m2.Bit != m.Bit || m2.NumVecs != m.NumVecs || len(m2.VecMasks) != len(m.VecMasks) {
+		if m2.Bit != m.Bit || m2.Span != m.Span || m2.NumVecs != m.NumVecs || len(m2.VecMasks) != len(m.VecMasks) {
 			t.Fatalf("probe reply not a fixpoint: %+v != %+v", m2, m)
 		}
 		for i := range m.VecMasks {

@@ -7,6 +7,12 @@
 // provably correspond to real message sizes (wire_test asserts the
 // equivalence with core's constants).
 //
+// A probe may ask for a run of bit positions in one exchange (ProbeReq.Span,
+// ProbeResp.Span). The cost model knows only the single-position probe,
+// and a span of zero encodes to exactly those bytes: the span is a
+// trailing request byte that is absent when zero, and the reply header
+// byte that single-position replies leave zero.
+//
 // Layout conventions: fixed-width big-endian integers, no framing (the
 // transport is expected to provide it), version byte first.
 package wire
@@ -176,24 +182,37 @@ func DecodeBulkInsert(buf []byte) (BulkInsert, error) {
 // NumVecs carries the querier's vector count m so a networked responder
 // knows the mask width to answer with; the in-process data plane derives
 // it from shared configuration and may leave it 0.
+//
+// Span widens the question to the run of positions Bit … Bit+Span: §4.2's
+// observation that one node holds the tuples of all vectors and metrics
+// side by side holds for the bit positions on its arc too, so one exchange
+// answers for all of them. Zero is the single-bit request, encoded as it
+// always was.
 type ProbeReq struct {
 	Bit     uint8
+	Span    uint8
 	NumVecs uint16
 	Metrics []uint64
 }
 
+// runFits reports whether bit … bit+span names bit positions at all.
+func runFits(bit, span uint8) bool { return int(bit)+int(span) <= math.MaxUint8 }
+
 // EncodeProbeReq serializes a probe request: version, tag, bit, vector
-// count, metric count, then 2 bytes per folded metric. A single-metric
-// request is 9 bytes — within the core.ProbeReqBytes=16 budget of the
-// cost model. More than 65535 metrics do not fit the count field and
-// return ErrBadMessage: the pre-check replaces a silent uint16 wrap
-// that would encode 65536 metrics as a valid-looking zero-metric
-// request.
+// count, metric count, 2 bytes per folded metric, then the span byte when
+// it is not zero. A single-metric single-bit request is 9 bytes — within
+// the core.ProbeReqBytes=16 budget of the cost model. More than 65535
+// metrics do not fit the count field and return ErrBadMessage: the
+// pre-check replaces a silent uint16 wrap that would encode 65536 metrics
+// as a valid-looking zero-metric request. So does a run past position 255.
 func EncodeProbeReq(m ProbeReq) ([]byte, error) {
 	if len(m.Metrics) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: %d probe metrics exceed the uint16 count field", ErrBadMessage, len(m.Metrics))
 	}
-	buf := make([]byte, 7+2*len(m.Metrics))
+	if !runFits(m.Bit, m.Span) {
+		return nil, fmt.Errorf("%w: probe run %d+%d leaves the bit field", ErrBadMessage, m.Bit, m.Span)
+	}
+	buf := make([]byte, 7+2*len(m.Metrics), 8+2*len(m.Metrics))
 	buf[0] = Version
 	buf[1] = TagProbeReq
 	buf[2] = m.Bit
@@ -201,6 +220,9 @@ func EncodeProbeReq(m ProbeReq) ([]byte, error) {
 	binary.BigEndian.PutUint16(buf[5:], uint16(len(m.Metrics)))
 	for i, metric := range m.Metrics {
 		binary.BigEndian.PutUint16(buf[7+2*i:], FoldMetric(metric))
+	}
+	if m.Span > 0 {
+		buf = append(buf, m.Span)
 	}
 	return buf, nil
 }
@@ -221,28 +243,42 @@ func DecodeProbeReq(buf []byte) (ProbeReq, error) {
 	for i := 0; i < n; i++ {
 		m.Metrics = append(m.Metrics, uint64(binary.BigEndian.Uint16(buf[7+2*i:])))
 	}
+	if len(buf) > 7+2*n {
+		m.Span = buf[7+2*n]
+	}
+	if !runFits(m.Bit, m.Span) {
+		return ProbeReq{}, ErrBadMessage
+	}
 	return m, nil
 }
 
 // ProbeResp answers a probe: per requested metric, a bitmask over the m
-// bitmap vectors marking which have the bit set at this node.
+// bitmap vectors marking which have the bit set at this node. A reply to
+// a run carries (Span+1) × metrics masks, bit-major: every metric's mask
+// for Bit, then every metric's for Bit+1, and so on.
 type ProbeResp struct {
 	Bit      uint8
+	Span     uint8
 	NumVecs  uint16   // m, fixing the per-metric mask width
-	VecMasks [][]byte // one ⌈m/8⌉-byte mask per requested metric
+	VecMasks [][]byte // ⌈m/8⌉-byte masks, one per position of the run and requested metric
 }
 
 // MaskBytes returns the size of one vector mask: ⌈m/8⌉.
 func MaskBytes(numVecs int) int { return (numVecs + 7) / 8 }
 
-// EncodeProbeResp serializes a probe reply: an 8-byte header plus one
-// mask per metric — exactly the core cost model's
+// EncodeProbeResp serializes a probe reply: an 8-byte header — the span
+// in the byte single-bit replies leave zero — plus one mask per position
+// and metric: for one position exactly the core cost model's
 // MsgHeaderBytes + metrics×⌈m/8⌉ accounting. More than 65535 masks do
 // not fit the count field and return ErrBadMessage (a silent wrap
-// would decode as a reply for a different number of metrics).
+// would decode as a reply for a different number of metrics), as does a
+// mask count that is no multiple of the run's length.
 func EncodeProbeResp(m ProbeResp) ([]byte, error) {
 	if len(m.VecMasks) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: %d vector masks exceed the uint16 count field", ErrBadMessage, len(m.VecMasks))
+	}
+	if !runFits(m.Bit, m.Span) || len(m.VecMasks)%(int(m.Span)+1) != 0 {
+		return nil, fmt.Errorf("%w: %d vector masks for the run %d+%d", ErrBadMessage, len(m.VecMasks), m.Bit, m.Span)
 	}
 	mask := MaskBytes(int(m.NumVecs))
 	buf := make([]byte, 8, 8+len(m.VecMasks)*mask)
@@ -251,7 +287,7 @@ func EncodeProbeResp(m ProbeResp) ([]byte, error) {
 	buf[2] = m.Bit
 	binary.BigEndian.PutUint16(buf[3:], m.NumVecs)
 	binary.BigEndian.PutUint16(buf[5:], uint16(len(m.VecMasks)))
-	// buf[7] reserved
+	buf[7] = m.Span
 	for i, vm := range m.VecMasks {
 		if len(vm) != mask {
 			return nil, fmt.Errorf("wire: mask %d is %d bytes, want %d", i, len(vm), mask)
@@ -261,7 +297,8 @@ func EncodeProbeResp(m ProbeResp) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeProbeResp parses a probe reply.
+// DecodeProbeResp parses a probe reply. The masks share one copy of the
+// payload.
 func DecodeProbeResp(buf []byte) (ProbeResp, error) {
 	if len(buf) < 8 {
 		return ProbeResp{}, ErrShort
@@ -271,6 +308,7 @@ func DecodeProbeResp(buf []byte) (ProbeResp, error) {
 	}
 	m := ProbeResp{
 		Bit:     buf[2],
+		Span:    buf[7],
 		NumVecs: binary.BigEndian.Uint16(buf[3:]),
 	}
 	count := int(binary.BigEndian.Uint16(buf[5:]))
@@ -278,10 +316,12 @@ func DecodeProbeResp(buf []byte) (ProbeResp, error) {
 	if len(buf) < 8+count*mask {
 		return ProbeResp{}, ErrShort
 	}
+	if !runFits(m.Bit, m.Span) || count%(int(m.Span)+1) != 0 {
+		return ProbeResp{}, ErrBadMessage
+	}
+	body := append([]byte(nil), buf[8:8+count*mask]...)
 	for i := 0; i < count; i++ {
-		vm := make([]byte, mask)
-		copy(vm, buf[8+i*mask:])
-		m.VecMasks = append(m.VecMasks, vm)
+		m.VecMasks = append(m.VecMasks, body[i*mask:(i+1)*mask:(i+1)*mask])
 	}
 	return m, nil
 }

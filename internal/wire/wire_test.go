@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -232,6 +234,112 @@ func TestProbeRespMaskSizeValidation(t *testing.T) {
 	_, err := EncodeProbeResp(ProbeResp{NumVecs: 64, VecMasks: [][]byte{make([]byte, 3)}})
 	if err == nil {
 		t.Error("wrong mask size accepted")
+	}
+}
+
+// TestProbeRunCodec: a probe for the run Bit … Bit+Span round-trips with
+// its masks in bit-major order, a span of zero is byte for byte the
+// single-bit encoding, and a run the bit field cannot hold or a mask
+// count that does not divide over it is refused on both sides.
+func TestProbeRunCodec(t *testing.T) {
+	const m, metrics, span = 64, 2, 3
+	req := ProbeReq{Bit: 5, Span: span, NumVecs: m, Metrics: []uint64{7, 9}}
+	enc, err := EncodeProbeReq(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := EncodeProbeReq(ProbeReq{Bit: 5, NumVecs: m, Metrics: req.Metrics})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, append(slices.Clone(single), span)) || len(single) != 7+2*metrics {
+		t.Errorf("ranged request %x is not the single-bit request %x plus the span byte", enc, single)
+	}
+	if dec, err := DecodeProbeReq(enc); err != nil || !reflect.DeepEqual(dec, req) {
+		t.Errorf("ranged request decoded as %+v, %v", dec, err)
+	}
+	// Cut back to the metric list, the frame is the single-bit request:
+	// the reply's span byte is how the asker tells.
+	if dec, err := DecodeProbeReq(enc[:len(enc)-1]); err != nil || dec.Span != 0 {
+		t.Errorf("request without its span byte decoded as %+v, %v", dec, err)
+	}
+
+	masks := make([][]byte, (span+1)*metrics)
+	for i := range masks {
+		masks[i] = make([]byte, MaskBytes(m))
+		SetVec(masks[i], i) // mask i marks vector i: order is observable
+	}
+	resp := ProbeResp{Bit: 5, Span: span, NumVecs: m, VecMasks: masks}
+	raw, err := EncodeProbeResp(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != 8+len(masks)*MaskBytes(m) || raw[7] != span {
+		t.Errorf("ranged reply is %d bytes with span byte %d", len(raw), raw[7])
+	}
+	if dec, err := DecodeProbeResp(raw); err != nil || !reflect.DeepEqual(dec, resp) {
+		t.Errorf("ranged reply decoded as %+v, %v", dec, err)
+	}
+	if raw, err := EncodeProbeResp(ProbeResp{Bit: 5, NumVecs: m, VecMasks: masks[:1]}); err != nil || len(raw) != 16 || raw[7] != 0 {
+		t.Errorf("single-bit reply at m=64 is %x, %v; want 16 bytes, reserved byte zero", raw, err)
+	}
+
+	_, reqOff := EncodeProbeReq(ProbeReq{Bit: 250, Span: 6})
+	_, respOff := EncodeProbeResp(ProbeResp{Bit: 255, Span: 1})
+	_, uneven := EncodeProbeResp(ProbeResp{Bit: 5, Span: span, NumVecs: m, VecMasks: masks[:7]})
+	for name, err := range map[string]error{
+		"request run past position 255":   reqOff,
+		"reply run past position 255":     respOff,
+		"masks not a multiple of the run": uneven,
+	} {
+		if !errors.Is(err, ErrBadMessage) {
+			t.Errorf("encode %s: err = %v, want ErrBadMessage", name, err)
+		}
+	}
+	patch := func(buf []byte, at int, b byte) []byte {
+		buf = slices.Clone(buf)
+		buf[at] = b
+		return buf
+	}
+	for name, tc := range map[string]struct {
+		decode func([]byte) error
+		buf    []byte
+		want   error
+	}{
+		"request run past position 255":   {decodeReq, patch(enc, 2, 253), ErrBadMessage},
+		"reply run past position 255":     {decodeResp, patch(raw, 2, 253), ErrBadMessage},
+		"masks not a multiple of the run": {decodeResp, patch(raw, 7, 2), ErrBadMessage},
+		"reply short of a mask":           {decodeResp, raw[:len(raw)-1], ErrShort},
+		"reply cut inside its header":     {decodeResp, raw[:7], ErrShort},
+	} {
+		if err := tc.decode(tc.buf); !errors.Is(err, tc.want) {
+			t.Errorf("decode %s: err = %v, want %v", name, err, tc.want)
+		}
+	}
+}
+
+func decodeReq(b []byte) error  { _, err := DecodeProbeReq(b); return err }
+func decodeResp(b []byte) error { _, err := DecodeProbeResp(b); return err }
+
+// TestDecodeProbeRespOneCopy: a ranged reply carries bits × metrics masks;
+// decoding copies the payload once and slices it, and a mask's capacity
+// ends where the next begins.
+func TestDecodeProbeRespOneCopy(t *testing.T) {
+	masks := make([][]byte, 32)
+	for i := range masks {
+		masks[i] = make([]byte, MaskBytes(64))
+	}
+	raw, err := EncodeProbeResp(ProbeResp{Span: 15, NumVecs: 64, VecMasks: masks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec ProbeResp
+	if n := testing.AllocsPerRun(50, func() { dec, _ = DecodeProbeResp(raw) }); n > 8 {
+		t.Errorf("DecodeProbeResp of 32 masks allocated %.0f times, want the payload copy and the slice's growth", n)
+	}
+	dec.VecMasks[0] = append(dec.VecMasks[0], 0xFF)
+	if dec.VecMasks[1][0] != 0 || raw[8] != 0 {
+		t.Error("appending to one mask wrote into its neighbour or the frame")
 	}
 }
 

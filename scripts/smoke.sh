@@ -236,6 +236,17 @@ if ! awk -v l="$lookups" -v f="$fanouts" 'BEGIN { exit !(f > 0 && l > 0 && l / f
 fi
 echo "   dhsd lookups per fan-out: $lookups / $fanouts"
 
+# And it asks each owner once, for every position of the scan its arc
+# holds: at most one probe exchange per node and one more for the node
+# whose arc wraps the identifier circle, where one exchange per scanned
+# interval and owner costs a dozen or more.
+probes=$(metric_value "$LOGDIR/metrics-dhsd.prom" 'netdht_out_rpc_total{tag="probe"}')
+if ! awk -v p="$probes" -v f="$fanouts" -v n="$NODES" 'BEGIN { exit !(p > 0 && p / f <= n + 1) }'; then
+    echo "== dhsd made $probes probe exchanges over $fanouts fan-outs, want 0 < probes/fan-out <= $((NODES + 1))" >&2
+    exit 1
+fi
+echo "   dhsd probes per fan-out: $probes / $fanouts"
+
 curl -fsS --max-time 5 "http://$DHSD/healthz" >/dev/null || {
     echo "== dhsd /healthz failed against a live ring" >&2
     exit 1
