@@ -47,28 +47,18 @@ benchcheck:
 smoke:
 	./scripts/smoke.sh
 
-# bench runs the benchmark suite (root macro-benchmarks, the
+# bench runs the go-test benchmarks (root macro-benchmarks, the
 # internal/store probe-reply micro-benchmarks, the internal/netdht
-# uncached-count rung — find_succ, probes and wire bytes per scan on
-# loopback clusters — and the internal/serve sustained-throughput
-# serving benchmarks — qps/p50/p99 against a real loopback ring) and
-# converts the text output into machine-readable
-# JSON via cmd/benchjson, so a run can be committed as a
-# perf-trajectory point:
-#
-#   make bench BENCHJSON=BENCH_13.json
-#
-# Committed BENCH_N.json points use the default BENCHTIME, a fixed
-# duration, so they can be compared with each other: at one iteration
-# per benchmark (-benchtime=1x) a 60 ns path reads as microseconds of
-# timer and cold-cache noise, which is why BENCH_10.json cannot be set
-# against BENCH_5.json. CI's benchmark smoke step passes -benchtime=1x
-# itself; it checks that the benchmarks run, not what they measure.
+# uncached-count and insert rungs — exchanges and wire bytes per
+# operation on loopback clusters — and the internal/serve
+# sustained-throughput serving benchmarks — qps/p50/p99 against a real
+# loopback ring) and keeps the text in bench.out. They are for measuring
+# while working; the numbers the repository compares from one commit to
+# the next come from bench/ (BENCHMARK.json). The default BENCHTIME is a
+# fixed duration: at one iteration per benchmark (-benchtime=1x, what
+# CI's benchmark smoke step passes to check that the benchmarks run) a
+# 60 ns path reads as microseconds of timer and cold-cache noise.
 BENCHTIME ?= 1s
-BENCHTXT  ?= bench.out
-BENCHJSON ?= bench.json
 
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) . ./internal/store ./internal/netdht ./internal/serve | tee $(BENCHTXT)
-	$(GO) run ./cmd/benchjson < $(BENCHTXT) > $(BENCHJSON)
-	@echo "wrote $(BENCHJSON)"
+	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) . ./internal/store ./internal/netdht ./internal/serve | tee bench.out

@@ -40,9 +40,9 @@ type ClientConfig struct {
 	// TTL is the tuple lifetime in the ring's coarse ticks (0 = no
 	// expiry); it narrows through wire.ClampTTL like every producer.
 	TTL int64
-	// Seed drives the interval-target randomness. A fixed seed gives a
-	// reproducible probe sequence (not byte-reproducible traffic — the
-	// network interleaves).
+	// Seed drives the interval-target randomness. A fixed seed and an
+	// unchanging ring give one caller a reproducible sequence of lookups
+	// and probes; concurrent callers share the stream.
 	Seed uint64
 
 	// Retries and Backoff bound per-RPC retry behavior; DialTimeout and
@@ -60,10 +60,10 @@ type ClientConfig struct {
 }
 
 // DefaultProbeParallel is how many of an interval's probes the counting
-// scan keeps in flight. The probes are independent, so running them
-// concurrently changes neither the estimate nor the accounting — only
-// the wall-clock latency of a pass.
-const DefaultProbeParallel = 4
+// scan keeps in flight: one, as in Algorithm 1's loop. Nothing in this
+// module reads it; bench/ does, and the symbol goes with the next change
+// to bench/.
+const DefaultProbeParallel = 1
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.K == 0 {
@@ -310,27 +310,25 @@ func (a answers) at(bit uint) *maskReply {
 	return &maskReply{metrics: a.metrics, masks: a.masks[i : i+len(a.metrics)]}
 }
 
-// rpcProber is the wire's core.Prober, one per scan. Where Algorithm 1
-// routes once per interval and walks successors, the prober has every
-// lookup bring the owner's neighbourhood back and keeps it in a segment
-// map: an interval draws its lim uniform targets as ever and routes only
-// those no segment covers. Adjacent bits are adjacent identifier ranges,
-// so the map carries over between intervals, and so do the owners: the
-// first probe of a node asks for every position of the scan its arc still
-// holds, and the intervals that follow are answered from what it said —
-// a snapshot as old as the scan's first contact with the node. Both die
-// with the scan. Each distinct owner is visited once per interval,
-// DefaultProbeParallel probes in flight; a target whose owner the
-// interval has already met spends budget without a second visit,
-// mirroring the simulator's duplicate-visit cost.
+// rpcProber is the wire's core.Prober, one per scan and, like Algorithm 1's
+// loop, one goroutine. Where Algorithm 1 routes once per interval and walks
+// successors, the prober has every lookup bring the owner's neighbourhood
+// back and keeps it in a segment map: an interval draws its lim uniform
+// targets as ever and routes only those no segment covers. Adjacent bits
+// are adjacent identifier ranges, so the map carries over between
+// intervals, and so do the owners: the first probe of a node asks for every
+// position of the scan its arc still holds, and the intervals that follow
+// are answered from what it said — a snapshot as old as the scan's first
+// contact with the node. Both die with the scan. Each distinct owner is
+// visited once per interval; a target whose owner the interval has already
+// met spends budget without a second visit, mirroring the simulator's
+// duplicate-visit cost. The visit order is a function of the client's
+// random stream and the ring alone.
 type rpcProber struct {
-	c *Client
-	// mu serializes the map, the answers and an interval's accounting,
-	// visited set and Visits.
-	mu   sync.Mutex
+	c    *Client
 	ring segmentMap
 	told map[uint64]answers // by owner ID
-	// onVisit, when a test sets it, hears of every answered visit under mu.
+	// onVisit, when a test sets it, hears of every answered visit.
 	onVisit func(bit uint, owner chord.Ref, viaWire bool)
 }
 
@@ -340,9 +338,7 @@ func (p *rpcProber) lookup(target uint64) (chord.Ref, error) {
 	if err != nil {
 		return chord.Ref{}, err
 	}
-	p.mu.Lock()
 	p.ring.learn(r)
-	p.mu.Unlock()
 	return r.owner, nil
 }
 
@@ -353,7 +349,6 @@ func (p *rpcProber) lookup(target uint64) (chord.Ref, error) {
 // interval its arc crosses. The same owner again is learnt again, and
 // fails the attempt like any lookup naming a dead node.
 func (p *rpcProber) reroute(target uint64, dead chord.Ref) (chord.Ref, error) {
-	p.mu.Lock()
 	i, known := p.ring.search(dead.ID)
 	var lo uint64
 	if known {
@@ -361,13 +356,10 @@ func (p *rpcProber) reroute(target uint64, dead chord.Ref) (chord.Ref, error) {
 		p.ring = slices.Delete(p.ring, i, i+1)
 	}
 	delete(p.told, dead.ID)
-	p.mu.Unlock()
 	owner, err := p.lookup(target)
 	if err != nil || owner.ID == dead.ID || !known {
 		return owner, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if now, covered := p.ring.resolve(target); !covered || now.ID != owner.ID {
 		p.ring.set(lo, owner)
 	}
@@ -400,47 +392,35 @@ func (p *rpcProber) run(bit uint, owner chord.Ref, metrics []uint64) wire.ProbeR
 // what a probe for bit's run brings back, which the scan holds from then
 // on. A failure is not kept.
 func (p *rpcProber) answer(bit uint, owner chord.Ref, metrics []uint64) (a answers, viaWire bool, err error) {
-	p.mu.Lock()
 	if a = p.told[owner.ID]; a.holds(bit) {
-		p.mu.Unlock()
 		return a, false, nil
 	}
 	req := p.run(bit, owner, metrics)
-	p.mu.Unlock()
 	masks, err := p.c.probe(owner.Addr, req)
 	if err != nil {
 		return answers{}, false, err
 	}
 	a = answers{low: int(req.Bit), bits: int(req.Span) + 1, metrics: metrics, masks: masks}
-	p.mu.Lock()
 	if p.told == nil {
 		p.told = make(map[uint64]answers)
 	}
 	p.told[owner.ID] = a
-	p.mu.Unlock()
 	return a, true, nil
 }
 
 func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.IntervalOutcome {
 	out := core.IntervalOutcome{Attempted: lim}
 	metrics := v.Metrics()
-	visited := make(map[uint64]bool)
-	// first marks owner visited; false if the interval had met it before.
-	first := func(owner chord.Ref) bool {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		seen := visited[owner.ID]
-		visited[owner.ID] = true
-		return !seen
-	}
-	probed := 0
+	met := make(map[uint64]bool) // owners the interval has spent an attempt on
+	routed, probed := 0, 0
+	// visit takes owner's answer for bit to the scan. That a Visit reports
+	// the interval exhausted is ignored: every interval spends lim attempts.
 	visit := func(owner chord.Ref) error {
+		met[owner.ID] = true
 		a, viaWire, err := p.answer(bit, owner, metrics)
 		if err != nil {
 			return err
 		}
-		p.mu.Lock()
-		defer p.mu.Unlock()
 		if viaWire {
 			probed++
 		}
@@ -451,56 +431,41 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 		v.Visit(a.at(bit))
 		return nil
 	}
-	// spend spends target's attempt on owner. Probes are in flight when a
-	// Visit reports the interval exhausted: every interval spends lim attempts.
-	spend := func(target uint64, owner chord.Ref, viaMap bool) {
-		err := visit(owner)
-		if err != nil && viaMap {
-			if again, lerr := p.reroute(target, owner); lerr != nil {
-				err = lerr
-			} else if again.ID != owner.ID {
-				if !first(again) {
-					return
-				}
-				err = visit(again)
-			}
-		}
-		if err != nil {
-			p.mu.Lock()
-			out.Failed++
-			p.mu.Unlock()
-		}
-	}
-
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, DefaultProbeParallel)
-	routed, unrouted := 0, 0
-	for i := 0; i < lim; i++ {
-		target := p.c.randomTarget(bit)
-		p.mu.Lock()
+	// attempt spends one of the interval's lim attempts on target's owner.
+	attempt := func(target uint64) error {
 		owner, viaMap := p.ring.resolve(target)
-		p.mu.Unlock()
 		if !viaMap {
 			routed++
 			var err error
 			if owner, err = p.lookup(target); err != nil {
-				unrouted++
-				continue
+				return err
 			}
 		}
-		if !first(owner) {
-			continue
+		if met[owner.ID] {
+			return nil
 		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			spend(target, owner, viaMap)
-		}()
+		err := visit(owner)
+		if err == nil || !viaMap {
+			return err
+		}
+		// The map named a node that does not answer: the attempt goes to
+		// the node the ring names instead, unless the interval has met it.
+		again, lerr := p.reroute(target, owner)
+		switch {
+		case lerr != nil:
+			return lerr
+		case again.ID == owner.ID:
+			return err
+		case met[again.ID]:
+			return nil
+		}
+		return visit(again)
 	}
-	wg.Wait()
-	out.Failed += unrouted
+	for i := 0; i < lim; i++ {
+		if attempt(p.c.randomTarget(bit)) != nil {
+			out.Failed++
+		}
+	}
 	p.c.peers.m.scanTargets(lim-routed, routed)
 	p.c.peers.m.scanVisits(probed, out.Visited-probed)
 	return out

@@ -54,7 +54,7 @@ func tagSlot(tag byte) int {
 		return slotNotify
 	case tagPing:
 		return slotPing
-	case wire.TagInsert, tagStore: // a tuple on its way to a store, direct or routed
+	case wire.TagInsert, tagStore: // a tuple on its way to a store (a bare frame is refused, and counted)
 		return slotInsert
 	case wire.TagBulkInsert:
 		return slotBulkInsert

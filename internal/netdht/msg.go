@@ -14,7 +14,8 @@ import (
 // TagBulkInsert / TagProbeReq / TagProbeResp (0x01–0x04) verbatim;
 // control tags start at 0x10 so the two namespaces can never collide,
 // and every control message keeps wire's layout conventions: version
-// byte first, tag second, fixed-width big-endian integers.
+// byte first, tag second, fixed-width big-endian integers. A control frame
+// ends where its message does: every decoder refuses bytes behind it.
 const (
 	tagFindSucc      = 0x10 // route a key toward its owner
 	tagFindSuccResp  = 0x11 // terminal reply: the owner plus route cost
@@ -164,6 +165,9 @@ func decodeFindSucc(buf []byte) (findSuccMsg, error) {
 	if buf[1] == tagStore {
 		m.store = buf[findSuccHeader:]
 		return m, checkTupleFrame(m.store)
+	}
+	if len(buf) != findSuccHeader {
+		return findSuccMsg{}, wire.ErrBadMessage
 	}
 	return m, nil
 }
@@ -339,7 +343,10 @@ func decodeNeighborsResp(buf []byte) (neighborsRespMsg, error) {
 	if m.self, rest, err = decodeRef(rest); err != nil {
 		return m, err
 	}
-	nb, _, err := decodeNeighbors(rest)
+	nb, rest, err := decodeNeighbors(rest)
+	if err == nil && len(rest) != 0 {
+		err = wire.ErrBadMessage
+	}
 	m.pred, m.succ = nb.Pred, nb.Succ
 	return m, err
 }
@@ -358,7 +365,10 @@ func decodeNotify(buf []byte) (chord.Ref, error) {
 	if buf[0] != wire.Version || buf[1] != tagNotify {
 		return chord.Ref{}, wire.ErrBadMessage
 	}
-	r, _, err := decodeRef(buf[2:])
+	r, rest, err := decodeRef(buf[2:])
+	if err == nil && len(rest) != 0 {
+		return chord.Ref{}, wire.ErrBadMessage
+	}
 	return r, err
 }
 
@@ -377,7 +387,7 @@ func decodeAck(buf []byte) (changed bool, err error) {
 	if len(buf) < 3 {
 		return false, wire.ErrShort
 	}
-	if buf[0] != wire.Version || buf[1] != tagAck {
+	if buf[0] != wire.Version || buf[1] != tagAck || len(buf) != 3 {
 		return false, wire.ErrBadMessage
 	}
 	return buf[2] != 0, nil
@@ -403,7 +413,7 @@ func decodeErr(buf []byte) (code byte, hops, stale uint16, err error) {
 	if len(buf) < 7 {
 		return 0, 0, 0, wire.ErrShort
 	}
-	if buf[0] != wire.Version || buf[1] != tagErr {
+	if buf[0] != wire.Version || buf[1] != tagErr || len(buf) != 7 {
 		return 0, 0, 0, wire.ErrBadMessage
 	}
 	return buf[2], binary.BigEndian.Uint16(buf[3:]), binary.BigEndian.Uint16(buf[5:]), nil

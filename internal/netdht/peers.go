@@ -24,10 +24,9 @@ const (
 // number of outbound sockets (and therefore concurrent request/reply
 // exchanges) the pool keeps toward one peer. One connection was the
 // original discipline — sufficient for recursive routing, but a hard
-// serialization wall for a query frontend fanning many concurrent
-// probes at the same owners — so the default is wide enough for the
-// counting scan's intra-interval parallelism while staying far below
-// any file-descriptor budget.
+// serialization wall for a query frontend whose concurrent counts probe
+// the same owners — so the default is a few, far below any
+// file-descriptor budget.
 const DefaultPeerConns = 4
 
 // mapNetErr folds a transport failure into the dht error taxonomy the

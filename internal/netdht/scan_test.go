@@ -341,6 +341,36 @@ func TestScanOneProbePerOwner(t *testing.T) {
 	}
 }
 
+// TestScanVisitOrderDeterministic: a scan is one goroutine, so on a ring
+// that does not change the order in which it gathers its answers — which
+// owner, at which position, from the wire or from memory — follows from
+// the client's seed alone. Two clients of one seed report the same
+// sequence, scan after scan, on a ring of 32, where one interval in six
+// has two owners to ask over the wire.
+func TestScanVisitOrderDeterministic(t *testing.T) {
+	env := sim.NewEnv(21)
+	cl := newTestCluster(t, env, 32)
+	settleCluster(t, cl, env)
+
+	const lim = 5
+	clients, _ := twinClients(t, cl.Servers()[0].Addr(), sketch.KindSuperLogLog, lim)
+	type step struct {
+		v       visit
+		viaWire bool
+	}
+	var seqs [2][]step
+	for i, c := range clients {
+		for scan := 0; scan < 8; scan++ {
+			c.geom.Scan(&rpcProber{c: c, onVisit: func(bit uint, owner chord.Ref, viaWire bool) {
+				seqs[i] = append(seqs[i], step{visit{bit, owner.ID}, viaWire})
+			}}, []uint64{5}, func(int) int { return lim })
+		}
+	}
+	if len(seqs[0]) == 0 || !reflect.DeepEqual(seqs[0], seqs[1]) {
+		t.Errorf("visit sequences of one seed differ (%d and %d steps):\n %v\n %v", len(seqs[0]), len(seqs[1]), seqs[0], seqs[1])
+	}
+}
+
 // TestScanOwnerCrashedAfterAnswer: what an owner said outlives it. The
 // node that answers the descending scan's first interval holds the next
 // several positions too; crashed right after that answer, it still

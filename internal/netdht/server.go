@@ -279,13 +279,11 @@ func (s *Server) handleRequest(req []byte) []byte {
 			return encodeErr(errnoNodeDown, 0, 0)
 		}
 		return encodePong()
-	case wire.TagInsert:
-		return s.handleInsert(req)
-	case wire.TagBulkInsert:
-		return s.handleBulkInsert(req)
 	case wire.TagProbeReq:
 		return s.handleProbeReq(req)
 	default:
+		// Among them a bare wire.TagInsert / TagBulkInsert frame: a tuple
+		// is stored where a route ends (§3.2), not where a peer dialled.
 		return encodeErr(errnoBad, 0, 0)
 	}
 }
@@ -436,7 +434,8 @@ func (p tcpPeers) Reseed(_, pred chord.Ref) chord.Ref { return pred }
 // Data plane: insert and probe RPCs (the cmd/dhsnode path; in-process
 // clusters let core access the store directly, like the simulator). The
 // client's inserts reach the two insert handlers as the payload of a
-// routed store (handleFindSucc); a direct frame is answered all the same.
+// routed store (handleFindSucc) and no other way: handleRequest refuses a
+// bare insert frame.
 
 func (s *Server) expiryFor(ttl uint16) int64 {
 	if ttl == 0 {

@@ -221,6 +221,36 @@ func TestRoutedStoreBulkFrame(t *testing.T) {
 	}
 }
 
+// TestBareInsertFrameRefused: a tuple frame that arrives on its own, not
+// behind a routed store, would land on whatever node the peer dialled and
+// bypass §3.2's placement. Both shapes are refused and nothing is stored.
+func TestBareInsertFrameRefused(t *testing.T) {
+	s, err := NewServer("127.0.0.1:0", obsOptions(nil, nil))
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(s.Close)
+	c, _ := storeClient(t, s.Addr(), 1)
+	for name, frame := range map[string][]byte{
+		"insert":      wire.EncodeInsert(wire.Insert{Metric: 4, Vector: 5, Bit: 3}),
+		"bulk insert": wire.EncodeBulkInsert(wire.BulkInsert{Metric: 4, Bit: 3, Vectors: []uint16{1, 5}}),
+	} {
+		raw, err := c.peers.exchangeRetry(s.Addr(), frame, 0, 0)
+		if err != nil {
+			t.Fatalf("%s: exchange: %v", name, err)
+		}
+		if code, _, _, derr := decodeErr(raw); derr != nil || code != errnoBad {
+			t.Errorf("bare %s frame got % x (errno %d, %v), want errnoBad", name, raw, code, derr)
+		}
+	}
+	if st := s.Status(); st.StoreTuples != 0 || st.StoreOps != 0 {
+		t.Errorf("status %+v after refused frames, want an empty store and no store operation", st)
+	}
+	if _, ok := s.App().(*store.Store); ok {
+		t.Errorf("a refused frame created the node's store")
+	}
+}
+
 // TestRoutedStoreCrashedOwner: the believed owner of the target is dead
 // and no round has repaired its arc yet. The route pays the discovery and
 // delivers to the next covering successor, which stores and acks — inside

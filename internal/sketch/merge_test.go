@@ -25,21 +25,14 @@ func buildThree(t *testing.T, k Kind) (a, b, c Estimator) {
 	return mk(1), mk(2), mk(3)
 }
 
+// clone copies src by merging it into an empty sketch of its shape.
 func clone(t *testing.T, k Kind, src Estimator) Estimator {
 	t.Helper()
-	type codec interface {
-		MarshalBinary() ([]byte, error)
-		UnmarshalBinary([]byte) error
-	}
-	buf, err := src.(codec).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
 	dst, err := New(k, 64, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.(codec).UnmarshalBinary(buf); err != nil {
+	if err := dst.Merge(src); err != nil {
 		t.Fatal(err)
 	}
 	return dst

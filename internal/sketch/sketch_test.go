@@ -373,59 +373,6 @@ func TestEstimateFunctionsMatchSketches(t *testing.T) {
 	}
 }
 
-func TestSerializationRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewPCG(31, 33))
-	for _, k := range []Kind{KindPCSA, KindSuperLogLog, KindLogLog, KindHyperLogLog} {
-		e, _ := New(k, 64, 20)
-		addDistinct(e, rng, 10000)
-		type binaryCodec interface {
-			MarshalBinary() ([]byte, error)
-			UnmarshalBinary([]byte) error
-		}
-		enc, err := e.(binaryCodec).MarshalBinary()
-		if err != nil {
-			t.Fatalf("%v: marshal: %v", k, err)
-		}
-		dec, _ := New(k, 2, 10) // deliberately different params; unmarshal must replace them
-		if err := dec.(binaryCodec).UnmarshalBinary(enc); err != nil {
-			t.Fatalf("%v: unmarshal: %v", k, err)
-		}
-		if dec.Estimate() != e.Estimate() {
-			t.Errorf("%v: estimate changed over round trip", k)
-		}
-		if dec.NumVectors() != 64 {
-			t.Errorf("%v: NumVectors after round trip = %d", k, dec.NumVectors())
-		}
-	}
-}
-
-func TestSerializationErrors(t *testing.T) {
-	var p PCSA
-	if err := p.UnmarshalBinary(nil); err == nil {
-		t.Error("unmarshal of nil should fail")
-	}
-	if err := p.UnmarshalBinary([]byte("XXXXxxxxxxxxxxx")); err == nil {
-		t.Error("unmarshal with bad magic should fail")
-	}
-	// Kind mismatch: PCSA bytes into a SuperLogLog.
-	good, _ := NewPCSA(4, 10)
-	enc, _ := good.MarshalBinary()
-	var s SuperLogLog
-	if err := s.UnmarshalBinary(enc); err == nil {
-		t.Error("unmarshal across kinds should fail")
-	}
-	// Truncated payload.
-	if err := p.UnmarshalBinary(enc[:len(enc)-3]); err == nil {
-		t.Error("unmarshal of truncated payload should fail")
-	}
-	// Corrupted version byte.
-	bad := append([]byte(nil), enc...)
-	bad[4] = 99
-	if err := p.UnmarshalBinary(bad); err == nil {
-		t.Error("unmarshal with bad version should fail")
-	}
-}
-
 func TestPCSASmallRangeCorrection(t *testing.T) {
 	// The optional correction should reduce error for n ≪ m·2^w.
 	const n = 50
