@@ -90,6 +90,7 @@ func main() {
 	handler := serve.NewHandler(frontend, serve.HandlerOptions{
 		Metrics: reg,
 		Ping:    client.Ping,
+		View:    client.View,
 	})
 
 	ln, err := net.Listen("tcp", *listen)

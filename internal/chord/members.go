@@ -156,6 +156,19 @@ func (m *Membership[N]) ownerIndex(key uint64) int {
 	return idx
 }
 
+// Admit splices a late joiner into the ground truth — Remove's
+// counterpart, for a ring whose members link themselves in over a
+// transport: the protocol state of the others learns of n through the
+// rounds the disturbed tracker now runs. One joiner at a time: NewID reads
+// the membership unlocked.
+func (m *Membership[N]) Admit(n N) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.Add(n)
+	m.epoch++
+	m.conv.disturb()
+}
+
 // Remove takes n out of the ground truth, running kill — whatever makes
 // the node stop answering — under the write lock. Other nodes' tables
 // still name it until protocol rounds discover the death.

@@ -1,12 +1,10 @@
 package netdht
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"slices"
 	"sync"
 	"time"
 
@@ -41,8 +39,10 @@ type ClientConfig struct {
 	// expiry); it narrows through wire.ClampTTL like every producer.
 	TTL int64
 	// Seed drives the interval-target randomness. A fixed seed and an
-	// unchanging ring give one caller a reproducible sequence of lookups
-	// and probes; concurrent callers share the stream.
+	// unchanging ring give one caller a reproducible sequence of targets,
+	// and so of owners visited and probes sent; which of the targets cost a
+	// lookup depends on what the client has seen of the ring before.
+	// Concurrent callers share the stream.
 	Seed uint64
 
 	// Retries and Backoff bound per-RPC retry behavior; DialTimeout and
@@ -95,9 +95,8 @@ type Client struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// scanFlags go on the counting scan's lookups: flagNeighbors. A test
-	// clears it to get a scan whose segment map stays empty.
-	scanFlags byte
+	// view is the ring as the counting scans have seen it so far.
+	view ringView
 }
 
 // NewClient validates the configuration and prepares the connection
@@ -117,16 +116,17 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("netdht: %w", err)
 	}
 	c := &Client{
-		cfg:       cfg,
-		geom:      geom,
-		peers:     newPeerPool(cfg.DialTimeout, cfg.RPCTimeout, DefaultPeerConns),
-		rng:       rand.New(rand.NewPCG(cfg.Seed, 0x6a09e667f3bcc908)),
-		scanFlags: flagNeighbors,
+		cfg:   cfg,
+		geom:  geom,
+		peers: newPeerPool(cfg.DialTimeout, cfg.RPCTimeout, DefaultPeerConns),
+		rng:   rand.New(rand.NewPCG(cfg.Seed, 0x6a09e667f3bcc908)),
 	}
 	if cfg.Metrics != nil {
 		c.peers.m = newPoolMetrics(cfg.Metrics)
 		cfg.Metrics.GaugeFunc("netdht_peer_conns", "cached outbound peer connections",
 			func() float64 { return float64(c.peers.size()) })
+		cfg.Metrics.GaugeFunc("netdht_view_arcs", "ring arcs the counting scans remember",
+			func() float64 { return float64(c.view.size()) })
 	}
 	return c, nil
 }
@@ -219,78 +219,24 @@ type CountResult struct {
 // shared scan (descending for the LogLog family, ascending for PCSA)
 // driven by the RPC interval prober. Count is safe for concurrent use
 // by many goroutines sharing one Client — each call carries its own
-// scan state, and the peer pool multiplexes exchanges over
-// DefaultPeerConns sockets per peer.
+// answers, the ring view they all resolve targets against orders them
+// behind its mutex, and the peer pool multiplexes exchanges over
+// DefaultPeerConns sockets per peer. The first Count pays for learning
+// the ring; later ones route only what has changed.
 func (c *Client) Count(metric uint64) (CountResult, error) {
+	return c.count(&rpcProber{c: c}, metric), nil
+}
+
+// count is Count over any interval prober.
+func (c *Client) count(p core.Prober, metric uint64) CountResult {
 	lim := func(int) int { return c.cfg.Lim }
-	est := c.geom.Scan(&rpcProber{c: c}, []uint64{metric}, lim)[0]
+	est := c.geom.Scan(p, []uint64{metric}, lim)[0]
 	return CountResult{
 		Estimate:         est.Value,
 		ProbesAttempted:  est.Quality.ProbesAttempted,
 		ProbesFailed:     est.Quality.ProbesFailed,
 		IntervalsSkipped: est.Quality.IntervalsSkipped,
 		Degraded:         est.Quality.Degraded,
-	}, nil
-}
-
-// segmentMap is what one scan has learned of the ring from its lookup
-// replies: arcs (lo, owner.ID] of the identifier circle, sorted by owner.
-type segmentMap []segment
-
-// segment is one arc; lo == owner.ID is the whole circle, which learn
-// never records and only an inherited arc (reroute) reaches.
-type segment struct {
-	lo    uint64
-	owner chord.Ref
-}
-
-// covers reports whether id lies on the arc: at 1 … owner.ID−lo from lo,
-// less one on both sides so that a zero width wraps to every distance.
-func (s segment) covers(id uint64) bool { return id-s.lo-1 <= s.owner.ID-s.lo-1 }
-
-// meets reports whether the arc shares a point with [lo, lo+size): two
-// arcs of a circle do when one holds the other's first point.
-func (s segment) meets(lo, size uint64) bool { return s.covers(lo) || s.lo+1-lo < size }
-
-func (m segmentMap) search(id uint64) (int, bool) {
-	return slices.BinarySearchFunc(m, id, func(s segment, id uint64) int { return cmp.Compare(s.owner.ID, id) })
-}
-
-// resolve names the first known node at or after target, and reports
-// whether its arc reaches back far enough to cover target.
-func (m segmentMap) resolve(target uint64) (owner chord.Ref, covered bool) {
-	if len(m) == 0 {
-		return chord.Ref{}, false
-	}
-	i, _ := m.search(target)
-	s := m[i%len(m)]
-	return s.owner, s.covers(target)
-}
-
-// set records owner's arc, replacing what the map said of the node.
-func (m *segmentMap) set(lo uint64, owner chord.Ref) {
-	i, known := m.search(owner.ID)
-	if !known {
-		*m = slices.Insert(*m, i, segment{})
-	}
-	(*m)[i] = segment{lo: lo, owner: owner}
-}
-
-// learn adds the arcs one reply's neighbourhood spells out — (pred,
-// owner], (owner, s₀], (s₀, s₁], … — a later reply replacing what an
-// earlier one said about the same node.
-func (m *segmentMap) learn(r findSuccRespMsg) {
-	if r.near == nil {
-		return
-	}
-	prev := r.near.Pred
-	for _, n := range append([]chord.Ref{r.owner}, r.near.Succ...) {
-		// An unknown predecessor leaves the owner's own arc unknown, and a
-		// reply that repeats a node spells out no arc.
-		if prev.Valid() && prev.ID != n.ID {
-			m.set(prev.ID, n)
-		}
-		prev = n
 	}
 }
 
@@ -313,72 +259,66 @@ func (a answers) at(bit uint) *maskReply {
 // rpcProber is the wire's core.Prober, one per scan and, like Algorithm 1's
 // loop, one goroutine. Where Algorithm 1 routes once per interval and walks
 // successors, the prober has every lookup bring the owner's neighbourhood
-// back and keeps it in a segment map: an interval draws its lim uniform
-// targets as ever and routes only those no segment covers. Adjacent bits
-// are adjacent identifier ranges, so the map carries over between
-// intervals, and so do the owners: the first probe of a node asks for every
-// position of the scan its arc still holds, and the intervals that follow
-// are answered from what it said — a snapshot as old as the scan's first
-// contact with the node. Both die with the scan. Each distinct owner is
-// visited once per interval; a target whose owner the interval has already
-// met spends budget without a second visit, mirroring the simulator's
-// duplicate-visit cost. The visit order is a function of the client's
-// random stream and the ring alone.
+// back and resolves targets against the arcs the client has been told of
+// (ringView): an interval draws its lim uniform targets as ever and routes
+// only those no arc covers. The arcs outlive the scan; the answers do not.
+// The first probe of a node asks for every position of the scan its arc
+// still holds, and the intervals that follow are answered from what it said
+// — a snapshot as old as the scan's first contact with the node, gone when
+// the scan returns. So every remembered arc a scan relies on is checked by
+// that scan's own first probe of its owner, whose reply says where the arc
+// starts now. Each distinct owner is visited once per interval; a target
+// whose owner the interval has already met spends budget without a second
+// visit, mirroring the simulator's duplicate-visit cost. The visit order is
+// a function of the client's random stream and the ring alone.
 type rpcProber struct {
 	c    *Client
-	ring segmentMap
 	told map[uint64]answers // by owner ID
 	// onVisit, when a test sets it, hears of every answered visit.
 	onVisit func(bit uint, owner chord.Ref, viaWire bool)
 }
 
-// lookup routes target through the ring and folds the reply into the map.
+// lookup routes target through the ring and folds the reply into the view.
 func (p *rpcProber) lookup(target uint64) (chord.Ref, error) {
-	r, err := p.c.findSucc(target, p.c.scanFlags)
+	r, err := p.c.findSucc(target, flagNeighbors)
 	if err != nil {
 		return chord.Ref{}, err
 	}
-	p.ring.learn(r)
+	p.c.view.learn(r)
 	return r.owner, nil
 }
 
-// reroute is for a target the map resolved to a node that does not
-// answer: forget the node — its arc and what it said — and ask the ring.
-// A different owner whose reply does not itself account for target
-// inherits the arc, so the dead node is paid for once, not once for every
-// interval its arc crosses. The same owner again is learnt again, and
-// fails the attempt like any lookup naming a dead node.
-func (p *rpcProber) reroute(target uint64, dead chord.Ref) (chord.Ref, error) {
-	i, known := p.ring.search(dead.ID)
-	var lo uint64
-	if known {
-		lo = p.ring[i].lo
-		p.ring = slices.Delete(p.ring, i, i+1)
-	}
-	delete(p.told, dead.ID)
+// reroute is for a target the view resolved to an arc that did not stand —
+// its owner does not answer, or answers and leaves target to another: ask
+// the ring. A different owner whose reply does not itself account for
+// target inherits the arc's start, so a dead node is paid for once, not
+// once for every interval its arc crosses, and a newcomer that has yet to
+// learn its predecessor is not routed to again and again. The same owner
+// again is learnt again, and keeps what the lookup says of it.
+func (p *rpcProber) reroute(target uint64, was segment) (chord.Ref, error) {
 	owner, err := p.lookup(target)
-	if err != nil || owner.ID == dead.ID || !known {
+	if err != nil || owner.ID == was.owner.ID {
 		return owner, err
 	}
-	if now, covered := p.ring.resolve(target); !covered || now.ID != owner.ID {
-		p.ring.set(lo, owner)
+	if now, covered := p.c.view.resolve(target); !covered || now.owner.ID != owner.ID {
+		p.c.view.set(was.lo, owner)
 	}
 	return owner, nil
 }
 
 // run is the request a first probe of owner at bit sends: bit, and with
 // it the positions the scan visits next whose intervals meet the owner's
-// arc as the map has it, as far as one frame can carry the reply. An
-// owner the map does not hold is asked for bit alone.
+// arc as the view has it, as far as one frame can carry the reply. An
+// owner the view does not hold is asked for bit alone.
 func (p *rpcProber) run(bit uint, owner chord.Ref, metrics []uint64) wire.ProbeReq {
 	g := &p.c.geom
 	_, last, step := g.ScanRange()
 	end := int(bit)
-	if i, known := p.ring.search(owner.ID); known {
-		fit := min(math.MaxUint16, (maxFrame-8)/wire.MaskBytes(g.M)) / len(metrics)
+	if arc, known := p.c.view.arc(owner.ID); known {
+		fit := min(math.MaxUint16, (maxFrame-wire.ProbeRespOverhead)/wire.MaskBytes(g.M)) / len(metrics)
 		for bits := 2; bits <= fit && end != last; bits++ {
 			lo, size := g.Interval(uint(end + step))
-			if !p.ring[i].meets(lo, size) {
+			if !arc.meets(lo, size) {
 				break
 			}
 			end += step
@@ -390,53 +330,40 @@ func (p *rpcProber) run(bit uint, owner chord.Ref, metrics []uint64) wire.ProbeR
 
 // answer returns what owner says of bit: what the scan already holds, else
 // what a probe for bit's run brings back, which the scan holds from then
-// on. A failure is not kept.
-func (p *rpcProber) answer(bit uint, owner chord.Ref, metrics []uint64) (a answers, viaWire bool, err error) {
+// on; fresh is that probe's reply, nil when none was sent. A failure is not
+// kept.
+func (p *rpcProber) answer(bit uint, owner chord.Ref, metrics []uint64) (a answers, fresh *wire.ProbeResp, err error) {
 	if a = p.told[owner.ID]; a.holds(bit) {
-		return a, false, nil
+		return a, nil, nil
 	}
 	req := p.run(bit, owner, metrics)
-	masks, err := p.c.probe(owner.Addr, req)
+	resp, err := p.c.probe(owner.Addr, req)
 	if err != nil {
-		return answers{}, false, err
+		return answers{}, nil, err
 	}
-	a = answers{low: int(req.Bit), bits: int(req.Span) + 1, metrics: metrics, masks: masks}
+	a = answers{low: int(req.Bit), bits: int(req.Span) + 1, metrics: metrics, masks: resp.VecMasks}
 	if p.told == nil {
 		p.told = make(map[uint64]answers)
 	}
 	p.told[owner.ID] = a
-	return a, true, nil
+	return a, &resp, nil
 }
 
 func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.IntervalOutcome {
 	out := core.IntervalOutcome{Attempted: lim}
 	metrics := v.Metrics()
+	view := &p.c.view
 	met := make(map[uint64]bool) // owners the interval has spent an attempt on
-	routed, probed := 0, 0
-	// visit takes owner's answer for bit to the scan. That a Visit reports
-	// the interval exhausted is ignored: every interval spends lim attempts.
-	visit := func(owner chord.Ref) error {
-		met[owner.ID] = true
-		a, viaWire, err := p.answer(bit, owner, metrics)
-		if err != nil {
-			return err
-		}
-		if viaWire {
-			probed++
-		}
-		if p.onVisit != nil {
-			p.onVisit(bit, owner, viaWire)
-		}
-		out.Visited++
-		v.Visit(a.at(bit))
-		return nil
-	}
+	// The interval's exchanges: probes, and lookups — re-routes too, at most
+	// one a target.
+	probed, routed := 0, 0
 	// attempt spends one of the interval's lim attempts on target's owner.
 	attempt := func(target uint64) error {
-		owner, viaMap := p.ring.resolve(target)
-		if !viaMap {
-			routed++
+		arc, remembered := view.resolve(target)
+		owner := arc.owner
+		if !remembered {
 			var err error
+			routed++
 			if owner, err = p.lookup(target); err != nil {
 				return err
 			}
@@ -444,22 +371,53 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 		if met[owner.ID] {
 			return nil
 		}
-		err := visit(owner)
-		if err == nil || !viaMap {
+		_, heard := p.told[owner.ID]
+		a, fresh, err := p.answer(bit, owner, metrics)
+		// A remembered arc stands when its owner answers and, in the first
+		// reply the scan has from it, still counts target its own. A later
+		// reply is not asked: the arc may by then be one reroute gave the node
+		// for want of its word. What a lookup has just said needs no second
+		// opinion either.
+		if remembered && (err != nil || !heard && !view.confirm(owner, fresh.ArcLo, fresh.HasArc, target)) {
+			if err != nil {
+				// The node is gone: forget it, its arc and what it said.
+				// The interval has met it all the same.
+				met[owner.ID] = true
+				view.drop(owner.ID)
+				delete(p.told, owner.ID)
+			}
+			// The attempt goes to the node the ring names instead, unless
+			// the interval has met it. A node that answered and is named
+			// again is taken at the ring's word, with the answer it gave.
+			routed++
+			again, lerr := p.reroute(target, arc)
+			switch {
+			case lerr != nil:
+				return lerr
+			case again.ID == owner.ID:
+			case met[again.ID]:
+				return nil
+			default:
+				owner = again
+				a, fresh, err = p.answer(bit, owner, metrics)
+			}
+		}
+		met[owner.ID] = true
+		if err != nil {
 			return err
 		}
-		// The map named a node that does not answer: the attempt goes to
-		// the node the ring names instead, unless the interval has met it.
-		again, lerr := p.reroute(target, owner)
-		switch {
-		case lerr != nil:
-			return lerr
-		case again.ID == owner.ID:
-			return err
-		case met[again.ID]:
-			return nil
+		// The owner's answer for bit goes to the scan. That a Visit reports
+		// the interval exhausted is ignored: every interval spends lim
+		// attempts.
+		if fresh != nil {
+			probed++
 		}
-		return visit(again)
+		if p.onVisit != nil {
+			p.onVisit(bit, owner, fresh != nil)
+		}
+		out.Visited++
+		v.Visit(a.at(bit))
+		return nil
 	}
 	for i := 0; i < lim; i++ {
 		if attempt(p.c.randomTarget(bit)) != nil {
@@ -477,28 +435,28 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 // different m, one that answers a run with a single position, or a
 // hostile one, fails the probe here instead of indexing out of range in
 // the scan.
-func (c *Client) probe(addr string, req wire.ProbeReq) ([][]byte, error) {
+func (c *Client) probe(addr string, req wire.ProbeReq) (wire.ProbeResp, error) {
 	frame, err := wire.EncodeProbeReq(req)
 	if err != nil {
-		return nil, err
+		return wire.ProbeResp{}, err
 	}
 	raw, err := c.peers.exchangeRetry(addr, frame, c.cfg.Retries, c.cfg.Backoff)
 	if err != nil {
-		return nil, err
+		return wire.ProbeResp{}, err
 	}
 	resp, err := wire.DecodeProbeResp(raw)
 	if err != nil {
-		return nil, err
+		return wire.ProbeResp{}, err
 	}
 	if resp.Span != req.Span || len(resp.VecMasks) != (int(req.Span)+1)*len(req.Metrics) {
-		return nil, wire.ErrBadMessage
+		return wire.ProbeResp{}, wire.ErrBadMessage
 	}
 	for _, mask := range resp.VecMasks {
 		if len(mask) != wire.MaskBytes(c.geom.M) {
-			return nil, wire.ErrBadMessage
+			return wire.ProbeResp{}, wire.ErrBadMessage
 		}
 	}
-	return resp.VecMasks, nil
+	return resp, nil
 }
 
 // maskReply is one probe reply as a core.Reply: masks[i] answers

@@ -66,21 +66,11 @@ func NewCluster(env *sim.Env, n int, cfg chord.ProtocolConfig) (*Cluster, error)
 		env:        env,
 	}
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("node-%d:4000", i)
-		s, err := NewServer("127.0.0.1:0", Options{
-			Name:        name,
-			Protocol:    c.Config(),
-			DialTimeout: clusterDialTimeout,
-			RPCTimeout:  clusterRPCTimeout,
-			Now:         env.Clock.Now,
-		})
+		s, err := c.newServer(fmt.Sprintf("node-%d:4000", i))
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
-		// Identifier derivation (incl. collision re-hash) is the
-		// membership's, not the listener's.
-		s.setID(c.NewID(name))
 		c.Add(s)
 	}
 	c.SeedConverged()
@@ -88,6 +78,41 @@ func NewCluster(env *sim.Env, n int, cfg chord.ProtocolConfig) (*Cluster, error)
 		s.markLinked()
 	}
 	return c, nil
+}
+
+// newServer starts a server on a loopback listener under the cluster's
+// clock and timings. Identifier derivation (incl. collision re-hash) is
+// the membership's, not the listener's.
+func (c *Cluster) newServer(name string) (*Server, error) {
+	s, err := NewServer("127.0.0.1:0", Options{
+		Name:        name,
+		Protocol:    c.Config(),
+		DialTimeout: clusterDialTimeout,
+		RPCTimeout:  clusterRPCTimeout,
+		Now:         c.env.Clock.Now,
+	})
+	if err == nil {
+		s.setID(c.NewID(name))
+	}
+	return s, err
+}
+
+// Join starts one more server and links it into the ring through the
+// first live member, the way a daemon joins (chord.Machine.Join): its
+// successor knows it at once, the membership oracle too, and the rest of
+// the ring after the stabilize rounds of the Steps that follow. One joiner
+// at a time.
+func (c *Cluster) Join(name string) (*Server, error) {
+	s, err := c.newServer(name)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.Join(c.Live()[0].Addr()); err != nil {
+		s.Close()
+		return nil, err
+	}
+	c.Admit(s)
+	return s, nil
 }
 
 // Servers returns the live servers in ID order.

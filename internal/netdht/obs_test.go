@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dhsketch/internal/metrics"
+	"dhsketch/internal/sim"
 )
 
 // obsOptions builds server options instrumented against a fresh
@@ -271,4 +272,46 @@ func TestLogKV(t *testing.T) {
 
 	// Nil logf is silent and does not panic.
 	(&Server{}).logKV("noop", "k", "v")
+}
+
+// TestScanLookupsMetered: netdht_scan_targets_total{resolved="lookup"}
+// counts every lookup a scan makes — the one that re-routes a target the
+// view resolved to a dead node as much as the one for a target no arc
+// covers — so it moves with netdht_out_rpc_total{tag="find_succ"} on a
+// client that only counts. With a warm view re-routes are the only lookups
+// left: a series that missed them would read zero while the ring churns.
+func TestScanLookupsMetered(t *testing.T) {
+	env := sim.NewEnv(21)
+	cl := newTestCluster(t, env, 8)
+	settleCluster(t, cl, env)
+	servers := cl.Servers()
+	c, reg := storeClient(t, servers[len(servers)-1].Addr(), 9)
+	byLookup := reg.Counter("netdht_scan_targets_total", "", metrics.L("resolved", "lookup"))
+	byMap := reg.Counter("netdht_scan_targets_total", "", metrics.L("resolved", "map"))
+
+	attempted := 0
+	count := func() {
+		res, err := c.Count(5)
+		if err != nil {
+			t.Fatalf("Count: %v", err)
+		}
+		attempted += res.ProbesAttempted
+	}
+	count()
+	count()
+	cold := outRPCs(reg, "find_succ")
+	if cold == 0 || byLookup.Value() != cold {
+		t.Errorf("two scans of a quiet ring: %d find_succ exchanges, %d targets metered as looked up", cold, byLookup.Value())
+	}
+	// The first server holds the top of the scan's range: the next scan
+	// resolves to it from the view, fails to reach it and asks the ring.
+	cl.Crash(servers[0])
+	settleCluster(t, cl, env)
+	count()
+	if got := outRPCs(reg, "find_succ"); got == cold || byLookup.Value() != got {
+		t.Errorf("scan over a dead owner: %d find_succ exchanges (%d before), %d targets metered as looked up", got, cold, byLookup.Value())
+	}
+	if got := byLookup.Value() + byMap.Value(); got != uint64(attempted) {
+		t.Errorf("scan_targets_total sums to %d, want the %d attempts the scans spent", got, attempted)
+	}
 }

@@ -29,7 +29,7 @@ import (
 // locally — across the identifier wrap too — and targets outside do not.
 func TestSegmentMapResolve(t *testing.T) {
 	ref := func(id uint64) chord.Ref { return chord.Ref{ID: id, Addr: fmt.Sprint("n", id)} }
-	var m segmentMap
+	var m ringView
 	if _, ok := m.resolve(5); ok {
 		t.Fatal("empty map resolved a target")
 	}
@@ -41,7 +41,7 @@ func TestSegmentMapResolve(t *testing.T) {
 		901: 100, math.MaxUint64: 100, 0: 100, 100: 100,
 		101: 300, 300: 300, 301: 500, 500: 500,
 	} {
-		if got, ok := m.resolve(target); !ok || got.ID != want {
+		if got, ok := m.resolve(target); !ok || got.owner.ID != want {
 			t.Errorf("resolve(%d) = %v, %v; want node %d", target, got, ok, want)
 		}
 	}
@@ -57,16 +57,16 @@ func TestSegmentMapResolve(t *testing.T) {
 	m.learn(findSuccRespMsg{owner: ref(200), near: &chord.Neighbors{Pred: ref(100), Succ: []chord.Ref{ref(300)}}})
 	m.learn(findSuccRespMsg{owner: ref(500), near: &chord.Neighbors{Succ: []chord.Ref{ref(700)}}})
 	for target, want := range map[uint64]uint64{150: 200, 250: 300, 400: 500, 600: 700} {
-		if got, ok := m.resolve(target); !ok || got.ID != want {
+		if got, ok := m.resolve(target); !ok || got.owner.ID != want {
 			t.Errorf("after relearning, resolve(%d) = %v, %v; want node %d", target, got, ok, want)
 		}
 	}
-	if !sort.SliceIsSorted(m, func(i, j int) bool { return m[i].owner.ID < m[j].owner.ID }) || len(m) != 5 {
-		t.Errorf("map not a sorted set of 5 owners: %+v", m)
+	if !sort.SliceIsSorted(m.arcs, func(i, j int) bool { return m.arcs[i].owner.ID < m.arcs[j].owner.ID }) || len(m.arcs) != 5 {
+		t.Errorf("view not a sorted set of 5 owners: %+v", m.arcs)
 	}
 	// A reply without a neighbourhood, or one that repeats a node, teaches
 	// nothing — in particular no arc that spans the whole circle.
-	m = nil
+	m.arcs = nil
 	m.learn(findSuccRespMsg{owner: ref(100)})
 	m.learn(findSuccRespMsg{owner: ref(100), near: &chord.Neighbors{Pred: ref(100), Succ: []chord.Ref{ref(100)}}})
 	if got, ok := m.resolve(42); ok {
@@ -125,14 +125,14 @@ func (r *refProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 			continue
 		}
 		seen[f.owner.ID] = true
-		masks, err := r.c.probe(f.owner.Addr, wire.ProbeReq{Bit: uint8(bit), NumVecs: uint16(r.c.geom.M), Metrics: metrics})
+		resp, err := r.c.probe(f.owner.Addr, wire.ProbeReq{Bit: uint8(bit), NumVecs: uint16(r.c.geom.M), Metrics: metrics})
 		if err != nil {
 			out.Failed++
 			continue
 		}
 		out.Visited++
 		r.visits[visit{bit, f.owner.ID}] = true
-		v.Visit(&maskReply{metrics: metrics, masks: masks})
+		v.Visit(&maskReply{metrics: metrics, masks: resp.VecMasks})
 	}
 	return out
 }
@@ -196,12 +196,12 @@ func outExchanges(reg *metrics.Registry) (sum uint64) {
 
 // TestScanSegmentMapEquivalence: on a converged ring the segment map
 // changes what a scan costs, not what it learns. Two clients with one
-// seed — one with the map bypassed — draw the same targets, visit the
-// same (bit, owner) set and return the identical CountResult; the one
-// with the map routes at most once per scanned interval, where routing
-// every target costs Lim times that, and — knowing the arcs — asks each
-// owner for a run of positions, where the one without asks for one
-// position at every visit.
+// seed — one scanning with refProber, which remembers nothing — draw the
+// same targets, visit the same (bit, owner) set and return the identical
+// CountResult; the one with the map routes at most once per scanned
+// interval, where routing every target costs Lim times that, and —
+// knowing the arcs — asks each owner for a run of positions, where the one
+// without asks for one position at every visit.
 func TestScanSegmentMapEquivalence(t *testing.T) {
 	for _, kind := range []sketch.Kind{sketch.KindSuperLogLog, sketch.KindPCSA} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -211,17 +211,14 @@ func TestScanSegmentMapEquivalence(t *testing.T) {
 
 			const lim = 5
 			clients, regs := twinClients(t, cl.Servers()[0].Addr(), kind, lim)
-			clients[1].scanFlags = 0 // no neighbourhoods, no map; clients[0] keeps it
+			ref := &refProber{c: clients[1], visits: map[visit]bool{}}
+			probers := [2]core.Prober{&rpcProber{c: clients[0]}, ref}
 
 			var results [2]CountResult
 			var lookups, probes [2]uint64
 			for i, c := range clients {
 				l0, p0 := outRPCs(regs[i], "find_succ"), outRPCs(regs[i], "probe")
-				res, err := c.Count(5)
-				if err != nil {
-					t.Fatalf("Count: %v", err)
-				}
-				results[i] = res
+				results[i] = c.count(probers[i], 5)
 				lookups[i], probes[i] = outRPCs(regs[i], "find_succ")-l0, outRPCs(regs[i], "probe")-p0
 			}
 			if results[0] != results[1] {
@@ -247,20 +244,14 @@ func TestScanSegmentMapEquivalence(t *testing.T) {
 			}
 
 			// A second scan, recorded visit by visit.
-			var logs [2]*visitLog
-			var ests [2]core.Estimate
-			for i, c := range clients {
-				logs[i] = newVisitLog()
-				ests[i] = c.geom.Scan(&rpcProber{c: c, onVisit: logs[i].hear}, []uint64{5}, func(int) int { return lim })[0]
+			log := newVisitLog()
+			clear(ref.visits)
+			res := clients[0].count(&rpcProber{c: clients[0], onVisit: log.hear}, 5)
+			if want := clients[1].count(ref, 5); res != want || len(log.all) == 0 {
+				t.Errorf("recorded scans differ or visited nothing: %+v vs %+v", res, want)
 			}
-			if !reflect.DeepEqual(logs[0].all, logs[1].all) {
-				t.Errorf("(bit, owner) sets differ:\n with map %v\n without  %v", logs[0].all, logs[1].all)
-			}
-			if len(logs[0].all) == 0 || !reflect.DeepEqual(ests[0], ests[1]) {
-				t.Errorf("recorded scans differ or visited nothing: %+v vs %+v", ests[0], ests[1])
-			}
-			if !reflect.DeepEqual(logs[1].wire, logs[1].all) {
-				t.Errorf("scan without the map remembered answers it had no arc for: %d of %d visits probed", len(logs[1].wire), len(logs[1].all))
+			if !reflect.DeepEqual(log.all, ref.visits) {
+				t.Errorf("(bit, owner) sets differ:\n with map %v\n without  %v", log.all, ref.visits)
 			}
 		})
 	}

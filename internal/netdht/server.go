@@ -493,7 +493,7 @@ func (s *Server) handleProbeReq(req []byte) []byte {
 	// more. Refuse any request whose reply could not fit one frame, or
 	// its masks the reply's count field, before allocating for it
 	// (wirebounds invariant).
-	if bits*len(m.Metrics) > math.MaxUint16 || 8+bits*len(m.Metrics)*maskLen > maxFrame {
+	if bits*len(m.Metrics) > math.MaxUint16 || wire.ProbeRespOverhead+bits*len(m.Metrics)*maskLen > maxFrame {
 		return encodeErr(errnoBad, 0, 0)
 	}
 	// Bit-major, one allocation: every metric's mask for Bit, then Bit+1, …
@@ -513,7 +513,13 @@ func (s *Server) handleProbeReq(req []byte) []byte {
 			masks = append(masks, mask)
 		}
 	}
-	resp, err := wire.EncodeProbeResp(wire.ProbeResp{Bit: m.Bit, Span: m.Span, NumVecs: m.NumVecs, VecMasks: masks})
+	// The reply ends with the arc this node answers for — from its
+	// predecessor, when it knows one, up to itself — so that a client which
+	// remembered the node hears of a join or a leave in front of it from the
+	// reply it came for (DESIGN.md §14).
+	pred := s.node.Neighbors().Pred
+	resp, err := wire.EncodeProbeResp(wire.ProbeResp{Bit: m.Bit, Span: m.Span, NumVecs: m.NumVecs, VecMasks: masks,
+		HasArc: pred.Valid(), ArcLo: pred.ID})
 	if err != nil {
 		return encodeErr(errnoBad, 0, 0)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"dhsketch/internal/core"
 	"dhsketch/internal/metrics"
+	"dhsketch/internal/netdht"
 )
 
 // HandlerOptions wires the optional pieces of the HTTP surface.
@@ -18,6 +19,10 @@ type HandlerOptions struct {
 	// Ping, when non-nil, decides /healthz: an error turns the verdict
 	// into 503. cmd/dhsd passes the ring client's Ping.
 	Ping func() error
+	// View, when non-nil, adds the ring arcs the client's counting scans
+	// start from to /statusz as "ring_view". cmd/dhsd passes the ring
+	// client's View.
+	View func() []netdht.Arc
 }
 
 // NewHandler builds the dhsd HTTP surface over f:
@@ -29,7 +34,8 @@ type HandlerOptions struct {
 //	    headers, never in the body. Shed queries answer 429 with a
 //	    Retry-After hint; ring failures answer 502.
 //	GET /healthz — 200 "ok", or 503 when the Ping hook fails.
-//	GET /statusz — indented-JSON Stats snapshot.
+//	GET /statusz — indented-JSON Stats snapshot, and the ring view when
+//	    the View hook is set.
 //	GET /metrics — Prometheus exposition (when a registry was given).
 //
 // Metric names are hashed with core.MetricID, the same derivation every
@@ -70,9 +76,16 @@ func NewHandler(f *Frontend, opt HandlerOptions) http.Handler {
 	})
 	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
+		doc := struct {
+			Stats
+			RingView []netdht.Arc `json:"ring_view,omitempty"`
+		}{Stats: f.Stats()}
+		if opt.View != nil {
+			doc.RingView = opt.View()
+		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(f.Stats())
+		enc.Encode(doc)
 	})
 	if opt.Metrics != nil {
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -331,7 +332,9 @@ func TestByteIdenticalToDirectCount(t *testing.T) {
 	}
 
 	// And over HTTP, end to end.
-	ts := httptest.NewServer(serve.NewHandler(f, serve.HandlerOptions{Ping: client.Ping}))
+	// A ring of one has no arc to remember: the view hook shows a fixed one.
+	view := []netdht.Arc{{From: "00000000000000ff", ID: "0000000000000fff", Addr: srv.Addr()}}
+	ts := httptest.NewServer(serve.NewHandler(f, serve.HandlerOptions{Ping: client.Ping, View: func() []netdht.Arc { return view }}))
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/count?metric=" + metricName)
 	if err != nil {
@@ -357,6 +360,22 @@ func TestByteIdenticalToDirectCount(t *testing.T) {
 	hr.Body.Close()
 	if hr.StatusCode != http.StatusOK {
 		t.Errorf("/healthz = %d, want 200", hr.StatusCode)
+	}
+
+	// /statusz: the engine's snapshot, and beside it the ring arcs the
+	// view hook reports.
+	sr, err := http.Get(ts.URL + "/statusz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var status struct {
+		MaxInFlight int          `json:"max_in_flight"`
+		RingView    []netdht.Arc `json:"ring_view"`
+	}
+	err = json.NewDecoder(sr.Body).Decode(&status)
+	sr.Body.Close()
+	if err != nil || status.MaxInFlight == 0 || !reflect.DeepEqual(status.RingView, view) {
+		t.Errorf("/statusz = %+v, %v; want the stats and the arc %+v", status, err, view)
 	}
 }
 

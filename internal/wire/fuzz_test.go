@@ -127,10 +127,29 @@ func FuzzDecodeProbeResp(f *testing.F) {
 		f.Fatal(err)
 	}
 	seedBuf(f, ranged)
+	// The same with its sender's arc behind the masks — seedBuf's cuts leave
+	// an arc short of a byte, of two, and of the identifier's better half —
+	// then the flag with no identifier, and a byte behind a whole arc.
+	arced, err := EncodeProbeResp(ProbeResp{Bit: 7, Span: 1, NumVecs: 512, VecMasks: [][]byte{mask, mask, mask, mask}, HasArc: true, ArcLo: 1 << 63})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seedBuf(f, arced)
+	f.Add(arced[:len(ranged)+1])
+	f.Add(append(append([]byte(nil), arced...), 0))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		m, err := DecodeProbeResp(buf)
 		if err != nil {
 			return
+		}
+		// Nothing is skipped: an accepted frame is its header, its masks and
+		// a whole arc or none, so it re-encodes to its own length, and with a
+		// byte of junk behind it is refused.
+		if want := 8 + len(m.VecMasks)*MaskBytes(int(m.NumVecs)); len(buf) != want && !(m.HasArc && len(buf) == want+arcSize) {
+			t.Fatalf("accepted %d bytes for %d masks at m=%d, arc %v", len(buf), len(m.VecMasks), m.NumVecs, m.HasArc)
+		}
+		if _, err := DecodeProbeResp(append(append([]byte(nil), buf...), 0)); err == nil {
+			t.Fatalf("accepted with a byte of junk behind it")
 		}
 		if len(m.VecMasks)%(int(m.Span)+1) != 0 || int(m.Bit)+int(m.Span) > 255 {
 			t.Fatalf("accepted %d masks for the run %d+%d", len(m.VecMasks), m.Bit, m.Span)
@@ -148,7 +167,8 @@ func FuzzDecodeProbeResp(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded probe reply rejected: %v", err)
 		}
-		if m2.Bit != m.Bit || m2.Span != m.Span || m2.NumVecs != m.NumVecs || len(m2.VecMasks) != len(m.VecMasks) {
+		if m2.Bit != m.Bit || m2.Span != m.Span || m2.NumVecs != m.NumVecs || len(m2.VecMasks) != len(m.VecMasks) ||
+			m2.HasArc != m.HasArc || m2.ArcLo != m.ArcLo || len(re) != len(buf) {
 			t.Fatalf("probe reply not a fixpoint: %+v != %+v", m2, m)
 		}
 		for i := range m.VecMasks {

@@ -11,7 +11,9 @@
 // ProbeResp.Span). The cost model knows only the single-position probe,
 // and a span of zero encodes to exactly those bytes: the span is a
 // trailing request byte that is absent when zero, and the reply header
-// byte that single-position replies leave zero.
+// byte that single-position replies leave zero. A reply may also end with
+// the arc of the identifier circle its sender answers for (ProbeResp.HasArc);
+// one that does not know it ends where it always did.
 //
 // Layout conventions: fixed-width big-endian integers, no framing (the
 // transport is expected to provide it), version byte first.
@@ -256,12 +258,32 @@ func DecodeProbeReq(buf []byte) (ProbeReq, error) {
 // bitmap vectors marking which have the bit set at this node. A reply to
 // a run carries (Span+1) × metrics masks, bit-major: every metric's mask
 // for Bit, then every metric's for Bit+1, and so on.
+//
+// HasArc and ArcLo are the responder's word on what it answers for: the
+// identifiers behind ArcLo up to its own. An overlay whose nodes know their
+// arc sends it so that a querier which remembered the node can tell, from
+// the reply it wanted anyway, whether what it remembered still holds. A
+// node that cannot say leaves HasArc false and sends no trailer.
 type ProbeResp struct {
 	Bit      uint8
 	Span     uint8
 	NumVecs  uint16   // m, fixing the per-metric mask width
 	VecMasks [][]byte // ⌈m/8⌉-byte masks, one per position of the run and requested metric
+	HasArc   bool
+	ArcLo    uint64
 }
+
+// The arc trailer: a flag byte — one value, so that a reply cut short or
+// followed by anything else is refused rather than read as "no arc" — and
+// the 8-byte identifier.
+const (
+	arcFlag = 1
+	arcSize = 9
+)
+
+// ProbeRespOverhead is what a probe reply spends beside its masks: the
+// 8-byte header and, at most, the arc trailer.
+const ProbeRespOverhead = 8 + arcSize
 
 // MaskBytes returns the size of one vector mask: ⌈m/8⌉.
 func MaskBytes(numVecs int) int { return (numVecs + 7) / 8 }
@@ -272,7 +294,8 @@ func MaskBytes(numVecs int) int { return (numVecs + 7) / 8 }
 // MsgHeaderBytes + metrics×⌈m/8⌉ accounting. More than 65535 masks do
 // not fit the count field and return ErrBadMessage (a silent wrap
 // would decode as a reply for a different number of metrics), as does a
-// mask count that is no multiple of the run's length.
+// mask count that is no multiple of the run's length. An arc adds its
+// 9-byte trailer behind the masks.
 func EncodeProbeResp(m ProbeResp) ([]byte, error) {
 	if len(m.VecMasks) > math.MaxUint16 {
 		return nil, fmt.Errorf("%w: %d vector masks exceed the uint16 count field", ErrBadMessage, len(m.VecMasks))
@@ -281,7 +304,7 @@ func EncodeProbeResp(m ProbeResp) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d vector masks for the run %d+%d", ErrBadMessage, len(m.VecMasks), m.Bit, m.Span)
 	}
 	mask := MaskBytes(int(m.NumVecs))
-	buf := make([]byte, 8, 8+len(m.VecMasks)*mask)
+	buf := make([]byte, 8, 8+len(m.VecMasks)*mask+arcSize)
 	buf[0] = Version
 	buf[1] = TagProbeResp
 	buf[2] = m.Bit
@@ -294,11 +317,14 @@ func EncodeProbeResp(m ProbeResp) ([]byte, error) {
 		}
 		buf = append(buf, vm...)
 	}
+	if m.HasArc {
+		buf = binary.BigEndian.AppendUint64(append(buf, arcFlag), m.ArcLo)
+	}
 	return buf, nil
 }
 
 // DecodeProbeResp parses a probe reply. The masks share one copy of the
-// payload.
+// payload. Behind them comes the arc trailer, whole, or nothing.
 func DecodeProbeResp(buf []byte) (ProbeResp, error) {
 	if len(buf) < 8 {
 		return ProbeResp{}, ErrShort
@@ -318,6 +344,15 @@ func DecodeProbeResp(buf []byte) (ProbeResp, error) {
 	}
 	if !runFits(m.Bit, m.Span) || count%(int(m.Span)+1) != 0 {
 		return ProbeResp{}, ErrBadMessage
+	}
+	switch arc := buf[8+count*mask:]; {
+	case len(arc) == 0:
+	case arc[0] != arcFlag || len(arc) > arcSize:
+		return ProbeResp{}, ErrBadMessage
+	case len(arc) < arcSize:
+		return ProbeResp{}, ErrShort
+	default:
+		m.HasArc, m.ArcLo = true, binary.BigEndian.Uint64(arc[1:])
 	}
 	body := append([]byte(nil), buf[8:8+count*mask]...)
 	for i := 0; i < count; i++ {

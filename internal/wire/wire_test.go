@@ -318,6 +318,51 @@ func TestProbeRunCodec(t *testing.T) {
 	}
 }
 
+// TestProbeRespArcCodec: a reply that names its sender's arc is the reply
+// without one plus nine bytes, round-trips, and decodes only whole — a
+// trailer cut short, a flag with no identifier, another flag value or a
+// byte behind it is refused, so that damage never reads as "no arc"; and a
+// reply with no arc is byte for byte what it was before replies had one.
+func TestProbeRespArcCodec(t *testing.T) {
+	masks := [][]byte{make([]byte, MaskBytes(64)), make([]byte, MaskBytes(64))}
+	SetVec(masks[1], 9)
+	plain, err := EncodeProbeResp(ProbeResp{Bit: 5, Span: 1, NumVecs: 64, VecMasks: masks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := ProbeResp{Bit: 5, Span: 1, NumVecs: 64, VecMasks: masks, HasArc: true, ArcLo: 0xfedcba9876543210}
+	raw, err := EncodeProbeResp(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != ProbeRespOverhead+2*MaskBytes(64) || !bytes.Equal(raw[:len(plain)], plain) {
+		t.Errorf("reply with an arc %x is not the reply without %x plus 9 bytes", raw, plain)
+	}
+	if dec, err := DecodeProbeResp(raw); err != nil || !reflect.DeepEqual(dec, resp) {
+		t.Errorf("reply with an arc decoded as %+v, %v", dec, err)
+	}
+	if dec, err := DecodeProbeResp(plain); err != nil || dec.HasArc || dec.ArcLo != 0 {
+		t.Errorf("reply without an arc decoded as %+v, %v", dec, err)
+	}
+	otherFlag := slices.Clone(raw)
+	otherFlag[len(plain)] = 2
+	for name, tc := range map[string]struct {
+		buf  []byte
+		want error
+	}{
+		"arc cut short":        {raw[:len(raw)-1], ErrShort},
+		"flag and no id":       {raw[:len(plain)+1], ErrShort},
+		"unknown flag":         {otherFlag, ErrBadMessage},
+		"zero flag":            {append(slices.Clone(plain), 0), ErrBadMessage},
+		"a byte behind":        {append(slices.Clone(raw), 0), ErrBadMessage},
+		"nine bytes of zeroes": {append(slices.Clone(plain), make([]byte, 9)...), ErrBadMessage},
+	} {
+		if err := decodeResp(tc.buf); !errors.Is(err, tc.want) {
+			t.Errorf("decode %s: err = %v, want %v", name, err, tc.want)
+		}
+	}
+}
+
 func decodeReq(b []byte) error  { _, err := DecodeProbeReq(b); return err }
 func decodeResp(b []byte) error { _, err := DecodeProbeResp(b); return err }
 

@@ -1,0 +1,37 @@
+#!/usr/bin/env bash
+# benchcheck.sh — run bench/'s own tests (bench/ is a module of its own)
+# and fail on anything but the lines listed as known below.
+#
+# Known: TestQuickPass wants netdht.lookups_per_count and
+# netdht.find_succ_rtt_us_mean above zero on a traced read_miss. Since a
+# dhsd's client remembers the ring (DESIGN.md §14 "The ring view") a warm
+# read-only window makes no lookup, so both read 0. The two names leave
+# TestQuickPass's list with the next change that may edit bench/ (ROADMAP,
+# first open item); this script then shrinks back to `go test ./...`.
+# Until then every other line of the contract — a renamed flag, log line,
+# symbol or /metrics series — fails here as it always has.
+set -uo pipefail
+
+cd "$(dirname "$0")/../bench"
+known='traced read_miss: netdht\.(lookups_per_count|find_succ_rtt_us_mean) = 0, want > 0'
+
+out=$(${GO:-go} test ./... 2>&1)
+code=$?
+printf '%s\n' "$out"
+if [ "$code" -eq 0 ]; then
+    echo "benchcheck: bench/ passes whole; the known-failure list in $0 can go" >&2
+    exit 0
+fi
+
+# What a run that failed on the known lines alone prints, and nothing else:
+# the test's header, those lines, and go test's closing FAILs. A build
+# failure, a panic or another test's failure leaves something over.
+rest=$(printf '%s\n' "$out" |
+    grep -Ev "^ +bench_test\.go:[0-9]+: ${known}\$" |
+    grep -Ev '^(--- FAIL: TestQuickPass \([0-9.]+s\)|FAIL|FAIL[[:space:]]+dhsketch/bench[[:space:]]+[0-9.]+s)$')
+if [ -n "$rest" ]; then
+    echo "benchcheck: FAIL — beyond the known lines:" >&2
+    printf '%s\n' "$rest" >&2
+    exit 1
+fi
+echo "benchcheck: ok (known: lookups_per_count and find_succ_rtt_us_mean read 0 on a warm read_miss)"

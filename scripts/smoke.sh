@@ -225,16 +225,29 @@ if [ "${hits%.*}" -eq 0 ]; then
 fi
 echo "   dhsd cache hits: $hits"
 
-# A counting scan routes a target only when its segment map does not
-# cover it (DESIGN.md §14): a handful of find_succ per fan-out on this
-# ring, where routing every target of every interval costs about 45.
+# A counting scan routes a target only when no arc the client remembers
+# covers it (DESIGN.md §14), and on a ring that is not changing every
+# lookup teaches the client at least one arc it keeps: however many
+# fan-outs ran, dhsd has made at least one lookup and at most one per
+# node. More means the view is not carried from scan to scan (about one
+# per fan-out) or not filled at all (about 45).
 lookups=$(metric_value "$LOGDIR/metrics-dhsd.prom" 'netdht_out_rpc_total{tag="find_succ"}')
 fanouts=$(metric_value "$LOGDIR/metrics-dhsd.prom" 'dhsd_fanout_seconds_count')
-if ! awk -v l="$lookups" -v f="$fanouts" 'BEGIN { exit !(f > 0 && l > 0 && l / f <= 12) }'; then
-    echo "== dhsd made $lookups find_succ lookups over $fanouts fan-outs, want 0 < lookups/fan-out <= 12" >&2
+arcs=$(metric_value "$LOGDIR/metrics-dhsd.prom" 'netdht_view_arcs')
+if ! awk -v l="$lookups" -v f="$fanouts" -v n="$NODES" 'BEGIN { exit !(f > 1 && l > 0 && l <= n) }'; then
+    echo "== dhsd made $lookups find_succ lookups over $fanouts fan-outs, want 0 < lookups <= $NODES whatever the fan-outs" >&2
     exit 1
 fi
-echo "   dhsd lookups per fan-out: $lookups / $fanouts"
+if ! awk -v a="$arcs" -v n="$NODES" 'BEGIN { exit !(a > 0 && a <= n) }'; then
+    echo "== dhsd remembers $arcs ring arcs, want 0 < arcs <= $NODES" >&2
+    exit 1
+fi
+curl -fsS --max-time 5 "http://$DHSD/statusz" >"$LOGDIR/statusz-dhsd.json"
+grep -q '"ring_view"' "$LOGDIR/statusz-dhsd.json" || {
+    echo "== dhsd /statusz does not show the ring view" >&2
+    exit 1
+}
+echo "   dhsd lookups: $lookups over $fanouts fan-outs; ring view holds $arcs arcs"
 
 # And it asks each owner once, for every position of the scan its arc
 # holds: at most one probe exchange per node and one more for the node
