@@ -10,11 +10,10 @@ vet:
 
 # lint runs the repository's custom analyzers (internal/lint) over every
 # package: determinism, maporder, dhterrors, panicmsg, lockedcopy,
-# conndeadline, lockrpc, gorolifecycle, wirebounds. Findings listed in
-# the checked-in baseline are tolerated; everything else fails the gate.
-# See DESIGN.md §10 for what each analyzer enforces and why.
+# conndeadline, lockrpc, gorolifecycle, wirebounds. Any finding fails
+# the gate. See DESIGN.md §10 for what each analyzer enforces and why.
 lint:
-	$(GO) run ./cmd/dhslint -baseline .dhslint-baseline ./...
+	$(GO) run ./cmd/dhslint ./...
 
 # fmtcheck fails if any tracked Go file is not gofmt-clean.
 fmtcheck:

@@ -53,7 +53,6 @@ func main() {
 
 	// Serving knobs.
 	cacheTTL := fs.Duration("cache-ttl", time.Second, "estimate cache lifetime (0: cache disabled)")
-	cacheShards := fs.Int("cache-shards", 0, "cache shard count, rounded up to a power of two (0: default)")
 	noCoalesce := fs.Bool("no-coalesce", false, "disable singleflight coalescing of concurrent same-metric queries")
 	maxInFlight := fs.Int("max-in-flight", 0, "concurrent ring fan-out bound (0: default)")
 	maxQueue := fs.Int("max-queue", 0, "admission queue depth (0: default 4x max-in-flight)")
@@ -80,7 +79,6 @@ func main() {
 
 	frontend := serve.New(client, serve.Config{
 		CacheTTL:     *cacheTTL,
-		CacheShards:  *cacheShards,
 		Coalesce:     !*noCoalesce,
 		MaxInFlight:  *maxInFlight,
 		MaxQueue:     *maxQueue,

@@ -6,16 +6,13 @@
 //
 // Usage:
 //
-//	dhslint [-list] [-sarif] [-baseline file] [-write-baseline file] [packages]
+//	dhslint [-list] [-sarif] [packages]
 //
 // Patterns follow the go tool's shape ("./...", "./internal/...",
 // "./cmd/dhsbench"); the default is "./...". Findings print as
 // file:line:col: analyzer: message, one per line, and a non-empty run
 // exits 1 — wire it into CI as a gate. Intentional exceptions are
-// annotated in the source with //dhslint:allow analyzer(reason); known
-// legacy findings can instead live in a checked-in baseline file
-// (-baseline to apply it, -write-baseline to regenerate it from the
-// current findings).
+// annotated in the source with //dhslint:allow analyzer(reason).
 //
 // -sarif emits the findings as a SARIF 2.1.0 log on stdout instead of
 // the text lines, for GitHub code-scanning annotations; the exit-code
@@ -36,8 +33,6 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	sarif := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
-	baselinePath := flag.String("baseline", "", "baseline file of tolerated findings to subtract")
-	writeBaseline := flag.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	flag.Parse()
 
 	if *list {
@@ -66,23 +61,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dhslint:", err)
 		os.Exit(2)
-	}
-
-	if *baselinePath != "" {
-		base, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dhslint:", err)
-			os.Exit(2)
-		}
-		diags = base.Filter(diags, loader.Root)
-	}
-	if *writeBaseline != "" {
-		if err := lint.WriteBaseline(*writeBaseline, diags, loader.Root); err != nil {
-			fmt.Fprintln(os.Stderr, "dhslint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "dhslint: wrote %d finding(s) to %s\n", len(diags), *writeBaseline)
-		return
 	}
 
 	if *sarif {

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -190,6 +191,11 @@ func runCount(args []string) {
 	if err != nil {
 		log.Fatalf("count: %v", err)
 	}
+	// re is the relative error against -expect, for either output mode.
+	var re float64
+	if *expect > 0 {
+		re = math.Abs(res.Estimate / *expect - 1)
+	}
 	if *jsonOut {
 		// The exact bytes dhsd serves for this metric: the canonical
 		// CountResult encoding, nothing merged in.
@@ -198,16 +204,8 @@ func runCount(args []string) {
 			log.Fatalf("count: encode: %v", err)
 		}
 		os.Stdout.Write(append(b, '\n'))
-		if *expect > 0 {
-			re := res.Estimate / *expect
-			if re > 1 {
-				re = re - 1
-			} else {
-				re = 1 - re
-			}
-			if re > *tol {
-				os.Exit(1)
-			}
+		if *expect > 0 && re > *tol {
+			os.Exit(1)
 		}
 		return
 	}
@@ -218,12 +216,6 @@ func runCount(args []string) {
 		fmt.Println("warning: scan lost evidence (failed probes or skipped intervals); estimate may be low")
 	}
 	if *expect > 0 {
-		re := res.Estimate / *expect
-		if re > 1 {
-			re = re - 1
-		} else {
-			re = 1 - re
-		}
 		fmt.Printf("expected=%.0f relative-error=%.3f tolerance=%.3f\n", *expect, re, *tol)
 		if re > *tol {
 			fmt.Println("FAIL: estimate outside tolerance")

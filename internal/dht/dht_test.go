@@ -6,13 +6,12 @@ import (
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/dht"
-	"dhsketch/internal/kademlia"
 	"dhsketch/internal/sim"
 )
 
 // The package is almost pure interface; these tests pin the contract
 // surface: sentinel errors are distinct and wrapped correctly, both
-// overlay implementations satisfy the interface, and Counters is a plain
+// ring implementations satisfy the interface, and Counters is a plain
 // mutable value.
 
 func TestSentinelErrors(t *testing.T) {
@@ -28,7 +27,7 @@ func TestSentinelErrors(t *testing.T) {
 func TestImplementationsSatisfyOverlay(t *testing.T) {
 	var impls = []dht.Overlay{
 		chord.New(sim.NewEnv(1), 4),
-		kademlia.New(sim.NewEnv(1), 4),
+		chord.NewStabilizing(sim.NewEnv(1), 4, chord.ProtocolConfig{}),
 	}
 	for _, o := range impls {
 		if o.Bits() != 64 {

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"go/token"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -106,72 +104,5 @@ func TestWriteSARIF(t *testing.T) {
 	}
 	if loc.Region.StartLine != 347 || loc.Region.StartColumn != 2 {
 		t.Errorf("region = %d:%d, want 347:2", loc.Region.StartLine, loc.Region.StartColumn)
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline")
-	diags := sampleDiags()
-	if err := WriteBaseline(path, diags, "/repo"); err != nil {
-		t.Fatalf("WriteBaseline: %v", err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-
-	// Every written finding is absorbed.
-	if left := b.Filter(diags, "/repo"); len(left) != 0 {
-		t.Errorf("baseline did not absorb its own findings: %d left", len(left))
-	}
-
-	// A finding not in the baseline survives, position preserved.
-	novel := Diagnostic{
-		Analyzer: "lockrpc",
-		Pos:      token.Position{Filename: "/repo/internal/netdht/peers.go", Line: 93, Column: 2},
-		Message:  "pc.mu is held across network I/O",
-	}
-	left := b.Filter(append(diags, novel), "/repo")
-	if len(left) != 1 || left[0].Pos.Filename != novel.Pos.Filename {
-		t.Errorf("novel finding not preserved: %v", left)
-	}
-
-	// Same file+message beyond the baselined count still fails.
-	dup := diags[0]
-	left = b.Filter([]Diagnostic{diags[0], dup, diags[1]}, "/repo")
-	if len(left) != 1 {
-		t.Errorf("count semantics: got %d findings, want 1 (the second duplicate)", len(left))
-	}
-}
-
-func TestBaselineComments(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "baseline")
-	content := "# a comment\n\nlockrpc\tinternal/netdht/cluster.go\tc.mu is held across network I/O\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatalf("LoadBaseline: %v", err)
-	}
-	if left := b.Filter(sampleDiags(), "/repo"); len(left) != 1 || left[0].Analyzer != "wirebounds" {
-		t.Errorf("filter with comment-bearing baseline: %v", left)
-	}
-
-	if err := os.WriteFile(path, []byte("malformed line\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBaseline(path); err == nil {
-		t.Error("malformed baseline line did not error")
-	}
-}
-
-func TestEmptyBaselinePassesEverythingThrough(t *testing.T) {
-	var b *Baseline
-	diags := sampleDiags()
-	if got := b.Filter(diags, "/repo"); len(got) != len(diags) {
-		t.Errorf("nil baseline filtered findings: %d of %d left", len(got), len(diags))
 	}
 }

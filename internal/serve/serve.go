@@ -70,10 +70,6 @@ type Config struct {
 	// CacheTTL bounds how stale a served estimate may be; 0 (or
 	// negative) disables the cache entirely.
 	CacheTTL time.Duration
-	// CacheShards is the number of cache shards (rounded up to a power
-	// of two; default 16). Sharding keeps a hot scrape or a hot metric
-	// from serializing unrelated lookups.
-	CacheShards int
 	// Coalesce enables singleflight-style sharing: concurrent Count
 	// calls for one metric ride a single ring fan-out.
 	Coalesce bool
@@ -97,14 +93,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CacheShards <= 0 {
-		c.CacheShards = 16
-	}
-	n := 1
-	for n < c.CacheShards {
-		n <<= 1
-	}
-	c.CacheShards = n
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 64
 	}
@@ -141,6 +129,10 @@ type cacheEntry struct {
 	at   time.Time
 }
 
+// cacheShards is the shard count of the estimate cache. Sharding keeps
+// a hot scrape or a hot metric from serializing unrelated lookups.
+const cacheShards = 16
+
 type cacheShard struct {
 	mu sync.Mutex
 	m  map[uint64]*cacheEntry
@@ -161,8 +153,7 @@ type Frontend struct {
 	counter Counter
 	now     func() time.Time
 
-	shards    []cacheShard
-	shardMask uint64
+	shards [cacheShards]cacheShard
 
 	sem    chan struct{} // in-flight fan-out tokens
 	queued atomic.Int64
@@ -177,14 +168,12 @@ type Frontend struct {
 func New(counter Counter, cfg Config) *Frontend {
 	cfg = cfg.withDefaults()
 	f := &Frontend{
-		cfg:       cfg,
-		counter:   counter,
-		now:       cfg.Now,
-		shards:    make([]cacheShard, cfg.CacheShards),
-		shardMask: uint64(cfg.CacheShards - 1),
-		sem:       make(chan struct{}, cfg.MaxInFlight),
-		flight:    make(map[uint64]*flightCall),
-		m:         newFEMetrics(cfg.Metrics),
+		cfg:     cfg,
+		counter: counter,
+		now:     cfg.Now,
+		sem:     make(chan struct{}, cfg.MaxInFlight),
+		flight:  make(map[uint64]*flightCall),
+		m:       newFEMetrics(cfg.Metrics),
 	}
 	for i := range f.shards {
 		f.shards[i].m = make(map[uint64]*cacheEntry)
@@ -197,7 +186,7 @@ func New(counter Counter, cfg Config) *Frontend {
 // low-entropy ids anyway) down to a shard index.
 func (f *Frontend) shardOf(metric uint64) *cacheShard {
 	h := metric * 0x9e3779b97f4a7c15
-	return &f.shards[(h>>32)&f.shardMask]
+	return &f.shards[(h>>32)%cacheShards]
 }
 
 // cacheGet returns the fresh entry for metric, or nil. An entry past
@@ -369,7 +358,7 @@ type Stats struct {
 func (f *Frontend) Stats() Stats {
 	return Stats{
 		CacheTTLMS:     f.cfg.CacheTTL.Milliseconds(),
-		CacheShards:    f.cfg.CacheShards,
+		CacheShards:    cacheShards,
 		CacheEntries:   f.CacheLen(),
 		Coalesce:       f.cfg.Coalesce,
 		MaxInFlight:    f.cfg.MaxInFlight,

@@ -53,23 +53,6 @@ func AbsRelErr(est, actual float64) float64 {
 	return math.Abs(RelErr(est, actual))
 }
 
-// RMSE returns the root-mean-square of the pairwise errors est[i]-actual[i].
-// The slices must have equal length.
-func RMSE(est, actual []float64) float64 {
-	if len(est) != len(actual) {
-		panic("stats: RMSE slice length mismatch")
-	}
-	if len(est) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range est {
-		d := est[i] - actual[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(est)))
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation between closest ranks. It does not modify xs.
 func Percentile(xs []float64, p float64) float64 {
@@ -120,26 +103,6 @@ func Min(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// LoadImbalance returns max/mean of the per-node load vector — 1.0 is a
-// perfectly balanced system; a one-node-per-counter scheme on an N-node
-// network scores N. Zero-mean vectors return 0.
-func LoadImbalance(loads []float64) float64 {
-	m := Mean(loads)
-	if m == 0 {
-		return 0
-	}
-	return Max(loads) / m
 }
 
 // Gini returns the Gini coefficient of the load vector: 0 for perfectly
@@ -199,14 +162,4 @@ func Describe(xs []float64) Distribution {
 		Max:   Max(xs),
 		Gini:  Gini(xs),
 	}
-}
-
-// IntsToFloats converts an integer load vector for use with the float
-// statistics above.
-func IntsToFloats(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
 }

@@ -46,23 +46,6 @@ func TestRelErr(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	if got := RMSE([]float64{1, 2}, []float64{1, 2}); got != 0 {
-		t.Errorf("RMSE of identical = %v", got)
-	}
-	if got := RMSE([]float64{3, 0}, []float64{0, 4}); !almost(got, 3.5355339, 1e-6) {
-		t.Errorf("RMSE = %v", got)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("RMSE length mismatch did not panic")
-			}
-		}()
-		RMSE([]float64{1}, []float64{1, 2})
-	}()
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	if got := Percentile(xs, 0); got != 15 {
@@ -100,18 +83,6 @@ func mustPanicWith(t *testing.T, msg string, f func()) {
 		}
 	}()
 	f()
-}
-
-func TestRMSEEdgeCases(t *testing.T) {
-	if got := RMSE(nil, nil); got != 0 {
-		t.Errorf("RMSE(nil, nil) = %v, want 0", got)
-	}
-	if got := RMSE([]float64{}, []float64{}); got != 0 {
-		t.Errorf("RMSE of empty slices = %v, want 0", got)
-	}
-	mustPanicWith(t, "stats: RMSE slice length mismatch", func() {
-		RMSE([]float64{1, 2}, []float64{1})
-	})
 }
 
 func TestPercentileEdgeCases(t *testing.T) {
@@ -164,26 +135,13 @@ func TestPercentileMonotone(t *testing.T) {
 	}
 }
 
-func TestMaxMinSum(t *testing.T) {
+func TestMaxMin(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
-	if Max(xs) != 7 || Min(xs) != -1 || Sum(xs) != 9 {
-		t.Errorf("Max/Min/Sum = %v/%v/%v", Max(xs), Min(xs), Sum(xs))
+	if Max(xs) != 7 || Min(xs) != -1 {
+		t.Errorf("Max/Min = %v/%v", Max(xs), Min(xs))
 	}
-	if Max(nil) != 0 || Min(nil) != 0 || Sum(nil) != 0 {
+	if Max(nil) != 0 || Min(nil) != 0 {
 		t.Error("empty-slice aggregates should be 0")
-	}
-}
-
-func TestLoadImbalance(t *testing.T) {
-	if got := LoadImbalance([]float64{5, 5, 5, 5}); !almost(got, 1, 1e-12) {
-		t.Errorf("uniform load imbalance = %v, want 1", got)
-	}
-	// All load on one of four nodes: max/mean = 4.
-	if got := LoadImbalance([]float64{20, 0, 0, 0}); !almost(got, 4, 1e-12) {
-		t.Errorf("concentrated load imbalance = %v, want 4", got)
-	}
-	if LoadImbalance([]float64{0, 0}) != 0 {
-		t.Error("zero load should give 0")
 	}
 }
 
@@ -214,13 +172,6 @@ func TestGiniRange(t *testing.T) {
 		if g < -1e-12 || g >= 1 {
 			t.Fatalf("Gini out of [0,1): %v for %v", g, loads)
 		}
-	}
-}
-
-func TestIntsToFloats(t *testing.T) {
-	got := IntsToFloats([]int{1, 2, 3})
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("IntsToFloats = %v", got)
 	}
 }
 
