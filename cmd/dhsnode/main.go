@@ -171,7 +171,8 @@ func runInsert(args []string) {
 		}
 	}
 	exchanges := reg.Histogram("netdht_out_frame_bytes", "", metrics.DefSizeBuckets, metrics.L("dir", "out")).Count()
-	log.Printf("inserted %d items under %q in %v exchanges=%d", *items, *metric, time.Since(start).Round(time.Millisecond), exchanges)
+	byView := reg.Counter("netdht_store_first_hop_total", "", metrics.L("via", "view")).Value()
+	log.Printf("inserted %d items under %q in %v exchanges=%d via=view:%d", *items, *metric, time.Since(start).Round(time.Millisecond), exchanges, byView)
 }
 
 func runCount(args []string) {

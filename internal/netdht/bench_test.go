@@ -32,7 +32,7 @@ func BenchmarkClientCountUncached(b *testing.B) {
 	for _, n := range []int{8, 32} {
 		for _, temp := range []string{"cold", "warm"} {
 			b.Run(fmt.Sprintf("n%d/%s", n, temp), func(b *testing.B) {
-				c, reg := benchClient(b, n)
+				_, c, reg := benchClient(b, n)
 				for i := 0; i < 2000; i++ {
 					if err := c.Insert(1, core.ItemID(fmt.Sprint("item-", i))); err != nil {
 						b.Fatalf("insert %d: %v", i, err)
@@ -69,42 +69,63 @@ func BenchmarkClientCountUncached(b *testing.B) {
 }
 
 // BenchmarkClientInsert is the write-side rung: one Client.Insert — the
-// routed store — against the same clusters at the same geometry. Beside
-// ns/op it reports the client's exchanges and wire bytes per insert, all
-// tags together: 1 and 30 (a 24-byte request, a 6-byte ack) until
-// something retries, where a lookup followed by a store cost 2 and 58.
+// routed store — against the same clusters at the same geometry. Two rows
+// per ring size, as for the scan: cold starts every insert from an empty
+// view, so the store enters at the first server and its ack brings a
+// neighbourhood back — what the first stores of a one-shot `dhsnode insert`
+// pay; warm sends it to the owner the view remembers, which is what a
+// long-lived writer pays. Beside ns/op they report the client's exchanges
+// and wire bytes per insert, all tags together — 1 and 30 warm (a 24-byte
+// request, a 6-byte ack) until something retries — and what the ring did
+// for it: routed/op is the servers' Routed increments, the hops the store
+// was forwarded, and handled/op the servers that handled it, the one the
+// client sent it to and one a hop (TestRoutedStoreMetered holds the servers'
+// own tag="insert" counts to that sum). Warm they are 0 and 1.
 func BenchmarkClientInsert(b *testing.B) {
 	for _, n := range []int{8, 32} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			c, reg := benchClient(b, n)
-			if err := c.Insert(1, 1); err != nil { // dial outside the timer
-				b.Fatalf("insert: %v", err)
-			}
-			x0, bytes := outExchanges(reg), wireBytes(reg)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Insert(1, uint64(i)*0x9e3779b97f4a7c15+1); err != nil {
-					b.Fatalf("insert %d: %v", i, err)
+		for _, temp := range []string{"cold", "warm"} {
+			b.Run(fmt.Sprintf("n%d/%s", n, temp), func(b *testing.B) {
+				cl, c, reg := benchClient(b, n)
+				// Fill the view and dial every owner outside the timer.
+				for i := 0; i < 16*n || len(c.View()) < n; i++ {
+					if err := c.Insert(1, core.ItemID(fmt.Sprint("warm-", i))); err != nil {
+						b.Fatalf("insert: %v", err)
+					}
 				}
-			}
-			b.StopTimer()
-			ops := float64(b.N)
-			b.ReportMetric(float64(outExchanges(reg)-x0)/ops, "exchanges/op")
-			b.ReportMetric(float64(wireBytes(reg)-bytes)/ops, "wire-B/op")
-		})
+				servers := cl.Servers()
+				x0, bytes, routed := outExchanges(reg), wireBytes(reg), routedTotal(servers)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if temp == "cold" {
+						c.view.arcs = nil
+					}
+					if err := c.Insert(1, uint64(i)*0x9e3779b97f4a7c15+1); err != nil {
+						b.Fatalf("insert %d: %v", i, err)
+					}
+				}
+				b.StopTimer()
+				ops := float64(b.N)
+				exchanges, hops := float64(outExchanges(reg)-x0), float64(routedTotal(servers)-routed)
+				b.ReportMetric(exchanges/ops, "exchanges/op")
+				b.ReportMetric(float64(wireBytes(reg)-bytes)/ops, "wire-B/op")
+				b.ReportMetric(hops/ops, "routed/op")
+				b.ReportMetric((exchanges+hops)/ops, "handled/op")
+			})
+		}
 	}
 }
 
 // benchClient starts a converged n-server loopback cluster and an
 // instrumented client entering it at the first server, at the repo
 // benchmark's geometry.
-func benchClient(b *testing.B, n int) (*Client, *metrics.Registry) {
+func benchClient(b *testing.B, n int) (*Cluster, *Client, *metrics.Registry) {
 	cl, err := NewCluster(sim.NewEnv(1), n, chord.ProtocolConfig{})
 	if err != nil {
 		b.Fatalf("NewCluster: %v", err)
 	}
 	b.Cleanup(cl.Close)
-	return storeClient(b, cl.Servers()[0].Addr(), 7)
+	c, reg := storeClient(b, cl.Servers()[0].Addr(), 7)
+	return cl, c, reg
 }
 
 // wireBytes is what a client's exchanges have moved, both directions.

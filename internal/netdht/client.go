@@ -21,8 +21,9 @@ import (
 // uses — the networked deployment has no shared core.Config to enforce
 // it, so the daemon flags default to the same values core does.
 type ClientConfig struct {
-	// Entry is the address of any ring member; all routed lookups enter
-	// the overlay there.
+	// Entry is the address of any ring member; every lookup, and every
+	// store the client's view of the ring cannot direct, enters the overlay
+	// there.
 	Entry string
 
 	// K is the bitmap length k (hash bits per item). Default 24.
@@ -95,7 +96,8 @@ type Client struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// view is the ring as the counting scans have seen it so far.
+	// view is the ring as the counting scans and the stores' acks have
+	// shown it so far.
 	view ringView
 }
 
@@ -125,7 +127,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		c.peers.m = newPoolMetrics(cfg.Metrics)
 		cfg.Metrics.GaugeFunc("netdht_peer_conns", "cached outbound peer connections",
 			func() float64 { return float64(c.peers.size()) })
-		cfg.Metrics.GaugeFunc("netdht_view_arcs", "ring arcs the counting scans remember",
+		cfg.Metrics.GaugeFunc("netdht_view_arcs", "ring arcs the client remembers",
 			func() float64 { return float64(c.view.size()) })
 	}
 	return c, nil
@@ -157,28 +159,62 @@ func (c *Client) findSucc(key uint64, flags byte) (findSuccRespMsg, error) {
 	return decodeFindSuccResp(raw)
 }
 
-// store routes key through the entry node with a tuple frame behind the
-// request, and returns the ack of the node the route ended at, which
-// stored it. Any other reply — a node that routed the key and says nothing
-// of the tuple — is an error: an unapplied store is never read as an ack.
+// store sends a tuple frame into the ring as a routed store for key and
+// returns the ack of the node the route ended at, which stored it. The view
+// picks the route's first hop and nothing more: a remembered owner of key is
+// sent the request the entry would have been sent, undelivered, and its own
+// Route decides whether the key is its own — so the ring places the tuple,
+// and a stale arc costs hops, never a misplaced write. That node gets one
+// attempt: only the view vouches for it, and the entry is there to fall back
+// on. Its ack is its word on the arc: no hops, the key is still its own;
+// hops, it routed the store on (a join in front of it) and the arc is
+// dropped; no ack, the node is taken for gone and the arc is dropped. A key
+// no arc covers goes through the entry with flagNeighbors, and the ack brings
+// the storing node's neighbourhood back for the view to learn.
 func (c *Client) store(key uint64, frame []byte) (storeAckMsg, error) {
-	raw, err := c.peers.exchangeRetry(c.cfg.Entry,
-		encodeFindSucc(findSuccMsg{key: key, store: frame}), c.cfg.Retries, c.cfg.Backoff)
+	arc, remembered := c.view.resolve(key)
+	c.peers.m.storeFirstHop(remembered)
+	if remembered {
+		ack, err := c.storeVia(arc.owner.Addr, findSuccMsg{key: key, store: frame}, 0)
+		if err != nil || ack.hops > 0 {
+			c.view.drop(arc.owner.ID)
+		}
+		if err == nil {
+			return ack, nil
+		}
+	}
+	ack, err := c.storeVia(c.cfg.Entry, findSuccMsg{flags: flagNeighbors, key: key, store: frame}, c.cfg.Retries)
+	if err == nil && ack.near != nil {
+		c.view.learn(findSuccRespMsg{owner: ack.owner, near: ack.near})
+	}
+	return ack, err
+}
+
+// storeVia is one routed store entering the ring at addr; its error names
+// addr. Any reply but a store ack — a node that routed the key and says
+// nothing of the tuple — is an error: an unapplied store is never read as an
+// ack.
+func (c *Client) storeVia(addr string, m findSuccMsg, retries int) (storeAckMsg, error) {
+	raw, err := c.peers.exchangeRetry(addr, encodeFindSucc(m), retries, c.cfg.Backoff)
+	if err == nil {
+		_, _, _, err = replyErr(raw)
+	}
+	var ack storeAckMsg
+	if err == nil {
+		ack, err = decodeStoreAck(raw)
+	}
 	if err != nil {
-		return storeAckMsg{}, err
+		return storeAckMsg{}, fmt.Errorf("via %s: %w", addr, err)
 	}
-	if _, _, _, err := replyErr(raw); err != nil {
-		return storeAckMsg{}, err
-	}
-	return decodeStoreAck(raw)
+	return ack, nil
 }
 
 // Insert records one item occurrence under metric: split the item's key
 // into (vector, bit) and send the tuple, in one routed exchange, to the
 // owner of a uniform target in the bit's interval (§3.2's one-lookup
 // insertion over the wire). The ring places the tuple when it arrives,
-// so the client keeps no owner and sends no second request; a refresh is
-// idempotent, so a hop that retries after a lost ack does no harm.
+// so the client sends no second request; a refresh is idempotent, so a
+// store that is sent again after a lost ack does no harm.
 func (c *Client) Insert(metric, itemID uint64) error {
 	vector, bit := c.geom.Split(itemID)
 	_, err := c.store(c.randomTarget(bit), wire.EncodeInsert(wire.Insert{
@@ -188,7 +224,7 @@ func (c *Client) Insert(metric, itemID uint64) error {
 		TTL:    wire.ClampTTL(c.cfg.TTL),
 	}))
 	if err != nil {
-		return fmt.Errorf("netdht: insert lookup via %s: %w", c.cfg.Entry, err)
+		return fmt.Errorf("netdht: insert lookup %w", err)
 	}
 	return nil
 }

@@ -17,6 +17,9 @@ import (
 // it the encoding is refused.
 func FuzzDecodeControl(f *testing.F) {
 	a, b := chord.Ref{ID: 1, Addr: "10.0.0.1:4000"}, chord.Ref{ID: 1 << 63, Addr: "b:2"}
+	longAck := encodeStoreAck(storeAckMsg{hops: 3, stale: 1, owner: a, near: &chord.Neighbors{Pred: b, Succ: []chord.Ref{b, a}}})
+	hugeAck := append([]byte(nil), longAck...)
+	hugeAck[storeAckLen+10+len(a.Addr)+1+10+len(b.Addr)] = 255 // the successor count
 	for _, seed := range [][]byte{
 		encodeFindSucc(findSuccMsg{flags: flagForwarded | flagDeliver, key: 42, hops: 3, stale: 1}),
 		encodeFindSucc(findSuccMsg{flags: flagNeighbors, key: 42}),
@@ -25,6 +28,16 @@ func FuzzDecodeControl(f *testing.F) {
 		encodeFindSucc(findSuccMsg{key: 42, store: wire.EncodeBulkInsert(wire.BulkInsert{Metric: 7, Bit: 2, Vectors: []uint16{1, 2}})}),
 		encodeFindSucc(findSuccMsg{key: 42, store: encodePing()}),
 		encodeStoreAck(storeAckMsg{hops: 3, stale: 1}),
+		// The long ack of a flagged store — the storing node and its
+		// neighbourhood — and its cuts: inside the ref, a successor count the
+		// frame cannot hold, a byte behind the neighbourhood.
+		longAck,
+		longAck[:storeAckLen+4],
+		longAck[:storeAckLen+10+len(a.Addr)],
+		hugeAck,
+		append(append([]byte(nil), longAck...), 0),
+		encodeStoreAck(storeAckMsg{owner: a, near: &chord.Neighbors{}}),
+		encodeStoreAck(storeAckMsg{owner: chord.Ref{ID: 7}, near: &chord.Neighbors{Succ: []chord.Ref{{ID: 7}}}}),
 		encodeFindSuccResp(findSuccRespMsg{hops: 5, stale: 2, owner: a}),
 		// The flagged reply: the owner's neighbourhood behind it.
 		encodeFindSuccResp(findSuccRespMsg{hops: 5, stale: 2, owner: a, near: &chord.Neighbors{Pred: b, Succ: []chord.Ref{b, a}}}),
@@ -82,6 +95,9 @@ func FuzzDecodeControl(f *testing.F) {
 		}
 		if m, err := decodeNeighborsResp(buf); err == nil {
 			refs = append(append(refs, m.self), m.succ...)
+		}
+		if m, err := decodeStoreAck(buf); err == nil && m.near != nil {
+			refs = append(append(refs, m.owner), m.near.Succ...)
 		}
 		for _, r := range refs {
 			if !r.Valid() {

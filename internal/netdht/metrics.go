@@ -230,6 +230,8 @@ type poolMetrics struct {
 	targetsByMap, targetsByLookup *metrics.Counter
 	// Its (interval, owner) visits, by where the owner's answer came from.
 	visitsByWire, visitsByMemo *metrics.Counter
+	// The client's stores, by who chose the node they were first sent to.
+	storesByView, storesByEntry *metrics.Counter
 
 	bytesOut *metrics.Counter
 	bytesIn  *metrics.Counter
@@ -264,6 +266,8 @@ func newPoolMetrics(reg *metrics.Registry) *poolMetrics {
 	m.targetsByLookup = reg.Counter("netdht_scan_targets_total", "counting-scan interval targets by how the owner was found", metrics.L("resolved", "lookup"))
 	m.visitsByWire = reg.Counter("netdht_scan_visits_total", "counting-scan owner visits by where the answer came from", metrics.L("served", "wire"))
 	m.visitsByMemo = reg.Counter("netdht_scan_visits_total", "counting-scan owner visits by where the answer came from", metrics.L("served", "memo"))
+	m.storesByView = reg.Counter("netdht_store_first_hop_total", "client stores by what chose their first hop", metrics.L("via", "view"))
+	m.storesByEntry = reg.Counter("netdht_store_first_hop_total", "client stores by what chose their first hop", metrics.L("via", "entry"))
 	return m
 }
 
@@ -342,6 +346,19 @@ func (m *poolMetrics) scanVisits(byWire, byMemo int) {
 	}
 	m.visitsByWire.Add(uint64(byWire))
 	m.visitsByMemo.Add(uint64(byMemo))
+}
+
+// storeFirstHop meters one client store: sent first to the owner the view
+// remembers, or to the entry.
+func (m *poolMetrics) storeFirstHop(byView bool) {
+	if m == nil {
+		return
+	}
+	if byView {
+		m.storesByView.Inc()
+	} else {
+		m.storesByEntry.Inc()
+	}
 }
 
 // ---------------------------------------------------------------------

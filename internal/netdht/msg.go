@@ -26,7 +26,7 @@ const (
 	tagPing          = 0x16 // liveness check
 	tagPong          = 0x17
 	tagStore         = 0x18 // route a key like tagFindSucc and store the enclosed tuple frame where the route ends
-	tagStoreAck      = 0x19 // terminal reply to tagStore: the tuple is stored; route cost, no owner
+	tagStoreAck      = 0x19 // terminal reply to tagStore: the tuple is stored; route cost and, to a flagged store, the storing node and its neighbourhood
 	tagErr           = 0x1F // typed failure reply
 )
 
@@ -45,7 +45,8 @@ const (
 	// without another forwarding decision.
 	flagDeliver = 1 << 1
 	// flagNeighbors asks the node the route ends at to attach its
-	// neighbourhood to the reply; only the client's counting scan sets it.
+	// neighbourhood to the reply. Only a client sets it: the counting scan on
+	// its lookups, an insert on a store it sends through the entry.
 	flagNeighbors = 1 << 2
 )
 
@@ -198,8 +199,16 @@ func checkTupleFrame(p []byte) (err error) {
 
 // storeAckMsg answers a tagStore once the tuple is in the store of the
 // node the route ended at: what the route cost, relayed back hop by hop.
-// It names no owner — nothing is sent there afterwards.
-type storeAckMsg struct{ hops, stale uint16 }
+// Nothing is sent to that node afterwards, so the ack of an unflagged store
+// names no owner and is six bytes. When the origin set flagNeighbors — a
+// client whose view did not cover the key — the storing node appends its own
+// ref and its neighbourhood, the same tag in a long layout, and the client
+// learns from it the arcs a flagged find_succ reply would have taught.
+type storeAckMsg struct {
+	hops, stale uint16
+	owner       chord.Ref        // the storing node; zero in the short layout
+	near        *chord.Neighbors // nil: the short layout
+}
 
 const storeAckLen = 6
 
@@ -209,17 +218,39 @@ func encodeStoreAck(m storeAckMsg) []byte {
 	buf[1] = tagStoreAck
 	binary.BigEndian.PutUint16(buf[2:], m.hops)
 	binary.BigEndian.PutUint16(buf[4:], m.stale)
+	if m.near != nil {
+		buf = appendNeighbors(appendRef(buf, m.owner), *m.near)
+	}
 	return buf
 }
 
+// decodeStoreAck accepts the two layouts and nothing between them: six
+// bytes, or six bytes, one ref and one whole neighbourhood with nothing
+// behind it.
 func decodeStoreAck(buf []byte) (storeAckMsg, error) {
 	if len(buf) < storeAckLen {
 		return storeAckMsg{}, wire.ErrShort
 	}
-	if buf[0] != wire.Version || buf[1] != tagStoreAck || len(buf) != storeAckLen {
+	if buf[0] != wire.Version || buf[1] != tagStoreAck {
 		return storeAckMsg{}, wire.ErrBadMessage
 	}
-	return storeAckMsg{hops: binary.BigEndian.Uint16(buf[2:]), stale: binary.BigEndian.Uint16(buf[4:])}, nil
+	m := storeAckMsg{hops: binary.BigEndian.Uint16(buf[2:]), stale: binary.BigEndian.Uint16(buf[4:])}
+	if len(buf) == storeAckLen {
+		return m, nil
+	}
+	owner, rest, err := decodeRef(buf[storeAckLen:])
+	if err != nil {
+		return storeAckMsg{}, err
+	}
+	nb, rest, err := decodeNeighbors(rest)
+	if err != nil {
+		return storeAckMsg{}, err
+	}
+	if len(rest) != 0 {
+		return storeAckMsg{}, wire.ErrBadMessage
+	}
+	m.owner, m.near = owner, &nb
+	return m, nil
 }
 
 // appendNeighbors serializes a neighbourhood: predecessor flag(1), the

@@ -137,9 +137,30 @@ func (r *refProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 	return out
 }
 
+// loadRing inserts items from..from+n-1 of the tests' item sequence under
+// metric 5 through a client of its own: a store teaches the client that
+// sends it the ring, and the counting clients under test are to meet the
+// ring, or a change to it, in their scans.
+func loadRing(t *testing.T, entry string, kind sketch.Kind, from, n int) {
+	t.Helper()
+	c, err := NewClient(ClientConfig{
+		Entry: entry, K: 16, M: 64, Kind: kind, Seed: 10,
+		DialTimeout: time.Second, RPCTimeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	defer c.Close()
+	for i := from; i < from+n; i++ {
+		if err := c.Insert(5, uint64(i)*0x9e3779b97f4a7c15+1); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+}
+
 // twinClients builds two instrumented clients of one seed at the repo
-// benchmark's geometry and has them insert half of 600 items each under
-// metric 5, so their target streams stay in step, draw for draw.
+// benchmark's geometry, their target streams in step, draw for draw, over
+// a ring holding 600 items under metric 5 that neither of them has seen.
 func twinClients(t *testing.T, entry string, kind sketch.Kind, lim int) (clients [2]*Client, regs [2]*metrics.Registry) {
 	t.Helper()
 	for i := range clients {
@@ -154,11 +175,7 @@ func twinClients(t *testing.T, entry string, kind sketch.Kind, lim int) (clients
 		t.Cleanup(c.Close)
 		clients[i] = c
 	}
-	for i := 0; i < 600; i++ {
-		if err := clients[i%2].Insert(5, uint64(i)*0x9e3779b97f4a7c15+1); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-	}
+	loadRing(t, entry, kind, 0, 600)
 	return clients, regs
 }
 
@@ -639,13 +656,15 @@ func TestFindSuccRespNeighbourhoodCodec(t *testing.T) {
 	}
 }
 
-// TestNilPoolMetricsScanTargets: the scan's per-interval hooks are
-// one-branch no-ops with metrics off, like every other pool hook.
+// TestNilPoolMetricsScanTargets: the scan's per-interval hooks, and the
+// store's, are one-branch no-ops with metrics off, like every other pool
+// hook.
 func TestNilPoolMetricsScanTargets(t *testing.T) {
 	var m *poolMetrics
 	if n := testing.AllocsPerRun(100, func() {
 		m.scanTargets(3, 2)
 		m.scanVisits(1, 4)
+		m.storeFirstHop(true)
 	}); n != 0 {
 		t.Errorf("nil poolMetrics scan hooks allocated %.1f/op, want 0", n)
 	}

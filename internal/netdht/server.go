@@ -301,7 +301,10 @@ func (s *Server) handleRequest(req []byte) []byte {
 // tagStore ends the same way, except that the node the route ends at —
 // delivered to, or finding it owns the key — stores the enclosed tuple
 // frame before it answers, after Route has returned and so never under
-// the machine's lock; every hop before it relays the ack.
+// the machine's lock, and on flagNeighbors names itself and its
+// neighbourhood in the ack; every hop before it relays the ack as it came.
+// A client that believes this node owns the key sends the store here
+// first, unflagged: Route's own (pred, self] check decides whether it does.
 func (s *Server) handleFindSucc(req []byte) []byte {
 	m, err := decodeFindSucc(req)
 	if err != nil {
@@ -319,7 +322,11 @@ func (s *Server) handleFindSucc(req []byte) []byte {
 		return encodeErr(errnoOf(f.Err), uint16(f.Hops), uint16(f.Stale))
 	}
 	if m.store != nil {
-		if f.Owner.Addr == s.addr { // a relayed ack names no owner
+		ack := storeAckMsg{hops: uint16(f.Hops), stale: uint16(f.Stale), owner: f.Owner, near: f.Near}
+		// The machine names this node, and no peer's ack does (a short one
+		// names nobody, a long one comes with a neighbourhood): the route
+		// ended here.
+		if f.Owner.Addr == s.addr && f.Near == nil {
 			apply := s.handleInsert
 			if m.store[1] == wire.TagBulkInsert {
 				apply = s.handleBulkInsert
@@ -327,8 +334,12 @@ func (s *Server) handleFindSucc(req []byte) []byte {
 			if code, _, _, err := replyErr(apply(m.store)); err != nil {
 				return encodeErr(code, uint16(f.Hops), uint16(f.Stale))
 			}
+			if near {
+				nb := s.node.Neighbors()
+				ack.near = &nb
+			}
 		}
-		return encodeStoreAck(storeAckMsg{hops: uint16(f.Hops), stale: uint16(f.Stale)})
+		return encodeStoreAck(ack)
 	}
 	if near && f.Owner.ID == s.id {
 		nb := s.node.Neighbors()
@@ -343,7 +354,7 @@ func (s *Server) handleFindSucc(req []byte) []byte {
 // that is shutting down — is how the protocol learns a peer is gone.
 type tcpPeers struct {
 	s     *Server
-	near  bool   // relaying a find_succ with flagNeighbors: forward it set
+	near  bool   // relaying a request with flagNeighbors: forward it set
 	store []byte // relaying a tagStore: the tuple frame to forward with it
 }
 
@@ -416,7 +427,7 @@ func (p tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver bo
 	}
 	if p.store != nil {
 		ack, err := decodeStoreAck(raw)
-		return chord.Found{Hops: int(ack.hops), Stale: int(ack.stale)}, err
+		return chord.Found{Owner: ack.owner, Hops: int(ack.hops), Stale: int(ack.stale), Near: ack.near}, err
 	}
 	resp, err := decodeFindSuccResp(raw)
 	if err != nil {

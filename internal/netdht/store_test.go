@@ -2,10 +2,12 @@ package netdht
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,7 +21,8 @@ import (
 )
 
 // Tests for the routed store: an insert is one exchange at the client,
-// the tuple lands where the ring's route for its target ends, and a route
+// the tuple lands where the ring's route for its target ends — whoever the
+// client's view of the ring had it send the store to first — and a route
 // that does not end in a store is never read as one.
 
 // storeClient builds a seeded, instrumented client at the repo
@@ -53,11 +56,67 @@ func tupleAt(s *Server, m wire.Insert) bool {
 	return ok && st.Has(store.Key{Metric: uint64(wire.FoldMetric(m.Metric)), Vector: int32(m.Vector), Bit: m.Bit}, s.nowFn())
 }
 
+// firstHops reads a client registry's store counters: stores sent first to
+// an owner the view remembered, and stores sent to the entry.
+func firstHops(reg *metrics.Registry) (view, entry uint64) {
+	return reg.Counter("netdht_store_first_hop_total", "", metrics.L("via", "view")).Value(),
+		reg.Counter("netdht_store_first_hop_total", "", metrics.L("via", "entry")).Value()
+}
+
+// storeTracked sends one tuple through c as a routed store for target and
+// reports whether the view chose its first hop.
+func storeTracked(c *Client, reg *metrics.Registry, target uint64, tuple wire.Insert) (ack storeAckMsg, byView bool, err error) {
+	before, _ := firstHops(reg)
+	ack, err = c.store(target, wire.EncodeInsert(tuple))
+	after, _ := firstHops(reg)
+	return ack, after != before, err
+}
+
+// insertErrors reads a client registry's failed insert exchanges and its
+// backoff retries.
+func insertErrors(reg *metrics.Registry) (failed, retries uint64) {
+	return reg.Counter("netdht_out_rpc_errors_total", "", metrics.L("tag", "insert")).Value(),
+		reg.Counter("netdht_retries_total", "").Value()
+}
+
+// onOracleOwner fails the test unless the tuple of an acknowledged store for
+// target sits on the node the membership oracle names for target.
+func onOracleOwner(t *testing.T, cl *Cluster, target uint64, tuple wire.Insert) *Server {
+	t.Helper()
+	owner, err := cl.Owner(target)
+	if err != nil {
+		t.Fatalf("Owner(%016x): %v", target, err)
+	}
+	if !tupleAt(owner.(*Server), tuple) {
+		t.Fatalf("target %016x: tuple %+v is not on owner %016x", target, tuple, owner.ID())
+	}
+	return owner.(*Server)
+}
+
+// warmStoreClient builds a storeClient and has it insert until its view
+// holds an arc for every server of the cluster.
+func warmStoreClient(t *testing.T, cl *Cluster, entry string, seed uint64) (*Client, *metrics.Registry) {
+	t.Helper()
+	c, reg := storeClient(t, entry, seed)
+	for i := 0; len(c.View()) < len(cl.Servers()); i++ {
+		if i == 400 {
+			t.Fatalf("after %d inserts the view holds %d of %d arcs", i, len(c.View()), len(cl.Servers()))
+		}
+		if err := c.Insert(1, uint64(i)*0x9e3779b97f4a7c15+1); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	return c, reg
+}
+
 // TestInsertPlacementAndBudget: on a converged ring every Insert costs
 // the client exactly one exchange, metered as an insert; the tuple sits on
 // the node the membership oracle names for the target the client drew —
-// and nowhere else; and the hops the acks report are the Routed increments
-// the inserts caused (the dhttest metering invariant, over the store).
+// and nowhere else. The first few stores of a client go through the entry
+// and come back with the neighbourhood of the node that stored them; once
+// the view covers a target the store goes straight to its owner, which acks
+// no hops and moves no Routed counter. What the cold ones cost is what
+// their acks say (the dhttest metering invariant, over the store).
 func TestInsertPlacementAndBudget(t *testing.T) {
 	const n, seed, metric = 2000, 11, 77
 	env := sim.NewEnv(31)
@@ -75,11 +134,21 @@ func TestInsertPlacementAndBudget(t *testing.T) {
 	}
 	var want []placed
 	distinct := map[[2]uint64]bool{} // (owner, vector<<8|bit)
-	routed0 := routedTotal(servers)
+	var cold int
+	var coldRouted int64
 	for i := 0; i < n; i++ {
 		item := uint64(i)*0x9e3779b97f4a7c15 + 1
+		routed0 := routedTotal(servers)
+		direct0, _ := firstHops(reg)
 		if err := c.Insert(metric, item); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
+		}
+		moved := routedTotal(servers) - routed0
+		if direct, _ := firstHops(reg); direct == direct0 {
+			cold++
+			coldRouted += moved
+		} else if moved != 0 {
+			t.Fatalf("insert %d went straight to its owner and moved Routed by %d", i, moved)
 		}
 		vector, bit := c.geom.Split(item)
 		target := c.geom.Target(replay, bit)
@@ -90,8 +159,10 @@ func TestInsertPlacementAndBudget(t *testing.T) {
 		want = append(want, placed{owner.ID(), target, wire.Insert{Metric: metric, Vector: uint16(vector), Bit: uint8(bit)}})
 		distinct[[2]uint64{owner.ID(), uint64(vector)<<8 | uint64(bit)}] = true
 	}
-	insertRouted := routedTotal(servers) - routed0
-
+	if cold == 0 || cold > len(servers) || len(c.View()) != len(servers) {
+		t.Errorf("%d of %d inserts went through the entry and left %d arcs, want at most one per server and %d arcs",
+			cold, n, len(c.View()), len(servers))
+	}
 	if outExchanges(reg) != n || outRPCs(reg, "insert") != n {
 		t.Errorf("%d inserts cost %d client exchanges (%d tagged insert), want %d of each",
 			n, outExchanges(reg), outRPCs(reg, "insert"), n)
@@ -118,23 +189,319 @@ func TestInsertPlacementAndBudget(t *testing.T) {
 		t.Errorf("store_ops = %d over the ring, want one per insert (%d)", storeOps, n)
 	}
 
-	// The same targets again, reading the acks: the route is a function
-	// of (entry, target) on a converged ring, so these cost what the
-	// inserts cost.
-	routed0 = routedTotal(servers)
-	var ackHops int64
+	// The same targets again from a second client that starts as cold,
+	// reading the acks: the same stores go through the entry, and cost what
+	// the first client's did.
+	c2, reg2 := storeClient(t, servers[0].Addr(), seed+1)
+	var coldHops int64
 	for _, w := range want {
-		ack, err := c.store(w.target, wire.EncodeInsert(w.tuple))
+		_, warm := c2.view.resolve(w.target)
+		routed0 := routedTotal(servers)
+		ack, err := c2.store(w.target, wire.EncodeInsert(w.tuple))
 		if err != nil {
 			t.Fatalf("store at %016x: %v", w.target, err)
 		}
-		if ack.stale != 0 {
-			t.Fatalf("store at %016x paid %d stale hops on a converged ring", w.target, ack.stale)
+		if moved := routedTotal(servers) - routed0; ack.stale != 0 || int64(ack.hops) != moved {
+			t.Fatalf("store at %016x: ack %+v on a converged ring, Routed moved by %d", w.target, ack, moved)
 		}
-		ackHops += int64(ack.hops)
+		if warm != (ack.near == nil) || warm && ack.hops != 0 {
+			t.Fatalf("store at %016x, view covering it %v: ack %+v; want a bare ack of no hops from a remembered owner, a neighbourhood through the entry",
+				w.target, warm, ack)
+		}
+		if !warm {
+			coldHops += int64(ack.hops)
+		}
 	}
-	if d := routedTotal(servers) - routed0; d != ackHops || insertRouted != ackHops || ackHops == 0 {
-		t.Errorf("acks report %d hops; Routed moved by %d for them and by %d for the inserts", ackHops, d, insertRouted)
+	if coldHops != coldRouted || coldHops == 0 || outExchanges(reg2) != n {
+		t.Errorf("cold acks report %d hops over %d exchanges; Routed moved by %d for the inserts' cold stores over %d",
+			coldHops, outExchanges(reg2), coldRouted, n)
+	}
+}
+
+// TestStoreSeesJoin: a node joins in front of an owner a warm client
+// remembers. The store for a key that is now the joiner's still goes to the
+// old owner, whose Route sends it on: it lands on the joiner, the ack says
+// hops, and the arc is dropped. The next store in that range goes through
+// the entry and brings the joiner's neighbourhood back; the one after goes
+// straight to the joiner.
+func TestStoreSeesJoin(t *testing.T) {
+	env := sim.NewEnv(21)
+	cl := newTestCluster(t, env, 8)
+	settleCluster(t, cl, env)
+	first := cl.Servers()[0]
+	c, reg := warmStoreClient(t, cl, first.Addr(), 5)
+
+	// The first server's arc runs over zero; a joiner between 2⁵⁶ and 2⁵⁸
+	// takes the lower part of it.
+	if arc, known := c.view.arc(first.ID()); !known || first.ID() < 1<<58 || !arc.covers(1<<56) {
+		t.Fatalf("test premise broken: warm view holds %+v (%v) of the first server %016x", arc, known, first.ID())
+	}
+	joiner, err := cl.Join(nameBetween(1<<56, 1<<58))
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	settleCluster(t, cl, env)
+	target := joiner.ID()
+
+	for step, want := range []struct{ direct, hops, arcOfFirst bool }{
+		{direct: true, hops: true},       // the old owner routes it on; its arc goes
+		{arcOfFirst: true},               // through the entry; the joiner's neighbourhood comes back
+		{direct: true, arcOfFirst: true}, // straight to the joiner
+		{direct: true, arcOfFirst: true}, // and again
+	} {
+		tuple := wire.Insert{Metric: 6, Vector: uint16(step), Bit: 1}
+		routed0 := routedTotal(cl.Servers())
+		ack, byView, err := storeTracked(c, reg, target, tuple)
+		if err != nil {
+			t.Fatalf("step %d: store: %v", step, err)
+		}
+		moved := routedTotal(cl.Servers()) - routed0
+		// A bare ack from the node the view named, a neighbourhood through
+		// the entry; hops as metered, and none from a node that owns the key.
+		if byView != want.direct || (ack.near == nil) != want.direct ||
+			int64(ack.hops) != moved || want.direct && (ack.hops > 0) != want.hops {
+			t.Errorf("step %d: first hop by view %v, ack %+v, Routed moved by %d; want %+v", step, byView, ack, moved, want)
+		}
+		if on := onOracleOwner(t, cl, target, tuple); on != joiner {
+			t.Errorf("step %d: the oracle names %016x for the joiner's own identifier", step, on.ID())
+		}
+		if arc, known := c.view.arc(first.ID()); known != want.arcOfFirst || known && arc.lo != joiner.ID() {
+			t.Errorf("step %d: view holds %+v (%v) of the first server, want known=%v from the joiner on", step, arc, known, want.arcOfFirst)
+		}
+	}
+	// The old owner keeps what is still its own, at no hops.
+	tuple := wire.Insert{Metric: 6, Vector: 9, Bit: 1}
+	if ack, err := c.store(first.ID(), wire.EncodeInsert(tuple)); err != nil || ack.hops != 0 || ack.near != nil {
+		t.Errorf("store at the first server's identifier: ack %+v, %v", ack, err)
+	}
+	if on := onOracleOwner(t, cl, first.ID(), tuple); on != first {
+		t.Errorf("the oracle names %016x for the first server's own identifier", on.ID())
+	}
+}
+
+// TestStoreDeadOwner: a remembered owner crashes. The store that finds out
+// pays one failed exchange against it — one attempt, no backoff — and
+// succeeds through the entry inside the same call; nothing is lost. The
+// stores that follow pay nothing for the dead node: they go through the
+// entry until its successor names its new predecessor, and from then on
+// straight to the successor.
+func TestStoreDeadOwner(t *testing.T) {
+	env := sim.NewEnv(47)
+	cl := newTestCluster(t, env, 8)
+	settleCluster(t, cl, env)
+	servers := cl.Servers()
+	c, reg := warmStoreClient(t, cl, servers[0].Addr(), 5)
+
+	pred, victim, heir := servers[3], servers[4], servers[5]
+	target := victim.ID()
+	cl.Crash(victim) // the ring still names it
+
+	store := func(step int, wantFailed uint64, wantDirect bool) storeAckMsg {
+		t.Helper()
+		tuple := wire.Insert{Metric: 6, Vector: uint16(step), Bit: 2}
+		failed0, retries0 := insertErrors(reg)
+		x0 := outExchanges(reg)
+		start := time.Now()
+		ack, byView, err := storeTracked(c, reg, target, tuple)
+		if took := time.Since(start); took > c.cfg.RPCTimeout {
+			t.Errorf("step %d: store took %v, past the RPC timeout", step, took)
+		}
+		if err != nil {
+			t.Fatalf("step %d: store failed with %v; live successors cover the arc", step, err)
+		}
+		failed, retries := insertErrors(reg)
+		if failed-failed0 != wantFailed || retries != retries0 || outExchanges(reg)-x0 != 1+wantFailed || byView != wantDirect {
+			t.Errorf("step %d: %d failed exchanges, %d retries, %d exchanges, first hop by view %v; want %d, 0, %d, %v",
+				step, failed-failed0, retries-retries0, outExchanges(reg)-x0, byView, wantFailed, 1+wantFailed, wantDirect)
+		}
+		if on := onOracleOwner(t, cl, target, tuple); on != heir {
+			t.Errorf("step %d: the oracle names %016x, want the victim's successor", step, on.ID())
+		}
+		return ack
+	}
+
+	if ack := store(0, 1, true); ack.stale == 0 || ack.near == nil {
+		t.Errorf("ack %+v: want the entry's route to have paid for the dead node and the heir's neighbourhood", ack)
+	}
+	if _, known := c.view.arc(victim.ID()); known {
+		t.Error("the dead node is still in the view")
+	}
+	// The heir still believes the victim precedes it: no arc covers the
+	// target, and the store goes through the entry at no failed exchange.
+	store(1, 0, false)
+
+	settleCluster(t, cl, env)
+	if ack := store(2, 0, false); ack.near == nil || ack.near.Pred.ID != pred.ID() {
+		t.Errorf("ack %+v of the settled ring does not name the heir's new predecessor %016x", ack, pred.ID())
+	}
+	if ack := store(3, 0, true); ack.hops != 0 || ack.near != nil {
+		t.Errorf("ack %+v, want a bare ack of no hops from the heir", ack)
+	}
+	if arc, known := c.view.arc(heir.ID()); !known || arc.lo != pred.ID() {
+		t.Errorf("heir's arc is %+v (%v), want it to start at %016x", arc, known, pred.ID())
+	}
+}
+
+// TestStoreUnknownPredecessor: an owner that has lost its predecessor cannot
+// say which keys are its own. A store sent straight to it is routed on, round
+// the ring and back to it; the ack says hops and the arc is dropped. As long
+// as it does not know, the neighbourhood it sends teaches no arc for it and
+// its stores stay routed; once a stabilize round has told it, one store
+// through the entry brings the arc back.
+func TestStoreUnknownPredecessor(t *testing.T) {
+	env := sim.NewEnv(21)
+	cl := newTestCluster(t, env, 8)
+	settleCluster(t, cl, env)
+	servers := cl.Servers()
+	c, reg := warmStoreClient(t, cl, servers[0].Addr(), 5)
+
+	owner := servers[4]
+	target := owner.ID() - 1
+	_, succ, fingers := owner.node.State()
+	owner.node.Seed(chord.Ref{}, succ, fingers)
+
+	for step, want := range []struct{ direct, hops, arc bool }{
+		{direct: true, hops: true}, // sent straight, routed on: the arc goes
+		{hops: true},               // through the entry: no arc comes back
+		{hops: true},
+	} {
+		tuple := wire.Insert{Metric: 6, Vector: uint16(step), Bit: 3}
+		ack, byView, err := storeTracked(c, reg, target, tuple)
+		if err != nil {
+			t.Fatalf("step %d: store: %v", step, err)
+		}
+		_, known := c.view.arc(owner.ID())
+		if byView != want.direct || (ack.hops > 0) != want.hops || known != want.arc || want.direct == (ack.near != nil) {
+			t.Errorf("step %d: first hop by view %v, ack %+v, arc known %v; want %+v", step, byView, ack, known, want)
+		}
+		if ack.near != nil && ack.near.Pred.Valid() {
+			t.Errorf("step %d: the owner names predecessor %v", step, ack.near.Pred)
+		}
+		if on := onOracleOwner(t, cl, target, tuple); on != owner {
+			t.Errorf("step %d: the oracle names %016x", step, on.ID())
+		}
+	}
+
+	sweepServers(cl.Servers(), chord.RoundStabilize)
+	if p := owner.node.Neighbors().Pred; p.ID != servers[3].ID() {
+		t.Fatalf("after a stabilize round the owner's predecessor is %v", p)
+	}
+	for step, wantDirect := range []bool{false, true} {
+		tuple := wire.Insert{Metric: 6, Vector: uint16(10 + step), Bit: 3}
+		ack, byView, err := storeTracked(c, reg, target, tuple)
+		if err != nil || byView != wantDirect || wantDirect && ack.hops != 0 {
+			t.Errorf("predecessor known, store %d: first hop by view %v, ack %+v, %v", step, byView, ack, err)
+		}
+		onOracleOwner(t, cl, target, tuple)
+	}
+}
+
+// TestStoreConcurrentChurn: four writers and four counters share one client
+// while nodes join and crash. Every call returns, the detector stays quiet,
+// and every estimate is inside the sanity envelope or says it is degraded.
+// When the ring has settled, the client — its view as the churn left it —
+// writes a metric of its own: every store is acknowledged, and every tuple
+// is on the node the oracle names for its target and nowhere else.
+func TestStoreConcurrentChurn(t *testing.T) {
+	env := sim.NewEnv(21)
+	cl := newTestCluster(t, env, 8)
+	settleCluster(t, cl, env)
+	entry := cl.Servers()[0]
+	c, reg := storeClient(t, entry.Addr(), 3)
+	const items = 800
+	write := func(from, step int) {
+		for i := from; i < items; i += step {
+			// A store routed at a node that has just died can fail; the next
+			// round makes up for it.
+			c.Insert(5, uint64(i)*0x9e3779b97f4a7c15+1)
+		}
+	}
+	write(0, 1)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var scans, rounds atomic.Int64
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				write(g, 4)
+				rounds.Add(1)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := c.Count(5)
+				if err != nil {
+					t.Errorf("Count: %v", err)
+					return
+				}
+				scans.Add(1)
+				// TestViewConcurrentChurn's envelope.
+				if re := res.Estimate/items - 1; !res.Degraded && (re > 1.5 || re < -0.75) {
+					t.Errorf("estimate %.0f (true %d) outside the envelope and not degraded: %+v", res.Estimate, items, res)
+				}
+			}
+		}()
+	}
+	for round := 0; round < 3; round++ {
+		if _, err := cl.Join(fmt.Sprint("churn-", round)); err != nil {
+			t.Errorf("Join: %v", err)
+		}
+		sweepRounds(cl)
+		servers := cl.Servers()
+		if last := servers[len(servers)-1]; last != entry {
+			cl.Crash(last)
+		}
+		sweepRounds(cl)
+	}
+	close(stop)
+	wg.Wait()
+	if scans.Load() < 4 || rounds.Load() < 4 {
+		t.Errorf("only %d scans and %d rounds of writes ran beside the churn", scans.Load(), rounds.Load())
+	}
+	settleCluster(t, cl, env)
+
+	direct0, entry0 := firstHops(reg)
+	distinct := map[[2]uint64]bool{}
+	for i := 0; i < items; i++ {
+		vector, bit := c.geom.Split(uint64(i)*0x9e3779b97f4a7c15 + 1)
+		tuple := wire.Insert{Metric: 6, Vector: uint16(vector), Bit: uint8(bit)}
+		target := c.randomTarget(bit)
+		if _, err := c.store(target, wire.EncodeInsert(tuple)); err != nil {
+			t.Fatalf("store %d at %016x on the settled ring: %v", i, target, err)
+		}
+		owner := onOracleOwner(t, cl, target, tuple)
+		distinct[[2]uint64{owner.ID(), uint64(vector)<<8 | uint64(bit)}] = true
+	}
+	stored := 0
+	for _, s := range cl.Servers() {
+		if st, ok := s.App().(*store.Store); ok {
+			for _, k := range st.Keys(s.nowFn()) {
+				if k.Metric == 6 {
+					stored++
+				}
+			}
+		}
+	}
+	if stored != len(distinct) {
+		t.Errorf("ring holds %d tuples of the last metric, want the %d distinct (owner, tuple) placements and no other", stored, len(distinct))
+	}
+	direct, viaEntry := firstHops(reg)
+	if direct-direct0 < items*9/10 {
+		t.Errorf("of %d stores on the settled ring %d went straight to an owner and %d through the entry", items, direct-direct0, viaEntry-entry0)
 	}
 }
 
@@ -188,9 +555,11 @@ func TestRoutedStoreMetered(t *testing.T) {
 		handled += regs[i].Histogram("netdht_rpc_seconds", "", metrics.DefLatencyBuckets, label).Count()
 		storeOps += s.Status().StoreOps
 	}
-	// The entry handles every insert; its peer those routed on to it.
-	if handled < n || handled > 2*n {
-		t.Errorf("servers handled %d insert frames for %d inserts", handled, n)
+	// One handling an insert, but for the lanes' first stores, which the
+	// entry may relay to its peer before the view covers the ring: the node
+	// the client sent the store to, and one more for every hop.
+	if routed := uint64(routedTotal(ring[:])); handled != n+routed || routed > 2*lanes {
+		t.Errorf("servers handled %d insert frames for %d inserts forwarded %d hops", handled, n, routed)
 	}
 	if storeOps != n {
 		t.Errorf("statusz store_ops sum to %d, want %d", storeOps, n)
@@ -442,15 +811,37 @@ func TestRoutedStoreCodec(t *testing.T) {
 	if got, err := decodeStoreAck(rawAck); err != nil || got != ack || len(rawAck) != storeAckLen {
 		t.Errorf("ack round trip: %+v, %v (%d bytes)", got, err, len(rawAck))
 	}
+	// The long layout: the storing node and its whole neighbourhood behind
+	// the same six bytes, and nothing between the two layouts.
+	a, b := chord.Ref{ID: 1, Addr: "a:1"}, chord.Ref{ID: 2, Addr: "b:2"}
+	for _, near := range []*chord.Neighbors{{Pred: b, Succ: []chord.Ref{b, a}}, {Succ: []chord.Ref{b}}, {Pred: b}, {}} {
+		long := storeAckMsg{hops: 513, stale: 2, owner: a, near: near}
+		if got, err := decodeStoreAck(encodeStoreAck(long)); err != nil || !reflect.DeepEqual(got, long) {
+			t.Errorf("long ack round trip of %+v: %+v, %v", near, got, err)
+		}
+	}
+	rawLong := encodeStoreAck(storeAckMsg{owner: a, near: &chord.Neighbors{Pred: b, Succ: []chord.Ref{b}}})
+	refEnd := storeAckLen + 10 + len(a.Addr)
+	countAt := refEnd + 1 + 10 + len(b.Addr)
+	hugeLong := append([]byte(nil), rawLong...)
+	hugeLong[countAt] = 255
 	for name, frame := range map[string][]byte{
-		"trailing byte":    append(append([]byte(nil), rawAck...), 0),
-		"truncated":        rawAck[:5],
-		"empty":            nil,
-		"plain ack":        encodeAck(true),
-		"find_succ reply":  encodeFindSuccResp(findSuccRespMsg{hops: 1, owner: chord.Ref{ID: 1, Addr: "a:1"}}),
-		"typed error":      encodeErr(errnoNoRoute, 1, 1),
-		"foreign version":  retag(rawAck, 0, wire.Version+1),
-		"the request back": with(insert),
+		"trailing byte":                  append(append([]byte(nil), rawAck...), 0),
+		"truncated":                      rawAck[:5],
+		"long: trailing byte":            append(append([]byte(nil), rawLong...), 0),
+		"long: truncated ref":            rawLong[:refEnd-1],
+		"long: ref and no neighbourhood": rawLong[:refEnd],
+		"long: missing successor count":  rawLong[:countAt],
+		"long: count beyond the frame":   hugeLong,
+		"long: truncated successor":      rawLong[:len(rawLong)-1],
+		"long: empty owner address":      append(append([]byte(nil), rawAck...), append(make([]byte, 10), 0, 0)...),
+		"long: find_succ reply's layout": retag(encodeFindSuccResp(findSuccRespMsg{owner: a}), 1, tagStoreAck),
+		"empty":                          nil,
+		"plain ack":                      encodeAck(true),
+		"find_succ reply":                encodeFindSuccResp(findSuccRespMsg{hops: 1, owner: chord.Ref{ID: 1, Addr: "a:1"}}),
+		"typed error":                    encodeErr(errnoNoRoute, 1, 1),
+		"foreign version":                retag(rawAck, 0, wire.Version+1),
+		"the request back":               with(insert),
 	} {
 		if m, err := decodeStoreAck(frame); err == nil {
 			t.Errorf("ack %s: accepted as %+v", name, m)

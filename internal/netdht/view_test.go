@@ -135,6 +135,27 @@ func TestViewCarriesAcrossScans(t *testing.T) {
 	}
 }
 
+// nameBetween finds a node name whose identifier lies in [lo, hi).
+func nameBetween(lo, hi uint64) string {
+	for i := 0; ; i++ {
+		name := fmt.Sprint("joiner-", i)
+		if id := md4.Sum64([]byte(name)); id >= lo && id < hi {
+			return name
+		}
+	}
+}
+
+// sweepRounds runs the protocol's rounds over the cluster by hand, enough of
+// them to settle a join or a crash, without advancing the virtual clock the
+// handlers read under concurrent callers.
+func sweepRounds(cl *Cluster) {
+	for i := 0; i < 6; i++ {
+		for _, round := range []chord.RoundSet{chord.RoundCheckPred, chord.RoundStabilize, chord.RoundFixFingers} {
+			sweepServers(cl.Servers(), round)
+		}
+	}
+}
+
 // TestViewSeesJoin: a node joins in front of an owner a warm client
 // remembers, and takes over the top of the scan's range. The first scan
 // after the ring has settled hears of it from the old owner's probe reply,
@@ -159,13 +180,7 @@ func TestViewSeesJoin(t *testing.T) {
 	if arc, known := clients[0].view.arc(first.ID()); !known || !arc.covers(1<<56) {
 		t.Fatalf("test premise broken: warm view holds %+v (%v) of the first server", arc, known)
 	}
-	name := ""
-	for i := 0; name == ""; i++ {
-		if id := md4.Sum64([]byte(fmt.Sprint("joiner-", i))); id >= 1<<56 && id < 1<<58 {
-			name = fmt.Sprint("joiner-", i)
-		}
-	}
-	joiner, err := cl.Join(name)
+	joiner, err := cl.Join(nameBetween(1<<56, 1<<58))
 	if err != nil {
 		t.Fatalf("Join: %v", err)
 	}
@@ -173,11 +188,7 @@ func TestViewSeesJoin(t *testing.T) {
 	if pred := first.node.Neighbors().Pred; pred.ID != joiner.ID() {
 		t.Fatalf("settled ring: first server's predecessor is %v, want the joiner", pred)
 	}
-	for i := 0; i < 4000; i++ {
-		if err := clients[i%2].Insert(5, uint64(i+600)*0x9e3779b97f4a7c15+1); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-	}
+	loadRing(t, cl.Servers()[0].Addr(), sketch.KindSuperLogLog, 600, 4000)
 	if joiner.Status().StoreTuples == 0 {
 		t.Fatal("test premise broken: no tuple landed on the joiner")
 	}
@@ -373,27 +384,18 @@ func TestViewConcurrentChurn(t *testing.T) {
 			}
 		}()
 	}
-	// The protocol's rounds, swept by hand: the virtual clock the probe
-	// handlers read is not to be advanced under them.
-	settle := func() {
-		for i := 0; i < 6; i++ {
-			for _, round := range []chord.RoundSet{chord.RoundCheckPred, chord.RoundStabilize, chord.RoundFixFingers} {
-				sweepServers(cl.Servers(), round)
-			}
-		}
-	}
 	for round := 0; round < 3; round++ {
 		if _, err := cl.Join(fmt.Sprint("churn-", round)); err != nil {
 			t.Errorf("Join: %v", err)
 		}
-		settle()
+		sweepRounds(cl)
 		refresh()
 		// Crash the last server: its arc is a share of bit 0's interval.
 		servers := cl.Servers()
 		if last := servers[len(servers)-1]; last != entry {
 			cl.Crash(last)
 		}
-		settle()
+		sweepRounds(cl)
 		refresh()
 	}
 	close(stop)

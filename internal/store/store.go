@@ -111,6 +111,13 @@ type expEntry struct {
 	v  int32
 }
 
+// valid reports whether the entry still speaks for its tuple: the bit is
+// set and at is the expiry it carries now.
+func (e expEntry) valid() bool {
+	w := int(e.v) >> 6
+	return w < len(e.lf.bits) && e.lf.bits[w]&(1<<(uint(e.v)&63)) != 0 && e.lf.exp != nil && e.lf.exp[e.v] == e.at
+}
+
 // expHeap is a min-heap of pending expiries ordered by due tick. The
 // sift operations are hand-rolled rather than container/heap's: the
 // interface-based API would box every entry on push, and Set is on the
@@ -140,24 +147,28 @@ func (h *expHeap) pop() expEntry {
 	q[0] = q[n]
 	q[n] = expEntry{} // drop the leaf reference
 	*h = q[:n]
-	q = q[:n]
-	i := 0
+	q[:n].siftDown(0)
+	return top
+}
+
+// siftDown restores the heap order below position i.
+func (h expHeap) siftDown(i int) {
+	n := len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < n && q[l].at < q[smallest].at {
+		if l < n && h[l].at < h[smallest].at {
 			smallest = l
 		}
-		if r < n && q[r].at < q[smallest].at {
+		if r < n && h[r].at < h[smallest].at {
 			smallest = r
 		}
 		if smallest == i {
-			break
+			return
 		}
-		q[i], q[smallest] = q[smallest], q[i]
+		h[i], h[smallest] = h[smallest], h[i]
 		i = smallest
 	}
-	return top
 }
 
 // Store is the per-node DHS state: the set of bits this node is
@@ -258,7 +269,15 @@ func (s *Store) leafOf(metric uint64, bit uint8) *leaf {
 	return lf
 }
 
-// Set records (or refreshes) one bit with the given expiry tick.
+// heapSlack is how far past twice the live tuples the expiry heap may grow
+// before Set compacts it.
+const heapSlack = 64
+
+// Set records (or refreshes) one bit with the given expiry tick. A finite
+// expiry has one entry in the expiry heap; a refresh to another tick leaves
+// the old entry behind, stale, and when the heap passes 2·live + heapSlack
+// the stale ones are dropped — so after any Set the heap is bounded by the
+// tuples the store holds, not by how often they were refreshed.
 func (s *Store) Set(k Key, expiry int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -267,7 +286,8 @@ func (s *Store) Set(k Key, expiry int64) {
 	w := int(k.Vector) >> 6
 	mask := uint64(1) << (uint(k.Vector) & 63)
 	lf.grow(w)
-	if lf.bits[w]&mask == 0 {
+	held := lf.bits[w]&mask != 0
+	if !held {
 		lf.bits[w] |= mask
 		s.live++
 	}
@@ -280,8 +300,38 @@ func (s *Store) Set(k Key, expiry int64) {
 	if lf.exp == nil {
 		lf.growExp()
 	}
+	if held && lf.exp[k.Vector] == expiry {
+		return // the entry that set this expiry is still in the heap
+	}
 	lf.exp[k.Vector] = expiry
 	s.due.push(expEntry{at: expiry, lf: lf, v: k.Vector})
+	if len(s.due) > 2*s.live+heapSlack {
+		s.compact()
+	}
+}
+
+// compact filters the expiry heap in place to one valid entry per tuple and
+// re-heapifies: at most live entries remain, so between two compactions lie
+// more pushes than the second one visits. A kept entry's bit is held out of
+// its leaf for the length of the pass, which makes a second valid entry for
+// the same tuple (set, collected by a read path, set again with the same
+// expiry) read as stale.
+func (s *Store) compact() {
+	kept := s.due[:0]
+	for _, e := range s.due {
+		if e.valid() {
+			e.lf.bits[e.v>>6] &^= 1 << (uint(e.v) & 63)
+			kept = append(kept, e)
+		}
+	}
+	clear(s.due[len(kept):]) // drop the leaf references
+	for _, e := range kept {
+		e.lf.bits[e.v>>6] |= 1 << (uint(e.v) & 63)
+	}
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		kept.siftDown(i)
+	}
+	s.due = kept
 }
 
 // Has reports whether the bit is present and unexpired at time now.
@@ -415,12 +465,8 @@ func (s *Store) sweep(now int64) int {
 	s.rt.Sweeps.Inc()
 	expired := 0
 	for len(s.due) > 0 && s.due[0].at < now {
-		e := s.due.pop()
-		lf := e.lf
-		w := int(e.v) >> 6
-		mask := uint64(1) << (uint(e.v) & 63)
-		if w < len(lf.bits) && lf.bits[w]&mask != 0 && lf.exp != nil && lf.exp[e.v] == e.at {
-			lf.bits[w] &^= mask
+		if e := s.due.pop(); e.valid() {
+			e.lf.bits[e.v>>6] &^= 1 << (uint(e.v) & 63)
 			expired++
 		}
 	}

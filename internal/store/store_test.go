@@ -257,6 +257,70 @@ func TestRefreshInvalidatesHeapEntry(t *testing.T) {
 	}
 }
 
+// TestExpiryHeapBounded: the expiry heap follows the tuples held, not the
+// refreshes made. A million refreshes of a thousand TTL'd tuples over a
+// thousand ticks — each tick a random thousand, so that some tuples miss
+// their refresh, expire and come back — leave the heap within its bound
+// after every Set, and the store holds, tick for tick, the tuples the
+// flat-map reference holds: the same ones expire at the same ticks.
+func TestExpiryHeapBounded(t *testing.T) {
+	const tuples, ticks = 1000, 1000
+	rng := rand.New(rand.NewPCG(5, 13))
+	s := New()
+	ref := refStore{}
+	key := func(i int) Key { return Key{Metric: uint64(i % 8), Vector: int32(i / 8 % 64), Bit: uint8(i / 512)} }
+	peak, expired := 0, 0
+	for now := int64(0); now < ticks; now++ {
+		for i := 0; i < tuples; i++ {
+			k, exp := key(rng.IntN(tuples)), now+2+int64(rng.IntN(4))
+			s.Set(k, exp)
+			ref.set(k, exp)
+			if bound := 2*s.live + heapSlack; len(s.due) > bound {
+				t.Fatalf("tick %d: heap holds %d entries for %d live tuples, bound %d", now, len(s.due), s.live, bound)
+			}
+			peak = max(peak, len(s.due))
+		}
+		before := len(ref)
+		got, want := s.Keys(now), ref.keys(now)
+		expired += before - len(want)
+		if len(got) != len(want) {
+			t.Fatalf("tick %d: %d tuples live, reference holds %d", now, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("tick %d: Keys[%d] = %v, reference %v", now, i, got[i], want[i])
+			}
+		}
+	}
+	if expired < ticks {
+		t.Errorf("test premise broken: only %d expiries in %d ticks", expired, ticks)
+	}
+	t.Logf("%d refreshes, %d expiries, heap peak %d entries", tuples*ticks, expired, peak)
+}
+
+// BenchmarkStoreSetRefresh is the write-side companion of
+// BenchmarkProbeReply: Set of a tuple the store holds, with a TTL, at the
+// rate of a refresh regime — a thousand refreshes to a tick, so most find
+// their tuple at an earlier tick's expiry and push a heap entry. The heap
+// must stay as long as the tuples are many (heap-entries/live ≤ 2 and a
+// constant), and the refresh must not allocate once it has.
+func BenchmarkStoreSetRefresh(b *testing.B) {
+	const tuples, ttl = 4096, 1200
+	s := New()
+	keys := make([]Key, tuples)
+	for i := range keys {
+		keys[i] = Key{Metric: uint64(i % 8), Vector: int32(i / 8 % 64), Bit: uint8(i / 512)}
+		s.Set(keys[i], ttl)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Set(keys[(i*2654435761)%tuples], int64(ttl+1+i/1000))
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(s.due))/float64(s.live), "heap-entries/live")
+}
+
 // BenchmarkProbeReply measures the counting probe's read path on a node
 // populated like one member of a busy 1024-node ring (8 metrics, ~40
 // tuples each). AppendBitsWithBit into a reused scratch buffer is the

@@ -117,8 +117,22 @@ for pid in "${PIDS[@]}"; do
     fi
 done
 
+# ring_sum SERIES — one /metrics series (name{labels}) summed over every node.
+ring_sum() {
+    local sum=0 i admin v
+    for i in $(seq 0 $((NODES - 1))); do
+        admin=$(wait_for_admin "$LOGDIR/node-$i.log")
+        v=$(curl -fsS --max-time 5 "http://$admin/metrics" | metric_value /dev/stdin "$1")
+        sum=$((sum + ${v%.*}))
+    done
+    echo "$sum"
+}
+
 echo "== inserting $ITEMS items"
+routed_before=$(ring_sum 'dhs_node_load{op="routed"}') # /statusz "routed"
 "$BIN" insert -entry "$ENTRY" -metric smoke -items "$ITEMS" 2>&1 | tee "$LOGDIR/insert.log"
+routed=$(($(ring_sum 'dhs_node_load{op="routed"}') - routed_before))
+handled=$(ring_sum 'netdht_rpc_requests_total{tag="insert"}')
 
 # An insert is one routed exchange at the client (DESIGN.md §14): the
 # request carries the tuple to the node the route ends at. A lookup
@@ -129,6 +143,23 @@ if ! awk -v x="${exchanges:-0}" -v n="$ITEMS" 'BEGIN { exit !(x >= n && x <= 1.1
     exit 1
 fi
 echo "   client exchanges per insert: $exchanges / $ITEMS"
+
+# And it is sent to the owner of its target once the client has heard of it
+# (DESIGN.md §14 "The ring view"): all but the first few stores of the run
+# go by the view, and one node handles each. Every store entering at the
+# bootstrap reads about 2.25 x ITEMS handlings here. The ring's forwarded
+# hops meanwhile are printed, not asserted: on an idle ring the fix-fingers
+# rounds alone forward over a thousand a second.
+via_view=$(sed -n 's/.* via=view:\([0-9]*\).*/\1/p' "$LOGDIR/insert.log" | tail -n1)
+if [ "${via_view:-0}" -eq 0 ]; then
+    echo "== no store of the run was sent by the client's view of the ring" >&2
+    exit 1
+fi
+if ! awk -v h="$handled" -v n="$ITEMS" 'BEGIN { exit !(h >= n && h <= 1.1 * n) }'; then
+    echo "== the ring handled $handled store requests for $ITEMS inserts, want $ITEMS <= handled <= 1.1 x $ITEMS" >&2
+    exit 1
+fi
+echo "   stores sent by the view: $via_view / $ITEMS; nodes handling an insert: $handled / $ITEMS; hops forwarded meanwhile: $routed"
 
 echo "== counting (expect $ITEMS, tol $TOL)"
 "$BIN" count -entry "$ENTRY" -metric smoke -expect "$ITEMS" -tol "$TOL" | tee "$LOGDIR/count.log"
