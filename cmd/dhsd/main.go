@@ -68,6 +68,7 @@ func main() {
 	}
 
 	reg := metrics.New()
+	reg.RegisterRuntime()
 	client, err := netdht.NewClient(netdht.ClientConfig{
 		Entry: *entry,
 		K:     *k, M: *m, Kind: kind, Lim: *lim, Seed: *seed,

@@ -105,6 +105,7 @@ func runServe(args []string) {
 	var reg *metrics.Registry
 	if *admin != "" {
 		reg = metrics.New()
+		reg.RegisterRuntime()
 	}
 	s, err := netdht.NewServer(*listen, netdht.Options{
 		Name:     *name,

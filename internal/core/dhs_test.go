@@ -391,13 +391,14 @@ func TestShiftSpreadsBitOverMoreNodes(t *testing.T) {
 		byBit := map[uint8]map[uint64]bool{}
 		for _, node := range ring.Nodes() {
 			if s, ok := node.App().(*Store); ok {
-				for bit := uint8(0); bit <= 20; bit++ {
-					if len(s.VectorsWithBit(metric, bit, 0)) > 0 {
-						if byBit[bit] == nil {
-							byBit[bit] = map[uint64]bool{}
-						}
-						byBit[bit][node.ID()] = true
+				for _, k := range s.Keys(0) {
+					if k.Metric != metric {
+						continue
 					}
+					if byBit[k.Bit] == nil {
+						byBit[k.Bit] = map[uint64]bool{}
+					}
+					byBit[k.Bit][node.ID()] = true
 				}
 			}
 		}

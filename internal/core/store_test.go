@@ -46,13 +46,9 @@ func TestStoreVectorsWithBit(t *testing.T) {
 	s.Set(TupleKey{Metric: 8, Vector: 1, Bit: 4}, 100) // different metric
 	s.Set(TupleKey{Metric: 7, Vector: 9, Bit: 4}, 10)  // will expire
 
-	got := s.VectorsWithBit(7, 4, 50)
-	seen := map[int32]bool{}
-	for _, v := range got {
-		seen[v] = true
-	}
-	if len(got) != 2 || !seen[0] || !seen[3] {
-		t.Errorf("VectorsWithBit = %v, want {0,3}", got)
+	// The probe answer is the leaf's bit words: vectors 0 and 3 of word 0.
+	if got := s.AppendBitsWithBit(nil, 7, 4, 50); len(got) != 1 || got[0] != 1<<0|1<<3 {
+		t.Errorf("AppendBitsWithBit = %b, want vectors {0,3}", got)
 	}
 }
 

@@ -239,12 +239,8 @@ func TestRecordBulkMatchesRecord(t *testing.T) {
 			if !ok {
 				continue
 			}
-			for _, m := range spec.Metrics() {
-				for bit := 0; bit <= 20; bit++ {
-					for _, v := range st.VectorsWithBit(m, uint8(bit), 0) {
-						set[fmt.Sprintf("%d/%d/%d", m, v, bit)] = true
-					}
-				}
+			for _, k := range st.Keys(0) { // the ring holds the spec's metrics and nothing else
+				set[fmt.Sprintf("%d/%d/%d", k.Metric, k.Vector, k.Bit)] = true
 			}
 		}
 		return set

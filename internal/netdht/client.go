@@ -103,7 +103,10 @@ type Client struct {
 
 // NewClient validates the configuration and prepares the connection
 // pool; no connection is made until the first operation.
-func NewClient(cfg ClientConfig) (*Client, error) {
+func NewClient(cfg ClientConfig) (*Client, error) { return newClient(cfg, DefaultPeerConns) }
+
+// newClient is NewClient at a pool width of the caller's choosing.
+func newClient(cfg ClientConfig, peerConns int) (*Client, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Entry == "" {
 		return nil, fmt.Errorf("netdht: client needs an entry address")
@@ -120,7 +123,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		cfg:   cfg,
 		geom:  geom,
-		peers: newPeerPool(cfg.DialTimeout, cfg.RPCTimeout, DefaultPeerConns),
+		peers: newPeerPool(cfg.DialTimeout, cfg.RPCTimeout, peerConns),
 		rng:   rand.New(rand.NewPCG(cfg.Seed, 0x6a09e667f3bcc908)),
 	}
 	if cfg.Metrics != nil {
@@ -148,8 +151,9 @@ func (c *Client) randomTarget(bit uint) uint64 {
 // reply: the owner and, with flagNeighbors, its neighbourhood. The entry
 // makes the first routing decision, so the client needs no ring topology.
 func (c *Client) findSucc(key uint64, flags byte) (findSuccRespMsg, error) {
+	var req, reply [rpcScratch]byte
 	raw, err := c.peers.exchangeRetry(c.cfg.Entry,
-		encodeFindSucc(findSuccMsg{flags: flags, key: key}), c.cfg.Retries, c.cfg.Backoff)
+		appendFindSucc(req[:0], findSuccMsg{flags: flags, key: key}), reply[:0], c.cfg.Retries, c.cfg.Backoff)
 	if err != nil {
 		return findSuccRespMsg{}, err
 	}
@@ -195,7 +199,8 @@ func (c *Client) store(key uint64, frame []byte) (storeAckMsg, error) {
 // nothing of the tuple — is an error: an unapplied store is never read as an
 // ack.
 func (c *Client) storeVia(addr string, m findSuccMsg, retries int) (storeAckMsg, error) {
-	raw, err := c.peers.exchangeRetry(addr, encodeFindSucc(m), retries, c.cfg.Backoff)
+	var req, reply [rpcScratch]byte
+	raw, err := c.peers.exchangeRetry(addr, appendFindSucc(req[:0], m), reply[:0], retries, c.cfg.Backoff)
 	if err == nil {
 		_, _, _, err = replyErr(raw)
 	}
@@ -217,7 +222,8 @@ func (c *Client) storeVia(addr string, m findSuccMsg, retries int) (storeAckMsg,
 // store that is sent again after a lost ack does no harm.
 func (c *Client) Insert(metric, itemID uint64) error {
 	vector, bit := c.geom.Split(itemID)
-	_, err := c.store(c.randomTarget(bit), wire.EncodeInsert(wire.Insert{
+	var tuple [16]byte
+	_, err := c.store(c.randomTarget(bit), wire.AppendInsert(tuple[:0], wire.Insert{
 		Metric: metric,
 		Vector: uint16(vector),
 		Bit:    uint8(bit),
@@ -470,17 +476,22 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 // its positions one mask of ⌈m/8⌉ bytes per metric. A peer built with a
 // different m, one that answers a run with a single position, or a
 // hostile one, fails the probe here instead of indexing out of range in
-// the scan.
+// the scan. A scan keeps an owner's masks for its whole life, longer than
+// any connection keeps a frame: the exchange is asked for a copy of the
+// reply that is the scan's own (nil: a fresh slice, made while the slot is
+// still held), and the masks are decoded in place in that copy — one copy
+// per owner, and the only frame bytes this package keeps.
 func (c *Client) probe(addr string, req wire.ProbeReq) (wire.ProbeResp, error) {
-	frame, err := wire.EncodeProbeReq(req)
+	var scratch [rpcScratch]byte
+	frame, err := wire.AppendProbeReq(scratch[:0], req)
 	if err != nil {
 		return wire.ProbeResp{}, err
 	}
-	raw, err := c.peers.exchangeRetry(addr, frame, c.cfg.Retries, c.cfg.Backoff)
+	raw, err := c.peers.exchangeRetry(addr, frame, nil, c.cfg.Retries, c.cfg.Backoff)
 	if err != nil {
 		return wire.ProbeResp{}, err
 	}
-	resp, err := wire.DecodeProbeResp(raw)
+	resp, err := wire.DecodeProbeRespInPlace(raw)
 	if err != nil {
 		return wire.ProbeResp{}, err
 	}
@@ -526,7 +537,8 @@ func (r *maskReply) AppendVectors(dst []uint64, metric uint64) []uint64 {
 
 // Ping checks that the entry node answers.
 func (c *Client) Ping() error {
-	raw, err := c.peers.exchangeRetry(c.cfg.Entry, encodePing(), c.cfg.Retries, c.cfg.Backoff)
+	var reply [rpcScratch]byte
+	raw, err := c.peers.exchangeRetry(c.cfg.Entry, pingFrame, reply[:0], c.cfg.Retries, c.cfg.Backoff)
 	if err != nil {
 		return err
 	}

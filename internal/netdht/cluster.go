@@ -150,7 +150,7 @@ func (c *Cluster) RouteFrom(src dht.Node, key uint64) (dht.Route, error) {
 	if c.Size() == 0 {
 		return dht.Route{}, dht.ErrNoRoute
 	}
-	f := s.node.Route(tcpPeers{s: s}, key, 0, 0)
+	f := s.node.Route(&tcpPeers{s: s}, key, 0, 0)
 	rt := dht.Route{Hops: f.Hops, Stale: f.Stale}
 	if f.Err != nil {
 		return rt, f.Err

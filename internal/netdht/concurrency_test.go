@@ -31,12 +31,13 @@ func fakePeer(t *testing.T, handle func(self string, req []byte) []byte) string 
 			}
 			go func() {
 				defer c.Close()
+				var req []byte
 				for {
-					req, err := readFrame(c)
-					if err != nil {
+					var err error
+					if req, err = readFrame(c, req); err != nil {
 						return
 					}
-					if err := writeFrame(c, handle(self, req)); err != nil {
+					if err := writeFrame(c, framed(handle(self, req))); err != nil {
 						return
 					}
 				}
@@ -73,7 +74,7 @@ func TestPeerPoolParallelExchanges(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := p.exchange(addr, encodePing()); err != nil {
+				if _, err := p.exchange(addr, pingFrame, nil); err != nil {
 					t.Errorf("exchange: %v", err)
 				}
 			}()
@@ -101,7 +102,7 @@ func TestPeerPoolRespectsWidth(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.exchange(addr, encodePing()); err != nil {
+			if _, err := p.exchange(addr, pingFrame, nil); err != nil {
 				t.Errorf("exchange: %v", err)
 			}
 		}()

@@ -16,45 +16,88 @@ import (
 // ⌈m/8⌉ bytes; 1 MiB covers every configuration this repository runs
 // while keeping a garbage length prefix from ballooning into a
 // gigabyte allocation.
+//
+// Frames are read into and built in buffers that belong to a connection:
+// an accepted connection (inbound) and an outbound pool slot (peerConn)
+// each own one for reading and one for writing, reused from one exchange
+// to the next. The one rule that follows: a frame is valid until the next
+// read on its connection. Whatever must outlive that is copied out by the
+// connection's owner before it lets go — peerPool.exchange hands its caller
+// a copy of the reply before the slot is released, and nothing else keeps
+// frame bytes (DESIGN.md §14 "Framing and codecs").
 const maxFrame = 1 << 20
+
+// keepFrame is the most buffer a connection holds on to between frames. A
+// frame may need up to maxFrame; once it has been handled, a buffer that
+// grew beyond keepFrame for it is dropped, so that one large reply does not
+// pin a megabyte for the connection's idle life. Ordinary frames — stores,
+// lookups, a scan's probe replies at any m this repository runs — are far
+// below it and never reallocate.
+const keepFrame = 64 << 10
+
+// frameBufMin is what a connection's read buffer starts at: room for the
+// length prefix and for every ordinary request without a second allocation.
+const frameBufMin = 256
 
 var (
 	errFrameTooBig = errors.New("netdht: frame exceeds size bound")
 	errEmptyFrame  = errors.New("netdht: empty frame")
 )
 
-// writeFrame sends one length-prefixed payload. Header and payload go
-// out in a single Write so a frame is one TCP send on the common path.
-// The size bound is enforced symmetrically: a payload the remote reader
-// is guaranteed to refuse fails here, before any bytes move.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrame {
+// beginFrame empties buf and reserves the length prefix; the payload is
+// appended behind it and writeFrame sends the two together.
+func beginFrame(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
+
+// writeFrame sends the frame built in frame (beginFrame, then the payload
+// appended). Header and payload go out in a single Write so a frame is one
+// TCP send on the common path. The size bound is enforced symmetrically: a
+// payload the remote reader is guaranteed to refuse fails here, before any
+// bytes move.
+func writeFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - 4
+	if n > maxFrame {
 		return errFrameTooBig
 	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := w.Write(buf)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
 
-// readFrame receives one length-prefixed payload, refusing oversized
-// and empty frames before allocating.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// readFrame receives one length-prefixed payload into buf's memory and
+// returns it — buf again, or a larger buffer when the frame needed one,
+// which the caller keeps in buf's place. Oversized and empty frames are
+// refused before anything grows. The payload is valid until the next
+// readFrame into the same buffer; on error the buffer comes back empty.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	if cap(buf) < frameBufMin {
+		buf = make([]byte, frameBufMin)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return buf[:0], err
+	}
+	n := binary.BigEndian.Uint32(hdr)
 	if n == 0 {
-		return nil, errEmptyFrame
+		return buf[:0], errEmptyFrame
 	}
 	if n > maxFrame {
-		return nil, errFrameTooBig
+		return buf[:0], errFrameTooBig
 	}
-	buf := make([]byte, n)
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+		return buf[:0], err
 	}
 	return buf, nil
+}
+
+// trimFrame is applied to a connection's buffer once its frame has been
+// handled: a buffer that grew beyond keepFrame is let go.
+func trimFrame(buf []byte) []byte {
+	if cap(buf) > keepFrame {
+		return nil
+	}
+	return buf
 }

@@ -1,6 +1,9 @@
 package netdht
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
 	"reflect"
 	"testing"
 
@@ -128,4 +131,71 @@ func fixpoint[M any](t *testing.T, buf []byte, dec func([]byte) (M, error), enc 
 	if _, err := dec(append(raw, 0)); err == nil {
 		t.Fatalf("%T accepted with a byte of junk behind it", m)
 	}
+}
+
+// FuzzReadFrame feeds an arbitrary byte stream to readFrame, frame after
+// frame into one reused buffer the way a connection reads. Whatever the
+// stream, readFrame must not panic; a frame it yields is exactly as long as
+// its prefix declared — never 0, never more than maxFrame — and holds the
+// stream's bytes behind that prefix; what it refuses, it refuses for the
+// reason the prefix gives; and a buffer that has carried other frames
+// decides nothing: a fresh buffer for every frame reads the same frames and
+// ends on the same error.
+func FuzzReadFrame(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(framed(encodePing()))
+	f.Add(append(framed(encodeErr(errnoBad, 1, 2)), framed(encodePong())...))
+	f.Add(append(framed(make([]byte, 2*frameBufMin)), framed(encodePing())...)) // grows the buffer, then reuses it
+	f.Add([]byte{0, 0, 0, 0, 1})                                                // empty frame
+	f.Add([]byte{0, 0x10, 0, 1, 1})                                             // maxFrame + 1
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{0, 0, 0, 8, 1, 2}) // cut short
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		reused, fresh := bytes.NewReader(stream), bytes.NewReader(stream)
+		var buf []byte
+		for off := 0; ; {
+			var err error
+			buf, err = readFrame(reused, buf)
+			other, ferr := readFrame(fresh, nil)
+			if (err == nil) != (ferr == nil) || err != nil && err.Error() != ferr.Error() || !bytes.Equal(buf, other) {
+				t.Fatalf("offset %d: reused buffer read %d bytes (%v), fresh buffer %d bytes (%v)", off, len(buf), err, len(other), ferr)
+			}
+			var declared uint32
+			if len(stream)-off >= 4 {
+				declared = binary.BigEndian.Uint32(stream[off:])
+			}
+			if err != nil {
+				switch {
+				case len(stream)-off < 4:
+					if err != io.EOF && err != io.ErrUnexpectedEOF {
+						t.Fatalf("offset %d: a cut prefix gave %v", off, err)
+					}
+				case declared == 0:
+					if err != errEmptyFrame {
+						t.Fatalf("offset %d: an empty frame gave %v", off, err)
+					}
+				case declared > maxFrame:
+					if err != errFrameTooBig {
+						t.Fatalf("offset %d: a prefix of %d gave %v", off, declared, err)
+					}
+				default:
+					if err != io.EOF && err != io.ErrUnexpectedEOF || len(stream)-off-4 >= int(declared) {
+						t.Fatalf("offset %d: a whole frame of %d bytes gave %v", off, declared, err)
+					}
+				}
+				if len(buf) != 0 {
+					t.Fatalf("offset %d: %d bytes came back with the error %v", off, len(buf), err)
+				}
+				return
+			}
+			if len(buf) != int(declared) || declared == 0 || declared > maxFrame {
+				t.Fatalf("offset %d: prefix declares %d, frame has %d bytes", off, declared, len(buf))
+			}
+			if !bytes.Equal(buf, stream[off+4:off+4+len(buf)]) {
+				t.Fatalf("offset %d: frame is not the stream's bytes", off)
+			}
+			off += 4 + len(buf)
+			buf = trimFrame(buf)
+		}
+	})
 }

@@ -1,0 +1,32 @@
+package netdht
+
+import (
+	"bytes"
+
+	"dhsketch/internal/chord"
+)
+
+// The codecs as the tests like them: each message in a slice of its own.
+// The package itself only appends into a connection's buffer or a caller's
+// scratch; these are those same encoders with nil for the buffer.
+
+func encodeFindSucc(m findSuccMsg) []byte         { return appendFindSucc(nil, m) }
+func encodeStoreAck(m storeAckMsg) []byte         { return appendStoreAck(nil, m) }
+func encodeFindSuccResp(m findSuccRespMsg) []byte { return appendFindSuccResp(nil, m) }
+func encodeNeighborsResp(m neighborsRespMsg) []byte {
+	return appendNeighborsResp(nil, m)
+}
+func encodeNotify(self chord.Ref) []byte             { return appendNotify(nil, self) }
+func encodeAck(changed bool) []byte                  { return appendAck(nil, changed) }
+func encodeErr(code byte, hops, stale uint16) []byte { return appendErr(nil, code, hops, stale) }
+func encodePing() []byte                             { return bytes.Clone(pingFrame) }
+func encodePong() []byte                             { return bytes.Clone(pongFrame) }
+
+// framed is payload as writeFrame takes it: behind its length prefix.
+func framed(payload []byte) []byte { return append(beginFrame(nil), payload...) }
+
+// dispatch answers req as a connection of its own would, and returns the
+// reply's payload in memory of its own.
+func (s *Server) dispatch(req []byte) []byte {
+	return bytes.Clone(s.newInbound().dispatch(req)[4:])
+}

@@ -15,7 +15,11 @@ import (
 // control tags start at 0x10 so the two namespaces can never collide,
 // and every control message keeps wire's layout conventions: version
 // byte first, tag second, fixed-width big-endian integers. A control frame
-// ends where its message does: every decoder refuses bytes behind it.
+// ends where its message does: every decoder refuses bytes behind it. Every
+// encoder appends to a buffer the caller names — a connection's write
+// buffer, or a few bytes of the caller's stack — and every decoder returns
+// values that share nothing with the frame (a ref's address is copied into
+// its string), so a decoded message outlives the buffer it arrived in.
 const (
 	tagFindSucc      = 0x10 // route a key toward its owner
 	tagFindSuccResp  = 0x11 // terminal reply: the owner plus route cost
@@ -136,18 +140,16 @@ type findSuccMsg struct {
 
 const findSuccHeader = 15
 
-func encodeFindSucc(m findSuccMsg) []byte {
-	buf := make([]byte, findSuccHeader, findSuccHeader+len(m.store))
-	buf[0] = wire.Version
-	buf[1] = tagFindSucc
+func appendFindSucc(dst []byte, m findSuccMsg) []byte {
+	tag := byte(tagFindSucc)
 	if m.store != nil {
-		buf[1] = tagStore
+		tag = tagStore
 	}
-	buf[2] = m.flags
-	binary.BigEndian.PutUint64(buf[3:], m.key)
-	binary.BigEndian.PutUint16(buf[11:], m.hops)
-	binary.BigEndian.PutUint16(buf[13:], m.stale)
-	return append(buf, m.store...)
+	dst = append(dst, wire.Version, tag, m.flags)
+	dst = binary.BigEndian.AppendUint64(dst, m.key)
+	dst = binary.BigEndian.AppendUint16(dst, m.hops)
+	dst = binary.BigEndian.AppendUint16(dst, m.stale)
+	return append(dst, m.store...)
 }
 
 func decodeFindSucc(buf []byte) (findSuccMsg, error) {
@@ -174,7 +176,7 @@ func decodeFindSucc(buf []byte) (findSuccMsg, error) {
 }
 
 // insertFrameLen is the one length a wire.TagInsert frame has.
-var insertFrameLen = len(wire.EncodeInsert(wire.Insert{}))
+var insertFrameLen = len(wire.AppendInsert(nil, wire.Insert{}))
 
 // checkTupleFrame admits as a routed store's payload exactly one
 // data-plane tuple frame and nothing behind it: the storing node hands
@@ -212,16 +214,14 @@ type storeAckMsg struct {
 
 const storeAckLen = 6
 
-func encodeStoreAck(m storeAckMsg) []byte {
-	buf := make([]byte, storeAckLen)
-	buf[0] = wire.Version
-	buf[1] = tagStoreAck
-	binary.BigEndian.PutUint16(buf[2:], m.hops)
-	binary.BigEndian.PutUint16(buf[4:], m.stale)
+func appendStoreAck(dst []byte, m storeAckMsg) []byte {
+	dst = append(dst, wire.Version, tagStoreAck)
+	dst = binary.BigEndian.AppendUint16(dst, m.hops)
+	dst = binary.BigEndian.AppendUint16(dst, m.stale)
 	if m.near != nil {
-		buf = appendNeighbors(appendRef(buf, m.owner), *m.near)
+		dst = appendNeighbors(appendRef(dst, m.owner), *m.near)
 	}
-	return buf
+	return dst
 }
 
 // decodeStoreAck accepts the two layouts and nothing between them: six
@@ -306,17 +306,15 @@ type findSuccRespMsg struct {
 	near  *chord.Neighbors // nil: the short, unflagged layout
 }
 
-func encodeFindSuccResp(m findSuccRespMsg) []byte {
-	buf := make([]byte, 6, 16+len(m.owner.Addr))
-	buf[0] = wire.Version
-	buf[1] = tagFindSuccResp
-	binary.BigEndian.PutUint16(buf[2:], m.hops)
-	binary.BigEndian.PutUint16(buf[4:], m.stale)
-	buf = appendRef(buf, m.owner)
+func appendFindSuccResp(dst []byte, m findSuccRespMsg) []byte {
+	dst = append(dst, wire.Version, tagFindSuccResp)
+	dst = binary.BigEndian.AppendUint16(dst, m.hops)
+	dst = binary.BigEndian.AppendUint16(dst, m.stale)
+	dst = appendRef(dst, m.owner)
 	if m.near != nil {
-		buf = appendNeighbors(buf, *m.near)
+		dst = appendNeighbors(dst, *m.near)
 	}
-	return buf
+	return dst
 }
 
 func decodeFindSuccResp(buf []byte) (findSuccRespMsg, error) {
@@ -352,13 +350,18 @@ type neighborsRespMsg struct {
 	succ []chord.Ref
 }
 
-func encodeNeighborsReq() []byte { return []byte{wire.Version, tagNeighbors} }
+// The three messages that are a tag and nothing else. They are only ever
+// copied from — into a slot's write buffer as a request, behind a reply's
+// length prefix — and never written to.
+var (
+	neighborsReqFrame = []byte{wire.Version, tagNeighbors}
+	pingFrame         = []byte{wire.Version, tagPing}
+	pongFrame         = []byte{wire.Version, tagPong}
+)
 
-func encodeNeighborsResp(m neighborsRespMsg) []byte {
-	buf := make([]byte, 2, 64)
-	buf[0] = wire.Version
-	buf[1] = tagNeighborsResp
-	return appendNeighbors(appendRef(buf, m.self), chord.Neighbors{Pred: m.pred, Succ: m.succ})
+func appendNeighborsResp(dst []byte, m neighborsRespMsg) []byte {
+	dst = append(dst, wire.Version, tagNeighborsResp)
+	return appendNeighbors(appendRef(dst, m.self), chord.Neighbors{Pred: m.pred, Succ: m.succ})
 }
 
 func decodeNeighborsResp(buf []byte) (neighborsRespMsg, error) {
@@ -382,11 +385,8 @@ func decodeNeighborsResp(buf []byte) (neighborsRespMsg, error) {
 	return m, err
 }
 
-func encodeNotify(self chord.Ref) []byte {
-	buf := make([]byte, 2, 16+len(self.Addr))
-	buf[0] = wire.Version
-	buf[1] = tagNotify
-	return appendRef(buf, self)
+func appendNotify(dst []byte, self chord.Ref) []byte {
+	return appendRef(append(dst, wire.Version, tagNotify), self)
 }
 
 func decodeNotify(buf []byte) (chord.Ref, error) {
@@ -403,15 +403,15 @@ func decodeNotify(buf []byte) (chord.Ref, error) {
 	return r, err
 }
 
-// encodeAck's changed flag reports whether the request mutated the
+// appendAck's changed flag reports whether the request mutated the
 // receiver's protocol state — the stabilizing caller folds it into its
 // own change accounting, which drives convergence detection.
-func encodeAck(changed bool) []byte {
+func appendAck(dst []byte, changed bool) []byte {
 	b := byte(0)
 	if changed {
 		b = 1
 	}
-	return []byte{wire.Version, tagAck, b}
+	return append(dst, wire.Version, tagAck, b)
 }
 
 func decodeAck(buf []byte) (changed bool, err error) {
@@ -424,20 +424,13 @@ func decodeAck(buf []byte) (changed bool, err error) {
 	return buf[2] != 0, nil
 }
 
-func encodePing() []byte { return []byte{wire.Version, tagPing} }
-func encodePong() []byte { return []byte{wire.Version, tagPong} }
-
-// encodeErr carries a typed failure back to the requester, with the
+// appendErr carries a typed failure back to the requester, with the
 // partial route cost so the caller can meter dropped traffic exactly
 // like the simulated rings do.
-func encodeErr(code byte, hops, stale uint16) []byte {
-	buf := make([]byte, 7)
-	buf[0] = wire.Version
-	buf[1] = tagErr
-	buf[2] = code
-	binary.BigEndian.PutUint16(buf[3:], hops)
-	binary.BigEndian.PutUint16(buf[5:], stale)
-	return buf
+func appendErr(dst []byte, code byte, hops, stale uint16) []byte {
+	dst = append(dst, wire.Version, tagErr, code)
+	dst = binary.BigEndian.AppendUint16(dst, hops)
+	return binary.BigEndian.AppendUint16(dst, stale)
 }
 
 func decodeErr(buf []byte) (code byte, hops, stale uint16, err error) {

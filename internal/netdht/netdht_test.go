@@ -66,10 +66,10 @@ func TestClusterContracts(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte{1, 2, 3, 250}
-	if err := writeFrame(&buf, payload); err != nil {
+	if err := writeFrame(&buf, framed(payload)); err != nil {
 		t.Fatalf("writeFrame: %v", err)
 	}
-	got, err := readFrame(&buf)
+	got, err := readFrame(&buf, nil)
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
 	}
@@ -79,22 +79,22 @@ func TestFrameRoundTrip(t *testing.T) {
 
 	// Empty frame.
 	var empty bytes.Buffer
-	if err := writeFrame(&empty, nil); err != nil {
+	if err := writeFrame(&empty, framed(nil)); err != nil {
 		t.Fatalf("writeFrame(empty): %v", err)
 	}
-	if _, err := readFrame(&empty); err != errEmptyFrame {
+	if _, err := readFrame(&empty, nil); err != errEmptyFrame {
 		t.Fatalf("empty frame: err = %v, want errEmptyFrame", err)
 	}
 
 	// Oversized declared length must be refused before allocation.
 	big := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x00}
-	if _, err := readFrame(bytes.NewReader(big)); err != errFrameTooBig {
+	if _, err := readFrame(bytes.NewReader(big), nil); err != errFrameTooBig {
 		t.Fatalf("oversized frame: err = %v, want errFrameTooBig", err)
 	}
 
 	// Truncated payload surfaces the underlying short read.
 	trunc := []byte{0x00, 0x00, 0x00, 0x08, 0x01, 0x02}
-	if _, err := readFrame(bytes.NewReader(trunc)); err == nil {
+	if _, err := readFrame(bytes.NewReader(trunc), nil); err == nil {
 		t.Fatal("truncated frame: expected error")
 	}
 }

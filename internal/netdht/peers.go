@@ -20,13 +20,18 @@ const (
 	defaultBackoff     = 50 * time.Millisecond
 )
 
-// DefaultPeerConns is the connection-pool width per peer address: the
-// number of outbound sockets (and therefore concurrent request/reply
-// exchanges) the pool keeps toward one peer. One connection was the
-// original discipline — sufficient for recursive routing, but a hard
-// serialization wall for a query frontend whose concurrent counts probe
-// the same owners — so the default is a few, far below any
-// file-descriptor budget.
+// DefaultPeerConns is the connection-pool width per peer address: the most
+// outbound sockets (and therefore concurrent request/reply exchanges) the
+// pool opens toward one peer. What is left to justify more than one is
+// concurrency at the caller: a scan is one goroutine and a routing step is
+// one exchange, but one dhsd client runs several /count scans at once, every
+// scan starts at the same high bit positions, and so they meet at the same
+// first owner — with one socket the second scan waits out the first one's
+// round trip. A socket beyond the first is dialled only when an exchange
+// finds every open one in use (peerEntry.acquire), so a caller that never
+// overlaps its exchanges — a dhsnode relaying, a single writer — holds one
+// socket per peer whatever the width; the width is a ceiling, a few, far
+// below any file-descriptor budget.
 const DefaultPeerConns = 4
 
 // mapNetErr folds a transport failure into the dht error taxonomy the
@@ -53,10 +58,13 @@ func mapNetErr(err error) error {
 // peerConn is one cached outbound connection slot; its mutex serializes
 // the slot's request/reply exchange — one in flight per *connection*,
 // which is what the framed protocol requires (a reply is matched to its
-// request purely by ordering on the stream).
+// request purely by ordering on the stream). The slot owns the two buffers
+// its frames are built in and read into; like the socket they are touched
+// only under the mutex, and the reply leaves the slot as a copy.
 type peerConn struct {
-	mu sync.Mutex
-	c  net.Conn
+	mu         sync.Mutex
+	c          net.Conn
+	rbuf, wbuf []byte
 }
 
 // peerEntry is one peer address's slot set. Slot count is fixed at the
@@ -67,8 +75,10 @@ type peerEntry struct {
 	slots []*peerConn
 }
 
-// acquire picks a slot and locks it: any idle slot first (TryLock scan
-// from the cursor), otherwise block on the cursor's slot. The returned
+// acquire picks a slot and locks it: the first idle slot (TryLock scan
+// from slot 0, so sequential exchanges reuse one socket and a second is
+// dialled only because the first was in use), otherwise block on the
+// cursor's slot, which spreads the waiters over the width. The returned
 // slot's mutex is held by the caller through the exchange; it never
 // nests inside the pool mutex or any server lock — only exchanges
 // beyond the pool width queue behind it. Holding it across the dial and
@@ -77,15 +87,12 @@ type peerEntry struct {
 // here and the I/O happens in the caller, so the documented contract
 // above is the whole story.
 func (e *peerEntry) acquire() *peerConn {
-	n := len(e.slots)
-	start := int(e.next.Add(1)) % n
-	for i := 0; i < n; i++ {
-		pc := e.slots[(start+i)%n]
+	for _, pc := range e.slots {
 		if pc.mu.TryLock() {
 			return pc
 		}
 	}
-	pc := e.slots[start]
+	pc := e.slots[int(e.next.Add(1))%len(e.slots)]
 	pc.mu.Lock()
 	return pc
 }
@@ -167,7 +174,12 @@ func (p *peerPool) dropConn(pc *peerConn) {
 	p.live.Add(-1)
 }
 
-// exchange performs one framed request/reply round trip with addr. A
+// exchange performs one framed request/reply round trip with addr and
+// returns the reply appended to dst[:0] — the caller's memory, or a fresh
+// slice when dst has no room for it. The reply is read into the slot's own
+// buffer and copied out before the slot is released, so the slot's next
+// user never writes under a reader that is still decoding; req is copied
+// into the slot too and may live on the caller's stack. A
 // failure on a connection that predates this call is retried once on a
 // fresh dial: a stale cached socket (the peer restarted, an idle
 // timeout fired) is indistinguishable from a dead peer until a second
@@ -175,49 +187,61 @@ func (p *peerPool) dropConn(pc *peerConn) {
 // The metrics hooks meter the exchange per tag (count, bytes, frame
 // size, round-trip latency) and transport failures by errno class;
 // with metrics off they are nil-receiver no-ops.
-func (p *peerPool) exchange(addr string, req []byte) ([]byte, error) {
+func (p *peerPool) exchange(addr string, req, dst []byte) ([]byte, error) {
 	slot, tm := p.m.startRPC(req)
-	resp, err := p.doExchange(addr, req)
+	resp, err := p.doExchange(addr, req, dst)
 	p.m.finishRPC(slot, resp, err, tm)
 	return resp, err
 }
 
-func (p *peerPool) doExchange(addr string, req []byte) ([]byte, error) {
+func (p *peerPool) doExchange(addr string, req, dst []byte) ([]byte, error) {
 	pc, err := p.get(addr)
 	if err != nil {
 		return nil, err
 	}
-	defer pc.mu.Unlock()
+	defer pc.release()
 
-	resp, err := p.roundTrip(pc.c, req)
-	if err == nil {
-		return resp, nil
-	}
-	p.dropConn(pc)
-	p.m.redialAttempt()
-	c, derr := net.DialTimeout("tcp", addr, p.dialTimeout)
-	p.m.dialAttempt(derr)
-	if derr != nil {
-		return nil, mapNetErr(derr)
-	}
-	p.live.Add(1)
-	pc.c = c
-	resp, err = p.roundTrip(pc.c, req)
+	err = p.roundTrip(pc, req)
 	if err != nil {
 		p.dropConn(pc)
-		return nil, mapNetErr(err)
+		p.m.redialAttempt()
+		c, derr := net.DialTimeout("tcp", addr, p.dialTimeout)
+		p.m.dialAttempt(derr)
+		if derr != nil {
+			return nil, mapNetErr(derr)
+		}
+		p.live.Add(1)
+		pc.c = c
+		if err = p.roundTrip(pc, req); err != nil {
+			p.dropConn(pc)
+			return nil, mapNetErr(err)
+		}
 	}
-	return resp, nil
+	return append(dst[:0], pc.rbuf...), nil
 }
 
-func (p *peerPool) roundTrip(c net.Conn, req []byte) ([]byte, error) {
-	if err := c.SetDeadline(time.Now().Add(p.rpcTimeout)); err != nil {
-		return nil, err
+// release ends the caller's hold on the slot: buffers that grew beyond
+// keepFrame for this exchange go, the rest stay for the next.
+func (pc *peerConn) release() {
+	pc.rbuf, pc.wbuf = trimFrame(pc.rbuf), trimFrame(pc.wbuf)
+	pc.mu.Unlock()
+}
+
+// roundTrip sends req and reads the reply into pc.rbuf. Caller holds pc.mu.
+func (p *peerPool) roundTrip(pc *peerConn, req []byte) error {
+	if len(req) > maxFrame {
+		return errFrameTooBig // before the slot's buffer grows for it
 	}
-	if err := writeFrame(c, req); err != nil {
-		return nil, err
+	if err := pc.c.SetDeadline(time.Now().Add(p.rpcTimeout)); err != nil {
+		return err
 	}
-	return readFrame(c)
+	pc.wbuf = append(beginFrame(pc.wbuf), req...)
+	if err := writeFrame(pc.c, pc.wbuf); err != nil {
+		return err
+	}
+	var err error
+	pc.rbuf, err = readFrame(pc.c, pc.rbuf)
+	return err
 }
 
 // exchangeRetry is exchange with bounded linear-backoff retries for the
@@ -226,7 +250,7 @@ func (p *peerPool) roundTrip(c net.Conn, req []byte) ([]byte, error) {
 // passes instead of virtual clock ticks. Typed errors pass through
 // unchanged, so the caller's failure accounting sees the same taxonomy
 // the simulator produces.
-func (p *peerPool) exchangeRetry(addr string, req []byte, retries int, backoff time.Duration) ([]byte, error) {
+func (p *peerPool) exchangeRetry(addr string, req, dst []byte, retries int, backoff time.Duration) ([]byte, error) {
 	if backoff <= 0 {
 		backoff = defaultBackoff
 	}
@@ -236,7 +260,7 @@ func (p *peerPool) exchangeRetry(addr string, req []byte, retries int, backoff t
 			p.m.retryAttempt()
 			time.Sleep(time.Duration(attempt) * backoff)
 		}
-		resp, err := p.exchange(addr, req)
+		resp, err := p.exchange(addr, req, dst)
 		if err == nil {
 			return resp, nil
 		}

@@ -204,13 +204,13 @@ func TestProbeRunServed(t *testing.T) {
 // of poisoning the peer's stream.
 func TestWriteFrameOversize(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, make([]byte, maxFrame+1)); !errors.Is(err, errFrameTooBig) {
+	if err := writeFrame(&buf, framed(make([]byte, maxFrame+1))); !errors.Is(err, errFrameTooBig) {
 		t.Fatalf("writeFrame(maxFrame+1) = %v, want errFrameTooBig", err)
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("oversize write left %d bytes on the stream", buf.Len())
 	}
-	if err := writeFrame(&buf, make([]byte, maxFrame)); err != nil {
+	if err := writeFrame(&buf, framed(make([]byte, maxFrame))); err != nil {
 		t.Fatalf("writeFrame(maxFrame) = %v, want success", err)
 	}
 }
@@ -276,10 +276,10 @@ func TestEmptyAddressRefRejected(t *testing.T) {
 	}
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := writeFrame(c, encodeNotify(chord.Ref{ID: 7})); err != nil {
+	if err := writeFrame(c, framed(encodeNotify(chord.Ref{ID: 7}))); err != nil {
 		t.Fatalf("write notify: %v", err)
 	}
-	raw, err := readFrame(c)
+	raw, err := readFrame(c, nil)
 	if err != nil {
 		t.Fatalf("read reply: %v", err)
 	}

@@ -234,57 +234,85 @@ func (s *Server) handleConn(c net.Conn) {
 		s.inMu.Unlock()
 		c.Close()
 	}()
-	for {
-		if err := c.SetReadDeadline(time.Now().Add(serverIdleTimeout)); err != nil {
-			return
-		}
-		req, err := readFrame(c)
-		if err != nil {
-			return
-		}
-		if err := c.SetWriteDeadline(time.Now().Add(serverWriteTimeout)); err != nil {
-			return
-		}
-		if err := writeFrame(c, s.dispatch(req)); err != nil {
-			return
-		}
+	in := s.newInbound()
+	for in.step(c) == nil {
 	}
 }
 
-// dispatch answers one framed request. Every request gets a reply —
-// the exchange discipline keeps one request/reply in flight per
-// connection, so framing never desynchronizes. The metrics hooks meter
-// the request per tag (count, bytes, frame size, handling latency, and
-// typed-error replies); with metrics off they are nil-receiver no-ops.
-func (s *Server) dispatch(req []byte) []byte {
-	slot, tm := s.m.startRequest(req)
-	resp := s.handleRequest(req)
-	s.m.finishRequest(slot, resp, tm)
-	return resp
+// inbound is what one accepted connection owns, and its one goroutine
+// alone touches: the buffer requests are read into, the buffer replies are
+// built in, and the scratch the handlers decode and route with. A request
+// is valid until the next one is read, a reply until the next one is
+// started; nothing a handler produces points into either once the reply is
+// written — a tuple is stored as a key, a relayed store is copied into the
+// outbound slot before it is sent (peerPool.exchange) — so a request leaves
+// no garbage behind and no bytes for the next one to find.
+type inbound struct {
+	s          *Server
+	rbuf, wbuf []byte
+	route      tcpPeers // handed to the state machine by pointer, per request
+	metrics    []uint64 // a probe request's metric list
+	words      []uint64 // one (metric, bit) answer out of the store
 }
 
-func (s *Server) handleRequest(req []byte) []byte {
+func (s *Server) newInbound() *inbound { return &inbound{s: s, route: tcpPeers{s: s}} }
+
+// step serves one request of the connection: read it, answer it, send the
+// answer, under the per-request deadlines. An error ends the connection.
+func (in *inbound) step(c net.Conn) (err error) {
+	if err = c.SetReadDeadline(time.Now().Add(serverIdleTimeout)); err != nil {
+		return err
+	}
+	if in.rbuf, err = readFrame(c, in.rbuf); err != nil {
+		return err
+	}
+	if err = c.SetWriteDeadline(time.Now().Add(serverWriteTimeout)); err != nil {
+		return err
+	}
+	err = writeFrame(c, in.dispatch(in.rbuf))
+	in.rbuf, in.wbuf = trimFrame(in.rbuf), trimFrame(in.wbuf)
+	return err
+}
+
+// dispatch answers one framed request with the frame to send back, built in
+// the connection's write buffer: the reply behind its length prefix. Every
+// request gets a reply — the exchange discipline keeps one request/reply
+// in flight per connection, so framing never desynchronizes. The metrics
+// hooks meter the request per tag (count, bytes, frame size, handling
+// latency, and typed-error replies); with metrics off they are
+// nil-receiver no-ops.
+func (in *inbound) dispatch(req []byte) []byte {
+	slot, tm := in.s.m.startRequest(req)
+	in.wbuf = in.handleRequest(beginFrame(in.wbuf), req)
+	in.s.m.finishRequest(slot, in.wbuf[4:], tm)
+	return in.wbuf
+}
+
+// handleRequest appends the reply to req to dst, as every handler below
+// does.
+func (in *inbound) handleRequest(dst, req []byte) []byte {
+	s := in.s
 	if len(req) < 2 || req[0] != wire.Version {
-		return encodeErr(errnoBad, 0, 0)
+		return appendErr(dst, errnoBad, 0, 0)
 	}
 	switch req[1] {
 	case tagFindSucc, tagStore:
-		return s.handleFindSucc(req)
+		return in.handleFindSucc(dst, req)
 	case tagNeighbors:
-		return s.handleNeighbors()
+		return s.handleNeighbors(dst)
 	case tagNotify:
-		return s.handleNotify(req)
+		return s.handleNotify(dst, req)
 	case tagPing:
 		if !s.alive.Load() {
-			return encodeErr(errnoNodeDown, 0, 0)
+			return appendErr(dst, errnoNodeDown, 0, 0)
 		}
-		return encodePong()
+		return append(dst, pongFrame...)
 	case wire.TagProbeReq:
-		return s.handleProbeReq(req)
+		return in.handleProbeReq(dst, req)
 	default:
 		// Among them a bare wire.TagInsert / TagBulkInsert frame: a tuple
 		// is stored where a route ends (§3.2), not where a peer dialled.
-		return encodeErr(errnoBad, 0, 0)
+		return appendErr(dst, errnoBad, 0, 0)
 	}
 }
 
@@ -305,21 +333,26 @@ func (s *Server) handleRequest(req []byte) []byte {
 // neighbourhood in the ack; every hop before it relays the ack as it came.
 // A client that believes this node owns the key sends the store here
 // first, unflagged: Route's own (pred, self] check decides whether it does.
-func (s *Server) handleFindSucc(req []byte) []byte {
+func (in *inbound) handleFindSucc(dst, req []byte) []byte {
+	s := in.s
 	m, err := decodeFindSucc(req)
 	if err != nil {
-		return encodeErr(errnoBad, 0, 0)
+		return appendErr(dst, errnoBad, 0, 0)
 	}
 	if !s.alive.Load() {
-		return encodeErr(errnoNodeDown, m.hops, m.stale)
+		return appendErr(dst, errnoNodeDown, m.hops, m.stale)
 	}
 	if m.flags&flagForwarded != 0 {
 		s.counters.AddRouted()
 	}
 	near := m.flags&flagNeighbors != 0
-	f := s.node.HandleFindSucc(tcpPeers{s, near, m.store}, m.key, int(m.hops), int(m.stale), m.flags&flagDeliver != 0)
+	// m.store points into the connection's read buffer, and stays good until
+	// this request is answered: a relay copies it into the outbound slot
+	// before sending, the storing node keeps a key, not the bytes.
+	in.route.near, in.route.store = near, m.store
+	f := s.node.HandleFindSucc(&in.route, m.key, int(m.hops), int(m.stale), m.flags&flagDeliver != 0)
 	if f.Err != nil {
-		return encodeErr(errnoOf(f.Err), uint16(f.Hops), uint16(f.Stale))
+		return appendErr(dst, errnoOf(f.Err), uint16(f.Hops), uint16(f.Stale))
 	}
 	if m.store != nil {
 		ack := storeAckMsg{hops: uint16(f.Hops), stale: uint16(f.Stale), owner: f.Owner, near: f.Near}
@@ -327,39 +360,45 @@ func (s *Server) handleFindSucc(req []byte) []byte {
 		// names nobody, a long one comes with a neighbourhood): the route
 		// ended here.
 		if f.Owner.Addr == s.addr && f.Near == nil {
-			apply := s.handleInsert
-			if m.store[1] == wire.TagBulkInsert {
-				apply = s.handleBulkInsert
-			}
-			if code, _, _, err := replyErr(apply(m.store)); err != nil {
-				return encodeErr(code, uint16(f.Hops), uint16(f.Stale))
+			if code := s.applyStore(m.store); code != 0 {
+				return appendErr(dst, code, uint16(f.Hops), uint16(f.Stale))
 			}
 			if near {
 				nb := s.node.Neighbors()
 				ack.near = &nb
 			}
 		}
-		return encodeStoreAck(ack)
+		return appendStoreAck(dst, ack)
 	}
+	resp := findSuccRespMsg{hops: uint16(f.Hops), stale: uint16(f.Stale), owner: f.Owner, near: f.Near}
 	if near && f.Owner.ID == s.id {
 		nb := s.node.Neighbors()
-		f.Near = &nb
+		resp.near = &nb
 	}
-	return encodeFindSuccResp(findSuccRespMsg{hops: uint16(f.Hops), stale: uint16(f.Stale), owner: f.Owner, near: f.Near})
+	return appendFindSuccResp(dst, resp)
 }
 
 // tcpPeers is the TCP transport of the Chord protocol: each call is one
 // request/reply exchange through the server's peer pool, and any failed
 // exchange — refused, timed out, undecodable, or answered by a node
-// that is shutting down — is how the protocol learns a peer is gone.
+// that is shutting down — is how the protocol learns a peer is gone. It is
+// handed to the state machine by pointer — an inbound connection's own, set
+// per request, or a maintenance round's — so serving a request boxes
+// nothing. Requests are built in, and replies copied to, a few bytes of the
+// calling method's stack; a long one spills to the heap.
 type tcpPeers struct {
 	s     *Server
 	near  bool   // relaying a request with flagNeighbors: forward it set
 	store []byte // relaying a tagStore: the tuple frame to forward with it
 }
 
-func (p tcpPeers) Neighbors(to chord.Ref) (chord.Neighbors, error) {
-	raw, err := p.s.peers.exchange(to.Addr, encodeNeighborsReq())
+// rpcScratch is the stack room a caller gives a request it builds or a
+// reply it decodes on the spot: every fixed-size frame and a ref or two fit.
+const rpcScratch = 96
+
+func (p *tcpPeers) Neighbors(to chord.Ref) (chord.Neighbors, error) {
+	var scratch [rpcScratch]byte
+	raw, err := p.s.peers.exchange(to.Addr, neighborsReqFrame, scratch[:0])
 	if err == nil {
 		_, _, _, err = replyErr(raw)
 	}
@@ -374,16 +413,18 @@ func (p tcpPeers) Neighbors(to chord.Ref) (chord.Neighbors, error) {
 	return chord.Neighbors{Pred: nb.pred, Succ: nb.succ}, nil
 }
 
-func (p tcpPeers) Notify(to, self chord.Ref) (bool, error) {
-	raw, err := p.s.peers.exchange(to.Addr, encodeNotify(self))
+func (p *tcpPeers) Notify(to, self chord.Ref) (bool, error) {
+	var req, reply [rpcScratch]byte
+	raw, err := p.s.peers.exchange(to.Addr, appendNotify(req[:0], self), reply[:0])
 	if err != nil {
 		return false, err
 	}
 	return decodeAck(raw)
 }
 
-func (p tcpPeers) Ping(to chord.Ref) error {
-	raw, err := p.s.peers.exchange(to.Addr, encodePing())
+func (p *tcpPeers) Ping(to chord.Ref) error {
+	var scratch [rpcScratch]byte
+	raw, err := p.s.peers.exchange(to.Addr, pingFrame, scratch[:0])
 	if err != nil {
 		return err
 	}
@@ -400,7 +441,7 @@ func (p tcpPeers) Ping(to chord.Ref) error {
 // owner, or a typed downstream routing failure. A relayed store is
 // answered by a store ack and by nothing else: a peer that routed the key
 // but says nothing of the tuple is one more candidate that failed.
-func (p tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver bool) (chord.Found, error) {
+func (p *tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver bool) (chord.Found, error) {
 	m := findSuccMsg{key: key, hops: uint16(hops), stale: uint16(stale), store: p.store}
 	if deliver {
 		m.flags |= flagDeliver
@@ -408,13 +449,14 @@ func (p tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver bo
 	if p.near {
 		m.flags |= flagNeighbors
 	}
+	var req, reply [rpcScratch]byte
 	var raw []byte
 	var err error
 	if hops == 0 {
-		raw, err = p.s.peers.exchangeRetry(to.Addr, encodeFindSucc(m), 3, 0)
+		raw, err = p.s.peers.exchangeRetry(to.Addr, appendFindSucc(req[:0], m), reply[:0], 3, 0)
 	} else {
 		m.flags |= flagForwarded
-		raw, err = p.s.peers.exchange(to.Addr, encodeFindSucc(m))
+		raw, err = p.s.peers.exchange(to.Addr, appendFindSucc(req[:0], m), reply[:0])
 	}
 	if err != nil {
 		return chord.Found{}, err
@@ -439,14 +481,14 @@ func (p tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver bo
 // Reseed: a daemon has no oracle. Its predecessor is the one other peer
 // it knows — on a small ring the node that will re-close it; with none
 // the node is partitioned until someone notifies it.
-func (p tcpPeers) Reseed(_, pred chord.Ref) chord.Ref { return pred }
+func (p *tcpPeers) Reseed(_, pred chord.Ref) chord.Ref { return pred }
 
 // ---------------------------------------------------------------------
 // Data plane: insert and probe RPCs (the cmd/dhsnode path; in-process
 // clusters let core access the store directly, like the simulator). The
-// client's inserts reach the two insert handlers as the payload of a
-// routed store (handleFindSucc) and no other way: handleRequest refuses a
-// bare insert frame.
+// client's inserts reach applyStore as the payload of a routed store
+// (handleFindSucc) and no other way: handleRequest refuses a bare insert
+// frame.
 
 func (s *Server) expiryFor(ttl uint16) int64 {
 	if ttl == 0 {
@@ -455,26 +497,24 @@ func (s *Server) expiryFor(ttl uint16) int64 {
 	return s.nowFn() + int64(ttl)
 }
 
-func (s *Server) handleInsert(req []byte) []byte {
-	m, err := wire.DecodeInsert(req)
+// applyStore stores the tuple frame a routed store ended here with — one
+// tuple or one bit position's batch — and returns the errno to refuse it
+// with, 0 when it is stored. The ack is the routed store's own (tagStoreAck).
+func (s *Server) applyStore(frame []byte) (errno byte) {
+	var m wire.BulkInsert
+	var err error
+	if frame[1] == wire.TagBulkInsert {
+		m, err = wire.DecodeBulkInsert(frame)
+	} else {
+		var t wire.Insert
+		t, err = wire.DecodeInsert(frame)
+		m = wire.BulkInsert{Metric: t.Metric, Bit: t.Bit, TTL: t.TTL, Vectors: []uint16{t.Vector}}
+	}
 	if err != nil {
-		return encodeErr(errnoBad, 0, 0)
+		return errnoBad
 	}
 	if !s.alive.Load() {
-		return encodeErr(errnoNodeDown, 0, 0)
-	}
-	s.ensureStore().Set(store.Key{Metric: m.Metric, Vector: int32(m.Vector), Bit: m.Bit}, s.expiryFor(m.TTL))
-	s.counters.AddStoreOps()
-	return encodeAck(false)
-}
-
-func (s *Server) handleBulkInsert(req []byte) []byte {
-	m, err := wire.DecodeBulkInsert(req)
-	if err != nil {
-		return encodeErr(errnoBad, 0, 0)
-	}
-	if !s.alive.Load() {
-		return encodeErr(errnoNodeDown, 0, 0)
+		return errnoNodeDown
 	}
 	st := s.ensureStore()
 	expiry := s.expiryFor(m.TTL)
@@ -482,16 +522,18 @@ func (s *Server) handleBulkInsert(req []byte) []byte {
 		st.Set(store.Key{Metric: m.Metric, Vector: int32(v), Bit: m.Bit}, expiry)
 	}
 	s.counters.AddStoreOps()
-	return encodeAck(false)
+	return 0
 }
 
-func (s *Server) handleProbeReq(req []byte) []byte {
-	m, err := wire.DecodeProbeReq(req)
+func (in *inbound) handleProbeReq(dst, req []byte) []byte {
+	s := in.s
+	m, err := wire.DecodeProbeReqInto(in.metrics, req)
 	if err != nil {
-		return encodeErr(errnoBad, 0, 0)
+		return appendErr(dst, errnoBad, 0, 0)
 	}
+	in.metrics = m.Metrics
 	if !s.alive.Load() {
-		return encodeErr(errnoNodeDown, 0, 0)
+		return appendErr(dst, errnoNodeDown, 0, 0)
 	}
 	s.counters.AddProbed()
 	st, _ := s.App().(*store.Store)
@@ -505,34 +547,26 @@ func (s *Server) handleProbeReq(req []byte) []byte {
 	// its masks the reply's count field, before allocating for it
 	// (wirebounds invariant).
 	if bits*len(m.Metrics) > math.MaxUint16 || wire.ProbeRespOverhead+bits*len(m.Metrics)*maskLen > maxFrame {
-		return encodeErr(errnoBad, 0, 0)
+		return appendErr(dst, errnoBad, 0, 0)
 	}
-	// Bit-major, one allocation: every metric's mask for Bit, then Bit+1, …
-	body := make([]byte, bits*len(m.Metrics)*maskLen)
-	masks := make([][]byte, 0, bits*len(m.Metrics))
+	resp, err := wire.AppendProbeRespHeader(dst, m.Bit, m.Span, m.NumVecs, bits*len(m.Metrics))
+	if err != nil {
+		return appendErr(dst, errnoBad, 0, 0)
+	}
+	// Bit-major: every metric's mask for Bit, then Bit+1, … — each the
+	// store's own bit words for (metric, bit), copied behind the header.
 	for b := 0; b < bits; b++ {
 		for _, metric := range m.Metrics {
-			mask := body[:maskLen:maskLen]
-			body = body[maskLen:]
-			if st != nil {
-				for _, v := range st.VectorsWithBit(metric, m.Bit+uint8(b), now) {
-					if v >= 0 && int(v) < int(m.NumVecs) {
-						wire.SetVec(mask, int(v))
-					}
-				}
-			}
-			masks = append(masks, mask)
+			in.words = st.AppendBitsWithBit(in.words, metric, m.Bit+uint8(b), now)
+			resp = wire.AppendMask(resp, in.words, int(m.NumVecs))
 		}
 	}
 	// The reply ends with the arc this node answers for — from its
 	// predecessor, when it knows one, up to itself — so that a client which
 	// remembered the node hears of a join or a leave in front of it from the
 	// reply it came for (DESIGN.md §14).
-	pred := s.node.Neighbors().Pred
-	resp, err := wire.EncodeProbeResp(wire.ProbeResp{Bit: m.Bit, Span: m.Span, NumVecs: m.NumVecs, VecMasks: masks,
-		HasArc: pred.Valid(), ArcLo: pred.ID})
-	if err != nil {
-		return encodeErr(errnoBad, 0, 0)
+	if pred := s.node.Neighbors().Pred; pred.Valid() {
+		resp = wire.AppendArc(resp, pred.ID)
 	}
 	return resp
 }
@@ -540,27 +574,27 @@ func (s *Server) handleProbeReq(req []byte) []byte {
 // ---------------------------------------------------------------------
 // Stabilization protocol: the state machine's rounds, timed and logged
 
-func (s *Server) handleNeighbors() []byte {
+func (s *Server) handleNeighbors(dst []byte) []byte {
 	if !s.alive.Load() {
-		return encodeErr(errnoNodeDown, 0, 0)
+		return appendErr(dst, errnoNodeDown, 0, 0)
 	}
 	nb := s.node.Neighbors()
-	return encodeNeighborsResp(neighborsRespMsg{self: s.node.Self(), pred: nb.Pred, succ: nb.Succ})
+	return appendNeighborsResp(dst, neighborsRespMsg{self: s.node.Self(), pred: nb.Pred, succ: nb.Succ})
 }
 
-func (s *Server) handleNotify(req []byte) []byte {
+func (s *Server) handleNotify(dst, req []byte) []byte {
 	n, err := decodeNotify(req)
 	if err != nil {
-		return encodeErr(errnoBad, 0, 0)
+		return appendErr(dst, errnoBad, 0, 0)
 	}
 	if !s.alive.Load() {
-		return encodeErr(errnoNodeDown, 0, 0)
+		return appendErr(dst, errnoNodeDown, 0, 0)
 	}
 	changed := s.node.HandleNotify(n)
 	if changed {
 		s.markLinked()
 	}
-	return encodeAck(changed)
+	return appendAck(dst, changed)
 }
 
 // markLinked latches linked once the node holds a successor.
@@ -578,7 +612,7 @@ func (s *Server) runRound(slot int, round func(chord.Peers) int) int {
 	tm := s.m.startRound(slot)
 	n := 0
 	if s.alive.Load() {
-		n = round(tcpPeers{s: s})
+		n = round(&tcpPeers{s: s})
 	}
 	s.m.finishRound(slot, tm, n)
 	return n
@@ -647,7 +681,7 @@ func (s *Server) StartMaintenance(period time.Duration) {
 // chord.Machine.Join). The rest of the ring learns about us through
 // its stabilize rounds.
 func (s *Server) Join(bootstrap string) error {
-	succ, err := s.node.Join(tcpPeers{s: s}, chord.Ref{Addr: bootstrap})
+	succ, err := s.node.Join(&tcpPeers{s: s}, chord.Ref{Addr: bootstrap})
 	if err != nil {
 		return fmt.Errorf("netdht: join via %s: %w", bootstrap, err)
 	}

@@ -604,7 +604,7 @@ func TestBareInsertFrameRefused(t *testing.T) {
 		"insert":      wire.EncodeInsert(wire.Insert{Metric: 4, Vector: 5, Bit: 3}),
 		"bulk insert": wire.EncodeBulkInsert(wire.BulkInsert{Metric: 4, Bit: 3, Vectors: []uint16{1, 5}}),
 	} {
-		raw, err := c.peers.exchangeRetry(s.Addr(), frame, 0, 0)
+		raw, err := c.peers.exchangeRetry(s.Addr(), frame, nil, 0, 0)
 		if err != nil {
 			t.Fatalf("%s: exchange: %v", name, err)
 		}
@@ -677,7 +677,7 @@ func TestRoutedStoreDownTerminal(t *testing.T) {
 	defer down.alive.Store(true)
 
 	raw, err := c.peers.exchange(down.Addr(), encodeFindSucc(findSuccMsg{
-		flags: flagForwarded | flagDeliver, key: target, hops: 2, stale: 1, store: wire.EncodeInsert(tuple)}))
+		flags: flagForwarded | flagDeliver, key: target, hops: 2, stale: 1, store: wire.EncodeInsert(tuple)}), nil)
 	if err != nil {
 		t.Fatalf("exchange with the down node: %v", err)
 	}

@@ -208,7 +208,7 @@ type Store struct {
 type Runtime struct {
 	// Sets counts Set calls (inserts and refreshes).
 	Sets *metrics.Counter
-	// Probes counts probe reads (AppendBitsWithBit / VectorsWithBit).
+	// Probes counts probe reads (AppendBitsWithBit).
 	Probes *metrics.Counter
 	// Sweeps counts expiry-heap sweep passes (Len, Keys, Entries, Bytes).
 	Sweeps *metrics.Counter
@@ -364,8 +364,8 @@ func (s *Store) Has(k Key, now int64) bool {
 // extended slice. It writes into dst's existing capacity, so a caller
 // reusing a scratch buffer pays zero heap allocations at steady state.
 // Expired tuples of this (metric, bit) pair are garbage-collected on
-// the way, exactly like VectorsWithBit. A nil receiver answers like an
-// empty store, so probe paths can use it without a guard.
+// the way. A nil receiver answers like an empty store, so probe paths can
+// use it without a guard.
 func (s *Store) AppendBitsWithBit(dst []uint64, metric uint64, bit uint8, now int64) []uint64 {
 	dst = dst[:0]
 	if s == nil {
@@ -396,23 +396,6 @@ func (s *Store) AppendBitsWithBit(dst []uint64, metric uint64, bit uint8, now in
 	s.live -= expired
 	s.expire(now, expired)
 	return dst
-}
-
-// VectorsWithBit returns, for the given metric and bit position, the
-// set of vector indices whose bit is present and live at this node, in
-// ascending order. The reply to a counting probe carries exactly this
-// information, one bit per vector (⌈m/8⌉ bytes per metric). A nil
-// receiver answers like an empty store. Hot paths should prefer
-// AppendBitsWithBit, which reuses a caller-owned buffer.
-func (s *Store) VectorsWithBit(metric uint64, bit uint8, now int64) []int32 {
-	words := s.AppendBitsWithBit(nil, metric, bit, now)
-	var out []int32
-	for wi, w := range words {
-		for ; w != 0; w &= w - 1 {
-			out = append(out, int32(wi<<6+bits.TrailingZeros64(w)))
-		}
-	}
-	return out
 }
 
 // Entry is one live tuple together with its expiry tick — the unit of

@@ -2,6 +2,7 @@ package store
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -417,20 +418,15 @@ func TestRuntimeCounters(t *testing.T) {
 	}
 }
 
-// BenchmarkProbeReplyVectors is the allocating convenience variant, kept
-// for comparison against BenchmarkProbeReply.
-func BenchmarkProbeReplyVectors(b *testing.B) {
-	s := New()
-	for m := uint64(0); m < 8; m++ {
-		for i := 0; i < 40; i++ {
-			s.Set(Key{Metric: m, Vector: int32(i % 64), Bit: uint8(i % 16)}, 1<<60)
+// VectorsWithBit is the probe answer as a list of vector indices, ascending
+// — what the store offered before every reader took AppendBitsWithBit's
+// words; the tests keep it as the readable form to compare against.
+func (s *Store) VectorsWithBit(metric uint64, bit uint8, now int64) []int32 {
+	var out []int32
+	for wi, w := range s.AppendBitsWithBit(nil, metric, bit, now) {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, int32(wi<<6+bits.TrailingZeros64(w)))
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += len(s.VectorsWithBit(3, uint8(i%16), 100))
-	}
-	_ = sink
+	return out
 }

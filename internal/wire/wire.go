@@ -103,17 +103,17 @@ func FoldMetric(metric uint64) uint16 {
 	return uint16(metric ^ metric>>16 ^ metric>>32 ^ metric>>48)
 }
 
-// EncodeInsert serializes an Insert message.
-func EncodeInsert(m Insert) []byte {
-	buf := make([]byte, insertSize)
-	buf[0] = Version
-	buf[1] = TagInsert
-	binary.BigEndian.PutUint16(buf[2:], FoldMetric(m.Metric))
-	binary.BigEndian.PutUint16(buf[4:], m.Vector)
-	buf[6] = m.Bit
-	binary.BigEndian.PutUint16(buf[7:], m.TTL)
-	return buf
+// AppendInsert appends the serialized Insert message to dst.
+func AppendInsert(dst []byte, m Insert) []byte {
+	dst = append(dst, Version, TagInsert)
+	dst = binary.BigEndian.AppendUint16(dst, FoldMetric(m.Metric))
+	dst = binary.BigEndian.AppendUint16(dst, m.Vector)
+	dst = append(dst, m.Bit)
+	return binary.BigEndian.AppendUint16(dst, m.TTL)
 }
+
+// EncodeInsert serializes an Insert message into a buffer of its own.
+func EncodeInsert(m Insert) []byte { return AppendInsert(make([]byte, 0, insertSize), m) }
 
 // DecodeInsert parses an Insert message. The Metric field of the result
 // holds the folded 16-bit identifier.
@@ -200,37 +200,48 @@ type ProbeReq struct {
 // runFits reports whether bit … bit+span names bit positions at all.
 func runFits(bit, span uint8) bool { return int(bit)+int(span) <= math.MaxUint8 }
 
-// EncodeProbeReq serializes a probe request: version, tag, bit, vector
-// count, metric count, 2 bytes per folded metric, then the span byte when
-// it is not zero. A single-metric single-bit request is 9 bytes — within
-// the core.ProbeReqBytes=16 budget of the cost model. More than 65535
-// metrics do not fit the count field and return ErrBadMessage: the
-// pre-check replaces a silent uint16 wrap that would encode 65536 metrics
-// as a valid-looking zero-metric request. So does a run past position 255.
-func EncodeProbeReq(m ProbeReq) ([]byte, error) {
+// AppendProbeReq appends the serialized probe request to dst: version,
+// tag, bit, vector count, metric count, 2 bytes per folded metric, then the
+// span byte when it is not zero. A single-metric single-bit request is 9
+// bytes — within the core.ProbeReqBytes=16 budget of the cost model. More
+// than 65535 metrics do not fit the count field and return ErrBadMessage:
+// the pre-check replaces a silent uint16 wrap that would encode 65536
+// metrics as a valid-looking zero-metric request. So does a run past
+// position 255. On error dst comes back as it was.
+func AppendProbeReq(dst []byte, m ProbeReq) ([]byte, error) {
 	if len(m.Metrics) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: %d probe metrics exceed the uint16 count field", ErrBadMessage, len(m.Metrics))
+		return dst, fmt.Errorf("%w: %d probe metrics exceed the uint16 count field", ErrBadMessage, len(m.Metrics))
 	}
 	if !runFits(m.Bit, m.Span) {
-		return nil, fmt.Errorf("%w: probe run %d+%d leaves the bit field", ErrBadMessage, m.Bit, m.Span)
+		return dst, fmt.Errorf("%w: probe run %d+%d leaves the bit field", ErrBadMessage, m.Bit, m.Span)
 	}
-	buf := make([]byte, 7+2*len(m.Metrics), 8+2*len(m.Metrics))
-	buf[0] = Version
-	buf[1] = TagProbeReq
-	buf[2] = m.Bit
-	binary.BigEndian.PutUint16(buf[3:], m.NumVecs)
-	binary.BigEndian.PutUint16(buf[5:], uint16(len(m.Metrics)))
-	for i, metric := range m.Metrics {
-		binary.BigEndian.PutUint16(buf[7+2*i:], FoldMetric(metric))
+	dst = append(dst, Version, TagProbeReq, m.Bit)
+	dst = binary.BigEndian.AppendUint16(dst, m.NumVecs)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.Metrics)))
+	for _, metric := range m.Metrics {
+		dst = binary.BigEndian.AppendUint16(dst, FoldMetric(metric))
 	}
 	if m.Span > 0 {
-		buf = append(buf, m.Span)
+		dst = append(dst, m.Span)
+	}
+	return dst, nil
+}
+
+// EncodeProbeReq serializes a probe request into a buffer of its own.
+func EncodeProbeReq(m ProbeReq) ([]byte, error) {
+	buf, err := AppendProbeReq(make([]byte, 0, 8+2*min(len(m.Metrics), math.MaxUint16)), m)
+	if err != nil {
+		return nil, err
 	}
 	return buf, nil
 }
 
 // DecodeProbeReq parses a probe request; Metrics holds folded IDs.
-func DecodeProbeReq(buf []byte) (ProbeReq, error) {
+func DecodeProbeReq(buf []byte) (ProbeReq, error) { return DecodeProbeReqInto(nil, buf) }
+
+// DecodeProbeReqInto is DecodeProbeReq with the metric list appended to
+// metrics[:0], for a server that decodes one request after another.
+func DecodeProbeReqInto(metrics []uint64, buf []byte) (ProbeReq, error) {
 	if len(buf) < 7 {
 		return ProbeReq{}, ErrShort
 	}
@@ -241,7 +252,7 @@ func DecodeProbeReq(buf []byte) (ProbeReq, error) {
 	if len(buf) < 7+2*n {
 		return ProbeReq{}, ErrShort
 	}
-	m := ProbeReq{Bit: buf[2], NumVecs: binary.BigEndian.Uint16(buf[3:])}
+	m := ProbeReq{Bit: buf[2], NumVecs: binary.BigEndian.Uint16(buf[3:]), Metrics: metrics[:0]}
 	for i := 0; i < n; i++ {
 		m.Metrics = append(m.Metrics, uint64(binary.BigEndian.Uint16(buf[7+2*i:])))
 	}
@@ -288,44 +299,103 @@ const ProbeRespOverhead = 8 + arcSize
 // MaskBytes returns the size of one vector mask: ⌈m/8⌉.
 func MaskBytes(numVecs int) int { return (numVecs + 7) / 8 }
 
-// EncodeProbeResp serializes a probe reply: an 8-byte header — the span
-// in the byte single-bit replies leave zero — plus one mask per position
-// and metric: for one position exactly the core cost model's
-// MsgHeaderBytes + metrics×⌈m/8⌉ accounting. More than 65535 masks do
-// not fit the count field and return ErrBadMessage (a silent wrap
-// would decode as a reply for a different number of metrics), as does a
-// mask count that is no multiple of the run's length. An arc adds its
-// 9-byte trailer behind the masks.
-func EncodeProbeResp(m ProbeResp) ([]byte, error) {
-	if len(m.VecMasks) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: %d vector masks exceed the uint16 count field", ErrBadMessage, len(m.VecMasks))
+// AppendProbeRespHeader starts a probe reply in dst: the 8-byte header —
+// the span in the byte single-bit replies leave zero — for a reply of masks
+// masks of ⌈numVecs/8⌉ bytes each, which the caller appends behind it
+// (AppendMask) and may close with AppendArc. More than 65535 masks do not
+// fit the count field and return ErrBadMessage (a silent wrap would decode
+// as a reply for a different number of metrics), as does a mask count that
+// is no multiple of the run's length. On error dst comes back as it was.
+func AppendProbeRespHeader(dst []byte, bit, span uint8, numVecs uint16, masks int) ([]byte, error) {
+	if masks > math.MaxUint16 {
+		return dst, fmt.Errorf("%w: %d vector masks exceed the uint16 count field", ErrBadMessage, masks)
 	}
-	if !runFits(m.Bit, m.Span) || len(m.VecMasks)%(int(m.Span)+1) != 0 {
-		return nil, fmt.Errorf("%w: %d vector masks for the run %d+%d", ErrBadMessage, len(m.VecMasks), m.Bit, m.Span)
+	if !runFits(bit, span) || masks%(int(span)+1) != 0 {
+		return dst, fmt.Errorf("%w: %d vector masks for the run %d+%d", ErrBadMessage, masks, bit, span)
+	}
+	dst = append(dst, Version, TagProbeResp, bit)
+	dst = binary.BigEndian.AppendUint16(dst, numVecs)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(masks))
+	return append(dst, span), nil
+}
+
+// AppendMask appends one ⌈numVecs/8⌉-byte mask taken from a bitset's words
+// — bit v of word ⌊v/64⌋ is vector v, the layout store.AppendBitsWithBit
+// answers in. Written little-endian the words are the mask's bytes already
+// ("vector v is bit v%8 of byte v/8"): the copy is cut to the mask's
+// length, padded with zeros when the bitset is shorter, and the bits at and
+// beyond numVecs in its last byte are cleared, so vectors another geometry
+// wrote past m never travel.
+func AppendMask(dst []byte, words []uint64, numVecs int) []byte {
+	n := MaskBytes(numVecs)
+	start := len(dst)
+	for _, w := range words {
+		if len(dst)-start >= n {
+			break
+		}
+		dst = binary.LittleEndian.AppendUint64(dst, w)
+	}
+	for len(dst)-start < n {
+		dst = append(dst, 0)
+	}
+	dst = dst[:start+n]
+	if r := numVecs % 8; r != 0 {
+		dst[len(dst)-1] &= 1<<r - 1
+	}
+	return dst
+}
+
+// AppendArc closes a probe reply with the arc trailer: its sender answers
+// for the identifiers behind arcLo up to its own.
+func AppendArc(dst []byte, arcLo uint64) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, arcFlag), arcLo)
+}
+
+// AppendProbeResp appends the serialized probe reply to dst: the header
+// plus one mask per position and metric — for one position exactly the core
+// cost model's MsgHeaderBytes + metrics×⌈m/8⌉ accounting — and, with an arc,
+// its 9-byte trailer behind the masks. On error dst comes back as it was.
+func AppendProbeResp(dst []byte, m ProbeResp) ([]byte, error) {
+	buf, err := AppendProbeRespHeader(dst, m.Bit, m.Span, m.NumVecs, len(m.VecMasks))
+	if err != nil {
+		return dst, err
 	}
 	mask := MaskBytes(int(m.NumVecs))
-	buf := make([]byte, 8, 8+len(m.VecMasks)*mask+arcSize)
-	buf[0] = Version
-	buf[1] = TagProbeResp
-	buf[2] = m.Bit
-	binary.BigEndian.PutUint16(buf[3:], m.NumVecs)
-	binary.BigEndian.PutUint16(buf[5:], uint16(len(m.VecMasks)))
-	buf[7] = m.Span
 	for i, vm := range m.VecMasks {
 		if len(vm) != mask {
-			return nil, fmt.Errorf("wire: mask %d is %d bytes, want %d", i, len(vm), mask)
+			return dst, fmt.Errorf("wire: mask %d is %d bytes, want %d", i, len(vm), mask)
 		}
 		buf = append(buf, vm...)
 	}
 	if m.HasArc {
-		buf = binary.BigEndian.AppendUint64(append(buf, arcFlag), m.ArcLo)
+		buf = AppendArc(buf, m.ArcLo)
 	}
 	return buf, nil
 }
 
-// DecodeProbeResp parses a probe reply. The masks share one copy of the
-// payload. Behind them comes the arc trailer, whole, or nothing.
-func DecodeProbeResp(buf []byte) (ProbeResp, error) {
+// EncodeProbeResp serializes a probe reply into a buffer of its own.
+func EncodeProbeResp(m ProbeResp) ([]byte, error) {
+	size := 8 + min(len(m.VecMasks), math.MaxUint16)*MaskBytes(int(m.NumVecs)) + arcSize
+	buf, err := AppendProbeResp(make([]byte, 0, size), m)
+	if err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// DecodeProbeResp parses a probe reply into memory of its own: the masks
+// share one copy of the frame's mask bytes, made once the frame has passed
+// every check.
+func DecodeProbeResp(buf []byte) (ProbeResp, error) { return decodeProbeResp(buf, true) }
+
+// DecodeProbeRespInPlace parses a probe reply without copying it: the masks
+// are sub-slices of buf, so buf must be the caller's to keep for as long as
+// it keeps the reply.
+func DecodeProbeRespInPlace(buf []byte) (ProbeResp, error) { return decodeProbeResp(buf, false) }
+
+// decodeProbeResp is both: behind the masks comes the arc trailer, whole, or
+// nothing; each mask is capped at its own end.
+func decodeProbeResp(buf []byte, copyMasks bool) (ProbeResp, error) {
 	if len(buf) < 8 {
 		return ProbeResp{}, ErrShort
 	}
@@ -354,9 +424,15 @@ func DecodeProbeResp(buf []byte) (ProbeResp, error) {
 	default:
 		m.HasArc, m.ArcLo = true, binary.BigEndian.Uint64(arc[1:])
 	}
-	body := append([]byte(nil), buf[8:8+count*mask]...)
-	for i := 0; i < count; i++ {
-		m.VecMasks = append(m.VecMasks, body[i*mask:(i+1)*mask:(i+1)*mask])
+	if count > 0 {
+		m.VecMasks = make([][]byte, count)
+	}
+	body := buf[8 : 8+count*mask]
+	if copyMasks {
+		body = append([]byte(nil), body...)
+	}
+	for i := range m.VecMasks {
+		m.VecMasks[i] = body[i*mask : (i+1)*mask : (i+1)*mask]
 	}
 	return m, nil
 }

@@ -367,8 +367,9 @@ func decodeReq(b []byte) error  { _, err := DecodeProbeReq(b); return err }
 func decodeResp(b []byte) error { _, err := DecodeProbeResp(b); return err }
 
 // TestDecodeProbeRespOneCopy: a ranged reply carries bits × metrics masks;
-// decoding copies the payload once and slices it, and a mask's capacity
-// ends where the next begins.
+// decoding copies the mask bytes once and slices the copy, and a mask's
+// capacity ends where the next begins. Decoding in place makes the slice of
+// masks and nothing else: its masks are the caller's buffer.
 func TestDecodeProbeRespOneCopy(t *testing.T) {
 	masks := make([][]byte, 32)
 	for i := range masks {
@@ -379,12 +380,90 @@ func TestDecodeProbeRespOneCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	var dec ProbeResp
-	if n := testing.AllocsPerRun(50, func() { dec, _ = DecodeProbeResp(raw) }); n > 8 {
-		t.Errorf("DecodeProbeResp of 32 masks allocated %.0f times, want the payload copy and the slice's growth", n)
+	if n := testing.AllocsPerRun(50, func() { dec, _ = DecodeProbeResp(raw) }); n != 2 {
+		t.Errorf("DecodeProbeResp of 32 masks allocated %.0f times, want 2: the payload copy and the slice of masks", n)
 	}
 	dec.VecMasks[0] = append(dec.VecMasks[0], 0xFF)
 	if dec.VecMasks[1][0] != 0 || raw[8] != 0 {
 		t.Error("appending to one mask wrote into its neighbour or the frame")
+	}
+
+	var shared ProbeResp
+	if n := testing.AllocsPerRun(50, func() { shared, _ = DecodeProbeRespInPlace(raw) }); n != 1 {
+		t.Errorf("DecodeProbeRespInPlace of 32 masks allocated %.0f times, want 1: the slice of masks", n)
+	}
+	raw[8+MaskBytes(64)] = 0x5A
+	if shared.VecMasks[1][0] != 0x5A {
+		t.Error("a mask decoded in place is not the frame's own bytes")
+	}
+	shared.VecMasks[0] = append(shared.VecMasks[0], 0xFF)
+	if raw[8+MaskBytes(64)] != 0x5A {
+		t.Error("appending to a mask decoded in place wrote into its neighbour")
+	}
+}
+
+// TestAppendCodecsShareTheEncoders: every Encode is its Append into an empty
+// buffer, an Append leaves what was in the buffer alone and, given room,
+// allocates nothing; on error the buffer comes back as it went in.
+func TestAppendCodecsShareTheEncoders(t *testing.T) {
+	ins := Insert{Metric: 0xABCD1234, Vector: 77, Bit: 9, TTL: 1200}
+	req := ProbeReq{Bit: 3, Span: 6, NumVecs: 64, Metrics: []uint64{7, 0x1_0001}}
+	resp := ProbeResp{Bit: 3, Span: 1, NumVecs: 12, VecMasks: [][]byte{{1, 2}, {3, 4}}, HasArc: true, ArcLo: 99}
+	encReq, _ := EncodeProbeReq(req)
+	encResp, _ := EncodeProbeResp(resp)
+	prefix := []byte("keep")
+	buf := make([]byte, 0, 256)
+	check := func(name string, enc []byte, app func([]byte) []byte) {
+		t.Helper()
+		if got := app(append(buf[:0], prefix...)); !bytes.Equal(got[:4], prefix) || !bytes.Equal(got[4:], enc) {
+			t.Errorf("%s: append gave % x, encode % x", name, got, enc)
+		}
+		if n := testing.AllocsPerRun(50, func() { app(buf[:0]) }); n != 0 {
+			t.Errorf("%s: append into a buffer with room allocated %.0f times", name, n)
+		}
+	}
+	check("insert", EncodeInsert(ins), func(b []byte) []byte { return AppendInsert(b, ins) })
+	check("probe request", encReq, func(b []byte) []byte { b, _ = AppendProbeReq(b, req); return b })
+	check("probe reply", encResp, func(b []byte) []byte { b, _ = AppendProbeResp(b, resp); return b })
+
+	if got, err := AppendProbeReq(prefix, ProbeReq{Bit: 200, Span: 56}); err == nil || !bytes.Equal(got, prefix) {
+		t.Errorf("a refused request left % x (%v)", got, err)
+	}
+	short := ProbeResp{NumVecs: 12, VecMasks: [][]byte{{1, 2}, {3}}}
+	if got, err := AppendProbeResp(prefix, short); err == nil || !bytes.Equal(got, prefix) {
+		t.Errorf("a refused reply left % x (%v)", got, err)
+	}
+
+	var metrics []uint64
+	if n := testing.AllocsPerRun(50, func() {
+		m, err := DecodeProbeReqInto(metrics, encReq)
+		if err != nil || len(m.Metrics) != 2 {
+			t.Fatalf("DecodeProbeReqInto: %+v, %v", m, err)
+		}
+		metrics = m.Metrics
+	}); n != 0 {
+		t.Errorf("DecodeProbeReqInto a list with room allocated %.0f times", n)
+	}
+}
+
+// TestAppendMask: a mask taken from bitset words is the mask SetVec builds
+// vector by vector from the same set — cut to ⌈m/8⌉ bytes, zero where the
+// bitset is shorter, and without the vectors at and beyond m.
+func TestAppendMask(t *testing.T) {
+	words := []uint64{0xDEADBEEF_0BADF00D, 0xFFFFFFFF_FFFFFFFF, 0x8000000000000001}
+	for _, m := range []int{0, 1, 2, 7, 8, 9, 63, 64, 65, 100, 128, 192, 200, 512} {
+		for _, ws := range [][]uint64{nil, words[:1], words} {
+			want := make([]byte, MaskBytes(m))
+			for v := 0; v < m && v < 64*len(ws); v++ {
+				if ws[v/64]>>(v%64)&1 != 0 {
+					SetVec(want, v)
+				}
+			}
+			got := AppendMask([]byte{0xAA}, ws, m)
+			if got[0] != 0xAA || !bytes.Equal(got[1:], want) {
+				t.Errorf("m=%d, %d words: mask % x, want % x", m, len(ws), got[1:], want)
+			}
+		}
 	}
 }
 

@@ -128,6 +128,20 @@ ring_sum() {
     echo "$sum"
 }
 
+# node_sample I — "gc-cycles allocated-bytes requests-handled" of node I, read
+# off its /metrics: the runtime series (DESIGN.md §15) and every tag of
+# netdht_rpc_requests_total.
+node_sample() {
+    curl -fsS --max-time 5 "http://$(wait_for_admin "$LOGDIR/node-$1.log")/metrics" | awk '
+        $1 == "go_gc_cycles" { gc = $2 }
+        $1 == "go_heap_allocs_bytes" { bytes = $2 }
+        index($1, "netdht_rpc_requests_total{") == 1 { reqs += $2 }
+        END { printf "%.0f %.0f %.0f\n", gc, bytes, reqs }'
+}
+for i in $(seq 0 $((NODES - 1))); do
+    node_sample "$i" >"$LOGDIR/runtime-before-$i.txt"
+done
+
 echo "== inserting $ITEMS items"
 routed_before=$(ring_sum 'dhs_node_load{op="routed"}') # /statusz "routed"
 "$BIN" insert -entry "$ENTRY" -metric smoke -items "$ITEMS" 2>&1 | tee "$LOGDIR/insert.log"
@@ -163,6 +177,19 @@ echo "   stores sent by the view: $via_view / $ITEMS; nodes handling an insert: 
 
 echo "== counting (expect $ITEMS, tol $TOL)"
 "$BIN" count -entry "$ENTRY" -metric smoke -expect "$ITEMS" -tol "$TOL" | tee "$LOGDIR/count.log"
+
+# What the load cost each node's runtime: collections run, and heap bytes
+# allocated per request handled, between the sample before the inserts and
+# now. A node whose handling allocates nothing per request reads a few
+# hundred bytes here — the maintenance rounds' and the scrapes' own — and
+# does not collect; kilobytes per request is a handler that allocates.
+echo "== runtime cost of the insert and count phases, per node"
+for i in $(seq 0 $((NODES - 1))); do
+    read -r gc0 bytes0 reqs0 <"$LOGDIR/runtime-before-$i.txt"
+    read -r gc1 bytes1 reqs1 < <(node_sample "$i")
+    awk -v i="$i" -v gc="$((gc1 - gc0))" -v b="$((bytes1 - bytes0))" -v r="$((reqs1 - reqs0))" 'BEGIN {
+        printf "   node-%d: gc cycles +%d, %d requests handled, %.0f heap bytes allocated per request\n", i, gc, r, (r > 0 ? b / r : 0) }'
+done | tee "$LOGDIR/runtime.log"
 
 echo "== scraping /healthz and /metrics on every node"
 for i in $(seq 0 $((NODES - 1))); do
