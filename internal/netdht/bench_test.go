@@ -68,6 +68,48 @@ func BenchmarkClientCountUncached(b *testing.B) {
 	}
 }
 
+// BenchmarkClientCountAll is §4.2's "probing one node in I_r answers bit r
+// for all vectors and all metrics" as a table: one warm Client.CountAll of 1,
+// 4, 16 and 64 loaded metrics against the same clusters at the same geometry.
+// probes/op is the exchanges the scan took, and stays what one metric costs
+// — it creeps up only as far as the deepest of the metrics is scanned
+// further than the first; wire-B/op grows by the masks each further metric adds to
+// the same replies, and wire-B/metric is that total shared out.
+func BenchmarkClientCountAll(b *testing.B) {
+	for _, n := range []int{8, 32} {
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			_, c, reg := benchClient(b, n)
+			all := make([]uint64, 64)
+			for m := range all {
+				all[m] = uint64(m + 1)
+				for i := 0; i < 2000; i++ {
+					if err := c.Insert(all[m], core.ItemID(fmt.Sprint("item-", m, "-", i))); err != nil {
+						b.Fatalf("insert: %v", err)
+					}
+				}
+			}
+			for _, k := range []int{1, 4, 16, 64} {
+				b.Run(fmt.Sprintf("metrics%d", k), func(b *testing.B) {
+					c.CountAll(all[:k]) // fill the view outside the timer
+					probes, bytes := outRPCs(reg, "probe"), wireBytes(reg)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if res, err := c.CountAll(all[:k]); err != nil || res[0].Degraded {
+							b.Fatalf("CountAll = %+v, %v", res, err)
+						}
+					}
+					b.StopTimer()
+					ops := float64(b.N)
+					perOp := float64(wireBytes(reg)-bytes) / ops
+					b.ReportMetric(float64(outRPCs(reg, "probe")-probes)/ops, "probes/op")
+					b.ReportMetric(perOp, "wire-B/op")
+					b.ReportMetric(perOp/float64(k), "wire-B/metric")
+				})
+			}
+		})
+	}
+}
+
 // BenchmarkClientInsert is the write-side rung: one Client.Insert — the
 // routed store — against the same clusters at the same geometry. Two rows
 // per ring size, as for the scan: cold starts every insert from an empty

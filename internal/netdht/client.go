@@ -92,6 +92,10 @@ type Client struct {
 	cfg   ClientConfig
 	geom  core.Geometry
 	peers *peerPool
+	// maxMasks is the most masks one probe reply can carry at this geometry:
+	// what a frame holds, and no more than the reply's 16-bit mask count. It
+	// bounds positions × metrics of a run, and the metrics of one scan.
+	maxMasks int
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -121,10 +125,11 @@ func newClient(cfg ClientConfig, peerConns int) (*Client, error) {
 		return nil, fmt.Errorf("netdht: %w", err)
 	}
 	c := &Client{
-		cfg:   cfg,
-		geom:  geom,
-		peers: newPeerPool(cfg.DialTimeout, cfg.RPCTimeout, peerConns),
-		rng:   rand.New(rand.NewPCG(cfg.Seed, 0x6a09e667f3bcc908)),
+		cfg:      cfg,
+		geom:     geom,
+		peers:    newPeerPool(cfg.DialTimeout, cfg.RPCTimeout, peerConns),
+		maxMasks: min(math.MaxUint16, (maxFrame-wire.ProbeRespOverhead)/wire.MaskBytes(geom.M)),
+		rng:      rand.New(rand.NewPCG(cfg.Seed, 0x6a09e667f3bcc908)),
 	}
 	if cfg.Metrics != nil {
 		c.peers.m = newPoolMetrics(cfg.Metrics)
@@ -257,29 +262,66 @@ type CountResult struct {
 	Degraded bool `json:"degraded"`
 }
 
-// Count runs the Algorithm-1 counting scan for metric over RPC: core's
-// shared scan (descending for the LogLog family, ascending for PCSA)
-// driven by the RPC interval prober. Count is safe for concurrent use
-// by many goroutines sharing one Client — each call carries its own
-// answers, the ring view they all resolve targets against orders them
-// behind its mutex, and the peer pool multiplexes exchanges over
-// DefaultPeerConns sockets per peer. The first Count pays for learning
-// the ring; later ones route only what has changed.
+// Count runs the Algorithm-1 counting scan for metric over RPC: CountAll of
+// one metric.
 func (c *Client) Count(metric uint64) (CountResult, error) {
-	return c.count(&rpcProber{c: c}, metric), nil
+	res, err := c.CountAll([]uint64{metric})
+	if err != nil {
+		return CountResult{}, err
+	}
+	return res[0], nil
 }
 
-// count is Count over any interval prober.
-func (c *Client) count(p core.Prober, metric uint64) CountResult {
-	lim := func(int) int { return c.cfg.Lim }
-	est := c.geom.Scan(p, []uint64{metric}, lim)[0]
-	return CountResult{
-		Estimate:         est.Value,
-		ProbesAttempted:  est.Quality.ProbesAttempted,
-		ProbesFailed:     est.Quality.ProbesFailed,
-		IntervalsSkipped: est.Quality.IntervalsSkipped,
-		Degraded:         est.Quality.Degraded,
+// CountAll runs one counting scan for all of metrics over RPC — core's shared
+// scan (descending for the LogLog family, ascending for PCSA) driven by the
+// RPC interval prober — and returns their results in the order given. The
+// bit-to-interval mapping is the same for every metric (§4.2), so each owner
+// is asked once, for every metric still open, over the run of positions its
+// arc holds: the scan costs the exchanges of counting one metric, and each
+// further metric adds its masks to the replies. A metric named twice is
+// scanned once. A list whose reply for a single position would not fit a
+// frame is scanned in consecutive parts of maxMasks metrics each.
+//
+// CountAll is safe for concurrent use by many goroutines sharing one Client
+// — each call carries its own answers, the ring view they all resolve
+// targets against orders them behind its mutex, and the peer pool
+// multiplexes exchanges over DefaultPeerConns sockets per peer. The first
+// scan pays for learning the ring; later ones route only what has changed.
+func (c *Client) CountAll(metrics []uint64) ([]CountResult, error) {
+	at := make(map[uint64]int, len(metrics)) // metric → index in distinct
+	distinct := make([]uint64, 0, len(metrics))
+	for _, m := range metrics {
+		if _, seen := at[m]; !seen {
+			at[m] = len(distinct)
+			distinct = append(distinct, m)
+		}
 	}
+	scanned := make([]CountResult, 0, len(distinct))
+	for len(scanned) < len(distinct) {
+		part := distinct[len(scanned):min(len(scanned)+c.maxMasks, len(distinct))]
+		scanned = append(scanned, c.scan(&rpcProber{c: c}, part)...)
+	}
+	out := make([]CountResult, len(metrics))
+	for i, m := range metrics {
+		out[i] = scanned[at[m]]
+	}
+	return out, nil
+}
+
+// scan is one counting pass for metrics over any interval prober.
+func (c *Client) scan(p core.Prober, metrics []uint64) []CountResult {
+	lim := func(int) int { return c.cfg.Lim }
+	out := make([]CountResult, len(metrics))
+	for i, est := range c.geom.Scan(p, metrics, lim) {
+		out[i] = CountResult{
+			Estimate:         est.Value,
+			ProbesAttempted:  est.Quality.ProbesAttempted,
+			ProbesFailed:     est.Quality.ProbesFailed,
+			IntervalsSkipped: est.Quality.IntervalsSkipped,
+			Degraded:         est.Quality.Degraded,
+		}
+	}
+	return out
 }
 
 // answers is what one owner said of a run of bit positions, kept for the
@@ -311,13 +353,18 @@ func (a answers) at(bit uint) *maskReply {
 // that scan's own first probe of its owner, whose reply says where the arc
 // starts now. Each distinct owner is visited once per interval; a target
 // whose owner the interval has already met spends budget without a second
-// visit, mirroring the simulator's duplicate-visit cost. The visit order is
-// a function of the client's random stream and the ring alone.
+// visit, mirroring the simulator's duplicate-visit cost, and once a visit
+// has told the scan all the interval can, the budget left buys nothing, as
+// in the simulator's walk. The visit order is a function of the client's
+// random stream and the ring alone.
 type rpcProber struct {
 	c    *Client
 	told map[uint64]answers // by owner ID
 	// onVisit, when a test sets it, hears of every answered visit.
 	onVisit func(bit uint, owner chord.Ref, viaWire bool)
+	// askOn, when a test sets it, has an interval spend all its attempts
+	// whatever a visit reports: the loop the early stop is measured against.
+	askOn bool
 }
 
 // lookup routes target through the ring and folds the reply into the view.
@@ -357,7 +404,7 @@ func (p *rpcProber) run(bit uint, owner chord.Ref, metrics []uint64) wire.ProbeR
 	_, last, step := g.ScanRange()
 	end := int(bit)
 	if arc, known := p.c.view.arc(owner.ID); known {
-		fit := min(math.MaxUint16, (maxFrame-wire.ProbeRespOverhead)/wire.MaskBytes(g.M)) / len(metrics)
+		fit := p.c.maxMasks / len(metrics)
 		for bits := 2; bits <= fit && end != last; bits++ {
 			lo, size := g.Interval(uint(end + step))
 			if !arc.meets(lo, size) {
@@ -399,6 +446,7 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 	// The interval's exchanges: probes, and lookups — re-routes too, at most
 	// one a target.
 	probed, routed := 0, 0
+	exhausted := false // what the interval's last Visit reported
 	// attempt spends one of the interval's lim attempts on target's owner.
 	attempt := func(target uint64) error {
 		arc, remembered := view.resolve(target)
@@ -448,9 +496,7 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 		if err != nil {
 			return err
 		}
-		// The owner's answer for bit goes to the scan. That a Visit reports
-		// the interval exhausted is ignored: every interval spends lim
-		// attempts.
+		// The owner's answer for bit goes to the scan.
 		if fresh != nil {
 			probed++
 		}
@@ -458,11 +504,18 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 			p.onVisit(bit, owner, fresh != nil)
 		}
 		out.Visited++
-		v.Visit(a.at(bit))
+		exhausted = v.Visit(a.at(bit)) && !p.askOn
 		return nil
 	}
+	// Every interval is offered lim attempts and draws lim targets, so the
+	// client's stream stays a function of the seed and the intervals scanned.
+	// Once a Visit reports the interval exhausted — nothing another owner
+	// says of bit can change a statistic, and a resolved vector is final —
+	// the attempts left are spent without resolving, probing or visiting
+	// anything, as the simulator's walk returns early.
 	for i := 0; i < lim; i++ {
-		if attempt(p.c.randomTarget(bit)) != nil {
+		target := p.c.randomTarget(bit)
+		if !exhausted && attempt(target) != nil {
 			out.Failed++
 		}
 	}

@@ -25,6 +25,13 @@ import (
 // connection's owner before it lets go — peerPool.exchange hands its caller
 // a copy of the reply before the slot is released, and nothing else keeps
 // frame bytes (DESIGN.md §14 "Framing and codecs").
+//
+// A connection carries one exchange at a time: a request is not sent before
+// the last one's reply has been read, so whatever a read finds waiting is
+// one frame or the start of one. readFrame relies on it — it takes the
+// prefix and as much of the payload as has arrived in one Read — and bytes
+// behind a whole frame are a peer that broke the rule: the frame is refused
+// with them (errFrameSurplus), not read and the rest dropped.
 const maxFrame = 1 << 20
 
 // keepFrame is the most buffer a connection holds on to between frames. A
@@ -42,6 +49,8 @@ const frameBufMin = 256
 var (
 	errFrameTooBig = errors.New("netdht: frame exceeds size bound")
 	errEmptyFrame  = errors.New("netdht: empty frame")
+	// errFrameSurplus is a read that found bytes behind a whole frame.
+	errFrameSurplus = errors.New("netdht: bytes behind the frame")
 )
 
 // beginFrame empties buf and reserves the length prefix; the payload is
@@ -65,29 +74,38 @@ func writeFrame(w io.Writer, frame []byte) error {
 
 // readFrame receives one length-prefixed payload into buf's memory and
 // returns it — buf again, or a larger buffer when the frame needed one,
-// which the caller keeps in buf's place. Oversized and empty frames are
-// refused before anything grows. The payload is valid until the next
-// readFrame into the same buffer; on error the buffer comes back empty.
+// which the caller keeps in buf's place. One Read takes the prefix and
+// whatever of the payload came with it; only a payload that had not all
+// arrived, or does not fit buf, costs a second. Oversized and empty frames
+// are refused before anything grows, and so is a frame with bytes behind it.
+// The payload is valid until the next readFrame into the same buffer; on
+// error the buffer comes back empty.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if cap(buf) < frameBufMin {
 		buf = make([]byte, frameBufMin)
 	}
-	hdr := buf[:4]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	buf = buf[:cap(buf)]
+	got, err := io.ReadAtLeast(r, buf, 4)
+	if err != nil {
 		return buf[:0], err
 	}
-	n := binary.BigEndian.Uint32(hdr)
+	n := binary.BigEndian.Uint32(buf)
 	if n == 0 {
 		return buf[:0], errEmptyFrame
 	}
 	if n > maxFrame {
 		return buf[:0], errFrameTooBig
 	}
+	have := buf[4:got] // the payload's start, behind the prefix
+	if len(have) > int(n) {
+		return buf[:0], errFrameSurplus
+	}
 	if int(n) > cap(buf) {
 		buf = make([]byte, n)
 	}
 	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	copy(buf, have)
+	if _, err := io.ReadFull(r, buf[len(have):]); err != nil {
 		return buf[:0], err
 	}
 	return buf, nil

@@ -133,30 +133,48 @@ func fixpoint[M any](t *testing.T, buf []byte, dec func([]byte) (M, error), enc 
 	}
 }
 
+// onWire is payload as writeFrame sends it: behind a prefix that says its
+// length.
+func onWire(payload []byte) []byte {
+	var b bytes.Buffer
+	if err := writeFrame(&b, framed(payload)); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
+
 // FuzzReadFrame feeds an arbitrary byte stream to readFrame, frame after
-// frame into one reused buffer the way a connection reads. Whatever the
-// stream, readFrame must not panic; a frame it yields is exactly as long as
-// its prefix declared — never 0, never more than maxFrame — and holds the
-// stream's bytes behind that prefix; what it refuses, it refuses for the
-// reason the prefix gives; and a buffer that has carried other frames
-// decides nothing: a fresh buffer for every frame reads the same frames and
-// ends on the same error.
+// frame into one reused buffer the way a connection reads: one exchange at a
+// time, so each read finds what the stream holds up to the end of the frame
+// its next prefix declares, and no further. Whatever the stream, readFrame
+// must not panic; a frame it yields is exactly as long as its prefix
+// declared — never 0, never more than maxFrame — and holds the stream's
+// bytes behind that prefix; what it refuses, it refuses for the reason the
+// prefix gives; a buffer that has carried other frames decides nothing: a
+// fresh buffer for every frame reads the same frames and ends on the same
+// error; and a frame that arrives with a byte of the next one behind it is
+// refused, not read and the byte dropped.
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(framed(encodePing()))
-	f.Add(append(framed(encodeErr(errnoBad, 1, 2)), framed(encodePong())...))
-	f.Add(append(framed(make([]byte, 2*frameBufMin)), framed(encodePing())...)) // grows the buffer, then reuses it
+	f.Add(onWire(encodePing()))
+	f.Add(append(onWire(encodeErr(errnoBad, 1, 2)), onWire(encodePong())...))
+	f.Add(append(onWire(make([]byte, 2*frameBufMin)), onWire(encodePing())...)) // grows the buffer, then reuses it
 	f.Add([]byte{0, 0, 0, 0, 1})                                                // empty frame
 	f.Add([]byte{0, 0x10, 0, 1, 1})                                             // maxFrame + 1
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{0, 0, 0, 8, 1, 2}) // cut short
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		reused, fresh := bytes.NewReader(stream), bytes.NewReader(stream)
 		var buf []byte
 		for off := 0; ; {
+			waiting := stream[off:]
+			if len(waiting) >= 4 {
+				if declared := binary.BigEndian.Uint32(waiting); declared <= maxFrame {
+					waiting = waiting[:min(len(waiting), 4+int(declared))]
+				}
+			}
 			var err error
-			buf, err = readFrame(reused, buf)
-			other, ferr := readFrame(fresh, nil)
+			buf, err = readFrame(bytes.NewReader(waiting), buf)
+			other, ferr := readFrame(bytes.NewReader(waiting), nil)
 			if (err == nil) != (ferr == nil) || err != nil && err.Error() != ferr.Error() || !bytes.Equal(buf, other) {
 				t.Fatalf("offset %d: reused buffer read %d bytes (%v), fresh buffer %d bytes (%v)", off, len(buf), err, len(other), ferr)
 			}
@@ -195,6 +213,13 @@ func FuzzReadFrame(f *testing.F) {
 				t.Fatalf("offset %d: frame is not the stream's bytes", off)
 			}
 			off += 4 + len(buf)
+			// A fresh buffer's first Read takes frameBufMin bytes: a short
+			// frame with one more byte behind it arrives whole, and is refused.
+			if off < len(stream) && len(waiting) < frameBufMin {
+				if got, err := readFrame(bytes.NewReader(stream[off-len(waiting):off+1]), nil); err != errFrameSurplus || len(got) != 0 {
+					t.Fatalf("offset %d: a frame with a byte behind it gave %d bytes, %v", off, len(got), err)
+				}
+			}
 			buf = trimFrame(buf)
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"dhsketch/internal/chord"
+	"dhsketch/internal/core"
 )
 
 // The codecs as the tests like them: each message in a slice of its own.
@@ -21,6 +22,11 @@ func encodeAck(changed bool) []byte                  { return appendAck(nil, cha
 func encodeErr(code byte, hops, stale uint16) []byte { return appendErr(nil, code, hops, stale) }
 func encodePing() []byte                             { return bytes.Clone(pingFrame) }
 func encodePong() []byte                             { return bytes.Clone(pongFrame) }
+
+// count is Client.Count over any interval prober.
+func (c *Client) count(p core.Prober, metric uint64) CountResult {
+	return c.scan(p, []uint64{metric})[0]
+}
 
 // framed is payload as writeFrame takes it: behind its length prefix.
 func framed(payload []byte) []byte { return append(beginFrame(nil), payload...) }

@@ -226,7 +226,9 @@ type poolMetrics struct {
 	redials    *metrics.Counter
 	retries    *metrics.Counter
 
-	// The counting scan's interval targets, by how the owner was found.
+	// The counting scan's interval targets: those that cost a lookup, and
+	// those that cost none — resolved by the view, or drawn after the
+	// interval was exhausted and never resolved.
 	targetsByMap, targetsByLookup *metrics.Counter
 	// Its (interval, owner) visits, by where the owner's answer came from.
 	visitsByWire, visitsByMemo *metrics.Counter
@@ -262,8 +264,8 @@ func newPoolMetrics(reg *metrics.Registry) *poolMetrics {
 	for i, name := range errClassNames {
 		m.errClasses[i] = reg.Counter("netdht_out_errors_total", "outbound transport failures by errno class", metrics.L("class", name))
 	}
-	m.targetsByMap = reg.Counter("netdht_scan_targets_total", "counting-scan interval targets by how the owner was found", metrics.L("resolved", "map"))
-	m.targetsByLookup = reg.Counter("netdht_scan_targets_total", "counting-scan interval targets by how the owner was found", metrics.L("resolved", "lookup"))
+	m.targetsByMap = reg.Counter("netdht_scan_targets_total", "counting-scan interval targets by what finding the owner cost: a lookup, or none (the view held it, or the interval had its answer)", metrics.L("resolved", "map"))
+	m.targetsByLookup = reg.Counter("netdht_scan_targets_total", "counting-scan interval targets by what finding the owner cost: a lookup, or none (the view held it, or the interval had its answer)", metrics.L("resolved", "lookup"))
 	m.visitsByWire = reg.Counter("netdht_scan_visits_total", "counting-scan owner visits by where the answer came from", metrics.L("served", "wire"))
 	m.visitsByMemo = reg.Counter("netdht_scan_visits_total", "counting-scan owner visits by where the answer came from", metrics.L("served", "memo"))
 	m.storesByView = reg.Counter("netdht_store_first_hop_total", "client stores by what chose their first hop", metrics.L("via", "view"))

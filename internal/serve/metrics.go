@@ -17,6 +17,7 @@ type feMetrics struct {
 	queue       *metrics.Gauge
 	reqSeconds  *metrics.Histogram
 	fanSeconds  *metrics.Histogram
+	fanMetrics  *metrics.Counter
 	fanErrors   *metrics.Counter
 }
 
@@ -35,6 +36,7 @@ func newFEMetrics(reg *metrics.Registry) *feMetrics {
 		queue:       reg.Gauge("dhsd_queue_depth", "queries waiting for a fan-out slot"),
 		reqSeconds:  reg.Histogram("dhsd_request_seconds", "end-to-end serve latency (any source)", metrics.DefLatencyBuckets),
 		fanSeconds:  reg.Histogram("dhsd_fanout_seconds", "ring fan-out latency", metrics.DefLatencyBuckets),
+		fanMetrics:  reg.Counter("dhsd_fanout_metrics_total", "metrics the ring fan-outs scanned, the one that missed and those refreshed with it"),
 		fanErrors:   reg.Counter("dhsd_fanout_errors_total", "ring fan-outs that returned an error"),
 	}
 }
@@ -111,12 +113,16 @@ func (m *feMetrics) startFanout() metrics.Timer {
 	return m.fanSeconds.Start()
 }
 
-func (m *feMetrics) finishFanout(tm metrics.Timer, err error) {
+// finishFanout meters one fan-out over scanned metrics.
+func (m *feMetrics) finishFanout(tm metrics.Timer, scanned int, err error) {
 	tm.Stop()
-	if m == nil || err == nil {
+	if m == nil {
 		return
 	}
-	m.fanErrors.Inc()
+	m.fanMetrics.Add(uint64(scanned))
+	if err != nil {
+		m.fanErrors.Inc()
+	}
 }
 
 // registerGauges publishes the scrape-time size gauges.
@@ -124,6 +130,6 @@ func (f *Frontend) registerGauges(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	reg.GaugeFunc("dhsd_cache_entries", "entries held by the estimate cache (including not-yet-evicted expired ones)",
+	reg.GaugeFunc("dhsd_cache_entries", "entries held by the estimate cache",
 		func() float64 { return float64(f.CacheLen()) })
 }

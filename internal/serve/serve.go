@@ -5,7 +5,12 @@
 // *estimate*. A 250ms-stale estimate is statistically as good as a
 // fresh one, so answers are cacheable with short TTLs; and two callers
 // asking for the same metric at the same instant need one ring fan-out,
-// not two, so in-flight queries coalesce. What cannot be absorbed by
+// not two, so in-flight queries coalesce. A fan-out is a scan for every
+// metric handed to it at the hops of a scan for one (§4.2), so with the
+// cache and coalescing on a miss refreshes, beside the metric that
+// missed, the cached metrics that are in demand and at least half a TTL
+// old: metrics kept warm expire together and are refreshed together, by
+// one scan per TTL (Frontend.cohort). What cannot be absorbed by
 // cache or coalescing is admission-controlled: a bounded in-flight
 // limit plus a bounded queue with deadline shedding, so overload
 // degrades into fast 429s instead of a latency collapse.
@@ -15,7 +20,8 @@
 //   - Byte identity. With the cache disabled, a Frontend answer is the
 //     canonical JSON encoding of exactly the netdht.CountResult one
 //     direct Client.Count call produces — coalescing and admission
-//     control never alter a payload, only who computes it and when.
+//     control never alter a payload, only who computes it and when, and
+//     with the cache off no metric rides another's fan-out.
 //
 //   - Staleness. With CacheTTL = t, a served estimate is never older
 //     than t: entries past their TTL are treated as absent and trigger
@@ -35,6 +41,7 @@
 package serve
 
 import (
+	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -50,6 +57,27 @@ import (
 // fan-out (lookups plus interval probes). *netdht.Client implements it.
 type Counter interface {
 	Count(metric uint64) (netdht.CountResult, error)
+}
+
+// batchCounter is a Counter whose fan-out takes several metrics at once, as
+// *netdht.Client's does. New asks once whether its Counter is one.
+type batchCounter interface {
+	CountAll(metrics []uint64) ([]netdht.CountResult, error)
+}
+
+// countEach is CountAll for a Counter without one: a Count per metric, and
+// the first failure fails them all.
+func countEach(c Counter) func([]uint64) ([]netdht.CountResult, error) {
+	return func(metrics []uint64) ([]netdht.CountResult, error) {
+		out := make([]netdht.CountResult, len(metrics))
+		for i, m := range metrics {
+			var err error
+			if out[i], err = c.Count(m); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
 }
 
 // ErrShed marks a query rejected by admission control; cmd/dhsd maps
@@ -71,7 +99,9 @@ type Config struct {
 	// negative) disables the cache entirely.
 	CacheTTL time.Duration
 	// Coalesce enables singleflight-style sharing: concurrent Count
-	// calls for one metric ride a single ring fan-out.
+	// calls for one metric ride a single ring fan-out — and, with the
+	// cache on, the fan-out a miss starts refreshes the cached metrics
+	// that are due with it.
 	Coalesce bool
 
 	// MaxInFlight bounds concurrent ring fan-outs (default 64). MaxQueue
@@ -122,11 +152,18 @@ type Result struct {
 	Age time.Duration
 }
 
-// cacheEntry is one cached estimate; immutable once published.
+// cacheEntry is one cached estimate. What it answers with is immutable
+// once published.
 type cacheEntry struct {
-	res  netdht.CountResult
-	body []byte
-	at   time.Time
+	metric uint64
+	res    netdht.CountResult
+	body   []byte
+	at     time.Time
+	// served is set by the first cache hit on the entry: the demand that
+	// makes its metric worth refreshing before it is missed.
+	served atomic.Bool
+	// fill is the entry's place in Frontend.fills, under fillMu.
+	fill *list.Element
 }
 
 // cacheShards is the shard count of the estimate cache. Sharding keeps
@@ -138,22 +175,48 @@ type cacheShard struct {
 	m  map[uint64]*cacheEntry
 }
 
-// flightCall is one in-flight coalesced fan-out; res/err are written
+// flightCall is one in-flight coalesced fan-out, registered under every
+// metric it scans; metrics[0] is the one that missed. res/err are written
 // before done closes and read only after.
 type flightCall struct {
-	done chan struct{}
-	res  Result
-	err  error
+	done    chan struct{}
+	metrics []uint64
+	res     []Result
+	err     error
+}
+
+// result is the fan-out's answer for metric, to a caller that waited on it.
+func (c *flightCall) result(metric uint64) (Result, error) {
+	if c.err != nil {
+		return Result{}, c.err
+	}
+	for i, m := range c.metrics {
+		if m == metric {
+			r := c.res[i]
+			r.Source = SourceCoalesced
+			return r, nil
+		}
+	}
+	panic("serve: flight call does not hold the metric it was registered under")
 }
 
 // Frontend is the serving engine: cache, coalescer, admission
 // controller. Safe for concurrent use by any number of goroutines.
+//
+// Lock order: flightMu, then fillMu, then a shard's mu. The cache-hit path
+// takes a shard's mu alone.
 type Frontend struct {
-	cfg     Config
-	counter Counter
-	now     func() time.Time
+	cfg      Config
+	countAll func(metrics []uint64) ([]netdht.CountResult, error)
+	now      func() time.Time
 
 	shards [cacheShards]cacheShard
+
+	// fills holds every cached entry in the order they were filled. The TTL
+	// is one constant, so that is the order they expire in, and the entries
+	// at least half a TTL old are a prefix.
+	fillMu sync.Mutex
+	fills  list.List // of *cacheEntry
 
 	sem    chan struct{} // in-flight fan-out tokens
 	queued atomic.Int64
@@ -164,16 +227,22 @@ type Frontend struct {
 	m *feMetrics
 }
 
-// New builds a Frontend over counter.
+// New builds a Frontend over counter. A counter that also has
+// CountAll(metrics []uint64) ([]netdht.CountResult, error) — *netdht.Client
+// does — runs a fan-out of several metrics as one scan; any other is asked
+// for them one Count at a time.
 func New(counter Counter, cfg Config) *Frontend {
 	cfg = cfg.withDefaults()
 	f := &Frontend{
-		cfg:     cfg,
-		counter: counter,
-		now:     cfg.Now,
-		sem:     make(chan struct{}, cfg.MaxInFlight),
-		flight:  make(map[uint64]*flightCall),
-		m:       newFEMetrics(cfg.Metrics),
+		cfg:      cfg,
+		countAll: countEach(counter),
+		now:      cfg.Now,
+		sem:      make(chan struct{}, cfg.MaxInFlight),
+		flight:   make(map[uint64]*flightCall),
+		m:        newFEMetrics(cfg.Metrics),
+	}
+	if b, ok := counter.(batchCounter); ok {
+		f.countAll = b.CountAll
 	}
 	for i := range f.shards {
 		f.shards[i].m = make(map[uint64]*cacheEntry)
@@ -190,48 +259,106 @@ func (f *Frontend) shardOf(metric uint64) *cacheShard {
 }
 
 // cacheGet returns the fresh entry for metric, or nil. An entry past
-// its TTL is deleted and reported stale — by the staleness contract it
-// must never be served.
+// its TTL is reported stale — by the staleness contract it must never
+// be served — and left for the fan-out that follows to replace. A hit
+// marks the entry served: a load, and once in the entry's life a store.
 func (f *Frontend) cacheGet(metric uint64) (*cacheEntry, time.Duration) {
 	sh := f.shardOf(metric)
 	sh.mu.Lock()
 	e := sh.m[metric]
+	sh.mu.Unlock()
 	if e == nil {
-		sh.mu.Unlock()
 		f.m.cacheMiss()
 		return nil, 0
 	}
 	age := f.now().Sub(e.at)
 	if age >= f.cfg.CacheTTL {
-		delete(sh.m, metric)
-		sh.mu.Unlock()
 		f.m.cacheStale()
 		return nil, 0
 	}
-	sh.mu.Unlock()
+	if !e.served.Load() {
+		e.served.Store(true)
+	}
 	f.m.cacheHit()
 	return e, age
 }
 
-func (f *Frontend) cachePut(metric uint64, res netdht.CountResult, body []byte) {
-	sh := f.shardOf(metric)
-	e := &cacheEntry{res: res, body: body, at: f.now()}
-	sh.mu.Lock()
-	sh.m[metric] = e
-	sh.mu.Unlock()
+// cachePut publishes a fan-out's answers under one fill time, each in its
+// metric's older entry's place.
+func (f *Frontend) cachePut(metrics []uint64, results []Result) {
+	at := f.now()
+	f.fillMu.Lock()
+	defer f.fillMu.Unlock()
+	for i, metric := range metrics {
+		e := &cacheEntry{metric: metric, res: results[i].CountResult, body: results[i].Body, at: at}
+		sh := f.shardOf(metric)
+		sh.mu.Lock()
+		old := sh.m[metric]
+		sh.m[metric] = e
+		sh.mu.Unlock()
+		if old != nil {
+			f.fills.Remove(old.fill)
+		}
+		e.fill = f.fills.PushBack(e)
+	}
 }
 
-// CacheLen reports live cache entries across all shards (expired
-// entries linger until touched; they are counted — this is a size
-// gauge, not a freshness claim).
-func (f *Frontend) CacheLen() int {
-	n := 0
-	for i := range f.shards {
-		f.shards[i].mu.Lock()
-		n += len(f.shards[i].m)
-		f.shards[i].mu.Unlock()
+// cohort adds to call, which a miss is about to fan out, every cached metric
+// that is at least half a TTL old, has been served from the cache since it
+// was filled, and is not in flight already; and registers call under each, so
+// that a caller who misses one of them meanwhile waits for this fan-out. The
+// answers are published under one fill time, so the metrics of a cohort
+// expire together, and the next miss on any of them refreshes them all.
+//
+// Half is not a knob: it is the largest share of the TTL under which any two
+// cohorts in demand, filled d apart, become one within a TTL of the later
+// fill. If d ≤ TTL/2, the earlier one's miss finds the later one TTL−d ≥
+// TTL/2 old; if d > TTL/2, the later one's miss finds the earlier one,
+// refilled d before, d old (DESIGN.md §16 "Cohort refresh"). In the steady
+// state every metric in demand is refreshed once per TTL, by one fan-out, and
+// a refresh before expiry is paid when two cohorts merge, not every period.
+//
+// The same walk evicts what has expired with nobody served from it: a metric
+// asked for less than once per TTL never rides, and one that was in demand
+// and no longer is rides once more and is gone a TTL later. The walk is over
+// the entries at least half a TTL old, oldest first, not over the cache.
+//
+// The caller holds flightMu.
+func (f *Frontend) cohort(call *flightCall) {
+	now := f.now()
+	f.fillMu.Lock()
+	defer f.fillMu.Unlock()
+	var next *list.Element
+	for el := f.fills.Front(); el != nil; el = next {
+		next = el.Next()
+		e := el.Value.(*cacheEntry)
+		age := now.Sub(e.at)
+		if age < f.cfg.CacheTTL/2 {
+			break
+		}
+		if e.served.Load() {
+			if f.flight[e.metric] == nil {
+				f.flight[e.metric] = call
+				call.metrics = append(call.metrics, e.metric)
+			}
+		} else if age >= f.cfg.CacheTTL {
+			f.fills.Remove(el)
+			sh := f.shardOf(e.metric)
+			sh.mu.Lock()
+			delete(sh.m, e.metric)
+			sh.mu.Unlock()
+		}
 	}
-	return n
+}
+
+// CacheLen reports the entries the cache holds. An expired one is among
+// them until the next miss of a coalescing frontend evicts it, or a
+// fan-out for its metric replaces it: this is a size, not a freshness
+// claim.
+func (f *Frontend) CacheLen() int {
+	f.fillMu.Lock()
+	defer f.fillMu.Unlock()
+	return f.fills.Len()
 }
 
 // Count serves one estimate for metric: cache first, then a coalesced
@@ -251,54 +378,67 @@ func (f *Frontend) count(metric uint64) (Result, error) {
 		}
 	}
 	if !f.cfg.Coalesce {
-		return f.fanout(metric)
+		res, err := f.fanout([]uint64{metric})
+		if err != nil {
+			return Result{}, err
+		}
+		return res[0], nil
 	}
 
 	f.flightMu.Lock()
-	if call := f.flight[metric]; call != nil {
+	if running := f.flight[metric]; running != nil {
 		f.flightMu.Unlock()
 		f.m.coalescedWaiter()
-		<-call.done
-		if call.err != nil {
-			return Result{}, call.err
-		}
-		r := call.res
-		r.Source = SourceCoalesced
-		return r, nil
+		<-running.done
+		return running.result(metric)
 	}
-	call := &flightCall{done: make(chan struct{})}
+	call := &flightCall{done: make(chan struct{}), metrics: []uint64{metric}}
 	f.flight[metric] = call
+	if f.cfg.CacheTTL > 0 {
+		f.cohort(call)
+	}
 	f.flightMu.Unlock()
 
-	call.res, call.err = f.fanout(metric)
+	call.res, call.err = f.fanout(call.metrics)
 	f.flightMu.Lock()
-	delete(f.flight, metric)
+	for _, m := range call.metrics {
+		delete(f.flight, m)
+	}
 	f.flightMu.Unlock()
 	close(call.done)
-	return call.res, call.err
+	if call.err != nil {
+		return Result{}, call.err
+	}
+	return call.res[0], nil
 }
 
-// fanout runs one admitted ring fan-out and (cache on) publishes the
-// answer.
-func (f *Frontend) fanout(metric uint64) (Result, error) {
+// fanout runs one admitted ring fan-out for metrics — one admission slot
+// and one scan, however many they are — and (cache on) publishes the
+// answers. A failure publishes nothing: the entries of the metrics that
+// rode stay as they were.
+func (f *Frontend) fanout(metrics []uint64) ([]Result, error) {
 	if err := f.admit(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	defer f.release()
 	tm := f.m.startFanout()
-	res, err := f.counter.Count(metric)
-	f.m.finishFanout(tm, err)
+	counts, err := f.countAll(metrics)
+	f.m.finishFanout(tm, len(metrics), err)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-	body, err := json.Marshal(res)
-	if err != nil {
-		return Result{}, err
+	results := make([]Result, len(metrics))
+	for i, res := range counts {
+		body, err := json.Marshal(res)
+		if err != nil {
+			return nil, err
+		}
+		results[i] = Result{CountResult: res, Body: body, Source: SourceDirect}
 	}
 	if f.cfg.CacheTTL > 0 {
-		f.cachePut(metric, res, body)
+		f.cachePut(metrics, results)
 	}
-	return Result{CountResult: res, Body: body, Source: SourceDirect}, nil
+	return results, nil
 }
 
 // admit takes one in-flight token: immediately if one is free,

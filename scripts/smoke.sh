@@ -275,7 +275,36 @@ grep -q '"shed":0,' "$LOGDIR/dhsload.json" || {
 p99=$(sed -n 's/.*"p99_ms":\([0-9.]*\).*/\1/p' "$LOGDIR/dhsload.json")
 echo "   dhsload p99 = ${p99}ms (report: $LOGDIR/dhsload.json)"
 
+# Several metrics kept warm are refreshed together (DESIGN.md §16 "Cohort
+# refresh"): a miss's fan-out carries every cached metric that is in demand
+# and at least half a TTL old, so once the first misses have merged the
+# whole set costs one scan per TTL. Eight Zipf-hot metrics, a first run to
+# get there, then three TTLs between two scrapes: at most two fan-outs per
+# TTL, and more than one metric in the average fan-out. Without the cohort
+# rule this reads eight fan-outs per TTL of one metric each.
+HOT=8
+TTLS=3
+for i in $(seq 0 $((HOT - 1))); do
+    "$BIN" insert -entry "$ENTRY" -metric "smoke-$i" -items 200 >/dev/null 2>&1
+done
+"$LOGDIR/dhsload" -target "http://$DHSD" -concurrency 4 -metrics "$HOT" -prefix smoke \
+    -duration 2s -warmup 0s -json >/dev/null
+curl -fsS --max-time 5 "http://$DHSD/metrics" >"$LOGDIR/metrics-dhsd-warm.prom"
+"$LOGDIR/dhsload" -target "http://$DHSD" -concurrency 4 -metrics "$HOT" -prefix smoke \
+    -duration "${TTLS}s" -warmup 0s -json >"$LOGDIR/dhsload-hot.json"
 curl -fsS --max-time 5 "http://$DHSD/metrics" >"$LOGDIR/metrics-dhsd.prom"
+grep -q '"errors":0,' "$LOGDIR/dhsload-hot.json" || {
+    echo "== dhsload reported request errors on the hot set" >&2
+    exit 1
+}
+fan=$(($(metric_value "$LOGDIR/metrics-dhsd.prom" 'dhsd_fanout_seconds_count') - $(metric_value "$LOGDIR/metrics-dhsd-warm.prom" 'dhsd_fanout_seconds_count')))
+scanned=$(($(metric_value "$LOGDIR/metrics-dhsd.prom" 'dhsd_fanout_metrics_total') - $(metric_value "$LOGDIR/metrics-dhsd-warm.prom" 'dhsd_fanout_metrics_total')))
+if ! awk -v f="$fan" -v m="$scanned" -v t="$TTLS" 'BEGIN { exit !(f > 0 && f <= 2 * t && m > f) }'; then
+    echo "== $HOT hot metrics over $TTLS TTLs: $fan fan-outs scanning $scanned metrics, want 0 < fan-outs <= $((2 * TTLS)) and more than one metric per fan-out" >&2
+    exit 1
+fi
+echo "   $HOT hot metrics over $TTLS TTLs: $fan fan-outs, $scanned metrics scanned"
+
 hits=$(metric_value "$LOGDIR/metrics-dhsd.prom" 'dhsd_cache_requests_total{result="hit"}')
 if [ "${hits%.*}" -eq 0 ]; then
     echo "== dhsd served a Zipf-hot workload with zero cache hits" >&2
