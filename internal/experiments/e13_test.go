@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -10,6 +12,7 @@ import (
 
 func TestRunE13(t *testing.T) {
 	p := tinyParams()
+	p.Workers = 1 // one environment feeds the sink: the trace is byte-stable
 	jsonlBuf := &bytes.Buffer{}
 	jsonl := obs.NewJSONL(jsonlBuf)
 	p.Tracer = jsonl
@@ -85,6 +88,9 @@ func TestRunE13(t *testing.T) {
 			t.Errorf("Render missing %q:\n%s", want, out.String())
 		}
 	}
+	checkGolden(t, "e13.golden", out.Bytes())
+	sum := sha256.Sum256(jsonlBuf.Bytes())
+	checkGolden(t, "e13.trace.sha256", []byte(hex.EncodeToString(sum[:])+"\n"))
 }
 
 // TestRunE13Deterministic runs the single-cell experiment twice and

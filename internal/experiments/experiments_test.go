@@ -62,6 +62,7 @@ func TestRunE1(t *testing.T) {
 	if !strings.Contains(buf.String(), "hops/insert") {
 		t.Error("render missing header")
 	}
+	checkGolden(t, "e1.golden", buf.Bytes())
 }
 
 func TestRunE2(t *testing.T) {
@@ -289,6 +290,7 @@ func TestRunE10(t *testing.T) {
 	if !strings.Contains(buf.String(), "fault tolerance") {
 		t.Error("render missing title")
 	}
+	checkGolden(t, "e10.golden", buf.Bytes())
 }
 
 func fmtFrac(f float64) string {
@@ -395,6 +397,7 @@ func TestRunE12F(t *testing.T) {
 	if !strings.Contains(buf.String(), "degraded %") {
 		t.Error("render missing column")
 	}
+	checkGolden(t, "e12f.golden", buf.Bytes())
 }
 
 func TestRunE12(t *testing.T) {
