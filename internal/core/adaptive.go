@@ -68,12 +68,16 @@ func (d *DHS) CountAdaptiveFrom(src dht.Node, metric uint64, p float64) (Estimat
 	if err != nil {
 		return Estimate{}, err
 	}
-	// The second pass is its own counting pass.
-	ests, _ := d.scanPass(src, []uint64{metric}, d.Eq6LimSchedule(first.Value, p))
-	est := ests[0]
+	// The second pass is its own counting pass. The work of both is on the
+	// books; what the estimate rests on — skipped intervals, unresolved
+	// vectors — is the second pass's own.
+	est := d.scanPass(src, []uint64{metric}, d.Eq6LimSchedule(first.Value, p))[0]
+	q, fq := &est.Quality, first.Quality
 	est.Cost.add(first.Cost)
-	est.Quality.ProbesAttempted += first.Quality.ProbesAttempted
-	est.Quality.ProbesFailed += first.Quality.ProbesFailed
-	est.Quality.Degraded = est.Quality.Degraded || first.Quality.Degraded
+	q.ProbesAttempted += fq.ProbesAttempted
+	q.ProbesFailed += fq.ProbesFailed
+	q.StaleRetries += fq.StaleRetries
+	q.RepairWindow = q.RepairWindow || fq.RepairWindow
+	q.Degraded = q.Degraded || fq.Degraded
 	return est, nil
 }

@@ -5,6 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"dhsketch/internal/chord"
+	"dhsketch/internal/obs"
+	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
 )
 
@@ -104,5 +107,58 @@ func TestCountAdaptivePCSA(t *testing.T) {
 	// adaptive must not be catastrophically worse.
 	if e := math.Abs(adaptive.Value-n) / n; e > math.Abs(plain.Value-n)/n+0.3 {
 		t.Errorf("adaptive PCSA error %.3f vs plain %.3f", e, math.Abs(plain.Value-n)/n)
+	}
+}
+
+// TestCountAdaptiveKeepsPassEpilogue: right after a crash on a stabilizing
+// ring, before any repair round, both passes of CountAdaptive run in the
+// repair window — the estimate says so, as CountFrom's does — and each pass
+// is traced from count-start to count-done. Both passes' work is on the
+// books: the second pass alone never accounts for all of it.
+func TestCountAdaptiveKeepsPassEpilogue(t *testing.T) {
+	env := sim.NewEnv(61)
+	ring := chord.NewStabilizing(env, 64, chord.ProtocolConfig{})
+	d, err := New(Config{Overlay: ring, Env: env, M: 16, Kind: sketch.KindSuperLogLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	metric := MetricID("adaptive-window")
+	insertItems(t, d, metric, 5000, "aw")
+	nodes := ring.Nodes()
+	src := nodes[0]
+	ring.Crash(nodes[len(nodes)/2])
+
+	plain, err := d.CountFrom(src, metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !plain.Quality.RepairWindow {
+		t.Fatal("test premise broken: CountFrom after a crash reports no repair window")
+	}
+	r := obs.NewRing(1 << 16)
+	env.SetTracer(r)
+	est, err := d.CountAdaptiveFrom(src, metric, 0.99)
+	env.SetTracer(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !est.Quality.RepairWindow {
+		t.Errorf("CountAdaptiveFrom quality %+v: no repair window", est.Quality)
+	}
+	if est.Quality.ProbesAttempted <= plain.Quality.ProbesAttempted {
+		t.Errorf("%d probes attempted over two passes, one plain pass attempts %d",
+			est.Quality.ProbesAttempted, plain.Quality.ProbesAttempted)
+	}
+	starts, dones := map[uint64]bool{}, map[uint64]bool{}
+	for _, e := range r.Events() {
+		switch e.Kind {
+		case obs.KindCountStart:
+			starts[e.Pass] = true
+		case obs.KindCountDone:
+			dones[e.Pass] = true
+		}
+	}
+	if len(starts) != 2 || len(dones) != 2 {
+		t.Errorf("passes started %v, done %v; want both passes bracketed", starts, dones)
 	}
 }

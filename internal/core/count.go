@@ -79,38 +79,32 @@ func (d *DHS) CountAllFrom(src dht.Node, metrics []uint64) ([]Estimate, error) {
 		// and transient failures degrade gracefully.
 		return nil, dht.ErrNodeDown
 	}
-	ests, pt := d.scanPass(src, metrics, d.limSchedule())
-	// The pass ran against stale protocol state when the overlay has
-	// repairs pending; flag the estimates so callers can weigh them
-	// accordingly.
+	return d.scanPass(src, metrics, d.limSchedule()), nil
+}
+
+// scanPass runs one counting pass from src with the given per-bit probe
+// budget: the shared scan over this handle's successor-walk prober. Every
+// pass ends alike: each estimate carries the pass's whole cost and is
+// flagged when the overlay had repairs pending, and count-done is emitted.
+func (d *DHS) scanPass(src dht.Node, metrics []uint64, limFor func(bit int) int) []Estimate {
+	rng, pass := d.countPass()
+	w := &walkProber{d: d, src: src, rng: rng, pt: passTracer{t: d.env.Tracer(), env: d.env, pass: pass}}
+	w.pt.emit(obs.KindCountStart, src.ID(), -1, int64(len(metrics)), nil)
+	ests := d.geom.Scan(w, metrics, limFor)
 	m, ok := d.overlay.(dht.Maintainer)
 	repairWindow := ok && !m.Converged()
 	for i := range ests {
+		ests[i].Cost = w.cost
 		ests[i].Quality.RepairWindow = repairWindow
-		if pt.t != nil {
-			pt.t.Event(obs.Event{
-				Tick: d.env.Clock.Now(), Kind: obs.KindCountDone, Pass: pt.pass,
+		if w.pt.t != nil {
+			w.pt.t.Event(obs.Event{
+				Tick: d.env.Clock.Now(), Kind: obs.KindCountDone, Pass: pass,
 				Node: src.ID(), Metric: metrics[i], Bit: -1,
 				Arg: int64(ests[i].Quality.VectorsUnresolved),
 			})
 		}
 	}
-	return ests, nil
-}
-
-// scanPass runs one counting pass from src with the given per-bit probe
-// budget: the shared scan over this handle's successor-walk prober. Every
-// estimate carries the pass's whole cost; the pass's tracing context is
-// returned for events the caller appends.
-func (d *DHS) scanPass(src dht.Node, metrics []uint64, limFor func(bit int) int) ([]Estimate, passTracer) {
-	rng, pass := d.countPass()
-	w := &walkProber{d: d, src: src, rng: rng, pt: passTracer{t: d.env.Tracer(), env: d.env, pass: pass}}
-	w.pt.emit(obs.KindCountStart, src.ID(), -1, int64(len(metrics)), nil)
-	ests := d.geom.Scan(w, metrics, limFor)
-	for i := range ests {
-		ests[i].Cost = w.cost
-	}
-	return ests, w.pt
+	return ests
 }
 
 // limSchedule returns the per-bit probe-budget function for a counting

@@ -27,6 +27,7 @@ type DHS struct {
 	overlay dht.Overlay
 	env     *sim.Env
 	rng     *rand.Rand
+	placer  overlayPlacer
 
 	// countSeq numbers counting passes; pass p draws its targets from
 	// the stream PCG(seed, countSalt^p), so sequential runs are exactly
@@ -47,14 +48,16 @@ func New(cfg Config) (*DHS, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DHS{
+	d := &DHS{
 		cfg:       cfg,
 		geom:      geom,
 		overlay:   cfg.Overlay,
 		env:       cfg.Env,
 		rng:       cfg.Env.Derive("dhs"),
 		countSalt: md4.Sum64([]byte(fmt.Sprintf("%d|dhs-count", cfg.Env.Seed()))),
-	}, nil
+	}
+	d.placer.d = d
+	return d, nil
 }
 
 // countPass allocates a counting pass: its number and its private random

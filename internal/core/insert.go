@@ -64,217 +64,111 @@ func (d *DHS) Insert(metric uint64, itemID uint64) (InsertCost, error) {
 }
 
 // InsertFrom records one item under the metric, originating at src — the
-// node that holds the item. One DHT lookup routes the 8-byte tuple to a
-// node drawn uniformly from the bit's ID-space interval; with replication
-// R the tuple is then copied to R successors at one extra hop each.
-//
-// Under the failure model a failed lookup or store exchange is retried
-// up to InsertRetries times, each retry re-drawing a fresh random target
-// in the same interval (the uniform placement invariant is preserved and
-// the new draw sidesteps the failed node) after a bounded linear backoff
-// on the virtual clock, so transient down-windows can pass.
+// node that holds the item: Geometry.Place of one item over the overlay.
+// One DHT lookup routes the 8-byte tuple to a node drawn uniformly from
+// the bit's ID-space interval; with replication R the tuple is then copied
+// to R successors at one extra hop each. Under the failure model a failed
+// lookup is retried up to InsertRetries times at fresh targets, after a
+// linear backoff on the virtual clock, so transient down-windows can pass.
 func (d *DHS) InsertFrom(src dht.Node, metric uint64, itemID uint64) (InsertCost, error) {
-	vector, bit := d.geom.Split(itemID)
-	if !d.geom.Stored(bit) {
-		// ShiftBits variant: the b low-order positions are assumed set
-		// and never stored; recording such an item is free.
-		return InsertCost{}, nil
-	}
-	return d.storeBit(src, TupleKey{Metric: metric, Vector: vector, Bit: uint8(bit)})
-}
-
-// insertRetries returns the configured retry bound, with negative values
-// meaning fail-fast.
-func (d *DHS) insertRetries() int {
-	if d.cfg.InsertRetries < 0 {
-		return 0
-	}
-	return d.cfg.InsertRetries
-}
-
-// storeBit routes one tuple to a random node in its bit's interval and
-// replicates it, retrying failed attempts at fresh random targets.
-func (d *DHS) storeBit(src dht.Node, key TupleKey) (InsertCost, error) {
-	var cost InsertCost
-	retries := d.insertRetries()
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 {
-			// Bounded linear backoff before the retry: virtual time
-			// passes, so a node's transient down-window can end before
-			// the re-drawn target is contacted.
-			d.env.Clock.Advance(int64(attempt))
-			cost.Retries++
-		}
-		target := d.geom.Target(d.rng, uint(key.Bit))
-		home, hops, err := d.overlay.LookupFrom(src, target)
-		if err != nil {
-			lastErr = err
-			d.trace(obs.KindStoreFail, 0, key.Metric, int(key.Bit), int64(hops), err)
-			if hops > 0 {
-				// The request consumed the route before failing.
-				cost.Hops += int64(hops)
-				cost.Bytes += int64(hops) * (TupleBytes + MsgHeaderBytes)
-				d.env.Traffic.Drop(hops, TupleBytes+MsgHeaderBytes)
-			}
-			continue
-		}
-		cost.Lookups++
-		cost.Hops += int64(hops)
-		cost.Bytes += int64(hops) * (TupleBytes + MsgHeaderBytes)
-		d.env.Traffic.Account(hops, TupleBytes+MsgHeaderBytes)
-
-		expiry := expiryFor(d.env.Clock.Now(), d.cfg.TTL)
-		d.storeOf(home).Set(key, expiry)
-		home.Counters().AddStoreOps()
-		d.trace(obs.KindStore, home.ID(), key.Metric, int(key.Bit), 1, nil)
-
-		d.replicate(home, key, expiry, &cost)
-		return cost, nil
-	}
-	return cost, fmt.Errorf("core: insert lookup after %d attempts: %w", retries+1, lastErr)
-}
-
-// replicate copies the tuple to the configured number of successors
-// (§3.5), one extra hop per replica. Replication is best-effort under
-// failures: a failed successor exchange ends the walk — the tuple is
-// already durable at its home node — and the shortfall is recorded.
-func (d *DHS) replicate(home dht.Node, key TupleKey, expiry int64, cost *InsertCost) {
-	cur := home
-	for i := 0; i < d.cfg.Replication; i++ {
-		next, err := d.overlay.Successor(cur)
-		if err != nil {
-			cost.ReplicasLost += d.cfg.Replication - i
-			cost.Hops++
-			cost.Bytes += TupleBytes + MsgHeaderBytes
-			d.env.Traffic.Drop(1, TupleBytes+MsgHeaderBytes)
-			d.trace(obs.KindStoreFail, 0, key.Metric, int(key.Bit), int64(d.cfg.Replication-i), err)
-			return
-		}
-		if next == home {
-			return // ring smaller than the replication degree
-		}
-		d.storeOf(next).Set(key, expiry)
-		next.Counters().AddStoreOps()
-		d.trace(obs.KindReplica, next.ID(), key.Metric, int(key.Bit), int64(i+1), nil)
-		cost.Hops++
-		cost.Bytes += TupleBytes + MsgHeaderBytes
-		d.env.Traffic.Account(1, TupleBytes+MsgHeaderBytes)
-		cur = next
-	}
+	return d.place(src, metric, []uint64{itemID}, "insert")
 }
 
 // BulkInsertFrom records many items under the metric with the paper's
-// bulk optimization: the items' (vector, bit) pairs are grouped by bit
-// position, and each group travels in one message to one random node in
-// that bit's interval — at most k lookups regardless of item count.
-// Failed group sends are retried at fresh random targets like single
-// insertions; a group whose retries are exhausted aborts the batch with
-// an error (the caller re-issues the batch — unlike counting, insertion
-// has nothing partial worth returning).
+// bulk optimization — Geometry.Place of the whole batch: each bit
+// position's tuples travel in one message to one random node in that
+// bit's interval, at most k lookups regardless of item count, retried like
+// single insertions. A group whose retries are exhausted aborts the batch.
 //
-// Caveat (not discussed in the paper): bulk insertion concentrates each
-// bit's tuples on a single node per source per update round. The counting
-// walk probes only lim nodes per interval, so if very few nodes bulk-
-// insert, probes can miss the one node holding a bit and the estimate
-// degrades. The optimization is sound in its intended regime — every
-// overlay node bulk-inserts its own items, yielding ~N independent
-// placements per interval. The E1 ablation quantifies the effect.
+// Caveat (not in the paper): each bit's tuples land on one node per source
+// and round, so with few bulk-inserting nodes the lim probes of an interval
+// can miss it — sound when every node bulk-inserts its own items (DESIGN.md
+// §7, finding 6; the E1 ablation quantifies it).
 func (d *DHS) BulkInsertFrom(src dht.Node, metric uint64, itemIDs []uint64) (InsertCost, error) {
-	if len(itemIDs) == 0 {
-		return InsertCost{}, nil
+	return d.place(src, metric, itemIDs, "bulk insert")
+}
+
+// place runs the insertion rule from src over the handle's placer; op
+// names the operation in the error.
+func (d *DHS) place(src dht.Node, metric uint64, items []uint64, op string) (InsertCost, error) {
+	retries := max(d.cfg.InsertRetries, 0) // negative: fail fast
+	p := &d.placer
+	p.src, p.cost = src, InsertCost{}
+	err := d.geom.Place(p, d.rng, metric, items, retries)
+	p.src = nil
+	if err != nil {
+		return p.cost, fmt.Errorf("core: %s lookup after %d attempts: %w", op, retries+1, err)
 	}
-	// Group distinct (vector, bit) pairs by bit.
-	byBit := make(map[uint8]map[int32]struct{})
-	for _, id := range itemIDs {
-		vector, bit := d.geom.Split(id)
-		if !d.geom.Stored(bit) {
-			continue
+	return p.cost, nil
+}
+
+// overlayPlacer is the in-process Placer: a routed lookup from src, the
+// group stored on the node it returns and copied to R successors (§3.5),
+// every message metered against the Traffic record and the insertion's
+// cost and traced; its backoff advances the virtual clock. Insertion is
+// single-threaded (see DHS), so a handle keeps one, reset per call.
+type overlayPlacer struct {
+	d    *DHS
+	src  dht.Node
+	cost InsertCost
+}
+
+func (p *overlayPlacer) Wait(attempt int) {
+	p.d.env.Clock.Advance(int64(attempt))
+	p.cost.Retries++
+}
+
+func (p *overlayPlacer) Store(metric uint64, bit uint, target uint64, vectors []int32) error {
+	d, cost := p.d, &p.cost
+	msgBytes := MsgHeaderBytes + TupleBytes*len(vectors)
+	home, hops, err := d.overlay.LookupFrom(p.src, target)
+	// A failed request consumed its route too.
+	cost.Hops += int64(hops)
+	cost.Bytes += int64(hops) * int64(msgBytes)
+	if err != nil {
+		d.trace(obs.KindStoreFail, 0, metric, int(bit), int64(hops), err)
+		if hops > 0 {
+			d.env.Traffic.Drop(hops, msgBytes)
 		}
-		b := uint8(bit)
-		if byBit[b] == nil {
-			byBit[b] = make(map[int32]struct{})
-		}
-		byBit[b][vector] = struct{}{}
+		return err
 	}
+	cost.Lookups++
+	d.env.Traffic.Account(hops, msgBytes)
+	expiry := expiryFor(d.env.Clock.Now(), d.cfg.TTL)
+	d.storeOn(home, metric, bit, vectors, expiry)
+	d.trace(obs.KindStore, home.ID(), metric, int(bit), int64(len(vectors)), nil)
 
-	var cost InsertCost
-	retries := d.insertRetries()
-	// Iterate bit positions in fixed order: map iteration order would
-	// perturb the deterministic target-selection RNG across runs.
-	for b := uint(0); b <= d.geom.MaxBit(); b++ {
-		bit := uint8(b)
-		vectors, ok := byBit[bit]
-		if !ok {
-			continue
+	// Replication is best-effort under failures: a failed successor
+	// exchange ends the walk — the group is already durable at its home
+	// node — and the shortfall is recorded.
+	for i, cur := 0, home; i < d.cfg.Replication; i++ {
+		next, err := d.overlay.Successor(cur)
+		if err == nil && next == home {
+			return nil // ring smaller than the replication degree
 		}
-		msgBytes := MsgHeaderBytes + TupleBytes*len(vectors)
-
-		var home dht.Node
-		var lastErr error
-		for attempt := 0; attempt <= retries; attempt++ {
-			if attempt > 0 {
-				d.env.Clock.Advance(int64(attempt))
-				cost.Retries++
-			}
-			target := d.geom.Target(d.rng, uint(bit))
-			n, hops, err := d.overlay.LookupFrom(src, target)
-			if err != nil {
-				lastErr = err
-				d.trace(obs.KindStoreFail, 0, metric, int(bit), int64(hops), err)
-				if hops > 0 {
-					cost.Hops += int64(hops)
-					cost.Bytes += int64(hops) * int64(msgBytes)
-					d.env.Traffic.Drop(hops, msgBytes)
-				}
-				continue
-			}
-			home = n
-			cost.Lookups++
-			cost.Hops += int64(hops)
-			cost.Bytes += int64(hops) * int64(msgBytes)
-			d.env.Traffic.Account(hops, msgBytes)
-			break
+		cost.Hops++
+		cost.Bytes += int64(msgBytes)
+		if err != nil {
+			cost.ReplicasLost += d.cfg.Replication - i
+			d.env.Traffic.Drop(1, msgBytes)
+			d.trace(obs.KindStoreFail, 0, metric, int(bit), int64(d.cfg.Replication-i), err)
+			return nil
 		}
-		if home == nil {
-			return cost, fmt.Errorf("core: bulk insert lookup after %d attempts: %w", retries+1, lastErr)
-		}
-
-		expiry := expiryFor(d.env.Clock.Now(), d.cfg.TTL)
-		st := d.storeOf(home)
-		home.Counters().AddStoreOps()
-		d.trace(obs.KindStore, home.ID(), metric, int(bit), int64(len(vectors)), nil)
-		for v := range vectors {
-			st.Set(TupleKey{Metric: metric, Vector: v, Bit: bit}, expiry)
-		}
-
-		cur := home
-		for i := 0; i < d.cfg.Replication; i++ {
-			next, err := d.overlay.Successor(cur)
-			if err != nil {
-				cost.ReplicasLost += d.cfg.Replication - i
-				cost.Hops++
-				cost.Bytes += int64(msgBytes)
-				d.env.Traffic.Drop(1, msgBytes)
-				d.trace(obs.KindStoreFail, 0, metric, int(bit), int64(d.cfg.Replication-i), err)
-				break
-			}
-			if next == home {
-				break
-			}
-			rst := d.storeOf(next)
-			next.Counters().AddStoreOps()
-			d.trace(obs.KindReplica, next.ID(), metric, int(bit), int64(i+1), nil)
-			for v := range vectors {
-				rst.Set(TupleKey{Metric: metric, Vector: v, Bit: bit}, expiry)
-			}
-			cost.Hops++
-			cost.Bytes += int64(msgBytes)
-			d.env.Traffic.Account(1, msgBytes)
-			cur = next
-		}
+		d.storeOn(next, metric, bit, vectors, expiry)
+		d.trace(obs.KindReplica, next.ID(), metric, int(bit), int64(i+1), nil)
+		d.env.Traffic.Account(1, msgBytes)
+		cur = next
 	}
-	return cost, nil
+	return nil
+}
+
+// storeOn sets the group's tuples on n's store as one store operation.
+func (d *DHS) storeOn(n dht.Node, metric uint64, bit uint, vectors []int32, expiry int64) {
+	st := d.storeOf(n)
+	for _, v := range vectors {
+		st.Set(TupleKey{Metric: metric, Vector: v, Bit: uint8(bit)}, expiry)
+	}
+	n.Counters().AddStoreOps()
 }
 
 // Refresh re-records an item, resetting its tuple's time-to-live. It is

@@ -1,0 +1,58 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"dhsketch/internal/chord"
+	"dhsketch/internal/sim"
+	"dhsketch/internal/sketch"
+)
+
+// benchInsertDHS is the insertion benchmarks' world: N = 1024, m = 512,
+// sLL, with the benchmarked items already stored so every operation is a
+// §3.3 refresh.
+func benchInsertDHS(b *testing.B, ids []uint64) (*DHS, *chord.Ring) {
+	b.Helper()
+	env := sim.NewEnv(1)
+	ring := chord.New(env, 1024)
+	d, err := New(Config{Overlay: ring, Env: env, M: 512, Kind: sketch.KindSuperLogLog})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range ids {
+		ids[i] = ItemID(fmt.Sprintf("refresh-%d", i))
+	}
+	if _, err := d.BulkInsertFrom(ring.Nodes()[0], MetricID("bench"), ids); err != nil {
+		b.Fatal(err)
+	}
+	return d, ring
+}
+
+// BenchmarkInsertRefresh is one InsertFrom of an item already stored.
+func BenchmarkInsertRefresh(b *testing.B) {
+	ids := make([]uint64, 1024)
+	d, ring := benchInsertDHS(b, ids)
+	src, metric := ring.Nodes()[0], MetricID("bench")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.InsertFrom(src, metric, ids[i%len(ids)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBulkInsert64 is one BulkInsertFrom of 64 items already stored.
+func BenchmarkBulkInsert64(b *testing.B) {
+	ids := make([]uint64, 64)
+	d, ring := benchInsertDHS(b, ids)
+	src, metric := ring.Nodes()[0], MetricID("bench")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.BulkInsertFrom(src, metric, ids); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -196,6 +196,8 @@ func (b *Builder) RecordBulk(src dht.Node, ids []uint64, values []int) (core.Ins
 		total.Lookups += c.Lookups
 		total.Hops += c.Hops
 		total.Bytes += c.Bytes
+		total.Retries += c.Retries
+		total.ReplicasLost += c.ReplicasLost
 		if err != nil {
 			return total, err
 		}

@@ -7,6 +7,8 @@ import (
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/core"
+	"dhsketch/internal/dht"
+	"dhsketch/internal/faultdht"
 	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
 	"dhsketch/internal/stats"
@@ -213,71 +215,124 @@ func TestRecordBulkMatchesRecord(t *testing.T) {
 	// Bulk and per-item recording must produce the same global set of
 	// (metric, vector, bit) tuples; reconstructed estimates can differ
 	// because bulk concentrates tuple placement (see the caveat on
-	// core.DHS.BulkInsertFrom).
-	mk := func() (*core.DHS, *chord.Ring) {
-		env := sim.NewEnv(11)
-		ring := chord.New(env, 64)
-		d, err := core.New(core.Config{Overlay: ring, Env: env, M: 16, K: 20, Kind: sketch.KindPCSA})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d, ring
+	// core.DHS.BulkInsertFrom). RecordBulk's cost is every field of its
+	// buckets' bulk insertions summed — under faults too, where retries and
+	// lost replicas are part of it.
+	cases := []struct {
+		name            string
+		seed            uint64
+		faults          faultdht.Config
+		tuples, buckets int
+		replication     int
+	}{
+		{name: "clean", seed: 11, tuples: 2000, buckets: 4},
+		{name: "faulty", seed: 12, faults: faultdht.Config{DropProb: 0.3}, tuples: 3000, buckets: 10, replication: 2},
 	}
-	spec := Spec{Relation: "B", Attribute: "a", Min: 1, Max: 100, Buckets: 4}
-
-	ids := make([]uint64, 2000)
-	values := make([]int, 2000)
-	for i := range ids {
-		ids[i] = workload.TupleID("B", i)
-		values[i] = 1 + i%100
-	}
-
-	bitSet := func(r *chord.Ring) map[string]bool {
-		set := map[string]bool{}
-		for _, n := range r.Nodes() {
-			st, ok := n.App().(*core.Store)
-			if !ok {
-				continue
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			mk := func(faults faultdht.Config) (*core.DHS, *chord.Ring) {
+				env := sim.NewEnv(tc.seed)
+				ring := chord.New(env, 64)
+				var overlay dht.Overlay = ring
+				if faults.Active() {
+					overlay = faultdht.New(ring, env, faults)
+				}
+				d, err := core.New(core.Config{Overlay: overlay, Env: env, M: 16, K: 20, Kind: sketch.KindPCSA, Replication: tc.replication})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d, ring
 			}
-			for _, k := range st.Keys(0) { // the ring holds the spec's metrics and nothing else
-				set[fmt.Sprintf("%d/%d/%d", k.Metric, k.Vector, k.Bit)] = true
+			spec := Spec{Relation: "B", Attribute: "a", Min: 1, Max: 100, Buckets: tc.buckets}
+
+			ids := make([]uint64, tc.tuples)
+			values := make([]int, tc.tuples)
+			for i := range ids {
+				ids[i] = workload.TupleID("B", i)
+				values[i] = 1 + i%100
 			}
-		}
-		return set
-	}
 
-	d1, r1 := mk()
-	b1, _ := NewBuilder(d1, spec)
-	src1 := r1.Nodes()[0]
-	for i := range ids {
-		if _, err := b1.Record(src1, ids[i], values[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
+			bitSet := func(r *chord.Ring) map[string]bool {
+				set := map[string]bool{}
+				for _, n := range r.Nodes() {
+					st, ok := n.App().(*core.Store)
+					if !ok {
+						continue
+					}
+					for _, k := range st.Keys(0) { // the ring holds the spec's metrics and nothing else
+						set[fmt.Sprintf("%d/%d/%d", k.Metric, k.Vector, k.Bit)] = true
+					}
+				}
+				return set
+			}
 
-	d2, r2 := mk()
-	b2, _ := NewBuilder(d2, spec)
-	src2 := r2.Nodes()[0]
-	cost, err := b2.RecordBulk(src2, ids, values)
-	if err != nil {
-		t.Fatal(err)
-	}
+			// The per-item reference is recorded on a clean network: a
+			// RecordBulk that returns no error has lost no bit to faults.
+			d1, r1 := mk(faultdht.Config{})
+			b1, _ := NewBuilder(d1, spec)
+			src1 := r1.Nodes()[0]
+			for i := range ids {
+				if _, err := b1.Record(src1, ids[i], values[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	s1, s2 := bitSet(r1), bitSet(r2)
-	if len(s1) != len(s2) {
-		t.Fatalf("bit sets differ in size: %d vs %d", len(s1), len(s2))
-	}
-	for k := range s1 {
-		if !s2[k] {
-			t.Fatalf("bulk recording missing bit %s", k)
-		}
-	}
-	// Bulk grouping bounds lookups by buckets × (k+1).
-	if cost.Lookups > spec.Buckets*(int(d2.MaxBit())+1) {
-		t.Errorf("bulk lookups %d exceed bound", cost.Lookups)
-	}
-	if _, err := b2.RecordBulk(src2, ids, values[:10]); err == nil {
-		t.Error("mismatched slice lengths should fail")
+			d2, r2 := mk(tc.faults)
+			b2, _ := NewBuilder(d2, spec)
+			src2 := r2.Nodes()[0]
+			cost, err := b2.RecordBulk(src2, ids, values)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			s1, s2 := bitSet(r1), bitSet(r2)
+			if len(s1) != len(s2) {
+				t.Fatalf("bit sets differ in size: %d vs %d", len(s1), len(s2))
+			}
+			for k := range s1 {
+				if !s2[k] {
+					t.Fatalf("bulk recording missing bit %s", k)
+				}
+			}
+			// Bulk grouping bounds lookups by buckets × (k+1).
+			if cost.Lookups > spec.Buckets*(int(d2.MaxBit())+1) {
+				t.Errorf("bulk lookups %d exceed bound", cost.Lookups)
+			}
+
+			// The same buckets bulk-inserted one by one into a twin world,
+			// in RecordBulk's order, cost what RecordBulk reports.
+			d3, r3 := mk(tc.faults)
+			byBucket := make([][]uint64, spec.NumBuckets())
+			for i, id := range ids {
+				bk := spec.BucketOf(values[i])
+				byBucket[bk] = append(byBucket[bk], id)
+			}
+			var want core.InsertCost
+			for bk, group := range byBucket {
+				if len(group) == 0 {
+					continue
+				}
+				c, err := d3.BulkInsertFrom(r3.Nodes()[0], spec.MetricFor(bk), group)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Lookups += c.Lookups
+				want.Hops += c.Hops
+				want.Bytes += c.Bytes
+				want.Retries += c.Retries
+				want.ReplicasLost += c.ReplicasLost
+			}
+			if cost != want {
+				t.Errorf("RecordBulk cost %+v, its buckets' bulk insertions %+v", cost, want)
+			}
+			if tc.faults.Active() && (cost.Retries == 0 || cost.ReplicasLost == 0) {
+				t.Errorf("cost %+v under %+v shows no retries or lost replicas", cost, tc.faults)
+			}
+
+			if _, err := b2.RecordBulk(src2, ids, values[:10]); err == nil {
+				t.Error("mismatched slice lengths should fail")
+			}
+		})
 	}
 }
 

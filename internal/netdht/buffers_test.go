@@ -392,10 +392,8 @@ func TestScanOwnsItsAnswers(t *testing.T) {
 		snaps = append(snaps, heard{owner, masks})
 		// The other count draws from a stream of its own, so that the scan
 		// under test draws what the reference drew.
-		c.rngMu.Lock()
 		saved := c.rng
 		c.rng = rand.New(rand.NewPCG(uint64(len(snaps)), 99))
-		c.rngMu.Unlock()
 		other := &rpcProber{c: c, onVisit: func(_ uint, o chord.Ref, viaWire bool) {
 			if viaWire && o.ID == owner.ID {
 				sameOwner++
@@ -404,9 +402,7 @@ func TestScanOwnsItsAnswers(t *testing.T) {
 		if res := c.count(other, 6); res.Degraded {
 			t.Errorf("the count in between: %+v", res)
 		}
-		c.rngMu.Lock()
 		c.rng = saved
-		c.rngMu.Unlock()
 	}
 	got := c.count(p, 5)
 	if got != want {
@@ -449,7 +445,7 @@ func TestRelayedStoreKeepsItsBytes(t *testing.T) {
 				tuple := wire.Insert{Metric: uint64(100 + w), Vector: uint16(rng.IntN(64)), Bit: uint8(rng.IntN(12)), TTL: 0}
 				target := rng.Uint64()
 				// Undirected and unflagged: the entry routes it like a peer's.
-				ack, err := c.storeVia(servers[0].Addr(), findSuccMsg{key: target, store: wire.EncodeInsert(tuple)}, 0)
+				ack, err := c.storeVia(servers[0].Addr(), findSuccMsg{key: target, store: wire.EncodeInsert(tuple)})
 				if err != nil {
 					t.Errorf("writer %d store %d: %v", w, i, err)
 					return

@@ -46,8 +46,10 @@ type ClientConfig struct {
 	// Concurrent callers share the stream.
 	Seed uint64
 
-	// Retries and Backoff bound per-RPC retry behavior; DialTimeout and
-	// RPCTimeout bound the transport. Zero fields take package defaults.
+	// Retries and Backoff bound retries: a lookup, probe or ping re-sends
+	// its request, an insert its store at a fresh target, up to Retries
+	// times after attempt × Backoff; DialTimeout and RPCTimeout bound the
+	// transport. Zero fields take package defaults.
 	Retries     int
 	Backoff     time.Duration
 	DialTimeout time.Duration
@@ -97,8 +99,7 @@ type Client struct {
 	// bounds positions × metrics of a run, and the metrics of one scan.
 	maxMasks int
 
-	rngMu sync.Mutex
-	rng   *rand.Rand
+	rng *rand.Rand // over a lockedSource: concurrent callers share the stream
 
 	// view is the ring as the counting scans and the stores' acks have
 	// shown it so far.
@@ -129,7 +130,7 @@ func newClient(cfg ClientConfig, peerConns int) (*Client, error) {
 		geom:     geom,
 		peers:    newPeerPool(cfg.DialTimeout, cfg.RPCTimeout, peerConns),
 		maxMasks: min(math.MaxUint16, (maxFrame-wire.ProbeRespOverhead)/wire.MaskBytes(geom.M)),
-		rng:      rand.New(rand.NewPCG(cfg.Seed, 0x6a09e667f3bcc908)),
+		rng:      rand.New(&lockedSource{src: rand.NewPCG(cfg.Seed, 0x6a09e667f3bcc908)}),
 	}
 	if cfg.Metrics != nil {
 		c.peers.m = newPoolMetrics(cfg.Metrics)
@@ -146,10 +147,18 @@ func (c *Client) Close() { c.peers.close() }
 
 // randomTarget draws a uniform identifier in bit's interval from the
 // client's shared stream.
-func (c *Client) randomTarget(bit uint) uint64 {
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	return c.geom.Target(c.rng, bit)
+func (c *Client) randomTarget(bit uint) uint64 { return c.geom.Target(c.rng, bit) }
+
+// lockedSource is a rand.Source safe for concurrent use.
+type lockedSource struct {
+	mu  sync.Mutex
+	src rand.Source
+}
+
+func (s *lockedSource) Uint64() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.src.Uint64()
 }
 
 // findSucc routes key through the entry node and returns the terminal
@@ -173,18 +182,18 @@ func (c *Client) findSucc(key uint64, flags byte) (findSuccRespMsg, error) {
 // picks the route's first hop and nothing more: a remembered owner of key is
 // sent the request the entry would have been sent, undelivered, and its own
 // Route decides whether the key is its own — so the ring places the tuple,
-// and a stale arc costs hops, never a misplaced write. That node gets one
-// attempt: only the view vouches for it, and the entry is there to fall back
-// on. Its ack is its word on the arc: no hops, the key is still its own;
-// hops, it routed the store on (a join in front of it) and the arc is
-// dropped; no ack, the node is taken for gone and the arc is dropped. A key
-// no arc covers goes through the entry with flagNeighbors, and the ack brings
-// the storing node's neighbourhood back for the view to learn.
+// and a stale arc costs hops, never a misplaced write. Its ack is its word on
+// the arc: no hops, the key is still its own; hops, it routed the store on
+// (a join in front of it) and the arc is dropped; no ack, the node is taken
+// for gone, the arc is dropped and the entry is tried. A key no arc covers
+// goes through the entry with flagNeighbors, and the ack brings the storing
+// node's neighbourhood back for the view to learn. Each gets one exchange: a
+// failed store is retried by the insertion rule, at a fresh target.
 func (c *Client) store(key uint64, frame []byte) (storeAckMsg, error) {
 	arc, remembered := c.view.resolve(key)
 	c.peers.m.storeFirstHop(remembered)
 	if remembered {
-		ack, err := c.storeVia(arc.owner.Addr, findSuccMsg{key: key, store: frame}, 0)
+		ack, err := c.storeVia(arc.owner.Addr, findSuccMsg{key: key, store: frame})
 		if err != nil || ack.hops > 0 {
 			c.view.drop(arc.owner.ID)
 		}
@@ -192,7 +201,7 @@ func (c *Client) store(key uint64, frame []byte) (storeAckMsg, error) {
 			return ack, nil
 		}
 	}
-	ack, err := c.storeVia(c.cfg.Entry, findSuccMsg{flags: flagNeighbors, key: key, store: frame}, c.cfg.Retries)
+	ack, err := c.storeVia(c.cfg.Entry, findSuccMsg{flags: flagNeighbors, key: key, store: frame})
 	if err == nil && ack.near != nil {
 		c.view.learn(findSuccRespMsg{owner: ack.owner, near: ack.near})
 	}
@@ -203,9 +212,9 @@ func (c *Client) store(key uint64, frame []byte) (storeAckMsg, error) {
 // addr. Any reply but a store ack — a node that routed the key and says
 // nothing of the tuple — is an error: an unapplied store is never read as an
 // ack.
-func (c *Client) storeVia(addr string, m findSuccMsg, retries int) (storeAckMsg, error) {
+func (c *Client) storeVia(addr string, m findSuccMsg) (storeAckMsg, error) {
 	var req, reply [rpcScratch]byte
-	raw, err := c.peers.exchangeRetry(addr, appendFindSucc(req[:0], m), reply[:0], retries, c.cfg.Backoff)
+	raw, err := c.peers.exchange(addr, appendFindSucc(req[:0], m), reply[:0])
 	if err == nil {
 		_, _, _, err = replyErr(raw)
 	}
@@ -219,26 +228,41 @@ func (c *Client) storeVia(addr string, m findSuccMsg, retries int) (storeAckMsg,
 	return ack, nil
 }
 
-// Insert records one item occurrence under metric: split the item's key
-// into (vector, bit) and send the tuple, in one routed exchange, to the
-// owner of a uniform target in the bit's interval (§3.2's one-lookup
-// insertion over the wire). The ring places the tuple when it arrives,
-// so the client sends no second request; a refresh is idempotent, so a
-// store that is sent again after a lost ack does no harm.
+// Insert records one item occurrence under metric: core's insertion rule
+// (Geometry.Place) of one item over the wire. The tuple travels, in one
+// routed exchange, to the owner of a uniform target in its bit's interval,
+// and the ring places it when it arrives. A store the ring refuses or the
+// network loses is re-sent, up to Retries times, at a fresh target after a
+// linear backoff, as in the simulator; a refresh is idempotent, so a store
+// re-sent after a lost ack does no harm.
 func (c *Client) Insert(metric, itemID uint64) error {
-	vector, bit := c.geom.Split(itemID)
-	var tuple [16]byte
-	_, err := c.store(c.randomTarget(bit), wire.AppendInsert(tuple[:0], wire.Insert{
-		Metric: metric,
-		Vector: uint16(vector),
-		Bit:    uint8(bit),
-		TTL:    wire.ClampTTL(c.cfg.TTL),
-	}))
-	if err != nil {
+	if err := c.geom.Place((*wirePlacer)(c), c.rng, metric, []uint64{itemID}, c.cfg.Retries); err != nil {
 		return fmt.Errorf("netdht: insert lookup %w", err)
 	}
 	return nil
 }
+
+// wirePlacer is the wire half of core's insertion rule: one attempt is one
+// routed store of a wire.Insert frame, or of a wire.BulkInsert for a group
+// of several vectors, and the backoff sleeps.
+type wirePlacer Client
+
+func (p *wirePlacer) Store(metric uint64, bit uint, target uint64, vectors []int32) error {
+	ttl := wire.ClampTTL(p.cfg.TTL)
+	var tuple [16]byte
+	frame := wire.AppendInsert(tuple[:0], wire.Insert{Metric: metric, Vector: uint16(vectors[0]), Bit: uint8(bit), TTL: ttl})
+	if len(vectors) > 1 {
+		vs := make([]uint16, len(vectors))
+		for i, v := range vectors {
+			vs[i] = uint16(v)
+		}
+		frame = wire.EncodeBulkInsert(wire.BulkInsert{Metric: metric, Bit: uint8(bit), TTL: ttl, Vectors: vs})
+	}
+	_, err := (*Client)(p).store(target, frame)
+	return err
+}
+
+func (p *wirePlacer) Wait(attempt int) { p.peers.backoff(attempt, p.cfg.Backoff) }
 
 // CountResult is one counting pass's outcome with its failure
 // accounting — the networked analogue of core.Estimate's Quality. The

@@ -323,7 +323,7 @@ func (m *poolMetrics) redialAttempt() {
 	m.redials.Inc()
 }
 
-// retryAttempt meters one backoff retry in exchangeRetry.
+// retryAttempt meters one backoff retry (peerPool.backoff).
 func (m *poolMetrics) retryAttempt() {
 	if m == nil {
 		return

@@ -244,21 +244,16 @@ func (p *peerPool) roundTrip(pc *peerConn, req []byte) error {
 	return err
 }
 
-// exchangeRetry is exchange with bounded linear-backoff retries for the
-// client-facing operations (insert, probe, entry-point routing): the
-// networked analogue of core's insert retry loop, except real time
-// passes instead of virtual clock ticks. Typed errors pass through
-// unchanged, so the caller's failure accounting sees the same taxonomy
-// the simulator produces.
+// exchangeRetry is exchange with bounded linear-backoff retries of the same
+// request, for lookups, probes, ping and a joiner's bootstrap; a failed store
+// is re-sent at a fresh target by the insertion rule instead (wirePlacer).
+// Typed errors pass through unchanged, so the caller's failure accounting
+// sees the same taxonomy the simulator produces.
 func (p *peerPool) exchangeRetry(addr string, req, dst []byte, retries int, backoff time.Duration) ([]byte, error) {
-	if backoff <= 0 {
-		backoff = defaultBackoff
-	}
 	var lastErr error
 	for attempt := 0; attempt <= retries; attempt++ {
 		if attempt > 0 {
-			p.m.retryAttempt()
-			time.Sleep(time.Duration(attempt) * backoff)
+			p.backoff(attempt, backoff)
 		}
 		resp, err := p.exchange(addr, req, dst)
 		if err == nil {
@@ -267,6 +262,16 @@ func (p *peerPool) exchangeRetry(addr string, req, dst []byte, retries int, back
 		lastErr = err
 	}
 	return nil, lastErr
+}
+
+// backoff is the one linear backoff of the asking side: it meters a retry
+// and sleeps attempt units (defaultBackoff when unit is not positive).
+func (p *peerPool) backoff(attempt int, unit time.Duration) {
+	if unit <= 0 {
+		unit = defaultBackoff
+	}
+	p.m.retryAttempt()
+	time.Sleep(time.Duration(attempt) * unit)
 }
 
 // close tears down every cached connection. New exchanges fail
