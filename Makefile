@@ -47,12 +47,14 @@ benchcheck:
 smoke:
 	./scripts/smoke.sh
 
-# bench runs the go-test benchmarks (root macro-benchmarks, the
-# internal/store probe-reply micro-benchmarks, the internal/netdht
-# uncached-count, many-metric-count and insert rungs — exchanges and wire
-# bytes per operation on loopback clusters — and the internal/serve
-# sustained-throughput serving benchmarks — qps/p50/p99 and fan-outs per
-# TTL against a real loopback ring) and keeps the text in bench.out. They are for measuring
+# bench runs the go-test benchmarks — the root hot-path benchmarks of
+# perf_bench_test.go, the internal/store probe-reply micro-benchmarks,
+# the internal/netdht uncached-count, many-metric-count and insert rungs
+# (exchanges and wire bytes per operation on loopback clusters) and the
+# internal/serve sustained-throughput serving benchmarks (qps/p50/p99 and
+# fan-outs per TTL against a real loopback ring) — and keeps the text in
+# bench.out. The experiment and ablation tables are golden tests, not
+# benchmarks: `make test` checks them. Benchmarks are for measuring
 # while working; the numbers the repository compares from one commit to
 # the next come from bench/ (BENCHMARK.json). The default BENCHTIME is a
 # fixed duration: at one iteration per benchmark (-benchtime=1x, what

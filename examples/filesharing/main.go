@@ -12,19 +12,29 @@
 // Randomness: the overlay derives every stream from master seed 3
 // (NewNetwork), and the document workload uses its own PCG(3, 3) — the
 // run is fully deterministic and its output never changes.
+// main_test.go checks it against testdata/stdout.golden.
 //
 //	go run ./examples/filesharing
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand/v2"
+	"os"
 
 	"dhsketch"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output to w.
+func run(w io.Writer) error {
 	const (
 		peers     = 512
 		documents = 100000
@@ -33,7 +43,7 @@ func main() {
 	net := dhsketch.NewNetwork(3, peers)
 	d, err := dhsketch.New(net, dhsketch.Config{TTL: ttl, M: 64})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	metric := dhsketch.MetricID("unique-shared-documents")
 
@@ -43,7 +53,7 @@ func main() {
 	rng := rand.New(rand.NewPCG(3, 3))
 	nodes := net.Nodes()
 	totalCopies := 0
-	fmt.Printf("publishing %d distinct documents from %d peers...\n", documents, peers)
+	fmt.Fprintf(w, "publishing %d distinct documents from %d peers...\n", documents, peers)
 	for i := 0; i < documents; i++ {
 		id := dhsketch.ItemID(fmt.Sprintf("file-%d", i))
 		copies := 1 + int(float64(documents)/(float64(i)+1))
@@ -53,39 +63,40 @@ func main() {
 		for c := 0; c < copies; c++ {
 			src := nodes[rng.IntN(len(nodes))]
 			if _, err := d.InsertFrom(src, metric, id); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			totalCopies++
 		}
 	}
-	fmt.Printf("  %d copies of %d distinct documents (%.1f× duplication)\n",
+	fmt.Fprintf(w, "  %d copies of %d distinct documents (%.1f× duplication)\n",
 		totalCopies, documents, float64(totalCopies)/documents)
 
 	est, err := d.Count(metric)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nDHS estimate: %.0f unique documents (actual %d, error %+.1f%%)\n",
+	fmt.Fprintf(w, "\nDHS estimate: %.0f unique documents (actual %d, error %+.1f%%)\n",
 		est.Value, documents, 100*(est.Value-documents)/documents)
-	fmt.Printf("a duplicate-sensitive count would have reported ~%d\n\n", totalCopies)
+	fmt.Fprintf(w, "a duplicate-sensitive count would have reported ~%d\n\n", totalCopies)
 
 	// Half the documents stop being refreshed; their soft state ages out.
 	net.AdvanceClock(ttl / 2)
-	fmt.Printf("refreshing only documents 0..%d, then letting the rest expire...\n", documents/2-1)
+	fmt.Fprintf(w, "refreshing only documents 0..%d, then letting the rest expire...\n", documents/2-1)
 	for i := 0; i < documents/2; i++ {
 		id := dhsketch.ItemID(fmt.Sprintf("file-%d", i))
 		src := nodes[rng.IntN(len(nodes))]
 		if _, err := d.InsertFrom(src, metric, id); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	net.AdvanceClock(ttl/2 + 1) // past the unrefreshed documents' TTL
 
 	est2, err := d.Count(metric)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("after expiry: %.0f unique documents (actual %d, error %+.1f%%)\n",
+	fmt.Fprintf(w, "after expiry: %.0f unique documents (actual %d, error %+.1f%%)\n",
 		est2.Value, documents/2, 100*(est2.Value-float64(documents/2))/float64(documents/2))
-	fmt.Println("no deletion messages were sent — expiry is implicit (§3.3)")
+	fmt.Fprintln(w, "no deletion messages were sent — expiry is implicit (§3.3)")
+	return nil
 }

@@ -11,24 +11,34 @@
 // Randomness: the overlay derives every stream from master seed 7
 // (NewNetwork), and the synthetic relation uses its own PCG(7, 7) — the
 // run is fully deterministic and its output never changes.
+// main_test.go checks it against testdata/stdout.golden.
 //
 //	go run ./examples/histogram
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math"
 	"math/rand/v2"
+	"os"
 
 	"dhsketch"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output to w.
+func run(w io.Writer) error {
 	net := dhsketch.NewNetwork(7, 128)
 	d, err := dhsketch.New(net, dhsketch.Config{M: 32})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// An "orders" relation: 200k tuples with a price attribute following
@@ -42,14 +52,14 @@ func main() {
 	}
 	builder, err := dhsketch.NewHistogramBuilder(d, spec)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	const n = 500000
 	rng := rand.New(rand.NewPCG(7, 7))
 	nodes := net.Nodes()
 	exact := make([]int, spec.Buckets)
-	fmt.Printf("recording %d tuples from %d nodes...\n", n, len(nodes))
+	fmt.Fprintf(w, "recording %d tuples from %d nodes...\n", n, len(nodes))
 	for i := 0; i < n; i++ {
 		// Skewed attribute: squared uniform pushes mass toward low prices.
 		u := rng.Float64()
@@ -57,7 +67,7 @@ func main() {
 		src := nodes[rng.IntN(len(nodes))]
 		id := dhsketch.ItemID(fmt.Sprintf("orders/%d", i))
 		if _, err := builder.Record(src, id, price); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		exact[spec.BucketOf(price)]++
 	}
@@ -65,12 +75,12 @@ func main() {
 	// Any node can now reconstruct the histogram.
 	h, err := dhsketch.ReconstructHistogram(d, spec, net.RandomNode())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("reconstruction cost: %d lookups, %d nodes visited, %d hops, %.1f kB\n\n",
+	fmt.Fprintf(w, "reconstruction cost: %d lookups, %d nodes visited, %d hops, %.1f kB\n\n",
 		h.Cost.Lookups, h.Cost.NodesVisited, h.Cost.Hops, float64(h.Cost.Bytes)/1024)
 
-	fmt.Println("bucket  range        exact   estimate  err%    histogram")
+	fmt.Fprintln(w, "bucket  range        exact   estimate  err%    histogram")
 	var errSum float64
 	cells := 0
 	for b := 0; b < spec.Buckets; b++ {
@@ -88,15 +98,16 @@ func main() {
 		for i := 0; i < int(est)/10000; i++ {
 			bar += "#"
 		}
-		fmt.Printf("%4d    [%4d,%4d)  %6d  %8.0f  %+5.1f  %s\n", b, lo, hi, exact[b], est, errPct, bar)
+		fmt.Fprintf(w, "%4d    [%4d,%4d)  %6d  %8.0f  %+5.1f  %s\n", b, lo, hi, exact[b], est, errPct, bar)
 	}
-	fmt.Printf("\nmean |error| over populated cells: %.1f%%\n", errSum/float64(cells))
+	fmt.Fprintf(w, "\nmean |error| over populated cells: %.1f%%\n", errSum/float64(cells))
 
 	// Selectivity estimation, the query optimizer's workhorse.
-	fmt.Printf("\nselectivity(price <= 100)  estimated %.3f, exact %.3f\n",
+	fmt.Fprintf(w, "\nselectivity(price <= 100)  estimated %.3f, exact %.3f\n",
 		h.SelectivityRange(1, 100), exactRange(exact, spec, 1, 100, n))
-	fmt.Printf("selectivity(400 <= price <= 600) estimated %.3f, exact %.3f\n",
+	fmt.Fprintf(w, "selectivity(400 <= price <= 600) estimated %.3f, exact %.3f\n",
 		h.SelectivityRange(400, 600), exactRange(exact, spec, 400, 600, n))
+	return nil
 }
 
 // exactRange computes the true selectivity from the exact per-bucket

@@ -11,24 +11,34 @@
 // Randomness: the overlay derives every stream from master seed 11
 // (NewNetwork), and the document corpus uses its own PCG(11, 11) — the
 // run is fully deterministic and its output never changes.
+// main_test.go checks it against testdata/stdout.golden.
 //
 //	go run ./examples/multimetric
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand/v2"
+	"os"
 	"sort"
 
 	"dhsketch"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output to w.
+func run(w io.Writer) error {
 	net := dhsketch.NewNetwork(11, 256)
 	d, err := dhsketch.New(net, dhsketch.Config{M: 32})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	keywords := []string{
@@ -46,7 +56,7 @@ func main() {
 		metrics[i] = dhsketch.MetricID("df|" + kw)
 	}
 
-	fmt.Printf("indexing %d documents across %d peers...\n", docs, len(nodes))
+	fmt.Fprintf(w, "indexing %d documents across %d peers...\n", docs, len(nodes))
 	for doc := 0; doc < docs; doc++ {
 		id := dhsketch.ItemID(fmt.Sprintf("doc-%d", doc))
 		src := nodes[rng.IntN(len(nodes))]
@@ -54,7 +64,7 @@ func main() {
 			if rng.Float64() < 1/float64(i+2) {
 				actual[kw]++
 				if _, err := d.InsertFrom(src, metrics[i], id); err != nil {
-					log.Fatal(err)
+					return err
 				}
 			}
 		}
@@ -64,15 +74,15 @@ func main() {
 	querier := net.RandomNode()
 	ests, err := d.CountAllFrom(querier, metrics)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Contrast with a single-metric pass.
 	single, err := d.CountFrom(querier, metrics[0])
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("\n%-14s %10s %10s %7s\n", "keyword", "actual df", "estimate", "err%")
+	fmt.Fprintf(w, "\n%-14s %10s %10s %7s\n", "keyword", "actual df", "estimate", "err%")
 	order := make([]int, len(keywords))
 	for i := range order {
 		order[i] = i
@@ -81,14 +91,15 @@ func main() {
 	for _, i := range order {
 		kw := keywords[i]
 		est := ests[i].Value
-		fmt.Printf("%-14s %10d %10.0f %+7.1f\n", kw, actual[kw], est,
+		fmt.Fprintf(w, "%-14s %10d %10.0f %+7.1f\n", kw, actual[kw], est,
 			100*(est-float64(actual[kw]))/float64(actual[kw]))
 	}
 
 	all := ests[0].Cost
-	fmt.Printf("\ncost of estimating all %d keywords: %d hops, %d nodes visited, %.1f kB\n",
+	fmt.Fprintf(w, "\ncost of estimating all %d keywords: %d hops, %d nodes visited, %.1f kB\n",
 		len(keywords), all.Hops, all.NodesVisited, float64(all.Bytes)/1024)
-	fmt.Printf("cost of estimating just one:        %d hops, %d nodes visited, %.1f kB\n",
+	fmt.Fprintf(w, "cost of estimating just one:        %d hops, %d nodes visited, %.1f kB\n",
 		single.Cost.Hops, single.Cost.NodesVisited, float64(single.Cost.Bytes)/1024)
-	fmt.Println("\nhop cost is (near-)identical: only the per-probe replies grow (§4.2)")
+	fmt.Fprintln(w, "\nhop cost is (near-)identical: only the per-probe replies grow (§4.2)")
+	return nil
 }

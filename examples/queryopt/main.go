@@ -7,23 +7,33 @@
 // Randomness: the overlay derives every stream from master seed 99
 // (NewNetwork), and the synthetic relations use their own PCG(99, 1) —
 // the run is fully deterministic and its output never changes.
+// main_test.go checks it against testdata/stdout.golden.
 //
 //	go run ./examples/queryopt
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand/v2"
+	"os"
 
 	"dhsketch"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output to w.
+func run(w io.Writer) error {
 	net := dhsketch.NewNetwork(99, 128)
 	d, err := dhsketch.New(net, dhsketch.Config{M: 16})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Three relations sharing a join attribute over [1, 10000], with
@@ -49,7 +59,7 @@ func main() {
 		}
 		builder, err := dhsketch.NewHistogramBuilder(d, spec)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		for row := 0; row < rel.rows; row++ {
 			u := rng.Float64()
@@ -59,15 +69,15 @@ func main() {
 			key := 1 + int(u*9999)
 			src := nodes[rng.IntN(len(nodes))]
 			if _, err := builder.Record(src, dhsketch.ItemID(fmt.Sprintf("%s/%d", rel.name, row)), key); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		// Reconstruct this relation's statistics at the querying node.
 		h, err := dhsketch.ReconstructHistogram(d, spec, nodes[0])
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("reconstructed %-8s histogram: est. %8.0f rows (actual %6d), cost %.1f kB\n",
+		fmt.Fprintf(w, "reconstructed %-8s histogram: est. %8.0f rows (actual %6d), cost %.1f kB\n",
 			rel.name, h.Total(), rel.rows, float64(h.Cost.Bytes)/1024)
 		stats[i] = dhsketch.TableStats{Name: rel.name, Hist: h, TupleBytes: rel.bytes}
 	}
@@ -78,12 +88,13 @@ func main() {
 
 	optimal := dhsketch.OptimizeJoin(query)
 	naive := dhsketch.LeftDeepJoin(query, []int{0, 1, 2}) // as written
-	fmt.Printf("\nquery: users ⋈ orders ⋈ σ[key≤200](events)\n")
-	fmt.Printf("  plan as written:  %s ships %.1f MB\n", naive, naive.Bytes/(1<<20))
-	fmt.Printf("  optimized plan:   %s ships %.1f MB\n", optimal, optimal.Bytes/(1<<20))
-	fmt.Printf("  saving: %.1f MB (%.0f%%), for ~%.1f kB of histogram traffic\n",
+	fmt.Fprintf(w, "\nquery: users ⋈ orders ⋈ σ[key≤200](events)\n")
+	fmt.Fprintf(w, "  plan as written:  %s ships %.1f MB\n", naive, naive.Bytes/(1<<20))
+	fmt.Fprintf(w, "  optimized plan:   %s ships %.1f MB\n", optimal, optimal.Bytes/(1<<20))
+	fmt.Fprintf(w, "  saving: %.1f MB (%.0f%%), for ~%.1f kB of histogram traffic\n",
 		(naive.Bytes-optimal.Bytes)/(1<<20),
 		100*(naive.Bytes-optimal.Bytes)/naive.Bytes,
 		float64(net.TrafficTotal().Bytes)/1024/1000) // rough: recon share
-	fmt.Printf("  estimated join output: %.0f rows\n", optimal.Rows())
+	fmt.Fprintf(w, "  estimated join output: %.0f rows\n", optimal.Rows())
+	return nil
 }

@@ -9,18 +9,28 @@
 // Randomness: everything — overlay layout, item IDs, originator choices —
 // derives from master seed 42 (NewNetwork), so the run is fully
 // deterministic and its output never changes.
+// main_test.go checks it against testdata/stdout.golden.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"dhsketch"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's output to w.
+func run(w io.Writer) error {
 	// A deterministic 1024-node overlay (seed 42).
 	net := dhsketch.NewNetwork(42, 1024)
 
@@ -31,39 +41,40 @@ func main() {
 	// larger counts, raise m for more accuracy (σ ≈ 1.05/√m).
 	d, err := dhsketch.New(net, dhsketch.Config{M: 64})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	metric := dhsketch.MetricID("distinct-documents")
 
 	const n = 100000
-	fmt.Printf("inserting %d distinct documents from random nodes...\n", n)
+	fmt.Fprintf(w, "inserting %d distinct documents from random nodes...\n", n)
 	var insertHops int64
 	for i := 0; i < n; i++ {
 		cost, err := d.Insert(metric, dhsketch.ItemID(fmt.Sprintf("doc-%d", i)))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		insertHops += cost.Hops
 	}
-	fmt.Printf("  avg %.2f overlay hops per insertion (O(log N), log2 N = 10)\n",
+	fmt.Fprintf(w, "  avg %.2f overlay hops per insertion (O(log N), log2 N = 10)\n",
 		float64(insertHops)/n)
 
 	// Duplicate insensitivity: re-inserting changes nothing but
 	// refreshes soft-state timestamps.
 	for i := 0; i < n/2; i++ {
 		if _, err := d.Insert(metric, dhsketch.ItemID(fmt.Sprintf("doc-%d", i))); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	est, err := d.Count(metric)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nestimate: %.0f distinct documents (actual %d, error %+.2f%%)\n",
+	fmt.Fprintf(w, "\nestimate: %.0f distinct documents (actual %d, error %+.2f%%)\n",
 		est.Value, n, 100*(est.Value-n)/n)
-	fmt.Printf("counting cost: %d DHT lookups, %d nodes visited, %d hops, %.1f kB\n",
+	fmt.Fprintf(w, "counting cost: %d DHT lookups, %d nodes visited, %d hops, %.1f kB\n",
 		est.Cost.Lookups, est.Cost.NodesVisited, est.Cost.Hops, float64(est.Cost.Bytes)/1024)
-	fmt.Printf("total network traffic this run: %v\n", net.TrafficTotal())
+	fmt.Fprintf(w, "total network traffic this run: %v\n", net.TrafficTotal())
+	return nil
 }

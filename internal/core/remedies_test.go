@@ -4,12 +4,8 @@ package core
 // the paper's §4.1 proposes raising lim (implemented as CountAdaptive);
 // this implementation adds the boundary-aware retry walk (EdgeAware).
 // These tests pin down the measured hierarchy at N = 1024, n = 25 000,
-// m = 128 (α ≈ 0.19):
-//
-//	plain lim=5:          ~33 % error, ~110 probes
-//	adaptive eq. 6:       ~30 % error, ~233 probes
-//	edge-aware walk:      ~9 % error,  ~42 probes
-//	edge-aware + adaptive ~6 % error,  ~97 probes
+// m = 128 (α ≈ 0.19); `go test -v` logs it and EXPERIMENTS.md
+// ("Ablations") quotes it.
 //
 // The diagnosis: in sparse intervals most misses are *directional* — the
 // blind successor walk never reaches the node below the probe target

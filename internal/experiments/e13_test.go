@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"strings"
 	"testing"
 
+	"dhsketch/internal/golden"
 	"dhsketch/internal/obs"
 )
 
@@ -81,43 +80,6 @@ func TestRunE13(t *testing.T) {
 		t.Error("JSONL trace missing probe events")
 	}
 
-	var out bytes.Buffer
-	r.Render(&out)
-	for _, want := range []string{"E13 load balance", "probes/node", "routed/node"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("Render missing %q:\n%s", want, out.String())
-		}
-	}
-	checkGolden(t, "e13.golden", out.Bytes())
-	sum := sha256.Sum256(jsonlBuf.Bytes())
-	checkGolden(t, "e13.trace.sha256", []byte(hex.EncodeToString(sum[:])+"\n"))
-}
-
-// TestRunE13Deterministic runs the single-cell experiment twice and
-// demands byte-identical traces — the determinism contract of the obs
-// package, end to end.
-func TestRunE13Deterministic(t *testing.T) {
-	run := func() (string, *E13Result) {
-		p := tinyParams()
-		buf := &bytes.Buffer{}
-		jsonl := obs.NewJSONL(buf)
-		p.Tracer = jsonl
-		r, err := RunE13(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := jsonl.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String(), r
-	}
-	trace1, r1 := run()
-	trace2, r2 := run()
-	if trace1 != trace2 {
-		t.Fatal("two identical E13 runs produced different traces")
-	}
-	if r1.Estimate != r2.Estimate || r1.Load.Events != r2.Load.Events {
-		t.Fatalf("results differ: %v/%d vs %v/%d",
-			r1.Estimate, r1.Load.Events, r2.Estimate, r2.Load.Events)
-	}
+	checkRender(t, "e13.golden", r)
+	golden.CheckSHA256(t, "e13.trace.sha256", jsonlBuf.Bytes())
 }

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"bytes"
-	"io"
 	"runtime"
 	"testing"
 )
@@ -20,7 +19,7 @@ func workerCounts() []int {
 
 // renderAtWorkers runs the experiment at each worker count and returns
 // the rendered tables keyed by worker count.
-func renderAtWorkers(t *testing.T, run func(p Params) (interface{ Render(w io.Writer) }, error)) map[int]string {
+func renderAtWorkers(t *testing.T, run func(p Params) (renderer, error)) map[int]string {
 	t.Helper()
 	out := map[int]string{}
 	for _, w := range workerCounts() {
@@ -51,26 +50,26 @@ func assertIdentical(t *testing.T, tables map[int]string) {
 }
 
 func TestRunE3DeterministicAcrossWorkers(t *testing.T) {
-	assertIdentical(t, renderAtWorkers(t, func(p Params) (interface{ Render(w io.Writer) }, error) {
+	assertIdentical(t, renderAtWorkers(t, func(p Params) (renderer, error) {
 		return RunE3(p, []int{64, 128, 256})
 	}))
 }
 
 func TestRunE4DeterministicAcrossWorkers(t *testing.T) {
-	assertIdentical(t, renderAtWorkers(t, func(p Params) (interface{ Render(w io.Writer) }, error) {
+	assertIdentical(t, renderAtWorkers(t, func(p Params) (renderer, error) {
 		return RunE4(p, []int{16, 64, 256})
 	}))
 }
 
 func TestRunE8DeterministicAcrossWorkers(t *testing.T) {
-	assertIdentical(t, renderAtWorkers(t, func(p Params) (interface{ Render(w io.Writer) }, error) {
+	assertIdentical(t, renderAtWorkers(t, func(p Params) (renderer, error) {
 		p.Trials = 4
 		return RunE8(p, []int{64, 256})
 	}))
 }
 
 func TestRunE12FDeterministicAcrossWorkers(t *testing.T) {
-	assertIdentical(t, renderAtWorkers(t, func(p Params) (interface{ Render(w io.Writer) }, error) {
+	assertIdentical(t, renderAtWorkers(t, func(p Params) (renderer, error) {
 		p.Trials = 2
 		return RunE12F(p, []E12FScenario{DefaultE12FScenarios[0], DefaultE12FScenarios[1]})
 	}))

@@ -1,9 +1,8 @@
-// Data-plane hot-path benchmarks — the perf trajectory's tracked
-// workloads (BENCH_5.json, DESIGN.md §12). Unlike the experiment
-// benchmarks in bench_test.go, which regenerate whole evaluation tables,
-// these isolate the per-operation cost of the three hot paths: the
-// multi-metric counting walk, bulk insertion, and (in internal/store)
-// the probe-reply answer itself.
+// Data-plane hot-path benchmarks (DESIGN.md §12). They isolate the
+// per-operation cost of the three hot paths: the multi-metric counting
+// walk, bulk insertion, and (in internal/store) the probe-reply answer
+// itself. The evaluation tables are not benchmarks: cmd/dhsbench prints
+// them and internal/experiments' golden tests pin them.
 package dhsketch_test
 
 import (
