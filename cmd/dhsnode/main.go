@@ -21,10 +21,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -94,7 +92,7 @@ func runServe(args []string) {
 	stabilize := fs.Int64("stabilize-every", 1, "stabilize round period, in ticks")
 	fixFingers := fs.Int64("fix-fingers-every", 1, "fix-fingers round period, in ticks")
 	checkPred := fs.Int64("check-pred-every", 2, "check-predecessor round period, in ticks")
-	admin := fs.String("admin", "", "admin HTTP listen address for /metrics, /healthz, /statusz, /debug/pprof (empty: disabled)")
+	admin := fs.String("admin", "", "admin listen address answering HTTP GETs of /metrics, /healthz, /statusz and /debug/pprof/, one per connection (empty: disabled)")
 	quiet := fs.Bool("quiet", false, "suppress structured operational log lines (startup and fatal messages still print)")
 	fs.Parse(args)
 
@@ -239,24 +237,19 @@ func runStatus(args []string) {
 		log.Fatal("usage: dhsnode status <admin-addr>")
 	}
 
-	hc := &http.Client{Timeout: *timeout}
 	var st netdht.Status
-	resp, err := hc.Get("http://" + addr + "/statusz")
+	_, body, err := netdht.AdminGet(addr, "/statusz", *timeout)
 	if err != nil {
 		log.Fatalf("status: %v", err)
 	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
+	if err := json.Unmarshal(body, &st); err != nil {
 		log.Fatalf("status: decode /statusz: %v", err)
 	}
 
 	healthy := false
 	health := "unreachable"
-	if hr, err := hc.Get("http://" + addr + "/healthz"); err == nil {
-		body, _ := io.ReadAll(hr.Body)
-		hr.Body.Close()
-		healthy = hr.StatusCode == http.StatusOK
+	if code, body, err := netdht.AdminGet(addr, "/healthz", *timeout); err == nil {
+		healthy = code == 200
 		health = strings.TrimSpace(string(body))
 	}
 

@@ -84,44 +84,55 @@ func (s *server) allowed() {
 	go s.helper()
 }
 
-// adminSrv is shaped like net/http.Server — a blocking Serve and a
-// Close that unblocks it — so the fixture covers the admin-listener
-// launch pattern without importing net/http.
-type adminSrv struct{}
+// adminLn is shaped like the admin listener — a blocking Accept and a
+// Close that unblocks it — so the fixture covers the admin launch
+// pattern without importing net.
+type adminLn struct{}
 
-func (a *adminSrv) Serve() error { return nil }
-func (a *adminSrv) Close() error { return nil }
+func (l *adminLn) Accept() (int, error) { return 0, nil }
+func (l *adminLn) Close() error         { return nil }
 
-// goodAdminPair mirrors Server.StartAdmin: the serving goroutine joins
-// the WaitGroup, and the shutdown watcher joins it too while receiving
-// from the quit channel before closing the HTTP server.
-func (s *server) goodAdminPair(hs *adminSrv) {
+// serveAdmin mirrors Server.serveAdmin: the accept loop joins the
+// WaitGroup, and so does the goroutine it launches per connection, each
+// after its own Add.
+func (s *server) serveAdmin(ln *adminLn) {
+	defer s.wg.Done()
+	for {
+		if _, err := ln.Accept(); err != nil {
+			return
+		}
+		s.wg.Add(1)
+		go s.worker()
+	}
+}
+
+// goodAdminPair mirrors Server.StartAdmin: the accept loop joins the
+// WaitGroup, and the shutdown watcher joins it too while receiving from
+// the quit channel before closing the listener.
+func (s *server) goodAdminPair(ln *adminLn) {
 	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		hs.Serve()
-	}()
+	go s.serveAdmin(ln)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		<-s.quit
-		hs.Close()
+		ln.Close()
 	}()
 }
 
-// badAdminServe launches the serving goroutine untracked: shutdown can
-// return while the listener still accepts connections.
-func (s *server) badAdminServe(hs *adminSrv) {
-	go func() { hs.Serve() }() // want `fire-and-forget`
+// badAdminServe launches the accept loop untracked: shutdown can return
+// while the listener still accepts connections.
+func (s *server) badAdminServe(ln *adminLn) {
+	go func() { ln.Accept() }() // want `fire-and-forget`
 }
 
-// badAdminWatcher ties the watcher to quit but leaves the serving
-// goroutine joined to a WaitGroup nobody Added to.
-func (s *server) badAdminWatcher(hs *adminSrv) {
-	go s.worker() // want `no WaitGroup.Add precedes`
+// badAdminWatcher ties the watcher to quit but leaves the accept loop
+// joined to a WaitGroup nobody Added to.
+func (s *server) badAdminWatcher(ln *adminLn) {
+	go s.serveAdmin(ln) // want `no WaitGroup.Add precedes`
 	go func() {
 		<-s.quit
-		hs.Close()
+		ln.Close()
 	}()
 }
 

@@ -1,6 +1,11 @@
 package metrics
 
-import rtmetrics "runtime/metrics"
+import (
+	"os"
+	rtmetrics "runtime/metrics"
+	"strconv"
+	"strings"
+)
 
 // The Go runtime's own samples a daemon's registry exposes (DESIGN.md §15):
 // how often the process collects, how much it has ever allocated, and how
@@ -15,10 +20,15 @@ var runtimeSeries = []struct{ name, help, sample string }{
 
 // RegisterRuntime adds the runtimeSeries to the registry as scrape-time
 // gauges (the first two are monotonic, typed gauge like every sampled
-// series here). allocs ÷ requests handled is what one request leaves
-// behind; cycles standing still under load is a process that does not
-// collect. Nil receiver is a no-op.
+// series here), and the process's resident memory as the kernel counts it.
+// allocs ÷ requests handled is what one request leaves behind; cycles
+// standing still under load is a process that does not collect; resident
+// file bytes are mostly the process's own binary. Nil receiver is a no-op
+// and allocates nothing.
 func (r *Registry) RegisterRuntime() {
+	if r == nil {
+		return
+	}
 	for _, s := range runtimeSeries {
 		r.GaugeFunc(s.name, s.help, func() float64 {
 			v := [1]rtmetrics.Sample{{Name: s.sample}}
@@ -29,4 +39,27 @@ func (r *Registry) RegisterRuntime() {
 			return float64(v[0].Value.Uint64())
 		})
 	}
+	r.GaugeFunc("process_resident_memory_bytes", "resident memory: anonymous and file-backed pages",
+		func() float64 { return statmBytes(1) })
+	r.GaugeFunc("process_resident_file_bytes", "resident file-backed and shared-memory pages: the binary, its libraries",
+		func() float64 { return statmBytes(2) })
+}
+
+// statmBytes reads field i of /proc/self/statm — 1 is the resident pages,
+// 2 the resident shared (file-backed) ones — in bytes; 0 where the file is
+// absent or unreadable.
+func statmBytes(i int) float64 {
+	b, err := os.ReadFile("/proc/self/statm")
+	if err != nil {
+		return 0
+	}
+	f := strings.Fields(string(b))
+	if len(f) <= i {
+		return 0
+	}
+	pages, err := strconv.ParseUint(f[i], 10, 64)
+	if err != nil {
+		return 0
+	}
+	return float64(pages) * float64(os.Getpagesize())
 }

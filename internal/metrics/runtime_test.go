@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -30,10 +31,13 @@ func scrapeValue(t *testing.T, r *Registry, name string) float64 {
 var sink []byte
 
 // TestRegisterRuntime: the three runtime series are exposed, move with what
-// the process does, and a nil registry takes the call.
+// the process does, the two resident-memory series read /proc/self/statm,
+// and a nil registry takes the call.
 func TestRegisterRuntime(t *testing.T) {
 	var none *Registry
-	none.RegisterRuntime()
+	if n := testing.AllocsPerRun(10, none.RegisterRuntime); n != 0 {
+		t.Errorf("RegisterRuntime on a nil registry allocated %.1f/op, want 0", n)
+	}
 
 	r := New()
 	r.RegisterRuntime()
@@ -48,5 +52,17 @@ func TestRegisterRuntime(t *testing.T) {
 	}
 	if got := scrapeValue(t, r, "go_heap_allocs_bytes"); got < allocs+1<<20 {
 		t.Errorf("go_heap_allocs_bytes %v after allocating a MiB, %v before", got, allocs)
+	}
+
+	rss, file := scrapeValue(t, r, "process_resident_memory_bytes"), scrapeValue(t, r, "process_resident_file_bytes")
+	if _, err := os.Stat("/proc/self/statm"); err != nil {
+		if rss != 0 || file != 0 {
+			t.Errorf("no /proc/self/statm, yet resident %v, file-backed %v", rss, file)
+		}
+		return
+	}
+	// The test binary's own text is resident and file-backed.
+	if file <= 0 || rss < file {
+		t.Errorf("resident %v bytes, of which file-backed %v", rss, file)
 	}
 }

@@ -198,20 +198,33 @@ func (s *Server) serve() {
 	defer s.wg.Done()
 	for {
 		c, err := s.ln.Accept()
-		if err != nil {
+		if err != nil || !s.trackConn(c) {
 			return
 		}
-		s.inMu.Lock()
-		if s.inClosed {
-			s.inMu.Unlock()
-			c.Close()
-			return
-		}
-		s.inConns[c] = struct{}{}
-		s.inMu.Unlock()
 		s.wg.Add(1)
 		go s.handleConn(c)
 	}
+}
+
+// trackConn registers an accepted connection for Close to sever. Once
+// Close has begun it closes c instead and reports false.
+func (s *Server) trackConn(c net.Conn) bool {
+	s.inMu.Lock()
+	defer s.inMu.Unlock()
+	if s.inClosed {
+		c.Close()
+		return false
+	}
+	s.inConns[c] = struct{}{}
+	return true
+}
+
+// dropConn closes a tracked connection and forgets it.
+func (s *Server) dropConn(c net.Conn) {
+	s.inMu.Lock()
+	delete(s.inConns, c)
+	s.inMu.Unlock()
+	c.Close()
 }
 
 // Server-side socket deadlines (conndeadline invariant, DESIGN.md §10):
@@ -228,12 +241,7 @@ var (
 
 func (s *Server) handleConn(c net.Conn) {
 	defer s.wg.Done()
-	defer func() {
-		s.inMu.Lock()
-		delete(s.inConns, c)
-		s.inMu.Unlock()
-		c.Close()
-	}()
+	defer s.dropConn(c)
 	in := s.newInbound()
 	for in.step(c) == nil {
 	}

@@ -128,15 +128,17 @@ ring_sum() {
     echo "$sum"
 }
 
-# node_sample I — "gc-cycles allocated-bytes requests-handled" of node I, read
-# off its /metrics: the runtime series (DESIGN.md §15) and every tag of
-# netdht_rpc_requests_total.
+# node_sample I — "gc-cycles allocated-bytes requests-handled resident-bytes
+# resident-file-bytes" of node I, read off its /metrics: the runtime series
+# (DESIGN.md §15) and every tag of netdht_rpc_requests_total.
 node_sample() {
     curl -fsS --max-time 5 "http://$(wait_for_admin "$LOGDIR/node-$1.log")/metrics" | awk '
         $1 == "go_gc_cycles" { gc = $2 }
         $1 == "go_heap_allocs_bytes" { bytes = $2 }
         index($1, "netdht_rpc_requests_total{") == 1 { reqs += $2 }
-        END { printf "%.0f %.0f %.0f\n", gc, bytes, reqs }'
+        $1 == "process_resident_memory_bytes" { rss = $2 }
+        $1 == "process_resident_file_bytes" { file = $2 }
+        END { printf "%.0f %.0f %.0f %.0f %.0f\n", gc, bytes, reqs, rss, file }'
 }
 for i in $(seq 0 $((NODES - 1))); do
     node_sample "$i" >"$LOGDIR/runtime-before-$i.txt"
@@ -183,12 +185,15 @@ echo "== counting (expect $ITEMS, tol $TOL)"
 # now. A node whose handling allocates nothing per request reads a few
 # hundred bytes here — the maintenance rounds' and the scrapes' own — and
 # does not collect; kilobytes per request is a handler that allocates.
+# Beside them, the node's resident memory now and its file-backed share,
+# which is mostly the dhsnode binary itself (DESIGN.md §12 "Memory").
 echo "== runtime cost of the insert and count phases, per node"
 for i in $(seq 0 $((NODES - 1))); do
-    read -r gc0 bytes0 reqs0 <"$LOGDIR/runtime-before-$i.txt"
-    read -r gc1 bytes1 reqs1 < <(node_sample "$i")
-    awk -v i="$i" -v gc="$((gc1 - gc0))" -v b="$((bytes1 - bytes0))" -v r="$((reqs1 - reqs0))" 'BEGIN {
-        printf "   node-%d: gc cycles +%d, %d requests handled, %.0f heap bytes allocated per request\n", i, gc, r, (r > 0 ? b / r : 0) }'
+    read -r gc0 bytes0 reqs0 _ <"$LOGDIR/runtime-before-$i.txt"
+    read -r gc1 bytes1 reqs1 rss1 file1 < <(node_sample "$i")
+    awk -v i="$i" -v gc="$((gc1 - gc0))" -v b="$((bytes1 - bytes0))" -v r="$((reqs1 - reqs0))" -v rss="$rss1" -v file="$file1" 'BEGIN {
+        printf "   node-%d: gc cycles +%d, %d requests handled, %.0f heap bytes allocated per request, resident %.1f MiB (%.1f MiB file-backed)\n",
+            i, gc, r, (r > 0 ? b / r : 0), rss / 1048576, file / 1048576 }'
 done | tee "$LOGDIR/runtime.log"
 
 echo "== scraping /healthz and /metrics on every node"
