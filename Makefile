@@ -48,7 +48,9 @@ smoke:
 	./scripts/smoke.sh
 
 # bench runs the go-test benchmarks — the root hot-path benchmarks of
-# perf_bench_test.go, the internal/store probe-reply micro-benchmarks,
+# perf_bench_test.go, the simulator rungs under the sim_scan workload
+# (internal/chord's lookup on both rings, internal/core's insert, refresh
+# and count), the internal/store probe-reply micro-benchmarks,
 # the internal/netdht uncached-count, many-metric-count and insert rungs
 # (exchanges and wire bytes per operation on loopback clusters) and the
 # internal/serve sustained-throughput serving benchmarks (qps/p50/p99 and
@@ -63,4 +65,4 @@ smoke:
 BENCHTIME ?= 1s
 
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) . ./internal/store ./internal/netdht ./internal/serve | tee bench.out
+	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) . ./internal/chord ./internal/core ./internal/store ./internal/netdht ./internal/serve | tee bench.out

@@ -3,46 +3,48 @@
 // with consistent hashing, finger-table routing in O(log N) hops, node
 // join/leave/failure, and deterministic hop-count simulation.
 //
-// The implementation simulates the overlay in-process with post-
-// stabilization routing state (fingers always reflect the live ring), the
-// same model under the paper's evaluation: costs are counted in overlay
-// hops and payload bytes rather than wall-clock time.
+// Every ring in the package routes by one rule, the protocol state
+// machine of machine.go; the ring types differ only in how that state is
+// repaired after a membership change. Ring repairs it atomically from the
+// membership oracle, so routing always runs on post-stabilization state —
+// the model under the paper's evaluation, with costs counted in overlay
+// hops and payload bytes rather than wall-clock time. StabilizingRing
+// (stab.go) repairs it with the protocol's own rounds.
 package chord
 
 import (
 	"fmt"
-	"math/bits"
-	"math/rand/v2"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"dhsketch/internal/dht"
-	"dhsketch/internal/md4"
 	"dhsketch/internal/sim"
 )
-
-// Node is one ring member.
-type Node struct {
-	id       uint64
-	name     string
-	alive    bool
-	app      any
-	counters dht.Counters
-
-	// fingers is the node's cached routing table: fingers[i] is the
-	// live owner of id + 2^i (post-stabilization state), so fingers[0]
-	// is the node's successor. The Ring repairs the affected tables
-	// incrementally at membership-change time (see retargetFingers);
-	// between changes the tables are read-only, which is what makes
-	// routing safe for the concurrent counting passes without per-hop
-	// binary searches. A dead node's table is stale and never read —
-	// routing from a dead node errors first, and Revive re-splices it.
-	fingers [fingerBits]*Node
-}
 
 // fingerBits is the number of finger-table entries per node, one per
 // bit of the 64-bit identifier space.
 const fingerBits = 64
+
+// dist returns the clockwise distance from a to b on the 2^64 ring.
+func dist(a, b uint64) uint64 { return b - a }
+
+// Node is one ring member, of either ring type. Its liveness and
+// application pointer are atomics: the counting surface reads both
+// without holding a lock while protocol rounds and crash-stop injection
+// mutate them. Its routing state is a Machine, the same state machine a
+// networked server runs.
+type Node struct {
+	id       uint64
+	name     string
+	alive    atomic.Bool
+	app      atomic.Pointer[appBox]
+	counters dht.Counters
+	proto    *Machine
+}
+
+// appBox wraps the application state so a nil interface is storable in
+// the atomic pointer.
+type appBox struct{ v any }
 
 // ID returns the node's ring identifier.
 func (n *Node) ID() uint64 { return n.id }
@@ -51,91 +53,159 @@ func (n *Node) ID() uint64 { return n.id }
 func (n *Node) Name() string { return n.name }
 
 // Alive reports whether the node is up.
-func (n *Node) Alive() bool { return n.alive }
+func (n *Node) Alive() bool { return n.alive.Load() }
 
 // App returns the attached application state.
-func (n *Node) App() any { return n.app }
+func (n *Node) App() any {
+	if b := n.app.Load(); b != nil {
+		return b.v
+	}
+	return nil
+}
 
-// SetApp attaches application state.
-func (n *Node) SetApp(state any) { n.app = state }
+// SetApp attaches application state. Safe against concurrent App reads:
+// replica repair attaches stores to new successors while counting passes
+// probe the ring.
+func (n *Node) SetApp(state any) { n.app.Store(&appBox{v: state}) }
 
 // Counters returns the node's load counters.
 func (n *Node) Counters() *dht.Counters { return &n.counters }
 
-// Ring is a Chord-like overlay. The read-only routing surface (Lookup,
-// LookupFrom, Successor, Predecessor, Owner, Nodes) and RandomNode are
-// safe for concurrent use while the membership is stable; membership
-// changes (Join, Fail, Revive, Leave) must not run concurrently with
-// anything else — the simulation mutates the ring single-threaded and
-// fans out only the counting passes.
-type Ring struct {
-	env *sim.Env
+// Protocol returns the node's protocol state machine.
+func (n *Node) Protocol() *Machine { return n.proto }
 
-	// rngMu serializes draws from rng: RandomNode is on the concurrent
-	// counting surface (every Count picks a random origin).
-	rngMu sync.Mutex
-	rng   *rand.Rand
+// ringLocked is the per-node lock of a simulated node: none. Each ring
+// orders every access to protocol state itself — StabilizingRing with
+// its RWMutex, Ring by never changing membership while anything routes.
+type ringLocked struct{}
 
-	// live is sorted by ID and contains only alive nodes; routing and
-	// ownership are resolved against it. all additionally retains failed
-	// nodes so tests can revive them.
-	live []*Node
-	all  map[uint64]*Node
+func (ringLocked) Lock()   {}
+func (ringLocked) Unlock() {}
 
-	// epoch counts membership changes; fingerEpoch records the epoch
-	// the nodes' finger tables were last rebuilt at. The two are equal
-	// whenever the ring is quiescent — every membership operation ends
-	// by rebuilding — and routing asserts it, so a future membership
-	// path that forgets to rebuild fails loudly instead of routing on
-	// stale tables.
-	epoch       uint64
-	fingerEpoch uint64
-
-	// maxHops aborts routing loops; generous multiple of log N.
-	maxHops int
+// newNode creates a live node from name, with an identifier m does not
+// hold yet, and splices it into m. Caller holds m's write lock or is
+// constructing the ring.
+func newNode(m *Membership[*Node], name string) *Node {
+	n := &Node{id: m.NewID(name), name: name}
+	n.proto = NewMachine(Ref{ID: n.id, Addr: name, mem: n}, m.cfg, ringLocked{})
+	n.alive.Store(true)
+	m.Add(n)
+	return n
 }
 
-// errStaleFingers is the routing-time assertion message: finger tables
-// must be rebuilt before the first lookup after a membership change.
-const errStaleFingers = "chord: finger tables stale — membership change without rebuildFingers"
+// populate returns a converged membership of n nodes named node-0:4000,
+// node-1:4000, …, whose RandomNode draws from env's "chord" stream — so
+// every ring type hosts the same ID population at equal sizes and seeds.
+func populate(env *sim.Env, n int, cfg ProtocolConfig) *Membership[*Node] {
+	if n <= 0 {
+		panic("chord: ring needs at least one node")
+	}
+	m := NewMembership[*Node](cfg, env.Derive("chord"), env.Clock.Now())
+	for i := 0; i < n; i++ {
+		newNode(m, fmt.Sprintf("node-%d:4000", i))
+	}
+	m.SeedConverged()
+	return m
+}
+
+// oracleConfig is the protocol configuration of a Ring's machines: one
+// successor, the classic Chord successor pointer. A Ring runs no
+// protocol rounds, so the periods are never read.
+var oracleConfig = ProtocolConfig{SuccListLen: 1}
+
+// Ring is a Chord overlay whose routing state is repaired from the
+// membership oracle at every membership change: between changes each
+// node's Machine holds exactly the state the protocol converges to at
+// r = 1 (TestRepairPoliciesAgree), so Ring is the protocol, converged.
+// It implements dht.Overlay and dht.Crasher, and none of Router,
+// SuccessorLister or Maintainer (TestRingMethodSet says why).
+//
+// The routing surface (Lookup, LookupFrom, Successor, Predecessor,
+// Owner, Nodes) and RandomNode are safe for concurrent use while the
+// membership is stable; membership changes (Join, Fail, Revive, Crash,
+// Leave, FailRandom) must not run concurrently with anything else — the
+// simulation mutates the ring single-threaded and fans out only the
+// counting passes. Routing therefore reads the machines without a lock.
+type Ring struct {
+	overlayOracle
+	m   *Membership[*Node]
+	env *sim.Env
+}
+
+// overlayOracle is the part of Membership's method set a Ring exposes
+// as it is: the zero-cost half of dht.Overlay bar Successor, which Ring
+// reads off its machines, and without SuccessorList or Converged.
+type overlayOracle interface {
+	Bits() uint
+	Size() int
+	Nodes() []dht.Node
+	RandomNode() dht.Node
+	Owner(key uint64) (dht.Node, error)
+	Predecessor(n dht.Node) (dht.Node, error)
+}
 
 // New creates a ring of n nodes with MD4-derived identifiers, simulating
 // the paper's setup ("node and item IDs are 64 bits, created using MD4").
 func New(env *sim.Env, n int) *Ring {
-	if n <= 0 {
-		panic("chord: ring needs at least one node")
-	}
-	r := &Ring{
-		env:     env,
-		rng:     env.Derive("chord"),
-		all:     make(map[uint64]*Node, n),
-		maxHops: 256,
-	}
-	for i := 0; i < n; i++ {
-		r.addNode(fmt.Sprintf("node-%d:4000", i))
-	}
-	r.rebuildFingers()
-	return r
+	m := populate(env, n, oracleConfig)
+	return &Ring{overlayOracle: m, m: m, env: env}
 }
 
-// rebuildFingers recomputes every live node's finger table against the
-// current live ring — the O(N · 64 · log N) ground truth. It runs once
-// after batch construction (New); membership changes use the incremental
-// updates below, which the differential test in incremental_test.go
-// checks against this function entry-for-entry and route-for-route.
-func (r *Ring) rebuildFingers() {
-	for _, n := range r.live {
-		r.buildFingers(n)
+// Env returns the simulation environment the ring accounts against.
+func (r *Ring) Env() *sim.Env { return r.env }
+
+// Lookup routes to the owner of key from a random origin node.
+func (r *Ring) Lookup(key uint64) (dht.Node, int, error) {
+	src := r.RandomNode()
+	if src == nil {
+		return nil, 0, dht.ErrNoRoute
 	}
-	r.fingerEpoch = r.epoch
+	return r.LookupFrom(src, key)
 }
 
-// buildFingers computes one node's full finger table from the live ring
-// (64 binary searches).
-func (r *Ring) buildFingers(n *Node) {
-	for i := range n.fingers {
-		n.fingers[i] = r.live[r.ownerIndex(n.id+uint64(1)<<uint(i))]
+// LookupFrom routes from src to the owner of key and returns the owner
+// together with the hop count. It is Machine.Route with every candidate
+// answering: on converged state the first candidate of each node is its
+// next hop, so the loop asks for one and moves there.
+func (r *Ring) LookupFrom(src dht.Node, key uint64) (dht.Node, int, error) {
+	cur, ok := src.(*Node)
+	if !ok {
+		return nil, 0, fmt.Errorf("chord: foreign node type %T", src)
 	}
+	if !cur.Alive() {
+		return nil, 0, dht.ErrNodeDown
+	}
+	hops := 0
+	for {
+		c, deliver, own := cur.proto.candidate(&cursor{}, key, dist(cur.id, key))
+		if own {
+			return cur, hops, nil
+		}
+		if !c.Valid() || hops >= maxRouteHops {
+			return nil, hops, dht.ErrNoRoute
+		}
+		cur, hops = c.mem, hops+1
+		cur.counters.AddRouted()
+		if deliver {
+			return cur, hops, nil
+		}
+	}
+}
+
+// Successor returns the live node immediately following n. A live
+// node's machine is converged, so that is the head of its successor list
+// (none on a ring of one); a failed node's is resolved against the
+// oracle. The counting walk steps by Successor, so it skips the
+// Membership's lock and directory lookup.
+func (r *Ring) Successor(n dht.Node) (dht.Node, error) {
+	cn, ok := n.(*Node)
+	if !ok || !cn.Alive() {
+		return r.m.Successor(n)
+	}
+	if succ, ok := cn.proto.Successor(); ok {
+		return succ.mem, nil
+	}
+	return cn, nil
 }
 
 // forEachLiveIn calls fn for every live node whose ID lies in the ring
@@ -143,12 +213,13 @@ func (r *Ring) buildFingers(n *Node) {
 // node at or after start; the clockwise distance id−start is monotone
 // along that walk, so the loop stops at the first node past the interval.
 func (r *Ring) forEachLiveIn(start, size uint64, fn func(*Node)) {
-	if size == 0 || len(r.live) == 0 {
+	live := r.m.live
+	if size == 0 || len(live) == 0 {
 		return
 	}
-	idx := sort.Search(len(r.live), func(i int) bool { return r.live[i].id >= start })
-	for k := 0; k < len(r.live); k++ {
-		n := r.live[(idx+k)%len(r.live)]
+	idx := sort.Search(len(live), func(i int) bool { return live[i].id >= start })
+	for k := 0; k < len(live); k++ {
+		n := live[(idx+k)%len(live)]
 		if n.id-start >= size {
 			break
 		}
@@ -165,241 +236,49 @@ func (r *Ring) forEachLiveIn(start, size uint64, fn func(*Node)) {
 // owner. Finger entry i of node n targets n.id + 2^i, so the affected
 // nodes for each i are those with id ∈ (lo−2^i, lo−2^i+span] — found by
 // one binary search per bit. Cost is O(64 · (log N + changed entries))
-// per membership event instead of the full rebuild's O(N · 64 · log N).
+// per membership event instead of a full reseed's O(N · 64 · log N).
 func (r *Ring) retargetFingers(lo, span uint64, to *Node) {
 	if span == 0 {
 		return
 	}
+	ref := to.proto.Self()
 	for i := 0; i < fingerBits; i++ {
 		step := uint64(1) << uint(i)
 		// n.id + 2^i ∈ (lo, lo+span] ⇔ n.id ∈ [lo−2^i+1, lo−2^i+span].
 		r.forEachLiveIn(lo-step+1, span, func(n *Node) {
-			n.fingers[i] = to
+			n.proto.fingers[i] = ref
 		})
 	}
 }
 
-// predecessorOf returns the live node immediately preceding n on the
-// ring (n must be present in live; callers guarantee len(live) ≥ 2, so
-// the result is distinct from n).
-func (r *Ring) predecessorOf(n *Node) *Node {
-	idx := sort.Search(len(r.live), func(i int) bool { return r.live[i].id >= n.id })
-	idx--
-	if idx < 0 {
-		idx = len(r.live) - 1
-	}
-	return r.live[idx]
-}
-
-// spliceFingers integrates a just-added (joined or revived) node n into
-// the cached finger tables incrementally: entries targeting n's new
-// ownership range (pred, n] are redirected to n, then n's own table is
-// built from scratch.
-func (r *Ring) spliceFingers(n *Node) {
-	if len(r.live) == 1 {
-		for i := range n.fingers {
-			n.fingers[i] = n
-		}
-		r.fingerEpoch = r.epoch
+// repair restores the converged state after a membership change at
+// identifier id — a join or revive of the node holding it, or a failure
+// of that node. The range (p, id] between id's live predecessor p and id
+// has a new owner, the live owner of id now; finger entries targeting it
+// are redirected there, and that owner and its two neighbours — the only
+// nodes whose predecessor or successor moved — are seeded afresh.
+// Caller holds the membership's write lock.
+func (r *Ring) repair(id uint64) {
+	m := r.m
+	if len(m.live) == 0 {
 		return
 	}
-	pred := r.predecessorOf(n)
-	r.retargetFingers(pred.id, n.id-pred.id, n)
-	r.buildFingers(n)
-	r.fingerEpoch = r.epoch
-}
-
-// addNode creates a node from name, re-hashing on the (astronomically
-// unlikely) ID collision, and splices it into the live ring.
-func (r *Ring) addNode(name string) *Node {
-	label := name
-	id := md4.Sum64([]byte(label))
-	for _, taken := r.all[id]; taken; _, taken = r.all[id] {
-		label += "'"
-		id = md4.Sum64([]byte(label))
+	i := m.ownerIndex(id)
+	pred := m.live[(i-1+len(m.live))%len(m.live)]
+	r.retargetFingers(pred.id, id-pred.id, m.live[i])
+	for j := i - 1; j <= i+1; j++ {
+		m.seedAt(j)
 	}
-	n := &Node{id: id, name: name, alive: true}
-	r.all[id] = n
-	idx := sort.Search(len(r.live), func(i int) bool { return r.live[i].id >= id })
-	r.live = append(r.live, nil)
-	copy(r.live[idx+1:], r.live[idx:])
-	r.live[idx] = n
-	r.epoch++
-	return n
-}
-
-// Bits returns the identifier length (64).
-func (r *Ring) Bits() uint { return 64 }
-
-// Size returns the number of live nodes.
-func (r *Ring) Size() int { return len(r.live) }
-
-// Env returns the simulation environment the ring accounts against.
-func (r *Ring) Env() *sim.Env { return r.env }
-
-// Nodes returns the live nodes in ID order.
-func (r *Ring) Nodes() []dht.Node {
-	out := make([]dht.Node, len(r.live))
-	for i, n := range r.live {
-		out[i] = n
-	}
-	return out
-}
-
-// RandomNode returns a uniformly chosen live node.
-func (r *Ring) RandomNode() dht.Node {
-	if len(r.live) == 0 {
-		return nil
-	}
-	r.rngMu.Lock()
-	idx := r.rng.IntN(len(r.live))
-	r.rngMu.Unlock()
-	return r.live[idx]
-}
-
-// ownerIndex returns the index in live of the clockwise successor of key
-// (the node owning key under consistent hashing).
-func (r *Ring) ownerIndex(key uint64) int {
-	idx := sort.Search(len(r.live), func(i int) bool { return r.live[i].id >= key })
-	if idx == len(r.live) {
-		return 0 // wrap around
-	}
-	return idx
-}
-
-// Owner returns the live node responsible for key at zero simulated cost.
-func (r *Ring) Owner(key uint64) (dht.Node, error) {
-	if len(r.live) == 0 {
-		return nil, dht.ErrNoRoute
-	}
-	return r.live[r.ownerIndex(key)], nil
-}
-
-// dist returns the clockwise distance from a to b on the 2^64 ring.
-func dist(a, b uint64) uint64 { return b - a }
-
-// Lookup routes to the owner of key from a random origin node.
-func (r *Ring) Lookup(key uint64) (dht.Node, int, error) {
-	src := r.RandomNode()
-	if src == nil {
-		return nil, 0, dht.ErrNoRoute
-	}
-	return r.LookupFrom(src, key)
-}
-
-// LookupFrom simulates greedy finger routing from src to the owner of key
-// and returns the owner together with the hop count.
-func (r *Ring) LookupFrom(src dht.Node, key uint64) (dht.Node, int, error) {
-	cur, ok := src.(*Node)
-	if !ok {
-		return nil, 0, fmt.Errorf("chord: foreign node type %T", src)
-	}
-	if !cur.alive {
-		return nil, 0, dht.ErrNodeDown
-	}
-	if len(r.live) == 0 {
-		return nil, 0, dht.ErrNoRoute
-	}
-	if r.fingerEpoch != r.epoch {
-		panic(errStaleFingers)
-	}
-	owner := r.live[r.ownerIndex(key)]
-	hops := 0
-	for cur != owner {
-		if hops >= r.maxHops {
-			return nil, hops, dht.ErrNoRoute
-		}
-		succ := r.successorNode(cur)
-		var next *Node
-		if dist(cur.id, key) <= dist(cur.id, succ.id) {
-			// key ∈ (cur, succ]: the successor owns it.
-			next = succ
-		} else if f := r.closestPrecedingFinger(cur, key); f != cur {
-			next = f
-		} else {
-			next = succ
-		}
-		cur = next
-		hops++
-		cur.counters.AddRouted()
-	}
-	return owner, hops, nil
-}
-
-// closestPrecedingFinger returns the finger of cur that lies furthest
-// along the arc (cur, key), or cur itself if no finger makes progress.
-// Fingers are the successors of cur.id + 2^i, i = 63..0, read from the
-// node's cached table (post-stabilization state, rebuilt at membership-
-// change time) — no binary searches on the routing hot path.
-func (r *Ring) closestPrecedingFinger(cur *Node, key uint64) *Node {
-	dKey := dist(cur.id, key)
-	if dKey < 2 {
-		return cur
-	}
-	// The largest finger that can precede the key is the one spanning
-	// 2^⌊log₂(dKey−1)⌋; start there instead of at bit 63.
-	for i := bits.Len64(dKey-1) - 1; i >= 0; i-- {
-		span := uint64(1) << uint(i)
-		if span >= dKey {
-			continue // finger target at or beyond the key
-		}
-		f := cur.fingers[i]
-		if f == cur {
-			continue
-		}
-		if d := dist(cur.id, f.id); d > 0 && d < dKey {
-			return f
-		}
-	}
-	return cur
-}
-
-// successorNode returns the live node immediately after n on the ring —
-// the node's first finger (owner of id + 2^0).
-func (r *Ring) successorNode(n *Node) *Node {
-	return n.fingers[0]
-}
-
-// Successor returns the live node immediately following n.
-func (r *Ring) Successor(n dht.Node) (dht.Node, error) {
-	cn, ok := n.(*Node)
-	if !ok {
-		return nil, fmt.Errorf("chord: foreign node type %T", n)
-	}
-	if len(r.live) == 0 {
-		return nil, dht.ErrNoRoute
-	}
-	if !cn.alive {
-		// A failed node's successor is still well-defined on the live
-		// ring: the owner of the first ID after it.
-		return r.live[r.ownerIndex(cn.id+1)], nil
-	}
-	return r.successorNode(cn), nil
-}
-
-// Predecessor returns the live node immediately preceding n.
-func (r *Ring) Predecessor(n dht.Node) (dht.Node, error) {
-	cn, ok := n.(*Node)
-	if !ok {
-		return nil, fmt.Errorf("chord: foreign node type %T", n)
-	}
-	if len(r.live) == 0 {
-		return nil, dht.ErrNoRoute
-	}
-	idx := sort.Search(len(r.live), func(i int) bool { return r.live[i].id >= cn.id })
-	idx-- // first node strictly below cn.id
-	if idx < 0 {
-		idx = len(r.live) - 1
-	}
-	return r.live[idx], nil
 }
 
 // Join adds a new node with the given name and returns it. Finger
 // maintenance is incremental: only the entries whose target falls in the
 // joiner's new ownership range are touched.
 func (r *Ring) Join(name string) dht.Node {
-	n := r.addNode(name)
-	r.spliceFingers(n)
+	r.m.mu.Lock()
+	defer r.m.mu.Unlock()
+	n := newNode(r.m, name)
+	r.repair(n.id)
 	return n
 }
 
@@ -410,36 +289,31 @@ func (r *Ring) Join(name string) dht.Node {
 // range are redirected to its successor.
 func (r *Ring) Fail(n dht.Node) {
 	cn, ok := n.(*Node)
-	if !ok || !cn.alive {
+	if !ok || !cn.Alive() {
 		return
 	}
-	cn.alive = false
-	pred := r.predecessorOf(cn) // before removal; equals cn iff ring size 1
-	r.removeLive(cn)
-	if len(r.live) == 0 {
-		r.fingerEpoch = r.epoch
-		return
-	}
-	succ := r.live[r.ownerIndex(cn.id)]
-	r.retargetFingers(pred.id, cn.id-pred.id, succ)
-	r.fingerEpoch = r.epoch
+	m := r.m
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	cn.alive.Store(false)
+	i := m.ownerIndex(cn.id)
+	m.live = append(m.live[:i], m.live[i+1:]...)
+	r.repair(cn.id)
 }
 
 // Revive brings a previously failed node back with empty application
 // state (a crash loses the soft state).
 func (r *Ring) Revive(n dht.Node) {
 	cn, ok := n.(*Node)
-	if !ok || cn.alive {
+	if !ok || cn.Alive() {
 		return
 	}
-	cn.alive = true
-	cn.app = nil
-	idx := sort.Search(len(r.live), func(i int) bool { return r.live[i].id >= cn.id })
-	r.live = append(r.live, nil)
-	copy(r.live[idx+1:], r.live[idx:])
-	r.live[idx] = cn
-	r.epoch++
-	r.spliceFingers(cn)
+	r.m.mu.Lock()
+	defer r.m.mu.Unlock()
+	cn.alive.Store(true)
+	cn.app.Store(nil)
+	r.m.Add(cn)
+	r.repair(cn.id)
 }
 
 // Leave removes the node gracefully. In this simulation graceful departure
@@ -449,34 +323,22 @@ func (r *Ring) Leave(n dht.Node) {
 	r.Fail(n)
 }
 
-// Crash removes the node permanently (dht.Crasher). On the static ring —
-// whose routing state repairs atomically at membership-change time —
-// crash-stop and fail-stop coincide; a caller honoring crash-stop
-// semantics must never Revive a crashed node.
+// Crash removes the node permanently (dht.Crasher). On a ring whose
+// routing state repairs atomically at membership-change time, crash-stop
+// and fail-stop coincide; a caller honoring crash-stop semantics must
+// never Revive a crashed node.
 func (r *Ring) Crash(n dht.Node) {
 	r.Fail(n)
 }
 
 // FailRandom fails k distinct random live nodes and returns them.
 func (r *Ring) FailRandom(k int) []dht.Node {
-	if k > len(r.live) {
-		k = len(r.live)
-	}
+	k = min(k, r.Size())
 	out := make([]dht.Node, 0, k)
 	for i := 0; i < k; i++ {
-		r.rngMu.Lock()
-		n := r.live[r.rng.IntN(len(r.live))]
-		r.rngMu.Unlock()
+		n := r.RandomNode()
 		out = append(out, n)
 		r.Fail(n)
 	}
 	return out
-}
-
-func (r *Ring) removeLive(n *Node) {
-	idx := sort.Search(len(r.live), func(i int) bool { return r.live[i].id >= n.id })
-	if idx < len(r.live) && r.live[idx] == n {
-		r.live = append(r.live[:idx], r.live[idx+1:]...)
-		r.epoch++
-	}
 }

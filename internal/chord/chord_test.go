@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -328,69 +329,56 @@ func TestMassiveFailureStillRoutes(t *testing.T) {
 	}
 }
 
-// checkFingers verifies every live node's cached finger table against a
-// fresh binary-search resolution on the live ring.
-func checkFingers(t *testing.T, r *Ring) {
-	t.Helper()
-	for _, n := range r.live {
-		for i := range n.fingers {
-			want := r.live[r.ownerIndex(n.id+uint64(1)<<uint(i))]
-			if n.fingers[i] != want {
-				t.Fatalf("node %x finger %d = %x, want %x",
-					n.id, i, n.fingers[i].id, want.id)
-			}
-		}
-	}
-	if r.fingerEpoch != r.epoch {
-		t.Fatalf("fingerEpoch %d != epoch %d after membership change", r.fingerEpoch, r.epoch)
-	}
-}
-
 func TestFingerCacheConsistentAcrossMembership(t *testing.T) {
 	r := newRing(t, 64)
-	checkFingers(t, r)
+	checkConverged(t, r, "fresh")
 
 	r.Join("newcomer:1")
-	checkFingers(t, r)
+	checkConverged(t, r, "join")
 
-	victim := r.live[20]
+	victim := r.m.live[20]
 	r.Fail(victim)
-	checkFingers(t, r)
+	checkConverged(t, r, "fail")
 
 	r.Revive(victim)
-	checkFingers(t, r)
+	checkConverged(t, r, "revive")
 
 	r.FailRandom(10)
-	checkFingers(t, r)
+	checkConverged(t, r, "fail random")
 
 	r.Leave(r.Nodes()[0])
-	checkFingers(t, r)
+	checkConverged(t, r, "leave")
 }
 
-func TestStaleFingerTablesPanic(t *testing.T) {
-	r := newRing(t, 8)
-	r.epoch++ // simulate a membership path that forgot to rebuild
-	defer func() {
-		if recover() == nil {
-			t.Fatal("routing on stale finger tables did not panic")
-		}
-	}()
-	r.Lookup(42)
-}
-
+// BenchmarkLookup times the routing rule, Machine.candidate, under both
+// of its drivers on the same ID population: Ring's loop over converged
+// state, and a converged StabilizingRing's RouteFrom, which reaches each
+// hop through the in-memory transport under the ring's read lock.
 func BenchmarkLookup(b *testing.B) {
-	for _, n := range []int{1024, 10240} {
-		b.Run(map[int]string{1024: "N1024", 10240: "N10240"}[n], func(b *testing.B) {
-			r := New(sim.NewEnv(1), n)
-			rng := r.Env().Derive("bench")
-			keys := make([]uint64, 4096)
-			for i := range keys {
-				keys[i] = rng.Uint64()
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Lookup(keys[i&4095])
-			}
-		})
+	rings := []struct {
+		name string
+		new  func(env *sim.Env, n int) dht.Overlay
+	}{
+		{"", func(env *sim.Env, n int) dht.Overlay { return New(env, n) }},
+		{"/stabilizing", func(env *sim.Env, n int) dht.Overlay {
+			return NewStabilizing(env, n, ProtocolConfig{SuccListLen: 1})
+		}},
+	}
+	for _, ring := range rings {
+		for _, n := range []int{1024, 10240} {
+			b.Run(fmt.Sprintf("N%d%s", n, ring.name), func(b *testing.B) {
+				env := sim.NewEnv(1)
+				r := ring.new(env, n)
+				rng := env.Derive("bench")
+				keys := make([]uint64, 4096)
+				for i := range keys {
+					keys[i] = rng.Uint64()
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r.Lookup(keys[i&4095])
+				}
+			})
+		}
 	}
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // TestOverlayContracts runs the dht.Overlay conformance suite against
-// every overlay this repository ships: the static ring (atomically
-// consistent routing state), the stabilizing ring (protocol-maintained
+// every overlay this repository ships: the static ring (routing state
+// repaired from the oracle at every membership change, so always
+// consistent), the stabilizing ring (protocol-maintained
 // state that must settle after membership events), and the fault-
 // injection wrapper in transparent (zero-fault) configuration, which
 // must not perturb any contract.
@@ -58,6 +59,31 @@ func TestOverlayContracts(t *testing.T) {
 		},
 		Settle: settleStabilizing,
 	})
+}
+
+// TestRingMethodSet pins which optional dht extensions each simulated
+// ring implements. Ring implements none of Router, SuccessorLister or
+// Maintainer although the Membership it is built on has what they need:
+// faultdht forwards SuccessorList to an inner overlay that has one, and
+// core's counting walk then falls back through the list (walkFallback)
+// where it re-entered the interval before — so a SuccessorList on Ring
+// would move E12F's table.
+func TestRingMethodSet(t *testing.T) {
+	// implements lists, in order, whether o is a dht.Router,
+	// SuccessorLister, Maintainer and Crasher.
+	implements := func(o any) [4]bool {
+		_, router := o.(dht.Router)
+		_, lister := o.(dht.SuccessorLister)
+		_, maintainer := o.(dht.Maintainer)
+		_, crasher := o.(dht.Crasher)
+		return [4]bool{router, lister, maintainer, crasher}
+	}
+	if got := implements(chord.New(sim.NewEnv(1), 4)); got != [4]bool{false, false, false, true} {
+		t.Errorf("chord.Ring: Router, SuccessorLister, Maintainer, Crasher = %v, want Crasher only", got)
+	}
+	if got := implements(chord.NewStabilizing(sim.NewEnv(1), 4, chord.ProtocolConfig{})); got != [4]bool{true, true, true, true} {
+		t.Errorf("chord.StabilizingRing: Router, SuccessorLister, Maintainer, Crasher = %v, want all four", got)
+	}
 }
 
 // settleStabilizing advances the clock and runs protocol rounds until

@@ -2,55 +2,98 @@ package chord
 
 import (
 	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"dhsketch/internal/dht"
 	"dhsketch/internal/sim"
 )
 
-// snapshotFingers copies every live node's finger table so a later full
-// rebuild can be compared against the incrementally maintained state.
-func snapshotFingers(r *Ring) map[uint64][fingerBits]*Node {
-	out := make(map[uint64][fingerBits]*Node, len(r.live))
-	for _, n := range r.live {
-		out[n.id] = n.fingers
-	}
-	return out
+// snapshot is one node's protocol state, as Machine.State returns it.
+type snapshot struct {
+	pred    Ref
+	succ    []Ref
+	fingers [fingerBits]Ref
 }
 
-// routeTrace records the exact hop sequence of a lookup so routes under
-// incremental maintenance can be compared hop-for-hop against routes on
-// fully rebuilt tables.
-func routeTrace(t *testing.T, r *Ring, src dht.Node, key uint64) []uint64 {
-	t.Helper()
-	cur := src.(*Node)
-	trace := []uint64{cur.id}
-	owner := r.live[r.ownerIndex(key)]
-	for cur != owner {
-		if len(trace) > r.maxHops {
-			t.Fatalf("route from %016x to key %016x did not terminate", src.ID(), key)
+func snap(n *Node) snapshot {
+	pred, succ, fingers := n.proto.State()
+	return snapshot{pred, succ, fingers}
+}
+
+// sameMember reports whether two references name the same member, by
+// identifier and address — so states of different rings compare.
+func sameMember(a, b Ref) bool { return a.ID == b.ID && a.Addr == b.Addr }
+
+// diff returns "" when got and want name the same predecessor, successor
+// list and fingers, else the first difference.
+func (got snapshot) diff(want snapshot) string {
+	ids := func(list []Ref) (out []string) {
+		for _, r := range list {
+			out = append(out, fmt.Sprintf("%016x", r.ID))
 		}
-		succ := r.successorNode(cur)
-		var next *Node
-		if dist(cur.id, key) <= dist(cur.id, succ.id) {
-			next = succ
-		} else if f := r.closestPrecedingFinger(cur, key); f != cur {
-			next = f
-		} else {
-			next = succ
-		}
-		cur = next
-		trace = append(trace, cur.id)
+		return out
 	}
-	return trace
+	if !sameMember(got.pred, want.pred) {
+		return fmt.Sprintf("pred = %016x, want %016x", got.pred.ID, want.pred.ID)
+	}
+	if !slices.EqualFunc(got.succ, want.succ, sameMember) {
+		return fmt.Sprintf("succ = %v, want %v", ids(got.succ), ids(want.succ))
+	}
+	for i := range got.fingers {
+		if !sameMember(got.fingers[i], want.fingers[i]) {
+			return fmt.Sprintf("finger[%d] = %016x, want %016x", i, got.fingers[i].ID, want.fingers[i].ID)
+		}
+	}
+	return ""
+}
+
+// checkConverged asserts every live node's protocol state equals the
+// converged seed of the same live set. The seed is installed in place:
+// it is the ground truth, idempotent when the repaired state is correct.
+func checkConverged(t *testing.T, r *Ring, step string) {
+	t.Helper()
+	got := make([]snapshot, len(r.m.live))
+	for i, n := range r.m.live {
+		got[i] = snap(n)
+	}
+	r.m.SeedConverged()
+	for i, n := range r.m.live {
+		if d := got[i].diff(snap(n)); d != "" {
+			t.Fatalf("%s: node %016x %s", step, n.id, d)
+		}
+	}
+}
+
+// checkRoutes asserts that a.LookupFrom and Machine.Route over the
+// unmetered in-memory transport on b's nodes return the same owner and
+// hop count for sampled (source index, key) pairs. With a == b it checks
+// that LookupFrom is Route with every candidate answering; with a twin b
+// it also checks that a's repaired state routes like b's.
+func checkRoutes(t *testing.T, step string, a, b *Ring, rng *rand.Rand) {
+	t.Helper()
+	for probe := 0; probe < 16; probe++ {
+		idx := rng.IntN(len(a.m.live))
+		key := rng.Uint64()
+		owner, hops, err := a.LookupFrom(a.m.live[idx], key)
+		if err != nil {
+			t.Fatalf("%s: LookupFrom: %v", step, err)
+		}
+		f := b.m.live[idx].proto.Route(&memPeers{}, key, 0, 0)
+		if f.Err != nil || f.Stale != 0 || f.Owner.ID != owner.ID() || f.Hops != hops {
+			t.Fatalf("%s: key %016x from node %d: LookupFrom = (%016x, %d), Route = (%016x, %d, stale %d, %v)",
+				step, key, idx, owner.ID(), hops, f.Owner.ID, f.Hops, f.Stale, f.Err)
+		}
+	}
 }
 
 // TestIncrementalFingersMatchFullRebuild drives a randomized churn
 // schedule through Join/Fail/Revive and, after every membership event,
-// asserts the incrementally maintained finger tables are entry-for-entry
-// identical to a full rebuild, and that routes taken on them are
-// hop-for-hop identical. Fingers are a pure function of the live set, so
-// any divergence is an incremental-maintenance bug.
+// asserts the incrementally repaired protocol state is entry-for-entry
+// the converged seed of the live set, and that LookupFrom routes on it
+// exactly as Machine.Route does. The converged state is a pure function
+// of the live set, so any divergence is a repair bug.
 func TestIncrementalFingersMatchFullRebuild(t *testing.T) {
 	env := sim.NewEnv(61)
 	r := New(env, 96)
@@ -59,37 +102,13 @@ func TestIncrementalFingersMatchFullRebuild(t *testing.T) {
 	var failed []dht.Node
 	check := func(step string) {
 		t.Helper()
-		got := snapshotFingers(r)
-		r.rebuildFingers() // ground truth; idempotent if tables are correct
-		for _, n := range r.live {
-			if got[n.id] != n.fingers {
-				for i := range n.fingers {
-					if got[n.id][i] != n.fingers[i] {
-						t.Fatalf("%s: node %016x finger[%d] = %016x, full rebuild says %016x",
-							step, n.id, i, got[n.id][i].id, n.fingers[i].id)
-					}
-				}
-			}
-		}
-		// Route-equivalence: with identical tables the greedy router is
-		// deterministic, so identical traces follow; assert it directly
-		// on a sample of (source, key) pairs anyway — this is the
-		// property the satellite task names.
-		for probe := 0; probe < 8; probe++ {
-			src := r.live[rng.IntN(len(r.live))]
-			key := rng.Uint64()
-			want := routeTrace(t, r, src, key)
-			// Tables were just rebuilt in place; re-trace to compare.
-			if gotTrace := routeTrace(t, r, src, key); fmt.Sprint(gotTrace) != fmt.Sprint(want) {
-				t.Fatalf("%s: route diverged for src=%016x key=%016x\nincremental: %v\nrebuild:     %v",
-					step, src.id, key, gotTrace, want)
-			}
-		}
+		checkConverged(t, r, step)
+		checkRoutes(t, step, r, r, rng)
 	}
 
 	for step := 0; step < 120; step++ {
 		switch op := rng.IntN(3); {
-		case op == 0 || len(r.live) < 4:
+		case op == 0 || r.Size() < 4:
 			n := r.Join(fmt.Sprintf("churn-%d:4000", step))
 			check(fmt.Sprintf("step %d join %016x", step, n.ID()))
 		case op == 1 && len(failed) > 0:
@@ -98,7 +117,7 @@ func TestIncrementalFingersMatchFullRebuild(t *testing.T) {
 			r.Revive(n)
 			check(fmt.Sprintf("step %d revive %016x", step, n.ID()))
 		default:
-			n := r.live[rng.IntN(len(r.live))]
+			n := r.m.live[rng.IntN(r.Size())]
 			r.Fail(n)
 			failed = append(failed, n)
 			check(fmt.Sprintf("step %d fail %016x", step, n.ID()))
@@ -106,42 +125,65 @@ func TestIncrementalFingersMatchFullRebuild(t *testing.T) {
 	}
 }
 
-// TestIncrementalFingersRouteEquivalence compares full route traces taken
-// on incrementally maintained tables against traces on an independently
-// constructed twin ring that is fully rebuilt after the same membership
-// schedule — proving route-for-route equivalence without ever repairing
-// the primary's tables.
+// TestIncrementalFingersRouteEquivalence compares routes on
+// incrementally repaired state against an independently constructed twin
+// ring that is reseeded from scratch after the same membership schedule —
+// route-for-route equivalence without ever reseeding the primary.
 func TestIncrementalFingersRouteEquivalence(t *testing.T) {
-	envA := sim.NewEnv(62)
-	envB := sim.NewEnv(62)
-	a := New(envA, 64)
-	b := New(envB, 64)
+	a := New(sim.NewEnv(62), 64)
+	b := New(sim.NewEnv(62), 64)
 	rng := sim.NewEnv(62).Derive("route-equivalence")
 
-	// Apply the same schedule to both rings; b gets a full rebuild after
-	// every event, a relies purely on incremental maintenance.
+	// Apply the same schedule to both rings; b is reseeded after every
+	// event, a relies purely on incremental repair.
 	for step := 0; step < 40; step++ {
 		if rng.IntN(2) == 0 {
 			name := fmt.Sprintf("eq-%d:4000", step)
 			a.Join(name)
 			b.Join(name)
-		} else if len(a.live) > 4 {
-			idx := rng.IntN(len(a.live))
-			a.Fail(a.live[idx])
-			b.Fail(b.live[idx])
+		} else if a.Size() > 4 {
+			idx := rng.IntN(a.Size())
+			a.Fail(a.m.live[idx])
+			b.Fail(b.m.live[idx])
 		}
-		b.rebuildFingers()
-		if len(a.live) != len(b.live) {
-			t.Fatalf("step %d: rings diverged in size: %d vs %d", step, len(a.live), len(b.live))
+		b.m.SeedConverged()
+		if a.Size() != b.Size() {
+			t.Fatalf("step %d: rings diverged in size: %d vs %d", step, a.Size(), b.Size())
 		}
-		for probe := 0; probe < 16; probe++ {
-			idx := rng.IntN(len(a.live))
-			key := rng.Uint64()
-			ta := routeTrace(t, a, a.live[idx], key)
-			tb := routeTrace(t, b, b.live[idx], key)
-			if fmt.Sprint(ta) != fmt.Sprint(tb) {
-				t.Fatalf("step %d: routes diverged for key %016x\nincremental: %v\nrebuilt:     %v",
-					step, key, ta, tb)
+		checkRoutes(t, fmt.Sprintf("step %d", step), a, b, rng)
+	}
+}
+
+// TestRepairPoliciesAgree runs one crash/join schedule on a Ring and on a
+// StabilizingRing at r = 1 and, once the protocol has converged, asserts
+// every live node holds the same predecessor, successor list and fingers
+// on both: the oracle's repair reaches the protocol's fixed point, which
+// is what makes Ring the protocol, converged.
+func TestRepairPoliciesAgree(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		oracle := New(sim.NewEnv(seed), 64)
+		env := sim.NewEnv(seed)
+		proto := NewStabilizing(env, 64, ProtocolConfig{SuccListLen: 1})
+		rng := sim.NewEnv(seed).Derive("repair-policies")
+		for round := 0; round < 3; round++ {
+			for k := 0; k < 2; k++ {
+				idx := rng.IntN(oracle.Size())
+				oracle.Crash(oracle.Nodes()[idx])
+				proto.Crash(proto.Nodes()[idx])
+			}
+			name := fmt.Sprintf("policy-%d:4000", round)
+			oracle.Join(name)
+			proto.Join(name)
+			settle(t, proto, env)
+
+			step := fmt.Sprintf("seed %d round %d", seed, round)
+			if oracle.Size() != proto.Size() {
+				t.Fatalf("%s: sizes %d vs %d", step, oracle.Size(), proto.Size())
+			}
+			for i, n := range oracle.m.live {
+				if d := snap(proto.live[i]).diff(snap(n)); d != "" {
+					t.Fatalf("%s: node %016x: protocol %s", step, n.id, d)
+				}
 			}
 		}
 	}

@@ -40,7 +40,7 @@ type Ref struct {
 	// mem is to the in-memory transport what Addr is to TCP: how it
 	// reaches the node, without a directory lookup per hop. Nil on the
 	// wire.
-	mem *SNode
+	mem *Node
 }
 
 // Valid reports whether r names a peer.

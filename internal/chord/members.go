@@ -1,8 +1,10 @@
 // members.go is what surrounds the protocol in an in-process ring and
-// is the same whichever transport the nodes speak: the ground-truth
-// membership oracle the dht.Overlay contract defines as zero-cost, the
-// convergence tracker, and the DueAt sweep loop. StabilizingRing and
-// netdht.Cluster both embed a Membership.
+// is the same whichever transport the nodes speak or whichever policy
+// repairs them: the ground-truth membership oracle the dht.Overlay
+// contract defines as zero-cost, the converged seed, the convergence
+// tracker, and the DueAt sweep loop. StabilizingRing and netdht.Cluster
+// embed a Membership; Ring holds one as its oracle and repairs its
+// machines from it.
 package chord
 
 import (
@@ -125,25 +127,35 @@ func (m *Membership[N]) Add(n N) {
 
 // SeedConverged installs on every member the protocol state that agrees
 // with the membership — the fixed point a long-running ring reaches
-// between churn events. Construction only.
+// between churn events. Call it while constructing the ring, or holding
+// the write lock.
 func (m *Membership[N]) SeedConverged() {
-	size := len(m.live)
-	listLen := min(m.cfg.SuccListLen, size-1)
-	for i, n := range m.live {
-		var pred Ref
-		if size > 1 {
-			pred = m.live[(i-1+size)%size].Protocol().Self()
-		}
-		succ := make([]Ref, 0, listLen)
-		for j := 1; j <= listLen; j++ {
-			succ = append(succ, m.live[(i+j)%size].Protocol().Self())
-		}
-		var fingers [fingerBits]Ref
-		for b := range fingers {
-			fingers[b] = m.live[m.ownerIndex(n.ID()+uint64(1)<<uint(b))].Protocol().Self()
-		}
-		n.Protocol().Seed(pred, succ, fingers)
+	for i := range m.live {
+		m.seedAt(i)
 	}
+}
+
+// seedAt installs the converged state on the live member at index i,
+// taken modulo the ring size. Caller holds the write lock or is
+// constructing the ring.
+func (m *Membership[N]) seedAt(i int) {
+	size := len(m.live)
+	i = (i%size + size) % size
+	n := m.live[i]
+	var pred Ref
+	if size > 1 {
+		pred = m.live[(i-1+size)%size].Protocol().Self()
+	}
+	listLen := min(m.cfg.SuccListLen, size-1)
+	succ := make([]Ref, 0, listLen)
+	for j := 1; j <= listLen; j++ {
+		succ = append(succ, m.live[(i+j)%size].Protocol().Self())
+	}
+	var fingers [fingerBits]Ref
+	for b := range fingers {
+		fingers[b] = m.live[m.ownerIndex(n.ID()+uint64(1)<<uint(b))].Protocol().Self()
+	}
+	n.Protocol().Seed(pred, succ, fingers)
 }
 
 // ownerIndex returns the index in live of the clockwise successor of
@@ -292,8 +304,7 @@ func (m *Membership[N]) member(n dht.Node) (N, error) {
 // Successor returns the node's believed successor — the head of its
 // successor list — or dht.ErrNodeDown when that head is dead and not
 // yet repaired; callers then fall back through SuccessorList. A dead
-// node's successor is resolved against the oracle, like the static
-// ring's.
+// node's successor is resolved against the oracle.
 func (m *Membership[N]) Successor(n dht.Node) (dht.Node, error) {
 	mn, err := m.member(n)
 	if err != nil {
@@ -321,7 +332,7 @@ func (m *Membership[N]) Successor(n dht.Node) (dht.Node, error) {
 }
 
 // Predecessor returns the live node immediately preceding n, resolved
-// against the oracle (the static ring resolves it the same way).
+// against the oracle.
 func (m *Membership[N]) Predecessor(n dht.Node) (dht.Node, error) {
 	mn, err := m.member(n)
 	if err != nil {

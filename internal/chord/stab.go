@@ -1,22 +1,20 @@
-// stab.go is the simulated protocol-level Chord overlay: instead of the
-// static Ring's atomically consistent routing state, each node runs the
-// protocol state machine of machine.go — its own successor list,
-// predecessor pointer and finger table, repaired after joins and
-// crash-stop failures by periodic stabilize / fix-fingers /
-// check-predecessor rounds (Stoica et al. 2001 §E) — over the in-memory
-// transport below, on the deterministic simulation clock, never the wall
-// clock. This file holds only what is the simulator's: the protocol
-// config and schedule, the node type, the transport with its metering,
-// and the ring that drives rounds. Between a membership event and convergence, routing
-// traverses stale entries: dead successors and fingers are discovered by
-// timeout, cost hops, and are routed around via the successor list. That
-// transient is exactly what the churn experiment (e15) measures.
+// stab.go is the simulated protocol-level Chord overlay: the same nodes
+// and machines as Ring, but instead of repairing them from the oracle at
+// every membership change, each node's successor list, predecessor
+// pointer and finger table are repaired after joins and crash-stop
+// failures by periodic stabilize / fix-fingers / check-predecessor rounds
+// (Stoica et al. 2001 §E) — over the in-memory transport below, on the
+// deterministic simulation clock, never the wall clock. This file holds
+// only what is the simulator's: the protocol config and schedule, the
+// transport with its metering, and the ring that drives rounds. Between
+// a membership event and convergence, routing traverses stale entries:
+// dead successors and fingers are discovered by timeout, cost hops, and
+// are routed around via the successor list. That transient is exactly
+// what the churn experiment (e15) measures.
 package chord
 
 import (
-	"fmt"
 	"math/rand/v2"
-	"sync/atomic"
 
 	"dhsketch/internal/dht"
 	"dhsketch/internal/obs"
@@ -125,56 +123,10 @@ func (c ProtocolConfig) SettleWindow(events int) int64 {
 	return rounds + fingers + c.CheckPredEvery
 }
 
-// SNode is one member of a StabilizingRing. Unlike the static Node, its
-// liveness and application pointer are atomics: the counting surface
-// reads both without holding the ring lock while protocol rounds and
-// crash-stop injection mutate them. Its protocol state is a Machine, the
-// same state machine a networked server runs.
-type SNode struct {
-	id       uint64
-	name     string
-	alive    atomic.Bool
-	app      atomic.Pointer[appBox]
-	counters dht.Counters
-	proto    *Machine
-}
-
-// appBox wraps the application state so a nil interface is storable in
-// the atomic pointer.
-type appBox struct{ v any }
-
-// ID returns the node's ring identifier.
-func (n *SNode) ID() uint64 { return n.id }
-
-// Name returns the label the node's identifier was hashed from.
-func (n *SNode) Name() string { return n.name }
-
-// Alive reports whether the node is up. Crash-stop death is permanent.
-func (n *SNode) Alive() bool { return n.alive.Load() }
-
-// App returns the attached application state.
-func (n *SNode) App() any {
-	if b := n.app.Load(); b != nil {
-		return b.v
-	}
-	return nil
-}
-
-// SetApp attaches application state. Safe against concurrent App reads:
-// replica repair attaches stores to new successors while counting passes
-// probe the ring.
-func (n *SNode) SetApp(state any) { n.app.Store(&appBox{v: state}) }
-
-// Counters returns the node's load counters.
-func (n *SNode) Counters() *dht.Counters { return &n.counters }
-
-// Protocol returns the node's protocol state machine.
-func (n *SNode) Protocol() *Machine { return n.proto }
-
 // ProtoStats counts the stabilization protocol's work and traffic.
 // Protocol maintenance is metered here, not in the environment's Traffic
 // record, so experiment measurements of data-plane operations (inserts,
-// counts, repair transfers) stay comparable with the static ring's.
+// counts, repair transfers) stay comparable with Ring's.
 type ProtoStats struct {
 	StabilizeSweeps int64 // stabilize rounds executed
 	SuccRepairs     int64 // successor-pointer or successor-list changes
@@ -191,8 +143,8 @@ type ProtoStats struct {
 }
 
 // StabilizingRing is a Chord overlay whose routing state is maintained
-// by the per-node stabilization protocol instead of atomic global
-// updates. It implements dht.Overlay plus the optional Router,
+// by the per-node stabilization protocol instead of Ring's repair from
+// the oracle. It implements dht.Overlay plus the optional Router,
 // SuccessorLister, Maintainer, and Crasher extensions; the oracle half
 // of that surface is the embedded Membership's.
 //
@@ -204,7 +156,7 @@ type ProtoStats struct {
 // atomics, so the lock-free reads the counting layer performs against
 // nodes it already holds stay race-free.
 type StabilizingRing struct {
-	*Membership[*SNode]
+	*Membership[*Node]
 	env *sim.Env
 
 	// joinRNG draws bootstrap nodes for joins — its own derived stream,
@@ -227,46 +179,21 @@ type StabilizingRing struct {
 }
 
 // NewStabilizing creates a ring of n nodes running the stabilization
-// protocol. Node identifiers are derived exactly like the static Ring's,
-// so the two overlays host the same ID population at equal sizes. The
+// protocol. Its nodes are built exactly like Ring's (populate), so the
+// two overlays host the same ID population at equal sizes. The
 // ring starts converged — every node's protocol state agrees with the
 // membership — which is the state a long-running network reaches between
 // churn events.
 func NewStabilizing(env *sim.Env, n int, cfg ProtocolConfig) *StabilizingRing {
-	if n <= 0 {
-		panic("chord: ring needs at least one node")
-	}
 	r := &StabilizingRing{
-		Membership: NewMembership[*SNode](cfg, env.Derive("chord"), env.Clock.Now()),
+		Membership: populate(env, n, cfg),
 		env:        env,
 		joinRNG:    env.Derive("chord-stab-join"),
 	}
 	r.protoPeers = memPeers{r: r, metered: true}
 	r.dataPeers = memPeers{r: r}
-	for i := 0; i < n; i++ {
-		r.addSNode(fmt.Sprintf("node-%d:4000", i))
-	}
-	r.SeedConverged()
 	return r
 }
-
-// addSNode creates a node from name and splices it into the live
-// oracle. Caller holds mu or is the constructor.
-func (r *StabilizingRing) addSNode(name string) *SNode {
-	n := &SNode{id: r.NewID(name), name: name}
-	n.proto = NewMachine(Ref{ID: n.id, Addr: name, mem: n}, r.cfg, ringLocked{})
-	n.alive.Store(true)
-	r.Add(n)
-	return n
-}
-
-// ringLocked is the per-node lock of a simulated node: none. The ring's
-// RWMutex already orders every access to protocol state — rounds and
-// joins write under the write lock, routes read under the read lock.
-type ringLocked struct{}
-
-func (ringLocked) Lock()   {}
-func (ringLocked) Unlock() {}
 
 // memPeers is the in-memory transport: a call reaches the named node
 // through shared memory, and a call to a crashed node fails with
@@ -288,7 +215,7 @@ func (r *StabilizingRing) meter(hops, bytes int) {
 
 // reach resolves to; an exchange with a dead node is a one-hop message
 // that times out.
-func (p *memPeers) reach(to Ref) (*SNode, error) {
+func (p *memPeers) reach(to Ref) (*Node, error) {
 	if to.mem.alive.Load() {
 		return to.mem, nil
 	}
@@ -439,7 +366,7 @@ func (r *StabilizingRing) RouteFrom(src dht.Node, key uint64) (dht.Route, error)
 func (r *StabilizingRing) Join(name string) dht.Node {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.addSNode(name)
+	n := newNode(r.Membership, name)
 	r.stats.Joins++
 	r.conv.disturb()
 	if len(r.live) == 1 {
@@ -463,7 +390,7 @@ func (r *StabilizingRing) Join(name string) dht.Node {
 // revives it. Other nodes' successor lists and fingers still point at
 // it until protocol rounds discover the death by timeout.
 func (r *StabilizingRing) Crash(n dht.Node) {
-	cn, ok := n.(*SNode)
+	cn, ok := n.(*Node)
 	if !ok || !cn.alive.Load() {
 		return
 	}
@@ -523,7 +450,7 @@ func (r *StabilizingRing) sweep(t int64, round RoundSet) (changes int) {
 // repairTo pushes n's tuples to the successors its list just gained —
 // the alive ones; a push to a dead entry would only time out, and the
 // protocol prunes those itself.
-func (r *StabilizingRing) repairTo(n *SNode, gained []Ref) {
+func (r *StabilizingRing) repairTo(n *Node, gained []Ref) {
 	if r.repair == nil {
 		return
 	}

@@ -2,8 +2,9 @@
 // implementations: a table of behavioral contracts — lookup correctness,
 // successor-walk closure, the error taxonomy, metering rules — that every
 // overlay hosting a DHS must satisfy, whatever its internal routing
-// machinery. The chord package runs it against the static Ring, the
-// StabilizingRing, and the fault-injection wrapper; a future overlay
+// machinery. The chord package runs it against Ring (repaired from the
+// oracle), StabilizingRing (repaired by the protocol) and the
+// fault-injection wrapper around each; a future overlay
 // (Pastry, Kademlia, ...) registers a Harness and inherits the suite.
 package dhttest
 
@@ -25,7 +26,7 @@ type Harness struct {
 	New func(t *testing.T, env *sim.Env, n int) dht.Overlay
 
 	// Crash permanently kills a node, however the implementation spells
-	// it (dht.Crasher, chord.Ring.Fail, ...). Nil skips the crash
+	// it (dht.Crasher, or a method of its own). Nil skips the crash
 	// contracts.
 	Crash func(o dht.Overlay, n dht.Node)
 

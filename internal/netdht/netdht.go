@@ -46,7 +46,7 @@ import (
 )
 
 // appBox wraps application state so a nil interface is storable in an
-// atomic pointer (same trick as chord.SNode).
+// atomic pointer (same trick as chord.Node).
 type appBox struct{ v any }
 
 // nodeCore is the dht.Node state embedded in Server: identity, atomic

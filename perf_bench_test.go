@@ -57,7 +57,7 @@ func newHotWorld(b *testing.B) (*dhsketch.DHS, *dhsketch.Network, []uint64) {
 
 // BenchmarkHotCountMultiMetric measures one multi-dimensional counting
 // pass (8 metrics, one walk) against the populated 1024-node ring — the
-// workload the indexed store and the cached finger tables exist for.
+// workload the indexed store and the per-node finger tables exist for.
 func BenchmarkHotCountMultiMetric(b *testing.B) {
 	d, net, metrics := newHotWorld(b)
 	src := net.Nodes()[0]
