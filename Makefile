@@ -50,7 +50,8 @@ smoke:
 # bench runs the go-test benchmarks — the root hot-path benchmarks of
 # perf_bench_test.go, the simulator rungs under the sim_scan workload
 # (internal/chord's lookup on both rings, internal/core's insert, refresh
-# and count), the internal/store probe-reply micro-benchmarks,
+# and count), internal/faultdht's route through the fault layer (the path
+# E12F's counting passes take), the internal/store probe-reply micro-benchmarks,
 # the internal/netdht uncached-count, many-metric-count and insert rungs
 # (exchanges and wire bytes per operation on loopback clusters) and the
 # internal/serve sustained-throughput serving benchmarks (qps/p50/p99 and
@@ -65,4 +66,4 @@ smoke:
 BENCHTIME ?= 1s
 
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) . ./internal/chord ./internal/core ./internal/store ./internal/netdht ./internal/serve | tee bench.out
+	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) . ./internal/chord ./internal/core ./internal/faultdht ./internal/store ./internal/netdht ./internal/serve | tee bench.out

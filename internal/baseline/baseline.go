@@ -146,11 +146,11 @@ func (c *SingleNodeCounter) Build() (Result, error) {
 	before := c.s.env.Traffic.Snapshot()
 	for node, items := range c.s.local {
 		for _, it := range items {
-			_, hops, err := c.s.ring.LookupFrom(node, c.home.ID())
+			rt, err := c.s.ring.RouteFrom(node, c.home.ID())
 			if err != nil {
 				return Result{}, err
 			}
-			c.s.env.Traffic.Account(hops, 16)
+			c.s.env.Traffic.Account(rt.Hops, 16)
 			c.itemSet[it] = struct{}{}
 			c.copies++
 			c.load[c.home]++
@@ -168,11 +168,11 @@ func (c *SingleNodeCounter) Build() (Result, error) {
 func (c *SingleNodeCounter) Query() (Result, error) {
 	before := c.s.env.Traffic.Snapshot()
 	src := c.s.ring.RandomNode()
-	_, hops, err := c.s.ring.LookupFrom(src, c.home.ID())
+	rt, err := c.s.ring.RouteFrom(src, c.home.ID())
 	if err != nil {
 		return Result{}, err
 	}
-	c.s.env.Traffic.Account(hops, 16)
+	c.s.env.Traffic.Account(rt.Hops, 16)
 	c.load[c.home]++
 	return Result{
 		Estimate:             float64(len(c.itemSet)),
@@ -336,12 +336,12 @@ func Sampling(s *Scenario, sampleSize int) Result {
 	var sampled float64
 	var maxLoad int64
 	for _, i := range perm[:sampleSize] {
-		_, hops, err := s.ring.LookupFrom(src, nodes[i].ID())
+		rt, err := s.ring.RouteFrom(src, nodes[i].ID())
 		if err != nil {
 			continue
 		}
-		s.env.Traffic.Account(hops, 16)
-		s.env.Traffic.Account(hops, 16)
+		s.env.Traffic.Account(rt.Hops, 16)
+		s.env.Traffic.Account(rt.Hops, 16)
 		sampled += float64(len(s.local[nodes[i]]))
 		maxLoad++
 	}

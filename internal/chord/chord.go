@@ -116,11 +116,12 @@ var oracleConfig = ProtocolConfig{SuccListLen: 1}
 // Ring is a Chord overlay whose routing state is repaired from the
 // membership oracle at every membership change: between changes each
 // node's Machine holds exactly the state the protocol converges to at
-// r = 1 (TestRepairPoliciesAgree), so Ring is the protocol, converged.
-// It implements dht.Overlay and dht.Crasher, and none of Router,
-// SuccessorLister or Maintainer (TestRingMethodSet says why).
+// r = 1 (TestRepairPoliciesAgree), so Ring is the protocol, converged:
+// it answers dht.Overlay's protocol hooks the way an atomically repaired
+// overlay does (no stale hops, no successor list, Step a no-op, always
+// converged).
 //
-// The routing surface (Lookup, LookupFrom, Successor, Predecessor,
+// The routing surface (RouteFrom, Lookup, Successor, Predecessor,
 // Owner, Nodes) and RandomNode are safe for concurrent use while the
 // membership is stable; membership changes (Join, Fail, Revive, Crash,
 // Leave, FailRandom) must not run concurrently with anything else — the
@@ -134,7 +135,8 @@ type Ring struct {
 
 // overlayOracle is the part of Membership's method set a Ring exposes
 // as it is: the zero-cost half of dht.Overlay bar Successor, which Ring
-// reads off its machines, and without SuccessorList or Converged.
+// reads off its machines, and without SuccessorList or Converged, which
+// Ring answers itself.
 type overlayOracle interface {
 	Bits() uint
 	Size() int
@@ -154,40 +156,42 @@ func New(env *sim.Env, n int) *Ring {
 // Env returns the simulation environment the ring accounts against.
 func (r *Ring) Env() *sim.Env { return r.env }
 
-// Lookup routes to the owner of key from a random origin node.
+// Lookup routes to the owner of key from a random origin node and
+// returns the owner with the hop count.
 func (r *Ring) Lookup(key uint64) (dht.Node, int, error) {
 	src := r.RandomNode()
 	if src == nil {
 		return nil, 0, dht.ErrNoRoute
 	}
-	return r.LookupFrom(src, key)
+	rt, err := r.RouteFrom(src, key)
+	return rt.Node, rt.Hops, err
 }
 
-// LookupFrom routes from src to the owner of key and returns the owner
-// together with the hop count. It is Machine.Route with every candidate
-// answering: on converged state the first candidate of each node is its
-// next hop, so the loop asks for one and moves there.
-func (r *Ring) LookupFrom(src dht.Node, key uint64) (dht.Node, int, error) {
+// RouteFrom routes from src to the owner of key. It is Machine.Route
+// with every candidate answering: on converged state the first candidate
+// of each node is its next hop, so the loop asks for one and moves
+// there, and no hop is ever stale.
+func (r *Ring) RouteFrom(src dht.Node, key uint64) (dht.Route, error) {
 	cur, ok := src.(*Node)
 	if !ok {
-		return nil, 0, fmt.Errorf("chord: foreign node type %T", src)
+		return dht.Route{}, fmt.Errorf("chord: foreign node type %T", src)
 	}
 	if !cur.Alive() {
-		return nil, 0, dht.ErrNodeDown
+		return dht.Route{}, dht.ErrNodeDown
 	}
 	hops := 0
 	for {
 		c, deliver, own := cur.proto.candidate(&cursor{}, key, dist(cur.id, key))
 		if own {
-			return cur, hops, nil
+			return dht.Route{Node: cur, Hops: hops}, nil
 		}
 		if !c.Valid() || hops >= maxRouteHops {
-			return nil, hops, dht.ErrNoRoute
+			return dht.Route{Hops: hops}, dht.ErrNoRoute
 		}
 		cur, hops = c.mem, hops+1
 		cur.counters.AddRouted()
 		if deliver {
-			return cur, hops, nil
+			return dht.Route{Node: cur, Hops: hops}, nil
 		}
 	}
 }
@@ -323,13 +327,28 @@ func (r *Ring) Leave(n dht.Node) {
 	r.Fail(n)
 }
 
-// Crash removes the node permanently (dht.Crasher). On a ring whose
-// routing state repairs atomically at membership-change time, crash-stop
-// and fail-stop coincide; a caller honoring crash-stop semantics must
-// never Revive a crashed node.
+// Crash removes the node permanently. On a ring whose routing state
+// repairs atomically at membership-change time, crash-stop and fail-stop
+// coincide; a caller honoring crash-stop semantics must never Revive a
+// crashed node.
 func (r *Ring) Crash(n dht.Node) {
 	r.Fail(n)
 }
+
+// SuccessorList is nil: the list a live node keeps at r = 1 is its
+// successor alone, which Successor already names, so the counting walk
+// has nothing to fall back through and re-enters the interval instead.
+// A list here would let the walk step past a drop faultdht injects, and
+// E12F's table would move (TestRingListsNoFallback).
+func (r *Ring) SuccessorList(dht.Node) []dht.Node { return nil }
+
+// Step does nothing: the ring repairs at every membership change, so no
+// protocol round is ever due.
+func (r *Ring) Step() {}
+
+// Converged is always true: between membership changes the ring holds
+// the state the protocol converges to.
+func (r *Ring) Converged() bool { return true }
 
 // FailRandom fails k distinct random live nodes and returns them.
 func (r *Ring) FailRandom(k int) []dht.Node {

@@ -72,17 +72,17 @@ func TestLookupFindsOwner(t *testing.T) {
 	}
 }
 
-func TestLookupFromEveryNodeAgrees(t *testing.T) {
+func TestRouteFromEveryNodeAgrees(t *testing.T) {
 	r := newRing(t, 100)
 	key := uint64(0xDEADBEEFCAFEBABE)
 	want, _ := r.Owner(key)
 	for _, src := range r.Nodes() {
-		got, _, err := r.LookupFrom(src, key)
+		rt, err := r.RouteFrom(src, key)
 		if err != nil {
-			t.Fatalf("LookupFrom: %v", err)
+			t.Fatalf("RouteFrom: %v", err)
 		}
-		if got.ID() != want.ID() {
-			t.Fatalf("lookup from %x found %x, want %x", src.ID(), got.ID(), want.ID())
+		if rt.Node.ID() != want.ID() {
+			t.Fatalf("lookup from %x found %x, want %x", src.ID(), rt.Node.ID(), want.ID())
 		}
 	}
 }
@@ -113,9 +113,9 @@ func TestLookupHopsLogarithmic(t *testing.T) {
 func TestLookupZeroHopsWhenOwnerIsSource(t *testing.T) {
 	r := newRing(t, 32)
 	src := r.Nodes()[7]
-	got, hops, err := r.LookupFrom(src, src.ID())
-	if err != nil || got.ID() != src.ID() || hops != 0 {
-		t.Errorf("self-lookup: node %x hops %d err %v", got.ID(), hops, err)
+	rt, err := r.RouteFrom(src, src.ID())
+	if err != nil || rt.Node.ID() != src.ID() || rt.Hops != 0 {
+		t.Errorf("self-lookup: route %+v err %v", rt, err)
 	}
 }
 
@@ -207,12 +207,12 @@ func TestFailRemovesFromRouting(t *testing.T) {
 		t.Errorf("victim's keys now owned by %x, want successor %x", own.ID(), succ.ID())
 	}
 	// Lookups from a failed node error out.
-	if _, _, err := r.LookupFrom(victim, 1); err != dht.ErrNodeDown {
-		t.Errorf("LookupFrom failed node: err = %v", err)
+	if _, err := r.RouteFrom(victim, 1); err != dht.ErrNodeDown {
+		t.Errorf("RouteFrom failed node: err = %v", err)
 	}
 	// Lookups still converge from everywhere.
 	for _, src := range r.Nodes() {
-		if _, _, err := r.LookupFrom(src, victim.ID()); err != nil {
+		if _, err := r.RouteFrom(src, victim.ID()); err != nil {
 			t.Fatalf("post-failure lookup: %v", err)
 		}
 	}
@@ -352,8 +352,9 @@ func TestFingerCacheConsistentAcrossMembership(t *testing.T) {
 
 // BenchmarkLookup times the routing rule, Machine.candidate, under both
 // of its drivers on the same ID population: Ring's loop over converged
-// state, and a converged StabilizingRing's RouteFrom, which reaches each
-// hop through the in-memory transport under the ring's read lock.
+// state, and a converged StabilizingRing's, which reaches each hop
+// through the in-memory transport under the ring's read lock. Each
+// lookup is a RouteFrom from a random origin.
 func BenchmarkLookup(b *testing.B) {
 	rings := []struct {
 		name string
@@ -376,7 +377,7 @@ func BenchmarkLookup(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					r.Lookup(keys[i&4095])
+					r.RouteFrom(r.RandomNode(), keys[i&4095])
 				}
 			})
 		}

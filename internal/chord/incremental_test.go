@@ -66,24 +66,24 @@ func checkConverged(t *testing.T, r *Ring, step string) {
 	}
 }
 
-// checkRoutes asserts that a.LookupFrom and Machine.Route over the
+// checkRoutes asserts that a.RouteFrom and Machine.Route over the
 // unmetered in-memory transport on b's nodes return the same owner and
 // hop count for sampled (source index, key) pairs. With a == b it checks
-// that LookupFrom is Route with every candidate answering; with a twin b
+// that RouteFrom is Route with every candidate answering; with a twin b
 // it also checks that a's repaired state routes like b's.
 func checkRoutes(t *testing.T, step string, a, b *Ring, rng *rand.Rand) {
 	t.Helper()
 	for probe := 0; probe < 16; probe++ {
 		idx := rng.IntN(len(a.m.live))
 		key := rng.Uint64()
-		owner, hops, err := a.LookupFrom(a.m.live[idx], key)
+		rt, err := a.RouteFrom(a.m.live[idx], key)
 		if err != nil {
-			t.Fatalf("%s: LookupFrom: %v", step, err)
+			t.Fatalf("%s: RouteFrom: %v", step, err)
 		}
 		f := b.m.live[idx].proto.Route(&memPeers{}, key, 0, 0)
-		if f.Err != nil || f.Stale != 0 || f.Owner.ID != owner.ID() || f.Hops != hops {
-			t.Fatalf("%s: key %016x from node %d: LookupFrom = (%016x, %d), Route = (%016x, %d, stale %d, %v)",
-				step, key, idx, owner.ID(), hops, f.Owner.ID, f.Hops, f.Stale, f.Err)
+		if f.Err != nil || f.Stale != 0 || f.Owner.ID != rt.Node.ID() || f.Hops != rt.Hops {
+			t.Fatalf("%s: key %016x from node %d: RouteFrom = (%016x, %d), Route = (%016x, %d, stale %d, %v)",
+				step, key, idx, rt.Node.ID(), rt.Hops, f.Owner.ID, f.Hops, f.Stale, f.Err)
 		}
 	}
 }
@@ -91,7 +91,7 @@ func checkRoutes(t *testing.T, step string, a, b *Ring, rng *rand.Rand) {
 // TestIncrementalFingersMatchFullRebuild drives a randomized churn
 // schedule through Join/Fail/Revive and, after every membership event,
 // asserts the incrementally repaired protocol state is entry-for-entry
-// the converged seed of the live set, and that LookupFrom routes on it
+// the converged seed of the live set, and that RouteFrom routes on it
 // exactly as Machine.Route does. The converged state is a pure function
 // of the live set, so any divergence is a repair bug.
 func TestIncrementalFingersMatchFullRebuild(t *testing.T) {

@@ -62,8 +62,8 @@ func (c *convergence) advance(now int64, cfg ProtocolConfig, sweep func(t int64,
 }
 
 // Membership is the set of nodes of one in-process ring. Its exported
-// methods are the oracle half of dht.Overlay (plus SuccessorLister and
-// Maintainer's Converged) and are safe for concurrent use; routing never
+// methods are the oracle half of dht.Overlay (plus SuccessorList and
+// Converged) and are safe for concurrent use; routing never
 // consults it.
 type Membership[N interface {
 	comparable
@@ -250,7 +250,7 @@ func (m *Membership[N]) Size() int {
 }
 
 // Converged reports whether the protocol state is quiescent (see
-// dht.Maintainer).
+// dht.Overlay).
 func (m *Membership[N]) Converged() bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -351,7 +351,7 @@ func (m *Membership[N]) Predecessor(n dht.Node) (dht.Node, error) {
 }
 
 // SuccessorList returns n's believed successors in ring order, possibly
-// including dead entries (see dht.SuccessorLister) — the node's local
+// including dead entries (see dht.Overlay) — the node's local
 // state, read at zero cost.
 func (m *Membership[N]) SuccessorList(n dht.Node) []dht.Node {
 	mn, err := m.member(n)

@@ -144,12 +144,10 @@ type ProtoStats struct {
 
 // StabilizingRing is a Chord overlay whose routing state is maintained
 // by the per-node stabilization protocol instead of Ring's repair from
-// the oracle. It implements dht.Overlay plus the optional Router,
-// SuccessorLister, Maintainer, and Crasher extensions; the oracle half
-// of that surface is the embedded Membership's.
+// the oracle. It implements dht.Overlay; the oracle half of that
+// surface, SuccessorList and Converged are the embedded Membership's.
 //
-// Concurrency: the routing surface (Lookup, LookupFrom, RouteFrom,
-// Successor, Predecessor, Owner, Nodes, SuccessorList, Converged) takes
+// Concurrency: the routing surface (RouteFrom, Successor, Predecessor, Owner, Nodes, SuccessorList, Converged) takes
 // a read lock and may be used by any number of concurrent counting
 // passes; protocol rounds (Step) and membership events (Join, Crash,
 // Leave) take the write lock. Node liveness and application state are
@@ -316,24 +314,9 @@ func (r *StabilizingRing) SetRepair(fn func(n dht.Node, added []dht.Node)) {
 	r.repair = fn
 }
 
-// Lookup routes to the believed owner of key from a random origin.
-func (r *StabilizingRing) Lookup(key uint64) (dht.Node, int, error) {
-	src := r.RandomNode()
-	if src == nil {
-		return nil, 0, dht.ErrNoRoute
-	}
-	return r.LookupFrom(src, key)
-}
-
-// LookupFrom routes to the believed owner of key starting at src.
-func (r *StabilizingRing) LookupFrom(src dht.Node, key uint64) (dht.Node, int, error) {
-	rt, err := r.RouteFrom(src, key)
-	return rt.Node, rt.Hops, err
-}
-
 // RouteFrom routes to the believed owner of key starting at src,
-// reporting how many hops were wasted on stale routing entries (see
-// dht.Router). Routing never consults the membership oracle: it runs
+// reporting how many hops were wasted on stale routing entries.
+// Routing never consults the membership oracle: it runs
 // purely on the per-node protocol state, so between a membership event
 // and convergence it pays timeouts for dead successors and fingers and
 // falls back through the successor list — or fails with dht.ErrNoRoute
@@ -385,7 +368,7 @@ func (r *StabilizingRing) Join(name string) dht.Node {
 	return n
 }
 
-// Crash kills the node permanently (crash-stop, see dht.Crasher): it
+// Crash kills the node permanently (crash-stop): it
 // leaves the membership, its store becomes unreachable, and nothing
 // revives it. Other nodes' successor lists and fingers still point at
 // it until protocol rounds discover the death by timeout.
@@ -406,8 +389,8 @@ func (r *StabilizingRing) Crash(n dht.Node) {
 // layer's job (replica repair plus TTL refresh).
 func (r *StabilizingRing) Leave(n dht.Node) { r.Crash(n) }
 
-// Step runs every protocol round due at the current virtual time (see
-// dht.Maintainer). Rounds fire at fixed multiples of their periods and
+// Step runs every protocol round due at the current virtual time.
+// Rounds fire at fixed multiples of their periods and
 // sweep nodes in ID order, so a run is bit-for-bit reproducible. While
 // the ring is converged, sweeps are provably no-ops and are skipped.
 func (r *StabilizingRing) Step() {
@@ -466,11 +449,4 @@ func (r *StabilizingRing) repairTo(n *Node, gained []Ref) {
 	}
 }
 
-// Interface conformance, including the optional extensions.
-var (
-	_ dht.Overlay         = (*StabilizingRing)(nil)
-	_ dht.Router          = (*StabilizingRing)(nil)
-	_ dht.SuccessorLister = (*StabilizingRing)(nil)
-	_ dht.Maintainer      = (*StabilizingRing)(nil)
-	_ dht.Crasher         = (*StabilizingRing)(nil)
-)
+var _ dht.Overlay = (*StabilizingRing)(nil)

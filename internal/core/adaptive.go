@@ -26,14 +26,13 @@ func (d *DHS) CountAdaptive(metric uint64, p float64) (Estimate, error) {
 // estimate cannot turn counting into a network flood.
 const AdaptiveLimCap = 8
 
-// Eq6LimSchedule returns a per-bit probe-budget schedule evaluating the
-// paper's eq. 6 at each bit interval's true geometry for an expected
-// cardinality of expectedItems and per-interval success probability p,
-// clamped to [Lim, AdaptiveLimCap·Lim]. Install it via Config.LimSchedule
-// or SetLimSchedule to count with the analytic budget instead of the
-// constant Lim; CountAdaptive builds the same schedule from its
-// first-pass estimate.
-func (d *DHS) Eq6LimSchedule(expectedItems float64, p float64) func(bit int) int {
+// eq6LimSchedule returns the adaptive second pass's per-bit probe-budget
+// schedule: the paper's eq. 6 evaluated at each bit interval's true
+// geometry for an expected cardinality of expectedItems and per-interval
+// success probability p, clamped to [Lim, AdaptiveLimCap·Lim]. The
+// least significant bits' larger intervals get the larger budgets they
+// need (§4.1).
+func (d *DHS) eq6LimSchedule(expectedItems float64, p float64) func(bit int) int {
 	nHat := expectedItems
 	if nHat < 1 {
 		nHat = 1
@@ -56,12 +55,6 @@ func (d *DHS) Eq6LimSchedule(expectedItems float64, p float64) func(bit int) int
 	}
 }
 
-// SetLimSchedule installs (or clears, with nil) the per-bit probe-budget
-// schedule used by this handle's subsequent counting passes in place of
-// the constant Lim. The handle is client-side state, so the schedule
-// affects only counts issued through it.
-func (d *DHS) SetLimSchedule(s func(bit int) int) { d.cfg.LimSchedule = s }
-
 // CountAdaptiveFrom is CountAdaptive with an explicit querying node.
 func (d *DHS) CountAdaptiveFrom(src dht.Node, metric uint64, p float64) (Estimate, error) {
 	first, err := d.CountFrom(src, metric)
@@ -71,7 +64,7 @@ func (d *DHS) CountAdaptiveFrom(src dht.Node, metric uint64, p float64) (Estimat
 	// The second pass is its own counting pass. The work of both is on the
 	// books; what the estimate rests on — skipped intervals, unresolved
 	// vectors — is the second pass's own.
-	est := d.scanPass(src, []uint64{metric}, d.Eq6LimSchedule(first.Value, p))[0]
+	est := d.scanPass(src, []uint64{metric}, d.eq6LimSchedule(first.Value, p))[0]
 	q, fq := &est.Quality, first.Quality
 	est.Cost.add(first.Cost)
 	q.ProbesAttempted += fq.ProbesAttempted

@@ -77,13 +77,6 @@ type Config struct {
 	// one unit of it.
 	Lim int
 
-	// LimSchedule optionally derives the per-interval probe budget from
-	// the bit position instead of using the constant Lim — typically the
-	// eq. 6 schedule from RetryLimitForInterval or (*DHS).Eq6LimSchedule,
-	// which gives the least significant bits' larger intervals the larger
-	// budgets they need (§4.1). nil means the constant Lim everywhere.
-	LimSchedule func(bit int) int
-
 	// InsertRetries bounds the extra attempts an insertion makes when
 	// its lookup or store exchange fails: each retry re-draws a fresh
 	// random target in the bit's interval (sidestepping the failed node)

@@ -79,7 +79,7 @@ func (d *DHS) CountAllFrom(src dht.Node, metrics []uint64) ([]Estimate, error) {
 		// and transient failures degrade gracefully.
 		return nil, dht.ErrNodeDown
 	}
-	return d.scanPass(src, metrics, d.limSchedule()), nil
+	return d.scanPass(src, metrics, func(int) int { return d.cfg.Lim }), nil
 }
 
 // scanPass runs one counting pass from src with the given per-bit probe
@@ -91,8 +91,7 @@ func (d *DHS) scanPass(src dht.Node, metrics []uint64, limFor func(bit int) int)
 	w := &walkProber{d: d, src: src, rng: rng, pt: passTracer{t: d.env.Tracer(), env: d.env, pass: pass}}
 	w.pt.emit(obs.KindCountStart, src.ID(), -1, int64(len(metrics)), nil)
 	ests := d.geom.Scan(w, metrics, limFor)
-	m, ok := d.overlay.(dht.Maintainer)
-	repairWindow := ok && !m.Converged()
+	repairWindow := !d.overlay.Converged()
 	for i := range ests {
 		ests[i].Cost = w.cost
 		ests[i].Quality.RepairWindow = repairWindow
@@ -107,23 +106,6 @@ func (d *DHS) scanPass(src dht.Node, metrics []uint64, limFor func(bit int) int)
 	return ests
 }
 
-// limSchedule returns the per-bit probe-budget function for a counting
-// pass: the configured LimSchedule if one is set, the constant Lim
-// otherwise. Schedule values below 1 are clamped — every interval gets at
-// least one probe.
-func (d *DHS) limSchedule() func(bit int) int {
-	if d.cfg.LimSchedule == nil {
-		return func(int) int { return d.cfg.Lim }
-	}
-	sched := d.cfg.LimSchedule
-	return func(bit int) int {
-		if lim := sched(bit); lim >= 1 {
-			return lim
-		}
-		return 1
-	}
-}
-
 // inIntervalRange reports whether id lies in [lo, lo+size) on the 2^64
 // ring. The unsigned subtraction handles intervals whose upper end wraps
 // past zero (the top interval's lo+size is exactly 2^64).
@@ -131,31 +113,12 @@ func inIntervalRange(id, lo, size uint64) bool {
 	return id-lo < size
 }
 
-// routeFrom issues one routed lookup, preferring the overlay's Router
-// extension so hops wasted on stale routing entries are surfaced; on
-// overlays without it (atomically consistent routing state) the stale
-// count is zero by definition. Error and metering behavior is identical
-// either way — Router is LookupFrom with staleness attribution.
-func (d *DHS) routeFrom(src dht.Node, key uint64) (n dht.Node, hops, stale int, err error) {
-	if rt, ok := d.overlay.(dht.Router); ok {
-		route, err := rt.RouteFrom(src, key)
-		return route.Node, route.Hops, route.Stale, err
-	}
-	n, hops, err = d.overlay.LookupFrom(src, key)
-	return n, hops, 0, err
-}
-
-// walkFallback rescues a retry walk whose believed successor is dead: on
-// overlays with per-node successor lists it returns the first live entry
-// of cur's list — the node a real implementation would fail over to —
-// and nil when no list or no live entry is available (the walk then
-// re-enters the interval afresh, exactly as without the extension).
+// walkFallback rescues a retry walk whose believed successor is dead: it
+// returns the first live entry of cur's successor list — the node a real
+// implementation would fail over to — and nil when the overlay keeps no
+// list or no entry is live (the walk then re-enters the interval afresh).
 func (d *DHS) walkFallback(cur dht.Node) dht.Node {
-	sl, ok := d.overlay.(dht.SuccessorLister)
-	if !ok {
-		return nil
-	}
-	for _, s := range sl.SuccessorList(cur) {
+	for _, s := range d.overlay.SuccessorList(cur) {
 		if s != nil && s != cur && s.Alive() {
 			return s
 		}
@@ -242,17 +205,17 @@ func (w *walkProber) ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcom
 	// still visible in Quality.ProbesAttempted/ProbesFailed.
 	enter := func() (dht.Node, int, bool) {
 		target := sim.UniformIn(w.rng, lo, size)
-		n, hops, stale, err := d.routeFrom(w.src, target)
+		rt, err := d.overlay.RouteFrom(w.src, target)
 		out.Attempted++
-		out.Stale += stale
+		out.Stale += rt.Stale
 		if err != nil {
-			pt.emit(obs.KindLookup, 0, int(bit), int64(hops), err)
-			fail(hops)
+			pt.emit(obs.KindLookup, 0, int(bit), int64(rt.Hops), err)
+			fail(rt.Hops)
 			return nil, 0, false
 		}
 		cost.Lookups++
-		pt.emit(obs.KindLookup, n.ID(), int(bit), int64(hops), nil)
-		return n, hops, true
+		pt.emit(obs.KindLookup, rt.Node.ID(), int(bit), int64(rt.Hops), nil)
+		return rt.Node, rt.Hops, true
 	}
 
 	if !d.cfg.EdgeAware {
@@ -289,8 +252,8 @@ func (w *walkProber) ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcom
 				// On a stabilizing overlay the death of a believed
 				// successor need not end the segment: fall back through
 				// cur's successor list to the first live entry. Without
-				// the extension (or with the list exhausted) the walk
-				// re-enters the interval afresh, as before.
+				// a list (or with the list exhausted) the walk re-enters
+				// the interval afresh.
 				if fb := d.walkFallback(cur); fb != nil {
 					out.Stale++
 					pt.emit(obs.KindWalkStep, fb.ID(), int(bit), 1, nil)

@@ -138,8 +138,8 @@ type Quality struct {
 	// routing state.
 	StaleRetries int
 	// RepairWindow is true when the pass ran while the overlay's
-	// stabilization protocol had repairs pending (dht.Maintainer not
-	// converged): routing state was stale and recently crashed nodes'
+	// stabilization protocol had repairs pending (dht.Overlay not
+	// Converged): routing state was stale and recently crashed nodes'
 	// tuples may not have been re-replicated yet, so extra degradation
 	// is expected until the protocol settles.
 	RepairWindow bool

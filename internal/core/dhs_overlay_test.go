@@ -28,24 +28,20 @@ var overlayFactories = map[string]func(env *sim.Env, n int) dht.Overlay{
 	},
 }
 
-// crashRandom crash-stops k distinct random live nodes and, where the
-// overlay repairs by protocol rounds, runs them until it is quiescent.
+// crashRandom crash-stops k distinct random live nodes and runs protocol
+// rounds until the overlay is quiescent (at once on the oracle ring).
 func crashRandom(t *testing.T, env *sim.Env, overlay dht.Overlay, k int) {
 	t.Helper()
 	rng := env.Derive("agnostic-crash")
 	for i := 0; i < k; i++ {
 		nodes := overlay.Nodes()
-		overlay.(dht.Crasher).Crash(nodes[rng.IntN(len(nodes))])
+		overlay.Crash(nodes[rng.IntN(len(nodes))])
 	}
-	m, ok := overlay.(dht.Maintainer)
-	if !ok {
-		return
-	}
-	for i := 0; i < 512 && !m.Converged(); i++ {
+	for i := 0; i < 512 && !overlay.Converged(); i++ {
 		env.Clock.Advance(8)
-		m.Step()
+		overlay.Step()
 	}
-	if !m.Converged() {
+	if !overlay.Converged() {
 		t.Fatal("overlay did not converge after the crashes")
 	}
 }

@@ -121,7 +121,8 @@ func (p *overlayPlacer) Wait(attempt int) {
 func (p *overlayPlacer) Store(metric uint64, bit uint, target uint64, vectors []int32) error {
 	d, cost := p.d, &p.cost
 	msgBytes := MsgHeaderBytes + TupleBytes*len(vectors)
-	home, hops, err := d.overlay.LookupFrom(p.src, target)
+	rt, err := d.overlay.RouteFrom(p.src, target)
+	home, hops := rt.Node, rt.Hops
 	// A failed request consumed its route too.
 	cost.Hops += int64(hops)
 	cost.Bytes += int64(hops) * int64(msgBytes)

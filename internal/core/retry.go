@@ -55,14 +55,3 @@ func RetryLimit(nNodes, nItems float64, p float64, m, replicas int) int {
 	}
 	return int(lim)
 }
-
-// RetryLimitForInterval evaluates eq. 6 for the interval of a specific
-// bit position r in an N-node DHS counting n items with m vectors:
-// the interval holds N·2^(−r−1) nodes and receives n·2^(−r−1) item
-// placements, so α = n/N independent of r, but N' shrinks with r and so
-// does the required lim — the least significant bit's interval needs the
-// largest budget (§4.1).
-func RetryLimitForInterval(nTotalNodes, nTotalItems float64, r uint, p float64, m, replicas int) int {
-	frac := math.Exp2(-float64(r) - 1)
-	return RetryLimit(nTotalNodes*frac, nTotalItems*frac, p, m, replicas)
-}

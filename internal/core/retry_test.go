@@ -4,6 +4,10 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"dhsketch/internal/chord"
+	"dhsketch/internal/sim"
+	"dhsketch/internal/sketch"
 )
 
 func TestEmptyProbeProbabilityBasics(t *testing.T) {
@@ -108,17 +112,26 @@ func TestRetryLimitEdgeCases(t *testing.T) {
 	}
 }
 
-func TestRetryLimitForIntervalDecreasesWithBit(t *testing.T) {
-	// §4.1: smaller intervals (higher r) have lower lim — "the
+func TestEq6ScheduleFallsWithBit(t *testing.T) {
+	// §4.1: smaller intervals (higher bits) have lower lim — "the
 	// interval(s) responsible for the least significant bit of the
 	// bitmap(s) will have the largest lim value(s)".
+	env := sim.NewEnv(1)
+	d, err := New(Config{Overlay: chord.New(env, 1024), Env: env, M: 512, Kind: sketch.KindSuperLogLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := d.eq6LimSchedule(1024*100, 0.99)
 	prev := math.MaxInt32
-	for r := uint(0); r < 10; r++ {
-		lim := RetryLimitForInterval(1024, 1024*100, r, 0.99, 512, 0)
+	for bit := 0; bit < 16; bit++ {
+		lim := sched(bit)
 		if lim > prev {
-			t.Errorf("lim grew with r at r=%d: %d > %d", r, lim, prev)
+			t.Errorf("lim grew with the bit at bit %d: %d > %d", bit, lim, prev)
 		}
 		prev = lim
+	}
+	if first, last := sched(0), sched(15); first <= last {
+		t.Errorf("lim did not fall across the bits: %d at bit 0, %d at bit 15", first, last)
 	}
 }
 

@@ -38,7 +38,7 @@ func (n *scriptNode) Counters() *dht.Counters { return &n.counters }
 type scriptOverlay struct {
 	nodes []*scriptNode // ring order
 
-	lookupSeq   []int // node index returned by each LookupFrom call, in order
+	lookupSeq   []int // node index returned by each RouteFrom call, in order
 	lookupCalls int
 
 	succFailOn map[int]bool // 1-based successor-call numbers that fail
@@ -62,17 +62,13 @@ func (o *scriptOverlay) RandomNode() dht.Node { return o.nodes[0] }
 
 func (o *scriptOverlay) Owner(key uint64) (dht.Node, error) { return o.nodes[0], nil }
 
-func (o *scriptOverlay) Lookup(key uint64) (dht.Node, int, error) {
-	return o.LookupFrom(o.nodes[0], key)
-}
-
-func (o *scriptOverlay) LookupFrom(src dht.Node, key uint64) (dht.Node, int, error) {
+func (o *scriptOverlay) RouteFrom(src dht.Node, key uint64) (dht.Route, error) {
 	if o.lookupCalls >= len(o.lookupSeq) {
-		return nil, 0, errScriptExhausted
+		return dht.Route{}, errScriptExhausted
 	}
 	n := o.nodes[o.lookupSeq[o.lookupCalls]]
 	o.lookupCalls++
-	return n, 1, nil
+	return dht.Route{Node: n, Hops: 1}, nil
 }
 
 func (o *scriptOverlay) Successor(n dht.Node) (dht.Node, error) {
@@ -96,6 +92,13 @@ func (o *scriptOverlay) Predecessor(n dht.Node) (dht.Node, error) {
 	}
 	return nil, dht.ErrNoRoute
 }
+
+// The script's overlay is atomically consistent: no list to fall back
+// through, nothing to repair, nothing to crash.
+func (o *scriptOverlay) SuccessorList(dht.Node) []dht.Node { return nil }
+func (o *scriptOverlay) Step()                             {}
+func (o *scriptOverlay) Converged() bool                   { return true }
+func (o *scriptOverlay) Crash(dht.Node)                    {}
 
 func TestWalkAnchorResetsOnReentry(t *testing.T) {
 	// Four nodes A, B, C, D in ring order. Script:

@@ -5,6 +5,22 @@
 // phase, and a place on each node to keep application state. Any overlay
 // conforming to this interface (Chord, Pastry, Kademlia, ...) can host a
 // DHS; the repository ships a Chord-like implementation in package chord.
+//
+// Overlay is the one interface, and its methods fall in three groups:
+//
+//   - What DHS calls: RandomNode picks an originator; RouteFrom reaches
+//     a key's owner; Successor and Predecessor step the counting walk;
+//     SuccessorList lets that walk step past a dead successor; Converged
+//     flags an estimate counted while repairs were pending; Nodes and
+//     Size serve replica repair and the adaptive budget.
+//   - Ground truth at zero cost, for tests and experiments: Bits, Owner.
+//   - Hooks for the fault model and the protocol: Crash injects a
+//     crash-stop death, Step runs the repair rounds that have come due.
+//
+// An overlay whose routing state is repaired atomically at every
+// membership change answers the protocol half trivially: RouteFrom never
+// counts a stale hop, SuccessorList is nil (so the walk re-enters the
+// interval instead), Step does nothing and Converged is always true.
 package dht
 
 import (
@@ -83,65 +99,16 @@ type Node interface {
 	Counters() *Counters
 }
 
-// Route reports one routed lookup's outcome on an overlay whose routing
-// state may be stale: the node reached, the overlay hops the route
-// consumed, and how many of those hops were wasted on stale routing
-// entries (dead successors or fingers discovered by timeout and routed
-// around).
+// Route reports one routed lookup's outcome: the node reached, the
+// overlay hops the route consumed, and how many of those hops were
+// wasted on stale routing entries (dead successors or fingers discovered
+// by timeout and routed around; always zero on atomically repaired
+// state). Callers attribute the stale hops to routing-table staleness
+// (Quality.StaleRetries in the counting layer).
 type Route struct {
 	Node  Node
 	Hops  int
 	Stale int
-}
-
-// Router is an optional Overlay extension for implementations whose
-// routing can traverse stale protocol state — a stabilizing ring between
-// repair rounds, or a networked overlay with failure detection by
-// timeout. RouteFrom is LookupFrom with the stale-hop count surfaced, so
-// callers can attribute wasted traffic to routing-table staleness
-// (Quality.StaleRetries in the counting layer). Overlays with atomically
-// consistent routing state need not implement it: their stale count is
-// always zero.
-type Router interface {
-	RouteFrom(src Node, key uint64) (Route, error)
-}
-
-// SuccessorLister is an optional Overlay extension for implementations
-// that maintain per-node successor lists (the stabilization protocol's
-// crash-tolerance state). SuccessorList returns the node's current
-// believed successors in ring order — possibly including dead entries
-// the protocol has not yet pruned — at zero simulated cost: it is the
-// local list the node itself would consult, not a network operation.
-// Callers walking the ring use it to fall back past a failed successor
-// instead of abandoning the walk.
-type SuccessorLister interface {
-	SuccessorList(n Node) []Node
-}
-
-// Crasher is an optional Overlay extension for crash-stop fault
-// injection: Crash kills the node permanently — it leaves the
-// membership, its application state becomes unreachable, and nothing
-// ever revives it. Distinct from transient down-windows, which end.
-type Crasher interface {
-	Crash(n Node)
-}
-
-// Maintainer is an optional Overlay extension for implementations that
-// repair their routing state with periodic protocol rounds driven by the
-// simulation clock (stabilize, fix-fingers, check-predecessor) instead
-// of atomic global rebuilds.
-type Maintainer interface {
-	// Step runs every protocol round that has come due at the current
-	// virtual time. Idempotent at a fixed tick; callers advance the
-	// clock and Step in a loop to let the protocol make progress.
-	Step()
-
-	// Converged reports whether the overlay's protocol state is
-	// quiescent: the most recent full stabilization sweep changed
-	// nothing and no membership event has happened since. While false,
-	// routing may traverse stale state and counting quality degrades
-	// (Quality.RepairWindow).
-	Converged() bool
 }
 
 // Overlay is the structured peer-to-peer network DHS runs over.
@@ -164,13 +131,12 @@ type Overlay interface {
 	// it as ground truth; it costs no hops.
 	Owner(key uint64) (Node, error)
 
-	// Lookup routes to the owner of key from a random node and returns
-	// the owner plus the number of overlay hops traversed. The caller is
-	// responsible for accounting the hops against its traffic meter.
-	Lookup(key uint64) (Node, int, error)
-
-	// LookupFrom routes to the owner of key starting at src.
-	LookupFrom(src Node, key uint64) (Node, int, error)
+	// RouteFrom routes to the owner of key starting at src and reports
+	// the node reached, the overlay hops traversed and how many of them
+	// were wasted on stale routing entries. The caller is responsible
+	// for accounting the hops against its traffic meter; a failed route
+	// still reports the hops it consumed.
+	RouteFrom(src Node, key uint64) (Route, error)
 
 	// Successor returns the live node immediately following n on the
 	// ring; reaching it costs one hop (the counting algorithm's retry
@@ -179,4 +145,29 @@ type Overlay interface {
 
 	// Predecessor returns the live node immediately preceding n.
 	Predecessor(n Node) (Node, error)
+
+	// SuccessorList returns n's believed successors in ring order —
+	// possibly including dead entries the protocol has not yet pruned —
+	// at zero simulated cost: it is the local list the node itself would
+	// consult, not a network operation. The counting walk falls back
+	// through it past a failed successor. Nil when the overlay keeps no
+	// list to fall back through.
+	SuccessorList(n Node) []Node
+
+	// Step runs every protocol round that has come due at the current
+	// virtual time. Idempotent at a fixed tick; callers advance the
+	// clock and Step in a loop to let the protocol make progress.
+	Step()
+
+	// Converged reports whether the overlay's protocol state is
+	// quiescent: the most recent full stabilization sweep changed
+	// nothing and no membership event has happened since. While false,
+	// routing may traverse stale state and counting quality degrades
+	// (Quality.RepairWindow).
+	Converged() bool
+
+	// Crash kills n permanently (crash-stop): it leaves the membership,
+	// its application state becomes unreachable, and nothing ever
+	// revives it. Distinct from transient down-windows, which end.
+	Crash(n Node)
 }

@@ -1,6 +1,7 @@
 // Package dhttest is the conformance suite for dht.Overlay
 // implementations: a table of behavioral contracts — lookup correctness,
-// successor-walk closure, the error taxonomy, metering rules — that every
+// successor-walk closure, the error taxonomy, metering rules, converged
+// routing and idempotent protocol steps — that every
 // overlay hosting a DHS must satisfy, whatever its internal routing
 // machinery. The chord package runs it against Ring (repaired from the
 // oracle), StabilizingRing (repaired by the protocol) and the
@@ -24,21 +25,16 @@ type Harness struct {
 
 	// New builds an overlay of n nodes over env.
 	New func(t *testing.T, env *sim.Env, n int) dht.Overlay
-
-	// Crash permanently kills a node, however the implementation spells
-	// it (dht.Crasher, or a method of its own). Nil skips the crash
-	// contracts.
-	Crash func(o dht.Overlay, n dht.Node)
-
-	// Settle lets protocol-maintained overlays repair after membership
-	// events (advance the clock, run dht.Maintainer rounds). Nil means
-	// the overlay needs no settling (atomically consistent state).
-	Settle func(o dht.Overlay, env *sim.Env)
 }
 
-func (h Harness) settle(o dht.Overlay, env *sim.Env) {
-	if h.Settle != nil {
-		h.Settle(o, env)
+// settle lets the overlay repair after membership events: advance the
+// clock and run protocol rounds until it reports quiescence (bounded — a
+// non-converging overlay is a bug the caller's asserts will surface). An
+// atomically repaired overlay is converged already and never steps.
+func settle(o dht.Overlay, env *sim.Env) {
+	for i := 0; i < 400 && !o.Converged(); i++ {
+		env.Clock.Advance(8)
+		o.Step()
 	}
 }
 
@@ -47,14 +43,13 @@ func Run(t *testing.T, h Harness) {
 	t.Run(h.Name, func(t *testing.T) {
 		t.Run("OwnerIsClockwiseSuccessor", h.ownerIsClockwiseSuccessor)
 		t.Run("LookupReachesOwner", h.lookupReachesOwner)
-		t.Run("LookupFromSelfOwned", h.lookupFromSelfOwned)
+		t.Run("RouteFromSelfOwned", h.routeFromSelfOwned)
 		t.Run("SuccessorCycle", h.successorCycle)
 		t.Run("PredecessorInverse", h.predecessorInverse)
 		t.Run("RoutedMetering", h.routedMetering)
 		t.Run("RandomNodeLive", h.randomNodeLive)
-		if h.Crash != nil {
-			t.Run("ErrorTaxonomy", h.errorTaxonomy)
-		}
+		t.Run("ConvergedRouting", h.convergedRouting)
+		t.Run("ErrorTaxonomy", h.errorTaxonomy)
 	})
 }
 
@@ -100,35 +95,35 @@ func (h Harness) lookupReachesOwner(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		k := key(i)
 		src := nodes[i%len(nodes)]
-		n, hops, err := o.LookupFrom(src, k)
+		rt, err := o.RouteFrom(src, k)
 		if err != nil {
-			t.Fatalf("LookupFrom(%016x, %016x): %v", src.ID(), k, err)
+			t.Fatalf("RouteFrom(%016x, %016x): %v", src.ID(), k, err)
 		}
 		want, _ := o.Owner(k)
-		if n.ID() != want.ID() {
-			t.Fatalf("lookup for %016x reached %016x, owner is %016x", k, n.ID(), want.ID())
+		if rt.Node.ID() != want.ID() {
+			t.Fatalf("lookup for %016x reached %016x, owner is %016x", k, rt.Node.ID(), want.ID())
 		}
-		if hops < 0 || hops > 2*len(nodes) {
-			t.Fatalf("lookup for %016x took %d hops on a %d-node ring", k, hops, len(nodes))
+		if rt.Hops < 0 || rt.Hops > 2*len(nodes) {
+			t.Fatalf("lookup for %016x took %d hops on a %d-node ring", k, rt.Hops, len(nodes))
 		}
 	}
 }
 
-// lookupFromSelfOwned: a node looking up a key it owns itself resolves
-// locally or in few hops, and to itself.
-func (h Harness) lookupFromSelfOwned(t *testing.T) {
+// routeFromSelfOwned: a node looking up a key it owns itself resolves
+// locally, at no cost, to itself.
+func (h Harness) routeFromSelfOwned(t *testing.T) {
 	env := sim.NewEnv(103)
 	o := h.New(t, env, 64)
 	for _, n := range o.Nodes() {
-		got, hops, err := o.LookupFrom(n, n.ID())
+		rt, err := o.RouteFrom(n, n.ID())
 		if err != nil {
 			t.Fatalf("self lookup from %016x: %v", n.ID(), err)
 		}
-		if got.ID() != n.ID() {
-			t.Fatalf("self lookup from %016x reached %016x", n.ID(), got.ID())
+		if rt.Node.ID() != n.ID() {
+			t.Fatalf("self lookup from %016x reached %016x", n.ID(), rt.Node.ID())
 		}
-		if hops != 0 {
-			t.Fatalf("self lookup from %016x cost %d hops, want 0", n.ID(), hops)
+		if rt.Hops != 0 {
+			t.Fatalf("self lookup from %016x cost %d hops, want 0", n.ID(), rt.Hops)
 		}
 	}
 }
@@ -212,11 +207,11 @@ func (h Harness) routedMetering(t *testing.T) {
 	var total int64
 	for i := 0; i < 128; i++ {
 		src := nodes[i%len(nodes)]
-		_, hops, err := o.LookupFrom(src, key(i))
+		rt, err := o.RouteFrom(src, key(i))
 		if err != nil {
-			t.Fatalf("LookupFrom: %v", err)
+			t.Fatalf("RouteFrom: %v", err)
 		}
-		total += int64(hops)
+		total += int64(rt.Hops)
 	}
 	var metered int64
 	after := snapshot()
@@ -246,6 +241,46 @@ func (h Harness) randomNodeLive(t *testing.T) {
 	}
 }
 
+// convergedRouting: a freshly built overlay reports Converged; RouteFrom
+// from every node reaches the key's Owner without a stale hop; and Step
+// is idempotent at a fixed tick — a second Step leaves every one of
+// those routes (node reached, hops, stale hops) as it was.
+func (h Harness) convergedRouting(t *testing.T) {
+	env := sim.NewEnv(109)
+	o := h.New(t, env, 32)
+	if !o.Converged() {
+		t.Fatal("freshly built overlay does not report Converged")
+	}
+	routes := func() []dht.Route {
+		var out []dht.Route
+		for i, src := range o.Nodes() {
+			for j := 0; j < 4; j++ {
+				k := key(4*i + j)
+				rt, err := o.RouteFrom(src, k)
+				if err != nil {
+					t.Fatalf("RouteFrom(%016x, %016x): %v", src.ID(), k, err)
+				}
+				want, _ := o.Owner(k)
+				if rt.Node.ID() != want.ID() || rt.Stale != 0 {
+					t.Fatalf("route for %016x from %016x reached %016x with %d stale hops, want owner %016x and none",
+						k, src.ID(), rt.Node.ID(), rt.Stale, want.ID())
+				}
+				out = append(out, rt)
+			}
+		}
+		return out
+	}
+	o.Step()
+	first := routes()
+	o.Step()
+	for i, rt := range routes() {
+		if rt != first[i] {
+			t.Fatalf("route %d changed across a second Step at tick %d: (%016x, %d hops, %d stale), then (%016x, %d, %d)",
+				i, env.Clock.Now(), first[i].Node.ID(), first[i].Hops, first[i].Stale, rt.Node.ID(), rt.Hops, rt.Stale)
+		}
+	}
+}
+
 // errorTaxonomy: operations addressed to or reaching dead state return
 // the typed errors the counting layer's graceful-degradation paths
 // dispatch on — dht.ErrNodeDown from a dead originator — and after the
@@ -256,17 +291,17 @@ func (h Harness) errorTaxonomy(t *testing.T) {
 	o := h.New(t, env, 48)
 	nodes := o.Nodes()
 	victim := nodes[11]
-	h.Crash(o, victim)
+	o.Crash(victim)
 
 	// A crash-stopped originator cannot issue anything.
-	if _, _, err := o.LookupFrom(victim, key(1)); !errors.Is(err, dht.ErrNodeDown) {
+	if _, err := o.RouteFrom(victim, key(1)); !errors.Is(err, dht.ErrNodeDown) {
 		t.Fatalf("lookup from crashed node: err = %v, want ErrNodeDown", err)
 	}
 	if victim.Alive() {
 		t.Fatal("crashed node still reports Alive")
 	}
 
-	h.settle(o, env)
+	settle(o, env)
 
 	// Membership no longer includes the victim.
 	for _, n := range o.Nodes() {
@@ -286,13 +321,13 @@ func (h Harness) errorTaxonomy(t *testing.T) {
 	for i := 0; i < 128; i++ {
 		k := key(i)
 		src := o.RandomNode()
-		n, _, err := o.LookupFrom(src, k)
+		rt, err := o.RouteFrom(src, k)
 		if err != nil {
 			t.Fatalf("post-crash lookup for %016x: %v", k, err)
 		}
 		want, _ := o.Owner(k)
-		if n.ID() != want.ID() {
-			t.Fatalf("post-crash lookup for %016x reached %016x, owner is %016x", k, n.ID(), want.ID())
+		if rt.Node.ID() != want.ID() {
+			t.Fatalf("post-crash lookup for %016x reached %016x, owner is %016x", k, rt.Node.ID(), want.ID())
 		}
 	}
 }

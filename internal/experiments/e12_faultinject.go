@@ -161,17 +161,6 @@ func runE12FCell(p Params, sc E12FScenario, kind sketch.Kind, R, items, m int) (
 	return row, nil
 }
 
-// Baseline returns the clean-scenario error for the given kind and
-// replication, for degradation-factor comparisons.
-func (r *E12FResult) Baseline(kind sketch.Kind, R int) float64 {
-	for _, row := range r.Rows {
-		if row.Scenario == DefaultE12FScenarios[0].Name && row.Kind == kind && row.R == R {
-			return row.Err
-		}
-	}
-	return 0
-}
-
 // Render writes the fault-injection table.
 func (r *E12FResult) Render(w io.Writer) {
 	tw := newTable(w)

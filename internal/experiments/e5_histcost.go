@@ -62,7 +62,6 @@ func RunE5(p Params, ms []int) (*E5Result, error) {
 					}
 					cs.Trials++
 					cs.Visited += h.Cost.NodesVisited
-					cs.Lookups += h.Cost.Lookups
 					cs.Hops += h.Cost.Hops
 					cs.Bytes += h.Cost.Bytes
 					cs.ErrSum += meanCellError(h.Counts, exact)

@@ -208,7 +208,6 @@ func (s *setup) insertRelation(rel workload.Relation) (insertStats, error) {
 type countStats struct {
 	Trials  int
 	Visited int
-	Lookups int
 	Hops    int64
 	Bytes   int64
 	ErrSum  float64 // Σ |est-n|/n
@@ -217,7 +216,6 @@ type countStats struct {
 func (cs *countStats) add(est core.Estimate, actual float64) {
 	cs.Trials++
 	cs.Visited += est.Cost.NodesVisited
-	cs.Lookups += est.Cost.Lookups
 	cs.Hops += est.Cost.Hops
 	cs.Bytes += est.Cost.Bytes
 	if actual > 0 {
@@ -238,9 +236,6 @@ func (cs countStats) avg(v int64) float64 {
 
 // AvgVisited returns nodes visited per estimation.
 func (cs countStats) AvgVisited() float64 { return cs.avg(int64(cs.Visited)) }
-
-// AvgLookups returns DHT lookups per estimation.
-func (cs countStats) AvgLookups() float64 { return cs.avg(int64(cs.Lookups)) }
 
 // AvgHops returns hops per estimation.
 func (cs countStats) AvgHops() float64 { return cs.avg(cs.Hops) }

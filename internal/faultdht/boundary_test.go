@@ -121,7 +121,7 @@ func TestCrashStopIsPermanent(t *testing.T) {
 			t.Fatalf("crashed node reachable at tick %d", env.Clock.Now())
 		}
 		src := o.RandomNode()
-		if _, _, err := o.LookupFrom(victim, src.ID()); !errors.Is(err, dht.ErrNodeDown) {
+		if _, err := o.RouteFrom(victim, src.ID()); !errors.Is(err, dht.ErrNodeDown) {
 			t.Fatalf("lookup from crashed node: err = %v, want ErrNodeDown", err)
 		}
 		env.Clock.Advance(33) // co-prime with the period: samples all phases
@@ -131,42 +131,5 @@ func TestCrashStopIsPermanent(t *testing.T) {
 	o.Crash(victim)
 	if after := o.Stats(); after != before {
 		t.Errorf("second Crash changed stats: %+v -> %+v", before, after)
-	}
-}
-
-// TestRouteFromMatchesLookupFrom asserts the Router extension injects
-// the identical fault sequence LookupFrom does: two equally seeded
-// wrappers fed the same operations return the same results, errors, and
-// fault counters regardless of which entry point is used.
-func TestRouteFromMatchesLookupFrom(t *testing.T) {
-	cfg := Config{DropProb: 0.2, TransientFrac: 0.3, SlowFrac: 0.3, SlowTimeoutProb: 0.5}
-	a, _, envA := newFaulty(t, 11, 64, cfg)
-	b, _, envB := newFaulty(t, 11, 64, cfg)
-
-	for i := 0; i < 400; i++ {
-		srcA, srcB := a.RandomNode(), b.RandomNode()
-		if srcA.ID() != srcB.ID() {
-			t.Fatalf("op %d: twin rings diverged picking sources", i)
-		}
-		key := uint64(i) * 0x9e3779b97f4a7c15
-		nA, hopsA, errA := a.LookupFrom(srcA, key)
-		rB, errB := b.RouteFrom(srcB, key)
-		if (errA == nil) != (errB == nil) || (errA != nil && !errors.Is(errB, errA)) {
-			t.Fatalf("op %d: errors diverged: %v vs %v", i, errA, errB)
-		}
-		if hopsA != rB.Hops {
-			t.Fatalf("op %d: hops diverged: %d vs %d", i, hopsA, rB.Hops)
-		}
-		if errA == nil && nA.ID() != rB.Node.ID() {
-			t.Fatalf("op %d: nodes diverged: %016x vs %016x", i, nA.ID(), rB.Node.ID())
-		}
-		if rB.Stale != 0 {
-			t.Fatalf("op %d: static inner overlay reported %d stale hops", i, rB.Stale)
-		}
-		envA.Clock.Advance(1)
-		envB.Clock.Advance(1)
-	}
-	if sa, sb := a.Stats(), b.Stats(); sa != sb {
-		t.Errorf("fault counters diverged:\nLookupFrom: %+v\nRouteFrom:  %+v", sa, sb)
 	}
 }

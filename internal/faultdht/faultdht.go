@@ -90,8 +90,10 @@ type Stats struct {
 func (s Stats) Failed() int64 { return s.Lost + s.Timeouts + s.DownHits }
 
 // Overlay wraps an inner dht.Overlay and injects faults on its message-
-// bearing operations (LookupFrom, Successor, Predecessor). Zero-cost
-// ground-truth operations (Owner, Nodes, Size) pass through untouched.
+// bearing operations (RouteFrom, Successor, Predecessor). Zero-cost
+// ground-truth operations (Owner, Nodes, Size), node-local reads
+// (SuccessorList) and the protocol hooks (Step, Converged) pass through
+// untouched.
 //
 // The fault layer is safe for concurrent counting passes: the per-message
 // drop stream and the fault counters sit behind a mutex. Note that
@@ -122,9 +124,6 @@ func New(inner dht.Overlay, env *sim.Env, cfg Config) *Overlay {
 		crashed: make(map[uint64]bool),
 	}
 }
-
-// Inner returns the wrapped overlay.
-func (o *Overlay) Inner() dht.Overlay { return o.inner }
 
 // Stats returns a snapshot of the fault counters accumulated so far.
 func (o *Overlay) Stats() Stats {
@@ -187,12 +186,10 @@ func (o *Overlay) Down(n dht.Node) bool {
 	return o.Crashed(n.ID()) || o.downNow(n.ID())
 }
 
-// Crash kills the node permanently (dht.Crasher): every future exchange
-// addressed to it fails with dht.ErrNodeDown, forever — there is no
-// window end and no revival. When the inner overlay handles crash-stop
-// itself (a stabilizing ring), the crash is forwarded so the node also
-// leaves the membership and the inner overlay emits the crash trace;
-// otherwise this layer records the death and emits the trace itself.
+// Crash kills the node permanently: every future exchange addressed to
+// it fails with dht.ErrNodeDown, forever — there is no window end and no
+// revival. The crash is forwarded, so the node also leaves the inner
+// overlay's membership and the inner overlay emits the crash trace.
 func (o *Overlay) Crash(n dht.Node) {
 	o.mu.Lock()
 	if o.crashed[n.ID()] {
@@ -201,20 +198,7 @@ func (o *Overlay) Crash(n dht.Node) {
 	}
 	o.crashed[n.ID()] = true
 	o.mu.Unlock()
-	if c, ok := o.inner.(dht.Crasher); ok {
-		c.Crash(n)
-		return
-	}
-	t := o.env.Tracer()
-	if t == nil {
-		return
-	}
-	t.Event(obs.Event{
-		Tick: o.env.Clock.Now(),
-		Kind: obs.KindCrash,
-		Node: n.ID(),
-		Bit:  -1,
-	})
+	o.inner.Crash(n)
 }
 
 // exchange applies the failure model to one request/reply exchange with
@@ -277,45 +261,11 @@ func (o *Overlay) RandomNode() dht.Node { return o.inner.RandomNode() }
 // Owner is ground truth at zero simulated cost; no faults apply.
 func (o *Overlay) Owner(key uint64) (dht.Node, error) { return o.inner.Owner(key) }
 
-// Lookup routes to the owner of key from a random node, through the
-// failure model.
-func (o *Overlay) Lookup(key uint64) (dht.Node, int, error) {
-	src := o.RandomNode()
-	if src == nil {
-		return nil, 0, dht.ErrNoRoute
-	}
-	return o.LookupFrom(src, key)
-}
-
-// LookupFrom routes to the owner of key starting at src. The route's
-// hops are always reported — a failed exchange still traversed them —
-// so callers can meter wasted traffic.
-func (o *Overlay) LookupFrom(src dht.Node, key uint64) (dht.Node, int, error) {
-	if o.Down(src) {
-		// The originator itself is inside a down-window; nothing leaves it.
-		o.mu.Lock()
-		o.stats.Exchanges++
-		o.stats.DownHits++
-		o.fault(src.ID(), dht.ErrNodeDown)
-		o.mu.Unlock()
-		return nil, 0, dht.ErrNodeDown
-	}
-	n, hops, err := o.inner.LookupFrom(src, key)
-	if err != nil {
-		return n, hops, err
-	}
-	if ferr := o.exchange(n); ferr != nil {
-		return nil, hops, ferr
-	}
-	return n, hops, nil
-}
-
 // RouteFrom routes to the owner of key starting at src, through the
-// failure model, surfacing stale-hop counts when the inner overlay
-// tracks them (dht.Router). The fault sequence — originator down-check,
-// inner route, one exchange with the node reached — consumes exactly the
-// random draws and counters LookupFrom would, so a caller switching
-// between the two observes identical fault injection.
+// failure model: the originator's down-check, the inner route, then one
+// exchange with the node reached. The route's hops are always reported —
+// a failed exchange still traversed them — so callers can meter wasted
+// traffic.
 func (o *Overlay) RouteFrom(src dht.Node, key uint64) (dht.Route, error) {
 	if o.Down(src) {
 		// The originator itself is unreachable; nothing leaves it.
@@ -326,48 +276,25 @@ func (o *Overlay) RouteFrom(src dht.Node, key uint64) (dht.Route, error) {
 		o.mu.Unlock()
 		return dht.Route{}, dht.ErrNodeDown
 	}
-	var route dht.Route
-	var err error
-	if rt, ok := o.inner.(dht.Router); ok {
-		route, err = rt.RouteFrom(src, key)
-	} else {
-		route.Node, route.Hops, err = o.inner.LookupFrom(src, key)
+	route, err := o.inner.RouteFrom(src, key)
+	if err == nil {
+		err = o.exchange(route.Node)
 	}
 	if err != nil {
 		return dht.Route{Hops: route.Hops, Stale: route.Stale}, err
 	}
-	if ferr := o.exchange(route.Node); ferr != nil {
-		return dht.Route{Hops: route.Hops, Stale: route.Stale}, ferr
-	}
 	return route, nil
 }
 
-// SuccessorList forwards to the inner overlay's successor lists when it
-// maintains them (dht.SuccessorLister), nil otherwise. Reading the list
-// is the node's local state — no exchange, no faults.
-func (o *Overlay) SuccessorList(n dht.Node) []dht.Node {
-	if sl, ok := o.inner.(dht.SuccessorLister); ok {
-		return sl.SuccessorList(n)
-	}
-	return nil
-}
+// SuccessorList is the inner overlay's: reading the list is the node's
+// local state — no exchange, no faults.
+func (o *Overlay) SuccessorList(n dht.Node) []dht.Node { return o.inner.SuccessorList(n) }
 
-// Step forwards protocol maintenance to the inner overlay when it runs
-// any (dht.Maintainer); a no-op over atomically consistent overlays.
-func (o *Overlay) Step() {
-	if m, ok := o.inner.(dht.Maintainer); ok {
-		m.Step()
-	}
-}
+// Step runs the inner overlay's protocol rounds.
+func (o *Overlay) Step() { o.inner.Step() }
 
-// Converged reports the inner overlay's protocol quiescence; an overlay
-// without protocol maintenance is always converged.
-func (o *Overlay) Converged() bool {
-	if m, ok := o.inner.(dht.Maintainer); ok {
-		return m.Converged()
-	}
-	return true
-}
+// Converged reports the inner overlay's protocol quiescence.
+func (o *Overlay) Converged() bool { return o.inner.Converged() }
 
 // Successor returns the live node following n, through the failure model
 // (reaching the successor is a one-hop message exchange).

@@ -25,13 +25,14 @@ func TestZeroConfigIsTransparent(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		src := o.RandomNode()
 		key := uint64(i) * 0x9e3779b97f4a7c15
-		n, hops, err := o.LookupFrom(src, key)
+		rt, err := o.RouteFrom(src, key)
 		if err != nil {
 			t.Fatalf("clean lookup failed: %v", err)
 		}
+		n := rt.Node
 		want, _ := ring.Owner(key)
-		if n != want || hops < 0 {
-			t.Fatalf("lookup resolved %v, want %v", n, want)
+		if n != want || rt.Hops < 0 || rt.Stale != 0 {
+			t.Fatalf("lookup resolved %+v, want %v", rt, want)
 		}
 		if _, err := o.Successor(n); err != nil {
 			t.Fatalf("clean successor failed: %v", err)
@@ -52,7 +53,7 @@ func TestDropRateApproximatesConfig(t *testing.T) {
 	lost := 0
 	const trials = 5000
 	for i := 0; i < trials; i++ {
-		_, _, err := o.Lookup(uint64(i) * 0x9e3779b97f4a7c15)
+		_, err := o.RouteFrom(o.RandomNode(), uint64(i)*0x9e3779b97f4a7c15)
 		if errors.Is(err, dht.ErrLost) {
 			lost++
 		} else if err != nil {
@@ -73,7 +74,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		o, _, _ := newFaulty(t, 7, 32, Config{DropProb: 0.3, TransientFrac: 0.3, SlowFrac: 0.3, SlowTimeoutProb: 0.5})
 		var errs []error
 		for i := 0; i < 500; i++ {
-			_, _, err := o.Lookup(uint64(i) * 12345)
+			_, err := o.RouteFrom(o.RandomNode(), uint64(i)*12345)
 			errs = append(errs, err)
 		}
 		return o.Stats(), errs
@@ -147,7 +148,7 @@ func TestDownOriginRefusesLookup(t *testing.T) {
 	cfg := Config{TransientFrac: 1, DownPeriod: 10, DownFor: 10} // everyone always down
 	o, ring, _ := newFaulty(t, 13, 16, cfg)
 	src := ring.Nodes()[0]
-	if _, _, err := o.LookupFrom(src, 42); !errors.Is(err, dht.ErrNodeDown) {
+	if _, err := o.RouteFrom(src, 42); !errors.Is(err, dht.ErrNodeDown) {
 		t.Errorf("lookup from down origin: err = %v, want ErrNodeDown", err)
 	}
 }
@@ -155,7 +156,7 @@ func TestDownOriginRefusesLookup(t *testing.T) {
 func TestSlowNodeTimeouts(t *testing.T) {
 	cfg := Config{SlowFrac: 1, SlowTimeoutProb: 1} // every exchange times out
 	o, _, _ := newFaulty(t, 17, 16, cfg)
-	if _, _, err := o.Lookup(42); !errors.Is(err, dht.ErrTimeout) {
+	if _, err := o.RouteFrom(o.RandomNode(), 42); !errors.Is(err, dht.ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", err)
 	}
 	if o.Stats().Timeouts == 0 {

@@ -11,8 +11,7 @@ import (
 )
 
 // Cluster hosts N Servers inside one process, each bound to its own
-// loopback listener, and presents them as a dht.Overlay (plus the
-// Router, SuccessorLister, Maintainer, and Crasher extensions). Routed
+// loopback listener, and presents them as a dht.Overlay. Routed
 // lookups and stabilization rounds cross real TCP sockets; only the
 // surfaces the overlay contract defines as zero-cost local state — the
 // membership oracle (Owner, Nodes, Predecessor), successor-list reads,
@@ -118,23 +117,8 @@ func (c *Cluster) Join(name string) (*Server, error) {
 // Servers returns the live servers in ID order.
 func (c *Cluster) Servers() []*Server { return c.Live() }
 
-// Lookup routes to the believed owner of key from a random origin.
-func (c *Cluster) Lookup(key uint64) (dht.Node, int, error) {
-	src := c.RandomNode()
-	if src == nil {
-		return nil, 0, dht.ErrNoRoute
-	}
-	return c.LookupFrom(src, key)
-}
-
-// LookupFrom routes to the believed owner of key starting at src.
-func (c *Cluster) LookupFrom(src dht.Node, key uint64) (dht.Node, int, error) {
-	rt, err := c.RouteFrom(src, key)
-	return rt.Node, rt.Hops, err
-}
-
 // RouteFrom routes over TCP to the believed owner of key starting at
-// src (see dht.Router). The origin makes its routing decision locally
+// src. The origin makes its routing decision locally
 // and every subsequent decision happens on the node the request
 // reached, so the hop count equals the Routed increments metered at
 // the forwarded-to nodes — the same invariant the simulated rings
@@ -163,7 +147,7 @@ func (c *Cluster) RouteFrom(src dht.Node, key uint64) (dht.Route, error) {
 	return rt, nil
 }
 
-// Crash kills the server permanently (crash-stop, see dht.Crasher): it
+// Crash kills the server permanently (crash-stop): it
 // stops answering, its listener starts refusing connections, and it
 // leaves the membership oracle. Other nodes' successor lists and
 // fingers still name it until protocol rounds discover the death —
@@ -176,8 +160,8 @@ func (c *Cluster) Crash(n dht.Node) {
 	c.Remove(s, s.Close)
 }
 
-// Step runs every protocol round due at the current virtual time (see
-// dht.Maintainer), sweeping live servers in ID order — the simulated
+// Step runs every protocol round due at the current virtual time,
+// sweeping live servers in ID order — the simulated
 // ring's schedule and sweep loop, but each round's exchanges are real
 // RPCs, so liveness is discovered by connection failure.
 //
@@ -215,11 +199,4 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Interface conformance, including the optional extensions.
-var (
-	_ dht.Overlay         = (*Cluster)(nil)
-	_ dht.Router          = (*Cluster)(nil)
-	_ dht.SuccessorLister = (*Cluster)(nil)
-	_ dht.Maintainer      = (*Cluster)(nil)
-	_ dht.Crasher         = (*Cluster)(nil)
-)
+var _ dht.Overlay = (*Cluster)(nil)

@@ -2,9 +2,8 @@
 // overlay whose nodes are real network endpoints exchanging the
 // internal/wire encodings over TCP, instead of the simulator's
 // in-memory method calls. It implements the same dht.Overlay surface
-// (plus the Router, SuccessorLister, Maintainer, and Crasher
-// extensions) as the in-process ring flavors and passes the same
-// dht/dhttest contract suite, so everything layered above — core's
+// as the in-process ring flavors and passes the same dht/dhttest
+// contract suite, so everything layered above — core's
 // failure-aware counting, Estimate.Quality, the experiments — runs
 // over it unchanged.
 //

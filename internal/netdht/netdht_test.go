@@ -48,16 +48,6 @@ func TestClusterContracts(t *testing.T) {
 		New: func(t *testing.T, env *sim.Env, n int) dht.Overlay {
 			return newTestCluster(t, env, n)
 		},
-		Crash: func(o dht.Overlay, n dht.Node) {
-			o.(*Cluster).Crash(n)
-		},
-		Settle: func(o dht.Overlay, env *sim.Env) {
-			c := o.(*Cluster)
-			for i := 0; i < 400 && !c.Converged(); i++ {
-				env.Clock.Advance(8)
-				c.Step()
-			}
-		},
 	})
 }
 
@@ -223,13 +213,13 @@ func TestClusterCrashRecovery(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		k := uint64(i) * 0x9e3779b97f4a7c15
 		src := c.RandomNode()
-		got, _, err := c.LookupFrom(src, k)
+		rt, err := c.RouteFrom(src, k)
 		if err != nil {
 			t.Fatalf("post-crash lookup: %v", err)
 		}
 		want, _ := c.Owner(k)
-		if got.ID() != want.ID() {
-			t.Fatalf("post-crash lookup for %016x reached %016x, owner %016x", k, got.ID(), want.ID())
+		if rt.Node.ID() != want.ID() {
+			t.Fatalf("post-crash lookup for %016x reached %016x, owner %016x", k, rt.Node.ID(), want.ID())
 		}
 	}
 }

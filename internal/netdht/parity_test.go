@@ -47,12 +47,7 @@ func TestSimulatorWireParity(t *testing.T) {
 	}
 	t.Cleanup(cluster.Close)
 
-	type overlay interface {
-		dht.Overlay
-		dht.Router
-		dht.Maintainer
-	}
-	sides := [2]overlay{ring, cluster}
+	sides := [2]dht.Overlay{ring, cluster}
 
 	staleSeen := 0
 	compare := func(phase string) {
@@ -103,10 +98,10 @@ func TestSimulatorWireParity(t *testing.T) {
 		compare(phase)
 	}
 	crash := func(indexes ...int) {
-		for k, o := range sides {
+		for _, o := range sides {
 			nodes := o.Nodes()
 			for _, i := range indexes {
-				sides[k].(dht.Crasher).Crash(nodes[i])
+				o.Crash(nodes[i])
 			}
 		}
 	}

@@ -59,10 +59,6 @@ func (p *PCSA) Add(hash uint64) {
 	p.bitmaps[v] |= 1 << r
 }
 
-// Bitmap returns the raw bitmap of vector v, for tests and for the DHS
-// layer's ground-truth comparisons.
-func (p *PCSA) Bitmap(v int) uint64 { return p.bitmaps[v] }
-
 // LeftmostZeros returns, for each vector, the position of the leftmost
 // (least significant) 0-bit — the per-vector statistic M of eq. 4. A
 // vector whose w bits are all set contributes w.
