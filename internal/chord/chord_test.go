@@ -72,7 +72,7 @@ func TestLookupFindsOwner(t *testing.T) {
 	}
 }
 
-func TestRouteFromEveryNodeAgrees(t *testing.T) {
+func TestLookupFromEveryNodeAgrees(t *testing.T) {
 	r := newRing(t, 100)
 	key := uint64(0xDEADBEEFCAFEBABE)
 	want, _ := r.Owner(key)

@@ -43,7 +43,7 @@ func Run(t *testing.T, h Harness) {
 	t.Run(h.Name, func(t *testing.T) {
 		t.Run("OwnerIsClockwiseSuccessor", h.ownerIsClockwiseSuccessor)
 		t.Run("LookupReachesOwner", h.lookupReachesOwner)
-		t.Run("RouteFromSelfOwned", h.routeFromSelfOwned)
+		t.Run("LookupFromSelfOwned", h.routeFromSelfOwned)
 		t.Run("SuccessorCycle", h.successorCycle)
 		t.Run("PredecessorInverse", h.predecessorInverse)
 		t.Run("RoutedMetering", h.routedMetering)
