@@ -209,11 +209,11 @@ func runCount(args []string) {
 		}
 		return
 	}
-	fmt.Printf("metric=%q estimate=%.0f probes=%d failed=%d skipped=%d degraded=%v elapsed=%v\n",
+	fmt.Printf("metric=%q estimate=%.0f probes=%d failed=%d skipped=%d unresolved=%d stale=%d repair=%v degraded=%v elapsed=%v\n",
 		*metric, res.Estimate, res.ProbesAttempted, res.ProbesFailed, res.IntervalsSkipped,
-		res.Degraded, time.Since(start).Round(time.Millisecond))
+		res.VectorsUnresolved, res.StaleRetries, res.RepairWindow, res.Degraded, time.Since(start).Round(time.Millisecond))
 	if res.Degraded {
-		fmt.Println("warning: scan lost evidence (failed probes or skipped intervals); estimate may be low")
+		fmt.Println("warning: scan lost evidence or met stale routing (failed probes, skipped intervals or re-routes); estimate may be low")
 	}
 	if *expect > 0 {
 		fmt.Printf("expected=%.0f relative-error=%.3f tolerance=%.3f\n", *expect, re, *tol)

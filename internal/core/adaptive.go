@@ -71,6 +71,6 @@ func (d *DHS) CountAdaptiveFrom(src dht.Node, metric uint64, p float64) (Estimat
 	q.ProbesFailed += fq.ProbesFailed
 	q.StaleRetries += fq.StaleRetries
 	q.RepairWindow = q.RepairWindow || fq.RepairWindow
-	q.Degraded = q.Degraded || fq.Degraded
+	q.settle()
 	return est, nil
 }

@@ -84,17 +84,15 @@ func (d *DHS) CountAllFrom(src dht.Node, metrics []uint64) ([]Estimate, error) {
 
 // scanPass runs one counting pass from src with the given per-bit probe
 // budget: the shared scan over this handle's successor-walk prober. Every
-// pass ends alike: each estimate carries the pass's whole cost and is
-// flagged when the overlay had repairs pending, and count-done is emitted.
+// pass ends alike: each estimate carries the pass's whole cost, and
+// count-done is emitted.
 func (d *DHS) scanPass(src dht.Node, metrics []uint64, limFor func(bit int) int) []Estimate {
 	rng, pass := d.countPass()
 	w := &walkProber{d: d, src: src, rng: rng, pt: passTracer{t: d.env.Tracer(), env: d.env, pass: pass}}
 	w.pt.emit(obs.KindCountStart, src.ID(), -1, int64(len(metrics)), nil)
 	ests := d.geom.Scan(w, metrics, limFor)
-	repairWindow := !d.overlay.Converged()
 	for i := range ests {
 		ests[i].Cost = w.cost
-		ests[i].Quality.RepairWindow = repairWindow
 		if w.pt.t != nil {
 			w.pt.t.Event(obs.Event{
 				Tick: d.env.Clock.Now(), Kind: obs.KindCountDone, Pass: pass,
@@ -168,7 +166,7 @@ func (r *storeReply) AppendVectors(dst []uint64, metric uint64) []uint64 {
 func (w *walkProber) ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcome {
 	d, pt, cost := w.d, &w.pt, &w.cost
 	lo, size := d.geom.Interval(bit)
-	var out IntervalOutcome
+	out := IntervalOutcome{Repair: !d.overlay.Converged()}
 
 	probe := func(n dht.Node, h int) bool {
 		// A reply carries ⌈m/8⌉ bytes for every metric that still has

@@ -114,38 +114,55 @@ type Estimate struct {
 // stay usable on degraded register state). Counting never aborts on a
 // dead or unreachable node — the failed step consumes probe budget and
 // the walk re-enters the interval at a fresh random target.
+//
+// Both transports fill it with the same code (Geometry.Scan), and the
+// wire's counting result carries it whole: the JSON names are the
+// encoding `dhsnode count -json` prints and dhsd serves.
 type Quality struct {
 	// ProbesAttempted is the probe budget spent across all intervals of
 	// the pass, successful probes and failed steps alike.
-	ProbesAttempted int
+	ProbesAttempted int `json:"probes_attempted"`
 	// ProbesFailed counts steps lost to drops, timeouts, or down nodes
 	// (lookup, probe, or successor/predecessor hops).
-	ProbesFailed int
+	ProbesFailed int `json:"probes_failed"`
 	// IntervalsSkipped counts bit intervals where not a single node
 	// could be probed: the pass has no evidence at all for those bit
 	// positions.
-	IntervalsSkipped int
+	IntervalsSkipped int `json:"intervals_skipped"`
 	// VectorsUnresolved is the number of this metric's vectors that
 	// ended the scan without a statistic. For the LogLog family a
 	// never-observed vector is an ordinary empty bucket; it only
 	// signals degradation in combination with failed probes.
-	VectorsUnresolved int
-	// StaleRetries counts overlay hops the pass wasted on stale routing
-	// state — dead successors or fingers a stabilizing overlay had not
-	// yet repaired, discovered by timeout and routed around — plus
-	// successor-list fallbacks the retry walk took past a dead believed
-	// successor. Always zero on overlays with atomically consistent
-	// routing state.
-	StaleRetries int
-	// RepairWindow is true when the pass ran while the overlay's
-	// stabilization protocol had repairs pending (dht.Overlay not
-	// Converged): routing state was stale and recently crashed nodes'
-	// tuples may not have been re-replicated yet, so extra degradation
-	// is expected until the protocol settles.
-	RepairWindow bool
-	// Degraded is true when any failure affected the pass — the
-	// estimate is still usable but was computed from partial evidence.
-	Degraded bool
+	VectorsUnresolved int `json:"vectors_unresolved"`
+	// StaleRetries counts work the pass wasted on stale routing state.
+	// In the simulator: overlay hops spent on dead successors or fingers
+	// a stabilizing overlay had not yet repaired, discovered by timeout
+	// and routed around, plus successor-list fallbacks the retry walk
+	// took past a dead believed successor. On the wire: re-routes of
+	// targets whose remembered owner did not answer or no longer held
+	// them. Always zero on overlays with atomically consistent routing
+	// state, and on a ring the client's view has right.
+	StaleRetries int `json:"stale_retries"`
+	// RepairWindow is true when the pass ran while routing state was
+	// under repair. In the simulator the overlay's stabilization
+	// protocol had repairs pending (dht.Overlay not Converged), so
+	// recently crashed nodes' tuples may not have been re-replicated
+	// yet; on the wire the scan corrected an arc of the client's view of
+	// the ring. Extra degradation is expected until the ring settles.
+	RepairWindow bool `json:"repair_window"`
+	// Degraded is true when the estimate rests on less evidence, or cost
+	// more work, than a clean pass: settle is its one rule.
+	Degraded bool `json:"degraded"`
+}
+
+// settle sets Degraded by the one rule every counting pass follows, on
+// either transport: a step failed, an interval went unprobed, or work
+// was wasted on stale routing state. VectorsUnresolved and RepairWindow
+// flag nothing on their own: an unresolved vector is an empty bucket
+// unless probes failed, and a repair window the pass crossed without a
+// failed or stale step cost it nothing.
+func (q *Quality) settle() {
+	q.Degraded = q.ProbesFailed > 0 || q.IntervalsSkipped > 0 || q.StaleRetries > 0
 }
 
 // CountCost itemizes what a counting operation consumed.

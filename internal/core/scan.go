@@ -16,7 +16,9 @@ type Prober interface {
 	// interval storing bit. It calls v.Visit once per node that answers
 	// — never concurrently — and may stop once Visit returns true. A
 	// failed step consumes budget like a successful one (lim bounds
-	// work, not successes); the outcome reports what the budget bought.
+	// work, not successes); the outcome reports what the budget bought,
+	// and what stale routing state the prober met on the way, in the
+	// transport's own terms.
 	ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcome
 }
 
@@ -30,10 +32,11 @@ type Reply interface {
 
 // IntervalOutcome reports what one interval's probing achieved.
 type IntervalOutcome struct {
-	Attempted int // probe budget spent, incl. failed steps
-	Failed    int // steps lost to drops, timeouts, or down nodes
-	Visited   int // nodes successfully probed
-	Stale     int // hops wasted on stale routing entries + list fallbacks
+	Attempted int  // probe budget spent, incl. failed steps
+	Failed    int  // steps lost to drops, timeouts, or down nodes
+	Visited   int  // nodes successfully probed
+	Stale     int  // steps wasted on stale routing state (Quality.StaleRetries)
+	Repair    bool // routing state was under repair (Quality.RepairWindow)
 }
 
 // metricState tracks the per-vector resolution of one metric during a
@@ -165,16 +168,18 @@ func (v *Visitor) declareZeros() {
 
 // scanQuality aggregates the failure accounting of one counting pass.
 type scanQuality struct {
-	attempted int // probe budget spent, incl. failed steps
-	failed    int // steps lost to drops, timeouts, or down nodes
-	skipped   int // intervals where no node could be probed at all
-	stale     int // hops wasted on stale routing state (see Quality)
+	attempted int  // probe budget spent, incl. failed steps
+	failed    int  // steps lost to drops, timeouts, or down nodes
+	skipped   int  // intervals where no node could be probed at all
+	stale     int  // steps wasted on stale routing state (see Quality)
+	repair    bool // some interval ran while routing state was under repair
 }
 
 func (q *scanQuality) add(out IntervalOutcome) {
 	q.attempted += out.Attempted
 	q.failed += out.Failed
 	q.stale += out.Stale
+	q.repair = q.repair || out.Repair
 	if out.Visited == 0 {
 		q.skipped++
 	}
@@ -183,14 +188,16 @@ func (q *scanQuality) add(out IntervalOutcome) {
 // forMetric combines the pass-wide failure accounting with one metric's
 // resolution state into its Estimate's Quality.
 func (q scanQuality) forMetric(st *metricState) Quality {
-	return Quality{
+	qual := Quality{
 		ProbesAttempted:   q.attempted,
 		ProbesFailed:      q.failed,
 		IntervalsSkipped:  q.skipped,
 		VectorsUnresolved: st.unresolved,
 		StaleRetries:      q.stale,
-		Degraded:          q.failed > 0 || q.skipped > 0 || q.stale > 0,
+		RepairWindow:      q.repair,
 	}
+	qual.settle()
+	return qual
 }
 
 // Scan runs one counting pass of Algorithm 1 for all metrics at once

@@ -27,10 +27,13 @@ func (r fakeReply) AppendVectors(dst []uint64, metric uint64) []uint64 {
 }
 
 // fakeInterval scripts one bit position: the nodes that answer, in order,
-// and how many further budget units are lost to failures.
+// how many further budget units are lost to failures, and what the
+// interval reports of stale routing state.
 type fakeInterval struct {
 	replies []fakeReply
 	failed  int
+	stale   int
+	repair  bool
 }
 
 // fakeProber replays a script and records how the scan drove it.
@@ -49,7 +52,7 @@ func (p *fakeProber) ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcom
 	p.open = append(p.open, v.Open())
 	p.asked = append(p.asked, v.Metrics())
 	iv := p.script[bit]
-	out := IntervalOutcome{Attempted: iv.failed, Failed: iv.failed}
+	out := IntervalOutcome{Attempted: iv.failed, Failed: iv.failed, Stale: iv.stale, Repair: iv.repair}
 	for i, r := range iv.replies {
 		out.Attempted++
 		out.Visited++
@@ -211,6 +214,36 @@ func TestScanScripted(t *testing.T) {
 			wantOpen: []int{1, 1},
 			wantR:    map[uint64][]int{a: {0, 1}},
 			wantQ:    Quality{ProbesAttempted: 2},
+		},
+		{
+			// Degraded has one rule, whatever the transport: a repair
+			// window crossed without a failed or stale step is reported
+			// and degrades nothing, and neither does an empty vector.
+			name:    "repair window alone is not degraded",
+			geom:    Geometry{IDBits: 64, K: 2, M: 2, Kind: sketch.KindSuperLogLog, TrimmedScan: true},
+			metrics: []uint64{a},
+			script: map[uint]fakeInterval{
+				1: {replies: []fakeReply{{a: {1}}}, repair: true},
+				0: one(fakeReply{}),
+			},
+			wantBits: []uint{1, 0},
+			wantOpen: []int{1, 1},
+			wantR:    map[uint64][]int{a: {-1, 1}},
+			wantQ:    Quality{ProbesAttempted: 2, VectorsUnresolved: 1, RepairWindow: true},
+		},
+		{
+			// A stale retry degrades the pass even when it lost nothing.
+			name:    "stale retries degrade",
+			geom:    Geometry{IDBits: 64, K: 2, M: 2, Kind: sketch.KindSuperLogLog, TrimmedScan: true},
+			metrics: []uint64{a},
+			script: map[uint]fakeInterval{
+				1: {replies: []fakeReply{{a: {1}}}, stale: 2},
+				0: one(fakeReply{}),
+			},
+			wantBits: []uint{1, 0},
+			wantOpen: []int{1, 1},
+			wantR:    map[uint64][]int{a: {-1, 1}},
+			wantQ:    Quality{ProbesAttempted: 2, VectorsUnresolved: 1, StaleRetries: 2, Degraded: true},
 		},
 	}
 	for _, tc := range cases {

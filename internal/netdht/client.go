@@ -264,26 +264,16 @@ func (p *wirePlacer) Store(metric uint64, bit uint, target uint64, vectors []int
 
 func (p *wirePlacer) Wait(attempt int) { p.peers.backoff(attempt, p.cfg.Backoff) }
 
-// CountResult is one counting pass's outcome with its failure
-// accounting — the networked analogue of core.Estimate's Quality. The
-// JSON field names are an API surface: `dhsnode count -json`, the dhsd
-// /count response body, and dhsload's CI assertions all marshal this
-// struct, and the serving layer's byte-identity contract (DESIGN.md
-// §16) is defined over exactly this encoding.
+// CountResult is one counting pass's outcome: the estimate and core's
+// whole Quality, as Geometry.Scan filled it — the same accounting, and
+// the same Degraded rule, as a simulated pass. The JSON field names are
+// an API surface: `dhsnode count -json`, the dhsd /count response body,
+// and dhsload's CI assertions all marshal this struct, and the serving
+// layer's byte-identity contract (DESIGN.md §16) is defined over exactly
+// this encoding. Fields may be added, never renamed.
 type CountResult struct {
 	Estimate float64 `json:"estimate"`
-	// ProbesAttempted and ProbesFailed count probe-budget spending,
-	// including failed lookups; IntervalsSkipped counts bit positions
-	// where no node could be probed at all.
-	ProbesAttempted  int `json:"probes_attempted"`
-	ProbesFailed     int `json:"probes_failed"`
-	IntervalsSkipped int `json:"intervals_skipped"`
-	// Degraded reports that the scan lost information — probes failed
-	// or whole intervals went unprobed — so the estimate rests on less
-	// evidence than a clean pass would gather. The count subcommand
-	// surfaces it so operators can tell a healthy estimate from one
-	// taken during churn.
-	Degraded bool `json:"degraded"`
+	core.Quality
 }
 
 // Count runs the Algorithm-1 counting scan for metric over RPC: CountAll of
@@ -337,13 +327,7 @@ func (c *Client) scan(p core.Prober, metrics []uint64) []CountResult {
 	lim := func(int) int { return c.cfg.Lim }
 	out := make([]CountResult, len(metrics))
 	for i, est := range c.geom.Scan(p, metrics, lim) {
-		out[i] = CountResult{
-			Estimate:         est.Value,
-			ProbesAttempted:  est.Quality.ProbesAttempted,
-			ProbesFailed:     est.Quality.ProbesFailed,
-			IntervalsSkipped: est.Quality.IntervalsSkipped,
-			Degraded:         est.Quality.Degraded,
-		}
+		out[i] = CountResult{Estimate: est.Value, Quality: est.Quality}
 	}
 	return out
 }
@@ -491,7 +475,11 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 		// reply the scan has from it, still counts target its own. A later
 		// reply is not asked: the arc may by then be one reroute gave the node
 		// for want of its word. What a lookup has just said needs no second
-		// opinion either.
+		// opinion either. A first reply that moves the arc's start corrects
+		// the view even when the arc still holds target.
+		if remembered && err == nil && !heard && (!fresh.HasArc || fresh.ArcLo != arc.lo) {
+			out.Repair = true
+		}
 		if remembered && (err != nil || !heard && !view.confirm(owner, fresh.ArcLo, fresh.HasArc, target)) {
 			if err != nil {
 				// The node is gone: forget it, its arc and what it said.
@@ -503,7 +491,10 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 			// The attempt goes to the node the ring names instead, unless
 			// the interval has met it. A node that answered and is named
 			// again is taken at the ring's word, with the answer it gave.
+			// The re-route is the scan's stale retry.
 			routed++
+			out.Stale++
+			out.Repair = true
 			again, lerr := p.reroute(target, arc)
 			switch {
 			case lerr != nil:

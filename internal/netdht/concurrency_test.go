@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dhsketch/internal/core"
 	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
 )
@@ -217,13 +218,18 @@ func TestConcurrentCountSurvivesCrash(t *testing.T) {
 }
 
 // TestCountResultJSONShape pins the machine-readable encoding that
-// `dhsnode count -json`, dhsd, and dhsload all emit.
+// `dhsnode count -json`, dhsd, and dhsload all emit: the estimate and
+// every field of core's Quality, under names that are only ever added to.
 func TestCountResultJSONShape(t *testing.T) {
-	b, err := json.Marshal(CountResult{Estimate: 12.5, ProbesAttempted: 9, ProbesFailed: 1, IntervalsSkipped: 2, Degraded: true})
+	b, err := json.Marshal(CountResult{Estimate: 12.5, Quality: core.Quality{
+		ProbesAttempted: 9, ProbesFailed: 1, IntervalsSkipped: 2,
+		VectorsUnresolved: 3, StaleRetries: 4, RepairWindow: true, Degraded: true,
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"estimate":12.5,"probes_attempted":9,"probes_failed":1,"intervals_skipped":2,"degraded":true}`
+	want := `{"estimate":12.5,"probes_attempted":9,"probes_failed":1,"intervals_skipped":2,` +
+		`"vectors_unresolved":3,"stale_retries":4,"repair_window":true,"degraded":true}`
 	if string(b) != want {
 		t.Errorf("CountResult JSON = %s, want %s", b, want)
 	}

@@ -174,8 +174,8 @@ func TestCountAllReplyShape(t *testing.T) {
 		}
 		return out
 	}
-	clean := CountResult{ProbesAttempted: 6}
-	failed := CountResult{ProbesAttempted: 6, ProbesFailed: 1, IntervalsSkipped: 1, Degraded: true}
+	clean := CountResult{Quality: core.Quality{ProbesAttempted: 6, VectorsUnresolved: 64}}
+	failed := CountResult{Quality: core.Quality{ProbesAttempted: 6, ProbesFailed: 1, IntervalsSkipped: 1, VectorsUnresolved: 64, Degraded: true}}
 	for name, tc := range map[string]struct {
 		span  func(q wire.ProbeReq) uint8
 		masks int

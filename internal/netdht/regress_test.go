@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dhsketch/internal/chord"
+	"dhsketch/internal/core"
 	"dhsketch/internal/sketch"
 	"dhsketch/internal/store"
 	"dhsketch/internal/wire"
@@ -77,7 +78,8 @@ func TestCountFailsMisshapenProbeReply(t *testing.T) {
 			}
 			// The estimate of the all-empty sketch is the estimator's
 			// affair; the accounting is what is under test.
-			want := CountResult{Estimate: res.Estimate, ProbesAttempted: 6, ProbesFailed: 3, IntervalsSkipped: 3, Degraded: true}
+			want := CountResult{Estimate: res.Estimate, Quality: core.Quality{
+				ProbesAttempted: 6, ProbesFailed: 3, IntervalsSkipped: 3, VectorsUnresolved: 64, Degraded: true}}
 			if res != want {
 				t.Errorf("Count = %+v, want %+v", res, want)
 			}

@@ -445,10 +445,12 @@ func (f proberFunc) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 // by the time the scan probes it. The probe fails, the target goes back
 // through find_succ, and the books follow the rules a dead owner named
 // by a lookup has always followed: a ring that now names a live node
-// costs nothing but the detour — once: the live node inherits the dead
-// one's arc, so the intervals that follow neither probe the dead node nor
-// route again — and a ring that still names the dead one costs a failed
-// attempt per interval.
+// costs the detour — once: the live node inherits the dead one's arc, so
+// the intervals that follow neither probe the dead node nor route again —
+// and a ring that still names the dead one costs a failed attempt per
+// interval. Either way each re-route is a stale retry, the scan ran in a
+// repair window, and the result says so as a simulated pass would:
+// degraded.
 func TestScanStaleMapEntry(t *testing.T) {
 	// Two members: the fake peer at 2⁶², owning bit 2's interval, and a
 	// dead node at the top of the circle, owning those of bits 1 and 0.
@@ -461,10 +463,13 @@ func TestScanStaleMapEntry(t *testing.T) {
 		// One lookup fills the map; bit 1 resolves both targets to the
 		// dead node, probes it once and re-routes once, and bit 0 finds
 		// the live node holding the whole circle.
-		"ring repaired": {true, 2, CountResult{ProbesAttempted: 6}},
+		"ring repaired": {true, 2, CountResult{Quality: core.Quality{
+			ProbesAttempted: 6, VectorsUnresolved: 64, StaleRetries: 1, RepairWindow: true, Degraded: true}}},
 		// Every re-route teaches the dead node's arc again: bits 1 and 0
 		// each probe it once and re-route once.
-		"ring still names it": {false, 3, CountResult{ProbesAttempted: 6, ProbesFailed: 2, IntervalsSkipped: 2, Degraded: true}},
+		"ring still names it": {false, 3, CountResult{Quality: core.Quality{
+			ProbesAttempted: 6, ProbesFailed: 2, IntervalsSkipped: 2, VectorsUnresolved: 64,
+			StaleRetries: 2, RepairWindow: true, Degraded: true}}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dead := chord.Ref{ID: deadID, Addr: deadAddr(t)}
@@ -536,6 +541,8 @@ func TestScanRangedReplyShape(t *testing.T) {
 		}
 		return out
 	}
+	clean := CountResult{Quality: core.Quality{ProbesAttempted: 6, VectorsUnresolved: 64}}
+	failed := CountResult{Quality: core.Quality{ProbesAttempted: 6, ProbesFailed: 1, IntervalsSkipped: 1, VectorsUnresolved: 64, Degraded: true}}
 	for name, tc := range map[string]struct {
 		reply func(q wire.ProbeReq) wire.ProbeResp
 		want  CountResult
@@ -544,31 +551,31 @@ func TestScanRangedReplyShape(t *testing.T) {
 			func(q wire.ProbeReq) wire.ProbeResp {
 				return wire.ProbeResp{Bit: q.Bit, Span: q.Span, NumVecs: 64, VecMasks: masks(2, 8)}
 			},
-			CountResult{ProbesAttempted: 6},
+			clean,
 		},
 		"one position": {
 			func(q wire.ProbeReq) wire.ProbeResp {
 				return wire.ProbeResp{Bit: q.Bit, NumVecs: 64, VecMasks: masks(1, 8)}
 			},
-			CountResult{ProbesAttempted: 6, ProbesFailed: 1, IntervalsSkipped: 1, Degraded: true},
+			failed,
 		},
 		"a longer run": {
 			func(q wire.ProbeReq) wire.ProbeResp {
 				return wire.ProbeResp{Bit: q.Bit, Span: 3, NumVecs: 64, VecMasks: masks(4, 8)}
 			},
-			CountResult{ProbesAttempted: 6, ProbesFailed: 1, IntervalsSkipped: 1, Degraded: true},
+			failed,
 		},
 		"masks for two metrics": {
 			func(q wire.ProbeReq) wire.ProbeResp {
 				return wire.ProbeResp{Bit: q.Bit, Span: q.Span, NumVecs: 64, VecMasks: masks(4, 8)}
 			},
-			CountResult{ProbesAttempted: 6, ProbesFailed: 1, IntervalsSkipped: 1, Degraded: true},
+			failed,
 		},
 		"masks of another m": {
 			func(q wire.ProbeReq) wire.ProbeResp {
 				return wire.ProbeResp{Bit: q.Bit, Span: q.Span, NumVecs: 8, VecMasks: masks(2, 1)}
 			},
-			CountResult{ProbesAttempted: 6, ProbesFailed: 1, IntervalsSkipped: 1, Degraded: true},
+			failed,
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dhsketch/internal/chord"
+	"dhsketch/internal/core"
 	"dhsketch/internal/md4"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/sim"
@@ -160,7 +161,8 @@ func sweepRounds(cl *Cluster) {
 // remembers, and takes over the top of the scan's range. The first scan
 // after the ring has settled hears of it from the old owner's probe reply,
 // finds it with one lookup, visits it, and counts what a client that has
-// never seen the ring counts.
+// never seen the ring counts — flagged, as a simulated pass that met stale
+// routing state is, for the re-route it paid.
 func TestViewSeesJoin(t *testing.T) {
 	env := sim.NewEnv(21)
 	cl := newTestCluster(t, env, 8)
@@ -206,7 +208,11 @@ func TestViewSeesJoin(t *testing.T) {
 	if lookups == 0 || lookups > 2 || failed != 0 {
 		t.Errorf("finding the joiner cost %d lookups and %d failed exchanges, want 1..2 and none", lookups, failed)
 	}
-	if warm != cold || warm.Degraded || !reflect.DeepEqual(warmLog.all, coldLog.all) {
+	// The warm scan counts what the cold one counts, and its books add the
+	// one re-route that found the joiner: a stale retry in a repair window.
+	wantWarm := cold
+	wantWarm.StaleRetries, wantWarm.RepairWindow, wantWarm.Degraded = 1, true, true
+	if warm != wantWarm || cold.Degraded || !reflect.DeepEqual(warmLog.all, coldLog.all) {
 		t.Errorf("warm and cold scans differ after the join:\n warm %+v %v\n cold %+v %v", warm, warmLog.all, cold, coldLog.all)
 	}
 	if arc, _ := clients[0].view.arc(first.ID()); arc.lo != joiner.ID() {
@@ -219,7 +225,8 @@ func TestViewSeesJoin(t *testing.T) {
 
 // TestViewSeesLeave: the owner of the scan's first interval crashes. The
 // first scan after the ring has settled probes it once, in vain, asks the
-// ring once, and is not degraded; the scan after that pays for neither,
+// ring once, and loses no evidence, though its books show the re-route as
+// a stale retry; the scan after that pays for neither and is clean,
 // the dead node is gone from the view and its successor's arc reaches back
 // to its predecessor.
 func TestViewSeesLeave(t *testing.T) {
@@ -252,8 +259,11 @@ func TestViewSeesLeave(t *testing.T) {
 	if want := uint64(c.cfg.Retries + 1); failed != want || lookups != 1 {
 		t.Errorf("first scan after the crash: %d failed exchanges and %d lookups, want one probe's %d attempts and 1", failed, lookups, want)
 	}
-	if res.Degraded || res.ProbesFailed != 0 {
-		t.Errorf("first scan after the crash is %+v, want the detour to cost nothing on the books", res)
+	// The detour costs no failed probe, and the books say it happened, as
+	// a simulated pass past a dead finger says so: one stale retry, a
+	// corrected arc, degraded.
+	if res.ProbesFailed != 0 || res.StaleRetries != 1 || !res.RepairWindow || !res.Degraded {
+		t.Errorf("first scan after the crash is %+v, want no failed probe and one stale retry", res)
 	}
 	for v := range log.all {
 		if v.owner == dead.ID() {
@@ -275,13 +285,18 @@ func TestViewSeesLeave(t *testing.T) {
 // answers for an arc it cannot vouch for. The view drops the arc, the
 // target goes through the ring, and as long as the node does not know,
 // every target does — as for a client that never held the arc. Once it
-// knows again, one lookup brings the arc back.
+// knows again, one lookup brings the arc back. The scan that loses the arc
+// pays a re-route, a stale retry that degrades it by core's one rule. A
+// predecessor that leaves moves the arc's start without leaving a target
+// to another node: the scan that hears of it has corrected the view, a
+// repair window, and re-routed nothing, so it is not degraded.
 func TestViewUnknownPredecessor(t *testing.T) {
 	var knows atomic.Bool
-	knows.Store(true)
-	pred := chord.Ref{ID: 1 << 60, Addr: "nobody:1"}
-	// One node at the top of the circle, holding all three intervals.
+	var predID atomic.Uint64
+	// One node at the top of the circle, holding all three intervals behind
+	// either predecessor.
 	entry := fakePeer(t, func(self string, req []byte) []byte {
+		pred := chord.Ref{ID: predID.Load(), Addr: "nobody:1"}
 		switch req[1] {
 		case tagFindSucc:
 			near := &chord.Neighbors{}
@@ -313,24 +328,32 @@ func TestViewUnknownPredecessor(t *testing.T) {
 
 	for _, step := range []struct {
 		knows           bool
+		pred            uint64
 		lookups, probes uint64
 		arcs            int
+		stale           int  // re-routes of a remembered arc that did not stand
+		repair          bool // the scan corrected an arc
 	}{
-		{true, 1, 1, 1},  // cold: one lookup, one probe for the whole run
-		{true, 0, 1, 1},  // warm
-		{false, 6, 1, 0}, // the reply, to a probe for the whole run, disowns the arc: every target routed
-		{false, 6, 3, 0}, // and with no arc to go by, every interval asked for alone
-		{true, 1, 1, 1},  // and back
-		{true, 0, 1, 1},
+		{true, 1 << 60, 1, 1, 1, 0, false},  // cold: one lookup, one probe for the whole run
+		{true, 1 << 60, 0, 1, 1, 0, false},  // warm
+		{false, 1 << 60, 6, 1, 0, 1, true},  // the reply, to a probe for the whole run, disowns the arc: every target routed
+		{false, 1 << 60, 6, 3, 0, 0, false}, // and with no arc to go by, every interval asked for alone
+		{true, 1 << 60, 1, 1, 1, 0, false},  // and back
+		{true, 1 << 60, 0, 1, 1, 0, false},
+		{true, 1 << 59, 0, 1, 1, 0, true},  // the predecessor leaves: the first reply grows the arc
+		{true, 1 << 59, 0, 1, 1, 0, false}, // and the scan after finds it as the owner said
 	} {
 		knows.Store(step.knows)
+		predID.Store(step.pred)
 		res, _, lookups, probes, _ := scanLog(c, reg)
 		if lookups != step.lookups || probes != step.probes || len(c.View()) != step.arcs {
 			t.Errorf("predecessor known %v: %d lookups, %d probes, %d arcs; want %d, %d, %d",
 				step.knows, lookups, probes, len(c.View()), step.lookups, step.probes, step.arcs)
 		}
-		if res.Degraded || res.ProbesAttempted != 6 {
-			t.Errorf("predecessor known %v: %+v", step.knows, res)
+		want := core.Quality{ProbesAttempted: 6, VectorsUnresolved: 64,
+			StaleRetries: step.stale, RepairWindow: step.repair, Degraded: step.stale > 0}
+		if res.Quality != want {
+			t.Errorf("predecessor %016x known %v: %+v, want %+v", step.pred, step.knows, res.Quality, want)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dhsketch/internal/core"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/netdht"
 	"dhsketch/internal/serve"
@@ -42,7 +43,7 @@ type batchFake struct {
 func newBatchFake(clk *manualClock) *batchFake { return &batchFake{clk: clk, start: clk.now()} }
 
 func (b *batchFake) answer(metric uint64) netdht.CountResult {
-	return netdht.CountResult{Estimate: float64(metric), ProbesAttempted: int(b.clk.now().Sub(b.start) / time.Millisecond)}
+	return netdht.CountResult{Estimate: float64(metric), Quality: core.Quality{ProbesAttempted: int(b.clk.now().Sub(b.start) / time.Millisecond)}}
 }
 
 func (b *batchFake) Count(metric uint64) (netdht.CountResult, error) {

@@ -36,7 +36,7 @@ func (f *fakeCounter) Count(metric uint64) (netdht.CountResult, error) {
 	if f.err != nil {
 		return netdht.CountResult{}, f.err
 	}
-	return netdht.CountResult{Estimate: 100 + float64(metric), ProbesAttempted: 7}, nil
+	return netdht.CountResult{Estimate: 100 + float64(metric), Quality: core.Quality{ProbesAttempted: 7}}, nil
 }
 
 // manualClock is a mutex-guarded fake time source for TTL arithmetic.
