@@ -9,9 +9,9 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the repository's custom analyzers (internal/lint) over every
-# package: determinism, maporder, dhterrors, panicmsg, lockedcopy,
-# conndeadline, lockrpc, gorolifecycle, wirebounds. Any finding fails
-# the gate. See DESIGN.md §10 for what each analyzer enforces and why.
+# package: determinism, lockedcopy, conndeadline, lockrpc, wirebounds.
+# Any finding fails the gate. See DESIGN.md §10 for what each analyzer
+# enforces and why.
 lint:
 	$(GO) run ./cmd/dhslint ./...
 

@@ -1,8 +1,7 @@
 // Command dhslint runs the repository's custom static-analysis suite
 // (internal/lint) over the given package patterns — a multichecker for
-// the determinism, maporder, dhterrors, panicmsg, lockedcopy,
-// conndeadline, lockrpc, gorolifecycle, and wirebounds analyzers that
-// enforce DESIGN.md §10's invariants.
+// the determinism, lockedcopy, conndeadline, lockrpc, and wirebounds
+// analyzers that enforce DESIGN.md §10's invariants.
 //
 // Usage:
 //

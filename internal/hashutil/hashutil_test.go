@@ -264,8 +264,8 @@ func TestIntervalPanics(t *testing.T) {
 }
 
 // mustPanicWith runs f and asserts it panics with exactly msg. Exact
-// matching pins the "hashutil: ..." prefix convention that the panicmsg
-// analyzer enforces.
+// matching is what pins the "hashutil: ..." prefix convention: no linter
+// checks it.
 func mustPanicWith(t *testing.T, msg string, f func()) {
 	t.Helper()
 	defer func() {

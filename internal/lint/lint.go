@@ -1,40 +1,30 @@
 // Package lint implements dhslint, the repository's custom static-analysis
 // suite. The headline guarantees of this reproduction — byte-identical
 // experiment tables at any -workers count, seeded-PCG-only randomness, and
-// failure-aware counting that never silently drops typed DHT errors — are
-// behavioral invariants that example-based tests can only spot-check. The
-// analyzers here enforce them mechanically over the whole tree (DESIGN.md
-// §10):
+// a networked layer that never blocks on a peer while holding a lock —
+// are behavioral invariants that example-based tests can only spot-check.
+// The analyzers here enforce them mechanically over the whole tree
+// (DESIGN.md §10):
 //
 //   - determinism: no wall-clock time and no process-global randomness in
 //     library and command code; all random streams must flow from explicit
 //     seeds.
-//   - maporder: no order-sensitive accumulation or output inside `range`
-//     over a map in the table-rendering layers.
-//   - dhterrors: DHT and fault-overlay errors in internal/core must be
-//     propagated or classified, never discarded.
-//   - panicmsg: invariant panics are constant strings prefixed with the
-//     package name ("sim: ...", "hashutil: ...").
 //   - lockedcopy: no by-value copies of live mutex- or atomic-bearing
 //     structs (core.Store, sim.Traffic, dht.Counters) outside snapshot
 //     helpers.
-//
-// The second generation (dhslint v2) adds protocol-aware analyzers for
-// the networked layer, built on cross-package facts (an analyzer may
-// export facts about a function in one package — "performs network I/O",
-// "does raw conn reads" — and consume them while checking another):
-//
 //   - conndeadline: every conn Read/Write reachable in internal/netdht
 //     must be dominated by a SetDeadline/SetReadDeadline/SetWriteDeadline
 //     on the same conn.
 //   - lockrpc: no network I/O (dial, frame read/write, RPC exchange)
 //     while holding a sync.Mutex/RWMutex acquired in the enclosing
 //     function.
-//   - gorolifecycle: every go statement in internal/netdht and cmd/ is
-//     tied to a sync.WaitGroup Add/Done pair or a shutdown channel.
 //   - wirebounds: allocations sized from decoded wire fields must be
 //     preceded by a comparison against a named cap constant or the
 //     input length.
+//
+// conndeadline and lockrpc are built on cross-package facts: an analyzer
+// may export facts about a function in one package — "performs network
+// I/O", "does raw conn reads" — and consume them while checking another.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic, testdata golden tests) but is built only on
@@ -52,14 +42,11 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"regexp"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Analyzer is one named check, mirroring x/tools' analysis.Analyzer.
@@ -85,8 +72,7 @@ type Analyzer struct {
 
 	// Run performs the check on one package and reports findings via
 	// pass.Reportf. It may read (but not write) the facts accumulated by
-	// FactsRun; Run invocations for different packages may execute
-	// concurrently.
+	// FactsRun.
 	Run func(pass *Pass) error
 }
 
@@ -116,9 +102,6 @@ func (fs *FactSet) Get(obj types.Object) any {
 	}
 	return fs.m[obj]
 }
-
-// Len returns the number of objects with recorded facts.
-func (fs *FactSet) Len() int { return len(fs.m) }
 
 // Pass carries one analyzer's view of one package, plus the full load set
 // for cross-package inspection (e.g. lockedcopy's guarded-type scan).
@@ -196,17 +179,13 @@ type lineKey struct {
 
 // Run executes the analyzers over the target packages in two phases and
 // returns the surviving findings sorted by position. Phase one runs each
-// analyzer's FactsRun serially over the full load set — targets plus
-// in-module dependencies, in dependency order, ignoring Match — so facts
-// about a dependency (e.g. "peers.exchange performs network I/O") are
-// available when a dependent package is checked. Phase two runs the
-// diagnostics passes package-parallel (workers = GOMAXPROCS; the
-// analyzers only read shared state) and applies //dhslint:allow
-// suppression. Output is deterministic regardless of worker scheduling:
-// findings are globally sorted, and on error the failure from the
-// lowest-indexed package wins. Analyzer Match filters are consulted only
-// when useMatch is set (the driver); golden tests run every analyzer on
-// every fixture.
+// analyzer's FactsRun over the full load set — targets plus in-module
+// dependencies, in dependency order, ignoring Match — so facts about a
+// dependency (e.g. "peers.exchange performs network I/O") are available
+// when a dependent package is checked. Phase two runs the diagnostics
+// passes package by package and applies //dhslint:allow suppression.
+// Analyzer Match filters are consulted only when useMatch is set
+// (cmd/dhslint); golden tests run every analyzer on every fixture.
 func Run(analyzers []*Analyzer, pkgs []*Package, useMatch bool) ([]Diagnostic, error) {
 	if len(pkgs) == 0 {
 		return nil, nil
@@ -225,36 +204,24 @@ func Run(analyzers []*Analyzer, pkgs []*Package, useMatch bool) ([]Diagnostic, e
 		}
 	}
 
-	perPkg := make([][]Diagnostic, len(pkgs))
-	errs := make([]error, len(pkgs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				perPkg[i], errs[i] = checkPackage(analyzers, pkgs[i], facts, useMatch)
-			}
-		}()
-	}
-	for i := range pkgs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	var diags []Diagnostic
-	for _, d := range perPkg {
-		diags = append(diags, d...)
+	for _, pkg := range pkgs {
+		allowed := allowedLines(pkg.Fset, pkg.Syntax)
+		for _, a := range analyzers {
+			if useMatch && a.Match != nil && !a.Match(pkg.Path) {
+				continue
+			}
+			var raw []Diagnostic
+			pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, All: pkg.all, Facts: facts[a], diags: &raw}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
+			}
+			for _, d := range raw {
+				if !allowed[a.Name][lineKey{d.Pos.Filename, d.Pos.Line}] {
+					diags = append(diags, d)
+				}
+			}
+		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -272,41 +239,13 @@ func Run(analyzers []*Analyzer, pkgs []*Package, useMatch bool) ([]Diagnostic, e
 	return diags, nil
 }
 
-// checkPackage runs the diagnostics phase of every matching analyzer on
-// one package and applies //dhslint:allow suppression.
-func checkPackage(analyzers []*Analyzer, pkg *Package, facts map[*Analyzer]*FactSet, useMatch bool) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	allowed := allowedLines(pkg.Fset, pkg.Syntax)
-	for _, a := range analyzers {
-		if useMatch && a.Match != nil && !a.Match(pkg.Path) {
-			continue
-		}
-		var raw []Diagnostic
-		pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, All: pkg.all, Facts: facts[a], diags: &raw}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.Path, err)
-		}
-		for _, d := range raw {
-			if allowed[a.Name][lineKey{d.Pos.Filename, d.Pos.Line}] {
-				continue
-			}
-			diags = append(diags, d)
-		}
-	}
-	return diags, nil
-}
-
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
-		MapOrderAnalyzer,
-		DHTErrorsAnalyzer,
-		PanicMsgAnalyzer,
 		LockedCopyAnalyzer,
 		ConnDeadlineAnalyzer,
 		LockRPCAnalyzer,
-		GoroLifecycleAnalyzer,
 		WireBoundsAnalyzer,
 	}
 }
@@ -343,13 +282,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 // GOPATH-style fixture layout used by the golden tests.
 func pathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
-}
-
-// constString returns the compile-time string value of e, if it has one.
-func constString(info *types.Info, e ast.Expr) (string, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
 }

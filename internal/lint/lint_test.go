@@ -28,28 +28,11 @@ func TestDeterminismStab(t *testing.T) {
 	linttest.Run(t, testdata, lint.DeterminismAnalyzer, "dhsketch/internal/stab")
 }
 
-func TestMapOrder(t *testing.T) {
-	linttest.Run(t, testdata, lint.MapOrderAnalyzer, "maporder/a")
-}
-
-// TestStoreFixture runs the two analyzers that watch the real tuple
-// store over a store-shaped fixture: GC deadlines must come from the
-// deterministic clock (never the wall clock or the global random
-// source), and index enumerations must collect-then-sort rather than
-// leak map iteration order. One fixture, the union of both analyzers'
-// findings.
+// TestStoreFixture runs the determinism analyzer over a store-shaped
+// fixture: GC deadlines must come from the deterministic clock, never
+// the wall clock or the global random source.
 func TestStoreFixture(t *testing.T) {
-	linttest.RunAnalyzers(t, testdata,
-		[]*lint.Analyzer{lint.DeterminismAnalyzer, lint.MapOrderAnalyzer},
-		"dhsketch/internal/store")
-}
-
-func TestDHTErrors(t *testing.T) {
-	linttest.Run(t, testdata, lint.DHTErrorsAnalyzer, "dhsketch/internal/core")
-}
-
-func TestPanicMsg(t *testing.T) {
-	linttest.Run(t, testdata, lint.PanicMsgAnalyzer, "panicmsg/a")
+	linttest.Run(t, testdata, lint.DeterminismAnalyzer, "dhsketch/internal/store")
 }
 
 func TestLockedCopy(t *testing.T) {
@@ -72,10 +55,6 @@ func TestLockRPCThroughInterface(t *testing.T) {
 	linttest.Run(t, testdata, lint.LockRPCAnalyzer, "lockrpc/peers", "lockrpc/tcp")
 }
 
-func TestGoroLifecycle(t *testing.T) {
-	linttest.Run(t, testdata, lint.GoroLifecycleAnalyzer, "gorolifecycle/a")
-}
-
 func TestWireBounds(t *testing.T) {
 	linttest.Run(t, testdata, lint.WireBoundsAnalyzer, "wirebounds/a")
 }
@@ -86,27 +65,20 @@ func TestPlantedPositions(t *testing.T) {
 	linttest.MustFindAt(t, testdata, lint.DeterminismAnalyzer, "determinism/planted", "planted.go", 7, 9)
 	linttest.MustFindAt(t, testdata, lint.DeterminismAnalyzer, "dhsketch/internal/obs", "obs.go", 41, 7)
 	linttest.MustFindAt(t, testdata, lint.DeterminismAnalyzer, "dhsketch/internal/stab", "stab.go", 69, 13)
-	linttest.MustFindAt(t, testdata, lint.MapOrderAnalyzer, "maporder/planted", "planted.go", 7, 2)
-	linttest.MustFindAt(t, testdata, lint.MapOrderAnalyzer, "dhsketch/internal/store", "store.go", 61, 2)
-	linttest.MustFindAt(t, testdata, lint.DeterminismAnalyzer, "dhsketch/internal/store", "store.go", 96, 9)
-	linttest.MustFindAt(t, testdata, lint.DeterminismAnalyzer, "dhsketch/internal/store", "store.go", 103, 5)
-	linttest.MustFindAt(t, testdata, lint.DHTErrorsAnalyzer, "dhsketch/internal/core", "core.go", 15, 2)
-	linttest.MustFindAt(t, testdata, lint.PanicMsgAnalyzer, "panicmsg/planted", "planted.go", 5, 14)
+	linttest.MustFindAt(t, testdata, lint.DeterminismAnalyzer, "dhsketch/internal/store", "store.go", 50, 9)
+	linttest.MustFindAt(t, testdata, lint.DeterminismAnalyzer, "dhsketch/internal/store", "store.go", 57, 5)
 	linttest.MustFindAt(t, testdata, lint.LockedCopyAnalyzer, "lockedcopy/planted", "planted.go", 10, 27)
 	linttest.MustFindAt(t, testdata, lint.ConnDeadlineAnalyzer, "conndeadline/planted", "planted.go", 16, 2)
 	linttest.MustFindAt(t, testdata, lint.LockRPCAnalyzer, "lockrpc/planted", "planted.go", 20, 2)
-	linttest.MustFindAt(t, testdata, lint.GoroLifecycleAnalyzer, "gorolifecycle/planted", "planted.go", 8, 2)
 	linttest.MustFindAt(t, testdata, lint.WireBoundsAnalyzer, "wirebounds/planted", "planted.go", 9, 9)
 }
 
 // TestPlantedHaveWants keeps the planted fixtures honest as golden files
 // too: the planted packages must pass the want-comment comparison.
 func TestPlantedHaveWants(t *testing.T) {
-	linttest.Run(t, testdata, lint.MapOrderAnalyzer, "maporder/planted")
 	linttest.Run(t, testdata, lint.LockedCopyAnalyzer, "lockedcopy/planted")
 	linttest.Run(t, testdata, lint.ConnDeadlineAnalyzer, "conndeadline/planted")
 	linttest.Run(t, testdata, lint.LockRPCAnalyzer, "lockrpc/planted")
-	linttest.Run(t, testdata, lint.GoroLifecycleAnalyzer, "gorolifecycle/planted")
 	linttest.Run(t, testdata, lint.WireBoundsAnalyzer, "wirebounds/planted")
 }
 
@@ -117,15 +89,6 @@ func TestMatchScopes(t *testing.T) {
 		path     string
 		want     bool
 	}{
-		{lint.MapOrderAnalyzer, "dhsketch/internal/experiments", true},
-		{lint.MapOrderAnalyzer, "dhsketch/internal/stats", true},
-		{lint.MapOrderAnalyzer, "dhsketch/cmd/dhsbench", true},
-		{lint.MapOrderAnalyzer, "dhsketch/internal/store", true},
-		{lint.MapOrderAnalyzer, "dhsketch/internal/core", false},
-		{lint.DHTErrorsAnalyzer, "dhsketch/internal/core", true},
-		{lint.DHTErrorsAnalyzer, "dhsketch/internal/sim", false},
-		{lint.PanicMsgAnalyzer, "dhsketch/internal/hashutil", true},
-		{lint.PanicMsgAnalyzer, "dhsketch/cmd/calibrate", false},
 		{lint.ConnDeadlineAnalyzer, "dhsketch/internal/netdht", true},
 		{lint.ConnDeadlineAnalyzer, "dhsketch/internal/wire", false},
 		{lint.LockRPCAnalyzer, "dhsketch/internal/netdht", true},
@@ -134,12 +97,6 @@ func TestMatchScopes(t *testing.T) {
 		{lint.LockRPCAnalyzer, "dhsketch/cmd/dhsnode", true},
 		{lint.LockRPCAnalyzer, "dhsketch/cmd/dhsd", true},
 		{lint.LockRPCAnalyzer, "dhsketch/internal/obs", false},
-		{lint.GoroLifecycleAnalyzer, "dhsketch/internal/netdht", true},
-		{lint.GoroLifecycleAnalyzer, "dhsketch/internal/serve", true},
-		{lint.GoroLifecycleAnalyzer, "dhsketch/cmd/dhsbench", true},
-		{lint.GoroLifecycleAnalyzer, "dhsketch/cmd/dhsd", true},
-		{lint.GoroLifecycleAnalyzer, "dhsketch/cmd/dhsload", true},
-		{lint.GoroLifecycleAnalyzer, "dhsketch/internal/runner", false},
 		{lint.WireBoundsAnalyzer, "dhsketch/internal/wire", true},
 		{lint.WireBoundsAnalyzer, "dhsketch/internal/netdht", true},
 		{lint.WireBoundsAnalyzer, "dhsketch/internal/core", false},

@@ -32,23 +32,14 @@ var wantRE = regexp.MustCompile("// want (`[^`]*`(?: `[^`]*`)*)")
 // // want comments.
 func Run(t *testing.T, testdata string, a *lint.Analyzer, paths ...string) {
 	t.Helper()
-	RunAnalyzers(t, testdata, []*lint.Analyzer{a}, paths...)
-}
-
-// RunAnalyzers is Run over several analyzers at once: the fixture's
-// want comments are compared against the union of their findings, so
-// one fixture file can pin the behavior of every analyzer that watches
-// its real counterpart.
-func RunAnalyzers(t *testing.T, testdata string, as []*lint.Analyzer, paths ...string) {
-	t.Helper()
 	loader := lint.NewLoader(testdata+"/src", "")
 	pkgs, err := loader.Load(paths...)
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}
-	diags, err := lint.Run(as, pkgs, false)
+	diags, err := lint.Run([]*lint.Analyzer{a}, pkgs, false)
 	if err != nil {
-		t.Fatalf("running analyzers: %v", err)
+		t.Fatalf("running %s: %v", a.Name, err)
 	}
 
 	type key struct {

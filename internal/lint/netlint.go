@@ -7,9 +7,9 @@ import (
 )
 
 // Shared machinery for the protocol-aware analyzers (conndeadline,
-// lockrpc, gorolifecycle, wirebounds). Detection of "connection-shaped"
-// and "reader/writer-shaped" values is structural — by method set, not
-// by identity with net.Conn — so the analyzers work on wrapper types and
+// lockrpc, wirebounds). Detection of "connection-shaped" and
+// "reader/writer-shaped" values is structural — by method set, not by
+// identity with net.Conn — so the analyzers work on wrapper types and
 // the golden fixtures can model sockets without importing package net.
 
 // deadlineSetters are the net.Conn methods that arm a socket deadline.

@@ -1,17 +1,12 @@
 // Package store mirrors the real per-node tuple store's shape for the
-// determinism and maporder golden tests. The store sits on both hot
-// paths the analyzers guard: its garbage collection must be driven by
-// the deterministic simulation clock (never the wall clock, never the
-// process-global random source), and any enumeration of its two-level
-// map index must not leak Go's randomized map iteration order into
-// output. The approved patterns are written out unflagged next to each
-// planted shortcut.
+// determinism golden tests. Its garbage collection must be driven by the
+// deterministic simulation clock — never the wall clock, never the
+// process-global random source. The approved pattern is written out
+// unflagged next to each planted shortcut.
 package store
 
 import (
-	"math/bits"
 	"math/rand/v2"
-	"sort"
 	"time"
 )
 
@@ -33,47 +28,6 @@ type leaf struct {
 type Store struct {
 	leaves map[leafKey]*leaf
 	live   int
-}
-
-// Keys enumerates the index in deterministic order — the canonical
-// collect-then-sort pattern. Appending map keys to a slice is fine when
-// the same slice is sorted before use; maporder recognizes the
-// intervening sort and stays quiet.
-func (s *Store) Keys() []leafKey {
-	lks := make([]leafKey, 0, len(s.leaves))
-	for lk := range s.leaves {
-		lks = append(lks, lk)
-	}
-	sort.Slice(lks, func(i, j int) bool {
-		if lks[i].metric != lks[j].metric {
-			return lks[i].metric < lks[j].metric
-		}
-		return lks[i].bit < lks[j].bit
-	})
-	return lks
-}
-
-// keysUnsorted is the planted maporder violation: the collected keys
-// escape in map order, so two runs of the same simulation would
-// enumerate tuples differently.
-func (s *Store) keysUnsorted() []leafKey {
-	var out []leafKey
-	for lk := range s.leaves { // want `appends to a slice declared outside the loop`
-		out = append(out, lk)
-	}
-	return out
-}
-
-// liveCount folds integers across the map — order-insensitive, and not
-// flagged: integer addition commutes bit-exactly.
-func (s *Store) liveCount() int {
-	n := 0
-	for _, lf := range s.leaves {
-		for _, w := range lf.bits {
-			n += bits.OnesCount64(w)
-		}
-	}
-	return n
 }
 
 // sweepAt garbage-collects against a caller-supplied tick from the

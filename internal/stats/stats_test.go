@@ -68,8 +68,9 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-// mustPanicWith runs f and asserts it panics with exactly msg, pinning
-// the "stats: ..." prefix convention the panicmsg analyzer enforces.
+// mustPanicWith runs f and asserts it panics with exactly msg. Exact
+// matching is what pins the "stats: ..." prefix convention: no linter
+// checks it.
 func mustPanicWith(t *testing.T, msg string, f func()) {
 	t.Helper()
 	defer func() {
