@@ -9,6 +9,9 @@
 //	         [-workers N] [-trace file.jsonl] [-tracebuf N]
 //	         [-cpuprofile file] [-memprofile file]
 //
+// E3 sweeps N over 1024, 2048, 4096 and 10240; -nodes N runs it at N
+// alone.
+//
 // Sweep-style experiments (e3, e4, e8, e12f) fan their independent cells
 // across -workers goroutines (default: one per CPU). Every cell builds
 // its own deterministic world from -seed, so the printed tables are
@@ -58,7 +61,13 @@ var experimentList = []experiment{
 	{"e2", "Table 2: counting costs",
 		func(p experiments.Params) (renderer, error) { return experiments.RunE2(p, nil) }},
 	{"e3", "scalability sweep (figure omitted in paper)",
-		func(p experiments.Params) (renderer, error) { return experiments.RunE3(p, nil) }},
+		func(p experiments.Params) (renderer, error) {
+			var sizes []int // the pinned sweep, unless -nodes names one size
+			if p.Nodes != 0 {
+				sizes = []int{p.Nodes}
+			}
+			return experiments.RunE3(p, sizes)
+		}},
 	{"e4", "accuracy vs number of bitmaps, incl. degradation",
 		func(p experiments.Params) (renderer, error) { return experiments.RunE4(p, nil) }},
 	{"e5", "Table 3: histogram building costs",
@@ -98,7 +107,7 @@ func experimentNames() string {
 func main() {
 	var (
 		exp     = flag.String("experiment", "all", "which experiment to run: "+experimentNames())
-		nodes   = flag.Int("nodes", 0, "overlay size N (default 1024)")
+		nodes   = flag.Int("nodes", 0, "overlay size N (default 1024; e3 sweeps 1024 to 10240 unless it is set)")
 		scale   = flag.Int("scale", 0, "relation scale divisor (default 100; 10 = paper-faithful alpha, 1 = full paper scale)")
 		m       = flag.Int("m", 0, "default bitmap vectors (default 512)")
 		trials  = flag.Int("trials", 0, "counting trials per configuration (default 20)")

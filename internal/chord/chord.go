@@ -39,7 +39,7 @@ type Node struct {
 	alive    atomic.Bool
 	app      atomic.Pointer[appBox]
 	counters dht.Counters
-	proto    *Machine
+	proto    Machine
 }
 
 // appBox wraps the application state so a nil interface is storable in
@@ -72,7 +72,7 @@ func (n *Node) SetApp(state any) { n.app.Store(&appBox{v: state}) }
 func (n *Node) Counters() *dht.Counters { return &n.counters }
 
 // Protocol returns the node's protocol state machine.
-func (n *Node) Protocol() *Machine { return n.proto }
+func (n *Node) Protocol() *Machine { return &n.proto }
 
 // ringLocked is the per-node lock of a simulated node: none. Each ring
 // orders every access to protocol state itself — StabilizingRing with
@@ -87,7 +87,7 @@ func (ringLocked) Unlock() {}
 // constructing the ring.
 func newNode(m *Membership[*Node], name string) *Node {
 	n := &Node{id: m.NewID(name), name: name}
-	n.proto = NewMachine(Ref{ID: n.id, Addr: name, mem: n}, m.cfg, ringLocked{})
+	n.proto = Machine{self: Ref{ID: n.id, Addr: name, mem: n}, cfg: m.cfg, mu: ringLocked{}}
 	n.alive.Store(true)
 	m.Add(n)
 	return n
@@ -250,7 +250,7 @@ func (r *Ring) retargetFingers(lo, span uint64, to *Node) {
 		step := uint64(1) << uint(i)
 		// n.id + 2^i ∈ (lo, lo+span] ⇔ n.id ∈ [lo−2^i+1, lo−2^i+span].
 		r.forEachLiveIn(lo-step+1, span, func(n *Node) {
-			n.proto.fingers[i] = ref
+			n.proto.fingers.set(i, ref)
 		})
 	}
 }

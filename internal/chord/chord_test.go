@@ -383,3 +383,16 @@ func BenchmarkLookup(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNew times building a converged Ring. Its B/op is the ring's
+// footprint: what every node's Machine, fingers included, allocates.
+func BenchmarkNew(b *testing.B) {
+	for _, n := range []int{1024, 10240} {
+		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				New(sim.NewEnv(1), n)
+			}
+		})
+	}
+}

@@ -101,7 +101,7 @@ type Machine struct {
 	mu         sync.Locker
 	pred       Ref
 	succ       []Ref
-	fingers    [fingerBits]Ref
+	fingers    fingerTable
 	nextFinger int
 }
 
@@ -121,14 +121,14 @@ func (n *Machine) Seed(pred Ref, succ []Ref, fingers [fingerBits]Ref) {
 	defer n.mu.Unlock()
 	n.pred = pred
 	n.succ = slices.Clone(succ)
-	n.fingers = fingers
+	n.fingers.load(&fingers)
 }
 
 // State returns a copy of the protocol state.
 func (n *Machine) State() (pred Ref, succ []Ref, fingers [fingerBits]Ref) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.pred, slices.Clone(n.succ), n.fingers
+	return n.pred, slices.Clone(n.succ), n.fingers.expand()
 }
 
 // Successor returns the head of the believed successor list.
@@ -261,10 +261,16 @@ func (n *Machine) candidate(cur *cursor, key, dKey uint64) (c Ref, deliver, own 
 		cur.phase, cur.i = 1, bits.Len64(dKey-1)
 	}
 	if cur.phase == 1 {
+		// Slot by slot from the top, but a finger that does not qualify
+		// is passed over with its whole run: a finger qualifies or not
+		// whichever slot holds it, so one that does is offered once per
+		// slot it fills, and each offer can cost a stale hop.
 		for cur.i--; cur.i >= 0; cur.i-- {
-			if f := n.fingers[cur.i]; f.Valid() && f.ID != self && dist(self, f.ID) < dKey {
+			f, first := n.fingers.get(cur.i)
+			if f.Valid() && f.ID != self && dist(self, f.ID) < dKey {
 				return f, false, false
 			}
+			cur.i = first
 		}
 		cur.phase, cur.i = 2, 0
 	}
@@ -326,7 +332,7 @@ func (n *Machine) Stabilize(p Peers) (changes int, gained []Ref) {
 	n.mu.Lock()
 	moved := !slices.Equal(n.succ, list)
 	n.succ = list
-	n.fingers[0] = s
+	n.fingers.set(0, s)
 	n.mu.Unlock()
 	if moved {
 		changes++
@@ -356,7 +362,7 @@ func (n *Machine) HandleNotify(from Ref) (changed bool) {
 	}
 	if len(n.succ) == 0 {
 		n.succ = []Ref{from}
-		n.fingers[0] = from
+		n.fingers.set(0, from)
 		changed = true
 	}
 	return changed
@@ -376,8 +382,7 @@ func (n *Machine) FixFingers(p Peers) (changes int) {
 			continue
 		}
 		n.mu.Lock()
-		if n.fingers[i] != f.Owner {
-			n.fingers[i] = f.Owner
+		if n.fingers.set(i, f.Owner) {
 			changes++
 		}
 		n.mu.Unlock()
@@ -429,9 +434,7 @@ func (n *Machine) Join(p Peers, boot Ref) (Ref, error) {
 	list := n.listBehind(s, nb.Succ)
 	n.mu.Lock()
 	n.succ = list
-	for i := range n.fingers {
-		n.fingers[i] = s
-	}
+	n.fingers.fill(s)
 	n.mu.Unlock()
 	if _, err := p.Notify(s, n.self); err != nil {
 		return Ref{}, fmt.Errorf("notify %s: %w", s.Addr, err)

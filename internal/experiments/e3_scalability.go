@@ -75,7 +75,7 @@ func RunE3(p Params, sizes []int) (*E3Result, error) {
 func (r *E3Result) Render(w io.Writer) {
 	tw := newTable(w)
 	fmt.Fprintf(tw, "E3 scalability (m=%d, scale=1/%d)\n", r.Params.M, r.Params.Scale)
-	fmt.Fprintln(tw, "N\tcount hops (sLL/PCSA)\tnodes visited (sLL/PCSA)\tinsert hops\terror %% (sLL/PCSA)")
+	fmt.Fprintln(tw, "N\tcount hops (sLL/PCSA)\tnodes visited (sLL/PCSA)\tinsert hops\terror % (sLL/PCSA)")
 	for _, row := range r.Rows {
 		fmt.Fprintf(tw, "%d\t%.0f / %.0f\t%.0f / %.0f\t%.2f\t%.1f / %.1f\n",
 			row.Nodes,
