@@ -8,33 +8,6 @@ import (
 	"dhsketch/internal/sim"
 )
 
-// passTracer carries one counting pass's tracing context through the scan
-// helpers. Its zero value (nil sink) is inert: emit performs exactly one
-// nil check and constructs nothing — the entire per-event cost on hot
-// paths when tracing is disabled.
-type passTracer struct {
-	t    obs.Tracer
-	env  *sim.Env
-	pass uint64
-}
-
-// emit records one pass-scoped event; node is 0 when no node was reached
-// and bit is −1 when the event is not interval-specific.
-func (pt *passTracer) emit(kind obs.Kind, node uint64, bit int, arg int64, err error) {
-	if pt.t == nil {
-		return
-	}
-	pt.t.Event(obs.Event{
-		Tick: pt.env.Clock.Now(),
-		Kind: kind,
-		Pass: pt.pass,
-		Node: node,
-		Bit:  int16(bit),
-		Arg:  arg,
-		Err:  obs.Classify(err),
-	})
-}
-
 // Count estimates the cardinality of the metric's multiset from a random
 // querying node (§4, Algorithm 1).
 func (d *DHS) Count(metric uint64) (Estimate, error) {
@@ -83,23 +56,15 @@ func (d *DHS) CountAllFrom(src dht.Node, metrics []uint64) ([]Estimate, error) {
 }
 
 // scanPass runs one counting pass from src with the given per-bit probe
-// budget: the shared scan over this handle's successor-walk prober. Every
-// pass ends alike: each estimate carries the pass's whole cost, and
-// count-done is emitted.
+// budget: the shared scan over this handle's successor-walk prober, traced
+// to the environment's sink. Each estimate carries the pass's whole cost.
 func (d *DHS) scanPass(src dht.Node, metrics []uint64, limFor func(bit int) int) []Estimate {
 	rng, pass := d.countPass()
-	w := &walkProber{d: d, src: src, rng: rng, pt: passTracer{t: d.env.Tracer(), env: d.env, pass: pass}}
-	w.pt.emit(obs.KindCountStart, src.ID(), -1, int64(len(metrics)), nil)
-	ests := d.geom.Scan(w, metrics, limFor)
+	w := &walkProber{d: d, src: src, rng: rng}
+	tr := Trace{Sink: d.env.Tracer(), Pass: pass, Node: src.ID(), Tick: d.env.Clock.Now()}
+	ests := d.geom.Scan(w, metrics, limFor, tr)
 	for i := range ests {
 		ests[i].Cost = w.cost
-		if w.pt.t != nil {
-			w.pt.t.Event(obs.Event{
-				Tick: d.env.Clock.Now(), Kind: obs.KindCountDone, Pass: pass,
-				Node: src.ID(), Metric: metrics[i], Bit: -1,
-				Arg: int64(ests[i].Quality.VectorsUnresolved),
-			})
-		}
 	}
 	return ests
 }
@@ -127,12 +92,11 @@ func (d *DHS) walkFallback(cur dht.Node) dht.Node {
 // walkProber is the in-process Prober: Algorithm 1's probe-and-retry
 // walk over a dht.Overlay whose nodes' stores it reads directly. It
 // meters every step against the environment's Traffic record and its own
-// CountCost, and emits the pass's trace events.
+// CountCost, and reports its lookups and walk steps to the Visitor.
 type walkProber struct {
 	d     *DHS
 	src   dht.Node
 	rng   *rand.Rand // the pass's private stream
-	pt    passTracer
 	cost  CountCost
 	reply storeReply
 }
@@ -164,7 +128,7 @@ func (r *storeReply) AppendVectors(dst []uint64, metric uint64) []uint64 {
 // All randomness comes from the pass's private stream, so concurrent
 // passes neither contend on nor perturb each other.
 func (w *walkProber) ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcome {
-	d, pt, cost := w.d, &w.pt, &w.cost
+	d, cost := w.d, &w.cost
 	lo, size := d.geom.Interval(bit)
 	out := IntervalOutcome{Repair: !d.overlay.Converged()}
 
@@ -180,9 +144,8 @@ func (w *walkProber) ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcom
 		cost.Hops += int64(h)
 		cost.Bytes += int64(h) * int64(ProbeReqBytes+resp)
 		d.env.Traffic.Account(h, ProbeReqBytes+resp)
-		pt.emit(obs.KindProbe, n.ID(), int(bit), int64(h), nil)
 		w.reply = storeReply{s: storeIfPresent(n), bit: uint8(bit), now: d.env.Clock.Now()}
-		return v.Visit(&w.reply)
+		return v.Visit(n.ID(), h, &w.reply)
 	}
 
 	// fail records a failed step: the budget is spent and the traffic
@@ -207,12 +170,12 @@ func (w *walkProber) ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcom
 		out.Attempted++
 		out.Stale += rt.Stale
 		if err != nil {
-			pt.emit(obs.KindLookup, 0, int(bit), int64(rt.Hops), err)
+			v.Note(obs.KindLookup, 0, int64(rt.Hops), err)
 			fail(rt.Hops)
 			return nil, 0, false
 		}
 		cost.Lookups++
-		pt.emit(obs.KindLookup, rt.Node.ID(), int(bit), int64(rt.Hops), nil)
+		v.Note(obs.KindLookup, rt.Node.ID(), int64(rt.Hops), nil)
 		return rt.Node, rt.Hops, true
 	}
 
@@ -245,7 +208,7 @@ func (w *walkProber) ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcom
 			next, err := d.overlay.Successor(cur)
 			out.Attempted++
 			if err != nil {
-				pt.emit(obs.KindWalkStep, 0, int(bit), 1, err)
+				v.Note(obs.KindWalkStep, 0, 1, err)
 				fail(1)
 				// On a stabilizing overlay the death of a believed
 				// successor need not end the segment: fall back through
@@ -254,7 +217,7 @@ func (w *walkProber) ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcom
 				// the interval afresh.
 				if fb := d.walkFallback(cur); fb != nil {
 					out.Stale++
-					pt.emit(obs.KindWalkStep, fb.ID(), int(bit), 1, nil)
+					v.Note(obs.KindWalkStep, fb.ID(), 1, nil)
 					if fb == home {
 						return out // wrapped around a tiny ring
 					}
@@ -267,7 +230,7 @@ func (w *walkProber) ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcom
 				cur = nil // the walk lost its footing; re-enter afresh
 				continue
 			}
-			pt.emit(obs.KindWalkStep, next.ID(), int(bit), 1, nil)
+			v.Note(obs.KindWalkStep, next.ID(), 1, nil)
 			if next == home {
 				return out // wrapped all the way around a tiny ring
 			}
@@ -306,12 +269,12 @@ func (w *walkProber) ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcom
 	for out.Attempted < lim && inIntervalRange(cur.ID(), lo, size) {
 		next, err := d.overlay.Successor(cur)
 		if err != nil {
-			pt.emit(obs.KindWalkStep, 0, int(bit), 1, err)
+			v.Note(obs.KindWalkStep, 0, 1, err)
 			out.Attempted++
 			fail(1)
 			break
 		}
-		pt.emit(obs.KindWalkStep, next.ID(), int(bit), 1, nil)
+		v.Note(obs.KindWalkStep, next.ID(), 1, nil)
 		if next == home {
 			return out // wrapped all the way around a tiny ring
 		}
@@ -329,12 +292,12 @@ func (w *walkProber) ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcom
 	for out.Attempted < lim {
 		prev, err := d.overlay.Predecessor(back)
 		if err != nil {
-			pt.emit(obs.KindWalkStep, 0, int(bit), -1, err)
+			v.Note(obs.KindWalkStep, 0, -1, err)
 			out.Attempted++
 			fail(1)
 			break
 		}
-		pt.emit(obs.KindWalkStep, prev.ID(), int(bit), -1, nil)
+		v.Note(obs.KindWalkStep, prev.ID(), -1, nil)
 		if prev == home || !inIntervalRange(prev.ID(), lo, size) {
 			break
 		}

@@ -11,19 +11,8 @@ import (
 // replication are not pass-scoped, so Pass stays 0), stamped with the
 // environment clock. One nil check when tracing is disabled.
 func (d *DHS) trace(kind obs.Kind, node, metric uint64, bit int, arg int64, err error) {
-	t := d.env.Tracer()
-	if t == nil {
-		return
-	}
-	t.Event(obs.Event{
-		Tick:   d.env.Clock.Now(),
-		Kind:   kind,
-		Node:   node,
-		Metric: metric,
-		Bit:    int16(bit),
-		Arg:    arg,
-		Err:    obs.Classify(err),
-	})
+	tr := Trace{Sink: d.env.Tracer(), Tick: d.env.Clock.Now()}
+	tr.emit(kind, node, metric, bit, arg, err)
 }
 
 // InsertCost itemizes what an insertion consumed.

@@ -61,7 +61,7 @@ func (d *DHS) RepairFunc() func(n dht.Node, added []dht.Node) {
 			return
 		}
 		msgBytes := MsgHeaderBytes + TupleBytes*len(entries)
-		tracer := d.env.Tracer()
+		tr := Trace{Sink: d.env.Tracer(), Tick: now}
 		for _, a := range added {
 			if a == nil || !a.Alive() {
 				continue
@@ -75,12 +75,7 @@ func (d *DHS) RepairFunc() func(n dht.Node, added []dht.Node) {
 			atomic.AddInt64(&d.repairStats.Targets, 1)
 			atomic.AddInt64(&d.repairStats.Tuples, int64(len(entries)))
 			atomic.AddInt64(&d.repairStats.Bytes, int64(msgBytes))
-			if tracer != nil {
-				tracer.Event(obs.Event{
-					Tick: now, Kind: obs.KindRepair,
-					Node: a.ID(), Bit: -1, Arg: int64(len(entries)),
-				})
-			}
+			tr.emit(obs.KindRepair, a.ID(), 0, -1, int64(len(entries)), nil)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 
+	"dhsketch/internal/obs"
 	"dhsketch/internal/sketch"
 )
 
@@ -14,7 +15,8 @@ import (
 type Prober interface {
 	// ProbeInterval spends up to lim units of probe budget on the
 	// interval storing bit. It calls v.Visit once per node that answers
-	// — never concurrently — and may stop once Visit returns true. A
+	// — never concurrently — and may stop once Visit returns true; the
+	// steps that find those nodes it reports through v.Note. A
 	// failed step consumes budget like a successful one (lim bounds
 	// work, not successes); the outcome reports what the budget bought,
 	// and what stale routing state the prober met on the way, in the
@@ -71,13 +73,45 @@ func newMetricState(metric uint64, m int) *metricState {
 	return st
 }
 
+// Trace is what every event of one counting pass shares: the sink they
+// go to, the pass number, the querying node, and the virtual instant — a
+// count never advances the clock, so one tick stamps the whole pass. The
+// zero Trace (nil Sink) traces nothing: each potential event then costs
+// one nil check and constructs nothing.
+type Trace struct {
+	Sink obs.Tracer
+	Pass uint64
+	Node uint64
+	Tick int64
+}
+
+// emit records one event of the pass; node is 0 when no node was reached
+// and bit is −1 when the event is not interval-specific.
+func (t *Trace) emit(kind obs.Kind, node, metric uint64, bit int, arg int64, err error) {
+	if t.Sink == nil {
+		return
+	}
+	t.Sink.Event(obs.Event{
+		Tick:   t.Tick,
+		Kind:   kind,
+		Pass:   t.Pass,
+		Node:   node,
+		Metric: metric,
+		Bit:    int16(bit),
+		Arg:    arg,
+		Err:    obs.Classify(err),
+	})
+}
+
 // Visitor is the resolution state of one counting pass, handed to the
-// Prober so it can deliver replies and ask which metrics are still open.
+// Prober so it can deliver replies, report its steps, and ask which
+// metrics are still open.
 type Visitor struct {
 	ascending bool
 	bit       int // position being probed
 	states    []*metricState
 	open      int // metrics with unresolved vectors
+	tr        Trace
 }
 
 // Open returns how many metrics still have unresolved vectors — the
@@ -96,12 +130,22 @@ func (v *Visitor) Metrics() []uint64 {
 	return open
 }
 
-// Visit folds one node's reply into the pass and reports whether the
-// current interval has nothing more to teach: every vector resolved
-// (descending), or every unresolved vector already seen set here so no
-// zero can be declared (ascending). Vector indexes at or beyond m — a
-// writer with mismatched geometry — are ignored.
-func (v *Visitor) Visit(r Reply) bool {
+// Note reports one step the prober took toward the current interval's
+// nodes as an event of the pass: a routed lookup (obs.KindLookup) or a
+// walk step (obs.KindWalkStep). node is the node reached, 0 when err is
+// set; arg is the kind's payload.
+func (v *Visitor) Note(kind obs.Kind, node uint64, arg int64, err error) {
+	v.tr.emit(kind, node, 0, v.bit, arg, err)
+}
+
+// Visit folds node's reply into the pass, emitting its probe event with
+// hops as the cost, and reports whether the current interval has nothing
+// more to teach: every vector resolved (descending), or every unresolved
+// vector already seen set here so no zero can be declared (ascending).
+// Vector indexes at or beyond m — a writer with mismatched geometry — are
+// ignored.
+func (v *Visitor) Visit(node uint64, hops int, r Reply) bool {
+	v.tr.emit(obs.KindProbe, node, 0, v.bit, int64(hops), nil)
 	done := true
 	for _, st := range v.states {
 		if st.unresolved == 0 {
@@ -204,7 +248,9 @@ func (q scanQuality) forMetric(st *metricState) Quality {
 // (§4.2: the bit→interval mapping is shared, so each probed node answers
 // for every open metric) and returns one Estimate per metric, Cost left
 // zero for the caller's transport to fill in. limFor gives the probe
-// budget of each bit position.
+// budget of each bit position. The pass's events go to tr: count-start,
+// then what the prober reports through the Visitor, then one count-done
+// per metric.
 //
 // LogLog family: visit the intervals from the most significant position
 // downward; the first set bit seen for a vector is its maximum. An
@@ -222,12 +268,14 @@ func (q scanQuality) forMetric(st *metricState) Quality {
 //
 // The pass never aborts on a dead or unreachable node; what was lost is
 // reported in each Estimate's Quality.
-func (g *Geometry) Scan(p Prober, metrics []uint64, limFor func(bit int) int) []Estimate {
+func (g *Geometry) Scan(p Prober, metrics []uint64, limFor func(bit int) int, tr Trace) []Estimate {
 	v := &Visitor{
 		ascending: g.Kind == sketch.KindPCSA,
 		states:    make([]*metricState, len(metrics)),
 		open:      len(metrics),
+		tr:        tr,
 	}
+	v.tr.emit(obs.KindCountStart, v.tr.Node, 0, -1, int64(len(metrics)), nil)
 	for i, metric := range metrics {
 		v.states[i] = newMetricState(metric, g.M)
 	}
@@ -251,6 +299,7 @@ func (g *Geometry) Scan(p Prober, metrics []uint64, limFor func(bit int) int) []
 	for i, st := range v.states {
 		R := g.finalR(st)
 		ests[i] = Estimate{Value: g.estimateFromR(R), R: R, Quality: q.forMetric(st)}
+		v.tr.emit(obs.KindCountDone, v.tr.Node, st.metric, -1, int64(st.unresolved), nil)
 	}
 	return ests
 }

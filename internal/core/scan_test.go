@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"dhsketch/internal/dht"
+	"dhsketch/internal/obs"
 	"dhsketch/internal/sketch"
 )
 
@@ -56,7 +58,7 @@ func (p *fakeProber) ProbeInterval(bit uint, lim int, v *Visitor) IntervalOutcom
 	for i, r := range iv.replies {
 		out.Attempted++
 		out.Visited++
-		if v.Visit(r) {
+		if v.Visit(0, 0, r) {
 			if p.cutAt == nil {
 				p.cutAt = make(map[uint]int)
 			}
@@ -253,7 +255,7 @@ func TestScanScripted(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := &fakeProber{script: tc.script}
-			ests := g.Scan(p, tc.metrics, func(bit int) int { return 10 + bit })
+			ests := g.Scan(p, tc.metrics, func(bit int) int { return 10 + bit }, Trace{})
 
 			if !reflect.DeepEqual(p.bits, tc.wantBits) {
 				t.Errorf("probed bits %v, want %v", p.bits, tc.wantBits)
@@ -302,10 +304,25 @@ func TestScanAsksOnlyOpenMetrics(t *testing.T) {
 	p := &fakeProber{script: map[uint]fakeInterval{
 		3: {replies: []fakeReply{{a: {0, 1}}}},
 	}}
-	g.Scan(p, []uint64{a, b}, func(int) int { return 1 })
+	g.Scan(p, []uint64{a, b}, func(int) int { return 1 }, Trace{})
 	want := [][]uint64{{a, b}, {b}, {b}, {b}}
 	if !reflect.DeepEqual(p.asked, want) {
 		t.Errorf("metrics asked per interval %v, want %v", p.asked, want)
+	}
+}
+
+// TestVisitorUntracedZeroAlloc: an empty Trace costs the pass's emission
+// sites nothing — Visit's probe event and a prober's Note each pay one nil
+// check and construct no event.
+func TestVisitorUntracedZeroAlloc(t *testing.T) {
+	v := &Visitor{states: []*metricState{newMetricState(1, 64)}, open: 1}
+	var r Reply = fakeReply{1: {3}}
+	if n := testing.AllocsPerRun(100, func() {
+		v.Note(obs.KindLookup, 7, 2, nil)
+		v.Note(obs.KindWalkStep, 0, 1, dht.ErrTimeout)
+		v.Visit(7, 1, r)
+	}); n != 0 {
+		t.Errorf("untraced Visit and Note allocated %.1f/op, want 0", n)
 	}
 }
 

@@ -129,8 +129,8 @@ func TestWalkAnchorResetsOnReentry(t *testing.T) {
 	// runs until wrap or budget; the probed nodes are read off the trace.
 	ring := obs.NewRing(64)
 	rng, _ := d.countPass()
-	w := &walkProber{d: d, src: overlay.nodes[0], rng: rng, pt: passTracer{t: ring, env: env}}
-	v := &Visitor{states: []*metricState{newMetricState(MetricID("anchor"), d.cfg.M)}, open: 1}
+	w := &walkProber{d: d, src: overlay.nodes[0], rng: rng}
+	v := &Visitor{states: []*metricState{newMetricState(MetricID("anchor"), d.cfg.M)}, open: 1, tr: Trace{Sink: ring}}
 	out := w.ProbeInterval(0, 16, v)
 	var visited []uint64
 	for _, e := range ring.Events() {

@@ -7,6 +7,7 @@ import (
 	"dhsketch/internal/chord"
 	"dhsketch/internal/core"
 	"dhsketch/internal/metrics"
+	"dhsketch/internal/obs"
 	"dhsketch/internal/sim"
 )
 
@@ -47,11 +48,13 @@ func BenchmarkClientCountUncached(b *testing.B) {
 						c.view.arcs = nil
 					}
 					met := map[uint64]bool{}
-					p := &rpcProber{c: c, onVisit: func(_ uint, owner chord.Ref, _ bool) {
-						visits++
-						met[owner.ID] = true
-					}}
-					if res := c.count(p, 1); res.Degraded {
+					sink := sinkFunc(func(e obs.Event) {
+						if e.Kind == obs.KindProbe {
+							visits++
+							met[e.Node] = true
+						}
+					})
+					if res := c.count(&rpcProber{c: c}, 1, sink); res.Degraded {
 						b.Fatalf("scan = %+v", res)
 					}
 					owners += len(met)

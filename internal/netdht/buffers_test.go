@@ -15,6 +15,7 @@ import (
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/metrics"
+	"dhsketch/internal/obs"
 	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
 	"dhsketch/internal/store"
@@ -53,7 +54,7 @@ func TestPoolDialsOnDemand(t *testing.T) {
 		}
 		return encodePong()
 	})
-	p := newPeerPool(time.Second, 5*time.Second, DefaultPeerConns)
+	p := newPeerPool(time.Second, 5*time.Second, DefaultPeerConns, nil)
 	defer p.close()
 
 	for i := 0; i < 100; i++ {
@@ -136,7 +137,7 @@ func TestConnBufferRelease(t *testing.T) {
 	}
 
 	// The asking side: a pool slot.
-	p := newPeerPool(time.Second, 5*time.Second, 1)
+	p := newPeerPool(time.Second, 5*time.Second, 1, nil)
 	defer p.close()
 	resp, err := p.exchange(s.Addr(), req, nil)
 	if err != nil || len(resp) < maxFrame*9/10 || len(resp) > maxFrame {
@@ -235,8 +236,7 @@ func TestServeStepZeroAlloc(t *testing.T) {
 // caller — allocates nothing on either side.
 func TestExchangeZeroAlloc(t *testing.T) {
 	s, _ := allocServer(t, metrics.New())
-	p := newPeerPool(time.Second, 5*time.Second, DefaultPeerConns)
-	p.m = newPoolMetrics(metrics.New())
+	p := newPeerPool(time.Second, 5*time.Second, DefaultPeerConns, metrics.New())
 	defer p.close()
 	var scratch [rpcScratch]byte
 	ping := func() {
@@ -372,39 +372,40 @@ func TestScanOwnsItsAnswers(t *testing.T) {
 		t.Fatalf("NewClient: %v", err)
 	}
 	t.Cleanup(ref.Close)
-	want := ref.count(&refProber{c: ref, visits: map[visit]bool{}}, 5)
+	want := ref.count(&refProber{c: ref, visits: map[visit]bool{}}, 5, nil)
 
 	type heard struct {
-		owner chord.Ref
+		owner uint64
 		masks [][]byte
 	}
 	var snaps []heard
 	sameOwner := 0
 	p := &rpcProber{c: c}
-	p.onVisit = func(_ uint, owner chord.Ref, viaWire bool) {
-		if !viaWire {
+	// Each probe event with Arg 1 is a first answer from the wire.
+	firstAnswer := sinkFunc(func(e obs.Event) {
+		if e.Kind != obs.KindProbe || e.Arg != 1 {
 			return
 		}
 		var masks [][]byte
-		for _, m := range p.told[owner.ID].masks {
+		for _, m := range p.told[e.Node].masks {
 			masks = append(masks, bytes.Clone(m))
 		}
-		snaps = append(snaps, heard{owner, masks})
+		snaps = append(snaps, heard{e.Node, masks})
 		// The other count draws from a stream of its own, so that the scan
 		// under test draws what the reference drew.
 		saved := c.rng
 		c.rng = rand.New(rand.NewPCG(uint64(len(snaps)), 99))
-		other := &rpcProber{c: c, onVisit: func(_ uint, o chord.Ref, viaWire bool) {
-			if viaWire && o.ID == owner.ID {
+		sameProbe := sinkFunc(func(o obs.Event) {
+			if o.Kind == obs.KindProbe && o.Arg == 1 && o.Node == e.Node {
 				sameOwner++
 			}
-		}}
-		if res := c.count(other, 6); res.Degraded {
+		})
+		if res := c.count(&rpcProber{c: c}, 6, sameProbe); res.Degraded {
 			t.Errorf("the count in between: %+v", res)
 		}
 		c.rng = saved
-	}
-	got := c.count(p, 5)
+	})
+	got := c.count(p, 5, firstAnswer)
 	if got != want {
 		t.Errorf("scan with counts in between = %+v, reference = %+v", got, want)
 	}
@@ -415,8 +416,8 @@ func TestScanOwnsItsAnswers(t *testing.T) {
 		t.Errorf("%d sockets open toward %d servers at width 1", n, len(cl.Servers()))
 	}
 	for _, h := range snaps {
-		if now := p.told[h.owner.ID].masks; !reflect.DeepEqual(now, h.masks) {
-			t.Errorf("owner %016x: the scan's answers changed under it:\n was %x\n now %x", h.owner.ID, h.masks, now)
+		if now := p.told[h.owner].masks; !reflect.DeepEqual(now, h.masks) {
+			t.Errorf("owner %016x: the scan's answers changed under it:\n was %x\n now %x", h.owner, h.masks, now)
 		}
 	}
 }

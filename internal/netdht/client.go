@@ -12,6 +12,7 @@ import (
 	"dhsketch/internal/core"
 	"dhsketch/internal/dht"
 	"dhsketch/internal/metrics"
+	"dhsketch/internal/obs"
 	"dhsketch/internal/sketch"
 	"dhsketch/internal/wire"
 )
@@ -128,17 +129,14 @@ func newClient(cfg ClientConfig, peerConns int) (*Client, error) {
 	c := &Client{
 		cfg:      cfg,
 		geom:     geom,
-		peers:    newPeerPool(cfg.DialTimeout, cfg.RPCTimeout, peerConns),
+		peers:    newPeerPool(cfg.DialTimeout, cfg.RPCTimeout, peerConns, cfg.Metrics),
 		maxMasks: min(math.MaxUint16, (maxFrame-wire.ProbeRespOverhead)/wire.MaskBytes(geom.M)),
 		rng:      rand.New(&lockedSource{src: rand.NewPCG(cfg.Seed, 0x6a09e667f3bcc908)}),
 	}
-	if cfg.Metrics != nil {
-		c.peers.m = newPoolMetrics(cfg.Metrics)
-		cfg.Metrics.GaugeFunc("netdht_peer_conns", "cached outbound peer connections",
-			func() float64 { return float64(c.peers.size()) })
-		cfg.Metrics.GaugeFunc("netdht_view_arcs", "ring arcs the client remembers",
-			func() float64 { return float64(c.view.size()) })
-	}
+	cfg.Metrics.GaugeFunc("netdht_peer_conns", "cached outbound peer connections",
+		func() float64 { return float64(c.peers.size()) })
+	cfg.Metrics.GaugeFunc("netdht_view_arcs", "ring arcs the client remembers",
+		func() float64 { return float64(c.view.size()) })
 	return c, nil
 }
 
@@ -322,11 +320,11 @@ func (c *Client) CountAll(metrics []uint64) ([]CountResult, error) {
 	return out, nil
 }
 
-// scan is one counting pass for metrics over any interval prober.
+// scan is one counting pass for metrics over any interval prober, untraced.
 func (c *Client) scan(p core.Prober, metrics []uint64) []CountResult {
 	lim := func(int) int { return c.cfg.Lim }
 	out := make([]CountResult, len(metrics))
-	for i, est := range c.geom.Scan(p, metrics, lim) {
+	for i, est := range c.geom.Scan(p, metrics, lim, core.Trace{}) {
 		out[i] = CountResult{Estimate: est.Value, Quality: est.Quality}
 	}
 	return out
@@ -364,20 +362,23 @@ func (a answers) at(bit uint) *maskReply {
 // visit, mirroring the simulator's duplicate-visit cost, and once a visit
 // has told the scan all the interval can, the budget left buys nothing, as
 // in the simulator's walk. The visit order is a function of the client's
-// random stream and the ring alone.
+// random stream and the ring alone. Each find_succ is noted as a lookup
+// event of the pass, its Arg the hops the reply carries; each visit's
+// probe event has Arg 1 when a probe exchange served it and 0 when the
+// scan's memory of earlier replies did.
 type rpcProber struct {
 	c    *Client
 	told map[uint64]answers // by owner ID
-	// onVisit, when a test sets it, hears of every answered visit.
-	onVisit func(bit uint, owner chord.Ref, viaWire bool)
 	// askOn, when a test sets it, has an interval spend all its attempts
 	// whatever a visit reports: the loop the early stop is measured against.
 	askOn bool
 }
 
-// lookup routes target through the ring and folds the reply into the view.
-func (p *rpcProber) lookup(target uint64) (chord.Ref, error) {
+// lookup routes target through the ring, notes the step to v, and folds
+// the reply into the view.
+func (p *rpcProber) lookup(v *core.Visitor, target uint64) (chord.Ref, error) {
 	r, err := p.c.findSucc(target, flagNeighbors)
+	v.Note(obs.KindLookup, r.owner.ID, int64(r.hops), err)
 	if err != nil {
 		return chord.Ref{}, err
 	}
@@ -392,8 +393,8 @@ func (p *rpcProber) lookup(target uint64) (chord.Ref, error) {
 // once for every interval its arc crosses, and a newcomer that has yet to
 // learn its predecessor is not routed to again and again. The same owner
 // again is learnt again, and keeps what the lookup says of it.
-func (p *rpcProber) reroute(target uint64, was segment) (chord.Ref, error) {
-	owner, err := p.lookup(target)
+func (p *rpcProber) reroute(v *core.Visitor, target uint64, was segment) (chord.Ref, error) {
+	owner, err := p.lookup(v, target)
 	if err != nil || owner.ID == was.owner.ID {
 		return owner, err
 	}
@@ -462,7 +463,7 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 		if !remembered {
 			var err error
 			routed++
-			if owner, err = p.lookup(target); err != nil {
+			if owner, err = p.lookup(v, target); err != nil {
 				return err
 			}
 		}
@@ -495,7 +496,7 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 			routed++
 			out.Stale++
 			out.Repair = true
-			again, lerr := p.reroute(target, arc)
+			again, lerr := p.reroute(v, target, arc)
 			switch {
 			case lerr != nil:
 				return lerr
@@ -512,14 +513,13 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 			return err
 		}
 		// The owner's answer for bit goes to the scan.
+		hops := 0 // what the scan remembers costs no exchange
 		if fresh != nil {
 			probed++
-		}
-		if p.onVisit != nil {
-			p.onVisit(bit, owner, fresh != nil)
+			hops = 1
 		}
 		out.Visited++
-		exhausted = v.Visit(a.at(bit)) && !p.askOn
+		exhausted = v.Visit(owner.ID, hops, a.at(bit)) && !p.askOn
 		return nil
 	}
 	// Every interval is offered lim attempts and draws lim targets, so the

@@ -67,7 +67,7 @@ func TestPeerPoolParallelExchanges(t *testing.T) {
 	addr := slowEchoServer(t, delay)
 
 	elapsed := func(width int) time.Duration {
-		p := newPeerPool(time.Second, 5*time.Second, width)
+		p := newPeerPool(time.Second, 5*time.Second, width, nil)
 		defer p.close()
 		var wg sync.WaitGroup
 		start := time.Now()
@@ -96,7 +96,7 @@ func TestPeerPoolParallelExchanges(t *testing.T) {
 // exchanges never opens more sockets than the configured width.
 func TestPeerPoolRespectsWidth(t *testing.T) {
 	addr := slowEchoServer(t, 20*time.Millisecond)
-	p := newPeerPool(time.Second, 5*time.Second, 3)
+	p := newPeerPool(time.Second, 5*time.Second, 3, nil)
 	defer p.close()
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {

@@ -269,7 +269,7 @@ func TestScanStopsAskingWhenResolved(t *testing.T) {
 				var paid [2]uint64
 				for i, c := range clients {
 					p0 := outRPCs(regs[i], "probe")
-					res[i] = c.count(&rpcProber{c: c, askOn: i == 1}, 5)
+					res[i] = c.count(&rpcProber{c: c, askOn: i == 1}, 5, nil)
 					paid[i] = outRPCs(regs[i], "probe") - p0
 					total[i] += paid[i]
 				}

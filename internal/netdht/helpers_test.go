@@ -5,6 +5,7 @@ import (
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/core"
+	"dhsketch/internal/obs"
 )
 
 // The codecs as the tests like them: each message in a slice of its own.
@@ -23,10 +24,17 @@ func encodeErr(code byte, hops, stale uint16) []byte { return appendErr(nil, cod
 func encodePing() []byte                             { return bytes.Clone(pingFrame) }
 func encodePong() []byte                             { return bytes.Clone(pongFrame) }
 
-// count is Client.Count over any interval prober.
-func (c *Client) count(p core.Prober, metric uint64) CountResult {
-	return c.scan(p, []uint64{metric})[0]
+// count is Client.Count over any interval prober, the pass's events sent
+// to sink (nil: untraced).
+func (c *Client) count(p core.Prober, metric uint64, sink obs.Tracer) CountResult {
+	est := c.geom.Scan(p, []uint64{metric}, func(int) int { return c.cfg.Lim }, core.Trace{Sink: sink})[0]
+	return CountResult{Estimate: est.Value, Quality: est.Quality}
 }
+
+// sinkFunc adapts a function to obs.Tracer.
+type sinkFunc func(obs.Event)
+
+func (f sinkFunc) Event(e obs.Event) { f(e) }
 
 // framed is payload as writeFrame takes it: behind its length prefix.
 func framed(payload []byte) []byte { return append(beginFrame(nil), payload...) }

@@ -11,12 +11,11 @@ import (
 
 // This file threads the wall-clock metrics registry (internal/metrics)
 // through both sides of the wire: the server's dispatch loop and the
-// outbound peer pool. The discipline mirrors obs.Tracer — a server
-// built without Options.Metrics carries nil instrument structs, and
-// every hook below no-ops on a nil receiver — so the uninstrumented
-// hot path pays one pointer comparison per event and zero allocations
-// (the regression tests in internal/metrics and internal/store pin
-// this).
+// outbound peer pool. The instrument structs are built from the registry
+// whether or not there is one, as store.Runtime is: with metrics off
+// every instrument in them is nil, and a nil instrument's own receiver
+// check is the only cost an event pays — no allocation either way (the
+// regression tests in internal/metrics and internal/store pin this).
 
 // ---------------------------------------------------------------------
 // Label vocabularies. Instruments are pre-registered per label value at
@@ -110,8 +109,7 @@ var roundSlotNames = [numRoundSlots]string{"stabilize", "fix_fingers", "check_pr
 // Server-side instruments
 
 // srvMetrics holds the inbound (dispatch) and maintenance-round
-// instruments plus the store runtime counters. All hook methods no-op
-// on a nil receiver.
+// instruments plus the store runtime counters.
 type srvMetrics struct {
 	reqTotal   [numTagSlots]*metrics.Counter
 	reqErrors  [numTagSlots]*metrics.Counter
@@ -127,11 +125,8 @@ type srvMetrics struct {
 	storeRT store.Runtime
 }
 
-func newSrvMetrics(reg *metrics.Registry) *srvMetrics {
-	if reg == nil {
-		return nil
-	}
-	m := &srvMetrics{
+func newSrvMetrics(reg *metrics.Registry) srvMetrics {
+	m := srvMetrics{
 		bytesIn:  reg.Counter("netdht_server_bytes_total", "bytes moved by the RPC server", metrics.L("dir", "in")),
 		bytesOut: reg.Counter("netdht_server_bytes_total", "bytes moved by the RPC server", metrics.L("dir", "out")),
 		frameIn:  reg.Histogram("netdht_server_frame_bytes", "frame sizes seen by the RPC server", metrics.DefSizeBuckets, metrics.L("dir", "in")),
@@ -159,9 +154,6 @@ func newSrvMetrics(reg *metrics.Registry) *srvMetrics {
 
 // startRequest meters an inbound frame and begins its latency timer.
 func (m *srvMetrics) startRequest(req []byte) (int, metrics.Timer) {
-	if m == nil {
-		return 0, metrics.Timer{}
-	}
 	slot := reqSlot(req)
 	m.reqTotal[slot].Inc()
 	m.bytesIn.Add(uint64(len(req)))
@@ -172,9 +164,6 @@ func (m *srvMetrics) startRequest(req []byte) (int, metrics.Timer) {
 // finishRequest stops the timer and meters the reply frame.
 func (m *srvMetrics) finishRequest(slot int, resp []byte, tm metrics.Timer) {
 	tm.Stop()
-	if m == nil {
-		return
-	}
 	m.bytesOut.Add(uint64(len(resp)))
 	m.frameOut.Observe(float64(len(resp)))
 	if len(resp) >= 2 && resp[1] == tagErr {
@@ -182,30 +171,12 @@ func (m *srvMetrics) finishRequest(slot int, resp []byte, tm metrics.Timer) {
 	}
 }
 
-// startRound begins timing one maintenance round.
-func (m *srvMetrics) startRound(slot int) metrics.Timer {
-	if m == nil {
-		return metrics.Timer{}
-	}
-	return m.roundSeconds[slot].Start()
-}
-
 // finishRound stops the timer and meters the round's state changes.
 func (m *srvMetrics) finishRound(slot int, tm metrics.Timer, changes int) {
 	tm.Stop()
-	if m == nil || changes <= 0 {
-		return
+	if changes > 0 {
+		m.roundChanges[slot].Add(uint64(changes))
 	}
-	m.roundChanges[slot].Add(uint64(changes))
-}
-
-// instrumentStore attaches the runtime counters to a freshly created
-// store (before it is published via SetApp).
-func (m *srvMetrics) instrumentStore(st *store.Store) {
-	if m == nil {
-		return
-	}
-	st.Instrument(m.storeRT)
 }
 
 // ---------------------------------------------------------------------
@@ -213,8 +184,7 @@ func (m *srvMetrics) instrumentStore(st *store.Store) {
 
 // poolMetrics holds the outbound instruments: per-tag latency and
 // error histograms for exchanges, errno-class counters following the
-// mapNetErr taxonomy, and dial/redial/retry counters. All hook methods
-// no-op on a nil receiver.
+// mapNetErr taxonomy, and dial/redial/retry counters.
 type poolMetrics struct {
 	rpcTotal   [numTagSlots]*metrics.Counter
 	rpcErrors  [numTagSlots]*metrics.Counter
@@ -241,11 +211,8 @@ type poolMetrics struct {
 	frameIn  *metrics.Histogram
 }
 
-func newPoolMetrics(reg *metrics.Registry) *poolMetrics {
-	if reg == nil {
-		return nil
-	}
-	m := &poolMetrics{
+func newPoolMetrics(reg *metrics.Registry) poolMetrics {
+	m := poolMetrics{
 		dials:      reg.Counter("netdht_dials_total", "outbound TCP dial attempts"),
 		dialErrors: reg.Counter("netdht_dial_errors_total", "outbound TCP dials that failed"),
 		redials:    reg.Counter("netdht_redials_total", "transparent redials after a failed exchange on a cached connection"),
@@ -275,9 +242,6 @@ func newPoolMetrics(reg *metrics.Registry) *poolMetrics {
 
 // startRPC meters one outbound exchange and begins its timer.
 func (m *poolMetrics) startRPC(req []byte) (int, metrics.Timer) {
-	if m == nil {
-		return 0, metrics.Timer{}
-	}
 	slot := reqSlot(req)
 	m.rpcTotal[slot].Inc()
 	m.bytesOut.Add(uint64(len(req)))
@@ -289,9 +253,6 @@ func (m *poolMetrics) startRPC(req []byte) (int, metrics.Timer) {
 // success, per-tag and per-class failure counts on transport error.
 func (m *poolMetrics) finishRPC(slot int, resp []byte, err error, tm metrics.Timer) {
 	tm.Stop()
-	if m == nil {
-		return
-	}
 	if err != nil {
 		m.rpcErrors[slot].Inc()
 		m.errClasses[errClass(err)].Inc()
@@ -305,37 +266,14 @@ func (m *poolMetrics) finishRPC(slot int, resp []byte, err error, tm metrics.Tim
 // failed exchange (finishRPC), not here, so a failed dial inside an
 // exchange is not double-counted.
 func (m *poolMetrics) dialAttempt(err error) {
-	if m == nil {
-		return
-	}
 	m.dials.Inc()
 	if err != nil {
 		m.dialErrors.Inc()
 	}
 }
 
-// redialAttempt meters a transparent redial after a stale cached
-// connection failed mid-exchange.
-func (m *poolMetrics) redialAttempt() {
-	if m == nil {
-		return
-	}
-	m.redials.Inc()
-}
-
-// retryAttempt meters one backoff retry (peerPool.backoff).
-func (m *poolMetrics) retryAttempt() {
-	if m == nil {
-		return
-	}
-	m.retries.Inc()
-}
-
 // scanTargets meters one interval's targets of a counting scan.
 func (m *poolMetrics) scanTargets(byMap, byLookup int) {
-	if m == nil {
-		return
-	}
 	m.targetsByMap.Add(uint64(byMap))
 	m.targetsByLookup.Add(uint64(byLookup))
 }
@@ -343,9 +281,6 @@ func (m *poolMetrics) scanTargets(byMap, byLookup int) {
 // scanVisits meters one interval's answered visits: those a probe
 // exchange served and those the scan's remembered answers did.
 func (m *poolMetrics) scanVisits(byWire, byMemo int) {
-	if m == nil {
-		return
-	}
 	m.visitsByWire.Add(uint64(byWire))
 	m.visitsByMemo.Add(uint64(byMemo))
 }
@@ -353,9 +288,6 @@ func (m *poolMetrics) scanVisits(byWire, byMemo int) {
 // storeFirstHop meters one client store: sent first to the owner the view
 // remembers, or to the entry.
 func (m *poolMetrics) storeFirstHop(byView bool) {
-	if m == nil {
-		return
-	}
 	if byView {
 		m.storesByView.Inc()
 	} else {
@@ -366,16 +298,9 @@ func (m *poolMetrics) storeFirstHop(byView bool) {
 // ---------------------------------------------------------------------
 // Registry wiring
 
-// registerMetrics builds the server's instrument structs and the
-// scrape-time gauges against reg. Called once from NewServer; a nil
-// registry leaves the server uninstrumented (nil structs, no gauges).
-func (s *Server) registerMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	s.m = newSrvMetrics(reg)
-	s.peers.m = newPoolMetrics(reg)
-
+// registerGauges publishes the server's scrape-time gauges against reg.
+// Called once from NewServer; a nil registry registers nothing.
+func (s *Server) registerGauges(reg *metrics.Registry) {
 	reg.GaugeFunc("netdht_successors", "entries in the believed successor list",
 		func() float64 {
 			return float64(len(s.node.Neighbors().Succ))

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"dhsketch/internal/metrics"
+	"dhsketch/internal/obs"
 	"dhsketch/internal/sim"
+	"dhsketch/internal/sketch"
 )
 
 // obsOptions builds server options instrumented against a fresh
@@ -313,5 +315,89 @@ func TestScanLookupsMetered(t *testing.T) {
 	}
 	if got := byLookup.Value() + byMap.Value(); got != uint64(attempted) {
 		t.Errorf("scan_targets_total sums to %d, want the %d attempts the scans spent", got, attempted)
+	}
+}
+
+// TestWireScanTraceFromRing is internal/core's TestWalkReconstructionFromRing
+// on the wire: a traced scan over an 8-node loopback cluster opens with
+// count-start and closes with count-done, whose Arg is the metric's
+// unresolved vectors. Between them it notes one lookup per find_succ
+// exchange — the re-route past a crashed owner included — and one probe
+// event per visit: Arg 1 for each answered probe exchange, Arg 0 where the
+// scan's memory of an earlier reply served. Run it with -v to read the
+// events of both scans.
+func TestWireScanTraceFromRing(t *testing.T) {
+	env := sim.NewEnv(21)
+	cl := newTestCluster(t, env, 8)
+	settleCluster(t, cl, env)
+	servers := cl.Servers()
+	loadRing(t, servers[0].Addr(), sketch.KindSuperLogLog, 0, 2000)
+	c, reg := storeClient(t, servers[len(servers)-1].Addr(), 9)
+	answered := func() uint64 {
+		return outRPCs(reg, "probe") - reg.Counter("netdht_out_rpc_errors_total", "", metrics.L("tag", "probe")).Value()
+	}
+	visits := func() uint64 {
+		return reg.Counter("netdht_scan_visits_total", "", metrics.L("served", "wire")).Value() +
+			reg.Counter("netdht_scan_visits_total", "", metrics.L("served", "memo")).Value()
+	}
+
+	scan := func(when string) CountResult {
+		ring := obs.NewRing(1 << 12)
+		l0, p0, v0 := outRPCs(reg, "find_succ"), answered(), visits()
+		res := c.count(&rpcProber{c: c}, 5, ring)
+		events := ring.Events()
+		for _, e := range events {
+			t.Logf("%s: %-11s bit=%-3d node=%016x arg=%d err=%s", when, e.Kind, e.Bit, e.Node, e.Arg, e.Err)
+		}
+		if len(events) < 2 {
+			t.Fatalf("%s: %d events traced", when, len(events))
+		}
+		if first := events[0]; first.Kind != obs.KindCountStart || first.Arg != 1 {
+			t.Errorf("%s: first event %+v, want count-start of one metric", when, first)
+		}
+		last := events[len(events)-1]
+		if last.Kind != obs.KindCountDone || last.Metric != 5 || last.Arg != int64(res.VectorsUnresolved) {
+			t.Errorf("%s: last event %+v, want count-done of metric 5 with Arg %d", when, last, res.VectorsUnresolved)
+		}
+		var lookups, fromWire, probes uint64
+		for _, e := range events[1 : len(events)-1] {
+			switch e.Kind {
+			case obs.KindLookup:
+				lookups++
+				if e.Err != obs.ClassNone || e.Node == 0 {
+					t.Errorf("%s: lookup on a ring whose entry lives: %+v", when, e)
+				}
+			case obs.KindProbe:
+				probes++
+				if e.Arg == 1 {
+					fromWire++
+				} else if e.Arg != 0 {
+					t.Errorf("%s: probe event with Arg %d: %+v", when, e.Arg, e)
+				}
+			default:
+				t.Errorf("%s: %v event inside a wire scan: %+v", when, e.Kind, e)
+			}
+		}
+		if got := outRPCs(reg, "find_succ") - l0; lookups != got {
+			t.Errorf("%s: %d lookup events for %d find_succ exchanges", when, lookups, got)
+		}
+		if got := answered() - p0; fromWire != got || got == 0 {
+			t.Errorf("%s: %d probe events with Arg 1 for %d answered probe exchanges", when, fromWire, got)
+		}
+		if got := visits() - v0; probes != got {
+			t.Errorf("%s: %d probe events for %d visits", when, probes, got)
+		}
+		return res
+	}
+
+	if res := scan("cold"); res.Degraded || res.Estimate == 0 {
+		t.Fatalf("cold scan of a loaded, settled ring: %+v", res)
+	}
+	// The first server holds the top of the scan's range: the next scan
+	// resolves to it from the view, fails to reach it and asks the ring.
+	cl.Crash(servers[0])
+	settleCluster(t, cl, env)
+	if res := scan("over a crashed owner"); res.StaleRetries == 0 {
+		t.Errorf("scan over a crashed owner re-routed nothing: %+v", res)
 	}
 }

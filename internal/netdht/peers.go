@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dhsketch/internal/dht"
+	"dhsketch/internal/metrics"
 )
 
 // Default transport timings. Loopback rings in tests override them
@@ -106,7 +107,7 @@ type peerPool struct {
 	dialTimeout time.Duration
 	rpcTimeout  time.Duration
 	connsPer    int
-	m           *poolMetrics // nil when metrics are off
+	m           poolMetrics
 
 	live atomic.Int64 // open outbound sockets (scrape gauge)
 
@@ -115,7 +116,7 @@ type peerPool struct {
 	closed bool
 }
 
-func newPeerPool(dialTimeout, rpcTimeout time.Duration, connsPer int) *peerPool {
+func newPeerPool(dialTimeout, rpcTimeout time.Duration, connsPer int, reg *metrics.Registry) *peerPool {
 	if dialTimeout <= 0 {
 		dialTimeout = defaultDialTimeout
 	}
@@ -126,6 +127,7 @@ func newPeerPool(dialTimeout, rpcTimeout time.Duration, connsPer int) *peerPool 
 		dialTimeout: dialTimeout,
 		rpcTimeout:  rpcTimeout,
 		connsPer:    connsPer,
+		m:           newPoolMetrics(reg),
 		peers:       make(map[string]*peerEntry),
 	}
 }
@@ -186,7 +188,8 @@ func (p *peerPool) dropConn(pc *peerConn) {
 // dial answers. Safe for the idempotent RPC set this package speaks.
 // The metrics hooks meter the exchange per tag (count, bytes, frame
 // size, round-trip latency) and transport failures by errno class;
-// with metrics off they are nil-receiver no-ops.
+// with metrics off each instrument they touch is nil and no-ops on its
+// own receiver.
 func (p *peerPool) exchange(addr string, req, dst []byte) ([]byte, error) {
 	slot, tm := p.m.startRPC(req)
 	resp, err := p.doExchange(addr, req, dst)
@@ -204,7 +207,7 @@ func (p *peerPool) doExchange(addr string, req, dst []byte) ([]byte, error) {
 	err = p.roundTrip(pc, req)
 	if err != nil {
 		p.dropConn(pc)
-		p.m.redialAttempt()
+		p.m.redials.Inc()
 		c, derr := net.DialTimeout("tcp", addr, p.dialTimeout)
 		p.m.dialAttempt(derr)
 		if derr != nil {
@@ -270,7 +273,7 @@ func (p *peerPool) backoff(attempt int, unit time.Duration) {
 	if unit <= 0 {
 		unit = defaultBackoff
 	}
-	p.m.retryAttempt()
+	p.m.retries.Inc()
 	time.Sleep(time.Duration(attempt) * unit)
 }
 

@@ -13,6 +13,7 @@ import (
 	"dhsketch/internal/chord"
 	"dhsketch/internal/core"
 	"dhsketch/internal/metrics"
+	"dhsketch/internal/obs"
 	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
 	"dhsketch/internal/wire"
@@ -80,16 +81,20 @@ type visit struct {
 	owner uint64
 }
 
-// visitLog is rpcProber.onVisit's listener: the (bit, owner) set of a
-// scan, and the part of it a probe exchange served.
+// visitLog is a scan's trace sink, read for its probe events: the
+// (bit, owner) set of the scan, and the part of it a probe exchange
+// served (Arg 1).
 type visitLog struct{ all, wire map[visit]bool }
 
 func newVisitLog() *visitLog { return &visitLog{all: map[visit]bool{}, wire: map[visit]bool{}} }
 
-func (l *visitLog) hear(bit uint, owner chord.Ref, viaWire bool) {
-	l.all[visit{bit, owner.ID}] = true
-	if viaWire {
-		l.wire[visit{bit, owner.ID}] = true
+func (l *visitLog) Event(e obs.Event) {
+	if e.Kind != obs.KindProbe {
+		return
+	}
+	l.all[visit{uint(e.Bit), e.Node}] = true
+	if e.Arg == 1 {
+		l.wire[visit{uint(e.Bit), e.Node}] = true
 	}
 }
 
@@ -132,7 +137,7 @@ func (r *refProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 		}
 		out.Visited++
 		r.visits[visit{bit, f.owner.ID}] = true
-		v.Visit(&maskReply{metrics: metrics, masks: resp.VecMasks})
+		v.Visit(f.owner.ID, 1, &maskReply{metrics: metrics, masks: resp.VecMasks})
 	}
 	return out
 }
@@ -235,7 +240,7 @@ func TestScanSegmentMapEquivalence(t *testing.T) {
 			var lookups, probes [2]uint64
 			for i, c := range clients {
 				l0, p0 := outRPCs(regs[i], "find_succ"), outRPCs(regs[i], "probe")
-				results[i] = c.count(probers[i], 5)
+				results[i] = c.count(probers[i], 5, nil)
 				lookups[i], probes[i] = outRPCs(regs[i], "find_succ")-l0, outRPCs(regs[i], "probe")-p0
 			}
 			if results[0] != results[1] {
@@ -263,8 +268,8 @@ func TestScanSegmentMapEquivalence(t *testing.T) {
 			// A second scan, recorded visit by visit.
 			log := newVisitLog()
 			clear(ref.visits)
-			res := clients[0].count(&rpcProber{c: clients[0], onVisit: log.hear}, 5)
-			if want := clients[1].count(ref, 5); res != want || len(log.all) == 0 {
+			res := clients[0].count(&rpcProber{c: clients[0]}, 5, log)
+			if want := clients[1].count(ref, 5, nil); res != want || len(log.all) == 0 {
 				t.Errorf("recorded scans differ or visited nothing: %+v vs %+v", res, want)
 			}
 			if !reflect.DeepEqual(log.all, ref.visits) {
@@ -302,12 +307,12 @@ func TestScanOneProbePerOwner(t *testing.T) {
 
 			log := newVisitLog()
 			p0, s0 := outRPCs(regs[0], "probe"), probed()
-			est := c.geom.Scan(&rpcProber{c: c, onVisit: log.hear}, []uint64{5}, limFor)[0]
+			est := c.geom.Scan(&rpcProber{c: c}, []uint64{5}, limFor, core.Trace{Sink: log})[0]
 			exchanges, served := outRPCs(regs[0], "probe")-p0, probed()-s0
 
 			ref := &refProber{c: clients[1], visits: map[visit]bool{}}
 			p0 = outRPCs(regs[1], "probe")
-			want := clients[1].geom.Scan(ref, []uint64{5}, limFor)[0]
+			want := clients[1].geom.Scan(ref, []uint64{5}, limFor, core.Trace{})[0]
 			if !reflect.DeepEqual(est, want) || est.Quality.Degraded || est.Value == 0 {
 				t.Errorf("estimates differ:\n remembered %+v\n reference  %+v", est, want)
 			}
@@ -369,9 +374,11 @@ func TestScanVisitOrderDeterministic(t *testing.T) {
 	var seqs [2][]step
 	for i, c := range clients {
 		for scan := 0; scan < 8; scan++ {
-			c.geom.Scan(&rpcProber{c: c, onVisit: func(bit uint, owner chord.Ref, viaWire bool) {
-				seqs[i] = append(seqs[i], step{visit{bit, owner.ID}, viaWire})
-			}}, []uint64{5}, func(int) int { return lim })
+			c.geom.Scan(&rpcProber{c: c}, []uint64{5}, func(int) int { return lim }, core.Trace{Sink: sinkFunc(func(e obs.Event) {
+				if e.Kind == obs.KindProbe {
+					seqs[i] = append(seqs[i], step{visit{uint(e.Bit), e.Node}, e.Arg == 1})
+				}
+			})})
 		}
 	}
 	if len(seqs[0]) == 0 || !reflect.DeepEqual(seqs[0], seqs[1]) {
@@ -394,10 +401,10 @@ func TestScanOwnerCrashedAfterAnswer(t *testing.T) {
 	limFor := func(int) int { return lim }
 	// Enter at the last node: the scan starts at the first one's arc.
 	clients, _ := twinClients(t, servers[len(servers)-1].Addr(), sketch.KindSuperLogLog, lim)
-	want := clients[1].geom.Scan(&refProber{c: clients[1], visits: map[visit]bool{}}, []uint64{5}, limFor)[0]
+	want := clients[1].geom.Scan(&refProber{c: clients[1], visits: map[visit]bool{}}, []uint64{5}, limFor, core.Trace{})[0]
 
 	log := newVisitLog()
-	p := &rpcProber{c: clients[0], onVisit: log.hear}
+	p := &rpcProber{c: clients[0]}
 	var crashed uint64
 	est := clients[0].geom.Scan(proberFunc(func(bit uint, lim int, v *core.Visitor) core.IntervalOutcome {
 		out := p.ProbeInterval(bit, lim, v)
@@ -415,7 +422,7 @@ func TestScanOwnerCrashedAfterAnswer(t *testing.T) {
 			}
 		}
 		return out
-	}), []uint64{5}, limFor)[0]
+	}), []uint64{5}, limFor, core.Trace{Sink: log})[0]
 
 	if !reflect.DeepEqual(est, want) || est.Quality.Degraded {
 		t.Errorf("estimate over a crashed owner's answers:\n got  %+v\n want %+v", est, want)
@@ -664,15 +671,15 @@ func TestFindSuccRespNeighbourhoodCodec(t *testing.T) {
 }
 
 // TestNilPoolMetricsScanTargets: the scan's per-interval hooks, and the
-// store's, are one-branch no-ops with metrics off, like every other pool
-// hook.
+// store's, cost no allocation with metrics off — instruments built from a
+// nil registry, each one a nil receiver — like every other pool hook.
 func TestNilPoolMetricsScanTargets(t *testing.T) {
-	var m *poolMetrics
+	m := newPoolMetrics(nil)
 	if n := testing.AllocsPerRun(100, func() {
 		m.scanTargets(3, 2)
 		m.scanVisits(1, 4)
 		m.storeFirstHop(true)
 	}); n != 0 {
-		t.Errorf("nil poolMetrics scan hooks allocated %.1f/op, want 0", n)
+		t.Errorf("scan hooks with metrics off allocated %.1f/op, want 0", n)
 	}
 }

@@ -68,7 +68,7 @@ type Server struct {
 	peers *peerPool
 	nowFn func() int64
 	logf  func(string, ...any)
-	m     *srvMetrics // nil when metrics are off
+	m     srvMetrics
 
 	// linked flips once the node has ever been part of a ring larger
 	// than itself (Join succeeded, a notify adopted a first successor,
@@ -115,8 +115,9 @@ func NewServer(listen string, opt Options) (*Server, error) {
 		cfg:     opt.Protocol.WithDefaults(),
 		addr:    addr,
 		ln:      ln,
-		peers:   newPeerPool(opt.DialTimeout, opt.RPCTimeout, DefaultPeerConns),
+		peers:   newPeerPool(opt.DialTimeout, opt.RPCTimeout, DefaultPeerConns, opt.Metrics),
 		logf:    opt.Logf,
+		m:       newSrvMetrics(opt.Metrics),
 		inConns: make(map[net.Conn]struct{}),
 		quit:    make(chan struct{}),
 	}
@@ -128,7 +129,7 @@ func NewServer(listen string, opt Options) (*Server, error) {
 	} else {
 		s.nowFn = s.tick.Load
 	}
-	s.registerMetrics(opt.Metrics)
+	s.registerGauges(opt.Metrics)
 	s.wg.Add(1)
 	go s.serve()
 	return s, nil
@@ -186,7 +187,7 @@ func (s *Server) ensureStore() *store.Store {
 		return st
 	}
 	st := store.New()
-	s.m.instrumentStore(st)
+	st.Instrument(s.m.storeRT)
 	s.SetApp(st)
 	return st
 }
@@ -287,8 +288,8 @@ func (in *inbound) step(c net.Conn) (err error) {
 // request gets a reply — the exchange discipline keeps one request/reply
 // in flight per connection, so framing never desynchronizes. The metrics
 // hooks meter the request per tag (count, bytes, frame size, handling
-// latency, and typed-error replies); with metrics off they are
-// nil-receiver no-ops.
+// latency, and typed-error replies); with metrics off each instrument they
+// touch is nil and no-ops on its own receiver.
 func (in *inbound) dispatch(req []byte) []byte {
 	slot, tm := in.s.m.startRequest(req)
 	in.wbuf = in.handleRequest(beginFrame(in.wbuf), req)
@@ -617,7 +618,7 @@ func (s *Server) markLinked() {
 // through here. A closed server's rounds are no-ops. The result is the
 // number of state changes — zero means a quiescent neighbourhood.
 func (s *Server) runRound(slot int, round func(chord.Peers) int) int {
-	tm := s.m.startRound(slot)
+	tm := s.m.roundSeconds[slot].Start()
 	n := 0
 	if s.alive.Load() {
 		n = round(&tcpPeers{s: s})

@@ -86,7 +86,7 @@ func scanLog(c *Client, reg *metrics.Registry) (res CountResult, log *visitLog, 
 	}
 	l0, p0, e0 := outRPCs(reg, "find_succ"), outRPCs(reg, "probe"), errs()
 	log = newVisitLog()
-	res = c.count(&rpcProber{c: c, onVisit: log.hear}, 5)
+	res = c.count(&rpcProber{c: c}, 5, log)
 	return res, log, outRPCs(reg, "find_succ") - l0, outRPCs(reg, "probe") - p0, errs() - e0
 }
 

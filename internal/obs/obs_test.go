@@ -224,11 +224,11 @@ func TestAggregatorPadsOnlyUpward(t *testing.T) {
 	}
 }
 
+// TestKindAndClassNames: every kind from KindCountStart to KindCrash has
+// a wire name of its own.
 func TestKindAndClassNames(t *testing.T) {
-	kinds := []Kind{KindCountStart, KindCountDone, KindLookup, KindProbe,
-		KindWalkStep, KindStore, KindReplica, KindStoreFail, KindExpire, KindFault}
 	seen := map[string]bool{}
-	for _, k := range kinds {
+	for k := KindCountStart; k <= KindCrash; k++ {
 		name := k.String()
 		if name == "" || name == "unknown" {
 			t.Errorf("kind %d has no wire name", k)

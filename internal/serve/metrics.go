@@ -2,10 +2,12 @@ package serve
 
 import "dhsketch/internal/metrics"
 
-// feMetrics holds the frontend instruments. The discipline mirrors
-// internal/netdht: a nil *feMetrics (registry off) makes every hook a
-// one-branch no-op, and the cache-hit hot path allocates nothing
-// either way (pinned by TestCacheHitZeroAlloc).
+// feMetrics holds the frontend instruments. The discipline is
+// internal/netdht's: they are built from the registry whether or not
+// there is one, a nil registry leaves every instrument nil, and a nil
+// instrument's own receiver check is all an event then costs — the
+// cache-hit hot path allocates nothing either way (pinned by
+// TestCacheHitZeroAlloc).
 type feMetrics struct {
 	cacheHits   *metrics.Counter
 	cacheMisses *metrics.Counter
@@ -21,11 +23,8 @@ type feMetrics struct {
 	fanErrors   *metrics.Counter
 }
 
-func newFEMetrics(reg *metrics.Registry) *feMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &feMetrics{
+func newFEMetrics(reg *metrics.Registry) feMetrics {
+	return feMetrics{
 		cacheHits:   reg.Counter("dhsd_cache_requests_total", "estimate-cache lookups by outcome", metrics.L("result", "hit")),
 		cacheMisses: reg.Counter("dhsd_cache_requests_total", "estimate-cache lookups by outcome", metrics.L("result", "miss")),
 		cacheStales: reg.Counter("dhsd_cache_requests_total", "estimate-cache lookups by outcome", metrics.L("result", "stale")),
@@ -41,95 +40,18 @@ func newFEMetrics(reg *metrics.Registry) *feMetrics {
 	}
 }
 
-func (m *feMetrics) cacheHit() {
-	if m == nil {
-		return
-	}
-	m.cacheHits.Inc()
-}
-
-func (m *feMetrics) cacheMiss() {
-	if m == nil {
-		return
-	}
-	m.cacheMisses.Inc()
-}
-
-func (m *feMetrics) cacheStale() {
-	if m == nil {
-		return
-	}
-	m.cacheStales.Inc()
-}
-
-func (m *feMetrics) coalescedWaiter() {
-	if m == nil {
-		return
-	}
-	m.coalesced.Inc()
-}
-
-func (m *feMetrics) shedQueueFull() {
-	if m == nil {
-		return
-	}
-	m.shedQueue.Inc()
-}
-
-func (m *feMetrics) shedDeadline() {
-	if m == nil {
-		return
-	}
-	m.shedDead.Inc()
-}
-
-func (m *feMetrics) inflightDelta(d int64) {
-	if m == nil {
-		return
-	}
-	m.inflight.Add(d)
-}
-
-func (m *feMetrics) queueDepth(depth int64) {
-	if m == nil {
-		return
-	}
-	m.queue.Set(depth)
-}
-
-func (m *feMetrics) startRequest() metrics.Timer {
-	if m == nil {
-		return metrics.Timer{}
-	}
-	return m.reqSeconds.Start()
-}
-
-func (m *feMetrics) finishRequest(tm metrics.Timer) { tm.Stop() }
-
-func (m *feMetrics) startFanout() metrics.Timer {
-	if m == nil {
-		return metrics.Timer{}
-	}
-	return m.fanSeconds.Start()
-}
-
 // finishFanout meters one fan-out over scanned metrics.
 func (m *feMetrics) finishFanout(tm metrics.Timer, scanned int, err error) {
 	tm.Stop()
-	if m == nil {
-		return
-	}
 	m.fanMetrics.Add(uint64(scanned))
 	if err != nil {
 		m.fanErrors.Inc()
 	}
 }
 
-// registerGauges publishes the scrape-time size gauges.
+// registerGauges publishes the scrape-time size gauges; a nil registry
+// registers nothing.
 func (f *Frontend) registerGauges(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
 	reg.GaugeFunc("dhsd_cache_entries", "entries held by the estimate cache",
 		func() float64 { return float64(f.CacheLen()) })
 }

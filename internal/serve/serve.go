@@ -32,8 +32,9 @@
 //     passed. Shedding is load-dependent, never content-dependent.
 //
 //   - Cost. Instrumentation follows the internal/metrics discipline: a
-//     nil registry means nil instruments, one branch per event, zero
-//     allocations on the cache-hit path.
+//     nil registry means nil instruments, whose own receiver check is
+//     the one branch an event costs, and the cache-hit path allocates
+//     nothing.
 //
 // Like internal/netdht and internal/metrics, this package lives in the
 // wall-clock domain by design (TTLs and queue deadlines are real time)
@@ -224,7 +225,7 @@ type Frontend struct {
 	flightMu sync.Mutex
 	flight   map[uint64]*flightCall
 
-	m *feMetrics
+	m feMetrics
 }
 
 // New builds a Frontend over counter. A counter that also has
@@ -268,18 +269,18 @@ func (f *Frontend) cacheGet(metric uint64) (*cacheEntry, time.Duration) {
 	e := sh.m[metric]
 	sh.mu.Unlock()
 	if e == nil {
-		f.m.cacheMiss()
+		f.m.cacheMisses.Inc()
 		return nil, 0
 	}
 	age := f.now().Sub(e.at)
 	if age >= f.cfg.CacheTTL {
-		f.m.cacheStale()
+		f.m.cacheStales.Inc()
 		return nil, 0
 	}
 	if !e.served.Load() {
 		e.served.Store(true)
 	}
-	f.m.cacheHit()
+	f.m.cacheHits.Inc()
 	return e, age
 }
 
@@ -365,9 +366,9 @@ func (f *Frontend) CacheLen() int {
 // or direct ring fan-out under admission control. The error is ErrShed
 // (wrapped) when admission rejected the query.
 func (f *Frontend) Count(metric uint64) (Result, error) {
-	tm := f.m.startRequest()
+	tm := f.m.reqSeconds.Start()
 	r, err := f.count(metric)
-	f.m.finishRequest(tm)
+	tm.Stop()
 	return r, err
 }
 
@@ -388,7 +389,7 @@ func (f *Frontend) count(metric uint64) (Result, error) {
 	f.flightMu.Lock()
 	if running := f.flight[metric]; running != nil {
 		f.flightMu.Unlock()
-		f.m.coalescedWaiter()
+		f.m.coalesced.Inc()
 		<-running.done
 		return running.result(metric)
 	}
@@ -421,7 +422,7 @@ func (f *Frontend) fanout(metrics []uint64) ([]Result, error) {
 		return nil, err
 	}
 	defer f.release()
-	tm := f.m.startFanout()
+	tm := f.m.fanSeconds.Start()
 	counts, err := f.countAll(metrics)
 	f.m.finishFanout(tm, len(metrics), err)
 	if err != nil {
@@ -447,38 +448,38 @@ func (f *Frontend) fanout(metrics []uint64) ([]Result, error) {
 func (f *Frontend) admit() error {
 	select {
 	case f.sem <- struct{}{}:
-		f.m.inflightDelta(+1)
+		f.m.inflight.Add(+1)
 		return nil
 	default:
 	}
 	for {
 		q := f.queued.Load()
 		if q >= int64(f.cfg.MaxQueue) {
-			f.m.shedQueueFull()
+			f.m.shedQueue.Inc()
 			return fmt.Errorf("%w: queue full (%d waiting)", ErrShed, q)
 		}
 		if f.queued.CompareAndSwap(q, q+1) {
 			break
 		}
 	}
-	f.m.queueDepth(f.queued.Load())
+	f.m.queue.Set(f.queued.Load())
 	timer := time.NewTimer(f.cfg.QueueTimeout)
 	defer timer.Stop()
 	select {
 	case f.sem <- struct{}{}:
-		f.m.queueDepth(f.queued.Add(-1))
-		f.m.inflightDelta(+1)
+		f.m.queue.Set(f.queued.Add(-1))
+		f.m.inflight.Add(+1)
 		return nil
 	case <-timer.C:
-		f.m.queueDepth(f.queued.Add(-1))
-		f.m.shedDeadline()
+		f.m.queue.Set(f.queued.Add(-1))
+		f.m.shedDead.Inc()
 		return fmt.Errorf("%w: queued past the %v deadline", ErrShed, f.cfg.QueueTimeout)
 	}
 }
 
 func (f *Frontend) release() {
 	<-f.sem
-	f.m.inflightDelta(-1)
+	f.m.inflight.Add(-1)
 }
 
 // Stats is the /statusz snapshot of the serving engine.
