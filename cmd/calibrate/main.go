@@ -2,8 +2,8 @@
 // truncated super-LogLog estimator (the paper's eq. 2) by Monte-Carlo
 // simulation: for each m = 2^c it inserts known numbers of distinct
 // pseudo-uniform hashes through the production sketch code path, computes
-// the raw truncated statistic m₀ · 2^{(1/m₀)·Σ*M} (by evaluating the
-// estimator with α̃ forced to 1), and sets α̃_m = mean over a sweep of
+// the raw truncated statistic m₀ · 2^{(1/m₀)·Σ*M} (the estimate divided
+// by the table's α̃_m), and sets α̃_m = mean over a sweep of
 // cardinality ratios n/m of n / E[raw] — the bias oscillates slightly
 // with log(n/m), so the sweep smooths the periodic component.
 //
@@ -39,15 +39,13 @@ func main() {
 	fmt.Println("// α̃_m calibration (paste into internal/sketch/alpha.go)")
 	for c := *cmin; c <= *cmax; c++ {
 		m := 1 << c
-		alpha := calibrate(c, m, *seed, *budget)
+		alpha := calibrate(m, *seed, *budget)
 		fmt.Printf("\t%.5f, // m=%d\n", alpha, m)
 	}
 }
 
 // calibrate estimates α̃_m for one m = 2^c.
-func calibrate(c, m int, seed uint64, budget float64) float64 {
-	// Evaluate the estimator raw, with the constant forced to 1.
-	sketch.SetCalibrationConstant(c, 1.0)
+func calibrate(m int, seed uint64, budget float64) float64 {
 	rng := rand.New(rand.NewPCG(seed, uint64(m)))
 
 	// Cardinality ratios n/m to average over: half-decade log2 steps
@@ -73,7 +71,7 @@ func calibrate(c, m int, seed uint64, budget float64) float64 {
 }
 
 // rawEstimate inserts n distinct random hashes into a fresh super-LogLog
-// sketch and returns its estimate (α̃ = 1 during calibration).
+// sketch and returns its raw statistic: the estimate without α̃_m.
 func rawEstimate(rng *rand.Rand, m, n int) float64 {
 	s, err := sketch.NewSuperLogLog(m, 32)
 	if err != nil {
@@ -82,5 +80,5 @@ func rawEstimate(rng *rand.Rand, m, n int) float64 {
 	for i := 0; i < n; i++ {
 		s.Add(rng.Uint64())
 	}
-	return s.Estimate()
+	return s.Estimate() / sketch.AlphaSuperLogLog(m)
 }

@@ -136,6 +136,24 @@ func (s Spec) Bounds(b int) (lo, hi int) {
 	return s.Min + b*w, s.Min + (b+1)*w
 }
 
+// Covered returns the fraction of bucket b's values that lo ≤ v ≤ hi
+// covers: the overlap's share of the bucket's width, and for an
+// open-ended final bucket 1 when hi reaches it, else 0.
+func (s Spec) Covered(b, lo, hi int) float64 {
+	blo, bhi := s.Bounds(b)
+	if bhi <= blo {
+		if hi >= blo {
+			return 1
+		}
+		return 0
+	}
+	l, r := max(lo, blo), min(hi+1, bhi)
+	if r <= l {
+		return 0
+	}
+	return float64(r-l) / float64(bhi-blo)
+}
+
 // MetricFor returns the DHS metric identifier of bucket b. All nodes
 // derive the same identifiers from the shared, constant spec.
 func (s Spec) MetricFor(b int) uint64 {
@@ -271,41 +289,15 @@ func (h *Histogram) SelectivityEq(v int) float64 {
 }
 
 // SelectivityRange estimates the fraction of tuples with lo ≤ attr ≤ hi,
-// interpolating linearly within partially covered buckets.
+// interpolating linearly within partially covered buckets (Spec.Covered).
 func (h *Histogram) SelectivityRange(lo, hi int) float64 {
 	total := h.Total()
 	if total == 0 || hi < lo {
 		return 0
 	}
 	var covered float64
-	for b := 0; b < h.Spec.NumBuckets(); b++ {
-		blo, bhi := h.Spec.Bounds(b)
-		if bhi <= blo { // open-ended final bucket: count if lo reaches it
-			if hi >= blo {
-				covered += h.Counts[b]
-			}
-			continue
-		}
-		l, r := maxInt(lo, blo), minInt(hi+1, bhi)
-		if r <= l {
-			continue
-		}
-		frac := float64(r-l) / float64(bhi-blo)
-		covered += h.Counts[b] * frac
+	for b := range h.Spec.NumBuckets() {
+		covered += h.Counts[b] * h.Spec.Covered(b, lo, hi)
 	}
 	return covered / total
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -10,7 +10,6 @@ import (
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/core"
-	"dhsketch/internal/dht"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/obs"
 	"dhsketch/internal/sketch"
@@ -47,10 +46,12 @@ type ClientConfig struct {
 	// Concurrent callers share the stream.
 	Seed uint64
 
-	// Retries and Backoff bound retries: a lookup, probe or ping re-sends
-	// its request, an insert its store at a fresh target, up to Retries
-	// times after attempt × Backoff; DialTimeout and RPCTimeout bound the
-	// transport. Zero fields take package defaults.
+	// Retries and Backoff bound core's insertion rule: a failed store is
+	// re-sent at a fresh target up to Retries times (default
+	// core.DefaultInsertRetries), each after attempt × Backoff. A lookup,
+	// probe or ping is one exchange, and its failure one spent attempt.
+	// DialTimeout and RPCTimeout bound the transport. Zero fields take
+	// package defaults.
 	Retries     int
 	Backoff     time.Duration
 	DialTimeout time.Duration
@@ -80,7 +81,7 @@ func (c ClientConfig) withDefaults() ClientConfig {
 		c.Lim = core.DefaultLim
 	}
 	if c.Retries == 0 {
-		c.Retries = 3
+		c.Retries = core.DefaultInsertRetries
 	}
 	return c
 }
@@ -164,8 +165,7 @@ func (s *lockedSource) Uint64() uint64 {
 // makes the first routing decision, so the client needs no ring topology.
 func (c *Client) findSucc(key uint64, flags byte) (findSuccRespMsg, error) {
 	var req, reply [rpcScratch]byte
-	raw, err := c.peers.exchangeRetry(c.cfg.Entry,
-		appendFindSucc(req[:0], findSuccMsg{flags: flags, key: key}), reply[:0], c.cfg.Retries, c.cfg.Backoff)
+	raw, err := c.peers.exchange(c.cfg.Entry, appendFindSucc(req[:0], findSuccMsg{flags: flags, key: key}), reply[:0])
 	if err != nil {
 		return findSuccRespMsg{}, err
 	}
@@ -555,7 +555,7 @@ func (c *Client) probe(addr string, req wire.ProbeReq) (wire.ProbeResp, error) {
 	if err != nil {
 		return wire.ProbeResp{}, err
 	}
-	raw, err := c.peers.exchangeRetry(addr, frame, nil, c.cfg.Retries, c.cfg.Backoff)
+	raw, err := c.peers.exchange(addr, frame, nil)
 	if err != nil {
 		return wire.ProbeResp{}, err
 	}
@@ -604,14 +604,4 @@ func (r *maskReply) AppendVectors(dst []uint64, metric uint64) []uint64 {
 }
 
 // Ping checks that the entry node answers.
-func (c *Client) Ping() error {
-	var reply [rpcScratch]byte
-	raw, err := c.peers.exchangeRetry(c.cfg.Entry, pingFrame, reply[:0], c.cfg.Retries, c.cfg.Backoff)
-	if err != nil {
-		return err
-	}
-	if len(raw) < 2 || raw[1] != tagPong {
-		return fmt.Errorf("%w: unexpected ping reply", dht.ErrLost)
-	}
-	return nil
-}
+func (c *Client) Ping() error { return c.peers.ping(c.cfg.Entry) }

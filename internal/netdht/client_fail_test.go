@@ -2,6 +2,7 @@ package netdht
 
 import (
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -9,13 +10,15 @@ import (
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/dht"
+	"dhsketch/internal/metrics"
 	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
 )
 
 // Failure-path coverage for the RPC client: retry exhaustion, the
-// Count accounting contract when peers are unreachable, and Join's
-// bootstrap retry window.
+// Count accounting contract when peers are unreachable, one exchange per
+// spent attempt against a peer that never answers, and Join's bootstrap
+// retry window.
 
 // deadAddr binds a loopback port and releases it, yielding an address
 // that refuses connections (nothing re-listens during the test).
@@ -28,6 +31,88 @@ func deadAddr(t *testing.T) string {
 	addr := ln.Addr().String()
 	ln.Close()
 	return addr
+}
+
+// silentPeer accepts connections and never answers: every exchange with
+// it ends on the asking side's RPC timeout.
+func silentPeer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				io.Copy(io.Discard, c)
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// counter reads one unlabelled counter of reg.
+func counter(reg *metrics.Registry, name string) uint64 { return reg.Counter(name, "").Value() }
+
+// TestExchangeSilentPeerOneAttempt: a failure on a socket the exchange
+// dialled itself is final. One exchange with a peer that never answers
+// dials once, redials nothing and returns after one RPC timeout.
+func TestExchangeSilentPeerOneAttempt(t *testing.T) {
+	const rpc = 100 * time.Millisecond
+	addr := silentPeer(t)
+	reg := metrics.New()
+	p := newPeerPool(time.Second, rpc, DefaultPeerConns, reg)
+	defer p.close()
+
+	start := time.Now()
+	_, err := p.exchange(addr, pingFrame, nil)
+	elapsed := time.Since(start)
+	if !errors.Is(err, dht.ErrTimeout) {
+		t.Fatalf("exchange error = %v, want dht.ErrTimeout", err)
+	}
+	if dials, redials := counter(reg, "netdht_dials_total"), counter(reg, "netdht_redials_total"); dials != 1 || redials != 0 {
+		t.Errorf("%d dials and %d redials, want 1 and 0", dials, redials)
+	}
+	if elapsed >= 2*rpc {
+		t.Errorf("exchange took %v, want one RPC timeout (%v)", elapsed, rpc)
+	}
+}
+
+// TestCountSilentEntry: a Count whose entry accepts connections and never
+// answers spends each of its attempts on one find_succ exchange: 11
+// intervals × Lim 5 = 55 attempts, all failed, 55 dials, no redial and no
+// backoff retry.
+func TestCountSilentEntry(t *testing.T) {
+	reg := metrics.New()
+	c, err := NewClient(ClientConfig{
+		Entry: silentPeer(t), K: 16, M: 64, Kind: sketch.KindSuperLogLog, Lim: 5,
+		Backoff: time.Millisecond, DialTimeout: 500 * time.Millisecond, RPCTimeout: 20 * time.Millisecond,
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	t.Cleanup(c.Close)
+
+	res, err := c.Count(42)
+	if err != nil {
+		t.Fatalf("Count: %v", err)
+	}
+	const attempts = 55
+	if res.ProbesAttempted != attempts || res.ProbesFailed != attempts || !res.Degraded {
+		t.Errorf("Count quality %+v, want %d attempted, %d failed, degraded", res.Quality, attempts, attempts)
+	}
+	for name, want := range map[string]uint64{"netdht_dials_total": attempts, "netdht_redials_total": 0, "netdht_retries_total": 0} {
+		if got := counter(reg, name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
 }
 
 // fastClient builds a client with one retry and a tiny backoff so
@@ -143,8 +228,8 @@ func TestCountSurvivesPeerDeath(t *testing.T) {
 	}
 }
 
-// TestJoinBackoffTiming: Join retries its bootstrap exchange with
-// linear backoff (3 retries at the 50ms default: 50+100+150ms of
+// TestJoinBackoffTiming: Join runs its whole attempt again after a
+// linear backoff (joinRetries = 3 at the 50ms default: 50+100+150ms of
 // sleeps). Against a dead bootstrap it must both fail with
 // dht.ErrNodeDown and demonstrably have waited — a sub-250ms failure
 // means the backoff never happened.

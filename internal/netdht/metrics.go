@@ -215,8 +215,8 @@ func newPoolMetrics(reg *metrics.Registry) poolMetrics {
 	m := poolMetrics{
 		dials:      reg.Counter("netdht_dials_total", "outbound TCP dial attempts"),
 		dialErrors: reg.Counter("netdht_dial_errors_total", "outbound TCP dials that failed"),
-		redials:    reg.Counter("netdht_redials_total", "transparent redials after a failed exchange on a cached connection"),
-		retries:    reg.Counter("netdht_retries_total", "backoff retries of failed client exchanges"),
+		redials:    reg.Counter("netdht_redials_total", "redials after a failed exchange on a socket an earlier exchange left cached"),
+		retries:    reg.Counter("netdht_retries_total", "backoff retries: stores re-sent at a fresh target and joins run again"),
 		bytesOut:   reg.Counter("netdht_out_bytes_total", "bytes moved by outbound exchanges", metrics.L("dir", "out")),
 		bytesIn:    reg.Counter("netdht_out_bytes_total", "bytes moved by outbound exchanges", metrics.L("dir", "in")),
 		frameOut:   reg.Histogram("netdht_out_frame_bytes", "frame sizes of outbound exchanges", metrics.DefSizeBuckets, metrics.L("dir", "out")),

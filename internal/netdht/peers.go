@@ -133,12 +133,12 @@ func newPeerPool(dialTimeout, rpcTimeout time.Duration, connsPer int, reg *metri
 }
 
 // get returns a locked connection slot for addr with a live socket,
-// dialing if the slot is empty.
-func (p *peerPool) get(addr string) (*peerConn, error) {
+// dialing if the slot is empty; dialled reports that it did.
+func (p *peerPool) get(addr string) (pc *peerConn, dialled bool, err error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, fmt.Errorf("%w: peer pool closed", dht.ErrLost)
+		return nil, false, fmt.Errorf("%w: peer pool closed", dht.ErrLost)
 	}
 	e, ok := p.peers[addr]
 	if !ok {
@@ -150,20 +150,27 @@ func (p *peerPool) get(addr string) (*peerConn, error) {
 	}
 	p.mu.Unlock()
 
-	pc := e.acquire() // held by the caller through the exchange
-	if pc.c == nil {
-		c, err := net.DialTimeout("tcp", addr, p.dialTimeout)
-		if err != nil {
-			pc.mu.Unlock()
-			merr := mapNetErr(err)
-			p.m.dialAttempt(merr)
-			return nil, merr
-		}
-		p.m.dialAttempt(nil)
-		p.live.Add(1)
-		pc.c = c
+	pc = e.acquire() // held by the caller through the exchange
+	if pc.c != nil {
+		return pc, false, nil
 	}
-	return pc, nil
+	if err := p.dial(pc, addr); err != nil {
+		pc.mu.Unlock()
+		return nil, false, mapNetErr(err)
+	}
+	return pc, true, nil
+}
+
+// dial opens a socket to addr into the empty slot pc. Caller holds pc.mu.
+func (p *peerPool) dial(pc *peerConn, addr string) error {
+	c, err := net.DialTimeout("tcp", addr, p.dialTimeout)
+	p.m.dialAttempt(err)
+	if err != nil {
+		return err
+	}
+	p.live.Add(1)
+	pc.c = c
+	return nil
 }
 
 // dropConn closes and clears a slot's socket. Caller holds pc.mu.
@@ -181,15 +188,16 @@ func (p *peerPool) dropConn(pc *peerConn) {
 // slice when dst has no room for it. The reply is read into the slot's own
 // buffer and copied out before the slot is released, so the slot's next
 // user never writes under a reader that is still decoding; req is copied
-// into the slot too and may live on the caller's stack. A
-// failure on a connection that predates this call is retried once on a
-// fresh dial: a stale cached socket (the peer restarted, an idle
-// timeout fired) is indistinguishable from a dead peer until a second
-// dial answers. Safe for the idempotent RPC set this package speaks.
-// The metrics hooks meter the exchange per tag (count, bytes, frame
-// size, round-trip latency) and transport failures by errno class;
-// with metrics off each instrument they touch is nil and no-ops on its
-// own receiver.
+// into the slot too and may live on the caller's stack. A failure on a
+// socket an earlier exchange left in the slot is retried once on a fresh
+// dial: a stale cached socket (the peer restarted, an idle timeout fired)
+// is indistinguishable from a dead peer until a second dial answers. A
+// failure on a socket this exchange dialled is final — the caller's one
+// spent attempt (DESIGN.md §8). Safe for the idempotent RPC set this
+// package speaks. The metrics hooks meter the exchange per tag (count,
+// bytes, frame size, round-trip latency) and transport failures by errno
+// class; with metrics off each instrument they touch is nil and no-ops on
+// its own receiver.
 func (p *peerPool) exchange(addr string, req, dst []byte) ([]byte, error) {
 	slot, tm := p.m.startRPC(req)
 	resp, err := p.doExchange(addr, req, dst)
@@ -198,29 +206,35 @@ func (p *peerPool) exchange(addr string, req, dst []byte) ([]byte, error) {
 }
 
 func (p *peerPool) doExchange(addr string, req, dst []byte) ([]byte, error) {
-	pc, err := p.get(addr)
+	pc, dialled, err := p.get(addr)
 	if err != nil {
 		return nil, err
 	}
 	defer pc.release()
 
 	err = p.roundTrip(pc, req)
-	if err != nil {
+	if err != nil && !dialled {
 		p.dropConn(pc)
 		p.m.redials.Inc()
-		c, derr := net.DialTimeout("tcp", addr, p.dialTimeout)
-		p.m.dialAttempt(derr)
-		if derr != nil {
-			return nil, mapNetErr(derr)
-		}
-		p.live.Add(1)
-		pc.c = c
-		if err = p.roundTrip(pc, req); err != nil {
-			p.dropConn(pc)
-			return nil, mapNetErr(err)
+		if err = p.dial(pc, addr); err == nil {
+			err = p.roundTrip(pc, req)
 		}
 	}
+	if err != nil {
+		p.dropConn(pc)
+		return nil, mapNetErr(err)
+	}
 	return append(dst[:0], pc.rbuf...), nil
+}
+
+// ping is one ping exchange with addr; a reply but a pong is an error.
+func (p *peerPool) ping(addr string) error {
+	var scratch [rpcScratch]byte
+	raw, err := p.exchange(addr, pingFrame, scratch[:0])
+	if err == nil && (len(raw) < 2 || raw[1] != tagPong) {
+		err = fmt.Errorf("%w: unexpected ping reply", dht.ErrLost)
+	}
+	return err
 }
 
 // release ends the caller's hold on the slot: buffers that grew beyond
@@ -247,28 +261,9 @@ func (p *peerPool) roundTrip(pc *peerConn, req []byte) error {
 	return err
 }
 
-// exchangeRetry is exchange with bounded linear-backoff retries of the same
-// request, for lookups, probes, ping and a joiner's bootstrap; a failed store
-// is re-sent at a fresh target by the insertion rule instead (wirePlacer).
-// Typed errors pass through unchanged, so the caller's failure accounting
-// sees the same taxonomy the simulator produces.
-func (p *peerPool) exchangeRetry(addr string, req, dst []byte, retries int, backoff time.Duration) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
-		if attempt > 0 {
-			p.backoff(attempt, backoff)
-		}
-		resp, err := p.exchange(addr, req, dst)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-// backoff is the one linear backoff of the asking side: it meters a retry
-// and sleeps attempt units (defaultBackoff when unit is not positive).
+// backoff is the one linear backoff of the asking side — before an
+// insert's fresh target and a Join's next attempt: it meters a retry and
+// sleeps attempt units (defaultBackoff when unit is not positive).
 func (p *peerPool) backoff(attempt int, unit time.Duration) {
 	if unit <= 0 {
 		unit = defaultBackoff

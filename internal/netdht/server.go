@@ -431,25 +431,15 @@ func (p *tcpPeers) Notify(to, self chord.Ref) (bool, error) {
 	return decodeAck(raw)
 }
 
-func (p *tcpPeers) Ping(to chord.Ref) error {
-	var scratch [rpcScratch]byte
-	raw, err := p.s.peers.exchange(to.Addr, pingFrame, scratch[:0])
-	if err != nil {
-		return err
-	}
-	if len(raw) < 2 || raw[1] != tagPong {
-		return fmt.Errorf("%w: unexpected ping reply", dht.ErrLost)
-	}
-	return nil
-}
+func (p *tcpPeers) Ping(to chord.Ref) error { return p.s.peers.ping(to.Addr) }
 
-// FindSucc sends one routing step. An origin contact (hops == 0, a
-// joiner reaching its bootstrap) is not a metered hop and is retried
-// like a client's entry request; a forwarded step gets one attempt —
-// the sender has other candidates. A decoded reply is terminal: the
-// owner, or a typed downstream routing failure. A relayed store is
-// answered by a store ack and by nothing else: a peer that routed the key
-// but says nothing of the tuple is one more candidate that failed.
+// FindSucc sends one routing step in one exchange; a failed one is a
+// candidate that failed (Server.Join retries a joiner's whole attempt).
+// An origin contact (hops == 0, a joiner reaching its bootstrap) is not a
+// metered hop; a forwarded step carries flagForwarded. A decoded reply is
+// terminal: the owner, or a typed downstream routing failure. A relayed
+// store is answered by a store ack and by nothing else: a peer that routed
+// the key but says nothing of the tuple is one more candidate that failed.
 func (p *tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver bool) (chord.Found, error) {
 	m := findSuccMsg{key: key, hops: uint16(hops), stale: uint16(stale), store: p.store}
 	if deliver {
@@ -458,15 +448,11 @@ func (p *tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver b
 	if p.near {
 		m.flags |= flagNeighbors
 	}
-	var req, reply [rpcScratch]byte
-	var raw []byte
-	var err error
-	if hops == 0 {
-		raw, err = p.s.peers.exchangeRetry(to.Addr, appendFindSucc(req[:0], m), reply[:0], 3, 0)
-	} else {
+	if hops > 0 {
 		m.flags |= flagForwarded
-		raw, err = p.s.peers.exchange(to.Addr, appendFindSucc(req[:0], m), reply[:0])
 	}
+	var req, reply [rpcScratch]byte
+	raw, err := p.s.peers.exchange(to.Addr, appendFindSucc(req[:0], m), reply[:0])
 	if err != nil {
 		return chord.Found{}, err
 	}
@@ -686,11 +672,27 @@ func (s *Server) StartMaintenance(period time.Duration) {
 	}()
 }
 
+// joinRetries is how many times Join runs again after a failed attempt,
+// each after a linear backoff at the default unit: daemons started in
+// parallel need not start the bootstrap first.
+const joinRetries = 3
+
 // Join links this server into the ring reachable at bootstrap (see
 // chord.Machine.Join). The rest of the ring learns about us through
-// its stabilize rounds.
+// its stabilize rounds. A failed attempt is run again whole, up to
+// joinRetries times: with the stale-socket redial, the one request the
+// package re-sends unchanged.
 func (s *Server) Join(bootstrap string) error {
-	succ, err := s.node.Join(&tcpPeers{s: s}, chord.Ref{Addr: bootstrap})
+	var succ chord.Ref
+	var err error
+	for attempt := 0; attempt <= joinRetries; attempt++ {
+		if attempt > 0 {
+			s.peers.backoff(attempt, 0)
+		}
+		if succ, err = s.node.Join(&tcpPeers{s: s}, chord.Ref{Addr: bootstrap}); err == nil {
+			break
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("netdht: join via %s: %w", bootstrap, err)
 	}

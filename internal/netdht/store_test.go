@@ -604,7 +604,7 @@ func TestBareInsertFrameRefused(t *testing.T) {
 		"insert":      wire.EncodeInsert(wire.Insert{Metric: 4, Vector: 5, Bit: 3}),
 		"bulk insert": wire.EncodeBulkInsert(wire.BulkInsert{Metric: 4, Bit: 3, Vectors: []uint16{1, 5}}),
 	} {
-		raw, err := c.peers.exchangeRetry(s.Addr(), frame, nil, 0, 0)
+		raw, err := c.peers.exchange(s.Addr(), frame, nil)
 		if err != nil {
 			t.Fatalf("%s: exchange: %v", name, err)
 		}

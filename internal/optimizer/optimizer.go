@@ -50,17 +50,7 @@ func (t TableStats) ApplyRange(lo, hi int) TableStats {
 	spec := t.Hist.Spec
 	scaled := make([]float64, len(t.Hist.Counts))
 	for b := range scaled {
-		blo, bhi := spec.Bounds(b)
-		if bhi <= blo {
-			if hi >= blo {
-				scaled[b] = t.Hist.Counts[b]
-			}
-			continue
-		}
-		l, r := maxInt(lo, blo), minInt(hi+1, bhi)
-		if r > l {
-			scaled[b] = t.Hist.Counts[b] * float64(r-l) / float64(bhi-blo)
-		}
+		scaled[b] = t.Hist.Counts[b] * spec.Covered(b, lo, hi)
 	}
 	return TableStats{
 		Name:       fmt.Sprintf("σ[%d..%d](%s)", lo, hi, t.Name),
@@ -265,18 +255,4 @@ func permute(n int, f func([]int)) {
 	if n > 0 {
 		rec(n)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

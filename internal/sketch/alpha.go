@@ -27,7 +27,8 @@ func AlphaLogLog(m int) float64 {
 // E(n) = α̃_m · m₀ · 2^{(1/m₀)·Σ*M}, indexed by log₂ m. Durand & Flajolet
 // compute these numerically; the values below were produced by
 // cmd/calibrate (Monte-Carlo unbiasing over a sweep of cardinalities with
-// a fixed seed; see that command for the procedure).
+// a fixed seed; see that command for the procedure). Nothing writes the
+// table at run time.
 var superLogLogAlpha = [17]float64{
 	0,       // m=1: unused (super-LogLog requires m >= 2)
 	1.00216, // m=2
@@ -63,29 +64,6 @@ func AlphaSuperLogLog(m int) float64 {
 		c = len(superLogLogAlpha) - 1
 	}
 	return superLogLogAlpha[c]
-}
-
-// setSuperLogLogAlpha overrides one calibration constant; used only by
-// cmd/calibrate when re-deriving the table.
-func setSuperLogLogAlpha(c int, v float64) {
-	superLogLogAlpha[c] = v
-}
-
-// CalibrationConstants exposes the α̃ table (indexed by log₂ m) for the
-// calibration tool and for tests.
-func CalibrationConstants() []float64 {
-	out := make([]float64, len(superLogLogAlpha))
-	copy(out, superLogLogAlpha[:])
-	return out
-}
-
-// SetCalibrationConstant replaces the α̃ value for m = 2^c. Intended for
-// cmd/calibrate; normal callers never need it.
-func SetCalibrationConstant(c int, v float64) {
-	if c < 1 || c >= len(superLogLogAlpha) {
-		panic("sketch: calibration index out of range")
-	}
-	setSuperLogLogAlpha(c, v)
 }
 
 // AlphaHyperLogLog returns the bias-correction constant for HyperLogLog

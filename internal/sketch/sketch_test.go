@@ -391,23 +391,6 @@ func TestPCSASmallRangeCorrection(t *testing.T) {
 	}
 }
 
-func TestCalibrationConstantAccessors(t *testing.T) {
-	before := CalibrationConstants()
-	SetCalibrationConstant(3, 9.99)
-	if CalibrationConstants()[3] != 9.99 {
-		t.Error("SetCalibrationConstant had no effect")
-	}
-	SetCalibrationConstant(3, before[3])
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("SetCalibrationConstant(0, ...) should panic")
-			}
-		}()
-		SetCalibrationConstant(0, 1)
-	}()
-}
-
 func BenchmarkAdd(b *testing.B) {
 	for _, k := range []Kind{KindPCSA, KindSuperLogLog, KindHyperLogLog} {
 		b.Run(k.String(), func(b *testing.B) {
