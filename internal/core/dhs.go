@@ -83,13 +83,13 @@ func (d *DHS) MaxBit() uint { return d.geom.MaxBit() }
 // "relation-R/cardinality" or "relation-R/attr-a/bucket-17". Estimated
 // metrics range from network parameters to histogram buckets (§3.2).
 func MetricID(name string) uint64 {
-	return md4.Sum64([]byte("metric|" + name))
+	return md4.Sum64Concat("metric|", name)
 }
 
 // ItemID derives an item's DHT key from a label — the simulation stand-in
 // for hashing a document's content or a tuple's primary key.
 func ItemID(label string) uint64 {
-	return md4.Sum64([]byte("item|" + label))
+	return md4.Sum64Concat("item|", label)
 }
 
 // Estimate is the result of one counting operation, with the cost

@@ -56,3 +56,12 @@ func BenchmarkBulkInsert64(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkItemID is the hash every inserted label pays: md4 of
+// "item|" + label, at the load generator's label length.
+func BenchmarkItemID(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ItemID("m-3:item-0000123456")
+	}
+}

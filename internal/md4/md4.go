@@ -9,6 +9,7 @@ package md4
 import (
 	"encoding/binary"
 	"hash"
+	"math/bits"
 )
 
 // Size is the size of an MD4 checksum in bytes.
@@ -59,13 +60,13 @@ func (d *digest) Write(p []byte) (n int, err error) {
 		c := copy(d.x[d.nx:], p)
 		d.nx += c
 		if d.nx == BlockSize {
-			block(d, d.x[:])
+			block(&d.s, d.x[:])
 			d.nx = 0
 		}
 		p = p[c:]
 	}
 	for len(p) >= BlockSize {
-		block(d, p[:BlockSize])
+		block(&d.s, p[:BlockSize])
 		p = p[BlockSize:]
 	}
 	if len(p) > 0 {
@@ -109,61 +110,126 @@ func Sum(data []byte) [Size]byte {
 	return d.checkSum()
 }
 
+// oneBlock is the most input that pads into a single block: the 0x80 byte
+// and the 8-byte bit length follow it within BlockSize.
+const oneBlock = BlockSize - 9
+
 // Sum64 returns the first 8 bytes of the MD4 checksum of data interpreted
 // as a little-endian 64-bit integer. The DHT and DHS layers use it to
 // produce L = 64-bit identifiers, matching the paper's evaluation setup.
+// An input of at most 55 bytes — every label this repository hashes — is
+// padded and hashed in one block on the stack.
 func Sum64(data []byte) uint64 {
-	h := Sum(data)
-	return binary.LittleEndian.Uint64(h[:8])
+	if len(data) > oneBlock {
+		h := Sum(data)
+		return binary.LittleEndian.Uint64(h[:8])
+	}
+	var blk [BlockSize]byte
+	copy(blk[:], data)
+	return sum64Block(&blk, len(data))
 }
 
-var shift1 = [4]uint{3, 7, 11, 19}
-var shift2 = [4]uint{3, 5, 9, 13}
-var shift3 = [4]uint{3, 9, 11, 15}
-
-var xIndex2 = [16]uint{0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7, 11, 15}
-var xIndex3 = [16]uint{0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15}
-
-func block(dig *digest, p []byte) {
-	var X [16]uint32
-	for i := range X {
-		X[i] = binary.LittleEndian.Uint32(p[i*4:])
+// Sum64Concat is Sum64 of a followed by b, without building the
+// concatenation: a prefixed label ("item|" + label) hashes allocation-free.
+func Sum64Concat(a, b string) uint64 {
+	if len(a)+len(b) > oneBlock {
+		return Sum64([]byte(a + b))
 	}
+	var blk [BlockSize]byte
+	copy(blk[copy(blk[:], a):], b)
+	return sum64Block(&blk, len(a)+len(b))
+}
 
-	a, b, c, d := dig.s[0], dig.s[1], dig.s[2], dig.s[3]
+// sum64Block finishes the n ≤ oneBlock input bytes at the front of an
+// otherwise zero block — the padding byte, then the length in bits — and
+// returns the first 8 bytes of its checksum.
+func sum64Block(blk *[BlockSize]byte, n int) uint64 {
+	blk[n] = 0x80
+	binary.LittleEndian.PutUint64(blk[BlockSize-8:], uint64(n)<<3)
+	s := [4]uint32{init0, init1, init2, init3}
+	block(&s, blk[:])
+	return uint64(s[0]) | uint64(s[1])<<32
+}
+
+// block folds one 64-byte block into the state s: RFC 1320's three rounds
+// of sixteen steps, unrolled with their constant rotations.
+func block(s *[4]uint32, p []byte) {
+	p = p[:BlockSize]
+	x0 := binary.LittleEndian.Uint32(p[0:])
+	x1 := binary.LittleEndian.Uint32(p[4:])
+	x2 := binary.LittleEndian.Uint32(p[8:])
+	x3 := binary.LittleEndian.Uint32(p[12:])
+	x4 := binary.LittleEndian.Uint32(p[16:])
+	x5 := binary.LittleEndian.Uint32(p[20:])
+	x6 := binary.LittleEndian.Uint32(p[24:])
+	x7 := binary.LittleEndian.Uint32(p[28:])
+	x8 := binary.LittleEndian.Uint32(p[32:])
+	x9 := binary.LittleEndian.Uint32(p[36:])
+	x10 := binary.LittleEndian.Uint32(p[40:])
+	x11 := binary.LittleEndian.Uint32(p[44:])
+	x12 := binary.LittleEndian.Uint32(p[48:])
+	x13 := binary.LittleEndian.Uint32(p[52:])
+	x14 := binary.LittleEndian.Uint32(p[56:])
+	x15 := binary.LittleEndian.Uint32(p[60:])
+
+	a, b, c, d := s[0], s[1], s[2], s[3]
 
 	// Round 1: F(x,y,z) = (x AND y) OR (NOT x AND z)
-	for i := uint(0); i < 16; i++ {
-		x := i
-		s := shift1[i%4]
-		f := (b & c) | (^b & d)
-		a += f + X[x]
-		a = a<<s | a>>(32-s)
-		a, b, c, d = d, a, b, c
-	}
+	a = bits.RotateLeft32(a+(((c^d)&b)^d)+x0, 3)
+	d = bits.RotateLeft32(d+(((b^c)&a)^c)+x1, 7)
+	c = bits.RotateLeft32(c+(((a^b)&d)^b)+x2, 11)
+	b = bits.RotateLeft32(b+(((d^a)&c)^a)+x3, 19)
+	a = bits.RotateLeft32(a+(((c^d)&b)^d)+x4, 3)
+	d = bits.RotateLeft32(d+(((b^c)&a)^c)+x5, 7)
+	c = bits.RotateLeft32(c+(((a^b)&d)^b)+x6, 11)
+	b = bits.RotateLeft32(b+(((d^a)&c)^a)+x7, 19)
+	a = bits.RotateLeft32(a+(((c^d)&b)^d)+x8, 3)
+	d = bits.RotateLeft32(d+(((b^c)&a)^c)+x9, 7)
+	c = bits.RotateLeft32(c+(((a^b)&d)^b)+x10, 11)
+	b = bits.RotateLeft32(b+(((d^a)&c)^a)+x11, 19)
+	a = bits.RotateLeft32(a+(((c^d)&b)^d)+x12, 3)
+	d = bits.RotateLeft32(d+(((b^c)&a)^c)+x13, 7)
+	c = bits.RotateLeft32(c+(((a^b)&d)^b)+x14, 11)
+	b = bits.RotateLeft32(b+(((d^a)&c)^a)+x15, 19)
 
 	// Round 2: G(x,y,z) = (x AND y) OR (x AND z) OR (y AND z)
-	for i := uint(0); i < 16; i++ {
-		x := xIndex2[i]
-		s := shift2[i%4]
-		g := (b & c) | (b & d) | (c & d)
-		a += g + X[x] + 0x5a827999
-		a = a<<s | a>>(32-s)
-		a, b, c, d = d, a, b, c
-	}
+	a = bits.RotateLeft32(a+((b&c)|((b|c)&d))+x0+0x5a827999, 3)
+	d = bits.RotateLeft32(d+((a&b)|((a|b)&c))+x4+0x5a827999, 5)
+	c = bits.RotateLeft32(c+((d&a)|((d|a)&b))+x8+0x5a827999, 9)
+	b = bits.RotateLeft32(b+((c&d)|((c|d)&a))+x12+0x5a827999, 13)
+	a = bits.RotateLeft32(a+((b&c)|((b|c)&d))+x1+0x5a827999, 3)
+	d = bits.RotateLeft32(d+((a&b)|((a|b)&c))+x5+0x5a827999, 5)
+	c = bits.RotateLeft32(c+((d&a)|((d|a)&b))+x9+0x5a827999, 9)
+	b = bits.RotateLeft32(b+((c&d)|((c|d)&a))+x13+0x5a827999, 13)
+	a = bits.RotateLeft32(a+((b&c)|((b|c)&d))+x2+0x5a827999, 3)
+	d = bits.RotateLeft32(d+((a&b)|((a|b)&c))+x6+0x5a827999, 5)
+	c = bits.RotateLeft32(c+((d&a)|((d|a)&b))+x10+0x5a827999, 9)
+	b = bits.RotateLeft32(b+((c&d)|((c|d)&a))+x14+0x5a827999, 13)
+	a = bits.RotateLeft32(a+((b&c)|((b|c)&d))+x3+0x5a827999, 3)
+	d = bits.RotateLeft32(d+((a&b)|((a|b)&c))+x7+0x5a827999, 5)
+	c = bits.RotateLeft32(c+((d&a)|((d|a)&b))+x11+0x5a827999, 9)
+	b = bits.RotateLeft32(b+((c&d)|((c|d)&a))+x15+0x5a827999, 13)
 
 	// Round 3: H(x,y,z) = x XOR y XOR z
-	for i := uint(0); i < 16; i++ {
-		x := xIndex3[i]
-		s := shift3[i%4]
-		h := b ^ c ^ d
-		a += h + X[x] + 0x6ed9eba1
-		a = a<<s | a>>(32-s)
-		a, b, c, d = d, a, b, c
-	}
+	a = bits.RotateLeft32(a+(b^c^d)+x0+0x6ed9eba1, 3)
+	d = bits.RotateLeft32(d+(a^b^c)+x8+0x6ed9eba1, 9)
+	c = bits.RotateLeft32(c+(d^a^b)+x4+0x6ed9eba1, 11)
+	b = bits.RotateLeft32(b+(c^d^a)+x12+0x6ed9eba1, 15)
+	a = bits.RotateLeft32(a+(b^c^d)+x2+0x6ed9eba1, 3)
+	d = bits.RotateLeft32(d+(a^b^c)+x10+0x6ed9eba1, 9)
+	c = bits.RotateLeft32(c+(d^a^b)+x6+0x6ed9eba1, 11)
+	b = bits.RotateLeft32(b+(c^d^a)+x14+0x6ed9eba1, 15)
+	a = bits.RotateLeft32(a+(b^c^d)+x1+0x6ed9eba1, 3)
+	d = bits.RotateLeft32(d+(a^b^c)+x9+0x6ed9eba1, 9)
+	c = bits.RotateLeft32(c+(d^a^b)+x5+0x6ed9eba1, 11)
+	b = bits.RotateLeft32(b+(c^d^a)+x13+0x6ed9eba1, 15)
+	a = bits.RotateLeft32(a+(b^c^d)+x3+0x6ed9eba1, 3)
+	d = bits.RotateLeft32(d+(a^b^c)+x11+0x6ed9eba1, 9)
+	c = bits.RotateLeft32(c+(d^a^b)+x7+0x6ed9eba1, 11)
+	b = bits.RotateLeft32(b+(c^d^a)+x15+0x6ed9eba1, 15)
 
-	dig.s[0] += a
-	dig.s[1] += b
-	dig.s[2] += c
-	dig.s[3] += d
+	s[0] += a
+	s[1] += b
+	s[2] += c
+	s[3] += d
 }

@@ -132,6 +132,55 @@ func TestSum64MatchesSum(t *testing.T) {
 	}
 }
 
+// digest64 is Sum64 the long way, through the streaming digest.
+func digest64(data []byte) uint64 {
+	h := New()
+	h.Write(data)
+	sum := h.Sum(nil)
+	return uint64(sum[0]) | uint64(sum[1])<<8 | uint64(sum[2])<<16 | uint64(sum[3])<<24 |
+		uint64(sum[4])<<32 | uint64(sum[5])<<40 | uint64(sum[6])<<48 | uint64(sum[7])<<56
+}
+
+// TestSum64OneBlock holds the one-block path to the streaming digest: the
+// RFC 1320 vectors, every length from 0 to two blocks on both sides of the
+// 55-byte cut, and 200 000 prefixed labels hashed by Sum64Concat — which
+// must also be Sum64 of the concatenation at every split.
+func TestSum64OneBlock(t *testing.T) {
+	for _, tc := range rfc1320Vectors {
+		want, _ := hex.DecodeString(tc.out)
+		var w uint64
+		for i := 7; i >= 0; i-- {
+			w = w<<8 | uint64(want[i])
+		}
+		if got := Sum64([]byte(tc.in)); got != w {
+			t.Errorf("Sum64(%q) = %x, want the RFC digest's first 8 bytes %x", tc.in, got, w)
+		}
+	}
+	msg := make([]byte, 2*BlockSize)
+	for i := range msg {
+		msg[i] = byte(i*131 + 7)
+	}
+	for n := 0; n <= len(msg); n++ {
+		if got, want := Sum64(msg[:n]), digest64(msg[:n]); got != want {
+			t.Errorf("length %d: Sum64 = %x, digest %x", n, got, want)
+		}
+		for cut := 0; cut <= n; cut++ {
+			if got, want := Sum64Concat(string(msg[:cut]), string(msg[cut:n])), digest64(msg[:n]); got != want {
+				t.Fatalf("length %d cut at %d: Sum64Concat = %x, digest %x", n, cut, got, want)
+			}
+		}
+	}
+	for i := 0; i < 200000; i++ {
+		label := fmt.Sprintf("item-%d-%x", i, i*2654435761)
+		if got, want := Sum64Concat("item|", label), digest64([]byte("item|"+label)); got != want {
+			t.Fatalf("label %q: Sum64Concat = %x, digest %x", label, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Sum64Concat("item|", "relation-R:tuple-0123456789") }); n != 0 {
+		t.Errorf("Sum64Concat of a short label allocated %.0f times", n)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	f := func(data []byte) bool {
 		return Sum(data) == Sum(data)
@@ -160,6 +209,12 @@ func BenchmarkSum64(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
 		Sum64(data)
+	}
+}
+
+func BenchmarkSum64Concat(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		Sum64Concat("item|", "relation-R:tuple-0123456789")
 	}
 }
 

@@ -3,12 +3,14 @@ package netdht
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/core"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/obs"
 	"dhsketch/internal/sim"
+	"dhsketch/internal/sketch"
 )
 
 // BenchmarkClientCountUncached is the ladder's rung for one uncached
@@ -39,36 +41,82 @@ func BenchmarkClientCountUncached(b *testing.B) {
 						b.Fatalf("insert %d: %v", i, err)
 					}
 				}
-				c.Count(1) // dial, and fill the view, outside the timer
-				lookups, probes, bytes := outRPCs(reg, "find_succ"), outRPCs(reg, "probe"), wireBytes(reg)
-				visits, owners := 0, 0
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if temp == "cold" {
-						c.view.arcs = nil
-					}
-					met := map[uint64]bool{}
-					sink := sinkFunc(func(e obs.Event) {
-						if e.Kind == obs.KindProbe {
-							visits++
-							met[e.Node] = true
-						}
-					})
-					if res := c.count(&rpcProber{c: c}, 1, sink); res.Degraded {
-						b.Fatalf("scan = %+v", res)
-					}
-					owners += len(met)
-				}
-				b.StopTimer()
-				ops := float64(b.N)
-				b.ReportMetric(float64(outRPCs(reg, "find_succ")-lookups)/ops, "find_succ/op")
-				b.ReportMetric(float64(outRPCs(reg, "probe")-probes)/ops, "probes/op")
-				b.ReportMetric(float64(owners)/ops, "owners/op")
-				b.ReportMetric(float64(visits)/ops, "visits/op")
-				b.ReportMetric(float64(wireBytes(reg)-bytes)/ops, "wire-B/op")
+				countRow(b, c, reg, 1, temp == "cold")
 			})
 		}
 	}
+	// The paper's geometry (k = 24, m = 512), where a reply is mostly masks:
+	// warm rows for sLL and PCSA, each its own metric of 200 000 items on one
+	// shared 32-node cluster. A load sends one insert per distinct (vector,
+	// bit) tuple the items set, which leaves the stores holding what
+	// inserting every item would, in a few thousand exchanges.
+	b.Run("n32/m512", func(b *testing.B) {
+		cl, err := NewCluster(sim.NewEnv(1), 32, chord.ProtocolConfig{})
+		if err != nil {
+			b.Fatalf("NewCluster: %v", err)
+		}
+		b.Cleanup(cl.Close)
+		for _, row := range []struct {
+			name   string
+			kind   sketch.Kind
+			metric uint64
+		}{{"sll", sketch.KindSuperLogLog, 2}, {"pcsa", sketch.KindPCSA, 3}} {
+			reg := metrics.New()
+			c, err := NewClient(ClientConfig{
+				Entry: cl.Servers()[0].Addr(), K: 24, M: 512, Kind: row.kind, Lim: 5, Seed: 7,
+				Retries: 1, Backoff: time.Millisecond,
+				DialTimeout: 500 * time.Millisecond, RPCTimeout: 2 * time.Second, Metrics: reg,
+			})
+			if err != nil {
+				b.Fatalf("NewClient: %v", err)
+			}
+			b.Cleanup(c.Close)
+			seen := map[[2]int64]bool{}
+			for i := 0; i < 200000; i++ {
+				id := core.ItemID(fmt.Sprint("item-", i))
+				v, bit := c.geom.Split(id)
+				if key := [2]int64{int64(v), int64(bit)}; !seen[key] {
+					seen[key] = true
+					if err := c.Insert(row.metric, id); err != nil {
+						b.Fatalf("insert %d: %v", i, err)
+					}
+				}
+			}
+			b.Run(row.name+"/warm", func(b *testing.B) { countRow(b, c, reg, row.metric, false) })
+		}
+	})
+}
+
+// countRow times uncached counts of metric by c, from an empty view each
+// when cold, and reports what they cost from the client's registry.
+func countRow(b *testing.B, c *Client, reg *metrics.Registry, metric uint64, cold bool) {
+	c.Count(metric) // dial, and fill the view, outside the timer
+	lookups, probes, bytes := outRPCs(reg, "find_succ"), outRPCs(reg, "probe"), wireBytes(reg)
+	visits, owners := 0, 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if cold {
+			c.view.arcs = nil
+		}
+		met := map[uint64]bool{}
+		sink := sinkFunc(func(e obs.Event) {
+			if e.Kind == obs.KindProbe {
+				visits++
+				met[e.Node] = true
+			}
+		})
+		if res := c.count(&rpcProber{c: c}, metric, sink); res.Degraded {
+			b.Fatalf("scan = %+v", res)
+		}
+		owners += len(met)
+	}
+	b.StopTimer()
+	ops := float64(b.N)
+	b.ReportMetric(float64(outRPCs(reg, "find_succ")-lookups)/ops, "find_succ/op")
+	b.ReportMetric(float64(outRPCs(reg, "probe")-probes)/ops, "probes/op")
+	b.ReportMetric(float64(owners)/ops, "owners/op")
+	b.ReportMetric(float64(visits)/ops, "visits/op")
+	b.ReportMetric(float64(wireBytes(reg)-bytes)/ops, "wire-B/op")
 }
 
 // BenchmarkClientCountAll is §4.2's "probing one node in I_r answers bit r

@@ -106,7 +106,7 @@ func TestPoolDialsOnDemand(t *testing.T) {
 }
 
 // bigProbe is a probe request whose reply nearly fills a frame: 256
-// positions × 60 metrics of 64-byte masks.
+// positions × 60 metrics of 64-byte masks. They are all metric 0's.
 func bigProbe(t *testing.T) []byte {
 	t.Helper()
 	req, err := wire.EncodeProbeReq(wire.ProbeReq{Span: 255, NumVecs: 512, Metrics: make([]uint64, 60)})
@@ -114,6 +114,17 @@ func bigProbe(t *testing.T) []byte {
 		t.Fatalf("EncodeProbeReq: %v", err)
 	}
 	return req
+}
+
+// halfFill stores metric's every even vector below m at bits lo … hi: masks
+// no coding shortens, so a reply of them travels dense.
+func halfFill(s *Server, metric uint64, m int, lo, hi uint8) {
+	st := s.ensureStore()
+	for b := int(lo); b <= int(hi); b++ {
+		for v := 0; v < m; v += 2 {
+			st.Set(store.Key{Metric: metric, Vector: int32(v), Bit: uint8(b)}, math.MaxInt64)
+		}
+	}
 }
 
 // TestConnBufferRelease: buffers are reused, not hoarded. A near-maxFrame
@@ -126,6 +137,7 @@ func TestConnBufferRelease(t *testing.T) {
 		t.Fatalf("NewServer: %v", err)
 	}
 	t.Cleanup(s.Close)
+	halfFill(s, 0, 512, 0, 255)
 	req := bigProbe(t)
 	capsOK := func(where string, bufs ...[]byte) {
 		t.Helper()
@@ -208,6 +220,11 @@ func TestServeStepZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		halfFill(s, 8, 64, 2, 8)
+		dense, err := wire.EncodeProbeReq(wire.ProbeReq{Bit: 2, Span: 6, NumVecs: 64, Metrics: []uint64{8}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		in := s.newInbound()
 		for _, c := range []struct {
 			what string
@@ -215,7 +232,8 @@ func TestServeStepZeroAlloc(t *testing.T) {
 			tag  byte
 		}{
 			{"store of an existing tuple", encodeFindSucc(findSuccMsg{key: key, store: tuple}), tagStoreAck},
-			{"probe of 7 positions at m=64", probe, wire.TagProbeResp},
+			{"probe of 7 positions at m=64, coded", probe, wire.TagProbeRespCoded},
+			{"probe of 7 positions at m=64, dense", dense, wire.TagProbeResp},
 			{"find_succ answered locally", encodeFindSucc(findSuccMsg{key: key}), tagFindSuccResp},
 			{"find_succ with its neighbourhood", encodeFindSucc(findSuccMsg{flags: flagNeighbors, key: key}), tagFindSuccResp},
 			{"ping", pingFrame, tagPong},

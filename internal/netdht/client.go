@@ -545,23 +545,23 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 // different m, one that answers a run with a single position, or a
 // hostile one, fails the probe here instead of indexing out of range in
 // the scan. A scan keeps an owner's masks for its whole life, longer than
-// any connection keeps a frame: the exchange is asked for a copy of the
-// reply that is the scan's own (nil: a fresh slice, made while the slot is
-// still held), and the masks are decoded in place in that copy — one copy
-// per owner, and the only frame bytes this package keeps.
+// any connection keeps a frame: the reply is decoded while the slot is
+// still held, into one buffer of dense masks that is the scan's own — the
+// frame's mask bytes copied, or a coded reply's expanded — one copy per
+// owner, and no frame bytes are kept.
 func (c *Client) probe(addr string, req wire.ProbeReq) (wire.ProbeResp, error) {
 	var scratch [rpcScratch]byte
 	frame, err := wire.AppendProbeReq(scratch[:0], req)
 	if err != nil {
 		return wire.ProbeResp{}, err
 	}
-	raw, err := c.peers.exchange(addr, frame, nil)
-	if err != nil {
+	var resp wire.ProbeResp
+	var derr error
+	if err := c.peers.exchangeWith(addr, frame, func(reply []byte) { resp, derr = wire.DecodeProbeResp(reply) }); err != nil {
 		return wire.ProbeResp{}, err
 	}
-	resp, err := wire.DecodeProbeRespInPlace(raw)
-	if err != nil {
-		return wire.ProbeResp{}, err
+	if derr != nil {
+		return wire.ProbeResp{}, derr
 	}
 	if resp.Span != req.Span || len(resp.VecMasks) != (int(req.Span)+1)*len(req.Metrics) {
 		return wire.ProbeResp{}, wire.ErrBadMessage

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+
+	"dhsketch/internal/wire"
 )
 
 // Framing: internal/wire deliberately defines no framing ("the
@@ -12,10 +14,11 @@ import (
 // payload, which is a wire-style buffer (version byte, tag byte, body).
 //
 // maxFrame bounds what a reader will allocate for one frame. The
-// largest legitimate message is a probe reply with 65535 masks of
+// largest legitimate message is a dense probe reply with 65535 masks of
 // ⌈m/8⌉ bytes; 1 MiB covers every configuration this repository runs
 // while keeping a garbage length prefix from ballooning into a
-// gigabyte allocation.
+// gigabyte allocation. It is wire.MaxFrame, the bound a coded reply's
+// decoder holds its expanded masks to.
 //
 // Frames are read into and built in buffers that belong to a connection:
 // an accepted connection (inbound) and an outbound pool slot (peerConn)
@@ -23,7 +26,8 @@ import (
 // to the next. The one rule that follows: a frame is valid until the next
 // read on its connection. Whatever must outlive that is copied out by the
 // connection's owner before it lets go — peerPool.exchange hands its caller
-// a copy of the reply before the slot is released, and nothing else keeps
+// a copy of the reply before the slot is released, exchangeWith lets it
+// decode the reply into memory of its own there, and nothing else keeps
 // frame bytes (DESIGN.md §14 "Framing and codecs").
 //
 // A connection carries one exchange at a time: a request is not sent before
@@ -32,7 +36,7 @@ import (
 // prefix and as much of the payload as has arrived in one Read — and bytes
 // behind a whole frame are a peer that broke the rule: the frame is refused
 // with them (errFrameSurplus), not read and the rest dropped.
-const maxFrame = 1 << 20
+const maxFrame = wire.MaxFrame
 
 // keepFrame is the most buffer a connection holds on to between frames. A
 // frame may need up to maxFrame; once it has been handled, a buffer that

@@ -251,15 +251,15 @@ func (m *poolMetrics) startRPC(req []byte) (int, metrics.Timer) {
 
 // finishRPC stops the timer and meters the outcome: reply bytes on
 // success, per-tag and per-class failure counts on transport error.
-func (m *poolMetrics) finishRPC(slot int, resp []byte, err error, tm metrics.Timer) {
+func (m *poolMetrics) finishRPC(slot, replyLen int, err error, tm metrics.Timer) {
 	tm.Stop()
 	if err != nil {
 		m.rpcErrors[slot].Inc()
 		m.errClasses[errClass(err)].Inc()
 		return
 	}
-	m.bytesIn.Add(uint64(len(resp)))
-	m.frameIn.Observe(float64(len(resp)))
+	m.bytesIn.Add(uint64(replyLen))
+	m.frameIn.Observe(float64(replyLen))
 }
 
 // dialAttempt meters one TCP dial. Errno classes are metered once per

@@ -199,16 +199,26 @@ func (p *peerPool) dropConn(pc *peerConn) {
 // class; with metrics off each instrument they touch is nil and no-ops on
 // its own receiver.
 func (p *peerPool) exchange(addr string, req, dst []byte) ([]byte, error) {
-	slot, tm := p.m.startRPC(req)
-	resp, err := p.doExchange(addr, req, dst)
-	p.m.finishRPC(slot, resp, err, tm)
+	var resp []byte
+	err := p.exchangeWith(addr, req, func(reply []byte) { resp = append(dst[:0], reply...) })
 	return resp, err
 }
 
-func (p *peerPool) doExchange(addr string, req, dst []byte) ([]byte, error) {
+// exchangeWith is exchange for a caller that reads the reply where it
+// arrived: read is handed the slot's buffer once, after a successful round
+// trip and before the slot is released, and must not keep it. A probe
+// decodes its reply this way, straight into memory of its own.
+func (p *peerPool) exchangeWith(addr string, req []byte, read func(reply []byte)) error {
+	slot, tm := p.m.startRPC(req)
+	n, err := p.doExchange(addr, req, read)
+	p.m.finishRPC(slot, n, err, tm)
+	return err
+}
+
+func (p *peerPool) doExchange(addr string, req []byte, read func(reply []byte)) (int, error) {
 	pc, dialled, err := p.get(addr)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer pc.release()
 
@@ -222,9 +232,10 @@ func (p *peerPool) doExchange(addr string, req, dst []byte) ([]byte, error) {
 	}
 	if err != nil {
 		p.dropConn(pc)
-		return nil, mapNetErr(err)
+		return 0, mapNetErr(err)
 	}
-	return append(dst[:0], pc.rbuf...), nil
+	read(pc.rbuf)
+	return len(pc.rbuf), nil
 }
 
 // ping is one ping exchange with addr; a reply but a pong is an error.

@@ -544,6 +544,7 @@ func (in *inbound) handleProbeReq(dst, req []byte) []byte {
 	if bits*len(m.Metrics) > math.MaxUint16 || wire.ProbeRespOverhead+bits*len(m.Metrics)*maskLen > maxFrame {
 		return appendErr(dst, errnoBad, 0, 0)
 	}
+	start := len(dst)
 	resp, err := wire.AppendProbeRespHeader(dst, m.Bit, m.Span, m.NumVecs, bits*len(m.Metrics))
 	if err != nil {
 		return appendErr(dst, errnoBad, 0, 0)
@@ -563,7 +564,9 @@ func (in *inbound) handleProbeReq(dst, req []byte) []byte {
 	if pred := s.node.Neighbors().Pred; pred.Valid() {
 		resp = wire.AppendArc(resp, pred.ID)
 	}
-	return resp
+	// The dense reply goes out in its shortest form: each mask dense, as the
+	// vectors set or as the vectors clear, whichever is fewest bytes.
+	return wire.ShortenProbeResp(resp, start)
 }
 
 // ---------------------------------------------------------------------

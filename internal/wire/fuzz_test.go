@@ -3,7 +3,8 @@
 // panic or over-read on arbitrary input, and anything it accepts must
 // survive a decode → re-encode → decode round trip unchanged (the
 // fixpoint property a networked peer relies on when it relays a
-// message it just parsed). Seed corpora live under testdata/fuzz; run
+// message it just parsed). A probe reply may re-encode shorter than it
+// came — its owner need not have found the shortest form — never longer. Seed corpora live under testdata/fuzz; run
 // the targets open-ended with e.g.
 //
 //	go test -fuzz=FuzzDecodeProbeResp -fuzztime=30s ./internal/wire
@@ -112,15 +113,17 @@ func FuzzDecodeProbeReq(f *testing.F) {
 
 func FuzzDecodeProbeResp(f *testing.F) {
 	mask := make([]byte, MaskBytes(512))
-	SetVec(mask, 0)
-	SetVec(mask, 511)
-	enc, err := EncodeProbeResp(ProbeResp{Bit: 7, NumVecs: 512, VecMasks: [][]byte{mask, make([]byte, MaskBytes(512))}})
+	for v := 0; v < 512; v += 2 {
+		SetVec(mask, v) // half the vectors: no index list is shorter, so dense
+	}
+	enc, err := EncodeProbeResp(ProbeResp{Bit: 7, NumVecs: 512, VecMasks: [][]byte{mask, mask}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	seedBuf(f, enc)
-	// A declared mask count far beyond the actual buffer.
+	// A declared mask count far beyond the actual buffer, dense and coded.
 	f.Add([]byte{Version, TagProbeResp, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0})
+	f.Add([]byte{Version, TagProbeRespCoded, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0})
 	// A run of two positions, two metrics each.
 	ranged, err := EncodeProbeResp(ProbeResp{Bit: 7, Span: 1, NumVecs: 512, VecMasks: [][]byte{mask, mask, mask, mask}})
 	if err != nil {
@@ -137,17 +140,42 @@ func FuzzDecodeProbeResp(f *testing.F) {
 	seedBuf(f, arced)
 	f.Add(arced[:len(ranged)+1])
 	f.Add(append(append([]byte(nil), arced...), 0))
+	// Coded replies: a form each — sparse (a few vectors set), complement (a
+	// few clear), dense inside a coded reply — and a run that mixes all three
+	// with an empty and a full mask, each with and without the arc.
+	sparse, full, few := make([]byte, MaskBytes(512)), make([]byte, MaskBytes(512)), make([]byte, MaskBytes(512))
+	for v := 0; v < 512; v++ {
+		SetVec(full, v)
+		if v%97 == 3 {
+			SetVec(sparse, v)
+		} else {
+			SetVec(few, v)
+		}
+	}
+	for _, masks := range [][][]byte{
+		{sparse, sparse},
+		{few, few},
+		{sparse, mask},
+		{sparse, few, mask, make([]byte, MaskBytes(512)), full, few},
+	} {
+		for _, arc := range []bool{false, true} {
+			coded, err := EncodeProbeResp(ProbeResp{Bit: 3, Span: uint8(len(masks)/2 - 1), NumVecs: 512, VecMasks: masks, HasArc: arc, ArcLo: 42})
+			if err != nil || coded[1] != TagProbeRespCoded {
+				f.Fatalf("coded seed % x, %v", coded, err)
+			}
+			seedBuf(f, coded)
+		}
+	}
+	// Hostile coded replies — an index past m, a repeated index, a count past
+	// the buffer, empty masks whose dense form outgrows a frame — are the
+	// corpus's coded-* files, beside a reply in each form.
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		m, err := DecodeProbeResp(buf)
 		if err != nil {
 			return
 		}
 		// Nothing is skipped: an accepted frame is its header, its masks and
-		// a whole arc or none, so it re-encodes to its own length, and with a
-		// byte of junk behind it is refused.
-		if want := 8 + len(m.VecMasks)*MaskBytes(int(m.NumVecs)); len(buf) != want && !(m.HasArc && len(buf) == want+arcSize) {
-			t.Fatalf("accepted %d bytes for %d masks at m=%d, arc %v", len(buf), len(m.VecMasks), m.NumVecs, m.HasArc)
-		}
+		// a whole arc or none, so with a byte of junk behind it is refused.
 		if _, err := DecodeProbeResp(append(append([]byte(nil), buf...), 0)); err == nil {
 			t.Fatalf("accepted with a byte of junk behind it")
 		}
@@ -155,26 +183,38 @@ func FuzzDecodeProbeResp(f *testing.F) {
 			t.Fatalf("accepted %d masks for the run %d+%d", len(m.VecMasks), m.Bit, m.Span)
 		}
 		for _, vm := range m.VecMasks {
-			if len(vm) != MaskBytes(int(m.NumVecs)) {
-				t.Fatalf("accepted mask of %d bytes for m=%d", len(vm), m.NumVecs)
+			if len(vm) != MaskBytes(int(m.NumVecs)) || pastVecs(vm, int(m.NumVecs)) {
+				t.Fatalf("accepted mask % x for m=%d", vm, m.NumVecs)
 			}
 		}
+		if in, err := DecodeProbeRespInPlace(buf); err != nil || !sameResp(in, m) {
+			t.Fatalf("decoded in place as %+v, %v; copied as %+v", in, err, m)
+		}
+		// The owner's encoder finds no form longer than the one it was sent.
 		re, err := EncodeProbeResp(m)
 		if err != nil {
 			t.Fatalf("decoded probe reply not re-encodable: %v", err)
 		}
-		m2, err := DecodeProbeResp(re)
-		if err != nil {
-			t.Fatalf("re-encoded probe reply rejected: %v", err)
+		if len(re) > len(buf) {
+			t.Fatalf("re-encoded in %d bytes, sent in %d", len(re), len(buf))
 		}
-		if m2.Bit != m.Bit || m2.Span != m.Span || m2.NumVecs != m.NumVecs || len(m2.VecMasks) != len(m.VecMasks) ||
-			m2.HasArc != m.HasArc || m2.ArcLo != m.ArcLo || len(re) != len(buf) {
-			t.Fatalf("probe reply not a fixpoint: %+v != %+v", m2, m)
-		}
-		for i := range m.VecMasks {
-			if !bytes.Equal(m2.VecMasks[i], m.VecMasks[i]) {
-				t.Fatalf("mask %d changed across round trip", i)
-			}
+		if m2, err := DecodeProbeResp(re); err != nil || !sameResp(m2, m) {
+			t.Fatalf("probe reply not a fixpoint: %+v, %v != %+v", m2, err, m)
 		}
 	})
+}
+
+// sameResp reports whether two decoded replies say the same: every field,
+// and mask for mask the same bytes.
+func sameResp(a, b ProbeResp) bool {
+	if a.Bit != b.Bit || a.Span != b.Span || a.NumVecs != b.NumVecs || a.HasArc != b.HasArc || a.ArcLo != b.ArcLo ||
+		len(a.VecMasks) != len(b.VecMasks) {
+		return false
+	}
+	for i := range a.VecMasks {
+		if !bytes.Equal(a.VecMasks[i], b.VecMasks[i]) {
+			return false
+		}
+	}
+	return true
 }

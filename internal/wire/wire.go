@@ -15,6 +15,12 @@
 // the arc of the identifier circle its sender answers for (ProbeResp.HasArc);
 // one that does not know it ends where it always did.
 //
+// A probe reply travels dense (TagProbeResp: every mask its ⌈m/8⌉ bytes,
+// the reply the cost model sizes) or, when that is shorter, coded
+// (TagProbeRespCoded: each mask as the vectors set, the vectors clear, or
+// dense). The cost model's size is therefore an upper bound on the wire,
+// met exactly by masks no coding shortens.
+//
 // Layout conventions: fixed-width big-endian integers, no framing (the
 // transport is expected to provide it), version byte first.
 package wire
@@ -24,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Version identifies the wire format.
@@ -34,7 +41,11 @@ const (
 	TagInsert     = 0x01 // store/refresh one tuple
 	TagBulkInsert = 0x02 // store/refresh many tuples of one bit position
 	TagProbeReq   = 0x03 // counting probe request
-	TagProbeResp  = 0x04 // counting probe reply
+	TagProbeResp  = 0x04 // counting probe reply, every mask dense
+	// TagProbeRespCoded is a probe reply with each mask in its shortest
+	// lossless form; an owner sends it only when it is shorter than the
+	// TagProbeResp frame of the same reply.
+	TagProbeRespCoded = 0x05
 )
 
 var (
@@ -270,6 +281,13 @@ func DecodeProbeReqInto(metrics []uint64, buf []byte) (ProbeReq, error) {
 // a run carries (Span+1) × metrics masks, bit-major: every metric's mask
 // for Bit, then every metric's for Bit+1, and so on.
 //
+// In memory a mask is always its dense ⌈m/8⌉ bytes. On the wire the owner
+// sends each in whichever lossless form is shortest — dense, the list of
+// vectors set, or the list of vectors clear (AppendProbeResp,
+// ShortenProbeResp) — and both decoders expand it back, so a reply decodes
+// to the same VecMasks whatever form it travelled in, and is never longer
+// than its dense form.
+//
 // HasArc and ArcLo are the responder's word on what it answers for: the
 // identifiers behind ArcLo up to its own. An overlay whose nodes know their
 // arc sends it so that a querier which remembered the node can tell, from
@@ -279,7 +297,7 @@ type ProbeResp struct {
 	Bit      uint8
 	Span     uint8
 	NumVecs  uint16   // m, fixing the per-metric mask width
-	VecMasks [][]byte // ⌈m/8⌉-byte masks, one per position of the run and requested metric
+	VecMasks [][]byte // dense ⌈m/8⌉-byte masks, one per position of the run and requested metric
 	HasArc   bool
 	ArcLo    uint64
 }
@@ -296,16 +314,42 @@ const (
 // 8-byte header and, at most, the arc trailer.
 const ProbeRespOverhead = 8 + arcSize
 
+// MaxFrame is the largest message a transport of these formats carries
+// (internal/netdht's frames are capped at it). A dense probe reply is its
+// own size in memory; a coded one is not, so its decoder refuses a reply
+// whose masks would expand past what a dense reply may carry in one frame,
+// before allocating for them.
+const MaxFrame = 1 << 20
+
+// The coded probe reply (TagProbeRespCoded) is the dense reply's 8-byte
+// header under its own tag, then per mask a uvarint k<<formBits | form and
+// the form's body, then the arc trailer or nothing:
+//
+//	formDense       k = 0, then the ⌈m/8⌉ mask bytes
+//	formSparse      the k vectors that are set
+//	formComplement  the k vectors that are clear
+//
+// An index list is strictly ascending, each index written as the uvarint
+// distance from the one before it (the first from -1), so every distance
+// is at least 1.
+const (
+	formDense = iota
+	formSparse
+	formComplement
+	formBits = 2
+)
+
 // MaskBytes returns the size of one vector mask: ⌈m/8⌉.
 func MaskBytes(numVecs int) int { return (numVecs + 7) / 8 }
 
-// AppendProbeRespHeader starts a probe reply in dst: the 8-byte header —
-// the span in the byte single-bit replies leave zero — for a reply of masks
-// masks of ⌈numVecs/8⌉ bytes each, which the caller appends behind it
-// (AppendMask) and may close with AppendArc. More than 65535 masks do not
-// fit the count field and return ErrBadMessage (a silent wrap would decode
-// as a reply for a different number of metrics), as does a mask count that
-// is no multiple of the run's length. On error dst comes back as it was.
+// AppendProbeRespHeader starts a dense probe reply in dst: the 8-byte
+// header — the span in the byte single-bit replies leave zero — for a reply
+// of masks masks of ⌈numVecs/8⌉ bytes each, which the caller appends behind
+// it (AppendMask), may close with AppendArc, and hands to ShortenProbeResp
+// to send. More than 65535 masks do not fit the count field and return
+// ErrBadMessage (a silent wrap would decode as a reply for a different
+// number of metrics), as does a mask count that is no multiple of the run's
+// length. On error dst comes back as it was.
 func AppendProbeRespHeader(dst []byte, bit, span uint8, numVecs uint16, masks int) ([]byte, error) {
 	if masks > math.MaxUint16 {
 		return dst, fmt.Errorf("%w: %d vector masks exceed the uint16 count field", ErrBadMessage, masks)
@@ -339,9 +383,7 @@ func AppendMask(dst []byte, words []uint64, numVecs int) []byte {
 		dst = append(dst, 0)
 	}
 	dst = dst[:start+n]
-	if r := numVecs % 8; r != 0 {
-		dst[len(dst)-1] &= 1<<r - 1
-	}
+	clearPast(dst[start:], numVecs)
 	return dst
 }
 
@@ -351,11 +393,14 @@ func AppendArc(dst []byte, arcLo uint64) []byte {
 	return binary.BigEndian.AppendUint64(append(dst, arcFlag), arcLo)
 }
 
-// AppendProbeResp appends the serialized probe reply to dst: the header
-// plus one mask per position and metric — for one position exactly the core
-// cost model's MsgHeaderBytes + metrics×⌈m/8⌉ accounting — and, with an arc,
-// its 9-byte trailer behind the masks. On error dst comes back as it was.
+// AppendProbeResp appends the serialized probe reply to dst in its shortest
+// form (ShortenProbeResp): the header, one mask per position and metric,
+// and, with an arc, its 9-byte trailer behind the masks. Sent dense — when
+// no coding is shorter — one position's reply is exactly the core cost
+// model's MsgHeaderBytes + metrics×⌈m/8⌉ accounting; coded, it is less. On
+// error dst comes back as it was.
 func AppendProbeResp(dst []byte, m ProbeResp) ([]byte, error) {
+	start := len(dst)
 	buf, err := AppendProbeRespHeader(dst, m.Bit, m.Span, m.NumVecs, len(m.VecMasks))
 	if err != nil {
 		return dst, err
@@ -370,36 +415,143 @@ func AppendProbeResp(dst []byte, m ProbeResp) ([]byte, error) {
 	if m.HasArc {
 		buf = AppendArc(buf, m.ArcLo)
 	}
-	return buf, nil
+	return ShortenProbeResp(buf, start), nil
 }
 
-// EncodeProbeResp serializes a probe reply into a buffer of its own.
+// EncodeProbeResp serializes a probe reply into a buffer of its own, with
+// room for the dense reply and the coded one ShortenProbeResp builds behind it.
 func EncodeProbeResp(m ProbeResp) ([]byte, error) {
 	size := 8 + min(len(m.VecMasks), math.MaxUint16)*MaskBytes(int(m.NumVecs)) + arcSize
-	buf, err := AppendProbeResp(make([]byte, 0, size), m)
+	buf, err := AppendProbeResp(make([]byte, 0, 2*size), m)
 	if err != nil {
 		return nil, err
 	}
 	return buf, nil
 }
 
+// ShortenProbeResp is the one probe-reply encoder: it takes the dense reply
+// that fills dst[start:] — AppendProbeRespHeader, a mask per position and
+// metric, and the arc or none — clears the vectors at and past NumVecs from
+// every mask, and sends each mask in the fewest bytes: dense, sparse or
+// complement (formDense …), under TagProbeRespCoded. When that is not
+// shorter than the dense reply, the dense reply stays as it was, byte for
+// byte; so does one whose masks would expand past MaxFrame. The coded
+// reply is built behind the dense one and moved down over it: with room for
+// both in dst, shortening allocates nothing.
+func ShortenProbeResp(dst []byte, start int) []byte {
+	frame := dst[start:]
+	if len(frame) < 8 || frame[1] != TagProbeResp {
+		return dst
+	}
+	numVecs := int(binary.BigEndian.Uint16(frame[3:]))
+	mask := MaskBytes(numVecs)
+	dense := int(binary.BigEndian.Uint16(frame[5:])) * mask
+	body, end := start+8, len(dst)
+	if len(frame) < 8+dense {
+		return dst
+	}
+	for at := body; at < body+dense; at += mask {
+		clearPast(dst[at:at+mask], numVecs)
+	}
+	if ProbeRespOverhead+dense > MaxFrame {
+		return dst
+	}
+	for at := body; at < body+dense && len(dst)-end < dense; at += mask {
+		dst = appendShortMask(dst, dst[at:at+mask], numVecs)
+	}
+	if len(dst)-end >= dense {
+		return dst[:end]
+	}
+	dst = append(dst, dst[body+dense:end]...) // the arc trailer, or nothing
+	dst = dst[:body+copy(dst[body:], dst[end:])]
+	dst[start+1] = TagProbeRespCoded
+	return dst
+}
+
+// appendShortMask appends one dense mask over numVecs vectors in its
+// shortest coded form. Only the shorter index list can beat the dense form:
+// the longer one lists more than ⌈m/8⌉ vectors, a byte each at least.
+func appendShortMask(dst, mask []byte, numVecs int) []byte {
+	set := 0
+	for i := 0; i < len(mask); i += 8 {
+		set += bits.OnesCount64(maskWord(mask, i))
+	}
+	form, k, clear := uint64(formSparse), set, false
+	if numVecs-set < set {
+		form, k, clear = formComplement, numVecs-set, true
+	}
+	start := len(dst)
+	if k < len(mask) {
+		dst = binary.AppendUvarint(dst, uint64(k)<<formBits|form)
+		prev := -1
+		for i := 0; i < len(mask); i += 8 {
+			w := maskWord(mask, i)
+			if clear {
+				w = ^w
+				if rest := numVecs - 8*i; rest < 64 {
+					w &= 1<<rest - 1
+				}
+			}
+			for ; w != 0; w &= w - 1 {
+				v := 8*i + bits.TrailingZeros64(w)
+				dst = binary.AppendUvarint(dst, uint64(v-prev))
+				prev = v
+			}
+		}
+		if len(dst)-start <= len(mask) {
+			return dst
+		}
+		dst = dst[:start]
+	}
+	return append(append(dst, formDense), mask...)
+}
+
+// maskWord reads the up to eight mask bytes at i as a little-endian word:
+// vectors 8i … 8i+63.
+func maskWord(mask []byte, i int) uint64 {
+	if len(mask)-i >= 8 {
+		return binary.LittleEndian.Uint64(mask[i:])
+	}
+	var tail [8]byte
+	copy(tail[:], mask[i:])
+	return binary.LittleEndian.Uint64(tail[:])
+}
+
+// clearPast clears the bits of a mask's last byte that stand for vectors
+// at and past numVecs.
+func clearPast(mask []byte, numVecs int) {
+	if r := numVecs % 8; r != 0 && len(mask) > 0 {
+		mask[len(mask)-1] &= 1<<r - 1
+	}
+}
+
+// pastVecs reports whether a mask marks a vector at or past numVecs.
+func pastVecs(mask []byte, numVecs int) bool {
+	r := numVecs % 8
+	return r != 0 && len(mask) > 0 && mask[len(mask)-1]>>r != 0
+}
+
 // DecodeProbeResp parses a probe reply into memory of its own: the masks
-// share one copy of the frame's mask bytes, made once the frame has passed
-// every check.
+// share one copy of their dense bytes — the frame's, or a coded reply's
+// expanded — made once the frame has passed every check.
 func DecodeProbeResp(buf []byte) (ProbeResp, error) { return decodeProbeResp(buf, true) }
 
-// DecodeProbeRespInPlace parses a probe reply without copying it: the masks
-// are sub-slices of buf, so buf must be the caller's to keep for as long as
-// it keeps the reply.
+// DecodeProbeRespInPlace parses a probe reply without copying a dense one:
+// its masks are sub-slices of buf, so buf must be the caller's to keep for
+// as long as it keeps the reply. A coded reply's masks are expanded into
+// memory of their own.
 func DecodeProbeRespInPlace(buf []byte) (ProbeResp, error) { return decodeProbeResp(buf, false) }
 
 // decodeProbeResp is both: behind the masks comes the arc trailer, whole, or
-// nothing; each mask is capped at its own end.
+// nothing; each mask is capped at its own end. A mask that marks a vector at
+// or past NumVecs is refused in every form. A coded reply is checked whole
+// before its masks are expanded.
 func decodeProbeResp(buf []byte, copyMasks bool) (ProbeResp, error) {
 	if len(buf) < 8 {
 		return ProbeResp{}, ErrShort
 	}
-	if buf[0] != Version || buf[1] != TagProbeResp {
+	coded := buf[1] == TagProbeRespCoded
+	if buf[0] != Version || buf[1] != TagProbeResp && !coded {
 		return ProbeResp{}, ErrBadMessage
 	}
 	m := ProbeResp{
@@ -409,13 +561,30 @@ func decodeProbeResp(buf []byte, copyMasks bool) (ProbeResp, error) {
 	}
 	count := int(binary.BigEndian.Uint16(buf[5:]))
 	mask := MaskBytes(int(m.NumVecs))
-	if len(buf) < 8+count*mask {
-		return ProbeResp{}, ErrShort
+	end := 8 + count*mask
+	if coded {
+		if !runFits(m.Bit, m.Span) || count%(int(m.Span)+1) != 0 || ProbeRespOverhead+count*mask > MaxFrame {
+			return ProbeResp{}, ErrBadMessage
+		}
+		n, err := expandMasks(nil, buf[8:], count, int(m.NumVecs))
+		if err != nil {
+			return ProbeResp{}, err
+		}
+		end = 8 + n
+	} else {
+		if len(buf) < 8+count*mask {
+			return ProbeResp{}, ErrShort
+		}
+		if !runFits(m.Bit, m.Span) || count%(int(m.Span)+1) != 0 {
+			return ProbeResp{}, ErrBadMessage
+		}
+		for at := 8; at < end; at += mask {
+			if pastVecs(buf[at:at+mask], int(m.NumVecs)) {
+				return ProbeResp{}, ErrBadMessage
+			}
+		}
 	}
-	if !runFits(m.Bit, m.Span) || count%(int(m.Span)+1) != 0 {
-		return ProbeResp{}, ErrBadMessage
-	}
-	switch arc := buf[8+count*mask:]; {
+	switch arc := buf[end:]; {
 	case len(arc) == 0:
 	case arc[0] != arcFlag || len(arc) > arcSize:
 		return ProbeResp{}, ErrBadMessage
@@ -427,14 +596,86 @@ func decodeProbeResp(buf []byte, copyMasks bool) (ProbeResp, error) {
 	if count > 0 {
 		m.VecMasks = make([][]byte, count)
 	}
-	body := buf[8 : 8+count*mask]
-	if copyMasks {
+	body := buf[8:end]
+	switch {
+	case coded:
+		body = make([]byte, count*mask)
+		expandMasks(body, buf[8:], count, int(m.NumVecs))
+	case copyMasks:
 		body = append([]byte(nil), body...)
 	}
 	for i := range m.VecMasks {
 		m.VecMasks[i] = body[i*mask : (i+1)*mask : (i+1)*mask]
 	}
 	return m, nil
+}
+
+// expandMasks reads count coded masks over numVecs vectors from the front
+// of src and returns how many bytes they took. With out nil it only checks
+// them; otherwise out holds count zeroed dense masks and each is written
+// into its own. An index list toggles its vectors from all clear (sparse)
+// or all set (complement): ascending, every index toggles a distinct bit.
+func expandMasks(out, src []byte, count, numVecs int) (int, error) {
+	mask := MaskBytes(numVecs)
+	at := 0
+	for i := 0; i < count; i++ {
+		h, n := binary.Uvarint(src[at:])
+		if n <= 0 {
+			return 0, varintErr(n)
+		}
+		at += n
+		var dst []byte
+		if out != nil {
+			dst = out[i*mask : (i+1)*mask]
+		}
+		switch form, k := h&(1<<formBits-1), h>>formBits; {
+		case form == formDense && k == 0:
+			if len(src)-at < mask {
+				return 0, ErrShort
+			}
+			if pastVecs(src[at:at+mask], numVecs) {
+				return 0, ErrBadMessage
+			}
+			copy(dst, src[at:at+mask])
+			at += mask
+		case form != formSparse && form != formComplement || k > uint64(numVecs):
+			return 0, ErrBadMessage
+		case k > uint64(len(src)-at): // an index takes a byte at least
+			return 0, ErrShort
+		default:
+			if form == formComplement && dst != nil {
+				for j := range dst {
+					dst[j] = 0xFF
+				}
+				clearPast(dst, numVecs)
+			}
+			prev := -1
+			for ; k > 0; k-- {
+				d, n := binary.Uvarint(src[at:])
+				if n <= 0 {
+					return 0, varintErr(n)
+				}
+				at += n
+				if d == 0 || d > uint64(numVecs-1-prev) { // not ascending, or past NumVecs
+					return 0, ErrBadMessage
+				}
+				prev += int(d)
+				if dst != nil {
+					dst[prev/8] ^= 1 << (prev % 8)
+				}
+			}
+		}
+	}
+	return at, nil
+}
+
+// varintErr is the error of a uvarint binary.Uvarint could not read: the
+// buffer ended inside it (n == 0), or it overflows 64 bits (n < 0).
+func varintErr(n int) error {
+	if n == 0 {
+		return ErrShort
+	}
+	return ErrBadMessage
 }
 
 // SetVec marks vector v in a mask.

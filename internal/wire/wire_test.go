@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"testing"
@@ -213,21 +214,49 @@ func TestProbeRespRoundTrip(t *testing.T) {
 }
 
 func TestProbeRespSizeMatchesCostModel(t *testing.T) {
-	// The cost model charges MsgHeaderBytes + metrics×⌈m/8⌉ per reply;
-	// the encoding must match exactly.
+	// The cost model charges MsgHeaderBytes + metrics×⌈m/8⌉ per reply: the
+	// dense reply. Masks no coding shortens travel dense and match it
+	// exactly; the encoder codes any others, and never past the model.
 	const m, metrics = 512, 100
-	masks := make([][]byte, metrics)
-	for i := range masks {
-		masks[i] = make([]byte, MaskBytes(m))
+	model := core.MsgHeaderBytes + metrics*MaskBytes(m)
+	for name, fill := range map[string]func(mask []byte, i int){
+		"incompressible": func(mask []byte, i int) { copy(mask, halfMask(m)) },
+		"empty":          func([]byte, int) {},
+		"one vector":     func(mask []byte, i int) { SetVec(mask, i) },
+		"full but one": func(mask []byte, i int) {
+			for v := 0; v < m; v++ {
+				if v != i {
+					SetVec(mask, v)
+				}
+			}
+		},
+	} {
+		masks := make([][]byte, metrics)
+		for i := range masks {
+			masks[i] = make([]byte, MaskBytes(m))
+			fill(masks[i], i)
+		}
+		enc, err := EncodeProbeResp(ProbeResp{NumVecs: m, VecMasks: masks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case name == "incompressible" && (len(enc) != model || enc[1] != TagProbeResp):
+			t.Errorf("%s: probe reply is %d bytes under tag %d, model says %d", name, len(enc), enc[1], model)
+		case len(enc) > model:
+			t.Errorf("%s: probe reply is %d bytes, past the model's %d", name, len(enc), model)
+		}
 	}
-	enc, err := EncodeProbeResp(ProbeResp{NumVecs: m, VecMasks: masks})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// halfMask is a mask over m vectors with every even one set: no index list
+// is shorter, so it travels dense.
+func halfMask(m int) []byte {
+	mask := make([]byte, MaskBytes(m))
+	for v := 0; v < m; v += 2 {
+		SetVec(mask, v)
 	}
-	want := core.MsgHeaderBytes + metrics*MaskBytes(m)
-	if len(enc) != want {
-		t.Errorf("probe reply is %d bytes, model says %d", len(enc), want)
-	}
+	return mask
 }
 
 func TestProbeRespMaskSizeValidation(t *testing.T) {
@@ -266,8 +295,8 @@ func TestProbeRunCodec(t *testing.T) {
 
 	masks := make([][]byte, (span+1)*metrics)
 	for i := range masks {
-		masks[i] = make([]byte, MaskBytes(m))
-		SetVec(masks[i], i) // mask i marks vector i: order is observable
+		masks[i] = halfMask(m)  // dense: the layout below is the dense one
+		SetVec(masks[i], 2*i+1) // mask i marks vector 2i+1: order is observable
 	}
 	resp := ProbeResp{Bit: 5, Span: span, NumVecs: m, VecMasks: masks}
 	raw, err := EncodeProbeResp(resp)
@@ -324,7 +353,7 @@ func TestProbeRunCodec(t *testing.T) {
 // byte behind it is refused, so that damage never reads as "no arc"; and a
 // reply with no arc is byte for byte what it was before replies had one.
 func TestProbeRespArcCodec(t *testing.T) {
-	masks := [][]byte{make([]byte, MaskBytes(64)), make([]byte, MaskBytes(64))}
+	masks := [][]byte{halfMask(64), halfMask(64)}
 	SetVec(masks[1], 9)
 	plain, err := EncodeProbeResp(ProbeResp{Bit: 5, Span: 1, NumVecs: 64, VecMasks: masks})
 	if err != nil {
@@ -368,23 +397,25 @@ func decodeResp(b []byte) error { _, err := DecodeProbeResp(b); return err }
 
 // TestDecodeProbeRespOneCopy: a ranged reply carries bits × metrics masks;
 // decoding copies the mask bytes once and slices the copy, and a mask's
-// capacity ends where the next begins. Decoding in place makes the slice of
-// masks and nothing else: its masks are the caller's buffer.
+// capacity ends where the next begins. Decoding a dense reply in place makes
+// the slice of masks and nothing else: its masks are the caller's buffer. A
+// coded reply's masks cannot be the frame's bytes: both decoders expand them
+// into one buffer of their own.
 func TestDecodeProbeRespOneCopy(t *testing.T) {
 	masks := make([][]byte, 32)
 	for i := range masks {
-		masks[i] = make([]byte, MaskBytes(64))
+		masks[i] = halfMask(64)
 	}
 	raw, err := EncodeProbeResp(ProbeResp{Span: 15, NumVecs: 64, VecMasks: masks})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || raw[1] != TagProbeResp {
+		t.Fatalf("EncodeProbeResp = % x, %v; want a dense reply", raw, err)
 	}
 	var dec ProbeResp
 	if n := testing.AllocsPerRun(50, func() { dec, _ = DecodeProbeResp(raw) }); n != 2 {
 		t.Errorf("DecodeProbeResp of 32 masks allocated %.0f times, want 2: the payload copy and the slice of masks", n)
 	}
 	dec.VecMasks[0] = append(dec.VecMasks[0], 0xFF)
-	if dec.VecMasks[1][0] != 0 || raw[8] != 0 {
+	if dec.VecMasks[1][0] != 0x55 || raw[8] != 0x55 {
 		t.Error("appending to one mask wrote into its neighbour or the frame")
 	}
 
@@ -399,6 +430,23 @@ func TestDecodeProbeRespOneCopy(t *testing.T) {
 	shared.VecMasks[0] = append(shared.VecMasks[0], 0xFF)
 	if raw[8+MaskBytes(64)] != 0x5A {
 		t.Error("appending to a mask decoded in place wrote into its neighbour")
+	}
+
+	for i := range masks {
+		masks[i] = make([]byte, MaskBytes(64))
+	}
+	coded, err := EncodeProbeResp(ProbeResp{Span: 15, NumVecs: 64, VecMasks: masks})
+	if err != nil || coded[1] != TagProbeRespCoded {
+		t.Fatalf("EncodeProbeResp of empty masks = % x, %v; want a coded reply", coded, err)
+	}
+	for name, decode := range map[string]func([]byte) (ProbeResp, error){"copy": DecodeProbeResp, "in place": DecodeProbeRespInPlace} {
+		if n := testing.AllocsPerRun(50, func() { dec, _ = decode(coded) }); n != 2 {
+			t.Errorf("%s: a coded reply of 32 masks allocated %.0f times, want 2: the expanded masks and their slice", name, n)
+		}
+		dec.VecMasks[0] = append(dec.VecMasks[0], 0xFF)
+		if dec.VecMasks[1][0] != 0 {
+			t.Errorf("%s: appending to one expanded mask wrote into its neighbour", name)
+		}
 	}
 }
 
@@ -425,6 +473,20 @@ func TestAppendCodecsShareTheEncoders(t *testing.T) {
 	check("insert", EncodeInsert(ins), func(b []byte) []byte { return AppendInsert(b, ins) })
 	check("probe request", encReq, func(b []byte) []byte { b, _ = AppendProbeReq(b, req); return b })
 	check("probe reply", encResp, func(b []byte) []byte { b, _ = AppendProbeResp(b, resp); return b })
+	// A reply that codes shorter goes through the same encoder whether it is
+	// appended whole or built as a server builds it, from bitset words.
+	coded := ProbeResp{Bit: 3, Span: 1, NumVecs: 64, VecMasks: [][]byte{make([]byte, 8), bytes.Repeat([]byte{0xFF}, 8)}, HasArc: true, ArcLo: 99}
+	encCoded, _ := EncodeProbeResp(coded)
+	if encResp[1] != TagProbeResp || encCoded[1] != TagProbeRespCoded {
+		t.Fatalf("replies went out under tags %d and %d", encResp[1], encCoded[1])
+	}
+	check("coded probe reply", encCoded, func(b []byte) []byte { b, _ = AppendProbeResp(b, coded); return b })
+	check("probe reply from bitset words", encCoded, func(b []byte) []byte {
+		start := len(b)
+		b, _ = AppendProbeRespHeader(b, 3, 1, 64, 2)
+		b = AppendMask(AppendMask(b, nil, 64), []uint64{^uint64(0)}, 64)
+		return ShortenProbeResp(AppendArc(b, 99), start)
+	})
 
 	if got, err := AppendProbeReq(prefix, ProbeReq{Bit: 200, Span: 56}); err == nil || !bytes.Equal(got, prefix) {
 		t.Errorf("a refused request left % x (%v)", got, err)
@@ -543,5 +605,148 @@ func TestSetHasVecProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestProbeRespShortestForm: at every m the count field allows and at set
+// fractions from none to all, a reply round-trips exactly, is never longer
+// than its dense form, and carries no vector at or past m — the input's
+// masks mark some there, and they come back clear. A reply whose masks no
+// coding shortens is the dense frame; one of empty or full masks is coded.
+func TestProbeRespShortestForm(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, m := range []int{1, 7, 64, 100, 512, 4096, 65535} {
+		for _, frac := range []float64{0, 1 / float64(m), 0.05, 0.5, 0.95, 1} {
+			for _, arc := range []bool{false, true} {
+				masks := make([][]byte, 4) // a run of two positions, two metrics
+				want := make([][]byte, len(masks))
+				for i := range masks {
+					masks[i] = make([]byte, MaskBytes(m))
+					for v := 0; v < m; v++ {
+						if rng.Float64() < frac || frac == 1 || frac == 1/float64(m) && v == i {
+							SetVec(masks[i], v)
+						}
+					}
+					want[i] = slices.Clone(masks[i])
+					for v := m; v < 8*len(masks[i]); v++ {
+						SetVec(masks[i], v) // vectors another geometry wrote past m
+					}
+				}
+				resp := ProbeResp{Bit: 9, Span: 1, NumVecs: uint16(m), VecMasks: masks}
+				if arc {
+					resp.HasArc, resp.ArcLo = true, 77
+				}
+				enc, err := EncodeProbeResp(resp)
+				if err != nil {
+					t.Fatalf("m=%d frac=%g: %v", m, frac, err)
+				}
+				dense := 8 + len(masks)*MaskBytes(m)
+				if arc {
+					dense += arcSize
+				}
+				if len(enc) > dense {
+					t.Errorf("m=%d frac=%g: %d bytes, longer than the dense %d", m, frac, len(enc), dense)
+				}
+				if (frac == 0 || frac == 1) && m >= 64 && enc[1] != TagProbeRespCoded {
+					t.Errorf("m=%d frac=%g: empty or full masks sent under tag %d", m, frac, enc[1])
+				}
+				if frac == 0.5 && m >= 64 && (enc[1] != TagProbeResp || len(enc) != dense) {
+					t.Errorf("m=%d frac=%g: incompressible masks sent in %d bytes under tag %d, want the dense %d", m, frac, len(enc), enc[1], dense)
+				}
+				for name, decode := range map[string]func([]byte) (ProbeResp, error){"copy": DecodeProbeResp, "in place": DecodeProbeRespInPlace} {
+					dec, err := decode(enc)
+					resp.VecMasks = want
+					if err != nil || !reflect.DeepEqual(dec, resp) {
+						t.Errorf("m=%d frac=%g %s: decoded as %+v, %v", m, frac, name, dec.VecMasks, err)
+					}
+					resp.VecMasks = masks
+				}
+			}
+		}
+	}
+}
+
+// TestShortMaskForms pins what one mask costs in a coded reply at m = 512:
+// its form and count in one uvarint, then one uvarint per listed vector —
+// the distance from the one before.
+func TestShortMaskForms(t *testing.T) {
+	const m = 512
+	full := make([]byte, MaskBytes(m))
+	for v := 0; v < m; v++ {
+		SetVec(full, v)
+	}
+	fullBut := slices.Clone(full)
+	fullBut[0] &^= 1 << 3 // vector 3 clear
+	one := make([]byte, MaskBytes(m))
+	SetVec(one, 300)
+	three := make([]byte, MaskBytes(m))
+	for _, v := range []int{0, 1, 200} {
+		SetVec(three, v)
+	}
+	for name, tc := range map[string]struct {
+		mask []byte
+		want []byte
+	}{
+		"empty":       {make([]byte, MaskBytes(m)), []byte{formSparse}},
+		"full":        {full, []byte{formComplement}},
+		"one set":     {one, []byte{1<<formBits | formSparse, 0xAD, 0x02}}, // 301 from -1
+		"three set":   {three, []byte{3<<formBits | formSparse, 1, 1, 199, 1}},
+		"one clear":   {fullBut, []byte{1<<formBits | formComplement, 4}},
+		"half, dense": {halfMask(m), append([]byte{formDense}, halfMask(m)...)},
+	} {
+		if got := appendShortMask(nil, tc.mask, m); !bytes.Equal(got, tc.want) {
+			t.Errorf("%s: coded % x, want % x", name, got, tc.want)
+		}
+	}
+}
+
+// TestDecodeCodedProbeRespRefused: a coded reply is checked whole before
+// anything is allocated for it. An index at or past m, indices that do not
+// ascend, a count the buffer cannot hold, an unknown form, bytes behind the
+// reply, and masks whose dense form would not fit a frame — 65535 one-byte
+// empty masks at m = 65535 would expand to 512 MiB — are refused, and
+// refusing them allocates nothing.
+func TestDecodeCodedProbeRespRefused(t *testing.T) {
+	coded := func(numVecs, count uint16, body ...byte) []byte {
+		buf := []byte{Version, TagProbeRespCoded, 0, byte(numVecs >> 8), byte(numVecs), byte(count >> 8), byte(count), 0}
+		return append(buf, body...)
+	}
+	valid := coded(64, 1, 2<<formBits|formSparse, 4, 9) // vectors 3 and 12
+	if dec, err := DecodeProbeResp(valid); err != nil || !HasVec(dec.VecMasks[0], 3) || !HasVec(dec.VecMasks[0], 12) {
+		t.Fatalf("valid coded reply decoded as %+v, %v", dec, err)
+	}
+	bomb := coded(65535, 65535, bytes.Repeat([]byte{formSparse}, 65535)...)
+	for name, tc := range map[string]struct {
+		buf  []byte
+		want error
+	}{
+		"index at m":                  {coded(64, 1, 1<<formBits|formSparse, 65), ErrBadMessage},
+		"index past m":                {coded(64, 1, 2<<formBits|formComplement, 60, 10), ErrBadMessage},
+		"index wraps 64 bits":         {coded(64, 1, 2<<formBits|formSparse, 4, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01), ErrBadMessage},
+		"repeated index":              {coded(64, 1, 2<<formBits|formSparse, 4, 0), ErrBadMessage},
+		"count past the buffer":       {coded(64, 1, 5<<formBits|formSparse, 1, 1), ErrShort},
+		"count past m":                {coded(8, 1, 9<<formBits|formSparse, 1, 1, 1, 1, 1, 1, 1, 1, 1), ErrBadMessage},
+		"index cut short":             {coded(512, 1, 1<<formBits|formSparse, 0x80), ErrShort},
+		"overlong uvarint":            {coded(64, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01), ErrBadMessage},
+		"unknown form":                {coded(64, 1, 3), ErrBadMessage},
+		"dense form with a count":     {coded(8, 1, 1<<formBits|formDense, 0xFF), ErrBadMessage},
+		"dense form cut short":        {coded(64, 1, formDense, 1, 2, 3), ErrShort},
+		"dense form past m":           {coded(4, 1, formDense, 0x10), ErrBadMessage},
+		"mask missing":                {coded(64, 2, formSparse), ErrShort},
+		"a byte behind":               {append(slices.Clone(valid), 0), ErrBadMessage},
+		"run past position 255":       {append([]byte{Version, TagProbeRespCoded, 255, 0, 64, 0, 2, 1}, formSparse, formSparse), ErrBadMessage},
+		"masks outgrow a frame":       {coded(65535, 200, bytes.Repeat([]byte{formSparse}, 200)...), ErrBadMessage},
+		"64 KiB of empty masks at m":  {bomb, ErrBadMessage},
+		"dense reply marks past m":    {[]byte{Version, TagProbeResp, 0, 0, 4, 0, 1, 0, 0x10}, ErrBadMessage},
+		"dense reply cut inside mask": {[]byte{Version, TagProbeResp, 0, 0, 64, 0, 1, 0, 1}, ErrShort},
+	} {
+		if err := decodeResp(tc.buf); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
+		}
+		for _, decode := range []func([]byte) (ProbeResp, error){DecodeProbeResp, DecodeProbeRespInPlace} {
+			if n := testing.AllocsPerRun(5, func() { decode(tc.buf) }); n != 0 {
+				t.Errorf("%s: refusing allocated %.0f times", name, n)
+			}
+		}
 	}
 }
