@@ -63,8 +63,11 @@ smoke:
 # the next come from bench/ (BENCHMARK.json). The default BENCHTIME is a
 # fixed duration: at one iteration per benchmark (-benchtime=1x, what
 # CI's benchmark smoke step passes to check that the benchmarks run) a
-# 60 ns path reads as microseconds of timer and cold-cache noise.
+# 60 ns path reads as microseconds of timer and cold-cache noise. The
+# target exits with go test's status: the text goes to bench.out and is
+# printed after, because a pipe into tee would exit with tee's under /bin/sh.
 BENCHTIME ?= 1s
 
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) . ./internal/chord ./internal/core ./internal/faultdht ./internal/store ./internal/netdht ./internal/serve | tee bench.out
+	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) -benchmem . ./internal/chord ./internal/core ./internal/faultdht ./internal/store ./internal/netdht ./internal/serve > bench.out 2>&1; \
+	status=$$?; cat bench.out; exit $$status

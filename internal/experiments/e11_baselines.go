@@ -10,6 +10,7 @@ import (
 	"dhsketch/internal/dht"
 	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
+	"dhsketch/internal/stats"
 )
 
 // E11Row scores one counting scheme on the paper's constraint set.
@@ -60,13 +61,9 @@ func RunE11(p Params) (*E11Result, error) {
 
 	res := &E11Result{Params: p, Distinct: scen.TrueDistinct(), Copies: scen.TotalCopies()}
 	addRow := func(method string, est float64, dup bool, build int64, q sim.Traffic, maxLoad int64) {
-		diff := est - distinct
-		if diff < 0 {
-			diff = -diff
-		}
 		res.Rows = append(res.Rows, E11Row{
 			Method:         method,
-			Err:            diff / distinct,
+			Err:            stats.AbsRelErr(est, distinct),
 			DupInsensitive: dup,
 			QueryMessages:  q.Messages,
 			QueryHops:      q.Hops,
@@ -79,10 +76,7 @@ func RunE11(p Params) (*E11Result, error) {
 	// DHS: every node inserts its local copies, then one node counts.
 	// The bitmap count is sized for the guaranteed regime of §4.1
 	// (α = items/(m·N) ≥ 2), capped by the configured default.
-	m := 2
-	for m*2 <= p.M && float64(items)/float64(2*m*p.Nodes) >= 2 {
-		m *= 2
-	}
+	m := guaranteedM(items, p.Nodes, p.M)
 	d, err := core.New(core.Config{Overlay: ring, Env: env, K: p.K, M: m, Lim: p.Lim, Kind: sketch.KindSuperLogLog})
 	if err != nil {
 		return nil, err

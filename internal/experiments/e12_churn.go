@@ -49,10 +49,7 @@ func RunE12(p Params, periods []int64) (*E12Result, error) {
 		items = 2000
 	}
 	// Size m for the guaranteed regime.
-	m := 2
-	for m*2 <= p.M && float64(items)/float64(2*m*p.Nodes) >= 2 {
-		m *= 2
-	}
+	m := guaranteedM(items, p.Nodes, p.M)
 
 	const (
 		rounds        = 12

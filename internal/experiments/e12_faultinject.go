@@ -71,10 +71,7 @@ func RunE12F(p Params, scenarios []E12FScenario) (*E12FResult, error) {
 		items = 5000
 	}
 	// Size m for the guaranteed regime (alpha >= 2 per interval).
-	m := 2
-	for m*2 <= p.M && m*2 <= 64 && float64(items)/float64(2*m*p.Nodes) >= 2 {
-		m *= 2
-	}
+	m := guaranteedM(items, p.Nodes, min(p.M, 64))
 
 	// Every (scenario, kind, R) cell builds its own environment, ring,
 	// and fault layer from Params.Seed, so the grid fans out across

@@ -50,10 +50,7 @@ func RunE13(p Params) (*E13Result, error) {
 	}
 	// Size m for the guaranteed regime (alpha >= 2 per interval), as in
 	// the other load-bearing experiments.
-	m := 2
-	for m*2 <= p.M && float64(items)/float64(2*m*p.Nodes) >= 2 {
-		m *= 2
-	}
+	m := guaranteedM(items, p.Nodes, p.M)
 
 	agg := obs.NewAggregator()
 	env := newEnv(p)

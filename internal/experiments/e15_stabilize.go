@@ -94,10 +94,7 @@ func RunE15(p Params, levels []float64) (*E15Result, error) {
 	}
 	// Size m for the guaranteed regime (alpha >= 2 per interval), as in
 	// the other load-bearing experiments.
-	m := 2
-	for m*2 <= p.M && float64(items)/float64(2*m*p.Nodes) >= 2 {
-		m *= 2
-	}
+	m := guaranteedM(items, p.Nodes, p.M)
 
 	rows, err := runner.Map(len(levels), p.Workers, func(i int) (E15Row, error) {
 		row, err := runE15Cell(p, levels[i], items, m)

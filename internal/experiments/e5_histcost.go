@@ -6,6 +6,7 @@ import (
 
 	"dhsketch/internal/histogram"
 	"dhsketch/internal/sketch"
+	"dhsketch/internal/stats"
 	"dhsketch/internal/workload"
 )
 
@@ -110,11 +111,7 @@ func meanCellError(est []float64, exact []int) float64 {
 		if want < 10 {
 			continue
 		}
-		diff := est[i] - float64(want)
-		if diff < 0 {
-			diff = -diff
-		}
-		sum += diff / float64(want)
+		sum += stats.AbsRelErr(est[i], float64(want))
 		n++
 	}
 	if n == 0 {

@@ -6,6 +6,7 @@ import (
 
 	"dhsketch/internal/histogram"
 	"dhsketch/internal/sketch"
+	"dhsketch/internal/stats"
 	"dhsketch/internal/workload"
 )
 
@@ -65,11 +66,7 @@ func RunE6(p Params, ms []int) (*E6Result, error) {
 					return nil, err
 				}
 				cellErr += meanCellError(h.Counts, exact)
-				diff := h.Total() - float64(rel.Tuples)
-				if diff < 0 {
-					diff = -diff
-				}
-				totalErr += diff / float64(rel.Tuples)
+				totalErr += stats.AbsRelErr(h.Total(), float64(rel.Tuples))
 				samples++
 			}
 		}

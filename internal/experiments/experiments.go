@@ -25,6 +25,7 @@ import (
 	"dhsketch/internal/obs"
 	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
+	"dhsketch/internal/stats"
 	"dhsketch/internal/workload"
 )
 
@@ -219,12 +220,19 @@ func (cs *countStats) add(est core.Estimate, actual float64) {
 	cs.Hops += est.Cost.Hops
 	cs.Bytes += est.Cost.Bytes
 	if actual > 0 {
-		diff := est.Value - actual
-		if diff < 0 {
-			diff = -diff
-		}
-		cs.ErrSum += diff / actual
+		cs.ErrSum += stats.AbsRelErr(est.Value, actual)
 	}
+}
+
+// guaranteedM is the bitmap count of §4.1's guaranteed regime: the largest
+// power of two m ≤ limit with α = items/(m·nodes) ≥ 2, and 2 when no larger
+// one qualifies.
+func guaranteedM(items, nodes, limit int) int {
+	m := 2
+	for m*2 <= limit && float64(items)/float64(2*m*nodes) >= 2 {
+		m *= 2
+	}
+	return m
 }
 
 func (cs countStats) avg(v int64) float64 {

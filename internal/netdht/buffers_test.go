@@ -58,7 +58,7 @@ func TestPoolDialsOnDemand(t *testing.T) {
 	defer p.close()
 
 	for i := 0; i < 100; i++ {
-		if _, err := p.exchange(addr, pingFrame, nil); err != nil {
+		if err := p.ping(addr); err != nil {
 			t.Fatalf("exchange %d: %v", i, err)
 		}
 	}
@@ -72,7 +72,7 @@ func TestPoolDialsOnDemand(t *testing.T) {
 	old := pc.c
 	old.Close()
 	pc.mu.Unlock()
-	if _, err := p.exchange(addr, pingFrame, nil); err != nil {
+	if err := p.ping(addr); err != nil {
 		t.Fatalf("exchange over a dropped socket: %v", err)
 	}
 	pc = lockedSlot(t, p, addr, 0)
@@ -91,7 +91,7 @@ func TestPoolDialsOnDemand(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.exchange(addr, pingFrame, nil); err != nil {
+			if err := p.ping(addr); err != nil {
 				t.Errorf("concurrent exchange: %v", err)
 			}
 		}()
@@ -151,7 +151,8 @@ func TestConnBufferRelease(t *testing.T) {
 	// The asking side: a pool slot.
 	p := newPeerPool(time.Second, 5*time.Second, 1, nil)
 	defer p.close()
-	resp, err := p.exchange(s.Addr(), req, nil)
+	var resp []byte
+	err = p.exchange(s.Addr(), req, func(reply []byte) { resp = bytes.Clone(reply) })
 	if err != nil || len(resp) < maxFrame*9/10 || len(resp) > maxFrame {
 		t.Fatalf("big probe: %d bytes, %v; want a reply of nearly maxFrame", len(resp), err)
 	}
@@ -159,7 +160,7 @@ func TestConnBufferRelease(t *testing.T) {
 	capsOK("slot after the big reply", pc.rbuf, pc.wbuf)
 	pc.mu.Unlock()
 	for i := 0; i < 3; i++ {
-		if _, err := p.exchange(s.Addr(), pingFrame, nil); err != nil {
+		if err := p.ping(s.Addr()); err != nil {
 			t.Fatalf("ping: %v", err)
 		}
 	}
@@ -250,16 +251,15 @@ func TestServeStepZeroAlloc(t *testing.T) {
 
 // TestExchangeZeroAlloc pins the whole rung on a loopback pair, both ends in
 // this process: a steady-state ping round trip through the pool — slot,
-// frame out, the server's serve step, frame in, the reply copied to the
-// caller — allocates nothing on either side.
+// frame out, the server's serve step, frame in, the reply decoded in the
+// slot — allocates nothing on either side.
 func TestExchangeZeroAlloc(t *testing.T) {
 	s, _ := allocServer(t, metrics.New())
 	p := newPeerPool(time.Second, 5*time.Second, DefaultPeerConns, metrics.New())
 	defer p.close()
-	var scratch [rpcScratch]byte
 	ping := func() {
-		if raw, err := p.exchange(s.Addr(), pingFrame, scratch[:0]); err != nil || len(raw) != 2 || raw[1] != tagPong {
-			t.Fatalf("ping: % x, %v", raw, err)
+		if err := p.ping(s.Addr()); err != nil {
+			t.Fatalf("ping: %v", err)
 		}
 	}
 	ping() // dial, and grow the four buffers
@@ -464,7 +464,7 @@ func TestRelayedStoreKeepsItsBytes(t *testing.T) {
 				tuple := wire.Insert{Metric: uint64(100 + w), Vector: uint16(rng.IntN(64)), Bit: uint8(rng.IntN(12)), TTL: 0}
 				target := rng.Uint64()
 				// Undirected and unflagged: the entry routes it like a peer's.
-				ack, err := c.storeVia(servers[0].Addr(), findSuccMsg{key: target, store: wire.EncodeInsert(tuple)})
+				ack, err := c.peers.route(servers[0].Addr(), findSuccMsg{key: target, store: wire.EncodeInsert(tuple)})
 				if err != nil {
 					t.Errorf("writer %d store %d: %v", w, i, err)
 					return
@@ -475,7 +475,7 @@ func TestRelayedStoreKeepsItsBytes(t *testing.T) {
 				}
 				mu.Lock()
 				sent[store.Key{Metric: tuple.Metric, Vector: int32(tuple.Vector), Bit: tuple.Bit}] = true
-				if ack.hops >= 2 {
+				if ack.Hops >= 2 {
 					twoHops++
 				}
 				mu.Unlock()

@@ -160,21 +160,6 @@ func (s *lockedSource) Uint64() uint64 {
 	return s.src.Uint64()
 }
 
-// findSucc routes key through the entry node and returns the terminal
-// reply: the owner and, with flagNeighbors, its neighbourhood. The entry
-// makes the first routing decision, so the client needs no ring topology.
-func (c *Client) findSucc(key uint64, flags byte) (findSuccRespMsg, error) {
-	var req, reply [rpcScratch]byte
-	raw, err := c.peers.exchange(c.cfg.Entry, appendFindSucc(req[:0], findSuccMsg{flags: flags, key: key}), reply[:0])
-	if err != nil {
-		return findSuccRespMsg{}, err
-	}
-	if _, _, _, err := replyErr(raw); err != nil {
-		return findSuccRespMsg{}, err
-	}
-	return decodeFindSuccResp(raw)
-}
-
 // store sends a tuple frame into the ring as a routed store for key and
 // returns the ack of the node the route ended at, which stored it. The view
 // picks the route's first hop and nothing more: a remembered owner of key is
@@ -187,42 +172,23 @@ func (c *Client) findSucc(key uint64, flags byte) (findSuccRespMsg, error) {
 // goes through the entry with flagNeighbors, and the ack brings the storing
 // node's neighbourhood back for the view to learn. Each gets one exchange: a
 // failed store is retried by the insertion rule, at a fresh target.
-func (c *Client) store(key uint64, frame []byte) (storeAckMsg, error) {
+func (c *Client) store(key uint64, frame []byte) (chord.Found, error) {
 	arc, remembered := c.view.resolve(key)
 	c.peers.m.storeFirstHop(remembered)
 	if remembered {
-		ack, err := c.storeVia(arc.owner.Addr, findSuccMsg{key: key, store: frame})
-		if err != nil || ack.hops > 0 {
+		ack, err := c.peers.route(arc.owner.Addr, findSuccMsg{key: key, store: frame})
+		if err != nil || ack.Hops > 0 {
 			c.view.drop(arc.owner.ID)
 		}
 		if err == nil {
 			return ack, nil
 		}
 	}
-	ack, err := c.storeVia(c.cfg.Entry, findSuccMsg{flags: flagNeighbors, key: key, store: frame})
-	if err == nil && ack.near != nil {
-		c.view.learn(findSuccRespMsg{owner: ack.owner, near: ack.near})
-	}
-	return ack, err
-}
-
-// storeVia is one routed store entering the ring at addr; its error names
-// addr. Any reply but a store ack — a node that routed the key and says
-// nothing of the tuple — is an error: an unapplied store is never read as an
-// ack.
-func (c *Client) storeVia(addr string, m findSuccMsg) (storeAckMsg, error) {
-	var req, reply [rpcScratch]byte
-	raw, err := c.peers.exchange(addr, appendFindSucc(req[:0], m), reply[:0])
-	if err == nil {
-		_, _, _, err = replyErr(raw)
-	}
-	var ack storeAckMsg
-	if err == nil {
-		ack, err = decodeStoreAck(raw)
-	}
+	ack, err := c.peers.route(c.cfg.Entry, findSuccMsg{flags: flagNeighbors, key: key, store: frame})
 	if err != nil {
-		return storeAckMsg{}, fmt.Errorf("via %s: %w", addr, err)
+		return chord.Found{}, fmt.Errorf("via %s: %w", c.cfg.Entry, err)
 	}
+	c.view.learn(ack)
 	return ack, nil
 }
 
@@ -374,16 +340,18 @@ type rpcProber struct {
 	askOn bool
 }
 
-// lookup routes target through the ring, notes the step to v, and folds
-// the reply into the view.
+// lookup routes target through the entry node, notes the step to v, and
+// folds the reply — the owner and its neighbourhood — into the view. The
+// entry makes the first routing decision, so the client needs no ring
+// topology.
 func (p *rpcProber) lookup(v *core.Visitor, target uint64) (chord.Ref, error) {
-	r, err := p.c.findSucc(target, flagNeighbors)
-	v.Note(obs.KindLookup, r.owner.ID, int64(r.hops), err)
+	f, err := p.c.peers.route(p.c.cfg.Entry, findSuccMsg{flags: flagNeighbors, key: target})
+	v.Note(obs.KindLookup, f.Owner.ID, int64(f.Hops), err)
 	if err != nil {
 		return chord.Ref{}, err
 	}
-	p.c.view.learn(r)
-	return r.owner, nil
+	p.c.view.learn(f)
+	return f.Owner, nil
 }
 
 // reroute is for a target the view resolved to an arc that did not stand —
@@ -555,13 +523,9 @@ func (c *Client) probe(addr string, req wire.ProbeReq) (wire.ProbeResp, error) {
 	if err != nil {
 		return wire.ProbeResp{}, err
 	}
-	var resp wire.ProbeResp
-	var derr error
-	if err := c.peers.exchangeWith(addr, frame, func(reply []byte) { resp, derr = wire.DecodeProbeResp(reply) }); err != nil {
+	resp, err := call(c.peers, addr, frame, wire.DecodeProbeResp)
+	if err != nil {
 		return wire.ProbeResp{}, err
-	}
-	if derr != nil {
-		return wire.ProbeResp{}, derr
 	}
 	if resp.Span != req.Span || len(resp.VecMasks) != (int(req.Span)+1)*len(req.Metrics) {
 		return wire.ProbeResp{}, wire.ErrBadMessage

@@ -13,6 +13,7 @@ import (
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
+	"dhsketch/internal/wire"
 )
 
 // Failure-path coverage for the RPC client: retry exhaustion, the
@@ -71,7 +72,7 @@ func TestExchangeSilentPeerOneAttempt(t *testing.T) {
 	defer p.close()
 
 	start := time.Now()
-	_, err := p.exchange(addr, pingFrame, nil)
+	err := p.ping(addr)
 	elapsed := time.Since(start)
 	if !errors.Is(err, dht.ErrTimeout) {
 		t.Fatalf("exchange error = %v, want dht.ErrTimeout", err)
@@ -289,5 +290,51 @@ func TestJoinLateBootstrap(t *testing.T) {
 	t.Cleanup(boot.s.Close)
 	if err != nil {
 		t.Fatalf("Join did not reach the late-starting bootstrap: %v", err)
+	}
+}
+
+// TestTypedFailureEveryRPC: a peer that answers every request with
+// errnoNodeDown reads as dht.ErrNodeDown on every RPC the package sends —
+// probe, notify, neighbors, ping, a routed lookup and a routed store — not
+// as a malformed or unexpected reply on some of them.
+func TestTypedFailureEveryRPC(t *testing.T) {
+	down := fakePeer(t, func(string, []byte) []byte { return encodeErr(errnoNodeDown, 0, 0) })
+	c, _ := storeClient(t, down, 1)
+	s, err := NewServer("127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(s.Close)
+	peers, to := &tcpPeers{s: s}, chord.Ref{ID: 1, Addr: down}
+	for name, rpc := range map[string]func() error{
+		"probe": func() error {
+			_, err := c.probe(down, wire.ProbeReq{Bit: 3, NumVecs: 64, Metrics: []uint64{7}})
+			return err
+		},
+		"notify": func() error {
+			_, err := peers.Notify(to, s.node.Self())
+			return err
+		},
+		"neighbors": func() error {
+			_, err := peers.Neighbors(to)
+			return err
+		},
+		"ping": c.Ping,
+		"lookup": func() error {
+			_, err := c.peers.route(down, findSuccMsg{flags: flagNeighbors, key: 42})
+			return err
+		},
+		"relayed lookup": func() error {
+			_, err := peers.FindSucc(to, 42, 1, 0, false)
+			return err
+		},
+		"store": func() error {
+			_, err := c.store(42, wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2}))
+			return err
+		},
+	} {
+		if err := rpc(); !errors.Is(err, dht.ErrNodeDown) {
+			t.Errorf("%s: err = %v, want dht.ErrNodeDown", name, err)
+		}
 	}
 }

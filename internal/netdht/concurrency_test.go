@@ -75,7 +75,7 @@ func TestPeerPoolParallelExchanges(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := p.exchange(addr, pingFrame, nil); err != nil {
+				if err := p.ping(addr); err != nil {
 					t.Errorf("exchange: %v", err)
 				}
 			}()
@@ -103,7 +103,7 @@ func TestPeerPoolRespectsWidth(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := p.exchange(addr, pingFrame, nil); err != nil {
+			if err := p.ping(addr); err != nil {
 				t.Errorf("exchange: %v", err)
 			}
 		}()

@@ -136,7 +136,7 @@ func TestCountAllSplitsOversizeList(t *testing.T) {
 	var asked [][]uint64
 	fake := fakePeer(t, func(self string, req []byte) []byte {
 		if req[1] == tagFindSucc {
-			return encodeFindSuccResp(findSuccRespMsg{owner: chord.Ref{ID: 1, Addr: self}, near: &chord.Neighbors{}})
+			return encodeFindSuccResp(chord.Found{Owner: chord.Ref{ID: 1, Addr: self}, Near: &chord.Neighbors{}})
 		}
 		q, err := wire.DecodeProbeReq(req)
 		if err != nil {
@@ -193,8 +193,8 @@ func TestCountAllReplyShape(t *testing.T) {
 			// and 1.
 			entry := fakePeer(t, func(self string, req []byte) []byte {
 				if req[1] == tagFindSucc {
-					return encodeFindSuccResp(findSuccRespMsg{owner: chord.Ref{ID: 1 << 62, Addr: self},
-						near: &chord.Neighbors{Pred: chord.Ref{ID: math.MaxUint64, Addr: "nobody:1"}}})
+					return encodeFindSuccResp(chord.Found{Owner: chord.Ref{ID: 1 << 62, Addr: self},
+						Near: &chord.Neighbors{Pred: chord.Ref{ID: math.MaxUint64, Addr: "nobody:1"}}})
 				}
 				q, err := wire.DecodeProbeReq(req)
 				if err != nil || len(q.Metrics) != 2 {

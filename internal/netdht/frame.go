@@ -25,10 +25,10 @@ import (
 // each own one for reading and one for writing, reused from one exchange
 // to the next. The one rule that follows: a frame is valid until the next
 // read on its connection. Whatever must outlive that is copied out by the
-// connection's owner before it lets go — peerPool.exchange hands its caller
-// a copy of the reply before the slot is released, exchangeWith lets it
-// decode the reply into memory of its own there, and nothing else keeps
-// frame bytes (DESIGN.md §14 "Framing and codecs").
+// connection's owner before it lets go — peerPool.exchange hands the reply
+// to its caller's decoder before the slot is released, every decoder
+// returns memory of its own, and nothing else keeps frame bytes (DESIGN.md
+// §14 "Framing and codecs").
 //
 // A connection carries one exchange at a time: a request is not sent before
 // the last one's reply has been read, so whatever a read finds waiting is

@@ -1,0 +1,71 @@
+package netdht
+
+import (
+	"encoding/hex"
+	"testing"
+
+	"dhsketch/internal/chord"
+	"dhsketch/internal/wire"
+)
+
+// TestControlFrameBytes pins the control plane's bytes: one of each frame a
+// client, relay or owner sends, encoded and compared with the hex it has
+// always had. FuzzDecodeControl holds every decoder to its encoder; this
+// holds the encoders to the wire, so a refactor of either side cannot move a
+// byte unnoticed.
+func TestControlFrameBytes(t *testing.T) {
+	a := chord.Ref{ID: 0x0102030405060708, Addr: "10.0.0.1:4000"}
+	b := chord.Ref{ID: 1 << 63, Addr: "b:2"}
+	near := &chord.Neighbors{Pred: b, Succ: []chord.Ref{b, a}}
+	const key = 0xDEADBEEFCAFE0042
+	insert := wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2, TTL: 9})
+	bulk := wire.EncodeBulkInsert(wire.BulkInsert{Metric: 7, Bit: 2, TTL: 9, Vectors: []uint16{1, 300}})
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		hex   string
+	}{
+		{"find_succ", encodeFindSucc(findSuccMsg{key: key}),
+			"011000deadbeefcafe004200000000"},
+		{"find_succ flagged", encodeFindSucc(findSuccMsg{flags: flagNeighbors, key: key}),
+			"011004deadbeefcafe004200000000"},
+		{"find_succ forwarded, deliver", encodeFindSucc(findSuccMsg{flags: flagForwarded | flagDeliver, key: key, hops: 3, stale: 1}),
+			"011003deadbeefcafe004200030001"},
+		{"store insert", encodeFindSucc(findSuccMsg{flags: flagNeighbors, key: key, store: insert}),
+			"011804deadbeefcafe004200000000010100070003020009"},
+		{"store bulk, forwarded", encodeFindSucc(findSuccMsg{flags: flagForwarded, key: key, hops: 2, store: bulk}),
+			"011801deadbeefcafe00420002000001020007020009000001012c"},
+		{"store ack short", encodeStoreAck(chord.Found{Hops: 513, Stale: 2}),
+			"011902010002"},
+		{"store ack long", encodeStoreAck(chord.Found{Owner: a, Hops: 3, Stale: 1, Near: near}),
+			"0119000300010102030405060708000d31302e302e302e313a343030300180000000000000000003623a320280000000000000000003623a320102030405060708000d31302e302e302e313a34303030"},
+		{"find_succ reply", encodeFindSuccResp(chord.Found{Owner: a, Hops: 5, Stale: 2}),
+			"0111000500020102030405060708000d31302e302e302e313a34303030"},
+		{"find_succ reply flagged", encodeFindSuccResp(chord.Found{Owner: a, Hops: 5, Stale: 2, Near: near}),
+			"0111000500020102030405060708000d31302e302e302e313a343030300180000000000000000003623a320280000000000000000003623a320102030405060708000d31302e302e302e313a34303030"},
+		{"find_succ reply flagged, no pred", encodeFindSuccResp(chord.Found{Owner: a, Near: &chord.Neighbors{Succ: []chord.Ref{b}}}),
+			"0111000000000102030405060708000d31302e302e302e313a34303030000180000000000000000003623a32"},
+		{"neighbors", append([]byte(nil), neighborsReqFrame...),
+			"0112"},
+		{"neighbors reply", encodeNeighborsResp(a, *near),
+			"01130102030405060708000d31302e302e302e313a343030300180000000000000000003623a320280000000000000000003623a320102030405060708000d31302e302e302e313a34303030"},
+		{"neighbors reply, no pred", encodeNeighborsResp(a, chord.Neighbors{}),
+			"01130102030405060708000d31302e302e302e313a343030300000"},
+		{"notify", encodeNotify(b),
+			"011480000000000000000003623a32"},
+		{"ack changed", encodeAck(true),
+			"011501"},
+		{"ack", encodeAck(false),
+			"011500"},
+		{"err", encodeErr(errnoNodeDown, 2, 1),
+			"011f0200020001"},
+		{"ping", encodePing(),
+			"0116"},
+		{"pong", encodePong(),
+			"0117"},
+	} {
+		if got := hex.EncodeToString(tc.frame); got != tc.hex {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.hex)
+		}
+	}
+}

@@ -20,9 +20,9 @@ import (
 // it the encoding is refused.
 func FuzzDecodeControl(f *testing.F) {
 	a, b := chord.Ref{ID: 1, Addr: "10.0.0.1:4000"}, chord.Ref{ID: 1 << 63, Addr: "b:2"}
-	longAck := encodeStoreAck(storeAckMsg{hops: 3, stale: 1, owner: a, near: &chord.Neighbors{Pred: b, Succ: []chord.Ref{b, a}}})
+	longAck := encodeStoreAck(chord.Found{Hops: 3, Stale: 1, Owner: a, Near: &chord.Neighbors{Pred: b, Succ: []chord.Ref{b, a}}})
 	hugeAck := append([]byte(nil), longAck...)
-	hugeAck[storeAckLen+10+len(a.Addr)+1+10+len(b.Addr)] = 255 // the successor count
+	hugeAck[routedHead+10+len(a.Addr)+1+10+len(b.Addr)] = 255 // the successor count
 	for _, seed := range [][]byte{
 		encodeFindSucc(findSuccMsg{flags: flagForwarded | flagDeliver, key: 42, hops: 3, stale: 1}),
 		encodeFindSucc(findSuccMsg{flags: flagNeighbors, key: 42}),
@@ -30,31 +30,31 @@ func FuzzDecodeControl(f *testing.F) {
 		encodeFindSucc(findSuccMsg{flags: flagForwarded, key: 42, hops: 1, store: wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2, TTL: 9})}),
 		encodeFindSucc(findSuccMsg{key: 42, store: wire.EncodeBulkInsert(wire.BulkInsert{Metric: 7, Bit: 2, Vectors: []uint16{1, 2}})}),
 		encodeFindSucc(findSuccMsg{key: 42, store: encodePing()}),
-		encodeStoreAck(storeAckMsg{hops: 3, stale: 1}),
+		encodeStoreAck(chord.Found{Hops: 3, Stale: 1}),
 		// The long ack of a flagged store — the storing node and its
 		// neighbourhood — and its cuts: inside the ref, a successor count the
 		// frame cannot hold, a byte behind the neighbourhood.
 		longAck,
-		longAck[:storeAckLen+4],
-		longAck[:storeAckLen+10+len(a.Addr)],
+		longAck[:routedHead+4],
+		longAck[:routedHead+10+len(a.Addr)],
 		hugeAck,
 		append(append([]byte(nil), longAck...), 0),
-		encodeStoreAck(storeAckMsg{owner: a, near: &chord.Neighbors{}}),
-		encodeStoreAck(storeAckMsg{owner: chord.Ref{ID: 7}, near: &chord.Neighbors{Succ: []chord.Ref{{ID: 7}}}}),
-		encodeFindSuccResp(findSuccRespMsg{hops: 5, stale: 2, owner: a}),
+		encodeStoreAck(chord.Found{Owner: a, Near: &chord.Neighbors{}}),
+		encodeStoreAck(chord.Found{Owner: chord.Ref{ID: 7}, Near: &chord.Neighbors{Succ: []chord.Ref{{ID: 7}}}}),
+		encodeFindSuccResp(chord.Found{Hops: 5, Stale: 2, Owner: a}),
 		// The flagged reply: the owner's neighbourhood behind it.
-		encodeFindSuccResp(findSuccRespMsg{hops: 5, stale: 2, owner: a, near: &chord.Neighbors{Pred: b, Succ: []chord.Ref{b, a}}}),
-		encodeFindSuccResp(findSuccRespMsg{owner: a, near: &chord.Neighbors{}}),
-		encodeNeighborsResp(neighborsRespMsg{self: a, pred: b, succ: []chord.Ref{b, a}}),
-		encodeNeighborsResp(neighborsRespMsg{self: a}),
+		encodeFindSuccResp(chord.Found{Hops: 5, Stale: 2, Owner: a, Near: &chord.Neighbors{Pred: b, Succ: []chord.Ref{b, a}}}),
+		encodeFindSuccResp(chord.Found{Owner: a, Near: &chord.Neighbors{}}),
+		encodeNeighborsResp(a, chord.Neighbors{Pred: b, Succ: []chord.Ref{b, a}}),
+		encodeNeighborsResp(a, chord.Neighbors{}),
 		encodeNotify(b),
 		encodeAck(true),
 		encodeErr(errnoNoRoute, 7, 7),
 		// The empty-address refs the decoders used to accept.
 		encodeNotify(chord.Ref{ID: 7}),
-		encodeFindSuccResp(findSuccRespMsg{owner: chord.Ref{ID: 7}}),
-		encodeFindSuccResp(findSuccRespMsg{owner: a, near: &chord.Neighbors{Pred: chord.Ref{ID: 7, Addr: "x"}, Succ: []chord.Ref{{ID: 7}}}}),
-		encodeNeighborsResp(neighborsRespMsg{self: a, succ: []chord.Ref{{ID: 7}}}),
+		encodeFindSuccResp(chord.Found{Owner: chord.Ref{ID: 7}}),
+		encodeFindSuccResp(chord.Found{Owner: a, Near: &chord.Neighbors{Pred: chord.Ref{ID: 7, Addr: "x"}, Succ: []chord.Ref{{ID: 7}}}}),
+		encodeNeighborsResp(a, chord.Neighbors{Succ: []chord.Ref{{ID: 7}}}),
 		{},
 	} {
 		f.Add(seed)
@@ -67,7 +67,18 @@ func FuzzDecodeControl(f *testing.F) {
 		// tags, not misparse them.
 		fixpoint(t, buf, decodeFindSucc, encodeFindSucc)
 		fixpoint(t, buf, decodeFindSuccResp, encodeFindSuccResp)
-		fixpoint(t, buf, decodeNeighborsResp, encodeNeighborsResp)
+		// A neighbors reply decodes to the neighbourhood alone; the sender's
+		// ref ahead of it is read again here to re-encode it.
+		fixpoint(t, buf,
+			func(b []byte) (chord.Found, error) {
+				nb, err := decodeNeighborsResp(b)
+				if err != nil {
+					return chord.Found{}, err
+				}
+				self, _, _ := decodeRef(b[2:])
+				return chord.Found{Owner: self, Near: &nb}, nil
+			},
+			func(f chord.Found) []byte { return encodeNeighborsResp(f.Owner, *f.Near) })
 		fixpoint(t, buf, decodeNotify, encodeNotify)
 		fixpoint(t, buf, decodeAck, encodeAck)
 		fixpoint(t, buf, decodeStoreAck, encodeStoreAck)
@@ -91,16 +102,17 @@ func FuzzDecodeControl(f *testing.F) {
 			refs = append(refs, r)
 		}
 		if m, err := decodeFindSuccResp(buf); err == nil {
-			refs = append(refs, m.owner)
-			if m.near != nil {
-				refs = append(refs, m.near.Succ...)
+			refs = append(refs, m.Owner)
+			if m.Near != nil {
+				refs = append(refs, m.Near.Succ...)
 			}
 		}
-		if m, err := decodeNeighborsResp(buf); err == nil {
-			refs = append(append(refs, m.self), m.succ...)
+		if nb, err := decodeNeighborsResp(buf); err == nil {
+			self, _, _ := decodeRef(buf[2:])
+			refs = append(append(refs, self), nb.Succ...)
 		}
-		if m, err := decodeStoreAck(buf); err == nil && m.near != nil {
-			refs = append(append(refs, m.owner), m.near.Succ...)
+		if m, err := decodeStoreAck(buf); err == nil && m.Near != nil {
+			refs = append(append(refs, m.Owner), m.Near.Succ...)
 		}
 		for _, r := range refs {
 			if !r.Valid() {

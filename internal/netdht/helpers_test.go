@@ -12,11 +12,11 @@ import (
 // The package itself only appends into a connection's buffer or a caller's
 // scratch; these are those same encoders with nil for the buffer.
 
-func encodeFindSucc(m findSuccMsg) []byte         { return appendFindSucc(nil, m) }
-func encodeStoreAck(m storeAckMsg) []byte         { return appendStoreAck(nil, m) }
-func encodeFindSuccResp(m findSuccRespMsg) []byte { return appendFindSuccResp(nil, m) }
-func encodeNeighborsResp(m neighborsRespMsg) []byte {
-	return appendNeighborsResp(nil, m)
+func encodeFindSucc(m findSuccMsg) []byte     { return appendFindSucc(nil, m) }
+func encodeStoreAck(f chord.Found) []byte     { return appendStoreAck(nil, f) }
+func encodeFindSuccResp(f chord.Found) []byte { return appendFindSuccResp(nil, f) }
+func encodeNeighborsResp(self chord.Ref, nb chord.Neighbors) []byte {
+	return appendNeighborsResp(nil, self, nb)
 }
 func encodeNotify(self chord.Ref) []byte             { return appendNotify(nil, self) }
 func encodeAck(changed bool) []byte                  { return appendAck(nil, changed) }

@@ -199,58 +199,95 @@ func checkTupleFrame(p []byte) (err error) {
 	return err
 }
 
-// storeAckMsg answers a tagStore once the tuple is in the store of the
-// node the route ended at: what the route cost, relayed back hop by hop.
-// Nothing is sent to that node afterwards, so the ack of an unflagged store
-// names no owner and is six bytes. When the origin set flagNeighbors — a
-// client whose view did not cover the key — the storing node appends its own
-// ref and its neighbourhood, the same tag in a long layout, and the client
-// learns from it the arcs a flagged find_succ reply would have taught.
-type storeAckMsg struct {
-	hops, stale uint16
-	owner       chord.Ref        // the storing node; zero in the short layout
-	near        *chord.Neighbors // nil: the short layout
+// The routed request's two terminal replies decode into the chord.Found the
+// state machine speaks, and share a head: version, tag, then what the route
+// cost — hops and stale hops — relayed back hop by hop. A find_succ reply
+// names the owner behind it, and when the origin set flagNeighbors the
+// owner's neighbourhood behind that. A store ack answers a tagStore once the
+// tuple is in the store of the node the route ended at. Nothing is sent to
+// that node afterwards, so the ack of an unflagged store names no owner and
+// is the head alone. To a flagged store — a client whose view did not cover
+// the key — the storing node appends its own ref and its neighbourhood, the
+// same tag in a long layout, and the client learns from it the arcs a
+// flagged find_succ reply would have taught.
+const routedHead = 6
+
+func appendRouted(dst []byte, tag byte, f chord.Found) []byte {
+	dst = append(dst, wire.Version, tag)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(f.Hops))
+	return binary.BigEndian.AppendUint16(dst, uint16(f.Stale))
 }
 
-const storeAckLen = 6
-
-func appendStoreAck(dst []byte, m storeAckMsg) []byte {
-	dst = append(dst, wire.Version, tagStoreAck)
-	dst = binary.BigEndian.AppendUint16(dst, m.hops)
-	dst = binary.BigEndian.AppendUint16(dst, m.stale)
-	if m.near != nil {
-		dst = appendNeighbors(appendRef(dst, m.owner), *m.near)
+func appendFindSuccResp(dst []byte, f chord.Found) []byte {
+	dst = appendRef(appendRouted(dst, tagFindSuccResp, f), f.Owner)
+	if f.Near != nil {
+		dst = appendNeighbors(dst, *f.Near)
 	}
 	return dst
 }
 
-// decodeStoreAck accepts the two layouts and nothing between them: six
-// bytes, or six bytes, one ref and one whole neighbourhood with nothing
-// behind it.
-func decodeStoreAck(buf []byte) (storeAckMsg, error) {
-	if len(buf) < storeAckLen {
-		return storeAckMsg{}, wire.ErrShort
+func appendStoreAck(dst []byte, f chord.Found) []byte {
+	dst = appendRouted(dst, tagStoreAck, f)
+	if f.Near != nil {
+		dst = appendNeighbors(appendRef(dst, f.Owner), *f.Near)
 	}
-	if buf[0] != wire.Version || buf[1] != tagStoreAck {
-		return storeAckMsg{}, wire.ErrBadMessage
+	return dst
+}
+
+// decodeRouted reads the head of a terminal reply that must carry tag.
+func decodeRouted(buf []byte, tag byte) (chord.Found, error) {
+	if len(buf) < routedHead {
+		return chord.Found{}, wire.ErrShort
 	}
-	m := storeAckMsg{hops: binary.BigEndian.Uint16(buf[2:]), stale: binary.BigEndian.Uint16(buf[4:])}
-	if len(buf) == storeAckLen {
-		return m, nil
+	if buf[0] != wire.Version || buf[1] != tag {
+		return chord.Found{}, wire.ErrBadMessage
 	}
-	owner, rest, err := decodeRef(buf[storeAckLen:])
+	return chord.Found{Hops: int(binary.BigEndian.Uint16(buf[2:])), Stale: int(binary.BigEndian.Uint16(buf[4:]))}, nil
+}
+
+// decodeOwner reads what follows the head into f: the owner's ref and,
+// unless the frame ends there, one whole neighbourhood with nothing behind
+// it.
+func decodeOwner(f chord.Found, buf []byte) (chord.Found, error) {
+	owner, rest, err := decodeRef(buf)
 	if err != nil {
-		return storeAckMsg{}, err
+		return chord.Found{}, err
+	}
+	f.Owner = owner
+	if len(rest) == 0 {
+		return f, nil
 	}
 	nb, rest, err := decodeNeighbors(rest)
 	if err != nil {
-		return storeAckMsg{}, err
+		return chord.Found{}, err
 	}
 	if len(rest) != 0 {
-		return storeAckMsg{}, wire.ErrBadMessage
+		return chord.Found{}, wire.ErrBadMessage
 	}
-	m.owner, m.near = owner, &nb
-	return m, nil
+	f.Near = &nb
+	return f, nil
+}
+
+func decodeFindSuccResp(buf []byte) (chord.Found, error) {
+	f, err := decodeRouted(buf, tagFindSuccResp)
+	if err != nil {
+		return f, err
+	}
+	return decodeOwner(f, buf[routedHead:])
+}
+
+// decodeStoreAck accepts the two layouts and nothing between them: the
+// head, or the head, one ref and one whole neighbourhood with nothing
+// behind it.
+func decodeStoreAck(buf []byte) (chord.Found, error) {
+	f, err := decodeRouted(buf, tagStoreAck)
+	if err != nil || len(buf) == routedHead {
+		return f, err
+	}
+	if f, err = decodeOwner(f, buf[routedHead:]); err == nil && f.Near == nil {
+		return chord.Found{}, wire.ErrShort
+	}
+	return f, err
 }
 
 // appendNeighbors serializes a neighbourhood: predecessor flag(1), the
@@ -296,60 +333,6 @@ func decodeNeighbors(buf []byte) (nb chord.Neighbors, rest []byte, err error) {
 	return nb, rest, nil
 }
 
-// findSuccRespMsg is the terminal routing reply — the believed owner,
-// the total cost and, when the origin set flagNeighbors, the owner's
-// neighbourhood — decoded and re-encoded at each hop on its way back.
-type findSuccRespMsg struct {
-	hops  uint16
-	stale uint16
-	owner chord.Ref
-	near  *chord.Neighbors // nil: the short, unflagged layout
-}
-
-func appendFindSuccResp(dst []byte, m findSuccRespMsg) []byte {
-	dst = append(dst, wire.Version, tagFindSuccResp)
-	dst = binary.BigEndian.AppendUint16(dst, m.hops)
-	dst = binary.BigEndian.AppendUint16(dst, m.stale)
-	dst = appendRef(dst, m.owner)
-	if m.near != nil {
-		dst = appendNeighbors(dst, *m.near)
-	}
-	return dst
-}
-
-func decodeFindSuccResp(buf []byte) (findSuccRespMsg, error) {
-	if len(buf) < 6 {
-		return findSuccRespMsg{}, wire.ErrShort
-	}
-	if buf[0] != wire.Version || buf[1] != tagFindSuccResp {
-		return findSuccRespMsg{}, wire.ErrBadMessage
-	}
-	m := findSuccRespMsg{
-		hops:  binary.BigEndian.Uint16(buf[2:]),
-		stale: binary.BigEndian.Uint16(buf[4:]),
-	}
-	owner, rest, err := decodeRef(buf[6:])
-	m.owner = owner
-	if err != nil || len(rest) == 0 {
-		return m, err
-	}
-	nb, rest, err := decodeNeighbors(rest)
-	if err == nil && len(rest) != 0 {
-		err = wire.ErrBadMessage // nothing may follow the neighbourhood
-	}
-	m.near = &nb
-	return m, err
-}
-
-// neighborsRespMsg is a node's protocol-state answer: who it believes
-// precedes it and its successor list in ring order — the payload one
-// stabilize exchange fetches.
-type neighborsRespMsg struct {
-	self chord.Ref
-	pred chord.Ref // zero when unknown
-	succ []chord.Ref
-}
-
 // The three messages that are a tag and nothing else. They are only ever
 // copied from — into a slot's write buffer as a request, behind a reply's
 // length prefix — and never written to.
@@ -359,30 +342,33 @@ var (
 	pongFrame         = []byte{wire.Version, tagPong}
 )
 
-func appendNeighborsResp(dst []byte, m neighborsRespMsg) []byte {
-	dst = append(dst, wire.Version, tagNeighborsResp)
-	return appendNeighbors(appendRef(dst, m.self), chord.Neighbors{Pred: m.pred, Succ: m.succ})
+// A neighbors reply is a node's protocol-state answer: its own ref, then
+// who it believes precedes it and its successor list in ring order — the
+// payload one stabilize exchange fetches. The asker knows whom it asked, so
+// the reply decodes to the neighbourhood alone.
+func appendNeighborsResp(dst []byte, self chord.Ref, nb chord.Neighbors) []byte {
+	return appendNeighbors(appendRef(append(dst, wire.Version, tagNeighborsResp), self), nb)
 }
 
-func decodeNeighborsResp(buf []byte) (neighborsRespMsg, error) {
+func decodeNeighborsResp(buf []byte) (chord.Neighbors, error) {
 	if len(buf) < 2 {
-		return neighborsRespMsg{}, wire.ErrShort
+		return chord.Neighbors{}, wire.ErrShort
 	}
 	if buf[0] != wire.Version || buf[1] != tagNeighborsResp {
-		return neighborsRespMsg{}, wire.ErrBadMessage
+		return chord.Neighbors{}, wire.ErrBadMessage
 	}
-	var m neighborsRespMsg
-	var err error
-	rest := buf[2:]
-	if m.self, rest, err = decodeRef(rest); err != nil {
-		return m, err
+	_, rest, err := decodeRef(buf[2:])
+	if err != nil {
+		return chord.Neighbors{}, err
 	}
 	nb, rest, err := decodeNeighbors(rest)
 	if err == nil && len(rest) != 0 {
 		err = wire.ErrBadMessage
 	}
-	m.pred, m.succ = nb.Pred, nb.Succ
-	return m, err
+	if err != nil {
+		return chord.Neighbors{}, err
+	}
+	return nb, nil
 }
 
 func appendNotify(dst []byte, self chord.Ref) []byte {
@@ -443,17 +429,34 @@ func decodeErr(buf []byte) (code byte, hops, stale uint16, err error) {
 	return buf[2], binary.BigEndian.Uint16(buf[3:]), binary.BigEndian.Uint16(buf[5:]), nil
 }
 
-// replyErr splits a typed failure out of a reply frame. err is nil when
-// raw is any other frame; otherwise it is the dht-taxonomy error of the
-// code the peer sent, returned with the partial route cost, or the decode
-// error of a malformed frame (code 0 — no errno is zero).
-func replyErr(raw []byte) (code byte, hops, stale uint16, err error) {
+// decodePong accepts a pong; any other reply to a ping is an error.
+func decodePong(buf []byte) (struct{}, error) {
+	if len(buf) < 2 || buf[1] != tagPong {
+		return struct{}{}, fmt.Errorf("%w: unexpected ping reply", dht.ErrLost)
+	}
+	return struct{}{}, nil
+}
+
+// remoteErr is a typed failure a peer replied with: its code, which reads as
+// the code's dht sentinel, and the route cost paid until the failure.
+type remoteErr struct {
+	code        byte
+	hops, stale uint16
+}
+
+func (e remoteErr) Error() string { return e.Unwrap().Error() }
+func (e remoteErr) Unwrap() error { return errnoErr(e.code) }
+
+// replyErr splits a typed failure out of a reply frame: nil when raw is any
+// other frame, else the peer's remoteErr, or the decode error of a malformed
+// tagErr frame.
+func replyErr(raw []byte) error {
 	if len(raw) < 2 || raw[1] != tagErr {
-		return 0, 0, 0, nil
+		return nil
 	}
-	code, hops, stale, err = decodeErr(raw)
+	code, hops, stale, err := decodeErr(raw)
 	if err != nil {
-		return 0, 0, 0, err
+		return err
 	}
-	return code, hops, stale, errnoErr(code)
+	return remoteErr{code: code, hops: hops, stale: stale}
 }

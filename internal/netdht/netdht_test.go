@@ -98,27 +98,27 @@ func TestControlMessageRoundTrips(t *testing.T) {
 		t.Fatalf("findSucc round trip: %+v, %v", gotFS, err)
 	}
 
-	fr := findSuccRespMsg{hops: 3, stale: 1, owner: chord.Ref{ID: 42, Addr: "127.0.0.1:9999"}}
+	fr := chord.Found{Hops: 3, Stale: 1, Owner: chord.Ref{ID: 42, Addr: "127.0.0.1:9999"}}
 	gotFR, err := decodeFindSuccResp(encodeFindSuccResp(fr))
 	if err != nil || gotFR != fr {
 		t.Fatalf("findSuccResp round trip: %+v, %v", gotFR, err)
 	}
 
-	nb := neighborsRespMsg{
-		self: chord.Ref{ID: 1, Addr: "a:1"},
-		pred: chord.Ref{ID: 2, Addr: "b:2"},
-		succ: []chord.Ref{{ID: 3, Addr: "c:3"}, {ID: 4, Addr: "d:4"}},
+	self := chord.Ref{ID: 1, Addr: "a:1"}
+	nb := chord.Neighbors{
+		Pred: chord.Ref{ID: 2, Addr: "b:2"},
+		Succ: []chord.Ref{{ID: 3, Addr: "c:3"}, {ID: 4, Addr: "d:4"}},
 	}
-	gotNB, err := decodeNeighborsResp(encodeNeighborsResp(nb))
-	if err != nil || gotNB.self != nb.self || gotNB.pred != nb.pred || len(gotNB.succ) != 2 ||
-		gotNB.succ[0] != nb.succ[0] || gotNB.succ[1] != nb.succ[1] {
+	gotNB, err := decodeNeighborsResp(encodeNeighborsResp(self, nb))
+	if err != nil || gotNB.Pred != nb.Pred || len(gotNB.Succ) != 2 ||
+		gotNB.Succ[0] != nb.Succ[0] || gotNB.Succ[1] != nb.Succ[1] {
 		t.Fatalf("neighbors round trip: %+v, %v", gotNB, err)
 	}
 
 	// No predecessor is representable.
-	nb.pred = chord.Ref{}
-	gotNB, err = decodeNeighborsResp(encodeNeighborsResp(nb))
-	if err != nil || gotNB.pred.Valid() {
+	nb.Pred = chord.Ref{}
+	gotNB, err = decodeNeighborsResp(encodeNeighborsResp(self, nb))
+	if err != nil || gotNB.Pred.Valid() {
 		t.Fatalf("neighbors without pred: %+v, %v", gotNB, err)
 	}
 

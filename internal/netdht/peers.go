@@ -9,6 +9,7 @@ import (
 	"syscall"
 	"time"
 
+	"dhsketch/internal/chord"
 	"dhsketch/internal/dht"
 	"dhsketch/internal/metrics"
 )
@@ -61,7 +62,7 @@ func mapNetErr(err error) error {
 // which is what the framed protocol requires (a reply is matched to its
 // request purely by ordering on the stream). The slot owns the two buffers
 // its frames are built in and read into; like the socket they are touched
-// only under the mutex, and the reply leaves the slot as a copy.
+// only under the mutex, and a reply is decoded there, never kept.
 type peerConn struct {
 	mu         sync.Mutex
 	c          net.Conn
@@ -183,11 +184,10 @@ func (p *peerPool) dropConn(pc *peerConn) {
 	p.live.Add(-1)
 }
 
-// exchange performs one framed request/reply round trip with addr and
-// returns the reply appended to dst[:0] — the caller's memory, or a fresh
-// slice when dst has no room for it. The reply is read into the slot's own
-// buffer and copied out before the slot is released, so the slot's next
-// user never writes under a reader that is still decoding; req is copied
+// exchange performs one framed request/reply round trip with addr and hands
+// the reply to read where it arrived: in the slot's own buffer, once, after
+// a successful round trip and before the slot is released. read must not
+// keep it — the slot's next user reads into the same buffer. req is copied
 // into the slot too and may live on the caller's stack. A failure on a
 // socket an earlier exchange left in the slot is retried once on a fresh
 // dial: a stale cached socket (the peer restarted, an idle timeout fired)
@@ -198,17 +198,7 @@ func (p *peerPool) dropConn(pc *peerConn) {
 // bytes, frame size, round-trip latency) and transport failures by errno
 // class; with metrics off each instrument they touch is nil and no-ops on
 // its own receiver.
-func (p *peerPool) exchange(addr string, req, dst []byte) ([]byte, error) {
-	var resp []byte
-	err := p.exchangeWith(addr, req, func(reply []byte) { resp = append(dst[:0], reply...) })
-	return resp, err
-}
-
-// exchangeWith is exchange for a caller that reads the reply where it
-// arrived: read is handed the slot's buffer once, after a successful round
-// trip and before the slot is released, and must not keep it. A probe
-// decodes its reply this way, straight into memory of its own.
-func (p *peerPool) exchangeWith(addr string, req []byte, read func(reply []byte)) error {
+func (p *peerPool) exchange(addr string, req []byte, read func(reply []byte)) error {
 	slot, tm := p.m.startRPC(req)
 	n, err := p.doExchange(addr, req, read)
 	p.m.finishRPC(slot, n, err, tm)
@@ -238,13 +228,45 @@ func (p *peerPool) doExchange(addr string, req []byte, read func(reply []byte)) 
 	return len(pc.rbuf), nil
 }
 
+// call is how this package asks a peer anything: one exchange with addr,
+// then the one reply rule — a typed failure reads as its dht sentinel
+// (replyErr), on every RPC alike — and any other reply decoded while it is
+// still in the slot. Every reply decoder returns values that share nothing
+// with the frame (msg.go), so nothing a caller keeps points into the slot;
+// with an error, call returns the zero T, as the decoders do.
+func call[T any](p *peerPool, addr string, req []byte, decode func([]byte) (T, error)) (v T, err error) {
+	xerr := p.exchange(addr, req, func(reply []byte) {
+		if err = replyErr(reply); err == nil {
+			v, err = decode(reply)
+		}
+	})
+	if xerr != nil {
+		return v, xerr
+	}
+	return v, err
+}
+
+// rpcScratch is the stack room a caller gives a request it builds: every
+// fixed-size request and a ref or two fit; a longer one spills to the heap.
+const rpcScratch = 96
+
+// route sends the routed request — a find_succ, or with m.store set the
+// routed store — to addr, and returns its terminal reply: a find_succ
+// reply, or to a store the store ack and nothing else, so that a node that
+// routed the key and says nothing of the tuple is never read as having
+// stored it. Client lookups and stores, and every relayed hop, go out here.
+func (p *peerPool) route(addr string, m findSuccMsg) (chord.Found, error) {
+	var req [rpcScratch]byte
+	decode := decodeFindSuccResp
+	if m.store != nil {
+		decode = decodeStoreAck
+	}
+	return call(p, addr, appendFindSucc(req[:0], m), decode)
+}
+
 // ping is one ping exchange with addr; a reply but a pong is an error.
 func (p *peerPool) ping(addr string) error {
-	var scratch [rpcScratch]byte
-	raw, err := p.exchange(addr, pingFrame, scratch[:0])
-	if err == nil && (len(raw) < 2 || raw[1] != tagPong) {
-		err = fmt.Errorf("%w: unexpected ping reply", dht.ErrLost)
-	}
+	_, err := call(p, addr, pingFrame, decodePong)
 	return err
 }
 

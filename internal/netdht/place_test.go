@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"dhsketch/internal/chord"
 	"dhsketch/internal/wire"
 )
 
@@ -29,7 +30,7 @@ func TestInsertRetriesAtFreshTarget(t *testing.T) {
 		if len(keys) == 1 {
 			return encodeErr(errnoNodeDown, 0, 0)
 		}
-		return encodeStoreAck(storeAckMsg{})
+		return encodeStoreAck(chord.Found{})
 	})
 	c, reg := storeClient(t, entry, seed)
 	if err := c.Insert(metric, item); err != nil {

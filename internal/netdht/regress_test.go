@@ -56,7 +56,7 @@ func TestCountFailsMisshapenProbeReply(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			entry := fakePeer(t, func(self string, req []byte) []byte {
 				if req[1] == tagFindSucc {
-					return encodeFindSuccResp(findSuccRespMsg{owner: chord.Ref{ID: 1, Addr: self}})
+					return encodeFindSuccResp(chord.Found{Owner: chord.Ref{ID: 1, Addr: self}})
 				}
 				raw, err := wire.EncodeProbeResp(reply)
 				if err != nil {
@@ -298,9 +298,9 @@ func TestEmptyAddressRefRejected(t *testing.T) {
 
 	valid := chord.Ref{ID: 1, Addr: "a:1"}
 	for name, frame := range map[string][]byte{
-		"find_succ owner": encodeFindSuccResp(findSuccRespMsg{owner: chord.Ref{ID: 2}}),
-		"neighbors self":  encodeNeighborsResp(neighborsRespMsg{self: chord.Ref{ID: 2}}),
-		"neighbors succ":  encodeNeighborsResp(neighborsRespMsg{self: valid, succ: []chord.Ref{valid, {ID: 3}}}),
+		"find_succ owner": encodeFindSuccResp(chord.Found{Owner: chord.Ref{ID: 2}}),
+		"neighbors self":  encodeNeighborsResp(chord.Ref{ID: 2}, chord.Neighbors{}),
+		"neighbors succ":  encodeNeighborsResp(valid, chord.Neighbors{Succ: []chord.Ref{valid, {ID: 3}}}),
 	} {
 		var err error
 		if frame[1] == tagFindSuccResp {

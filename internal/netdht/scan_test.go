@@ -36,7 +36,7 @@ func TestSegmentMapResolve(t *testing.T) {
 	}
 	// Ring order 900 → 100 → 300 → 500 (wrapping past zero); 700 is a
 	// member nobody has mentioned yet.
-	m.learn(findSuccRespMsg{owner: ref(100), near: &chord.Neighbors{
+	m.learn(chord.Found{Owner: ref(100), Near: &chord.Neighbors{
 		Pred: ref(900), Succ: []chord.Ref{ref(300), ref(500)}}})
 	for target, want := range map[uint64]uint64{
 		901: 100, math.MaxUint64: 100, 0: 100, 100: 100,
@@ -55,8 +55,8 @@ func TestSegmentMapResolve(t *testing.T) {
 	// A later reply replaces what an earlier one said about a node: 200
 	// joined in front of 300. An unknown predecessor leaves the owner's
 	// own arc alone and still teaches the arcs behind it.
-	m.learn(findSuccRespMsg{owner: ref(200), near: &chord.Neighbors{Pred: ref(100), Succ: []chord.Ref{ref(300)}}})
-	m.learn(findSuccRespMsg{owner: ref(500), near: &chord.Neighbors{Succ: []chord.Ref{ref(700)}}})
+	m.learn(chord.Found{Owner: ref(200), Near: &chord.Neighbors{Pred: ref(100), Succ: []chord.Ref{ref(300)}}})
+	m.learn(chord.Found{Owner: ref(500), Near: &chord.Neighbors{Succ: []chord.Ref{ref(700)}}})
 	for target, want := range map[uint64]uint64{150: 200, 250: 300, 400: 500, 600: 700} {
 		if got, ok := m.resolve(target); !ok || got.owner.ID != want {
 			t.Errorf("after relearning, resolve(%d) = %v, %v; want node %d", target, got, ok, want)
@@ -68,8 +68,8 @@ func TestSegmentMapResolve(t *testing.T) {
 	// A reply without a neighbourhood, or one that repeats a node, teaches
 	// nothing — in particular no arc that spans the whole circle.
 	m.arcs = nil
-	m.learn(findSuccRespMsg{owner: ref(100)})
-	m.learn(findSuccRespMsg{owner: ref(100), near: &chord.Neighbors{Pred: ref(100), Succ: []chord.Ref{ref(100)}}})
+	m.learn(chord.Found{Owner: ref(100)})
+	m.learn(chord.Found{Owner: ref(100), Near: &chord.Neighbors{Pred: ref(100), Succ: []chord.Ref{ref(100)}}})
 	if got, ok := m.resolve(42); ok {
 		t.Errorf("degenerate replies resolved a target to %v", got)
 	}
@@ -121,23 +121,23 @@ func (r *refProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 	metrics := v.Metrics()
 	seen := map[uint64]bool{}
 	for i := 0; i < lim; i++ {
-		f, err := r.c.findSucc(r.c.randomTarget(bit), 0)
+		f, err := r.c.peers.route(r.c.cfg.Entry, findSuccMsg{key: r.c.randomTarget(bit)})
 		if err != nil {
 			out.Failed++
 			continue
 		}
-		if seen[f.owner.ID] {
+		if seen[f.Owner.ID] {
 			continue
 		}
-		seen[f.owner.ID] = true
-		resp, err := r.c.probe(f.owner.Addr, wire.ProbeReq{Bit: uint8(bit), NumVecs: uint16(r.c.geom.M), Metrics: metrics})
+		seen[f.Owner.ID] = true
+		resp, err := r.c.probe(f.Owner.Addr, wire.ProbeReq{Bit: uint8(bit), NumVecs: uint16(r.c.geom.M), Metrics: metrics})
 		if err != nil {
 			out.Failed++
 			continue
 		}
 		out.Visited++
-		r.visits[visit{bit, f.owner.ID}] = true
-		v.Visit(f.owner.ID, 1, &maskReply{metrics: metrics, masks: resp.VecMasks})
+		r.visits[visit{bit, f.Owner.ID}] = true
+		v.Visit(f.Owner.ID, 1, &maskReply{metrics: metrics, masks: resp.VecMasks})
 	}
 	return out
 }
@@ -492,13 +492,13 @@ func TestScanStaleMapEntry(t *testing.T) {
 					lookups.Add(1)
 					switch {
 					case m.key <= liveID:
-						return encodeFindSuccResp(findSuccRespMsg{owner: live,
-							near: &chord.Neighbors{Pred: dead, Succ: []chord.Ref{dead}}})
+						return encodeFindSuccResp(chord.Found{Owner: live,
+							Near: &chord.Neighbors{Pred: dead, Succ: []chord.Ref{dead}}})
 					case tc.repaired:
-						return encodeFindSuccResp(findSuccRespMsg{owner: live, near: &chord.Neighbors{}})
+						return encodeFindSuccResp(chord.Found{Owner: live, Near: &chord.Neighbors{}})
 					default:
-						return encodeFindSuccResp(findSuccRespMsg{owner: dead,
-							near: &chord.Neighbors{Pred: live, Succ: []chord.Ref{live}}})
+						return encodeFindSuccResp(chord.Found{Owner: dead,
+							Near: &chord.Neighbors{Pred: live, Succ: []chord.Ref{live}}})
 					}
 				case wire.TagProbeReq:
 					return zeroMasks(t, req)
@@ -592,8 +592,8 @@ func TestScanRangedReplyShape(t *testing.T) {
 			// so the scan's first probe asks for both positions.
 			entry := fakePeer(t, func(self string, req []byte) []byte {
 				if req[1] == tagFindSucc {
-					return encodeFindSuccResp(findSuccRespMsg{owner: chord.Ref{ID: 1 << 62, Addr: self},
-						near: &chord.Neighbors{Pred: chord.Ref{ID: math.MaxUint64, Addr: "nobody:1"}}})
+					return encodeFindSuccResp(chord.Found{Owner: chord.Ref{ID: 1 << 62, Addr: self},
+						Near: &chord.Neighbors{Pred: chord.Ref{ID: math.MaxUint64, Addr: "nobody:1"}}})
 				}
 				q, err := wire.DecodeProbeReq(req)
 				if err != nil {
@@ -633,7 +633,7 @@ func TestScanRangedReplyShape(t *testing.T) {
 // the frame cannot hold, an empty address, bytes after the end.
 func TestFindSuccRespNeighbourhoodCodec(t *testing.T) {
 	a, b, c := chord.Ref{ID: 1, Addr: "a:1"}, chord.Ref{ID: 2, Addr: "b:2"}, chord.Ref{ID: 3, Addr: "c:3"}
-	short := encodeFindSuccResp(findSuccRespMsg{hops: 3, stale: 1, owner: a})
+	short := encodeFindSuccResp(chord.Found{Hops: 3, Stale: 1, Owner: a})
 	if want := 6 + 10 + len(a.Addr); len(short) != want {
 		t.Fatalf("unflagged reply is %d bytes, want %d", len(short), want)
 	}
@@ -643,14 +643,14 @@ func TestFindSuccRespNeighbourhoodCodec(t *testing.T) {
 		{Pred: b},
 		{}, // a ring of one still answers a flagged request with a neighbourhood
 	} {
-		m := findSuccRespMsg{hops: 3, stale: 1, owner: a, near: near}
+		m := chord.Found{Hops: 3, Stale: 1, Owner: a, Near: near}
 		got, err := decodeFindSuccResp(encodeFindSuccResp(m))
 		if err != nil || !reflect.DeepEqual(got, m) {
 			t.Errorf("round trip of %+v: %+v, %v", near, got, err)
 		}
 	}
 
-	full := encodeFindSuccResp(findSuccRespMsg{owner: a, near: &chord.Neighbors{Pred: b, Succ: []chord.Ref{c}}})
+	full := encodeFindSuccResp(chord.Found{Owner: a, Near: &chord.Neighbors{Pred: b, Succ: []chord.Ref{c}}})
 	countAt := len(short) + 1 + 10 + len(b.Addr)
 	huge := append([]byte(nil), full...)
 	huge[countAt] = 255

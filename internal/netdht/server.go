@@ -363,8 +363,11 @@ func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 	if f.Err != nil {
 		return appendErr(dst, errnoOf(f.Err), uint16(f.Hops), uint16(f.Stale))
 	}
+	// The reply is f, with this node's neighbourhood where it attaches one —
+	// built in a copy, because f.Err reaches errnoOf and a neighbourhood
+	// stored in f would go to the heap with it.
+	reply := f
 	if m.store != nil {
-		ack := storeAckMsg{hops: uint16(f.Hops), stale: uint16(f.Stale), owner: f.Owner, near: f.Near}
 		// The machine names this node, and no peer's ack does (a short one
 		// names nobody, a long one comes with a neighbourhood): the route
 		// ended here.
@@ -374,61 +377,42 @@ func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 			}
 			if near {
 				nb := s.node.Neighbors()
-				ack.near = &nb
+				reply.Near = &nb
 			}
 		}
-		return appendStoreAck(dst, ack)
+		return appendStoreAck(dst, reply)
 	}
-	resp := findSuccRespMsg{hops: uint16(f.Hops), stale: uint16(f.Stale), owner: f.Owner, near: f.Near}
 	if near && f.Owner.ID == s.id {
 		nb := s.node.Neighbors()
-		resp.near = &nb
+		reply.Near = &nb
 	}
-	return appendFindSuccResp(dst, resp)
+	return appendFindSuccResp(dst, reply)
 }
 
 // tcpPeers is the TCP transport of the Chord protocol: each call is one
-// request/reply exchange through the server's peer pool, and any failed
-// exchange — refused, timed out, undecodable, or answered by a node
+// request/reply exchange through the server's peer pool (call), and any
+// failed exchange — refused, timed out, undecodable, or answered by a node
 // that is shutting down — is how the protocol learns a peer is gone. It is
 // handed to the state machine by pointer — an inbound connection's own, set
 // per request, or a maintenance round's — so serving a request boxes
-// nothing. Requests are built in, and replies copied to, a few bytes of the
-// calling method's stack; a long one spills to the heap.
+// nothing.
 type tcpPeers struct {
 	s     *Server
 	near  bool   // relaying a request with flagNeighbors: forward it set
 	store []byte // relaying a tagStore: the tuple frame to forward with it
 }
 
-// rpcScratch is the stack room a caller gives a request it builds or a
-// reply it decodes on the spot: every fixed-size frame and a ref or two fit.
-const rpcScratch = 96
-
 func (p *tcpPeers) Neighbors(to chord.Ref) (chord.Neighbors, error) {
-	var scratch [rpcScratch]byte
-	raw, err := p.s.peers.exchange(to.Addr, neighborsReqFrame, scratch[:0])
-	if err == nil {
-		_, _, _, err = replyErr(raw)
-	}
-	var nb neighborsRespMsg
-	if err == nil {
-		nb, err = decodeNeighborsResp(raw)
-	}
+	nb, err := call(p.s.peers, to.Addr, neighborsReqFrame, decodeNeighborsResp)
 	if err != nil {
 		p.s.logKV("successor-unreachable", "successor", to.Addr, "err", err)
-		return chord.Neighbors{}, err
 	}
-	return chord.Neighbors{Pred: nb.pred, Succ: nb.succ}, nil
+	return nb, err
 }
 
 func (p *tcpPeers) Notify(to, self chord.Ref) (bool, error) {
-	var req, reply [rpcScratch]byte
-	raw, err := p.s.peers.exchange(to.Addr, appendNotify(req[:0], self), reply[:0])
-	if err != nil {
-		return false, err
-	}
-	return decodeAck(raw)
+	var req [rpcScratch]byte
+	return call(p.s.peers, to.Addr, appendNotify(req[:0], self), decodeAck)
 }
 
 func (p *tcpPeers) Ping(to chord.Ref) error { return p.s.peers.ping(to.Addr) }
@@ -437,9 +421,10 @@ func (p *tcpPeers) Ping(to chord.Ref) error { return p.s.peers.ping(to.Addr) }
 // candidate that failed (Server.Join retries a joiner's whole attempt).
 // An origin contact (hops == 0, a joiner reaching its bootstrap) is not a
 // metered hop; a forwarded step carries flagForwarded. A decoded reply is
-// terminal: the owner, or a typed downstream routing failure. A relayed
-// store is answered by a store ack and by nothing else: a peer that routed
-// the key but says nothing of the tuple is one more candidate that failed.
+// terminal: the owner, or a typed downstream routing failure. Two replies
+// are a candidate that failed instead: a peer that says it is down
+// (errnoNodeDown, or code 0, which no errno is), and, to a relayed store,
+// any reply but a store ack (peerPool.route).
 func (p *tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver bool) (chord.Found, error) {
 	m := findSuccMsg{key: key, hops: uint16(hops), stale: uint16(stale), store: p.store}
 	if deliver {
@@ -451,26 +436,11 @@ func (p *tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver b
 	if hops > 0 {
 		m.flags |= flagForwarded
 	}
-	var req, reply [rpcScratch]byte
-	raw, err := p.s.peers.exchange(to.Addr, appendFindSucc(req[:0], m), reply[:0])
-	if err != nil {
-		return chord.Found{}, err
+	f, err := p.s.peers.route(to.Addr, m)
+	if re, ok := err.(remoteErr); ok && re.code != 0 && re.code != errnoNodeDown {
+		return chord.Found{Hops: int(re.hops), Stale: int(re.stale), Err: re.Unwrap()}, nil
 	}
-	if code, h, st, err := replyErr(raw); err != nil {
-		if code == 0 || code == errnoNodeDown {
-			return chord.Found{}, err
-		}
-		return chord.Found{Hops: int(h), Stale: int(st), Err: err}, nil
-	}
-	if p.store != nil {
-		ack, err := decodeStoreAck(raw)
-		return chord.Found{Owner: ack.owner, Hops: int(ack.hops), Stale: int(ack.stale), Near: ack.near}, err
-	}
-	resp, err := decodeFindSuccResp(raw)
-	if err != nil {
-		return chord.Found{}, err
-	}
-	return chord.Found{Owner: resp.owner, Hops: int(resp.hops), Stale: int(resp.stale), Near: resp.near}, nil
+	return f, err
 }
 
 // Reseed: a daemon has no oracle. Its predecessor is the one other peer
@@ -576,8 +546,7 @@ func (s *Server) handleNeighbors(dst []byte) []byte {
 	if !s.alive.Load() {
 		return appendErr(dst, errnoNodeDown, 0, 0)
 	}
-	nb := s.node.Neighbors()
-	return appendNeighborsResp(dst, neighborsRespMsg{self: s.node.Self(), pred: nb.Pred, succ: nb.Succ})
+	return appendNeighborsResp(dst, s.node.Self(), s.node.Neighbors())
 }
 
 func (s *Server) handleNotify(dst, req []byte) []byte {

@@ -65,7 +65,7 @@ func firstHops(reg *metrics.Registry) (view, entry uint64) {
 
 // storeTracked sends one tuple through c as a routed store for target and
 // reports whether the view chose its first hop.
-func storeTracked(c *Client, reg *metrics.Registry, target uint64, tuple wire.Insert) (ack storeAckMsg, byView bool, err error) {
+func storeTracked(c *Client, reg *metrics.Registry, target uint64, tuple wire.Insert) (ack chord.Found, byView bool, err error) {
 	before, _ := firstHops(reg)
 	ack, err = c.store(target, wire.EncodeInsert(tuple))
 	after, _ := firstHops(reg)
@@ -201,15 +201,15 @@ func TestInsertPlacementAndBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("store at %016x: %v", w.target, err)
 		}
-		if moved := routedTotal(servers) - routed0; ack.stale != 0 || int64(ack.hops) != moved {
+		if moved := routedTotal(servers) - routed0; ack.Stale != 0 || int64(ack.Hops) != moved {
 			t.Fatalf("store at %016x: ack %+v on a converged ring, Routed moved by %d", w.target, ack, moved)
 		}
-		if warm != (ack.near == nil) || warm && ack.hops != 0 {
+		if warm != (ack.Near == nil) || warm && ack.Hops != 0 {
 			t.Fatalf("store at %016x, view covering it %v: ack %+v; want a bare ack of no hops from a remembered owner, a neighbourhood through the entry",
 				w.target, warm, ack)
 		}
 		if !warm {
-			coldHops += int64(ack.hops)
+			coldHops += int64(ack.Hops)
 		}
 	}
 	if coldHops != coldRouted || coldHops == 0 || outExchanges(reg2) != n {
@@ -258,8 +258,8 @@ func TestStoreSeesJoin(t *testing.T) {
 		moved := routedTotal(cl.Servers()) - routed0
 		// A bare ack from the node the view named, a neighbourhood through
 		// the entry; hops as metered, and none from a node that owns the key.
-		if byView != want.direct || (ack.near == nil) != want.direct ||
-			int64(ack.hops) != moved || want.direct && (ack.hops > 0) != want.hops {
+		if byView != want.direct || (ack.Near == nil) != want.direct ||
+			int64(ack.Hops) != moved || want.direct && (ack.Hops > 0) != want.hops {
 			t.Errorf("step %d: first hop by view %v, ack %+v, Routed moved by %d; want %+v", step, byView, ack, moved, want)
 		}
 		if on := onOracleOwner(t, cl, target, tuple); on != joiner {
@@ -271,7 +271,7 @@ func TestStoreSeesJoin(t *testing.T) {
 	}
 	// The old owner keeps what is still its own, at no hops.
 	tuple := wire.Insert{Metric: 6, Vector: 9, Bit: 1}
-	if ack, err := c.store(first.ID(), wire.EncodeInsert(tuple)); err != nil || ack.hops != 0 || ack.near != nil {
+	if ack, err := c.store(first.ID(), wire.EncodeInsert(tuple)); err != nil || ack.Hops != 0 || ack.Near != nil {
 		t.Errorf("store at the first server's identifier: ack %+v, %v", ack, err)
 	}
 	if on := onOracleOwner(t, cl, first.ID(), tuple); on != first {
@@ -296,7 +296,7 @@ func TestStoreDeadOwner(t *testing.T) {
 	target := victim.ID()
 	cl.Crash(victim) // the ring still names it
 
-	store := func(step int, wantFailed uint64, wantDirect bool) storeAckMsg {
+	store := func(step int, wantFailed uint64, wantDirect bool) chord.Found {
 		t.Helper()
 		tuple := wire.Insert{Metric: 6, Vector: uint16(step), Bit: 2}
 		failed0, retries0 := insertErrors(reg)
@@ -320,7 +320,7 @@ func TestStoreDeadOwner(t *testing.T) {
 		return ack
 	}
 
-	if ack := store(0, 1, true); ack.stale == 0 || ack.near == nil {
+	if ack := store(0, 1, true); ack.Stale == 0 || ack.Near == nil {
 		t.Errorf("ack %+v: want the entry's route to have paid for the dead node and the heir's neighbourhood", ack)
 	}
 	if _, known := c.view.arc(victim.ID()); known {
@@ -331,10 +331,10 @@ func TestStoreDeadOwner(t *testing.T) {
 	store(1, 0, false)
 
 	settleCluster(t, cl, env)
-	if ack := store(2, 0, false); ack.near == nil || ack.near.Pred.ID != pred.ID() {
+	if ack := store(2, 0, false); ack.Near == nil || ack.Near.Pred.ID != pred.ID() {
 		t.Errorf("ack %+v of the settled ring does not name the heir's new predecessor %016x", ack, pred.ID())
 	}
-	if ack := store(3, 0, true); ack.hops != 0 || ack.near != nil {
+	if ack := store(3, 0, true); ack.Hops != 0 || ack.Near != nil {
 		t.Errorf("ack %+v, want a bare ack of no hops from the heir", ack)
 	}
 	if arc, known := c.view.arc(heir.ID()); !known || arc.lo != pred.ID() {
@@ -371,11 +371,11 @@ func TestStoreUnknownPredecessor(t *testing.T) {
 			t.Fatalf("step %d: store: %v", step, err)
 		}
 		_, known := c.view.arc(owner.ID())
-		if byView != want.direct || (ack.hops > 0) != want.hops || known != want.arc || want.direct == (ack.near != nil) {
+		if byView != want.direct || (ack.Hops > 0) != want.hops || known != want.arc || want.direct == (ack.Near != nil) {
 			t.Errorf("step %d: first hop by view %v, ack %+v, arc known %v; want %+v", step, byView, ack, known, want)
 		}
-		if ack.near != nil && ack.near.Pred.Valid() {
-			t.Errorf("step %d: the owner names predecessor %v", step, ack.near.Pred)
+		if ack.Near != nil && ack.Near.Pred.Valid() {
+			t.Errorf("step %d: the owner names predecessor %v", step, ack.Near.Pred)
 		}
 		if on := onOracleOwner(t, cl, target, tuple); on != owner {
 			t.Errorf("step %d: the oracle names %016x", step, on.ID())
@@ -389,7 +389,7 @@ func TestStoreUnknownPredecessor(t *testing.T) {
 	for step, wantDirect := range []bool{false, true} {
 		tuple := wire.Insert{Metric: 6, Vector: uint16(10 + step), Bit: 3}
 		ack, byView, err := storeTracked(c, reg, target, tuple)
-		if err != nil || byView != wantDirect || wantDirect && ack.hops != 0 {
+		if err != nil || byView != wantDirect || wantDirect && ack.Hops != 0 {
 			t.Errorf("predecessor known, store %d: first hop by view %v, ack %+v, %v", step, byView, ack, err)
 		}
 		onOracleOwner(t, cl, target, tuple)
@@ -604,12 +604,9 @@ func TestBareInsertFrameRefused(t *testing.T) {
 		"insert":      wire.EncodeInsert(wire.Insert{Metric: 4, Vector: 5, Bit: 3}),
 		"bulk insert": wire.EncodeBulkInsert(wire.BulkInsert{Metric: 4, Bit: 3, Vectors: []uint16{1, 5}}),
 	} {
-		raw, err := c.peers.exchange(s.Addr(), frame, nil)
-		if err != nil {
-			t.Fatalf("%s: exchange: %v", name, err)
-		}
-		if code, _, _, derr := decodeErr(raw); derr != nil || code != errnoBad {
-			t.Errorf("bare %s frame got % x (errno %d, %v), want errnoBad", name, raw, code, derr)
+		_, err := call(c.peers, s.Addr(), frame, decodeAck)
+		if re, ok := err.(remoteErr); !ok || re.code != errnoBad {
+			t.Errorf("bare %s frame got %v, want errnoBad", name, err)
 		}
 	}
 	if st := s.Status(); st.StoreTuples != 0 || st.StoreOps != 0 {
@@ -648,7 +645,7 @@ func TestRoutedStoreCrashedOwner(t *testing.T) {
 	if err != nil {
 		t.Fatalf("store over a crashed owner failed with %v; live successors cover the arc", err)
 	}
-	if ack.stale == 0 {
+	if ack.Stale == 0 {
 		t.Errorf("ack %+v reports no stale hop, but the believed owner is dead", ack)
 	}
 	if !tupleAt(heir.(*Server), tuple) {
@@ -676,16 +673,13 @@ func TestRoutedStoreDownTerminal(t *testing.T) {
 	down.alive.Store(false) // the listener keeps answering
 	defer down.alive.Store(true)
 
-	raw, err := c.peers.exchange(down.Addr(), encodeFindSucc(findSuccMsg{
-		flags: flagForwarded | flagDeliver, key: target, hops: 2, stale: 1, store: wire.EncodeInsert(tuple)}), nil)
-	if err != nil {
-		t.Fatalf("exchange with the down node: %v", err)
-	}
-	if code, hops, stale, err := replyErr(raw); code != errnoNodeDown || hops != 2 || stale != 1 || !errors.Is(err, dht.ErrNodeDown) {
-		t.Fatalf("down node answered code %d hops %d stale %d (%v), want errnoNodeDown with the cost so far", code, hops, stale, err)
+	_, err := c.peers.route(down.Addr(), findSuccMsg{
+		flags: flagForwarded | flagDeliver, key: target, hops: 2, stale: 1, store: wire.EncodeInsert(tuple)})
+	if re, ok := err.(remoteErr); !ok || re.code != errnoNodeDown || re.hops != 2 || re.stale != 1 || !errors.Is(err, dht.ErrNodeDown) {
+		t.Fatalf("down node answered %+v (%v), want errnoNodeDown with the cost so far", re, err)
 	}
 
-	found, err := c.findSucc(target, 0)
+	found, err := c.peers.route(c.cfg.Entry, findSuccMsg{key: target})
 	if err != nil {
 		t.Fatalf("find_succ around the down node: %v", err)
 	}
@@ -693,9 +687,9 @@ func TestRoutedStoreDownTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("store around the down node: %v", err)
 	}
-	if found.owner.ID != next.ID() || ack.hops != found.hops || ack.stale != found.stale || ack.stale == 0 {
+	if found.Owner.ID != next.ID() || ack.Hops != found.Hops || ack.Stale != found.Stale || ack.Stale == 0 {
 		t.Errorf("find_succ ended at %016x (hops %d, stale %d), the store's ack says hops %d, stale %d; want node %016x and equal costs",
-			found.owner.ID, found.hops, found.stale, ack.hops, ack.stale, next.ID())
+			found.Owner.ID, found.Hops, found.Stale, ack.Hops, ack.Stale, next.ID())
 	}
 	if !tupleAt(next, tuple) || tupleAt(down, tuple) {
 		t.Errorf("tuple on next=%v, on the down node=%v; want true, false", tupleAt(next, tuple), tupleAt(down, tuple))
@@ -713,7 +707,7 @@ func TestRoutedStoreUnhonoured(t *testing.T) {
 		if err != nil || m.store == nil {
 			t.Errorf("fake peer got %x (%v), want a routed store", req, err)
 		}
-		return encodeFindSuccResp(findSuccRespMsg{hops: m.hops, stale: m.stale, owner: chord.Ref{ID: fakeID, Addr: self}})
+		return encodeFindSuccResp(chord.Found{Hops: int(m.hops), Stale: int(m.stale), Owner: chord.Ref{ID: fakeID, Addr: self}})
 	})
 
 	t.Run("entry", func(t *testing.T) {
@@ -806,22 +800,22 @@ func TestRoutedStoreCodec(t *testing.T) {
 		}
 	}
 
-	ack := storeAckMsg{hops: 513, stale: 2}
+	ack := chord.Found{Hops: 513, Stale: 2}
 	rawAck := encodeStoreAck(ack)
-	if got, err := decodeStoreAck(rawAck); err != nil || got != ack || len(rawAck) != storeAckLen {
+	if got, err := decodeStoreAck(rawAck); err != nil || got != ack || len(rawAck) != routedHead {
 		t.Errorf("ack round trip: %+v, %v (%d bytes)", got, err, len(rawAck))
 	}
 	// The long layout: the storing node and its whole neighbourhood behind
 	// the same six bytes, and nothing between the two layouts.
 	a, b := chord.Ref{ID: 1, Addr: "a:1"}, chord.Ref{ID: 2, Addr: "b:2"}
 	for _, near := range []*chord.Neighbors{{Pred: b, Succ: []chord.Ref{b, a}}, {Succ: []chord.Ref{b}}, {Pred: b}, {}} {
-		long := storeAckMsg{hops: 513, stale: 2, owner: a, near: near}
+		long := chord.Found{Hops: 513, Stale: 2, Owner: a, Near: near}
 		if got, err := decodeStoreAck(encodeStoreAck(long)); err != nil || !reflect.DeepEqual(got, long) {
 			t.Errorf("long ack round trip of %+v: %+v, %v", near, got, err)
 		}
 	}
-	rawLong := encodeStoreAck(storeAckMsg{owner: a, near: &chord.Neighbors{Pred: b, Succ: []chord.Ref{b}}})
-	refEnd := storeAckLen + 10 + len(a.Addr)
+	rawLong := encodeStoreAck(chord.Found{Owner: a, Near: &chord.Neighbors{Pred: b, Succ: []chord.Ref{b}}})
+	refEnd := routedHead + 10 + len(a.Addr)
 	countAt := refEnd + 1 + 10 + len(b.Addr)
 	hugeLong := append([]byte(nil), rawLong...)
 	hugeLong[countAt] = 255
@@ -835,10 +829,10 @@ func TestRoutedStoreCodec(t *testing.T) {
 		"long: count beyond the frame":   hugeLong,
 		"long: truncated successor":      rawLong[:len(rawLong)-1],
 		"long: empty owner address":      append(append([]byte(nil), rawAck...), append(make([]byte, 10), 0, 0)...),
-		"long: find_succ reply's layout": retag(encodeFindSuccResp(findSuccRespMsg{owner: a}), 1, tagStoreAck),
+		"long: find_succ reply's layout": retag(encodeFindSuccResp(chord.Found{Owner: a}), 1, tagStoreAck),
 		"empty":                          nil,
 		"plain ack":                      encodeAck(true),
-		"find_succ reply":                encodeFindSuccResp(findSuccRespMsg{hops: 1, owner: chord.Ref{ID: 1, Addr: "a:1"}}),
+		"find_succ reply":                encodeFindSuccResp(chord.Found{Hops: 1, Owner: chord.Ref{ID: 1, Addr: "a:1"}}),
 		"typed error":                    encodeErr(errnoNoRoute, 1, 1),
 		"foreign version":                retag(rawAck, 0, wire.Version+1),
 		"the request back":               with(insert),

@@ -87,17 +87,17 @@ func (v *ringView) arc(id uint64) (segment, bool) {
 	return v.arcs[i], true
 }
 
-// learn adds the arcs one lookup reply's neighbourhood spells out — (pred,
+// learn adds the arcs one routed reply's neighbourhood spells out — (pred,
 // owner], (owner, s₀], (s₀, s₁], … — each replacing, as put has it, what
 // earlier replies said of the nodes on it.
-func (v *ringView) learn(r findSuccRespMsg) {
-	if r.near == nil {
+func (v *ringView) learn(f chord.Found) {
+	if f.Near == nil {
 		return
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	prev := r.near.Pred
-	for _, n := range append([]chord.Ref{r.owner}, r.near.Succ...) {
+	prev := f.Near.Pred
+	for _, n := range append([]chord.Ref{f.Owner}, f.Near.Succ...) {
 		// An unknown predecessor leaves the owner's own arc unknown, and a
 		// reply that repeats a node spells out no arc.
 		if prev.Valid() && prev.ID != n.ID {

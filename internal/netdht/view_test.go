@@ -30,7 +30,7 @@ import (
 func TestViewConfirm(t *testing.T) {
 	ref := func(id uint64) chord.Ref { return chord.Ref{ID: id, Addr: fmt.Sprint("n", id)} }
 	var v ringView
-	ring := findSuccRespMsg{owner: ref(100), near: &chord.Neighbors{
+	ring := chord.Found{Owner: ref(100), Near: &chord.Neighbors{
 		Pred: ref(900), Succ: []chord.Ref{ref(300), ref(500), ref(900)}}}
 	v.learn(ring)
 	owners := func() (ids []uint64) {
@@ -69,7 +69,7 @@ func TestViewConfirm(t *testing.T) {
 	// A lookup's word weighs the same: 300 left, and a reply that spells out
 	// (100, 500] leaves no 300 for 150 to resolve to.
 	v.learn(ring)
-	v.learn(findSuccRespMsg{owner: ref(500), near: &chord.Neighbors{Pred: ref(100), Succ: []chord.Ref{ref(900)}}})
+	v.learn(chord.Found{Owner: ref(500), Near: &chord.Neighbors{Pred: ref(100), Succ: []chord.Ref{ref(900)}}})
 	if got := owners(); !reflect.DeepEqual(got, []uint64{100, 500, 900}) {
 		t.Errorf("owners after a lookup said (100, 500]: %v", got)
 	}
@@ -303,7 +303,7 @@ func TestViewUnknownPredecessor(t *testing.T) {
 			if knows.Load() {
 				near.Pred = pred
 			}
-			return encodeFindSuccResp(findSuccRespMsg{owner: chord.Ref{ID: math.MaxUint64, Addr: self}, near: near})
+			return encodeFindSuccResp(chord.Found{Owner: chord.Ref{ID: math.MaxUint64, Addr: self}, Near: near})
 		case wire.TagProbeReq:
 			resp, err := wire.DecodeProbeResp(zeroMasks(t, req))
 			if err != nil {

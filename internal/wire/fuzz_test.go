@@ -187,9 +187,6 @@ func FuzzDecodeProbeResp(f *testing.F) {
 				t.Fatalf("accepted mask % x for m=%d", vm, m.NumVecs)
 			}
 		}
-		if in, err := DecodeProbeRespInPlace(buf); err != nil || !sameResp(in, m) {
-			t.Fatalf("decoded in place as %+v, %v; copied as %+v", in, err, m)
-		}
 		// The owner's encoder finds no form longer than the one it was sent.
 		re, err := EncodeProbeResp(m)
 		if err != nil {

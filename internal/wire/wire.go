@@ -533,20 +533,11 @@ func pastVecs(mask []byte, numVecs int) bool {
 
 // DecodeProbeResp parses a probe reply into memory of its own: the masks
 // share one copy of their dense bytes — the frame's, or a coded reply's
-// expanded — made once the frame has passed every check.
-func DecodeProbeResp(buf []byte) (ProbeResp, error) { return decodeProbeResp(buf, true) }
-
-// DecodeProbeRespInPlace parses a probe reply without copying a dense one:
-// its masks are sub-slices of buf, so buf must be the caller's to keep for
-// as long as it keeps the reply. A coded reply's masks are expanded into
-// memory of their own.
-func DecodeProbeRespInPlace(buf []byte) (ProbeResp, error) { return decodeProbeResp(buf, false) }
-
-// decodeProbeResp is both: behind the masks comes the arc trailer, whole, or
-// nothing; each mask is capped at its own end. A mask that marks a vector at
-// or past NumVecs is refused in every form. A coded reply is checked whole
-// before its masks are expanded.
-func decodeProbeResp(buf []byte, copyMasks bool) (ProbeResp, error) {
+// expanded — made once the frame has passed every check. Behind the masks
+// comes the arc trailer, whole, or nothing; each mask is capped at its own
+// end. A mask that marks a vector at or past NumVecs is refused in every
+// form. A coded reply is checked whole before its masks are expanded.
+func DecodeProbeResp(buf []byte) (ProbeResp, error) {
 	if len(buf) < 8 {
 		return ProbeResp{}, ErrShort
 	}
@@ -596,13 +587,12 @@ func decodeProbeResp(buf []byte, copyMasks bool) (ProbeResp, error) {
 	if count > 0 {
 		m.VecMasks = make([][]byte, count)
 	}
-	body := buf[8:end]
-	switch {
-	case coded:
+	var body []byte
+	if coded {
 		body = make([]byte, count*mask)
 		expandMasks(body, buf[8:], count, int(m.NumVecs))
-	case copyMasks:
-		body = append([]byte(nil), body...)
+	} else {
+		body = append([]byte(nil), buf[8:end]...)
 	}
 	for i := range m.VecMasks {
 		m.VecMasks[i] = body[i*mask : (i+1)*mask : (i+1)*mask]

@@ -397,10 +397,8 @@ func decodeResp(b []byte) error { _, err := DecodeProbeResp(b); return err }
 
 // TestDecodeProbeRespOneCopy: a ranged reply carries bits × metrics masks;
 // decoding copies the mask bytes once and slices the copy, and a mask's
-// capacity ends where the next begins. Decoding a dense reply in place makes
-// the slice of masks and nothing else: its masks are the caller's buffer. A
-// coded reply's masks cannot be the frame's bytes: both decoders expand them
-// into one buffer of their own.
+// capacity ends where the next begins. A coded reply's masks cannot be the
+// frame's bytes: the decoder expands them into one buffer of its own.
 func TestDecodeProbeRespOneCopy(t *testing.T) {
 	masks := make([][]byte, 32)
 	for i := range masks {
@@ -419,19 +417,6 @@ func TestDecodeProbeRespOneCopy(t *testing.T) {
 		t.Error("appending to one mask wrote into its neighbour or the frame")
 	}
 
-	var shared ProbeResp
-	if n := testing.AllocsPerRun(50, func() { shared, _ = DecodeProbeRespInPlace(raw) }); n != 1 {
-		t.Errorf("DecodeProbeRespInPlace of 32 masks allocated %.0f times, want 1: the slice of masks", n)
-	}
-	raw[8+MaskBytes(64)] = 0x5A
-	if shared.VecMasks[1][0] != 0x5A {
-		t.Error("a mask decoded in place is not the frame's own bytes")
-	}
-	shared.VecMasks[0] = append(shared.VecMasks[0], 0xFF)
-	if raw[8+MaskBytes(64)] != 0x5A {
-		t.Error("appending to a mask decoded in place wrote into its neighbour")
-	}
-
 	for i := range masks {
 		masks[i] = make([]byte, MaskBytes(64))
 	}
@@ -439,14 +424,12 @@ func TestDecodeProbeRespOneCopy(t *testing.T) {
 	if err != nil || coded[1] != TagProbeRespCoded {
 		t.Fatalf("EncodeProbeResp of empty masks = % x, %v; want a coded reply", coded, err)
 	}
-	for name, decode := range map[string]func([]byte) (ProbeResp, error){"copy": DecodeProbeResp, "in place": DecodeProbeRespInPlace} {
-		if n := testing.AllocsPerRun(50, func() { dec, _ = decode(coded) }); n != 2 {
-			t.Errorf("%s: a coded reply of 32 masks allocated %.0f times, want 2: the expanded masks and their slice", name, n)
-		}
-		dec.VecMasks[0] = append(dec.VecMasks[0], 0xFF)
-		if dec.VecMasks[1][0] != 0 {
-			t.Errorf("%s: appending to one expanded mask wrote into its neighbour", name)
-		}
+	if n := testing.AllocsPerRun(50, func() { dec, _ = DecodeProbeResp(coded) }); n != 2 {
+		t.Errorf("a coded reply of 32 masks allocated %.0f times, want 2: the expanded masks and their slice", n)
+	}
+	dec.VecMasks[0] = append(dec.VecMasks[0], 0xFF)
+	if dec.VecMasks[1][0] != 0 {
+		t.Error("appending to one expanded mask wrote into its neighbour")
 	}
 }
 
@@ -653,14 +636,12 @@ func TestProbeRespShortestForm(t *testing.T) {
 				if frac == 0.5 && m >= 64 && (enc[1] != TagProbeResp || len(enc) != dense) {
 					t.Errorf("m=%d frac=%g: incompressible masks sent in %d bytes under tag %d, want the dense %d", m, frac, len(enc), enc[1], dense)
 				}
-				for name, decode := range map[string]func([]byte) (ProbeResp, error){"copy": DecodeProbeResp, "in place": DecodeProbeRespInPlace} {
-					dec, err := decode(enc)
-					resp.VecMasks = want
-					if err != nil || !reflect.DeepEqual(dec, resp) {
-						t.Errorf("m=%d frac=%g %s: decoded as %+v, %v", m, frac, name, dec.VecMasks, err)
-					}
-					resp.VecMasks = masks
+				dec, err := DecodeProbeResp(enc)
+				resp.VecMasks = want
+				if err != nil || !reflect.DeepEqual(dec, resp) {
+					t.Errorf("m=%d frac=%g: decoded as %+v, %v", m, frac, dec.VecMasks, err)
 				}
+				resp.VecMasks = masks
 			}
 		}
 	}
@@ -743,10 +724,8 @@ func TestDecodeCodedProbeRespRefused(t *testing.T) {
 		if err := decodeResp(tc.buf); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
 		}
-		for _, decode := range []func([]byte) (ProbeResp, error){DecodeProbeResp, DecodeProbeRespInPlace} {
-			if n := testing.AllocsPerRun(5, func() { decode(tc.buf) }); n != 0 {
-				t.Errorf("%s: refusing allocated %.0f times", name, n)
-			}
+		if n := testing.AllocsPerRun(5, func() { DecodeProbeResp(tc.buf) }); n != 0 {
+			t.Errorf("%s: refusing allocated %.0f times", name, n)
 		}
 	}
 }
