@@ -15,6 +15,7 @@ package chord
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"dhsketch/internal/dht"
@@ -28,11 +29,11 @@ const fingerBits = 64
 // dist returns the clockwise distance from a to b on the 2^64 ring.
 func dist(a, b uint64) uint64 { return b - a }
 
-// Node is one ring member, of either ring type. Its liveness and
-// application pointer are atomics: the counting surface reads both
-// without holding a lock while protocol rounds and crash-stop injection
-// mutate them. Its routing state is a Machine, the same state machine a
-// networked server runs.
+// Node is one ring member, of any ring type and on either transport:
+// the simulated rings' nodes and netdht.Server, which embeds one. Its
+// liveness and application pointer are atomics: the counting surface
+// reads both without holding a lock while protocol rounds and crash-stop
+// injection mutate them. Its routing state is a Machine.
 type Node struct {
 	id       uint64
 	name     string
@@ -46,6 +47,15 @@ type Node struct {
 // the atomic pointer.
 type appBox struct{ v any }
 
+// Init makes n a live ring of one: identifier id, hashed from name,
+// reached by its transport at addr, its protocol state guarded by mu
+// (see Machine). Construction only: no peer may reach n yet.
+func (n *Node) Init(id uint64, name, addr string, cfg ProtocolConfig, mu sync.Locker) {
+	n.id, n.name = id, name
+	n.proto = Machine{self: Ref{ID: id, Addr: addr}, cfg: cfg.withDefaults(), mu: mu}
+	n.alive.Store(true)
+}
+
 // ID returns the node's ring identifier.
 func (n *Node) ID() uint64 { return n.id }
 
@@ -54,6 +64,10 @@ func (n *Node) Name() string { return n.name }
 
 // Alive reports whether the node is up.
 func (n *Node) Alive() bool { return n.alive.Load() }
+
+// SetAlive marks the node up or down. Down is how a crash-stop reads to
+// the counting surface and to the node's own request handlers.
+func (n *Node) SetAlive(up bool) { n.alive.Store(up) }
 
 // App returns the attached application state.
 func (n *Node) App() any {
@@ -83,12 +97,13 @@ func (ringLocked) Lock()   {}
 func (ringLocked) Unlock() {}
 
 // newNode creates a live node from name, with an identifier m does not
-// hold yet, and splices it into m. Caller holds m's write lock or is
-// constructing the ring.
+// hold yet, and splices it into m. Its self Ref carries the node itself,
+// which is how the in-memory transport reaches it. Caller holds m's write
+// lock or is constructing the ring.
 func newNode(m *Membership[*Node], name string) *Node {
-	n := &Node{id: m.NewID(name), name: name}
-	n.proto = Machine{self: Ref{ID: n.id, Addr: name, mem: n}, cfg: m.cfg, mu: ringLocked{}}
-	n.alive.Store(true)
+	n := new(Node)
+	n.Init(m.NewID(name), name, name, m.cfg, ringLocked{})
+	n.proto.self.mem = n
 	m.Add(n)
 	return n
 }

@@ -368,11 +368,11 @@ func (n *Machine) HandleNotify(from Ref) (changed bool) {
 	return changed
 }
 
-// FixFingers refreshes the next FingersPerRound finger entries by
+// FixFingers refreshes the next fingersPerRound finger entries by
 // routing to each entry's target, and returns how many it repointed. A
 // failed route leaves the entry for the next cycle.
 func (n *Machine) FixFingers(p Peers) (changes int) {
-	for j := 0; j < n.cfg.FingersPerRound; j++ {
+	for j := 0; j < fingersPerRound; j++ {
 		n.mu.Lock()
 		i := n.nextFinger
 		n.nextFinger = (i + 1) % fingerBits

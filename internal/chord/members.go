@@ -57,7 +57,7 @@ func (c *convergence) advance(now int64, cfg ProtocolConfig, sweep func(t int64,
 		if due.Has(RoundCheckPred) && sweep(t, RoundCheckPred) > 0 {
 			c.stabClean = false
 		}
-		c.converged = c.stabClean && c.streak >= cfg.fingerCycle()
+		c.converged = c.stabClean && c.streak >= fingerCycle
 	}
 }
 
@@ -96,7 +96,7 @@ func NewMembership[N interface {
 		rng: rng,
 		all: make(map[uint64]N),
 		conv: convergence{
-			lastStep: now, stabClean: true, streak: cfg.fingerCycle(), converged: true,
+			lastStep: now, stabClean: true, streak: fingerCycle, converged: true,
 		},
 	}
 }

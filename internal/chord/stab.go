@@ -38,10 +38,6 @@ type ProtocolConfig struct {
 	StabilizeEvery int64
 	// FixFingersEvery is the period of the finger-repair sweep.
 	FixFingersEvery int64
-	// FingersPerRound is how many finger entries each node refreshes per
-	// fix-fingers sweep (the classic fix_fingers refreshes one; batching
-	// trades per-round cost for convergence time).
-	FingersPerRound int
 	// CheckPredEvery is the period of the check-predecessor sweep.
 	CheckPredEvery int64
 }
@@ -98,20 +94,20 @@ func (c ProtocolConfig) withDefaults() ProtocolConfig {
 	if c.FixFingersEvery == 0 {
 		c.FixFingersEvery = 8
 	}
-	if c.FingersPerRound == 0 {
-		c.FingersPerRound = 16
-	}
 	if c.CheckPredEvery == 0 {
 		c.CheckPredEvery = 16
 	}
 	return c
 }
 
+// fingersPerRound is how many finger entries each node refreshes per
+// fix-fingers sweep (the classic fix_fingers refreshes one; batching
+// trades per-round cost for convergence time).
+const fingersPerRound = 16
+
 // fingerCycle is the number of fix-fingers sweeps that cover a node's
 // full table — the streak of clean sweeps convergence requires.
-func (c ProtocolConfig) fingerCycle() int {
-	return (fingerBits + c.FingersPerRound - 1) / c.FingersPerRound
-}
+const fingerCycle = (fingerBits + fingersPerRound - 1) / fingersPerRound
 
 // SettleWindow is a generous upper bound, in ticks, on how long the
 // protocol needs to reconverge after a burst of membership events:
@@ -119,7 +115,7 @@ func (c ProtocolConfig) fingerCycle() int {
 // convergence additionally requires a full clean fix-fingers cycle.
 func (c ProtocolConfig) SettleWindow(events int) int64 {
 	rounds := int64(events+2) * c.StabilizeEvery
-	fingers := int64(c.fingerCycle()+1) * c.FixFingersEvery
+	fingers := int64(fingerCycle+1) * c.FixFingersEvery
 	return rounds + fingers + c.CheckPredEvery
 }
 

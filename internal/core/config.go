@@ -25,7 +25,9 @@ import (
 // Defaults mirror the paper's evaluation setup (§5.1).
 const (
 	// DefaultK is the DHS bitmap/key length in bits ("DHS keys are 24
-	// bits long", counting up to ~2^24 items per bitmap).
+	// bits long"). The vector index takes log₂ m of the k hash bits, so
+	// the whole sketch, not each bitmap, tells apart about 2^k items
+	// (DESIGN.md §7, finding 3).
 	DefaultK = 24
 	// DefaultM is the number of bitmap vectors ("unless stated
 	// otherwise, DHS is using 512 bitmaps").

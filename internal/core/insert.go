@@ -5,6 +5,7 @@ import (
 
 	"dhsketch/internal/dht"
 	"dhsketch/internal/obs"
+	"dhsketch/internal/store"
 )
 
 // trace emits one event outside any counting pass (insertion and
@@ -124,7 +125,7 @@ func (p *overlayPlacer) Store(metric uint64, bit uint, target uint64, vectors []
 	}
 	cost.Lookups++
 	d.env.Traffic.Account(hops, msgBytes)
-	expiry := expiryFor(d.env.Clock.Now(), d.cfg.TTL)
+	expiry := store.Expiry(d.env.Clock.Now(), d.cfg.TTL)
 	d.storeOn(home, metric, bit, vectors, expiry)
 	d.trace(obs.KindStore, home.ID(), metric, int(bit), int64(len(vectors)), nil)
 

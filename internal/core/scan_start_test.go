@@ -20,7 +20,7 @@ import (
 func plantBit(d *DHS, metric uint64, vector int32, bit uint8) {
 	k := TupleKey{Metric: metric, Vector: vector, Bit: bit}
 	for _, n := range d.overlay.Nodes() {
-		storeOf(n).Set(k, math.MaxInt64)
+		d.storeOf(n).Set(k, math.MaxInt64)
 	}
 }
 

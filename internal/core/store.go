@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math"
-
 	"dhsketch/internal/dht"
 	"dhsketch/internal/store"
 )
@@ -17,24 +15,14 @@ type TupleKey = store.Key
 // and its invariants.
 type Store = store.Store
 
-// storeOf returns the DHS store attached to the node, creating an
-// untraced one on first use. Creation mutates the node's app slot, so
-// this accessor belongs to the single-threaded insertion path; concurrent
-// counting passes use storeIfPresent instead.
-func storeOf(n dht.Node) *Store {
-	if s, ok := n.App().(*Store); ok {
-		return s
-	}
-	s := store.New()
-	n.SetApp(s)
-	return s
-}
-
-// storeOf is the handle-aware accessor: a store it creates knows its
-// owning node and the simulation environment, so TTL garbage collection
-// emits KindExpire events when a tracer is attached. The tracer is read
-// from the environment at GC time, not captured at creation, so stores
-// created before SetTracer still report.
+// storeOf returns the DHS store attached to the node, creating one on
+// first use. Creation mutates the node's app slot, so this accessor
+// belongs to the insertion path; counting passes use storeIfPresent
+// instead. A store it creates knows its owning node and the simulation
+// environment, so TTL garbage collection emits KindExpire events when a
+// tracer is attached. The tracer is read from the environment at GC
+// time, not captured at creation, so stores created before SetTracer
+// still report.
 func (d *DHS) storeOf(n dht.Node) *Store {
 	if s, ok := n.App().(*Store); ok {
 		return s
@@ -51,12 +39,4 @@ func (d *DHS) storeOf(n dht.Node) *Store {
 func storeIfPresent(n dht.Node) *Store {
 	s, _ := n.App().(*Store)
 	return s
-}
-
-// expiryFor converts a TTL into an absolute expiry tick.
-func expiryFor(now, ttl int64) int64 {
-	if ttl == 0 {
-		return math.MaxInt64
-	}
-	return now + ttl
 }

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"math"
 	"testing"
 
-	"dhsketch/internal/chord"
-	"dhsketch/internal/sim"
 	"dhsketch/internal/store"
 )
 
@@ -68,25 +65,15 @@ func TestStoreLenAndBytes(t *testing.T) {
 }
 
 func TestStoreOfAttaches(t *testing.T) {
-	env := sim.NewEnv(1)
-	ring := chord.New(env, 4)
+	d, ring, _ := testDHS(t, 1, 4, Config{})
 	n := ring.Nodes()[0]
-	s1 := storeOf(n)
-	s2 := storeOf(n)
+	s1 := d.storeOf(n)
+	s2 := d.storeOf(n)
 	if s1 != s2 {
 		t.Error("storeOf created two stores for one node")
 	}
 	s1.Set(TupleKey{Metric: 1}, 10)
-	if !storeOf(n).Has(TupleKey{Metric: 1}, 0) {
+	if !d.storeOf(n).Has(TupleKey{Metric: 1}, 0) {
 		t.Error("state not persisted on node")
-	}
-}
-
-func TestExpiryFor(t *testing.T) {
-	if expiryFor(100, 0) != math.MaxInt64 {
-		t.Error("TTL 0 should never expire")
-	}
-	if expiryFor(100, 50) != 150 {
-		t.Errorf("expiryFor(100,50) = %d", expiryFor(100, 50))
 	}
 }

@@ -6,13 +6,14 @@ import (
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/dht"
+	"dhsketch/internal/netdht"
 	"dhsketch/internal/sim"
 )
 
 // The package is almost pure interface; these tests pin the contract
 // surface: sentinel errors are distinct and wrapped correctly, both
-// ring implementations satisfy the interface, and Counters is a plain
-// mutable value.
+// simulated rings and the loopback TCP cluster satisfy the interface,
+// and Counters is a plain mutable value.
 
 func TestSentinelErrors(t *testing.T) {
 	if errors.Is(dht.ErrNoRoute, dht.ErrNodeDown) {
@@ -25,9 +26,15 @@ func TestSentinelErrors(t *testing.T) {
 }
 
 func TestImplementationsSatisfyOverlay(t *testing.T) {
+	cluster, err := netdht.NewCluster(sim.NewEnv(1), 4, chord.ProtocolConfig{})
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	defer cluster.Close()
 	var impls = []dht.Overlay{
 		chord.New(sim.NewEnv(1), 4),
 		chord.NewStabilizing(sim.NewEnv(1), 4, chord.ProtocolConfig{}),
+		cluster,
 	}
 	for _, o := range impls {
 		if o.Bits() != 64 {

@@ -47,12 +47,12 @@ type Status struct {
 
 // Status snapshots the server for /statusz (and tests).
 func (s *Server) Status() Status {
-	pred, succ, fingers := s.node.State()
+	pred, succ, fingers := s.Protocol().State()
 	st := Status{
-		ID:         fmt.Sprintf("%016x", s.id),
-		Name:       s.name,
+		ID:         fmt.Sprintf("%016x", s.ID()),
+		Name:       s.Name(),
 		Addr:       s.addr,
-		Alive:      s.alive.Load(),
+		Alive:      s.Alive(),
 		Linked:     s.linked.Load(),
 		Tick:       s.tick.Load(),
 		Successors: make([]string, 0, len(succ)),
@@ -65,7 +65,7 @@ func (s *Server) Status() Status {
 	}
 	distinct := make(map[string]struct{})
 	for _, f := range fingers {
-		if f.Valid() && f.ID != s.id {
+		if f.Valid() && f.ID != s.ID() {
 			distinct[f.Addr] = struct{}{}
 		}
 	}
@@ -75,7 +75,7 @@ func (s *Server) Status() Status {
 		st.StoreTuples = tup.Len(now)
 		st.StoreBytes = tup.Bytes(now)
 	}
-	c := s.counters.Snapshot()
+	c := s.Counters().Snapshot()
 	st.Routed, st.Probed, st.StoreOps = c.Routed, c.Probed, c.StoreOps
 	return st
 }
@@ -85,10 +85,10 @@ func (s *Server) Status() Status {
 // lost every successor (partitioned). A fresh bootstrap ring-of-one —
 // never linked — is healthy: it is the state every ring starts in.
 func (s *Server) Healthy() (bool, string) {
-	if !s.alive.Load() {
+	if !s.Alive() {
 		return false, "shutting down"
 	}
-	if _, ok := s.node.Successor(); s.linked.Load() && !ok {
+	if _, ok := s.Protocol().Successor(); s.linked.Load() && !ok {
 		return false, "partitioned: no successors"
 	}
 	return true, "ok"

@@ -205,7 +205,7 @@ func allocServer(t *testing.T, reg *metrics.Registry) (s *Server, key uint64) {
 		t.Fatalf("NewServer: %v", err)
 	}
 	t.Cleanup(s.Close)
-	s.node.HandleNotify(chord.Ref{ID: s.ID() - 1000, Addr: "127.0.0.1:1"})
+	s.Protocol().HandleNotify(chord.Ref{ID: s.ID() - 1000, Addr: "127.0.0.1:1"})
 	return s, s.ID()
 }
 
@@ -315,7 +315,7 @@ func TestProbeMasksEquivalence(t *testing.T) {
 	}
 	t.Cleanup(full.Close)
 	pred := chord.Ref{ID: 77, Addr: "127.0.0.1:1"}
-	full.node.HandleNotify(pred)
+	full.Protocol().HandleNotify(pred)
 
 	// Vectors 0 … 699 of a 1024-vector writer, a third of them expired by
 	// now, over positions 0 … 8 of three metrics and part of a fourth.
@@ -344,7 +344,7 @@ func TestProbeMasksEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := refProbeReply(t, st, now, q, s.node.Neighbors().Pred)
+					want := refProbeReply(t, st, now, q, s.Protocol().Neighbors().Pred)
 					if got := s.dispatch(req); !bytes.Equal(got, want) {
 						t.Errorf("m=%d span=%d metrics=%v store=%v:\n got % x\nwant % x", m, span, metrics, st != nil, got, want)
 					}

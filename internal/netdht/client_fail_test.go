@@ -312,7 +312,7 @@ func TestTypedFailureEveryRPC(t *testing.T) {
 			return err
 		},
 		"notify": func() error {
-			_, err := peers.Notify(to, s.node.Self())
+			_, err := peers.Notify(to, s.Protocol().Self())
 			return err
 		},
 		"neighbors": func() error {

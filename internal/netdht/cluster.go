@@ -91,7 +91,7 @@ func (c *Cluster) newServer(name string) (*Server, error) {
 		Now:         c.env.Clock.Now,
 	})
 	if err == nil {
-		s.setID(c.NewID(name))
+		s.Init(c.NewID(name), name, s.addr, s.cfg, &s.mu)
 	}
 	return s, err
 }
@@ -128,13 +128,13 @@ func (c *Cluster) RouteFrom(src dht.Node, key uint64) (dht.Route, error) {
 	if !ok {
 		return dht.Route{}, fmt.Errorf("netdht: foreign node type %T", src)
 	}
-	if !s.alive.Load() {
+	if !s.Alive() {
 		return dht.Route{}, dht.ErrNodeDown
 	}
 	if c.Size() == 0 {
 		return dht.Route{}, dht.ErrNoRoute
 	}
-	f := s.node.Route(&tcpPeers{s: s}, key, 0, 0)
+	f := s.Protocol().Route(&tcpPeers{s: s}, key, 0, 0)
 	rt := dht.Route{Hops: f.Hops, Stale: f.Stale}
 	if f.Err != nil {
 		return rt, f.Err
@@ -154,7 +154,7 @@ func (c *Cluster) RouteFrom(src dht.Node, key uint64) (dht.Route, error) {
 // by real connection failures, not a liveness bit.
 func (c *Cluster) Crash(n dht.Node) {
 	s, ok := n.(*Server)
-	if !ok || !s.alive.Load() {
+	if !ok || !s.Alive() {
 		return
 	}
 	c.Remove(s, s.Close)
@@ -180,14 +180,7 @@ func (c *Cluster) Step() {
 // state changes.
 func sweepServers(live []*Server, round chord.RoundSet) (changes int) {
 	for _, s := range live {
-		switch round {
-		case chord.RoundStabilize:
-			changes += s.stabilizeRound()
-		case chord.RoundFixFingers:
-			changes += s.fixFingersRound()
-		case chord.RoundCheckPred:
-			changes += s.checkPredRound()
-		}
+		changes += s.round(round)
 	}
 	return changes
 }

@@ -23,7 +23,7 @@ import (
 // requests they answered.
 func probedTotal(servers []*Server) (n uint64) {
 	for _, s := range servers {
-		n += uint64(s.counters.Snapshot().Probed)
+		n += uint64(s.Counters().Snapshot().Probed)
 	}
 	return n
 }

@@ -101,8 +101,8 @@ func waitForRing(t *testing.T, servers []*Server, timeout time.Duration) {
 	live := make(map[uint64]*Server)
 	var first *Server
 	for _, s := range servers {
-		if s.alive.Load() {
-			live[s.id] = s
+		if s.Alive() {
+			live[s.ID()] = s
 			if first == nil {
 				first = s
 			}
@@ -121,9 +121,9 @@ func waitForRing(t *testing.T, servers []*Server, timeout time.Duration) {
 }
 
 func ringClosed(first *Server, live map[uint64]*Server) bool {
-	cur, seen := first, map[uint64]bool{first.id: true}
+	cur, seen := first, map[uint64]bool{first.ID(): true}
 	for i := 0; i < len(live); i++ {
-		succ := cur.node.Neighbors().Succ
+		succ := cur.Protocol().Neighbors().Succ
 		if len(succ) == 0 {
 			return len(live) == 1
 		}
@@ -134,10 +134,10 @@ func ringClosed(first *Server, live map[uint64]*Server) bool {
 		if next == first {
 			return len(seen) == len(live)
 		}
-		if seen[next.id] {
+		if seen[next.ID()] {
 			return false
 		}
-		seen[next.id] = true
+		seen[next.ID()] = true
 		cur = next
 	}
 	return false

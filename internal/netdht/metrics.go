@@ -95,15 +95,9 @@ func errClass(err error) int {
 	}
 }
 
-// Maintenance-round slots.
-const (
-	roundStabilize = iota
-	roundFixFingers
-	roundCheckPred
-	numRoundSlots
-)
-
-var roundSlotNames = [numRoundSlots]string{"stabilize", "fix_fingers", "check_pred"}
+// roundSlotNames labels the maintenance-round instruments: a round's
+// slot is the index of its chord.RoundSet bit.
+var roundSlotNames = [...]string{"stabilize", "fix_fingers", "check_pred"}
 
 // ---------------------------------------------------------------------
 // Server-side instruments
@@ -119,8 +113,8 @@ type srvMetrics struct {
 	frameIn    *metrics.Histogram
 	frameOut   *metrics.Histogram
 
-	roundSeconds [numRoundSlots]*metrics.Histogram
-	roundChanges [numRoundSlots]*metrics.Counter
+	roundSeconds [len(roundSlotNames)]*metrics.Histogram
+	roundChanges [len(roundSlotNames)]*metrics.Counter
 
 	storeRT store.Runtime
 }
@@ -303,7 +297,7 @@ func (m *poolMetrics) storeFirstHop(byView bool) {
 func (s *Server) registerGauges(reg *metrics.Registry) {
 	reg.GaugeFunc("netdht_successors", "entries in the believed successor list",
 		func() float64 {
-			return float64(len(s.node.Neighbors().Succ))
+			return float64(len(s.Protocol().Neighbors().Succ))
 		})
 	reg.GaugeFunc("netdht_peer_conns", "cached outbound peer connections",
 		func() float64 { return float64(s.peers.size()) })
@@ -334,11 +328,11 @@ func (s *Server) registerGauges(reg *metrics.Registry) {
 	// They are monotonic but typed gauge: the authoritative counter API
 	// is dht.Counters, this is a read-only mirror.
 	reg.GaugeFunc("dhs_node_load", "dht load counters (routed/probed/store_ops)",
-		func() float64 { return float64(s.counters.Snapshot().Routed) }, metrics.L("op", "routed"))
+		func() float64 { return float64(s.Counters().Snapshot().Routed) }, metrics.L("op", "routed"))
 	reg.GaugeFunc("dhs_node_load", "dht load counters (routed/probed/store_ops)",
-		func() float64 { return float64(s.counters.Snapshot().Probed) }, metrics.L("op", "probed"))
+		func() float64 { return float64(s.Counters().Snapshot().Probed) }, metrics.L("op", "probed"))
 	reg.GaugeFunc("dhs_node_load", "dht load counters (routed/probed/store_ops)",
-		func() float64 { return float64(s.counters.Snapshot().StoreOps) }, metrics.L("op", "store_ops"))
+		func() float64 { return float64(s.Counters().Snapshot().StoreOps) }, metrics.L("op", "store_ops"))
 }
 
 // size reports the number of open outbound sockets (scrape gauge).

@@ -7,10 +7,10 @@
 // failure-aware counting, Estimate.Quality, the experiments — runs
 // over it unchanged.
 //
-// The protocol itself is internal/chord's Machine — the same state
-// machine the simulated StabilizingRing runs; this package gives it a
-// TCP transport (tcpPeers) and RPC handlers. Two deployment shapes
-// share that code:
+// The ring member itself is internal/chord's Node, protocol Machine
+// included — the same member the simulated rings are made of; Server
+// embeds one and gives it a TCP transport (tcpPeers) and RPC handlers.
+// Two deployment shapes share that code:
 //
 //   - Cluster: N Servers inside one test process, each with its own
 //     loopback listener and socket-backed peer connections. Routed
@@ -37,47 +37,3 @@
 // dht.ErrTimeout/ErrLost/ErrNodeDown, and what the simulator still
 // guarantees that TCP does not.
 package netdht
-
-import (
-	"sync/atomic"
-
-	"dhsketch/internal/dht"
-)
-
-// appBox wraps application state so a nil interface is storable in an
-// atomic pointer (same trick as chord.Node).
-type appBox struct{ v any }
-
-// nodeCore is the dht.Node state embedded in Server: identity, atomic
-// liveness and app slot, and the load counters the contract suite and
-// the load-balance experiments meter.
-type nodeCore struct {
-	id       uint64
-	name     string
-	alive    atomic.Bool
-	app      atomic.Pointer[appBox]
-	counters dht.Counters
-}
-
-// ID returns the node's ring identifier.
-func (n *nodeCore) ID() uint64 { return n.id }
-
-// Name returns the label the identifier was hashed from.
-func (n *nodeCore) Name() string { return n.name }
-
-// Alive reports whether the node is up. Crash-stop death is permanent.
-func (n *nodeCore) Alive() bool { return n.alive.Load() }
-
-// App returns the attached application state.
-func (n *nodeCore) App() any {
-	if b := n.app.Load(); b != nil {
-		return b.v
-	}
-	return nil
-}
-
-// SetApp attaches application state.
-func (n *nodeCore) SetApp(state any) { n.app.Store(&appBox{v: state}) }
-
-// Counters returns the node's mutable load counters.
-func (n *nodeCore) Counters() *dht.Counters { return &n.counters }

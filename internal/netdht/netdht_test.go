@@ -204,7 +204,7 @@ func TestClusterCrashRecovery(t *testing.T) {
 	settleCluster(t, c, env)
 
 	for _, s := range c.Servers() {
-		for _, ref := range s.node.Neighbors().Succ {
+		for _, ref := range s.Protocol().Neighbors().Succ {
 			if ref.ID == victim.ID() {
 				t.Fatalf("node %016x still lists crashed %016x as successor", s.ID(), victim.ID())
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dhsketch/internal/chord"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/obs"
 	"dhsketch/internal/sim"
@@ -70,8 +71,8 @@ func TestServerMetricsAndAdmin(t *testing.T) {
 	}
 	// One stabilize round from each side settles the two-ring and adds
 	// neighbors/notify traffic in both directions.
-	joiner.stabilizeRound()
-	boot.stabilizeRound()
+	joiner.round(chord.RoundStabilize)
+	boot.round(chord.RoundStabilize)
 
 	// Server-side per-tag accounting on the bootstrap: the join issued
 	// find_succ, neighbors, and notify against it.
@@ -182,6 +183,40 @@ func TestServerMetricsAndAdmin(t *testing.T) {
 	}
 }
 
+// TestRoundMetricSlots runs each maintenance round once and reads the
+// exposition: a round meters one duration under its own round label and
+// nothing under the others' (netdht_round_seconds is the series the
+// benchmark reads off dhsnode).
+func TestRoundMetricSlots(t *testing.T) {
+	reg := metrics.New()
+	s, err := NewServer("127.0.0.1:0", obsOptions(reg, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rounds := []struct {
+		round chord.RoundSet
+		label string
+	}{{chord.RoundStabilize, "stabilize"}, {chord.RoundFixFingers, "fix_fingers"}, {chord.RoundCheckPred, "check_pred"}}
+	for i, r := range rounds {
+		s.round(r.round)
+		var expo strings.Builder
+		if err := reg.WritePrometheus(&expo); err != nil {
+			t.Fatal(err)
+		}
+		for j, other := range rounds {
+			want := "0"
+			if j <= i {
+				want = "1"
+			}
+			line := `netdht_round_seconds_count{round="` + other.label + `"} ` + want + "\n"
+			if !strings.Contains(expo.String(), line) {
+				t.Errorf("after the %s round: want %q in the exposition", r.label, line)
+			}
+		}
+	}
+}
+
 // sprintfFirst renders a Logf invocation the way log.Printf would.
 func sprintfFirst(format string, args []any) string {
 	if len(args) == 0 {
@@ -227,9 +262,9 @@ func TestHealthzPartitioned(t *testing.T) {
 	// stabilize exhausts the successor list with nothing to fall back
 	// on: the joiner is partitioned.
 	boot.Close()
-	joiner.checkPredRound()
-	joiner.stabilizeRound()
-	joiner.stabilizeRound()
+	joiner.round(chord.RoundCheckPred)
+	joiner.round(chord.RoundStabilize)
+	joiner.round(chord.RoundStabilize)
 	if ok, msg := joiner.Healthy(); ok {
 		t.Fatal("partitioned node reports healthy")
 	} else if !strings.Contains(msg, "partitioned") {

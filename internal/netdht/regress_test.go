@@ -165,9 +165,9 @@ func TestProbeRunServed(t *testing.T) {
 		return resp
 	}
 
-	before := s.counters.Snapshot().Probed
+	before := s.Counters().Snapshot().Probed
 	run := probe(wire.ProbeReq{Bit: 1, Span: 6, NumVecs: 64, Metrics: []uint64{7, 9}})
-	if n := s.counters.Snapshot().Probed - before; n != 1 {
+	if n := s.Counters().Snapshot().Probed - before; n != 1 {
 		t.Errorf("a run of 7 positions counted %d probes, want 1", n)
 	}
 	if run.Bit != 1 || run.Span != 6 || len(run.VecMasks) != 14 {
@@ -291,7 +291,7 @@ func TestEmptyAddressRefRejected(t *testing.T) {
 	if after := s.Status(); !reflect.DeepEqual(before, after) {
 		t.Fatalf("rejected notify changed the node:\nbefore %+v\nafter  %+v", before, after)
 	}
-	s.stabilizeRound()
+	s.round(chord.RoundStabilize)
 	if ok, msg := s.Healthy(); !ok {
 		t.Fatalf("ring of one unhealthy after a rejected notify: %s", msg)
 	}

@@ -295,7 +295,7 @@ func TestScanOneProbePerOwner(t *testing.T) {
 			servers := cl.Servers()
 			probed := func() (n uint64) {
 				for _, s := range servers {
-					n += uint64(s.counters.Snapshot().Probed)
+					n += uint64(s.Counters().Snapshot().Probed)
 				}
 				return n
 			}

@@ -3,6 +3,7 @@ package netdht
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"net"
 	"strconv"
 	"strings"
@@ -55,13 +56,14 @@ type Options struct {
 	Metrics *metrics.Registry
 }
 
-// Server is one networked ring member: a TCP listener speaking the
-// framed wire + control protocol, the node's Chord state machine, and
-// the DHS data plane (tuple store, probe answering). It implements
-// dht.Node; the overlay surface over a set of Servers is provided by
+// Server is one networked ring member: the chord.Node the simulated
+// rings are made of — identity, liveness, app slot, load counters and
+// the Chord state machine — behind a TCP listener speaking the framed
+// wire + control protocol, with the DHS data plane (tuple store, probe
+// answering). The overlay surface over a set of Servers is provided by
 // Cluster (in-process) or by a remote peer's routing RPCs (cmd/dhsnode).
 type Server struct {
-	nodeCore
+	chord.Node
 	cfg   chord.ProtocolConfig
 	addr  string
 	ln    net.Listener
@@ -81,11 +83,9 @@ type Server struct {
 	// domain when StartMaintenance drives the protocol.
 	tick atomic.Int64
 
-	// node is the Chord protocol state machine (internal/chord) — the
-	// same one the simulated ring runs; mu is its lock, never held across
-	// an RPC.
-	mu   sync.Mutex
-	node *chord.Machine
+	// mu guards the node's protocol state machine and is never held
+	// across an RPC.
+	mu sync.Mutex
 
 	storeMu sync.Mutex // serializes lazy store creation
 
@@ -121,9 +121,7 @@ func NewServer(listen string, opt Options) (*Server, error) {
 		inConns: make(map[net.Conn]struct{}),
 		quit:    make(chan struct{}),
 	}
-	s.name = name
-	s.setID(md4.Sum64([]byte(name)))
-	s.alive.Store(true)
+	s.Init(md4.Sum64([]byte(name)), name, addr, s.cfg, &s.mu)
 	if opt.Now != nil {
 		s.nowFn = opt.Now
 	} else {
@@ -137,16 +135,6 @@ func NewServer(listen string, opt Options) (*Server, error) {
 
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.addr }
-
-// setID fixes the node's ring identifier and starts its protocol state
-// as a ring of one. Construction only: no peer traffic exists yet.
-func (s *Server) setID(id uint64) {
-	s.id = id
-	s.node = chord.NewMachine(chord.Ref{ID: id, Addr: s.addr}, s.cfg, &s.mu)
-}
-
-// Protocol returns the node's protocol state machine.
-func (s *Server) Protocol() *chord.Machine { return s.node }
 
 // logKV emits one structured operational log line: "event=<name>"
 // followed by the key=value pairs in the order given (stable per call
@@ -312,7 +300,7 @@ func (in *inbound) handleRequest(dst, req []byte) []byte {
 	case tagNotify:
 		return s.handleNotify(dst, req)
 	case tagPing:
-		if !s.alive.Load() {
+		if !s.Alive() {
 			return appendErr(dst, errnoNodeDown, 0, 0)
 		}
 		return append(dst, pongFrame...)
@@ -348,18 +336,18 @@ func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 	if err != nil {
 		return appendErr(dst, errnoBad, 0, 0)
 	}
-	if !s.alive.Load() {
+	if !s.Alive() {
 		return appendErr(dst, errnoNodeDown, m.hops, m.stale)
 	}
 	if m.flags&flagForwarded != 0 {
-		s.counters.AddRouted()
+		s.Counters().AddRouted()
 	}
 	near := m.flags&flagNeighbors != 0
 	// m.store points into the connection's read buffer, and stays good until
 	// this request is answered: a relay copies it into the outbound slot
 	// before sending, the storing node keeps a key, not the bytes.
 	in.route.near, in.route.store = near, m.store
-	f := s.node.HandleFindSucc(&in.route, m.key, int(m.hops), int(m.stale), m.flags&flagDeliver != 0)
+	f := s.Protocol().HandleFindSucc(&in.route, m.key, int(m.hops), int(m.stale), m.flags&flagDeliver != 0)
 	if f.Err != nil {
 		return appendErr(dst, errnoOf(f.Err), uint16(f.Hops), uint16(f.Stale))
 	}
@@ -376,14 +364,14 @@ func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 				return appendErr(dst, code, uint16(f.Hops), uint16(f.Stale))
 			}
 			if near {
-				nb := s.node.Neighbors()
+				nb := s.Protocol().Neighbors()
 				reply.Near = &nb
 			}
 		}
 		return appendStoreAck(dst, reply)
 	}
-	if near && f.Owner.ID == s.id {
-		nb := s.node.Neighbors()
+	if near && f.Owner.ID == s.ID() {
+		nb := s.Protocol().Neighbors()
 		reply.Near = &nb
 	}
 	return appendFindSuccResp(dst, reply)
@@ -455,13 +443,6 @@ func (p *tcpPeers) Reseed(_, pred chord.Ref) chord.Ref { return pred }
 // (handleFindSucc) and no other way: handleRequest refuses a bare insert
 // frame.
 
-func (s *Server) expiryFor(ttl uint16) int64 {
-	if ttl == 0 {
-		return math.MaxInt64
-	}
-	return s.nowFn() + int64(ttl)
-}
-
 // applyStore stores the tuple frame a routed store ended here with — one
 // tuple or one bit position's batch — and returns the errno to refuse it
 // with, 0 when it is stored. The ack is the routed store's own (tagStoreAck).
@@ -478,15 +459,15 @@ func (s *Server) applyStore(frame []byte) (errno byte) {
 	if err != nil {
 		return errnoBad
 	}
-	if !s.alive.Load() {
+	if !s.Alive() {
 		return errnoNodeDown
 	}
 	st := s.ensureStore()
-	expiry := s.expiryFor(m.TTL)
+	expiry := store.Expiry(s.nowFn(), int64(m.TTL))
 	for _, v := range m.Vectors {
 		st.Set(store.Key{Metric: m.Metric, Vector: int32(v), Bit: m.Bit}, expiry)
 	}
-	s.counters.AddStoreOps()
+	s.Counters().AddStoreOps()
 	return 0
 }
 
@@ -497,10 +478,10 @@ func (in *inbound) handleProbeReq(dst, req []byte) []byte {
 		return appendErr(dst, errnoBad, 0, 0)
 	}
 	in.metrics = m.Metrics
-	if !s.alive.Load() {
+	if !s.Alive() {
 		return appendErr(dst, errnoNodeDown, 0, 0)
 	}
-	s.counters.AddProbed()
+	s.Counters().AddProbed()
 	st, _ := s.App().(*store.Store)
 	now := s.nowFn()
 	maskLen := wire.MaskBytes(int(m.NumVecs))
@@ -531,7 +512,7 @@ func (in *inbound) handleProbeReq(dst, req []byte) []byte {
 	// predecessor, when it knows one, up to itself — so that a client which
 	// remembered the node hears of a join or a leave in front of it from the
 	// reply it came for (DESIGN.md §14).
-	if pred := s.node.Neighbors().Pred; pred.Valid() {
+	if pred := s.Protocol().Neighbors().Pred; pred.Valid() {
 		resp = wire.AppendArc(resp, pred.ID)
 	}
 	// The dense reply goes out in its shortest form: each mask dense, as the
@@ -543,10 +524,10 @@ func (in *inbound) handleProbeReq(dst, req []byte) []byte {
 // Stabilization protocol: the state machine's rounds, timed and logged
 
 func (s *Server) handleNeighbors(dst []byte) []byte {
-	if !s.alive.Load() {
+	if !s.Alive() {
 		return appendErr(dst, errnoNodeDown, 0, 0)
 	}
-	return appendNeighborsResp(dst, s.node.Self(), s.node.Neighbors())
+	return appendNeighborsResp(dst, s.Protocol().Self(), s.Protocol().Neighbors())
 }
 
 func (s *Server) handleNotify(dst, req []byte) []byte {
@@ -554,10 +535,10 @@ func (s *Server) handleNotify(dst, req []byte) []byte {
 	if err != nil {
 		return appendErr(dst, errnoBad, 0, 0)
 	}
-	if !s.alive.Load() {
+	if !s.Alive() {
 		return appendErr(dst, errnoNodeDown, 0, 0)
 	}
-	changed := s.node.HandleNotify(n)
+	changed := s.Protocol().HandleNotify(n)
 	if changed {
 		s.markLinked()
 	}
@@ -566,62 +547,47 @@ func (s *Server) handleNotify(dst, req []byte) []byte {
 
 // markLinked latches linked once the node holds a successor.
 func (s *Server) markLinked() {
-	if _, ok := s.node.Successor(); ok {
+	if _, ok := s.Protocol().Successor(); ok {
 		s.linked.Store(true)
 	}
 }
 
-// runRound runs one of the state machine's rounds under the round
-// timer; the daemon ticker (maintenanceTick) and Cluster.Step both come
-// through here. A closed server's rounds are no-ops. The result is the
-// number of state changes — zero means a quiescent neighbourhood.
-func (s *Server) runRound(slot int, round func(chord.Peers) int) int {
+// round runs one of the state machine's rounds under the round timer,
+// whose slot is the round's bit; the daemon ticker (maintenanceTick) and
+// Cluster.Step both come through here. A closed server's rounds are
+// no-ops. The result is the number of state changes — zero means a
+// quiescent neighbourhood.
+func (s *Server) round(r chord.RoundSet) (changes int) {
+	slot := bits.TrailingZeros8(uint8(r))
 	tm := s.m.roundSeconds[slot].Start()
-	n := 0
-	if s.alive.Load() {
-		n = round(&tcpPeers{s: s})
-	}
-	s.m.finishRound(slot, tm, n)
-	return n
-}
-
-func (s *Server) stabilizeRound() int {
-	return s.runRound(roundStabilize, func(p chord.Peers) int {
-		n, _ := s.node.Stabilize(p)
-		return n
-	})
-}
-
-func (s *Server) fixFingersRound() int {
-	return s.runRound(roundFixFingers, s.node.FixFingers)
-}
-
-func (s *Server) checkPredRound() int {
-	return s.runRound(roundCheckPred, func(p chord.Peers) int {
-		pred := s.node.CheckPredecessor(p)
-		if !pred.Valid() {
-			return 0
+	if s.Alive() {
+		p, node := &tcpPeers{s: s}, s.Protocol()
+		switch r {
+		case chord.RoundStabilize:
+			changes, _ = node.Stabilize(p)
+		case chord.RoundFixFingers:
+			changes = node.FixFingers(p)
+		case chord.RoundCheckPred:
+			if pred := node.CheckPredecessor(p); pred.Valid() {
+				s.logKV("predecessor-cleared", "predecessor", pred.Addr)
+				changes = 1
+			}
 		}
-		s.logKV("predecessor-cleared", "predecessor", pred.Addr)
-		return 1
-	})
+	}
+	s.m.finishRound(slot, tm, changes)
+	return changes
 }
 
 // maintenanceTick advances the virtual protocol tick and runs whatever
-// rounds chord.ProtocolConfig.DueAt schedules there — the same cadence
-// function the simulated StabilizingRing.Step uses, driven here by a
-// wall-clock ticker.
+// rounds chord.ProtocolConfig.DueAt schedules there, in bit order — the
+// same cadence function the simulated StabilizingRing.Step uses, driven
+// here by a wall-clock ticker.
 func (s *Server) maintenanceTick() {
-	t := s.tick.Add(1)
-	due := s.cfg.DueAt(t)
-	if due.Has(chord.RoundStabilize) {
-		s.stabilizeRound()
-	}
-	if due.Has(chord.RoundFixFingers) {
-		s.fixFingersRound()
-	}
-	if due.Has(chord.RoundCheckPred) {
-		s.checkPredRound()
+	due := s.cfg.DueAt(s.tick.Add(1))
+	for r := chord.RoundStabilize; r <= chord.RoundCheckPred; r <<= 1 {
+		if due.Has(r) {
+			s.round(r)
+		}
 	}
 }
 
@@ -661,7 +627,7 @@ func (s *Server) Join(bootstrap string) error {
 		if attempt > 0 {
 			s.peers.backoff(attempt, 0)
 		}
-		if succ, err = s.node.Join(&tcpPeers{s: s}, chord.Ref{Addr: bootstrap}); err == nil {
+		if succ, err = s.Protocol().Join(&tcpPeers{s: s}, chord.Ref{Addr: bootstrap}); err == nil {
 			break
 		}
 	}
@@ -679,7 +645,7 @@ func (s *Server) Join(bootstrap string) error {
 // the crash-stop signature peers discover by timeout.
 func (s *Server) Close() {
 	s.quitOnce.Do(func() { close(s.quit) })
-	s.alive.Store(false)
+	s.SetAlive(false)
 	s.ln.Close()
 	s.peers.close()
 	s.inMu.Lock()

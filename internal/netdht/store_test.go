@@ -45,7 +45,7 @@ func storeClient(t testing.TB, entry string, seed uint64) (*Client, *metrics.Reg
 // routedTotal sums the Routed counters of a cluster's live servers.
 func routedTotal(servers []*Server) (n int64) {
 	for _, s := range servers {
-		n += s.counters.Snapshot().Routed
+		n += s.Counters().Snapshot().Routed
 	}
 	return n
 }
@@ -174,7 +174,7 @@ func TestInsertPlacementAndBudget(t *testing.T) {
 		if st, ok := s.App().(*store.Store); ok {
 			stored += st.Len(s.nowFn())
 		}
-		storeOps += s.counters.Snapshot().StoreOps
+		storeOps += s.Counters().Snapshot().StoreOps
 	}
 	for i, w := range want {
 		owner, _ := cl.ByID(w.owner)
@@ -357,8 +357,8 @@ func TestStoreUnknownPredecessor(t *testing.T) {
 
 	owner := servers[4]
 	target := owner.ID() - 1
-	_, succ, fingers := owner.node.State()
-	owner.node.Seed(chord.Ref{}, succ, fingers)
+	_, succ, fingers := owner.Protocol().State()
+	owner.Protocol().Seed(chord.Ref{}, succ, fingers)
 
 	for step, want := range []struct{ direct, hops, arc bool }{
 		{direct: true, hops: true}, // sent straight, routed on: the arc goes
@@ -383,7 +383,7 @@ func TestStoreUnknownPredecessor(t *testing.T) {
 	}
 
 	sweepServers(cl.Servers(), chord.RoundStabilize)
-	if p := owner.node.Neighbors().Pred; p.ID != servers[3].ID() {
+	if p := owner.Protocol().Neighbors().Pred; p.ID != servers[3].ID() {
 		t.Fatalf("after a stabilize round the owner's predecessor is %v", p)
 	}
 	for step, wantDirect := range []bool{false, true} {
@@ -523,8 +523,8 @@ func TestRoutedStoreMetered(t *testing.T) {
 	if err := ring[1].Join(ring[0].Addr()); err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	ring[1].stabilizeRound()
-	ring[0].stabilizeRound()
+	ring[1].round(chord.RoundStabilize)
+	ring[0].round(chord.RoundStabilize)
 
 	// Four lanes share the client, as the repo benchmark's writers do.
 	const n, lanes = 200, 4
@@ -670,8 +670,8 @@ func TestRoutedStoreDownTerminal(t *testing.T) {
 	down, next := servers[4], servers[5]
 	target := down.ID()
 	tuple := wire.Insert{Metric: 5, Vector: 7, Bit: 1}
-	down.alive.Store(false) // the listener keeps answering
-	defer down.alive.Store(true)
+	down.SetAlive(false) // the listener keeps answering
+	defer down.SetAlive(true)
 
 	_, err := c.peers.route(down.Addr(), findSuccMsg{
 		flags: flagForwarded | flagDeliver, key: target, hops: 2, stale: 1, store: wire.EncodeInsert(tuple)})
@@ -726,8 +726,8 @@ func TestRoutedStoreUnhonoured(t *testing.T) {
 		// A ring of two: the fake peer is the server's only neighbour and
 		// the believed owner of its own identifier.
 		ref := chord.Ref{ID: fakeID, Addr: fake}
-		_, _, fingers := s.node.State()
-		s.node.Seed(ref, []chord.Ref{ref}, fingers)
+		_, _, fingers := s.Protocol().State()
+		s.Protocol().Seed(ref, []chord.Ref{ref}, fingers)
 
 		c, _ := storeClient(t, s.Addr(), 1)
 		ack, err := c.store(fakeID, wire.EncodeInsert(wire.Insert{Metric: 1}))

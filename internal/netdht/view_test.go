@@ -187,7 +187,7 @@ func TestViewSeesJoin(t *testing.T) {
 		t.Fatalf("Join: %v", err)
 	}
 	settleCluster(t, cl, env)
-	if pred := first.node.Neighbors().Pred; pred.ID != joiner.ID() {
+	if pred := first.Protocol().Neighbors().Pred; pred.ID != joiner.ID() {
 		t.Fatalf("settled ring: first server's predecessor is %v, want the joiner", pred)
 	}
 	loadRing(t, cl.Servers()[0].Addr(), sketch.KindSuperLogLog, 600, 4000)

@@ -44,6 +44,16 @@ const TupleBytes = 8
 // forever is the expiry tick meaning "no expiry" (TTL 0).
 const forever = math.MaxInt64
 
+// Expiry is the soft-state rule (§3.3) both transports store tuples
+// under: a tuple stored at tick now with a TTL of ttl ticks expires at
+// now+ttl, and a TTL of 0 never expires.
+func Expiry(now, ttl int64) int64 {
+	if ttl == 0 {
+		return forever
+	}
+	return now + ttl
+}
+
 // Key identifies one DHS bit: which metric, which bitmap vector, and
 // which bit position. The on-the-wire form is the paper's
 // <metric_id, vector_id, bit, time_out> tuple; time_out is the value,
@@ -408,8 +418,8 @@ type Entry struct {
 }
 
 // Entries returns the live tuples at time now with their expiry ticks,
-// in the same deterministic (metric, bit, vector) order as Keys,
-// garbage-collecting expired ones on the way.
+// in deterministic (metric, bit, vector) order, garbage-collecting
+// expired ones on the way.
 func (s *Store) Entries(now int64) []Entry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -472,32 +482,13 @@ func (s *Store) Bytes(now int64) int64 {
 	return int64(s.Len(now)) * TupleBytes
 }
 
-// Keys returns the live tuples at time now in deterministic
-// (metric, bit, vector) order, garbage-collecting expired ones — the
-// enumeration tests use to compare whole-overlay placements.
+// Keys returns the keys of Entries — the enumeration tests use to
+// compare whole-overlay placements.
 func (s *Store) Keys(now int64) []Key {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expire(now, s.sweep(now))
-	lks := make([]leafKey, 0, len(s.leaves))
-	for lk := range s.leaves {
-		lks = append(lks, lk)
-	}
-	sort.Slice(lks, func(i, j int) bool {
-		if lks[i].metric != lks[j].metric {
-			return lks[i].metric < lks[j].metric
-		}
-		return lks[i].bit < lks[j].bit
-	})
-	out := make([]Key, 0, s.live)
-	for _, lk := range lks {
-		lf := s.leaves[lk]
-		for wi, w := range lf.bits {
-			for ; w != 0; w &= w - 1 {
-				v := int32(wi<<6 + bits.TrailingZeros64(w))
-				out = append(out, Key{Metric: lk.metric, Vector: v, Bit: lk.bit})
-			}
-		}
+	es := s.Entries(now)
+	out := make([]Key, len(es))
+	for i, e := range es {
+		out[i] = e.Key
 	}
 	return out
 }

@@ -193,6 +193,15 @@ func TestConcurrentProbesAndInserts(t *testing.T) {
 }
 
 // TestNilStoreAnswersEmpty covers the probe path's no-guard contract.
+func TestExpiry(t *testing.T) {
+	if Expiry(100, 0) != math.MaxInt64 {
+		t.Error("TTL 0 should never expire")
+	}
+	if Expiry(100, 50) != 150 {
+		t.Errorf("Expiry(100,50) = %d", Expiry(100, 50))
+	}
+}
+
 func TestNilStoreAnswersEmpty(t *testing.T) {
 	var s *Store
 	if got := s.AppendBitsWithBit(nil, 1, 2, 3); len(got) != 0 {

@@ -221,7 +221,18 @@ for i in $(seq 0 $((NODES - 1))); do
         echo "== node-$i reports an empty successor list" >&2
         exit 1
     fi
-    echo "   node-$i healthy; find_succ=$rpc successors=$succ"
+    # The maintenance ticker ran every protocol round, each metered under
+    # its own label.
+    rounds=""
+    for round in stabilize fix_fingers check_pred; do
+        n=$(metric_value "$LOGDIR/metrics-node-$i.prom" "netdht_round_seconds_count{round=\"$round\"}")
+        if [ "${n%.*}" -eq 0 ]; then
+            echo "== node-$i metered zero $round rounds" >&2
+            exit 1
+        fi
+        rounds="$rounds $round=$n"
+    done
+    echo "   node-$i healthy; find_succ=$rpc successors=$succ rounds:$rounds"
 done
 
 # The counting scan's probe RPCs land on the interval owners, spread
