@@ -11,6 +11,7 @@ import (
 	"dhsketch/internal/obs"
 	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
+	"dhsketch/internal/wire"
 )
 
 // BenchmarkClientCountUncached is the ladder's rung for one uncached
@@ -30,18 +31,34 @@ import (
 // owners/op are equal between the two rows: the view changes what a scan
 // pays, not whom it asks. The n32 rows are the honest shape of the
 // one-probe-per-owner saving: arcs shrink as the ring grows, so more of the
-// visits are first visits.
+// visits are first visits. kept-share is the part of the masks the replies
+// carried that the owner sent as kept, the same as its connection's last
+// (wire.ReplyMemory). A third row, changing, is warm with 200 fresh items
+// inserted before every scan, outside the timer and by another client: the
+// masks a scan reads move between scans, as under a write load, and a
+// reply keeps only what did not.
 func BenchmarkClientCountUncached(b *testing.B) {
 	for _, n := range []int{8, 32} {
-		for _, temp := range []string{"cold", "warm"} {
+		for _, temp := range []string{"cold", "warm", "changing"} {
 			b.Run(fmt.Sprintf("n%d/%s", n, temp), func(b *testing.B) {
-				_, c, reg := benchClient(b, n)
+				cl, c, reg := benchClient(b, n)
 				for i := 0; i < 2000; i++ {
 					if err := c.Insert(1, core.ItemID(fmt.Sprint("item-", i))); err != nil {
 						b.Fatalf("insert %d: %v", i, err)
 					}
 				}
-				countRow(b, c, reg, 1, temp == "cold")
+				var between func(int)
+				if temp == "changing" {
+					w, _ := storeClient(b, cl.Servers()[0].Addr(), 8)
+					between = func(i int) {
+						for j := 0; j < 200; j++ {
+							if err := w.Insert(1, core.ItemID(fmt.Sprint("fresh-", i, "-", j))); err != nil {
+								b.Fatalf("insert: %v", err)
+							}
+						}
+					}
+				}
+				countRow(b, c, reg, 1, temp == "cold", between)
 			})
 		}
 	}
@@ -82,19 +99,26 @@ func BenchmarkClientCountUncached(b *testing.B) {
 					}
 				}
 			}
-			b.Run(row.name+"/warm", func(b *testing.B) { countRow(b, c, reg, row.metric, false) })
+			b.Run(row.name+"/warm", func(b *testing.B) { countRow(b, c, reg, row.metric, false, nil) })
 		}
 	})
 }
 
 // countRow times uncached counts of metric by c, from an empty view each
-// when cold, and reports what they cost from the client's registry.
-func countRow(b *testing.B, c *Client, reg *metrics.Registry, metric uint64, cold bool) {
+// when cold, after between(i) with the timer stopped when it is not nil, and
+// reports what they cost from the client's registry.
+func countRow(b *testing.B, c *Client, reg *metrics.Registry, metric uint64, cold bool, between func(int)) {
 	c.Count(metric) // dial, and fill the view, outside the timer
 	lookups, probes, bytes := outRPCs(reg, "find_succ"), outRPCs(reg, "probe"), wireBytes(reg)
+	masks, kept := probeMasks(reg), keptMasks(reg)
 	visits, owners := 0, 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if between != nil {
+			b.StopTimer()
+			between(i)
+			b.StartTimer()
+		}
 		if cold {
 			c.view.arcs = nil
 		}
@@ -117,6 +141,15 @@ func countRow(b *testing.B, c *Client, reg *metrics.Registry, metric uint64, col
 	b.ReportMetric(float64(owners)/ops, "owners/op")
 	b.ReportMetric(float64(visits)/ops, "visits/op")
 	b.ReportMetric(float64(wireBytes(reg)-bytes)/ops, "wire-B/op")
+	b.ReportMetric(float64(keptMasks(reg)-kept)/float64(max(probeMasks(reg)-masks, 1)), "kept-share")
+}
+
+// probeMasks is how many probe-reply masks a client has read, in any form.
+func probeMasks(reg *metrics.Registry) (n uint64) {
+	for _, form := range wire.FormNames {
+		n += reg.Counter("netdht_probe_masks_total", "", metrics.L("form", form)).Value()
+	}
+	return n
 }
 
 // BenchmarkClientCountAll is §4.2's "probing one node in I_r answers bit r

@@ -152,7 +152,7 @@ func TestConnBufferRelease(t *testing.T) {
 	p := newPeerPool(time.Second, 5*time.Second, 1, nil)
 	defer p.close()
 	var resp []byte
-	err = p.exchange(s.Addr(), req, func(reply []byte) { resp = bytes.Clone(reply) })
+	err = p.exchange(s.Addr(), req, func(reply []byte, _ *wire.ReplyMemory) error { resp = bytes.Clone(reply); return nil })
 	if err != nil || len(resp) < maxFrame*9/10 || len(resp) > maxFrame {
 		t.Fatalf("big probe: %d bytes, %v; want a reply of nearly maxFrame", len(resp), err)
 	}

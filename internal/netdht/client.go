@@ -507,35 +507,32 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 	return out
 }
 
-// probe asks the node at addr for its vector masks and checks the reply
-// has the shape the request asked for — the run's length, and for each of
-// its positions one mask of ⌈m/8⌉ bytes per metric. A peer built with a
-// different m, one that answers a run with a single position, or a
-// hostile one, fails the probe here instead of indexing out of range in
-// the scan. A scan keeps an owner's masks for its whole life, longer than
-// any connection keeps a frame: the reply is decoded while the slot is
-// still held, into one buffer of dense masks that is the scan's own — the
-// frame's mask bytes copied, or a coded reply's expanded — one copy per
-// owner, and no frame bytes are kept.
-func (c *Client) probe(addr string, req wire.ProbeReq) (wire.ProbeResp, error) {
+// probe asks the node at addr for its vector masks. A reply that does not
+// answer the request — another position, run or m, or not one mask of
+// ⌈m/8⌉ bytes per position and metric — fails the probe (DecodeProbeRespTo)
+// and drops the socket it came on: a peer built with a different m, one
+// that answers a run with a single position, or a hostile one, fails here
+// instead of indexing out of range in the scan. A scan keeps an owner's
+// masks for its whole life, longer than any connection keeps a frame: the
+// reply is decoded while the slot is still held, into one buffer of dense
+// masks that is the scan's own — the frame's mask bytes copied, a coded
+// reply's expanded, a kept mask copied out of the socket's reply memory —
+// one copy per owner, and no frame or memory bytes are kept.
+func (c *Client) probe(addr string, req wire.ProbeReq) (resp wire.ProbeResp, err error) {
 	var scratch [rpcScratch]byte
 	frame, err := wire.AppendProbeReq(scratch[:0], req)
 	if err != nil {
 		return wire.ProbeResp{}, err
 	}
-	resp, err := call(c.peers, addr, frame, wire.DecodeProbeResp)
-	if err != nil {
-		return wire.ProbeResp{}, err
-	}
-	if resp.Span != req.Span || len(resp.VecMasks) != (int(req.Span)+1)*len(req.Metrics) {
-		return wire.ProbeResp{}, wire.ErrBadMessage
-	}
-	for _, mask := range resp.VecMasks {
-		if len(mask) != wire.MaskBytes(c.geom.M) {
-			return wire.ProbeResp{}, wire.ErrBadMessage
+	var forms wire.MaskForms
+	err = c.peers.exchange(addr, frame, func(reply []byte, kept *wire.ReplyMemory) (err error) {
+		if err = replyErr(reply); err == nil {
+			resp, err = wire.DecodeProbeRespTo(req, reply, kept, &forms)
 		}
-	}
-	return resp, nil
+		return err
+	})
+	c.peers.m.probeMasks(&forms)
+	return resp, err
 }
 
 // maskReply is one probe reply as a core.Reply: masks[i] answers

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -336,5 +338,66 @@ func TestTypedFailureEveryRPC(t *testing.T) {
 		if err := rpc(); !errors.Is(err, dht.ErrNodeDown) {
 			t.Errorf("%s: err = %v, want dht.ErrNodeDown", name, err)
 		}
+	}
+}
+
+// TestRefusedReplyDropsSocket: a reply that frames correctly but that the
+// asker refuses — a probe reply to another position than asked, a store ack
+// cut inside its neighbourhood — fails its RPC and drops the socket it came
+// on, whose reply memories may no longer agree, so the next exchange with
+// the peer dials afresh, and succeeds. That is a dial, not a redial: nothing
+// stale was found. A typed failure is a reply like any other and keeps its
+// socket.
+func TestRefusedReplyDropsSocket(t *testing.T) {
+	req := wire.ProbeReq{Bit: 3, NumVecs: 64, Metrics: []uint64{7}}
+	goodProbe, err := wire.EncodeProbeResp(wire.ProbeResp{Bit: 3, NumVecs: 64, VecMasks: [][]byte{make([]byte, 8)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badProbe := slices.Clone(goodProbe)
+	badProbe[2] = 4 // the reply names another position
+	owner := chord.Ref{ID: 9, Addr: "127.0.0.1:9"}
+	goodAck := encodeStoreAck(chord.Found{Hops: 1})
+	badAck := encodeStoreAck(chord.Found{Owner: owner, Hops: 1, Near: &chord.Neighbors{Succ: []chord.Ref{owner}}})
+	badAck = badAck[:len(badAck)-3] // cut inside the neighbourhood's last ref
+	tuple := wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2})
+	for _, tc := range []struct {
+		name          string
+		first, second []byte
+		rpc           func(c *Client, addr string) error
+		dials         uint64
+	}{
+		{"refused probe reply", badProbe, goodProbe, func(c *Client, addr string) error {
+			_, err := c.probe(addr, req)
+			return err
+		}, 2},
+		{"refused store ack", badAck, goodAck, func(c *Client, addr string) error {
+			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple})
+			return err
+		}, 2},
+		{"typed failure", encodeErr(errnoNoRoute, 0, 0), goodAck, func(c *Client, addr string) error {
+			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple})
+			return err
+		}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var replies atomic.Int32
+			addr := fakePeer(t, func(string, []byte) []byte {
+				if replies.Add(1) == 1 {
+					return tc.first
+				}
+				return tc.second
+			})
+			c, reg := storeClient(t, addr, 1)
+			if err := tc.rpc(c, addr); err == nil {
+				t.Fatal("the first reply was accepted")
+			}
+			if err := tc.rpc(c, addr); err != nil {
+				t.Fatalf("the exchange after it: %v", err)
+			}
+			if dials, redials := counter(reg, "netdht_dials_total"), counter(reg, "netdht_redials_total"); dials != tc.dials || redials != 0 {
+				t.Errorf("%d dials and %d redials for the two exchanges, want %d and 0", dials, redials, tc.dials)
+			}
+		})
 	}
 }

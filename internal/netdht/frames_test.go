@@ -1,6 +1,7 @@
 package netdht
 
 import (
+	"bytes"
 	"encoding/hex"
 	"testing"
 
@@ -8,11 +9,37 @@ import (
 	"dhsketch/internal/wire"
 )
 
-// TestControlFrameBytes pins the control plane's bytes: one of each frame a
+// shortenAfter encodes reply as the owner's end of a connection does
+// (wire.ShortenProbeResp, for a request of metrics) once the connection has
+// carried each of before.
+func shortenAfter(t *testing.T, metrics []uint64, before []wire.ProbeResp, reply wire.ProbeResp) []byte {
+	t.Helper()
+	var kept wire.ReplyMemory
+	var frame []byte
+	for _, r := range append(before, reply) {
+		buf, err := wire.AppendProbeRespHeader(nil, r.Bit, r.Span, r.NumVecs, len(r.VecMasks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range r.VecMasks {
+			buf = append(buf, m...)
+		}
+		if r.HasArc {
+			buf = wire.AppendArc(buf, r.ArcLo)
+		}
+		frame = wire.ShortenProbeResp(buf, 0, metrics, &kept)
+	}
+	return frame
+}
+
+// TestControlFrameBytes pins the bytes of both planes: one of each frame a
 // client, relay or owner sends, encoded and compared with the hex it has
 // always had. FuzzDecodeControl holds every decoder to its encoder; this
 // holds the encoders to the wire, so a refactor of either side cannot move a
-// byte unnoticed.
+// byte unnoticed. The data plane's rows are a probe of one position and of a
+// run, a reply dense, coded, and with its arc, and the same reply on a
+// connection that carried it before: a mask as formKept (03) and the arc as
+// the kept-arc flag (02).
 func TestControlFrameBytes(t *testing.T) {
 	a := chord.Ref{ID: 0x0102030405060708, Addr: "10.0.0.1:4000"}
 	b := chord.Ref{ID: 1 << 63, Addr: "b:2"}
@@ -20,6 +47,19 @@ func TestControlFrameBytes(t *testing.T) {
 	const key = 0xDEADBEEFCAFE0042
 	insert := wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2, TTL: 9})
 	bulk := wire.EncodeBulkInsert(wire.BulkInsert{Metric: 7, Bit: 2, TTL: 9, Vectors: []uint16{1, 300}})
+	must := func(frame []byte, err error) []byte {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	half := []byte{0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55}
+	empty, full, one := make([]byte, 8), bytes.Repeat([]byte{0xFF}, 8), make([]byte, 8)
+	wire.SetVec(one, 9)
+	runMetrics := []uint64{7, 9}
+	arced := wire.ProbeResp{Bit: 3, Span: 1, NumVecs: 64, VecMasks: [][]byte{empty, full, one, half}, HasArc: true, ArcLo: key}
+	moved := arced
+	moved.VecMasks = [][]byte{empty, one, one, half} // metric 9's mask at bit 3 moved
 	for _, tc := range []struct {
 		name  string
 		frame []byte
@@ -63,6 +103,18 @@ func TestControlFrameBytes(t *testing.T) {
 			"0116"},
 		{"pong", encodePong(),
 			"0117"},
+		{"probe", must(wire.EncodeProbeReq(wire.ProbeReq{Bit: 5, NumVecs: 64, Metrics: []uint64{7}})),
+			"010305004000010007"},
+		{"probe run", must(wire.EncodeProbeReq(wire.ProbeReq{Bit: 3, Span: 1, NumVecs: 64, Metrics: runMetrics})),
+			"010303004000020007000901"},
+		{"probe reply dense", must(wire.EncodeProbeResp(wire.ProbeResp{Bit: 5, NumVecs: 64, VecMasks: [][]byte{half}})),
+			"01040500400001005555555555555555"},
+		{"probe reply coded", must(wire.EncodeProbeResp(wire.ProbeResp{Bit: 3, Span: 1, NumVecs: 64, VecMasks: [][]byte{empty, full, one, half}})),
+			"01050300400004010102050a005555555555555555"},
+		{"probe reply with its arc", must(wire.EncodeProbeResp(arced)),
+			"01050300400004010102050a00555555555555555501deadbeefcafe0042"},
+		{"probe reply, kept masks and arc", shortenAfter(t, runMetrics, []wire.ProbeResp{arced}, moved),
+			"010503004000040103050a030302"},
 	} {
 		if got := hex.EncodeToString(tc.frame); got != tc.hex {
 			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.hex)

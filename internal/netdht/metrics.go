@@ -198,6 +198,9 @@ type poolMetrics struct {
 	visitsByWire, visitsByMemo *metrics.Counter
 	// The client's stores, by who chose the node they were first sent to.
 	storesByView, storesByEntry *metrics.Counter
+	// masksByForm counts the masks of accepted probe replies by the form
+	// each travelled in (wire.FormNames).
+	masksByForm [len(wire.MaskForms{})]*metrics.Counter
 
 	bytesOut *metrics.Counter
 	bytesIn  *metrics.Counter
@@ -231,6 +234,9 @@ func newPoolMetrics(reg *metrics.Registry) poolMetrics {
 	m.visitsByMemo = reg.Counter("netdht_scan_visits_total", "counting-scan owner visits by where the answer came from", metrics.L("served", "memo"))
 	m.storesByView = reg.Counter("netdht_store_first_hop_total", "client stores by what chose their first hop", metrics.L("via", "view"))
 	m.storesByEntry = reg.Counter("netdht_store_first_hop_total", "client stores by what chose their first hop", metrics.L("via", "entry"))
+	for i, name := range wire.FormNames {
+		m.masksByForm[i] = reg.Counter("netdht_probe_masks_total", "probe-reply masks by the form they travelled in", metrics.L("form", name))
+	}
 	return m
 }
 
@@ -277,6 +283,13 @@ func (m *poolMetrics) scanTargets(byMap, byLookup int) {
 func (m *poolMetrics) scanVisits(byWire, byMemo int) {
 	m.visitsByWire.Add(uint64(byWire))
 	m.visitsByMemo.Add(uint64(byMemo))
+}
+
+// probeMasks meters one probe reply's masks by form.
+func (m *poolMetrics) probeMasks(forms *wire.MaskForms) {
+	for i, n := range forms {
+		m.masksByForm[i].Add(n)
+	}
 }
 
 // storeFirstHop meters one client store: sent first to the owner the view

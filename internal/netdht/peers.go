@@ -12,6 +12,7 @@ import (
 	"dhsketch/internal/chord"
 	"dhsketch/internal/dht"
 	"dhsketch/internal/metrics"
+	"dhsketch/internal/wire"
 )
 
 // Default transport timings. Loopback rings in tests override them
@@ -61,12 +62,15 @@ func mapNetErr(err error) error {
 // the slot's request/reply exchange — one in flight per *connection*,
 // which is what the framed protocol requires (a reply is matched to its
 // request purely by ordering on the stream). The slot owns the two buffers
-// its frames are built in and read into; like the socket they are touched
-// only under the mutex, and a reply is decoded there, never kept.
+// its frames are built in and read into, and the socket's reply memory,
+// born empty with it and dropped with it (dropConn); like the socket they
+// are touched only under the mutex, and a reply is decoded there, never
+// kept.
 type peerConn struct {
 	mu         sync.Mutex
 	c          net.Conn
 	rbuf, wbuf []byte
+	kept       wire.ReplyMemory
 }
 
 // peerEntry is one peer address's slot set. Slot count is fixed at the
@@ -174,41 +178,51 @@ func (p *peerPool) dial(pc *peerConn, addr string) error {
 	return nil
 }
 
-// dropConn closes and clears a slot's socket. Caller holds pc.mu.
+// dropConn closes and clears a slot's socket, and the reply memory goes
+// with it. Caller holds pc.mu.
 func (p *peerPool) dropConn(pc *peerConn) {
 	if pc.c == nil {
 		return
 	}
 	pc.c.Close()
 	pc.c = nil
+	pc.kept = wire.ReplyMemory{}
 	p.live.Add(-1)
 }
 
 // exchange performs one framed request/reply round trip with addr and hands
 // the reply to read where it arrived: in the slot's own buffer, once, after
-// a successful round trip and before the slot is released. read must not
-// keep it — the slot's next user reads into the same buffer. req is copied
-// into the slot too and may live on the caller's stack. A failure on a
-// socket an earlier exchange left in the slot is retried once on a fresh
+// a successful round trip and before the slot is released, with the
+// socket's reply memory beside it. read must not keep either — the slot's
+// next user reads into the same buffer. read's error is the exchange's, and
+// unless it is a typed failure the peer replied with (remoteErr) it refuses
+// the reply, and the socket goes with it: the one rule for every RPC, so
+// that a socket whose replies the asker stopped following — and whose two
+// reply memories may no longer agree — never carries another. req is
+// copied into the slot too and may live on the caller's stack. A failure on
+// a socket an earlier exchange left in the slot is retried once on a fresh
 // dial: a stale cached socket (the peer restarted, an idle timeout fired)
 // is indistinguishable from a dead peer until a second dial answers. A
 // failure on a socket this exchange dialled is final — the caller's one
 // spent attempt (DESIGN.md §8). Safe for the idempotent RPC set this
 // package speaks. The metrics hooks meter the exchange per tag (count,
 // bytes, frame size, round-trip latency) and transport failures by errno
-// class; with metrics off each instrument they touch is nil and no-ops on
-// its own receiver.
-func (p *peerPool) exchange(addr string, req []byte, read func(reply []byte)) error {
+// class — a refused reply is an exchange that moved its bytes; with metrics
+// off each instrument they touch is nil and no-ops on its own receiver.
+func (p *peerPool) exchange(addr string, req []byte, read func(reply []byte, kept *wire.ReplyMemory) error) error {
 	slot, tm := p.m.startRPC(req)
-	n, err := p.doExchange(addr, req, read)
+	n, err, refused := p.doExchange(addr, req, read)
 	p.m.finishRPC(slot, n, err, tm)
-	return err
+	if err != nil {
+		return err
+	}
+	return refused
 }
 
-func (p *peerPool) doExchange(addr string, req []byte, read func(reply []byte)) (int, error) {
+func (p *peerPool) doExchange(addr string, req []byte, read func([]byte, *wire.ReplyMemory) error) (n int, err, refused error) {
 	pc, dialled, err := p.get(addr)
 	if err != nil {
-		return 0, err
+		return 0, err, nil
 	}
 	defer pc.release()
 
@@ -222,27 +236,31 @@ func (p *peerPool) doExchange(addr string, req []byte, read func(reply []byte)) 
 	}
 	if err != nil {
 		p.dropConn(pc)
-		return 0, mapNetErr(err)
+		return 0, mapNetErr(err), nil
 	}
-	read(pc.rbuf)
-	return len(pc.rbuf), nil
+	n = len(pc.rbuf)
+	if refused = read(pc.rbuf, &pc.kept); refused != nil {
+		if _, typed := refused.(remoteErr); !typed {
+			p.dropConn(pc)
+		}
+	}
+	return n, nil, refused
 }
 
-// call is how this package asks a peer anything: one exchange with addr,
-// then the one reply rule — a typed failure reads as its dht sentinel
-// (replyErr), on every RPC alike — and any other reply decoded while it is
-// still in the slot. Every reply decoder returns values that share nothing
-// with the frame (msg.go), so nothing a caller keeps points into the slot;
-// with an error, call returns the zero T, as the decoders do.
+// call is how this package asks a peer anything but a probe (Client.probe):
+// one exchange with addr, then the one reply rule — a typed failure reads
+// as its dht sentinel (replyErr), on every RPC alike — and any other reply
+// decoded while it is still in the slot, or refused. Every reply decoder
+// returns values that share nothing with the frame (msg.go), so nothing a
+// caller keeps points into the slot; with an error, v is the zero T, as
+// the decoders return it.
 func call[T any](p *peerPool, addr string, req []byte, decode func([]byte) (T, error)) (v T, err error) {
-	xerr := p.exchange(addr, req, func(reply []byte) {
+	err = p.exchange(addr, req, func(reply []byte, _ *wire.ReplyMemory) (err error) {
 		if err = replyErr(reply); err == nil {
 			v, err = decode(reply)
 		}
+		return err
 	})
-	if xerr != nil {
-		return v, xerr
-	}
 	return v, err
 }
 

@@ -250,6 +250,10 @@ type inbound struct {
 	route      tcpPeers // handed to the state machine by pointer, per request
 	metrics    []uint64 // a probe request's metric list
 	words      []uint64 // one (metric, bit) answer out of the store
+	// kept is what the connection's probe replies have carried, the
+	// asking slot's memory at this end: born empty with the connection,
+	// gone with it.
+	kept wire.ReplyMemory
 }
 
 func (s *Server) newInbound() *inbound { return &inbound{s: s, route: tcpPeers{s: s}} }
@@ -516,8 +520,9 @@ func (in *inbound) handleProbeReq(dst, req []byte) []byte {
 		resp = wire.AppendArc(resp, pred.ID)
 	}
 	// The dense reply goes out in its shortest form: each mask dense, as the
-	// vectors set or as the vectors clear, whichever is fewest bytes.
-	return wire.ShortenProbeResp(resp, start)
+	// vectors set or as the vectors clear, whichever is fewest bytes, or as
+	// one byte when it, or the arc, is what this connection carried last.
+	return wire.ShortenProbeResp(resp, start, m.Metrics, &in.kept)
 }
 
 // ---------------------------------------------------------------------

@@ -12,6 +12,7 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -171,6 +172,15 @@ func FuzzDecodeProbeResp(f *testing.F) {
 	// corpus's coded-* files, beside a reply in each form.
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		m, err := DecodeProbeResp(buf)
+		// The same bytes as the reply to the request its header answers, on a
+		// connection whose memory holds a mask for every one of its masks and
+		// an arc: refused or not, nothing panics, and a reply the stateless
+		// decoder accepts, which names nothing kept, decodes the same.
+		if primed, req, ok := primedFor(buf); ok {
+			if mk, kerr := DecodeProbeRespTo(req, buf, primed, nil); err == nil && (kerr != nil || !sameResp(mk, m)) {
+				t.Fatalf("with a memory: %+v, %v; without: %+v", mk, kerr, m)
+			}
+		}
 		if err != nil {
 			return
 		}
@@ -201,6 +211,33 @@ func FuzzDecodeProbeResp(f *testing.F) {
 	})
 }
 
+// primedFor reads the request a probe reply's header answers — its
+// position, run and NumVecs, and one metric per mask of a position — and
+// returns a memory that has recorded a reply to it of empty masks with an
+// arc; ok is false for a header no request produces.
+func primedFor(buf []byte) (kept *ReplyMemory, req ProbeReq, ok bool) {
+	if len(buf) < 8 {
+		return nil, req, false
+	}
+	req = ProbeReq{Bit: buf[2], Span: buf[7], NumVecs: uint16(buf[3])<<8 | uint16(buf[4])}
+	count, runs := int(buf[5])<<8|int(buf[6]), int(req.Span)+1
+	mask := MaskBytes(int(req.NumVecs))
+	if !runFits(req.Bit, req.Span) || count%runs != 0 || ProbeRespOverhead+count*mask > MaxFrame {
+		return nil, req, false
+	}
+	for i := 0; i < count/runs; i++ {
+		req.Metrics = append(req.Metrics, uint64(i))
+	}
+	dense, err := AppendProbeRespHeader(nil, req.Bit, req.Span, req.NumVecs, count)
+	if err != nil {
+		return nil, req, false
+	}
+	dense = AppendArc(append(dense, make([]byte, count*mask)...), 7)
+	kept = new(ReplyMemory)
+	ShortenProbeResp(dense, 0, req.Metrics, kept)
+	return kept, req, true
+}
+
 // sameResp reports whether two decoded replies say the same: every field,
 // and mask for mask the same bytes.
 func sameResp(a, b ProbeResp) bool {
@@ -214,4 +251,121 @@ func sameResp(a, b ProbeResp) bool {
 		}
 	}
 	return true
+}
+
+// memStep is one reply of a FuzzProbeRespMemory sequence: the request it
+// answers and the reply an owner would send, read from the front of data.
+// A step is h, bit, span, n, n metric bytes, p and p pattern bytes: h picks
+// NumVecs (its low two bits) and the arc (the next two: none, or one of two
+// identifiers); the metrics come from an alphabet of eight folded metrics,
+// each spelt two ways, so that keys repeat across and inside replies; mask i
+// follows pattern i mod p — empty, full, one vector, or every even one. The
+// run is cut to what one frame carries, as an owner refuses any longer, and
+// to twice what a memory holds, which is as far as evictions go.
+func memStep(data []byte) (req ProbeReq, resp ProbeResp, rest []byte, ok bool) {
+	if len(data) < 4 {
+		return req, resp, nil, false
+	}
+	h, bit, span, n := data[0], data[1], data[2], 1+int(data[3])%6
+	data = data[4:]
+	if len(data) < n+1 {
+		return req, resp, nil, false
+	}
+	req = ProbeReq{Bit: bit, NumVecs: [...]uint16{64, 512, 13, 65535}[h&3]}
+	for _, b := range data[:n] {
+		metric := uint64(b & 7)
+		if b&8 != 0 {
+			metric = metric ^ 5 | 5<<16 // folds to b & 7 too
+		}
+		req.Metrics = append(req.Metrics, metric)
+	}
+	data = data[n:]
+	p := 1 + int(data[0])%8
+	if len(data) < 1+p {
+		return req, resp, nil, false
+	}
+	pats, rest := data[1:1+p], data[1+p:]
+	mask := MaskBytes(int(req.NumVecs))
+	runs := min(int(span)%(256-int(bit))+1, (MaxFrame-ProbeRespOverhead)/(n*mask), 2*memoryBytes/(n*mask))
+	req.Span = uint8(runs - 1)
+	resp = ProbeResp{Bit: bit, Span: req.Span, NumVecs: req.NumVecs}
+	switch (h >> 2) & 3 {
+	case 1, 3:
+		resp.HasArc, resp.ArcLo = true, 1<<63
+	case 2:
+		resp.HasArc, resp.ArcLo = true, 42
+	}
+	m := int(req.NumVecs)
+	for i := 0; i < runs*n; i++ {
+		v := make([]byte, mask)
+		switch pat := pats[i%p]; pat % 4 {
+		case 1:
+			for j := 0; j < m; j++ {
+				SetVec(v, j)
+			}
+		case 2:
+			SetVec(v, int(pat>>2)%m)
+		case 3:
+			for j := 0; j < m; j += 2 {
+				SetVec(v, j)
+			}
+		}
+		resp.VecMasks = append(resp.VecMasks, v)
+	}
+	return req, resp, rest, true
+}
+
+// FuzzProbeRespMemory runs a sequence of replies through an owner's encoder
+// memory and a client's decoder memory, as one connection carries them, and
+// holds each step to the memory's contract: the client decodes what the
+// owner meant; the two memories are equal after every reply; the reply is
+// never longer than the stateless one; a reply that leans on the memory is
+// refused by a client that has none; and neither memory grows past its
+// bounds. Its corpus holds an arc that changes mid-stream, a NumVecs that
+// changes, and evictions inside one reply and across replies.
+func FuzzProbeRespMemory(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var enc, dec ReplyMemory
+		for step := 0; ; step++ {
+			req, resp, rest, ok := memStep(data)
+			if !ok {
+				return
+			}
+			data = rest
+			stateless, err := EncodeProbeResp(resp)
+			if err != nil {
+				t.Fatalf("step %d: EncodeProbeResp: %v", step, err)
+			}
+			buf, err := AppendProbeRespHeader(nil, resp.Bit, resp.Span, resp.NumVecs, len(resp.VecMasks))
+			if err != nil {
+				t.Fatalf("step %d: header: %v", step, err)
+			}
+			for _, v := range resp.VecMasks {
+				buf = append(buf, v...)
+			}
+			if resp.HasArc {
+				buf = AppendArc(buf, resp.ArcLo)
+			}
+			frame := ShortenProbeResp(buf, 0, req.Metrics, &enc)
+			if len(frame) > len(stateless) {
+				t.Fatalf("step %d: %d bytes with a memory, %d without", step, len(frame), len(stateless))
+			}
+			_, fresh := DecodeProbeRespTo(req, frame, &ReplyMemory{}, nil)
+			if leans := !bytes.Equal(frame, stateless); leans != (fresh != nil) {
+				t.Fatalf("step %d: a reply that leans on the memory (%v) decoded without one: %v", step, leans, fresh)
+			}
+			got, err := DecodeProbeRespTo(req, frame, &dec, nil)
+			if err != nil || !sameResp(got, resp) {
+				t.Fatalf("step %d: decoded %+v, %v; want %+v", step, got, err, resp)
+			}
+			if !reflect.DeepEqual(enc, dec) {
+				t.Fatalf("step %d: the two ends' memories differ", step)
+			}
+			if len(enc.keys) > memoryMasks || cap(enc.keys) > memoryMasks || cap(enc.masks) > memoryBytes ||
+				cap(dec.keys) > memoryMasks || cap(dec.masks) > memoryBytes || len(enc.index) != 1<<indexBits {
+				t.Fatalf("step %d: a memory holds %d keys in %d, %d mask bytes, an index of %d",
+					step, len(enc.keys), cap(enc.keys), cap(enc.masks), len(enc.index))
+			}
+		}
+	})
 }

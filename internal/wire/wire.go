@@ -19,13 +19,16 @@
 // the reply the cost model sizes) or, when that is shorter, coded
 // (TagProbeRespCoded: each mask as the vectors set, the vectors clear, or
 // dense). The cost model's size is therefore an upper bound on the wire,
-// met exactly by masks no coding shortens.
+// met exactly by masks no coding shortens. On a connection whose two ends
+// keep a ReplyMemory, a mask or an arc the connection has carried before
+// travels as one byte that says so.
 //
 // Layout conventions: fixed-width big-endian integers, no framing (the
 // transport is expected to provide it), version byte first.
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -304,9 +307,11 @@ type ProbeResp struct {
 
 // The arc trailer: a flag byte — one value, so that a reply cut short or
 // followed by anything else is refused rather than read as "no arc" — and
-// the 8-byte identifier.
+// the 8-byte identifier; or, on a connection that keeps a ReplyMemory, the
+// one byte arcKept: the arc the connection's last reply carried.
 const (
 	arcFlag = 1
+	arcKept = 2
 	arcSize = 9
 )
 
@@ -328,6 +333,8 @@ const MaxFrame = 1 << 20
 //	formDense       k = 0, then the ⌈m/8⌉ mask bytes
 //	formSparse      the k vectors that are set
 //	formComplement  the k vectors that are clear
+//	formKept        k = 0: the mask the connection's ReplyMemory holds for
+//	                its metric and position
 //
 // An index list is strictly ascending, each index written as the uvarint
 // distance from the one before it (the first from -1), so every distance
@@ -336,8 +343,16 @@ const (
 	formDense = iota
 	formSparse
 	formComplement
+	formKept
 	formBits = 2
 )
+
+// MaskForms tallies the masks a decoder read by the form each travelled in,
+// in FormNames' order. A dense reply's masks are all dense.
+type MaskForms [formKept + 1]uint64
+
+// FormNames names the forms a mask travels in, indexed as MaskForms.
+var FormNames = [len(MaskForms{})]string{"dense", "sparse", "complement", "kept"}
 
 // MaskBytes returns the size of one vector mask: ⌈m/8⌉.
 func MaskBytes(numVecs int) int { return (numVecs + 7) / 8 }
@@ -415,7 +430,7 @@ func AppendProbeResp(dst []byte, m ProbeResp) ([]byte, error) {
 	if m.HasArc {
 		buf = AppendArc(buf, m.ArcLo)
 	}
-	return ShortenProbeResp(buf, start), nil
+	return ShortenProbeResp(buf, start, nil, nil), nil
 }
 
 // EncodeProbeResp serializes a probe reply into a buffer of its own, with
@@ -438,31 +453,63 @@ func EncodeProbeResp(m ProbeResp) ([]byte, error) {
 // byte; so does one whose masks would expand past MaxFrame. The coded
 // reply is built behind the dense one and moved down over it: with room for
 // both in dst, shortening allocates nothing.
-func ShortenProbeResp(dst []byte, start int) []byte {
+//
+// With kept, the memory of the connection the reply goes out on, and
+// metrics, the request's list, a mask equal to the one kept holds for its
+// metric and position travels as formKept and an arc equal to the kept one
+// as arcKept, in either tag; then kept records the reply. Without kept —
+// or for a reply that is not one mask per position and metric, or whose
+// masks would expand past MaxFrame — the reply is what it is without a
+// memory, and no memory records it.
+func ShortenProbeResp(dst []byte, start int, metrics []uint64, kept *ReplyMemory) []byte {
 	frame := dst[start:]
 	if len(frame) < 8 || frame[1] != TagProbeResp {
 		return dst
 	}
-	numVecs := int(binary.BigEndian.Uint16(frame[3:]))
-	mask := MaskBytes(numVecs)
-	dense := int(binary.BigEndian.Uint16(frame[5:])) * mask
+	bit, span, numVecs := frame[2], frame[7], binary.BigEndian.Uint16(frame[3:])
+	mask := MaskBytes(int(numVecs))
+	count := int(binary.BigEndian.Uint16(frame[5:]))
+	dense := count * mask
 	body, end := start+8, len(dst)
 	if len(frame) < 8+dense {
 		return dst
 	}
 	for at := body; at < body+dense; at += mask {
-		clearPast(dst[at:at+mask], numVecs)
+		clearPast(dst[at:at+mask], int(numVecs))
 	}
 	if ProbeRespOverhead+dense > MaxFrame {
 		return dst
 	}
-	for at := body; at < body+dense && len(dst)-end < dense; at += mask {
-		dst = appendShortMask(dst, dst[at:at+mask], numVecs)
+	hasArc := end-body-dense == arcSize && dst[body+dense] == arcFlag
+	var arcLo uint64
+	if hasArc {
+		arcLo = binary.BigEndian.Uint64(dst[body+dense+1:])
 	}
+	if count != (int(span)+1)*len(metrics) || !hasArc && end != body+dense {
+		kept = nil
+	}
+	k := keyed{mem: kept, metrics: metrics, bit: bit, numVecs: numVecs}
+	for i, at := 0, body; at < body+dense && len(dst)-end < dense; i, at = i+1, at+mask {
+		if was, ok := k.at(i); ok && bytes.Equal(was, dst[at:at+mask]) {
+			dst = append(dst, formKept)
+		} else {
+			dst = appendShortMask(dst, dst[at:at+mask], int(numVecs))
+		}
+	}
+	keptHas, keptLo := k.arc()
+	sameArc := hasArc && keptHas && keptLo == arcLo
+	k.record(count, dst[body:body+dense], hasArc, arcLo)
 	if len(dst)-end >= dense {
+		if sameArc {
+			return append(dst[:body+dense], arcKept)
+		}
 		return dst[:end]
 	}
-	dst = append(dst, dst[body+dense:end]...) // the arc trailer, or nothing
+	if sameArc {
+		dst = append(dst, arcKept)
+	} else {
+		dst = append(dst, dst[body+dense:end]...) // the arc trailer, or nothing
+	}
 	dst = dst[:body+copy(dst[body:], dst[end:])]
 	dst[start+1] = TagProbeRespCoded
 	return dst
@@ -536,8 +583,24 @@ func pastVecs(mask []byte, numVecs int) bool {
 // expanded — made once the frame has passed every check. Behind the masks
 // comes the arc trailer, whole, or nothing; each mask is capped at its own
 // end. A mask that marks a vector at or past NumVecs is refused in every
-// form. A coded reply is checked whole before its masks are expanded.
-func DecodeProbeResp(buf []byte) (ProbeResp, error) {
+// form. A coded reply is checked whole before its masks are expanded. A
+// reply that names a kept mask or arc is refused: there is no memory here
+// to expand it from.
+func DecodeProbeResp(buf []byte) (ProbeResp, error) { return decodeProbeResp(buf, nil, nil, nil) }
+
+// DecodeProbeRespTo is DecodeProbeResp for the reply to req on a connection
+// whose memory is kept: a reply that does not answer req — its position,
+// run, NumVecs, or one mask per position and metric — or whose masks would
+// expand past MaxFrame is refused; a kept mask or arc is expanded from kept,
+// and refused when kept holds none; and a reply accepted is recorded in
+// kept (ReplyMemory's update rule). The masks never alias kept. forms, when
+// not nil, adds the accepted reply's masks by the form they travelled in.
+func DecodeProbeRespTo(req ProbeReq, buf []byte, kept *ReplyMemory, forms *MaskForms) (ProbeResp, error) {
+	return decodeProbeResp(buf, &req, kept, forms)
+}
+
+// decodeProbeResp is the one probe-reply decoder, stateless when req is nil.
+func decodeProbeResp(buf []byte, req *ProbeReq, kept *ReplyMemory, forms *MaskForms) (ProbeResp, error) {
 	if len(buf) < 8 {
 		return ProbeResp{}, ErrShort
 	}
@@ -553,11 +616,19 @@ func DecodeProbeResp(buf []byte) (ProbeResp, error) {
 	count := int(binary.BigEndian.Uint16(buf[5:]))
 	mask := MaskBytes(int(m.NumVecs))
 	end := 8 + count*mask
+	k := keyed{bit: m.Bit, numVecs: m.NumVecs}
+	if req != nil {
+		if m.Bit != req.Bit || m.Span != req.Span || m.NumVecs != req.NumVecs ||
+			count != (int(m.Span)+1)*len(req.Metrics) || ProbeRespOverhead+count*mask > MaxFrame {
+			return ProbeResp{}, ErrBadMessage
+		}
+		k.mem, k.metrics = kept, req.Metrics
+	}
 	if coded {
 		if !runFits(m.Bit, m.Span) || count%(int(m.Span)+1) != 0 || ProbeRespOverhead+count*mask > MaxFrame {
 			return ProbeResp{}, ErrBadMessage
 		}
-		n, err := expandMasks(nil, buf[8:], count, int(m.NumVecs))
+		n, err := expandMasks(nil, buf[8:], count, int(m.NumVecs), k, nil)
 		if err != nil {
 			return ProbeResp{}, err
 		}
@@ -577,6 +648,10 @@ func DecodeProbeResp(buf []byte) (ProbeResp, error) {
 	}
 	switch arc := buf[end:]; {
 	case len(arc) == 0:
+	case arc[0] == arcKept && len(arc) == 1:
+		if m.HasArc, m.ArcLo = k.arc(); !m.HasArc {
+			return ProbeResp{}, ErrBadMessage
+		}
 	case arc[0] != arcFlag || len(arc) > arcSize:
 		return ProbeResp{}, ErrBadMessage
 	case len(arc) < arcSize:
@@ -590,22 +665,28 @@ func DecodeProbeResp(buf []byte) (ProbeResp, error) {
 	var body []byte
 	if coded {
 		body = make([]byte, count*mask)
-		expandMasks(body, buf[8:], count, int(m.NumVecs))
+		expandMasks(body, buf[8:], count, int(m.NumVecs), k, forms)
 	} else {
 		body = append([]byte(nil), buf[8:end]...)
+		if forms != nil {
+			forms[formDense] += uint64(count)
+		}
 	}
 	for i := range m.VecMasks {
 		m.VecMasks[i] = body[i*mask : (i+1)*mask : (i+1)*mask]
 	}
+	k.record(count, body, m.HasArc, m.ArcLo)
 	return m, nil
 }
 
 // expandMasks reads count coded masks over numVecs vectors from the front
 // of src and returns how many bytes they took. With out nil it only checks
 // them; otherwise out holds count zeroed dense masks and each is written
-// into its own. An index list toggles its vectors from all clear (sparse)
-// or all set (complement): ascending, every index toggles a distinct bit.
-func expandMasks(out, src []byte, count, numVecs int) (int, error) {
+// into its own, and forms, when not nil, tallies their forms. An index list
+// toggles its vectors from all clear (sparse) or all set (complement):
+// ascending, every index toggles a distinct bit. A kept mask is copied from
+// the memory keys names it in, and is refused when that holds none.
+func expandMasks(out, src []byte, count, numVecs int, keys keyed, forms *MaskForms) (int, error) {
 	mask := MaskBytes(numVecs)
 	at := 0
 	for i := 0; i < count; i++ {
@@ -618,7 +699,11 @@ func expandMasks(out, src []byte, count, numVecs int) (int, error) {
 		if out != nil {
 			dst = out[i*mask : (i+1)*mask]
 		}
-		switch form, k := h&(1<<formBits-1), h>>formBits; {
+		form, k := h&(1<<formBits-1), h>>formBits
+		if forms != nil {
+			forms[form]++
+		}
+		switch {
 		case form == formDense && k == 0:
 			if len(src)-at < mask {
 				return 0, ErrShort
@@ -628,6 +713,12 @@ func expandMasks(out, src []byte, count, numVecs int) (int, error) {
 			}
 			copy(dst, src[at:at+mask])
 			at += mask
+		case form == formKept && k == 0:
+			was, ok := keys.at(i)
+			if !ok {
+				return 0, ErrBadMessage
+			}
+			copy(dst, was)
 		case form != formSparse && form != formComplement || k > uint64(numVecs):
 			return 0, ErrBadMessage
 		case k > uint64(len(src)-at): // an index takes a byte at least

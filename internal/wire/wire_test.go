@@ -468,7 +468,7 @@ func TestAppendCodecsShareTheEncoders(t *testing.T) {
 		start := len(b)
 		b, _ = AppendProbeRespHeader(b, 3, 1, 64, 2)
 		b = AppendMask(AppendMask(b, nil, 64), []uint64{^uint64(0)}, 64)
-		return ShortenProbeResp(AppendArc(b, 99), start)
+		return ShortenProbeResp(AppendArc(b, 99), start, nil, nil)
 	})
 
 	if got, err := AppendProbeReq(prefix, ProbeReq{Bit: 200, Span: 56}); err == nil || !bytes.Equal(got, prefix) {

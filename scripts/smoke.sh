@@ -321,6 +321,23 @@ if ! awk -v f="$fan" -v m="$scanned" -v t="$TTLS" 'BEGIN { exit !(f > 0 && f <= 
 fi
 echo "   $HOT hot metrics over $TTLS TTLs: $fan fan-outs, $scanned metrics scanned"
 
+# An owner sends a mask, or an arc, that the socket carried in its last
+# reply as one byte (DESIGN.md §14 "Reply memory"). Over the hot-set window
+# dhsd's sockets are warm and the ring is quiet, so most of the masks it
+# reads must have come as kept; none would mean the memory is off, and a
+# minority that it is reset between exchanges.
+masks_in() {
+    awk '$1 ~ /^netdht_probe_masks_total\{/ { n += $2 } END { print n + 0 }' "$1"
+}
+form_kept='netdht_probe_masks_total{form="kept"}'
+kept=$(($(metric_value "$LOGDIR/metrics-dhsd.prom" "$form_kept") - $(metric_value "$LOGDIR/metrics-dhsd-warm.prom" "$form_kept")))
+masks=$(($(masks_in "$LOGDIR/metrics-dhsd.prom") - $(masks_in "$LOGDIR/metrics-dhsd-warm.prom")))
+if [ "$masks" -le 0 ] || [ $((2 * kept)) -le "$masks" ]; then
+    echo "== $kept of $masks probe-reply masks over the hot-set window came as kept, want a majority" >&2
+    exit 1
+fi
+echo "   probe-reply masks over the hot-set window: $kept of $masks kept"
+
 hits=$(metric_value "$LOGDIR/metrics-dhsd.prom" 'dhsd_cache_requests_total{result="hit"}')
 if [ "${hits%.*}" -eq 0 ]; then
     echo "== dhsd served a Zipf-hot workload with zero cache hits" >&2
