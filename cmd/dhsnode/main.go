@@ -125,18 +125,11 @@ func runServe(args []string) {
 	}
 
 	if *join != "" {
-		// The bootstrap may still be starting (scripts launch all
-		// processes at once); retry with backoff before giving up.
-		var jerr error
-		for attempt := 0; attempt < 20; attempt++ {
-			if jerr = s.Join(*join); jerr == nil {
-				break
-			}
-			time.Sleep(250 * time.Millisecond)
-		}
-		if jerr != nil {
+		// Join runs its attempt again after a backoff, so a bootstrap that
+		// is still starting is waited for.
+		if err := s.Join(*join); err != nil {
 			s.Close()
-			log.Fatalf("join %s: %v", *join, jerr)
+			log.Fatalf("join %s: %v", *join, err)
 		}
 	}
 	s.StartMaintenance(*period)
@@ -158,7 +151,9 @@ func runInsert(args []string) {
 	fs.Parse(args)
 
 	// A private registry, only to report what the run cost: the peer pool
-	// observes one outbound frame per exchange it starts, retries included.
+	// observes one outbound frame per exchange that reached a socket,
+	// retries included, and counts the bytes of both directions as they
+	// went on the socket.
 	reg := metrics.New()
 	c := mustClient(*entry, cc, reg)
 	defer c.Close()
@@ -170,8 +165,10 @@ func runInsert(args []string) {
 		}
 	}
 	exchanges := reg.Histogram("netdht_out_frame_bytes", "", metrics.DefSizeBuckets, metrics.L("dir", "out")).Count()
+	bytes := reg.Counter("netdht_out_bytes_total", "", metrics.L("dir", "out")).Value() +
+		reg.Counter("netdht_out_bytes_total", "", metrics.L("dir", "in")).Value()
 	byView := reg.Counter("netdht_store_first_hop_total", "", metrics.L("via", "view")).Value()
-	log.Printf("inserted %d items under %q in %v exchanges=%d via=view:%d", *items, *metric, time.Since(start).Round(time.Millisecond), exchanges, byView)
+	log.Printf("inserted %d items under %q in %v exchanges=%d bytes=%d via=view:%d", *items, *metric, time.Since(start).Round(time.Millisecond), exchanges, bytes, byView)
 }
 
 func runCount(args []string) {

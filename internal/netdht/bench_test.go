@@ -201,8 +201,11 @@ func BenchmarkClientCountAll(b *testing.B) {
 // neighbourhood back — what the first stores of a one-shot `dhsnode insert`
 // pay; warm sends it to the owner the view remembers, which is what a
 // long-lived writer pays. Beside ns/op they report the client's exchanges
-// and wire bytes per insert, all tags together — 1 and 30 warm (a 24-byte
-// request, a 6-byte ack) until something retries — and what the ring did
+// and wire bytes per insert, all tags together — 1 and 16 warm until
+// something retries: on a socket that carried a store before, a 14-byte kept
+// request (version, tag, changed byte, key, bit, vector) and a 2-byte kept
+// ack, where the first store on a socket is 24 bytes and its ack 6; cold, 1
+// and 172, a kept request and the whole long ack — and what the ring did
 // for it: routed/op is the servers' Routed increments, the hops the store
 // was forwarded, and handled/op the servers that handled it, the one the
 // client sent it to and one a hop (TestRoutedStoreMetered holds the servers'

@@ -152,7 +152,7 @@ func TestConnBufferRelease(t *testing.T) {
 	p := newPeerPool(time.Second, 5*time.Second, 1, nil)
 	defer p.close()
 	var resp []byte
-	err = p.exchange(s.Addr(), req, func(reply []byte, _ *wire.ReplyMemory) error { resp = bytes.Clone(reply); return nil })
+	err = p.exchange(s.Addr(), req, func(reply []byte, _ *connMemory) error { resp = bytes.Clone(reply); return nil })
 	if err != nil || len(resp) < maxFrame*9/10 || len(resp) > maxFrame {
 		t.Fatalf("big probe: %d bytes, %v; want a reply of nearly maxFrame", len(resp), err)
 	}
@@ -212,6 +212,7 @@ func allocServer(t *testing.T, reg *metrics.Registry) (s *Server, key uint64) {
 // TestServeStepZeroAlloc pins the server half of the exchange rung: the
 // per-connection serve step — request in the read buffer, reply built in the
 // write buffer — allocates nothing for the four requests a busy node sees,
+// a store among them whole and, on a connection that carried it before, kept,
 // with metrics on and with metrics off.
 func TestServeStepZeroAlloc(t *testing.T) {
 	for name, reg := range map[string]*metrics.Registry{"metrics on": metrics.New(), "nil registry": nil} {
@@ -226,13 +227,16 @@ func TestServeStepZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		store := findSuccMsg{key: key, store: tuple}
+		kept, _ := onSocket([]findSuccMsg{store, store}, nil)
 		in := s.newInbound()
 		for _, c := range []struct {
 			what string
 			req  []byte
 			tag  byte
 		}{
-			{"store of an existing tuple", encodeFindSucc(findSuccMsg{key: key, store: tuple}), tagStoreAck},
+			{"store of an existing tuple", encodeFindSucc(store), tagStoreAck},
+			{"the same store, kept", kept, tagStoreAckKept},
 			{"probe of 7 positions at m=64, coded", probe, wire.TagProbeRespCoded},
 			{"probe of 7 positions at m=64, dense", dense, wire.TagProbeResp},
 			{"find_succ answered locally", encodeFindSucc(findSuccMsg{key: key}), tagFindSuccResp},

@@ -344,10 +344,11 @@ func TestTypedFailureEveryRPC(t *testing.T) {
 // TestRefusedReplyDropsSocket: a reply that frames correctly but that the
 // asker refuses — a probe reply to another position than asked, a store ack
 // cut inside its neighbourhood — fails its RPC and drops the socket it came
-// on, whose reply memories may no longer agree, so the next exchange with
-// the peer dials afresh, and succeeds. That is a dial, not a redial: nothing
+// on, whose memories may no longer agree, so the next exchange with the
+// peer dials afresh, and succeeds. That is a dial, not a redial: nothing
 // stale was found. A typed failure is a reply like any other and keeps its
-// socket.
+// socket, except errnoBad: the peer could not read the request, and the
+// socket goes as for a refused reply.
 func TestRefusedReplyDropsSocket(t *testing.T) {
 	req := wire.ProbeReq{Bit: 3, NumVecs: 64, Metrics: []uint64{7}}
 	goodProbe, err := wire.EncodeProbeResp(wire.ProbeResp{Bit: 3, NumVecs: 64, VecMasks: [][]byte{make([]byte, 8)}})
@@ -372,6 +373,10 @@ func TestRefusedReplyDropsSocket(t *testing.T) {
 			return err
 		}, 2},
 		{"refused store ack", badAck, goodAck, func(c *Client, addr string) error {
+			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple})
+			return err
+		}, 2},
+		{"request the peer could not read", encodeErr(errnoBad, 0, 0), goodAck, func(c *Client, addr string) error {
 			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple})
 			return err
 		}, 2},

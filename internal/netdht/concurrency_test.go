@@ -15,7 +15,10 @@ import (
 // fakePeer accepts connections and answers every frame with what handle
 // returns for it — a stand-in ring member under the test's control.
 // handle also receives the peer's own address, so it can name itself as
-// a key's owner.
+// a key's owner. Like a server, the peer keeps each connection's store
+// memory, and hands handle a routed store in its stateless form whichever
+// form it came in; its answers are handle's bytes, so it never sends a kept
+// ack.
 func fakePeer(t *testing.T, handle func(self string, req []byte) []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -32,13 +35,21 @@ func fakePeer(t *testing.T, handle func(self string, req []byte) []byte) string 
 			}
 			go func() {
 				defer c.Close()
-				var req []byte
+				var req, tuple []byte
+				var stores storeMemory
 				for {
 					var err error
 					if req, err = readFrame(c, req); err != nil {
 						return
 					}
-					if err := writeFrame(c, framed(handle(self, req))); err != nil {
+					asked := req
+					if len(req) > 1 && req[1] != tagFindSucc {
+						var m findSuccMsg
+						if m, tuple, err = decodeFindSuccOn(req, &stores, tuple); err == nil && m.store != nil {
+							asked = encodeFindSucc(m)
+						}
+					}
+					if err := writeFrame(c, framed(handle(self, asked))); err != nil {
 						return
 					}
 				}

@@ -32,6 +32,20 @@ func shortenAfter(t *testing.T, metrics []uint64, before []wire.ProbeResp, reply
 	return frame
 }
 
+// onSocket encodes the last of stores as a client's end of a connection
+// does once the connection has carried the ones before it, and the last of
+// acks as the server's end does after the ones before it.
+func onSocket(stores []findSuccMsg, acks []chord.Found) (store, ack []byte) {
+	var out, in storeMemory
+	for _, m := range stores {
+		store = appendFindSucc(nil, m, &out)
+	}
+	for _, f := range acks {
+		ack = appendStoreAck(nil, f, &in)
+	}
+	return store, ack
+}
+
 // TestControlFrameBytes pins the bytes of both planes: one of each frame a
 // client, relay or owner sends, encoded and compared with the hex it has
 // always had. FuzzDecodeControl holds every decoder to its encoder; this
@@ -39,7 +53,10 @@ func shortenAfter(t *testing.T, metrics []uint64, before []wire.ProbeResp, reply
 // byte unnoticed. The data plane's rows are a probe of one position and of a
 // run, a reply dense, coded, and with its arc, and the same reply on a
 // connection that carried it before: a mask as formKept (03) and the arc as
-// the kept-arc flag (02).
+// the kept-arc flag (02). A store and its ack on a connection that carried
+// one before are pinned too: the store as tagStoreKept, its changed byte and
+// the key, then the fields that changed, the bit and the vector; the ack
+// as tagStoreAckKept.
 func TestControlFrameBytes(t *testing.T) {
 	a := chord.Ref{ID: 0x0102030405060708, Addr: "10.0.0.1:4000"}
 	b := chord.Ref{ID: 1 << 63, Addr: "b:2"}
@@ -60,6 +77,14 @@ func TestControlFrameBytes(t *testing.T) {
 	arced := wire.ProbeResp{Bit: 3, Span: 1, NumVecs: 64, VecMasks: [][]byte{empty, full, one, half}, HasArc: true, ArcLo: key}
 	moved := arced
 	moved.VecMasks = [][]byte{empty, one, one, half} // metric 9's mask at bit 3 moved
+	// Stores on one socket: the first through the entry, flagged, then two by
+	// the view — the same tuple fields under another key, and another metric
+	// and vector.
+	entryStore := findSuccMsg{flags: flagNeighbors, key: key, store: insert}
+	viewStore := findSuccMsg{key: key + 1, store: insert}
+	otherMetric := findSuccMsg{key: key + 2, store: wire.EncodeInsert(wire.Insert{Metric: 8, Vector: 5, Bit: 2, TTL: 9})}
+	keptStore, keptAck := onSocket([]findSuccMsg{entryStore, viewStore, viewStore}, []chord.Found{{}, {}})
+	changedStore, changedAck := onSocket([]findSuccMsg{entryStore, otherMetric}, []chord.Found{{Hops: 1}, {}})
 	for _, tc := range []struct {
 		name  string
 		frame []byte
@@ -77,6 +102,14 @@ func TestControlFrameBytes(t *testing.T) {
 			"011801deadbeefcafe00420002000001020007020009000001012c"},
 		{"store ack short", encodeStoreAck(chord.Found{Hops: 513, Stale: 2}),
 			"011902010002"},
+		{"store insert, kept", keptStore,
+			"011a00deadbeefcafe0043020003"},
+		{"store insert, kept, flags and metric changed", changedStore,
+			"011a11deadbeefcafe0044000008020005"},
+		{"store ack, kept", keptAck,
+			"011b"},
+		{"store ack after another", changedAck,
+			"011900000000"},
 		{"store ack long", encodeStoreAck(chord.Found{Owner: a, Hops: 3, Stale: 1, Near: near}),
 			"0119000300010102030405060708000d31302e302e302e313a343030300180000000000000000003623a320280000000000000000003623a320102030405060708000d31302e302e302e313a34303030"},
 		{"find_succ reply", encodeFindSuccResp(chord.Found{Owner: a, Hops: 5, Stale: 2}),

@@ -31,6 +31,9 @@ func FuzzDecodeControl(f *testing.F) {
 		encodeFindSucc(findSuccMsg{key: 42, store: wire.EncodeBulkInsert(wire.BulkInsert{Metric: 7, Bit: 2, Vectors: []uint16{1, 2}})}),
 		encodeFindSucc(findSuccMsg{key: 42, store: encodePing()}),
 		encodeStoreAck(chord.Found{Hops: 3, Stale: 1}),
+		// The kept forms, which only a memory decodes.
+		{wire.Version, tagStoreKept, 1 << fieldTTL, 0, 0, 0, 0, 0, 0, 0, 42, 0, 9, 2, 0, 3},
+		{wire.Version, tagStoreAckKept},
 		// The long ack of a flagged store — the storing node and its
 		// neighbourhood — and its cuts: inside the ref, a successor count the
 		// frame cannot hold, a byte behind the neighbourhood.
@@ -233,6 +236,132 @@ func FuzzReadFrame(f *testing.F) {
 				}
 			}
 			buf = trimFrame(buf)
+		}
+	})
+}
+
+// storeStep reads one store and its ack off the front of data, and returns
+// what is left; ok is false when data holds no whole step. A step is: flags,
+// hops, stale, a shape byte (bit 0 a bulk frame, bits 1–3 its vector count,
+// bit 4 its reserved byte set, bit 5 an ack that names the storing node and
+// its neighbourhood), the folded metric (2), the TTL (2), the bit, the key
+// (8), the ack's hops and stale, then the vectors, 2 bytes each: one for an
+// insert, the count for a bulk frame.
+func storeStep(data []byte) (m findSuccMsg, ack chord.Found, rest []byte, ok bool) {
+	const head = 19
+	if len(data) < head {
+		return m, ack, nil, false
+	}
+	shape := data[3]
+	vectors := 1
+	if shape&1 != 0 {
+		vectors = int(shape>>1) & 7
+	}
+	if len(data) < head+2*vectors {
+		return m, ack, nil, false
+	}
+	m = findSuccMsg{flags: data[0], hops: uint16(data[1]), stale: uint16(data[2]), key: binary.BigEndian.Uint64(data[9:])}
+	metric, ttl := uint64(binary.BigEndian.Uint16(data[4:])), binary.BigEndian.Uint16(data[6:])
+	vs := make([]uint16, vectors)
+	for i := range vs {
+		vs[i] = binary.BigEndian.Uint16(data[head+2*i:])
+	}
+	if shape&1 == 0 {
+		m.store = wire.EncodeInsert(wire.Insert{Metric: metric, Vector: vs[0], Bit: data[8], TTL: ttl})
+	} else {
+		m.store = wire.EncodeBulkInsert(wire.BulkInsert{Metric: metric, Bit: data[8], TTL: ttl, Vectors: vs})
+		if shape&16 != 0 {
+			m.store[7] = 1
+		}
+	}
+	ack = chord.Found{Hops: int(data[17]), Stale: int(data[18])}
+	if shape&32 != 0 {
+		ack.Owner = chord.Ref{ID: m.key, Addr: "a:1"}
+		ack.Near = &chord.Neighbors{Succ: []chord.Ref{{ID: 1, Addr: "b:2"}}}
+	}
+	return m, ack, data[head+2*vectors:], true
+}
+
+// FuzzStoreMemory runs a sequence of stores and their acks through the two
+// ends of one connection — the client's memory encoding each store and
+// decoding its ack, the server's decoding the store and encoding the ack —
+// and holds every frame to the memory's contract: it decodes to what was
+// encoded; the two memories are equal after it; it is never longer than its
+// stateless form; and a kept form is refused by the stateless decoder and by
+// an empty memory. What is left of the input once no whole step does is
+// decoded as a frame against a copy of the server's memory: whatever is
+// accepted re-encodes to the bytes it came in. Its corpus holds a metric
+// change, a TTL change, a forwarded store with hops and stale, bulk stores
+// (one whose reserved byte no kept form carries) and a flagged store through
+// the entry with its long ack.
+func FuzzStoreMemory(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cli, srv storeMemory
+		var tuple []byte
+		for step := 0; ; step++ {
+			m, ack, rest, ok := storeStep(data)
+			if !ok {
+				break
+			}
+			data = rest
+			stateless := encodeFindSucc(m)
+			_, _, _, keepable := splitStore(m)
+			leans := cli.hasReq && keepable
+			frame := appendFindSucc(nil, m, &cli)
+			if len(frame) > len(stateless) {
+				t.Fatalf("step %d: a store of %d bytes with a memory, %d without", step, len(frame), len(stateless))
+			}
+			if kept := frame[1] == tagStoreKept; kept != leans || !kept && !bytes.Equal(frame, stateless) {
+				t.Fatalf("step %d: store % x, stateless % x; want it kept: %v", step, frame, stateless, leans)
+			}
+			if frame[1] == tagStoreKept {
+				_, serr := decodeFindSucc(frame)
+				_, _, eerr := decodeFindSuccOn(frame, &storeMemory{}, nil)
+				if serr == nil || eerr == nil {
+					t.Fatalf("step %d: a kept store decoded statelessly (%v) or by an empty memory (%v)", step, serr, eerr)
+				}
+			}
+			var got findSuccMsg
+			var err error
+			if got, tuple, err = decodeFindSuccOn(frame, &srv, tuple); err != nil || !reflect.DeepEqual(got, m) {
+				t.Fatalf("step %d: store %+v decoded as %+v, %v", step, m, got, err)
+			}
+			if cli != srv {
+				t.Fatalf("step %d: after the store the client holds %+v, the server %+v", step, cli, srv)
+			}
+
+			full := encodeStoreAck(ack)
+			reply := appendStoreAck(nil, ack, &srv)
+			if len(reply) > len(full) {
+				t.Fatalf("step %d: an ack of %d bytes with a memory, %d without", step, len(reply), len(full))
+			}
+			if reply[1] == tagStoreAckKept {
+				_, serr := decodeStoreAck(reply)
+				_, eerr := decodeStoreAckOn(reply, &storeMemory{})
+				if serr == nil || eerr == nil {
+					t.Fatalf("step %d: a kept ack decoded statelessly (%v) or by an empty memory (%v)", step, serr, eerr)
+				}
+			}
+			if got, err := decodeStoreAckOn(reply, &cli); err != nil || !reflect.DeepEqual(got, ack) {
+				t.Fatalf("step %d: ack %+v decoded as %+v, %v", step, ack, got, err)
+			}
+			if cli != srv {
+				t.Fatalf("step %d: after the ack the client holds %+v, the server %+v", step, cli, srv)
+			}
+		}
+
+		// Hostile bytes against the primed memory: a kept store is refused, or
+		// is the one kept form of what it decodes to.
+		before := srv
+		if m, _, err := decodeFindSuccOn(data, &srv, nil); err == nil && data[1] == tagStoreKept {
+			if again := appendFindSucc(nil, m, &before); !bytes.Equal(again, data) || before != srv {
+				t.Fatalf("kept store % x accepted, re-encodes as % x", data, again)
+			}
+		}
+		if m, err := decodeStoreAckOn(data, &before); err == nil && data[1] == tagStoreAckKept {
+			if again := appendStoreAck(nil, m, &srv); !bytes.Equal(again, data) {
+				t.Fatalf("kept ack % x accepted, re-encodes as % x", data, again)
+			}
 		}
 	})
 }

@@ -1,13 +1,16 @@
 package netdht
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"dhsketch/internal/md4"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
+	"dhsketch/internal/wire"
 )
 
 // Tests of the reply memory's lifetime on a ring: it is born and dies with
@@ -192,5 +195,278 @@ func TestReplyMemoryUnderInserts(t *testing.T) {
 	}
 	if kept == 0 {
 		t.Error("no mask was read as kept")
+	}
+}
+
+// Tests of the store memory's lifetime, in the same terms: it dies with its
+// socket, whichever end ends it, and what it leaves out never hides what a
+// store's ack says of the route.
+
+// storeFrames is how many routed-store frames a client has exchanged in one
+// direction ("out": requests, "in": acks) and form ("full", "kept").
+func storeFrames(reg *metrics.Registry, dir, form string) uint64 {
+	return reg.Counter("netdht_store_frames_total", "", metrics.L("dir", dir), metrics.L("form", form)).Value()
+}
+
+// serverBytes is what a server has read ("in") or written ("out").
+func serverBytes(reg *metrics.Registry, dir string) uint64 {
+	return reg.Counter("netdht_server_bytes_total", "", metrics.L("dir", dir)).Value()
+}
+
+// outBytes is what a client's exchanges have written ("out") or read ("in").
+func outBytes(reg *metrics.Registry, dir string) uint64 {
+	return reg.Counter("netdht_out_bytes_total", "", metrics.L("dir", dir)).Value()
+}
+
+// soloServer starts an instrumented ring of one at listen.
+func soloServer(t *testing.T, listen string) (*Server, *metrics.Registry) {
+	t.Helper()
+	reg := metrics.New()
+	s, err := NewServer(listen, obsOptions(reg, nil))
+	if err != nil {
+		t.Fatalf("NewServer(%s): %v", listen, err)
+	}
+	t.Cleanup(s.Close)
+	return s, reg
+}
+
+// storeInto sends one routed store of tuple for key, and reports what the
+// server read for it.
+func storeInto(t *testing.T, c *Client, s *Server, sreg *metrics.Registry, key uint64, tuple []byte) (read uint64) {
+	t.Helper()
+	in, ops := serverBytes(sreg, "in"), s.Counters().Snapshot().StoreOps
+	if _, err := c.store(key, tuple); err != nil {
+		t.Fatalf("store %d: %v", key, err)
+	}
+	if n := s.Counters().Snapshot().StoreOps - ops; n != 1 {
+		t.Fatalf("store %d was applied %d times, want once", key, n)
+	}
+	return serverBytes(sreg, "in") - in
+}
+
+// TestStoreMemoryStaleSocket: when the server has dropped a socket whose
+// memory holds stores, the client's next store fails on the stale socket and
+// is sent again on a fresh dial — whole, as the first store on any socket
+// is, since the new socket's memory is empty — and applied once. The store
+// after it is kept again.
+func TestStoreMemoryStaleSocket(t *testing.T) {
+	s, sreg := soloServer(t, "127.0.0.1:0")
+	c, reg := storeClient(t, s.Addr(), 1)
+	tuple := wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2, TTL: 9})
+	whole := uint64(findSuccHeader + len(tuple))
+	if n := storeInto(t, c, s, sreg, 1, tuple); n != whole {
+		t.Fatalf("the first store on a socket: the server read %d bytes, want the whole %d", n, whole)
+	}
+	if n := storeInto(t, c, s, sreg, 2, tuple); n >= whole {
+		t.Fatalf("the second store on a socket: the server read %d bytes, want fewer than %d", n, whole)
+	}
+	severInbound(s)
+	full, redials := storeFrames(reg, "out", "full"), counter(reg, "netdht_redials_total")
+	if n := storeInto(t, c, s, sreg, 3, tuple); n != whole {
+		t.Errorf("the re-send on a fresh dial: the server read %d bytes, want the whole %d", n, whole)
+	}
+	if n := counter(reg, "netdht_redials_total") - redials; n != 1 {
+		t.Errorf("%d redials, want 1", n)
+	}
+	if n := storeFrames(reg, "out", "full") - full; n != 1 {
+		t.Errorf("%d whole stores metered for the exchange, want the re-send", n)
+	}
+	if n := storeInto(t, c, s, sreg, 4, tuple); n >= whole {
+		t.Errorf("the store after the re-send: the server read %d bytes, want fewer than %d", n, whole)
+	}
+}
+
+// TestStoreMemoryServerRestart: a node that restarts on the same address
+// starts its connections' memories empty. The client's first store after it
+// goes out whole on a redialled socket, and lands; the one after it is kept.
+func TestStoreMemoryServerRestart(t *testing.T) {
+	s, sreg := soloServer(t, "127.0.0.1:0")
+	addr := s.Addr()
+	c, reg := storeClient(t, addr, 1)
+	tuple := wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2, TTL: 9})
+	whole := uint64(findSuccHeader + len(tuple))
+	storeInto(t, c, s, sreg, 1, tuple)
+	storeInto(t, c, s, sreg, 2, tuple)
+	s.Close()
+	s, sreg = soloServer(t, addr)
+	if n := storeInto(t, c, s, sreg, 3, tuple); n != whole {
+		t.Errorf("the first store after the restart: the server read %d bytes, want the whole %d", n, whole)
+	}
+	if counter(reg, "netdht_redials_total") == 0 {
+		t.Error("the store after the restart did not redial")
+	}
+	if !tupleAt(s, wire.Insert{Metric: 7, Vector: 3, Bit: 2}) {
+		t.Error("the restarted node does not hold the tuple")
+	}
+	if n := storeInto(t, c, s, sreg, 4, tuple); n >= whole {
+		t.Errorf("the second store after the restart: the server read %d bytes, want fewer than %d", n, whole)
+	}
+}
+
+// TestStoreMemoryJoinInFront: a node joins just in front of an owner a warm
+// client remembers, on a socket whose memory holds the owner's unforwarded
+// acks. A store for the joiner's sliver goes to the remembered owner, which
+// routes it on: its ack counts the hops, and the client drops the owner's
+// arc. A second such store on the same socket, after the stale arc is put
+// back, takes the same route and gets an ack equal to the first — sent kept,
+// two bytes — which still reads those hops and drops the arc again. Both
+// tuples land on the joiner.
+func TestStoreMemoryJoinInFront(t *testing.T) {
+	env := sim.NewEnv(21)
+	cl := newTestCluster(t, env, 8)
+	settleCluster(t, cl, env)
+	servers := cl.Servers()
+	c, reg := storeClient(t, servers[0].Addr(), 5)
+	for i := 0; len(c.View()) < len(servers); i++ {
+		if err := c.Insert(1, uint64(i)); err != nil {
+			t.Fatalf("warm-up insert: %v", err)
+		}
+	}
+	owner := servers[3]
+	was, ok := c.view.arc(owner.ID())
+	if !ok {
+		t.Fatal("the warm view holds no arc for the owner")
+	}
+	tuple := wire.EncodeInsert(wire.Insert{Metric: 1, Vector: 3, Bit: 2, TTL: 9})
+	for key := owner.ID() - 3; key <= owner.ID(); key++ { // the owner's own, acked with hops 0
+		if ack, err := c.store(key, tuple); err != nil || ack.Hops != 0 {
+			t.Fatalf("store on the owner's arc: %+v, %v", ack, err)
+		}
+	}
+	var name string
+	for i := 0; name == ""; i++ {
+		if id := md4.Sum64([]byte(fmt.Sprint("sliver-", i))); id-was.lo-1 < 1<<44 {
+			name = fmt.Sprint("sliver-", i)
+		}
+	}
+	joiner, err := cl.Join(name)
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	settleCluster(t, cl, env)
+	if got := owner.Protocol().Neighbors().Pred; got.ID != joiner.ID() {
+		t.Fatalf("settled ring: the owner's predecessor is %v, want the joiner", got)
+	}
+	var hops int
+	for i, key := range []uint64{joiner.ID(), joiner.ID() - 1} {
+		if i > 0 {
+			c.view.set(was.lo, was.owner)
+		}
+		kept, in := storeFrames(reg, "in", "kept"), outBytes(reg, "in")
+		ack, err := c.store(key, tuple)
+		if err != nil || ack.Hops == 0 || i > 0 && ack.Hops != hops {
+			t.Fatalf("store %d for the joiner's sliver: %+v, %v; want an ack with hops, the first's %d", i, ack, err, hops)
+		}
+		hops = ack.Hops
+		if _, still := c.view.arc(owner.ID()); still {
+			t.Errorf("store %d: the owner's arc survived an ack with hops %d", i, hops)
+		}
+		if n := storeFrames(reg, "in", "kept") - kept; n != uint64(i) {
+			t.Errorf("store %d: %d acks read as kept, want %d", i, n, i)
+		}
+		if i == 1 && outBytes(reg, "in")-in != 2 {
+			t.Errorf("store %d: the ack was %d bytes, want the kept 2", i, outBytes(reg, "in")-in)
+		}
+		if !tupleAt(joiner, wire.Insert{Metric: 1, Vector: 3, Bit: 2}) {
+			t.Errorf("store %d: the joiner does not hold the tuple", i)
+		}
+	}
+}
+
+// TestStoreMemoryUndecodable: a store the server cannot decode against its
+// memory — here a kept store that repeats a field the server remembers, sent
+// because the client's memory was made to disagree — is refused with
+// errnoBad, and ends the connection at both ends: the server closes it, the
+// client drops its socket, and the next store dials afresh — a dial, not a
+// redial — goes out whole, and lands once.
+func TestStoreMemoryUndecodable(t *testing.T) {
+	s, sreg := soloServer(t, "127.0.0.1:0")
+	c, reg := storeClient(t, s.Addr(), 1)
+	tuple := wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2, TTL: 9})
+	whole := uint64(findSuccHeader + len(tuple))
+	storeInto(t, c, s, sreg, 1, tuple)
+	pc := lockedSlot(t, c.peers, s.Addr(), 0)
+	pc.stores.req[fieldTTL]++
+	pc.mu.Unlock()
+	ops := s.Counters().Snapshot().StoreOps
+	_, err := c.store(2, tuple)
+	if re := (remoteErr{}); !errors.As(err, &re) || re.code != errnoBad {
+		t.Fatalf("a store the server cannot decode: %v, want errnoBad", err)
+	}
+	if n := s.Counters().Snapshot().StoreOps - ops; n != 0 {
+		t.Errorf("the refused store was applied %d times", n)
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.inMu.Lock()
+		open := len(s.inConns)
+		s.inMu.Unlock()
+		if open == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the server still holds %d connections after refusing the store", open)
+		}
+	}
+	dials, redials := counter(reg, "netdht_dials_total"), counter(reg, "netdht_redials_total")
+	if n := storeInto(t, c, s, sreg, 3, tuple); n != whole {
+		t.Errorf("the store after the refusal: the server read %d bytes, want the whole %d", n, whole)
+	}
+	if d, r := counter(reg, "netdht_dials_total")-dials, counter(reg, "netdht_redials_total")-redials; d != 1 || r != 0 {
+		t.Errorf("the store after the refusal made %d dials and %d redials, want 1 and 0", d, r)
+	}
+}
+
+// TestStoreBytesMetered: the byte counters meter frames as they go on the
+// socket, kept or not. Over warm inserts into a loopback Cluster whose
+// servers are instrumented, what the servers read is what the client and the
+// servers' own relays wrote, and what the client and the relays read is what
+// the servers wrote; and most stores and acks went as kept.
+func TestStoreBytesMetered(t *testing.T) {
+	env := sim.NewEnv(9)
+	cl := newTestCluster(t, env, 8)
+	settleCluster(t, cl, env)
+	servers := cl.Servers()
+	srv, relay := make([]*metrics.Registry, len(servers)), make([]*metrics.Registry, len(servers))
+	for i, s := range servers {
+		srv[i], relay[i] = metrics.New(), metrics.New()
+		// Under inMu, which every connection accepted after takes first.
+		s.inMu.Lock()
+		s.m, s.peers.m = newSrvMetrics(srv[i]), newPoolMetrics(relay[i])
+		s.inMu.Unlock()
+	}
+	c, reg := storeClient(t, servers[0].Addr(), 3)
+	sums := func() (cliOut, cliIn, srvIn, srvOut uint64) {
+		cliOut, cliIn = outBytes(reg, "out"), outBytes(reg, "in")
+		for i := range servers {
+			cliOut, cliIn = cliOut+outBytes(relay[i], "out"), cliIn+outBytes(relay[i], "in")
+			srvIn, srvOut = srvIn+serverBytes(srv[i], "in"), srvOut+serverBytes(srv[i], "out")
+		}
+		return
+	}
+	for i := 0; i < 16*len(servers) || len(c.View()) < len(servers); i++ {
+		if err := c.Insert(uint64(1+i%8), uint64(i)); err != nil {
+			t.Fatalf("warm-up insert: %v", err)
+		}
+	}
+	const inserts = 400
+	o0, i0, si0, so0 := sums()
+	b0, kept0, keptAck0 := wireBytes(reg), storeFrames(reg, "out", "kept"), storeFrames(reg, "in", "kept")
+	for i := 0; i < inserts; i++ {
+		if err := c.Insert(uint64(1+i%8), uint64(i)*0x9e3779b97f4a7c15+1); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+	o1, i1, si1, so1 := sums()
+	if o1-o0 != si1-si0 || i1-i0 != so1-so0 {
+		t.Errorf("written by askers %d, read by servers %d; written by servers %d, read by askers %d", o1-o0, si1-si0, so1-so0, i1-i0)
+	}
+	if kept := storeFrames(reg, "out", "kept") - kept0; kept < inserts*9/10 {
+		t.Errorf("%d of %d warm stores went as kept", kept, inserts)
+	}
+	if kept := storeFrames(reg, "in", "kept") - keptAck0; kept < inserts*9/10 {
+		t.Errorf("%d of %d warm acks came as kept", kept, inserts)
+	}
+	if perInsert := float64(wireBytes(reg)-b0) / inserts; perInsert > 20 {
+		t.Errorf("a warm insert moved %.1f client bytes, want at most 20", perInsert)
 	}
 }

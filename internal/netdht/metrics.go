@@ -53,7 +53,7 @@ func tagSlot(tag byte) int {
 		return slotNotify
 	case tagPing:
 		return slotPing
-	case wire.TagInsert, tagStore: // a tuple on its way to a store (a bare frame is refused, and counted)
+	case wire.TagInsert, tagStore, tagStoreKept: // a tuple on its way to a store (a bare frame is refused, and counted)
 		return slotInsert
 	case wire.TagBulkInsert:
 		return slotBulkInsert
@@ -201,6 +201,9 @@ type poolMetrics struct {
 	// masksByForm counts the masks of accepted probe replies by the form
 	// each travelled in (wire.FormNames).
 	masksByForm [len(wire.MaskForms{})]*metrics.Counter
+	// storeFrames counts routed-store frames by direction — the requests
+	// sent, the acks accepted — and form: whole, or kept (storeMemory).
+	storeFrames [2][2]*metrics.Counter
 
 	bytesOut *metrics.Counter
 	bytesIn  *metrics.Counter
@@ -237,6 +240,12 @@ func newPoolMetrics(reg *metrics.Registry) poolMetrics {
 	for i, name := range wire.FormNames {
 		m.masksByForm[i] = reg.Counter("netdht_probe_masks_total", "probe-reply masks by the form they travelled in", metrics.L("form", name))
 	}
+	for dir, dirName := range []string{"out", "in"} {
+		for kept, form := range []string{"full", "kept"} {
+			m.storeFrames[dir][kept] = reg.Counter("netdht_store_frames_total", "routed-store frames by direction (out: requests sent, in: acks accepted) and form",
+				metrics.L("dir", dirName), metrics.L("form", form))
+		}
+	}
 	return m
 }
 
@@ -244,9 +253,36 @@ func newPoolMetrics(reg *metrics.Registry) poolMetrics {
 func (m *poolMetrics) startRPC(req []byte) (int, metrics.Timer) {
 	slot := reqSlot(req)
 	m.rpcTotal[slot].Inc()
-	m.bytesOut.Add(uint64(len(req)))
-	m.frameOut.Observe(float64(len(req)))
 	return slot, m.rpcSeconds[slot].Start()
+}
+
+// sent meters the request frame an exchange wrote last — beginFrame's
+// prefix and the payload, as it went on the socket, kept or not — by its
+// bytes, its size and, for a routed store, its form. An exchange that wrote
+// nothing leaves frame empty and is not metered.
+func (m *poolMetrics) sent(frame []byte) {
+	if len(frame) <= 4 {
+		return
+	}
+	m.bytesOut.Add(uint64(len(frame) - 4))
+	m.frameOut.Observe(float64(len(frame) - 4))
+	if len(frame) > 5 {
+		switch frame[5] {
+		case tagStore:
+			m.storeFrames[0][0].Inc()
+		case tagStoreKept:
+			m.storeFrames[0][1].Inc()
+		}
+	}
+}
+
+// storeAck meters one accepted store ack by its form.
+func (m *poolMetrics) storeAck(reply []byte) {
+	if reply[1] == tagStoreAckKept {
+		m.storeFrames[1][1].Inc()
+	} else {
+		m.storeFrames[1][0].Inc()
+	}
 }
 
 // finishRPC stops the timer and meters the outcome: reply bytes on

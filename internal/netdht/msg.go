@@ -31,6 +31,8 @@ const (
 	tagPong          = 0x17
 	tagStore         = 0x18 // route a key like tagFindSucc and store the enclosed tuple frame where the route ends
 	tagStoreAck      = 0x19 // terminal reply to tagStore: the tuple is stored; route cost and, to a flagged store, the storing node and its neighbourhood
+	tagStoreKept     = 0x1A // a tagStore that sends only what differs from the connection's last store (storeMemory)
+	tagStoreAckKept  = 0x1B // a short tagStoreAck equal to the connection's last store ack: the tag alone
 	tagErr           = 0x1F // typed failure reply
 )
 
@@ -128,8 +130,9 @@ func decodeRef(buf []byte) (chord.Ref, []byte, error) {
 // and the route cost accumulated so far (hops and stale hops), which
 // the eventual owner echoes back in its reply. With store set it is a
 // tagStore frame — the paper's one-lookup insertion: the same header with
-// a whole tuple frame behind it, set by the inserting client, forwarded
-// unchanged by every hop and applied by the node the route ends at.
+// a whole tuple frame behind it, set by the inserting client, carried whole
+// by every hop — each decodes it from its inbound socket and encodes it
+// again on its outbound one — and applied by the node the route ends at.
 type findSuccMsg struct {
 	flags byte
 	key   uint64
@@ -140,7 +143,22 @@ type findSuccMsg struct {
 
 const findSuccHeader = 15
 
-func appendFindSucc(dst []byte, m findSuccMsg) []byte {
+// appendFindSucc is the one encoder of the routed request. With mem nil it is
+// stateless: the header, and a store's tuple frame behind it. With the store
+// memory of the connection it goes out on, a store is recorded there and,
+// once that memory holds an earlier one, sent as tagStoreKept
+// (storeMemory.appendStore); a plain find_succ is the same either way.
+func appendFindSucc(dst []byte, m findSuccMsg, mem *storeMemory) []byte {
+	if m.store != nil && mem != nil {
+		return mem.appendStore(dst, m)
+	}
+	return appendWhole(dst, m)
+}
+
+// appendWhole is the stateless frame of the routed request. It is not
+// appendFindSucc with a nil memory because appendStore calls it: a call cycle
+// would make the compiler move every caller's stack buffer to the heap.
+func appendWhole(dst []byte, m findSuccMsg) []byte {
 	tag := byte(tagFindSucc)
 	if m.store != nil {
 		tag = tagStore
@@ -152,6 +170,8 @@ func appendFindSucc(dst []byte, m findSuccMsg) []byte {
 	return append(dst, m.store...)
 }
 
+// decodeFindSucc is the stateless decoder of the routed request: it refuses
+// tagStoreKept, which only the memory it was sent against can expand.
 func decodeFindSucc(buf []byte) (findSuccMsg, error) {
 	if len(buf) < findSuccHeader {
 		return findSuccMsg{}, wire.ErrShort
@@ -173,6 +193,187 @@ func decodeFindSucc(buf []byte) (findSuccMsg, error) {
 		return findSuccMsg{}, wire.ErrBadMessage
 	}
 	return m, nil
+}
+
+// decodeFindSuccOn decodes a routed request that arrived on a connection
+// whose store memory is mem, and records a store there. A tagStoreKept is
+// expanded from mem into a whole tuple frame built in tuple, which is
+// returned, grown when it had to be, for the caller to keep for the next
+// one; m.store points into it, or into buf for a stateless store.
+func decodeFindSuccOn(buf []byte, mem *storeMemory, tuple []byte) (m findSuccMsg, _ []byte, err error) {
+	if len(buf) >= 2 && buf[1] == tagStoreKept {
+		return mem.decodeKept(buf, tuple)
+	}
+	if m, err = decodeFindSucc(buf); err == nil && m.store != nil {
+		mem.record(m)
+	}
+	return m, tuple, err
+}
+
+// appendRequest appends req, a request frame as the stateless encoders build
+// it, to dst as the connection whose store memory is mem sends it: a routed
+// store encoded again against mem, any other request as it is. A store that
+// does not decode goes as it is too, and is not recorded; its receiver
+// refuses it and ends the connection.
+func appendRequest(dst, req []byte, mem *storeMemory) []byte {
+	if len(req) > 1 && req[1] == tagStore {
+		if m, err := decodeFindSucc(req); err == nil {
+			return appendFindSucc(dst, m, mem)
+		}
+	}
+	return append(dst, req...)
+}
+
+// storeMemory is what the routed stores of one connection have carried, kept
+// alike at both of its ends: the fields of the last store request that a
+// store need not repeat, and the route cost of the last store ack. Under the
+// soft-state rule (§3.3) a writer stores every item again each TTL, so the
+// stores one socket carries differ, from one to the next, in their key, their
+// vectors and their bit, and now and then in a metric; their flags, route
+// cost, tuple tag and TTL are those of the store before.
+//
+// A store sent on a connection whose memory holds an earlier one goes as
+// tagStoreKept: version, tag, a changed byte, the key, each field the changed
+// byte names (the storeFields below, in their order, at their wire widths),
+// then the bit and the vectors — one for a wire.Insert, as many as there are
+// for a wire.BulkInsert. It is never longer than the stateless frame. An
+// unflagged ack — hops and stale alone — equal to the memory's last ack goes
+// as the two bytes version and tagStoreAckKept.
+//
+// The update rule: every store request and every store ack a connection
+// carries is recorded at both ends — a request by the client when it encodes
+// it and by the server when it decodes it, an ack by the server when it
+// encodes it and by the client when it accepts it. The reset rule: a memory
+// is born empty with its connection and dies with it, and whatever could
+// leave the two ends unequal ends the connection — a store the server cannot
+// decode, an ack the client refuses, a failed exchange. The bound: the
+// fields below and nothing else; it allocates nothing. The zero value is an
+// empty memory.
+type storeMemory struct {
+	req               storeFields
+	ackHops, ackStale uint16
+	hasReq, hasAck    bool
+}
+
+// storeFields are the fields of a routed store a kept form leaves out when
+// they are the connection's last store's, in the kept form's order: flags,
+// hops, stale, the tuple frame's tag (wire.TagInsert or wire.TagBulkInsert),
+// and the tuple's folded metric and TTL as its frame carries them. Field i is
+// fieldWidth[i] bytes on the wire, and bit i of a kept form's changed byte
+// says it follows the key.
+type storeFields [6]uint16
+
+const (
+	fieldFlags = iota
+	fieldHops
+	fieldStale
+	fieldTuple
+	fieldMetric
+	fieldTTL
+)
+
+var fieldWidth = storeFields{1, 2, 2, 1, 2, 2}
+
+// keptHead is a tagStoreKept frame's version, tag, changed byte and key.
+const keptHead = 11
+
+// splitStore reads a routed store the way a kept form carries it: the fields
+// it may leave out, the bit, and the vectors (2 bytes each). keepable is false
+// when a kept form cannot carry the tuple frame byte for byte — a bulk frame
+// whose reserved byte is set. m.store must be a frame checkTupleFrame admits.
+func splitStore(m findSuccMsg) (f storeFields, bit byte, vectors []byte, keepable bool) {
+	p := m.store
+	f = storeFields{fieldFlags: uint16(m.flags), fieldHops: m.hops, fieldStale: m.stale, fieldTuple: uint16(p[1]), fieldMetric: binary.BigEndian.Uint16(p[2:])}
+	if p[1] == wire.TagInsert {
+		f[fieldTTL] = binary.BigEndian.Uint16(p[7:])
+		return f, p[6], p[4:6], true
+	}
+	f[fieldTTL] = binary.BigEndian.Uint16(p[5:])
+	return f, p[4], p[8:], p[7] == 0
+}
+
+// record is the update rule for a store request.
+func (r *storeMemory) record(m findSuccMsg) {
+	if r != nil {
+		r.req, _, _, _ = splitStore(m)
+		r.hasReq = true
+	}
+}
+
+// appendStore is appendFindSucc for a store on a connection with a memory.
+func (r *storeMemory) appendStore(dst []byte, m findSuccMsg) []byte {
+	if checkTupleFrame(m.store) != nil {
+		return appendWhole(dst, m) // refused by its receiver, and recorded by neither end
+	}
+	last, had := r.req, r.hasReq
+	f, bit, vectors, keepable := splitStore(m)
+	r.req, r.hasReq = f, true
+	if !had || !keepable {
+		return appendWhole(dst, m)
+	}
+	at := len(dst) + 2
+	dst = binary.BigEndian.AppendUint64(append(dst, wire.Version, tagStoreKept, 0), m.key)
+	for i, v := range f {
+		if v == last[i] {
+			continue
+		}
+		dst[at] |= 1 << i
+		if fieldWidth[i] == 1 {
+			dst = append(dst, byte(v))
+		} else {
+			dst = binary.BigEndian.AppendUint16(dst, v)
+		}
+	}
+	return append(append(dst, bit), vectors...)
+}
+
+// decodeKept expands a tagStoreKept frame against the memory, which it
+// refuses when the memory is nil or holds no store: the tuple frame is built
+// in tuple, and the store recorded. A field the changed byte names must
+// differ from the remembered one, so that each store has one kept form and
+// what is accepted re-encodes to the bytes it came in.
+func (r *storeMemory) decodeKept(buf, tuple []byte) (findSuccMsg, []byte, error) {
+	if r == nil || !r.hasReq || buf[0] != wire.Version {
+		return findSuccMsg{}, tuple, wire.ErrBadMessage
+	}
+	if len(buf) < keptHead+1 {
+		return findSuccMsg{}, tuple, wire.ErrShort
+	}
+	changed, rest := buf[2], buf[keptHead:]
+	if changed >= 1<<len(fieldWidth) {
+		return findSuccMsg{}, tuple, wire.ErrBadMessage
+	}
+	f := r.req
+	for i, w := range fieldWidth {
+		if changed&(1<<i) == 0 {
+			continue
+		}
+		if len(rest) < int(w)+1 { // the field, and the bit behind the fields
+			return findSuccMsg{}, tuple, wire.ErrShort
+		}
+		v := uint16(rest[0])
+		if w == 2 {
+			v = binary.BigEndian.Uint16(rest)
+		}
+		if v == f[i] {
+			return findSuccMsg{}, tuple, wire.ErrBadMessage
+		}
+		f[i], rest = v, rest[w:]
+	}
+	bit, vectors := rest[0], rest[1:]
+	metric, ttl := f[fieldMetric], f[fieldTTL]
+	tuple = binary.BigEndian.AppendUint16(append(tuple[:0], wire.Version, byte(f[fieldTuple])), metric)
+	switch {
+	case f[fieldTuple] == wire.TagInsert && len(vectors) == 2:
+		tuple = binary.BigEndian.AppendUint16(append(append(tuple, vectors...), bit), ttl)
+	case f[fieldTuple] == wire.TagBulkInsert && len(vectors)%2 == 0:
+		tuple = append(append(binary.BigEndian.AppendUint16(append(tuple, bit), ttl), 0), vectors...)
+	default:
+		return findSuccMsg{}, tuple, wire.ErrBadMessage
+	}
+	r.req = f
+	m := findSuccMsg{flags: byte(f[fieldFlags]), key: binary.BigEndian.Uint64(buf[3:]), hops: f[fieldHops], stale: f[fieldStale], store: tuple}
+	return m, tuple, nil
 }
 
 // insertFrameLen is the one length a wire.TagInsert frame has.
@@ -226,7 +427,19 @@ func appendFindSuccResp(dst []byte, f chord.Found) []byte {
 	return dst
 }
 
-func appendStoreAck(dst []byte, f chord.Found) []byte {
+// appendStoreAck is the one encoder of the store ack: with mem nil, or to a
+// flagged store, it is stateless; with the store memory of the connection
+// it answers on, it records the ack there and sends an unflagged one equal to
+// the memory's last as tagStoreAckKept.
+func appendStoreAck(dst []byte, f chord.Found, mem *storeMemory) []byte {
+	if mem != nil {
+		hops, stale := uint16(f.Hops), uint16(f.Stale)
+		kept := mem.hasAck && f.Near == nil && hops == mem.ackHops && stale == mem.ackStale
+		mem.ackHops, mem.ackStale, mem.hasAck = hops, stale, true
+		if kept {
+			return append(dst, wire.Version, tagStoreAckKept)
+		}
+	}
 	dst = appendRouted(dst, tagStoreAck, f)
 	if f.Near != nil {
 		dst = appendNeighbors(appendRef(dst, f.Owner), *f.Near)
@@ -276,10 +489,31 @@ func decodeFindSuccResp(buf []byte) (chord.Found, error) {
 	return decodeOwner(f, buf[routedHead:])
 }
 
-// decodeStoreAck accepts the two layouts and nothing between them: the
-// head, or the head, one ref and one whole neighbourhood with nothing
-// behind it.
-func decodeStoreAck(buf []byte) (chord.Found, error) {
+// decodeStoreAck is the stateless decoder of the store ack, and refuses
+// tagStoreAckKept.
+func decodeStoreAck(buf []byte) (chord.Found, error) { return decodeStoreAckOn(buf, nil) }
+
+// decodeStoreAckOn decodes a store ack that arrived on a connection whose
+// store memory is mem, expands tagStoreAckKept from it — refused when mem is
+// nil or holds no ack — and records what it accepts there.
+func decodeStoreAckOn(buf []byte, mem *storeMemory) (chord.Found, error) {
+	if len(buf) >= 2 && buf[1] == tagStoreAckKept {
+		if mem == nil || !mem.hasAck || buf[0] != wire.Version || len(buf) != 2 {
+			return chord.Found{}, wire.ErrBadMessage
+		}
+		return chord.Found{Hops: int(mem.ackHops), Stale: int(mem.ackStale)}, nil
+	}
+	f, err := decodeStoreAckFull(buf)
+	if err == nil && mem != nil {
+		mem.ackHops, mem.ackStale, mem.hasAck = uint16(f.Hops), uint16(f.Stale), true
+	}
+	return f, err
+}
+
+// decodeStoreAckFull accepts the two stateless layouts and nothing between
+// them: the head, or the head, one ref and one whole neighbourhood with
+// nothing behind it.
+func decodeStoreAckFull(buf []byte) (chord.Found, error) {
 	f, err := decodeRouted(buf, tagStoreAck)
 	if err != nil || len(buf) == routedHead {
 		return f, err

@@ -58,19 +58,28 @@ func mapNetErr(err error) error {
 	return fmt.Errorf("%w: %v", dht.ErrLost, err)
 }
 
+// connMemory is what one connection has carried, kept alike at its two ends
+// (DESIGN.md §14 "Socket memory"): its probe replies (wire.ReplyMemory) and
+// its routed stores and their acks (storeMemory). It is born empty with the
+// socket, on dial or accept, and dies with it.
+type connMemory struct {
+	kept   wire.ReplyMemory
+	stores storeMemory
+}
+
 // peerConn is one cached outbound connection slot; its mutex serializes
 // the slot's request/reply exchange — one in flight per *connection*,
 // which is what the framed protocol requires (a reply is matched to its
 // request purely by ordering on the stream). The slot owns the two buffers
-// its frames are built in and read into, and the socket's reply memory,
-// born empty with it and dropped with it (dropConn); like the socket they
-// are touched only under the mutex, and a reply is decoded there, never
-// kept.
+// its frames are built in and read into, and the socket's memory, born
+// empty with it and dropped with it (dropConn); like the socket they are
+// touched only under the mutex, a request is encoded there and a reply
+// decoded there, never kept.
 type peerConn struct {
 	mu         sync.Mutex
 	c          net.Conn
 	rbuf, wbuf []byte
-	kept       wire.ReplyMemory
+	connMemory
 }
 
 // peerEntry is one peer address's slot set. Slot count is fixed at the
@@ -178,7 +187,7 @@ func (p *peerPool) dial(pc *peerConn, addr string) error {
 	return nil
 }
 
-// dropConn closes and clears a slot's socket, and the reply memory goes
+// dropConn closes and clears a slot's socket, and the socket's memory goes
 // with it. Caller holds pc.mu.
 func (p *peerPool) dropConn(pc *peerConn) {
 	if pc.c == nil {
@@ -186,30 +195,35 @@ func (p *peerPool) dropConn(pc *peerConn) {
 	}
 	pc.c.Close()
 	pc.c = nil
-	pc.kept = wire.ReplyMemory{}
+	pc.connMemory = connMemory{}
 	p.live.Add(-1)
 }
 
 // exchange performs one framed request/reply round trip with addr and hands
 // the reply to read where it arrived: in the slot's own buffer, once, after
 // a successful round trip and before the slot is released, with the
-// socket's reply memory beside it. read must not keep either — the slot's
-// next user reads into the same buffer. read's error is the exchange's, and
+// socket's memory beside it. read must not keep either — the slot's next
+// user reads into the same buffer. read's error is the exchange's, and
 // unless it is a typed failure the peer replied with (remoteErr) it refuses
 // the reply, and the socket goes with it: the one rule for every RPC, so
 // that a socket whose replies the asker stopped following — and whose two
-// reply memories may no longer agree — never carries another. req is
-// copied into the slot too and may live on the caller's stack. A failure on
-// a socket an earlier exchange left in the slot is retried once on a fresh
-// dial: a stale cached socket (the peer restarted, an idle timeout fired)
-// is indistinguishable from a dead peer until a second dial answers. A
-// failure on a socket this exchange dialled is final — the caller's one
+// memories may no longer agree — never carries another. One typed failure
+// drops the socket too: errnoBad, a request the peer could not read, after
+// which a peer that could not read a store ends its own end. req is the
+// request as the stateless encoders build it, and may live on the caller's
+// stack; it is encoded into the slot against the socket's memory
+// (appendRequest). A failure on a socket an earlier exchange left in the slot
+// is retried once on a fresh dial: a stale cached socket (the peer restarted,
+// an idle timeout fired) is indistinguishable from a dead peer until a second
+// dial answers, and the new socket's memory is empty, so the re-send is
+// stateless. A failure on a socket this exchange dialled is final — the caller's one
 // spent attempt (DESIGN.md §8). Safe for the idempotent RPC set this
 // package speaks. The metrics hooks meter the exchange per tag (count,
-// bytes, frame size, round-trip latency) and transport failures by errno
-// class — a refused reply is an exchange that moved its bytes; with metrics
-// off each instrument they touch is nil and no-ops on its own receiver.
-func (p *peerPool) exchange(addr string, req []byte, read func(reply []byte, kept *wire.ReplyMemory) error) error {
+// bytes as they went on the socket, frame size, round-trip latency) and
+// transport failures by errno class — a refused reply is an exchange that
+// moved its bytes; with metrics off each instrument they touch is nil and
+// no-ops on its own receiver.
+func (p *peerPool) exchange(addr string, req []byte, read func(reply []byte, mem *connMemory) error) error {
 	slot, tm := p.m.startRPC(req)
 	n, err, refused := p.doExchange(addr, req, read)
 	p.m.finishRPC(slot, n, err, tm)
@@ -219,13 +233,14 @@ func (p *peerPool) exchange(addr string, req []byte, read func(reply []byte, kep
 	return refused
 }
 
-func (p *peerPool) doExchange(addr string, req []byte, read func([]byte, *wire.ReplyMemory) error) (n int, err, refused error) {
+func (p *peerPool) doExchange(addr string, req []byte, read func([]byte, *connMemory) error) (n int, err, refused error) {
 	pc, dialled, err := p.get(addr)
 	if err != nil {
 		return 0, err, nil
 	}
 	defer pc.release()
 
+	pc.wbuf = pc.wbuf[:0] // what the exchange writes, and nothing an earlier one did, is metered
 	err = p.roundTrip(pc, req)
 	if err != nil && !dialled {
 		p.dropConn(pc)
@@ -234,28 +249,29 @@ func (p *peerPool) doExchange(addr string, req []byte, read func([]byte, *wire.R
 			err = p.roundTrip(pc, req)
 		}
 	}
+	p.m.sent(pc.wbuf)
 	if err != nil {
 		p.dropConn(pc)
 		return 0, mapNetErr(err), nil
 	}
 	n = len(pc.rbuf)
-	if refused = read(pc.rbuf, &pc.kept); refused != nil {
-		if _, typed := refused.(remoteErr); !typed {
+	if refused = read(pc.rbuf, &pc.connMemory); refused != nil {
+		if re, typed := refused.(remoteErr); !typed || re.code == errnoBad {
 			p.dropConn(pc)
 		}
 	}
 	return n, nil, refused
 }
 
-// call is how this package asks a peer anything but a probe (Client.probe):
-// one exchange with addr, then the one reply rule — a typed failure reads
-// as its dht sentinel (replyErr), on every RPC alike — and any other reply
-// decoded while it is still in the slot, or refused. Every reply decoder
-// returns values that share nothing with the frame (msg.go), so nothing a
-// caller keeps points into the slot; with an error, v is the zero T, as
-// the decoders return it.
+// call is how this package asks a peer anything but a probe (Client.probe)
+// or a routed store (peerPool.route): one exchange with addr, then the one
+// reply rule — a typed failure reads as its dht sentinel (replyErr), on
+// every RPC alike — and any other reply decoded while it is still in the
+// slot, or refused. Every reply decoder returns values that share nothing
+// with the frame (msg.go), so nothing a caller keeps points into the slot;
+// with an error, v is the zero T, as the decoders return it.
 func call[T any](p *peerPool, addr string, req []byte, decode func([]byte) (T, error)) (v T, err error) {
-	err = p.exchange(addr, req, func(reply []byte, _ *wire.ReplyMemory) (err error) {
+	err = p.exchange(addr, req, func(reply []byte, _ *connMemory) (err error) {
 		if err = replyErr(reply); err == nil {
 			v, err = decode(reply)
 		}
@@ -273,13 +289,22 @@ const rpcScratch = 96
 // reply, or to a store the store ack and nothing else, so that a node that
 // routed the key and says nothing of the tuple is never read as having
 // stored it. Client lookups and stores, and every relayed hop, go out here.
-func (p *peerPool) route(addr string, m findSuccMsg) (chord.Found, error) {
+// A store and its ack travel against the socket's store memory.
+func (p *peerPool) route(addr string, m findSuccMsg) (f chord.Found, err error) {
 	var req [rpcScratch]byte
-	decode := decodeFindSuccResp
-	if m.store != nil {
-		decode = decodeStoreAck
+	frame := appendFindSucc(req[:0], m, nil)
+	if m.store == nil {
+		return call(p, addr, frame, decodeFindSuccResp)
 	}
-	return call(p, addr, appendFindSucc(req[:0], m), decode)
+	err = p.exchange(addr, frame, func(reply []byte, mem *connMemory) (err error) {
+		if err = replyErr(reply); err == nil {
+			if f, err = decodeStoreAckOn(reply, &mem.stores); err == nil {
+				p.m.storeAck(reply)
+			}
+		}
+		return err
+	})
+	return f, err
 }
 
 // ping is one ping exchange with addr; a reply but a pong is an error.
@@ -295,7 +320,8 @@ func (pc *peerConn) release() {
 	pc.mu.Unlock()
 }
 
-// roundTrip sends req and reads the reply into pc.rbuf. Caller holds pc.mu.
+// roundTrip sends req, encoded against the socket's store memory, and reads
+// the reply into pc.rbuf. Caller holds pc.mu.
 func (p *peerPool) roundTrip(pc *peerConn, req []byte) error {
 	if len(req) > maxFrame {
 		return errFrameTooBig // before the slot's buffer grows for it
@@ -303,7 +329,7 @@ func (p *peerPool) roundTrip(pc *peerConn, req []byte) error {
 	if err := pc.c.SetDeadline(time.Now().Add(p.rpcTimeout)); err != nil {
 		return err
 	}
-	pc.wbuf = append(beginFrame(pc.wbuf), req...)
+	pc.wbuf = appendRequest(beginFrame(pc.wbuf), req, &pc.stores)
 	if err := writeFrame(pc.c, pc.wbuf); err != nil {
 		return err
 	}

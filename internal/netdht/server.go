@@ -1,6 +1,7 @@
 package netdht
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -250,16 +251,26 @@ type inbound struct {
 	route      tcpPeers // handed to the state machine by pointer, per request
 	metrics    []uint64 // a probe request's metric list
 	words      []uint64 // one (metric, bit) answer out of the store
-	// kept is what the connection's probe replies have carried, the
-	// asking slot's memory at this end: born empty with the connection,
-	// gone with it.
-	kept wire.ReplyMemory
+	tuple      []byte   // a kept store's tuple frame, expanded from the memory
+	// connMemory is what the connection's probe replies and routed stores
+	// have carried, the asking slot's memory at this end: born empty with
+	// the connection, gone with it.
+	connMemory
+	// end is set by a request the connection must not outlive: a store it
+	// could not decode, after which the two memories may differ.
+	end bool
 }
 
 func (s *Server) newInbound() *inbound { return &inbound{s: s, route: tcpPeers{s: s}} }
 
+// errStoreRefused ends a connection that carried a store its server could
+// not decode.
+var errStoreRefused = errors.New("netdht: undecodable store")
+
 // step serves one request of the connection: read it, answer it, send the
-// answer, under the per-request deadlines. An error ends the connection.
+// answer, under the per-request deadlines. An error ends the connection, and
+// so does a store the server refused as undecodable, once its answer is
+// sent.
 func (in *inbound) step(c net.Conn) (err error) {
 	if err = c.SetReadDeadline(time.Now().Add(serverIdleTimeout)); err != nil {
 		return err
@@ -271,7 +282,10 @@ func (in *inbound) step(c net.Conn) (err error) {
 		return err
 	}
 	err = writeFrame(c, in.dispatch(in.rbuf))
-	in.rbuf, in.wbuf = trimFrame(in.rbuf), trimFrame(in.wbuf)
+	in.rbuf, in.wbuf, in.tuple = trimFrame(in.rbuf), trimFrame(in.wbuf), trimFrame(in.tuple)
+	if err == nil && in.end {
+		err = errStoreRefused
+	}
 	return err
 }
 
@@ -297,7 +311,7 @@ func (in *inbound) handleRequest(dst, req []byte) []byte {
 		return appendErr(dst, errnoBad, 0, 0)
 	}
 	switch req[1] {
-	case tagFindSucc, tagStore:
+	case tagFindSucc, tagStore, tagStoreKept:
 		return in.handleFindSucc(dst, req)
 	case tagNeighbors:
 		return s.handleNeighbors(dst)
@@ -334,10 +348,14 @@ func (in *inbound) handleRequest(dst, req []byte) []byte {
 // neighbourhood in the ack; every hop before it relays the ack as it came.
 // A client that believes this node owns the key sends the store here
 // first, unflagged: Route's own (pred, self] check decides whether it does.
+// A store and its ack travel against the connection's store memory, and a
+// store that does not decode ends the connection once it is refused.
 func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 	s := in.s
-	m, err := decodeFindSucc(req)
+	m, tuple, err := decodeFindSuccOn(req, &in.stores, in.tuple)
+	in.tuple = tuple
 	if err != nil {
+		in.end = req[1] != tagFindSucc
 		return appendErr(dst, errnoBad, 0, 0)
 	}
 	if !s.Alive() {
@@ -347,9 +365,10 @@ func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 		s.Counters().AddRouted()
 	}
 	near := m.flags&flagNeighbors != 0
-	// m.store points into the connection's read buffer, and stays good until
-	// this request is answered: a relay copies it into the outbound slot
-	// before sending, the storing node keeps a key, not the bytes.
+	// m.store points into the connection's read buffer or, expanded from a
+	// kept store, its tuple scratch, and stays good until this request is
+	// answered: a relay encodes it into the outbound slot before sending,
+	// the storing node keeps a key, not the bytes.
 	in.route.near, in.route.store = near, m.store
 	f := s.Protocol().HandleFindSucc(&in.route, m.key, int(m.hops), int(m.stale), m.flags&flagDeliver != 0)
 	if f.Err != nil {
@@ -372,7 +391,7 @@ func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 				reply.Near = &nb
 			}
 		}
-		return appendStoreAck(dst, reply)
+		return appendStoreAck(dst, reply, &in.stores)
 	}
 	if near && f.Owner.ID == s.ID() {
 		nb := s.Protocol().Neighbors()

@@ -160,6 +160,17 @@ if ! awk -v x="${exchanges:-0}" -v n="$ITEMS" 'BEGIN { exit !(x >= n && x <= 1.1
 fi
 echo "   client exchanges per insert: $exchanges / $ITEMS"
 
+# And it costs few bytes: each socket remembers the last store it carried
+# and the last ack (DESIGN.md §14 "Socket memory"), so a warm store sends
+# its key, vector and bit and little else, and its ack is two bytes. Whole
+# stores and acks, about 30 bytes an insert, would fail this.
+bytes=$(sed -n 's/.* bytes=\([0-9]*\).*/\1/p' "$LOGDIR/insert.log" | tail -n1)
+if ! awk -v b="${bytes:-0}" -v n="$ITEMS" 'BEGIN { exit !(b > 0 && b <= 20 * n) }'; then
+    echo "== $ITEMS inserts moved '${bytes}' client bytes, want at most 20 per insert" >&2
+    exit 1
+fi
+echo "   client wire bytes per insert: $(awk -v b="$bytes" -v n="$ITEMS" 'BEGIN { printf "%.1f", b / n }')"
+
 # And it is sent to the owner of its target once the client has heard of it
 # (DESIGN.md §14 "The ring view"): all but the first few stores of the run
 # go by the view, and one node handles each. Every store entering at the
@@ -322,7 +333,7 @@ fi
 echo "   $HOT hot metrics over $TTLS TTLs: $fan fan-outs, $scanned metrics scanned"
 
 # An owner sends a mask, or an arc, that the socket carried in its last
-# reply as one byte (DESIGN.md §14 "Reply memory"). Over the hot-set window
+# reply as one byte (DESIGN.md §14 "Socket memory"). Over the hot-set window
 # dhsd's sockets are warm and the ring is quiet, so most of the masks it
 # reads must have come as kept; none would mean the memory is off, and a
 # minority that it is reset between exchanges.
