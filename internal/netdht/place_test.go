@@ -1,18 +1,21 @@
 package netdht
 
 import (
-	"math/rand/v2"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
 	"dhsketch/internal/chord"
+	"dhsketch/internal/sim"
+	"dhsketch/internal/store"
 	"dhsketch/internal/wire"
 )
 
 // TestInsertRetriesAtFreshTarget: the entry refuses the first routed store
 // with a typed errnoNodeDown and acks the second. Insert succeeds, as the
 // simulator's insert does: the failed store is re-sent once, after one
-// backoff, for the next target of the client's stream — not for the same
+// backoff, for the next target of the item's stream — not for the same
 // one — and the retry is counted.
 func TestInsertRetriesAtFreshTarget(t *testing.T) {
 	const seed, metric, item = 17, 3, 0x9e3779b97f4a7c15
@@ -37,7 +40,7 @@ func TestInsertRetriesAtFreshTarget(t *testing.T) {
 		t.Fatalf("Insert after one refused store: %v", err)
 	}
 
-	replay := rand.New(rand.NewPCG(seed, 0x6a09e667f3bcc908))
+	replay := replayInsert(seed, metric, item)
 	_, bit := c.geom.Split(item)
 	want := []uint64{c.geom.Target(replay, bit), c.geom.Target(replay, bit)}
 	mu.Lock()
@@ -87,5 +90,88 @@ func TestPlaceBatchOverWire(t *testing.T) {
 	}
 	if st := s.Status(); st.StoreTuples != len(tuples) {
 		t.Errorf("server holds %d tuples, want the batch's %d", st.StoreTuples, len(tuples))
+	}
+}
+
+// TestConcurrentInsertsPlaceAlike: what a client leaves in the ring is a
+// function of its seed and the items, not of how the goroutines inserting
+// through it interleave. Two rings built alike take the same items, one from
+// a single goroutine, one from two sharing the client: every tuple is on the
+// owner of its item's first target in both, each server holds as many tuples
+// in both, and a fresh client of one seed counts both for the same estimates
+// at the same probe exchanges a scan.
+func TestConcurrentInsertsPlaceAlike(t *testing.T) {
+	const seed, metrics, items = 5, 8, 300
+	type loaded struct {
+		tuples []int      // per server, in ID order
+		probes []uint64   // per scan
+		counts [][]uint64 // per scan, the estimates' bits
+	}
+	load := func(goroutines int) loaded {
+		env := sim.NewEnv(41)
+		cl := newTestCluster(t, env, 8)
+		settleCluster(t, cl, env)
+		servers := cl.Servers()
+		c, _ := storeClient(t, servers[0].Addr(), seed)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for m := g; m < metrics; m += goroutines {
+					for i := 0; i < items; i++ {
+						if err := c.Insert(uint64(100+m), uint64(i)*0x9e3779b97f4a7c15+uint64(m)); err != nil {
+							t.Errorf("insert: %v", err)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+
+		var out loaded
+		ids := make([]uint64, metrics)
+		for m := range ids {
+			ids[m] = uint64(100 + m)
+			for i := 0; i < items; i++ {
+				item := uint64(i)*0x9e3779b97f4a7c15 + uint64(m)
+				vector, bit := c.geom.Split(item)
+				if !c.geom.Stored(bit) {
+					continue
+				}
+				owner, err := cl.Owner(c.geom.Target(replayInsert(seed, ids[m], item), bit))
+				if err != nil {
+					t.Fatalf("Owner: %v", err)
+				}
+				srv, _ := cl.ByID(owner.ID())
+				if tuple := (wire.Insert{Metric: ids[m], Vector: uint16(vector), Bit: uint8(bit)}); !tupleAt(srv, tuple) {
+					t.Fatalf("%d goroutines: tuple %+v is not on %016x, the owner of its item's first target", goroutines, tuple, owner.ID())
+				}
+			}
+		}
+		for _, s := range servers {
+			st, _ := s.App().(*store.Store)
+			out.tuples = append(out.tuples, st.Len(s.nowFn()))
+		}
+		reader, reg := storeClient(t, servers[0].Addr(), 9)
+		for range 4 {
+			before := outRPCs(reg, "probe")
+			res, err := reader.CountAll(ids)
+			if err != nil {
+				t.Fatalf("CountAll: %v", err)
+			}
+			out.probes = append(out.probes, outRPCs(reg, "probe")-before)
+			bits := make([]uint64, len(res))
+			for i, r := range res {
+				bits[i] = math.Float64bits(r.Estimate)
+			}
+			out.counts = append(out.counts, bits)
+		}
+		return out
+	}
+	one, two := load(1), load(2)
+	if !reflect.DeepEqual(one, two) {
+		t.Errorf("loaded by one goroutine: %+v\nby two: %+v", one, two)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -125,8 +124,6 @@ func TestInsertPlacementAndBudget(t *testing.T) {
 	servers := cl.Servers()
 	c, reg := storeClient(t, servers[0].Addr(), seed)
 
-	// The client's target stream, replayed: same seed, same draws.
-	replay := rand.New(rand.NewPCG(seed, 0x6a09e667f3bcc908))
 	type placed struct {
 		owner  uint64
 		target uint64
@@ -151,7 +148,8 @@ func TestInsertPlacementAndBudget(t *testing.T) {
 			t.Fatalf("insert %d went straight to its owner and moved Routed by %d", i, moved)
 		}
 		vector, bit := c.geom.Split(item)
-		target := c.geom.Target(replay, bit)
+		// The item's target stream, replayed: same seed, same draws.
+		target := c.geom.Target(replayInsert(seed, metric, item), bit)
 		owner, err := cl.Owner(target)
 		if err != nil {
 			t.Fatalf("Owner(%016x): %v", target, err)
