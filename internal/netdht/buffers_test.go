@@ -212,13 +212,14 @@ func allocServer(t *testing.T, reg *metrics.Registry) (s *Server, key uint64) {
 // TestServeStepZeroAlloc pins the server half of the exchange rung: the
 // per-connection serve step — request in the read buffer, reply built in the
 // write buffer — allocates nothing for the four requests a busy node sees,
-// a store among them whole and, on a connection that carried it before, kept,
-// with metrics on and with metrics off.
+// a store and a probe among them whole and, on a connection that carried them
+// before, kept, with metrics on and with metrics off.
 func TestServeStepZeroAlloc(t *testing.T) {
 	for name, reg := range map[string]*metrics.Registry{"metrics on": metrics.New(), "nil registry": nil} {
 		s, key := allocServer(t, reg)
 		tuple := wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 4, TTL: 1200})
-		probe, err := wire.EncodeProbeReq(wire.ProbeReq{Bit: 2, Span: 6, NumVecs: 64, Metrics: []uint64{7}})
+		run := wire.ProbeReq{Bit: 2, Span: 6, NumVecs: 64, Metrics: []uint64{7}}
+		probe, err := wire.EncodeProbeReq(run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,6 +230,7 @@ func TestServeStepZeroAlloc(t *testing.T) {
 		}
 		store := findSuccMsg{key: key, store: tuple}
 		kept, _ := onSocket([]findSuccMsg{store, store}, nil)
+		keptProbe := askAfter(t, run, run)
 		in := s.newInbound()
 		for _, c := range []struct {
 			what string
@@ -238,6 +240,7 @@ func TestServeStepZeroAlloc(t *testing.T) {
 			{"store of an existing tuple", encodeFindSucc(store), tagStoreAck},
 			{"the same store, kept", kept, tagStoreAckKept},
 			{"probe of 7 positions at m=64, coded", probe, wire.TagProbeRespCoded},
+			{"the same probe, kept, and its reply all kept", keptProbe, wire.TagProbeRespSame},
 			{"probe of 7 positions at m=64, dense", dense, wire.TagProbeResp},
 			{"find_succ answered locally", encodeFindSucc(findSuccMsg{key: key}), tagFindSuccResp},
 			{"find_succ with its neighbourhood", encodeFindSucc(findSuccMsg{flags: flagNeighbors, key: key}), tagFindSuccResp},
@@ -256,7 +259,11 @@ func TestServeStepZeroAlloc(t *testing.T) {
 // TestExchangeZeroAlloc pins the whole rung on a loopback pair, both ends in
 // this process: a steady-state ping round trip through the pool — slot,
 // frame out, the server's serve step, frame in, the reply decoded in the
-// slot — allocates nothing on either side.
+// slot — allocates nothing on either side. Nor does a warm probe: the
+// request encoded kept in the slot, decoded and answered against the
+// server's memory, and its reply all kept. Such a reply leaves either memory
+// as it was, so reading its tag reads all of it; decoding it into masks of
+// the scan's own is the one allocation a probe makes, outside the rung.
 func TestExchangeZeroAlloc(t *testing.T) {
 	s, _ := allocServer(t, metrics.New())
 	p := newPeerPool(time.Second, 5*time.Second, DefaultPeerConns, metrics.New())
@@ -269,6 +276,32 @@ func TestExchangeZeroAlloc(t *testing.T) {
 	ping() // dial, and grow the four buffers
 	if n := testing.AllocsPerRun(200, ping); n != 0 {
 		t.Errorf("a steady-state ping round trip allocated %.2f/op, want 0", n)
+	}
+
+	q := wire.ProbeReq{Bit: 2, Span: 6, NumVecs: 64, Metrics: []uint64{7}}
+	probe, err := wire.EncodeProbeReq(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(reply []byte, mem *connMemory) error {
+		_, err := wire.DecodeProbeRespTo(q, reply, &mem.probes, nil)
+		return err
+	}
+	same := func(reply []byte, _ *connMemory) error {
+		if len(reply) != 2 || reply[1] != wire.TagProbeRespSame {
+			return fmt.Errorf("reply % x, want the tag alone", reply)
+		}
+		return nil
+	}
+	ask := func(read func([]byte, *connMemory) error) {
+		if err := p.exchange(s.Addr(), probe, read); err != nil {
+			t.Fatalf("probe: %v", err)
+		}
+	}
+	ask(decode) // whole, and recorded at both ends
+	ask(same)
+	if n := testing.AllocsPerRun(200, func() { ask(same) }); n != 0 {
+		t.Errorf("a warm probe round trip allocated %.2f/op, want 0", n)
 	}
 }
 

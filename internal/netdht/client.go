@@ -542,8 +542,11 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 // masks for its whole life, longer than any connection keeps a frame: the
 // reply is decoded while the slot is still held, into one buffer of dense
 // masks that is the scan's own — the frame's mask bytes copied, a coded
-// reply's expanded, a kept mask copied out of the socket's reply memory —
-// one copy per owner, and no frame or memory bytes are kept.
+// reply's expanded, a kept mask copied out of the socket's probe memory —
+// one copy per owner, and no frame or memory bytes are kept. The request is
+// built stateless on the stack and encoded against the socket's probe memory
+// in the slot (appendRequest); a reply without its header is read as
+// answering req.
 func (c *Client) probe(addr string, req wire.ProbeReq) (resp wire.ProbeResp, err error) {
 	var scratch [rpcScratch]byte
 	frame, err := wire.AppendProbeReq(scratch[:0], req)
@@ -553,7 +556,7 @@ func (c *Client) probe(addr string, req wire.ProbeReq) (resp wire.ProbeResp, err
 	var forms wire.MaskForms
 	err = c.peers.exchange(addr, frame, func(reply []byte, mem *connMemory) (err error) {
 		if err = replyErr(reply); err == nil {
-			resp, err = wire.DecodeProbeRespTo(req, reply, &mem.kept, &forms)
+			resp, err = wire.DecodeProbeRespTo(req, reply, &mem.probes, &forms)
 		}
 		return err
 	})

@@ -10,15 +10,16 @@ import (
 	"dhsketch/internal/core"
 	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
+	"dhsketch/internal/wire"
 )
 
 // fakePeer accepts connections and answers every frame with what handle
 // returns for it — a stand-in ring member under the test's control.
 // handle also receives the peer's own address, so it can name itself as
-// a key's owner. Like a server, the peer keeps each connection's store
-// memory, and hands handle a routed store in its stateless form whichever
-// form it came in; its answers are handle's bytes, so it never sends a kept
-// ack.
+// a key's owner. Like a server, the peer keeps each connection's memory,
+// and hands handle a routed store and a probe in their stateless forms
+// whichever form they came in; its answers are handle's bytes, so it never
+// sends a kept ack or reply.
 func fakePeer(t *testing.T, handle func(self string, req []byte) []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -36,16 +37,22 @@ func fakePeer(t *testing.T, handle func(self string, req []byte) []byte) string 
 			go func() {
 				defer c.Close()
 				var req, tuple []byte
-				var stores storeMemory
+				var mem connMemory
 				for {
 					var err error
 					if req, err = readFrame(c, req); err != nil {
 						return
 					}
 					asked := req
-					if len(req) > 1 && req[1] != tagFindSucc {
+					switch {
+					case len(req) < 2 || req[1] == tagFindSucc:
+					case req[1] == wire.TagProbeReq || req[1] == wire.TagProbeReqKept:
+						if q, err := wire.DecodeProbeReqOn(nil, req, &mem.probes); err == nil {
+							asked, _ = wire.EncodeProbeReq(q)
+						}
+					default:
 						var m findSuccMsg
-						if m, tuple, err = decodeFindSuccOn(req, &stores, tuple); err == nil && m.store != nil {
+						if m, tuple, err = decodeFindSuccOn(req, &mem.stores, tuple); err == nil && m.store != nil {
 							asked = encodeFindSucc(m)
 						}
 					}

@@ -9,10 +9,11 @@ import (
 	"dhsketch/internal/wire"
 )
 
-// shortenAfter encodes reply as the owner's end of a connection does
-// (wire.ShortenProbeResp, for a request of metrics) once the connection has
-// carried each of before.
-func shortenAfter(t *testing.T, metrics []uint64, before []wire.ProbeResp, reply wire.ProbeResp) []byte {
+// shortenAfter encodes reply with shorten (wire.ShortenProbeResp or the
+// owner's wire.ShortenProbeRespOn), for a request of metrics, once the
+// connection has carried each of before.
+func shortenAfter(t *testing.T, shorten func([]byte, int, []uint64, *wire.ReplyMemory) []byte,
+	metrics []uint64, before []wire.ProbeResp, reply wire.ProbeResp) []byte {
 	t.Helper()
 	var kept wire.ReplyMemory
 	var frame []byte
@@ -27,7 +28,23 @@ func shortenAfter(t *testing.T, metrics []uint64, before []wire.ProbeResp, reply
 		if r.HasArc {
 			buf = wire.AppendArc(buf, r.ArcLo)
 		}
-		frame = wire.ShortenProbeResp(buf, 0, metrics, &kept)
+		frame = shorten(buf, 0, metrics, &kept)
+	}
+	return frame
+}
+
+// askAfter encodes the last of reqs as a client's end of a connection does
+// once the connection has carried the ones before it.
+func askAfter(t *testing.T, reqs ...wire.ProbeReq) []byte {
+	t.Helper()
+	var kept wire.ReplyMemory
+	var frame []byte
+	for _, q := range reqs {
+		whole, err := wire.EncodeProbeReq(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame = wire.AppendProbeReqOn(nil, whole, &kept)
 	}
 	return frame
 }
@@ -53,7 +70,11 @@ func onSocket(stores []findSuccMsg, acks []chord.Found) (store, ack []byte) {
 // byte unnoticed. The data plane's rows are a probe of one position and of a
 // run, a reply dense, coded, and with its arc, and the same reply on a
 // connection that carried it before: a mask as formKept (03) and the arc as
-// the kept-arc flag (02). A store and its ack on a connection that carried
+// the kept-arc flag (02), with the header as ShortenProbeResp keeps it and
+// without it as an owner sends it (TagProbeRespKept), and a reply that is all
+// kept as its tag alone (TagProbeRespSame). A probe on a connection that
+// carried one before goes as TagProbeReqKept: its changed byte, then the
+// fields that changed. A store and its ack on a connection that carried
 // one before are pinned too: the store as tagStoreKept, its changed byte and
 // the key, then the fields that changed, the bit and the vector; the ack
 // as tagStoreAckKept.
@@ -74,6 +95,10 @@ func TestControlFrameBytes(t *testing.T) {
 	empty, full, one := make([]byte, 8), bytes.Repeat([]byte{0xFF}, 8), make([]byte, 8)
 	wire.SetVec(one, 9)
 	runMetrics := []uint64{7, 9}
+	run := wire.ProbeReq{Bit: 3, Span: 1, NumVecs: 64, Metrics: runMetrics}
+	nextRun, oneMetric := run, run
+	nextRun.Bit = 5
+	oneMetric.Metrics = []uint64{7}
 	arced := wire.ProbeResp{Bit: 3, Span: 1, NumVecs: 64, VecMasks: [][]byte{empty, full, one, half}, HasArc: true, ArcLo: key}
 	moved := arced
 	moved.VecMasks = [][]byte{empty, one, one, half} // metric 9's mask at bit 3 moved
@@ -146,8 +171,18 @@ func TestControlFrameBytes(t *testing.T) {
 			"01050300400004010102050a005555555555555555"},
 		{"probe reply with its arc", must(wire.EncodeProbeResp(arced)),
 			"01050300400004010102050a00555555555555555501deadbeefcafe0042"},
-		{"probe reply, kept masks and arc", shortenAfter(t, runMetrics, []wire.ProbeResp{arced}, moved),
+		{"probe reply, kept masks and arc", shortenAfter(t, wire.ShortenProbeResp, runMetrics, []wire.ProbeResp{arced}, moved),
 			"010503004000040103050a030302"},
+		{"probe run, kept, bit changed", askAfter(t, run, nextRun),
+			"01060105"},
+		{"probe run, kept, metrics changed", askAfter(t, run, oneMetric),
+			"01060800010007"},
+		{"probe run, kept, the same", askAfter(t, run, run),
+			"010600"},
+		{"probe reply without its header, kept masks and arc", shortenAfter(t, wire.ShortenProbeRespOn, runMetrics, []wire.ProbeResp{arced}, moved),
+			"010703050a030302"},
+		{"probe reply, all kept", shortenAfter(t, wire.ShortenProbeRespOn, runMetrics, []wire.ProbeResp{arced}, arced),
+			"0108"},
 	} {
 		if got := hex.EncodeToString(tc.frame); got != tc.hex {
 			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.hex)

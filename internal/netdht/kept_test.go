@@ -3,6 +3,7 @@ package netdht
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -468,5 +469,147 @@ func TestStoreBytesMetered(t *testing.T) {
 	}
 	if perInsert := float64(wireBytes(reg)-b0) / inserts; perInsert > 20 {
 		t.Errorf("a warm insert moved %.1f client bytes, want at most 20", perInsert)
+	}
+}
+
+// Tests of the probe memory's request half, in the same terms: a probe on a
+// socket that carried one before goes kept, and the first probe on any
+// socket whole.
+
+// probeInto sends one probe of q to s, and reports what the server read for
+// it and the reply's masks and arc.
+func probeInto(t *testing.T, c *Client, s *Server, sreg *metrics.Registry, q wire.ProbeReq) (read uint64, resp wire.ProbeResp) {
+	t.Helper()
+	in := serverBytes(sreg, "in")
+	resp, err := c.probe(s.Addr(), q)
+	if err != nil {
+		t.Fatalf("probe %+v: %v", q, err)
+	}
+	return serverBytes(sreg, "in") - in, resp
+}
+
+// probeServer is an instrumented ring of one at listen that holds metric 7
+// at a few positions, so that a probe's reply has masks to keep.
+func probeServer(t *testing.T, listen string) (*Server, *metrics.Registry) {
+	t.Helper()
+	s, sreg := soloServer(t, listen)
+	halfFill(s, 7, 64, 2, 4)
+	return s, sreg
+}
+
+// trioProbe is the probe the three tests below send.
+var trioProbe = wire.ProbeReq{Bit: 2, Span: 6, NumVecs: 64, Metrics: []uint64{7}}
+
+// wholeProbe is the length of trioProbe's stateless frame.
+func wholeProbe(t *testing.T) uint64 {
+	t.Helper()
+	frame, err := wire.EncodeProbeReq(trioProbe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return uint64(len(frame))
+}
+
+// TestProbeMemoryStaleSocket: when the server has dropped a socket whose
+// memory holds a probe, the client's next probe fails on the stale socket and
+// is sent again on a fresh dial — whole, as the first probe on any socket
+// is — and answered as before. The probe after it is kept again.
+func TestProbeMemoryStaleSocket(t *testing.T) {
+	s, sreg := probeServer(t, "127.0.0.1:0")
+	c, reg := storeClient(t, s.Addr(), 1)
+	whole := wholeProbe(t)
+	n, want := probeInto(t, c, s, sreg, trioProbe)
+	if n != whole {
+		t.Fatalf("the first probe on a socket: the server read %d bytes, want the whole %d", n, whole)
+	}
+	if n, _ := probeInto(t, c, s, sreg, trioProbe); n >= whole {
+		t.Fatalf("the second probe on a socket: the server read %d bytes, want fewer than %d", n, whole)
+	}
+	severInbound(s)
+	redials := counter(reg, "netdht_redials_total")
+	n, got := probeInto(t, c, s, sreg, trioProbe)
+	if n != whole {
+		t.Errorf("the re-send on a fresh dial: the server read %d bytes, want the whole %d", n, whole)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("the re-sent probe was answered %+v, the first %+v", got, want)
+	}
+	if n := counter(reg, "netdht_redials_total") - redials; n != 1 {
+		t.Errorf("%d redials, want 1", n)
+	}
+	if n, _ := probeInto(t, c, s, sreg, trioProbe); n >= whole {
+		t.Errorf("the probe after the re-send: the server read %d bytes, want fewer than %d", n, whole)
+	}
+}
+
+// TestProbeMemoryServerRestart: a node that restarts on the same address
+// starts its connections' memories empty. The client's first probe after it
+// goes out whole on a redialled socket and is answered as before the
+// restart; the one after it is kept.
+func TestProbeMemoryServerRestart(t *testing.T) {
+	s, sreg := probeServer(t, "127.0.0.1:0")
+	addr := s.Addr()
+	c, reg := storeClient(t, addr, 1)
+	whole := wholeProbe(t)
+	probeInto(t, c, s, sreg, trioProbe)
+	_, want := probeInto(t, c, s, sreg, trioProbe)
+	s.Close()
+	s, sreg = probeServer(t, addr)
+	n, got := probeInto(t, c, s, sreg, trioProbe)
+	if n != whole {
+		t.Errorf("the first probe after the restart: the server read %d bytes, want the whole %d", n, whole)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("after the restart the probe was answered %+v, before it %+v", got, want)
+	}
+	if counter(reg, "netdht_redials_total") == 0 {
+		t.Error("the probe after the restart did not redial")
+	}
+	if n, _ := probeInto(t, c, s, sreg, trioProbe); n >= whole {
+		t.Errorf("the second probe after the restart: the server read %d bytes, want fewer than %d", n, whole)
+	}
+}
+
+// TestProbeMemoryUndecodable: a probe the server cannot decode against its
+// memory — here a kept probe that names the position the server remembers as
+// changed, sent because the client's memory was made to disagree — is refused
+// with errnoBad, and ends the connection at both ends: the server closes it,
+// the client drops its socket, and the next probe dials afresh — a dial, not
+// a redial — and goes out whole.
+func TestProbeMemoryUndecodable(t *testing.T) {
+	s, sreg := probeServer(t, "127.0.0.1:0")
+	c, reg := storeClient(t, s.Addr(), 1)
+	whole := wholeProbe(t)
+	probeInto(t, c, s, sreg, trioProbe)
+	other := trioProbe
+	other.Bit = 9
+	frame, err := wire.EncodeProbeReq(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := lockedSlot(t, c.peers, s.Addr(), 0)
+	wire.AppendProbeReqOn(nil, frame, &pc.probes) // remembered by the client alone
+	pc.mu.Unlock()
+	_, err = c.probe(s.Addr(), trioProbe)
+	if re := (remoteErr{}); !errors.As(err, &re) || re.code != errnoBad {
+		t.Fatalf("a probe the server cannot decode: %v, want errnoBad", err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.inMu.Lock()
+		open := len(s.inConns)
+		s.inMu.Unlock()
+		if open == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the server still holds %d connections after refusing the probe", open)
+		}
+	}
+	dials, redials := counter(reg, "netdht_dials_total"), counter(reg, "netdht_redials_total")
+	if n, _ := probeInto(t, c, s, sreg, trioProbe); n != whole {
+		t.Errorf("the probe after the refusal: the server read %d bytes, want the whole %d", n, whole)
+	}
+	if d, r := counter(reg, "netdht_dials_total")-dials, counter(reg, "netdht_redials_total")-redials; d != 1 || r != 0 {
+		t.Errorf("the probe after the refusal made %d dials and %d redials, want 1 and 0", d, r)
 	}
 }

@@ -57,7 +57,7 @@ func tagSlot(tag byte) int {
 		return slotInsert
 	case wire.TagBulkInsert:
 		return slotBulkInsert
-	case wire.TagProbeReq:
+	case wire.TagProbeReq, wire.TagProbeReqKept:
 		return slotProbe
 	default:
 		return slotOther

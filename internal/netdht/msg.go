@@ -211,14 +211,20 @@ func decodeFindSuccOn(buf []byte, mem *storeMemory, tuple []byte) (m findSuccMsg
 }
 
 // appendRequest appends req, a request frame as the stateless encoders build
-// it, to dst as the connection whose store memory is mem sends it: a routed
-// store encoded again against mem, any other request as it is. A store that
-// does not decode goes as it is too, and is not recorded; its receiver
+// it, to dst as the connection whose memory is mem sends it: a routed store
+// encoded again against the store memory, a probe against the probe memory
+// (wire.AppendProbeReqOn), any other request as it is. A store or a probe
+// that does not decode goes as it is too, and is not recorded; its receiver
 // refuses it and ends the connection.
-func appendRequest(dst, req []byte, mem *storeMemory) []byte {
-	if len(req) > 1 && req[1] == tagStore {
-		if m, err := decodeFindSucc(req); err == nil {
-			return appendFindSucc(dst, m, mem)
+func appendRequest(dst, req []byte, mem *connMemory) []byte {
+	if len(req) > 1 {
+		switch req[1] {
+		case tagStore:
+			if m, err := decodeFindSucc(req); err == nil {
+				return appendFindSucc(dst, m, &mem.stores)
+			}
+		case wire.TagProbeReq:
+			return wire.AppendProbeReqOn(dst, req, &mem.probes)
 		}
 	}
 	return append(dst, req...)

@@ -59,11 +59,11 @@ func mapNetErr(err error) error {
 }
 
 // connMemory is what one connection has carried, kept alike at its two ends
-// (DESIGN.md §14 "Socket memory"): its probe replies (wire.ReplyMemory) and
-// its routed stores and their acks (storeMemory). It is born empty with the
-// socket, on dial or accept, and dies with it.
+// (DESIGN.md §14 "Socket memory"): its probe requests and replies
+// (wire.ReplyMemory) and its routed stores and their acks (storeMemory). It
+// is born empty with the socket, on dial or accept, and dies with it.
 type connMemory struct {
-	kept   wire.ReplyMemory
+	probes wire.ReplyMemory
 	stores storeMemory
 }
 
@@ -320,8 +320,8 @@ func (pc *peerConn) release() {
 	pc.mu.Unlock()
 }
 
-// roundTrip sends req, encoded against the socket's store memory, and reads
-// the reply into pc.rbuf. Caller holds pc.mu.
+// roundTrip sends req, encoded against the socket's memory, and reads the
+// reply into pc.rbuf. Caller holds pc.mu.
 func (p *peerPool) roundTrip(pc *peerConn, req []byte) error {
 	if len(req) > maxFrame {
 		return errFrameTooBig // before the slot's buffer grows for it
@@ -329,7 +329,7 @@ func (p *peerPool) roundTrip(pc *peerConn, req []byte) error {
 	if err := pc.c.SetDeadline(time.Now().Add(p.rpcTimeout)); err != nil {
 		return err
 	}
-	pc.wbuf = appendRequest(beginFrame(pc.wbuf), req, &pc.stores)
+	pc.wbuf = appendRequest(beginFrame(pc.wbuf), req, &pc.connMemory)
 	if err := writeFrame(pc.c, pc.wbuf); err != nil {
 		return err
 	}

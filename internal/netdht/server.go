@@ -252,25 +252,25 @@ type inbound struct {
 	metrics    []uint64 // a probe request's metric list
 	words      []uint64 // one (metric, bit) answer out of the store
 	tuple      []byte   // a kept store's tuple frame, expanded from the memory
-	// connMemory is what the connection's probe replies and routed stores
-	// have carried, the asking slot's memory at this end: born empty with
-	// the connection, gone with it.
+	// connMemory is what the connection's probes and routed stores have
+	// carried, the asking slot's memory at this end: born empty with the
+	// connection, gone with it.
 	connMemory
-	// end is set by a request the connection must not outlive: a store it
-	// could not decode, after which the two memories may differ.
+	// end is set by a request the connection must not outlive: a store or a
+	// probe it could not decode, after which the two memories may differ.
 	end bool
 }
 
 func (s *Server) newInbound() *inbound { return &inbound{s: s, route: tcpPeers{s: s}} }
 
-// errStoreRefused ends a connection that carried a store its server could
-// not decode.
-var errStoreRefused = errors.New("netdht: undecodable store")
+// errRefused ends a connection that carried a store or a probe its server
+// could not decode.
+var errRefused = errors.New("netdht: undecodable request")
 
 // step serves one request of the connection: read it, answer it, send the
 // answer, under the per-request deadlines. An error ends the connection, and
-// so does a store the server refused as undecodable, once its answer is
-// sent.
+// so does a store or a probe the server refused as undecodable, once its
+// answer is sent.
 func (in *inbound) step(c net.Conn) (err error) {
 	if err = c.SetReadDeadline(time.Now().Add(serverIdleTimeout)); err != nil {
 		return err
@@ -284,7 +284,7 @@ func (in *inbound) step(c net.Conn) (err error) {
 	err = writeFrame(c, in.dispatch(in.rbuf))
 	in.rbuf, in.wbuf, in.tuple = trimFrame(in.rbuf), trimFrame(in.wbuf), trimFrame(in.tuple)
 	if err == nil && in.end {
-		err = errStoreRefused
+		err = errRefused
 	}
 	return err
 }
@@ -322,7 +322,7 @@ func (in *inbound) handleRequest(dst, req []byte) []byte {
 			return appendErr(dst, errnoNodeDown, 0, 0)
 		}
 		return append(dst, pongFrame...)
-	case wire.TagProbeReq:
+	case wire.TagProbeReq, wire.TagProbeReqKept:
 		return in.handleProbeReq(dst, req)
 	default:
 		// Among them a bare wire.TagInsert / TagBulkInsert frame: a tuple
@@ -494,10 +494,15 @@ func (s *Server) applyStore(frame []byte) (errno byte) {
 	return 0
 }
 
+// handleProbeReq answers a probe with the masks of its run, against the
+// connection's probe memory: the request, whole or kept, is decoded and
+// recorded there, and the reply is encoded and recorded there. A request that
+// does not decode ends the connection once it is refused.
 func (in *inbound) handleProbeReq(dst, req []byte) []byte {
 	s := in.s
-	m, err := wire.DecodeProbeReqInto(in.metrics, req)
+	m, err := wire.DecodeProbeReqOn(in.metrics, req, &in.probes)
 	if err != nil {
+		in.end = true
 		return appendErr(dst, errnoBad, 0, 0)
 	}
 	in.metrics = m.Metrics
@@ -540,8 +545,10 @@ func (in *inbound) handleProbeReq(dst, req []byte) []byte {
 	}
 	// The dense reply goes out in its shortest form: each mask dense, as the
 	// vectors set or as the vectors clear, whichever is fewest bytes, or as
-	// one byte when it, or the arc, is what this connection carried last.
-	return wire.ShortenProbeResp(resp, start, m.Metrics, &in.kept)
+	// one byte when it, or the arc, is what this connection carried last; on a
+	// connection that carried a reply before, without the header that restates
+	// the request, and as its tag alone when everything in it is kept.
+	return wire.ShortenProbeRespOn(resp, start, m.Metrics, &in.probes)
 }
 
 // ---------------------------------------------------------------------

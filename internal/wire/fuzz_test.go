@@ -315,23 +315,59 @@ func memStep(data []byte) (req ProbeReq, resp ProbeResp, rest []byte, ok bool) {
 	return req, resp, rest, true
 }
 
-// FuzzProbeRespMemory runs a sequence of replies through an owner's encoder
-// memory and a client's decoder memory, as one connection carries them, and
-// holds each step to the memory's contract: the client decodes what the
-// owner meant; the two memories are equal after every reply; the reply is
-// never longer than the stateless one; a reply that leans on the memory is
-// refused by a client that has none; and neither memory grows past its
-// bounds. Its corpus holds an arc that changes mid-stream, a NumVecs that
-// changes, and evictions inside one reply and across replies.
+// FuzzProbeRespMemory runs a sequence of probe exchanges through the two
+// ends of one connection — the client's memory encoding each request and
+// decoding its reply, the owner's decoding the request and encoding the
+// reply, as ShortenProbeRespOn — and holds every frame to the memory's
+// contract: it decodes to what was encoded; the two memories are equal after
+// it; it is never longer than its stateless form; a kept form is refused by
+// the stateless decoders, and a frame that names something kept by an empty
+// memory; and neither memory grows past its bounds. What is left of the
+// input once no whole step does is decoded as a request against a copy of
+// the owner's memory, where a kept request accepted re-encodes to the bytes
+// it came in, and as the reply to the last request against the client's.
+// Its corpus holds an arc that changes mid-stream, a NumVecs, a metric list
+// and a run that change, replies all kept with an arc and without, and
+// evictions inside one reply and across replies.
 func FuzzProbeRespMemory(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var enc, dec ReplyMemory
+		var cli, srv ReplyMemory
+		var last ProbeReq
 		for step := 0; ; step++ {
 			req, resp, rest, ok := memStep(data)
 			if !ok {
-				return
+				break
 			}
-			data = rest
+			data, last = rest, req
+
+			whole, err := EncodeProbeReq(req)
+			if err != nil {
+				t.Fatalf("step %d: EncodeProbeReq: %v", step, err)
+			}
+			ask := AppendProbeReqOn(nil, whole, &cli)
+			if len(ask) > len(whole) {
+				t.Fatalf("step %d: a request of %d bytes with a memory, %d without", step, len(ask), len(whole))
+			}
+			if ask[1] == TagProbeReqKept {
+				_, serr := DecodeProbeReq(ask)
+				_, eerr := DecodeProbeReqOn(nil, ask, &ReplyMemory{})
+				if serr == nil || eerr == nil {
+					t.Fatalf("step %d: a kept request decoded statelessly (%v) or by an empty memory (%v)", step, serr, eerr)
+				}
+			}
+			asked, err := DecodeProbeReqOn(nil, ask, &srv)
+			if err != nil || asked.Bit != req.Bit || asked.Span != req.Span || asked.NumVecs != req.NumVecs || len(asked.Metrics) != len(req.Metrics) {
+				t.Fatalf("step %d: request %+v decoded as %+v, %v", step, req, asked, err)
+			}
+			for i, metric := range req.Metrics {
+				if asked.Metrics[i] != uint64(FoldMetric(metric)) {
+					t.Fatalf("step %d: metric %d decoded as %d", step, metric, asked.Metrics[i])
+				}
+			}
+			if !reflect.DeepEqual(cli, srv) {
+				t.Fatalf("step %d: after the request the two ends' memories differ", step)
+			}
+
 			stateless, err := EncodeProbeResp(resp)
 			if err != nil {
 				t.Fatalf("step %d: EncodeProbeResp: %v", step, err)
@@ -346,26 +382,49 @@ func FuzzProbeRespMemory(f *testing.F) {
 			if resp.HasArc {
 				buf = AppendArc(buf, resp.ArcLo)
 			}
-			frame := ShortenProbeResp(buf, 0, req.Metrics, &enc)
+			frame := ShortenProbeRespOn(buf, 0, asked.Metrics, &srv)
 			if len(frame) > len(stateless) {
 				t.Fatalf("step %d: %d bytes with a memory, %d without", step, len(frame), len(stateless))
 			}
-			_, fresh := DecodeProbeRespTo(req, frame, &ReplyMemory{}, nil)
-			if leans := !bytes.Equal(frame, stateless); leans != (fresh != nil) {
-				t.Fatalf("step %d: a reply that leans on the memory (%v) decoded without one: %v", step, leans, fresh)
+			if frame[1] == TagProbeRespKept || frame[1] == TagProbeRespSame {
+				if _, err := DecodeProbeResp(frame); err == nil {
+					t.Fatalf("step %d: a reply without its header decoded statelessly", step)
+				}
 			}
-			got, err := DecodeProbeRespTo(req, frame, &dec, nil)
+			var forms MaskForms
+			got, err := DecodeProbeRespTo(req, frame, &cli, &forms)
 			if err != nil || !sameResp(got, resp) {
 				t.Fatalf("step %d: decoded %+v, %v; want %+v", step, got, err, resp)
 			}
-			if !reflect.DeepEqual(enc, dec) {
-				t.Fatalf("step %d: the two ends' memories differ", step)
+			names := forms[formKept] > 0 || resp.HasArc && !bytes.HasSuffix(frame, AppendArc(nil, resp.ArcLo))
+			if alone, err := DecodeProbeRespTo(req, frame, &ReplyMemory{}, nil); names != (err != nil) || err == nil && !sameResp(alone, resp) {
+				t.Fatalf("step %d: a reply that names something kept (%v) decoded by an empty memory: %+v, %v", step, names, alone, err)
 			}
-			if len(enc.keys) > memoryMasks || cap(enc.keys) > memoryMasks || cap(enc.masks) > memoryBytes ||
-				cap(dec.keys) > memoryMasks || cap(dec.masks) > memoryBytes || len(enc.index) != 1<<indexBits {
-				t.Fatalf("step %d: a memory holds %d keys in %d, %d mask bytes, an index of %d",
-					step, len(enc.keys), cap(enc.keys), cap(enc.masks), len(enc.index))
+			if !reflect.DeepEqual(cli, srv) {
+				t.Fatalf("step %d: after the reply the two ends' memories differ", step)
+			}
+			if len(cli.keys) > memoryMasks || cap(cli.keys) > memoryMasks || cap(cli.masks) > memoryBytes ||
+				cap(srv.keys) > memoryMasks || cap(srv.masks) > memoryBytes || len(srv.index) != 1<<indexBits ||
+				cap(cli.req.metrics) > 2*memoryMasks || cap(srv.req.metrics) > 2*memoryMasks {
+				t.Fatalf("step %d: a memory holds %d keys in %d, %d mask bytes, an index of %d, %d request bytes",
+					step, len(srv.keys), cap(srv.keys), cap(srv.masks), len(srv.index), cap(srv.req.metrics))
 			}
 		}
+
+		// Hostile bytes against the primed memories: a kept request is refused,
+		// or is the one kept form of what it decodes to; and a reply decodes or
+		// is refused, without a panic.
+		before := srv
+		before.req.metrics = bytes.Clone(srv.req.metrics)
+		if q, err := DecodeProbeReqOn(nil, data, &srv); err == nil && data[1] == TagProbeReqKept {
+			whole, err := EncodeProbeReq(q)
+			if err != nil {
+				t.Fatalf("kept request % x accepted as %+v, which does not encode: %v", data, q, err)
+			}
+			if again := AppendProbeReqOn(nil, whole, &before); !bytes.Equal(again, data) || !reflect.DeepEqual(before, srv) {
+				t.Fatalf("kept request % x accepted, re-encodes as % x", data, again)
+			}
+		}
+		DecodeProbeRespTo(last, data, &cli, nil)
 	})
 }

@@ -21,7 +21,9 @@
 // dense). The cost model's size is therefore an upper bound on the wire,
 // met exactly by masks no coding shortens. On a connection whose two ends
 // keep a ReplyMemory, a mask or an arc the connection has carried before
-// travels as one byte that says so.
+// travels as one byte that says so, a probe request sends only the fields
+// that changed since the connection's last, and a reply leaves out the
+// header that restates its request.
 //
 // Layout conventions: fixed-width big-endian integers, no framing (the
 // transport is expected to provide it), version byte first.
@@ -49,6 +51,18 @@ const (
 	// lossless form; an owner sends it only when it is shorter than the
 	// TagProbeResp frame of the same reply.
 	TagProbeRespCoded = 0x05
+	// The kept forms of a probe exchange, which only a connection whose two
+	// ends keep a ReplyMemory carries, and no stateless decoder accepts.
+	// TagProbeReqKept is a probe request that sends only the fields that
+	// differ from the connection's last request (AppendProbeReqOn).
+	TagProbeReqKept = 0x06
+	// TagProbeRespKept is a coded probe reply without its header, which
+	// restates the request: its client reads the position, run, NumVecs and
+	// mask count from the request it sent (ShortenProbeRespOn).
+	TagProbeRespKept = 0x07
+	// TagProbeRespSame is a probe reply whose every mask, and whose arc or its
+	// lack, the connection's memory holds: the tag alone.
+	TagProbeRespSame = 0x08
 )
 
 var (
@@ -256,27 +270,61 @@ func DecodeProbeReq(buf []byte) (ProbeReq, error) { return DecodeProbeReqInto(ni
 // DecodeProbeReqInto is DecodeProbeReq with the metric list appended to
 // metrics[:0], for a server that decodes one request after another.
 func DecodeProbeReqInto(metrics []uint64, buf []byte) (ProbeReq, error) {
+	h, err := splitProbeReq(buf)
+	if err != nil {
+		return ProbeReq{}, err
+	}
+	return h.req(metrics), nil
+}
+
+// probeHead is a probe request as a ReplyMemory compares it: its position,
+// run and NumVecs, and its metric list as the frame carries it, two bytes a
+// folded metric.
+type probeHead struct {
+	bit, span uint8
+	numVecs   uint16
+	metrics   []byte
+}
+
+// splitProbeReq reads a stateless probe request without copying its metric
+// list out of buf.
+func splitProbeReq(buf []byte) (probeHead, error) {
 	if len(buf) < 7 {
-		return ProbeReq{}, ErrShort
+		return probeHead{}, ErrShort
 	}
 	if buf[0] != Version || buf[1] != TagProbeReq {
-		return ProbeReq{}, ErrBadMessage
+		return probeHead{}, ErrBadMessage
 	}
 	n := int(binary.BigEndian.Uint16(buf[5:]))
 	if len(buf) < 7+2*n {
-		return ProbeReq{}, ErrShort
+		return probeHead{}, ErrShort
 	}
-	m := ProbeReq{Bit: buf[2], NumVecs: binary.BigEndian.Uint16(buf[3:]), Metrics: metrics[:0]}
-	for i := 0; i < n; i++ {
-		m.Metrics = append(m.Metrics, uint64(binary.BigEndian.Uint16(buf[7+2*i:])))
-	}
+	h := probeHead{bit: buf[2], numVecs: binary.BigEndian.Uint16(buf[3:]), metrics: buf[7 : 7+2*n]}
 	if len(buf) > 7+2*n {
-		m.Span = buf[7+2*n]
+		h.span = buf[7+2*n]
 	}
-	if !runFits(m.Bit, m.Span) {
-		return ProbeReq{}, ErrBadMessage
+	if !runFits(h.bit, h.span) {
+		return probeHead{}, ErrBadMessage
 	}
-	return m, nil
+	return h, nil
+}
+
+// req is the request h reads as, its metric list appended to metrics[:0].
+func (h probeHead) req(metrics []uint64) ProbeReq {
+	m := ProbeReq{Bit: h.bit, Span: h.span, NumVecs: h.numVecs, Metrics: metrics[:0]}
+	for i := 0; i < len(h.metrics); i += 2 {
+		m.Metrics = append(m.Metrics, uint64(binary.BigEndian.Uint16(h.metrics[i:])))
+	}
+	return m
+}
+
+// wholeLen is the length of h's stateless frame (AppendProbeReq).
+func (h probeHead) wholeLen() int {
+	n := 7 + len(h.metrics)
+	if h.span > 0 {
+		n++
+	}
+	return n
 }
 
 // ProbeResp answers a probe: per requested metric, a bitmask over the m
@@ -462,6 +510,24 @@ func EncodeProbeResp(m ProbeResp) ([]byte, error) {
 // masks would expand past MaxFrame — the reply is what it is without a
 // memory, and no memory records it.
 func ShortenProbeResp(dst []byte, start int, metrics []uint64, kept *ReplyMemory) []byte {
+	return shorten(dst, start, metrics, kept, false)
+}
+
+// ShortenProbeRespOn is ShortenProbeResp for the owner's end of a connection
+// whose client decodes every reply against the request it sent
+// (DecodeProbeRespTo), once kept has recorded a reply: the 8-byte header,
+// which only restates the request, is left out. A coded reply goes as
+// TagProbeRespKept — version, tag, the coded masks, the arc trailer — and a
+// reply whose every mask is the kept one and whose arc is the kept one, or
+// which has none where kept has none, as TagProbeRespSame, two bytes. A reply
+// no coding shortens by the header's six bytes goes dense, header and all.
+// The first reply a memory records is ShortenProbeResp's.
+func ShortenProbeRespOn(dst []byte, start int, metrics []uint64, kept *ReplyMemory) []byte {
+	return shorten(dst, start, metrics, kept, kept != nil && kept.index != nil)
+}
+
+// shorten is the encoder of both, with the header left out when bare.
+func shorten(dst []byte, start int, metrics []uint64, kept *ReplyMemory, bare bool) []byte {
 	frame := dst[start:]
 	if len(frame) < 8 || frame[1] != TagProbeResp {
 		return dst
@@ -486,20 +552,31 @@ func ShortenProbeResp(dst []byte, start int, metrics []uint64, kept *ReplyMemory
 		arcLo = binary.BigEndian.Uint64(dst[body+dense+1:])
 	}
 	if count != (int(span)+1)*len(metrics) || !hasArc && end != body+dense {
-		kept = nil
+		kept, bare = nil, false
+	}
+	// The coded masks must come in under limit bytes to beat the dense reply:
+	// its masks, and the header when the coded reply leaves it out.
+	head, tag, limit := 8, byte(TagProbeRespCoded), dense
+	if bare {
+		head, tag, limit = 2, TagProbeRespKept, dense+6
 	}
 	k := keyed{mem: kept, metrics: metrics, bit: bit, numVecs: numVecs}
-	for i, at := 0, body; at < body+dense && len(dst)-end < dense; i, at = i+1, at+mask {
+	same := bare // every mask so far the kept one
+	for i, at := 0, body; at < body+dense && len(dst)-end < limit; i, at = i+1, at+mask {
 		if was, ok := k.at(i); ok && bytes.Equal(was, dst[at:at+mask]) {
 			dst = append(dst, formKept)
 		} else {
+			same = false
 			dst = appendShortMask(dst, dst[at:at+mask], int(numVecs))
 		}
 	}
 	keptHas, keptLo := k.arc()
 	sameArc := hasArc && keptHas && keptLo == arcLo
 	k.record(count, dst[body:body+dense], hasArc, arcLo)
-	if len(dst)-end >= dense {
+	switch {
+	case same && (sameArc || !hasArc && !keptHas):
+		return append(dst[:start], Version, TagProbeRespSame)
+	case len(dst)-end >= limit:
 		if sameArc {
 			return append(dst[:body+dense], arcKept)
 		}
@@ -510,8 +587,8 @@ func ShortenProbeResp(dst []byte, start int, metrics []uint64, kept *ReplyMemory
 	} else {
 		dst = append(dst, dst[body+dense:end]...) // the arc trailer, or nothing
 	}
-	dst = dst[:body+copy(dst[body:], dst[end:])]
-	dst[start+1] = TagProbeRespCoded
+	dst = dst[:start+head+copy(dst[start+head:], dst[end:])]
+	dst[start+1] = tag
 	return dst
 }
 
@@ -584,38 +661,47 @@ func pastVecs(mask []byte, numVecs int) bool {
 // comes the arc trailer, whole, or nothing; each mask is capped at its own
 // end. A mask that marks a vector at or past NumVecs is refused in every
 // form. A coded reply is checked whole before its masks are expanded. A
-// reply that names a kept mask or arc is refused: there is no memory here
-// to expand it from.
+// reply that names a kept mask or arc is refused, and so is either reply
+// without a header: there is no memory or request here to read them by.
 func DecodeProbeResp(buf []byte) (ProbeResp, error) { return decodeProbeResp(buf, nil, nil, nil) }
 
 // DecodeProbeRespTo is DecodeProbeResp for the reply to req on a connection
 // whose memory is kept: a reply that does not answer req — its position,
 // run, NumVecs, or one mask per position and metric — or whose masks would
-// expand past MaxFrame is refused; a kept mask or arc is expanded from kept,
-// and refused when kept holds none; and a reply accepted is recorded in
-// kept (ReplyMemory's update rule). The masks never alias kept. forms, when
-// not nil, adds the accepted reply's masks by the form they travelled in.
+// expand past MaxFrame is refused; a reply without its header
+// (TagProbeRespKept, TagProbeRespSame) is read as answering req; a kept mask
+// or arc is expanded from kept, and refused when kept holds none; and a reply
+// accepted is recorded in kept (ReplyMemory's update rule). The masks never
+// alias kept. forms, when not nil, adds the accepted reply's masks by the
+// form they travelled in.
 func DecodeProbeRespTo(req ProbeReq, buf []byte, kept *ReplyMemory, forms *MaskForms) (ProbeResp, error) {
 	return decodeProbeResp(buf, &req, kept, forms)
 }
 
 // decodeProbeResp is the one probe-reply decoder, stateless when req is nil.
 func decodeProbeResp(buf []byte, req *ProbeReq, kept *ReplyMemory, forms *MaskForms) (ProbeResp, error) {
-	if len(buf) < 8 {
+	if len(buf) < 2 {
 		return ProbeResp{}, ErrShort
 	}
-	coded := buf[1] == TagProbeRespCoded
-	if buf[0] != Version || buf[1] != TagProbeResp && !coded {
+	tag := buf[1]
+	headless := tag == TagProbeRespKept || tag == TagProbeRespSame
+	if buf[0] != Version || tag != TagProbeResp && tag != TagProbeRespCoded && !(headless && req != nil && kept != nil) {
 		return ProbeResp{}, ErrBadMessage
 	}
-	m := ProbeResp{
-		Bit:     buf[2],
-		Span:    buf[7],
-		NumVecs: binary.BigEndian.Uint16(buf[3:]),
+	var m ProbeResp
+	var count, at int // at: where the masks start
+	if headless {
+		m = ProbeResp{Bit: req.Bit, Span: req.Span, NumVecs: req.NumVecs}
+		count, at = (int(req.Span)+1)*len(req.Metrics), 2
+	} else {
+		if len(buf) < 8 {
+			return ProbeResp{}, ErrShort
+		}
+		m = ProbeResp{Bit: buf[2], Span: buf[7], NumVecs: binary.BigEndian.Uint16(buf[3:])}
+		count, at = int(binary.BigEndian.Uint16(buf[5:])), 8
 	}
-	count := int(binary.BigEndian.Uint16(buf[5:]))
 	mask := MaskBytes(int(m.NumVecs))
-	end := 8 + count*mask
+	end := at + count*mask
 	k := keyed{bit: m.Bit, numVecs: m.NumVecs}
 	if req != nil {
 		if m.Bit != req.Bit || m.Span != req.Span || m.NumVecs != req.NumVecs ||
@@ -624,29 +710,42 @@ func decodeProbeResp(buf []byte, req *ProbeReq, kept *ReplyMemory, forms *MaskFo
 		}
 		k.mem, k.metrics = kept, req.Metrics
 	}
-	if coded {
-		if !runFits(m.Bit, m.Span) || count%(int(m.Span)+1) != 0 || ProbeRespOverhead+count*mask > MaxFrame {
+	switch tag {
+	case TagProbeRespSame:
+		if len(buf) != 2 || !runFits(m.Bit, m.Span) {
 			return ProbeResp{}, ErrBadMessage
 		}
-		n, err := expandMasks(nil, buf[8:], count, int(m.NumVecs), k, nil)
-		if err != nil {
-			return ProbeResp{}, err
+		for i := 0; i < count; i++ {
+			if _, ok := k.at(i); !ok {
+				return ProbeResp{}, ErrBadMessage
+			}
 		}
-		end = 8 + n
-	} else {
-		if len(buf) < 8+count*mask {
+		end = 2
+	case TagProbeResp:
+		if len(buf) < end {
 			return ProbeResp{}, ErrShort
 		}
 		if !runFits(m.Bit, m.Span) || count%(int(m.Span)+1) != 0 {
 			return ProbeResp{}, ErrBadMessage
 		}
-		for at := 8; at < end; at += mask {
-			if pastVecs(buf[at:at+mask], int(m.NumVecs)) {
+		for i := at; i < end; i += mask {
+			if pastVecs(buf[i:i+mask], int(m.NumVecs)) {
 				return ProbeResp{}, ErrBadMessage
 			}
 		}
+	default:
+		if !runFits(m.Bit, m.Span) || count%(int(m.Span)+1) != 0 || ProbeRespOverhead+count*mask > MaxFrame {
+			return ProbeResp{}, ErrBadMessage
+		}
+		n, err := expandMasks(nil, buf[at:], count, int(m.NumVecs), k, nil)
+		if err != nil {
+			return ProbeResp{}, err
+		}
+		end = at + n
 	}
 	switch arc := buf[end:]; {
+	case tag == TagProbeRespSame:
+		m.HasArc, m.ArcLo = k.arc()
 	case len(arc) == 0:
 	case arc[0] == arcKept && len(arc) == 1:
 		if m.HasArc, m.ArcLo = k.arc(); !m.HasArc {
@@ -663,14 +762,24 @@ func decodeProbeResp(buf []byte, req *ProbeReq, kept *ReplyMemory, forms *MaskFo
 		m.VecMasks = make([][]byte, count)
 	}
 	var body []byte
-	if coded {
+	switch tag {
+	case TagProbeRespSame:
 		body = make([]byte, count*mask)
-		expandMasks(body, buf[8:], count, int(m.NumVecs), k, forms)
-	} else {
-		body = append([]byte(nil), buf[8:end]...)
+		for i := 0; i < count; i++ {
+			was, _ := k.at(i)
+			copy(body[i*mask:], was)
+		}
+		if forms != nil {
+			forms[formKept] += uint64(count)
+		}
+	case TagProbeResp:
+		body = append([]byte(nil), buf[at:end]...)
 		if forms != nil {
 			forms[formDense] += uint64(count)
 		}
+	default:
+		body = make([]byte, count*mask)
+		expandMasks(body, buf[at:], count, int(m.NumVecs), k, forms)
 	}
 	for i := range m.VecMasks {
 		m.VecMasks[i] = body[i*mask : (i+1)*mask : (i+1)*mask]

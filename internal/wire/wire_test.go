@@ -729,3 +729,95 @@ func TestDecodeCodedProbeRespRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeMemoryKeptFormsRefused: each kept form of a probe exchange has
+// exactly one reading. A kept request is refused by the stateless decoder, by
+// a memory that holds no request, and when it names a field equal to the
+// remembered one, names a field there is not, has a byte behind it, or is
+// not shorter than the request sent whole. A reply without its header is
+// refused statelessly and with no memory; an all-kept reply is refused when
+// the memory lacks one of its masks, and with a byte behind it.
+func TestProbeMemoryKeptFormsRefused(t *testing.T) {
+	first := ProbeReq{Bit: 3, NumVecs: 64, Metrics: []uint64{7}}
+	whole, err := EncodeProbeReq(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primed := func() *ReplyMemory {
+		kept := new(ReplyMemory)
+		if _, err := DecodeProbeReqOn(nil, whole, kept); err != nil {
+			t.Fatal(err)
+		}
+		return kept
+	}
+	if q, err := DecodeProbeReqOn(nil, []byte{Version, TagProbeReqKept, reqBit, 4}, primed()); err != nil || q.Bit != 4 || q.NumVecs != 64 || !slices.Equal(q.Metrics, []uint64{7}) {
+		t.Fatalf("a kept request changing the position: %+v, %v", q, err)
+	}
+	for name, c := range map[string]struct {
+		frame []byte
+		kept  *ReplyMemory
+	}{
+		"no memory":                   {[]byte{Version, TagProbeReqKept, 0}, nil},
+		"an empty memory":             {[]byte{Version, TagProbeReqKept, 0}, new(ReplyMemory)},
+		"the position remembered":     {[]byte{Version, TagProbeReqKept, reqBit, 3}, primed()},
+		"the metrics remembered":      {[]byte{Version, TagProbeReqKept, reqMetrics, 0, 1, 0, 7}, primed()},
+		"a field there is not":        {[]byte{Version, TagProbeReqKept, 1 << reqFields}, primed()},
+		"a byte behind":               {[]byte{Version, TagProbeReqKept, reqBit, 4, 0}, primed()},
+		"cut short":                   {[]byte{Version, TagProbeReqKept, reqNumVecs, 0}, primed()},
+		"a run past position 255":     {[]byte{Version, TagProbeReqKept, reqBit | reqSpan, 250, 9}, primed()},
+		"longer than the whole frame": {[]byte{Version, TagProbeReqKept, reqBit | reqSpan | reqNumVecs | reqMetrics, 4, 1, 0, 8, 0, 1, 0, 9}, primed()},
+	} {
+		if _, err := DecodeProbeReqOn(nil, c.frame, c.kept); err == nil {
+			t.Errorf("%s: kept request % x accepted", name, c.frame)
+		}
+		if _, err := DecodeProbeReq(c.frame); err == nil {
+			t.Errorf("%s: kept request % x decoded statelessly", name, c.frame)
+		}
+	}
+
+	// A reply on a connection that carried one: the same masks go as the tag
+	// alone, and the decoder reads them from the memory.
+	mask := make([]byte, 8)
+	SetVec(mask, 5)
+	resp := ProbeResp{Bit: 3, NumVecs: 64, VecMasks: [][]byte{mask}}
+	reply := func(kept *ReplyMemory) []byte {
+		buf, err := AppendProbeRespHeader(nil, 3, 0, 64, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ShortenProbeRespOn(append(buf, mask...), 0, first.Metrics, kept)
+	}
+	var owner, client ReplyMemory
+	if frame := reply(&owner); frame[1] != TagProbeRespCoded {
+		t.Fatalf("the first reply on a connection: % x, want the coded reply with its header", frame)
+	} else if _, err := DecodeProbeRespTo(first, frame, &client, nil); err != nil {
+		t.Fatal(err)
+	}
+	same := reply(&owner)
+	if !bytes.Equal(same, []byte{Version, TagProbeRespSame}) {
+		t.Fatalf("the same reply again: % x, want the tag alone", same)
+	}
+	other := first
+	other.Metrics = []uint64{8}
+	for name, c := range map[string]struct {
+		frame []byte
+		req   ProbeReq
+		kept  *ReplyMemory
+	}{
+		"all kept, no memory":           {same, first, nil},
+		"all kept, an empty memory":     {same, first, new(ReplyMemory)},
+		"all kept, a mask not held":     {same, other, &client},
+		"all kept, a byte behind":       {append(slices.Clone(same), 0), first, &client},
+		"without its header, no memory": {[]byte{Version, TagProbeRespKept, formSparse}, first, nil},
+	} {
+		if _, err := DecodeProbeRespTo(c.req, c.frame, c.kept, nil); err == nil {
+			t.Errorf("%s: reply % x accepted", name, c.frame)
+		}
+		if _, err := DecodeProbeResp(c.frame); err == nil {
+			t.Errorf("%s: reply % x decoded statelessly", name, c.frame)
+		}
+	}
+	if got, err := DecodeProbeRespTo(first, same, &client, nil); err != nil || !reflect.DeepEqual(got, resp) {
+		t.Errorf("the all-kept reply decoded as %+v, %v; want %+v", got, err, resp)
+	}
+}

@@ -349,6 +349,24 @@ if [ "$masks" -le 0 ] || [ $((2 * kept)) -le "$masks" ]; then
 fi
 echo "   probe-reply masks over the hot-set window: $kept of $masks kept"
 
+# A warm probe exchange carries only what its socket does not already hold:
+# the request names only the fields that changed since the socket's last,
+# and the reply leaves out the header that restates the request — two bytes
+# when every mask and the arc are kept. Over the same window dhsd's client
+# bytes, both ways, per probe exchange must be at most 12; about 24 means
+# requests go whole and replies carry their header again.
+out_bytes() {
+    awk '$1 ~ /^netdht_out_bytes_total\{/ { n += $2 } END { print n + 0 }' "$1"
+}
+probe_rpc='netdht_out_rpc_total{tag="probe"}'
+wire_bytes=$(($(out_bytes "$LOGDIR/metrics-dhsd.prom") - $(out_bytes "$LOGDIR/metrics-dhsd-warm.prom")))
+exchanges=$(($(metric_value "$LOGDIR/metrics-dhsd.prom" "$probe_rpc") - $(metric_value "$LOGDIR/metrics-dhsd-warm.prom" "$probe_rpc")))
+if ! awk -v b="$wire_bytes" -v p="$exchanges" 'BEGIN { exit !(p > 0 && b <= 12 * p) }'; then
+    echo "== dhsd moved $wire_bytes client bytes over $exchanges probe exchanges in the hot-set window, want at most 12 an exchange" >&2
+    exit 1
+fi
+echo "   client bytes per probe exchange over the hot-set window: $wire_bytes / $exchanges"
+
 hits=$(metric_value "$LOGDIR/metrics-dhsd.prom" 'dhsd_cache_requests_total{result="hit"}')
 if [ "${hits%.*}" -eq 0 ]; then
     echo "== dhsd served a Zipf-hot workload with zero cache hits" >&2
