@@ -10,10 +10,9 @@ import (
 	"dhsketch/internal/wire"
 )
 
-// Control-plane message tags. The data plane reuses wire.TagInsert /
-// TagBulkInsert / TagProbeReq / TagProbeResp (0x01–0x04) verbatim;
-// control tags start at 0x10 so the two namespaces can never collide,
-// and every control message keeps wire's layout conventions: version
+// Control-plane message tags. The data plane reuses wire's tags (0x01–0x08)
+// verbatim; control tags start at 0x10 so the two namespaces can never
+// collide, and every control message keeps wire's layout conventions: version
 // byte first, tag second, fixed-width big-endian integers. A control frame
 // ends where its message does: every decoder refuses bytes behind it. Every
 // encoder appends to a buffer the caller names — a connection's write
@@ -204,8 +203,10 @@ func decodeFindSuccOn(buf []byte, mem *storeMemory, tuple []byte) (m findSuccMsg
 	if len(buf) >= 2 && buf[1] == tagStoreKept {
 		return mem.decodeKept(buf, tuple)
 	}
-	if m, err = decodeFindSucc(buf); err == nil && m.store != nil {
-		mem.record(m)
+	if m, err = decodeFindSucc(buf); err == nil && m.store != nil && mem != nil {
+		var f [storeFieldBytes]byte
+		fields, _, _ := splitStore(f[:0], m)
+		mem.req.Record(fields)
 	}
 	return m, tuple, err
 }
@@ -231,79 +232,48 @@ func appendRequest(dst, req []byte, mem *connMemory) []byte {
 }
 
 // storeMemory is what the routed stores of one connection have carried, kept
-// alike at both of its ends: the fields of the last store request that a
-// store need not repeat, and the route cost of the last store ack. Under the
-// soft-state rule (§3.3) a writer stores every item again each TTL, so the
-// stores one socket carries differ, from one to the next, in their key, their
-// vectors and their bit, and now and then in a metric; their flags, route
-// cost, tuple tag and TTL are those of the store before.
-//
-// A store sent on a connection whose memory holds an earlier one goes as
-// tagStoreKept: version, tag, a changed byte, the key, each field the changed
-// byte names (the storeFields below, in their order, at their wire widths),
-// then the bit and the vectors — one for a wire.Insert, as many as there are
-// for a wire.BulkInsert. It is never longer than the stateless frame. An
-// unflagged ack — hops and stale alone — equal to the memory's last ack goes
-// as the two bytes version and tagStoreAckKept.
-//
-// The update rule: every store request and every store ack a connection
-// carries is recorded at both ends — a request by the client when it encodes
-// it and by the server when it decodes it, an ack by the server when it
-// encodes it and by the client when it accepts it. The reset rule: a memory
-// is born empty with its connection and dies with it, and whatever could
-// leave the two ends unequal ends the connection — a store the server cannot
-// decode, an ack the client refuses, a failed exchange. The bound: the
-// fields below and nothing else; it allocates nothing. The zero value is an
-// empty memory.
+// alike at both of its ends under connMemory's rules: the last store request
+// (wire.KeptReq, in storeLayout) and the route cost of the last store ack.
+// Under the soft-state rule (§3.3) a writer stores every item again each TTL,
+// so the stores one socket carries differ, from one to the next, in their
+// key, their vectors and their bit, and now and then in a metric; their
+// flags, route cost, tuple tag and TTL are those of the store before. A store
+// goes kept (wire.KeptReq): tagStoreKept, the key ahead of the fields that
+// changed, the bit and the vectors — one for a wire.Insert, as many as there
+// are for a wire.BulkInsert — behind them. An unflagged ack — hops and stale
+// alone — equal to the memory's last goes as the two bytes version and
+// tagStoreAckKept. The zero value is an empty memory.
 type storeMemory struct {
-	req               storeFields
+	req               wire.KeptReq
 	ackHops, ackStale uint16
-	hasReq, hasAck    bool
+	hasAck            bool
 }
 
-// storeFields are the fields of a routed store a kept form leaves out when
-// they are the connection's last store's, in the kept form's order: flags,
-// hops, stale, the tuple frame's tag (wire.TagInsert or wire.TagBulkInsert),
-// and the tuple's folded metric and TTL as its frame carries them. Field i is
-// fieldWidth[i] bytes on the wire, and bit i of a kept form's changed byte
-// says it follows the key.
-type storeFields [6]uint16
+// storeLayout is a routed store's fields that its kept form may leave out
+// when they are the connection's last store's: flags, hops, stale, the tuple
+// frame's tag (wire.TagInsert or wire.TagBulkInsert), and the tuple's folded
+// metric and TTL as its frame carries them. A kept insert that changes all
+// six is as long as the stateless frame; a kept bulk store is always
+// shorter, since it leaves out the bulk frame's reserved byte.
+var storeLayout = wire.Layout{1, 2, 2, 1, 2, 2}
 
-const (
-	fieldFlags = iota
-	fieldHops
-	fieldStale
-	fieldTuple
-	fieldMetric
-	fieldTTL
-)
+const storeFieldBytes = 10 // the fields of storeLayout, one after another
 
-var fieldWidth = storeFields{1, 2, 2, 1, 2, 2}
-
-// keptHead is a tagStoreKept frame's version, tag, changed byte and key.
-const keptHead = 11
-
-// splitStore reads a routed store the way a kept form carries it: the fields
-// it may leave out, the bit, and the vectors (2 bytes each). keepable is false
-// when a kept form cannot carry the tuple frame byte for byte — a bulk frame
-// whose reserved byte is set. m.store must be a frame checkTupleFrame admits.
-func splitStore(m findSuccMsg) (f storeFields, bit byte, vectors []byte, keepable bool) {
+// splitStore appends a routed store's fields in storeLayout to dst and
+// returns them with the bit and the vectors (2 bytes each) — no fields when
+// a kept form cannot carry the tuple frame byte for byte: a bulk frame whose
+// reserved byte is set. m.store must be a frame checkTupleFrame admits.
+func splitStore(dst []byte, m findSuccMsg) (fields []byte, bit byte, vectors []byte) {
 	p := m.store
-	f = storeFields{fieldFlags: uint16(m.flags), fieldHops: m.hops, fieldStale: m.stale, fieldTuple: uint16(p[1]), fieldMetric: binary.BigEndian.Uint16(p[2:])}
+	fields = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(append(dst, m.flags), m.hops), m.stale)
+	fields = append(fields, p[1], p[2], p[3])
 	if p[1] == wire.TagInsert {
-		f[fieldTTL] = binary.BigEndian.Uint16(p[7:])
-		return f, p[6], p[4:6], true
+		return append(fields, p[7], p[8]), p[6], p[4:6]
 	}
-	f[fieldTTL] = binary.BigEndian.Uint16(p[5:])
-	return f, p[4], p[8:], p[7] == 0
-}
-
-// record is the update rule for a store request.
-func (r *storeMemory) record(m findSuccMsg) {
-	if r != nil {
-		r.req, _, _, _ = splitStore(m)
-		r.hasReq = true
+	if p[7] != 0 {
+		return nil, p[4], p[8:]
 	}
+	return append(fields, p[5], p[6]), p[4], p[8:]
 }
 
 // appendStore is appendFindSucc for a store on a connection with a memory.
@@ -311,74 +281,47 @@ func (r *storeMemory) appendStore(dst []byte, m findSuccMsg) []byte {
 	if checkTupleFrame(m.store) != nil {
 		return appendWhole(dst, m) // refused by its receiver, and recorded by neither end
 	}
-	last, had := r.req, r.hasReq
-	f, bit, vectors, keepable := splitStore(m)
-	r.req, r.hasReq = f, true
-	if !had || !keepable {
+	var f [storeFieldBytes]byte
+	var key [8]byte
+	binary.BigEndian.PutUint64(key[:], m.key)
+	fields, bit, vectors := splitStore(f[:0], m)
+	dst, kept := r.req.AppendKept(dst, tagStoreKept, key[:], storeLayout, fields, 1+len(vectors), findSuccHeader+len(m.store))
+	r.req.Record(fields)
+	if !kept {
 		return appendWhole(dst, m)
-	}
-	at := len(dst) + 2
-	dst = binary.BigEndian.AppendUint64(append(dst, wire.Version, tagStoreKept, 0), m.key)
-	for i, v := range f {
-		if v == last[i] {
-			continue
-		}
-		dst[at] |= 1 << i
-		if fieldWidth[i] == 1 {
-			dst = append(dst, byte(v))
-		} else {
-			dst = binary.BigEndian.AppendUint16(dst, v)
-		}
 	}
 	return append(append(dst, bit), vectors...)
 }
 
 // decodeKept expands a tagStoreKept frame against the memory, which it
 // refuses when the memory is nil or holds no store: the tuple frame is built
-// in tuple, and the store recorded. A field the changed byte names must
-// differ from the remembered one, so that each store has one kept form and
-// what is accepted re-encodes to the bytes it came in.
+// in tuple, and the store recorded.
 func (r *storeMemory) decodeKept(buf, tuple []byte) (findSuccMsg, []byte, error) {
-	if r == nil || !r.hasReq || buf[0] != wire.Version {
+	if r == nil {
 		return findSuccMsg{}, tuple, wire.ErrBadMessage
 	}
-	if len(buf) < keptHead+1 {
-		return findSuccMsg{}, tuple, wire.ErrShort
+	var b [storeFieldBytes]byte
+	f, key, rest, err := r.req.ReadKept(b[:0], buf, 8, storeLayout)
+	if err == nil && len(rest) == 0 { // the bit
+		err = wire.ErrShort
 	}
-	changed, rest := buf[2], buf[keptHead:]
-	if changed >= 1<<len(fieldWidth) {
-		return findSuccMsg{}, tuple, wire.ErrBadMessage
-	}
-	f := r.req
-	for i, w := range fieldWidth {
-		if changed&(1<<i) == 0 {
-			continue
-		}
-		if len(rest) < int(w)+1 { // the field, and the bit behind the fields
-			return findSuccMsg{}, tuple, wire.ErrShort
-		}
-		v := uint16(rest[0])
-		if w == 2 {
-			v = binary.BigEndian.Uint16(rest)
-		}
-		if v == f[i] {
-			return findSuccMsg{}, tuple, wire.ErrBadMessage
-		}
-		f[i], rest = v, rest[w:]
+	if err != nil {
+		return findSuccMsg{}, tuple, err
 	}
 	bit, vectors := rest[0], rest[1:]
-	metric, ttl := f[fieldMetric], f[fieldTTL]
-	tuple = binary.BigEndian.AppendUint16(append(tuple[:0], wire.Version, byte(f[fieldTuple])), metric)
+	tuple = append(tuple[:0], wire.Version, f[5], f[6], f[7])
 	switch {
-	case f[fieldTuple] == wire.TagInsert && len(vectors) == 2:
-		tuple = binary.BigEndian.AppendUint16(append(append(tuple, vectors...), bit), ttl)
-	case f[fieldTuple] == wire.TagBulkInsert && len(vectors)%2 == 0:
-		tuple = append(append(binary.BigEndian.AppendUint16(append(tuple, bit), ttl), 0), vectors...)
+	case f[5] == wire.TagInsert && len(vectors) == 2:
+		tuple = append(append(tuple, vectors...), bit, f[8], f[9])
+	case f[5] == wire.TagBulkInsert && len(vectors)%2 == 0:
+		tuple = append(append(tuple, bit, f[8], f[9], 0), vectors...)
 	default:
 		return findSuccMsg{}, tuple, wire.ErrBadMessage
 	}
-	r.req = f
-	m := findSuccMsg{flags: byte(f[fieldFlags]), key: binary.BigEndian.Uint64(buf[3:]), hops: f[fieldHops], stale: f[fieldStale], store: tuple}
+	if err := r.req.Accept(len(buf), f, findSuccHeader+len(tuple)); err != nil {
+		return findSuccMsg{}, tuple, err
+	}
+	m := findSuccMsg{flags: f[0], key: binary.BigEndian.Uint64(key), hops: binary.BigEndian.Uint16(f[1:]), stale: binary.BigEndian.Uint16(f[3:]), store: tuple}
 	return m, tuple, nil
 }
 

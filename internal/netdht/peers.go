@@ -60,8 +60,22 @@ func mapNetErr(err error) error {
 
 // connMemory is what one connection has carried, kept alike at its two ends
 // (DESIGN.md §14 "Socket memory"): its probe requests and replies
-// (wire.ReplyMemory) and its routed stores and their acks (storeMemory). It
-// is born empty with the socket, on dial or accept, and dies with it.
+// (wire.ReplyMemory) and its routed stores and their acks (storeMemory).
+// Both halves keep the same rules.
+//
+// The update rule: every frame a memory covers is recorded at both ends, in
+// the same order — a request by the client once it has encoded it and by the
+// server once it has decoded it, a reply by the server once it has encoded
+// it and by the client once it has accepted it. A request is recorded whole,
+// and one whose kept form cannot carry it (a probe of more than 1024
+// metrics, a bulk store whose reserved byte is set) empties its kind's
+// request half instead. The reset rule: a memory is born empty with its
+// socket, on dial or accept, and dies with it; anything that could leave the
+// two ends unequal — a request the server cannot decode, a reply the client
+// refuses, a failed exchange — ends the connection. The bound: whatever a
+// peer sends, at most 64 KiB of probe masks and a fixed index beside them,
+// one probe request of at most 1024 metrics, one store request's fields and
+// one ack.
 type connMemory struct {
 	probes wire.ReplyMemory
 	stores storeMemory

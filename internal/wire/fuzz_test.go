@@ -234,7 +234,7 @@ func primedFor(buf []byte) (kept *ReplyMemory, req ProbeReq, ok bool) {
 	}
 	dense = AppendArc(append(dense, make([]byte, count*mask)...), 7)
 	kept = new(ReplyMemory)
-	ShortenProbeResp(dense, 0, req.Metrics, kept)
+	ShortenProbeRespOn(dense, 0, req.Metrics, kept)
 	return kept, req, true
 }
 
@@ -300,19 +300,24 @@ func memStep(data []byte) (req ProbeReq, resp ProbeResp, rest []byte, ok bool) {
 		v := make([]byte, mask)
 		switch pat := pats[i%p]; pat % 4 {
 		case 1:
-			for j := 0; j < m; j++ {
-				SetVec(v, j)
-			}
+			fill(v, 0xFF, m)
 		case 2:
 			SetVec(v, int(pat>>2)%m)
 		case 3:
-			for j := 0; j < m; j += 2 {
-				SetVec(v, j)
-			}
+			fill(v, 0x55, m) // vectors 0, 2, 4, …
 		}
 		resp.VecMasks = append(resp.VecMasks, v)
 	}
 	return req, resp, rest, true
+}
+
+// fill sets every byte of a mask over m vectors to b, and clears the bits
+// past m.
+func fill(mask []byte, b byte, m int) {
+	for i := range mask {
+		mask[i] = b
+	}
+	clearPast(mask, m)
 }
 
 // FuzzProbeRespMemory runs a sequence of probe exchanges through the two
@@ -364,7 +369,7 @@ func FuzzProbeRespMemory(f *testing.F) {
 					t.Fatalf("step %d: metric %d decoded as %d", step, metric, asked.Metrics[i])
 				}
 			}
-			if !reflect.DeepEqual(cli, srv) {
+			if !reflect.DeepEqual(cli.req, srv.req) { // a request records nothing else
 				t.Fatalf("step %d: after the request the two ends' memories differ", step)
 			}
 
@@ -405,9 +410,9 @@ func FuzzProbeRespMemory(f *testing.F) {
 			}
 			if len(cli.keys) > memoryMasks || cap(cli.keys) > memoryMasks || cap(cli.masks) > memoryBytes ||
 				cap(srv.keys) > memoryMasks || cap(srv.masks) > memoryBytes || len(srv.index) != 1<<indexBits ||
-				cap(cli.req.metrics) > 2*memoryMasks || cap(srv.req.metrics) > 2*memoryMasks {
+				cap(cli.req.fields) > keptBytes || cap(srv.req.fields) > keptBytes {
 				t.Fatalf("step %d: a memory holds %d keys in %d, %d mask bytes, an index of %d, %d request bytes",
-					step, len(srv.keys), cap(srv.keys), cap(srv.masks), len(srv.index), cap(srv.req.metrics))
+					step, len(srv.keys), cap(srv.keys), cap(srv.masks), len(srv.index), cap(srv.req.fields))
 			}
 		}
 
@@ -415,7 +420,7 @@ func FuzzProbeRespMemory(f *testing.F) {
 		// or is the one kept form of what it decodes to; and a reply decodes or
 		// is refused, without a panic.
 		before := srv
-		before.req.metrics = bytes.Clone(srv.req.metrics)
+		before.req.fields = bytes.Clone(srv.req.fields)
 		if q, err := DecodeProbeReqOn(nil, data, &srv); err == nil && data[1] == TagProbeReqKept {
 			whole, err := EncodeProbeReq(q)
 			if err != nil {

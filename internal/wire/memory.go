@@ -6,35 +6,17 @@ import (
 )
 
 // ReplyMemory is what the probe exchanges of one connection have carried,
-// kept alike at both of its ends: the last request — its position, run,
-// NumVecs and folded metric list — and, of the replies, the last mask sent
+// kept alike at both of its ends under the connection's rules (internal/netdht's
+// connMemory): the last request, and, of the replies, the last mask sent
 // under each (folded metric, position) at one NumVecs, and the last arc. A
-// request goes as TagProbeReqKept with only the fields that differ from the
-// remembered one (AppendProbeReqOn, DecodeProbeReqOn). The owner sends a mask
-// equal to the one its memory holds as formKept and an arc equal to the
-// remembered one as arcKept, one byte each, leaves out the header that
-// restates the request once the memory has recorded a reply, and sends a
-// reply whose every mask and arc it holds as the tag alone
-// (ShortenProbeRespOn); the client's memory, which has seen the same
-// exchanges, expands them (DecodeProbeRespTo).
-//
-// The update rule: every request is recorded — by the client once it has
-// encoded it, by the owner once it has decoded it — and so is every reply —
-// the owner's once it has encoded it, the client's once it has accepted it.
-// A request is recorded whole, and one that lists more than memoryMasks
-// metrics empties the request half instead. A reply is recorded mask by mask
-// in its order, each dense mask for its (metric, position), and its arc or
-// its lack. A reply at another NumVecs than the last one empties the memory
-// of masks first. A new key takes a free slot or, once every slot is used,
-// the slot of the key that arrived first, so what a memory holds is a
-// function of the exchanges it has recorded and nothing else. The reset rule:
-// a memory is born empty with its connection and dies with it; anything that
-// could leave the two ends unequal — a request the owner cannot decode, a
-// reply the client refuses, a failed exchange — ends the connection. The
-// bound: at most memoryMasks masks and memoryBytes of them, whatever NumVecs a
-// peer claims, a fixed index beside them, and one request of at most
-// memoryMasks metrics. The zero value is an empty memory; it allocates on the
-// first request and the first reply it records.
+// reply is recorded mask by mask in its order, with its arc or its lack; one
+// at another NumVecs than the last empties the memory of masks first; and a
+// new key takes a free slot or, once every slot is used, the slot of the key
+// that arrived first, so what a memory holds is a function of the exchanges it
+// has recorded and nothing else. It holds at most memoryMasks masks and
+// memoryBytes of them, whatever NumVecs a peer claims, beside a fixed index.
+// The zero value is an empty memory; it allocates on the first request and
+// the first reply it records.
 type ReplyMemory struct {
 	hasArc  bool
 	arcLo   uint64
@@ -44,8 +26,7 @@ type ReplyMemory struct {
 	index   []uint16 // open addressing by memKey: slot+1, 0 for none
 	next    int      // the slot a new key takes once every slot is used
 
-	hasReq bool
-	req    probeHead // its metrics in memory of its own
+	req KeptReq // in probeLayout
 }
 
 // The memory's bounds.
@@ -177,162 +158,190 @@ func (k keyed) record(count int, masks []byte, hasArc bool, arcLo uint64) {
 	}
 }
 
-// The changed byte of a TagProbeReqKept frame: bit i says that field i
-// follows it, in this order and at its width in the stateless request — the
-// position (1 byte), the run (1), NumVecs (2), and the metric list, its count
-// (2) and its folded metrics (2 each).
-const (
-	reqBit = 1 << iota
-	reqSpan
-	reqNumVecs
-	reqMetrics
-	reqFields = iota
-)
+// A Layout is a kind of request as its kept form carries it. A request sent
+// on a connection whose memory holds an earlier one of its kind goes as a
+// kept form: version, the kind's kept tag, a changed byte, what always travels
+// ahead of the fields (a routed store's key), the fields the changed byte
+// names, then what always travels behind them (a routed store's bit and
+// vectors). The Layout lists the fields in the order of the changed byte's
+// bits, each its width in bytes on the stateless frame, or List; a request's
+// fields are those bytes, one field after another. A field the changed byte
+// does not name is the remembered request's, and one it names must differ from
+// it, so that each request has one kept form and what is accepted re-encodes
+// to the bytes it came in.
+type Layout []uint8
+
+// List is the width of a field that is a list: a 2-byte count, then two
+// bytes an entry.
+const List = 0
+
+// keptBytes bounds the fields a memory holds: a probe's, of memoryMasks
+// metrics.
+const keptBytes = 6 + 2*memoryMasks
+
+// KeptReq is what a connection's memory holds of the requests of one kind:
+// the fields of the last one recorded, or none. The zero value holds none.
+type KeptReq struct{ fields []byte }
+
+// Record is the update rule for a request: k holds its fields from now on,
+// or none when fields is nil — a request its kept form cannot carry — or
+// longer than keptBytes.
+func (k *KeptReq) Record(fields []byte) {
+	if len(fields) > keptBytes {
+		fields = nil
+	}
+	k.fields = append(grow(k.fields[:0], len(fields), keptBytes), fields...)
+}
+
+// fieldLen is the length of the field of width w at the front of f, which
+// may run past the end of f.
+func fieldLen(f []byte, w uint8) int {
+	if w != List {
+		return int(w)
+	}
+	if len(f) < 2 {
+		return 2
+	}
+	return 2 + 2*int(binary.BigEndian.Uint16(f))
+}
+
+// fits is the one rule for when a kept form is sent: whenever it is no
+// longer than the request's stateless frame.
+func fits(kept, whole int) bool { return kept <= whole }
+
+// AppendKept appends to dst the kept form, up to its fields, of the request
+// whose fields in l are now, whose stateless frame is whole bytes long, and
+// behind whose fields behind bytes travel; it reports whether it did. It does
+// not when k holds no request, when now is nil, or when the kept form would
+// be longer than the stateless frame; the caller then sends that, and
+// otherwise appends what travels behind.
+func (k *KeptReq) AppendKept(dst []byte, tag byte, ahead []byte, l Layout, now []byte, behind, whole int) ([]byte, bool) {
+	if len(k.fields) == 0 || now == nil {
+		return dst, false
+	}
+	start := len(dst)
+	dst = append(append(dst, Version, tag, 0), ahead...)
+	last := k.fields
+	for i, w := range l {
+		a, b := fieldLen(last, w), fieldLen(now, w)
+		if !bytes.Equal(last[:a], now[:b]) {
+			dst[start+2] |= 1 << i
+			dst = append(dst, now[:b]...)
+		}
+		last, now = last[a:], now[b:]
+	}
+	if !fits(len(dst)-start+behind, whole) {
+		return dst[:start], false
+	}
+	return dst, true
+}
+
+// ReadKept reads a kept form in l, the ahead bytes ahead of whose fields it
+// returns as key, against the request k holds: it builds the request's fields
+// in dst and returns them, and what travels behind them. It refuses a form
+// when k holds no request, when its changed byte names a field l has not or
+// a field equal to the remembered one, and when the fields are more than a
+// memory holds. The caller reads the request from the fields and hands them
+// to Accept.
+func (k *KeptReq) ReadKept(dst, buf []byte, ahead int, l Layout) (fields, key, rest []byte, err error) {
+	if len(k.fields) == 0 || len(buf) < 2 || buf[0] != Version {
+		return nil, nil, nil, ErrBadMessage
+	}
+	if len(buf) < 3+ahead {
+		return nil, nil, nil, ErrShort
+	}
+	changed, key, rest := buf[2], buf[3:3+ahead], buf[3+ahead:]
+	if changed >= 1<<len(l) {
+		return nil, nil, nil, ErrBadMessage
+	}
+	fields, last := dst[:0], k.fields
+	for i, w := range l {
+		a := fieldLen(last, w)
+		field := last[:a]
+		if changed&(1<<i) != 0 {
+			b := fieldLen(rest, w)
+			if len(rest) < b {
+				return nil, nil, nil, ErrShort
+			}
+			if bytes.Equal(rest[:b], field) {
+				return nil, nil, nil, ErrBadMessage
+			}
+			field, rest = rest[:b], rest[b:]
+		}
+		if len(fields)+len(field) > keptBytes {
+			return nil, nil, nil, ErrBadMessage
+		}
+		fields, last = append(fields, field...), last[a:]
+	}
+	return fields, key, rest, nil
+}
+
+// Accept ends the decoding of a kept form, kept bytes long, whose fields
+// ReadKept read: it refuses the form when it is longer than the stateless
+// frame of the request it reads as, whole bytes long, and records the fields
+// otherwise.
+func (k *KeptReq) Accept(kept int, fields []byte, whole int) error {
+	if !fits(kept, whole) {
+		return ErrBadMessage
+	}
+	k.Record(fields)
+	return nil
+}
+
+// probeLayout is a probe request's: its position, its run, NumVecs and its
+// metric list, folded two bytes each.
+var probeLayout = Layout{1, 1, 2, List}
 
 // AppendProbeReqOn appends req, a probe request frame as AppendProbeReq
-// builds it, to dst as the connection whose memory is kept sends it, and
-// records it there. Once the memory holds a request, req goes as
-// TagProbeReqKept — version, tag, the changed byte, then each field that
-// differs from the remembered request — when that is shorter than req; else,
-// and with kept nil, it goes as it is. A frame that does not decode goes as
-// it is too, and is not recorded: its receiver refuses it and ends the
-// connection.
+// builds it, to dst as the connection whose memory is kept sends it: as
+// TagProbeReqKept when the memory holds a request and the kept form is no
+// longer than req, else as it is; and records it there. With kept nil it goes
+// as it is. A frame that does not decode goes as it is too, and is not
+// recorded: its receiver refuses it and ends the connection.
 func AppendProbeReqOn(dst, req []byte, kept *ReplyMemory) []byte {
 	h, err := splitProbeReq(req)
 	if err != nil || kept == nil {
 		return append(dst, req...)
 	}
-	start := len(dst)
-	if kept.hasReq && h.keepable() {
-		dst = kept.req.appendKept(dst, h)
+	var f [keptBytes]byte
+	now := h.fields(f[:0])
+	dst, ok := kept.req.AppendKept(dst, TagProbeReqKept, nil, probeLayout, now, 0, len(req))
+	if !ok {
+		dst = append(dst, req...)
 	}
-	if len(dst) == start || len(dst)-start >= h.wholeLen() {
-		dst = append(dst[:start], req...)
-	}
-	kept.recordReq(h)
+	kept.req.Record(now)
 	return dst
-}
-
-// appendKept appends h's TagProbeReqKept frame against the remembered
-// request last.
-func (last probeHead) appendKept(dst []byte, h probeHead) []byte {
-	changed := last.diff(h)
-	dst = append(dst, Version, TagProbeReqKept, changed)
-	if changed&reqBit != 0 {
-		dst = append(dst, h.bit)
-	}
-	if changed&reqSpan != 0 {
-		dst = append(dst, h.span)
-	}
-	if changed&reqNumVecs != 0 {
-		dst = binary.BigEndian.AppendUint16(dst, h.numVecs)
-	}
-	if changed&reqMetrics != 0 {
-		dst = append(binary.BigEndian.AppendUint16(dst, uint16(len(h.metrics)/2)), h.metrics...)
-	}
-	return dst
-}
-
-// diff is the changed byte of h against the remembered request last.
-func (last probeHead) diff(h probeHead) (changed byte) {
-	if h.bit != last.bit {
-		changed |= reqBit
-	}
-	if h.span != last.span {
-		changed |= reqSpan
-	}
-	if h.numVecs != last.numVecs {
-		changed |= reqNumVecs
-	}
-	if !bytes.Equal(h.metrics, last.metrics) {
-		changed |= reqMetrics
-	}
-	return changed
 }
 
 // DecodeProbeReqOn is DecodeProbeReqInto for a request that arrived on a
 // connection whose memory is kept, and records what it accepts there. A
-// TagProbeReqKept frame is expanded from the remembered request; it is
-// refused when the memory holds none, when a field it names equals the
-// remembered one, or when it is not shorter than the request sent whole — so
-// each request has one kept form, and what is accepted re-encodes to the
-// bytes it came in.
+// TagProbeReqKept frame is read against the remembered request, and refused
+// without one.
 func DecodeProbeReqOn(metrics []uint64, buf []byte, kept *ReplyMemory) (ProbeReq, error) {
-	var h probeHead
-	var err error
-	if len(buf) >= 2 && buf[1] == TagProbeReqKept {
-		h, err = kept.expandReq(buf)
-	} else {
-		h, err = splitProbeReq(buf)
+	var f [keptBytes]byte
+	if len(buf) < 2 || buf[1] != TagProbeReqKept {
+		h, err := splitProbeReq(buf)
+		if err != nil {
+			return ProbeReq{}, err
+		}
+		if kept != nil {
+			kept.req.Record(h.fields(f[:0]))
+		}
+		return h.req(metrics), nil
 	}
+	if kept == nil {
+		return ProbeReq{}, ErrBadMessage
+	}
+	fields, _, rest, err := kept.req.ReadKept(f[:0], buf, 0, probeLayout)
 	if err != nil {
 		return ProbeReq{}, err
 	}
-	kept.recordReq(h)
+	h := headOf(fields)
+	if len(rest) != 0 || !runFits(h.bit, h.span) {
+		return ProbeReq{}, ErrBadMessage
+	}
+	if err := kept.req.Accept(len(buf), fields, h.wholeLen()); err != nil {
+		return ProbeReq{}, err
+	}
 	return h.req(metrics), nil
-}
-
-// expandReq reads a TagProbeReqKept frame against the remembered request.
-// The metric list it returns may be the memory's own.
-func (r *ReplyMemory) expandReq(buf []byte) (probeHead, error) {
-	if r == nil || !r.hasReq || buf[0] != Version {
-		return probeHead{}, ErrBadMessage
-	}
-	if len(buf) < 3 {
-		return probeHead{}, ErrShort
-	}
-	changed, rest := buf[2], buf[3:]
-	if changed >= 1<<reqFields {
-		return probeHead{}, ErrBadMessage
-	}
-	h, last := r.req, r.req
-	if changed&reqBit != 0 {
-		if len(rest) < 1 {
-			return probeHead{}, ErrShort
-		}
-		h.bit, rest = rest[0], rest[1:]
-	}
-	if changed&reqSpan != 0 {
-		if len(rest) < 1 {
-			return probeHead{}, ErrShort
-		}
-		h.span, rest = rest[0], rest[1:]
-	}
-	if changed&reqNumVecs != 0 {
-		if len(rest) < 2 {
-			return probeHead{}, ErrShort
-		}
-		h.numVecs, rest = binary.BigEndian.Uint16(rest), rest[2:]
-	}
-	if changed&reqMetrics != 0 {
-		if len(rest) < 2 {
-			return probeHead{}, ErrShort
-		}
-		n := 2 * int(binary.BigEndian.Uint16(rest))
-		if len(rest) < 2+n {
-			return probeHead{}, ErrShort
-		}
-		h.metrics, rest = rest[2:2+n], rest[2+n:]
-	}
-	// Each field named differs from the remembered one: the frame is the one
-	// appendKept builds.
-	if len(rest) != 0 || !runFits(h.bit, h.span) || !h.keepable() || len(buf) >= h.wholeLen() || changed != last.diff(h) {
-		return probeHead{}, ErrBadMessage
-	}
-	return h, nil
-}
-
-// keepable reports whether a memory holds h: whether it lists no more than
-// memoryMasks metrics.
-func (h probeHead) keepable() bool { return len(h.metrics) <= 2*memoryMasks }
-
-// recordReq is the update rule for a request.
-func (r *ReplyMemory) recordReq(h probeHead) {
-	if r == nil {
-		return
-	}
-	if r.hasReq = h.keepable(); r.hasReq {
-		r.req.bit, r.req.span, r.req.numVecs = h.bit, h.span, h.numVecs
-		r.req.metrics = append(grow(r.req.metrics[:0], len(h.metrics), 2*memoryMasks), h.metrics...)
-	}
 }

@@ -277,9 +277,9 @@ func DecodeProbeReqInto(metrics []uint64, buf []byte) (ProbeReq, error) {
 	return h.req(metrics), nil
 }
 
-// probeHead is a probe request as a ReplyMemory compares it: its position,
-// run and NumVecs, and its metric list as the frame carries it, two bytes a
-// folded metric.
+// probeHead is a probe request read from its frame: its position, run and
+// NumVecs, and its metric list as the frame carries it, two bytes a folded
+// metric.
 type probeHead struct {
 	bit, span uint8
 	numVecs   uint16
@@ -318,13 +318,27 @@ func (h probeHead) req(metrics []uint64) ProbeReq {
 	return m
 }
 
+// fields appends h's fields in probeLayout to dst, or returns nil when they
+// are more than a memory holds.
+func (h probeHead) fields(dst []byte) []byte {
+	if 6+len(h.metrics) > keptBytes {
+		return nil
+	}
+	dst = binary.BigEndian.AppendUint16(append(dst, h.bit, h.span), h.numVecs)
+	return append(binary.BigEndian.AppendUint16(dst, uint16(len(h.metrics)/2)), h.metrics...)
+}
+
 // wholeLen is the length of h's stateless frame (AppendProbeReq).
 func (h probeHead) wholeLen() int {
-	n := 7 + len(h.metrics)
 	if h.span > 0 {
-		n++
+		return 8 + len(h.metrics)
 	}
-	return n
+	return 7 + len(h.metrics)
+}
+
+// headOf reads a probe request's fields in probeLayout.
+func headOf(f []byte) probeHead {
+	return probeHead{bit: f[0], span: f[1], numVecs: binary.BigEndian.Uint16(f[2:]), metrics: f[6:]}
 }
 
 // ProbeResp answers a probe: per requested metric, a bitmask over the m
@@ -478,7 +492,7 @@ func AppendProbeResp(dst []byte, m ProbeResp) ([]byte, error) {
 	if m.HasArc {
 		buf = AppendArc(buf, m.ArcLo)
 	}
-	return ShortenProbeResp(buf, start, nil, nil), nil
+	return ShortenProbeResp(buf, start), nil
 }
 
 // EncodeProbeResp serializes a probe reply into a buffer of its own, with
@@ -492,42 +506,32 @@ func EncodeProbeResp(m ProbeResp) ([]byte, error) {
 	return buf, nil
 }
 
-// ShortenProbeResp is the one probe-reply encoder: it takes the dense reply
-// that fills dst[start:] — AppendProbeRespHeader, a mask per position and
-// metric, and the arc or none — clears the vectors at and past NumVecs from
-// every mask, and sends each mask in the fewest bytes: dense, sparse or
+// ShortenProbeResp is the stateless probe-reply encoder: it takes the dense
+// reply that fills dst[start:] — AppendProbeRespHeader, a mask per position
+// and metric, and the arc or none — clears the vectors at and past NumVecs
+// from every mask, and sends each mask in the fewest bytes: dense, sparse or
 // complement (formDense …), under TagProbeRespCoded. When that is not
 // shorter than the dense reply, the dense reply stays as it was, byte for
-// byte; so does one whose masks would expand past MaxFrame. The coded
-// reply is built behind the dense one and moved down over it: with room for
-// both in dst, shortening allocates nothing.
-//
-// With kept, the memory of the connection the reply goes out on, and
-// metrics, the request's list, a mask equal to the one kept holds for its
-// metric and position travels as formKept and an arc equal to the kept one
-// as arcKept, in either tag; then kept records the reply. Without kept —
-// or for a reply that is not one mask per position and metric, or whose
-// masks would expand past MaxFrame — the reply is what it is without a
-// memory, and no memory records it.
-func ShortenProbeResp(dst []byte, start int, metrics []uint64, kept *ReplyMemory) []byte {
-	return shorten(dst, start, metrics, kept, false)
-}
+// byte; so does one whose masks would expand past MaxFrame. The coded reply
+// is built behind the dense one and moved down over it: with room for both in
+// dst, shortening allocates nothing.
+func ShortenProbeResp(dst []byte, start int) []byte { return ShortenProbeRespOn(dst, start, nil, nil) }
 
 // ShortenProbeRespOn is ShortenProbeResp for the owner's end of a connection
-// whose client decodes every reply against the request it sent
-// (DecodeProbeRespTo), once kept has recorded a reply: the 8-byte header,
-// which only restates the request, is left out. A coded reply goes as
+// whose memory is kept, for a request of metrics; it records the reply there.
+// The first reply a memory records is ShortenProbeResp's. Once it has
+// recorded one, the 8-byte header, which only restates the request its
+// client decodes the reply against (DecodeProbeRespTo), is left out: a mask
+// equal to the one kept holds for its metric and position travels as
+// formKept and an arc equal to the kept one as arcKept; a coded reply goes as
 // TagProbeRespKept — version, tag, the coded masks, the arc trailer — and a
 // reply whose every mask is the kept one and whose arc is the kept one, or
 // which has none where kept has none, as TagProbeRespSame, two bytes. A reply
-// no coding shortens by the header's six bytes goes dense, header and all.
-// The first reply a memory records is ShortenProbeResp's.
+// no coding shortens by the header's six bytes goes dense, header and all. A
+// reply that is not one mask per position and metric, or whose masks would
+// expand past MaxFrame, goes as ShortenProbeResp sends it, and no memory
+// records it.
 func ShortenProbeRespOn(dst []byte, start int, metrics []uint64, kept *ReplyMemory) []byte {
-	return shorten(dst, start, metrics, kept, kept != nil && kept.index != nil)
-}
-
-// shorten is the encoder of both, with the header left out when bare.
-func shorten(dst []byte, start int, metrics []uint64, kept *ReplyMemory, bare bool) []byte {
 	frame := dst[start:]
 	if len(frame) < 8 || frame[1] != TagProbeResp {
 		return dst
@@ -552,8 +556,9 @@ func shorten(dst []byte, start int, metrics []uint64, kept *ReplyMemory, bare bo
 		arcLo = binary.BigEndian.Uint64(dst[body+dense+1:])
 	}
 	if count != (int(span)+1)*len(metrics) || !hasArc && end != body+dense {
-		kept, bare = nil, false
+		kept = nil
 	}
+	bare := kept != nil && kept.index != nil
 	// The coded masks must come in under limit bytes to beat the dense reply:
 	// its masks, and the header when the coded reply leaves it out.
 	head, tag, limit := 8, byte(TagProbeRespCoded), dense
