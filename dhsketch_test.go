@@ -194,3 +194,27 @@ func TestPublicAPIFaultInjection(t *testing.T) {
 		t.Errorf("clean network marked degraded: %+v", cleanEst.Quality)
 	}
 }
+
+// TestCountAllocs pins what one simulated Count allocates at the sim_scan
+// geometry (N = 1024, m = 512): the scan's state and the one R that
+// Estimate.R returns, and no copy of R made only for the estimator.
+func TestCountAllocs(t *testing.T) {
+	d, err := dhsketch.New(dhsketch.NewNetwork(1, 1024), dhsketch.Config{M: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	metric := dhsketch.MetricID("allocs")
+	for i := 0; i < 5000; i++ {
+		if _, err := d.Insert(metric, dhsketch.ItemID(fmt.Sprintf("allocs-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := d.Count(metric); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 11 {
+		t.Errorf("a Count allocates %.0f times, want at most 11", allocs)
+	}
+}

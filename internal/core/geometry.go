@@ -120,44 +120,46 @@ func (g *Geometry) ScanRange() (first, last, step int) {
 }
 
 // finalR fills the vectors a scan left unresolved by the family's
-// convention: PCSA vectors that never showed a zero have their leftmost
-// zero just past the top usable bit; LogLog-family vectors never
-// observed stay at -1 (empty bucket).
+// convention, in the scan's own R, which it returns: PCSA vectors that never
+// showed a zero have their leftmost zero just past the top usable bit;
+// LogLog-family vectors never observed stay at -1 (empty bucket).
 func (g *Geometry) finalR(st *metricState) []int {
-	out := append([]int(nil), st.R...)
 	if g.Kind == sketch.KindPCSA {
-		for j := range out {
+		for j := range st.R {
 			if !st.resolved[j] {
-				out[j] = int(g.MaxBit()) + 1
+				st.R[j] = int(g.MaxBit()) + 1
 			}
 		}
 	}
-	return out
+	return st.R
 }
 
 // estimateFromR turns reconstructed per-vector statistics into a
-// cardinality estimate using the configured estimator family.
+// cardinality estimate using the configured estimator family. The LogLog
+// family's formulas take 1-based ranks, so R's 0-based maximum bit positions
+// (-1 = vector never observed) are shifted to ranks in place for the
+// estimate, and back.
 func (g *Geometry) estimateFromR(R []int) float64 {
-	switch g.Kind {
-	case sketch.KindPCSA:
+	if g.Kind == sketch.KindPCSA {
 		return sketch.EstimatePCSA(R)
+	}
+	shift(R, 1)
+	defer shift(R, -1)
+	switch g.Kind {
 	case sketch.KindSuperLogLog:
-		return sketch.EstimateSuperLogLog(ranksFromMaxBits(R))
+		return sketch.EstimateSuperLogLog(R)
 	case sketch.KindLogLog:
-		return sketch.EstimateLogLog(ranksFromMaxBits(R))
+		return sketch.EstimateLogLog(R)
 	case sketch.KindHyperLogLog:
-		return sketch.EstimateHyperLogLog(ranksFromMaxBits(R))
+		return sketch.EstimateHyperLogLog(R)
 	default:
 		panic(fmt.Sprintf("core: unknown estimator kind %v", g.Kind))
 	}
 }
 
-// ranksFromMaxBits converts 0-based maximum bit positions (-1 = vector
-// never observed) to the 1-based ranks the LogLog-family formulas expect.
-func ranksFromMaxBits(R []int) []int {
-	ranks := make([]int, len(R))
-	for i, r := range R {
-		ranks[i] = r + 1
+// shift adds by to every entry of R.
+func shift(R []int, by int) {
+	for i := range R {
+		R[i] += by
 	}
-	return ranks
 }

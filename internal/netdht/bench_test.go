@@ -33,7 +33,7 @@ import (
 // one-probe-per-owner saving: arcs shrink as the ring grows, so more of the
 // visits are first visits. kept-share is the part of the masks the replies
 // carried that the owner sent as kept, the same as its connection's last
-// (wire.ReplyMemory). A third row, changing, is warm with 200 fresh items
+// (wire.Memory). A third row, changing, is warm with 200 fresh items
 // inserted before every scan, outside the timer and by another client: the
 // masks a scan reads move between scans, as under a write load, and a
 // reply keeps only what did not.

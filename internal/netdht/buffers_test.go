@@ -152,7 +152,7 @@ func TestConnBufferRelease(t *testing.T) {
 	p := newPeerPool(time.Second, 5*time.Second, 1, nil)
 	defer p.close()
 	var resp []byte
-	err = p.exchange(s.Addr(), req, func(reply []byte, _ *connMemory) error { resp = bytes.Clone(reply); return nil })
+	err = p.exchange(s.Addr(), req, func(reply []byte, _ *wire.Memory) error { resp = bytes.Clone(reply); return nil })
 	if err != nil || len(resp) < maxFrame*9/10 || len(resp) > maxFrame {
 		t.Fatalf("big probe: %d bytes, %v; want a reply of nearly maxFrame", len(resp), err)
 	}
@@ -283,17 +283,17 @@ func TestExchangeZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decode := func(reply []byte, mem *connMemory) error {
-		_, err := wire.DecodeProbeRespTo(q, reply, &mem.probes, nil)
+	decode := func(reply []byte, mem *wire.Memory) error {
+		_, err := wire.DecodeProbeRespTo(q, reply, mem, nil)
 		return err
 	}
-	same := func(reply []byte, _ *connMemory) error {
+	same := func(reply []byte, _ *wire.Memory) error {
 		if len(reply) != 2 || reply[1] != wire.TagProbeRespSame {
 			return fmt.Errorf("reply % x, want the tag alone", reply)
 		}
 		return nil
 	}
-	ask := func(read func([]byte, *connMemory) error) {
+	ask := func(read func([]byte, *wire.Memory) error) {
 		if err := p.exchange(s.Addr(), probe, read); err != nil {
 			t.Fatalf("probe: %v", err)
 		}

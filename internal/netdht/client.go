@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"sync"
 	"time"
 
@@ -283,8 +284,9 @@ func (c *Client) Count(metric uint64) (CountResult, error) {
 // is asked once, for every metric still open, over the run of positions its
 // arc holds: the scan costs the exchanges of counting one metric, and each
 // further metric adds its masks to the replies. A metric named twice is
-// scanned once. A list whose reply for a single position would not fit a
-// frame is scanned in consecutive parts of maxMasks metrics each.
+// scanned once, and the metrics go out in ascending order. A list whose reply
+// for a single position would not fit a frame is scanned in consecutive parts
+// of maxMasks metrics each.
 //
 // CountAll is safe for concurrent use by many goroutines sharing one Client
 // — each call carries its own answers, the ring view they all resolve
@@ -292,14 +294,11 @@ func (c *Client) Count(metric uint64) (CountResult, error) {
 // multiplexes exchanges over DefaultPeerConns sockets per peer. The first
 // scan pays for learning the ring; later ones route only what has changed.
 func (c *Client) CountAll(metrics []uint64) ([]CountResult, error) {
-	at := make(map[uint64]int, len(metrics)) // metric → index in distinct
-	distinct := make([]uint64, 0, len(metrics))
-	for _, m := range metrics {
-		if _, seen := at[m]; !seen {
-			at[m] = len(distinct)
-			distinct = append(distinct, m)
-		}
-	}
+	// One order on the wire, whatever order the caller names them in, so a
+	// socket's kept probe request finds the metric list it sent last.
+	distinct := slices.Clone(metrics)
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct)
 	scanned := make([]CountResult, 0, len(distinct))
 	for len(scanned) < len(distinct) {
 		part := distinct[len(scanned):min(len(scanned)+c.maxMasks, len(distinct))]
@@ -307,7 +306,8 @@ func (c *Client) CountAll(metrics []uint64) ([]CountResult, error) {
 	}
 	out := make([]CountResult, len(metrics))
 	for i, m := range metrics {
-		out[i] = scanned[at[m]]
+		at, _ := slices.BinarySearch(distinct, m)
+		out[i] = scanned[at]
 	}
 	return out, nil
 }
@@ -542,9 +542,9 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 // masks for its whole life, longer than any connection keeps a frame: the
 // reply is decoded while the slot is still held, into one buffer of dense
 // masks that is the scan's own — the frame's mask bytes copied, a coded
-// reply's expanded, a kept mask copied out of the socket's probe memory —
+// reply's expanded, a kept mask copied out of the socket's memory —
 // one copy per owner, and no frame or memory bytes are kept. The request is
-// built stateless on the stack and encoded against the socket's probe memory
+// built stateless on the stack and encoded against the socket's memory
 // in the slot (appendRequest); a reply without its header is read as
 // answering req.
 func (c *Client) probe(addr string, req wire.ProbeReq) (resp wire.ProbeResp, err error) {
@@ -554,9 +554,9 @@ func (c *Client) probe(addr string, req wire.ProbeReq) (resp wire.ProbeResp, err
 		return wire.ProbeResp{}, err
 	}
 	var forms wire.MaskForms
-	err = c.peers.exchange(addr, frame, func(reply []byte, mem *connMemory) (err error) {
+	err = c.peers.exchange(addr, frame, func(reply []byte, mem *wire.Memory) (err error) {
 		if err = replyErr(reply); err == nil {
-			resp, err = wire.DecodeProbeRespTo(req, reply, &mem.probes, &forms)
+			resp, err = wire.DecodeProbeRespTo(req, reply, mem, &forms)
 		}
 		return err
 	})

@@ -37,7 +37,7 @@ func fakePeer(t *testing.T, handle func(self string, req []byte) []byte) string 
 			go func() {
 				defer c.Close()
 				var req, tuple []byte
-				var mem connMemory
+				var mem wire.Memory
 				for {
 					var err error
 					if req, err = readFrame(c, req); err != nil {
@@ -47,12 +47,12 @@ func fakePeer(t *testing.T, handle func(self string, req []byte) []byte) string 
 					switch {
 					case len(req) < 2 || req[1] == tagFindSucc:
 					case req[1] == wire.TagProbeReq || req[1] == wire.TagProbeReqKept:
-						if q, err := wire.DecodeProbeReqOn(nil, req, &mem.probes); err == nil {
+						if q, err := wire.DecodeProbeReqOn(nil, req, &mem); err == nil {
 							asked, _ = wire.EncodeProbeReq(q)
 						}
 					default:
 						var m findSuccMsg
-						if m, tuple, err = decodeFindSuccOn(req, &mem.stores, tuple); err == nil && m.store != nil {
+						if m, tuple, err = decodeFindSuccOn(req, &mem, tuple); err == nil && m.store != nil {
 							asked = encodeFindSucc(m)
 						}
 					}

@@ -88,9 +88,9 @@ func TestCountAllOneScan(t *testing.T) {
 }
 
 // TestCountAllSplitsOversizeList: a list with more metrics than one probe
-// reply has room for is scanned in consecutive parts; results come back in
-// the order asked, a metric named twice is scanned once, and an empty list
-// costs nothing.
+// reply has room for is scanned in consecutive parts of the sorted list;
+// results come back in the order asked, a metric named twice is scanned once,
+// and an empty list costs nothing.
 func TestCountAllSplitsOversizeList(t *testing.T) {
 	// The bound is the frame's: ⌊(1 MiB − header)/⌈m/8⌉⌋ masks, and no more
 	// than the reply's 16-bit count.
@@ -154,12 +154,50 @@ func TestCountAllSplitsOversizeList(t *testing.T) {
 	if res, err := fc.CountAll(list); err != nil || len(res) != len(list) {
 		t.Fatalf("CountAll over the fake = %d results, %v", len(res), err)
 	}
-	if want := [][]uint64{{15, 11, 12, 13}, {14, 16, 17, 18}, {19}}; !reflect.DeepEqual(asked, want) {
+	if want := [][]uint64{{11, 12, 13, 14}, {15, 16, 17, 18}, {19}}; !reflect.DeepEqual(asked, want) {
 		t.Errorf("probes named %v, want the parts %v", asked, want)
 	}
 	n := len(asked)
 	if res, err := fc.CountAll(nil); err != nil || len(res) != 0 || len(asked) != n {
 		t.Errorf("CountAll(nil) = %v, %v after %d more probes", res, err, len(asked)-n)
+	}
+}
+
+// TestCountAllOrderFree: a warm CountAll sends the same request bytes
+// whatever order it is given its metrics in. Two clients of one seed learn
+// the ring and warm their sockets alike; then one counts the metrics in the
+// order it warmed with and the other in another order. Sent in the order
+// given, the reordered list would go whole in every kept probe request.
+func TestCountAllOrderFree(t *testing.T) {
+	env := sim.NewEnv(23)
+	cl := newTestCluster(t, env, 8)
+	settleCluster(t, cl, env)
+	entry := cl.Servers()[0].Addr()
+	metrics := []uint64{31, 32, 33, 34, 35, 36, 37, 38}
+	loader, _ := storeClient(t, entry, 10)
+	for i, m := range metrics {
+		for j := 0; j < 40*(i+1); j++ {
+			if err := loader.Insert(m, core.ItemID(fmt.Sprintf("order-%d-%d", i, j))); err != nil {
+				t.Fatalf("insert: %v", err)
+			}
+		}
+	}
+	sent := func(order []uint64) uint64 {
+		c, reg := storeClient(t, entry, 9)
+		count := func(list []uint64) {
+			if _, err := c.CountAll(list); err != nil {
+				t.Fatalf("CountAll(%v): %v", list, err)
+			}
+		}
+		count(metrics)
+		count(metrics)
+		before := outBytes(reg, "out")
+		count(order)
+		return outBytes(reg, "out") - before
+	}
+	same, reordered := sent(metrics), sent([]uint64{35, 31, 38, 32, 37, 33, 36, 34})
+	if same == 0 || reordered != same {
+		t.Errorf("a warm count sent %d request bytes in the order it warmed with, %d in another", same, reordered)
 	}
 }
 

@@ -297,7 +297,7 @@ func storeStep(data []byte) (m findSuccMsg, ack chord.Found, rest []byte, ok boo
 // insert after a bulk store and a bulk store after an insert.
 func FuzzStoreMemory(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var cli, srv storeMemory
+		var cli, srv wire.Memory
 		var tuple []byte
 		var held bool // whether the memories hold a store
 		for step := 0; ; step++ {
@@ -319,7 +319,7 @@ func FuzzStoreMemory(f *testing.F) {
 			}
 			if frame[1] == tagStoreKept {
 				_, serr := decodeFindSucc(frame)
-				_, _, eerr := decodeFindSuccOn(frame, &storeMemory{}, nil)
+				_, _, eerr := decodeFindSuccOn(frame, &wire.Memory{}, nil)
 				if serr == nil || eerr == nil {
 					t.Fatalf("step %d: a kept store decoded statelessly (%v) or by an empty memory (%v)", step, serr, eerr)
 				}
@@ -340,7 +340,7 @@ func FuzzStoreMemory(f *testing.F) {
 			}
 			if reply[1] == tagStoreAckKept {
 				_, serr := decodeStoreAck(reply)
-				_, eerr := decodeStoreAckOn(reply, &storeMemory{})
+				_, eerr := decodeStoreAckOn(reply, &wire.Memory{})
 				if serr == nil || eerr == nil {
 					t.Fatalf("step %d: a kept ack decoded statelessly (%v) or by an empty memory (%v)", step, serr, eerr)
 				}

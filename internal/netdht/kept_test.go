@@ -14,9 +14,9 @@ import (
 	"dhsketch/internal/wire"
 )
 
-// Tests of the reply memory's lifetime on a ring: it is born and dies with
-// its socket, it never holds an arc back from a client that needs the new
-// one, and what it saves costs no estimate.
+// Tests of the socket memory's probe replies on a ring: it is born and dies
+// with its socket, it never holds an arc back from a client that needs the
+// new one, and what it saves costs no estimate.
 
 // keptMasks is how many probe-reply masks a client has read as kept.
 func keptMasks(reg *metrics.Registry) uint64 {
@@ -33,7 +33,7 @@ func severInbound(s *Server) {
 	}
 }
 
-// forgetReplies drops every socket of a client's pool, and the reply memory
+// forgetReplies drops every socket of a client's pool, and the memory
 // with each: its next probes go out on fresh ones.
 func forgetReplies(c *Client) {
 	c.peers.mu.Lock()
@@ -199,7 +199,7 @@ func TestReplyMemoryUnderInserts(t *testing.T) {
 	}
 }
 
-// Tests of the store memory's lifetime, in the same terms: it dies with its
+// Tests of the socket memory's stores, in the same terms: it dies with its
 // socket, whichever end ends it, and what it leaves out never hides what a
 // store's ack says of the route.
 
@@ -356,7 +356,7 @@ func TestStoreBytesMetered(t *testing.T) {
 	}
 }
 
-// Tests of the memory's lifetime rules, one each over both of its halves
+// Tests of the memory's lifetime rules, one each over both of its kinds
 // on a ring of one: a memory dies with its socket, whichever end ends it, and
 // a request the server cannot decode ends the connection.
 
@@ -394,7 +394,7 @@ type memoryHalf struct {
 	// spoil makes a client's memory disagree with its server's: it records
 	// there a request the server never reads, so that the next request names
 	// as changed a field the server remembers.
-	spoil func(t *testing.T, mem *connMemory)
+	spoil func(t *testing.T, mem *wire.Memory)
 }
 
 // probeHalf is the probe half: a probe of trioProbe to a ring of one that
@@ -411,14 +411,14 @@ func probeHalf(t *testing.T) memoryHalf {
 		ask:    func(c *Client, s *Server) (any, error) { return c.probe(s.Addr(), trioProbe) },
 		served: func(s *Server) int64 { return s.Counters().Snapshot().Probed },
 		keptIn: keptMasks,
-		spoil: func(t *testing.T, mem *connMemory) {
+		spoil: func(t *testing.T, mem *wire.Memory) {
 			other := trioProbe
 			other.Bit = 9
 			frame, err := wire.EncodeProbeReq(other)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wire.AppendProbeReqOn(nil, frame, &mem.probes)
+			wire.AppendProbeReqOn(nil, frame, mem)
 		},
 	}
 }
@@ -440,10 +440,10 @@ func storeHalf() memoryHalf {
 		},
 		served:   func(s *Server) int64 { return s.Counters().Snapshot().StoreOps },
 		wholeOut: func(reg *metrics.Registry) uint64 { return storeFrames(reg, "out", "full") },
-		spoil: func(t *testing.T, mem *connMemory) {
+		spoil: func(t *testing.T, mem *wire.Memory) {
 			other := trioInsert
 			other.TTL++
-			appendFindSucc(nil, findSuccMsg{key: 1, store: wire.EncodeInsert(other)}, &mem.stores)
+			appendFindSucc(nil, findSuccMsg{key: 1, store: wire.EncodeInsert(other)}, mem)
 		},
 	}
 }
@@ -557,7 +557,7 @@ func TestMemoryUndecodable(t *testing.T) {
 			c, reg := storeClient(t, s.Addr(), 1)
 			h.expect(t, c, reg, s, sreg, false, "the first request")
 			pc := lockedSlot(t, c.peers, s.Addr(), 0)
-			h.spoil(t, &pc.connMemory)
+			h.spoil(t, &pc.mem)
 			pc.mu.Unlock()
 			ops := h.served(s)
 			_, err := h.ask(c, s)

@@ -202,7 +202,7 @@ type poolMetrics struct {
 	// each travelled in (wire.FormNames).
 	masksByForm [len(wire.MaskForms{})]*metrics.Counter
 	// storeFrames counts routed-store frames by direction — the requests
-	// sent, the acks accepted — and form: whole, or kept (storeMemory).
+	// sent, the acks accepted — and form: whole, or kept (appendStore).
 	storeFrames [2][2]*metrics.Counter
 
 	bytesOut *metrics.Counter

@@ -1,6 +1,7 @@
 package netdht
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,7 +31,7 @@ const (
 	tagPong          = 0x17
 	tagStore         = 0x18 // route a key like tagFindSucc and store the enclosed tuple frame where the route ends
 	tagStoreAck      = 0x19 // terminal reply to tagStore: the tuple is stored; route cost and, to a flagged store, the storing node and its neighbourhood
-	tagStoreKept     = 0x1A // a tagStore that sends only what differs from the connection's last store (storeMemory)
+	tagStoreKept     = 0x1A // a tagStore that sends only what differs from the connection's last store (appendStore)
 	tagStoreAckKept  = 0x1B // a short tagStoreAck equal to the connection's last store ack: the tag alone
 	tagErr           = 0x1F // typed failure reply
 )
@@ -143,13 +144,13 @@ type findSuccMsg struct {
 const findSuccHeader = 15
 
 // appendFindSucc is the one encoder of the routed request. With mem nil it is
-// stateless: the header, and a store's tuple frame behind it. With the store
-// memory of the connection it goes out on, a store is recorded there and,
-// once that memory holds an earlier one, sent as tagStoreKept
-// (storeMemory.appendStore); a plain find_succ is the same either way.
-func appendFindSucc(dst []byte, m findSuccMsg, mem *storeMemory) []byte {
+// stateless: the header, and a store's tuple frame behind it. With the memory
+// of the connection it goes out on, a store is recorded there and, once that
+// memory holds an earlier one, sent as tagStoreKept (appendStore); a plain
+// find_succ is the same either way.
+func appendFindSucc(dst []byte, m findSuccMsg, mem *wire.Memory) []byte {
 	if m.store != nil && mem != nil {
-		return mem.appendStore(dst, m)
+		return appendStore(dst, m, mem)
 	}
 	return appendWhole(dst, m)
 }
@@ -195,66 +196,51 @@ func decodeFindSucc(buf []byte) (findSuccMsg, error) {
 }
 
 // decodeFindSuccOn decodes a routed request that arrived on a connection
-// whose store memory is mem, and records a store there. A tagStoreKept is
-// expanded from mem into a whole tuple frame built in tuple, which is
-// returned, grown when it had to be, for the caller to keep for the next
-// one; m.store points into it, or into buf for a stateless store.
-func decodeFindSuccOn(buf []byte, mem *storeMemory, tuple []byte) (m findSuccMsg, _ []byte, err error) {
+// whose memory is mem, and records a store there. A tagStoreKept is expanded
+// from mem into a whole tuple frame built in tuple, which is returned, grown
+// when it had to be, for the caller to keep for the next one; m.store points
+// into it, or into buf for a stateless store.
+func decodeFindSuccOn(buf []byte, mem *wire.Memory, tuple []byte) (m findSuccMsg, _ []byte, err error) {
 	if len(buf) >= 2 && buf[1] == tagStoreKept {
-		return mem.decodeKept(buf, tuple)
+		return decodeKept(buf, mem, tuple)
 	}
 	if m, err = decodeFindSucc(buf); err == nil && m.store != nil && mem != nil {
 		var f [storeFieldBytes]byte
 		fields, _, _ := splitStore(f[:0], m)
-		mem.req.Record(fields)
+		mem.Store.Record(fields)
 	}
 	return m, tuple, err
 }
 
 // appendRequest appends req, a request frame as the stateless encoders build
 // it, to dst as the connection whose memory is mem sends it: a routed store
-// encoded again against the store memory, a probe against the probe memory
-// (wire.AppendProbeReqOn), any other request as it is. A store or a probe
-// that does not decode goes as it is too, and is not recorded; its receiver
+// or a probe encoded again against the memory (appendFindSucc,
+// wire.AppendProbeReqOn), any other request as it is. A store or a probe that
+// does not decode goes as it is too, and is not recorded; its receiver
 // refuses it and ends the connection.
-func appendRequest(dst, req []byte, mem *connMemory) []byte {
+func appendRequest(dst, req []byte, mem *wire.Memory) []byte {
 	if len(req) > 1 {
 		switch req[1] {
 		case tagStore:
 			if m, err := decodeFindSucc(req); err == nil {
-				return appendFindSucc(dst, m, &mem.stores)
+				return appendFindSucc(dst, m, mem)
 			}
 		case wire.TagProbeReq:
-			return wire.AppendProbeReqOn(dst, req, &mem.probes)
+			return wire.AppendProbeReqOn(dst, req, mem)
 		}
 	}
 	return append(dst, req...)
 }
 
-// storeMemory is what the routed stores of one connection have carried, kept
-// alike at both of its ends under connMemory's rules: the last store request
-// (wire.KeptReq, in storeLayout) and the route cost of the last store ack.
-// Under the soft-state rule (§3.3) a writer stores every item again each TTL,
-// so the stores one socket carries differ, from one to the next, in their
-// key, their vectors and their bit, and now and then in a metric; their
-// flags, route cost, tuple tag and TTL are those of the store before. A store
-// goes kept (wire.KeptReq): tagStoreKept, the key ahead of the fields that
-// changed, the bit and the vectors — one for a wire.Insert, as many as there
-// are for a wire.BulkInsert — behind them. An unflagged ack — hops and stale
-// alone — equal to the memory's last goes as the two bytes version and
-// tagStoreAckKept. The zero value is an empty memory.
-type storeMemory struct {
-	req               wire.KeptReq
-	ackHops, ackStale uint16
-	hasAck            bool
-}
-
-// storeLayout is a routed store's fields that its kept form may leave out
-// when they are the connection's last store's: flags, hops, stale, the tuple
-// frame's tag (wire.TagInsert or wire.TagBulkInsert), and the tuple's folded
-// metric and TTL as its frame carries them. A kept insert that changes all
-// six is as long as the stateless frame; a kept bulk store is always
-// shorter, since it leaves out the bulk frame's reserved byte.
+// storeLayout is a routed store's fields that its kept form (tagStoreKept,
+// held in wire.Memory.Store) leaves out when they are the connection's last
+// store's: flags, hops, stale, the tuple frame's tag (wire.TagInsert or
+// wire.TagBulkInsert), and the tuple's folded metric and TTL as its frame
+// carries them. Under the soft-state rule (§3.3) a writer stores every item
+// again each TTL, so these are mostly the last store's, while the key ahead
+// of them and the bit and vectors behind them always travel. A kept insert
+// that changes all six is as long as the stateless frame; a kept bulk store
+// is always shorter, since it leaves out the bulk frame's reserved byte.
 var storeLayout = wire.Layout{1, 2, 2, 1, 2, 2}
 
 const storeFieldBytes = 10 // the fields of storeLayout, one after another
@@ -277,7 +263,7 @@ func splitStore(dst []byte, m findSuccMsg) (fields []byte, bit byte, vectors []b
 }
 
 // appendStore is appendFindSucc for a store on a connection with a memory.
-func (r *storeMemory) appendStore(dst []byte, m findSuccMsg) []byte {
+func appendStore(dst []byte, m findSuccMsg, mem *wire.Memory) []byte {
 	if checkTupleFrame(m.store) != nil {
 		return appendWhole(dst, m) // refused by its receiver, and recorded by neither end
 	}
@@ -285,23 +271,23 @@ func (r *storeMemory) appendStore(dst []byte, m findSuccMsg) []byte {
 	var key [8]byte
 	binary.BigEndian.PutUint64(key[:], m.key)
 	fields, bit, vectors := splitStore(f[:0], m)
-	dst, kept := r.req.AppendKept(dst, tagStoreKept, key[:], storeLayout, fields, 1+len(vectors), findSuccHeader+len(m.store))
-	r.req.Record(fields)
+	dst, kept := mem.Store.AppendKept(dst, tagStoreKept, key[:], storeLayout, fields, 1+len(vectors), findSuccHeader+len(m.store))
+	mem.Store.Record(fields)
 	if !kept {
 		return appendWhole(dst, m)
 	}
 	return append(append(dst, bit), vectors...)
 }
 
-// decodeKept expands a tagStoreKept frame against the memory, which it
-// refuses when the memory is nil or holds no store: the tuple frame is built
-// in tuple, and the store recorded.
-func (r *storeMemory) decodeKept(buf, tuple []byte) (findSuccMsg, []byte, error) {
-	if r == nil {
+// decodeKept expands a tagStoreKept frame against mem, which it refuses when
+// mem is nil or holds no store: the tuple frame is built in tuple, and the
+// store recorded.
+func decodeKept(buf []byte, mem *wire.Memory, tuple []byte) (findSuccMsg, []byte, error) {
+	if mem == nil {
 		return findSuccMsg{}, tuple, wire.ErrBadMessage
 	}
 	var b [storeFieldBytes]byte
-	f, key, rest, err := r.req.ReadKept(b[:0], buf, 8, storeLayout)
+	f, key, rest, err := mem.Store.ReadKept(b[:0], buf, 8, storeLayout)
 	if err == nil && len(rest) == 0 { // the bit
 		err = wire.ErrShort
 	}
@@ -318,7 +304,7 @@ func (r *storeMemory) decodeKept(buf, tuple []byte) (findSuccMsg, []byte, error)
 	default:
 		return findSuccMsg{}, tuple, wire.ErrBadMessage
 	}
-	if err := r.req.Accept(len(buf), f, findSuccHeader+len(tuple)); err != nil {
+	if err := mem.Store.Accept(len(buf), f, findSuccHeader+len(tuple)); err != nil {
 		return findSuccMsg{}, tuple, err
 	}
 	m := findSuccMsg{flags: f[0], key: binary.BigEndian.Uint64(key), hops: binary.BigEndian.Uint16(f[1:]), stale: binary.BigEndian.Uint16(f[3:]), store: tuple}
@@ -377,19 +363,19 @@ func appendFindSuccResp(dst []byte, f chord.Found) []byte {
 }
 
 // appendStoreAck is the one encoder of the store ack: with mem nil, or to a
-// flagged store, it is stateless; with the store memory of the connection
-// it answers on, it records the ack there and sends an unflagged one equal to
-// the memory's last as tagStoreAckKept.
-func appendStoreAck(dst []byte, f chord.Found, mem *storeMemory) []byte {
+// flagged store, it is stateless; with the memory of the connection it
+// answers on, it records the ack's route cost there and sends an unflagged
+// ack whose cost the memory held as tagStoreAckKept.
+func appendStoreAck(dst []byte, f chord.Found, mem *wire.Memory) []byte {
+	start := len(dst)
+	dst = appendRouted(dst, tagStoreAck, f)
 	if mem != nil {
-		hops, stale := uint16(f.Hops), uint16(f.Stale)
-		kept := mem.hasAck && f.Near == nil && hops == mem.ackHops && stale == mem.ackStale
-		mem.ackHops, mem.ackStale, mem.hasAck = hops, stale, true
-		if kept {
-			return append(dst, wire.Version, tagStoreAckKept)
+		cost := dst[start+2:]
+		kept := f.Near == nil && bytes.Equal(cost, mem.Ack.Fields())
+		if mem.Ack.Record(cost); kept {
+			return append(dst[:start], wire.Version, tagStoreAckKept)
 		}
 	}
-	dst = appendRouted(dst, tagStoreAck, f)
 	if f.Near != nil {
 		dst = appendNeighbors(appendRef(dst, f.Owner), *f.Near)
 	}
@@ -443,18 +429,19 @@ func decodeFindSuccResp(buf []byte) (chord.Found, error) {
 func decodeStoreAck(buf []byte) (chord.Found, error) { return decodeStoreAckOn(buf, nil) }
 
 // decodeStoreAckOn decodes a store ack that arrived on a connection whose
-// store memory is mem, expands tagStoreAckKept from it — refused when mem is
-// nil or holds no ack — and records what it accepts there.
-func decodeStoreAckOn(buf []byte, mem *storeMemory) (chord.Found, error) {
+// memory is mem, expands tagStoreAckKept from it — refused when mem is nil or
+// holds no ack — and records what it accepts there.
+func decodeStoreAckOn(buf []byte, mem *wire.Memory) (chord.Found, error) {
 	if len(buf) >= 2 && buf[1] == tagStoreAckKept {
-		if mem == nil || !mem.hasAck || buf[0] != wire.Version || len(buf) != 2 {
+		if mem == nil || len(mem.Ack.Fields()) == 0 || buf[0] != wire.Version || len(buf) != 2 {
 			return chord.Found{}, wire.ErrBadMessage
 		}
-		return chord.Found{Hops: int(mem.ackHops), Stale: int(mem.ackStale)}, nil
+		cost := mem.Ack.Fields()
+		return chord.Found{Hops: int(binary.BigEndian.Uint16(cost)), Stale: int(binary.BigEndian.Uint16(cost[2:]))}, nil
 	}
 	f, err := decodeStoreAckFull(buf)
 	if err == nil && mem != nil {
-		mem.ackHops, mem.ackStale, mem.hasAck = uint16(f.Hops), uint16(f.Stale), true
+		mem.Ack.Record(buf[2:routedHead])
 	}
 	return f, err
 }

@@ -58,42 +58,19 @@ func mapNetErr(err error) error {
 	return fmt.Errorf("%w: %v", dht.ErrLost, err)
 }
 
-// connMemory is what one connection has carried, kept alike at its two ends
-// (DESIGN.md §14 "Socket memory"): its probe requests and replies
-// (wire.ReplyMemory) and its routed stores and their acks (storeMemory).
-// Both halves keep the same rules.
-//
-// The update rule: every frame a memory covers is recorded at both ends, in
-// the same order — a request by the client once it has encoded it and by the
-// server once it has decoded it, a reply by the server once it has encoded
-// it and by the client once it has accepted it. A request is recorded whole,
-// and one whose kept form cannot carry it (a probe of more than 1024
-// metrics, a bulk store whose reserved byte is set) empties its kind's
-// request half instead. The reset rule: a memory is born empty with its
-// socket, on dial or accept, and dies with it; anything that could leave the
-// two ends unequal — a request the server cannot decode, a reply the client
-// refuses, a failed exchange — ends the connection. The bound: whatever a
-// peer sends, at most 64 KiB of probe masks and a fixed index beside them,
-// one probe request of at most 1024 metrics, one store request's fields and
-// one ack.
-type connMemory struct {
-	probes wire.ReplyMemory
-	stores storeMemory
-}
-
 // peerConn is one cached outbound connection slot; its mutex serializes
 // the slot's request/reply exchange — one in flight per *connection*,
 // which is what the framed protocol requires (a reply is matched to its
 // request purely by ordering on the stream). The slot owns the two buffers
-// its frames are built in and read into, and the socket's memory, born
-// empty with it and dropped with it (dropConn); like the socket they are
-// touched only under the mutex, a request is encoded there and a reply
-// decoded there, never kept.
+// its frames are built in and read into, and the socket's memory
+// (wire.Memory, DESIGN.md §14 "Socket memory"), born empty with it and
+// dropped with it (dropConn); like the socket they are touched only under the
+// mutex, a request is encoded there and a reply decoded there, never kept.
 type peerConn struct {
 	mu         sync.Mutex
 	c          net.Conn
 	rbuf, wbuf []byte
-	connMemory
+	mem        wire.Memory
 }
 
 // peerEntry is one peer address's slot set. Slot count is fixed at the
@@ -209,7 +186,7 @@ func (p *peerPool) dropConn(pc *peerConn) {
 	}
 	pc.c.Close()
 	pc.c = nil
-	pc.connMemory = connMemory{}
+	pc.mem = wire.Memory{}
 	p.live.Add(-1)
 }
 
@@ -237,7 +214,7 @@ func (p *peerPool) dropConn(pc *peerConn) {
 // transport failures by errno class — a refused reply is an exchange that
 // moved its bytes; with metrics off each instrument they touch is nil and
 // no-ops on its own receiver.
-func (p *peerPool) exchange(addr string, req []byte, read func(reply []byte, mem *connMemory) error) error {
+func (p *peerPool) exchange(addr string, req []byte, read func(reply []byte, mem *wire.Memory) error) error {
 	slot, tm := p.m.startRPC(req)
 	n, err, refused := p.doExchange(addr, req, read)
 	p.m.finishRPC(slot, n, err, tm)
@@ -247,7 +224,7 @@ func (p *peerPool) exchange(addr string, req []byte, read func(reply []byte, mem
 	return refused
 }
 
-func (p *peerPool) doExchange(addr string, req []byte, read func([]byte, *connMemory) error) (n int, err, refused error) {
+func (p *peerPool) doExchange(addr string, req []byte, read func([]byte, *wire.Memory) error) (n int, err, refused error) {
 	pc, dialled, err := p.get(addr)
 	if err != nil {
 		return 0, err, nil
@@ -269,7 +246,7 @@ func (p *peerPool) doExchange(addr string, req []byte, read func([]byte, *connMe
 		return 0, mapNetErr(err), nil
 	}
 	n = len(pc.rbuf)
-	if refused = read(pc.rbuf, &pc.connMemory); refused != nil {
+	if refused = read(pc.rbuf, &pc.mem); refused != nil {
 		if re, typed := refused.(remoteErr); !typed || re.code == errnoBad {
 			p.dropConn(pc)
 		}
@@ -285,7 +262,7 @@ func (p *peerPool) doExchange(addr string, req []byte, read func([]byte, *connMe
 // with the frame (msg.go), so nothing a caller keeps points into the slot;
 // with an error, v is the zero T, as the decoders return it.
 func call[T any](p *peerPool, addr string, req []byte, decode func([]byte) (T, error)) (v T, err error) {
-	err = p.exchange(addr, req, func(reply []byte, _ *connMemory) (err error) {
+	err = p.exchange(addr, req, func(reply []byte, _ *wire.Memory) (err error) {
 		if err = replyErr(reply); err == nil {
 			v, err = decode(reply)
 		}
@@ -303,16 +280,16 @@ const rpcScratch = 96
 // reply, or to a store the store ack and nothing else, so that a node that
 // routed the key and says nothing of the tuple is never read as having
 // stored it. Client lookups and stores, and every relayed hop, go out here.
-// A store and its ack travel against the socket's store memory.
+// A store and its ack travel against the socket's memory.
 func (p *peerPool) route(addr string, m findSuccMsg) (f chord.Found, err error) {
 	var req [rpcScratch]byte
 	frame := appendFindSucc(req[:0], m, nil)
 	if m.store == nil {
 		return call(p, addr, frame, decodeFindSuccResp)
 	}
-	err = p.exchange(addr, frame, func(reply []byte, mem *connMemory) (err error) {
+	err = p.exchange(addr, frame, func(reply []byte, mem *wire.Memory) (err error) {
 		if err = replyErr(reply); err == nil {
-			if f, err = decodeStoreAckOn(reply, &mem.stores); err == nil {
+			if f, err = decodeStoreAckOn(reply, mem); err == nil {
 				p.m.storeAck(reply)
 			}
 		}
@@ -343,7 +320,7 @@ func (p *peerPool) roundTrip(pc *peerConn, req []byte) error {
 	if err := pc.c.SetDeadline(time.Now().Add(p.rpcTimeout)); err != nil {
 		return err
 	}
-	pc.wbuf = appendRequest(beginFrame(pc.wbuf), req, &pc.connMemory)
+	pc.wbuf = appendRequest(beginFrame(pc.wbuf), req, &pc.mem)
 	if err := writeFrame(pc.c, pc.wbuf); err != nil {
 		return err
 	}

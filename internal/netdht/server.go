@@ -252,10 +252,10 @@ type inbound struct {
 	metrics    []uint64 // a probe request's metric list
 	words      []uint64 // one (metric, bit) answer out of the store
 	tuple      []byte   // a kept store's tuple frame, expanded from the memory
-	// connMemory is what the connection's probes and routed stores have
-	// carried, the asking slot's memory at this end: born empty with the
-	// connection, gone with it.
-	connMemory
+	// mem is what the connection's probes and routed stores have carried,
+	// the asking slot's memory at this end: born empty with the connection,
+	// gone with it.
+	mem wire.Memory
 	// end is set by a request the connection must not outlive: a store or a
 	// probe it could not decode, after which the two memories may differ.
 	end bool
@@ -348,11 +348,11 @@ func (in *inbound) handleRequest(dst, req []byte) []byte {
 // neighbourhood in the ack; every hop before it relays the ack as it came.
 // A client that believes this node owns the key sends the store here
 // first, unflagged: Route's own (pred, self] check decides whether it does.
-// A store and its ack travel against the connection's store memory, and a
-// store that does not decode ends the connection once it is refused.
+// A store and its ack travel against the connection's memory, and a store
+// that does not decode ends the connection once it is refused.
 func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 	s := in.s
-	m, tuple, err := decodeFindSuccOn(req, &in.stores, in.tuple)
+	m, tuple, err := decodeFindSuccOn(req, &in.mem, in.tuple)
 	in.tuple = tuple
 	if err != nil {
 		in.end = req[1] != tagFindSucc
@@ -391,7 +391,7 @@ func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 				reply.Near = &nb
 			}
 		}
-		return appendStoreAck(dst, reply, &in.stores)
+		return appendStoreAck(dst, reply, &in.mem)
 	}
 	if near && f.Owner.ID == s.ID() {
 		nb := s.Protocol().Neighbors()
@@ -495,12 +495,12 @@ func (s *Server) applyStore(frame []byte) (errno byte) {
 }
 
 // handleProbeReq answers a probe with the masks of its run, against the
-// connection's probe memory: the request, whole or kept, is decoded and
+// connection's memory: the request, whole or kept, is decoded and
 // recorded there, and the reply is encoded and recorded there. A request that
 // does not decode ends the connection once it is refused.
 func (in *inbound) handleProbeReq(dst, req []byte) []byte {
 	s := in.s
-	m, err := wire.DecodeProbeReqOn(in.metrics, req, &in.probes)
+	m, err := wire.DecodeProbeReqOn(in.metrics, req, &in.mem)
 	if err != nil {
 		in.end = true
 		return appendErr(dst, errnoBad, 0, 0)
@@ -548,7 +548,7 @@ func (in *inbound) handleProbeReq(dst, req []byte) []byte {
 	// one byte when it, or the arc, is what this connection carried last; on a
 	// connection that carried a reply before, without the header that restates
 	// the request, and as its tag alone when everything in it is kept.
-	return wire.ShortenProbeRespOn(resp, start, m.Metrics, &in.probes)
+	return wire.ShortenProbeRespOn(resp, start, m.Metrics, &in.mem)
 }
 
 // ---------------------------------------------------------------------

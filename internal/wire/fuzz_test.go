@@ -215,7 +215,7 @@ func FuzzDecodeProbeResp(f *testing.F) {
 // position, run and NumVecs, and one metric per mask of a position — and
 // returns a memory that has recorded a reply to it of empty masks with an
 // arc; ok is false for a header no request produces.
-func primedFor(buf []byte) (kept *ReplyMemory, req ProbeReq, ok bool) {
+func primedFor(buf []byte) (kept *Memory, req ProbeReq, ok bool) {
 	if len(buf) < 8 {
 		return nil, req, false
 	}
@@ -233,7 +233,7 @@ func primedFor(buf []byte) (kept *ReplyMemory, req ProbeReq, ok bool) {
 		return nil, req, false
 	}
 	dense = AppendArc(append(dense, make([]byte, count*mask)...), 7)
-	kept = new(ReplyMemory)
+	kept = new(Memory)
 	ShortenProbeRespOn(dense, 0, req.Metrics, kept)
 	return kept, req, true
 }
@@ -326,8 +326,10 @@ func fill(mask []byte, b byte, m int) {
 // reply, as ShortenProbeRespOn — and holds every frame to the memory's
 // contract: it decodes to what was encoded; the two memories are equal after
 // it; it is never longer than its stateless form; a kept form is refused by
-// the stateless decoders, and a frame that names something kept by an empty
-// memory; and neither memory grows past its bounds. What is left of the
+// the stateless decoders, a reply without its header by an empty memory, and
+// the same reply with a header in front, which names a mask or an arc as kept
+// where only a headless reply may, by the memory that accepted it; and
+// neither memory grows past its bounds. What is left of the
 // input once no whole step does is decoded as a request against a copy of
 // the owner's memory, where a kept request accepted re-encodes to the bytes
 // it came in, and as the reply to the last request against the client's.
@@ -336,7 +338,7 @@ func fill(mask []byte, b byte, m int) {
 // evictions inside one reply and across replies.
 func FuzzProbeRespMemory(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var cli, srv ReplyMemory
+		var cli, srv Memory
 		var last ProbeReq
 		for step := 0; ; step++ {
 			req, resp, rest, ok := memStep(data)
@@ -355,7 +357,7 @@ func FuzzProbeRespMemory(f *testing.F) {
 			}
 			if ask[1] == TagProbeReqKept {
 				_, serr := DecodeProbeReq(ask)
-				_, eerr := DecodeProbeReqOn(nil, ask, &ReplyMemory{})
+				_, eerr := DecodeProbeReqOn(nil, ask, &Memory{})
 				if serr == nil || eerr == nil {
 					t.Fatalf("step %d: a kept request decoded statelessly (%v) or by an empty memory (%v)", step, serr, eerr)
 				}
@@ -369,7 +371,7 @@ func FuzzProbeRespMemory(f *testing.F) {
 					t.Fatalf("step %d: metric %d decoded as %d", step, metric, asked.Metrics[i])
 				}
 			}
-			if !reflect.DeepEqual(cli.req, srv.req) { // a request records nothing else
+			if !reflect.DeepEqual(cli.probe, srv.probe) { // a request records nothing else
 				t.Fatalf("step %d: after the request the two ends' memories differ", step)
 			}
 
@@ -401,18 +403,26 @@ func FuzzProbeRespMemory(f *testing.F) {
 			if err != nil || !sameResp(got, resp) {
 				t.Fatalf("step %d: decoded %+v, %v; want %+v", step, got, err, resp)
 			}
-			names := forms[formKept] > 0 || resp.HasArc && !bytes.HasSuffix(frame, AppendArc(nil, resp.ArcLo))
-			if alone, err := DecodeProbeRespTo(req, frame, &ReplyMemory{}, nil); names != (err != nil) || err == nil && !sameResp(alone, resp) {
-				t.Fatalf("step %d: a reply that names something kept (%v) decoded by an empty memory: %+v, %v", step, names, alone, err)
+			headless := frame[1] == TagProbeRespKept || frame[1] == TagProbeRespSame
+			if alone, err := DecodeProbeRespTo(req, frame, &Memory{}, nil); headless != (err != nil) || err == nil && !sameResp(alone, resp) {
+				t.Fatalf("step %d: a reply without its header (%v) decoded by an empty memory: %+v, %v", step, headless, alone, err)
 			}
 			if !reflect.DeepEqual(cli, srv) {
 				t.Fatalf("step %d: after the reply the two ends' memories differ", step)
 			}
+			names := forms[formKept] > 0 || resp.HasArc && !bytes.HasSuffix(frame, AppendArc(nil, resp.ArcLo))
+			if frame[1] == TagProbeRespKept && names {
+				headed, _ := AppendProbeRespHeader(nil, resp.Bit, resp.Span, resp.NumVecs, len(resp.VecMasks))
+				headed[1] = TagProbeRespCoded
+				if got, err := DecodeProbeRespTo(req, append(headed, frame[2:]...), &cli, nil); err == nil {
+					t.Fatalf("step %d: a headed reply naming a mask or the arc as kept accepted as %+v", step, got)
+				}
+			}
 			if len(cli.keys) > memoryMasks || cap(cli.keys) > memoryMasks || cap(cli.masks) > memoryBytes ||
 				cap(srv.keys) > memoryMasks || cap(srv.masks) > memoryBytes || len(srv.index) != 1<<indexBits ||
-				cap(cli.req.fields) > keptBytes || cap(srv.req.fields) > keptBytes {
+				cap(cli.probe.fields) > keptBytes || cap(srv.probe.fields) > keptBytes {
 				t.Fatalf("step %d: a memory holds %d keys in %d, %d mask bytes, an index of %d, %d request bytes",
-					step, len(srv.keys), cap(srv.keys), cap(srv.masks), len(srv.index), cap(srv.req.fields))
+					step, len(srv.keys), cap(srv.keys), cap(srv.masks), len(srv.index), cap(srv.probe.fields))
 			}
 		}
 
@@ -420,7 +430,7 @@ func FuzzProbeRespMemory(f *testing.F) {
 		// or is the one kept form of what it decodes to; and a reply decodes or
 		// is refused, without a panic.
 		before := srv
-		before.req.fields = bytes.Clone(srv.req.fields)
+		before.probe.fields = bytes.Clone(srv.probe.fields)
 		if q, err := DecodeProbeReqOn(nil, data, &srv); err == nil && data[1] == TagProbeReqKept {
 			whole, err := EncodeProbeReq(q)
 			if err != nil {

@@ -5,19 +5,38 @@ import (
 	"encoding/binary"
 )
 
-// ReplyMemory is what the probe exchanges of one connection have carried,
-// kept alike at both of its ends under the connection's rules (internal/netdht's
-// connMemory): the last request, and, of the replies, the last mask sent
-// under each (folded metric, position) at one NumVecs, and the last arc. A
-// reply is recorded mask by mask in its order, with its arc or its lack; one
-// at another NumVecs than the last empties the memory of masks first; and a
-// new key takes a free slot or, once every slot is used, the slot of the key
-// that arrived first, so what a memory holds is a function of the exchanges it
-// has recorded and nothing else. It holds at most memoryMasks masks and
-// memoryBytes of them, whatever NumVecs a peer claims, beside a fixed index.
+// Memory is what one connection has carried, kept alike at its two ends
+// (DESIGN.md §14 "Socket memory"): the last request of each kind — a probe,
+// and a routed store and its ack in the layouts of the transport that sends
+// them (internal/netdht) — and, of the probe replies, the last mask sent
+// under each (folded metric, position) at one NumVecs, and the last arc. One
+// memory keeps three rules.
+//
+// The update rule: every frame a memory covers is recorded at both ends, in
+// the same order — a request by its sender once it has encoded it and by its
+// receiver once it has decoded it, a reply by its sender once it has encoded
+// it and by its receiver once it has accepted it. A request is recorded whole,
+// and one its kept form cannot carry empties its kind instead. A reply is
+// recorded mask by mask in its order, with its arc or its lack; one at another
+// NumVecs than the last empties the masks first; and a new key takes a free
+// slot or, once every slot is used, the slot of the key that arrived first.
+// So what a memory holds is a function of the frames it has recorded.
+//
+// The reset rule: a memory is born empty with its socket and dies with it;
+// anything that could leave the two ends unequal — a request its receiver
+// cannot decode, a reply its receiver refuses, a failed exchange — ends the
+// connection.
+//
+// The bound: whatever a peer sends, at most memoryMasks masks and memoryBytes
+// of them beside a fixed index, and keptBytes of each kind of request.
+//
 // The zero value is an empty memory; it allocates on the first request and
 // the first reply it records.
-type ReplyMemory struct {
+type Memory struct {
+	// Store and Ack are the last routed store's fields and its ack's.
+	Store, Ack KeptReq
+
+	probe   KeptReq // in probeLayout
 	hasArc  bool
 	arcLo   uint64
 	numVecs uint16
@@ -25,8 +44,6 @@ type ReplyMemory struct {
 	masks   []byte   // slot s's mask at s × ⌈numVecs/8⌉
 	index   []uint16 // open addressing by memKey: slot+1, 0 for none
 	next    int      // the slot a new key takes once every slot is used
-
-	req KeptReq // in probeLayout
 }
 
 // The memory's bounds.
@@ -45,7 +62,7 @@ func memKey(metric uint64, bit int) uint32 { return uint32(FoldMetric(metric))<<
 func home(key uint32) int { return int(key * 0x9E3779B1 >> (32 - indexBits)) }
 
 // slots is how many masks the memory holds at its NumVecs.
-func (r *ReplyMemory) slots() int {
+func (r *Memory) slots() int {
 	if n := MaskBytes(int(r.numVecs)); n > 0 {
 		return min(memoryMasks, memoryBytes/n)
 	}
@@ -54,7 +71,7 @@ func (r *ReplyMemory) slots() int {
 
 // find returns the index entry that holds key, or the free entry where it
 // would go.
-func (r *ReplyMemory) find(key uint32) int {
+func (r *Memory) find(key uint32) int {
 	for at := home(key); ; at = (at + 1) & (len(r.index) - 1) {
 		if s := r.index[at]; s == 0 || r.keys[s-1] == key {
 			return at
@@ -64,7 +81,7 @@ func (r *ReplyMemory) find(key uint32) int {
 
 // unindex frees the index entry at and moves back into the hole every entry
 // behind it whose search would otherwise no longer reach it.
-func (r *ReplyMemory) unindex(at int) {
+func (r *Memory) unindex(at int) {
 	wrap := len(r.index) - 1
 	for j := (at + 1) & wrap; r.index[j] != 0; j = (j + 1) & wrap {
 		if h := home(r.keys[r.index[j]-1]); (j-h)&wrap >= (j-at)&wrap {
@@ -75,7 +92,7 @@ func (r *ReplyMemory) unindex(at int) {
 }
 
 // put records mask under key.
-func (r *ReplyMemory) put(key uint32, mask []byte) {
+func (r *Memory) put(key uint32, mask []byte) {
 	at := r.find(key)
 	if s := int(r.index[at]); s != 0 {
 		copy(r.masks[(s-1)*len(mask):], mask)
@@ -108,7 +125,7 @@ func grow[T any](s []T, n, limit int) []T {
 // metrics[i mod len(metrics)] at position bit + ⌊i / len(metrics)⌋. With mem
 // nil the reply is stateless: no mask is known and nothing is recorded.
 type keyed struct {
-	mem     *ReplyMemory
+	mem     *Memory
 	metrics []uint64
 	bit     uint8
 	numVecs uint16
@@ -182,6 +199,9 @@ const keptBytes = 6 + 2*memoryMasks
 // KeptReq is what a connection's memory holds of the requests of one kind:
 // the fields of the last one recorded, or none. The zero value holds none.
 type KeptReq struct{ fields []byte }
+
+// Fields returns the fields k holds, empty when it holds none.
+func (k *KeptReq) Fields() []byte { return k.fields }
 
 // Record is the update rule for a request: k holds its fields from now on,
 // or none when fields is nil — a request its kept form cannot carry — or
@@ -298,18 +318,18 @@ var probeLayout = Layout{1, 1, 2, List}
 // longer than req, else as it is; and records it there. With kept nil it goes
 // as it is. A frame that does not decode goes as it is too, and is not
 // recorded: its receiver refuses it and ends the connection.
-func AppendProbeReqOn(dst, req []byte, kept *ReplyMemory) []byte {
+func AppendProbeReqOn(dst, req []byte, kept *Memory) []byte {
 	h, err := splitProbeReq(req)
 	if err != nil || kept == nil {
 		return append(dst, req...)
 	}
 	var f [keptBytes]byte
 	now := h.fields(f[:0])
-	dst, ok := kept.req.AppendKept(dst, TagProbeReqKept, nil, probeLayout, now, 0, len(req))
+	dst, ok := kept.probe.AppendKept(dst, TagProbeReqKept, nil, probeLayout, now, 0, len(req))
 	if !ok {
 		dst = append(dst, req...)
 	}
-	kept.req.Record(now)
+	kept.probe.Record(now)
 	return dst
 }
 
@@ -317,7 +337,7 @@ func AppendProbeReqOn(dst, req []byte, kept *ReplyMemory) []byte {
 // connection whose memory is kept, and records what it accepts there. A
 // TagProbeReqKept frame is read against the remembered request, and refused
 // without one.
-func DecodeProbeReqOn(metrics []uint64, buf []byte, kept *ReplyMemory) (ProbeReq, error) {
+func DecodeProbeReqOn(metrics []uint64, buf []byte, kept *Memory) (ProbeReq, error) {
 	var f [keptBytes]byte
 	if len(buf) < 2 || buf[1] != TagProbeReqKept {
 		h, err := splitProbeReq(buf)
@@ -325,14 +345,14 @@ func DecodeProbeReqOn(metrics []uint64, buf []byte, kept *ReplyMemory) (ProbeReq
 			return ProbeReq{}, err
 		}
 		if kept != nil {
-			kept.req.Record(h.fields(f[:0]))
+			kept.probe.Record(h.fields(f[:0]))
 		}
 		return h.req(metrics), nil
 	}
 	if kept == nil {
 		return ProbeReq{}, ErrBadMessage
 	}
-	fields, _, rest, err := kept.req.ReadKept(f[:0], buf, 0, probeLayout)
+	fields, _, rest, err := kept.probe.ReadKept(f[:0], buf, 0, probeLayout)
 	if err != nil {
 		return ProbeReq{}, err
 	}
@@ -340,7 +360,7 @@ func DecodeProbeReqOn(metrics []uint64, buf []byte, kept *ReplyMemory) (ProbeReq
 	if len(rest) != 0 || !runFits(h.bit, h.span) {
 		return ProbeReq{}, ErrBadMessage
 	}
-	if err := kept.req.Accept(len(buf), fields, h.wholeLen()); err != nil {
+	if err := kept.probe.Accept(len(buf), fields, h.wholeLen()); err != nil {
 		return ProbeReq{}, err
 	}
 	return h.req(metrics), nil

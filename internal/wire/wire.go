@@ -20,10 +20,10 @@
 // (TagProbeRespCoded: each mask as the vectors set, the vectors clear, or
 // dense). The cost model's size is therefore an upper bound on the wire,
 // met exactly by masks no coding shortens. On a connection whose two ends
-// keep a ReplyMemory, a mask or an arc the connection has carried before
-// travels as one byte that says so, a probe request sends only the fields
-// that changed since the connection's last, and a reply leaves out the
-// header that restates its request.
+// keep a Memory, a probe request sends only the fields that changed since
+// the connection's last, and a reply after the first leaves out the header
+// that restates its request, and sends a mask or an arc the connection has
+// carried before as one byte that says so.
 //
 // Layout conventions: fixed-width big-endian integers, no framing (the
 // transport is expected to provide it), version byte first.
@@ -52,7 +52,7 @@ const (
 	// TagProbeResp frame of the same reply.
 	TagProbeRespCoded = 0x05
 	// The kept forms of a probe exchange, which only a connection whose two
-	// ends keep a ReplyMemory carries, and no stateless decoder accepts.
+	// ends keep a Memory carries, and no stateless decoder accepts.
 	// TagProbeReqKept is a probe request that sends only the fields that
 	// differ from the connection's last request (AppendProbeReqOn).
 	TagProbeReqKept = 0x06
@@ -369,8 +369,9 @@ type ProbeResp struct {
 
 // The arc trailer: a flag byte — one value, so that a reply cut short or
 // followed by anything else is refused rather than read as "no arc" — and
-// the 8-byte identifier; or, on a connection that keeps a ReplyMemory, the
-// one byte arcKept: the arc the connection's last reply carried.
+// the 8-byte identifier; or, in a reply without its header
+// (TagProbeRespKept), the one byte arcKept: the arc the connection's last
+// reply carried.
 const (
 	arcFlag = 1
 	arcKept = 2
@@ -395,8 +396,8 @@ const MaxFrame = 1 << 20
 //	formDense       k = 0, then the ⌈m/8⌉ mask bytes
 //	formSparse      the k vectors that are set
 //	formComplement  the k vectors that are clear
-//	formKept        k = 0: the mask the connection's ReplyMemory holds for
-//	                its metric and position
+//	formKept        k = 0, in a reply without its header only: the mask the
+//	                connection's Memory holds for its metric and position
 //
 // An index list is strictly ascending, each index written as the uvarint
 // distance from the one before it (the first from -1), so every distance
@@ -527,11 +528,11 @@ func ShortenProbeResp(dst []byte, start int) []byte { return ShortenProbeRespOn(
 // TagProbeRespKept — version, tag, the coded masks, the arc trailer — and a
 // reply whose every mask is the kept one and whose arc is the kept one, or
 // which has none where kept has none, as TagProbeRespSame, two bytes. A reply
-// no coding shortens by the header's six bytes goes dense, header and all. A
-// reply that is not one mask per position and metric, or whose masks would
-// expand past MaxFrame, goes as ShortenProbeResp sends it, and no memory
-// records it.
-func ShortenProbeRespOn(dst []byte, start int, metrics []uint64, kept *ReplyMemory) []byte {
+// no coding shortens by the header's six bytes goes dense, as
+// ShortenProbeResp sends it. A reply that is not one mask per position and
+// metric, or whose masks would expand past MaxFrame, goes as ShortenProbeResp
+// sends it, and no memory records it.
+func ShortenProbeRespOn(dst []byte, start int, metrics []uint64, kept *Memory) []byte {
 	frame := dst[start:]
 	if len(frame) < 8 || frame[1] != TagProbeResp {
 		return dst
@@ -582,9 +583,6 @@ func ShortenProbeRespOn(dst []byte, start int, metrics []uint64, kept *ReplyMemo
 	case same && (sameArc || !hasArc && !keptHas):
 		return append(dst[:start], Version, TagProbeRespSame)
 	case len(dst)-end >= limit:
-		if sameArc {
-			return append(dst[:body+dense], arcKept)
-		}
 		return dst[:end]
 	}
 	if sameArc {
@@ -671,26 +669,29 @@ func pastVecs(mask []byte, numVecs int) bool {
 func DecodeProbeResp(buf []byte) (ProbeResp, error) { return decodeProbeResp(buf, nil, nil, nil) }
 
 // DecodeProbeRespTo is DecodeProbeResp for the reply to req on a connection
-// whose memory is kept: a reply that does not answer req — its position,
-// run, NumVecs, or one mask per position and metric — or whose masks would
-// expand past MaxFrame is refused; a reply without its header
-// (TagProbeRespKept, TagProbeRespSame) is read as answering req; a kept mask
-// or arc is expanded from kept, and refused when kept holds none; and a reply
-// accepted is recorded in kept (ReplyMemory's update rule). The masks never
-// alias kept. forms, when not nil, adds the accepted reply's masks by the
-// form they travelled in.
-func DecodeProbeRespTo(req ProbeReq, buf []byte, kept *ReplyMemory, forms *MaskForms) (ProbeResp, error) {
+// whose memory is kept, and accepts the tags and forms ShortenProbeResp and
+// ShortenProbeRespOn send and no other: a reply that does not answer req
+// — its position, run, NumVecs, or one mask per position and metric — or
+// whose masks would expand past MaxFrame is refused. A reply with its header,
+// dense or coded, names nothing kept. One without it (TagProbeRespKept,
+// TagProbeRespSame) comes only once kept holds a reply, and is read as
+// answering req, its kept masks and arc expanded from kept. A reply accepted
+// is recorded in kept (Memory's update rule). The masks never alias kept.
+// forms, when not nil, adds the accepted reply's masks by the form they
+// travelled in.
+func DecodeProbeRespTo(req ProbeReq, buf []byte, kept *Memory, forms *MaskForms) (ProbeResp, error) {
 	return decodeProbeResp(buf, &req, kept, forms)
 }
 
 // decodeProbeResp is the one probe-reply decoder, stateless when req is nil.
-func decodeProbeResp(buf []byte, req *ProbeReq, kept *ReplyMemory, forms *MaskForms) (ProbeResp, error) {
+func decodeProbeResp(buf []byte, req *ProbeReq, kept *Memory, forms *MaskForms) (ProbeResp, error) {
 	if len(buf) < 2 {
 		return ProbeResp{}, ErrShort
 	}
 	tag := buf[1]
+	held := req != nil && kept != nil && kept.index != nil // kept holds a reply
 	headless := tag == TagProbeRespKept || tag == TagProbeRespSame
-	if buf[0] != Version || tag != TagProbeResp && tag != TagProbeRespCoded && !(headless && req != nil && kept != nil) {
+	if buf[0] != Version || !(tag == TagProbeResp || tag == TagProbeRespCoded || headless && held) {
 		return ProbeResp{}, ErrBadMessage
 	}
 	var m ProbeResp
@@ -715,17 +716,12 @@ func decodeProbeResp(buf []byte, req *ProbeReq, kept *ReplyMemory, forms *MaskFo
 		}
 		k.mem, k.metrics = kept, req.Metrics
 	}
+	named := k // what the reply may name as kept: nothing, unless it is headless
+	if !headless {
+		named.mem = nil
+	}
+	same := tag == TagProbeRespSame
 	switch tag {
-	case TagProbeRespSame:
-		if len(buf) != 2 || !runFits(m.Bit, m.Span) {
-			return ProbeResp{}, ErrBadMessage
-		}
-		for i := 0; i < count; i++ {
-			if _, ok := k.at(i); !ok {
-				return ProbeResp{}, ErrBadMessage
-			}
-		}
-		end = 2
 	case TagProbeResp:
 		if len(buf) < end {
 			return ProbeResp{}, ErrShort
@@ -742,18 +738,20 @@ func decodeProbeResp(buf []byte, req *ProbeReq, kept *ReplyMemory, forms *MaskFo
 		if !runFits(m.Bit, m.Span) || count%(int(m.Span)+1) != 0 || ProbeRespOverhead+count*mask > MaxFrame {
 			return ProbeResp{}, ErrBadMessage
 		}
-		n, err := expandMasks(nil, buf[at:], count, int(m.NumVecs), k, nil)
+		n, err := expandMasks(nil, buf[at:], count, int(m.NumVecs), named, same, nil)
 		if err != nil {
 			return ProbeResp{}, err
 		}
 		end = at + n
 	}
 	switch arc := buf[end:]; {
-	case tag == TagProbeRespSame:
-		m.HasArc, m.ArcLo = k.arc()
+	case same && len(arc) != 0:
+		return ProbeResp{}, ErrBadMessage
+	case same:
+		m.HasArc, m.ArcLo = named.arc()
 	case len(arc) == 0:
 	case arc[0] == arcKept && len(arc) == 1:
-		if m.HasArc, m.ArcLo = k.arc(); !m.HasArc {
+		if m.HasArc, m.ArcLo = named.arc(); !m.HasArc {
 			return ProbeResp{}, ErrBadMessage
 		}
 	case arc[0] != arcFlag || len(arc) > arcSize:
@@ -767,24 +765,14 @@ func decodeProbeResp(buf []byte, req *ProbeReq, kept *ReplyMemory, forms *MaskFo
 		m.VecMasks = make([][]byte, count)
 	}
 	var body []byte
-	switch tag {
-	case TagProbeRespSame:
-		body = make([]byte, count*mask)
-		for i := 0; i < count; i++ {
-			was, _ := k.at(i)
-			copy(body[i*mask:], was)
-		}
-		if forms != nil {
-			forms[formKept] += uint64(count)
-		}
-	case TagProbeResp:
+	if tag == TagProbeResp {
 		body = append([]byte(nil), buf[at:end]...)
 		if forms != nil {
 			forms[formDense] += uint64(count)
 		}
-	default:
+	} else {
 		body = make([]byte, count*mask)
-		expandMasks(body, buf[at:], count, int(m.NumVecs), k, forms)
+		expandMasks(body, buf[at:], count, int(m.NumVecs), named, same, forms)
 	}
 	for i := range m.VecMasks {
 		m.VecMasks[i] = body[i*mask : (i+1)*mask : (i+1)*mask]
@@ -794,21 +782,26 @@ func decodeProbeResp(buf []byte, req *ProbeReq, kept *ReplyMemory, forms *MaskFo
 }
 
 // expandMasks reads count coded masks over numVecs vectors from the front
-// of src and returns how many bytes they took. With out nil it only checks
-// them; otherwise out holds count zeroed dense masks and each is written
-// into its own, and forms, when not nil, tallies their forms. An index list
-// toggles its vectors from all clear (sparse) or all set (complement):
-// ascending, every index toggles a distinct bit. A kept mask is copied from
-// the memory keys names it in, and is refused when that holds none.
-func expandMasks(out, src []byte, count, numVecs int, keys keyed, forms *MaskForms) (int, error) {
+// of src and returns how many bytes they took; with same, every mask is the
+// kept one and src holds none of them (TagProbeRespSame). With out nil it
+// only checks them; otherwise out holds count zeroed dense masks and each is
+// written into its own, and forms, when not nil, tallies their forms. An
+// index list toggles its vectors from all clear (sparse) or all set
+// (complement): ascending, every index toggles a distinct bit. A kept mask
+// is copied from the memory keys names it in, and is refused when that
+// holds none.
+func expandMasks(out, src []byte, count, numVecs int, keys keyed, same bool, forms *MaskForms) (int, error) {
 	mask := MaskBytes(numVecs)
 	at := 0
 	for i := 0; i < count; i++ {
-		h, n := binary.Uvarint(src[at:])
-		if n <= 0 {
-			return 0, varintErr(n)
+		h := uint64(formKept)
+		if !same {
+			var n int
+			if h, n = binary.Uvarint(src[at:]); n <= 0 {
+				return 0, varintErr(n)
+			}
+			at += n
 		}
-		at += n
 		var dst []byte
 		if out != nil {
 			dst = out[i*mask : (i+1)*mask]

@@ -752,8 +752,8 @@ func TestProbeMemoryKeptFormsRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	primed := func() *ReplyMemory {
-		kept := new(ReplyMemory)
+	primed := func() *Memory {
+		kept := new(Memory)
 		if _, err := DecodeProbeReqOn(nil, whole, kept); err != nil {
 			t.Fatal(err)
 		}
@@ -776,10 +776,10 @@ func TestProbeMemoryKeptFormsRefused(t *testing.T) {
 	}
 	for name, c := range map[string]struct {
 		frame []byte
-		kept  *ReplyMemory
+		kept  *Memory
 	}{
 		"no memory":                   {[]byte{Version, TagProbeReqKept, 0}, nil},
-		"an empty memory":             {[]byte{Version, TagProbeReqKept, 0}, new(ReplyMemory)},
+		"an empty memory":             {[]byte{Version, TagProbeReqKept, 0}, new(Memory)},
 		"the position remembered":     {[]byte{Version, TagProbeReqKept, reqBit, 3}, primed()},
 		"the metrics remembered":      {[]byte{Version, TagProbeReqKept, reqMetrics, 0, 1, 0, 7}, primed()},
 		"a field there is not":        {[]byte{Version, TagProbeReqKept, 1 << reqFields}, primed()},
@@ -801,14 +801,14 @@ func TestProbeMemoryKeptFormsRefused(t *testing.T) {
 	mask := make([]byte, 8)
 	SetVec(mask, 5)
 	resp := ProbeResp{Bit: 3, NumVecs: 64, VecMasks: [][]byte{mask}}
-	reply := func(kept *ReplyMemory) []byte {
+	reply := func(kept *Memory) []byte {
 		buf, err := AppendProbeRespHeader(nil, 3, 0, 64, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ShortenProbeRespOn(append(buf, mask...), 0, first.Metrics, kept)
 	}
-	var owner, client ReplyMemory
+	var owner, client Memory
 	if frame := reply(&owner); frame[1] != TagProbeRespCoded {
 		t.Fatalf("the first reply on a connection: % x, want the coded reply with its header", frame)
 	} else if _, err := DecodeProbeRespTo(first, frame, &client, nil); err != nil {
@@ -823,13 +823,15 @@ func TestProbeMemoryKeptFormsRefused(t *testing.T) {
 	for name, c := range map[string]struct {
 		frame []byte
 		req   ProbeReq
-		kept  *ReplyMemory
+		kept  *Memory
 	}{
-		"all kept, no memory":           {same, first, nil},
-		"all kept, an empty memory":     {same, first, new(ReplyMemory)},
-		"all kept, a mask not held":     {same, other, &client},
-		"all kept, a byte behind":       {append(slices.Clone(same), 0), first, &client},
-		"without its header, no memory": {[]byte{Version, TagProbeRespKept, formSparse}, first, nil},
+		"all kept, no memory":                               {same, first, nil},
+		"all kept, an empty memory":                         {same, first, new(Memory)},
+		"all kept, a mask not held":                         {same, other, &client},
+		"all kept, a byte behind":                           {append(slices.Clone(same), 0), first, &client},
+		"without its header, no memory":                     {[]byte{Version, TagProbeRespKept, formSparse}, first, nil},
+		"without its header, an empty memory, nothing kept": {[]byte{Version, TagProbeRespKept, 1<<formBits | formSparse, 6}, first, new(Memory)},
+		"with its header, a mask kept":                      {[]byte{Version, TagProbeRespCoded, 3, 0, 64, 0, 1, 0, formKept}, first, &client},
 	} {
 		if _, err := DecodeProbeRespTo(c.req, c.frame, c.kept, nil); err == nil {
 			t.Errorf("%s: reply % x accepted", name, c.frame)

@@ -354,18 +354,22 @@ echo "   probe-reply masks over the hot-set window: $kept of $masks kept"
 # and the reply leaves out the header that restates the request — two bytes
 # when every mask and the arc are kept. Over the same window dhsd's client
 # bytes, both ways, per probe exchange must be at most 12; about 24 means
-# requests go whole and replies carry their header again.
-out_bytes() {
-    awk '$1 ~ /^netdht_out_bytes_total\{/ { n += $2 } END { print n + 0 }' "$1"
+# requests go whole and replies carry their header again. The bytes are
+# printed split into requests (dir="out") and replies (dir="in"), so a run
+# over the bound shows which side went over.
+window_delta() {
+    echo $(($(metric_value "$LOGDIR/metrics-dhsd.prom" "$1") - $(metric_value "$LOGDIR/metrics-dhsd-warm.prom" "$1")))
 }
-probe_rpc='netdht_out_rpc_total{tag="probe"}'
-wire_bytes=$(($(out_bytes "$LOGDIR/metrics-dhsd.prom") - $(out_bytes "$LOGDIR/metrics-dhsd-warm.prom")))
-exchanges=$(($(metric_value "$LOGDIR/metrics-dhsd.prom" "$probe_rpc") - $(metric_value "$LOGDIR/metrics-dhsd-warm.prom" "$probe_rpc")))
+req_bytes=$(window_delta 'netdht_out_bytes_total{dir="out"}')
+reply_bytes=$(window_delta 'netdht_out_bytes_total{dir="in"}')
+wire_bytes=$((req_bytes + reply_bytes))
+exchanges=$(window_delta 'netdht_out_rpc_total{tag="probe"}')
+split="$wire_bytes client bytes ($req_bytes in requests, $reply_bytes in replies) over $exchanges probe exchanges"
 if ! awk -v b="$wire_bytes" -v p="$exchanges" 'BEGIN { exit !(p > 0 && b <= 12 * p) }'; then
-    echo "== dhsd moved $wire_bytes client bytes over $exchanges probe exchanges in the hot-set window, want at most 12 an exchange" >&2
+    echo "== dhsd moved $split in the hot-set window, want at most 12 an exchange" >&2
     exit 1
 fi
-echo "   client bytes per probe exchange over the hot-set window: $wire_bytes / $exchanges"
+echo "   hot-set window: $split"
 
 hits=$(metric_value "$LOGDIR/metrics-dhsd.prom" 'dhsd_cache_requests_total{result="hit"}')
 if [ "${hits%.*}" -eq 0 ]; then
