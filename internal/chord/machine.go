@@ -70,7 +70,9 @@ type Found struct {
 // error from Neighbors, Notify, Ping or FindSucc means the peer could
 // not be reached — the only way the protocol learns of a death.
 type Peers interface {
-	// Neighbors fetches to's predecessor and successor list.
+	// Neighbors fetches to's predecessor and successor list. The list may
+	// share its array with the one the previous call returned, and is good
+	// until the next call: the machine copies what it keeps.
 	Neighbors(to Ref) (Neighbors, error)
 	// Notify proposes self as to's predecessor; changed reports whether
 	// to's state moved, which the caller folds into its own change count.
@@ -131,6 +133,13 @@ func (n *Machine) State() (pred Ref, succ []Ref, fingers [fingerBits]Ref) {
 	return n.pred, slices.Clone(n.succ), n.fingers.expand()
 }
 
+// Fingers returns the finger table, one entry per slot.
+func (n *Machine) Fingers() [fingerBits]Ref {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.fingers.expand()
+}
+
 // Successor returns the head of the believed successor list.
 func (n *Machine) Successor() (Ref, bool) {
 	n.mu.Lock()
@@ -164,12 +173,34 @@ func notIn(old, list []Ref) (out []Ref) {
 	return out
 }
 
-// listBehind builds this node's successor list from successor s and s's
-// own list: s first, then s's successors up to SuccListLen, without
-// this node and without repeats.
-func (n *Machine) listBehind(s Ref, behind []Ref) []Ref {
-	list := make([]Ref, 1, n.cfg.SuccListLen)
-	list[0] = s
+// Known returns the Ref this node holds for id — itself, its predecessor,
+// a successor or a finger — when that Ref's address is addr, so that a
+// transport decoding a peer it already knows reuses the address string
+// rather than copying the frame's bytes. A peer heard of at another address
+// is not known, and the lookup reads only the state the node holds now.
+func (n *Machine) Known(id uint64, addr []byte) (Ref, bool) {
+	is := func(r Ref) bool { return r.ID == id && r.Addr == string(addr) }
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if is(n.self) {
+		return n.self, true
+	}
+	if is(n.pred) {
+		return n.pred, true
+	}
+	for _, list := range [2][]Ref{n.succ, n.fingers.refs} {
+		if i := slices.IndexFunc(list, is); i >= 0 {
+			return list[i], true
+		}
+	}
+	return Ref{}, false
+}
+
+// listBehind appends to dst this node's successor list from successor s
+// and s's own list: s first, then s's successors up to SuccListLen,
+// without this node and without repeats.
+func (n *Machine) listBehind(dst []Ref, s Ref, behind []Ref) []Ref {
+	list := append(dst[:0], s)
 	for _, e := range behind {
 		if len(list) >= n.cfg.SuccListLen {
 			break
@@ -320,18 +351,25 @@ func (n *Machine) Stabilize(p Peers) (changes int, gained []Ref) {
 		n.mu.Unlock()
 		return changes + 1, notIn(old, list)
 	}
+	// The list is built on the stack before the next call, which may reuse
+	// the array the transport decoded nb.Succ into, and replaces the node's
+	// only when it differs: a quiet round allocates nothing.
+	var room [8]Ref
+	list := n.listBehind(room[:0], s, nb.Succ)
 	if c := nb.Pred; c.Valid() && c.ID != n.self.ID && c.ID != s.ID &&
 		dist(n.self.ID, c.ID) < dist(n.self.ID, s.ID) {
 		// A node joined between us and our successor: adopt it.
 		if resp, err := p.Neighbors(c); err == nil {
-			s, nb = c, resp
+			s = c
+			list = n.listBehind(list, s, resp.Succ)
 			changes++
 		}
 	}
-	list := n.listBehind(s, nb.Succ)
 	n.mu.Lock()
 	moved := !slices.Equal(n.succ, list)
-	n.succ = list
+	if moved {
+		n.succ = slices.Clone(list)
+	}
 	n.fingers.set(0, s)
 	n.mu.Unlock()
 	if moved {
@@ -431,7 +469,7 @@ func (n *Machine) Join(p Peers, boot Ref) (Ref, error) {
 	if err != nil {
 		return Ref{}, fmt.Errorf("successor %s: %w", s.Addr, err)
 	}
-	list := n.listBehind(s, nb.Succ)
+	list := n.listBehind(nil, s, nb.Succ)
 	n.mu.Lock()
 	n.succ = list
 	n.fingers.fill(s)

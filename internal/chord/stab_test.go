@@ -2,7 +2,9 @@ package chord
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"dhsketch/internal/dht"
 	"dhsketch/internal/sim"
@@ -359,5 +361,65 @@ func TestDueAtMatchesStepSchedule(t *testing.T) {
 		t.Fatal("zero period should disable its round, not fire it")
 	} else if !due.Has(RoundFixFingers) {
 		t.Fatal("tick 15 should fire fix-fingers with period 5")
+	}
+}
+
+// TestStabilizeQuietKeepsList: a stabilize round over a neighbourhood that
+// has not changed leaves the node's successor list as it was — the same
+// array, not an equal copy — and allocates nothing; a round that finds a
+// successor gone installs a list of its own.
+func TestStabilizeQuietKeepsList(t *testing.T) {
+	env := sim.NewEnv(5)
+	r := NewStabilizing(env, 16, ProtocolConfig{})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := r.live[3].Protocol()
+	before := n.succ
+	if changes, gained := n.Stabilize(&r.protoPeers); changes != 0 || gained != nil {
+		t.Fatalf("a converged node's round made %d changes, gained %v", changes, gained)
+	}
+	if &n.succ[0] != &before[0] {
+		t.Error("a quiet round replaced the successor list with an equal copy")
+	}
+	if a := testing.AllocsPerRun(20, func() { n.Stabilize(&r.protoPeers) }); a != 0 {
+		t.Errorf("a quiet round allocated %.1f/op, want 0", a)
+	}
+
+	dead := r.live[4] // the node's successor
+	dead.alive.Store(false)
+	if changes, _ := n.Stabilize(&r.protoPeers); changes == 0 {
+		t.Fatal("a round past a dead successor changed nothing")
+	}
+	if &n.succ[0] == &before[0] || hasID(n.succ, dead.id) {
+		t.Errorf("the list %v still names the dead successor %016x, or is the old array", n.succ, dead.id)
+	}
+	if !slices.Equal(before, []Ref{r.live[4].proto.self, r.live[5].proto.self, r.live[6].proto.self, r.live[7].proto.self}) {
+		t.Errorf("the round edited the old list in place: %v", before)
+	}
+}
+
+// TestKnownMatchesAddress: Machine.Known hands back the very string of a
+// ref the node holds — a successor, a finger, its predecessor or itself —
+// and only at the address it holds it at: the same identifier at another
+// address, a restarted node, is not known.
+func TestKnownMatchesAddress(t *testing.T) {
+	env := sim.NewEnv(5)
+	r := NewStabilizing(env, 16, ProtocolConfig{})
+	n := r.live[3].Protocol()
+	pred, succ, fingers := n.State()
+	for _, want := range []Ref{n.self, pred, succ[2], fingers[63]} {
+		got, ok := n.Known(want.ID, []byte(want.Addr))
+		if !ok || got != want || unsafe.StringData(got.Addr) != unsafe.StringData(want.Addr) {
+			t.Errorf("Known(%016x, %q) = %v, %v; want the held ref itself", want.ID, want.Addr, got, ok)
+		}
+		if got, ok := n.Known(want.ID, []byte(want.Addr+"x")); ok {
+			t.Errorf("Known(%016x) at another address = %v, want not known", want.ID, got)
+		}
+	}
+	for _, m := range r.live {
+		held := m.id == n.self.ID || m.id == pred.ID || hasID(succ, m.id) || hasID(fingers[:], m.id)
+		if got, ok := n.Known(m.id, []byte(m.proto.self.Addr)); ok != held {
+			t.Errorf("node %016x, held %v: Known = %v, %v", m.id, held, got, ok)
+		}
 	}
 }

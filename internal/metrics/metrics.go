@@ -83,9 +83,16 @@ type series struct {
 // help string, many label signatures.
 type family struct {
 	name   string
-	help   string
+	help   string // escaped for exposition
 	kind   kind
 	series map[string]*series
+}
+
+// familyOrder is one family as a scrape walks it: its series sorted by
+// label signature.
+type familyOrder struct {
+	f      *family
+	series []*series
 }
 
 // Registry holds metric families and renders them in Prometheus text
@@ -95,6 +102,14 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+	// order is the scrape order, families sorted by name: built by the
+	// first scrape after a registration added a series, dropped by the
+	// next such registration, and never edited, so a scrape walks it
+	// without the lock.
+	order []familyOrder
+	// spare is the text buffer the last scrape to end left for the next to
+	// start; a scrape that finds none, because another holds it, makes one.
+	spare []byte
 }
 
 // New returns an empty registry.
@@ -107,7 +122,7 @@ func New() *Registry {
 func (r *Registry) familyOf(name, help string, k kind) *family {
 	f := r.families[name]
 	if f == nil {
-		f = &family{name: name, help: help, kind: k, series: make(map[string]*series)}
+		f = &family{name: name, help: escapeHelp(help), kind: k, series: make(map[string]*series)}
 		r.families[name] = f
 		return f
 	}
@@ -132,7 +147,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	s := f.series[sig]
 	if s == nil {
 		s = &series{sig: sig, c: &Counter{}}
-		f.series[sig] = s
+		r.add(f, s)
 	}
 	return s.c
 }
@@ -150,7 +165,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	s := f.series[sig]
 	if s == nil {
 		s = &series{sig: sig, g: &Gauge{}}
-		f.series[sig] = s
+		r.add(f, s)
 	}
 	return s.g
 }
@@ -170,7 +185,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	defer r.mu.Unlock()
 	f := r.familyOf(name, help, kindGaugeFunc)
 	if f.series[sig] == nil {
-		f.series[sig] = &series{sig: sig, gf: fn}
+		r.add(f, &series{sig: sig, gf: fn})
 	}
 }
 
@@ -199,32 +214,52 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 			counts: make([]atomic.Uint64, len(buckets)+1),
 		}
 		s = &series{sig: sig, h: h}
-		f.series[sig] = s
+		r.add(f, s)
 	}
 	return s.h
 }
 
-// snapshot returns the families sorted by name, each with its series
-// sorted by label signature — the deterministic scrape order.
-func (r *Registry) snapshot() []*family {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
+// add registers a new series of f and drops the scrape order. Caller
+// holds r.mu.
+func (r *Registry) add(f *family, s *series) {
+	f.series[s.sig] = s
+	r.order = nil
 }
 
-// sortedSeries returns f's series ordered by label signature.
-func (f *family) sortedSeries() []*series {
-	out := make([]*series, 0, len(f.series))
-	for _, s := range f.series {
-		out = append(out, s)
+// startScrape returns the families sorted by name, each with its series
+// sorted by label signature — the deterministic scrape order — building
+// it if a registration has dropped it, and a text buffer to build the
+// scrape in.
+func (r *Registry) startScrape() ([]familyOrder, []byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	buf := r.spare
+	r.spare = nil
+	if buf == nil {
+		buf = make([]byte, 0, 2*expoChunk)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].sig < out[j].sig })
-	return out
+	if r.order != nil {
+		return r.order, buf
+	}
+	order := make([]familyOrder, 0, len(r.families))
+	for _, f := range r.families {
+		fo := familyOrder{f: f, series: make([]*series, 0, len(f.series))}
+		for _, s := range f.series {
+			fo.series = append(fo.series, s)
+		}
+		sort.Slice(fo.series, func(i, j int) bool { return fo.series[i].sig < fo.series[j].sig })
+		order = append(order, fo)
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i].f.name < order[j].f.name })
+	r.order = order
+	return order, buf
+}
+
+// endScrape leaves buf for the next scrape.
+func (r *Registry) endScrape(buf []byte) {
+	r.mu.Lock()
+	r.spare = buf[:0]
+	r.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------

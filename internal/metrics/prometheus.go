@@ -1,8 +1,8 @@
 package metrics
 
 import (
-	"bufio"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,69 +15,97 @@ import (
 // signature, histogram buckets in bound order — so two scrapes of the
 // same state are byte-identical and golden tests can pin the format.
 // A nil registry writes nothing.
+//
+// A scrape of a registry that has registered nothing since the last one
+// allocates nothing: the order is kept between scrapes (Registry.order),
+// and the text is built in the buffer the last scrape left (Registry.spare)
+// and written to w a few KiB at a time. A daemon that has not reached its
+// first collection keeps every byte a scrape would leave behind.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	bw := bufio.NewWriter(w)
-	for _, f := range r.snapshot() {
-		bw.WriteString("# HELP ")
-		bw.WriteString(f.name)
-		bw.WriteByte(' ')
-		bw.WriteString(escapeHelp(f.help))
-		bw.WriteString("\n# TYPE ")
-		bw.WriteString(f.name)
-		bw.WriteByte(' ')
-		bw.WriteString(f.kind.String())
-		bw.WriteByte('\n')
-		for _, s := range f.sortedSeries() {
-			writeSeries(bw, f, s)
+	order, buf := r.startScrape()
+	e := expo{w: w, buf: buf}
+	for _, fo := range order {
+		f := fo.f
+		b := append(append(append(append(e.buf, "# HELP "...), f.name...), ' '), f.help...)
+		b = append(append(append(b, "\n# TYPE "...), f.name...), ' ')
+		e.buf = append(append(b, f.kind.String()...), '\n')
+		for _, s := range fo.series {
+			e.series(f, s)
 		}
 	}
-	return bw.Flush()
+	e.flush()
+	r.endScrape(e.buf)
+	return e.err
 }
 
-func writeSeries(bw *bufio.Writer, f *family, s *series) {
+// expo is one scrape in progress: the lines not yet written to w, and the
+// first error writing them.
+type expo struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// expoChunk is how much text a scrape gathers before it writes.
+const expoChunk = 4 << 10
+
+// flush writes what has gathered; after an error it writes nothing more.
+func (e *expo) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+// series appends the lines of one series, and writes them out once a
+// chunk has gathered.
+func (e *expo) series(f *family, s *series) {
+	noLE := math.NaN()
 	switch f.kind {
 	case kindCounter:
-		writeSample(bw, f.name, s.sig, formatUint(s.c.Value()))
+		e.buf = strconv.AppendUint(sampleHead(e.buf, f.name, "", s.sig, noLE), s.c.Value(), 10)
 	case kindGauge:
-		writeSample(bw, f.name, s.sig, strconv.FormatInt(s.g.Value(), 10))
+		e.buf = strconv.AppendInt(sampleHead(e.buf, f.name, "", s.sig, noLE), s.g.Value(), 10)
 	case kindGaugeFunc:
-		writeSample(bw, f.name, s.sig, formatFloat(s.gf()))
+		e.buf = appendFloat(sampleHead(e.buf, f.name, "", s.sig, noLE), s.gf())
 	case kindHistogram:
 		h := s.h
 		cum := uint64(0)
 		for i, bound := range h.bounds {
 			cum += h.counts[i].Load()
-			writeSample(bw, f.name+"_bucket", withLE(s.sig, formatFloat(bound)), formatUint(cum))
+			e.buf = append(strconv.AppendUint(sampleHead(e.buf, f.name, "_bucket", s.sig, bound), cum, 10), '\n')
 		}
 		cum += h.counts[len(h.bounds)].Load()
-		writeSample(bw, f.name+"_bucket", withLE(s.sig, "+Inf"), formatUint(cum))
-		writeSample(bw, f.name+"_sum", s.sig, formatFloat(h.Sum()))
-		writeSample(bw, f.name+"_count", s.sig, formatUint(h.Count()))
+		e.buf = append(strconv.AppendUint(sampleHead(e.buf, f.name, "_bucket", s.sig, math.Inf(1)), cum, 10), '\n')
+		e.buf = append(appendFloat(sampleHead(e.buf, f.name, "_sum", s.sig, noLE), h.Sum()), '\n')
+		e.buf = strconv.AppendUint(sampleHead(e.buf, f.name, "_count", s.sig, noLE), h.Count(), 10)
+	}
+	e.buf = append(e.buf, '\n')
+	if len(e.buf) >= expoChunk {
+		e.flush()
 	}
 }
 
-// writeSample emits `name{sig} value\n` (or `name value\n` unlabeled).
-func writeSample(bw *bufio.Writer, name, sig, value string) {
-	bw.WriteString(name)
-	if sig != "" {
-		bw.WriteByte('{')
-		bw.WriteString(sig)
-		bw.WriteByte('}')
+// sampleHead appends what precedes a sample's value: `name+suffix{sig} `,
+// without the braces when there are no labels, and with the bucket label
+// le="le" behind sig unless le is NaN.
+func sampleHead(b []byte, name, suffix, sig string, le float64) []byte {
+	b = append(append(b, name...), suffix...)
+	bucket := !math.IsNaN(le)
+	if sig != "" || bucket {
+		b = append(append(b, '{'), sig...)
+		if bucket {
+			if sig != "" {
+				b = append(b, ',')
+			}
+			b = append(appendFloat(append(b, `le="`...), le), '"')
+		}
+		b = append(b, '}')
 	}
-	bw.WriteByte(' ')
-	bw.WriteString(value)
-	bw.WriteByte('\n')
-}
-
-// withLE appends the histogram bucket label to an existing signature.
-func withLE(sig, le string) string {
-	if sig == "" {
-		return `le="` + le + `"`
-	}
-	return sig + `,le="` + le + `"`
+	return append(b, ' ')
 }
 
 // renderLabels canonicalizes a label set into its exposition form:
@@ -143,8 +171,6 @@ func escapeHelp(v string) string {
 	return b.String()
 }
 
-func formatUint(v uint64) string { return strconv.FormatUint(v, 10) }
-
-// formatFloat renders a float the shortest way that round-trips —
+// appendFloat renders a float the shortest way that round-trips —
 // integral values print without an exponent or trailing zeros.
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+func appendFloat(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'g', -1, 64) }

@@ -3,8 +3,7 @@ package metrics
 import (
 	"os"
 	rtmetrics "runtime/metrics"
-	"strconv"
-	"strings"
+	"sync"
 )
 
 // The Go runtime's own samples a daemon's registry exposes (DESIGN.md §15):
@@ -23,16 +22,20 @@ var runtimeSeries = []struct{ name, help, sample string }{
 // series here), and the process's resident memory as the kernel counts it.
 // allocs ÷ requests handled is what one request leaves behind; cycles
 // standing still under load is a process that does not collect; resident
-// file bytes are mostly the process's own binary. Nil receiver is a no-op
-// and allocates nothing.
+// file bytes are mostly the process's own binary. Reading them allocates
+// nothing, so a scrape does not move go_heap_allocs_bytes. Nil receiver is
+// a no-op and allocates nothing.
 func (r *Registry) RegisterRuntime() {
 	if r == nil {
 		return
 	}
 	for _, s := range runtimeSeries {
+		var mu sync.Mutex // orders concurrent scrapes' reads into v
+		v := []rtmetrics.Sample{{Name: s.sample}}
 		r.GaugeFunc(s.name, s.help, func() float64 {
-			v := [1]rtmetrics.Sample{{Name: s.sample}}
-			rtmetrics.Read(v[:])
+			mu.Lock()
+			defer mu.Unlock()
+			rtmetrics.Read(v)
 			if v[0].Value.Kind() != rtmetrics.KindUint64 {
 				return 0 // a runtime that does not know the sample
 			}
@@ -45,21 +48,54 @@ func (r *Registry) RegisterRuntime() {
 		func() float64 { return statmBytes(2) })
 }
 
+// statm is /proc/self/statm, opened by the first read and read again from
+// its start by every later one, into buf: the file describes the process,
+// so one handle serves every registry in it, and reading through it
+// allocates nothing.
+var statm struct {
+	sync.Mutex
+	f   *os.File
+	buf [128]byte
+}
+
 // statmBytes reads field i of /proc/self/statm — 1 is the resident pages,
 // 2 the resident shared (file-backed) ones — in bytes; 0 where the file is
 // absent or unreadable.
 func statmBytes(i int) float64 {
-	b, err := os.ReadFile("/proc/self/statm")
-	if err != nil {
-		return 0
+	statm.Lock()
+	defer statm.Unlock()
+	if statm.f == nil {
+		f, err := os.Open("/proc/self/statm")
+		if err != nil {
+			return 0
+		}
+		statm.f = f
 	}
-	f := strings.Fields(string(b))
-	if len(f) <= i {
-		return 0
-	}
-	pages, err := strconv.ParseUint(f[i], 10, 64)
-	if err != nil {
+	n, _ := statm.f.ReadAt(statm.buf[:], 0) // the whole file, short of buf, ends in io.EOF
+	pages, ok := field(statm.buf[:n], i)
+	if !ok {
 		return 0
 	}
 	return float64(pages) * float64(os.Getpagesize())
+}
+
+// field parses the i-th of the space-separated decimal fields of b.
+func field(b []byte, i int) (v uint64, ok bool) {
+	for f := 0; len(b) > 0; f++ {
+		j := 0
+		for j < len(b) && b[j] >= '0' && b[j] <= '9' {
+			if f == i {
+				v = v*10 + uint64(b[j]-'0')
+			}
+			j++
+		}
+		if f == i {
+			return v, j > 0
+		}
+		if j == len(b) || b[j] != ' ' {
+			return 0, false
+		}
+		b = b[j+1:]
+	}
+	return 0, false
 }

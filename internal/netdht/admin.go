@@ -11,11 +11,13 @@ import (
 	"os"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"dhsketch/internal/chord"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/store"
 )
@@ -47,29 +49,42 @@ type Status struct {
 
 // Status snapshots the server for /statusz (and tests).
 func (s *Server) Status() Status {
-	pred, succ, fingers := s.Protocol().State()
-	st := Status{
-		ID:         fmt.Sprintf("%016x", s.ID()),
-		Name:       s.Name(),
-		Addr:       s.addr,
-		Alive:      s.Alive(),
-		Linked:     s.linked.Load(),
-		Tick:       s.tick.Load(),
-		Successors: make([]string, 0, len(succ)),
+	var st Status
+	s.status(&st)
+	return st
+}
+
+// status fills st with the server's snapshot. It keeps st's successor
+// array and, while the node's identifier reads the same, its ID string:
+// /statusz fills the Status of a pooled admin buffer, and allocates nothing.
+func (s *Server) status(st *Status) {
+	var id [16]byte
+	for i, v := len(id)-1, s.ID(); i >= 0; i, v = i-1, v>>4 {
+		id[i] = "0123456789abcdef"[v&15]
 	}
-	if pred.Valid() {
-		st.Predecessor = pred.Addr
+	if st.ID != string(id[:]) {
+		st.ID = string(id[:])
 	}
-	for _, sc := range succ {
+	st.Name, st.Addr = s.Name(), s.addr
+	st.Alive, st.Linked, st.Tick = s.Alive(), s.linked.Load(), s.tick.Load()
+	nb := s.Protocol().Neighbors()
+	st.Predecessor = nb.Pred.Addr // "" when unknown
+	if st.Successors == nil {
+		st.Successors = []string{} // a node with none shows [], not null
+	}
+	st.Successors = st.Successors[:0]
+	for _, sc := range nb.Succ {
 		st.Successors = append(st.Successors, sc.Addr)
 	}
-	distinct := make(map[string]struct{})
-	for _, f := range fingers {
-		if f.Valid() && f.ID != s.ID() {
-			distinct[f.Addr] = struct{}{}
+	fingers := s.Protocol().Fingers()
+	st.Fingers = 0
+	for i, f := range fingers {
+		if f.Valid() && f.ID != s.ID() &&
+			!slices.ContainsFunc(fingers[:i], func(g chord.Ref) bool { return g.Addr == f.Addr }) {
+			st.Fingers++
 		}
 	}
-	st.Fingers = len(distinct)
+	st.StoreTuples, st.StoreBytes = 0, 0
 	if tup, ok := s.App().(*store.Store); ok {
 		now := s.nowFn()
 		st.StoreTuples = tup.Len(now)
@@ -77,7 +92,6 @@ func (s *Server) Status() Status {
 	}
 	c := s.Counters().Snapshot()
 	st.Routed, st.Probed, st.StoreOps = c.Routed, c.Probed, c.StoreOps
-	return st
 }
 
 // Healthy reports the node's /healthz verdict: not OK while shutting
@@ -180,7 +194,7 @@ func (s *Server) serveAdminConn(c net.Conn, reg *metrics.Registry) {
 	case err != nil:
 		return
 	default:
-		rep = s.adminAnswer(req, reg)
+		rep = s.adminAnswer(req, reg, b)
 	}
 	if writeAdminReply(c, b.w, rep) != nil {
 		return
@@ -194,16 +208,23 @@ func (s *Server) serveAdminConn(c net.Conn, reg *metrics.Registry) {
 	}
 }
 
-// adminBufs are an admin connection's read and write buffers, pooled: a
-// node below the runtime's first collection keeps every byte it allocates
-// resident, and the benchmark polls /statusz many times.
+// adminBufs are an admin connection's read and write buffers, and the
+// /statusz document with the buffer and encoder it is written with, pooled:
+// a node below the runtime's first collection keeps every byte it
+// allocates resident, and the benchmark polls /statusz many times.
 type adminBufs struct {
-	r *bufio.Reader
-	w *bufio.Writer
+	r      *bufio.Reader
+	w      *bufio.Writer
+	status Status
+	json   bytes.Buffer
+	enc    *json.Encoder
 }
 
 var adminBufPool = sync.Pool{New: func() any {
-	return &adminBufs{r: bufio.NewReaderSize(nil, adminMaxHead), w: bufio.NewWriter(nil)}
+	b := &adminBufs{r: bufio.NewReaderSize(nil, adminMaxHead), w: bufio.NewWriter(nil)}
+	b.enc = json.NewEncoder(&b.json)
+	b.enc.SetIndent("", "  ")
+	return b
 }}
 
 // release returns b to the pool, holding on to no connection.
@@ -259,12 +280,14 @@ func readAdminRequest(r *bufio.Reader) (adminRequest, error) {
 }
 
 // adminReply is one response: its status and content type, and either
-// the whole body, sent behind its length, or stream, which writes the body
-// as it is made — over span, for a trace — and is ended by the close.
+// the whole body, sent behind its length, or a body written as it is made
+// and ended by the close — the exposition of prom, or what stream writes,
+// over span for a trace.
 type adminReply struct {
 	status int
 	ctype  string
 	body   []byte
+	prom   *metrics.Registry
 	stream func(io.Writer)
 	span   time.Duration
 }
@@ -294,40 +317,51 @@ func writeAdminReply(c net.Conn, bw *bufio.Writer, rep adminReply) error {
 	if err := c.SetWriteDeadline(time.Now().Add(rep.span + adminWriteTimeout)); err != nil {
 		return err
 	}
-	fmt.Fprintf(bw, "HTTP/1.1 %d %s\r\nContent-Type: %s\r\nConnection: close\r\n", rep.status, adminStatusText[rep.status], rep.ctype)
+	bw.WriteString("HTTP/1.1 ")
+	bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(rep.status), 10))
+	bw.WriteByte(' ')
+	bw.WriteString(adminStatusText[rep.status])
+	bw.WriteString("\r\nContent-Type: ")
+	bw.WriteString(rep.ctype)
+	bw.WriteString("\r\nConnection: close\r\n")
 	if rep.status == 405 {
 		bw.WriteString("Allow: GET\r\n")
 	}
-	if rep.stream != nil {
+	switch {
+	case rep.prom != nil:
+		bw.WriteString("\r\n")
+		rep.prom.WritePrometheus(bw)
+	case rep.stream != nil:
 		bw.WriteString("\r\n")
 		rep.stream(bw)
-	} else {
-		fmt.Fprintf(bw, "Content-Length: %d\r\n\r\n", len(rep.body))
+	default:
+		bw.WriteString("Content-Length: ")
+		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(len(rep.body)), 10))
+		bw.WriteString("\r\n\r\n")
 		bw.Write(rep.body)
 	}
 	return bw.Flush()
 }
 
-// adminAnswer routes a well-formed request to its endpoint.
-func (s *Server) adminAnswer(req adminRequest, reg *metrics.Registry) adminReply {
+// adminAnswer routes a well-formed request to its endpoint. A /statusz
+// reply is built in b and valid until b is released.
+func (s *Server) adminAnswer(req adminRequest, reg *metrics.Registry, b *adminBufs) adminReply {
 	if req.method != "GET" {
 		return adminText(405, "method not allowed")
 	}
 	switch req.path {
 	case "/metrics":
-		return adminReply{status: 200, ctype: "text/plain; version=0.0.4; charset=utf-8",
-			stream: func(w io.Writer) { reg.WritePrometheus(w) }}
+		return adminReply{status: 200, ctype: "text/plain; version=0.0.4; charset=utf-8", prom: reg}
 	case "/healthz":
 		if ok, msg := s.Healthy(); !ok {
 			return adminText(503, msg)
 		}
 		return adminText(200, "ok")
 	case "/statusz":
-		var b bytes.Buffer
-		enc := json.NewEncoder(&b)
-		enc.SetIndent("", "  ")
-		enc.Encode(s.Status())
-		return adminReply{status: 200, ctype: "application/json", body: b.Bytes()}
+		s.status(&b.status)
+		b.json.Reset()
+		b.enc.Encode(&b.status)
+		return adminReply{status: 200, ctype: "application/json", body: b.json.Bytes()}
 	case "/debug/pprof":
 		return s.pprofAnswer("", req.query)
 	}

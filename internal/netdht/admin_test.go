@@ -3,6 +3,7 @@ package netdht
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dhsketch/internal/chord"
 	"dhsketch/internal/metrics"
 )
 
@@ -218,4 +220,60 @@ func FuzzAdminRequest(f *testing.F) {
 			t.Fatalf("%+v sent again parses as %+v, %v", req, again, err)
 		}
 	})
+}
+
+// TestAdminScrapeZeroAlloc pins what an admin connection costs past its
+// accept: answering /metrics — the node's registry, runtime samples
+// included — and /statusz on a linked node with a store, and writing the
+// reply, allocate nothing once the pooled buffers have served one of each.
+// The statusz document is the one Status would encode.
+func TestAdminScrapeZeroAlloc(t *testing.T) {
+	reg := metrics.New()
+	reg.RegisterRuntime()
+	s, err := NewServer("127.0.0.1:0", Options{Metrics: reg})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(s.Close)
+	s.Protocol().HandleNotify(chord.Ref{ID: s.ID() - 1000, Addr: "127.0.0.1:1"})
+	halfFill(s, 8, 64, 2, 8)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		if peer, err := ln.Accept(); err == nil {
+			io.Copy(io.Discard, peer)
+			peer.Close()
+		}
+	}()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	b := adminBufPool.Get().(*adminBufs)
+	b.w.Reset(c)
+	for _, path := range []string{"/metrics", "/statusz"} {
+		answer := func() {
+			if err := writeAdminReply(c, b.w, s.adminAnswer(adminRequest{method: "GET", path: path}, reg, b)); err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+		}
+		answer()
+		// encoding/json takes its encoder state from a sync.Pool.
+		if n := testing.AllocsPerRun(20, answer); n != 0 && !(raceDetector && path == "/statusz") {
+			t.Errorf("%s: an answer allocated %.1f/op, want 0", path, n)
+		}
+	}
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	enc.SetIndent("", "  ")
+	enc.Encode(s.Status())
+	if got := b.json.String(); got != want.String() || !strings.Contains(got, `"successors": [
+    "127.0.0.1:1"
+  ]`) {
+		t.Errorf("/statusz wrote\n%s\nwant\n%s", got, want.String())
+	}
 }

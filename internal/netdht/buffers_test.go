@@ -501,7 +501,7 @@ func TestRelayedStoreKeepsItsBytes(t *testing.T) {
 				tuple := wire.Insert{Metric: uint64(100 + w), Vector: uint16(rng.IntN(64)), Bit: uint8(rng.IntN(12)), TTL: 0}
 				target := rng.Uint64()
 				// Undirected and unflagged: the entry routes it like a peer's.
-				ack, err := c.peers.route(servers[0].Addr(), findSuccMsg{key: target, store: wire.EncodeInsert(tuple)})
+				ack, err := c.peers.route(servers[0].Addr(), findSuccMsg{key: target, store: wire.EncodeInsert(tuple)}, nil)
 				if err != nil {
 					t.Errorf("writer %d store %d: %v", w, i, err)
 					return
@@ -612,5 +612,64 @@ func TestConcurrentCountInsertOneClient(t *testing.T) {
 				t.Errorf("concurrent run stored %d tuples, serial %d, or not the same ones", len(keys), len(wantKeys))
 			}
 		})
+	}
+}
+
+// meteredCluster is NewCluster's converged ring of n servers, each
+// instrumented into its own registry, or not at all when metered is false.
+func meteredCluster(t *testing.T, n int, metered bool) *Cluster {
+	t.Helper()
+	env := sim.NewEnv(1)
+	c := &Cluster{
+		Membership: chord.NewMembership[*Server](chord.ProtocolConfig{}, env.Derive("netdht"), env.Clock.Now()),
+		env:        env,
+	}
+	t.Cleanup(c.Close)
+	for i := 0; i < n; i++ {
+		var reg *metrics.Registry
+		if metered {
+			reg = metrics.New()
+		}
+		name := fmt.Sprintf("node-%d:4000", i)
+		s, err := NewServer("127.0.0.1:0", Options{
+			Name: name, Protocol: c.Config(), Now: env.Clock.Now, Metrics: reg,
+			DialTimeout: clusterDialTimeout, RPCTimeout: clusterRPCTimeout,
+		})
+		if err != nil {
+			t.Fatalf("NewServer: %v", err)
+		}
+		c.Add(s)
+	}
+	c.SeedConverged()
+	return c
+}
+
+// TestRoundZeroAlloc pins the maintenance rounds of a converged ring: one
+// stabilize, fix-fingers or check-predecessor round of one node, counted at
+// both ends of every exchange it makes, allocates nothing once the sockets
+// are open, with metrics on and with metrics off. A node below the runtime's
+// first collection keeps every byte it allocates, and the rounds run for as
+// long as it lives.
+func TestRoundZeroAlloc(t *testing.T) {
+	for name, metered := range map[string]bool{"metrics on": true, "nil registry": false} {
+		cl := meteredCluster(t, 8, metered)
+		s := cl.Servers()[3]
+		for _, round := range []struct {
+			name string
+			r    chord.RoundSet
+		}{{"stabilize", chord.RoundStabilize}, {"fix_fingers", chord.RoundFixFingers}, {"check_pred", chord.RoundCheckPred}} {
+			// A full finger cycle dials every socket the rounds use, at
+			// every node a route passes through.
+			for i := 0; i < 8; i++ {
+				sweepServers(cl.Servers(), round.r)
+			}
+			if n := testing.AllocsPerRun(50, func() {
+				if changes := s.round(round.r); changes != 0 {
+					t.Fatalf("%s: a %s round of a converged ring made %d changes", name, round.name, changes)
+				}
+			}); n != 0 {
+				t.Errorf("%s: one %s round allocated %.2f/op, want 0", name, round.name, n)
+			}
+		}
 	}
 }

@@ -181,7 +181,7 @@ func (c *Client) store(key uint64, frame []byte) (chord.Found, error) {
 	arc, remembered := c.view.resolve(key)
 	c.peers.m.storeFirstHop(remembered)
 	if remembered {
-		ack, err := c.peers.route(arc.owner.Addr, findSuccMsg{key: key, store: frame})
+		ack, err := c.peers.route(arc.owner.Addr, findSuccMsg{key: key, store: frame}, nil)
 		if err != nil || ack.Hops > 0 {
 			c.view.drop(arc.owner.ID)
 		}
@@ -189,7 +189,7 @@ func (c *Client) store(key uint64, frame []byte) (chord.Found, error) {
 			return ack, nil
 		}
 	}
-	ack, err := c.peers.route(c.cfg.Entry, findSuccMsg{flags: flagNeighbors, key: key, store: frame})
+	ack, err := c.peers.route(c.cfg.Entry, findSuccMsg{flags: flagNeighbors, key: key, store: frame}, nil)
 	if err != nil {
 		return chord.Found{}, fmt.Errorf("via %s: %w", c.cfg.Entry, err)
 	}
@@ -371,7 +371,7 @@ type rpcProber struct {
 // entry makes the first routing decision, so the client needs no ring
 // topology.
 func (p *rpcProber) lookup(v *core.Visitor, target uint64) (chord.Ref, error) {
-	f, err := p.c.peers.route(p.c.cfg.Entry, findSuccMsg{flags: flagNeighbors, key: target})
+	f, err := p.c.peers.route(p.c.cfg.Entry, findSuccMsg{flags: flagNeighbors, key: target}, nil)
 	v.Note(obs.KindLookup, f.Owner.ID, int64(f.Hops), err)
 	if err != nil {
 		return chord.Ref{}, err

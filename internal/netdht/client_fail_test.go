@@ -323,7 +323,7 @@ func TestTypedFailureEveryRPC(t *testing.T) {
 		},
 		"ping": c.Ping,
 		"lookup": func() error {
-			_, err := c.peers.route(down, findSuccMsg{flags: flagNeighbors, key: 42})
+			_, err := c.peers.route(down, findSuccMsg{flags: flagNeighbors, key: 42}, nil)
 			return err
 		},
 		"relayed lookup": func() error {
@@ -373,15 +373,15 @@ func TestRefusedReplyDropsSocket(t *testing.T) {
 			return err
 		}, 2},
 		{"refused store ack", badAck, goodAck, func(c *Client, addr string) error {
-			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple})
+			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple}, nil)
 			return err
 		}, 2},
 		{"request the peer could not read", encodeErr(errnoBad, 0, 0), goodAck, func(c *Client, addr string) error {
-			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple})
+			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple}, nil)
 			return err
 		}, 2},
 		{"typed failure", encodeErr(errnoNoRoute, 0, 0), goodAck, func(c *Client, addr string) error {
-			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple})
+			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple}, nil)
 			return err
 		}, 1},
 	} {

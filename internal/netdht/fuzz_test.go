@@ -69,20 +69,20 @@ func FuzzDecodeControl(f *testing.F) {
 		// Every decoder sees every input: each must reject the others'
 		// tags, not misparse them.
 		fixpoint(t, buf, decodeFindSucc, encodeFindSucc)
-		fixpoint(t, buf, decodeFindSuccResp, encodeFindSuccResp)
+		fixpoint(t, buf, func(b []byte) (chord.Found, error) { return decodeFindSuccResp(b, nil) }, encodeFindSuccResp)
 		// A neighbors reply decodes to the neighbourhood alone; the sender's
 		// ref ahead of it is read again here to re-encode it.
 		fixpoint(t, buf,
 			func(b []byte) (chord.Found, error) {
-				nb, err := decodeNeighborsResp(b)
+				nb, err := decodeNeighborsResp(b, nil, nil)
 				if err != nil {
 					return chord.Found{}, err
 				}
-				self, _, _ := decodeRef(b[2:])
+				self, _, _ := decodeRef(b[2:], nil)
 				return chord.Found{Owner: self, Near: &nb}, nil
 			},
 			func(f chord.Found) []byte { return encodeNeighborsResp(f.Owner, *f.Near) })
-		fixpoint(t, buf, decodeNotify, encodeNotify)
+		fixpoint(t, buf, func(b []byte) (chord.Ref, error) { return decodeNotify(b, nil) }, encodeNotify)
 		fixpoint(t, buf, decodeAck, encodeAck)
 		fixpoint(t, buf, decodeStoreAck, encodeStoreAck)
 		fixpoint(t, buf,
@@ -101,17 +101,17 @@ func FuzzDecodeControl(f *testing.F) {
 
 		// No accepted frame carries a ref that names nobody.
 		var refs []chord.Ref
-		if r, err := decodeNotify(buf); err == nil {
+		if r, err := decodeNotify(buf, nil); err == nil {
 			refs = append(refs, r)
 		}
-		if m, err := decodeFindSuccResp(buf); err == nil {
+		if m, err := decodeFindSuccResp(buf, nil); err == nil {
 			refs = append(refs, m.Owner)
 			if m.Near != nil {
 				refs = append(refs, m.Near.Succ...)
 			}
 		}
-		if nb, err := decodeNeighborsResp(buf); err == nil {
-			self, _, _ := decodeRef(buf[2:])
+		if nb, err := decodeNeighborsResp(buf, nil, nil); err == nil {
+			self, _, _ := decodeRef(buf[2:], nil)
 			refs = append(append(refs, self), nb.Succ...)
 		}
 		if m, err := decodeStoreAck(buf); err == nil && m.Near != nil {
@@ -340,12 +340,12 @@ func FuzzStoreMemory(f *testing.F) {
 			}
 			if reply[1] == tagStoreAckKept {
 				_, serr := decodeStoreAck(reply)
-				_, eerr := decodeStoreAckOn(reply, &wire.Memory{})
+				_, eerr := decodeStoreAckOn(reply, &wire.Memory{}, nil)
 				if serr == nil || eerr == nil {
 					t.Fatalf("step %d: a kept ack decoded statelessly (%v) or by an empty memory (%v)", step, serr, eerr)
 				}
 			}
-			if got, err := decodeStoreAckOn(reply, &cli); err != nil || !reflect.DeepEqual(got, ack) {
+			if got, err := decodeStoreAckOn(reply, &cli, nil); err != nil || !reflect.DeepEqual(got, ack) {
 				t.Fatalf("step %d: ack %+v decoded as %+v, %v", step, ack, got, err)
 			}
 			if !reflect.DeepEqual(cli, srv) {
@@ -361,7 +361,7 @@ func FuzzStoreMemory(f *testing.F) {
 				t.Fatalf("kept store % x accepted, re-encodes as % x", data, again)
 			}
 		}
-		if m, err := decodeStoreAckOn(data, &cli); err == nil && data[1] == tagStoreAckKept {
+		if m, err := decodeStoreAckOn(data, &cli, nil); err == nil && data[1] == tagStoreAckKept {
 			if again := appendStoreAck(nil, m, &srv); !bytes.Equal(again, data) {
 				t.Fatalf("kept ack % x accepted, re-encodes as % x", data, again)
 			}

@@ -18,8 +18,9 @@ import (
 // ends where its message does: every decoder refuses bytes behind it. Every
 // encoder appends to a buffer the caller names — a connection's write
 // buffer, or a few bytes of the caller's stack — and every decoder returns
-// values that share nothing with the frame (a ref's address is copied into
-// its string), so a decoded message outlives the buffer it arrived in.
+// values that share nothing with the frame (a ref's address is a string the
+// decoding node already holds, or a copy of the bytes), so a decoded message
+// outlives the buffer it arrived in.
 const (
 	tagFindSucc      = 0x10 // route a key toward its owner
 	tagFindSuccResp  = 0x11 // terminal reply: the owner plus route cost
@@ -110,20 +111,44 @@ func appendRef(buf []byte, r chord.Ref) []byte {
 // ref on the wire names a peer (an unknown predecessor is a flag byte,
 // not a ref), so an empty address — the in-memory "no such peer" — is
 // malformed: accepted, it would be installed as a successor nobody can
-// dial.
-func decodeRef(buf []byte) (chord.Ref, []byte, error) {
-	if len(buf) < 10 {
-		return chord.Ref{}, nil, wire.ErrShort
+// dial. A ref the decoding node's machine, known, holds at the same address
+// is that ref, string and all (chord.Machine.Known): a converged node hears
+// of no one new, and so decodes its rounds without allocating. known may be
+// nil, and a client's is.
+func decodeRef(buf []byte, known *chord.Machine) (chord.Ref, []byte, error) {
+	id, addr, rest, err := readRef(buf)
+	if err != nil {
+		return chord.Ref{}, nil, err
 	}
-	id := binary.BigEndian.Uint64(buf)
+	return refOf(id, addr, known), rest, nil
+}
+
+// readRef splits one ref off buf: its identifier, its address bytes, which
+// are never empty, and the rest of the buffer.
+func readRef(buf []byte) (id uint64, addr, rest []byte, err error) {
+	if len(buf) < 10 {
+		return 0, nil, nil, wire.ErrShort
+	}
+	id = binary.BigEndian.Uint64(buf)
 	n := int(binary.BigEndian.Uint16(buf[8:]))
 	if n == 0 {
-		return chord.Ref{}, nil, wire.ErrBadMessage
+		return 0, nil, nil, wire.ErrBadMessage
 	}
 	if len(buf) < 10+n {
-		return chord.Ref{}, nil, wire.ErrShort
+		return 0, nil, nil, wire.ErrShort
 	}
-	return chord.Ref{ID: id, Addr: string(buf[10 : 10+n])}, buf[10+n:], nil
+	return id, buf[10 : 10+n], buf[10+n:], nil
+}
+
+// refOf is the ref a decoder returns for id at addr: the one known holds,
+// or one with a copy of addr.
+func refOf(id uint64, addr []byte, known *chord.Machine) chord.Ref {
+	if known != nil {
+		if r, ok := known.Known(id, addr); ok {
+			return r
+		}
+	}
+	return chord.Ref{ID: id, Addr: string(addr)}
 }
 
 // findSuccMsg is one routing step in flight: the key, the flags above,
@@ -396,8 +421,8 @@ func decodeRouted(buf []byte, tag byte) (chord.Found, error) {
 // decodeOwner reads what follows the head into f: the owner's ref and,
 // unless the frame ends there, one whole neighbourhood with nothing behind
 // it.
-func decodeOwner(f chord.Found, buf []byte) (chord.Found, error) {
-	owner, rest, err := decodeRef(buf)
+func decodeOwner(f chord.Found, buf []byte, known *chord.Machine) (chord.Found, error) {
+	owner, rest, err := decodeRef(buf, known)
 	if err != nil {
 		return chord.Found{}, err
 	}
@@ -405,7 +430,7 @@ func decodeOwner(f chord.Found, buf []byte) (chord.Found, error) {
 	if len(rest) == 0 {
 		return f, nil
 	}
-	nb, rest, err := decodeNeighbors(rest)
+	nb, rest, err := decodeNeighbors(rest, nil, known)
 	if err != nil {
 		return chord.Found{}, err
 	}
@@ -416,22 +441,22 @@ func decodeOwner(f chord.Found, buf []byte) (chord.Found, error) {
 	return f, nil
 }
 
-func decodeFindSuccResp(buf []byte) (chord.Found, error) {
+func decodeFindSuccResp(buf []byte, known *chord.Machine) (chord.Found, error) {
 	f, err := decodeRouted(buf, tagFindSuccResp)
 	if err != nil {
 		return f, err
 	}
-	return decodeOwner(f, buf[routedHead:])
+	return decodeOwner(f, buf[routedHead:], known)
 }
 
 // decodeStoreAck is the stateless decoder of the store ack, and refuses
 // tagStoreAckKept.
-func decodeStoreAck(buf []byte) (chord.Found, error) { return decodeStoreAckOn(buf, nil) }
+func decodeStoreAck(buf []byte) (chord.Found, error) { return decodeStoreAckOn(buf, nil, nil) }
 
 // decodeStoreAckOn decodes a store ack that arrived on a connection whose
 // memory is mem, expands tagStoreAckKept from it — refused when mem is nil or
 // holds no ack — and records what it accepts there.
-func decodeStoreAckOn(buf []byte, mem *wire.Memory) (chord.Found, error) {
+func decodeStoreAckOn(buf []byte, mem *wire.Memory, known *chord.Machine) (chord.Found, error) {
 	if len(buf) >= 2 && buf[1] == tagStoreAckKept {
 		if mem == nil || len(mem.Ack.Fields()) == 0 || buf[0] != wire.Version || len(buf) != 2 {
 			return chord.Found{}, wire.ErrBadMessage
@@ -439,7 +464,7 @@ func decodeStoreAckOn(buf []byte, mem *wire.Memory) (chord.Found, error) {
 		cost := mem.Ack.Fields()
 		return chord.Found{Hops: int(binary.BigEndian.Uint16(cost)), Stale: int(binary.BigEndian.Uint16(cost[2:]))}, nil
 	}
-	f, err := decodeStoreAckFull(buf)
+	f, err := decodeStoreAckFull(buf, known)
 	if err == nil && mem != nil {
 		mem.Ack.Record(buf[2:routedHead])
 	}
@@ -449,12 +474,12 @@ func decodeStoreAckOn(buf []byte, mem *wire.Memory) (chord.Found, error) {
 // decodeStoreAckFull accepts the two stateless layouts and nothing between
 // them: the head, or the head, one ref and one whole neighbourhood with
 // nothing behind it.
-func decodeStoreAckFull(buf []byte) (chord.Found, error) {
+func decodeStoreAckFull(buf []byte, known *chord.Machine) (chord.Found, error) {
 	f, err := decodeRouted(buf, tagStoreAck)
 	if err != nil || len(buf) == routedHead {
 		return f, err
 	}
-	if f, err = decodeOwner(f, buf[routedHead:]); err == nil && f.Near == nil {
+	if f, err = decodeOwner(f, buf[routedHead:], known); err == nil && f.Near == nil {
 		return chord.Found{}, wire.ErrShort
 	}
 	return f, err
@@ -476,14 +501,17 @@ func appendNeighbors(buf []byte, nb chord.Neighbors) []byte {
 }
 
 // decodeNeighbors parses that and returns the remaining buffer; a count
-// of more successors than the rest of the frame could hold is refused.
-func decodeNeighbors(buf []byte) (nb chord.Neighbors, rest []byte, err error) {
+// of more successors than the rest of the frame could hold is refused. The
+// successors are decoded into succ's array, from its start, when it has the
+// room, and one equal to the ref succ held at its place is that ref: the
+// last of a successor's list is often a node the asker holds nowhere else.
+func decodeNeighbors(buf []byte, succ []chord.Ref, known *chord.Machine) (nb chord.Neighbors, rest []byte, err error) {
 	if len(buf) < 1 {
 		return nb, nil, wire.ErrShort
 	}
 	rest = buf[1:]
 	if buf[0] != 0 {
-		if nb.Pred, rest, err = decodeRef(rest); err != nil {
+		if nb.Pred, rest, err = decodeRef(rest, known); err != nil {
 			return nb, nil, err
 		}
 	}
@@ -493,12 +521,18 @@ func decodeNeighbors(buf []byte) (nb chord.Neighbors, rest []byte, err error) {
 	}
 	count := int(rest[0])
 	rest = rest[1:]
+	nb.Succ = succ[:0]
 	for i := 0; i < count; i++ {
-		var s chord.Ref
-		if s, rest, err = decodeRef(rest); err != nil {
+		id, addr, r, err := readRef(rest)
+		if err != nil {
 			return nb, nil, err
 		}
-		nb.Succ = append(nb.Succ, s)
+		rest = r
+		if i < len(succ) && succ[i].ID == id && succ[i].Addr == string(addr) {
+			nb.Succ = append(nb.Succ, succ[i])
+		} else {
+			nb.Succ = append(nb.Succ, refOf(id, addr, known))
+		}
 	}
 	return nb, rest, nil
 }
@@ -515,23 +549,24 @@ var (
 // A neighbors reply is a node's protocol-state answer: its own ref, then
 // who it believes precedes it and its successor list in ring order — the
 // payload one stabilize exchange fetches. The asker knows whom it asked, so
-// the reply decodes to the neighbourhood alone.
+// the reply decodes to the neighbourhood alone, its successors into succ's
+// array (decodeNeighbors).
 func appendNeighborsResp(dst []byte, self chord.Ref, nb chord.Neighbors) []byte {
 	return appendNeighbors(appendRef(append(dst, wire.Version, tagNeighborsResp), self), nb)
 }
 
-func decodeNeighborsResp(buf []byte) (chord.Neighbors, error) {
+func decodeNeighborsResp(buf []byte, succ []chord.Ref, known *chord.Machine) (chord.Neighbors, error) {
 	if len(buf) < 2 {
 		return chord.Neighbors{}, wire.ErrShort
 	}
 	if buf[0] != wire.Version || buf[1] != tagNeighborsResp {
 		return chord.Neighbors{}, wire.ErrBadMessage
 	}
-	_, rest, err := decodeRef(buf[2:])
+	_, rest, err := decodeRef(buf[2:], known)
 	if err != nil {
 		return chord.Neighbors{}, err
 	}
-	nb, rest, err := decodeNeighbors(rest)
+	nb, rest, err := decodeNeighbors(rest, succ, known)
 	if err == nil && len(rest) != 0 {
 		err = wire.ErrBadMessage
 	}
@@ -545,14 +580,14 @@ func appendNotify(dst []byte, self chord.Ref) []byte {
 	return appendRef(append(dst, wire.Version, tagNotify), self)
 }
 
-func decodeNotify(buf []byte) (chord.Ref, error) {
+func decodeNotify(buf []byte, known *chord.Machine) (chord.Ref, error) {
 	if len(buf) < 2 {
 		return chord.Ref{}, wire.ErrShort
 	}
 	if buf[0] != wire.Version || buf[1] != tagNotify {
 		return chord.Ref{}, wire.ErrBadMessage
 	}
-	r, rest, err := decodeRef(buf[2:])
+	r, rest, err := decodeRef(buf[2:], known)
 	if err == nil && len(rest) != 0 {
 		return chord.Ref{}, wire.ErrBadMessage
 	}

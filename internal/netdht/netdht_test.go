@@ -99,7 +99,7 @@ func TestControlMessageRoundTrips(t *testing.T) {
 	}
 
 	fr := chord.Found{Hops: 3, Stale: 1, Owner: chord.Ref{ID: 42, Addr: "127.0.0.1:9999"}}
-	gotFR, err := decodeFindSuccResp(encodeFindSuccResp(fr))
+	gotFR, err := decodeFindSuccResp(encodeFindSuccResp(fr), nil)
 	if err != nil || gotFR != fr {
 		t.Fatalf("findSuccResp round trip: %+v, %v", gotFR, err)
 	}
@@ -109,7 +109,7 @@ func TestControlMessageRoundTrips(t *testing.T) {
 		Pred: chord.Ref{ID: 2, Addr: "b:2"},
 		Succ: []chord.Ref{{ID: 3, Addr: "c:3"}, {ID: 4, Addr: "d:4"}},
 	}
-	gotNB, err := decodeNeighborsResp(encodeNeighborsResp(self, nb))
+	gotNB, err := decodeNeighborsResp(encodeNeighborsResp(self, nb), nil, nil)
 	if err != nil || gotNB.Pred != nb.Pred || len(gotNB.Succ) != 2 ||
 		gotNB.Succ[0] != nb.Succ[0] || gotNB.Succ[1] != nb.Succ[1] {
 		t.Fatalf("neighbors round trip: %+v, %v", gotNB, err)
@@ -117,13 +117,13 @@ func TestControlMessageRoundTrips(t *testing.T) {
 
 	// No predecessor is representable.
 	nb.Pred = chord.Ref{}
-	gotNB, err = decodeNeighborsResp(encodeNeighborsResp(self, nb))
+	gotNB, err = decodeNeighborsResp(encodeNeighborsResp(self, nb), nil, nil)
 	if err != nil || gotNB.Pred.Valid() {
 		t.Fatalf("neighbors without pred: %+v, %v", gotNB, err)
 	}
 
 	n := chord.Ref{ID: 99, Addr: "e:5"}
-	gotN, err := decodeNotify(encodeNotify(n))
+	gotN, err := decodeNotify(encodeNotify(n), nil)
 	if err != nil || gotN != n {
 		t.Fatalf("notify round trip: %+v, %v", gotN, err)
 	}

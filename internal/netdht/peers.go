@@ -280,16 +280,17 @@ const rpcScratch = 96
 // reply, or to a store the store ack and nothing else, so that a node that
 // routed the key and says nothing of the tuple is never read as having
 // stored it. Client lookups and stores, and every relayed hop, go out here.
-// A store and its ack travel against the socket's memory.
-func (p *peerPool) route(addr string, m findSuccMsg) (f chord.Found, err error) {
+// A store and its ack travel against the socket's memory. The reply's refs
+// are decoded against known, the asking node's machine, or nil (decodeRef).
+func (p *peerPool) route(addr string, m findSuccMsg, known *chord.Machine) (f chord.Found, err error) {
 	var req [rpcScratch]byte
 	frame := appendFindSucc(req[:0], m, nil)
 	if m.store == nil {
-		return call(p, addr, frame, decodeFindSuccResp)
+		return call(p, addr, frame, func(reply []byte) (chord.Found, error) { return decodeFindSuccResp(reply, known) })
 	}
 	err = p.exchange(addr, frame, func(reply []byte, mem *wire.Memory) (err error) {
 		if err = replyErr(reply); err == nil {
-			if f, err = decodeStoreAckOn(reply, mem); err == nil {
+			if f, err = decodeStoreAckOn(reply, mem, known); err == nil {
 				p.m.storeAck(reply)
 			}
 		}

@@ -304,9 +304,9 @@ func TestEmptyAddressRefRejected(t *testing.T) {
 	} {
 		var err error
 		if frame[1] == tagFindSuccResp {
-			_, err = decodeFindSuccResp(frame)
+			_, err = decodeFindSuccResp(frame, nil)
 		} else {
-			_, err = decodeNeighborsResp(frame)
+			_, err = decodeNeighborsResp(frame, nil, nil)
 		}
 		if !errors.Is(err, wire.ErrBadMessage) {
 			t.Errorf("%s with an empty address decoded: err = %v, want ErrBadMessage", name, err)

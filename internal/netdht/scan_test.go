@@ -121,7 +121,7 @@ func (r *refProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 	metrics := v.Metrics()
 	seen := map[uint64]bool{}
 	for i := 0; i < lim; i++ {
-		f, err := r.c.peers.route(r.c.cfg.Entry, findSuccMsg{key: r.c.randomTarget(bit)})
+		f, err := r.c.peers.route(r.c.cfg.Entry, findSuccMsg{key: r.c.randomTarget(bit)}, nil)
 		if err != nil {
 			out.Failed++
 			continue
@@ -644,7 +644,7 @@ func TestFindSuccRespNeighbourhoodCodec(t *testing.T) {
 		{}, // a ring of one still answers a flagged request with a neighbourhood
 	} {
 		m := chord.Found{Hops: 3, Stale: 1, Owner: a, Near: near}
-		got, err := decodeFindSuccResp(encodeFindSuccResp(m))
+		got, err := decodeFindSuccResp(encodeFindSuccResp(m), nil)
 		if err != nil || !reflect.DeepEqual(got, m) {
 			t.Errorf("round trip of %+v: %+v, %v", near, got, err)
 		}
@@ -662,7 +662,7 @@ func TestFindSuccRespNeighbourhoodCodec(t *testing.T) {
 		"empty pred address":  append(append([]byte(nil), short...), append([]byte{1}, make([]byte, 10)...)...),
 		"empty succ address":  append(append([]byte(nil), short...), append([]byte{0, 1}, make([]byte, 10)...)...),
 	} {
-		if m, err := decodeFindSuccResp(frame); err == nil {
+		if m, err := decodeFindSuccResp(frame, nil); err == nil {
 			t.Errorf("%s: accepted as %+v", name, m)
 		} else if !errors.Is(err, wire.ErrShort) && !errors.Is(err, wire.ErrBadMessage) {
 			t.Errorf("%s: error %v is not a wire decode error", name, err)

@@ -84,6 +84,12 @@ type Server struct {
 	// domain when StartMaintenance drives the protocol.
 	tick atomic.Int64
 
+	// roundMu serializes the node's maintenance rounds, which share one
+	// transport, rounds: built once, as an inbound connection's is, and
+	// holding the array the last neighbors reply was decoded into.
+	roundMu sync.Mutex
+	rounds  tcpPeers
+
 	// mu guards the node's protocol state machine and is never held
 	// across an RPC.
 	mu sync.Mutex
@@ -122,6 +128,7 @@ func NewServer(listen string, opt Options) (*Server, error) {
 		inConns: make(map[net.Conn]struct{}),
 		quit:    make(chan struct{}),
 	}
+	s.rounds.s = s
 	s.Init(md4.Sum64([]byte(name)), name, addr, s.cfg, &s.mu)
 	if opt.Now != nil {
 		s.nowFn = opt.Now
@@ -405,20 +412,28 @@ func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 // failed exchange — refused, timed out, undecodable, or answered by a node
 // that is shutting down — is how the protocol learns a peer is gone. It is
 // handed to the state machine by pointer — an inbound connection's own, set
-// per request, or a maintenance round's — so serving a request boxes
-// nothing.
+// per request, or the server's for its rounds — so serving a request or
+// running a round boxes nothing. A reply's refs are decoded against the
+// server's machine (decodeRef).
 type tcpPeers struct {
 	s     *Server
-	near  bool   // relaying a request with flagNeighbors: forward it set
-	store []byte // relaying a tagStore: the tuple frame to forward with it
+	near  bool        // relaying a request with flagNeighbors: forward it set
+	store []byte      // relaying a tagStore: the tuple frame to forward with it
+	succ  []chord.Ref // the array the last neighbors reply was decoded into
 }
 
+// Neighbors decodes the reply's successor list into p's own array, which the
+// next call reuses (chord.Peers).
 func (p *tcpPeers) Neighbors(to chord.Ref) (chord.Neighbors, error) {
-	nb, err := call(p.s.peers, to.Addr, neighborsReqFrame, decodeNeighborsResp)
+	nb, err := call(p.s.peers, to.Addr, neighborsReqFrame, func(reply []byte) (chord.Neighbors, error) {
+		return decodeNeighborsResp(reply, p.succ, p.s.Protocol())
+	})
 	if err != nil {
 		p.s.logKV("successor-unreachable", "successor", to.Addr, "err", err)
+		return nb, err
 	}
-	return nb, err
+	p.succ = nb.Succ
+	return nb, nil
 }
 
 func (p *tcpPeers) Notify(to, self chord.Ref) (bool, error) {
@@ -447,7 +462,7 @@ func (p *tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver b
 	if hops > 0 {
 		m.flags |= flagForwarded
 	}
-	f, err := p.s.peers.route(to.Addr, m)
+	f, err := p.s.peers.route(to.Addr, m, p.s.Protocol())
 	if re, ok := err.(remoteErr); ok && re.code != 0 && re.code != errnoNodeDown {
 		return chord.Found{Hops: int(re.hops), Stale: int(re.stale), Err: re.Unwrap()}, nil
 	}
@@ -562,7 +577,7 @@ func (s *Server) handleNeighbors(dst []byte) []byte {
 }
 
 func (s *Server) handleNotify(dst, req []byte) []byte {
-	n, err := decodeNotify(req)
+	n, err := decodeNotify(req, s.Protocol())
 	if err != nil {
 		return appendErr(dst, errnoBad, 0, 0)
 	}
@@ -589,10 +604,13 @@ func (s *Server) markLinked() {
 // no-ops. The result is the number of state changes — zero means a
 // quiescent neighbourhood.
 func (s *Server) round(r chord.RoundSet) (changes int) {
+	//dhslint:allow lockrpc(roundMu only orders this node's rounds, which share one transport; no handler, client or oracle read takes it)
+	s.roundMu.Lock()
+	defer s.roundMu.Unlock()
 	slot := bits.TrailingZeros8(uint8(r))
 	tm := s.m.roundSeconds[slot].Start()
 	if s.Alive() {
-		p, node := &tcpPeers{s: s}, s.Protocol()
+		p, node := &s.rounds, s.Protocol()
 		switch r {
 		case chord.RoundStabilize:
 			changes, _ = node.Stabilize(p)

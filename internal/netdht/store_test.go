@@ -672,12 +672,12 @@ func TestRoutedStoreDownTerminal(t *testing.T) {
 	defer down.SetAlive(true)
 
 	_, err := c.peers.route(down.Addr(), findSuccMsg{
-		flags: flagForwarded | flagDeliver, key: target, hops: 2, stale: 1, store: wire.EncodeInsert(tuple)})
+		flags: flagForwarded | flagDeliver, key: target, hops: 2, stale: 1, store: wire.EncodeInsert(tuple)}, nil)
 	if re, ok := err.(remoteErr); !ok || re.code != errnoNodeDown || re.hops != 2 || re.stale != 1 || !errors.Is(err, dht.ErrNodeDown) {
 		t.Fatalf("down node answered %+v (%v), want errnoNodeDown with the cost so far", re, err)
 	}
 
-	found, err := c.peers.route(c.cfg.Entry, findSuccMsg{key: target})
+	found, err := c.peers.route(c.cfg.Entry, findSuccMsg{key: target}, nil)
 	if err != nil {
 		t.Fatalf("find_succ around the down node: %v", err)
 	}

@@ -427,3 +427,99 @@ func TestViewConcurrentChurn(t *testing.T) {
 		t.Errorf("only %d scans ran beside the churn", scans.Load())
 	}
 }
+
+// TestRestartOnNewAddress: a node restarted on another port under the same
+// name keeps its identifier and changes its address. Its predecessor hears
+// of the new address while its fingers still hold the old one, and adopts the
+// new one as its successor, then in its fingers. Once the ring has settled,
+// every successor list, finger and predecessor that names the identifier
+// names the new address, and none the old one; a client whose view
+// remembered the old address loses one store's first hop to it and learns
+// the new one from the ack that comes back through the entry.
+func TestRestartOnNewAddress(t *testing.T) {
+	env := sim.NewEnv(21)
+	cl := newTestCluster(t, env, 8)
+	settleCluster(t, cl, env)
+	entry := cl.Servers()[0]
+	c, reg := warmStoreClient(t, cl, entry.Addr(), 3)
+	pred, old, succ := cl.Servers()[3], cl.Servers()[4], cl.Servers()[5]
+	if arc, known := c.view.arc(old.ID()); !known || arc.owner.Addr != old.Addr() {
+		t.Fatalf("test premise broken: the warm view holds %+v (%v) of the node to restart", arc, known)
+	}
+
+	cl.Crash(old)
+	restarted, err := NewServer("127.0.0.1:0", Options{
+		Name: old.Name(), Protocol: cl.Config(), Now: env.Clock.Now,
+		DialTimeout: clusterDialTimeout, RPCTimeout: clusterRPCTimeout,
+	})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(restarted.Close)
+	if restarted.ID() != old.ID() || restarted.Addr() == old.Addr() {
+		t.Fatalf("restart gave %016x at %s, want %016x at another address than %s", restarted.ID(), restarted.Addr(), old.ID(), old.Addr())
+	}
+	if err := restarted.Join(entry.Addr()); err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	cl.Admit(restarted)
+	held := func(s *Server, addr string) (n int) {
+		_, _, fingers := s.Protocol().State()
+		for _, f := range fingers {
+			if f.ID == old.ID() && f.Addr == addr {
+				n++
+			}
+		}
+		return n
+	}
+	if held(pred, old.Addr()) == 0 {
+		t.Fatal("test premise broken: the predecessor's fingers do not name the old address")
+	}
+	succ.round(chord.RoundCheckPred)      // clears the old address
+	restarted.round(chord.RoundStabilize) // notifies succ, which adopts the new one
+	pred.round(chord.RoundStabilize)      // hears of it from succ
+	if head, _ := pred.Protocol().Successor(); head.ID != old.ID() || head.Addr != restarted.Addr() {
+		t.Errorf("the predecessor's successor is %016x at %s, want %016x at %s", head.ID, head.Addr, old.ID(), restarted.Addr())
+	}
+	for i := 0; i < 4; i++ {
+		pred.round(chord.RoundFixFingers)
+	}
+	if held(pred, old.Addr()) != 0 || held(pred, restarted.Addr()) == 0 {
+		t.Errorf("after a finger cycle the predecessor's fingers name the old address %d times and the new %d",
+			held(pred, old.Addr()), held(pred, restarted.Addr()))
+	}
+	settleCluster(t, cl, env)
+
+	var inSucc, inFingers int
+	for _, s := range cl.Servers() {
+		pred, succ, fingers := s.Protocol().State()
+		for where, refs := range map[string][]chord.Ref{"predecessor": {pred}, "successor list": succ, "fingers": fingers[:]} {
+			for _, r := range refs {
+				if r.Addr == old.Addr() || r.ID == old.ID() && r.Addr != restarted.Addr() {
+					t.Errorf("%s's %s names %016x at %s, want %s", s.Addr(), where, r.ID, r.Addr, restarted.Addr())
+				}
+				if r.ID == old.ID() && where == "successor list" {
+					inSucc++
+				}
+				if r.ID == old.ID() && where == "fingers" {
+					inFingers++
+				}
+			}
+		}
+	}
+	if inSucc == 0 || inFingers == 0 {
+		t.Errorf("the restarted node is in %d successor lists and %d finger slots, want some of each", inSucc, inFingers)
+	}
+
+	tuple := wire.Insert{Metric: 5, Vector: 7, Bit: 1}
+	_, byView, err := storeTracked(c, reg, old.ID(), tuple)
+	if err != nil || !byView {
+		t.Fatalf("store at the restarted node's identifier: %v (first hop by the view: %v)", err, byView)
+	}
+	if on := onOracleOwner(t, cl, old.ID(), tuple); on != restarted {
+		t.Errorf("the tuple is on %s, want the restarted node", on.Addr())
+	}
+	if arc, known := c.view.arc(old.ID()); !known || arc.owner.Addr != restarted.Addr() {
+		t.Errorf("the view holds %+v (%v) of the restarted node, want it at %s", arc, known, restarted.Addr())
+	}
+}

@@ -95,11 +95,20 @@ func (lf *leaf) grow(w int) {
 
 // growExp brings the expiry array to 64 slots per bitset word, filling
 // new slots with forever (bits set before any finite expiry existed
-// never expire).
+// never expire). The array is sized once: growing it a slot at a time
+// would leave a node, which may never collect, holding every smaller array
+// it outgrew.
 func (lf *leaf) growExp() {
-	for len(lf.exp) < 64*len(lf.bits) {
-		lf.exp = append(lf.exp, forever)
+	n := 64 * len(lf.bits)
+	if len(lf.exp) >= n {
+		return
 	}
+	exp := make([]int64, n)
+	copy(exp, lf.exp)
+	for i := len(lf.exp); i < n; i++ {
+		exp[i] = forever
+	}
+	lf.exp = exp
 }
 
 // expiry returns the expiry tick of vector v (which must have its bit

@@ -308,6 +308,41 @@ func TestExpiryHeapBounded(t *testing.T) {
 	t.Logf("%d refreshes, %d expiries, heap peak %d entries", tuples*ticks, expired, peak)
 }
 
+// TestSetRefreshZeroAlloc pins the soft-state refresh (§3.3) of a node's
+// write path: once the expiry heap has grown to its bound, a pass that
+// refreshes every tuple the store holds to a later tick allocates nothing,
+// and each leaf's expiry array was sized once, to the 64 slots a word of
+// its bitset needs, not grown a slot at a time. A node below the runtime's
+// first collection keeps every array it outgrew.
+func TestSetRefreshZeroAlloc(t *testing.T) {
+	const tuples = 730
+	s := New()
+	keys := make([]Key, tuples)
+	for i := range keys {
+		keys[i] = Key{Metric: uint64(i % 8), Vector: int32(i / 96 * 7 % 64), Bit: uint8(i / 8 % 12)}
+	}
+	now := int64(0)
+	refresh := func() {
+		now++
+		for _, k := range keys {
+			s.Set(k, now+1200)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		refresh()
+	}
+	if n := testing.AllocsPerRun(50, refresh); n != 0 {
+		t.Errorf("a refresh of %d tuples allocated %.1f/op, want 0", tuples, n)
+	}
+	if got := s.Len(now); got != tuples {
+		t.Fatalf("store holds %d tuples, want %d", got, tuples)
+	}
+	lf := &leaf{bits: make([]uint64, 2)}
+	if n := testing.AllocsPerRun(20, func() { lf.exp = nil; lf.growExp() }); n != 1 || len(lf.exp) != 128 || cap(lf.exp) != 128 {
+		t.Errorf("an expiry array for 2 words took %.0f allocations and has len %d cap %d, want 1 of 128", n, len(lf.exp), cap(lf.exp))
+	}
+}
+
 // BenchmarkStoreSetRefresh is the write-side companion of
 // BenchmarkProbeReply: Set of a tuple the store holds, with a TTL, at the
 // rate of a refresh regime — a thousand refreshes to a tick, so most find

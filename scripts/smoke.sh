@@ -117,6 +117,42 @@ for pid in "${PIDS[@]}"; do
     fi
 done
 
+# A converged node that serves no client allocates nothing (DESIGN.md §15
+# "A converged node allocates nothing"): its maintenance rounds, at both
+# ends of every exchange, and the scrapes of its admin endpoints leave
+# nothing behind, and a node that has not reached its first collection
+# keeps every byte it allocates. Once the ring has settled, each node's
+# go_heap_allocs_bytes is read twice, QUIET seconds apart, with no client
+# on the ring; what the node allocated in between, per second, must stay
+# at most ALLOC_BOUND. The series moves a span at a time (8 KiB of small
+# objects), and what is left — the second scrape's accept, about 1.5 KB —
+# reads 0 or 1638 B/s over 5 s. The bound allows two and a half spans;
+# rounds that allocate (a string per peer address decoded, a successor
+# list per stabilize round) read 22-26 KB/s a node on this ring and fail.
+QUIET=5
+ALLOC_BOUND=4096
+sleep 2 # the fingers' last cycles
+heap_allocs() {
+    curl -fsS --max-time 5 "http://$(wait_for_admin "$LOGDIR/node-$1.log")/metrics" |
+        metric_value /dev/stdin go_heap_allocs_bytes
+}
+echo "== allocation of the settled ring over ${QUIET}s with no client (bound $ALLOC_BOUND B/s a node)"
+allocs0=()
+for i in $(seq 0 $((NODES - 1))); do
+    heap_allocs "$i" >/dev/null # the pooled scrape buffers' first use
+    allocs0+=("$(heap_allocs "$i")")
+done
+sleep "$QUIET"
+for i in $(seq 0 $((NODES - 1))); do
+    a1=$(heap_allocs "$i")
+    rate=$(awk -v a="${allocs0[$i]}" -v b="$a1" -v q="$QUIET" 'BEGIN { printf "%.0f", (b - a) / q }')
+    echo "   node-$i: $rate heap bytes allocated a second"
+    if [ "$rate" -gt "$ALLOC_BOUND" ]; then
+        echo "== node-$i allocated $rate B/s on a settled ring with no client, want at most $ALLOC_BOUND" >&2
+        exit 1
+    fi
+done
+
 # ring_sum SERIES — one /metrics series (name{labels}) summed over every node.
 ring_sum() {
     local sum=0 i admin v
