@@ -3,7 +3,7 @@
 // HTTP, absorbing read load the ring itself never sees. Three layers
 // stand between a request and a ring fan-out (internal/serve):
 //
-//   - a sharded TTL cache of recent estimates (-cache-ttl),
+//   - a TTL cache of recent estimates (-cache-ttl),
 //   - singleflight coalescing, so N concurrent queries for one metric
 //     share a single Algorithm-1 scan (-coalesce),
 //   - admission control that bounds concurrent fan-outs and sheds

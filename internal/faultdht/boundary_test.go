@@ -104,8 +104,8 @@ func TestCrashStopIsPermanent(t *testing.T) {
 	victim := o.RandomNode()
 	o.Crash(victim)
 
-	if !o.Crashed(victim.ID()) {
-		t.Fatal("Crashed does not report the crash")
+	if victim.Alive() {
+		t.Fatal("the crashed node reports itself alive")
 	}
 	// The static ring forwards crash-stop to Fail: the victim left the
 	// membership for good.

@@ -90,10 +90,12 @@ type Stats struct {
 func (s Stats) Failed() int64 { return s.Lost + s.Timeouts + s.DownHits }
 
 // Overlay wraps an inner dht.Overlay and injects faults on its message-
-// bearing operations (RouteFrom, Successor, Predecessor). Zero-cost
-// ground-truth operations (Owner, Nodes, Size), node-local reads
-// (SuccessorList) and the protocol hooks (Step, Converged) pass through
-// untouched.
+// bearing operations (RouteFrom, Successor, Predecessor). Every other
+// method is the inner overlay's, untouched: the ground truth (Bits, Size,
+// Nodes, Owner), node-local reads (SuccessorList), the protocol hooks (Step,
+// Converged) and Crash, whose death the failure model reads back from the
+// node. RandomNode may return a node inside a down-window: the caller
+// discovers that, as in a real deployment, by talking to it.
 //
 // The fault layer is safe for concurrent counting passes: the per-message
 // drop stream and the fault counters sit behind a mutex. Note that
@@ -101,27 +103,25 @@ func (s Stats) Failed() int64 { return s.Lost + s.Timeouts + s.DownHits }
 // so which pass eats which drop is nondeterministic — deterministic runs
 // parallelize at the trial level (one Overlay per trial), not inside one.
 type Overlay struct {
-	inner dht.Overlay
-	env   *sim.Env
-	cfg   Config
+	dht.Overlay
+	env *sim.Env
+	cfg Config
 
-	// mu guards rng, stats, and the crashed set: exchange() runs on the
-	// counting surface, which may be driven by many goroutines at once.
-	mu      sync.Mutex
-	rng     *rand.Rand
-	stats   Stats
-	crashed map[uint64]bool
+	// mu guards rng and stats: exchange() runs on the counting surface,
+	// which may be driven by many goroutines at once.
+	mu    sync.Mutex
+	rng   *rand.Rand
+	stats Stats
 }
 
 // New wraps inner in a fault-injection layer drawing all randomness from
 // env's master seed.
 func New(inner dht.Overlay, env *sim.Env, cfg Config) *Overlay {
 	return &Overlay{
-		inner:   inner,
+		Overlay: inner,
 		env:     env,
 		cfg:     cfg.withDefaults(),
 		rng:     env.Derive("faultdht"),
-		crashed: make(map[uint64]bool),
 	}
 }
 
@@ -169,36 +169,12 @@ func (o *Overlay) downNow(id uint64) bool {
 	return DownAt(o.env.Clock.Now(), o.phase(id), o.cfg.DownPeriod, o.cfg.DownFor)
 }
 
-// isCrashed reports crash-stop death; caller holds mu.
-func (o *Overlay) isCrashed(id uint64) bool { return o.crashed[id] }
-
-// Crashed reports whether the node was killed by Crash. Unlike a
-// down-window, crash-stop death never ends.
-func (o *Overlay) Crashed(id uint64) bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.crashed[id]
-}
-
 // Down reports whether the node is unreachable at the current virtual
-// time — crashed for good, or inside one of its transient down-windows.
+// time — dead for good (crash-stop: an exchange addressed to it fails
+// with dht.ErrNodeDown forever), or inside one of its transient
+// down-windows.
 func (o *Overlay) Down(n dht.Node) bool {
-	return o.Crashed(n.ID()) || o.downNow(n.ID())
-}
-
-// Crash kills the node permanently: every future exchange addressed to
-// it fails with dht.ErrNodeDown, forever — there is no window end and no
-// revival. The crash is forwarded, so the node also leaves the inner
-// overlay's membership and the inner overlay emits the crash trace.
-func (o *Overlay) Crash(n dht.Node) {
-	o.mu.Lock()
-	if o.crashed[n.ID()] {
-		o.mu.Unlock()
-		return
-	}
-	o.crashed[n.ID()] = true
-	o.mu.Unlock()
-	o.inner.Crash(n)
+	return !n.Alive() || o.downNow(n.ID())
 }
 
 // exchange applies the failure model to one request/reply exchange with
@@ -214,7 +190,7 @@ func (o *Overlay) exchange(n dht.Node) error {
 		o.fault(n.ID(), dht.ErrLost)
 		return dht.ErrLost
 	}
-	if o.isCrashed(n.ID()) || o.downNow(n.ID()) {
+	if o.Down(n) {
 		o.stats.DownHits++
 		o.fault(n.ID(), dht.ErrNodeDown)
 		return dht.ErrNodeDown
@@ -244,23 +220,6 @@ func (o *Overlay) fault(node uint64, err error) {
 	})
 }
 
-// Bits returns the inner overlay's identifier length.
-func (o *Overlay) Bits() uint { return o.inner.Bits() }
-
-// Size returns the inner overlay's live-node count.
-func (o *Overlay) Size() int { return o.inner.Size() }
-
-// Nodes returns the inner overlay's live nodes.
-func (o *Overlay) Nodes() []dht.Node { return o.inner.Nodes() }
-
-// RandomNode returns a uniformly chosen live node. It may return a node
-// currently inside a down-window — the caller discovers that, as in a
-// real deployment, by talking to it.
-func (o *Overlay) RandomNode() dht.Node { return o.inner.RandomNode() }
-
-// Owner is ground truth at zero simulated cost; no faults apply.
-func (o *Overlay) Owner(key uint64) (dht.Node, error) { return o.inner.Owner(key) }
-
 // RouteFrom routes to the owner of key starting at src, through the
 // failure model: the originator's down-check, the inner route, then one
 // exchange with the node reached. The route's hops are always reported —
@@ -276,7 +235,7 @@ func (o *Overlay) RouteFrom(src dht.Node, key uint64) (dht.Route, error) {
 		o.mu.Unlock()
 		return dht.Route{}, dht.ErrNodeDown
 	}
-	route, err := o.inner.RouteFrom(src, key)
+	route, err := o.Overlay.RouteFrom(src, key)
 	if err == nil {
 		err = o.exchange(route.Node)
 	}
@@ -286,20 +245,10 @@ func (o *Overlay) RouteFrom(src dht.Node, key uint64) (dht.Route, error) {
 	return route, nil
 }
 
-// SuccessorList is the inner overlay's: reading the list is the node's
-// local state — no exchange, no faults.
-func (o *Overlay) SuccessorList(n dht.Node) []dht.Node { return o.inner.SuccessorList(n) }
-
-// Step runs the inner overlay's protocol rounds.
-func (o *Overlay) Step() { o.inner.Step() }
-
-// Converged reports the inner overlay's protocol quiescence.
-func (o *Overlay) Converged() bool { return o.inner.Converged() }
-
 // Successor returns the live node following n, through the failure model
 // (reaching the successor is a one-hop message exchange).
 func (o *Overlay) Successor(n dht.Node) (dht.Node, error) {
-	s, err := o.inner.Successor(n)
+	s, err := o.Overlay.Successor(n)
 	if err != nil {
 		return s, err
 	}
@@ -312,7 +261,7 @@ func (o *Overlay) Successor(n dht.Node) (dht.Node, error) {
 // Predecessor returns the live node preceding n, through the failure
 // model.
 func (o *Overlay) Predecessor(n dht.Node) (dht.Node, error) {
-	p, err := o.inner.Predecessor(n)
+	p, err := o.Overlay.Predecessor(n)
 	if err != nil {
 		return p, err
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -408,5 +409,136 @@ func TestCounterWithoutCountAll(t *testing.T) {
 	}
 	if !multi || !reflect.DeepEqual(flat, counts) {
 		t.Errorf("the loop's Counts are not the batches' metrics in order:\n batches %+v\n counts  %+v", scans, counts)
+	}
+}
+
+// stampCounter is a Counter with CountAll on the real clock that fails every
+// fifth batch until it is healed. An answer's estimate is its metric and its ProbesAttempted the
+// nanoseconds from start to the end of its scan: no later than the fill the
+// frontend gives it, so an answer's age by its stamp bounds its age from
+// above.
+type stampCounter struct {
+	start   time.Time
+	batches atomic.Int64
+	healed  atomic.Bool
+}
+
+var errEveryFifth = errors.New("every fifth batch fails")
+
+func (c *stampCounter) Count(metric uint64) (netdht.CountResult, error) {
+	res, err := c.CountAll([]uint64{metric})
+	if err != nil {
+		return netdht.CountResult{}, err
+	}
+	return res[0], nil
+}
+
+func (c *stampCounter) CountAll(ms []uint64) ([]netdht.CountResult, error) {
+	time.Sleep(100 * time.Microsecond) // a scan takes time, so callers meet in flight
+	if c.batches.Add(1)%5 == 0 && !c.healed.Load() {
+		return nil, errEveryFifth
+	}
+	at := int(time.Since(c.start))
+	out := make([]netdht.CountResult, len(ms))
+	for i, m := range ms {
+		out[i] = netdht.CountResult{Estimate: float64(m), Quality: core.Quality{ProbesAttempted: at}}
+	}
+	return out, nil
+}
+
+// TestConcurrentEngineRealClock drives the cache, the cohort and coalescing
+// from 16 goroutines over Zipf metrics on the real clock, with a short TTL and
+// a counter that fails every fifth batch. No call hangs; no answer is served
+// at an age of the TTL or more; and once the load stops and the counter is
+// healed, every metric's Count completes, without error and without
+// coalescing: a flight left registered would hang it or hand it that flight's
+// answer or error.
+func TestConcurrentEngineRealClock(t *testing.T) {
+	const (
+		workers  = 16
+		nMetrics = 12
+		ttl      = 20 * time.Millisecond
+		run      = 300 * time.Millisecond
+		// grace bounds the time from a scan's end to its fill, which the
+		// stamp cannot see: on a loaded race build a goroutine may wait a
+		// scheduler slice in between.
+		grace = 30 * time.Millisecond
+	)
+	sc := &stampCounter{start: time.Now()}
+	f := serve.New(sc, serve.Config{CacheTTL: ttl, Coalesce: true})
+	check := func(who string, m uint64, asked time.Time, r serve.Result, err error) {
+		if errors.Is(err, errEveryFifth) && !sc.healed.Load() {
+			return
+		}
+		if err != nil {
+			t.Errorf("%s: Count(%d): %v", who, m, err)
+			return
+		}
+		scanned := sc.start.Add(time.Duration(r.ProbesAttempted))
+		if r.Estimate != float64(m) || r.Age >= ttl || asked.Sub(scanned) >= ttl+grace {
+			t.Errorf("%s: metric %d served %+v, scanned %v before it was asked for", who, m, r, asked.Sub(scanned))
+		}
+	}
+
+	done := make(chan struct{})
+	var sources [3]atomic.Int64 // direct, cache, coalesced
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		stop := time.Now().Add(run)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				zipf := rand.NewZipf(rand.New(rand.NewPCG(uint64(w), 5)), 1.2, 1, nMetrics-1)
+				for time.Now().Before(stop) {
+					m := zipf.Uint64()
+					asked := time.Now()
+					r, err := f.Count(m)
+					check("worker", m, asked, r, err)
+					if err == nil {
+						switch r.Source {
+						case serve.SourceDirect:
+							sources[0].Add(1)
+						case serve.SourceCache:
+							sources[1].Add(1)
+						case serve.SourceCoalesced:
+							sources[2].Add(1)
+						}
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(run + 10*time.Second):
+		t.Fatal("a Count call hung")
+	}
+	for i, src := range []string{serve.SourceDirect, serve.SourceCache, serve.SourceCoalesced} {
+		if sources[i].Load() == 0 {
+			t.Errorf("no answer from %s: the load exercised too little", src)
+		}
+	}
+
+	sc.healed.Store(true)
+	time.Sleep(ttl) // every entry expires; a Count now misses
+	for m := uint64(0); m < nMetrics; m++ {
+		res := make(chan struct{})
+		go func() {
+			defer close(res)
+			asked := time.Now()
+			r, err := f.Count(m)
+			check("after", m, asked, r, err)
+			if err == nil && r.Source == serve.SourceCoalesced {
+				t.Errorf("metric %d: coalesced with no other caller running", m)
+			}
+		}()
+		select {
+		case <-res:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("metric %d: Count hung, a flight was left registered", m)
+		}
 	}
 }

@@ -162,18 +162,9 @@ type cacheEntry struct {
 	at     time.Time
 	// served is set by the first cache hit on the entry: the demand that
 	// makes its metric worth refreshing before it is missed.
-	served atomic.Bool
-	// fill is the entry's place in Frontend.fills, under fillMu.
+	served bool
+	// fill is the entry's place in Frontend.fills.
 	fill *list.Element
-}
-
-// cacheShards is the shard count of the estimate cache. Sharding keeps
-// a hot scrape or a hot metric from serializing unrelated lookups.
-const cacheShards = 16
-
-type cacheShard struct {
-	mu sync.Mutex
-	m  map[uint64]*cacheEntry
 }
 
 // flightCall is one in-flight coalesced fan-out, registered under every
@@ -203,27 +194,23 @@ func (c *flightCall) result(metric uint64) (Result, error) {
 
 // Frontend is the serving engine: cache, coalescer, admission
 // controller. Safe for concurrent use by any number of goroutines.
-//
-// Lock order: flightMu, then fillMu, then a shard's mu. The cache-hit path
-// takes a shard's mu alone.
 type Frontend struct {
 	cfg      Config
 	countAll func(metrics []uint64) ([]netdht.CountResult, error)
 	now      func() time.Time
 
-	shards [cacheShards]cacheShard
-
+	// mu guards the cache, its fill order and the flight map. A cache hit
+	// takes it once; a fan-out runs without it.
+	mu    sync.Mutex
+	cache map[uint64]*cacheEntry
 	// fills holds every cached entry in the order they were filled. The TTL
 	// is one constant, so that is the order they expire in, and the entries
 	// at least half a TTL old are a prefix.
-	fillMu sync.Mutex
 	fills  list.List // of *cacheEntry
+	flight map[uint64]*flightCall
 
 	sem    chan struct{} // in-flight fan-out tokens
 	queued atomic.Int64
-
-	flightMu sync.Mutex
-	flight   map[uint64]*flightCall
 
 	m feMetrics
 }
@@ -238,47 +225,39 @@ func New(counter Counter, cfg Config) *Frontend {
 		cfg:      cfg,
 		countAll: countEach(counter),
 		now:      cfg.Now,
-		sem:      make(chan struct{}, cfg.MaxInFlight),
+		cache:    make(map[uint64]*cacheEntry),
 		flight:   make(map[uint64]*flightCall),
+		sem:      make(chan struct{}, cfg.MaxInFlight),
 		m:        newFEMetrics(cfg.Metrics),
 	}
 	if b, ok := counter.(batchCounter); ok {
 		f.countAll = b.CountAll
 	}
-	for i := range f.shards {
-		f.shards[i].m = make(map[uint64]*cacheEntry)
-	}
 	f.registerGauges(cfg.Metrics)
 	return f
-}
-
-// shardOf mixes the metric id (an md4 hash, but defend against
-// low-entropy ids anyway) down to a shard index.
-func (f *Frontend) shardOf(metric uint64) *cacheShard {
-	h := metric * 0x9e3779b97f4a7c15
-	return &f.shards[(h>>32)%cacheShards]
 }
 
 // cacheGet returns the fresh entry for metric, or nil. An entry past
 // its TTL is reported stale — by the staleness contract it must never
 // be served — and left for the fan-out that follows to replace. A hit
-// marks the entry served: a load, and once in the entry's life a store.
+// marks the entry served.
 func (f *Frontend) cacheGet(metric uint64) (*cacheEntry, time.Duration) {
-	sh := f.shardOf(metric)
-	sh.mu.Lock()
-	e := sh.m[metric]
-	sh.mu.Unlock()
-	if e == nil {
+	f.mu.Lock()
+	e := f.cache[metric]
+	var age time.Duration
+	if e != nil {
+		if age = f.now().Sub(e.at); age < f.cfg.CacheTTL {
+			e.served = true
+		}
+	}
+	f.mu.Unlock()
+	switch {
+	case e == nil:
 		f.m.cacheMisses.Inc()
 		return nil, 0
-	}
-	age := f.now().Sub(e.at)
-	if age >= f.cfg.CacheTTL {
+	case age >= f.cfg.CacheTTL:
 		f.m.cacheStales.Inc()
 		return nil, 0
-	}
-	if !e.served.Load() {
-		e.served.Store(true)
 	}
 	f.m.cacheHits.Inc()
 	return e, age
@@ -288,18 +267,14 @@ func (f *Frontend) cacheGet(metric uint64) (*cacheEntry, time.Duration) {
 // metric's older entry's place.
 func (f *Frontend) cachePut(metrics []uint64, results []Result) {
 	at := f.now()
-	f.fillMu.Lock()
-	defer f.fillMu.Unlock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	for i, metric := range metrics {
 		e := &cacheEntry{metric: metric, res: results[i].CountResult, body: results[i].Body, at: at}
-		sh := f.shardOf(metric)
-		sh.mu.Lock()
-		old := sh.m[metric]
-		sh.m[metric] = e
-		sh.mu.Unlock()
-		if old != nil {
+		if old := f.cache[metric]; old != nil {
 			f.fills.Remove(old.fill)
 		}
+		f.cache[metric] = e
 		e.fill = f.fills.PushBack(e)
 	}
 }
@@ -324,11 +299,9 @@ func (f *Frontend) cachePut(metrics []uint64, results []Result) {
 // and no longer is rides once more and is gone a TTL later. The walk is over
 // the entries at least half a TTL old, oldest first, not over the cache.
 //
-// The caller holds flightMu.
+// The caller holds mu.
 func (f *Frontend) cohort(call *flightCall) {
 	now := f.now()
-	f.fillMu.Lock()
-	defer f.fillMu.Unlock()
 	var next *list.Element
 	for el := f.fills.Front(); el != nil; el = next {
 		next = el.Next()
@@ -337,17 +310,14 @@ func (f *Frontend) cohort(call *flightCall) {
 		if age < f.cfg.CacheTTL/2 {
 			break
 		}
-		if e.served.Load() {
+		if e.served {
 			if f.flight[e.metric] == nil {
 				f.flight[e.metric] = call
 				call.metrics = append(call.metrics, e.metric)
 			}
 		} else if age >= f.cfg.CacheTTL {
 			f.fills.Remove(el)
-			sh := f.shardOf(e.metric)
-			sh.mu.Lock()
-			delete(sh.m, e.metric)
-			sh.mu.Unlock()
+			delete(f.cache, e.metric)
 		}
 	}
 }
@@ -357,9 +327,9 @@ func (f *Frontend) cohort(call *flightCall) {
 // fan-out for its metric replaces it: this is a size, not a freshness
 // claim.
 func (f *Frontend) CacheLen() int {
-	f.fillMu.Lock()
-	defer f.fillMu.Unlock()
-	return f.fills.Len()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.cache)
 }
 
 // Count serves one estimate for metric: cache first, then a coalesced
@@ -386,9 +356,9 @@ func (f *Frontend) count(metric uint64) (Result, error) {
 		return res[0], nil
 	}
 
-	f.flightMu.Lock()
+	f.mu.Lock()
 	if running := f.flight[metric]; running != nil {
-		f.flightMu.Unlock()
+		f.mu.Unlock()
 		f.m.coalesced.Inc()
 		<-running.done
 		return running.result(metric)
@@ -398,14 +368,14 @@ func (f *Frontend) count(metric uint64) (Result, error) {
 	if f.cfg.CacheTTL > 0 {
 		f.cohort(call)
 	}
-	f.flightMu.Unlock()
+	f.mu.Unlock()
 
 	call.res, call.err = f.fanout(call.metrics)
-	f.flightMu.Lock()
+	f.mu.Lock()
 	for _, m := range call.metrics {
 		delete(f.flight, m)
 	}
-	f.flightMu.Unlock()
+	f.mu.Unlock()
 	close(call.done)
 	if call.err != nil {
 		return Result{}, call.err
@@ -485,7 +455,6 @@ func (f *Frontend) release() {
 // Stats is the /statusz snapshot of the serving engine.
 type Stats struct {
 	CacheTTLMS     int64 `json:"cache_ttl_ms"`
-	CacheShards    int   `json:"cache_shards"`
 	CacheEntries   int   `json:"cache_entries"`
 	Coalesce       bool  `json:"coalesce"`
 	MaxInFlight    int   `json:"max_in_flight"`
@@ -499,7 +468,6 @@ type Stats struct {
 func (f *Frontend) Stats() Stats {
 	return Stats{
 		CacheTTLMS:     f.cfg.CacheTTL.Milliseconds(),
-		CacheShards:    cacheShards,
 		CacheEntries:   f.CacheLen(),
 		Coalesce:       f.cfg.Coalesce,
 		MaxInFlight:    f.cfg.MaxInFlight,
