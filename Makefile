@@ -9,9 +9,10 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the repository's custom analyzers (internal/lint) over every
-# package: determinism, lockedcopy, conndeadline, lockrpc, wirebounds.
-# Any finding fails the gate. See DESIGN.md §10 for what each analyzer
-# enforces and why.
+# package: determinism, conndeadline, lockrpc, wirebounds. Any finding
+# fails the gate. No-torn-copy of the shared meters is vet's copylocks
+# check over their sync/atomic fields. See DESIGN.md §10 for what each
+# analyzer enforces and why.
 lint:
 	$(GO) run ./cmd/dhslint ./...
 

@@ -1,7 +1,8 @@
 // Command dhslint runs the repository's custom static-analysis suite
 // (internal/lint) over the given package patterns — a multichecker for
-// the determinism, lockedcopy, conndeadline, lockrpc, and wirebounds
-// analyzers that enforce DESIGN.md §10's invariants.
+// the determinism, conndeadline, lockrpc, and wirebounds analyzers that
+// enforce DESIGN.md §10's invariants. The rule that a live shared meter
+// is never copied is go vet's copylocks check, not an analyzer here.
 //
 // Usage:
 //

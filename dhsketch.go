@@ -70,7 +70,7 @@ type (
 	Node = dht.Node
 	// Overlay is the DHT abstraction DHS runs over.
 	Overlay = dht.Overlay
-	// Traffic is the global bytes/hops/messages meter.
+	// Traffic is a snapshot of the global bytes/hops/messages meter.
 	Traffic = sim.Traffic
 	// FaultConfig parameterizes the fault-injection layer: message loss,
 	// transient down-windows, and slow-node timeouts.

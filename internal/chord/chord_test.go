@@ -257,7 +257,7 @@ func TestRoutedCountersIncrement(t *testing.T) {
 	r := newRing(t, 128)
 	var before int64
 	for _, n := range r.Nodes() {
-		before += n.Counters().Routed
+		before += n.Counters().Snapshot().Routed
 	}
 	rng := r.Env().Derive("ctr")
 	var hops int
@@ -270,7 +270,7 @@ func TestRoutedCountersIncrement(t *testing.T) {
 	}
 	var after int64
 	for _, n := range r.Nodes() {
-		after += n.Counters().Routed
+		after += n.Counters().Snapshot().Routed
 	}
 	if after-before != int64(hops) {
 		t.Errorf("Routed counters advanced by %d, want %d", after-before, hops)

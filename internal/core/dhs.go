@@ -32,13 +32,12 @@ type DHS struct {
 	// countSeq numbers counting passes; pass p draws its targets from
 	// the stream PCG(seed, countSalt^p), so sequential runs are exactly
 	// reproducible and concurrent passes never share a stream.
-	countSeq  uint64
+	countSeq  atomic.Uint64
 	countSalt uint64
 
-	// repairStats accumulates replica-repair work when this handle's
-	// RepairFunc is installed on a stabilizing overlay (all atomics —
-	// repair runs during protocol rounds that may overlap counting).
-	repairStats RepairStats
+	// repair accumulates replica-repair work when this handle's
+	// RepairFunc is installed on a stabilizing overlay.
+	repair repairMeter
 }
 
 // New validates the configuration and returns a DHS handle.
@@ -68,7 +67,7 @@ func New(cfg Config) (*DHS, error) {
 // number also stamps every trace event the pass emits, so interleaved
 // event streams from concurrent passes stay separable.
 func (d *DHS) countPass() (*rand.Rand, uint64) {
-	pass := atomic.AddUint64(&d.countSeq, 1)
+	pass := d.countSeq.Add(1)
 	return rand.New(rand.NewPCG(d.env.Seed(), d.countSalt^pass)), pass
 }
 

@@ -520,7 +520,7 @@ func TestAccessLoadBalance(t *testing.T) {
 	}
 	var total, max int64
 	for _, n := range ring.Nodes() {
-		p := n.Counters().Probed
+		p := n.Counters().Snapshot().Probed
 		total += p
 		if p > max {
 			max = p

@@ -8,9 +8,7 @@ import (
 )
 
 // RepairStats accounts the replica-repair work a DHS handle performed on
-// behalf of a stabilizing overlay. All fields are written atomically:
-// repair runs inside protocol rounds that may overlap concurrent
-// counting passes. Read a consistent copy with (*DHS).RepairStats.
+// behalf of a stabilizing overlay, as read by (*DHS).RepairStats.
 type RepairStats struct {
 	Calls   int64 // repair invocations (one per node whose list grew)
 	Targets int64 // new successors that received a copy
@@ -18,14 +16,21 @@ type RepairStats struct {
 	Bytes   int64 // wire bytes of the transfers (§5.1 size model)
 }
 
+// repairMeter accumulates RepairStats with sync/atomic fields: repair
+// runs inside protocol rounds that may overlap concurrent counting
+// passes.
+type repairMeter struct {
+	calls, targets, tuples, bytes atomic.Int64
+}
+
 // RepairStats returns an atomically read snapshot of the handle's
 // replica-repair accounting.
 func (d *DHS) RepairStats() RepairStats {
 	return RepairStats{
-		Calls:   atomic.LoadInt64(&d.repairStats.Calls),
-		Targets: atomic.LoadInt64(&d.repairStats.Targets),
-		Tuples:  atomic.LoadInt64(&d.repairStats.Tuples),
-		Bytes:   atomic.LoadInt64(&d.repairStats.Bytes),
+		Calls:   d.repair.calls.Load(),
+		Targets: d.repair.targets.Load(),
+		Tuples:  d.repair.tuples.Load(),
+		Bytes:   d.repair.bytes.Load(),
 	}
 }
 
@@ -50,7 +55,7 @@ func (d *DHS) RepairStats() RepairStats {
 // therefore never routes — targets are handed to it directly.
 func (d *DHS) RepairFunc() func(n dht.Node, added []dht.Node) {
 	return func(n dht.Node, added []dht.Node) {
-		atomic.AddInt64(&d.repairStats.Calls, 1)
+		d.repair.calls.Add(1)
 		s := storeIfPresent(n)
 		if s == nil {
 			return
@@ -72,9 +77,9 @@ func (d *DHS) RepairFunc() func(n dht.Node, added []dht.Node) {
 			}
 			a.Counters().AddStoreOps()
 			d.env.Traffic.Account(1, msgBytes)
-			atomic.AddInt64(&d.repairStats.Targets, 1)
-			atomic.AddInt64(&d.repairStats.Tuples, int64(len(entries)))
-			atomic.AddInt64(&d.repairStats.Bytes, int64(msgBytes))
+			d.repair.targets.Add(1)
+			d.repair.tuples.Add(int64(len(entries)))
+			d.repair.bytes.Add(int64(msgBytes))
 			tr.emit(obs.KindRepair, a.ID(), 0, -1, int64(len(entries)), nil)
 		}
 	}

@@ -57,8 +57,8 @@ func TestImplementationsSatisfyOverlay(t *testing.T) {
 			t.Errorf("%T: App not clearable", o)
 		}
 		// Counters are mutable in place.
-		n.Counters().Probed++
-		if n.Counters().Probed != 1 {
+		n.Counters().AddProbed()
+		if n.Counters().Snapshot().Probed != 1 {
 			t.Errorf("%T: Counters not mutable", o)
 		}
 	}

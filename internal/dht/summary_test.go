@@ -20,10 +20,13 @@ func (n *counterNode) Counters() *Counters { return &n.c }
 func nodesWith(loads ...[3]int64) []Node {
 	out := make([]Node, len(loads))
 	for i, l := range loads {
-		out[i] = &counterNode{
-			id: uint64(i + 1),
-			c:  Counters{Routed: l[0], Probed: l[1], StoreOps: l[2]},
+		n := &counterNode{id: uint64(i + 1)}
+		for j, add := range []func(){n.c.AddRouted, n.c.AddProbed, n.c.AddStoreOps} {
+			for range l[j] {
+				add()
+			}
 		}
+		out[i] = n
 	}
 	return out
 }

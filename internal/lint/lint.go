@@ -9,9 +9,6 @@
 //   - determinism: no wall-clock time and no process-global randomness in
 //     library and command code; all random streams must flow from explicit
 //     seeds.
-//   - lockedcopy: no by-value copies of live mutex- or atomic-bearing
-//     structs (core.Store, sim.Traffic, dht.Counters) outside snapshot
-//     helpers.
 //   - conndeadline: every conn Read/Write reachable in internal/netdht
 //     must be dominated by a SetDeadline/SetReadDeadline/SetWriteDeadline
 //     on the same conn.
@@ -104,7 +101,7 @@ func (fs *FactSet) Get(obj types.Object) any {
 }
 
 // Pass carries one analyzer's view of one package, plus the full load set
-// for cross-package inspection (e.g. lockedcopy's guarded-type scan).
+// for cross-package inspection (e.g. lockrpc's interface-implementation scan).
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -243,7 +240,6 @@ func Run(analyzers []*Analyzer, pkgs []*Package, useMatch bool) ([]Diagnostic, e
 func All() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
-		LockedCopyAnalyzer,
 		ConnDeadlineAnalyzer,
 		LockRPCAnalyzer,
 		WireBoundsAnalyzer,

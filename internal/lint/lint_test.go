@@ -35,10 +35,6 @@ func TestStoreFixture(t *testing.T) {
 	linttest.Run(t, testdata, lint.DeterminismAnalyzer, "dhsketch/internal/store")
 }
 
-func TestLockedCopy(t *testing.T) {
-	linttest.Run(t, testdata, lint.LockedCopyAnalyzer, "lockedcopy/a")
-}
-
 func TestConnDeadline(t *testing.T) {
 	linttest.Run(t, testdata, lint.ConnDeadlineAnalyzer, "conndeadline/a")
 }
@@ -67,7 +63,6 @@ func TestPlantedPositions(t *testing.T) {
 	linttest.MustFindAt(t, testdata, lint.DeterminismAnalyzer, "dhsketch/internal/stab", "stab.go", 69, 13)
 	linttest.MustFindAt(t, testdata, lint.DeterminismAnalyzer, "dhsketch/internal/store", "store.go", 50, 9)
 	linttest.MustFindAt(t, testdata, lint.DeterminismAnalyzer, "dhsketch/internal/store", "store.go", 57, 5)
-	linttest.MustFindAt(t, testdata, lint.LockedCopyAnalyzer, "lockedcopy/planted", "planted.go", 10, 27)
 	linttest.MustFindAt(t, testdata, lint.ConnDeadlineAnalyzer, "conndeadline/planted", "planted.go", 16, 2)
 	linttest.MustFindAt(t, testdata, lint.LockRPCAnalyzer, "lockrpc/planted", "planted.go", 20, 2)
 	linttest.MustFindAt(t, testdata, lint.WireBoundsAnalyzer, "wirebounds/planted", "planted.go", 9, 9)
@@ -76,7 +71,6 @@ func TestPlantedPositions(t *testing.T) {
 // TestPlantedHaveWants keeps the planted fixtures honest as golden files
 // too: the planted packages must pass the want-comment comparison.
 func TestPlantedHaveWants(t *testing.T) {
-	linttest.Run(t, testdata, lint.LockedCopyAnalyzer, "lockedcopy/planted")
 	linttest.Run(t, testdata, lint.ConnDeadlineAnalyzer, "conndeadline/planted")
 	linttest.Run(t, testdata, lint.LockRPCAnalyzer, "lockrpc/planted")
 	linttest.Run(t, testdata, lint.WireBoundsAnalyzer, "wirebounds/planted")

@@ -33,15 +33,8 @@ func (c *Clock) Advance(d int64) {
 	c.now += d
 }
 
-// Traffic accumulates the cost of network operations. The mutating
-// methods (Account, Drop, Add) update the fields atomically, so any
-// number of concurrent counting passes may meter against one record;
-// reading the fields directly is safe once the passes have completed
-// (the usual snapshot-delta pattern in the experiments). Live records
-// must not be copied field-by-field — use Snapshot, which reads each
-// field atomically; the marker below lets dhslint enforce that.
-//
-//dhslint:guard
+// Traffic is a snapshot of a Meter: the cost of network operations as
+// plain values, safe to copy, subtract and print.
 type Traffic struct {
 	Messages int64 // number of point-to-point messages delivered
 	Hops     int64 // overlay hops traversed (≥ Messages for routed sends)
@@ -49,42 +42,39 @@ type Traffic struct {
 	Dropped  int64 // messages that consumed hops but never completed (lost, timed out, or addressed to a down node)
 }
 
+// Meter accumulates the cost of network operations. Its fields are
+// sync/atomic values, so any number of concurrent counting passes may
+// meter against one Meter, and go vet's copylocks check rejects a copy
+// of a live one; read it through Snapshot.
+type Meter struct {
+	messages, hops, bytes, dropped atomic.Int64
+}
+
 // Account records one logical transfer of size bytes over the given number
 // of overlay hops. A direct neighbor message is hops = 1.
-func (t *Traffic) Account(hops int, bytes int) {
-	atomic.AddInt64(&t.Messages, 1)
-	atomic.AddInt64(&t.Hops, int64(hops))
-	atomic.AddInt64(&t.Bytes, int64(bytes)*int64(hops))
+func (m *Meter) Account(hops int, bytes int) {
+	m.messages.Add(1)
+	m.hops.Add(int64(hops))
+	m.bytes.Add(int64(bytes) * int64(hops))
 }
 
 // Drop records a failed message exchange: the request still traversed the
 // given hops carrying bytes of payload (the network did the work) but
 // nothing was delivered. Failed exchanges are metered separately from
 // Messages so experiments can report wasted versus useful traffic.
-func (t *Traffic) Drop(hops int, bytes int) {
-	atomic.AddInt64(&t.Dropped, 1)
-	atomic.AddInt64(&t.Hops, int64(hops))
-	atomic.AddInt64(&t.Bytes, int64(bytes)*int64(hops))
+func (m *Meter) Drop(hops int, bytes int) {
+	m.dropped.Add(1)
+	m.hops.Add(int64(hops))
+	m.bytes.Add(int64(bytes) * int64(hops))
 }
 
-// Add folds another traffic record into this one.
-func (t *Traffic) Add(other Traffic) {
-	atomic.AddInt64(&t.Messages, other.Messages)
-	atomic.AddInt64(&t.Hops, other.Hops)
-	atomic.AddInt64(&t.Bytes, other.Bytes)
-	atomic.AddInt64(&t.Dropped, other.Dropped)
-}
-
-// Snapshot returns a copy of the record with every field read
-// atomically. It is the only sanctioned way to copy a live Traffic:
-// a plain struct copy reads the four fields at four different moments
-// and can tear while concurrent passes are metering.
-func (t *Traffic) Snapshot() Traffic {
+// Snapshot returns the meter's totals, each field read atomically.
+func (m *Meter) Snapshot() Traffic {
 	return Traffic{
-		Messages: atomic.LoadInt64(&t.Messages),
-		Hops:     atomic.LoadInt64(&t.Hops),
-		Bytes:    atomic.LoadInt64(&t.Bytes),
-		Dropped:  atomic.LoadInt64(&t.Dropped),
+		Messages: m.messages.Load(),
+		Hops:     m.hops.Load(),
+		Bytes:    m.bytes.Load(),
+		Dropped:  m.dropped.Load(),
 	}
 }
 
@@ -113,7 +103,7 @@ func (t Traffic) String() string {
 // the master seed, making runs bit-for-bit reproducible.
 type Env struct {
 	Clock   Clock
-	Traffic Traffic
+	Traffic Meter
 	seed    uint64
 	rng     *rand.Rand
 	tracer  obs.Tracer

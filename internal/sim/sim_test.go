@@ -26,21 +26,17 @@ func TestClock(t *testing.T) {
 }
 
 func TestTrafficAccount(t *testing.T) {
-	var tr Traffic
-	tr.Account(3, 100) // 100-byte payload over 3 hops
-	tr.Account(1, 8)
-	if tr.Messages != 2 || tr.Hops != 4 || tr.Bytes != 308 {
+	var m Meter
+	m.Account(3, 100) // 100-byte payload over 3 hops
+	m.Account(1, 8)
+	if tr := m.Snapshot(); tr.Messages != 2 || tr.Hops != 4 || tr.Bytes != 308 {
 		t.Errorf("Traffic = %+v", tr)
 	}
 }
 
-func TestTrafficAddSub(t *testing.T) {
-	a := Traffic{Messages: 5, Hops: 10, Bytes: 100}
+func TestTrafficSub(t *testing.T) {
+	a := Traffic{Messages: 7, Hops: 13, Bytes: 140}
 	b := Traffic{Messages: 2, Hops: 3, Bytes: 40}
-	a.Add(b)
-	if a.Messages != 7 || a.Hops != 13 || a.Bytes != 140 {
-		t.Errorf("Add: %+v", a)
-	}
 	d := a.Sub(b)
 	if d.Messages != 5 || d.Hops != 10 || d.Bytes != 100 {
 		t.Errorf("Sub: %+v", d)
