@@ -6,17 +6,15 @@
 //
 // Usage:
 //
-//	dhslint [-list] [-sarif] [packages]
+//	dhslint [-list] [packages]
 //
 // Patterns follow the go tool's shape ("./...", "./internal/...",
 // "./cmd/dhsbench"); the default is "./...". Findings print as
 // file:line:col: analyzer: message, one per line, and a non-empty run
-// exits 1 — wire it into CI as a gate. Intentional exceptions are
-// annotated in the source with //dhslint:allow analyzer(reason).
-//
-// -sarif emits the findings as a SARIF 2.1.0 log on stdout instead of
-// the text lines, for GitHub code-scanning annotations; the exit-code
-// contract is unchanged.
+// exits 1 — wire it into CI as a gate. CI's problem matcher
+// (.github/dhslint-matcher.json) turns those lines into annotations.
+// Intentional exceptions are annotated in the source with
+// //dhslint:allow analyzer(reason).
 //
 // dhslint needs no configuration and no network: it type-checks the
 // module from source with the standard library alone.
@@ -32,7 +30,6 @@ import (
 
 func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	sarif := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
 	flag.Parse()
 
 	if *list {
@@ -63,15 +60,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *sarif {
-		if err := lint.WriteSARIF(os.Stdout, lint.All(), diags, loader.Root); err != nil {
-			fmt.Fprintln(os.Stderr, "dhslint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "dhslint: %d finding(s)\n", len(diags))

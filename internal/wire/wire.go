@@ -118,15 +118,17 @@ func ClampTTL(ttl int64) uint16 {
 }
 
 // insertSize = version(1) + tag(1) + metric(2, folded) + vector(2) +
-// bit(1) + ttl(2) = 9 bytes... the codec folds the metric to 16 bits on
-// the wire because the receiving node resolves collisions against its
-// local tuple keys; see FoldMetric.
+// bit(1) + ttl(2) = 9 bytes. The metric travels as its 16-bit fold
+// (FoldMetric), and the receiving node keys the tuple on that fold, so
+// metrics whose folds are equal share tuples; see FoldMetric.
 const insertSize = 9
 
 // FoldMetric compresses a 64-bit metric identifier to the 16-bit wire
-// form the paper's evaluation uses (§5.1 allots 8 bits; 16 here gives a
-// 2^16 metric namespace per deployment). Receivers must treat it as a
-// namespace-local identifier.
+// form (§5.1's byte model allots 8 bits). The fold is not a namespace:
+// every frame that names a metric carries only the fold, and a node keys
+// its stored tuples on it, so two metrics with equal folds (1 and 65536,
+// say) merge — a count of either reads the union, unflagged. DESIGN.md
+// §14 "Metric folding" records the merge and the item that closes it.
 func FoldMetric(metric uint64) uint16 {
 	return uint16(metric ^ metric>>16 ^ metric>>32 ^ metric>>48)
 }

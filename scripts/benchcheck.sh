@@ -7,7 +7,7 @@
 # dhsd's client remembers the ring (DESIGN.md §14 "The ring view") a warm
 # read-only window makes no lookup, so both read 0. The two names leave
 # TestQuickPass's list with the next change that may edit bench/ (ROADMAP,
-# first open item); this script then shrinks back to `go test ./...`.
+# "`bench/` errata"); this script then shrinks back to `go test ./...`.
 # Until then every other line of the contract — a renamed flag, log line,
 # symbol or /metrics series — fails here as it always has.
 set -uo pipefail

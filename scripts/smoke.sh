@@ -233,7 +233,7 @@ echo "== counting (expect $ITEMS, tol $TOL)"
 # hundred bytes here — the maintenance rounds' and the scrapes' own — and
 # does not collect; kilobytes per request is a handler that allocates.
 # Beside them, the node's resident memory now and its file-backed share,
-# which is mostly the dhsnode binary itself (DESIGN.md §12 "Memory").
+# which is mostly the dhsnode binary itself (DESIGN.md §15 "Admin surface").
 echo "== runtime cost of the insert and count phases, per node"
 for i in $(seq 0 $((NODES - 1))); do
     read -r gc0 bytes0 reqs0 _ <"$LOGDIR/runtime-before-$i.txt"
