@@ -1,7 +1,11 @@
 // Command dhsd is the high-throughput query frontend for a DHS ring:
 // one process that owns a netdht client and serves estimates over
-// HTTP, absorbing read load the ring itself never sees. Three layers
-// stand between a request and a ring fan-out (internal/serve):
+// HTTP, absorbing read load the ring itself never sees. It answers on
+// internal/respond's keep-alive loop, not net/http's server, so a cache
+// hit allocates nothing from the socket's read to its write (DESIGN.md
+// §16): GET only, a request head within 8 KiB and 5 s of its first
+// byte, no deadline on an idle connection, 30 s to write a reply. Three
+// layers stand between a request and a ring fan-out (internal/serve):
 //
 //   - a TTL cache of recent estimates (-cache-ttl),
 //   - singleflight coalescing, so N concurrent queries for one metric
@@ -25,7 +29,6 @@ import (
 	"flag"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sync"
@@ -34,6 +37,7 @@ import (
 
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/netdht"
+	"dhsketch/internal/respond"
 	"dhsketch/internal/serve"
 	"dhsketch/internal/sketch"
 )
@@ -86,29 +90,21 @@ func main() {
 		QueueTimeout: *queueTimeout,
 		Metrics:      reg,
 	})
-	handler := serve.NewHandler(frontend, serve.HandlerOptions{
+	srv := respond.NewServer(serve.Answer(frontend, serve.HandlerOptions{
 		Metrics: reg,
 		Ping:    client.Ping,
 		View:    client.View,
-	})
+	}))
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("dhsd: listen %s: %v", *listen, err)
 	}
-	hs := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
-	quit := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		hs.Serve(ln) // returns once the quit watcher closes hs
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-quit
-		hs.Close()
+		srv.Serve(ln) // returns once Close closes ln
 	}()
 	log.Printf("serving estimates on %s (ring entry %s, cache-ttl %v, coalesce %v)",
 		ln.Addr(), *entry, *cacheTTL, !*noCoalesce)
@@ -117,7 +113,7 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	got := <-sig
 	log.Printf("received %v, shutting down", got)
-	close(quit)
+	srv.Close()
 	wg.Wait()
 	client.Close()
 }

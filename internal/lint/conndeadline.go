@@ -30,7 +30,8 @@ var ConnDeadlineAnalyzer = &Analyzer{
 	Name: "conndeadline",
 	Doc:  "require a dominating Set*Deadline before raw conn reads and writes",
 	Match: func(pkgPath string) bool {
-		return pathHasSuffix(pkgPath, "internal/netdht")
+		return pathHasSuffix(pkgPath, "internal/netdht") ||
+			pathHasSuffix(pkgPath, "internal/respond")
 	},
 	FactsRun: runConnDeadlineFacts,
 	Run:      runConnDeadline,

@@ -29,7 +29,8 @@ import (
 // carry a //dhslint:allow determinism(reason) annotation.
 //
 // The real-network packages are excluded wholesale: internal/netdht,
-// cmd/dhsnode, and the serving tier over them — internal/serve (TTL
+// cmd/dhsnode, the HTTP responder both daemons serve on (internal/respond:
+// socket deadlines), and the serving tier over them — internal/serve (TTL
 // caches and queue deadlines are real time, DESIGN.md §16), cmd/dhsd,
 // and cmd/dhsload (a wall-clock latency meter) — exist precisely to run
 // against wall-clock timers, socket deadlines, and nondeterministic
@@ -45,6 +46,7 @@ var DeterminismAnalyzer = &Analyzer{
 	Doc:  "forbid wall-clock time and process-global or unseeded randomness",
 	Match: func(pkgPath string) bool {
 		return !pathHasSuffix(pkgPath, "internal/netdht") &&
+			!pathHasSuffix(pkgPath, "internal/respond") &&
 			!pathHasSuffix(pkgPath, "cmd/dhsnode") &&
 			!pathHasSuffix(pkgPath, "internal/metrics") &&
 			!pathHasSuffix(pkgPath, "internal/serve") &&

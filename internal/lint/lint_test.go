@@ -84,6 +84,7 @@ func TestMatchScopes(t *testing.T) {
 		want     bool
 	}{
 		{lint.ConnDeadlineAnalyzer, "dhsketch/internal/netdht", true},
+		{lint.ConnDeadlineAnalyzer, "dhsketch/internal/respond", true},
 		{lint.ConnDeadlineAnalyzer, "dhsketch/internal/wire", false},
 		{lint.LockRPCAnalyzer, "dhsketch/internal/netdht", true},
 		{lint.LockRPCAnalyzer, "dhsketch/internal/chord", true},
@@ -93,6 +94,7 @@ func TestMatchScopes(t *testing.T) {
 		{lint.LockRPCAnalyzer, "dhsketch/internal/obs", false},
 		{lint.WireBoundsAnalyzer, "dhsketch/internal/wire", true},
 		{lint.WireBoundsAnalyzer, "dhsketch/internal/netdht", true},
+		{lint.WireBoundsAnalyzer, "dhsketch/internal/respond", true},
 		{lint.WireBoundsAnalyzer, "dhsketch/internal/core", false},
 	}
 	for _, c := range cases {
@@ -113,6 +115,7 @@ func TestMatchScopes(t *testing.T) {
 	// stays deterministic-checked.
 	for path, want := range map[string]bool{
 		"dhsketch/internal/netdht":  false,
+		"dhsketch/internal/respond": false,
 		"dhsketch/cmd/dhsnode":      false,
 		"dhsketch/internal/metrics": false,
 		"dhsketch/internal/serve":   false,

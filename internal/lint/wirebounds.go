@@ -28,7 +28,8 @@ var WireBoundsAnalyzer = &Analyzer{
 	Doc:  "require a bound check against a named cap before allocations sized from decoded wire fields",
 	Match: func(pkgPath string) bool {
 		return pathHasSuffix(pkgPath, "internal/wire") ||
-			pathHasSuffix(pkgPath, "internal/netdht")
+			pathHasSuffix(pkgPath, "internal/netdht") ||
+			pathHasSuffix(pkgPath, "internal/respond")
 	},
 	Run: runWireBounds,
 }

@@ -22,8 +22,16 @@ import (
 // and written to w a few KiB at a time. A daemon that has not reached its
 // first collection keeps every byte a scrape would leave behind.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	_, err := r.WriteTo(w)
+	return err
+}
+
+// WriteTo is WritePrometheus as an io.WriterTo, which also returns the
+// bytes written: the form a reply body that is written as it is made takes
+// (internal/respond).
+func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	if r == nil {
-		return nil
+		return 0, nil
 	}
 	order, buf := r.startScrape()
 	e := expo{w: w, buf: buf}
@@ -38,14 +46,15 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	e.flush()
 	r.endScrape(e.buf)
-	return e.err
+	return e.n, e.err
 }
 
-// expo is one scrape in progress: the lines not yet written to w, and the
-// first error writing them.
+// expo is one scrape in progress: the lines not yet written to w, the
+// bytes written, and the first error writing them.
 type expo struct {
 	w   io.Writer
 	buf []byte
+	n   int64
 	err error
 }
 
@@ -55,7 +64,9 @@ const expoChunk = 4 << 10
 // flush writes what has gathered; after an error it writes nothing more.
 func (e *expo) flush() {
 	if e.err == nil && len(e.buf) > 0 {
-		_, e.err = e.w.Write(e.buf)
+		var n int
+		n, e.err = e.w.Write(e.buf)
+		e.n += int64(n)
 	}
 	e.buf = e.buf[:0]
 }

@@ -19,6 +19,7 @@ import (
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/metrics"
+	"dhsketch/internal/respond"
 	"dhsketch/internal/store"
 )
 
@@ -110,15 +111,15 @@ func (s *Server) Healthy() (bool, string) {
 
 // The admin listener speaks the subset of HTTP/1.1 its readers use — curl,
 // Prometheus, `go tool pprof`, `dhsnode status`: one GET per connection,
-// answered and closed (DESIGN.md §15). Its bounds (conndeadline and
-// wirebounds invariants, DESIGN.md §10): a request's head — the request
-// line and the header lines — arrives within adminReadTimeout and in at
+// answered and closed (DESIGN.md §15), over internal/respond's head reader
+// and reply writer. Its bounds (conndeadline and wirebounds invariants,
+// DESIGN.md §10): a request's head arrives within adminReadTimeout and in at
 // most adminMaxHead bytes, or is answered 431; a reply is written within
-// adminWriteTimeout, plus the seconds a trace was asked to run; a
-// profile or a trace runs at most adminMaxSeconds. The timeouts are
-// variables, not constants, so tests can shrink them.
+// adminWriteTimeout, plus the seconds a trace was asked to run; a profile
+// or a trace runs at most adminMaxSeconds. The timeouts are variables, not
+// constants, so tests can shrink them.
 const (
-	adminMaxHead    = 8 << 10
+	adminMaxHead    = respond.MaxHead
 	adminMaxSeconds = 600
 	// adminMaxReply caps what AdminGet reads of a reply.
 	adminMaxReply = 1 << 20
@@ -184,27 +185,20 @@ func (s *Server) serveAdminConn(c net.Conn, reg *metrics.Registry) {
 	if c.SetReadDeadline(time.Now().Add(adminReadTimeout)) != nil {
 		return
 	}
-	req, err := readAdminRequest(b.r)
-	var rep adminReply
+	req, err := respond.ReadRequest(b.r)
+	var rep respond.Reply
 	switch {
-	case errors.Is(err, errAdminHeadTooLarge):
-		rep = adminText(431, "request header fields too large")
-	case errors.Is(err, errAdminBadRequest):
-		rep = adminText(400, "bad request")
+	case errors.Is(err, respond.ErrHeadTooLarge):
+		rep = respond.Text(431, "request header fields too large")
+	case errors.Is(err, respond.ErrBadRequest):
+		rep = respond.Text(400, "bad request")
 	case err != nil:
 		return
 	default:
-		rep = s.adminAnswer(req, reg, b)
+		rep = s.adminAnswer(adminRequest{req.Method, req.Path, req.Query}, reg, b)
 	}
-	if writeAdminReply(c, b.w, rep) != nil {
-		return
-	}
-	// Close with unread request bytes in the socket would reset the
-	// connection, and a reset can discard the reply before the client reads
-	// it. Half-close instead, and read until the client hangs up.
-	if tc, ok := c.(*net.TCPConn); ok && tc.CloseWrite() == nil &&
-		c.SetReadDeadline(time.Now().Add(adminReadTimeout)) == nil {
-		io.Copy(io.Discard, io.LimitReader(c, adminMaxHead))
+	if writeAdminReply(c, b.w, rep) == nil {
+		respond.Drain(c, adminReadTimeout)
 	}
 }
 
@@ -240,142 +234,50 @@ type adminRequest struct {
 	method, path, query string
 }
 
-var (
-	errAdminBadRequest   = errors.New("netdht: admin: malformed request")
-	errAdminHeadTooLarge = errors.New("netdht: admin: request head too large")
-)
+const ctypeBytes = "application/octet-stream"
 
-// readAdminRequest reads one request head from r: an HTTP/1.0 or 1.1
-// request line with an origin-form target, then header lines, which are
-// checked for a field name and dropped, up to the empty line. A head longer
-// than adminMaxHead is errAdminHeadTooLarge, one that is not HTTP/1.x is
-// errAdminBadRequest, and any other error is r's own.
-func readAdminRequest(r *bufio.Reader) (adminRequest, error) {
-	var req adminRequest
-	for n, first := 0, true; ; first = false {
-		line, err := r.ReadSlice('\n')
-		if n += len(line); n > adminMaxHead || errors.Is(err, bufio.ErrBufferFull) {
-			return adminRequest{}, errAdminHeadTooLarge
-		}
-		if err != nil {
-			return adminRequest{}, err
-		}
-		line = bytes.TrimSuffix(line[:len(line)-1], []byte{'\r'})
-		switch {
-		case first:
-			method, rest, ok1 := strings.Cut(string(line), " ")
-			target, proto, ok2 := strings.Cut(rest, " ")
-			if !ok1 || !ok2 || method == "" || !strings.HasPrefix(target, "/") ||
-				proto != "HTTP/1.0" && proto != "HTTP/1.1" {
-				return adminRequest{}, errAdminBadRequest
-			}
-			req.method = method
-			req.path, req.query, _ = strings.Cut(target, "?")
-		case len(line) == 0:
-			return req, nil
-		case bytes.IndexByte(line, ':') < 1:
-			return adminRequest{}, errAdminBadRequest
-		}
-	}
-}
-
-// adminReply is one response: its status and content type, and either
-// the whole body, sent behind its length, or a body written as it is made
-// and ended by the close — the exposition of prom, or what stream writes,
-// over span for a trace.
-type adminReply struct {
-	status int
-	ctype  string
-	body   []byte
-	prom   *metrics.Registry
-	stream func(io.Writer)
-	span   time.Duration
-}
-
-const (
-	ctypeText  = "text/plain; charset=utf-8"
-	ctypeBytes = "application/octet-stream"
-)
-
-// adminText is a one-line plain-text reply, as http.Error writes one.
-func adminText(status int, msg string) adminReply {
-	return adminReply{status: status, ctype: ctypeText, body: []byte(msg + "\n")}
-}
-
-var adminStatusText = map[int]string{
-	200: "OK",
-	400: "Bad Request",
-	404: "Not Found",
-	405: "Method Not Allowed",
-	431: "Request Header Fields Too Large",
-	500: "Internal Server Error",
-	503: "Service Unavailable",
-}
-
-// writeAdminReply sends rep on c through bw, which writes to c.
-func writeAdminReply(c net.Conn, bw *bufio.Writer, rep adminReply) error {
-	if err := c.SetWriteDeadline(time.Now().Add(rep.span + adminWriteTimeout)); err != nil {
+// writeAdminReply sends rep on c through bw, which writes to c, and asks
+// the client to close.
+func writeAdminReply(c net.Conn, bw *bufio.Writer, rep respond.Reply) error {
+	if err := c.SetWriteDeadline(time.Now().Add(rep.Span + adminWriteTimeout)); err != nil {
 		return err
 	}
-	bw.WriteString("HTTP/1.1 ")
-	bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(rep.status), 10))
-	bw.WriteByte(' ')
-	bw.WriteString(adminStatusText[rep.status])
-	bw.WriteString("\r\nContent-Type: ")
-	bw.WriteString(rep.ctype)
-	bw.WriteString("\r\nConnection: close\r\n")
-	if rep.status == 405 {
-		bw.WriteString("Allow: GET\r\n")
-	}
-	switch {
-	case rep.prom != nil:
-		bw.WriteString("\r\n")
-		rep.prom.WritePrometheus(bw)
-	case rep.stream != nil:
-		bw.WriteString("\r\n")
-		rep.stream(bw)
-	default:
-		bw.WriteString("Content-Length: ")
-		bw.Write(strconv.AppendInt(bw.AvailableBuffer(), int64(len(rep.body)), 10))
-		bw.WriteString("\r\n\r\n")
-		bw.Write(rep.body)
-	}
-	return bw.Flush()
+	return respond.WriteReply(bw, rep, true)
 }
 
 // adminAnswer routes a well-formed request to its endpoint. A /statusz
 // reply is built in b and valid until b is released.
-func (s *Server) adminAnswer(req adminRequest, reg *metrics.Registry, b *adminBufs) adminReply {
+func (s *Server) adminAnswer(req adminRequest, reg *metrics.Registry, b *adminBufs) respond.Reply {
 	if req.method != "GET" {
-		return adminText(405, "method not allowed")
+		return respond.MethodNotAllowed
 	}
 	switch req.path {
 	case "/metrics":
-		return adminReply{status: 200, ctype: "text/plain; version=0.0.4; charset=utf-8", prom: reg}
+		return respond.Reply{Status: 200, CType: "text/plain; version=0.0.4; charset=utf-8", Stream: reg}
 	case "/healthz":
 		if ok, msg := s.Healthy(); !ok {
-			return adminText(503, msg)
+			return respond.Text(503, msg)
 		}
-		return adminText(200, "ok")
+		return respond.Text(200, "ok")
 	case "/statusz":
 		s.status(&b.status)
 		b.json.Reset()
 		b.enc.Encode(&b.status)
-		return adminReply{status: 200, ctype: "application/json", body: b.json.Bytes()}
+		return respond.Reply{Status: 200, CType: "application/json", Body: b.json.Bytes()}
 	case "/debug/pprof":
 		return s.pprofAnswer("", req.query)
 	}
 	if name, ok := strings.CutPrefix(req.path, "/debug/pprof/"); ok {
 		return s.pprofAnswer(name, req.query)
 	}
-	return adminText(404, "404 page not found")
+	return respond.Text(404, "404 page not found")
 }
 
 // pprofAnswer serves what `go tool pprof` fetches: the named runtime/pprof
 // profiles (?debug=N for text), a CPU profile (profile?seconds=N, 30 by
 // default), an execution trace (trace?seconds=N, 1 by default), the
 // command line, and a plain-text index of them.
-func (s *Server) pprofAnswer(name, query string) adminReply {
+func (s *Server) pprofAnswer(name, query string) respond.Reply {
 	var b bytes.Buffer
 	switch name {
 	case "":
@@ -384,48 +286,71 @@ func (s *Server) pprofAnswer(name, query string) adminReply {
 			fmt.Fprintf(&b, "%d\t/debug/pprof/%s\n", p.Count(), p.Name())
 		}
 		b.WriteString("also:\n\t/debug/pprof/profile?seconds=30\n\t/debug/pprof/trace?seconds=1\n\t/debug/pprof/cmdline\n")
-		return adminReply{status: 200, ctype: ctypeText, body: b.Bytes()}
+		return respond.Reply{Status: 200, CType: respond.CTypeText, Body: b.Bytes()}
 	case "cmdline":
-		return adminReply{status: 200, ctype: ctypeText, body: []byte(strings.Join(os.Args, "\x00"))}
+		return respond.Reply{Status: 200, CType: respond.CTypeText, Body: []byte(strings.Join(os.Args, "\x00"))}
 	case "profile":
 		d, ok := pprofSeconds(query, 30)
 		if !ok {
-			return adminText(400, "seconds out of range")
+			return respond.Text(400, "seconds out of range")
 		}
 		if err := pprof.StartCPUProfile(&b); err != nil {
-			return adminText(500, "could not enable CPU profiling: "+err.Error())
+			return respond.Text(500, "could not enable CPU profiling: "+err.Error())
 		}
 		s.adminWait(d)
 		pprof.StopCPUProfile()
-		return adminReply{status: 200, ctype: ctypeBytes, body: b.Bytes()}
+		return respond.Reply{Status: 200, CType: ctypeBytes, Body: b.Bytes()}
 	case "trace":
 		d, ok := pprofSeconds(query, 1)
 		if !ok {
-			return adminText(400, "seconds out of range")
+			return respond.Text(400, "seconds out of range")
 		}
 		if trace.IsEnabled() {
-			return adminText(500, "could not enable tracing: tracing is already enabled")
+			return respond.Text(500, "could not enable tracing: tracing is already enabled")
 		}
-		return adminReply{status: 200, ctype: ctypeBytes, span: d, stream: func(w io.Writer) {
-			if trace.Start(w) == nil {
-				s.adminWait(d)
-				trace.Stop()
-			}
-		}}
+		return respond.Reply{Status: 200, CType: ctypeBytes, Span: d, Stream: traceBody{s, d}}
 	}
 	p := pprof.Lookup(name)
 	if p == nil {
-		return adminText(404, "unknown profile")
+		return respond.Text(404, "unknown profile")
 	}
 	debug, _ := strconv.Atoi(queryValue(query, "debug"))
 	if err := p.WriteTo(&b, debug); err != nil {
-		return adminText(500, "profile "+name+": "+err.Error())
+		return respond.Text(500, "profile "+name+": "+err.Error())
 	}
 	ctype := ctypeBytes
 	if debug != 0 {
-		ctype = ctypeText
+		ctype = respond.CTypeText
 	}
-	return adminReply{status: 200, ctype: ctype, body: b.Bytes()}
+	return respond.Reply{Status: 200, CType: ctype, Body: b.Bytes()}
+}
+
+// traceBody is an execution trace over d, written as it is made.
+type traceBody struct {
+	s *Server
+	d time.Duration
+}
+
+func (t traceBody) WriteTo(w io.Writer) (int64, error) {
+	cw := &countWriter{w: w}
+	if err := trace.Start(cw); err != nil {
+		return 0, err
+	}
+	t.s.adminWait(t.d)
+	trace.Stop()
+	return cw.n, nil
+}
+
+// countWriter counts what it passes on to w.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // pprofSeconds reads ?seconds= as net/http/pprof does — absent, unparsable

@@ -14,6 +14,7 @@ import (
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/metrics"
+	"dhsketch/internal/respond"
 )
 
 // startAdmin runs a ring of one with its admin listener up, closed when the
@@ -164,7 +165,8 @@ func TestAdminCloseSevers(t *testing.T) {
 	}
 }
 
-// FuzzAdminRequest feeds arbitrary bytes to the admin request parser. It
+// FuzzAdminRequest feeds arbitrary bytes to the admin request parser,
+// respond.ReadRequest, as the admin connection reads it. It
 // must not panic; it reads no further than adminMaxHead bytes; it refuses a
 // head as too large only when the input holds that many; and what it
 // accepts is a GET-shaped request whose line, sent again, parses the same.
@@ -189,14 +191,14 @@ func FuzzAdminRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := bytes.NewReader(data)
 		br := bufio.NewReaderSize(src, adminMaxHead)
-		req, err := readAdminRequest(br)
+		req, err := respond.ReadRequest(br)
 		switch {
-		case errors.Is(err, errAdminHeadTooLarge):
+		case errors.Is(err, respond.ErrHeadTooLarge):
 			if len(data) < adminMaxHead {
 				t.Fatalf("%d bytes refused as a head over %d", len(data), adminMaxHead)
 			}
 			return
-		case errors.Is(err, errAdminBadRequest):
+		case errors.Is(err, respond.ErrBadRequest):
 			return
 		case err != nil:
 			if err != io.EOF {
@@ -207,16 +209,16 @@ func FuzzAdminRequest(f *testing.F) {
 		if read := len(data) - src.Len() - br.Buffered(); read > adminMaxHead {
 			t.Fatalf("accepted a head of %d bytes", read)
 		}
-		if req.method == "" || strings.Contains(req.method, " ") || !strings.HasPrefix(req.path, "/") ||
-			strings.ContainsAny(req.path+req.query, " \n") || strings.Contains(req.path, "?") {
+		if req.Method == "" || strings.Contains(req.Method, " ") || !strings.HasPrefix(req.Path, "/") ||
+			strings.ContainsAny(req.Path+req.Query, " \n") || strings.Contains(req.Path, "?") {
 			t.Fatalf("accepted %+v", req)
 		}
-		target := req.path
-		if req.query != "" {
-			target += "?" + req.query
+		target := req.Path
+		if req.Query != "" {
+			target += "?" + req.Query
 		}
-		again, err := readAdminRequest(bufio.NewReader(strings.NewReader(req.method + " " + target + " HTTP/1.1\r\n\r\n")))
-		if err != nil || again != req {
+		again, err := respond.ReadRequest(bufio.NewReader(strings.NewReader(req.Method + " " + target + " HTTP/1.1\r\n\r\n")))
+		if again.Close = req.Close; err != nil || again != req {
 			t.Fatalf("%+v sent again parses as %+v, %v", req, again, err)
 		}
 	})
@@ -275,5 +277,32 @@ func TestAdminScrapeZeroAlloc(t *testing.T) {
     "127.0.0.1:1"
   ]`) {
 		t.Errorf("/statusz wrote\n%s\nwant\n%s", got, want.String())
+	}
+}
+
+// TestPprofSecondsBound pins where a profile's or a trace's length is
+// refused: 600 s is the longest asked for and served; past it, by half a
+// second or by 1e9 s, the request is refused; and an absent, unparsable,
+// zero or negative length takes the endpoint's default.
+func TestPprofSecondsBound(t *testing.T) {
+	for _, tc := range []struct {
+		query string
+		want  time.Duration
+		ok    bool
+	}{
+		{"seconds=600", 600 * time.Second, true},
+		{"debug=1&seconds=0.05", 50 * time.Millisecond, true},
+		{"seconds=600.5", 0, false},
+		{"seconds=1e9", 0, false},
+		{"", 30 * time.Second, true},
+		{"seconds=", 30 * time.Second, true},
+		{"seconds=x", 30 * time.Second, true},
+		{"seconds=0", 30 * time.Second, true},
+		{"seconds=-5", 30 * time.Second, true},
+	} {
+		d, ok := pprofSeconds(tc.query, 30)
+		if ok != tc.ok || ok && d != tc.want {
+			t.Errorf("pprofSeconds(%q) = %v, %v; want %v, %v", tc.query, d, ok, tc.want, tc.ok)
+		}
 	}
 }

@@ -1,14 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
 
 	"dhsketch/internal/core"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/netdht"
+	"dhsketch/internal/respond"
 )
 
 // HandlerOptions wires the optional pieces of the HTTP surface.
@@ -25,7 +29,8 @@ type HandlerOptions struct {
 	View func() []netdht.Arc
 }
 
-// NewHandler builds the dhsd HTTP surface over f:
+// Answer is the dhsd HTTP surface over f, as a handler of
+// internal/respond's keep-alive loop (cmd/dhsd serves it):
 //
 //	GET /count?metric=NAME  — serve the metric's estimate. The body is
 //	    the canonical JSON CountResult (byte-identical to a direct
@@ -38,60 +43,127 @@ type HandlerOptions struct {
 //	    the View hook is set.
 //	GET /metrics — Prometheus exposition (when a registry was given).
 //
-// Metric names are hashed with core.MetricID, the same derivation every
-// writer uses, so dhsd serves the metrics dhsnode insert wrote.
-func NewHandler(f *Frontend, opt HandlerOptions) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/count", func(w http.ResponseWriter, r *http.Request) {
-		name := r.URL.Query().Get("metric")
-		if name == "" {
-			http.Error(w, "missing metric query parameter", http.StatusBadRequest)
-			return
+// Any other method is 405, any other path 404. NAME is decoded as
+// URL.Query().Get("metric") decodes it, and hashed with core.MetricID,
+// the same derivation every writer uses, so dhsd serves the metrics
+// dhsnode insert wrote. A cache hit for a name that needs no decoding
+// allocates nothing: its headers are built in buf, and its body is the
+// cached one.
+func Answer(f *Frontend, opt HandlerOptions) respond.Handler {
+	return func(req respond.Request, buf *bytes.Buffer) respond.Reply {
+		if req.Method != "GET" {
+			return respond.MethodNotAllowed
 		}
-		res, err := f.Count(core.MetricID(name))
-		if errors.Is(err, ErrShed) {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-			return
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		h := w.Header()
-		h.Set("Content-Type", "application/json")
-		h.Set("X-Dhs-Source", res.Source)
-		h.Set("X-Dhs-Age-Ms", strconv.FormatInt(res.Age.Milliseconds(), 10))
-		w.Write(res.Body)
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		if opt.Ping != nil {
-			if err := opt.Ping(); err != nil {
-				http.Error(w, "ring unreachable: "+err.Error(), http.StatusServiceUnavailable)
-				return
+		switch req.Path {
+		case "/count":
+			return countReply(f, req.Query, buf)
+		case "/healthz":
+			if opt.Ping != nil {
+				if err := opt.Ping(); err != nil {
+					return errorReply(503, "ring unreachable: "+err.Error())
+				}
+			}
+			return respond.Reply{Status: 200, CType: respond.CTypeText, Body: okBody}
+		case "/statusz":
+			doc := struct {
+				Stats
+				RingView []netdht.Arc `json:"ring_view,omitempty"`
+			}{Stats: f.Stats()}
+			if opt.View != nil {
+				doc.RingView = opt.View()
+			}
+			enc := json.NewEncoder(buf)
+			enc.SetIndent("", "  ")
+			enc.Encode(doc)
+			return respond.Reply{Status: 200, CType: ctypeJSON, Body: buf.Bytes()}
+		case "/metrics":
+			if opt.Metrics != nil {
+				opt.Metrics.WritePrometheus(buf)
+				return respond.Reply{Status: 200, CType: "text/plain; version=0.0.4; charset=utf-8", Body: buf.Bytes()}
 			}
 		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte("ok\n"))
-	})
-	mux.HandleFunc("/statusz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		doc := struct {
-			Stats
-			RingView []netdht.Arc `json:"ring_view,omitempty"`
-		}{Stats: f.Stats()}
-		if opt.View != nil {
-			doc.RingView = opt.View()
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(doc)
-	})
-	if opt.Metrics != nil {
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			opt.Metrics.WritePrometheus(w)
-		})
+		return errorReply(404, "404 page not found")
 	}
-	return mux
+}
+
+const ctypeJSON = "application/json"
+
+var (
+	okBody = []byte("ok\n")
+	// http.Error's header, on every error reply.
+	nosniff    = []byte("X-Content-Type-Options: nosniff\r\n")
+	shedHeader = []byte("Retry-After: 1\r\nX-Content-Type-Options: nosniff\r\n")
+)
+
+// countReply answers /count with the query string query, building its
+// headers in buf.
+func countReply(f *Frontend, query string, buf *bytes.Buffer) respond.Reply {
+	name := queryGet(query, "metric")
+	if name == "" {
+		return errorReply(400, "missing metric query parameter")
+	}
+	res, err := f.Count(core.MetricID(name))
+	if errors.Is(err, ErrShed) {
+		rep := errorReply(429, err.Error())
+		rep.Header = shedHeader
+		return rep
+	}
+	if err != nil {
+		return errorReply(502, err.Error())
+	}
+	buf.WriteString("X-Dhs-Source: ")
+	buf.WriteString(res.Source)
+	buf.WriteString("\r\nX-Dhs-Age-Ms: ")
+	buf.Write(strconv.AppendInt(buf.AvailableBuffer(), res.Age.Milliseconds(), 10))
+	buf.WriteString("\r\n")
+	return respond.Reply{Status: 200, CType: ctypeJSON, Header: buf.Bytes(), Body: res.Body}
+}
+
+// errorReply is the reply http.Error writes.
+func errorReply(status int, msg string) respond.Reply {
+	rep := respond.Text(status, msg)
+	rep.Header = nosniff
+	return rep
+}
+
+// queryGet is url.ParseQuery(query).Get(key) without the map: the first
+// value of key among the pairs that decode, decoded, and "" if there is
+// none. url.QueryUnescape returns a string that needs no decoding as it
+// is, so a plain name allocates nothing.
+func queryGet(query, key string) string {
+	for query != "" {
+		var kv string
+		kv, query, _ = strings.Cut(query, "&")
+		if strings.Contains(kv, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(kv, "=")
+		k, err1 := url.QueryUnescape(k)
+		v, err2 := url.QueryUnescape(v)
+		if err1 == nil && err2 == nil && k == key {
+			return v
+		}
+	}
+	return ""
+}
+
+// NewHandler is Answer through net/http: the same replies, written with
+// http.ResponseWriter. It is the reference the responder's answers are
+// held to (TestAnswerParity), and what bench/rungs.go times.
+func NewHandler(f *Frontend, opt HandlerOptions) http.Handler {
+	answer := Answer(f, opt)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var buf bytes.Buffer
+		rep := answer(respond.Request{Method: r.Method, Path: r.URL.Path, Query: r.URL.RawQuery}, &buf)
+		h := w.Header()
+		h.Set("Content-Type", rep.CType)
+		for lines := string(rep.Header); lines != ""; {
+			var line string
+			line, lines, _ = strings.Cut(lines, "\r\n")
+			name, value, _ := strings.Cut(line, ": ")
+			h.Set(name, value)
+		}
+		w.WriteHeader(rep.Status)
+		w.Write(rep.Body)
+	})
 }

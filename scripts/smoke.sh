@@ -407,6 +407,26 @@ if ! awk -v b="$wire_bytes" -v p="$exchanges" 'BEGIN { exit !(p > 0 && b <= 12 *
 fi
 echo "   hot-set window: $split"
 
+# A cache hit allocates nothing end to end (DESIGN.md §16): dhsd's
+# keep-alive responder reads the head and writes the reply in its
+# connection's buffers, and the engine answers from the cache. Over the
+# hot-set window dhsd's heap still grows by what its few fan-outs, the
+# dhsload connections' setup and the closing scrape allocate, which over
+# tens of thousands of hits reads a few bytes a hit; net/http's server
+# allocated about 2 KB a request. HIT_ALLOC_BOUND sits between the two.
+HIT_ALLOC_BOUND=256
+hit_alloc=$(awk -v a0="$(metric_value "$LOGDIR/metrics-dhsd-warm.prom" go_heap_allocs_bytes)" \
+    -v a1="$(metric_value "$LOGDIR/metrics-dhsd.prom" go_heap_allocs_bytes)" \
+    -v h0="$(metric_value "$LOGDIR/metrics-dhsd-warm.prom" 'dhsd_cache_requests_total{result="hit"}')" \
+    -v h1="$(metric_value "$LOGDIR/metrics-dhsd.prom" 'dhsd_cache_requests_total{result="hit"}')" \
+    'BEGIN { if (h1 > h0) printf "%.0f %.0f", (a1 - a0) / (h1 - h0), h1 - h0; else print "-1 0" }')
+read -r per_hit window_hits <<<"$hit_alloc"
+if [ "$per_hit" -lt 0 ] || [ "$per_hit" -gt "$HIT_ALLOC_BOUND" ]; then
+    echo "== dhsd allocated $per_hit heap bytes a cache hit over $window_hits hot-set hits, want at most $HIT_ALLOC_BOUND" >&2
+    exit 1
+fi
+echo "   hot-set window: $per_hit heap bytes allocated a cache hit over $window_hits hits"
+
 hits=$(metric_value "$LOGDIR/metrics-dhsd.prom" 'dhsd_cache_requests_total{result="hit"}')
 if [ "${hits%.*}" -eq 0 ]; then
     echo "== dhsd served a Zipf-hot workload with zero cache hits" >&2
