@@ -92,7 +92,7 @@ func runServe(args []string) {
 	stabilize := fs.Int64("stabilize-every", 1, "stabilize round period, in ticks")
 	fixFingers := fs.Int64("fix-fingers-every", 1, "fix-fingers round period, in ticks")
 	checkPred := fs.Int64("check-pred-every", 2, "check-predecessor round period, in ticks")
-	admin := fs.String("admin", "", "admin listen address answering HTTP GETs of /metrics, /healthz, /statusz and /debug/pprof/, one per connection (empty: disabled)")
+	admin := fs.String("admin", "", "admin listen address answering HTTP GETs of /metrics, /healthz, /statusz and /debug/pprof/ on kept-alive connections (empty: disabled)")
 	quiet := fs.Bool("quiet", false, "suppress structured operational log lines (startup and fatal messages still print)")
 	fs.Parse(args)
 

@@ -8,9 +8,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"dhsketch/internal/chord"
+	"dhsketch/internal/dht"
+	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
 )
 
@@ -116,5 +119,74 @@ func TestJoinersServeNewInsertions(t *testing.T) {
 	}
 	if e := math.Abs(est.Value-40000) / 40000; e > 0.6 {
 		t.Errorf("error %.3f after joins", e)
+	}
+}
+
+// TestRepairKeepsExpiry: a tuple stored with expiry E, which RepairFunc
+// copies to a successor its holder's list gained after a crash, keeps E in
+// the copy. So repair never extends a lifetime: the copy lives through E as
+// the original does, and is gone with it one tick later.
+func TestRepairKeepsExpiry(t *testing.T) {
+	const ttl = 1000
+	env := sim.NewEnv(31)
+	ring := chord.NewStabilizing(env, 16, chord.ProtocolConfig{SuccListLen: 2})
+	d, err := New(Config{Overlay: ring, Env: env, M: 32, Kind: sketch.KindSuperLogLog, TTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repair := d.RepairFunc()
+	gained := map[dht.Node][]dht.Node{}
+	ring.SetRepair(func(n dht.Node, added []dht.Node) {
+		gained[n] = append(gained[n], added...)
+		repair(n, added)
+	})
+	env.Clock.Advance(10)
+	if _, err := d.Insert(MetricID("repair/expiry"), ItemID("x")); err != nil {
+		t.Fatal(err)
+	}
+	expiry := env.Clock.Now() + ttl
+	var holder dht.Node
+	for _, n := range ring.Nodes() {
+		if st := storeIfPresent(n); st != nil && st.Len(env.Clock.Now()) > 0 {
+			holder = n
+		}
+	}
+	if holder == nil {
+		t.Fatal("no node holds the inserted tuple")
+	}
+	want := storeIfPresent(holder).Entries(env.Clock.Now())
+	if len(want) != 1 || want[0].Expiry != expiry {
+		t.Fatalf("holder stores %+v, want one tuple expiring at %d", want, expiry)
+	}
+
+	succ, err := ring.Successor(holder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring.Crash(succ)
+	for i := 0; i < 64 && len(gained[holder]) == 0; i++ {
+		env.Clock.Advance(8)
+		ring.Step()
+	}
+	if len(gained[holder]) == 0 {
+		t.Fatal("the holder's list gained no successor after its successor crashed")
+	}
+	if env.Clock.Now() >= expiry {
+		t.Fatalf("repair ran at tick %d, not before the expiry %d", env.Clock.Now(), expiry)
+	}
+	for _, g := range gained[holder] {
+		st := storeIfPresent(g)
+		if st == nil {
+			t.Fatalf("gained successor %016x got no copy", g.ID())
+		}
+		if got := st.Entries(expiry); !reflect.DeepEqual(got, want) {
+			t.Errorf("gained successor %016x holds %+v at tick %d, want the holder's %+v", g.ID(), got, expiry, want)
+		}
+		if got := st.Entries(expiry + 1); len(got) != 0 {
+			t.Errorf("gained successor %016x still holds %+v past the expiry", g.ID(), got)
+		}
+	}
+	if got := storeIfPresent(holder).Entries(expiry + 1); len(got) != 0 {
+		t.Errorf("holder still holds %+v past the expiry", got)
 	}
 }

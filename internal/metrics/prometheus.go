@@ -22,16 +22,8 @@ import (
 // and written to w a few KiB at a time. A daemon that has not reached its
 // first collection keeps every byte a scrape would leave behind.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	_, err := r.WriteTo(w)
-	return err
-}
-
-// WriteTo is WritePrometheus as an io.WriterTo, which also returns the
-// bytes written: the form a reply body that is written as it is made takes
-// (internal/respond).
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	if r == nil {
-		return 0, nil
+		return nil
 	}
 	order, buf := r.startScrape()
 	e := expo{w: w, buf: buf}
@@ -46,15 +38,14 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	}
 	e.flush()
 	r.endScrape(e.buf)
-	return e.n, e.err
+	return e.err
 }
 
-// expo is one scrape in progress: the lines not yet written to w, the
-// bytes written, and the first error writing them.
+// expo is one scrape in progress: the lines not yet written to w, and the
+// first error writing them.
 type expo struct {
 	w   io.Writer
 	buf []byte
-	n   int64
 	err error
 }
 
@@ -64,9 +55,7 @@ const expoChunk = 4 << 10
 // flush writes what has gathered; after an error it writes nothing more.
 func (e *expo) flush() {
 	if e.err == nil && len(e.buf) > 0 {
-		var n int
-		n, e.err = e.w.Write(e.buf)
-		e.n += int64(n)
+		_, e.err = e.w.Write(e.buf)
 	}
 	e.buf = e.buf[:0]
 }

@@ -1,10 +1,8 @@
 package netdht
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -57,7 +55,7 @@ func (s *Server) Status() Status {
 
 // status fills st with the server's snapshot. It keeps st's successor
 // array and, while the node's identifier reads the same, its ID string:
-// /statusz fills the Status of a pooled admin buffer, and allocates nothing.
+// /statusz fills one Status again and again, and allocates nothing.
 func (s *Server) status(st *Status) {
 	var id [16]byte
 	for i, v := len(id)-1, s.ID(); i >= 0; i, v = i-1, v>>4 {
@@ -110,32 +108,22 @@ func (s *Server) Healthy() (bool, string) {
 }
 
 // The admin listener speaks the subset of HTTP/1.1 its readers use — curl,
-// Prometheus, `go tool pprof`, `dhsnode status`: one GET per connection,
-// answered and closed (DESIGN.md §15), over internal/respond's head reader
-// and reply writer. Its bounds (conndeadline and wirebounds invariants,
-// DESIGN.md §10): a request's head arrives within adminReadTimeout and in at
-// most adminMaxHead bytes, or is answered 431; a reply is written within
-// adminWriteTimeout, plus the seconds a trace was asked to run; a profile
-// or a trace runs at most adminMaxSeconds. The timeouts are variables, not
-// constants, so tests can shrink them.
+// Prometheus, `go tool pprof`, `dhsnode status` — on internal/respond's
+// keep-alive loop, which holds its head and write bounds (DESIGN.md §15). A
+// profile or a trace runs at most adminMaxSeconds; a trace's reply is given
+// that long past the loop's write deadline.
 const (
-	adminMaxHead    = respond.MaxHead
 	adminMaxSeconds = 600
 	// adminMaxReply caps what AdminGet reads of a reply.
 	adminMaxReply = 1 << 20
 )
 
-var (
-	adminReadTimeout  = 5 * time.Second
-	adminWriteTimeout = 30 * time.Second
-)
-
 // StartAdmin binds an HTTP listener at listen serving the operational
 // endpoints — /metrics (Prometheus text exposition of reg), /healthz,
 // /statusz (JSON Status), and /debug/pprof/ — and ties its lifetime to
-// the server: Close shuts the admin listener and every admin connection
-// down and waits for them. Must be called before Close; returns the
-// bound address.
+// the server: Close ends a profile or a trace in flight, shuts the admin
+// listener and every admin connection down, and waits for them. Must be
+// called before Close; returns the bound address.
 func (s *Server) StartAdmin(listen string, reg *metrics.Registry) (string, error) {
 	select {
 	case <-s.quit:
@@ -146,131 +134,75 @@ func (s *Server) StartAdmin(listen string, reg *metrics.Registry) (string, error
 	if err != nil {
 		return "", fmt.Errorf("netdht: admin listen %s: %w", listen, err)
 	}
-	s.wg.Add(1)
-	go s.serveAdmin(ln, reg) // returns once the watcher closes ln
-	s.wg.Add(1)
+	srv := respond.NewServer(s.adminHandler(reg))
+	s.wg.Add(2)
+	go func() {
+		defer s.wg.Done()
+		srv.Serve(ln) // returns once the watcher closes srv
+	}()
 	go func() {
 		defer s.wg.Done()
 		<-s.quit
-		ln.Close()
+		srv.Close()
 	}()
 	addr := ln.Addr().String()
 	s.logKV("admin-listening", "addr", addr)
 	return addr, nil
 }
 
-// serveAdmin is the admin accept loop. Its connections are tracked with
-// the ring's, so Close severs an idle or a half-answered one with the rest.
-func (s *Server) serveAdmin(ln net.Listener, reg *metrics.Registry) {
-	defer s.wg.Done()
-	for {
-		c, err := ln.Accept()
-		if err != nil || !s.trackConn(c) {
-			return
-		}
-		s.wg.Add(1)
-		go s.serveAdminConn(c, reg)
-	}
+// statusz is the /statusz document and the encoder it is written with,
+// shared by the admin connections under mu: a node below the runtime's
+// first collection keeps every byte it allocates resident, and the
+// benchmark polls /statusz many times.
+type statusz struct {
+	mu   sync.Mutex
+	st   Status
+	json bytes.Buffer
+	enc  *json.Encoder
 }
 
-// serveAdminConn answers the one request of an admin connection. A client
-// that sends no whole head in time, or hangs up, gets no answer.
-func (s *Server) serveAdminConn(c net.Conn, reg *metrics.Registry) {
-	defer s.wg.Done()
-	defer s.dropConn(c)
-	b := adminBufPool.Get().(*adminBufs)
-	defer b.release()
-	b.r.Reset(c)
-	b.w.Reset(c)
-	if c.SetReadDeadline(time.Now().Add(adminReadTimeout)) != nil {
-		return
-	}
-	req, err := respond.ReadRequest(b.r)
-	var rep respond.Reply
-	switch {
-	case errors.Is(err, respond.ErrHeadTooLarge):
-		rep = respond.Text(431, "request header fields too large")
-	case errors.Is(err, respond.ErrBadRequest):
-		rep = respond.Text(400, "bad request")
-	case err != nil:
-		return
-	default:
-		rep = s.adminAnswer(adminRequest{req.Method, req.Path, req.Query}, reg, b)
-	}
-	if writeAdminReply(c, b.w, rep) == nil {
-		respond.Drain(c, adminReadTimeout)
-	}
-}
-
-// adminBufs are an admin connection's read and write buffers, and the
-// /statusz document with the buffer and encoder it is written with, pooled:
-// a node below the runtime's first collection keeps every byte it
-// allocates resident, and the benchmark polls /statusz many times.
-type adminBufs struct {
-	r      *bufio.Reader
-	w      *bufio.Writer
-	status Status
-	json   bytes.Buffer
-	enc    *json.Encoder
-}
-
-var adminBufPool = sync.Pool{New: func() any {
-	b := &adminBufs{r: bufio.NewReaderSize(nil, adminMaxHead), w: bufio.NewWriter(nil)}
-	b.enc = json.NewEncoder(&b.json)
-	b.enc.SetIndent("", "  ")
-	return b
-}}
-
-// release returns b to the pool, holding on to no connection.
-func (b *adminBufs) release() {
-	b.r.Reset(nil)
-	b.w.Reset(nil)
-	adminBufPool.Put(b)
-}
-
-// adminRequest is what the responder keeps of a request: its method, and
-// its target split into path and query string.
-type adminRequest struct {
-	method, path, query string
+// write encodes s's status and appends it to buf.
+func (z *statusz) write(s *Server, buf *bytes.Buffer) {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	s.status(&z.st)
+	z.json.Reset()
+	z.enc.Encode(&z.st)
+	buf.Write(z.json.Bytes())
 }
 
 const ctypeBytes = "application/octet-stream"
 
-// writeAdminReply sends rep on c through bw, which writes to c, and asks
-// the client to close.
-func writeAdminReply(c net.Conn, bw *bufio.Writer, rep respond.Reply) error {
-	if err := c.SetWriteDeadline(time.Now().Add(rep.Span + adminWriteTimeout)); err != nil {
-		return err
-	}
-	return respond.WriteReply(bw, rep, true)
-}
-
-// adminAnswer routes a well-formed request to its endpoint. A /statusz
-// reply is built in b and valid until b is released.
-func (s *Server) adminAnswer(req adminRequest, reg *metrics.Registry, b *adminBufs) respond.Reply {
-	if req.method != "GET" {
-		return respond.MethodNotAllowed
-	}
-	switch req.path {
-	case "/metrics":
-		return respond.Reply{Status: 200, CType: "text/plain; version=0.0.4; charset=utf-8", Stream: reg}
-	case "/healthz":
-		if ok, msg := s.Healthy(); !ok {
-			return respond.Text(503, msg)
+// adminHandler answers the admin endpoints. /metrics and /statusz are
+// built in the connection's buffer and allocate nothing once it is warm.
+func (s *Server) adminHandler(reg *metrics.Registry) respond.Handler {
+	z := &statusz{}
+	z.enc = json.NewEncoder(&z.json)
+	z.enc.SetIndent("", "  ")
+	return func(req respond.Request, buf *bytes.Buffer) respond.Reply {
+		if req.Method != "GET" {
+			return respond.MethodNotAllowed
 		}
-		return respond.Text(200, "ok")
-	case "/statusz":
-		s.status(&b.status)
-		b.json.Reset()
-		b.enc.Encode(&b.status)
-		return respond.Reply{Status: 200, CType: "application/json", Body: b.json.Bytes()}
-	case "/debug/pprof":
-		return s.pprofAnswer("", req.query)
+		switch req.Path {
+		case "/metrics":
+			reg.WritePrometheus(buf)
+			return respond.Reply{Status: 200, CType: "text/plain; version=0.0.4; charset=utf-8", Body: buf.Bytes()}
+		case "/healthz":
+			if ok, msg := s.Healthy(); !ok {
+				return respond.Text(503, msg)
+			}
+			return respond.Text(200, "ok")
+		case "/statusz":
+			z.write(s, buf)
+			return respond.Reply{Status: 200, CType: "application/json", Body: buf.Bytes()}
+		case "/debug/pprof":
+			return s.pprofAnswer("", req.Query)
+		}
+		if name, ok := strings.CutPrefix(req.Path, "/debug/pprof/"); ok {
+			return s.pprofAnswer(name, req.Query)
+		}
+		return respond.Text(404, "404 page not found")
 	}
-	if name, ok := strings.CutPrefix(req.path, "/debug/pprof/"); ok {
-		return s.pprofAnswer(name, req.query)
-	}
-	return respond.Text(404, "404 page not found")
 }
 
 // pprofAnswer serves what `go tool pprof` fetches: the named runtime/pprof

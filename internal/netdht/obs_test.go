@@ -272,6 +272,86 @@ func TestHealthzPartitioned(t *testing.T) {
 	}
 }
 
+// TestReseedIsPredecessor kills every successor of a server and runs its
+// rounds. A daemon has no oracle, so its list is reseeded from its
+// predecessor (tcpPeers.Reseed); with no predecessor either, the node is
+// partitioned — /healthz answers 503 — until a notify arrives, and healthy
+// after it.
+func TestReseedIsPredecessor(t *testing.T) {
+	if testing.Short() {
+		t.Skip("network-heavy")
+	}
+	for _, tc := range []struct {
+		name       string
+		killPred   bool
+		wantHealth int
+	}{
+		{"known predecessor", false, 200},
+		{"no predecessor", true, 503},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(t, sim.NewEnv(5), 8)
+			servers := c.Servers()
+			s, pred, before := servers[0], servers[len(servers)-1], servers[len(servers)-2]
+			admin, err := s.StartAdmin("127.0.0.1:0", nil)
+			if err != nil {
+				t.Fatalf("StartAdmin: %v", err)
+			}
+			health := func() (int, string) {
+				t.Helper()
+				code, body, err := AdminGet(admin, "/healthz", 2*time.Second)
+				if err != nil {
+					t.Fatalf("GET /healthz: %v", err)
+				}
+				return code, string(body)
+			}
+			nb := s.Protocol().Neighbors()
+			if nb.Pred.ID != pred.ID() || len(nb.Succ) < 2 {
+				t.Fatalf("seeded neighbours %+v, want predecessor %s and a list", nb, pred.Addr())
+			}
+			for _, sc := range nb.Succ {
+				for _, o := range servers {
+					if o.ID() == sc.ID {
+						c.Crash(o)
+					}
+				}
+			}
+			if tc.killPred {
+				c.Crash(pred)
+				s.round(chord.RoundCheckPred)
+			}
+			s.round(chord.RoundStabilize)
+			succ, ok := s.Protocol().Successor()
+			if code, body := health(); code != tc.wantHealth {
+				t.Fatalf("/healthz = %d %q after the successors died, want %d", code, body, tc.wantHealth)
+			}
+			if !tc.killPred {
+				if !ok || succ.ID != pred.ID() {
+					t.Errorf("reseeded successor %+v, %v; want the predecessor %s", succ, ok, pred.Addr())
+				}
+				return
+			}
+			if ok {
+				t.Fatalf("successor %+v with no predecessor to reseed from", succ)
+			}
+			s.round(chord.RoundStabilize)
+			s.round(chord.RoundCheckPred)
+			if code, body := health(); code != 503 || !strings.Contains(body, "partitioned") {
+				t.Fatalf("/healthz = %d %q before any notify, want 503 partitioned", code, body)
+			}
+			// The live node before the dead predecessor skips it, stabilizes
+			// on s and notifies it.
+			before.round(chord.RoundStabilize)
+			if code, body := health(); code != 200 {
+				t.Errorf("/healthz = %d %q after a notify, want 200", code, body)
+			}
+			if succ, ok := s.Protocol().Successor(); !ok || succ.ID != before.ID() {
+				t.Errorf("successor %+v, %v after the notify; want the notifier %s", succ, ok, before.Addr())
+			}
+		})
+	}
+}
+
 // TestLogKV pins the structured log line format: event first, fields
 // in call order, values quoted only when they would break key=value
 // tokenization.

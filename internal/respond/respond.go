@@ -1,17 +1,17 @@
 // Package respond is the HTTP/1.x responder both daemons serve on instead
-// of net/http: a request-head reader and a reply writer, which dhsnode's
-// admin listener (internal/netdht) answers one request a connection with,
-// and a keep-alive connection loop, which dhsd answers its queries with.
-// It speaks the subset its clients send — curl, Prometheus, `go tool
-// pprof`, Go's http.Client: a request head with an origin-form target and
-// no body — and once a connection's buffers are warm it allocates nothing
-// to read a head or write a reply (DESIGN.md §15, §16).
+// of net/http: a keep-alive connection loop, Server, which dhsnode's admin
+// listener (internal/netdht) and dhsd answer every request with, over one
+// request-head reader and one reply writer. It speaks the subset its
+// clients send — curl, Prometheus, `go tool pprof`, Go's http.Client: a
+// request head with an origin-form target and no body — and once a
+// connection's reused buffers are warm it allocates nothing to read a head
+// or write a reply (DESIGN.md §15, §16).
 //
-// Its bounds are constants (conndeadline and wirebounds invariants,
-// DESIGN.md §10): a head is at most MaxHead bytes, or is answered 431; on a
-// keep-alive connection it arrives within HeadTimeout of its first byte
-// (of the accept, for the first), an idle connection waits for its next
-// request without a deadline, and a reply is written within WriteTimeout.
+// Its bounds are fixed (conndeadline and wirebounds invariants, DESIGN.md
+// §10): a head is at most MaxHead bytes, or is answered 431; it arrives
+// within 5 s of its first byte (of the accept, for the first on a
+// connection), an idle connection waits for its next request without a
+// deadline, and a reply is written within 30 s, plus its Span.
 package respond
 
 import (
@@ -29,8 +29,8 @@ import (
 const MaxHead = 8 << 10
 
 var (
-	ErrBadRequest   = errors.New("respond: malformed request")
-	ErrHeadTooLarge = errors.New("respond: request head too large")
+	errBadRequest   = errors.New("respond: malformed request")
+	errHeadTooLarge = errors.New("respond: request head too large")
 )
 
 // Request is what the responder keeps of a request head: its method, and
@@ -44,17 +44,17 @@ type Request struct {
 	Close bool
 }
 
-// ReadRequest reads one request head from r: an HTTP/1.0 or 1.1 request
+// readRequest reads one request head from r: an HTTP/1.0 or 1.1 request
 // line with an origin-form target, then header lines up to the empty line,
 // each checked for a field name and kept only for what sets Close. It
 // consumes the head and nothing after it. A head longer than MaxHead is
-// ErrHeadTooLarge, one that is not HTTP/1.x is ErrBadRequest, and any other
+// errHeadTooLarge, one that is not HTTP/1.x is errBadRequest, and any other
 // error is r's own.
 //
 // The head is parsed where it lies in r's buffer, with each line read once;
 // offsets into the unread bytes stay valid while more arrive, because r
 // moves them to the front of its buffer only together.
-func ReadRequest(r *bufio.Reader) (Request, error) {
+func readRequest(r *bufio.Reader) (Request, error) {
 	var req Request
 	var method, target [2]int // offsets of the method and the target
 	for n := 0; ; {
@@ -65,7 +65,7 @@ func ReadRequest(r *bufio.Reader) (Request, error) {
 				break
 			}
 			if n+i+1 > MaxHead {
-				return Request{}, ErrHeadTooLarge
+				return Request{}, errHeadTooLarge
 			}
 			line := strings.TrimSuffix(view(buf[n:n+i]), "\r")
 			switch {
@@ -74,7 +74,7 @@ func ReadRequest(r *bufio.Reader) (Request, error) {
 				t, proto, ok2 := strings.Cut(rest, " ")
 				if !ok1 || !ok2 || m == "" || !strings.HasPrefix(t, "/") ||
 					proto != "HTTP/1.0" && proto != "HTTP/1.1" {
-					return Request{}, ErrBadRequest
+					return Request{}, errBadRequest
 				}
 				method = [2]int{0, len(m)}
 				target = [2]int{len(m) + 1, len(m) + 1 + len(t)}
@@ -87,18 +87,18 @@ func ReadRequest(r *bufio.Reader) (Request, error) {
 			default:
 				name, value, ok := strings.Cut(line, ":")
 				if !ok || name == "" {
-					return Request{}, ErrBadRequest
+					return Request{}, errBadRequest
 				}
 				req.Close = req.Close || endsConn(name, strings.TrimSpace(value))
 			}
 			n += i + 1
 		}
 		if len(buf) >= MaxHead {
-			return Request{}, ErrHeadTooLarge
+			return Request{}, errHeadTooLarge
 		}
 		if _, err := r.Peek(len(buf) + 1); err != nil {
 			if errors.Is(err, bufio.ErrBufferFull) {
-				return Request{}, ErrHeadTooLarge
+				return Request{}, errHeadTooLarge
 			}
 			return Request{}, err
 		}
@@ -165,10 +165,10 @@ var statusText = map[int]string{
 	503: "Service Unavailable",
 }
 
-// WriteReply writes rep through w and flushes it. With close, the head says
+// writeReply writes rep through w and flushes it. With close, the head says
 // `Connection: close`; a Stream reply must be closed after, as nothing else
 // ends its body. Setting the write deadline is the caller's.
-func WriteReply(w *bufio.Writer, rep Reply, close bool) error {
+func writeReply(w *bufio.Writer, rep Reply, close bool) error {
 	w.WriteString("HTTP/1.1 ")
 	w.Write(strconv.AppendInt(w.AvailableBuffer(), int64(rep.Status), 10))
 	w.WriteByte(' ')
@@ -192,11 +192,11 @@ func WriteReply(w *bufio.Writer, rep Reply, close bool) error {
 	return w.Flush()
 }
 
-// Drain half-closes c after its last reply and reads what the client still
+// drain half-closes c after its last reply and reads what the client still
 // sends, for at most d: closing with unread request bytes in the socket
 // would reset the connection, and a reset can discard the reply before the
 // client reads it.
-func Drain(c net.Conn, d time.Duration) {
+func drain(c net.Conn, d time.Duration) {
 	if tc, ok := c.(*net.TCPConn); ok && tc.CloseWrite() == nil &&
 		c.SetReadDeadline(time.Now().Add(d)) == nil {
 		io.Copy(io.Discard, io.LimitReader(c, MaxHead))

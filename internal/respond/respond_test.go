@@ -15,12 +15,13 @@ import (
 
 // FuzzReadRequest feeds arbitrary bytes to the head reader, seeded with the
 // raw requests the admin listener's conformance test sends
-// (TestAdminResponder) and with pipelined pairs. It must not panic; it
-// consumes no more than MaxHead bytes, whatever it returns; it refuses a
-// head as too large only when the input holds more than MaxHead bytes; and a
-// head it accepts parses the same again from a reader fed one byte at a
-// time, which moves the unread bytes in its buffer as they arrive, and
-// consumes exactly that head, up to its empty line.
+// (TestAdminResponder), with what curl and `go tool pprof` send, and with
+// pipelined pairs. It must not panic; it consumes no more than MaxHead
+// bytes, whatever it returns; it refuses a head as too large only when the
+// input holds more than MaxHead bytes; and a head it accepts parses the same
+// again from a reader fed one byte at a time, which moves the unread bytes
+// in its buffer as they arrive, consumes exactly that head, up to its empty
+// line, and has a request line that, sent again alone, parses the same.
 func FuzzReadRequest(f *testing.F) {
 	for _, seed := range []string{
 		"GET /healthz HTTP/1.0\r\n\r\n",
@@ -39,24 +40,34 @@ func FuzzReadRequest(f *testing.F) {
 		"GET /count?metric=x HTTP/1.1\nHost: x\n\nGET /statusz HTTP/1.0\n\n",
 		"GET /metrics HTTP/1.1\r\n" + strings.Repeat("X: y\r\n", MaxHead/6) + "\r\n",
 		"",
+		"GET /metrics HTTP/1.1\r\nHost: localhost:9001\r\nUser-Agent: curl/8\r\nAccept: */*\r\n\r\n",
+		"GET /debug/pprof/profile?seconds=30 HTTP/1.1\r\nAccept-Encoding: gzip\r\n\r\n",
+		"POST /metrics HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi",
+		"GET /statusz HTTP/1.1\nHost: x\n\n",
+		"GET http://x/ HTTP/1.1\r\n\r\n",
+		"GET / HTTP/2.0\r\n\r\n",
+		"GET /  HTTP/1.1\r\n\r\n",
+		"GET /metrics HTTP/1.1\r\nX: " + strings.Repeat("a", MaxHead) + "\r\n\r\n",
+		"GET /metrics HTTP/1.1\r\nno colon\r\n\r\n",
+		"GET /metrics HTTP/1.1\r\n",
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := bytes.NewReader(data)
 		br := bufio.NewReaderSize(src, MaxHead)
-		req, err := ReadRequest(br)
+		req, err := readRequest(br)
 		read := len(data) - src.Len() - br.Buffered()
 		if read > MaxHead {
 			t.Fatalf("consumed %d bytes, over %d", read, MaxHead)
 		}
 		switch {
-		case errors.Is(err, ErrHeadTooLarge):
+		case errors.Is(err, errHeadTooLarge):
 			if len(data) < MaxHead {
 				t.Fatalf("%d bytes refused as a head over %d", len(data), MaxHead)
 			}
 			return
-		case errors.Is(err, ErrBadRequest):
+		case errors.Is(err, errBadRequest):
 			return
 		case err != nil:
 			if err != io.EOF {
@@ -72,12 +83,20 @@ func FuzzReadRequest(f *testing.F) {
 			t.Fatalf("accepted %+v", req)
 		}
 		slow := bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(data)), MaxHead)
-		again, err := ReadRequest(slow)
+		again, err := readRequest(slow)
 		if err != nil || again != req {
 			t.Fatalf("%+v read a byte at a time is %+v, %v", req, again, err)
 		}
 		if rest, _ := io.ReadAll(slow); !bytes.Equal(rest, data[read:]) {
 			t.Fatalf("a byte at a time left %q, want %q", rest, data[read:])
+		}
+		target := req.Path
+		if req.Query != "" {
+			target += "?" + req.Query
+		}
+		line, err := readRequest(bufio.NewReader(strings.NewReader(req.Method + " " + target + " HTTP/1.1\r\n\r\n")))
+		if line.Close = req.Close; err != nil || line != req {
+			t.Fatalf("%+v sent again parses as %+v, %v", req, line, err)
 		}
 	})
 }
@@ -95,7 +114,7 @@ func TestReadRequestClose(t *testing.T) {
 		{"GET / HTTP/1.1\r\nContent-Length: 2\r\n\r\n", true},
 		{"GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", true},
 	} {
-		req, err := ReadRequest(bufio.NewReader(strings.NewReader(tc.head)))
+		req, err := readRequest(bufio.NewReader(strings.NewReader(tc.head)))
 		if err != nil || req.Close != tc.close {
 			t.Errorf("%q: Close = %v, %v; want %v", tc.head, req.Close, err, tc.close)
 		}
@@ -164,6 +183,27 @@ func TestServerKeepAlive(t *testing.T) {
 				t.Errorf("trailing %q", rest)
 			}
 		})
+	}
+}
+
+// TestServerDropsSilentClient: a client that sends nothing is hung up on at
+// the head deadline, unanswered.
+func TestServerDropsSilentClient(t *testing.T) {
+	saved := headTimeout
+	headTimeout = 100 * time.Millisecond
+	// Cleanups run last first: this one after serveEcho's Close, when no
+	// connection goroutine is left to read the deadline.
+	t.Cleanup(func() { headTimeout = saved })
+	addr, _ := serveEcho(t)
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(c)
+	if err != nil || len(got) != 0 {
+		t.Errorf("silent client read %q, %v; want a hang-up and nothing sent", got, err)
 	}
 }
 

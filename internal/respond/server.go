@@ -9,17 +9,16 @@ import (
 	"time"
 )
 
-const (
-	// HeadTimeout bounds a head from its first byte, as http.Server's
-	// ReadHeaderTimeout does.
-	HeadTimeout = 5 * time.Second
-	// WriteTimeout bounds writing a reply.
-	WriteTimeout = 30 * time.Second
-)
+// headTimeout bounds a head from its first byte, as http.Server's
+// ReadHeaderTimeout does. It is a variable so a test can shrink it.
+var headTimeout = 5 * time.Second
 
-// A Handler answers one request. The reply may be built in buf, which is
-// the connection's own and is reset before each request; the request's
-// strings are valid until the reply is written.
+// writeTimeout bounds writing a reply.
+const writeTimeout = 30 * time.Second
+
+// A Handler answers one request. The reply may be built in buf, which the
+// connection holds until it ends and which is reset before each request;
+// the request's strings are valid until the reply is written.
 type Handler func(req Request, buf *bytes.Buffer) Reply
 
 // Server answers requests with one Handler on keep-alive connections, one
@@ -108,43 +107,75 @@ func (s *Server) serveConn(c net.Conn) {
 		s.mu.Unlock()
 		c.Close()
 	}()
-	br := bufio.NewReaderSize(c, MaxHead)
-	bw := bufio.NewWriter(c)
-	var buf bytes.Buffer
+	var b *connBufs
+	select {
+	case b = <-freeBufs:
+	default:
+		b = &connBufs{r: bufio.NewReaderSize(nil, MaxHead), w: bufio.NewWriter(nil)}
+	}
+	defer b.release()
+	b.r.Reset(c)
+	b.w.Reset(c)
 	for first := true; ; first = false {
 		if !first {
 			// Idle between requests: no deadline until the next one starts.
 			if c.SetReadDeadline(time.Time{}) != nil {
 				return
 			}
-			if _, err := br.Peek(1); err != nil {
+			if _, err := b.r.Peek(1); err != nil {
 				return
 			}
 		}
-		if c.SetReadDeadline(time.Now().Add(HeadTimeout)) != nil {
+		if c.SetReadDeadline(time.Now().Add(headTimeout)) != nil {
 			return
 		}
-		req, err := ReadRequest(br)
+		req, err := readRequest(b.r)
 		var rep Reply
 		switch {
-		case errors.Is(err, ErrHeadTooLarge):
+		case errors.Is(err, errHeadTooLarge):
 			rep, req.Close = Text(431, "request header fields too large"), true
-		case errors.Is(err, ErrBadRequest):
+		case errors.Is(err, errBadRequest):
 			rep, req.Close = Text(400, "bad request"), true
 		case err != nil:
 			return
 		default:
-			buf.Reset()
-			rep = s.h(req, &buf)
+			b.buf.Reset()
+			rep = s.h(req, &b.buf)
 		}
 		end := req.Close || rep.Stream != nil
-		if c.SetWriteDeadline(time.Now().Add(WriteTimeout+rep.Span)) != nil ||
-			WriteReply(bw, rep, end) != nil {
+		if c.SetWriteDeadline(time.Now().Add(writeTimeout+rep.Span)) != nil ||
+			writeReply(b.w, rep, end) != nil {
 			return
 		}
 		if end {
-			Drain(c, HeadTimeout)
+			drain(c, headTimeout)
 			return
 		}
+	}
+}
+
+// connBufs are a connection's read and write buffers and the buffer its
+// replies are built in.
+type connBufs struct {
+	r   *bufio.Reader
+	w   *bufio.Writer
+	buf bytes.Buffer
+}
+
+// freeBufs holds the buffers of ended connections for the next ones: a
+// daemon below its first collection keeps all it allocates, and a scraper
+// that opens a connection a scrape would pay each time for all three, the
+// reply buffer grown to a /metrics body. A channel, not a sync.Pool, which
+// keeps what a P put back for that P; eight is more connections than any
+// client of the daemons holds open at once.
+var freeBufs = make(chan *connBufs, 8)
+
+// release hands b to the next connection, holding on to no connection.
+func (b *connBufs) release() {
+	b.r.Reset(nil)
+	b.w.Reset(nil)
+	select {
+	case freeBufs <- b:
+	default:
 	}
 }
