@@ -1,13 +1,18 @@
 package netdht
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
 	"net"
+	"net/http"
+	"path/filepath"
 	"runtime/trace"
+	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -158,6 +163,111 @@ func TestAdminCloseSevers(t *testing.T) {
 			t.Errorf("%s connection not closed by Close: %v", name, err)
 		}
 	}
+}
+
+// FuzzAdminRequest sends arbitrary bytes to the admin handler on respond's
+// loop, as a client that then half-closes. The node is closed first, so a
+// profile or a trace ends at once instead of waiting out its seconds, and
+// the listener is a Unix socket, which leaves no TIME_WAIT behind each input
+// as loopback TCP does. It must not panic; the connection ends; what comes
+// back is a run of HTTP/1.1 replies; the first is 431 only when the input
+// holds MaxHead bytes; and a first request the loop accepted is answered
+// the same when its request line is sent again alone. FuzzReadRequest holds
+// the head reader's own properties.
+func FuzzAdminRequest(f *testing.F) {
+	for _, seed := range []string{
+		"GET /metrics HTTP/1.1\r\nHost: localhost:9001\r\nUser-Agent: curl/8\r\nAccept: */*\r\n\r\n",
+		"GET /healthz HTTP/1.0\r\n\r\n",
+		"GET /debug/pprof/profile?seconds=30 HTTP/1.1\r\nAccept-Encoding: gzip\r\n\r\n",
+		"POST /metrics HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi",
+		"GET /statusz HTTP/1.1\nHost: x\n\n",
+		"GET http://x/ HTTP/1.1\r\n\r\n",
+		"GET / HTTP/2.0\r\n\r\n",
+		"GET /  HTTP/1.1\r\n\r\n",
+		"GET /metrics HTTP/1.1\r\nX: " + strings.Repeat("a", respond.MaxHead) + "\r\n\r\n",
+		"GET /metrics HTTP/1.1\r\n" + strings.Repeat("X: y\r\n", respond.MaxHead/6) + "\r\n",
+		"GET /metrics HTTP/1.1\r\nno colon\r\n\r\n",
+		"GET /metrics HTTP/1.1\r\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	reg := metrics.New()
+	s, err := NewServer("127.0.0.1:0", obsOptions(reg, nil))
+	if err != nil {
+		f.Fatalf("NewServer: %v", err)
+	}
+	s.Close()
+	ln, err := net.Listen("unix", filepath.Join(f.TempDir(), "admin"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := respond.NewServer(s.adminHandler(reg))
+	go srv.Serve(ln)
+	f.Cleanup(srv.Close)
+
+	// exchange sends raw, half-closes, and reads until the loop closes. A
+	// loop that closes with bytes unread resets a Unix socket's peer after
+	// the bytes it wrote, so a reset ends the replies as EOF does.
+	exchange := func(t *testing.T, raw []byte) []byte {
+		c, err := net.Dial("unix", ln.Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer c.Close()
+		if err := c.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			if _, err := c.Write(raw); err == nil {
+				c.(*net.UnixConn).CloseWrite()
+			}
+		}()
+		got, err := io.ReadAll(c)
+		c.Close()
+		<-sent
+		if err != nil && !errors.Is(err, syscall.ECONNRESET) {
+			t.Fatalf("read %.80q: %v (the listener did not end the connection)", got, err)
+		}
+		return got
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got := exchange(t, data)
+		first := 0
+		for br := bufio.NewReader(bytes.NewReader(got)); ; {
+			if _, err := br.Peek(1); err == io.EOF {
+				break
+			}
+			rep, err := http.ReadResponse(br, nil)
+			if err != nil {
+				t.Fatalf("reply %.200q: %v", got, err)
+			}
+			_, err = io.Copy(io.Discard, rep.Body)
+			if rep.Body.Close(); err != nil || rep.Proto != "HTTP/1.1" {
+				t.Fatalf("reply %.200q: %s, %v", got, rep.Proto, err)
+			}
+			if first == 0 {
+				first = rep.StatusCode
+			}
+		}
+		switch first {
+		case 0, 400:
+			return
+		case 431:
+			if len(data) < respond.MaxHead {
+				t.Fatalf("%d bytes refused as a head over %d", len(data), respond.MaxHead)
+			}
+			return
+		}
+		line, _, _ := bytes.Cut(data, []byte("\n"))
+		again := exchange(t, append(bytes.TrimSuffix(line, []byte("\r")), "\r\nConnection: close\r\n\r\n"...))
+		if want := "HTTP/1.1 " + strconv.Itoa(first) + " "; !bytes.HasPrefix(again, []byte(want)) {
+			t.Fatalf("%q answered %d, and alone %.40q", line, first, again)
+		}
+	})
 }
 
 // TestAdminScrapeZeroAlloc pins what an admin scrape costs past its
