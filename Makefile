@@ -51,7 +51,8 @@ smoke:
 # bench runs the go-test benchmarks — the root hot-path benchmarks of
 # perf_bench_test.go, the simulator rungs under the sim_scan workload
 # (internal/chord's lookup on both rings, internal/core's insert, refresh
-# and count), internal/chord's ring construction at N = 1024 and 10240
+# and count, and BenchmarkInsertLoaded's insert at sim_scan's load shape,
+# one metric at a time and rotating), internal/chord's ring construction at N = 1024 and 10240
 # (BenchmarkNew, with its allocated bytes), internal/faultdht's route through the fault layer (the path
 # E12F's counting passes take), the internal/store probe-reply micro-benchmarks,
 # the internal/netdht uncached-count, many-metric-count and insert rungs

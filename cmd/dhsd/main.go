@@ -104,7 +104,11 @@ func main() {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		srv.Serve(ln) // returns once Close closes ln
+		// Serve returns nil once Close closes ln, and an error only when
+		// the listener fails for good.
+		if err := srv.Serve(ln); err != nil {
+			log.Printf("dhsd: serving on %s ended: %v", ln.Addr(), err)
+		}
 	}()
 	log.Printf("serving estimates on %s (ring entry %s, cache-ttl %v, coalesce %v)",
 		ln.Addr(), *entry, *cacheTTL, !*noCoalesce)

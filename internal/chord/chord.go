@@ -33,14 +33,15 @@ func dist(a, b uint64) uint64 { return b - a }
 // the simulated rings' nodes and netdht.Server, which embeds one. Its
 // liveness and application pointer are atomics: the counting surface
 // reads both without holding a lock while protocol rounds and crash-stop
-// injection mutate them. Its routing state is a Machine.
+// injection mutate them. Its routing state is a Machine. What a routed
+// hop reads comes first, so a hop touches few of the node's cache lines.
 type Node struct {
 	id       uint64
-	name     string
 	alive    atomic.Bool
-	app      atomic.Pointer[appBox]
 	counters dht.Counters
+	app      atomic.Pointer[appBox]
 	proto    Machine
+	name     string
 }
 
 // appBox wraps the application state so a nil interface is storable in
@@ -48,11 +49,12 @@ type Node struct {
 type appBox struct{ v any }
 
 // Init makes n a live ring of one: identifier id, hashed from name,
-// reached by its transport at addr, its protocol state guarded by mu
-// (see Machine). Construction only: no peer may reach n yet.
-func (n *Node) Init(id uint64, name, addr string, cfg ProtocolConfig, mu sync.Locker) {
+// reached by its transport at addr, its protocol state guarded by mu, or
+// by its ring when mu is nil (see Machine). Construction only: no peer
+// may reach n yet.
+func (n *Node) Init(id uint64, name, addr string, cfg ProtocolConfig, mu *sync.Mutex) {
 	n.id, n.name = id, name
-	n.proto = Machine{self: Ref{ID: id, Addr: addr}, cfg: cfg.withDefaults(), mu: mu}
+	n.proto = Machine{self: Ref{ID: id, Addr: addr}, cfg: cfg.withDefaults(), mu: hostMutex{mu}}
 	n.alive.Store(true)
 }
 
@@ -88,21 +90,16 @@ func (n *Node) Counters() *dht.Counters { return &n.counters }
 // Protocol returns the node's protocol state machine.
 func (n *Node) Protocol() *Machine { return &n.proto }
 
-// ringLocked is the per-node lock of a simulated node: none. Each ring
-// orders every access to protocol state itself — StabilizingRing with
-// its RWMutex, Ring by never changing membership while anything routes.
-type ringLocked struct{}
-
-func (ringLocked) Lock()   {}
-func (ringLocked) Unlock() {}
-
 // newNode creates a live node from name, with an identifier m does not
 // hold yet, and splices it into m. Its self Ref carries the node itself,
-// which is how the in-memory transport reaches it. Caller holds m's write
-// lock or is constructing the ring.
+// which is how the in-memory transport reaches it. Its machine has no
+// mutex: each ring orders every access to protocol state itself —
+// StabilizingRing with its RWMutex, Ring by never changing membership
+// while anything routes. Caller holds m's write lock or is constructing
+// the ring.
 func newNode(m *Membership[*Node], name string) *Node {
 	n := new(Node)
-	n.Init(m.NewID(name), name, name, m.cfg, ringLocked{})
+	n.Init(m.NewID(name), name, name, m.cfg, nil)
 	n.proto.self.mem = n
 	m.Add(n)
 	return n
@@ -182,6 +179,11 @@ func (r *Ring) Lookup(key uint64) (dht.Node, int, error) {
 	return rt.Node, rt.Hops, err
 }
 
+// RandomNode returns a uniformly chosen live node, drawn like
+// Membership's without its read lock: the membership never changes while
+// anything draws.
+func (r *Ring) RandomNode() dht.Node { return r.m.draw() }
+
 // RouteFrom routes from src to the owner of key. It is Machine.Route
 // with every candidate answering: on converged state the first candidate
 // of each node is its next hop, so the loop asks for one and moves
@@ -194,18 +196,25 @@ func (r *Ring) RouteFrom(src dht.Node, key uint64) (dht.Route, error) {
 	if !cur.Alive() {
 		return dht.Route{}, dht.ErrNodeDown
 	}
-	hops := 0
+	// id is cur's identifier as the Ref that led to cur carries it, and a
+	// hop is counted after cur's state is read: the slot a hop reads is
+	// then known before any of cur's memory arrives, and no atomic add
+	// stands between the loads of one hop.
+	hops, id := 0, cur.id
 	for {
-		c, deliver, own := cur.proto.candidate(&cursor{}, key, dist(cur.id, key))
+		c, deliver, own := cur.proto.candidate(&cursor{}, key, dist(id, key))
+		if hops > 0 {
+			cur.counters.AddRouted()
+		}
 		if own {
 			return dht.Route{Node: cur, Hops: hops}, nil
 		}
 		if !c.Valid() || hops >= maxRouteHops {
 			return dht.Route{Hops: hops}, dht.ErrNoRoute
 		}
-		cur, hops = c.mem, hops+1
-		cur.counters.AddRouted()
+		cur, id, hops = c.mem, c.ID, hops+1
 		if deliver {
+			cur.counters.AddRouted()
 			return dht.Route{Node: cur, Hops: hops}, nil
 		}
 	}

@@ -5,24 +5,41 @@ import (
 	"slices"
 )
 
-// fingerTable is a node's 64 finger entries stored as runs: slot i holds
-// refs[k], where k+1 is the number of run starts at or below i. Entry i
-// targets self+2^i, so on a ring of N nodes all but ≈ log₂ N of the
-// entries repeat a neighbour, and a table holds its distinct fingers
-// rather than 64 copies of a few. Two adjacent runs never hold the same
-// Ref. The zero value is a table whose every entry is the zero Ref.
+// fingerTop is how many of the highest slots a table keeps one entry a
+// slot, inside itself and so inside its node. A route reads the slot
+// below the key's distance, so a hop finds the address of its finger from
+// the key and the node's identifier alone, and waits for one line of the
+// node rather than for its run starts first. On a ring of N nodes the top
+// ≈ log₂ N slots hold the distinct fingers: slots 52–63 at N = 1024.
+const fingerTop = 12
+
+// lowSlots is the number of slots below the top ones.
+const lowSlots = fingerBits - fingerTop
+
+// fingerTable is a node's 64 finger entries. Entry i targets self+2^i, so
+// on a ring of N nodes all but ≈ log₂ N of the entries repeat a
+// neighbour: below the top slots the table keeps runs of equal entries,
+// one Ref a run, rather than a Ref a slot. Two adjacent runs never hold the
+// same Ref. The zero value is a table whose every entry is the zero Ref.
 type fingerTable struct {
 	starts uint64 // bit i set: slot i begins a run
-	refs   []Ref  // one per run, in slot order
+	// top[j] is entry fingerBits-1-j; low holds the runs that begin below
+	// the top slots, in slot order, so slot i < lowSlots is low[k] where
+	// k+1 is the number of run starts at or below i.
+	top [fingerTop]Ref
+	low []Ref
 }
 
 // fill makes every entry r.
 func (t *fingerTable) fill(r Ref) {
-	t.starts, t.refs = 1, []Ref{r}
+	var a [fingerBits]Ref
+	for i := range a {
+		a[i] = r
+	}
+	t.load(&a)
 }
 
-// load replaces the table with the entries of a, allocating exactly one
-// Ref per run.
+// load replaces the table with the entries of a.
 func (t *fingerTable) load(a *[fingerBits]Ref) {
 	var starts uint64 = 1
 	for i := 1; i < fingerBits; i++ {
@@ -30,11 +47,14 @@ func (t *fingerTable) load(a *[fingerBits]Ref) {
 			starts |= 1 << i
 		}
 	}
-	refs := make([]Ref, 0, bits.OnesCount64(starts))
-	for s := starts; s != 0; s &= s - 1 {
-		refs = append(refs, a[bits.TrailingZeros64(s)])
+	t.starts = starts
+	for j := range t.top {
+		t.top[j] = a[fingerBits-1-j]
 	}
-	t.starts, t.refs = starts, refs
+	t.low = t.low[:0]
+	for s := starts & (1<<lowSlots - 1); s != 0; s &= s - 1 {
+		t.low = append(t.low, a[bits.TrailingZeros64(s)])
+	}
 }
 
 // expand returns the table as 64 entries.
@@ -51,44 +71,34 @@ func (t *fingerTable) get(i int) (r Ref, first int) {
 	if below == 0 {
 		return Ref{}, 0
 	}
-	return t.refs[bits.OnesCount64(below)-1], bits.Len64(below) - 1
+	if i >= lowSlots {
+		return t.top[fingerBits-1-i], bits.Len64(below) - 1
+	}
+	return t.low[bits.OnesCount64(below)-1], bits.Len64(below) - 1
 }
 
-// set makes entry i r, splitting the run that held it and merging equal
-// neighbours, and reports whether the entry changed.
-func (t *fingerTable) set(i int, r Ref) bool {
-	if len(t.refs) == 0 {
-		t.fill(Ref{})
+// find returns the first entry is accepts.
+func (t *fingerTable) find(is func(Ref) bool) (Ref, bool) {
+	if t.starts == 0 {
+		return Ref{}, false
 	}
-	bit := uint64(1) << uint(i)
-	below := t.starts & (2*bit - 1)
-	k := bits.OnesCount64(below) - 1
-	old := t.refs[k]
-	if old == r {
+	if i := slices.IndexFunc(t.low, is); i >= 0 {
+		return t.low[i], true
+	}
+	if i := slices.IndexFunc(t.top[:], is); i >= 0 {
+		return t.top[i], true
+	}
+	return Ref{}, false
+}
+
+// set makes entry i r, rebuilding the table around it, and reports
+// whether the entry changed.
+func (t *fingerTable) set(i int, r Ref) bool {
+	if old, _ := t.get(i); old == r {
 		return false
 	}
-	first := t.starts&bit != 0
-	last := i == fingerBits-1 || t.starts&(bit<<1) != 0
-	switch {
-	case first && last:
-		t.refs[k] = r
-	case first: // r takes the run's first slot, old keeps the rest
-		t.refs = slices.Insert(t.refs, k, r)
-	case last: // old keeps the run up to i, r takes its last slot
-		k++
-		t.refs = slices.Insert(t.refs, k, r)
-	default: // r splits the run in two
-		k++
-		t.refs = slices.Insert(t.refs, k, r, old)
-	}
-	t.starts |= bit | bit<<1 // bit<<1 is 0 past the last slot
-	if k+1 < len(t.refs) && t.refs[k+1] == r {
-		t.refs = slices.Delete(t.refs, k+1, k+2)
-		t.starts &^= bit << 1
-	}
-	if k > 0 && t.refs[k-1] == r {
-		t.refs = slices.Delete(t.refs, k, k+1)
-		t.starts &^= bit
-	}
+	a := t.expand()
+	a[i] = r
+	t.load(&a)
 	return true
 }

@@ -11,8 +11,9 @@ import (
 	"dhsketch/internal/sim"
 )
 
-// checkTable fails unless t holds exactly the entries of want, as runs
-// no two adjacent of which are equal.
+// checkTable fails unless t holds exactly the entries of want, its run
+// starts mark exactly where an entry differs from the one below, and the
+// heap holds one Ref for each run that starts below the top slots.
 func checkTable(tb testing.TB, step string, t *fingerTable, want *[fingerBits]Ref) {
 	tb.Helper()
 	if got := t.expand(); got != *want {
@@ -27,16 +28,16 @@ func checkTable(tb testing.TB, step string, t *fingerTable, want *[fingerBits]Re
 			tb.Fatalf("%s: get(%d) = %v from slot %d, want %v from slot %d", step, i, r, f, want[i], first)
 		}
 	}
-	if len(t.refs) == 0 {
+	if t.starts == 0 {
 		return
 	}
-	if t.starts&1 == 0 || bits.OnesCount64(t.starts) != len(t.refs) {
-		tb.Fatalf("%s: starts %064b for %d runs", step, t.starts, len(t.refs))
-	}
-	for k := 1; k < len(t.refs); k++ {
-		if t.refs[k] == t.refs[k-1] {
-			tb.Fatalf("%s: runs %d and %d both hold %v", step, k-1, k, t.refs[k])
+	for i := range want {
+		if start := t.starts&(1<<i) != 0; start != (i == 0 || want[i] != want[i-1]) {
+			tb.Fatalf("%s: starts %064b marks slot %d wrongly", step, t.starts, i)
 		}
+	}
+	if n := bits.OnesCount64(t.starts & (1<<lowSlots - 1)); len(t.low) != n {
+		tb.Fatalf("%s: %d low runs for %d run starts below the top slots", step, len(t.low), n)
 	}
 }
 

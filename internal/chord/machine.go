@@ -13,7 +13,8 @@
 //
 // Locking: a Machine's mutex guards its own fields and is never held
 // across a Peers call — every procedure snapshots, unlocks, calls, then
-// relocks to write (dhslint's lockrpc checks this).
+// relocks to write (dhslint's lockrpc checks this). The simulated rings
+// order every access themselves and give their machines no mutex.
 package chord
 
 import (
@@ -93,36 +94,66 @@ type Peers interface {
 // Machine is one ring member's protocol state machine: predecessor,
 // successor list (ring order, possibly stale), finger table and
 // fix-fingers cursor. The successor list is replaced, never edited in
-// place, so a slice read under the lock stays valid after unlocking.
+// place, so a slice read under the lock stays valid after unlocking; only
+// Seed, which no route or round runs beside, writes its seeded array
+// again. The seeded list, while it fits, and the top finger slots live
+// inside the Machine, so a route reads one node's memory and goes straight
+// to the next.
 type Machine struct {
 	self Ref
-	cfg  ProtocolConfig
 
 	// mu guards the fields below. The host supplies it: a server's own
-	// mutex, or nothing where a coarser lock already orders every access.
-	mu         sync.Locker
+	// mutex, or nil where the ring already orders every access.
+	mu         hostMutex
 	pred       Ref
 	succ       []Ref
-	fingers    fingerTable
+	seeded     [1]Ref // succ's array after Seed, while it fits
 	nextFinger int
+	fingers    fingerTable
+	cfg        ProtocolConfig
 }
 
+// hostMutex is a Machine's lock: the host's mutex, or none. Its Lock and
+// Unlock make it a sync.Locker, which dhslint's lockrpc follows.
+type hostMutex struct{ mu *sync.Mutex }
+
+func (h hostMutex) Lock() {
+	if h.mu != nil {
+		h.mu.Lock()
+	}
+}
+
+func (h hostMutex) Unlock() {
+	if h.mu != nil {
+		unlock(h.mu)
+	}
+}
+
+// unlock is kept out of line so that hostMutex.Unlock inlines: a machine
+// without a mutex then pays one test, not a call.
+//
+//go:noinline
+func unlock(mu *sync.Mutex) { mu.Unlock() }
+
 // NewMachine returns a ring of one: no predecessor, no successors. mu
-// guards the state; the machine never holds it across a Peers call.
-func NewMachine(self Ref, cfg ProtocolConfig, mu sync.Locker) *Machine {
-	return &Machine{self: self, cfg: cfg.withDefaults(), mu: mu}
+// guards the state, or is nil when the caller orders every access; the
+// machine never holds it across a Peers call.
+func NewMachine(self Ref, cfg ProtocolConfig, mu *sync.Mutex) *Machine {
+	return &Machine{self: self, cfg: cfg.withDefaults(), mu: hostMutex{mu}}
 }
 
 // Self returns the node's own reference.
 func (n *Machine) Self() Ref { return n.self }
 
 // Seed installs protocol state directly — how a ring is constructed
-// already converged.
+// already converged, and how Ring repairs it. The successor list goes
+// into the machine's own array when it fits, so nothing may hold a list
+// an earlier call returned: no route or protocol round runs beside Seed.
 func (n *Machine) Seed(pred Ref, succ []Ref, fingers [fingerBits]Ref) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.pred = pred
-	n.succ = slices.Clone(succ)
+	n.succ = append(n.seeded[:0:len(n.seeded)], succ...)
 	n.fingers.load(&fingers)
 }
 
@@ -188,12 +219,10 @@ func (n *Machine) Known(id uint64, addr []byte) (Ref, bool) {
 	if is(n.pred) {
 		return n.pred, true
 	}
-	for _, list := range [2][]Ref{n.succ, n.fingers.refs} {
-		if i := slices.IndexFunc(list, is); i >= 0 {
-			return list[i], true
-		}
+	if i := slices.IndexFunc(n.succ, is); i >= 0 {
+		return n.succ[i], true
 	}
-	return Ref{}, false
+	return n.fingers.find(is)
 }
 
 // listBehind appends to dst this node's successor list from successor s
@@ -270,14 +299,15 @@ type cursor struct{ phase, i int }
 func (n *Machine) candidate(cur *cursor, key, dKey uint64) (c Ref, deliver, own bool) {
 	self := n.self.ID
 	n.mu.Lock()
-	defer n.mu.Unlock()
 	if cur.phase == 0 {
 		if cur.i == 0 {
 			if dKey == 0 || len(n.succ) == 0 {
+				n.mu.Unlock()
 				return Ref{}, false, true
 			}
 			if p := n.pred; p.Valid() && p.ID != self {
 				if d := dist(p.ID, key); d > 0 && d <= dist(p.ID, self) {
+					n.mu.Unlock()
 					return Ref{}, false, true
 				}
 			}
@@ -286,6 +316,7 @@ func (n *Machine) candidate(cur *cursor, key, dKey uint64) (c Ref, deliver, own 
 			sc := n.succ[cur.i]
 			cur.i++
 			if sc.ID != self && dKey <= dist(self, sc.ID) {
+				n.mu.Unlock()
 				return sc, true, false
 			}
 		}
@@ -299,6 +330,7 @@ func (n *Machine) candidate(cur *cursor, key, dKey uint64) (c Ref, deliver, own 
 		for cur.i--; cur.i >= 0; cur.i-- {
 			f, first := n.fingers.get(cur.i)
 			if f.Valid() && f.ID != self && dist(self, f.ID) < dKey {
+				n.mu.Unlock()
 				return f, false, false
 			}
 			cur.i = first
@@ -309,9 +341,11 @@ func (n *Machine) candidate(cur *cursor, key, dKey uint64) (c Ref, deliver, own 
 		sc := n.succ[cur.i]
 		cur.i++
 		if sc.ID != self && dist(self, sc.ID) < dKey {
+			n.mu.Unlock()
 			return sc, false, false
 		}
 	}
+	n.mu.Unlock()
 	return Ref{}, false, false
 }
 

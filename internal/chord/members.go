@@ -272,6 +272,12 @@ func (m *Membership[N]) Nodes() []dht.Node {
 func (m *Membership[N]) RandomNode() dht.Node {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	return m.draw()
+}
+
+// draw is RandomNode's draw. Caller holds mu, or orders every membership
+// change against it as Ring does.
+func (m *Membership[N]) draw() dht.Node {
 	if len(m.live) == 0 {
 		return nil
 	}

@@ -33,6 +33,9 @@ type Geometry struct {
 	TrimmedScan bool
 
 	logM uint // derived by NewGeometry
+	// vectorIDs[v] == v, built by NewGeometry: Place hands a one-item
+	// group to its Placer as a window of it, without allocating.
+	vectorIDs []int32
 }
 
 // NewGeometry validates the layout and returns it ready for use.
@@ -57,6 +60,10 @@ func NewGeometry(g Geometry) (Geometry, error) {
 	}
 	if g.ShiftBits > 0 && g.ShiftBits >= g.MaxBit() {
 		return Geometry{}, fmt.Errorf("core: shift %d leaves no usable bit positions", g.ShiftBits)
+	}
+	g.vectorIDs = make([]int32, g.M)
+	for v := range g.vectorIDs {
+		g.vectorIDs[v] = int32(v)
 	}
 	return g, nil
 }

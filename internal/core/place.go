@@ -12,7 +12,8 @@ import (
 // simulated overlays and the TCP ring.
 type Placer interface {
 	// Store makes one attempt to store metric's vectors — distinct,
-	// ascending, valid during the call — at bit on the owner of target.
+	// ascending, valid during the call and not to be written — at bit on
+	// the owner of target.
 	Store(metric uint64, bit uint, target uint64, vectors []int32) error
 	// Wait is the linear backoff before a group's attempt-th retry.
 	Wait(attempt int)
@@ -30,8 +31,16 @@ var groupBufs = sync.Pool{New: func() any { return new([]int32) }}
 // placement stays uniform, and the draw sidesteps a failed node — and each
 // after the first behind Wait(attempt). A group whose attempts all fail
 // ends the batch with its last failure: unlike counting, insertion has
-// nothing partial worth returning.
+// nothing partial worth returning. One item, the common insertion, is its
+// own group and needs neither the buffer nor the sort.
 func (g *Geometry) Place(p Placer, rng *rand.Rand, metric uint64, items []uint64, retries int) error {
+	if len(items) == 1 {
+		vector, bit := g.Split(items[0])
+		if !g.Stored(bit) {
+			return nil
+		}
+		return g.placeGroup(p, rng, metric, bit, g.vectorIDs[vector:vector+1], retries)
+	}
 	buf := groupBufs.Get().(*[]int32)
 	defer groupBufs.Put(buf)
 	// A key is bit<<16 | vector (NewGeometry bounds m by 16 bits), so one
@@ -56,14 +65,20 @@ func (g *Geometry) Place(p Placer, rng *rand.Rand, metric uint64, items []uint64
 		for i := range group {
 			group[i] &= 1<<16 - 1
 		}
-		err := p.Store(metric, bit, g.Target(rng, bit), group)
-		for attempt := 1; err != nil && attempt <= retries; attempt++ {
-			p.Wait(attempt)
-			err = p.Store(metric, bit, g.Target(rng, bit), group)
-		}
-		if err != nil {
+		if err := g.placeGroup(p, rng, metric, bit, group, retries); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// placeGroup gives one group its up to retries+1 attempts, each at a fresh
+// target, and returns the last failure if every attempt failed.
+func (g *Geometry) placeGroup(p Placer, rng *rand.Rand, metric uint64, bit uint, group []int32, retries int) error {
+	err := p.Store(metric, bit, g.Target(rng, bit), group)
+	for attempt := 1; err != nil && attempt <= retries; attempt++ {
+		p.Wait(attempt)
+		err = p.Store(metric, bit, g.Target(rng, bit), group)
+	}
+	return err
 }

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 
+	"dhsketch/internal/chord"
+	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
 )
 
@@ -133,5 +135,101 @@ func TestPlaceContract(t *testing.T) {
 				t.Errorf("Place = %v, want the failure of store call %d", got, tc.err)
 			}
 		})
+	}
+}
+
+// TestPlaceOneMatchesBatch: Place of one item, which skips the grouping
+// buffer and the sort, does what the grouped path does given that item
+// twice. Over a scripted seam it makes the same calls at the same targets,
+// through retries and an exhausted group; over twin rings, as InsertFrom
+// and BulkInsertFrom, it leaves the same tuples on the same nodes at the
+// same cost. Either way the random stream ends where the grouped path's
+// does.
+func TestPlaceOneMatchesBatch(t *testing.T) {
+	t.Run("scripted", func(t *testing.T) {
+		g, err := NewGeometry(Geometry{IDBits: 64, K: 16, M: 16, Kind: sketch.KindSuperLogLog})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fail := range [][]int{nil, {0, 1}, {0, 1, 2}} {
+			for x := uint64(0); x < 200; x++ {
+				id := x*0x9e3779b97f4a7c15 + 1
+				var calls [2][]string
+				var errs [2]error
+				var next [2]uint64
+				for i, items := range [][]uint64{{id}, {id, id}} {
+					p := &scriptedPlacer{fail: map[int]bool{}}
+					for _, n := range fail {
+						p.fail[n] = true
+					}
+					rng := rand.New(rand.NewPCG(4, x))
+					errs[i] = g.Place(p, rng, 9, items, 2)
+					calls[i], next[i] = p.calls, rng.Uint64()
+				}
+				if !reflect.DeepEqual(calls[0], calls[1]) || (errs[0] == nil) != (errs[1] == nil) || next[0] != next[1] {
+					t.Fatalf("fail %v item %x: one item made %q (%v), the batch %q (%v)", fail, id, calls[0], errs[0], calls[1], errs[1])
+				}
+			}
+		}
+	})
+	t.Run("ring", func(t *testing.T) {
+		var ds [2]*DHS
+		for i := range ds {
+			env := sim.NewEnv(3)
+			d, err := New(Config{Overlay: chord.New(env, 64), Env: env, M: 16, Kind: sketch.KindSuperLogLog, Replication: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds[i] = d
+		}
+		metric := MetricID("one")
+		for x := 0; x < 300; x++ {
+			id := ItemID(fmt.Sprintf("one-%d", x))
+			one, err := ds[0].InsertFrom(ds[0].overlay.Nodes()[5], metric, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := ds[1].BulkInsertFrom(ds[1].overlay.Nodes()[5], metric, []uint64{id, id})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if one != batch {
+				t.Fatalf("item %d: InsertFrom cost %+v, the batch %+v", x, one, batch)
+			}
+		}
+		for i, n := range ds[0].overlay.Nodes() {
+			a, b := n.App(), ds[1].overlay.Nodes()[i].App()
+			if (a == nil) != (b == nil) {
+				t.Fatalf("node %d: one side holds a store, the other none", i)
+			}
+			if a != nil && !reflect.DeepEqual(a.(*Store).Keys(0), b.(*Store).Keys(0)) {
+				t.Fatalf("node %d holds other tuples", i)
+			}
+		}
+		if a, b := ds[0].rng.Uint64(), ds[1].rng.Uint64(); a != b {
+			t.Errorf("the handles' streams parted: next draws %x and %x", a, b)
+		}
+	})
+}
+
+// TestInsertZeroAlloc: an untraced InsertFrom of an item already stored
+// allocates nothing (DESIGN.md §12). Each insertion stores the tuple on a
+// random node of its interval, so the item is first stored until every
+// node there holds it.
+func TestInsertZeroAlloc(t *testing.T) {
+	env := sim.NewEnv(1)
+	ring := chord.New(env, 64)
+	d, err := New(Config{Overlay: ring, Env: env, M: 64, Kind: sketch.KindSuperLogLog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, metric, id := ring.Nodes()[0], MetricID("zero"), ItemID("zero-1")
+	for i := 0; i < 2000; i++ {
+		if _, err := d.InsertFrom(src, metric, id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() { d.InsertFrom(src, metric, id) }); n != 0 {
+		t.Errorf("InsertFrom of a stored item allocated %.1f/op, want 0", n)
 	}
 }

@@ -25,7 +25,8 @@ import (
 // package that imports it, so following concrete callees alone would
 // leave "no peer call under the node's lock" unchecked there.
 // Phase two tracks Lock/RLock→Unlock/RUnlock intervals per canonical
-// mutex expression inside each function of a matched package (a
+// mutex expression — a sync mutex, or any type that is a sync.Locker —
+// inside each function of a matched package (a
 // deferred unlock extends the interval to the function's end) and
 // reports one diagnostic per interval that covers a netio call, at the
 // Lock call — so a single //dhslint:allow lockrpc(reason) on the Lock
@@ -184,15 +185,15 @@ func markNetIOInterfaces(pass *Pass, ifaces, impls []*types.Named) bool {
 }
 
 // mutexMethod resolves call to a sync.Mutex/sync.RWMutex method — or
-// the same method through a sync.Locker — returning the canonical mutex
-// expression and the method name.
+// the same method through a sync.Locker, or of a type that is one —
+// returning the canonical mutex expression and the method name.
 func mutexMethod(info *types.Info, call *ast.CallExpr) (canon, name string, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
 		return "", "", false
 	}
 	f, _ := info.Uses[sel.Sel].(*types.Func)
-	if f == nil || !recvNamed(f, "sync", "Mutex", "RWMutex", "Locker") {
+	if f == nil || !recvNamed(f, "sync", "Mutex", "RWMutex", "Locker") && !lockerMethod(f) {
 		return "", "", false
 	}
 	switch f.Name() {
@@ -200,6 +201,31 @@ func mutexMethod(info *types.Info, call *ast.CallExpr) (canon, name string, ok b
 		return types.ExprString(sel.X), f.Name(), true
 	}
 	return "", "", false
+}
+
+// lockerMethod reports whether f is a method of a concrete type that is a
+// sync.Locker: a wrapper around a mutex, such as one that may hold none,
+// locks like the mutex it wraps.
+func lockerMethod(f *types.Func) bool {
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	ms := types.NewMethodSet(types.NewPointer(t))
+	for _, name := range []string{"Lock", "Unlock"} {
+		m := ms.Lookup(nil, name)
+		if m == nil {
+			return false
+		}
+		if s := m.Obj().Type().(*types.Signature); s.Params().Len() != 0 || s.Results().Len() != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // lockEvent is one Lock/Unlock/netio occurrence, ordered by position.

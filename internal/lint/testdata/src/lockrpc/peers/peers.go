@@ -24,7 +24,24 @@ func (mem) Name() string      { return "mem" }
 type node struct {
 	mu   sync.Mutex
 	lk   sync.Locker
+	opt  optMutex
 	pred string
+}
+
+// optMutex is a mutex the host may leave out; its methods make it a
+// sync.Locker, so a call to them locks like the mutex it wraps.
+type optMutex struct{ mu *sync.Mutex }
+
+func (o optMutex) Lock() {
+	if o.mu != nil {
+		o.mu.Lock()
+	}
+}
+
+func (o optMutex) Unlock() {
+	if o.mu != nil {
+		o.mu.Unlock()
+	}
 }
 
 // badHeld keeps the node's lock across the peer call: a dead peer would
@@ -40,6 +57,21 @@ func (n *node) badLocker(p Peers) {
 	n.lk.Lock() // want `held across network I/O`
 	p.Ping(n.pred)
 	n.lk.Unlock()
+}
+
+// badWrapped is the same mistake through a wrapper that is a sync.Locker.
+func (n *node) badWrapped(p Peers) {
+	n.opt.Lock() // want `held across network I/O`
+	p.Ping(n.pred)
+	n.opt.Unlock()
+}
+
+// goodWrapped releases the wrapper before the call.
+func (n *node) goodWrapped(p Peers) {
+	n.opt.Lock()
+	pred := n.pred
+	n.opt.Unlock()
+	p.Ping(pred)
 }
 
 // goodSnapshot is the discipline: snapshot, unlock, call, relock.

@@ -152,7 +152,13 @@ func sum64Block(blk *[BlockSize]byte, n int) uint64 {
 }
 
 // block folds one 64-byte block into the state s: RFC 1320's three rounds
-// of sixteen steps, unrolled with their constant rotations.
+// of sixteen steps, unrolled with their constant rotations. Each step waits
+// on the word the step before computed, which is the round function's first
+// operand. So a step adds its message word and constant to its own word
+// first, and each round function takes the newest word last: G is written
+// (x AND (y OR z)) OR (y AND z), H as x XOR (y XOR z). The chain from one
+// step to the next is then one or two logic operations, one add and the
+// rotation.
 func block(s *[4]uint32, p []byte) {
 	p = p[:BlockSize]
 	x0 := binary.LittleEndian.Uint32(p[0:])
@@ -175,58 +181,58 @@ func block(s *[4]uint32, p []byte) {
 	a, b, c, d := s[0], s[1], s[2], s[3]
 
 	// Round 1: F(x,y,z) = (x AND y) OR (NOT x AND z)
-	a = bits.RotateLeft32(a+(((c^d)&b)^d)+x0, 3)
-	d = bits.RotateLeft32(d+(((b^c)&a)^c)+x1, 7)
-	c = bits.RotateLeft32(c+(((a^b)&d)^b)+x2, 11)
-	b = bits.RotateLeft32(b+(((d^a)&c)^a)+x3, 19)
-	a = bits.RotateLeft32(a+(((c^d)&b)^d)+x4, 3)
-	d = bits.RotateLeft32(d+(((b^c)&a)^c)+x5, 7)
-	c = bits.RotateLeft32(c+(((a^b)&d)^b)+x6, 11)
-	b = bits.RotateLeft32(b+(((d^a)&c)^a)+x7, 19)
-	a = bits.RotateLeft32(a+(((c^d)&b)^d)+x8, 3)
-	d = bits.RotateLeft32(d+(((b^c)&a)^c)+x9, 7)
-	c = bits.RotateLeft32(c+(((a^b)&d)^b)+x10, 11)
-	b = bits.RotateLeft32(b+(((d^a)&c)^a)+x11, 19)
-	a = bits.RotateLeft32(a+(((c^d)&b)^d)+x12, 3)
-	d = bits.RotateLeft32(d+(((b^c)&a)^c)+x13, 7)
-	c = bits.RotateLeft32(c+(((a^b)&d)^b)+x14, 11)
-	b = bits.RotateLeft32(b+(((d^a)&c)^a)+x15, 19)
+	a = bits.RotateLeft32(a+x0+(((c^d)&b)^d), 3)
+	d = bits.RotateLeft32(d+x1+(((b^c)&a)^c), 7)
+	c = bits.RotateLeft32(c+x2+(((a^b)&d)^b), 11)
+	b = bits.RotateLeft32(b+x3+(((d^a)&c)^a), 19)
+	a = bits.RotateLeft32(a+x4+(((c^d)&b)^d), 3)
+	d = bits.RotateLeft32(d+x5+(((b^c)&a)^c), 7)
+	c = bits.RotateLeft32(c+x6+(((a^b)&d)^b), 11)
+	b = bits.RotateLeft32(b+x7+(((d^a)&c)^a), 19)
+	a = bits.RotateLeft32(a+x8+(((c^d)&b)^d), 3)
+	d = bits.RotateLeft32(d+x9+(((b^c)&a)^c), 7)
+	c = bits.RotateLeft32(c+x10+(((a^b)&d)^b), 11)
+	b = bits.RotateLeft32(b+x11+(((d^a)&c)^a), 19)
+	a = bits.RotateLeft32(a+x12+(((c^d)&b)^d), 3)
+	d = bits.RotateLeft32(d+x13+(((b^c)&a)^c), 7)
+	c = bits.RotateLeft32(c+x14+(((a^b)&d)^b), 11)
+	b = bits.RotateLeft32(b+x15+(((d^a)&c)^a), 19)
 
 	// Round 2: G(x,y,z) = (x AND y) OR (x AND z) OR (y AND z)
-	a = bits.RotateLeft32(a+((b&c)|((b|c)&d))+x0+0x5a827999, 3)
-	d = bits.RotateLeft32(d+((a&b)|((a|b)&c))+x4+0x5a827999, 5)
-	c = bits.RotateLeft32(c+((d&a)|((d|a)&b))+x8+0x5a827999, 9)
-	b = bits.RotateLeft32(b+((c&d)|((c|d)&a))+x12+0x5a827999, 13)
-	a = bits.RotateLeft32(a+((b&c)|((b|c)&d))+x1+0x5a827999, 3)
-	d = bits.RotateLeft32(d+((a&b)|((a|b)&c))+x5+0x5a827999, 5)
-	c = bits.RotateLeft32(c+((d&a)|((d|a)&b))+x9+0x5a827999, 9)
-	b = bits.RotateLeft32(b+((c&d)|((c|d)&a))+x13+0x5a827999, 13)
-	a = bits.RotateLeft32(a+((b&c)|((b|c)&d))+x2+0x5a827999, 3)
-	d = bits.RotateLeft32(d+((a&b)|((a|b)&c))+x6+0x5a827999, 5)
-	c = bits.RotateLeft32(c+((d&a)|((d|a)&b))+x10+0x5a827999, 9)
-	b = bits.RotateLeft32(b+((c&d)|((c|d)&a))+x14+0x5a827999, 13)
-	a = bits.RotateLeft32(a+((b&c)|((b|c)&d))+x3+0x5a827999, 3)
-	d = bits.RotateLeft32(d+((a&b)|((a|b)&c))+x7+0x5a827999, 5)
-	c = bits.RotateLeft32(c+((d&a)|((d|a)&b))+x11+0x5a827999, 9)
-	b = bits.RotateLeft32(b+((c&d)|((c|d)&a))+x15+0x5a827999, 13)
+	a = bits.RotateLeft32(a+x0+0x5a827999+((b&(c|d))|(c&d)), 3)
+	d = bits.RotateLeft32(d+x4+0x5a827999+((a&(b|c))|(b&c)), 5)
+	c = bits.RotateLeft32(c+x8+0x5a827999+((d&(a|b))|(a&b)), 9)
+	b = bits.RotateLeft32(b+x12+0x5a827999+((c&(d|a))|(d&a)), 13)
+	a = bits.RotateLeft32(a+x1+0x5a827999+((b&(c|d))|(c&d)), 3)
+	d = bits.RotateLeft32(d+x5+0x5a827999+((a&(b|c))|(b&c)), 5)
+	c = bits.RotateLeft32(c+x9+0x5a827999+((d&(a|b))|(a&b)), 9)
+	b = bits.RotateLeft32(b+x13+0x5a827999+((c&(d|a))|(d&a)), 13)
+	a = bits.RotateLeft32(a+x2+0x5a827999+((b&(c|d))|(c&d)), 3)
+	d = bits.RotateLeft32(d+x6+0x5a827999+((a&(b|c))|(b&c)), 5)
+	c = bits.RotateLeft32(c+x10+0x5a827999+((d&(a|b))|(a&b)), 9)
+	b = bits.RotateLeft32(b+x14+0x5a827999+((c&(d|a))|(d&a)), 13)
+	a = bits.RotateLeft32(a+x3+0x5a827999+((b&(c|d))|(c&d)), 3)
+	d = bits.RotateLeft32(d+x7+0x5a827999+((a&(b|c))|(b&c)), 5)
+	c = bits.RotateLeft32(c+x11+0x5a827999+((d&(a|b))|(a&b)), 9)
+	b = bits.RotateLeft32(b+x15+0x5a827999+((c&(d|a))|(d&a)), 13)
 
 	// Round 3: H(x,y,z) = x XOR y XOR z
-	a = bits.RotateLeft32(a+(b^c^d)+x0+0x6ed9eba1, 3)
-	d = bits.RotateLeft32(d+(a^b^c)+x8+0x6ed9eba1, 9)
-	c = bits.RotateLeft32(c+(d^a^b)+x4+0x6ed9eba1, 11)
-	b = bits.RotateLeft32(b+(c^d^a)+x12+0x6ed9eba1, 15)
-	a = bits.RotateLeft32(a+(b^c^d)+x2+0x6ed9eba1, 3)
-	d = bits.RotateLeft32(d+(a^b^c)+x10+0x6ed9eba1, 9)
-	c = bits.RotateLeft32(c+(d^a^b)+x6+0x6ed9eba1, 11)
-	b = bits.RotateLeft32(b+(c^d^a)+x14+0x6ed9eba1, 15)
-	a = bits.RotateLeft32(a+(b^c^d)+x1+0x6ed9eba1, 3)
-	d = bits.RotateLeft32(d+(a^b^c)+x9+0x6ed9eba1, 9)
-	c = bits.RotateLeft32(c+(d^a^b)+x5+0x6ed9eba1, 11)
-	b = bits.RotateLeft32(b+(c^d^a)+x13+0x6ed9eba1, 15)
-	a = bits.RotateLeft32(a+(b^c^d)+x3+0x6ed9eba1, 3)
-	d = bits.RotateLeft32(d+(a^b^c)+x11+0x6ed9eba1, 9)
-	c = bits.RotateLeft32(c+(d^a^b)+x7+0x6ed9eba1, 11)
-	b = bits.RotateLeft32(b+(c^d^a)+x15+0x6ed9eba1, 15)
+	a = bits.RotateLeft32(a+x0+0x6ed9eba1+(b^(c^d)), 3)
+	d = bits.RotateLeft32(d+x8+0x6ed9eba1+(a^(b^c)), 9)
+	c = bits.RotateLeft32(c+x4+0x6ed9eba1+(d^(a^b)), 11)
+	b = bits.RotateLeft32(b+x12+0x6ed9eba1+(c^(d^a)), 15)
+	a = bits.RotateLeft32(a+x2+0x6ed9eba1+(b^(c^d)), 3)
+	d = bits.RotateLeft32(d+x10+0x6ed9eba1+(a^(b^c)), 9)
+	c = bits.RotateLeft32(c+x6+0x6ed9eba1+(d^(a^b)), 11)
+	b = bits.RotateLeft32(b+x14+0x6ed9eba1+(c^(d^a)), 15)
+	a = bits.RotateLeft32(a+x1+0x6ed9eba1+(b^(c^d)), 3)
+	d = bits.RotateLeft32(d+x9+0x6ed9eba1+(a^(b^c)), 9)
+	c = bits.RotateLeft32(c+x5+0x6ed9eba1+(d^(a^b)), 11)
+	b = bits.RotateLeft32(b+x13+0x6ed9eba1+(c^(d^a)), 15)
+	a = bits.RotateLeft32(a+x3+0x6ed9eba1+(b^(c^d)), 3)
+	d = bits.RotateLeft32(d+x11+0x6ed9eba1+(a^(b^c)), 9)
+	c = bits.RotateLeft32(c+x7+0x6ed9eba1+(d^(a^b)), 11)
+	b = bits.RotateLeft32(b+x15+0x6ed9eba1+(c^(d^a)), 15)
 
 	s[0] += a
 	s[1] += b

@@ -138,7 +138,11 @@ func (s *Server) StartAdmin(listen string, reg *metrics.Registry) (string, error
 	s.wg.Add(2)
 	go func() {
 		defer s.wg.Done()
-		srv.Serve(ln) // returns once the watcher closes srv
+		// Serve returns nil once the watcher closes srv, and an error only
+		// when the listener fails for good.
+		if err := srv.Serve(ln); err != nil {
+			s.logKV("admin-accept-failed", "addr", ln.Addr(), "err", err)
+		}
 	}()
 	go func() {
 		defer s.wg.Done()

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"slices"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -404,5 +406,40 @@ func TestRefusedReplyDropsSocket(t *testing.T) {
 				t.Errorf("%d dials and %d redials for the two exchanges, want %d and 0", dials, redials, tc.dials)
 			}
 		})
+	}
+}
+
+// flakyListener fails its first fails Accepts with EMFILE, as a process
+// out of descriptors sees, then accepts from the listener it wraps.
+type flakyListener struct {
+	net.Listener
+	fails int
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.fails > 0 {
+		l.fails--
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept4", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestRingPortRetriesTemporaryAccept: accept errors from a descriptor limit
+// do not end a node's accept loop. It waits them out and answers the
+// exchange that follows.
+func TestRingPortRetriesTemporaryAccept(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := serveOn(&flakyListener{Listener: ln, fails: 4}, Options{})
+	defer s.Close()
+	c, err := NewClient(ClientConfig{Entry: s.Addr(), DialTimeout: time.Second, RPCTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping after 4 accept errors: %v", err)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"dhsketch/internal/dht"
 	"dhsketch/internal/md4"
 	"dhsketch/internal/metrics"
+	"dhsketch/internal/respond"
 	"dhsketch/internal/store"
 	"dhsketch/internal/wire"
 )
@@ -113,6 +114,11 @@ func NewServer(listen string, opt Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netdht: listen %s: %w", listen, err)
 	}
+	return serveOn(ln, opt), nil
+}
+
+// serveOn is NewServer on a bound listener.
+func serveOn(ln net.Listener, opt Options) *Server {
 	addr := ln.Addr().String()
 	name := opt.Name
 	if name == "" {
@@ -138,7 +144,7 @@ func NewServer(listen string, opt Options) (*Server, error) {
 	s.registerGauges(opt.Metrics)
 	s.wg.Add(1)
 	go s.serve()
-	return s, nil
+	return s
 }
 
 // Addr returns the bound listen address.
@@ -193,9 +199,23 @@ func (s *Server) ensureStore() *store.Store {
 
 func (s *Server) serve() {
 	defer s.wg.Done()
+	var backoff respond.AcceptBackoff
 	for {
 		c, err := s.ln.Accept()
-		if err != nil || !s.trackConn(c) {
+		if err != nil {
+			select {
+			case <-s.quit:
+				return
+			default:
+			}
+			if backoff.Retry(err) {
+				continue
+			}
+			s.logKV("accept-failed", "addr", s.addr, "err", err)
+			return
+		}
+		backoff.Reset()
+		if !s.trackConn(c) {
 			return
 		}
 		s.wg.Add(1)

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"testing/iotest"
 	"time"
@@ -129,13 +131,59 @@ func serveEcho(t *testing.T) (string, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(func(req Request, buf *bytes.Buffer) Reply {
-		buf.WriteString(req.Method + " " + req.Path + "?" + req.Query)
-		return Reply{Status: 200, CType: CTypeText, Body: buf.Bytes()}
-	})
+	s := NewServer(echo)
 	go s.Serve(ln)
 	t.Cleanup(s.Close)
 	return ln.Addr().String(), s
+}
+
+// echo answers a request with its method, path and query.
+func echo(req Request, buf *bytes.Buffer) Reply {
+	buf.WriteString(req.Method + " " + req.Path + "?" + req.Query)
+	return Reply{Status: 200, CType: CTypeText, Body: buf.Bytes()}
+}
+
+// flakyListener fails its first fails Accepts with EMFILE, as a process
+// out of descriptors sees, then accepts from the listener it wraps.
+type flakyListener struct {
+	net.Listener
+	fails int
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.fails > 0 {
+		l.fails--
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept4", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestServeRetriesTemporaryAccept: accept errors from a descriptor limit do
+// not close the port. Serve waits them out, answers the connection that
+// follows, and returns nil once Close ends it.
+func TestServeRetriesTemporaryAccept(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(echo)
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(&flakyListener{Listener: ln, fails: 4}) }()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	io.WriteString(c, "GET /after HTTP/1.1\r\nConnection: close\r\n\r\n")
+	got, err := io.ReadAll(c)
+	if want := "HTTP/1.1 200 OK\r\n"; err != nil || !strings.HasPrefix(string(got), want) {
+		t.Fatalf("reply %q, %v; want one beginning %q", got, err, want)
+	}
+	s.Close()
+	if err := <-done; err != nil {
+		t.Errorf("Serve = %v after Close, want nil", err)
+	}
 }
 
 // TestServerKeepAlive: one connection carries pipelined requests, answered

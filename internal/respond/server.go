@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -37,7 +38,8 @@ func NewServer(h Handler) *Server {
 }
 
 // Serve accepts connections on ln until Close closes it, and returns nil
-// then; any other accept error closes ln and is returned.
+// then. A temporary accept error is retried behind an AcceptBackoff; any
+// other closes ln and is returned.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	closed := s.conns == nil
@@ -47,24 +49,50 @@ func (s *Server) Serve(ln net.Listener) error {
 		ln.Close()
 		return nil
 	}
+	var backoff AcceptBackoff
 	for {
 		c, err := ln.Accept()
 		if err != nil {
 			s.mu.Lock()
 			closed = s.conns == nil
 			s.mu.Unlock()
+			if !closed && backoff.Retry(err) {
+				continue
+			}
 			ln.Close()
 			if closed {
 				return nil
 			}
 			return err
 		}
+		backoff.Reset()
 		if !s.track(c) {
 			return nil
 		}
 		go s.serveConn(c)
 	}
 }
+
+// AcceptBackoff paces an accept loop through temporary errors as net/http
+// does: the process or the system is out of descriptors (EMFILE, ENFILE),
+// or a connection was aborted before it was accepted (ECONNABORTED). The
+// loop waits 5 ms, doubling to 1 s, and tries again; an accepted
+// connection resets the wait. The zero value is ready to use.
+type AcceptBackoff struct{ wait time.Duration }
+
+// Retry reports whether err is temporary, after waiting out the backoff
+// when it is.
+func (b *AcceptBackoff) Retry(err error) bool {
+	if !errors.Is(err, syscall.EMFILE) && !errors.Is(err, syscall.ENFILE) && !errors.Is(err, syscall.ECONNABORTED) {
+		return false
+	}
+	b.wait = min(max(2*b.wait, 5*time.Millisecond), time.Second)
+	time.Sleep(b.wait)
+	return true
+}
+
+// Reset starts the next run of errors at the shortest wait.
+func (b *AcceptBackoff) Reset() { b.wait = 0 }
 
 // track records c as open and counts its goroutine, or closes it when the
 // server is closed.

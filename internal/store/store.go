@@ -45,8 +45,10 @@ const TupleBytes = 8
 const forever = math.MaxInt64
 
 // Expiry is the soft-state rule (§3.3) both transports store tuples
-// under: a tuple stored at tick now with a TTL of ttl ticks expires at
-// now+ttl, and a TTL of 0 never expires.
+// under: a tuple stored at tick now with a TTL of ttl ticks has expiry
+// tick now+ttl and is live through it — Has and the sweeps drop a tuple
+// only once expiry < now, so it is gone from tick now+ttl+1. A TTL of 0
+// never expires.
 func Expiry(now, ttl int64) int64 {
 	if ttl == 0 {
 		return forever
@@ -200,7 +202,21 @@ func (h expHeap) siftDown(i int) {
 // and take the mutex. This is what lets any number of counting passes
 // run against one overlay at once.
 type Store struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// rt holds optional runtime counters (Instrument). The zero value —
+	// all nil — is the metrics-off state: every update below is a method
+	// call on a nil instrument, which costs one branch and zero
+	// allocations (the BenchmarkProbeReply regression in store_test.go
+	// pins this). The counters are clock-free atomics, so instrumented
+	// simulation stores stay deterministic.
+	rt Runtime
+	// last is the leaf Set wrote last, at lastKey: a node written one
+	// metric at a time finds its leaf without probing the map. Leaves are
+	// never deleted, so the memo cannot go stale. With mu and rt it fills
+	// the store's first cache line, all that a refresh reads of the store.
+	last    *leaf
+	lastKey leafKey
+
 	leaves map[leafKey]*leaf
 	live   int     // live tuples, net of every completed sweep
 	due    expHeap // pending finite expiries, lazily invalidated
@@ -210,14 +226,6 @@ type Store struct {
 	// zero/nil for untraced stores.
 	owner uint64
 	env   *sim.Env
-
-	// rt holds optional runtime counters (Instrument). The zero value —
-	// all nil — is the metrics-off state: every update below is a method
-	// call on a nil instrument, which costs one branch and zero
-	// allocations (the BenchmarkProbeReply regression in store_test.go
-	// pins this). The counters are clock-free atomics, so instrumented
-	// simulation stores stay deterministic.
-	rt Runtime
 }
 
 // Runtime is the store's runtime-metrics hookup: operational counters
@@ -280,11 +288,15 @@ func (s *Store) expire(now int64, n int) {
 // leafOf returns the leaf for (metric, bit), creating it on first use.
 func (s *Store) leafOf(metric uint64, bit uint8) *leaf {
 	lk := leafKey{metric: metric, bit: bit}
+	if s.last != nil && s.lastKey == lk {
+		return s.last
+	}
 	lf := s.leaves[lk]
 	if lf == nil {
 		lf = &leaf{}
 		s.leaves[lk] = lf
 	}
+	s.last, s.lastKey = lf, lk
 	return lf
 }
 
