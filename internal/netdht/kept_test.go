@@ -26,9 +26,7 @@ func keptMasks(reg *metrics.Registry) uint64 {
 // severInbound closes every connection a server has accepted, as a server
 // that reaped them would: their clients find the sockets stale.
 func severInbound(s *Server) {
-	s.inMu.Lock()
-	defer s.inMu.Unlock()
-	for c := range s.inConns {
+	for _, c := range s.port.Conns() {
 		c.Close()
 	}
 }
@@ -314,10 +312,10 @@ func TestStoreBytesMetered(t *testing.T) {
 	srv, relay := make([]*metrics.Registry, len(servers)), make([]*metrics.Registry, len(servers))
 	for i, s := range servers {
 		srv[i], relay[i] = metrics.New(), metrics.New()
-		// Under inMu, which every connection accepted after takes first.
-		s.inMu.Lock()
 		s.m, s.peers.m = newSrvMetrics(srv[i]), newPoolMetrics(relay[i])
-		s.inMu.Unlock()
+		// Conns takes the loop's lock, which every connection accepted
+		// after takes first: their handlers see the meters.
+		s.port.Conns()
 	}
 	c, reg := storeClient(t, servers[0].Addr(), 3)
 	sums := func() (cliOut, cliIn, srvIn, srvOut uint64) {
@@ -568,9 +566,7 @@ func TestMemoryUndecodable(t *testing.T) {
 				t.Errorf("the refused request was served %d times", n)
 			}
 			for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-				s.inMu.Lock()
-				open := len(s.inConns)
-				s.inMu.Unlock()
+				open := len(s.port.Conns())
 				if open == 0 {
 					break
 				}

@@ -68,7 +68,7 @@ type Server struct {
 	chord.Node
 	cfg   chord.ProtocolConfig
 	addr  string
-	ln    net.Listener
+	port  respond.Loop // the ring port's connections
 	peers *peerPool
 	nowFn func() int64
 	logf  func(string, ...any)
@@ -97,10 +97,6 @@ type Server struct {
 
 	storeMu sync.Mutex // serializes lazy store creation
 
-	inMu     sync.Mutex
-	inConns  map[net.Conn]struct{}
-	inClosed bool
-
 	wg       sync.WaitGroup
 	quit     chan struct{}
 	quitOnce sync.Once
@@ -125,14 +121,12 @@ func serveOn(ln net.Listener, opt Options) *Server {
 		name = addr
 	}
 	s := &Server{
-		cfg:     opt.Protocol.WithDefaults(),
-		addr:    addr,
-		ln:      ln,
-		peers:   newPeerPool(opt.DialTimeout, opt.RPCTimeout, DefaultPeerConns, opt.Metrics),
-		logf:    opt.Logf,
-		m:       newSrvMetrics(opt.Metrics),
-		inConns: make(map[net.Conn]struct{}),
-		quit:    make(chan struct{}),
+		cfg:   opt.Protocol.WithDefaults(),
+		addr:  addr,
+		peers: newPeerPool(opt.DialTimeout, opt.RPCTimeout, DefaultPeerConns, opt.Metrics),
+		logf:  opt.Logf,
+		m:     newSrvMetrics(opt.Metrics),
+		quit:  make(chan struct{}),
 	}
 	s.rounds.s = s
 	s.Init(md4.Sum64([]byte(name)), name, addr, s.cfg, &s.mu)
@@ -143,7 +137,7 @@ func serveOn(ln net.Listener, opt Options) *Server {
 	}
 	s.registerGauges(opt.Metrics)
 	s.wg.Add(1)
-	go s.serve()
+	go s.serve(ln)
 	return s
 }
 
@@ -197,68 +191,24 @@ func (s *Server) ensureStore() *store.Store {
 // ---------------------------------------------------------------------
 // Accept loop and dispatch
 
-func (s *Server) serve() {
+// serve runs the ring port on the accept loop both HTTP ports share.
+func (s *Server) serve(ln net.Listener) {
 	defer s.wg.Done()
-	var backoff respond.AcceptBackoff
-	for {
-		c, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.quit:
-				return
-			default:
-			}
-			if backoff.Retry(err) {
-				continue
-			}
-			s.logKV("accept-failed", "addr", s.addr, "err", err)
-			return
-		}
-		backoff.Reset()
-		if !s.trackConn(c) {
-			return
-		}
-		s.wg.Add(1)
-		go s.handleConn(c)
+	if err := s.port.Serve(ln, s.handleConn); err != nil {
+		s.logKV("accept-failed", "addr", s.addr, "err", err)
 	}
-}
-
-// trackConn registers an accepted connection for Close to sever. Once
-// Close has begun it closes c instead and reports false.
-func (s *Server) trackConn(c net.Conn) bool {
-	s.inMu.Lock()
-	defer s.inMu.Unlock()
-	if s.inClosed {
-		c.Close()
-		return false
-	}
-	s.inConns[c] = struct{}{}
-	return true
-}
-
-// dropConn closes a tracked connection and forgets it.
-func (s *Server) dropConn(c net.Conn) {
-	s.inMu.Lock()
-	delete(s.inConns, c)
-	s.inMu.Unlock()
-	c.Close()
 }
 
 // Server-side socket deadlines (conndeadline invariant, DESIGN.md §10):
 // an inbound connection that sends nothing for serverIdleTimeout is
 // reaped — clients tolerate this transparently, because the peer pool
 // redials on a failed exchange — and a reply write that cannot drain
-// within serverWriteTimeout abandons the connection rather than parking
-// the handler goroutine behind a stalled peer forever. Variables, not
-// constants, so tests can shrink them.
-var (
-	serverIdleTimeout  = 5 * time.Minute
-	serverWriteTimeout = 30 * time.Second
-)
+// within respond.WriteTimeout abandons the connection rather than parking
+// the handler goroutine behind a stalled peer forever. A variable, so a
+// test can shrink it.
+var serverIdleTimeout = 5 * time.Minute
 
 func (s *Server) handleConn(c net.Conn) {
-	defer s.wg.Done()
-	defer s.dropConn(c)
 	in := s.newInbound()
 	for in.step(c) == nil {
 	}
@@ -305,7 +255,7 @@ func (in *inbound) step(c net.Conn) (err error) {
 	if in.rbuf, err = readFrame(c, in.rbuf); err != nil {
 		return err
 	}
-	if err = c.SetWriteDeadline(time.Now().Add(serverWriteTimeout)); err != nil {
+	if err = c.SetWriteDeadline(time.Now().Add(respond.WriteTimeout)); err != nil {
 		return err
 	}
 	err = writeFrame(c, in.dispatch(in.rbuf))
@@ -715,14 +665,8 @@ func (s *Server) Join(bootstrap string) error {
 func (s *Server) Close() {
 	s.quitOnce.Do(func() { close(s.quit) })
 	s.SetAlive(false)
-	s.ln.Close()
 	s.peers.close()
-	s.inMu.Lock()
-	s.inClosed = true
-	for c := range s.inConns {
-		c.Close()
-	}
-	s.inMu.Unlock()
+	s.port.Close()
 	s.wg.Wait()
 	s.logKV("server-closed", "addr", s.addr)
 }

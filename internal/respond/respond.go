@@ -1,7 +1,9 @@
-// Package respond is the HTTP/1.x responder both daemons serve on instead
-// of net/http: a keep-alive connection loop, Server, which dhsnode's admin
-// listener (internal/netdht) and dhsd answer every request with, over one
-// request-head reader and one reply writer. It speaks the subset its
+// Package respond holds the one accept loop every port of the daemons runs
+// on, Loop, and the HTTP/1.x responder both daemons serve on instead of
+// net/http: a keep-alive connection handler on that loop, Server, which
+// dhsnode's admin listener (internal/netdht) and dhsd answer every request
+// with, over one request-head reader and one reply writer. dhsnode's ring
+// port hands its own connection handler to a Loop. It speaks the subset its
 // clients send — curl, Prometheus, `go tool pprof`, Go's http.Client: a
 // request head with an origin-form target and no body — and once a
 // connection's reused buffers are warm it allocates nothing to read a head

@@ -14,49 +14,62 @@ import (
 // ReadHeaderTimeout does. It is a variable so a test can shrink it.
 var headTimeout = 5 * time.Second
 
-// writeTimeout bounds writing a reply.
-const writeTimeout = 30 * time.Second
+// WriteTimeout bounds writing a reply, on every port.
+const WriteTimeout = 30 * time.Second
 
 // A Handler answers one request. The reply may be built in buf, which the
 // connection holds until it ends and which is reset before each request;
 // the request's strings are valid until the reply is written.
 type Handler func(req Request, buf *bytes.Buffer) Reply
 
-// Server answers requests with one Handler on keep-alive connections, one
-// goroutine a connection, until Close.
+// Server answers requests with one Handler on keep-alive connections of a
+// Loop, until Close.
 type Server struct {
-	h     Handler
-	wg    sync.WaitGroup
-	mu    sync.Mutex
-	ln    net.Listener
-	conns map[net.Conn]struct{} // nil once closed
+	h    Handler
+	loop Loop
 }
 
 // NewServer returns a Server that answers with h.
-func NewServer(h Handler) *Server {
-	return &Server{h: h, conns: make(map[net.Conn]struct{})}
+func NewServer(h Handler) *Server { return &Server{h: h} }
+
+// Serve answers the connections accepted on ln until Close, as Loop.Serve.
+func (s *Server) Serve(ln net.Listener) error { return s.loop.Serve(ln, s.serveConn) }
+
+// Close closes the listener and every connection, and waits for them.
+func (s *Server) Close() { s.loop.Close() }
+
+// Loop is the half of a port that knows no protocol: it accepts
+// connections, runs one goroutine a connection, and Close severs them all
+// and waits. The zero value is ready to use.
+type Loop struct {
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]struct{}
+	closed bool
 }
 
-// Serve accepts connections on ln until Close closes it, and returns nil
-// then. A temporary accept error is retried behind an AcceptBackoff; any
-// other closes ln and is returned.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	closed := s.conns == nil
-	s.ln = ln
-	s.mu.Unlock()
+// Serve accepts connections on ln and runs serve on each until Close closes
+// ln, and returns nil then; a connection is closed once serve returns. A
+// temporary accept error is retried behind an acceptBackoff; any other
+// closes ln and is returned.
+func (l *Loop) Serve(ln net.Listener, serve func(net.Conn)) error {
+	l.mu.Lock()
+	closed := l.closed
+	l.ln, l.conns = ln, make(map[net.Conn]struct{})
+	l.mu.Unlock()
 	if closed {
 		ln.Close()
 		return nil
 	}
-	var backoff AcceptBackoff
+	var backoff acceptBackoff
 	for {
 		c, err := ln.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closed = s.conns == nil
-			s.mu.Unlock()
-			if !closed && backoff.Retry(err) {
+			l.mu.Lock()
+			closed = l.closed
+			l.mu.Unlock()
+			if !closed && backoff.retry(err) {
 				continue
 			}
 			ln.Close()
@@ -65,24 +78,67 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		backoff.Reset()
-		if !s.track(c) {
+		backoff.wait = 0
+		l.mu.Lock()
+		if closed = l.closed; !closed {
+			l.conns[c] = struct{}{}
+			l.wg.Add(1)
+		}
+		l.mu.Unlock()
+		if closed {
+			c.Close()
 			return nil
 		}
-		go s.serveConn(c)
+		go l.run(c, serve)
 	}
 }
 
-// AcceptBackoff paces an accept loop through temporary errors as net/http
+// run serves c, then forgets and closes it.
+func (l *Loop) run(c net.Conn, serve func(net.Conn)) {
+	defer l.wg.Done()
+	serve(c)
+	l.mu.Lock()
+	delete(l.conns, c)
+	l.mu.Unlock()
+	c.Close()
+}
+
+// Conns returns the connections open now.
+func (l *Loop) Conns() []net.Conn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	conns := make([]net.Conn, 0, len(l.conns))
+	for c := range l.conns {
+		conns = append(conns, c)
+	}
+	return conns
+}
+
+// Close closes the listener and every connection, and waits for the
+// connections' goroutines to end.
+func (l *Loop) Close() {
+	l.mu.Lock()
+	l.closed = true
+	if l.ln != nil {
+		l.ln.Close()
+	}
+	for c := range l.conns {
+		c.Close()
+	}
+	l.mu.Unlock()
+	l.wg.Wait()
+}
+
+// acceptBackoff paces an accept loop through temporary errors as net/http
 // does: the process or the system is out of descriptors (EMFILE, ENFILE),
 // or a connection was aborted before it was accepted (ECONNABORTED). The
 // loop waits 5 ms, doubling to 1 s, and tries again; an accepted
-// connection resets the wait. The zero value is ready to use.
-type AcceptBackoff struct{ wait time.Duration }
+// connection resets the wait.
+type acceptBackoff struct{ wait time.Duration }
 
-// Retry reports whether err is temporary, after waiting out the backoff
+// retry reports whether err is temporary, after waiting out the backoff
 // when it is.
-func (b *AcceptBackoff) Retry(err error) bool {
+func (b *acceptBackoff) retry(err error) bool {
 	if !errors.Is(err, syscall.EMFILE) && !errors.Is(err, syscall.ENFILE) && !errors.Is(err, syscall.ECONNABORTED) {
 		return false
 	}
@@ -91,50 +147,9 @@ func (b *AcceptBackoff) Retry(err error) bool {
 	return true
 }
 
-// Reset starts the next run of errors at the shortest wait.
-func (b *AcceptBackoff) Reset() { b.wait = 0 }
-
-// track records c as open and counts its goroutine, or closes it when the
-// server is closed.
-func (s *Server) track(c net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.conns == nil {
-		c.Close()
-		return false
-	}
-	s.conns[c] = struct{}{}
-	s.wg.Add(1)
-	return true
-}
-
-// Close closes the listener and every connection, and waits for the
-// connections' goroutines to end.
-func (s *Server) Close() {
-	s.mu.Lock()
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.conns = nil
-	s.mu.Unlock()
-	s.wg.Wait()
-}
-
 // serveConn answers c's requests in turn until the client hangs up, a
 // request leaves no next one, or a head is late or malformed.
 func (s *Server) serveConn(c net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		if s.conns != nil {
-			delete(s.conns, c)
-		}
-		s.mu.Unlock()
-		c.Close()
-	}()
 	var b *connBufs
 	select {
 	case b = <-freeBufs:
@@ -171,7 +186,7 @@ func (s *Server) serveConn(c net.Conn) {
 			rep = s.h(req, &b.buf)
 		}
 		end := req.Close || rep.Stream != nil
-		if c.SetWriteDeadline(time.Now().Add(writeTimeout+rep.Span)) != nil ||
+		if c.SetWriteDeadline(time.Now().Add(WriteTimeout+rep.Span)) != nil ||
 			writeReply(b.w, rep, end) != nil {
 			return
 		}
