@@ -4,7 +4,8 @@
 // internal/respond's keep-alive loop, not net/http's server, so a cache
 // hit allocates nothing from the socket's read to its write (DESIGN.md
 // §16): GET only, a request head within 8 KiB and 5 s of its first
-// byte, no deadline on an idle connection, 30 s to write a reply. Three
+// byte, 5 min for an idle connection's next request, 30 s to write a
+// reply, and at most 1024 connections open (503 past them). Three
 // layers stand between a request and a ring fan-out (internal/serve):
 //
 //   - a TTL cache of recent estimates (-cache-ttl),

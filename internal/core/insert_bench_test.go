@@ -2,16 +2,22 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/sim"
 	"dhsketch/internal/sketch"
+	"dhsketch/internal/store"
 )
 
 // benchInsertDHS is the insertion benchmarks' world: N = 1024, m = 512,
 // sLL, with the benchmarked items already stored so every operation is a
-// §3.3 refresh.
+// §3.3 refresh. An insertion stores a tuple on a random node of its bit's
+// interval, so each item's tuple is stored ahead on every node an
+// insertion of it can reach: the owner of each identifier in the interval,
+// the nodes in it and the one after, and the Replication successors of
+// each.
 func benchInsertDHS(b *testing.B, ids []uint64) (*DHS, *chord.Ring) {
 	b.Helper()
 	env := sim.NewEnv(1)
@@ -20,11 +26,22 @@ func benchInsertDHS(b *testing.B, ids []uint64) (*DHS, *chord.Ring) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	nodes, metric := ring.Nodes(), MetricID("bench")
+	expiry := store.Expiry(env.Clock.Now(), d.cfg.TTL)
 	for i := range ids {
 		ids[i] = ItemID(fmt.Sprintf("refresh-%d", i))
-	}
-	if _, err := d.BulkInsertFrom(ring.Nodes()[0], MetricID("bench"), ids); err != nil {
-		b.Fatal(err)
+		vector, bit := d.geom.Split(ids[i])
+		if !d.geom.Stored(bit) {
+			continue
+		}
+		lo, size := d.geom.Interval(bit)
+		// The first node at or past an identifier owns it; past the last
+		// node, the ring wraps to nodes[0].
+		first := sort.Search(len(nodes), func(j int) bool { return nodes[j].ID() >= lo })
+		last := sort.Search(len(nodes), func(j int) bool { return nodes[j].ID() >= lo+(size-1) })
+		for j := first; j <= last+d.cfg.Replication; j++ {
+			d.storeOn(nodes[j%len(nodes)], metric, bit, []int32{vector}, expiry)
+		}
 	}
 	return d, ring
 }

@@ -9,10 +9,11 @@ import (
 // ConnDeadlineAnalyzer enforces the transport layer's liveness contract
 // (DESIGN.md §14): every raw read or write on a connection must be
 // dominated by a SetDeadline/SetReadDeadline/SetWriteDeadline on the
-// same connection, or a dead peer parks a goroutine forever. A conn is
-// anything connection-shaped (its method set has the deadline setters);
-// "dominated" is approximated as a deadline call on the same canonical
-// expression earlier in the same function body.
+// same connection, or a dead peer parks a goroutine forever. A setter
+// handed the literal time.Time{} clears the deadline, so it is no guard.
+// A conn is anything connection-shaped (its method set has the deadline
+// setters); "dominated" is approximated as a deadline call on the same
+// canonical expression earlier in the same function body.
 //
 // The check is interprocedural via facts: phase one records, for every
 // function in the load set, which reader/writer parameters reach raw
@@ -87,7 +88,9 @@ func connScan(pass *Pass, decl *ast.FuncDecl) (sites []connSite, guards []connGu
 				recv := info.TypeOf(sel.X)
 				switch {
 				case deadlineSetters[sel.Sel.Name] && connLike(recv):
-					guards = append(guards, connGuard{pos: call.Pos(), canon: types.ExprString(sel.X)})
+					if len(call.Args) != 1 || !zeroTime(info, call.Args[0]) {
+						guards = append(guards, connGuard{pos: call.Pos(), canon: types.ExprString(sel.X)})
+					}
 					return true
 				case (sel.Sel.Name == "Read" || sel.Sel.Name == "Write") &&
 					(connLike(recv) || ifaceReaderWriter(recv)):
@@ -112,6 +115,17 @@ func connScan(pass *Pass, decl *ast.FuncDecl) (sites []connSite, guards []connGu
 		return true
 	})
 	return sites, guards
+}
+
+// zeroTime reports whether e is the literal time.Time{}: a deadline set to
+// it is cleared, and guards nothing.
+func zeroTime(info *types.Info, e ast.Expr) bool {
+	lit, ok := ast.Unparen(e).(*ast.CompositeLit)
+	if !ok || len(lit.Elts) != 0 {
+		return false
+	}
+	named, ok := info.TypeOf(lit).(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "time" && named.Obj().Name() == "Time"
 }
 
 // isMethodUse reports whether sel resolves to a method (as opposed to a

@@ -64,6 +64,7 @@ func TestPlantedPositions(t *testing.T) {
 	linttest.MustFindAt(t, testdata, lint.DeterminismAnalyzer, "dhsketch/internal/store", "store.go", 50, 9)
 	linttest.MustFindAt(t, testdata, lint.DeterminismAnalyzer, "dhsketch/internal/store", "store.go", 57, 5)
 	linttest.MustFindAt(t, testdata, lint.ConnDeadlineAnalyzer, "conndeadline/planted", "planted.go", 16, 2)
+	linttest.MustFindAt(t, testdata, lint.ConnDeadlineAnalyzer, "conndeadline/planted", "planted.go", 24, 2)
 	linttest.MustFindAt(t, testdata, lint.LockRPCAnalyzer, "lockrpc/planted", "planted.go", 20, 2)
 	linttest.MustFindAt(t, testdata, lint.WireBoundsAnalyzer, "wirebounds/planted", "planted.go", 9, 9)
 }

@@ -21,7 +21,7 @@ func (conn) SetWriteDeadline(t time.Time) error { return nil }
 // guarded: every raw operation is dominated by a deadline on the same
 // conn.
 func guarded(c conn) error {
-	if err := c.SetDeadline(time.Time{}); err != nil {
+	if err := c.SetDeadline(time.Now().Add(time.Second)); err != nil {
 		return err
 	}
 	if _, err := c.Write(nil); err != nil {
@@ -56,7 +56,7 @@ func readFrameLike(r io.Reader) ([]byte, error) {
 // callerGuarded arms the deadline before handing the conn to the
 // frame helper: the propagated site is dominated.
 func callerGuarded(c conn) {
-	c.SetReadDeadline(time.Time{})
+	c.SetReadDeadline(time.Now().Add(time.Second))
 	readFrameLike(c)
 }
 
@@ -69,7 +69,7 @@ func callerUnguarded() {
 
 // selfGuarded arms its own deadline, so callers owe nothing.
 func selfGuarded(c conn) error {
-	if err := c.SetDeadline(time.Time{}); err != nil {
+	if err := c.SetDeadline(time.Now().Add(time.Second)); err != nil {
 		return err
 	}
 	_, err := c.Write(nil)

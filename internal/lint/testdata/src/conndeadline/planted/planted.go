@@ -1,5 +1,5 @@
-// Package planted holds one conndeadline violation at a pinned
-// position (see TestPlantedPositions).
+// Package planted holds conndeadline violations at pinned positions (see
+// TestPlantedPositions).
 package planted
 
 import "time"
@@ -13,5 +13,13 @@ func (conn) SetWriteDeadline(t time.Time) error { return nil }
 
 func violate() {
 	var c conn
+	c.Read(nil) // want `no dominating deadline`
+}
+
+// readCleared clears the read deadline before it reads: a deadline set to
+// the zero time guards nothing.
+func readCleared() {
+	var c conn
+	c.SetReadDeadline(time.Time{})
 	c.Read(nil) // want `no dominating deadline`
 }

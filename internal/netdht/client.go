@@ -20,7 +20,9 @@ import (
 // ClientConfig shapes a Client. The sketch-geometry fields (K, M, Kind,
 // Lim, TTL) must match what every other writer and reader of the metric
 // uses — the networked deployment has no shared core.Config to enforce
-// it, so the daemon flags default to the same values core does.
+// it. A zero K or M takes core's default (24, 512); the daemons' -k and -m
+// flags default to 16 and 64 instead, so a Client beside a daemon started
+// with default flags must set them.
 type ClientConfig struct {
 	// Entry is the address of any ring member; every lookup, and every
 	// store the client's view of the ring cannot direct, enters the overlay

@@ -443,3 +443,39 @@ func TestRingPortRetriesTemporaryAccept(t *testing.T) {
 		t.Fatalf("ping after 4 accept errors: %v", err)
 	}
 }
+
+// TestRingPortCapsConns: past serverMaxConns open connections the ring port
+// closes a new one unanswered, a client's pool reads that as a failed
+// exchange, and the port serves again once a connection has ended.
+func TestRingPortCapsConns(t *testing.T) {
+	saved := serverMaxConns
+	serverMaxConns = 1
+	defer func() { serverMaxConns = saved }()
+	s, err := NewServer("127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	client := func() *Client {
+		c, err := NewClient(ClientConfig{Entry: s.Addr(), DialTimeout: time.Second, RPCTimeout: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	held, over := client(), client()
+	defer over.Close()
+	if err := held.Ping(); err != nil {
+		t.Fatalf("ping within the cap: %v", err)
+	}
+	if err := over.Ping(); err == nil {
+		t.Fatal("a ping past the cap was answered")
+	}
+	held.Close()
+	for len(s.port.Conns()) > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := over.Ping(); err != nil {
+		t.Errorf("ping after the held connection ended: %v", err)
+	}
+}

@@ -191,10 +191,12 @@ func (s *Server) ensureStore() *store.Store {
 // ---------------------------------------------------------------------
 // Accept loop and dispatch
 
-// serve runs the ring port on the accept loop both HTTP ports share.
+// serve runs the ring port on the accept loop both HTTP ports share. A
+// connection past serverMaxConns is closed unanswered, which its pool
+// reads as a failed exchange.
 func (s *Server) serve(ln net.Listener) {
 	defer s.wg.Done()
-	if err := s.port.Serve(ln, s.handleConn); err != nil {
+	if err := s.port.Serve(ln, serverMaxConns, "", s.handleConn); err != nil {
 		s.logKV("accept-failed", "addr", s.addr, "err", err)
 	}
 }
@@ -204,9 +206,13 @@ func (s *Server) serve(ln net.Listener) {
 // reaped — clients tolerate this transparently, because the peer pool
 // redials on a failed exchange — and a reply write that cannot drain
 // within respond.WriteTimeout abandons the connection rather than parking
-// the handler goroutine behind a stalled peer forever. A variable, so a
-// test can shrink it.
-var serverIdleTimeout = 5 * time.Minute
+// the handler goroutine behind a stalled peer forever. The idle bound and
+// the cap on open connections are respond's, which every port holds;
+// variables, so a test can shrink them.
+var (
+	serverIdleTimeout = respond.IdleTimeout
+	serverMaxConns    = respond.MaxConns
+)
 
 func (s *Server) handleConn(c net.Conn) {
 	in := s.newInbound()

@@ -12,8 +12,9 @@
 // Its bounds are fixed (conndeadline and wirebounds invariants, DESIGN.md
 // §10): a head is at most MaxHead bytes, or is answered 431; it arrives
 // within 5 s of its first byte (of the accept, for the first on a
-// connection), an idle connection waits for its next request without a
-// deadline, and a reply is written within 30 s, plus its Span.
+// connection), an idle connection waits IdleTimeout for its next request,
+// a reply is written within WriteTimeout, plus its Span, and a port holds
+// at most MaxConns connections open, answering 503 past them.
 package respond
 
 import (

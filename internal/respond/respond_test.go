@@ -255,6 +255,67 @@ func TestServerDropsSilentClient(t *testing.T) {
 	}
 }
 
+// TestServerClosesIdleConn: a keep-alive connection that sends no next
+// request is closed at the idle deadline, after its one reply.
+func TestServerClosesIdleConn(t *testing.T) {
+	saved := idleTimeout
+	idleTimeout = 100 * time.Millisecond
+	t.Cleanup(func() { idleTimeout = saved })
+	addr, _ := serveEcho(t)
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	io.WriteString(c, "GET /once HTTP/1.1\r\n\r\n")
+	got, err := io.ReadAll(c)
+	if want := "GET /once?"; err != nil || !strings.HasSuffix(string(got), want) {
+		t.Errorf("idle client read %q, %v; want one reply ending %q, then a hang-up", got, err, want)
+	}
+}
+
+// TestServerCapsConns: past maxConns open connections the loop answers a
+// new one 503 and closes it, and it serves again once one has ended.
+func TestServerCapsConns(t *testing.T) {
+	saved := maxConns
+	maxConns = 1
+	t.Cleanup(func() { maxConns = saved })
+	addr, s := serveEcho(t)
+	dial := func() (net.Conn, *bufio.Reader) {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		c.SetDeadline(time.Now().Add(5 * time.Second))
+		return c, bufio.NewReader(c)
+	}
+	held, r := dial()
+	io.WriteString(held, "GET /held HTTP/1.1\r\n\r\n")
+	if line, err := r.ReadString('\n'); err != nil || line != "HTTP/1.1 200 OK\r\n" {
+		t.Fatalf("status line %q, %v", line, err)
+	}
+	var want bytes.Buffer
+	if writeReply(bufio.NewWriter(&want), Text(503, "too many connections"), true); busy != want.String() {
+		t.Errorf("busy = %q, want the reply writeReply makes, %q", busy, want.String())
+	}
+	over, r := dial()
+	if got, err := io.ReadAll(r); err != nil || string(got) != busy {
+		t.Fatalf("a connection past the cap read %q, %v; want %q and a hang-up", got, err, busy)
+	}
+	over.Close()
+	held.Close()
+	for len(s.loop.Conns()) > 0 {
+		time.Sleep(time.Millisecond)
+	}
+	next, r := dial()
+	io.WriteString(next, "GET /next HTTP/1.1\r\n\r\n")
+	if line, err := r.ReadString('\n'); err != nil || line != "HTTP/1.1 200 OK\r\n" {
+		t.Errorf("after the held connection ended: status line %q, %v", line, err)
+	}
+}
+
 // TestServerCloseSevers: Close returns while one keep-alive connection sits
 // idle and others send request after request, and every client sees its
 // connection closed.

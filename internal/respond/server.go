@@ -4,18 +4,42 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"syscall"
 	"time"
 )
 
-// headTimeout bounds a head from its first byte, as http.Server's
-// ReadHeaderTimeout does. It is a variable so a test can shrink it.
-var headTimeout = 5 * time.Second
+// The bounds every port holds, the ring port's as well as the HTTP ports'
+// (conndeadline invariant, DESIGN.md §10).
+const (
+	// IdleTimeout bounds the wait for a connection's next request: an
+	// idle connection is closed, and its client dials again. It is far
+	// past every keep-alive gap of the repository's clients; the longest,
+	// a benchmark scraper's across its warm-up and measuring window, is
+	// about 12 s.
+	IdleTimeout = 5 * time.Minute
+	// WriteTimeout bounds writing a reply.
+	WriteTimeout = 30 * time.Second
+	// MaxConns caps the connections a port holds open; a connection
+	// accepted past it is closed at once. The most any test holds open on
+	// one port is 19, a ring port of the benchmark's 8-node ring 11, and
+	// `make smoke` 6 (DESIGN.md §16).
+	MaxConns = 1024
+)
 
-// WriteTimeout bounds writing a reply, on every port.
-const WriteTimeout = 30 * time.Second
+// headTimeout bounds a head from its first byte, as http.Server's
+// ReadHeaderTimeout does; idleTimeout and maxConns are the HTTP ports'
+// IdleTimeout and MaxConns. Variables, so a test can shrink them.
+var (
+	headTimeout = 5 * time.Second
+	idleTimeout = IdleTimeout
+	maxConns    = MaxConns
+)
+
+// busy is what an HTTP port answers a connection past its cap with.
+const busy = "HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain; charset=utf-8\r\nConnection: close\r\nContent-Length: 21\r\n\r\ntoo many connections\n"
 
 // A Handler answers one request. The reply may be built in buf, which the
 // connection holds until it ends and which is reset before each request;
@@ -32,8 +56,9 @@ type Server struct {
 // NewServer returns a Server that answers with h.
 func NewServer(h Handler) *Server { return &Server{h: h} }
 
-// Serve answers the connections accepted on ln until Close, as Loop.Serve.
-func (s *Server) Serve(ln net.Listener) error { return s.loop.Serve(ln, s.serveConn) }
+// Serve answers the connections accepted on ln until Close, as Loop.Serve,
+// and a connection past maxConns with busy.
+func (s *Server) Serve(ln net.Listener) error { return s.loop.Serve(ln, maxConns, busy, s.serveConn) }
 
 // Close closes the listener and every connection, and waits for them.
 func (s *Server) Close() { s.loop.Close() }
@@ -51,9 +76,10 @@ type Loop struct {
 
 // Serve accepts connections on ln and runs serve on each until Close closes
 // ln, and returns nil then; a connection is closed once serve returns. A
-// temporary accept error is retried behind an acceptBackoff; any other
-// closes ln and is returned.
-func (l *Loop) Serve(ln net.Listener, serve func(net.Conn)) error {
+// connection accepted while limit are open is refused: it is sent refusal,
+// if that is not empty, and closed. A temporary accept error is retried
+// behind an acceptBackoff; any other closes ln and is returned.
+func (l *Loop) Serve(ln net.Listener, limit int, refusal string, serve func(net.Conn)) error {
 	l.mu.Lock()
 	closed := l.closed
 	l.ln, l.conns = ln, make(map[net.Conn]struct{})
@@ -80,17 +106,32 @@ func (l *Loop) Serve(ln net.Listener, serve func(net.Conn)) error {
 		}
 		backoff.wait = 0
 		l.mu.Lock()
-		if closed = l.closed; !closed {
+		closed = l.closed
+		open := len(l.conns) < limit && !closed
+		if open {
 			l.conns[c] = struct{}{}
 			l.wg.Add(1)
 		}
 		l.mu.Unlock()
-		if closed {
+		switch {
+		case open:
+			go l.run(c, serve)
+		case closed:
 			c.Close()
 			return nil
+		default:
+			refuse(c, refusal)
 		}
-		go l.run(c, serve)
 	}
+}
+
+// refuse writes refusal to c, which a fresh socket's send buffer takes
+// whole, and closes c.
+func refuse(c net.Conn, refusal string) {
+	if refusal != "" && c.SetWriteDeadline(time.Now().Add(WriteTimeout)) == nil {
+		io.WriteString(c, refusal)
+	}
+	c.Close()
 }
 
 // run serves c, then forgets and closes it.
@@ -161,8 +202,8 @@ func (s *Server) serveConn(c net.Conn) {
 	b.w.Reset(c)
 	for first := true; ; first = false {
 		if !first {
-			// Idle between requests: no deadline until the next one starts.
-			if c.SetReadDeadline(time.Time{}) != nil {
+			// Idle between requests, for at most idleTimeout.
+			if c.SetReadDeadline(time.Now().Add(idleTimeout)) != nil {
 				return
 			}
 			if _, err := b.r.Peek(1); err != nil {
