@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"dhsketch/internal/chord"
+	"dhsketch/internal/dht"
 	"dhsketch/internal/faultdht"
 	"dhsketch/internal/obs"
 	"dhsketch/internal/sim"
@@ -49,12 +50,12 @@ func traceQuality(events []obs.Event, pass uint64) (probes, failed, skipped int)
 			seen(e.Bit).probed = true
 		case obs.KindLookup:
 			seen(e.Bit).entered = true
-			if e.Err != obs.ClassNone {
+			if e.Err != dht.ClassNone {
 				failed++
 			}
 		case obs.KindWalkStep:
 			seen(e.Bit).entered = true
-			if e.Err != obs.ClassNone {
+			if e.Err != dht.ClassNone {
 				failed++
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 
+	"dhsketch/internal/dht"
 	"dhsketch/internal/obs"
 	"dhsketch/internal/sketch"
 )
@@ -99,7 +100,7 @@ func (t *Trace) emit(kind obs.Kind, node, metric uint64, bit int, arg int64, err
 		Metric: metric,
 		Bit:    int16(bit),
 		Arg:    arg,
-		Err:    obs.Classify(err),
+		Err:    dht.ClassOf(err),
 	})
 }
 

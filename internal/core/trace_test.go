@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"dhsketch/internal/dht"
 	"dhsketch/internal/obs"
 	"dhsketch/internal/sketch"
 )
@@ -75,7 +76,7 @@ func TestWalkReconstructionFromRing(t *testing.T) {
 				t.Fatalf("probe event without a node: %+v", e)
 			}
 		case obs.KindLookup:
-			if e.Err == obs.ClassNone {
+			if e.Err == dht.ClassNone {
 				lookups++
 				lookupHops += int(e.Arg)
 			}
@@ -98,7 +99,7 @@ func TestWalkReconstructionFromRing(t *testing.T) {
 	// The walk is sequential on one clean overlay: each interval entry is
 	// a lookup followed by its probe of the same node.
 	for i, e := range events {
-		if e.Kind == obs.KindLookup && e.Err == obs.ClassNone {
+		if e.Kind == obs.KindLookup && e.Err == dht.ClassNone {
 			next := events[i+1]
 			if next.Kind != obs.KindProbe || next.Node != e.Node || next.Bit != e.Bit {
 				t.Fatalf("lookup at event %d (node %d bit %d) not followed by its probe: %+v", i, e.Node, e.Bit, next)

@@ -45,6 +45,58 @@ var ErrTimeout = errors.New("dht: operation timed out")
 // transit by a lossy network.
 var ErrLost = errors.New("dht: message lost")
 
+// Class is what a failure was: the sentinel above an error wraps, none
+// for a nil error, other for any other. ClassOf decides it, and every
+// reader — a trace event, the ring protocol's error frame, whose byte is
+// byte(class), and the transport's failure counters — reads the class
+// instead of testing the sentinels itself.
+type Class uint8
+
+const (
+	ClassNone    Class = iota // a nil error: the step succeeded
+	ClassNoRoute              // ErrNoRoute
+	ClassDown                 // ErrNodeDown
+	ClassTimeout              // ErrTimeout
+	ClassLost                 // ErrLost
+	ClassOther                // an error that wraps no sentinel
+)
+
+var (
+	classErrs  = [...]error{ClassNoRoute: ErrNoRoute, ClassDown: ErrNodeDown, ClassTimeout: ErrTimeout, ClassLost: ErrLost}
+	classNames = [...]string{ClassNoRoute: "no-route", ClassDown: "down", ClassTimeout: "timeout", ClassLost: "lost", ClassOther: "other"}
+)
+
+// ClassOf returns the class of err.
+func ClassOf(err error) Class {
+	if err == nil {
+		return ClassNone
+	}
+	for c := ClassNoRoute; c < ClassOther; c++ {
+		if errors.Is(err, classErrs[c]) {
+			return c
+		}
+	}
+	return ClassOther
+}
+
+// String returns the class's trace name: empty for ClassNone, "unknown"
+// past ClassOther.
+func (c Class) String() string {
+	if int(c) < len(classNames) {
+		return classNames[c]
+	}
+	return "unknown"
+}
+
+// Err returns the sentinel c stands for, or nil for a class that stands
+// for none: ClassNone, ClassOther and any value past it.
+func (c Class) Err() error {
+	if int(c) < len(classErrs) {
+		return classErrs[c]
+	}
+	return nil
+}
+
 // Counters records per-node load, used to verify the paper's constraint 3
 // (access and storage load balancing). Its fields are sync/atomic values
 // behind the Add* methods, so concurrent counting passes may meter

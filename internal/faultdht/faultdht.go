@@ -216,7 +216,7 @@ func (o *Overlay) fault(node uint64, err error) {
 		Kind: obs.KindFault,
 		Node: node,
 		Bit:  -1,
-		Err:  obs.Classify(err),
+		Err:  dht.ClassOf(err),
 	})
 }
 

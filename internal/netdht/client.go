@@ -65,7 +65,7 @@ type ClientConfig struct {
 	RPCTimeout  time.Duration
 
 	// Metrics, when non-nil, instruments the client's outbound RPC
-	// pool (per-tag latency, errno counters, dial/redial/retry counts,
+	// pool (per-tag latency, failure-class counters, dial/redial/retry counts,
 	// open-socket gauge) — the same instruments a Server's outbound
 	// side registers. Nil keeps every hook a one-branch no-op.
 	Metrics *metrics.Registry

@@ -298,11 +298,11 @@ func TestJoinLateBootstrap(t *testing.T) {
 }
 
 // TestTypedFailureEveryRPC: a peer that answers every request with
-// errnoNodeDown reads as dht.ErrNodeDown on every RPC the package sends —
+// dht.ClassDown reads as dht.ErrNodeDown on every RPC the package sends —
 // probe, notify, neighbors, ping, a routed lookup and a routed store — not
 // as a malformed or unexpected reply on some of them.
 func TestTypedFailureEveryRPC(t *testing.T) {
-	down := fakePeer(t, func(string, []byte) []byte { return encodeErr(errnoNodeDown, 0, 0) })
+	down := fakePeer(t, func(string, []byte) []byte { return encodeErr(dht.ClassDown, 0, 0) })
 	c, _ := storeClient(t, down, 1)
 	s, err := NewServer("127.0.0.1:0", Options{})
 	if err != nil {
@@ -349,7 +349,7 @@ func TestTypedFailureEveryRPC(t *testing.T) {
 // on, whose memories may no longer agree, so the next exchange with the
 // peer dials afresh, and succeeds. That is a dial, not a redial: nothing
 // stale was found. A typed failure is a reply like any other and keeps its
-// socket, except errnoBad: the peer could not read the request, and the
+// socket, except dht.ClassOther: the peer could not read the request, and the
 // socket goes as for a refused reply.
 func TestRefusedReplyDropsSocket(t *testing.T) {
 	req := wire.ProbeReq{Bit: 3, NumVecs: 64, Metrics: []uint64{7}}
@@ -378,11 +378,11 @@ func TestRefusedReplyDropsSocket(t *testing.T) {
 			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple}, nil)
 			return err
 		}, 2},
-		{"request the peer could not read", encodeErr(errnoBad, 0, 0), goodAck, func(c *Client, addr string) error {
+		{"request the peer could not read", encodeErr(dht.ClassOther, 0, 0), goodAck, func(c *Client, addr string) error {
 			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple}, nil)
 			return err
 		}, 2},
-		{"typed failure", encodeErr(errnoNoRoute, 0, 0), goodAck, func(c *Client, addr string) error {
+		{"typed failure", encodeErr(dht.ClassNoRoute, 0, 0), goodAck, func(c *Client, addr string) error {
 			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple}, nil)
 			return err
 		}, 1},

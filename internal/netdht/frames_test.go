@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dhsketch/internal/chord"
+	"dhsketch/internal/dht"
 	"dhsketch/internal/wire"
 )
 
@@ -183,7 +184,7 @@ func TestControlFrameBytes(t *testing.T) {
 			"011501"},
 		{"ack", encodeAck(false),
 			"011500"},
-		{"err", encodeErr(errnoNodeDown, 2, 1),
+		{"err", encodeErr(dht.ClassDown, 2, 1),
 			"011f0200020001"},
 		{"ping", encodePing(),
 			"0116"},

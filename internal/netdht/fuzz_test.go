@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dhsketch/internal/chord"
+	"dhsketch/internal/dht"
 	"dhsketch/internal/wire"
 )
 
@@ -52,7 +53,7 @@ func FuzzDecodeControl(f *testing.F) {
 		encodeNeighborsResp(a, chord.Neighbors{}),
 		encodeNotify(b),
 		encodeAck(true),
-		encodeErr(errnoNoRoute, 7, 7),
+		encodeErr(dht.ClassNoRoute, 7, 7),
 		// The empty-address refs the decoders used to accept.
 		encodeNotify(chord.Ref{ID: 7}),
 		encodeFindSuccResp(chord.Found{Owner: chord.Ref{ID: 7}}),
@@ -90,7 +91,7 @@ func FuzzDecodeControl(f *testing.F) {
 				code, hops, stale, err := decodeErr(b)
 				return [3]uint16{uint16(code), hops, stale}, err
 			},
-			func(e [3]uint16) []byte { return encodeErr(byte(e[0]), e[1], e[2]) })
+			func(e [3]uint16) []byte { return encodeErr(dht.Class(e[0]), e[1], e[2]) })
 
 		// A routed store carries one data-plane tuple frame.
 		if m, err := decodeFindSucc(buf); err == nil && m.store != nil {
@@ -172,7 +173,7 @@ func onWire(payload []byte) []byte {
 func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(onWire(encodePing()))
-	f.Add(append(onWire(encodeErr(errnoBad, 1, 2)), onWire(encodePong())...))
+	f.Add(append(onWire(encodeErr(dht.ClassOther, 1, 2)), onWire(encodePong())...))
 	f.Add(append(onWire(make([]byte, 2*frameBufMin)), onWire(encodePing())...)) // grows the buffer, then reuses it
 	f.Add([]byte{0, 0, 0, 0, 1})                                                // empty frame
 	f.Add([]byte{0, 0x10, 0, 1, 1})                                             // maxFrame + 1

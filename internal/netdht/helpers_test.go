@@ -6,6 +6,7 @@ import (
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/core"
+	"dhsketch/internal/dht"
 	"dhsketch/internal/obs"
 )
 
@@ -19,11 +20,11 @@ func encodeFindSuccResp(f chord.Found) []byte { return appendFindSuccResp(nil, f
 func encodeNeighborsResp(self chord.Ref, nb chord.Neighbors) []byte {
 	return appendNeighborsResp(nil, self, nb)
 }
-func encodeNotify(self chord.Ref) []byte             { return appendNotify(nil, self) }
-func encodeAck(changed bool) []byte                  { return appendAck(nil, changed) }
-func encodeErr(code byte, hops, stale uint16) []byte { return appendErr(nil, code, hops, stale) }
-func encodePing() []byte                             { return bytes.Clone(pingFrame) }
-func encodePong() []byte                             { return bytes.Clone(pongFrame) }
+func encodeNotify(self chord.Ref) []byte               { return appendNotify(nil, self) }
+func encodeAck(changed bool) []byte                    { return appendAck(nil, changed) }
+func encodeErr(c dht.Class, hops, stale uint16) []byte { return appendErr(nil, c, hops, stale) }
+func encodePing() []byte                               { return bytes.Clone(pingFrame) }
+func encodePong() []byte                               { return bytes.Clone(pongFrame) }
 
 // count is Client.Count over any interval prober, the pass's events sent
 // to sink (nil: untraced).

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"dhsketch/internal/dht"
 	"dhsketch/internal/md4"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/sim"
@@ -545,7 +546,7 @@ func TestStoreMemoryServerRestart(t *testing.T) { serverRestart(t, storeHalf()) 
 // TestMemoryUndecodable: a request the server cannot decode against its
 // memory — a kept one that names as changed a field the server remembers,
 // sent because the client's memory was made to disagree — is refused with
-// errnoBad, is not served, and ends the connection at both ends: the server
+// dht.ClassOther, is not served, and ends the connection at both ends: the server
 // closes it, the client drops its socket, and the next request dials afresh —
 // a dial, not a redial — and goes out whole.
 func TestMemoryUndecodable(t *testing.T) {
@@ -559,8 +560,8 @@ func TestMemoryUndecodable(t *testing.T) {
 			pc.mu.Unlock()
 			ops := h.served(s)
 			_, err := h.ask(c, s)
-			if re := (remoteErr{}); !errors.As(err, &re) || re.code != errnoBad {
-				t.Fatalf("a request the server cannot decode: %v, want errnoBad", err)
+			if re := (remoteErr{}); !errors.As(err, &re) || re.class != dht.ClassOther {
+				t.Fatalf("a request the server cannot decode: %v, want dht.ClassOther", err)
 			}
 			if n := h.served(s) - ops; n != 0 {
 				t.Errorf("the refused request was served %d times", n)

@@ -1,8 +1,6 @@
 package netdht
 
 import (
-	"errors"
-
 	"dhsketch/internal/dht"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/store"
@@ -72,27 +70,18 @@ func reqSlot(frame []byte) int {
 	return tagSlot(frame[1])
 }
 
-// Error classes follow the mapNetErr taxonomy: a deadline is a
-// timeout, a refused connection is the crash-stop signature, and
-// everything else (resets, EOF mid-reply, closed pools) is "other".
-const (
-	classTimeout = iota
-	classRefused
-	classOtherErr
-	numErrClasses
-)
-
-var errClassNames = [numErrClasses]string{"timeout", "refused", "other"}
-
-func errClass(err error) int {
-	switch {
-	case errors.Is(err, dht.ErrTimeout):
-		return classTimeout
-	case errors.Is(err, dht.ErrNodeDown):
-		return classRefused
-	default:
-		return classOtherErr
+// outErrLabel is the netdht_out_errors_total label of a transport failure
+// of class c, in mapNetErr's terms: a deadline is a timeout, a refused
+// connection is the crash-stop signature, and everything else (resets, EOF
+// mid-reply, closed pools) is "other".
+func outErrLabel(c dht.Class) string {
+	switch c {
+	case dht.ClassTimeout:
+		return "timeout"
+	case dht.ClassDown:
+		return "refused"
 	}
+	return "other"
 }
 
 // roundSlotNames labels the maintenance-round instruments: a round's
@@ -177,13 +166,13 @@ func (m *srvMetrics) finishRound(slot int, tm metrics.Timer, changes int) {
 // Client-side (peer pool) instruments
 
 // poolMetrics holds the outbound instruments: per-tag latency and
-// error histograms for exchanges, errno-class counters following the
+// error histograms for exchanges, failure-class counters following the
 // mapNetErr taxonomy, and dial/redial/retry counters.
 type poolMetrics struct {
 	rpcTotal   [numTagSlots]*metrics.Counter
 	rpcErrors  [numTagSlots]*metrics.Counter
 	rpcSeconds [numTagSlots]*metrics.Histogram
-	errClasses [numErrClasses]*metrics.Counter
+	outErrors  [dht.ClassOther + 1]*metrics.Counter // by dht.Class, labelled outErrLabel
 
 	dials      *metrics.Counter
 	dialErrors *metrics.Counter
@@ -228,8 +217,8 @@ func newPoolMetrics(reg *metrics.Registry) poolMetrics {
 		m.rpcErrors[i] = reg.Counter("netdht_out_rpc_errors_total", "outbound RPC exchanges that failed in transport", l)
 		m.rpcSeconds[i] = reg.Histogram("netdht_out_rpc_seconds", "outbound RPC round-trip latency", metrics.DefLatencyBuckets, l)
 	}
-	for i, name := range errClassNames {
-		m.errClasses[i] = reg.Counter("netdht_out_errors_total", "outbound transport failures by errno class", metrics.L("class", name))
+	for c := range m.outErrors {
+		m.outErrors[c] = reg.Counter("netdht_out_errors_total", "outbound transport failures by errno class", metrics.L("class", outErrLabel(dht.Class(c))))
 	}
 	m.targetsByMap = reg.Counter("netdht_scan_targets_total", "counting-scan interval targets by what finding the owner cost: a lookup, or none (the view held it, or the interval had its answer)", metrics.L("resolved", "map"))
 	m.targetsByLookup = reg.Counter("netdht_scan_targets_total", "counting-scan interval targets by what finding the owner cost: a lookup, or none (the view held it, or the interval had its answer)", metrics.L("resolved", "lookup"))
@@ -291,7 +280,7 @@ func (m *poolMetrics) finishRPC(slot, replyLen int, err error, tm metrics.Timer)
 	tm.Stop()
 	if err != nil {
 		m.rpcErrors[slot].Inc()
-		m.errClasses[errClass(err)].Inc()
+		m.outErrors[dht.ClassOf(err)].Inc()
 		return
 	}
 	m.bytesIn.Add(uint64(replyLen))

@@ -3,7 +3,6 @@ package netdht
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"dhsketch/internal/chord"
@@ -56,49 +55,6 @@ const (
 	// its lookups, an insert on a store it sends through the entry.
 	flagNeighbors = 1 << 2
 )
-
-// Typed error codes carried by tagErr, mapping the dht error taxonomy
-// across the wire so a remote failure surfaces as the same sentinel a
-// simulated one would.
-const (
-	errnoNoRoute  = 1
-	errnoNodeDown = 2
-	errnoTimeout  = 3
-	errnoLost     = 4
-	errnoBad      = 5
-)
-
-func errnoOf(err error) byte {
-	switch {
-	case err == nil:
-		return 0
-	case errors.Is(err, dht.ErrNoRoute):
-		return errnoNoRoute
-	case errors.Is(err, dht.ErrNodeDown):
-		return errnoNodeDown
-	case errors.Is(err, dht.ErrTimeout):
-		return errnoTimeout
-	case errors.Is(err, dht.ErrLost):
-		return errnoLost
-	default:
-		return errnoBad
-	}
-}
-
-func errnoErr(code byte) error {
-	switch code {
-	case errnoNoRoute:
-		return dht.ErrNoRoute
-	case errnoNodeDown:
-		return dht.ErrNodeDown
-	case errnoTimeout:
-		return dht.ErrTimeout
-	case errnoLost:
-		return dht.ErrLost
-	default:
-		return fmt.Errorf("netdht: remote error code %d", code)
-	}
-}
 
 // appendRef serializes a chord.Ref: id(8) + addr length(2) + addr bytes.
 func appendRef(buf []byte, r chord.Ref) []byte {
@@ -615,23 +571,26 @@ func decodeAck(buf []byte) (changed bool, err error) {
 	return buf[2] != 0, nil
 }
 
-// appendErr carries a typed failure back to the requester, with the
-// partial route cost so the caller can meter dropped traffic exactly
-// like the simulated rings do.
-func appendErr(dst []byte, code byte, hops, stale uint16) []byte {
-	dst = append(dst, wire.Version, tagErr, code)
+// appendErr carries a typed failure back to the requester — its class, as
+// one byte, so a remote failure surfaces as the sentinel a simulated one
+// would — with the partial route cost so the caller can meter dropped
+// traffic exactly like the simulated rings do.
+func appendErr(dst []byte, c dht.Class, hops, stale uint16) []byte {
+	dst = append(dst, wire.Version, tagErr, byte(c))
 	dst = binary.BigEndian.AppendUint16(dst, hops)
 	return binary.BigEndian.AppendUint16(dst, stale)
 }
 
-func decodeErr(buf []byte) (code byte, hops, stale uint16, err error) {
+// decodeErr reads any class byte a peer sends, one past dht.ClassOther
+// included.
+func decodeErr(buf []byte) (c dht.Class, hops, stale uint16, err error) {
 	if len(buf) < 7 {
 		return 0, 0, 0, wire.ErrShort
 	}
 	if buf[0] != wire.Version || buf[1] != tagErr || len(buf) != 7 {
 		return 0, 0, 0, wire.ErrBadMessage
 	}
-	return buf[2], binary.BigEndian.Uint16(buf[3:]), binary.BigEndian.Uint16(buf[5:]), nil
+	return dht.Class(buf[2]), binary.BigEndian.Uint16(buf[3:]), binary.BigEndian.Uint16(buf[5:]), nil
 }
 
 // decodePong accepts a pong; any other reply to a ping is an error.
@@ -642,15 +601,23 @@ func decodePong(buf []byte) (struct{}, error) {
 	return struct{}{}, nil
 }
 
-// remoteErr is a typed failure a peer replied with: its code, which reads as
-// the code's dht sentinel, and the route cost paid until the failure.
+// remoteErr is a typed failure a peer replied with: its class, which reads
+// as the class's dht sentinel, and the route cost paid until the failure.
 type remoteErr struct {
-	code        byte
+	class       dht.Class
 	hops, stale uint16
 }
 
 func (e remoteErr) Error() string { return e.Unwrap().Error() }
-func (e remoteErr) Unwrap() error { return errnoErr(e.code) }
+
+// Unwrap returns the class's sentinel, or, for a class that stands for
+// none, an error that wraps none.
+func (e remoteErr) Unwrap() error {
+	if err := e.class.Err(); err != nil {
+		return err
+	}
+	return fmt.Errorf("netdht: remote error code %d", byte(e.class))
+}
 
 // replyErr splits a typed failure out of a reply frame: nil when raw is any
 // other frame, else the peer's remoteErr, or the decode error of a malformed
@@ -659,9 +626,9 @@ func replyErr(raw []byte) error {
 	if len(raw) < 2 || raw[1] != tagErr {
 		return nil
 	}
-	code, hops, stale, err := decodeErr(raw)
+	c, hops, stale, err := decodeErr(raw)
 	if err != nil {
 		return err
 	}
-	return remoteErr{code: code, hops: hops, stale: stale}
+	return remoteErr{class: c, hops: hops, stale: stale}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dhsketch/internal/chord"
+	"dhsketch/internal/dht"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/obs"
 	"dhsketch/internal/sim"
@@ -479,7 +480,7 @@ func TestWireScanTraceFromRing(t *testing.T) {
 			switch e.Kind {
 			case obs.KindLookup:
 				lookups++
-				if e.Err != obs.ClassNone || e.Node == 0 {
+				if e.Err != dht.ClassNone || e.Node == 0 {
 					t.Errorf("%s: lookup on a ring whose entry lives: %+v", when, e)
 				}
 			case obs.KindProbe:

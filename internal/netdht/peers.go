@@ -199,7 +199,7 @@ func (p *peerPool) dropConn(pc *peerConn) {
 // the reply, and the socket goes with it: the one rule for every RPC, so
 // that a socket whose replies the asker stopped following — and whose two
 // memories may no longer agree — never carries another. One typed failure
-// drops the socket too: errnoBad, a request the peer could not read, after
+// drops the socket too: dht.ClassOther, a request the peer could not read, after
 // which a peer that could not read a store ends its own end. req is the
 // request as the stateless encoders build it, and may live on the caller's
 // stack; it is encoded into the slot against the socket's memory
@@ -211,7 +211,7 @@ func (p *peerPool) dropConn(pc *peerConn) {
 // spent attempt (DESIGN.md §8). Safe for the idempotent RPC set this
 // package speaks. The metrics hooks meter the exchange per tag (count,
 // bytes as they went on the socket, frame size, round-trip latency) and
-// transport failures by errno class — a refused reply is an exchange that
+// transport failures by class — a refused reply is an exchange that
 // moved its bytes; with metrics off each instrument they touch is nil and
 // no-ops on its own receiver.
 func (p *peerPool) exchange(addr string, req []byte, read func(reply []byte, mem *wire.Memory) error) error {
@@ -247,7 +247,7 @@ func (p *peerPool) doExchange(addr string, req []byte, read func([]byte, *wire.M
 	}
 	n = len(pc.rbuf)
 	if refused = read(pc.rbuf, &pc.mem); refused != nil {
-		if re, typed := refused.(remoteErr); !typed || re.code == errnoBad {
+		if re, typed := refused.(remoteErr); !typed || re.class == dht.ClassOther {
 			p.dropConn(pc)
 		}
 	}

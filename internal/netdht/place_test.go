@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"dhsketch/internal/chord"
+	"dhsketch/internal/dht"
 	"dhsketch/internal/sim"
 	"dhsketch/internal/store"
 	"dhsketch/internal/wire"
 )
 
 // TestInsertRetriesAtFreshTarget: the entry refuses the first routed store
-// with a typed errnoNodeDown and acks the second. Insert succeeds, as the
+// with a typed dht.ClassDown and acks the second. Insert succeeds, as the
 // simulator's insert does: the failed store is re-sent once, after one
 // backoff, for the next target of the item's stream — not for the same
 // one — and the retry is counted.
@@ -25,13 +26,13 @@ func TestInsertRetriesAtFreshTarget(t *testing.T) {
 		m, err := decodeFindSucc(req)
 		if err != nil || m.store == nil {
 			t.Errorf("entry got %x (%v), want a routed store", req, err)
-			return encodeErr(errnoBad, 0, 0)
+			return encodeErr(dht.ClassOther, 0, 0)
 		}
 		mu.Lock()
 		defer mu.Unlock()
 		keys = append(keys, m.key)
 		if len(keys) == 1 {
-			return encodeErr(errnoNodeDown, 0, 0)
+			return encodeErr(dht.ClassDown, 0, 0)
 		}
 		return encodeStoreAck(chord.Found{})
 	})

@@ -11,6 +11,7 @@ import (
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/core"
+	"dhsketch/internal/dht"
 	"dhsketch/internal/sketch"
 	"dhsketch/internal/store"
 	"dhsketch/internal/wire"
@@ -90,7 +91,7 @@ func TestCountFailsMisshapenProbeReply(t *testing.T) {
 // TestProbeReqOversizeRejected: a 400-odd-byte probe request claiming
 // 65535 vectors across 200 metrics would demand ~1.6 MiB of mask
 // allocations — more than one frame can carry back. The server must
-// refuse it with errnoBad before allocating, and keep answering
+// refuse it with dht.ClassOther before allocating, and keep answering
 // well-formed requests on the same dispatch path.
 func TestProbeReqOversizeRejected(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0", Options{})
@@ -115,8 +116,8 @@ func TestProbeReqOversizeRejected(t *testing.T) {
 		t.Fatalf("oversize probe-req got %v, want a tagErr reply", raw)
 	}
 	code, _, _, derr := decodeErr(raw)
-	if derr != nil || code != errnoBad {
-		t.Fatalf("oversize probe-req errno = %d (%v), want errnoBad", code, derr)
+	if derr != nil || code != dht.ClassOther {
+		t.Fatalf("oversize probe-req class = %d (%v), want dht.ClassOther", code, derr)
 	}
 
 	small, err := wire.EncodeProbeReq(wire.ProbeReq{Bit: 3, NumVecs: 64, Metrics: []uint64{7}})
@@ -135,7 +136,7 @@ func TestProbeReqOversizeRejected(t *testing.T) {
 // TestProbeRunServed: a request for the run Bit … Bit+Span is answered
 // with what the single-bit requests for those positions are answered
 // with, bit-major, and counts as one probe; a run whose reply would not
-// fit a frame, or whose masks its count field, is refused with errnoBad —
+// fit a frame, or whose masks its count field, is refused with dht.ClassOther —
 // the oversize bound covers the span too.
 func TestProbeRunServed(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0", Options{})
@@ -192,8 +193,8 @@ func TestProbeRunServed(t *testing.T) {
 		"masks of no width at all": encode(wire.ProbeReq{Span: 255, NumVecs: 0, Metrics: make([]uint64, 65535)}),
 		"run off the bit field":    offField,
 	} {
-		if code, _, _, err := decodeErr(s.dispatch(req)); err != nil || code != errnoBad {
-			t.Errorf("%s: errno = %d (%v), want errnoBad", name, code, err)
+		if code, _, _, err := decodeErr(s.dispatch(req)); err != nil || code != dht.ClassOther {
+			t.Errorf("%s: class = %d (%v), want dht.ClassOther", name, code, err)
 		}
 	}
 	if 8+100*wire.MaskBytes(65535) > maxFrame || 8+2*100*wire.MaskBytes(65535) <= maxFrame {
@@ -262,7 +263,7 @@ func TestServerReapsIdleConn(t *testing.T) {
 // a fresh ring of one installed a successor nobody can dial and latched
 // linked; the next stabilize round emptied the list and /healthz
 // reported a partition for a node that never had a peer. The frame must
-// bounce with errnoBad and leave the node exactly as it was, and a
+// bounce with dht.ClassOther and leave the node exactly as it was, and a
 // caller handed such a ref in a reply must see a failed exchange.
 func TestEmptyAddressRefRejected(t *testing.T) {
 	s, err := NewServer("127.0.0.1:0", Options{})
@@ -285,8 +286,8 @@ func TestEmptyAddressRefRejected(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read reply: %v", err)
 	}
-	if code, _, _, derr := decodeErr(raw); derr != nil || code != errnoBad {
-		t.Fatalf("empty-address notify got % x (errno %d, %v), want errnoBad", raw, code, derr)
+	if code, _, _, derr := decodeErr(raw); derr != nil || code != dht.ClassOther {
+		t.Fatalf("empty-address notify got % x (class %d, %v), want dht.ClassOther", raw, code, derr)
 	}
 	if after := s.Status(); !reflect.DeepEqual(before, after) {
 		t.Fatalf("rejected notify changed the node:\nbefore %+v\nafter  %+v", before, after)

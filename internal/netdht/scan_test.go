@@ -12,6 +12,7 @@ import (
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/core"
+	"dhsketch/internal/dht"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/obs"
 	"dhsketch/internal/sim"
@@ -503,7 +504,7 @@ func TestScanStaleMapEntry(t *testing.T) {
 				case wire.TagProbeReq:
 					return zeroMasks(t, req)
 				}
-				return encodeErr(errnoBad, 0, 0)
+				return encodeErr(dht.ClassOther, 0, 0)
 			})
 			// K=8, M=64: the descending scan covers bits 2..0.
 			c, err := NewClient(ClientConfig{

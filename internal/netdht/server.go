@@ -52,7 +52,7 @@ type Options struct {
 
 	// Metrics, when non-nil, instruments the server: per-tag RPC
 	// latency/error histograms on both sides of the wire, dial/retry and
-	// errno-class counters, maintenance-round durations, and store
+	// failure-class counters, maintenance-round durations, and store
 	// gauges (DESIGN.md §15). Nil means metrics off — the hot paths then
 	// pay one nil check per event and zero allocations.
 	Metrics *metrics.Registry
@@ -291,7 +291,7 @@ func (in *inbound) dispatch(req []byte) []byte {
 func (in *inbound) handleRequest(dst, req []byte) []byte {
 	s := in.s
 	if len(req) < 2 || req[0] != wire.Version {
-		return appendErr(dst, errnoBad, 0, 0)
+		return appendErr(dst, dht.ClassOther, 0, 0)
 	}
 	switch req[1] {
 	case tagFindSucc, tagStore, tagStoreKept:
@@ -302,7 +302,7 @@ func (in *inbound) handleRequest(dst, req []byte) []byte {
 		return s.handleNotify(dst, req)
 	case tagPing:
 		if !s.Alive() {
-			return appendErr(dst, errnoNodeDown, 0, 0)
+			return appendErr(dst, dht.ClassDown, 0, 0)
 		}
 		return append(dst, pongFrame...)
 	case wire.TagProbeReq, wire.TagProbeReqKept:
@@ -310,7 +310,7 @@ func (in *inbound) handleRequest(dst, req []byte) []byte {
 	default:
 		// Among them a bare wire.TagInsert / TagBulkInsert frame: a tuple
 		// is stored where a route ends (§3.2), not where a peer dialled.
-		return appendErr(dst, errnoBad, 0, 0)
+		return appendErr(dst, dht.ClassOther, 0, 0)
 	}
 }
 
@@ -339,10 +339,10 @@ func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 	in.tuple = tuple
 	if err != nil {
 		in.end = req[1] != tagFindSucc
-		return appendErr(dst, errnoBad, 0, 0)
+		return appendErr(dst, dht.ClassOther, 0, 0)
 	}
 	if !s.Alive() {
-		return appendErr(dst, errnoNodeDown, m.hops, m.stale)
+		return appendErr(dst, dht.ClassDown, m.hops, m.stale)
 	}
 	if m.flags&flagForwarded != 0 {
 		s.Counters().AddRouted()
@@ -355,10 +355,10 @@ func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 	in.route.near, in.route.store = near, m.store
 	f := s.Protocol().HandleFindSucc(&in.route, m.key, int(m.hops), int(m.stale), m.flags&flagDeliver != 0)
 	if f.Err != nil {
-		return appendErr(dst, errnoOf(f.Err), uint16(f.Hops), uint16(f.Stale))
+		return appendErr(dst, dht.ClassOf(f.Err), uint16(f.Hops), uint16(f.Stale))
 	}
 	// The reply is f, with this node's neighbourhood where it attaches one —
-	// built in a copy, because f.Err reaches errnoOf and a neighbourhood
+	// built in a copy, because f.Err reaches dht.ClassOf and a neighbourhood
 	// stored in f would go to the heap with it.
 	reply := f
 	if m.store != nil {
@@ -366,8 +366,8 @@ func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 		// names nobody, a long one comes with a neighbourhood): the route
 		// ended here.
 		if f.Owner.Addr == s.addr && f.Near == nil {
-			if code := s.applyStore(m.store); code != 0 {
-				return appendErr(dst, code, uint16(f.Hops), uint16(f.Stale))
+			if c := s.applyStore(m.store); c != dht.ClassNone {
+				return appendErr(dst, c, uint16(f.Hops), uint16(f.Stale))
 			}
 			if near {
 				nb := s.Protocol().Neighbors()
@@ -425,7 +425,7 @@ func (p *tcpPeers) Ping(to chord.Ref) error { return p.s.peers.ping(to.Addr) }
 // metered hop; a forwarded step carries flagForwarded. A decoded reply is
 // terminal: the owner, or a typed downstream routing failure. Two replies
 // are a candidate that failed instead: a peer that says it is down
-// (errnoNodeDown, or code 0, which no errno is), and, to a relayed store,
+// (dht.ClassDown, or dht.ClassNone, which no failure is), and, to a relayed store,
 // any reply but a store ack (peerPool.route).
 func (p *tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver bool) (chord.Found, error) {
 	m := findSuccMsg{key: key, hops: uint16(hops), stale: uint16(stale), store: p.store}
@@ -439,7 +439,7 @@ func (p *tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver b
 		m.flags |= flagForwarded
 	}
 	f, err := p.s.peers.route(to.Addr, m, p.s.Protocol())
-	if re, ok := err.(remoteErr); ok && re.code != 0 && re.code != errnoNodeDown {
+	if re, ok := err.(remoteErr); ok && re.class != dht.ClassNone && re.class != dht.ClassDown {
 		return chord.Found{Hops: int(re.hops), Stale: int(re.stale), Err: re.Unwrap()}, nil
 	}
 	return f, err
@@ -458,9 +458,10 @@ func (p *tcpPeers) Reseed(_, pred chord.Ref) chord.Ref { return pred }
 // frame.
 
 // applyStore stores the tuple frame a routed store ended here with — one
-// tuple or one bit position's batch — and returns the errno to refuse it
-// with, 0 when it is stored. The ack is the routed store's own (tagStoreAck).
-func (s *Server) applyStore(frame []byte) (errno byte) {
+// tuple or one bit position's batch — and returns the class to refuse it
+// with, dht.ClassNone when it is stored. The ack is the routed store's own
+// (tagStoreAck).
+func (s *Server) applyStore(frame []byte) dht.Class {
 	var m wire.BulkInsert
 	var err error
 	if frame[1] == wire.TagBulkInsert {
@@ -471,10 +472,10 @@ func (s *Server) applyStore(frame []byte) (errno byte) {
 		m = wire.BulkInsert{Metric: t.Metric, Bit: t.Bit, TTL: t.TTL, Vectors: []uint16{t.Vector}}
 	}
 	if err != nil {
-		return errnoBad
+		return dht.ClassOther
 	}
 	if !s.Alive() {
-		return errnoNodeDown
+		return dht.ClassDown
 	}
 	st := s.ensureStore()
 	expiry := store.Expiry(s.nowFn(), int64(m.TTL))
@@ -482,7 +483,7 @@ func (s *Server) applyStore(frame []byte) (errno byte) {
 		st.Set(store.Key{Metric: m.Metric, Vector: int32(v), Bit: m.Bit}, expiry)
 	}
 	s.Counters().AddStoreOps()
-	return 0
+	return dht.ClassNone
 }
 
 // handleProbeReq answers a probe with the masks of its run, against the
@@ -494,11 +495,11 @@ func (in *inbound) handleProbeReq(dst, req []byte) []byte {
 	m, err := wire.DecodeProbeReqOn(in.metrics, req, &in.mem)
 	if err != nil {
 		in.end = true
-		return appendErr(dst, errnoBad, 0, 0)
+		return appendErr(dst, dht.ClassOther, 0, 0)
 	}
 	in.metrics = m.Metrics
 	if !s.Alive() {
-		return appendErr(dst, errnoNodeDown, 0, 0)
+		return appendErr(dst, dht.ClassDown, 0, 0)
 	}
 	s.Counters().AddProbed()
 	st, _ := s.App().(*store.Store)
@@ -512,12 +513,12 @@ func (in *inbound) handleProbeReq(dst, req []byte) []byte {
 	// its masks the reply's count field, before allocating for it
 	// (wirebounds invariant).
 	if bits*len(m.Metrics) > math.MaxUint16 || wire.ProbeRespOverhead+bits*len(m.Metrics)*maskLen > maxFrame {
-		return appendErr(dst, errnoBad, 0, 0)
+		return appendErr(dst, dht.ClassOther, 0, 0)
 	}
 	start := len(dst)
 	resp, err := wire.AppendProbeRespHeader(dst, m.Bit, m.Span, m.NumVecs, bits*len(m.Metrics))
 	if err != nil {
-		return appendErr(dst, errnoBad, 0, 0)
+		return appendErr(dst, dht.ClassOther, 0, 0)
 	}
 	// Bit-major: every metric's mask for Bit, then Bit+1, … — each the
 	// store's own bit words for (metric, bit), copied behind the header.
@@ -547,7 +548,7 @@ func (in *inbound) handleProbeReq(dst, req []byte) []byte {
 
 func (s *Server) handleNeighbors(dst []byte) []byte {
 	if !s.Alive() {
-		return appendErr(dst, errnoNodeDown, 0, 0)
+		return appendErr(dst, dht.ClassDown, 0, 0)
 	}
 	return appendNeighborsResp(dst, s.Protocol().Self(), s.Protocol().Neighbors())
 }
@@ -555,10 +556,10 @@ func (s *Server) handleNeighbors(dst []byte) []byte {
 func (s *Server) handleNotify(dst, req []byte) []byte {
 	n, err := decodeNotify(req, s.Protocol())
 	if err != nil {
-		return appendErr(dst, errnoBad, 0, 0)
+		return appendErr(dst, dht.ClassOther, 0, 0)
 	}
 	if !s.Alive() {
-		return appendErr(dst, errnoNodeDown, 0, 0)
+		return appendErr(dst, dht.ClassDown, 0, 0)
 	}
 	changed := s.Protocol().HandleNotify(n)
 	if changed {

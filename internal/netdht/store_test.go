@@ -603,8 +603,8 @@ func TestBareInsertFrameRefused(t *testing.T) {
 		"bulk insert": wire.EncodeBulkInsert(wire.BulkInsert{Metric: 4, Bit: 3, Vectors: []uint16{1, 5}}),
 	} {
 		_, err := call(c.peers, s.Addr(), frame, decodeAck)
-		if re, ok := err.(remoteErr); !ok || re.code != errnoBad {
-			t.Errorf("bare %s frame got %v, want errnoBad", name, err)
+		if re, ok := err.(remoteErr); !ok || re.class != dht.ClassOther {
+			t.Errorf("bare %s frame got %v, want dht.ClassOther", name, err)
 		}
 	}
 	if st := s.Status(); st.StoreTuples != 0 || st.StoreOps != 0 {
@@ -655,7 +655,7 @@ func TestRoutedStoreCrashedOwner(t *testing.T) {
 }
 
 // TestRoutedStoreDownTerminal: a node that still answers but is shutting
-// down (alive == false) refuses a routed store with errnoNodeDown, and the
+// down (alive == false) refuses a routed store with dht.ClassDown, and the
 // sender's Route moves to its next candidate exactly as it does for a
 // plain find_succ: same owner, same cost.
 func TestRoutedStoreDownTerminal(t *testing.T) {
@@ -673,8 +673,8 @@ func TestRoutedStoreDownTerminal(t *testing.T) {
 
 	_, err := c.peers.route(down.Addr(), findSuccMsg{
 		flags: flagForwarded | flagDeliver, key: target, hops: 2, stale: 1, store: wire.EncodeInsert(tuple)}, nil)
-	if re, ok := err.(remoteErr); !ok || re.code != errnoNodeDown || re.hops != 2 || re.stale != 1 || !errors.Is(err, dht.ErrNodeDown) {
-		t.Fatalf("down node answered %+v (%v), want errnoNodeDown with the cost so far", re, err)
+	if re, ok := err.(remoteErr); !ok || re.class != dht.ClassDown || re.hops != 2 || re.stale != 1 || !errors.Is(err, dht.ErrNodeDown) {
+		t.Fatalf("down node answered %+v (%v), want dht.ClassDown with the cost so far", re, err)
 	}
 
 	found, err := c.peers.route(c.cfg.Entry, findSuccMsg{key: target}, nil)
@@ -831,7 +831,7 @@ func TestRoutedStoreCodec(t *testing.T) {
 		"empty":                          nil,
 		"plain ack":                      encodeAck(true),
 		"find_succ reply":                encodeFindSuccResp(chord.Found{Hops: 1, Owner: chord.Ref{ID: 1, Addr: "a:1"}}),
-		"typed error":                    encodeErr(errnoNoRoute, 1, 1),
+		"typed error":                    encodeErr(dht.ClassNoRoute, 1, 1),
 		"foreign version":                retag(rawAck, 0, wire.Version+1),
 		"the request back":               with(insert),
 	} {

@@ -11,6 +11,7 @@ import (
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/core"
+	"dhsketch/internal/dht"
 	"dhsketch/internal/md4"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/sim"
@@ -316,7 +317,7 @@ func TestViewUnknownPredecessor(t *testing.T) {
 			}
 			return raw
 		}
-		return encodeErr(errnoBad, 0, 0)
+		return encodeErr(dht.ClassOther, 0, 0)
 	})
 	// K=8, M=64: the descending scan covers bits 2..0, two targets each.
 	reg := metrics.New()

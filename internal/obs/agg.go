@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"dhsketch/internal/dht"
 	"dhsketch/internal/stats"
 )
 
@@ -24,7 +25,7 @@ type Aggregator struct {
 	hops      map[int64]int64 // lookup hop count → occurrences
 	walkSteps int64
 	expired   int64
-	faults    [classCount]int64
+	faults    [dht.ClassOther + 1]int64
 }
 
 // NewAggregator returns an empty aggregating sink.
@@ -69,7 +70,7 @@ func (a *Aggregator) Event(e Event) {
 		a.passes++
 	case KindLookup:
 		bl := a.bit(e.Bit)
-		if e.Err == ClassNone {
+		if e.Err == dht.ClassNone {
 			bl.Lookups++
 			a.hops[e.Arg]++
 		} else {
@@ -80,7 +81,7 @@ func (a *Aggregator) Event(e Event) {
 		a.bit(e.Bit).Probes++
 	case KindWalkStep:
 		a.walkSteps++
-		if e.Err != ClassNone {
+		if e.Err != dht.ClassNone {
 			a.bit(e.Bit).Failed++
 		}
 	case KindStore, KindReplica:
@@ -153,11 +154,11 @@ func (a *Aggregator) Report(totalNodes int) LoadReport {
 		StoresPerNode: perNodeDistribution(a.stores, totalNodes),
 		LookupHops:    histDistribution(a.hops),
 		Faults: FaultTally{
-			Lost:     a.faults[ClassLost],
-			Timeouts: a.faults[ClassTimeout],
-			Down:     a.faults[ClassDown],
-			NoRoute:  a.faults[ClassNoRoute],
-			Other:    a.faults[ClassOther],
+			Lost:     a.faults[dht.ClassLost],
+			Timeouts: a.faults[dht.ClassTimeout],
+			Down:     a.faults[dht.ClassDown],
+			NoRoute:  a.faults[dht.ClassNoRoute],
+			Other:    a.faults[dht.ClassOther],
 		},
 	}
 	for _, bl := range a.bits {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"dhsketch/internal/dht"
 )
 
 // JSONL streams events to an io.Writer as one JSON object per line, for
@@ -52,7 +54,7 @@ func (j *JSONL) Event(e Event) {
 	if e.Arg != 0 {
 		fmt.Fprintf(j.w, `,"arg":%d`, e.Arg)
 	}
-	if e.Err != ClassNone {
+	if e.Err != dht.ClassNone {
 		fmt.Fprintf(j.w, `,"err":%q`, e.Err.String())
 	}
 	if _, err := j.w.WriteString("}\n"); err != nil {

@@ -29,11 +29,7 @@
 // summaries).
 package obs
 
-import (
-	"errors"
-
-	"dhsketch/internal/dht"
-)
+import "dhsketch/internal/dht"
 
 // Kind classifies a trace event.
 type Kind uint8
@@ -112,61 +108,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// ErrClass classifies the failure attached to an event, mirroring the
-// typed errors of internal/dht.
-type ErrClass uint8
-
-const (
-	// ClassNone marks a successful step.
-	ClassNone ErrClass = iota
-	// ClassLost is a message dropped in transit (dht.ErrLost).
-	ClassLost
-	// ClassTimeout is a slow-node timeout (dht.ErrTimeout).
-	ClassTimeout
-	// ClassDown is an exchange with a down node (dht.ErrNodeDown).
-	ClassDown
-	// ClassNoRoute is a routing failure (dht.ErrNoRoute).
-	ClassNoRoute
-	// ClassOther is any other error.
-	ClassOther
-
-	classCount = int(ClassOther) + 1
-)
-
-var classNames = [...]string{
-	ClassNone:    "",
-	ClassLost:    "lost",
-	ClassTimeout: "timeout",
-	ClassDown:    "down",
-	ClassNoRoute: "no-route",
-	ClassOther:   "other",
-}
-
-func (c ErrClass) String() string {
-	if int(c) < len(classNames) {
-		return classNames[c]
-	}
-	return "unknown"
-}
-
-// Classify maps an error from the DHT layer to its trace class.
-func Classify(err error) ErrClass {
-	switch {
-	case err == nil:
-		return ClassNone
-	case errors.Is(err, dht.ErrLost):
-		return ClassLost
-	case errors.Is(err, dht.ErrTimeout):
-		return ClassTimeout
-	case errors.Is(err, dht.ErrNodeDown):
-		return ClassDown
-	case errors.Is(err, dht.ErrNoRoute):
-		return ClassNoRoute
-	default:
-		return ClassOther
-	}
-}
-
 // Event is one structured trace event. Field meaning varies by Kind (see
 // the Kind constants); unused fields are zero, except Bit, whose
 // not-applicable value is −1.
@@ -191,8 +132,8 @@ type Event struct {
 	// walk direction (±1), replica ordinal, unresolved-vector or
 	// expired-tuple counts.
 	Arg int64
-	// Err classifies the failure, ClassNone on success.
-	Err ErrClass
+	// Err classifies the failure (dht.ClassOf), dht.ClassNone on success.
+	Err dht.Class
 }
 
 // Tracer is a sink for trace events. A nil Tracer means tracing is
