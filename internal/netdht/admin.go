@@ -250,7 +250,7 @@ func (s *Server) pprofAnswer(name, query string) respond.Reply {
 	if p == nil {
 		return respond.Text(404, "unknown profile")
 	}
-	debug, _ := strconv.Atoi(queryValue(query, "debug"))
+	debug, _ := strconv.Atoi(respond.QueryGet(query, "debug"))
 	if err := p.WriteTo(&b, debug); err != nil {
 		return respond.Text(500, "profile "+name+": "+err.Error())
 	}
@@ -292,24 +292,11 @@ func (c *countWriter) Write(p []byte) (int, error) {
 // pprofSeconds reads ?seconds= as net/http/pprof does — absent, unparsable
 // or not positive means def — and refuses more than adminMaxSeconds.
 func pprofSeconds(query string, def float64) (time.Duration, bool) {
-	sec, err := strconv.ParseFloat(queryValue(query, "seconds"), 64)
+	sec, err := strconv.ParseFloat(respond.QueryGet(query, "seconds"), 64)
 	if err != nil || sec <= 0 {
 		sec = def
 	}
 	return time.Duration(sec * float64(time.Second)), sec <= adminMaxSeconds
-}
-
-// queryValue returns the first value of key in a query string, undecoded:
-// the only keys read are numeric.
-func queryValue(query, key string) string {
-	for query != "" {
-		var kv string
-		kv, query, _ = strings.Cut(query, "&")
-		if k, v, _ := strings.Cut(kv, "="); k == key {
-			return v
-		}
-	}
-	return ""
 }
 
 // adminWait sleeps d, or until the server closes.

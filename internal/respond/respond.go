@@ -22,6 +22,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -45,6 +46,27 @@ type Request struct {
 	// this one: the request is HTTP/1.0, says `Connection: close`, or has a
 	// body, which the responder does not read.
 	Close bool
+}
+
+// QueryGet is url.ParseQuery(query).Get(key) without the map: the first
+// value of key among the pairs that decode, decoded, and "" if there is
+// none. url.QueryUnescape returns a string that needs no decoding as it
+// is, so a plain name allocates nothing.
+func QueryGet(query, key string) string {
+	for query != "" {
+		var kv string
+		kv, query, _ = strings.Cut(query, "&")
+		if strings.Contains(kv, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(kv, "=")
+		k, err1 := url.QueryUnescape(k)
+		v, err2 := url.QueryUnescape(v)
+		if err1 == nil && err2 == nil && k == key {
+			return v
+		}
+	}
+	return ""
 }
 
 // readRequest reads one request head from r: an HTTP/1.0 or 1.1 request

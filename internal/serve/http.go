@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 
@@ -98,7 +97,7 @@ var (
 // countReply answers /count with the query string query, building its
 // headers in buf.
 func countReply(f *Frontend, query string, buf *bytes.Buffer) respond.Reply {
-	name := queryGet(query, "metric")
+	name := respond.QueryGet(query, "metric")
 	if name == "" {
 		return errorReply(400, "missing metric query parameter")
 	}
@@ -124,27 +123,6 @@ func errorReply(status int, msg string) respond.Reply {
 	rep := respond.Text(status, msg)
 	rep.Header = nosniff
 	return rep
-}
-
-// queryGet is url.ParseQuery(query).Get(key) without the map: the first
-// value of key among the pairs that decode, decoded, and "" if there is
-// none. url.QueryUnescape returns a string that needs no decoding as it
-// is, so a plain name allocates nothing.
-func queryGet(query, key string) string {
-	for query != "" {
-		var kv string
-		kv, query, _ = strings.Cut(query, "&")
-		if strings.Contains(kv, ";") {
-			continue
-		}
-		k, v, _ := strings.Cut(kv, "=")
-		k, err1 := url.QueryUnescape(k)
-		v, err2 := url.QueryUnescape(v)
-		if err1 == nil && err2 == nil && k == key {
-			return v
-		}
-	}
-	return ""
 }
 
 // NewHandler is Answer through net/http: the same replies, written with
