@@ -12,7 +12,10 @@
 //   - singleflight coalescing, so N concurrent queries for one metric
 //     share a single Algorithm-1 scan (-coalesce),
 //   - admission control that bounds concurrent fan-outs and sheds
-//     excess queries with 429 instead of queueing without bound.
+//     excess queries with 429 instead of queueing without bound: at
+//     most 64 fan-outs run at once, at most 256 queries wait for one,
+//     and a query that has waited 100 ms is shed (serve.Config's
+//     defaults).
 //
 // A minimal deployment next to a ring from scripts/smoke.sh:
 //
@@ -59,9 +62,6 @@ func main() {
 	// Serving knobs.
 	cacheTTL := fs.Duration("cache-ttl", time.Second, "estimate cache lifetime (0: cache disabled)")
 	noCoalesce := fs.Bool("no-coalesce", false, "disable singleflight coalescing of concurrent same-metric queries")
-	maxInFlight := fs.Int("max-in-flight", 0, "concurrent ring fan-out bound (0: default)")
-	maxQueue := fs.Int("max-queue", 0, "admission queue depth (0: default 4x max-in-flight)")
-	queueTimeout := fs.Duration("queue-timeout", 0, "longest a query waits for a fan-out slot before shedding (0: default)")
 	fs.Parse(os.Args[1:])
 
 	if *entry == "" {
@@ -84,12 +84,9 @@ func main() {
 	}
 
 	frontend := serve.New(client, serve.Config{
-		CacheTTL:     *cacheTTL,
-		Coalesce:     !*noCoalesce,
-		MaxInFlight:  *maxInFlight,
-		MaxQueue:     *maxQueue,
-		QueueTimeout: *queueTimeout,
-		Metrics:      reg,
+		CacheTTL: *cacheTTL,
+		Coalesce: !*noCoalesce,
+		Metrics:  reg,
 	})
 	srv := respond.NewServer(serve.Answer(frontend, serve.HandlerOptions{
 		Metrics: reg,
