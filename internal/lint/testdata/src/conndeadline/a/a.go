@@ -5,7 +5,9 @@
 package a
 
 import (
+	"bufio"
 	"io"
+	"strings"
 	"time"
 )
 
@@ -79,6 +81,74 @@ func selfGuarded(c conn) error {
 func callsSelfGuarded() {
 	var c conn
 	selfGuarded(c) // ok: the callee arms its own deadline
+}
+
+// bufGuarded reads and writes through buffers made on or reset onto a
+// conn, each after a deadline on the conn: a buffer carries its conn.
+func bufGuarded(c conn, bw *bufio.Writer) error {
+	br := bufio.NewReader(c)
+	c.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := br.ReadByte(); err != nil {
+		return err
+	}
+	bw.Reset(c)
+	c.SetWriteDeadline(time.Now().Add(time.Second))
+	bw.WriteString("x")
+	return bw.Flush()
+}
+
+// bufUnguarded peeks through a buffer reset onto a conn with no deadline.
+func bufUnguarded(br *bufio.Reader) {
+	var c conn
+	br.Reset(c)
+	br.Buffered() // ok: no I/O
+	br.Peek(1)    // want `Peek via br`
+}
+
+// readHead reads through its buffer parameter; like readFrameLike's, its
+// fact surfaces at the caller that supplies a conn's buffer.
+func readHead(r *bufio.Reader) (string, error) {
+	return r.ReadString('\n')
+}
+
+func bufCallerUnguarded() {
+	var c conn
+	br := bufio.NewReader(c)
+	readHead(br)                   // want `readHead → ReadString via br`
+	readHead(bufio.NewReader(c))   // want `readHead → ReadString via bufio.NewReader\(c\)`
+	readHead(bufio.NewReader(nil)) // ok: no conn under the buffer
+}
+
+// bufNotConn reads a buffer made on something that is not a conn.
+func bufNotConn() {
+	br := bufio.NewReader(strings.NewReader("x"))
+	br.ReadByte()
+}
+
+// bufResetAway reads a buffer after resetting it off its conn.
+func bufResetAway() {
+	var c conn
+	br := bufio.NewReader(c)
+	br.Reset(strings.NewReader("x"))
+	br.ReadByte()
+}
+
+// handleConn reads its conn parameter with no deadline. Handed to an
+// accept loop as a value, it has no caller in sight to arm one.
+func handleConn(c conn) {
+	c.Read(nil)
+}
+
+func acceptLoop(serve func(conn)) { serve(conn{}) }
+
+func startLoops() {
+	acceptLoop(handleConn)     // want `handleConn is passed as a value, and its conn c reaches raw I/O \(Read\)`
+	acceptLoop(guardedHandler) // ok: the handler arms its own deadline
+}
+
+func guardedHandler(c conn) {
+	c.SetReadDeadline(time.Now().Add(time.Second))
+	c.Read(nil)
 }
 
 // allowed pins the suppression escape hatch.
