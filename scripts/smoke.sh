@@ -30,6 +30,11 @@ ITEMS="${ITEMS:-2000}"
 TOL="${TOL:-0.35}"
 LOGDIR="${LOGDIR:-smoke-logs}"
 
+# The sketch geometry every writer and reader of the ring agrees on — the
+# one bench/ring.go passes — given on each command line, so a change of a
+# binary's default geometry cannot move the smoke run.
+GEOM=(-k 16 -m 64 -kind sll -lim 5)
+
 cd "$(dirname "$0")/.."
 mkdir -p "$LOGDIR"
 BIN="$LOGDIR/dhsnode"
@@ -182,7 +187,7 @@ done
 
 echo "== inserting $ITEMS items"
 routed_before=$(ring_sum 'dhs_node_load{op="routed"}') # /statusz "routed"
-"$BIN" insert -entry "$ENTRY" -metric smoke -items "$ITEMS" 2>&1 | tee "$LOGDIR/insert.log"
+"$BIN" insert "${GEOM[@]}" -entry "$ENTRY" -metric smoke -items "$ITEMS" 2>&1 | tee "$LOGDIR/insert.log"
 routed=$(($(ring_sum 'dhs_node_load{op="routed"}') - routed_before))
 handled=$(ring_sum 'netdht_rpc_requests_total{tag="insert"}')
 
@@ -225,7 +230,7 @@ fi
 echo "   stores sent by the view: $via_view / $ITEMS; nodes handling an insert: $handled / $ITEMS; hops forwarded meanwhile: $routed"
 
 echo "== counting (expect $ITEMS, tol $TOL)"
-"$BIN" count -entry "$ENTRY" -metric smoke -expect "$ITEMS" -tol "$TOL" | tee "$LOGDIR/count.log"
+"$BIN" count "${GEOM[@]}" -entry "$ENTRY" -metric smoke -expect "$ITEMS" -tol "$TOL" | tee "$LOGDIR/count.log"
 
 # What the load cost each node's runtime: collections run, and heap bytes
 # allocated per request handled, between the sample before the inserts and
@@ -307,7 +312,7 @@ echo "== dhsd query frontend + dhsload"
 # Start dhsd over the same ring and drive it with a short closed-loop
 # dhsload run. Low load against a warm cache must show cache hits and
 # shed nothing; the JSON report (qps, p50/p99/p999) is a CI artifact.
-"$LOGDIR/dhsd" -entry "$ENTRY" -listen 127.0.0.1:0 -cache-ttl 1s >"$LOGDIR/dhsd.log" 2>&1 &
+"$LOGDIR/dhsd" "${GEOM[@]}" -entry "$ENTRY" -listen 127.0.0.1:0 -cache-ttl 1s >"$LOGDIR/dhsd.log" 2>&1 &
 PIDS+=($!)
 DHSD=""
 for _ in $(seq 1 100); do
@@ -348,7 +353,7 @@ echo "   dhsload p99 = ${p99}ms (report: $LOGDIR/dhsload.json)"
 HOT=8
 TTLS=3
 for i in $(seq 0 $((HOT - 1))); do
-    "$BIN" insert -entry "$ENTRY" -metric "smoke-$i" -items 200 >/dev/null 2>&1
+    "$BIN" insert "${GEOM[@]}" -entry "$ENTRY" -metric "smoke-$i" -items 200 >/dev/null 2>&1
 done
 "$LOGDIR/dhsload" -target "http://$DHSD" -concurrency 4 -metrics "$HOT" -prefix smoke \
     -duration 2s -warmup 0s -json >/dev/null
