@@ -150,7 +150,6 @@ type Ring struct {
 // reads off its machines, and without SuccessorList or Converged, which
 // Ring answers itself.
 type overlayOracle interface {
-	Bits() uint
 	Size() int
 	Nodes() []dht.Node
 	RandomNode() dht.Node

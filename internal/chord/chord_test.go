@@ -25,9 +25,6 @@ func TestRingConstruction(t *testing.T) {
 			t.Fatal("nodes not strictly sorted by ID")
 		}
 	}
-	if r.Bits() != 64 {
-		t.Errorf("Bits = %d", r.Bits())
-	}
 }
 
 func TestOwnerConsistentHashing(t *testing.T) {

@@ -239,9 +239,6 @@ func (m *Membership[N]) ByID(id uint64) (N, bool) {
 // Config returns the (defaulted) protocol configuration.
 func (m *Membership[N]) Config() ProtocolConfig { return m.cfg }
 
-// Bits returns the identifier length (64).
-func (m *Membership[N]) Bits() uint { return 64 }
-
 // Size returns the number of live nodes.
 func (m *Membership[N]) Size() int {
 	m.mu.RLock()

@@ -18,9 +18,8 @@ import (
 // and the TCP ring's RPC client both build one through NewGeometry, so a
 // layout is validated in exactly one place.
 type Geometry struct {
-	// IDBits is the overlay's identifier length L.
-	IDBits uint
-	// K is the bitmap/key length in bits (k ≤ L).
+	// K is the bitmap/key length in bits (k ≤ L = 64, the identifier
+	// length of every overlay).
 	K uint
 	// M is the number of bitmap vectors, a power of two.
 	M int
@@ -40,8 +39,8 @@ type Geometry struct {
 
 // NewGeometry validates the layout and returns it ready for use.
 func NewGeometry(g Geometry) (Geometry, error) {
-	if g.IDBits > 64 || g.K == 0 || g.K > g.IDBits {
-		return Geometry{}, fmt.Errorf("core: bitmap length k=%d must be in [1, L=%d] with L ≤ 64", g.K, g.IDBits)
+	if g.K == 0 || g.K > 64 {
+		return Geometry{}, fmt.Errorf("core: bitmap length k=%d must be in [1, 64]", g.K)
 	}
 	if g.M < 1 || !hashutil.IsPowerOfTwo(uint64(g.M)) {
 		return Geometry{}, fmt.Errorf("core: number of bitmaps %d is not a positive power of two", g.M)
@@ -96,7 +95,7 @@ func (g *Geometry) Stored(bit uint) bool { return bit >= g.ShiftBits }
 // CountAdaptive). Bits below b are never stored; they are assumed set,
 // valid when the counted cardinality is well beyond 2^b per vector.
 func (g *Geometry) Interval(bit uint) (lo, size uint64) {
-	return hashutil.Interval(g.IDBits, g.K, bit-g.ShiftBits)
+	return hashutil.Interval(64, g.K, bit-g.ShiftBits)
 }
 
 // Target draws a uniform identifier from the bit's interval — where an

@@ -106,7 +106,7 @@ func TestPlaceContract(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g, err := NewGeometry(Geometry{IDBits: 64, K: k, M: m, Kind: sketch.KindSuperLogLog, ShiftBits: tc.shift})
+			g, err := NewGeometry(Geometry{K: k, M: m, Kind: sketch.KindSuperLogLog, ShiftBits: tc.shift})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -147,7 +147,7 @@ func TestPlaceContract(t *testing.T) {
 // does.
 func TestPlaceOneMatchesBatch(t *testing.T) {
 	t.Run("scripted", func(t *testing.T) {
-		g, err := NewGeometry(Geometry{IDBits: 64, K: 16, M: 16, Kind: sketch.KindSuperLogLog})
+		g, err := NewGeometry(Geometry{K: 16, M: 16, Kind: sketch.KindSuperLogLog})
 		if err != nil {
 			t.Fatal(err)
 		}

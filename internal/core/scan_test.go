@@ -90,7 +90,7 @@ func TestScanScripted(t *testing.T) {
 			// maximum; later (lower) sightings change nothing; a vector
 			// never seen stays −1. Untrimmed, the scan starts at k−1.
 			name:    "loglog family descends from k-1",
-			geom:    Geometry{IDBits: 64, K: 6, M: 4, Kind: sketch.KindSuperLogLog},
+			geom:    Geometry{K: 6, M: 4, Kind: sketch.KindSuperLogLog},
 			metrics: []uint64{a},
 			script: map[uint]fakeInterval{
 				3: one(fakeReply{a: {0}}),
@@ -106,7 +106,7 @@ func TestScanScripted(t *testing.T) {
 		{
 			// The wire's range: TrimmedScan starts at k − log₂ m.
 			name:     "trimmed scan starts at MaxBit",
-			geom:     Geometry{IDBits: 64, K: 6, M: 4, Kind: sketch.KindHyperLogLog, TrimmedScan: true},
+			geom:     Geometry{K: 6, M: 4, Kind: sketch.KindHyperLogLog, TrimmedScan: true},
 			metrics:  []uint64{a},
 			script:   map[uint]fakeInterval{},
 			wantBits: []uint{4, 3, 2, 1, 0},
@@ -119,7 +119,7 @@ func TestScanScripted(t *testing.T) {
 			// mid-interval (the second node of bit 3 is never asked) and
 			// for all lower positions.
 			name:    "descending stops once all vectors resolve",
-			geom:    Geometry{IDBits: 64, K: 6, M: 2, Kind: sketch.KindLogLog, TrimmedScan: true},
+			geom:    Geometry{K: 6, M: 2, Kind: sketch.KindLogLog, TrimmedScan: true},
 			metrics: []uint64{a},
 			script: map[uint]fakeInterval{
 				4: one(fakeReply{a: {1}}),
@@ -139,7 +139,7 @@ func TestScanScripted(t *testing.T) {
 			// node is never asked). Vectors that never show a zero get
 			// MaxBit+1.
 			name:    "pcsa ascends and declares leftmost zeros",
-			geom:    Geometry{IDBits: 64, K: 4, M: 2, Kind: sketch.KindPCSA},
+			geom:    Geometry{K: 4, M: 2, Kind: sketch.KindPCSA},
 			metrics: []uint64{a},
 			script: map[uint]fakeInterval{
 				0: {replies: []fakeReply{{a: {0, 1}}, {a: {}}}},
@@ -158,7 +158,7 @@ func TestScanScripted(t *testing.T) {
 			// bit 1 failed, so both vectors stay open there and resolve
 			// at bit 2, where a node answered without them.
 			name:    "pcsa skips an interval with zero evidence",
-			geom:    Geometry{IDBits: 64, K: 4, M: 2, Kind: sketch.KindPCSA},
+			geom:    Geometry{K: 4, M: 2, Kind: sketch.KindPCSA},
 			metrics: []uint64{a},
 			script: map[uint]fakeInterval{
 				0: one(fakeReply{a: {0, 1}}),
@@ -176,7 +176,7 @@ func TestScanScripted(t *testing.T) {
 			// metrics; a metric that resolves drops out of what later
 			// probes ask for, and the pass-wide accounting is shared.
 			name:    "multi-metric pass closes metrics independently",
-			geom:    Geometry{IDBits: 64, K: 5, M: 2, Kind: sketch.KindSuperLogLog, TrimmedScan: true},
+			geom:    Geometry{K: 5, M: 2, Kind: sketch.KindSuperLogLog, TrimmedScan: true},
 			metrics: []uint64{a, b},
 			script: map[uint]fakeInterval{
 				4: one(fakeReply{a: {0, 1}, b: {1}}),
@@ -192,7 +192,7 @@ func TestScanScripted(t *testing.T) {
 			// A writer with a larger m shares the ring: vector indexes at
 			// or beyond this reader's m are ignored, in either direction.
 			name:    "foreign vector index ignored (descending)",
-			geom:    Geometry{IDBits: 64, K: 5, M: 2, Kind: sketch.KindSuperLogLog, TrimmedScan: true},
+			geom:    Geometry{K: 5, M: 2, Kind: sketch.KindSuperLogLog, TrimmedScan: true},
 			metrics: []uint64{a},
 			script: map[uint]fakeInterval{
 				4: one(fakeReply{a: {2, 7, 64, 200}}),
@@ -206,7 +206,7 @@ func TestScanScripted(t *testing.T) {
 		},
 		{
 			name:    "foreign vector index ignored (ascending)",
-			geom:    Geometry{IDBits: 64, K: 3, M: 2, Kind: sketch.KindPCSA},
+			geom:    Geometry{K: 3, M: 2, Kind: sketch.KindPCSA},
 			metrics: []uint64{a},
 			script: map[uint]fakeInterval{
 				0: one(fakeReply{a: {1, 2, 70}}),
@@ -222,7 +222,7 @@ func TestScanScripted(t *testing.T) {
 			// window crossed without a failed or stale step is reported
 			// and degrades nothing, and neither does an empty vector.
 			name:    "repair window alone is not degraded",
-			geom:    Geometry{IDBits: 64, K: 2, M: 2, Kind: sketch.KindSuperLogLog, TrimmedScan: true},
+			geom:    Geometry{K: 2, M: 2, Kind: sketch.KindSuperLogLog, TrimmedScan: true},
 			metrics: []uint64{a},
 			script: map[uint]fakeInterval{
 				1: {replies: []fakeReply{{a: {1}}}, repair: true},
@@ -236,7 +236,7 @@ func TestScanScripted(t *testing.T) {
 		{
 			// A stale retry degrades the pass even when it lost nothing.
 			name:    "stale retries degrade",
-			geom:    Geometry{IDBits: 64, K: 2, M: 2, Kind: sketch.KindSuperLogLog, TrimmedScan: true},
+			geom:    Geometry{K: 2, M: 2, Kind: sketch.KindSuperLogLog, TrimmedScan: true},
 			metrics: []uint64{a},
 			script: map[uint]fakeInterval{
 				1: {replies: []fakeReply{{a: {1}}}, stale: 2},
@@ -297,7 +297,7 @@ func TestScanScripted(t *testing.T) {
 // in-process walk and the request the RPC prober encodes both read it.
 func TestScanAsksOnlyOpenMetrics(t *testing.T) {
 	const a, b = uint64(1), uint64(2)
-	g, err := NewGeometry(Geometry{IDBits: 64, K: 4, M: 2, Kind: sketch.KindSuperLogLog, TrimmedScan: true})
+	g, err := NewGeometry(Geometry{K: 4, M: 2, Kind: sketch.KindSuperLogLog, TrimmedScan: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,14 +332,14 @@ func TestVisitorUntracedZeroAlloc(t *testing.T) {
 // does not fit the wire's 16-bit vector count.
 func TestNewGeometryRejects(t *testing.T) {
 	bad := []Geometry{
-		{IDBits: 64, K: 16, M: 1, Kind: sketch.KindSuperLogLog},
-		{IDBits: 64, K: 16, M: 1, Kind: sketch.KindLogLog},
-		{IDBits: 64, K: 24, M: 1 << 16, Kind: sketch.KindPCSA},
-		{IDBits: 64, K: 16, M: 48, Kind: sketch.KindPCSA},
-		{IDBits: 64, K: 16, M: 0, Kind: sketch.KindPCSA},
-		{IDBits: 64, K: 4, M: 16, Kind: sketch.KindPCSA},
-		{IDBits: 32, K: 40, M: 16, Kind: sketch.KindPCSA},
-		{IDBits: 64, K: 8, M: 16, Kind: sketch.KindPCSA, ShiftBits: 4},
+		{K: 16, M: 1, Kind: sketch.KindSuperLogLog},
+		{K: 16, M: 1, Kind: sketch.KindLogLog},
+		{K: 24, M: 1 << 16, Kind: sketch.KindPCSA},
+		{K: 16, M: 48, Kind: sketch.KindPCSA},
+		{K: 16, M: 0, Kind: sketch.KindPCSA},
+		{K: 4, M: 16, Kind: sketch.KindPCSA},
+		{K: 65, M: 16, Kind: sketch.KindPCSA},
+		{K: 8, M: 16, Kind: sketch.KindPCSA, ShiftBits: 4},
 	}
 	for _, g := range bad {
 		if _, err := NewGeometry(g); err == nil {
@@ -347,10 +347,10 @@ func TestNewGeometryRejects(t *testing.T) {
 		}
 	}
 	good := []Geometry{
-		{IDBits: 64, K: 16, M: 1, Kind: sketch.KindPCSA},
-		{IDBits: 64, K: 16, M: 1, Kind: sketch.KindHyperLogLog},
-		{IDBits: 64, K: 24, M: 1 << 15, Kind: sketch.KindSuperLogLog},
-		{IDBits: 64, K: 8, M: 16, Kind: sketch.KindPCSA, ShiftBits: 3},
+		{K: 16, M: 1, Kind: sketch.KindPCSA},
+		{K: 16, M: 1, Kind: sketch.KindHyperLogLog},
+		{K: 24, M: 1 << 15, Kind: sketch.KindSuperLogLog},
+		{K: 8, M: 16, Kind: sketch.KindPCSA, ShiftBits: 3},
 	}
 	for _, g := range good {
 		if _, err := NewGeometry(g); err != nil {

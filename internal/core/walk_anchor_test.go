@@ -47,8 +47,7 @@ type scriptOverlay struct {
 
 var errScriptExhausted = errors.New("script exhausted")
 
-func (o *scriptOverlay) Bits() uint { return 64 }
-func (o *scriptOverlay) Size() int  { return len(o.nodes) }
+func (o *scriptOverlay) Size() int { return len(o.nodes) }
 
 func (o *scriptOverlay) Nodes() []dht.Node {
 	out := make([]dht.Node, len(o.nodes))

@@ -6,14 +6,16 @@
 // conforming to this interface (Chord, Pastry, Kademlia, ...) can host a
 // DHS; the repository ships a Chord-like implementation in package chord.
 //
-// Overlay is the one interface, and its methods fall in three groups:
+// Identifiers are uint64 on a ring that wraps around, so every overlay's
+// identifier length L is 64, as in the paper's MD4 setup. Overlay is the
+// one interface, and its methods fall in three groups:
 //
 //   - What DHS calls: RandomNode picks an originator; RouteFrom reaches
 //     a key's owner; Successor and Predecessor step the counting walk;
 //     SuccessorList lets that walk step past a dead successor; Converged
 //     flags an estimate counted while repairs were pending; Nodes and
 //     Size serve replica repair and the adaptive budget.
-//   - Ground truth at zero cost, for tests and experiments: Bits, Owner.
+//   - Ground truth at zero cost, for tests and experiments: Owner.
 //   - Hooks for the fault model and the protocol: Crash injects a
 //     crash-stop death, Step runs the repair rounds that have come due.
 //
@@ -164,9 +166,6 @@ type Route struct {
 
 // Overlay is the structured peer-to-peer network DHS runs over.
 type Overlay interface {
-	// Bits returns the identifier length L in bits (the paper's L).
-	Bits() uint
-
 	// Size returns the number of live nodes N.
 	Size() int
 

@@ -37,9 +37,6 @@ func TestImplementationsSatisfyOverlay(t *testing.T) {
 		cluster,
 	}
 	for _, o := range impls {
-		if o.Bits() != 64 {
-			t.Errorf("%T: Bits = %d", o, o.Bits())
-		}
 		if o.Size() != 4 {
 			t.Errorf("%T: Size = %d", o, o.Size())
 		}

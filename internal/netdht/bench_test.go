@@ -3,7 +3,6 @@ package netdht
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"dhsketch/internal/chord"
 	"dhsketch/internal/core"
@@ -80,9 +79,7 @@ func BenchmarkClientCountUncached(b *testing.B) {
 		}{{"sll", sketch.KindSuperLogLog, 2}, {"pcsa", sketch.KindPCSA, 3}} {
 			reg := metrics.New()
 			c, err := NewClient(ClientConfig{
-				Entry: cl.Servers()[0].Addr(), K: 24, M: 512, Kind: row.kind, Lim: 5, Seed: 7,
-				Retries: 1, Backoff: time.Millisecond,
-				DialTimeout: 500 * time.Millisecond, RPCTimeout: 2 * time.Second, Metrics: reg,
+				Entry: cl.Servers()[0].Addr(), K: 24, M: 512, Kind: row.kind, Lim: 5, Seed: 7, Metrics: reg,
 			})
 			if err != nil {
 				b.Fatalf("NewClient: %v", err)

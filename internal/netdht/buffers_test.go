@@ -54,7 +54,7 @@ func TestPoolDialsOnDemand(t *testing.T) {
 		}
 		return encodePong()
 	})
-	p := newPeerPool(time.Second, 5*time.Second, DefaultPeerConns, nil)
+	p := newPeerPool(DefaultPeerConns, nil)
 	defer p.close()
 
 	for i := 0; i < 100; i++ {
@@ -149,7 +149,7 @@ func TestConnBufferRelease(t *testing.T) {
 	}
 
 	// The asking side: a pool slot.
-	p := newPeerPool(time.Second, 5*time.Second, 1, nil)
+	p := newPeerPool(1, nil)
 	defer p.close()
 	var resp []byte
 	err = p.exchange(s.Addr(), req, func(reply []byte, _ *wire.Memory) error { resp = bytes.Clone(reply); return nil })
@@ -266,7 +266,7 @@ func TestServeStepZeroAlloc(t *testing.T) {
 // the scan's own is the one allocation a probe makes, outside the rung.
 func TestExchangeZeroAlloc(t *testing.T) {
 	s, _ := allocServer(t, metrics.New())
-	p := newPeerPool(time.Second, 5*time.Second, DefaultPeerConns, metrics.New())
+	p := newPeerPool(DefaultPeerConns, metrics.New())
 	defer p.close()
 	ping := func() {
 		if err := p.ping(s.Addr()); err != nil {
@@ -415,8 +415,7 @@ func TestScanOwnsItsAnswers(t *testing.T) {
 		}
 	}
 
-	cfg := ClientConfig{Entry: entry, K: 16, M: 64, Kind: sketch.KindSuperLogLog, Lim: 5, Seed: 9,
-		DialTimeout: time.Second, RPCTimeout: 5 * time.Second}
+	cfg := ClientConfig{Entry: entry, K: 16, M: 64, Kind: sketch.KindSuperLogLog, Lim: 5, Seed: 9}
 	c, err := newClient(cfg, 1)
 	if err != nil {
 		t.Fatalf("newClient: %v", err)
@@ -551,8 +550,7 @@ func TestConcurrentCountInsertOneClient(t *testing.T) {
 			t.Fatalf("NewServer: %v", err)
 		}
 		t.Cleanup(s.Close)
-		c, err := newClient(ClientConfig{Entry: s.Addr(), K: 16, M: 64, Kind: sketch.KindSuperLogLog, Lim: 5, Seed: 4,
-			DialTimeout: time.Second, RPCTimeout: 5 * time.Second}, width)
+		c, err := newClient(ClientConfig{Entry: s.Addr(), K: 16, M: 64, Kind: sketch.KindSuperLogLog, Lim: 5, Seed: 4}, width)
 		if err != nil {
 			t.Fatalf("newClient: %v", err)
 		}
@@ -633,7 +631,6 @@ func meteredCluster(t *testing.T, n int, metered bool) *Cluster {
 		name := fmt.Sprintf("node-%d:4000", i)
 		s, err := NewServer("127.0.0.1:0", Options{
 			Name: name, Protocol: c.Config(), Now: env.Clock.Now, Metrics: reg,
-			DialTimeout: clusterDialTimeout, RPCTimeout: clusterRPCTimeout,
 		})
 		if err != nil {
 			t.Fatalf("NewServer: %v", err)

@@ -85,7 +85,7 @@ func TestPeerPoolParallelExchanges(t *testing.T) {
 	addr := slowEchoServer(t, delay)
 
 	elapsed := func(width int) time.Duration {
-		p := newPeerPool(time.Second, 5*time.Second, width, nil)
+		p := newPeerPool(width, nil)
 		defer p.close()
 		var wg sync.WaitGroup
 		start := time.Now()
@@ -114,7 +114,7 @@ func TestPeerPoolParallelExchanges(t *testing.T) {
 // exchanges never opens more sockets than the configured width.
 func TestPeerPoolRespectsWidth(t *testing.T) {
 	addr := slowEchoServer(t, 20*time.Millisecond)
-	p := newPeerPool(time.Second, 5*time.Second, 3, nil)
+	p := newPeerPool(3, nil)
 	defer p.close()
 	var wg sync.WaitGroup
 	for i := 0; i < 12; i++ {
@@ -144,7 +144,7 @@ func TestConcurrentCountSharedClient(t *testing.T) {
 
 	c, err := NewClient(ClientConfig{
 		Entry: entry, K: 16, M: 64, Kind: sketch.KindSuperLogLog,
-		Lim: 5, Seed: 42, DialTimeout: time.Second, RPCTimeout: 5 * time.Second,
+		Lim: 5, Seed: 42,
 	})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -205,8 +205,7 @@ func TestConcurrentCountSurvivesCrash(t *testing.T) {
 
 	c, err := NewClient(ClientConfig{
 		Entry: entry, K: 16, M: 64, Kind: sketch.KindSuperLogLog,
-		Lim: 3, Seed: 5, Retries: 1, Backoff: time.Millisecond,
-		DialTimeout: 500 * time.Millisecond, RPCTimeout: 2 * time.Second,
+		Lim: 3, Seed: 5,
 	})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)

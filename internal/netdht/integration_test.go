@@ -64,11 +64,7 @@ func startDaemonRing(t *testing.T, n int) []*Server {
 	// Every tick runs stabilize + fix-fingers, every 2nd check-pred:
 	// convergence in tens of milliseconds at a 5ms period.
 	proto := chord.ProtocolConfig{StabilizeEvery: 1, FixFingersEvery: 1, CheckPredEvery: 2}
-	opts := Options{
-		Protocol:    proto,
-		DialTimeout: 500 * time.Millisecond,
-		RPCTimeout:  2 * time.Second,
-	}
+	opts := Options{Protocol: proto}
 	servers := make([]*Server, 0, n)
 	boot, err := NewServer("127.0.0.1:0", opts)
 	if err != nil {

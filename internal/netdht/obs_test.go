@@ -18,14 +18,9 @@ import (
 )
 
 // obsOptions builds server options instrumented against a fresh
-// registry, with the tight loopback transport timings tests use.
+// registry.
 func obsOptions(reg *metrics.Registry, logf func(string, ...any)) Options {
-	return Options{
-		DialTimeout: 500 * time.Millisecond,
-		RPCTimeout:  2 * time.Second,
-		Metrics:     reg,
-		Logf:        logf,
-	}
+	return Options{Metrics: reg, Logf: logf}
 }
 
 // TestServerMetricsAndAdmin drives a two-node ring with both sides

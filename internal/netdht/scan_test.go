@@ -151,7 +151,6 @@ func loadRing(t *testing.T, entry string, kind sketch.Kind, from, n int) {
 	t.Helper()
 	c, err := NewClient(ClientConfig{
 		Entry: entry, K: 16, M: 64, Kind: kind, Seed: 10,
-		DialTimeout: time.Second, RPCTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -172,8 +171,7 @@ func twinClients(t *testing.T, entry string, kind sketch.Kind, lim int) (clients
 	for i := range clients {
 		regs[i] = metrics.New()
 		c, err := NewClient(ClientConfig{
-			Entry: entry, K: 16, M: 64, Kind: kind, Lim: lim, Seed: 9,
-			DialTimeout: time.Second, RPCTimeout: 5 * time.Second, Metrics: regs[i],
+			Entry: entry, K: 16, M: 64, Kind: kind, Lim: lim, Seed: 9, Metrics: regs[i],
 		})
 		if err != nil {
 			t.Fatalf("NewClient: %v", err)
@@ -507,10 +505,9 @@ func TestScanStaleMapEntry(t *testing.T) {
 				return encodeErr(dht.ClassOther, 0, 0)
 			})
 			// K=8, M=64: the descending scan covers bits 2..0.
+			shrinkBound(t, &defaultRPCTimeout, 2*time.Second)
 			c, err := NewClient(ClientConfig{
 				Entry: entry, K: 8, M: 64, Kind: sketch.KindSuperLogLog, Lim: 2,
-				Retries: 1, Backoff: time.Millisecond,
-				DialTimeout: 500 * time.Millisecond, RPCTimeout: 2 * time.Second,
 			})
 			if err != nil {
 				t.Fatalf("NewClient: %v", err)
@@ -522,7 +519,7 @@ func TestScanStaleMapEntry(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Count: %v", err)
 			}
-			if took := time.Since(start); took > c.cfg.RPCTimeout {
+			if took := time.Since(start); took > defaultRPCTimeout {
 				t.Errorf("scan over a stale map entry took %v, past the RPC timeout", took)
 			}
 			tc.want.Estimate = res.Estimate // the empty sketch's estimate is the estimator's affair

@@ -33,11 +33,6 @@ type Options struct {
 	// fires, not sim.Clock ticks.
 	Protocol chord.ProtocolConfig
 
-	// DialTimeout and RPCTimeout bound outbound connection setup and one
-	// request/reply exchange. Zero means the package defaults.
-	DialTimeout time.Duration
-	RPCTimeout  time.Duration
-
 	// Now supplies the coarse tick clock TTL expiry is evaluated
 	// against. Nil means the server's own maintenance tick counter —
 	// suitable for a daemon; a Cluster passes its sim clock so stores
@@ -123,7 +118,7 @@ func serveOn(ln net.Listener, opt Options) *Server {
 	s := &Server{
 		cfg:   opt.Protocol.WithDefaults(),
 		addr:  addr,
-		peers: newPeerPool(opt.DialTimeout, opt.RPCTimeout, DefaultPeerConns, opt.Metrics),
+		peers: newPeerPool(DefaultPeerConns, opt.Metrics),
 		logf:  opt.Logf,
 		m:     newSrvMetrics(opt.Metrics),
 		quit:  make(chan struct{}),
@@ -637,8 +632,8 @@ func (s *Server) StartMaintenance(period time.Duration) {
 }
 
 // joinRetries is how many times Join runs again after a failed attempt,
-// each after a linear backoff at the default unit: daemons started in
-// parallel need not start the bootstrap first.
+// each after a linear backoff: daemons started in parallel need not start
+// the bootstrap first.
 const joinRetries = 3
 
 // Join links this server into the ring reachable at bootstrap (see
@@ -651,7 +646,7 @@ func (s *Server) Join(bootstrap string) error {
 	var err error
 	for attempt := 0; attempt <= joinRetries; attempt++ {
 		if attempt > 0 {
-			s.peers.backoff(attempt, 0)
+			s.peers.backoff(attempt)
 		}
 		if succ, err = s.Protocol().Join(&tcpPeers{s: s}, chord.Ref{Addr: bootstrap}); err == nil {
 			break

@@ -25,14 +25,15 @@ import (
 // that does not end in a store is never read as one.
 
 // storeClient builds a seeded, instrumented client at the repo
-// benchmark's geometry, entering the ring at entry.
+// benchmark's geometry, entering the ring at entry, with a 2 s exchange
+// and a 1 ms backoff.
 func storeClient(t testing.TB, entry string, seed uint64) (*Client, *metrics.Registry) {
 	t.Helper()
+	shrinkBound(t, &defaultRPCTimeout, 2*time.Second)
+	shrinkBound(t, &defaultBackoff, time.Millisecond)
 	reg := metrics.New()
 	c, err := NewClient(ClientConfig{
-		Entry: entry, K: 16, M: 64, Kind: sketch.KindSuperLogLog, Lim: 5, Seed: seed,
-		Retries: 1, Backoff: time.Millisecond,
-		DialTimeout: 500 * time.Millisecond, RPCTimeout: 2 * time.Second, Metrics: reg,
+		Entry: entry, K: 16, M: 64, Kind: sketch.KindSuperLogLog, Lim: 5, Seed: seed, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
@@ -301,7 +302,7 @@ func TestStoreDeadOwner(t *testing.T) {
 		x0 := outExchanges(reg)
 		start := time.Now()
 		ack, byView, err := storeTracked(c, reg, target, tuple)
-		if took := time.Since(start); took > c.cfg.RPCTimeout {
+		if took := time.Since(start); took > defaultRPCTimeout {
 			t.Errorf("step %d: store took %v, past the RPC timeout", step, took)
 		}
 		if err != nil {
@@ -637,7 +638,7 @@ func TestRoutedStoreCrashedOwner(t *testing.T) {
 	tuple := wire.Insert{Metric: 5, Vector: 3, Bit: 2}
 	start := time.Now()
 	ack, err := c.store(target, wire.EncodeInsert(tuple))
-	if took := time.Since(start); took > c.cfg.RPCTimeout {
+	if took := time.Since(start); took > defaultRPCTimeout {
 		t.Errorf("store over a crashed owner took %v, past the RPC timeout", took)
 	}
 	if err != nil {

@@ -451,7 +451,6 @@ func TestRestartOnNewAddress(t *testing.T) {
 	cl.Crash(old)
 	restarted, err := NewServer("127.0.0.1:0", Options{
 		Name: old.Name(), Protocol: cl.Config(), Now: env.Clock.Now,
-		DialTimeout: clusterDialTimeout, RPCTimeout: clusterRPCTimeout,
 	})
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)

@@ -118,6 +118,7 @@ func TestAnswerParity(t *testing.T) {
 	for _, tc := range []struct {
 		name, method, target string
 		cfg                  serve.Config
+		shed                 bool // one fan-out slot, one queued query, no queue deadline
 		ringErr, pingErr     error
 		// run makes the request around whatever load the case needs; nil
 		// is send alone.
@@ -157,7 +158,7 @@ func TestAnswerParity(t *testing.T) {
 		{name: "plus is a space", target: "/count?metric=a+b", status: 200, metric: "a b"},
 		{name: "repeated key", target: "/count?metric=first&metric=second", status: 200, metric: "first"},
 		{name: "undecodable pair skipped", target: "/count?metric=%zz&metric=second", status: 200, metric: "second"},
-		{name: "shed", target: "/count?metric=late", cfg: serve.Config{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: time.Hour},
+		{name: "shed", target: "/count?metric=late", shed: true,
 			run: func(e *parityEnv, send send) (reply, error) {
 				release := e.lead(1) // holds the one slot
 				queued := make(chan struct{})
@@ -183,6 +184,9 @@ func TestAnswerParity(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := &parityEnv{fc: &fakeCounter{err: tc.ringErr}, reg: metrics.New()}
+			if tc.shed {
+				serve.ShrinkAdmission(t, 1, 1, time.Hour)
+			}
 			cfg := tc.cfg
 			cfg.Now = func() time.Time { return at }
 			cfg.Metrics = e.reg

@@ -93,8 +93,7 @@ const (
 )
 
 // Config shapes a Frontend. The zero value disables the cache and
-// coalescing and applies the admission defaults — a pure
-// admission-controlled passthrough.
+// coalescing — a pure admission-controlled passthrough.
 type Config struct {
 	// CacheTTL bounds how stale a served estimate may be; 0 (or
 	// negative) disables the cache entirely.
@@ -104,14 +103,6 @@ type Config struct {
 	// cache on, the fan-out a miss starts refreshes the cached metrics
 	// that are due with it.
 	Coalesce bool
-
-	// MaxInFlight bounds concurrent ring fan-outs (default 64). MaxQueue
-	// bounds queries waiting for a fan-out slot (default 4×MaxInFlight);
-	// QueueTimeout (default 100ms) sheds a queued query whose wait
-	// exceeds the deadline.
-	MaxInFlight  int
-	MaxQueue     int
-	QueueTimeout time.Duration
 
 	// Metrics instruments the frontend (cache hit/miss/stale, coalesced
 	// waiters, shed counts, in-flight and queue gauges, latency
@@ -123,21 +114,15 @@ type Config struct {
 	Now func() time.Time
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 64
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 4 * c.MaxInFlight
-	}
-	if c.QueueTimeout <= 0 {
-		c.QueueTimeout = 100 * time.Millisecond
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
+// The admission bounds: at most maxInFlight ring fan-outs run at once, at
+// most maxQueue queries wait for one, and a query that has waited
+// queueTimeout is shed. Variables only so that a test can shrink them; a
+// Frontend reads them once, in New.
+var (
+	maxInFlight  = 64
+	maxQueue     = 4 * maxInFlight
+	queueTimeout = 100 * time.Millisecond
+)
 
 // Result is one served answer: the estimate plus its canonical JSON
 // body (the byte-identity contract's unit) and serving provenance.
@@ -209,8 +194,10 @@ type Frontend struct {
 	fills  list.List // of *cacheEntry
 	flight map[uint64]*flightCall
 
-	sem    chan struct{} // in-flight fan-out tokens
-	queued atomic.Int64
+	sem          chan struct{} // in-flight fan-out tokens, maxInFlight of them
+	queued       atomic.Int64
+	maxQueue     int64
+	queueTimeout time.Duration
 
 	m feMetrics
 }
@@ -220,15 +207,19 @@ type Frontend struct {
 // does — runs a fan-out of several metrics as one scan; any other is asked
 // for them one Count at a time.
 func New(counter Counter, cfg Config) *Frontend {
-	cfg = cfg.withDefaults()
+	if cfg.Now == nil {
+		cfg.Now = time.Now
+	}
 	f := &Frontend{
-		cfg:      cfg,
-		countAll: countEach(counter),
-		now:      cfg.Now,
-		cache:    make(map[uint64]*cacheEntry),
-		flight:   make(map[uint64]*flightCall),
-		sem:      make(chan struct{}, cfg.MaxInFlight),
-		m:        newFEMetrics(cfg.Metrics),
+		cfg:          cfg,
+		countAll:     countEach(counter),
+		now:          cfg.Now,
+		cache:        make(map[uint64]*cacheEntry),
+		flight:       make(map[uint64]*flightCall),
+		sem:          make(chan struct{}, maxInFlight),
+		maxQueue:     int64(maxQueue),
+		queueTimeout: queueTimeout,
+		m:            newFEMetrics(cfg.Metrics),
 	}
 	if b, ok := counter.(batchCounter); ok {
 		f.countAll = b.CountAll
@@ -413,8 +404,8 @@ func (f *Frontend) fanout(metrics []uint64) ([]Result, error) {
 }
 
 // admit takes one in-flight token: immediately if one is free,
-// otherwise by queueing up to MaxQueue waiters for at most
-// QueueTimeout. Both rejection paths return a wrapped ErrShed.
+// otherwise by queueing up to maxQueue waiters for at most
+// queueTimeout. Both rejection paths return a wrapped ErrShed.
 func (f *Frontend) admit() error {
 	select {
 	case f.sem <- struct{}{}:
@@ -424,7 +415,7 @@ func (f *Frontend) admit() error {
 	}
 	for {
 		q := f.queued.Load()
-		if q >= int64(f.cfg.MaxQueue) {
+		if q >= f.maxQueue {
 			f.m.shedQueue.Inc()
 			return fmt.Errorf("%w: queue full (%d waiting)", ErrShed, q)
 		}
@@ -433,7 +424,7 @@ func (f *Frontend) admit() error {
 		}
 	}
 	f.m.queue.Set(f.queued.Load())
-	timer := time.NewTimer(f.cfg.QueueTimeout)
+	timer := time.NewTimer(f.queueTimeout)
 	defer timer.Stop()
 	select {
 	case f.sem <- struct{}{}:
@@ -443,7 +434,7 @@ func (f *Frontend) admit() error {
 	case <-timer.C:
 		f.m.queue.Set(f.queued.Add(-1))
 		f.m.shedDead.Inc()
-		return fmt.Errorf("%w: queued past the %v deadline", ErrShed, f.cfg.QueueTimeout)
+		return fmt.Errorf("%w: queued past the %v deadline", ErrShed, f.queueTimeout)
 	}
 }
 
@@ -470,9 +461,9 @@ func (f *Frontend) Stats() Stats {
 		CacheTTLMS:     f.cfg.CacheTTL.Milliseconds(),
 		CacheEntries:   f.CacheLen(),
 		Coalesce:       f.cfg.Coalesce,
-		MaxInFlight:    f.cfg.MaxInFlight,
-		MaxQueue:       f.cfg.MaxQueue,
-		QueueTimeoutMS: f.cfg.QueueTimeout.Milliseconds(),
+		MaxInFlight:    cap(f.sem),
+		MaxQueue:       int(f.maxQueue),
+		QueueTimeoutMS: f.queueTimeout.Milliseconds(),
 		InFlight:       len(f.sem),
 		Queued:         f.queued.Load(),
 	}

@@ -204,12 +204,8 @@ func TestCoalescing(t *testing.T) {
 func TestAdmissionControl(t *testing.T) {
 	fc := &fakeCounter{gate: make(chan struct{})}
 	reg := metrics.New()
-	f := serve.New(fc, serve.Config{
-		MaxInFlight:  1,
-		MaxQueue:     1,
-		QueueTimeout: 50 * time.Millisecond,
-		Metrics:      reg,
-	})
+	serve.ShrinkAdmission(t, 1, 1, 50*time.Millisecond)
+	f := serve.New(fc, serve.Config{Metrics: reg})
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -259,10 +255,10 @@ func TestAdmissionControl(t *testing.T) {
 // many goroutines (race-detector coverage for the whole engine).
 func TestConcurrentMixedLoad(t *testing.T) {
 	fc := &fakeCounter{}
+	serve.ShrinkAdmission(t, 4, 16, 100*time.Millisecond)
 	f := serve.New(fc, serve.Config{
-		CacheTTL:    time.Millisecond,
-		Coalesce:    true,
-		MaxInFlight: 4,
+		CacheTTL: time.Millisecond,
+		Coalesce: true,
 	})
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -383,7 +379,8 @@ func TestByteIdenticalToDirectCount(t *testing.T) {
 // with a Retry-After hint.
 func TestHTTPShedIs429(t *testing.T) {
 	fc := &fakeCounter{gate: make(chan struct{})}
-	f := serve.New(fc, serve.Config{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: 20 * time.Millisecond})
+	serve.ShrinkAdmission(t, 1, 1, 20*time.Millisecond)
+	f := serve.New(fc, serve.Config{})
 	ts := httptest.NewServer(serve.NewHandler(f, serve.HandlerOptions{}))
 	defer ts.Close()
 
