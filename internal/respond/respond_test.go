@@ -123,6 +123,16 @@ func TestReadRequestClose(t *testing.T) {
 	}
 }
 
+// shrinkBound sets one of the package's bounds to v for the rest of t and
+// restores it when t ends. Call it before serveEcho: cleanups run last
+// first, so the bound is restored after the server's Close, when no
+// connection goroutine is left to read it.
+func shrinkBound[T any](t *testing.T, bound *T, v T) {
+	saved := *bound
+	*bound = v
+	t.Cleanup(func() { *bound = saved })
+}
+
 // serveEcho runs a Server whose handler answers with the request's target
 // and method, and returns its address and the server.
 func serveEcho(t *testing.T) (string, *Server) {
@@ -237,11 +247,7 @@ func TestServerKeepAlive(t *testing.T) {
 // TestServerDropsSilentClient: a client that sends nothing is hung up on at
 // the head deadline, unanswered.
 func TestServerDropsSilentClient(t *testing.T) {
-	saved := headTimeout
-	headTimeout = 100 * time.Millisecond
-	// Cleanups run last first: this one after serveEcho's Close, when no
-	// connection goroutine is left to read the deadline.
-	t.Cleanup(func() { headTimeout = saved })
+	shrinkBound(t, &headTimeout, 100*time.Millisecond)
 	addr, _ := serveEcho(t)
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -258,9 +264,7 @@ func TestServerDropsSilentClient(t *testing.T) {
 // TestServerClosesIdleConn: a keep-alive connection that sends no next
 // request is closed at the idle deadline, after its one reply.
 func TestServerClosesIdleConn(t *testing.T) {
-	saved := idleTimeout
-	idleTimeout = 100 * time.Millisecond
-	t.Cleanup(func() { idleTimeout = saved })
+	shrinkBound(t, &idleTimeout, 100*time.Millisecond)
 	addr, _ := serveEcho(t)
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -278,9 +282,7 @@ func TestServerClosesIdleConn(t *testing.T) {
 // TestServerCapsConns: past maxConns open connections the loop answers a
 // new one 503 and closes it, and it serves again once one has ended.
 func TestServerCapsConns(t *testing.T) {
-	saved := maxConns
-	maxConns = 1
-	t.Cleanup(func() { maxConns = saved })
+	shrinkBound(t, &maxConns, 1)
 	addr, s := serveEcho(t)
 	dial := func() (net.Conn, *bufio.Reader) {
 		c, err := net.Dial("tcp", addr)
