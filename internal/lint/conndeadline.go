@@ -7,13 +7,15 @@ import (
 )
 
 // ConnDeadlineAnalyzer enforces the transport layer's liveness contract
-// (DESIGN.md §14): every raw read or write on a connection must be
-// dominated by a SetDeadline/SetReadDeadline/SetWriteDeadline on the
-// same connection, or a dead peer parks a goroutine forever. A setter
-// handed the literal time.Time{} clears the deadline, so it is no guard.
-// A conn is anything connection-shaped (its method set has the deadline
-// setters); "dominated" is approximated as a deadline call on the same
-// canonical expression earlier in the same function body. A bufio.Reader
+// (DESIGN.md §14): every raw read on a connection must be dominated by a
+// SetReadDeadline or SetDeadline on the same connection, and every raw
+// write by a SetWriteDeadline or SetDeadline, or a dead peer parks a
+// goroutine forever. A setter handed the literal time.Time{} clears the
+// deadline, so it is no guard. A conn is anything connection-shaped (its
+// method set has the deadline setters); "dominated" is approximated as a
+// deadline call on the same canonical expression earlier in the same
+// function body, in a block that encloses the I/O — a setter in a branch
+// the I/O is not in guards nothing there. A bufio.Reader
 // or bufio.Writer made on a conn (bufio.NewReader, NewReaderSize,
 // NewWriter, NewWriterSize) or reset onto one carries that conn: from
 // there on in the function, a read or write through it is I/O on the conn,
@@ -46,10 +48,16 @@ var ConnDeadlineAnalyzer = &Analyzer{
 }
 
 // connIOFact marks a function whose parameters reach raw I/O with no
-// locally-armed deadline; params maps parameter index to a description
-// of the I/O chain ("io.ReadFull", "readFrame → io.ReadFull").
+// locally-armed deadline; params maps parameter index to that I/O.
 type connIOFact struct {
-	params map[int]string
+	params map[int]paramIO
+}
+
+// paramIO is the unguarded I/O a parameter reaches: a description of the
+// first chain found each way ("io.ReadFull", "readFrame → io.ReadFull"),
+// empty where there is none.
+type paramIO struct {
+	read, write string
 }
 
 // connSite is one raw-I/O operation on a connection-shaped or
@@ -59,13 +67,17 @@ type connSite struct {
 	canon    string // canonical source expression of the conn value
 	obj      types.Object
 	what     string // I/O chain description for diagnostics
+	dir      ioDir  // dirRead or dirWrite
 	connLike bool   // the value has deadline setters (reportable)
 }
 
-// connGuard is one Set*Deadline call.
+// connGuard is one Set*Deadline call: the directions it bounds, and the
+// innermost block, case clause or select clause it sits in.
 type connGuard struct {
 	pos   token.Pos
 	canon string
+	dir   ioDir
+	block ast.Node
 }
 
 // connScan collects the raw-I/O sites and deadline guards in one
@@ -81,7 +93,7 @@ func connScan(pass *Pass, decl *ast.FuncDecl) (sites []connSite, guards []connGu
 			delete(carries, types.ExprString(buf))
 		}
 	}
-	addSite := func(e ast.Expr, pos token.Pos, what string) {
+	addSite := func(e ast.Expr, pos token.Pos, what string, dir ioDir) {
 		conn := bufioNewOn(info, e)
 		if conn == nil {
 			conn = carries[types.ExprString(e)]
@@ -91,7 +103,7 @@ func connScan(pass *Pass, decl *ast.FuncDecl) (sites []connSite, guards []connGu
 			e = conn
 		}
 		t := info.TypeOf(e)
-		if !connLike(t) && !ifaceReaderWriter(t) && !bufioBuffer(t) {
+		if !connLike(t) && !ifaceReaderWriter(t) && bufioDir(t) == 0 {
 			return
 		}
 		sites = append(sites, connSite{
@@ -99,6 +111,7 @@ func connScan(pass *Pass, decl *ast.FuncDecl) (sites []connSite, guards []connGu
 			canon:    types.ExprString(e),
 			obj:      identObj(info, e),
 			what:     what,
+			dir:      dir,
 			connLike: connLike(t),
 		})
 	}
@@ -118,34 +131,43 @@ func connScan(pass *Pass, decl *ast.FuncDecl) (sites []connSite, guards []connGu
 			if info.Selections[sel] != nil || isMethodUse(info, sel) {
 				recv := info.TypeOf(sel.X)
 				switch {
-				case deadlineSetters[sel.Sel.Name] && connLike(recv):
+				case deadlineSetters[sel.Sel.Name] != 0 && connLike(recv):
 					if len(call.Args) != 1 || !zeroTime(info, call.Args[0]) {
-						guards = append(guards, connGuard{pos: call.Pos(), canon: types.ExprString(sel.X)})
+						guards = append(guards, connGuard{pos: call.Pos(), canon: types.ExprString(sel.X),
+							dir: deadlineSetters[sel.Sel.Name], block: enclosingBlock(decl.Body, call.Pos())})
 					}
 					return true
-				case (sel.Sel.Name == "Read" || sel.Sel.Name == "Write") &&
-					(connLike(recv) || ifaceReaderWriter(recv)):
-					addSite(sel.X, call.Pos(), sel.Sel.Name)
+				case sel.Sel.Name == "Read" && (connLike(recv) || ifaceReaderWriter(recv)):
+					addSite(sel.X, call.Pos(), "Read", dirRead)
 					return true
-				case bufioBuffer(recv) && sel.Sel.Name == "Reset" && len(call.Args) == 1:
+				case sel.Sel.Name == "Write" && (connLike(recv) || ifaceReaderWriter(recv)):
+					addSite(sel.X, call.Pos(), "Write", dirWrite)
+					return true
+				case bufioDir(recv) != 0 && sel.Sel.Name == "Reset" && len(call.Args) == 1:
 					carry(sel.X, call.Args[0])
 					return true
-				case bufioBuffer(recv) && !bufioNoIO[sel.Sel.Name]:
-					addSite(sel.X, call.Pos(), sel.Sel.Name)
+				case bufioDir(recv) != 0 && !bufioNoIO[sel.Sel.Name]:
+					addSite(sel.X, call.Pos(), sel.Sel.Name, bufioDir(recv))
 					return true
 				}
 			}
 		}
 		f := calleeFunc(info, call)
-		for _, i := range ioTransferArgs(f) {
+		for i, dir := range ioTransferArgs(f) {
 			if i < len(call.Args) {
-				addSite(call.Args[i], call.Pos(), "io."+f.Name())
+				addSite(call.Args[i], call.Pos(), "io."+f.Name(), dir)
 			}
 		}
 		if fact, ok := pass.Facts.Get(f).(*connIOFact); ok {
-			for i, what := range fact.params {
-				if i < len(call.Args) {
-					addSite(call.Args[i], call.Pos(), f.Name()+" → "+what)
+			for i, use := range fact.params {
+				if i >= len(call.Args) {
+					continue
+				}
+				if use.read != "" {
+					addSite(call.Args[i], call.Pos(), f.Name()+" → "+use.read, dirRead)
+				}
+				if use.write != "" {
+					addSite(call.Args[i], call.Pos(), f.Name()+" → "+use.write, dirWrite)
 				}
 			}
 		}
@@ -176,11 +198,29 @@ func isMethodUse(info *types.Info, sel *ast.SelectorExpr) bool {
 	return ok && sig.Recv() != nil
 }
 
-// guardedBefore reports whether some guard on the same canonical conn
-// precedes pos.
-func guardedBefore(guards []connGuard, canon string, pos token.Pos) bool {
+// enclosingBlock returns the innermost block, case clause or select clause
+// of body that holds pos.
+func enclosingBlock(body *ast.BlockStmt, pos token.Pos) ast.Node {
+	var inner ast.Node = body
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n == nil || pos < n.Pos() || pos >= n.End() {
+			return false
+		}
+		switch n.(type) {
+		case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause:
+			inner = n
+		}
+		return true
+	})
+	return inner
+}
+
+// guarded reports whether a guard covers s: one that bounds s's direction,
+// is on the same canonical conn, precedes s, and sits in a block that
+// encloses s.
+func guarded(guards []connGuard, s connSite) bool {
 	for _, g := range guards {
-		if g.canon == canon && g.pos < pos {
+		if g.dir&s.dir != 0 && g.canon == s.canon && g.pos < s.pos && g.block.Pos() <= s.pos && s.pos < g.block.End() {
 			return true
 		}
 	}
@@ -206,16 +246,23 @@ func runConnDeadlineFacts(pass *Pass) error {
 				}
 				params := paramIndexes(pass.Pkg.Info, decl)
 				sites, guards := connScan(pass, decl)
-				unsafe := map[int]string{}
+				unsafe := map[int]paramIO{}
 				for _, s := range sites {
-					if guardedBefore(guards, s.canon, s.pos) || s.obj == nil {
+					if guarded(guards, s) || s.obj == nil {
 						continue
 					}
-					if i, ok := params[s.obj]; ok {
-						if _, seen := unsafe[i]; !seen {
-							unsafe[i] = s.what
-						}
+					i, ok := params[s.obj]
+					if !ok {
+						continue
 					}
+					use := unsafe[i]
+					switch {
+					case s.dir == dirRead && use.read == "":
+						use.read = s.what
+					case s.dir == dirWrite && use.write == "":
+						use.write = s.what
+					}
+					unsafe[i] = use
 				}
 				if len(unsafe) == 0 {
 					continue
@@ -231,7 +278,7 @@ func runConnDeadlineFacts(pass *Pass) error {
 	return nil
 }
 
-func sameParamFacts(a, b map[int]string) bool {
+func sameParamFacts(a, b map[int]paramIO) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -253,7 +300,7 @@ func runConnDeadline(pass *Pass) error {
 			params := paramIndexes(pass.Pkg.Info, decl)
 			sites, guards := connScan(pass, decl)
 			for _, s := range sites {
-				if !s.connLike || guardedBefore(guards, s.canon, s.pos) {
+				if !s.connLike || guarded(guards, s) {
 					continue
 				}
 				if s.obj != nil {
@@ -261,7 +308,11 @@ func runConnDeadline(pass *Pass) error {
 						continue // attributed to the callers that supply the conn
 					}
 				}
-				pass.Reportf(s.pos, "conn %s reaches raw I/O (%s) with no dominating deadline; call SetDeadline/SetReadDeadline/SetWriteDeadline on it first", s.canon, s.what)
+				setter := "SetReadDeadline"
+				if s.dir == dirWrite {
+					setter = "SetWriteDeadline"
+				}
+				pass.Reportf(s.pos, "conn %s reaches raw I/O (%s) with no dominating deadline; call %s or SetDeadline on it first", s.canon, s.what, setter)
 			}
 			reportConnHandlers(pass, decl)
 		}
@@ -299,7 +350,11 @@ func reportConnHandlers(pass *Pass, decl *ast.FuncDecl) {
 		}
 		params := f.Type().(*types.Signature).Params()
 		for i := 0; i < params.Len(); i++ {
-			if what, ok := fact.params[i]; ok && connLike(params.At(i).Type()) {
+			if use, ok := fact.params[i]; ok && connLike(params.At(i).Type()) {
+				what := use.read
+				if what == "" {
+					what = use.write
+				}
 				pass.Reportf(id.Pos(), "%s is passed as a value, and its conn %s reaches raw I/O (%s) with no dominating deadline; arm one in %s", f.Name(), params.At(i).Name(), what, f.Name())
 				break
 			}

@@ -66,6 +66,8 @@ func TestPlantedPositions(t *testing.T) {
 	linttest.MustFindAt(t, testdata, lint.ConnDeadlineAnalyzer, "conndeadline/planted", "planted.go", 16, 2)
 	linttest.MustFindAt(t, testdata, lint.ConnDeadlineAnalyzer, "conndeadline/planted", "planted.go", 24, 2)
 	linttest.MustFindAt(t, testdata, lint.ConnDeadlineAnalyzer, "conndeadline/planted", "buffered.go", 10, 2)
+	linttest.MustFindAt(t, testdata, lint.ConnDeadlineAnalyzer, "conndeadline/planted", "direction.go", 11, 2)
+	linttest.MustFindAt(t, testdata, lint.ConnDeadlineAnalyzer, "conndeadline/planted", "direction.go", 21, 2)
 	linttest.MustFindAt(t, testdata, lint.LockRPCAnalyzer, "lockrpc/planted", "planted.go", 20, 2)
 	linttest.MustFindAt(t, testdata, lint.WireBoundsAnalyzer, "wirebounds/planted", "planted.go", 9, 9)
 }

@@ -12,9 +12,18 @@ import (
 // identity with net.Conn — so the analyzers work on wrapper types and
 // the golden fixtures can model sockets without importing package net.
 
-// deadlineSetters are the net.Conn methods that arm a socket deadline.
-var deadlineSetters = map[string]bool{
-	"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true,
+// ioDir is the way raw I/O moves data, or the ways a deadline bounds.
+type ioDir uint8
+
+const (
+	dirRead ioDir = 1 << iota
+	dirWrite
+)
+
+// deadlineSetters are the net.Conn methods that arm a socket deadline, each
+// with the directions of I/O its deadline bounds.
+var deadlineSetters = map[string]ioDir{
+	"SetDeadline": dirRead | dirWrite, "SetReadDeadline": dirRead, "SetWriteDeadline": dirWrite,
 }
 
 // hasNamedMethod reports whether t (or *t) has a method with one of the
@@ -53,19 +62,29 @@ func ifaceReaderWriter(t types.Type) bool {
 	return hasNamedMethod(t, "Read", "Write")
 }
 
-// bufioBuffer reports whether t is *bufio.Reader or *bufio.Writer, which
-// read or write whatever they were made on or last reset onto.
-func bufioBuffer(t types.Type) bool {
+// bufioDir is dirRead when t is *bufio.Reader and dirWrite when it is
+// *bufio.Writer, which read or write whatever they were made on or last
+// reset onto; 0 for any other type.
+func bufioDir(t types.Type) ioDir {
 	p, ok := t.(*types.Pointer)
 	if !ok {
-		return false
+		return 0
 	}
 	named, ok := p.Elem().(*types.Named)
 	if !ok {
-		return false
+		return 0
 	}
 	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "bufio" && (obj.Name() == "Reader" || obj.Name() == "Writer")
+	if obj.Pkg() == nil || obj.Pkg().Path() != "bufio" {
+		return 0
+	}
+	switch obj.Name() {
+	case "Reader":
+		return dirRead
+	case "Writer":
+		return dirWrite
+	}
+	return 0
 }
 
 // bufioNoIO are the bufio.Reader and bufio.Writer methods that never touch
@@ -95,19 +114,19 @@ func bufioNewOn(info *types.Info, e ast.Expr) ast.Expr {
 }
 
 // ioTransferArgs returns, for a call to one of package io's blocking
-// transfer helpers, the indices of the arguments that are read from or
-// written to; nil for any other function.
-func ioTransferArgs(f *types.Func) []int {
+// transfer helpers, how it moves data through each of its leading
+// arguments, by index: read from or written to; nil for any other function.
+func ioTransferArgs(f *types.Func) []ioDir {
 	if f == nil || f.Pkg() == nil || f.Pkg().Path() != "io" {
 		return nil
 	}
 	switch f.Name() {
 	case "ReadFull", "ReadAtLeast", "ReadAll":
-		return []int{0}
+		return []ioDir{dirRead}
 	case "Copy", "CopyN":
-		return []int{0, 1}
+		return []ioDir{dirWrite, dirRead}
 	case "WriteString":
-		return []int{0}
+		return []ioDir{dirWrite}
 	}
 	return nil
 }
