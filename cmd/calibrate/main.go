@@ -19,22 +19,34 @@
 // Usage:
 //
 //	calibrate [-cmin 1] [-cmax 16] [-seed 1] [-budget 2e8]
+//
+// 1 ≤ -cmin ≤ -cmax ≤ 16, the rows alpha.go's table holds; any other
+// range is a flag error (exit 2).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"math/rand/v2"
+	"os"
 
 	"dhsketch/internal/sketch"
 )
 
+// maxC is the largest log₂ m that alpha.go's α̃_m table holds.
+const maxC = 16
+
 func main() {
 	cmin := flag.Int("cmin", 1, "smallest log2(m) to calibrate")
-	cmax := flag.Int("cmax", 16, "largest log2(m) to calibrate")
+	cmax := flag.Int("cmax", maxC, "largest log2(m) to calibrate")
 	seed := flag.Uint64("seed", 1, "PRNG seed")
 	budget := flag.Float64("budget", 2e8, "approximate insertions per m value")
 	flag.Parse()
+	if *cmin < 1 || *cmax > maxC || *cmin > *cmax {
+		fmt.Fprintf(os.Stderr, "calibrate: want 1 ≤ -cmin ≤ -cmax ≤ %d, got -cmin %d -cmax %d\n", maxC, *cmin, *cmax)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	fmt.Println("// α̃_m calibration (paste into internal/sketch/alpha.go)")
 	for c := *cmin; c <= *cmax; c++ {
@@ -73,7 +85,7 @@ func calibrate(m int, seed uint64, budget float64) float64 {
 // rawEstimate inserts n distinct random hashes into a fresh super-LogLog
 // sketch and returns its raw statistic: the estimate without α̃_m.
 func rawEstimate(rng *rand.Rand, m, n int) float64 {
-	s, err := sketch.NewSuperLogLog(m, 32)
+	s, err := sketch.New(sketch.KindSuperLogLog, m, 32)
 	if err != nil {
 		panic(err)
 	}

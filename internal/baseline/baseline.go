@@ -261,7 +261,7 @@ func Convergecast(s *Scenario, useSketches bool, m int, w uint) (Result, error) 
 	var agg sketch.Estimator
 	if useSketches {
 		var err error
-		agg, err = sketch.NewSuperLogLog(m, w)
+		agg, err = sketch.New(sketch.KindSuperLogLog, m, w)
 		if err != nil {
 			return Result{}, err
 		}

@@ -71,6 +71,9 @@ type Config struct {
 	// Kind selects the estimator family. The paper implements
 	// KindPCSA (DHS-PCSA) and KindSuperLogLog (DHS-sLL); KindLogLog and
 	// KindHyperLogLog reuse the same distributed state and come for free.
+	// The scan's per-vector statistics become an estimate through
+	// Kind.Estimate, the formula the local sketches use, and
+	// Kind.CheckVectors decides which m the kind accepts.
 	Kind sketch.Kind
 
 	// Lim bounds the probe retries per ID-space interval during counting.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -54,8 +53,8 @@ func NewGeometry(g Geometry) (Geometry, error) {
 	if g.logM >= g.K {
 		return Geometry{}, fmt.Errorf("core: log2(m)=%d must be below k=%d", g.logM, g.K)
 	}
-	if (g.Kind == sketch.KindSuperLogLog || g.Kind == sketch.KindLogLog) && g.M < 2 {
-		return Geometry{}, errors.New("core: LogLog-family estimators need at least 2 bitmaps")
+	if err := g.Kind.CheckVectors(g.M); err != nil {
+		return Geometry{}, err
 	}
 	if g.ShiftBits > 0 && g.ShiftBits >= g.MaxBit() {
 		return Geometry{}, fmt.Errorf("core: shift %d leaves no usable bit positions", g.ShiftBits)
@@ -141,26 +140,16 @@ func (g *Geometry) finalR(st *metricState) []int {
 }
 
 // estimateFromR turns reconstructed per-vector statistics into a
-// cardinality estimate using the configured estimator family. The LogLog
-// family's formulas take 1-based ranks, so R's 0-based maximum bit positions
-// (-1 = vector never observed) are shifted to ranks in place for the
-// estimate, and back.
+// cardinality estimate through the kind's formula (sketch.Kind.Estimate).
+// The register kinds' formulas take 1-based ranks, so R's 0-based maximum
+// bit positions (-1 = vector never observed) are shifted to ranks in place
+// for the estimate, and back.
 func (g *Geometry) estimateFromR(R []int) float64 {
-	if g.Kind == sketch.KindPCSA {
-		return sketch.EstimatePCSA(R)
+	if g.Kind != sketch.KindPCSA {
+		shift(R, 1)
+		defer shift(R, -1)
 	}
-	shift(R, 1)
-	defer shift(R, -1)
-	switch g.Kind {
-	case sketch.KindSuperLogLog:
-		return sketch.EstimateSuperLogLog(R)
-	case sketch.KindLogLog:
-		return sketch.EstimateLogLog(R)
-	case sketch.KindHyperLogLog:
-		return sketch.EstimateHyperLogLog(R)
-	default:
-		panic(fmt.Sprintf("core: unknown estimator kind %v", g.Kind))
-	}
+	return g.Kind.Estimate(R)
 }
 
 // shift adds by to every entry of R.

@@ -16,40 +16,17 @@ const phi = 0.77351
 // ρ(remaining bits) in it. The estimate derives from the average position
 // of the leftmost 0-bit across vectors.
 type PCSA struct {
-	m       int      // number of bitmap vectors (power of two)
 	c       uint     // log2(m)
 	w       uint     // bitmap width in bits (≤ 64-c)
 	bitmaps []uint64 // one w-bit bitmap per vector, bit r = "some item had ρ = r"
-
-	// SmallRangeCorrection enables the Scheuermann–Mauve correction for
-	// small cardinalities, E = (m/φ)·(2^A − 2^(−1.75·A)); an extension
-	// beyond the paper, off by default.
-	SmallRangeCorrection bool
-}
-
-// NewPCSA returns an empty PCSA sketch with m vectors of w bits. m must be
-// a power of two and log₂(m)+w must not exceed 64.
-func NewPCSA(m int, w uint) (*PCSA, error) {
-	if err := validateParams(m, w); err != nil {
-		return nil, err
-	}
-	return &PCSA{
-		m:       m,
-		c:       hashutil.Log2(uint64(m)),
-		w:       w,
-		bitmaps: make([]uint64, m),
-	}, nil
 }
 
 // NumVectors returns m.
-func (p *PCSA) NumVectors() int { return p.m }
-
-// Width returns the bitmap width w in bits.
-func (p *PCSA) Width() uint { return p.w }
+func (p *PCSA) NumVectors() int { return len(p.bitmaps) }
 
 // Add records one element by its 64-bit hash.
 func (p *PCSA) Add(hash uint64) {
-	v := int(hash & uint64(p.m-1))
+	v := hash & uint64(len(p.bitmaps)-1)
 	r := hashutil.Rho(hashutil.Lsb(hash>>p.c, p.w), p.w)
 	if r >= p.w {
 		// The w-bit remainder was all zeros (probability 2^-w); clamp to
@@ -63,7 +40,7 @@ func (p *PCSA) Add(hash uint64) {
 // (least significant) 0-bit — the per-vector statistic M of eq. 4. A
 // vector whose w bits are all set contributes w.
 func (p *PCSA) LeftmostZeros() []int {
-	out := make([]int, p.m)
+	out := make([]int, len(p.bitmaps))
 	for i, b := range p.bitmaps {
 		out[i] = leftmostZero(b, p.w)
 	}
@@ -71,19 +48,13 @@ func (p *PCSA) LeftmostZeros() []int {
 }
 
 // Estimate returns the PCSA cardinality estimate (the paper's eq. 4).
-func (p *PCSA) Estimate() float64 {
-	e := EstimatePCSA(p.LeftmostZeros())
-	if p.SmallRangeCorrection {
-		a := meanInt(p.LeftmostZeros())
-		e = float64(p.m) / phi * (math.Exp2(a) - math.Exp2(-1.75*a))
-	}
-	return e
-}
+func (p *PCSA) Estimate() float64 { return KindPCSA.Estimate(p.LeftmostZeros()) }
 
-// Merge ORs another PCSA sketch into the receiver.
+// Merge ORs another PCSA sketch into the receiver; it refuses another
+// kind, m or w.
 func (p *PCSA) Merge(other Estimator) error {
 	q, ok := other.(*PCSA)
-	if !ok || q.m != p.m || q.w != p.w {
+	if !ok || len(q.bitmaps) != len(p.bitmaps) || q.w != p.w {
 		return ErrIncompatible
 	}
 	for i := range p.bitmaps {
@@ -93,15 +64,12 @@ func (p *PCSA) Merge(other Estimator) error {
 }
 
 // Reset clears all bitmaps.
-func (p *PCSA) Reset() {
-	for i := range p.bitmaps {
-		p.bitmaps[i] = 0
-	}
-}
+func (p *PCSA) Reset() { clear(p.bitmaps) }
 
 // EstimatePCSA computes the paper's eq. 4 from per-vector leftmost-0-bit
 // positions: E(n) = (1/0.77351) · m · 2^{(1/m)·ΣM}. The DHS counting
-// algorithm calls this with M values reconstructed from the overlay.
+// algorithm reaches it, through Kind.Estimate, with M values
+// reconstructed from the overlay.
 func EstimatePCSA(leftmostZeros []int) float64 {
 	m := len(leftmostZeros)
 	if m == 0 {

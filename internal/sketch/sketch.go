@@ -5,11 +5,13 @@
 // paper's eq. 2 with the θ₀ = 0.7 truncation rule), and — as an extension
 // beyond the paper — HyperLogLog.
 //
-// The estimation formulas are exposed both as methods on concrete sketch
-// types and as standalone functions over per-vector statistics
-// (EstimatePCSA, EstimateSuperLogLog, ...), because the Distributed Hash
-// Sketch layer reconstructs exactly those statistics from the overlay and
-// then applies the same mathematics.
+// Two sketch types hold the local state: PCSA keeps m bitmaps, and
+// Registers keeps the m maximum ranks every LogLog-family kind shares.
+// New builds either. Which formula turns a kind's per-vector statistics
+// into an estimate is decided in one place, Kind.Estimate, over the
+// standalone functions (EstimatePCSA, EstimateSuperLogLog, ...): the
+// local sketches call it, and so does the Distributed Hash Sketch layer,
+// which reconstructs exactly those statistics from the overlay.
 //
 // All sketches hash externally: callers pass 64-bit pseudo-uniform hashes
 // (in this repository, MD4-derived identifiers) to Add. This mirrors the
@@ -50,7 +52,7 @@ type Estimator interface {
 }
 
 // ErrIncompatible is returned by Merge when the two sketches do not share
-// parameters (type, number of vectors, bitmap width).
+// parameters (kind, number of vectors, bitmap width).
 var ErrIncompatible = errors.New("sketch: incompatible sketches")
 
 // Kind identifies one of the estimator families, used by the DHS layer and
@@ -121,22 +123,59 @@ func (k Kind) StdError(m int) float64 {
 	}
 }
 
-// New constructs an estimator of the given family with m vectors, each of
-// width w bits. m must be a power of two; w must fit the cardinalities the
-// caller intends to count (the paper's eq. 3).
-func New(k Kind, m int, w uint) (Estimator, error) {
+// Estimate applies the kind's formula to per-vector statistics: leftmost
+// zero positions for KindPCSA (eq. 4), maximum ranks ρ+1 with 0 for an
+// empty vector for the register kinds (eq. 2 for super-LogLog). It is the
+// one place a kind picks its formula; the local sketches and the DHS
+// layer both call it.
+func (k Kind) Estimate(stats []int) float64 {
 	switch k {
 	case KindPCSA:
-		return NewPCSA(m, w)
+		return EstimatePCSA(stats)
 	case KindSuperLogLog:
-		return NewSuperLogLog(m, w)
+		return EstimateSuperLogLog(stats)
 	case KindLogLog:
-		return NewLogLog(m, w)
+		return EstimateLogLog(stats)
 	case KindHyperLogLog:
-		return NewHyperLogLog(m, w)
+		return EstimateHyperLogLog(stats)
 	default:
-		return nil, fmt.Errorf("sketch: unknown kind %d", int(k))
+		panic(fmt.Sprintf("sketch: unknown kind %d", int(k)))
 	}
+}
+
+// CheckVectors reports whether kind k can estimate from m vectors: an
+// unknown kind cannot, and super-LogLog and plain LogLog need m ≥ 2
+// (their α constants have no value at m = 1).
+func (k Kind) CheckVectors(m int) error {
+	switch k {
+	case KindPCSA, KindHyperLogLog:
+		return nil
+	case KindSuperLogLog, KindLogLog:
+		if m < 2 {
+			return fmt.Errorf("sketch: %v needs at least 2 vectors, got %d", k, m)
+		}
+		return nil
+	default:
+		return fmt.Errorf("sketch: unknown kind %d", int(k))
+	}
+}
+
+// New constructs an empty sketch of the given family with m vectors, each
+// of width w bits: a PCSA for KindPCSA, Registers for the others. m must
+// be a power of two that k.CheckVectors accepts; w must fit the
+// cardinalities the caller intends to count (the paper's eq. 3).
+func New(k Kind, m int, w uint) (Estimator, error) {
+	if err := k.CheckVectors(m); err != nil {
+		return nil, err
+	}
+	if err := validateParams(m, w); err != nil {
+		return nil, err
+	}
+	c := hashutil.Log2(uint64(m))
+	if k == KindPCSA {
+		return &PCSA{c: c, w: w, bitmaps: make([]uint64, m)}, nil
+	}
+	return &Registers{kind: k, c: c, w: w, rank: make([]uint8, m)}, nil
 }
 
 // MinBitmapWidth returns the minimum hash length H₀ the paper's eq. 3

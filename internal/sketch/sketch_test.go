@@ -14,6 +14,16 @@ func addDistinct(e Estimator, rng *rand.Rand, n int) {
 	}
 }
 
+// mustNew builds a sketch or fails the test.
+func mustNew(t testing.TB, k Kind, m int, w uint) Estimator {
+	t.Helper()
+	e, err := New(k, m, w)
+	if err != nil {
+		t.Fatalf("New(%v, %d, %d): %v", k, m, w, err)
+	}
+	return e
+}
+
 // relErr returns |est-n|/n.
 func relErr(est float64, n int) float64 {
 	return math.Abs(est-float64(n)) / float64(n)
@@ -49,6 +59,18 @@ func TestInvalidParams(t *testing.T) {
 			if _, err := New(k, c.m, c.w); err == nil {
 				t.Errorf("New(%v, m=%d, w=%d) should fail", k, c.m, c.w)
 			}
+		}
+	}
+	// The α constants of super-LogLog and plain LogLog have no value at
+	// m = 1; PCSA and HyperLogLog count with one vector.
+	for _, k := range []Kind{KindSuperLogLog, KindLogLog} {
+		if _, err := New(k, 1, 20); err == nil {
+			t.Errorf("New(%v, m=1, w=20) should fail", k)
+		}
+	}
+	for _, k := range []Kind{KindPCSA, KindHyperLogLog} {
+		if _, err := New(k, 1, 20); err != nil {
+			t.Errorf("New(%v, m=1, w=20): %v", k, err)
 		}
 	}
 }
@@ -172,10 +194,10 @@ func TestMergeEqualsUnion(t *testing.T) {
 }
 
 func TestMergeIncompatible(t *testing.T) {
-	p1, _ := NewPCSA(64, 20)
-	p2, _ := NewPCSA(128, 20)
-	p3, _ := NewPCSA(64, 16)
-	s1, _ := NewSuperLogLog(64, 20)
+	p1 := mustNew(t, KindPCSA, 64, 20)
+	p2 := mustNew(t, KindPCSA, 128, 20)
+	p3 := mustNew(t, KindPCSA, 64, 16)
+	s1 := mustNew(t, KindSuperLogLog, 64, 20)
 	if err := p1.Merge(p2); err != ErrIncompatible {
 		t.Error("PCSA merge with different m should fail")
 	}
@@ -185,14 +207,21 @@ func TestMergeIncompatible(t *testing.T) {
 	if err := p1.Merge(s1); err != ErrIncompatible {
 		t.Error("PCSA merge with super-LogLog should fail")
 	}
-	l1, _ := NewLogLog(64, 20)
+	if err := s1.Merge(p1); err != ErrIncompatible {
+		t.Error("super-LogLog merge with PCSA should fail")
+	}
+	l1 := mustNew(t, KindLogLog, 64, 20)
 	if err := s1.Merge(l1); err != ErrIncompatible {
 		t.Error("super-LogLog merge with LogLog should fail")
 	}
-	h1, _ := NewHyperLogLog(64, 20)
-	h2, _ := NewHyperLogLog(32, 20)
+	h1 := mustNew(t, KindHyperLogLog, 64, 20)
+	h2 := mustNew(t, KindHyperLogLog, 32, 20)
+	h3 := mustNew(t, KindHyperLogLog, 64, 16)
 	if err := h1.Merge(h2); err != ErrIncompatible {
 		t.Error("HLL merge with different m should fail")
+	}
+	if err := h1.Merge(h3); err != ErrIncompatible {
+		t.Error("HLL merge with different w should fail")
 	}
 }
 
@@ -228,7 +257,7 @@ func TestEstimateMonotoneInData(t *testing.T) {
 func TestHLLSmallRangeLinearCounting(t *testing.T) {
 	// With very few items HyperLogLog must fall back to linear counting
 	// and stay accurate — a regime where plain LogLog fails badly.
-	h, _ := NewHyperLogLog(1024, 20)
+	h := mustNew(t, KindHyperLogLog, 1024, 20)
 	rng := rand.New(rand.NewPCG(2, 4))
 	addDistinct(h, rng, 100)
 	if e := h.Estimate(); relErr(e, 100) > 0.2 {
@@ -237,13 +266,13 @@ func TestHLLSmallRangeLinearCounting(t *testing.T) {
 }
 
 func TestEmptySketchEstimates(t *testing.T) {
-	p, _ := NewPCSA(64, 20)
+	p := mustNew(t, KindPCSA, 64, 20)
 	if got := p.Estimate(); got > float64(64)/phi+1e-9 {
 		// Empty PCSA: all M = 0 → estimate m/φ ≈ 1.29·m. This known
 		// small-range overshoot is inherent to eq. 4.
 		t.Errorf("empty PCSA estimate = %v", got)
 	}
-	h, _ := NewHyperLogLog(64, 20)
+	h := mustNew(t, KindHyperLogLog, 64, 20)
 	if got := h.Estimate(); got != 0 {
 		t.Errorf("empty HLL estimate = %v, want 0 (linear counting of V=m)", got)
 	}
@@ -296,7 +325,7 @@ func TestAlphaHyperLogLog(t *testing.T) {
 }
 
 func TestPCSALeftmostZeros(t *testing.T) {
-	p, _ := NewPCSA(1, 8)
+	p := mustNew(t, KindPCSA, 1, 8).(*PCSA)
 	// Manually set bits 0,1,2 of the single bitmap via crafted hashes:
 	// with m=1, vector bits are skipped and ρ acts on the hash itself.
 	p.Add(0b001) // rho=0
@@ -338,22 +367,19 @@ func TestEstimateSuperLogLogTruncation(t *testing.T) {
 
 func TestEstimateFunctionsMatchSketches(t *testing.T) {
 	// The standalone estimation functions over per-vector statistics must
-	// agree exactly with the corresponding sketch methods: the DHS layer
-	// depends on this equivalence.
+	// agree exactly with the corresponding sketch methods, and with
+	// Kind.Estimate: the DHS layer depends on this equivalence.
 	rng := rand.New(rand.NewPCG(21, 22))
-	p, _ := NewPCSA(128, 20)
-	s, _ := NewSuperLogLog(128, 20)
-	l, _ := NewLogLog(128, 20)
-	h, _ := NewHyperLogLog(128, 20)
+	p := mustNew(t, KindPCSA, 128, 20).(*PCSA)
+	s := mustNew(t, KindSuperLogLog, 128, 20).(*Registers)
+	l := mustNew(t, KindLogLog, 128, 20).(*Registers)
+	h := mustNew(t, KindHyperLogLog, 128, 20).(*Registers)
 	for i := 0; i < 50000; i++ {
 		x := rng.Uint64()
 		p.Add(x)
 		s.Add(x)
 		l.Add(x)
 		h.Add(x)
-	}
-	if got, want := EstimatePCSA(p.LeftmostZeros()), p.Estimate(); got != want {
-		t.Errorf("EstimatePCSA %v != PCSA.Estimate %v", got, want)
 	}
 	toInts := func(qs []uint8) []int {
 		out := make([]int, len(qs))
@@ -362,39 +388,31 @@ func TestEstimateFunctionsMatchSketches(t *testing.T) {
 		}
 		return out
 	}
-	if got, want := EstimateSuperLogLog(toInts(s.Ranks())), s.Estimate(); got != want {
-		t.Errorf("EstimateSuperLogLog %v != SuperLogLog.Estimate %v", got, want)
-	}
-	if got, want := EstimateLogLog(toInts(l.Ranks())), l.Estimate(); got != want {
-		t.Errorf("EstimateLogLog %v != LogLog.Estimate %v", got, want)
-	}
-	if got, want := EstimateHyperLogLog(toInts(h.Ranks())), h.Estimate(); got != want {
-		t.Errorf("EstimateHyperLogLog %v != HyperLogLog.Estimate %v", got, want)
-	}
-}
-
-func TestPCSASmallRangeCorrection(t *testing.T) {
-	// The optional correction should reduce error for n ≪ m·2^w.
-	const n = 50
-	rng := rand.New(rand.NewPCG(8, 8))
-	plain, _ := NewPCSA(64, 16)
-	corrected, _ := NewPCSA(64, 16)
-	corrected.SmallRangeCorrection = true
-	for i := 0; i < n; i++ {
-		h := rng.Uint64()
-		plain.Add(h)
-		corrected.Add(h)
-	}
-	if relErr(corrected.Estimate(), n) >= relErr(plain.Estimate(), n) {
-		t.Errorf("correction did not help: plain %v corrected %v (n=%d)",
-			plain.Estimate(), corrected.Estimate(), n)
+	for _, c := range []struct {
+		kind  Kind
+		e     Estimator
+		stats []int
+		fn    func([]int) float64
+	}{
+		{KindPCSA, p, p.LeftmostZeros(), EstimatePCSA},
+		{KindSuperLogLog, s, toInts(s.Ranks()), EstimateSuperLogLog},
+		{KindLogLog, l, toInts(l.Ranks()), EstimateLogLog},
+		{KindHyperLogLog, h, toInts(h.Ranks()), EstimateHyperLogLog},
+	} {
+		want := c.e.Estimate()
+		if got := c.fn(c.stats); got != want {
+			t.Errorf("%v: Estimate function %v != sketch Estimate %v", c.kind, got, want)
+		}
+		if got := c.kind.Estimate(c.stats); got != want {
+			t.Errorf("%v: Kind.Estimate %v != sketch Estimate %v", c.kind, got, want)
+		}
 	}
 }
 
 func BenchmarkAdd(b *testing.B) {
-	for _, k := range []Kind{KindPCSA, KindSuperLogLog, KindHyperLogLog} {
+	for _, k := range []Kind{KindPCSA, KindSuperLogLog, KindLogLog, KindHyperLogLog} {
 		b.Run(k.String(), func(b *testing.B) {
-			e, _ := New(k, 512, 24)
+			e := mustNew(b, k, 512, 24)
 			rng := rand.New(rand.NewPCG(1, 1))
 			hashes := make([]uint64, 4096)
 			for i := range hashes {
@@ -408,16 +426,21 @@ func BenchmarkAdd(b *testing.B) {
 	}
 }
 
+// estimateSink keeps BenchmarkEstimate's call from being optimised away.
+var estimateSink float64
+
 func BenchmarkEstimate(b *testing.B) {
-	for _, m := range []int{128, 512, 2048} {
-		b.Run(fmt.Sprintf("sLL-m%d", m), func(b *testing.B) {
-			s, _ := NewSuperLogLog(m, 24)
-			rng := rand.New(rand.NewPCG(1, 1))
-			addDistinct(s, rng, 100000)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Estimate()
-			}
-		})
+	for _, k := range []Kind{KindPCSA, KindSuperLogLog, KindLogLog, KindHyperLogLog} {
+		for _, m := range []int{128, 512, 2048} {
+			b.Run(fmt.Sprintf("%v-m%d", k, m), func(b *testing.B) {
+				e := mustNew(b, k, m, 24)
+				rng := rand.New(rand.NewPCG(1, 1))
+				addDistinct(e, rng, 100000)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					estimateSink = e.Estimate()
+				}
+			})
+		}
 	}
 }
