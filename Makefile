@@ -49,8 +49,9 @@ smoke:
 	./scripts/smoke.sh
 
 # bench runs the go-test benchmarks — the root hot-path benchmarks of
-# perf_bench_test.go, the simulator rungs under the sim_scan workload
-# (internal/chord's lookup on both rings, internal/core's insert, refresh
+# perf_bench_test.go, internal/sketch's Add and Estimate for every
+# estimator kind (the estimator-arithmetic rung), the simulator rungs
+# under the sim_scan workload (internal/chord's lookup on both rings, internal/core's insert, refresh
 # and count, and BenchmarkInsertLoaded's insert at sim_scan's load shape,
 # one metric at a time and rotating), internal/chord's ring construction at N = 1024 and 10240
 # (BenchmarkNew, with its allocated bytes), internal/faultdht's route through the fault layer (the path
@@ -71,5 +72,5 @@ smoke:
 BENCHTIME ?= 1s
 
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) -benchmem . ./internal/chord ./internal/core ./internal/faultdht ./internal/store ./internal/netdht ./internal/serve > bench.out 2>&1; \
+	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) -benchmem . ./internal/sketch ./internal/chord ./internal/core ./internal/faultdht ./internal/store ./internal/netdht ./internal/serve > bench.out 2>&1; \
 	status=$$?; cat bench.out; exit $$status

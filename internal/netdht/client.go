@@ -2,11 +2,13 @@ package netdht
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
+	"strconv"
 	"sync"
 
 	"dhsketch/internal/chord"
@@ -65,17 +67,30 @@ type ClientConfig struct {
 // GeometryFlags registers -k, -m, -kind, -lim and -seed on fs, bound to
 // c's fields: the one geometry flag set of dhsd and dhsnode, whose
 // defaults (16, 64, sll, 5, seed 1) are the geometry scripts/smoke.sh and
-// bench/ pass.
+// bench/ pass. A -k, -m or -lim below 1 is a flag error: withDefaults
+// would read a zero as core's default, a geometry no daemon writes.
 func (c *ClientConfig) GeometryFlags(fs *flag.FlagSet) {
-	c.Kind = sketch.KindSuperLogLog
-	fs.UintVar(&c.K, "k", 16, "bitmap length k (hash bits per item); the sketch counts up to about 2^k items in all")
-	fs.IntVar(&c.M, "m", 64, "number of bitmap vectors m (power of two); an estimate needs n ≥ m·N items on an N-node ring (α = n/(m·N) ≥ 1)")
+	c.K, c.M, c.Kind, c.Lim = 16, 64, sketch.KindSuperLogLog, 5
+	fs.Func("k", "bitmap length `k` (hash bits per item, default 16); the sketch counts up to about 2^k items in all", positive(&c.K))
+	fs.Func("m", "number of bitmap vectors `m` (power of two, default 64); an estimate needs n ≥ m·N items on an N-node ring (α = n/(m·N) ≥ 1)", positive(&c.M))
 	fs.Func("kind", "estimator `family`: pcsa, sll, loglog, hll (default sll)", func(s string) (err error) {
 		c.Kind, err = sketch.ParseKind(s)
 		return err
 	})
-	fs.IntVar(&c.Lim, "lim", 5, "per-interval probe budget")
+	fs.Func("lim", "per-interval probe `budget` (default 5)", positive(&c.Lim))
 	fs.Uint64Var(&c.Seed, "seed", 1, "seed of the interval targets probes and inserts are sent to")
+}
+
+// positive parses a flag's value into *p, refusing anything below 1.
+func positive[T int | uint](p *T) func(string) error {
+	return func(s string) error {
+		v, err := strconv.ParseUint(s, 0, strconv.IntSize-1)
+		if err != nil || v == 0 {
+			return errors.New("want a positive integer")
+		}
+		*p = T(v)
+		return nil
+	}
 }
 
 // DefaultProbeParallel is how many of an interval's probes the counting

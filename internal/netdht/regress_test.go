@@ -67,6 +67,27 @@ func TestGeometryFlagsDefaults(t *testing.T) {
 	}
 }
 
+// TestGeometryFlagsRefuseZero: a zero -k, -m or -lim is a flag error.
+// ClientConfig.withDefaults reads a zero as core's default (24, 512, 5),
+// a geometry no daemon at the flags' defaults writes, and a zero -lim
+// slipped past core.CheckLimTTL that way. A config built in code keeps
+// 0 as "default".
+func TestGeometryFlagsRefuseZero(t *testing.T) {
+	for _, args := range [][]string{{"-k", "0"}, {"-m", "0"}, {"-lim", "0"}, {"-lim", "-1"}, {"-m", "x"}} {
+		var c ClientConfig
+		fs := flag.NewFlagSet("geometry", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		c.GeometryFlags(fs)
+		if err := fs.Parse(args); err == nil {
+			t.Errorf("flags %q parse to %+v, want an error", args, c)
+		}
+	}
+	got := ClientConfig{}.withDefaults()
+	if got.K != core.DefaultK || got.M != core.DefaultM || got.Lim != core.DefaultLim {
+		t.Errorf("zero ClientConfig takes %d/%d/%d, want core's defaults", got.K, got.M, got.Lim)
+	}
+}
+
 // TestCountFailsMisshapenProbeReply: a peer running a different -m (or
 // a hostile one) answers probes with masks that do not match the
 // request. Each such reply must count as a failed probe — a degraded
