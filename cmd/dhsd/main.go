@@ -2,10 +2,13 @@
 // one process that owns a netdht client and serves estimates over
 // HTTP, absorbing read load the ring itself never sees. It answers on
 // internal/respond's keep-alive loop, not net/http's server, so a cache
-// hit allocates nothing from the socket's read to its write (DESIGN.md
-// §16): GET only, a request head within 8 KiB and 5 s of its first
-// byte, 5 min for an idle connection's next request, 30 s to write a
-// reply, and at most 1024 connections open (503 past them). Three
+// hit allocates nothing from the socket's read to its write, and neither
+// does a ring fan-out with -cache-ttl 0 -no-coalesce once the client is
+// warm: the scan reuses the state of an earlier one, and the body is
+// encoded into the connection's buffer (DESIGN.md §16). GET only, a
+// request head within 8 KiB and 5 s of its first byte, 5 min for an
+// idle connection's next request, 30 s to write a reply, and at most
+// 1024 connections open (503 past them). Three
 // layers stand between a request and a ring fan-out (internal/serve):
 //
 //   - a TTL cache of recent estimates (-cache-ttl),

@@ -59,19 +59,27 @@ type metricState struct {
 	scratch []uint64
 }
 
-func newMetricState(metric uint64, m int) *metricState {
-	st := &metricState{
-		metric:     metric,
-		R:          make([]int, m),
-		resolved:   make([]bool, m),
-		unresolved: m,
-		foundHere:  make([]bool, m),
-		scratch:    make([]uint64, 0, (m+63)/64),
-	}
+// reset readies st for a pass over metric at m vectors, in the memory it
+// held for the last one where that is large enough.
+func (st *metricState) reset(metric uint64, m int) {
+	st.metric, st.unresolved = metric, m
+	st.R = resize(st.R, m)
 	for i := range st.R {
 		st.R[i] = -1
 	}
-	return st
+	st.resolved = resize(st.resolved, m)
+	clear(st.resolved)
+	st.foundHere = resize(st.foundHere, m) // cleared at each interval
+	st.scratch = resize(st.scratch, (m+63)/64)[:0]
+}
+
+// resize returns s at length n, in the memory s holds when that is large
+// enough and in new memory otherwise; what it holds is not kept.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Trace is what every event of one counting pass shares: the sink they
@@ -110,25 +118,33 @@ func (t *Trace) emit(kind obs.Kind, node, metric uint64, bit int, arg int64, err
 type Visitor struct {
 	ascending bool
 	bit       int // position being probed
-	states    []*metricState
+	states    []metricState
 	open      int // metrics with unresolved vectors
-	tr        Trace
+	// listed is the open metrics as Metrics last listed them, and lists
+	// every list Metrics has handed out this pass, one after another.
+	listed, lists []uint64
+	tr            Trace
 }
 
 // Open returns how many metrics still have unresolved vectors — the
 // metrics a probe issued now has to ask for.
 func (v *Visitor) Open() int { return v.open }
 
-// Metrics returns the identifiers of the still-open metrics, in a slice
-// the caller owns.
+// Metrics returns the identifiers of the still-open metrics. The slice is
+// the pass's: it holds the same identifiers for the rest of the pass, and
+// a later call returns it again until a metric closes. A metric never
+// reopens, so a pass lists at most one more time than it has metrics.
 func (v *Visitor) Metrics() []uint64 {
-	open := make([]uint64, 0, v.open)
-	for _, st := range v.states {
-		if st.unresolved > 0 {
-			open = append(open, st.metric)
+	if len(v.listed) != v.open {
+		from := len(v.lists)
+		for i := range v.states {
+			if v.states[i].unresolved > 0 {
+				v.lists = append(v.lists, v.states[i].metric)
+			}
 		}
+		v.listed = v.lists[from:len(v.lists):len(v.lists)]
 	}
-	return open
+	return v.listed
 }
 
 // Note reports one step the prober took toward the current interval's
@@ -148,7 +164,8 @@ func (v *Visitor) Note(kind obs.Kind, node uint64, arg int64, err error) {
 func (v *Visitor) Visit(node uint64, hops int, r Reply) bool {
 	v.tr.emit(obs.KindProbe, node, 0, v.bit, int64(hops), nil)
 	done := true
-	for _, st := range v.states {
+	for i := range v.states {
+		st := &v.states[i]
 		if st.unresolved == 0 {
 			continue
 		}
@@ -196,7 +213,8 @@ func (st *metricState) resolve(j, bit int) {
 // vectors with no set bit found at this position have their leftmost
 // zero here.
 func (v *Visitor) declareZeros() {
-	for _, st := range v.states {
+	for i := range v.states {
+		st := &v.states[i]
 		if st.unresolved == 0 {
 			continue
 		}
@@ -270,23 +288,37 @@ func (q scanQuality) forMetric(st *metricState) Quality {
 // The pass never aborts on a dead or unreachable node; what was lost is
 // reported in each Estimate's Quality.
 func (g *Geometry) Scan(p Prober, metrics []uint64, limFor func(bit int) int, tr Trace) []Estimate {
-	v := &Visitor{
-		ascending: g.Kind == sketch.KindPCSA,
-		states:    make([]*metricState, len(metrics)),
-		open:      len(metrics),
-		tr:        tr,
-	}
+	return g.ScanWith(new(Pass), p, metrics, limFor, tr)
+}
+
+// Pass is the memory of a counting pass: the Visitor its prober is
+// handed, one resolution state per metric, the lists of open metrics and
+// the estimates. Scanning through one Pass again reuses it, so a pass
+// allocates nothing once its Pass has held a pass of its size. A Pass
+// holds one pass at a time: the next scan through it overwrites the
+// estimates the last one returned, and their R.
+type Pass struct {
+	v    Visitor
+	ests []Estimate
+}
+
+// ScanWith is Scan in the memory of ps.
+func (g *Geometry) ScanWith(ps *Pass, p Prober, metrics []uint64, limFor func(bit int) int, tr Trace) []Estimate {
+	v := &ps.v
+	v.ascending, v.open, v.tr = g.Kind == sketch.KindPCSA, len(metrics), tr
+	v.listed, v.lists = nil, v.lists[:0]
 	v.tr.emit(obs.KindCountStart, v.tr.Node, 0, -1, int64(len(metrics)), nil)
+	v.states = resize(v.states, len(metrics))
 	for i, metric := range metrics {
-		v.states[i] = newMetricState(metric, g.M)
+		v.states[i].reset(metric, g.M)
 	}
 
 	var q scanQuality
 	first, last, step := g.ScanRange()
 	for v.bit = first; v.bit != last+step && v.open > 0; v.bit += step {
 		if v.ascending {
-			for _, st := range v.states {
-				clear(st.foundHere)
+			for i := range v.states {
+				clear(v.states[i].foundHere)
 			}
 		}
 		out := p.ProbeInterval(uint(v.bit), limFor(v.bit), v)
@@ -296,11 +328,13 @@ func (g *Geometry) Scan(p Prober, metrics []uint64, limFor func(bit int) int, tr
 		}
 	}
 
-	ests := make([]Estimate, len(v.states))
-	for i, st := range v.states {
+	ps.ests = resize(ps.ests, len(metrics))
+	for i := range v.states {
+		st := &v.states[i]
 		R := g.finalR(st)
-		ests[i] = Estimate{Value: g.estimateFromR(R), R: R, Quality: q.forMetric(st)}
+		ps.ests[i] = Estimate{Value: g.estimateFromR(R), R: R, Quality: q.forMetric(st)}
 		v.tr.emit(obs.KindCountDone, v.tr.Node, st.metric, -1, int64(st.unresolved), nil)
 	}
-	return ests
+	v.tr = Trace{} // a Pass kept for later holds on to no sink
+	return ps.ests
 }

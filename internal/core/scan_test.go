@@ -311,11 +311,18 @@ func TestScanAsksOnlyOpenMetrics(t *testing.T) {
 	}
 }
 
+// newMetricState is a metricState of its own for metric at m vectors.
+func newMetricState(metric uint64, m int) metricState {
+	var st metricState
+	st.reset(metric, m)
+	return st
+}
+
 // TestVisitorUntracedZeroAlloc: an empty Trace costs the pass's emission
 // sites nothing — Visit's probe event and a prober's Note each pay one nil
 // check and construct no event.
 func TestVisitorUntracedZeroAlloc(t *testing.T) {
-	v := &Visitor{states: []*metricState{newMetricState(1, 64)}, open: 1}
+	v := &Visitor{states: []metricState{newMetricState(1, 64)}, open: 1}
 	var r Reply = fakeReply{1: {3}}
 	if n := testing.AllocsPerRun(100, func() {
 		v.Note(obs.KindLookup, 7, 2, nil)

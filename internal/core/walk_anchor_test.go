@@ -129,7 +129,7 @@ func TestWalkAnchorResetsOnReentry(t *testing.T) {
 	ring := obs.NewRing(64)
 	rng, _ := d.countPass()
 	w := &walkProber{d: d, src: overlay.nodes[0], rng: rng}
-	v := &Visitor{states: []*metricState{newMetricState(MetricID("anchor"), d.cfg.M)}, open: 1, tr: Trace{Sink: ring}}
+	v := &Visitor{states: []metricState{newMetricState(MetricID("anchor"), d.cfg.M)}, open: 1, tr: Trace{Sink: ring}}
 	out := w.ProbeInterval(0, 16, v)
 	var visited []uint64
 	for _, e := range ring.Events() {

@@ -1,10 +1,10 @@
 // Package golden pins a test's output to a file under the package's
-// testdata directory. The experiment tables, the examples' stdout and the
-// ablation table are all checked this way, so a refactor that changes one
-// draw, one metered byte or one trace event fails `go test`. Regenerate
-// every pin with
+// testdata directory. The experiment tables, the examples' stdout, the
+// ablation table and the estimators' accuracy curve are all checked this
+// way, so a refactor that changes one draw, one metered byte or one trace
+// event fails `go test`. Regenerate every pin with
 //
-//	go test . ./internal/experiments ./examples/... -update
+//	go test . ./internal/experiments ./internal/sketch ./examples/... -update
 //
 // and commit the rewritten files on their own, with their diff explained.
 // Only tests import this package.

@@ -109,6 +109,14 @@ func countRow(b *testing.B, c *Client, reg *metrics.Registry, metric uint64, col
 	lookups, probes, bytes := outRPCs(reg, "find_succ"), outRPCs(reg, "probe"), wireBytes(reg)
 	masks, kept := probeMasks(reg), keptMasks(reg)
 	visits, owners := 0, 0
+	met := map[uint64]bool{}
+	sink := sinkFunc(func(e obs.Event) {
+		if e.Kind == obs.KindProbe {
+			visits++
+			met[e.Node] = true
+		}
+	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if between != nil {
@@ -119,14 +127,8 @@ func countRow(b *testing.B, c *Client, reg *metrics.Registry, metric uint64, col
 		if cold {
 			c.view.arcs = nil
 		}
-		met := map[uint64]bool{}
-		sink := sinkFunc(func(e obs.Event) {
-			if e.Kind == obs.KindProbe {
-				visits++
-				met[e.Node] = true
-			}
-		})
-		if res := c.count(&rpcProber{c: c}, metric, sink); res.Degraded {
+		clear(met)
+		if res := c.countTraced(metric, sink); res.Degraded {
 			b.Fatalf("scan = %+v", res)
 		}
 		owners += len(met)
@@ -171,11 +173,13 @@ func BenchmarkClientCountAll(b *testing.B) {
 			}
 			for _, k := range []int{1, 4, 16, 64} {
 				b.Run(fmt.Sprintf("metrics%d", k), func(b *testing.B) {
-					c.CountAll(all[:k]) // fill the view outside the timer
+					c.CountAll(nil, all[:k]) // fill the view outside the timer
 					probes, bytes := outRPCs(reg, "probe"), wireBytes(reg)
+					res := make([]CountResult, 0, k)
+					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						if res, err := c.CountAll(all[:k]); err != nil || res[0].Degraded {
+						if res, err := c.CountAll(res, all[:k]); err != nil || res[0].Degraded {
 							b.Fatalf("CountAll = %+v, %v", res, err)
 						}
 					}
@@ -220,6 +224,7 @@ func BenchmarkClientInsert(b *testing.B) {
 				}
 				servers := cl.Servers()
 				x0, bytes, routed := outExchanges(reg), wireBytes(reg), routedTotal(servers)
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if temp == "cold" {

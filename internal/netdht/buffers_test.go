@@ -284,7 +284,7 @@ func TestExchangeZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	decode := func(reply []byte, mem *wire.Memory) error {
-		_, err := wire.DecodeProbeRespTo(q, reply, mem, nil)
+		_, err := wire.DecodeProbeRespTo(nil, q, reply, mem, nil)
 		return err
 	}
 	same := func(reply []byte, _ *wire.Memory) error {

@@ -132,6 +132,12 @@ type Client struct {
 	// view is the ring as the counting scans and the stores' acks have
 	// shown it so far.
 	view ringView
+
+	// passes holds the state of counting passes between them, and release
+	// gives a pass's state back to it; a test swaps release for one that
+	// drops the state, so that every pass starts from nothing.
+	passes  passList
+	release func(*pass)
 }
 
 // NewClient validates the configuration and prepares the connection
@@ -163,6 +169,7 @@ func newClient(cfg ClientConfig, peerConns int) (*Client, error) {
 		maxMasks: min(math.MaxUint16, (maxFrame-wire.ProbeRespOverhead)/wire.MaskBytes(geom.M)),
 		rng:      rand.New(&lockedSource{src: rand.NewPCG(cfg.Seed, 0x6a09e667f3bcc908)}),
 	}
+	c.release = c.passes.put
 	cfg.Metrics.GaugeFunc("netdht_peer_conns", "cached outbound peer connections",
 		func() float64 { return float64(c.peers.size()) })
 	cfg.Metrics.GaugeFunc("netdht_view_arcs", "ring arcs the client remembers",
@@ -295,7 +302,8 @@ type CountResult struct {
 // Count runs the Algorithm-1 counting scan for metric over RPC: CountAll of
 // one metric.
 func (c *Client) Count(metric uint64) (CountResult, error) {
-	res, err := c.CountAll([]uint64{metric})
+	var one [1]CountResult
+	res, err := c.CountAll(one[:0], []uint64{metric})
 	if err != nil {
 		return CountResult{}, err
 	}
@@ -304,47 +312,91 @@ func (c *Client) Count(metric uint64) (CountResult, error) {
 
 // CountAll runs one counting scan for all of metrics over RPC — core's shared
 // scan (descending for the LogLog family, ascending for PCSA) driven by the
-// RPC interval prober — and returns their results in the order given. The
-// bit-to-interval mapping is the same for every metric (§4.2), so each owner
-// is asked once, for every metric still open, over the run of positions its
-// arc holds: the scan costs the exchanges of counting one metric, and each
-// further metric adds its masks to the replies. A metric named twice is
-// scanned once, and the metrics go out in ascending order. A list whose reply
-// for a single position would not fit a frame is scanned in consecutive parts
-// of maxMasks metrics each.
+// RPC interval prober — and appends their results to dst in the order given.
+// The bit-to-interval mapping is the same for every metric (§4.2), so each
+// owner is asked once, for every metric still open, over the run of
+// positions its arc holds: the scan costs the exchanges of counting one
+// metric, and each further metric adds its masks to the replies. A metric
+// named twice is scanned once, and the metrics go out in ascending order. A
+// list whose reply for a single position would not fit a frame is scanned in
+// consecutive parts of maxMasks metrics each.
 //
-// CountAll is safe for concurrent use by many goroutines sharing one Client
-// — each call carries its own answers, the ring view they all resolve
-// targets against orders them behind its mutex, and the peer pool
-// multiplexes exchanges over DefaultPeerConns sockets per peer. The first
-// scan pays for learning the ring; later ones route only what has changed.
-func (c *Client) CountAll(metrics []uint64) ([]CountResult, error) {
+// CountAll is safe for concurrent use by many goroutines sharing one Client.
+// A pass's state — core's resolution state, the owners' answers, the masks
+// they came in and the results — is its own while it runs, and is kept on
+// the Client's free list after, for a later pass to reuse: a warm client
+// allocates nothing to count beyond what dst has to grow by. The ring view
+// all passes resolve targets against orders them behind its mutex, and the
+// peer pool multiplexes exchanges over DefaultPeerConns sockets per peer.
+// The first scan pays for learning the ring; later ones route only what has
+// changed.
+func (c *Client) CountAll(dst []CountResult, metrics []uint64) ([]CountResult, error) {
+	ps := c.passes.get(c)
+	defer c.release(ps)
 	// One order on the wire, whatever order the caller names them in, so a
 	// socket's kept probe request finds the metric list it sent last.
-	distinct := slices.Clone(metrics)
-	slices.Sort(distinct)
-	distinct = slices.Compact(distinct)
-	scanned := make([]CountResult, 0, len(distinct))
-	for len(scanned) < len(distinct) {
-		part := distinct[len(scanned):min(len(scanned)+c.maxMasks, len(distinct))]
-		scanned = append(scanned, c.scan(&rpcProber{c: c}, part)...)
+	ps.metrics = append(ps.metrics[:0], metrics...)
+	slices.Sort(ps.metrics)
+	ps.metrics = slices.Compact(ps.metrics)
+	c.scan(ps, core.Trace{})
+	for _, m := range metrics {
+		at, _ := slices.BinarySearch(ps.metrics, m)
+		dst = append(dst, ps.results[at])
 	}
-	out := make([]CountResult, len(metrics))
-	for i, m := range metrics {
-		at, _ := slices.BinarySearch(distinct, m)
-		out[i] = scanned[at]
-	}
-	return out, nil
+	return dst, nil
 }
 
-// scan is one counting pass for metrics over any interval prober, untraced.
-func (c *Client) scan(p core.Prober, metrics []uint64) []CountResult {
-	lim := func(int) int { return c.cfg.Lim }
-	out := make([]CountResult, len(metrics))
-	for i, est := range c.geom.Scan(p, metrics, lim, core.Trace{}) {
-		out[i] = CountResult{Estimate: est.Value, Quality: est.Quality}
+// pass is the state of one counting pass over the wire, which the Client
+// keeps between passes (Client.passes): core's, the prober's, the distinct
+// metrics in ascending order and their results.
+type pass struct {
+	core.Pass
+	rpcProber
+	metrics []uint64
+	results []CountResult
+}
+
+// passList is the state of the counting passes not running: a free list,
+// as long as the most passes that have run at once, whose lock is held to
+// take a state or give one back and never across an exchange.
+type passList struct {
+	mu   sync.Mutex
+	free []*pass
+}
+
+// get takes a state off the list, or makes one for c when it is empty.
+func (l *passList) get(c *Client) *pass {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return &pass{rpcProber: rpcProber{c: c}}
 	}
-	return out
+	ps := l.free[n-1]
+	l.free = l.free[:n-1]
+	return ps
+}
+
+// put gives ps back for a later pass.
+func (l *passList) put(ps *pass) {
+	l.mu.Lock()
+	l.free = append(l.free, ps)
+	l.mu.Unlock()
+}
+
+// scan runs the counting passes for ps.metrics, in parts of maxMasks
+// metrics each, their events sent to tr, and leaves one result per metric
+// in ps.results.
+func (c *Client) scan(ps *pass, tr core.Trace) {
+	lim := func(int) int { return c.cfg.Lim }
+	ps.results = ps.results[:0]
+	for len(ps.results) < len(ps.metrics) {
+		part := ps.metrics[len(ps.results):min(len(ps.results)+c.maxMasks, len(ps.metrics))]
+		ps.rpcProber.reset()
+		for _, est := range c.geom.ScanWith(&ps.Pass, &ps.rpcProber, part, lim, tr) {
+			ps.results = append(ps.results, CountResult{Estimate: est.Value, Quality: est.Quality})
+		}
+	}
 }
 
 // answers is what one owner said of a run of bit positions, kept for the
@@ -358,16 +410,16 @@ type answers struct {
 func (a answers) holds(bit uint) bool { return int(bit) >= a.low && int(bit) < a.low+a.bits }
 
 // at returns the owner's reply for one position the run holds.
-func (a answers) at(bit uint) *maskReply {
+func (a answers) at(bit uint) maskReply {
 	i := (int(bit) - a.low) * len(a.metrics)
-	return &maskReply{metrics: a.metrics, masks: a.masks[i : i+len(a.metrics)]}
+	return maskReply{metrics: a.metrics, masks: a.masks[i : i+len(a.metrics)]}
 }
 
-// rpcProber is the wire's core.Prober, one per scan and, like Algorithm 1's
-// loop, one goroutine. Where Algorithm 1 routes once per interval and walks
-// successors, the prober has every lookup bring the owner's neighbourhood
-// back and resolves targets against the arcs the client has been told of
-// (ringView): an interval draws its lim uniform targets as ever and routes
+// rpcProber is the wire's core.Prober, one per running pass and, like
+// Algorithm 1's loop, one goroutine. Where Algorithm 1 routes once per
+// interval and walks successors, the prober has every lookup bring the
+// owner's neighbourhood back and resolves targets against the arcs the
+// client has been told of (ringView): an interval draws its lim uniform targets as ever and routes
 // only those no arc covers. The arcs outlive the scan; the answers do not.
 // The first probe of a node asks for every position of the scan its arc
 // still holds, and the intervals that follow are answered from what it said
@@ -382,13 +434,28 @@ func (a answers) at(bit uint) *maskReply {
 // random stream and the ring alone. Each find_succ is noted as a lookup
 // event of the pass, its Arg the hops the reply carries; each visit's
 // probe event has Arg 1 when a probe exchange served it and 0 when the
-// scan's memory of earlier replies did.
+// scan's memory of earlier replies did. The zero prober of a Client is
+// ready to scan; one that has scanned is ready again after reset, in the
+// memory it held.
 type rpcProber struct {
 	c    *Client
 	told map[uint64]answers // by owner ID
+	// masks holds every mask told holds; fresh is the last reply a probe
+	// brought, reply the answer a visit reads, and met the owners the
+	// current interval has spent an attempt on.
+	masks wire.MaskArena
+	fresh wire.ProbeResp
+	reply maskReply
+	met   []uint64
 	// askOn, when a test sets it, has an interval spend all its attempts
 	// whatever a visit reports: the loop the early stop is measured against.
 	askOn bool
+}
+
+// reset forgets what the last scan was told.
+func (p *rpcProber) reset() {
+	clear(p.told)
+	p.masks.Reset()
 }
 
 // lookup routes target through the entry node, notes the step to v, and
@@ -454,23 +521,22 @@ func (p *rpcProber) answer(bit uint, owner chord.Ref, metrics []uint64) (a answe
 		return a, nil, nil
 	}
 	req := p.run(bit, owner, metrics)
-	resp, err := p.c.probe(owner.Addr, req)
-	if err != nil {
+	if p.fresh, err = p.c.probe(owner.Addr, req, &p.masks); err != nil {
 		return answers{}, nil, err
 	}
-	a = answers{low: int(req.Bit), bits: int(req.Span) + 1, metrics: metrics, masks: resp.VecMasks}
+	a = answers{low: int(req.Bit), bits: int(req.Span) + 1, metrics: metrics, masks: p.fresh.VecMasks}
 	if p.told == nil {
 		p.told = make(map[uint64]answers)
 	}
 	p.told[owner.ID] = a
-	return a, &resp, nil
+	return a, &p.fresh, nil
 }
 
 func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.IntervalOutcome {
 	out := core.IntervalOutcome{Attempted: lim}
 	metrics := v.Metrics()
 	view := &p.c.view
-	met := make(map[uint64]bool) // owners the interval has spent an attempt on
+	p.met = p.met[:0]
 	// The interval's exchanges: probes, and lookups — re-routes too, at most
 	// one a target.
 	probed, routed := 0, 0
@@ -486,7 +552,7 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 				return err
 			}
 		}
-		if met[owner.ID] {
+		if slices.Contains(p.met, owner.ID) {
 			return nil
 		}
 		_, heard := p.told[owner.ID]
@@ -504,7 +570,7 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 			if err != nil {
 				// The node is gone: forget it, its arc and what it said.
 				// The interval has met it all the same.
-				met[owner.ID] = true
+				p.met = append(p.met, owner.ID)
 				view.drop(owner.ID)
 				delete(p.told, owner.ID)
 			}
@@ -520,14 +586,16 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 			case lerr != nil:
 				return lerr
 			case again.ID == owner.ID:
-			case met[again.ID]:
+			case slices.Contains(p.met, again.ID):
 				return nil
 			default:
 				owner = again
 				a, fresh, err = p.answer(bit, owner, metrics)
 			}
 		}
-		met[owner.ID] = true
+		if !slices.Contains(p.met, owner.ID) {
+			p.met = append(p.met, owner.ID)
+		}
 		if err != nil {
 			return err
 		}
@@ -538,7 +606,8 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 			hops = 1
 		}
 		out.Visited++
-		exhausted = v.Visit(owner.ID, hops, a.at(bit)) && !p.askOn
+		p.reply = a.at(bit)
+		exhausted = v.Visit(owner.ID, hops, &p.reply) && !p.askOn
 		return nil
 	}
 	// Every interval is offered lim attempts and draws lim targets, so the
@@ -565,14 +634,14 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 // that answers a run with a single position, or a hostile one, fails here
 // instead of indexing out of range in the scan. A scan keeps an owner's
 // masks for its whole life, longer than any connection keeps a frame: the
-// reply is decoded while the slot is still held, into one buffer of dense
-// masks that is the scan's own — the frame's mask bytes copied, a coded
-// reply's expanded, a kept mask copied out of the socket's memory —
+// reply is decoded while the slot is still held, into into, the arena of
+// dense masks that is the scan's own — the frame's mask bytes copied, a
+// coded reply's expanded, a kept mask copied out of the socket's memory —
 // one copy per owner, and no frame or memory bytes are kept. The request is
 // built stateless on the stack and encoded against the socket's memory
 // in the slot (appendRequest); a reply without its header is read as
 // answering req.
-func (c *Client) probe(addr string, req wire.ProbeReq) (resp wire.ProbeResp, err error) {
+func (c *Client) probe(addr string, req wire.ProbeReq, into *wire.MaskArena) (resp wire.ProbeResp, err error) {
 	var scratch [rpcScratch]byte
 	frame, err := wire.AppendProbeReq(scratch[:0], req)
 	if err != nil {
@@ -581,7 +650,7 @@ func (c *Client) probe(addr string, req wire.ProbeReq) (resp wire.ProbeResp, err
 	var forms wire.MaskForms
 	err = c.peers.exchange(addr, frame, func(reply []byte, mem *wire.Memory) (err error) {
 		if err = replyErr(reply); err == nil {
-			resp, err = wire.DecodeProbeRespTo(req, reply, mem, &forms)
+			resp, err = wire.DecodeProbeRespTo(into, req, reply, mem, &forms)
 		}
 		return err
 	})

@@ -300,7 +300,7 @@ func TestTypedFailureEveryRPC(t *testing.T) {
 	peers, to := &tcpPeers{s: s}, chord.Ref{ID: 1, Addr: down}
 	for name, rpc := range map[string]func() error{
 		"probe": func() error {
-			_, err := c.probe(down, wire.ProbeReq{Bit: 3, NumVecs: 64, Metrics: []uint64{7}})
+			_, err := c.probe(down, wire.ProbeReq{Bit: 3, NumVecs: 64, Metrics: []uint64{7}}, nil)
 			return err
 		},
 		"notify": func() error {
@@ -359,7 +359,7 @@ func TestRefusedReplyDropsSocket(t *testing.T) {
 		dials         uint64
 	}{
 		{"refused probe reply", badProbe, goodProbe, func(c *Client, addr string) error {
-			_, err := c.probe(addr, req)
+			_, err := c.probe(addr, req, nil)
 			return err
 		}, 2},
 		{"refused store ack", badAck, goodAck, func(c *Client, addr string) error {

@@ -133,9 +133,11 @@ func TestPeerPoolRespectsWidth(t *testing.T) {
 }
 
 // TestConcurrentCountSharedClient runs many goroutines through one
-// shared Client against a live cluster — the dhsd serving shape — and
-// checks every pass lands inside the estimator's error envelope. Run
-// under -race this pins the scan state, RNG, and pool for data races.
+// shared Client against a live cluster — the dhsd serving shape — each
+// making many passes, over one metric or both of two of different sizes,
+// and checks every pass lands inside the estimator's error envelope. Run
+// under -race this pins the scan state, the pass states the passes take
+// and give back, the RNG, and the pool for data races.
 func TestConcurrentCountSharedClient(t *testing.T) {
 	env := sim.NewEnv(7)
 	cl := newTestCluster(t, env, 4)
@@ -151,44 +153,72 @@ func TestConcurrentCountSharedClient(t *testing.T) {
 	}
 	defer c.Close()
 
-	const items = 400
-	for i := 0; i < items; i++ {
-		if err := c.Insert(99, uint64(i)*0x9e3779b97f4a7c15+1); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
+	items := map[uint64]int{99: 400, 98: 3000}
+	for metric, n := range items {
+		for i := 0; i < n; i++ {
+			if err := c.Insert(metric, uint64(i)*0x9e3779b97f4a7c15+metric); err != nil {
+				t.Fatalf("insert %d: %v", i, err)
+			}
 		}
 	}
 
+	// A goroutine's passes go round the lists, each a CountAll, and a
+	// Count after a list of one.
+	lists := [][]uint64{{99}, {98, 99}, {98}}
+	type counted struct {
+		metric uint64
+		res    CountResult
+	}
+	const goroutines, passes = 8, 12
 	var wg sync.WaitGroup
-	results := make([]CountResult, 8)
-	errs := make([]error, 8)
-	for g := 0; g < 8; g++ {
+	errs := make([]error, goroutines)
+	results := make([][]counted, goroutines)
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g], errs[g] = c.Count(99)
+			for pass := 0; pass < passes; pass++ {
+				list := lists[(g+pass)%len(lists)]
+				res, err := c.CountAll(nil, list)
+				if err == nil && len(list) == 1 {
+					var one CountResult
+					one, err = c.Count(list[0])
+					list, res = append(list, list[0]), append(res, one)
+				}
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				for i, metric := range list {
+					results[g] = append(results[g], counted{metric, res[i]})
+				}
+			}
 		}(g)
 	}
 	wg.Wait()
 	for g := range results {
 		if errs[g] != nil {
-			t.Fatalf("goroutine %d: Count: %v", g, errs[g])
+			t.Fatalf("goroutine %d: %v", g, errs[g])
 		}
-		re := results[g].Estimate/items - 1
-		if re < 0 {
-			re = -re
-		}
-		// Sanity envelope only: each pass draws fresh random probe
-		// targets, and an interval's tuples are scattered over several
-		// owners (inserts pick random targets too), so a pass can miss
-		// owners and land well off true — on top of m=64's estimator
-		// variance at ~6 items/vector. The test pins race-freedom and
-		// a sane order of magnitude, not accuracy (the simulator's
-		// experiments pin accuracy deterministically).
-		if re > 1.5 {
-			t.Errorf("goroutine %d: estimate %.0f (true %d, rel err %.2f) outside envelope", g, results[g].Estimate, items, re)
-		}
-		if results[g].Degraded {
-			t.Errorf("goroutine %d: degraded pass on a healthy ring: %+v", g, results[g])
+		for _, r := range results[g] {
+			re := r.res.Estimate/float64(items[r.metric]) - 1
+			if re < 0 {
+				re = -re
+			}
+			// Sanity envelope only: each pass draws fresh random probe
+			// targets, and an interval's tuples are scattered over several
+			// owners (inserts pick random targets too), so a pass can miss
+			// owners and land well off true — on top of m=64's estimator
+			// variance at ~6 items/vector. The test pins race-freedom and
+			// a sane order of magnitude, not accuracy (the simulator's
+			// experiments pin accuracy deterministically).
+			if re > 1.5 {
+				t.Errorf("goroutine %d: metric %d estimate %.0f (true %d, rel err %.2f) outside envelope",
+					g, r.metric, r.res.Estimate, items[r.metric], re)
+			}
+			if r.res.Degraded {
+				t.Errorf("goroutine %d: degraded pass on a healthy ring: %+v", g, r.res)
+			}
 		}
 	}
 }

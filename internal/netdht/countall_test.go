@@ -70,7 +70,7 @@ func TestCountAllOneScan(t *testing.T) {
 
 	c, probes := client()
 	served := probedTotal(servers)
-	all, err := c.CountAll(metrics)
+	all, err := c.CountAll(nil, metrics)
 	if err != nil || len(all) != len(metrics) {
 		t.Fatalf("CountAll = %d results, %v", len(all), err)
 	}
@@ -119,7 +119,7 @@ func TestCountAllSplitsOversizeList(t *testing.T) {
 	// A ring of one: every scan meets the same owner, so a metric's
 	// estimate is the same whichever scan it is part of.
 	list := []uint64{15, 11, 12, 13, 14, 15, 16, 17, 11, 18, 19}
-	got, err := c.CountAll(list)
+	got, err := c.CountAll(nil, list)
 	if err != nil || len(got) != len(list) {
 		t.Fatalf("CountAll = %d results, %v", len(got), err)
 	}
@@ -151,14 +151,14 @@ func TestCountAllSplitsOversizeList(t *testing.T) {
 	})
 	fc, _ := storeClient(t, fake, 3)
 	fc.maxMasks = 4
-	if res, err := fc.CountAll(list); err != nil || len(res) != len(list) {
+	if res, err := fc.CountAll(nil, list); err != nil || len(res) != len(list) {
 		t.Fatalf("CountAll over the fake = %d results, %v", len(res), err)
 	}
 	if want := [][]uint64{{11, 12, 13, 14}, {15, 16, 17, 18}, {19}}; !reflect.DeepEqual(asked, want) {
 		t.Errorf("probes named %v, want the parts %v", asked, want)
 	}
 	n := len(asked)
-	if res, err := fc.CountAll(nil); err != nil || len(res) != 0 || len(asked) != n {
+	if res, err := fc.CountAll(nil, nil); err != nil || len(res) != 0 || len(asked) != n {
 		t.Errorf("CountAll(nil) = %v, %v after %d more probes", res, err, len(asked)-n)
 	}
 }
@@ -185,7 +185,7 @@ func TestCountAllOrderFree(t *testing.T) {
 	sent := func(order []uint64) uint64 {
 		c, reg := storeClient(t, entry, 9)
 		count := func(list []uint64) {
-			if _, err := c.CountAll(list); err != nil {
+			if _, err := c.CountAll(nil, list); err != nil {
 				t.Fatalf("CountAll(%v): %v", list, err)
 			}
 		}
@@ -253,7 +253,7 @@ func TestCountAllReplyShape(t *testing.T) {
 				t.Fatalf("NewClient: %v", err)
 			}
 			defer c.Close()
-			res, err := c.CountAll([]uint64{42, 43})
+			res, err := c.CountAll(nil, []uint64{42, 43})
 			if err != nil || len(res) != 2 {
 				t.Fatalf("CountAll = %v, %v", res, err)
 			}

@@ -44,6 +44,16 @@ func (c *Client) count(p core.Prober, metric uint64, sink obs.Tracer) CountResul
 	return CountResult{Estimate: est.Value, Quality: est.Quality}
 }
 
+// countTraced is Client.Count with the pass's events sent to sink, in the
+// state the client's passes share.
+func (c *Client) countTraced(metric uint64, sink obs.Tracer) CountResult {
+	ps := c.passes.get(c)
+	defer c.release(ps)
+	ps.metrics = append(ps.metrics[:0], metric)
+	c.scan(ps, core.Trace{Sink: sink})
+	return ps.results[0]
+}
+
 // sinkFunc adapts a function to obs.Tracer.
 type sinkFunc func(obs.Event)
 

@@ -407,7 +407,7 @@ func probeHalf(t *testing.T) memoryHalf {
 		name:   "probe",
 		server: probeServer,
 		whole:  uint64(len(probe)),
-		ask:    func(c *Client, s *Server) (any, error) { return c.probe(s.Addr(), trioProbe) },
+		ask:    func(c *Client, s *Server) (any, error) { return c.probe(s.Addr(), trioProbe, nil) },
 		served: func(s *Server) int64 { return s.Counters().Snapshot().Probed },
 		keptIn: keptMasks,
 		spoil: func(t *testing.T, mem *wire.Memory) {

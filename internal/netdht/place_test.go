@@ -158,7 +158,7 @@ func TestConcurrentInsertsPlaceAlike(t *testing.T) {
 		reader, reg := storeClient(t, servers[0].Addr(), 9)
 		for range 4 {
 			before := outRPCs(reg, "probe")
-			res, err := reader.CountAll(ids)
+			res, err := reader.CountAll(nil, ids)
 			if err != nil {
 				t.Fatalf("CountAll: %v", err)
 			}

@@ -131,7 +131,7 @@ func (r *refProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 			continue
 		}
 		seen[f.Owner.ID] = true
-		resp, err := r.c.probe(f.Owner.Addr, wire.ProbeReq{Bit: uint8(bit), NumVecs: uint16(r.c.geom.M), Metrics: metrics})
+		resp, err := r.c.probe(f.Owner.Addr, wire.ProbeReq{Bit: uint8(bit), NumVecs: uint16(r.c.geom.M), Metrics: metrics}, nil)
 		if err != nil {
 			out.Failed++
 			continue

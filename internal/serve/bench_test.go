@@ -96,6 +96,7 @@ func benchServe(b *testing.B, cfg serve.Config, benchMetrics int) {
 	drive(2 * cfg.CacheTTL) // the first misses, one per metric, merge outside the timer
 	var all []time.Duration
 	before := fanouts()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		all = append(all, drive(benchWindow)...)

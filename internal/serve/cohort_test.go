@@ -48,14 +48,14 @@ func (b *batchFake) answer(metric uint64) netdht.CountResult {
 }
 
 func (b *batchFake) Count(metric uint64) (netdht.CountResult, error) {
-	res, err := b.CountAll([]uint64{metric})
+	res, err := b.CountAll(nil, []uint64{metric})
 	if err != nil {
 		return netdht.CountResult{}, err
 	}
 	return res[0], nil
 }
 
-func (b *batchFake) CountAll(ms []uint64) ([]netdht.CountResult, error) {
+func (b *batchFake) CountAll(dst []netdht.CountResult, ms []uint64) ([]netdht.CountResult, error) {
 	b.mu.Lock()
 	b.calls = append(b.calls, scanned{b.clk.now().Sub(b.start), append([]uint64(nil), ms...)})
 	err := b.err
@@ -66,11 +66,10 @@ func (b *batchFake) CountAll(ms []uint64) ([]netdht.CountResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]netdht.CountResult, len(ms))
-	for i, m := range ms {
-		out[i] = b.answer(m)
+	for _, m := range ms {
+		dst = append(dst, b.answer(m))
 	}
-	return out, nil
+	return dst, nil
 }
 
 func (b *batchFake) scans() []scanned {
@@ -426,24 +425,23 @@ type stampCounter struct {
 var errEveryFifth = errors.New("every fifth batch fails")
 
 func (c *stampCounter) Count(metric uint64) (netdht.CountResult, error) {
-	res, err := c.CountAll([]uint64{metric})
+	res, err := c.CountAll(nil, []uint64{metric})
 	if err != nil {
 		return netdht.CountResult{}, err
 	}
 	return res[0], nil
 }
 
-func (c *stampCounter) CountAll(ms []uint64) ([]netdht.CountResult, error) {
+func (c *stampCounter) CountAll(dst []netdht.CountResult, ms []uint64) ([]netdht.CountResult, error) {
 	time.Sleep(100 * time.Microsecond) // a scan takes time, so callers meet in flight
 	if c.batches.Add(1)%5 == 0 && !c.healed.Load() {
 		return nil, errEveryFifth
 	}
 	at := int(time.Since(c.start))
-	out := make([]netdht.CountResult, len(ms))
-	for i, m := range ms {
-		out[i] = netdht.CountResult{Estimate: float64(m), Quality: core.Quality{ProbesAttempted: at}}
+	for _, m := range ms {
+		dst = append(dst, netdht.CountResult{Estimate: float64(m), Quality: core.Quality{ProbesAttempted: at}})
 	}
-	return out, nil
+	return dst, nil
 }
 
 // TestConcurrentEngineRealClock drives the cache, the cohort and coalescing

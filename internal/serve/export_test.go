@@ -5,6 +5,9 @@ import (
 	"time"
 )
 
+// AppendBody is the encoder of every /count body.
+var AppendBody = appendBody
+
 // ShrinkAdmission sets the admission bounds — fan-outs in flight, queries
 // queued, the longest wait in the queue — for the rest of tb, and restores
 // them when tb ends. A Frontend reads them in New.

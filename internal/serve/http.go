@@ -45,9 +45,10 @@ type HandlerOptions struct {
 // Any other method is 405, any other path 404. NAME is decoded as
 // URL.Query().Get("metric") decodes it, and hashed with core.MetricID,
 // the same derivation every writer uses, so dhsd serves the metrics
-// dhsnode insert wrote. A cache hit for a name that needs no decoding
-// allocates nothing: its headers are built in buf, and its body is the
-// cached one.
+// dhsnode insert wrote. For a name that needs no decoding, neither a cache
+// hit nor — on a warm *netdht.Client — a fan-out with the cache and
+// coalescing off allocates anything: the reply is built in buf, the body
+// copied from the cache or encoded there.
 func Answer(f *Frontend, opt HandlerOptions) respond.Handler {
 	return func(req respond.Request, buf *bytes.Buffer) respond.Reply {
 		if req.Method != "GET" {
@@ -94,14 +95,14 @@ var (
 	shedHeader = []byte("Retry-After: 1\r\nX-Content-Type-Options: nosniff\r\n")
 )
 
-// countReply answers /count with the query string query, building its
-// headers in buf.
+// countReply answers /count with the query string query, building the
+// reply in buf: the body first, then the headers.
 func countReply(f *Frontend, query string, buf *bytes.Buffer) respond.Reply {
 	name := respond.QueryGet(query, "metric")
 	if name == "" {
 		return errorReply(400, "missing metric query parameter")
 	}
-	res, err := f.Count(core.MetricID(name))
+	res, err := f.answer(core.MetricID(name), buf.AvailableBuffer())
 	if errors.Is(err, ErrShed) {
 		rep := errorReply(429, err.Error())
 		rep.Header = shedHeader
@@ -110,12 +111,16 @@ func countReply(f *Frontend, query string, buf *bytes.Buffer) respond.Reply {
 	if err != nil {
 		return errorReply(502, err.Error())
 	}
+	// A direct answer's body was encoded in buf's free room, and Write
+	// moves it onto itself; a shared one is copied in.
+	buf.Write(res.Body)
+	body := buf.Bytes()
 	buf.WriteString("X-Dhs-Source: ")
 	buf.WriteString(res.Source)
 	buf.WriteString("\r\nX-Dhs-Age-Ms: ")
 	buf.Write(strconv.AppendInt(buf.AvailableBuffer(), res.Age.Milliseconds(), 10))
 	buf.WriteString("\r\n")
-	return respond.Reply{Status: 200, CType: ctypeJSON, Header: buf.Bytes(), Body: res.Body}
+	return respond.Reply{Status: 200, CType: ctypeJSON, Header: buf.Bytes()[len(body):], Body: body}
 }
 
 // errorReply is the reply http.Error writes.

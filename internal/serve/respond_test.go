@@ -13,11 +13,14 @@ import (
 	"testing"
 	"time"
 
+	"dhsketch/internal/chord"
 	"dhsketch/internal/core"
 	"dhsketch/internal/metrics"
 	"dhsketch/internal/netdht"
 	"dhsketch/internal/respond"
 	"dhsketch/internal/serve"
+	"dhsketch/internal/sim"
+	"dhsketch/internal/sketch"
 )
 
 // startResponder serves h on respond's keep-alive loop at a loopback
@@ -294,5 +297,93 @@ func TestKeepAliveHitZeroAlloc(t *testing.T) {
 	}
 	if hits := reg.Counter("dhsd_cache_requests_total", "", metrics.L("result", "hit")).Value(); hits < 500 {
 		t.Errorf("%d cache hits, want every request after the first", hits)
+	}
+}
+
+// TestKeepAliveMissZeroAlloc is TestKeepAliveHitZeroAlloc for a /count that
+// misses: with the cache and coalescing off every request is a fan-out over
+// a real netdht.Client, and over a warm keep-alive connection reading the
+// head, the ring scan — the client's exchanges and the ring's answers to
+// them, on a converged loopback ring of four — encoding the body and
+// writing the reply allocate nothing, with metrics on.
+func TestKeepAliveMissZeroAlloc(t *testing.T) {
+	env := sim.NewEnv(21)
+	cl, err := netdht.NewCluster(env, 4, chord.ProtocolConfig{})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer cl.Close()
+	for i := 0; i < 400 && !cl.Converged(); i++ {
+		env.Clock.Advance(8)
+		cl.Step()
+	}
+	reg := metrics.New()
+	client, err := netdht.NewClient(netdht.ClientConfig{
+		Entry: cl.Servers()[0].Addr(), K: 16, M: 64, Kind: sketch.KindSuperLogLog, Lim: 5, Seed: 3, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	defer client.Close()
+	metric := core.MetricID("cold")
+	for i := 0; i < 600; i++ {
+		if err := client.Insert(metric, uint64(i)*0x9e3779b97f4a7c15+1); err != nil {
+			t.Fatalf("insert %d: %v", i, err)
+		}
+	}
+
+	f := serve.New(client, serve.Config{CacheTTL: 0, Coalesce: false, Metrics: reg})
+	addr := startResponder(t, serve.Answer(f, serve.HandlerOptions{Metrics: reg}))
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.SetDeadline(time.Now().Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	req := []byte("GET /count?metric=cold HTTP/1.1\r\nHost: dhsd\r\n\r\n")
+	buf := make([]byte, 4096)
+	var n int
+	var failed error
+	// ask sends req and reads the reply into buf[:n]: the body is a JSON
+	// object, and its one closing brace is the reply's last byte.
+	ask := func() {
+		if _, failed = c.Write(req); failed != nil {
+			return
+		}
+		for n = 0; n == 0 || buf[n-1] != '}'; {
+			m, err := c.Read(buf[n:])
+			if err != nil {
+				failed = err
+				return
+			}
+			n += m
+		}
+	}
+	// The first requests grow the connection's buffers and the client's
+	// pass state.
+	for i := 0; i < 3; i++ {
+		ask()
+	}
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	miss := string(buf[:n])
+	if !strings.HasPrefix(miss, "HTTP/1.1 200 OK\r\n") || !strings.Contains(miss, "X-Dhs-Source: direct\r\n") ||
+		!strings.Contains(miss, `"degraded":false}`) {
+		t.Fatalf("miss reply %q", miss)
+	}
+	fanouts := func() uint64 { return reg.Histogram("dhsd_fanout_seconds", "", metrics.DefLatencyBuckets).Count() }
+	before := fanouts()
+	allocs := testing.AllocsPerRun(100, ask)
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if allocs != 0 {
+		t.Errorf("a keep-alive uncached /count allocated %.2f/op, want 0", allocs)
+	}
+	if got := fanouts() - before; got != 101 {
+		t.Errorf("%d fan-outs over 101 requests, want one each", got)
 	}
 }

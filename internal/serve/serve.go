@@ -33,8 +33,10 @@
 //
 //   - Cost. Instrumentation follows the internal/metrics discipline: a
 //     nil registry means nil instruments, whose own receiver check is
-//     the one branch an event costs, and the cache-hit path allocates
-//     nothing.
+//     the one branch an event costs. A cache hit allocates nothing, and
+//     neither does a fan-out with the cache and coalescing off on a warm
+//     *netdht.Client: it asks the Counter's Count, passes no slices, and
+//     Answer appends its body to the connection's buffer.
 //
 // Like internal/netdht and internal/metrics, this package lives in the
 // wall-clock domain by design (TTLs and queue deadlines are real time)
@@ -43,9 +45,10 @@ package serve
 
 import (
 	"container/list"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,23 +64,26 @@ type Counter interface {
 }
 
 // batchCounter is a Counter whose fan-out takes several metrics at once, as
-// *netdht.Client's does. New asks once whether its Counter is one.
+// *netdht.Client's does, appending their results to dst. New asks once
+// whether its Counter is one.
 type batchCounter interface {
-	CountAll(metrics []uint64) ([]netdht.CountResult, error)
+	CountAll(dst []netdht.CountResult, metrics []uint64) ([]netdht.CountResult, error)
 }
+
+var _ batchCounter = (*netdht.Client)(nil)
 
 // countEach is CountAll for a Counter without one: a Count per metric, and
 // the first failure fails them all.
-func countEach(c Counter) func([]uint64) ([]netdht.CountResult, error) {
-	return func(metrics []uint64) ([]netdht.CountResult, error) {
-		out := make([]netdht.CountResult, len(metrics))
-		for i, m := range metrics {
-			var err error
-			if out[i], err = c.Count(m); err != nil {
+func countEach(c Counter) func([]netdht.CountResult, []uint64) ([]netdht.CountResult, error) {
+	return func(dst []netdht.CountResult, metrics []uint64) ([]netdht.CountResult, error) {
+		for _, m := range metrics {
+			res, err := c.Count(m)
+			if err != nil {
 				return nil, err
 			}
+			dst = append(dst, res)
 		}
-		return out, nil
+		return dst, nil
 	}
 }
 
@@ -128,8 +134,8 @@ var (
 // body (the byte-identity contract's unit) and serving provenance.
 type Result struct {
 	netdht.CountResult
-	// Body is json.Marshal of the CountResult, computed once per
-	// fan-out and shared by every cache/coalesced serve of it.
+	// Body is json.Marshal of the CountResult (appendBody), computed once
+	// per fan-out and shared by every cache/coalesced serve of it.
 	Body []byte
 	// Source says who computed the answer: direct, cache, or coalesced.
 	Source string
@@ -181,7 +187,8 @@ func (c *flightCall) result(metric uint64) (Result, error) {
 // controller. Safe for concurrent use by any number of goroutines.
 type Frontend struct {
 	cfg      Config
-	countAll func(metrics []uint64) ([]netdht.CountResult, error)
+	counter  Counter
+	countAll func(dst []netdht.CountResult, metrics []uint64) ([]netdht.CountResult, error)
 	now      func() time.Time
 
 	// mu guards the cache, its fill order and the flight map. A cache hit
@@ -203,15 +210,18 @@ type Frontend struct {
 }
 
 // New builds a Frontend over counter. A counter that also has
-// CountAll(metrics []uint64) ([]netdht.CountResult, error) — *netdht.Client
-// does — runs a fan-out of several metrics as one scan; any other is asked
-// for them one Count at a time.
+// CountAll(dst []netdht.CountResult, metrics []uint64)
+// ([]netdht.CountResult, error) — *netdht.Client does — runs a fan-out of
+// several metrics as one scan; any other is asked for them one Count at a
+// time. A fan-out of one metric that nobody shares, with coalescing off,
+// is the counter's Count.
 func New(counter Counter, cfg Config) *Frontend {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	f := &Frontend{
 		cfg:          cfg,
+		counter:      counter,
 		countAll:     countEach(counter),
 		now:          cfg.Now,
 		cache:        make(map[uint64]*cacheEntry),
@@ -326,25 +336,33 @@ func (f *Frontend) CacheLen() int {
 // Count serves one estimate for metric: cache first, then a coalesced
 // or direct ring fan-out under admission control. The error is ErrShed
 // (wrapped) when admission rejected the query.
-func (f *Frontend) Count(metric uint64) (Result, error) {
+func (f *Frontend) Count(metric uint64) (Result, error) { return f.answer(metric, nil) }
+
+// answer is Count with the body of an answer that is this call's alone —
+// a direct fan-out with the cache off — appended to body; any other
+// answer's Body is the one it shares.
+func (f *Frontend) answer(metric uint64, body []byte) (Result, error) {
 	tm := f.m.reqSeconds.Start()
-	r, err := f.count(metric)
+	r, err := f.count(metric, body)
 	tm.Stop()
 	return r, err
 }
 
-func (f *Frontend) count(metric uint64) (Result, error) {
+func (f *Frontend) count(metric uint64, body []byte) (Result, error) {
 	if f.cfg.CacheTTL > 0 {
 		if e, age := f.cacheGet(metric); e != nil {
 			return Result{CountResult: e.res, Body: e.body, Source: SourceCache, Age: age}, nil
 		}
 	}
 	if !f.cfg.Coalesce {
-		res, err := f.fanout([]uint64{metric})
-		if err != nil {
-			return Result{}, err
+		if f.cfg.CacheTTL > 0 {
+			res, err := f.fanout([]uint64{metric})
+			if err != nil {
+				return Result{}, err
+			}
+			return res[0], nil
 		}
-		return res[0], nil
+		return f.direct(metric, body)
 	}
 
 	f.mu.Lock()
@@ -374,6 +392,25 @@ func (f *Frontend) count(metric uint64) (Result, error) {
 	return call.res[0], nil
 }
 
+// direct runs one admitted ring fan-out for metric alone, its answer
+// nobody else's: the counter's Count, and the body appended to body.
+func (f *Frontend) direct(metric uint64, body []byte) (Result, error) {
+	if err := f.admit(); err != nil {
+		return Result{}, err
+	}
+	defer f.release()
+	tm := f.m.fanSeconds.Start()
+	res, err := f.counter.Count(metric)
+	f.m.finishFanout(tm, 1, err)
+	if err != nil {
+		return Result{}, err
+	}
+	if body, err = appendBody(body, &res); err != nil {
+		return Result{}, err
+	}
+	return Result{CountResult: res, Body: body, Source: SourceDirect}, nil
+}
+
 // fanout runs one admitted ring fan-out for metrics — one admission slot
 // and one scan, however many they are — and (cache on) publishes the
 // answers. A failure publishes nothing: the entries of the metrics that
@@ -384,18 +421,18 @@ func (f *Frontend) fanout(metrics []uint64) ([]Result, error) {
 	}
 	defer f.release()
 	tm := f.m.fanSeconds.Start()
-	counts, err := f.countAll(metrics)
+	counts, err := f.countAll(nil, metrics)
 	f.m.finishFanout(tm, len(metrics), err)
 	if err != nil {
 		return nil, err
 	}
 	results := make([]Result, len(metrics))
-	for i, res := range counts {
-		body, err := json.Marshal(res)
+	for i := range counts {
+		body, err := appendBody(nil, &counts[i])
 		if err != nil {
 			return nil, err
 		}
-		results[i] = Result{CountResult: res, Body: body, Source: SourceDirect}
+		results[i] = Result{CountResult: counts[i], Body: body, Source: SourceDirect}
 	}
 	if f.cfg.CacheTTL > 0 {
 		f.cachePut(metrics, results)
@@ -467,4 +504,35 @@ func (f *Frontend) Stats() Stats {
 		InFlight:       len(f.sem),
 		Queued:         f.queued.Load(),
 	}
+}
+
+// appendBody appends the canonical JSON of r — the bytes json.Marshal
+// writes for it — to dst: the one encoder of every /count body, which
+// TestAppendBodyIsMarshal holds to json.Marshal field by field. A value
+// json.Marshal refuses, an infinite or NaN estimate, is an error here.
+func appendBody(dst []byte, r *netdht.CountResult) ([]byte, error) {
+	if math.IsInf(r.Estimate, 0) || math.IsNaN(r.Estimate) {
+		return dst, fmt.Errorf("serve: estimate %v has no JSON encoding", r.Estimate)
+	}
+	// encoding/json's float64 form: 'f', or 'e' outside [1e-6, 1e21),
+	// with a one-digit negative exponent written without its zero.
+	format := byte('f')
+	if abs := math.Abs(r.Estimate); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = append(dst, `{"estimate":`...)
+	dst = strconv.AppendFloat(dst, r.Estimate, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	q := &r.Quality
+	dst = strconv.AppendInt(append(dst, `,"probes_attempted":`...), int64(q.ProbesAttempted), 10)
+	dst = strconv.AppendInt(append(dst, `,"probes_failed":`...), int64(q.ProbesFailed), 10)
+	dst = strconv.AppendInt(append(dst, `,"intervals_skipped":`...), int64(q.IntervalsSkipped), 10)
+	dst = strconv.AppendInt(append(dst, `,"vectors_unresolved":`...), int64(q.VectorsUnresolved), 10)
+	dst = strconv.AppendInt(append(dst, `,"stale_retries":`...), int64(q.StaleRetries), 10)
+	dst = strconv.AppendBool(append(dst, `,"repair_window":`...), q.RepairWindow)
+	dst = strconv.AppendBool(append(dst, `,"degraded":`...), q.Degraded)
+	return append(dst, '}'), nil
 }

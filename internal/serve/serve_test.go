@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -372,6 +374,54 @@ func TestByteIdenticalToDirectCount(t *testing.T) {
 	sr.Body.Close()
 	if err != nil || status.MaxInFlight == 0 || !reflect.DeepEqual(status.RingView, view) {
 		t.Errorf("/statusz = %+v, %v; want the stats and the arc %+v", status, err, view)
+	}
+}
+
+// TestAppendBodyIsMarshal holds the one /count body encoder to json.Marshal:
+// for CountResults with every field set at random, found by reflection so
+// that a field added to core.Quality is covered the day it is, and for the
+// estimates where json.Marshal's float form changes — the exponent bounds,
+// zeros, the extremes — the bytes are json.Marshal's, appended behind what
+// dst held; and where json.Marshal fails, so does it.
+func TestAppendBodyIsMarshal(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	estimates := []float64{0, math.Copysign(0, -1), 1, 12.5, 1e-6, 9.99e-7, 1e-7, 1e21, 9.99e20, 1e20,
+		-1e-9, 5e-324, math.MaxFloat64, 123456789.125, math.Inf(1), math.Inf(-1), math.NaN()}
+	for i := 0; i < 2000; i++ {
+		estimates = append(estimates, math.Float64frombits(rng.Uint64()), rng.Float64()*math.Pow(10, float64(rng.IntN(60)-30)))
+	}
+	for i, est := range estimates {
+		var r netdht.CountResult
+		fill(reflect.ValueOf(&r).Elem(), rng)
+		r.Estimate = est
+		want, werr := json.Marshal(r)
+		got, gerr := serve.AppendBody([]byte("head"), &r)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("%d: %+v: json.Marshal error %v, AppendBody error %v", i, r, werr, gerr)
+		}
+		if werr == nil && string(got) != "head"+string(want) {
+			t.Fatalf("%d: AppendBody = %s, json.Marshal = %s", i, got, want)
+		}
+	}
+}
+
+// fill sets every exported field under v to a random value.
+func fill(v reflect.Value, rng *rand.Rand) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fill(v.Field(i), rng)
+			}
+		}
+	case reflect.Int, reflect.Int64:
+		v.SetInt(int64(rng.Uint64()) >> rng.IntN(64))
+	case reflect.Bool:
+		v.SetBool(rng.IntN(2) == 1)
+	case reflect.Float64:
+		v.SetFloat(rng.NormFloat64())
+	default:
+		panic("fill: no random " + v.Kind().String())
 	}
 }
 

@@ -177,7 +177,7 @@ func FuzzDecodeProbeResp(f *testing.F) {
 		// an arc: refused or not, nothing panics, and a reply the stateless
 		// decoder accepts, which names nothing kept, decodes the same.
 		if primed, req, ok := primedFor(buf); ok {
-			if mk, kerr := DecodeProbeRespTo(req, buf, primed, nil); err == nil && (kerr != nil || !sameResp(mk, m)) {
+			if mk, kerr := DecodeProbeRespTo(nil, req, buf, primed, nil); err == nil && (kerr != nil || !sameResp(mk, m)) {
 				t.Fatalf("with a memory: %+v, %v; without: %+v", mk, kerr, m)
 			}
 		}
@@ -399,12 +399,12 @@ func FuzzProbeRespMemory(f *testing.F) {
 				}
 			}
 			var forms MaskForms
-			got, err := DecodeProbeRespTo(req, frame, &cli, &forms)
+			got, err := DecodeProbeRespTo(nil, req, frame, &cli, &forms)
 			if err != nil || !sameResp(got, resp) {
 				t.Fatalf("step %d: decoded %+v, %v; want %+v", step, got, err, resp)
 			}
 			headless := frame[1] == TagProbeRespKept || frame[1] == TagProbeRespSame
-			if alone, err := DecodeProbeRespTo(req, frame, &Memory{}, nil); headless != (err != nil) || err == nil && !sameResp(alone, resp) {
+			if alone, err := DecodeProbeRespTo(nil, req, frame, &Memory{}, nil); headless != (err != nil) || err == nil && !sameResp(alone, resp) {
 				t.Fatalf("step %d: a reply without its header (%v) decoded by an empty memory: %+v, %v", step, headless, alone, err)
 			}
 			if !reflect.DeepEqual(cli, srv) {
@@ -414,7 +414,7 @@ func FuzzProbeRespMemory(f *testing.F) {
 			if frame[1] == TagProbeRespKept && names {
 				headed, _ := AppendProbeRespHeader(nil, resp.Bit, resp.Span, resp.NumVecs, len(resp.VecMasks))
 				headed[1] = TagProbeRespCoded
-				if got, err := DecodeProbeRespTo(req, append(headed, frame[2:]...), &cli, nil); err == nil {
+				if got, err := DecodeProbeRespTo(nil, req, append(headed, frame[2:]...), &cli, nil); err == nil {
 					t.Fatalf("step %d: a headed reply naming a mask or the arc as kept accepted as %+v", step, got)
 				}
 			}
@@ -440,6 +440,6 @@ func FuzzProbeRespMemory(f *testing.F) {
 				t.Fatalf("kept request % x accepted, re-encodes as % x", data, again)
 			}
 		}
-		DecodeProbeRespTo(last, data, &cli, nil)
+		DecodeProbeRespTo(nil, last, data, &cli, nil)
 	})
 }

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Version identifies the wire format.
@@ -668,7 +669,32 @@ func pastVecs(mask []byte, numVecs int) bool {
 // form. A coded reply is checked whole before its masks are expanded. A
 // reply that names a kept mask or arc is refused, and so is either reply
 // without a header: there is no memory or request here to read them by.
-func DecodeProbeResp(buf []byte) (ProbeResp, error) { return decodeProbeResp(buf, nil, nil, nil) }
+func DecodeProbeResp(buf []byte) (ProbeResp, error) { return decodeProbeResp(nil, buf, nil, nil, nil) }
+
+// MaskArena is memory that probe replies decode into and that is used
+// again: DecodeProbeRespTo appends a reply's mask bytes and their headers to
+// it, so a reader that resets it between uses stops allocating once it has
+// held its largest load. What a reply decoded into it stays as it was until
+// Reset.
+type MaskArena struct {
+	bytes []byte
+	masks [][]byte
+}
+
+// Reset empties a, keeping its memory for the replies decoded next.
+func (a *MaskArena) Reset() { a.bytes, a.masks = a.bytes[:0], a.masks[:0] }
+
+// grow returns count zeroed masks of size bytes each, appended to a.
+func (a *MaskArena) grow(count, size int) (masks [][]byte, body []byte) {
+	from, at := len(a.masks), len(a.bytes)
+	a.bytes = slices.Grow(a.bytes, count*size)[:at+count*size]
+	body = a.bytes[at:]
+	clear(body)
+	for i := 0; i < count; i++ {
+		a.masks = append(a.masks, body[i*size:(i+1)*size:(i+1)*size])
+	}
+	return a.masks[from:len(a.masks):len(a.masks)], body
+}
 
 // DecodeProbeRespTo is DecodeProbeResp for the reply to req on a connection
 // whose memory is kept, and accepts the tags and forms ShortenProbeResp and
@@ -680,13 +706,14 @@ func DecodeProbeResp(buf []byte) (ProbeResp, error) { return decodeProbeResp(buf
 // answering req, its kept masks and arc expanded from kept. A reply accepted
 // is recorded in kept (Memory's update rule). The masks never alias kept.
 // forms, when not nil, adds the accepted reply's masks by the form they
-// travelled in.
-func DecodeProbeRespTo(req ProbeReq, buf []byte, kept *Memory, forms *MaskForms) (ProbeResp, error) {
-	return decodeProbeResp(buf, &req, kept, forms)
+// travelled in. The masks are appended to into, or, when it is nil, are
+// memory of their own, as DecodeProbeResp's are.
+func DecodeProbeRespTo(into *MaskArena, req ProbeReq, buf []byte, kept *Memory, forms *MaskForms) (ProbeResp, error) {
+	return decodeProbeResp(into, buf, &req, kept, forms)
 }
 
 // decodeProbeResp is the one probe-reply decoder, stateless when req is nil.
-func decodeProbeResp(buf []byte, req *ProbeReq, kept *Memory, forms *MaskForms) (ProbeResp, error) {
+func decodeProbeResp(into *MaskArena, buf []byte, req *ProbeReq, kept *Memory, forms *MaskForms) (ProbeResp, error) {
 	if len(buf) < 2 {
 		return ProbeResp{}, ErrShort
 	}
@@ -763,21 +790,21 @@ func decodeProbeResp(buf []byte, req *ProbeReq, kept *Memory, forms *MaskForms) 
 	default:
 		m.HasArc, m.ArcLo = true, binary.BigEndian.Uint64(arc[1:])
 	}
-	if count > 0 {
-		m.VecMasks = make([][]byte, count)
+	if into == nil {
+		into = &MaskArena{bytes: make([]byte, 0, count*mask), masks: make([][]byte, 0, count)}
 	}
 	var body []byte
+	m.VecMasks, body = into.grow(count, mask)
+	if count == 0 {
+		m.VecMasks = nil
+	}
 	if tag == TagProbeResp {
-		body = append([]byte(nil), buf[at:end]...)
+		copy(body, buf[at:end])
 		if forms != nil {
 			forms[formDense] += uint64(count)
 		}
 	} else {
-		body = make([]byte, count*mask)
 		expandMasks(body, buf[at:], count, int(m.NumVecs), named, same, forms)
-	}
-	for i := range m.VecMasks {
-		m.VecMasks[i] = body[i*mask : (i+1)*mask : (i+1)*mask]
 	}
 	k.record(count, body, m.HasArc, m.ArcLo)
 	return m, nil

@@ -811,7 +811,7 @@ func TestProbeMemoryKeptFormsRefused(t *testing.T) {
 	var owner, client Memory
 	if frame := reply(&owner); frame[1] != TagProbeRespCoded {
 		t.Fatalf("the first reply on a connection: % x, want the coded reply with its header", frame)
-	} else if _, err := DecodeProbeRespTo(first, frame, &client, nil); err != nil {
+	} else if _, err := DecodeProbeRespTo(nil, first, frame, &client, nil); err != nil {
 		t.Fatal(err)
 	}
 	same := reply(&owner)
@@ -833,14 +833,14 @@ func TestProbeMemoryKeptFormsRefused(t *testing.T) {
 		"without its header, an empty memory, nothing kept": {[]byte{Version, TagProbeRespKept, 1<<formBits | formSparse, 6}, first, new(Memory)},
 		"with its header, a mask kept":                      {[]byte{Version, TagProbeRespCoded, 3, 0, 64, 0, 1, 0, formKept}, first, &client},
 	} {
-		if _, err := DecodeProbeRespTo(c.req, c.frame, c.kept, nil); err == nil {
+		if _, err := DecodeProbeRespTo(nil, c.req, c.frame, c.kept, nil); err == nil {
 			t.Errorf("%s: reply % x accepted", name, c.frame)
 		}
 		if _, err := DecodeProbeResp(c.frame); err == nil {
 			t.Errorf("%s: reply % x decoded statelessly", name, c.frame)
 		}
 	}
-	if got, err := DecodeProbeRespTo(first, same, &client, nil); err != nil || !reflect.DeepEqual(got, resp) {
+	if got, err := DecodeProbeRespTo(nil, first, same, &client, nil); err != nil || !reflect.DeepEqual(got, resp) {
 		t.Errorf("the all-kept reply decoded as %+v, %v; want %+v", got, err, resp)
 	}
 }
