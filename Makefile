@@ -56,6 +56,8 @@ smoke:
 # one metric at a time and rotating), internal/chord's ring construction at N = 1024 and 10240
 # (BenchmarkNew, with its allocated bytes), internal/faultdht's route through the fault layer (the path
 # E12F's counting passes take), the internal/store probe-reply micro-benchmarks,
+# the internal/wire codec rung (a kept probe request's encode and decode, and
+# a probe reply shortened and decoded, stateless and kept, with allocs/op),
 # the internal/netdht uncached-count, many-metric-count and insert rungs
 # (exchanges and wire bytes per operation on loopback clusters) and the
 # internal/serve sustained-throughput serving benchmarks (qps/p50/p99 and
@@ -72,5 +74,5 @@ smoke:
 BENCHTIME ?= 1s
 
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) -benchmem . ./internal/sketch ./internal/chord ./internal/core ./internal/faultdht ./internal/store ./internal/netdht ./internal/serve > bench.out 2>&1; \
+	$(GO) test -run='^$$' -bench=. -benchtime=$(BENCHTIME) -benchmem . ./internal/sketch ./internal/chord ./internal/core ./internal/faultdht ./internal/store ./internal/wire ./internal/netdht ./internal/serve > bench.out 2>&1; \
 	status=$$?; cat bench.out; exit $$status

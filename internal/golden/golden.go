@@ -1,10 +1,11 @@
 // Package golden pins a test's output to a file under the package's
 // testdata directory. The experiment tables, the examples' stdout, the
-// ablation table and the estimators' accuracy curve are all checked this
-// way, so a refactor that changes one draw, one metered byte or one trace
-// event fails `go test`. Regenerate every pin with
+// ablation table and the accuracy curves (on local sketches and on the
+// simulated DHS) are all checked this way, so a refactor that changes one
+// draw, one metered byte or one trace event fails `go test`. Regenerate
+// every pin with
 //
-//	go test . ./internal/experiments ./internal/sketch ./examples/... -update
+//	go test . ./internal/experiments ./internal/sketch ./internal/core ./examples/... -update
 //
 // and commit the rewritten files on their own, with their diff explained.
 // Only tests import this package.

@@ -107,13 +107,12 @@ func TestPoolDialsOnDemand(t *testing.T) {
 
 // bigProbe is a probe request whose reply nearly fills a frame: 256
 // positions × 60 metrics of 64-byte masks. They are all metric 0's.
-func bigProbe(t *testing.T) []byte {
-	t.Helper()
-	req, err := wire.EncodeProbeReq(wire.ProbeReq{Span: 255, NumVecs: 512, Metrics: make([]uint64, 60)})
-	if err != nil {
-		t.Fatalf("EncodeProbeReq: %v", err)
-	}
-	return req
+var bigProbe = wire.ProbeReq{Span: 255, NumVecs: 512, Metrics: make([]uint64, 60)}
+
+// probeReq is the request that sends q, encoded in the slot against the
+// socket's memory, as Client.probe sends one.
+func probeReq(q wire.ProbeReq) request {
+	return func(dst []byte, mem *wire.Memory) []byte { return wire.AppendProbeReqOn(dst, q, mem) }
 }
 
 // halfFill stores metric's every even vector below m at bits lo … hi: masks
@@ -138,7 +137,10 @@ func TestConnBufferRelease(t *testing.T) {
 	}
 	t.Cleanup(s.Close)
 	halfFill(s, 0, 512, 0, 255)
-	req := bigProbe(t)
+	req, err := wire.EncodeProbeReq(bigProbe)
+	if err != nil {
+		t.Fatal(err)
+	}
 	capsOK := func(where string, bufs ...[]byte) {
 		t.Helper()
 		for _, b := range bufs {
@@ -152,7 +154,7 @@ func TestConnBufferRelease(t *testing.T) {
 	p := newPeerPool(1, nil)
 	defer p.close()
 	var resp []byte
-	err = p.exchange(s.Addr(), req, func(reply []byte, _ *wire.Memory) error { resp = bytes.Clone(reply); return nil })
+	err = p.exchange(s.Addr(), wire.TagProbeReq, probeReq(bigProbe), func(reply []byte, _ *wire.Memory) error { resp = bytes.Clone(reply); return nil })
 	if err != nil || len(resp) < maxFrame*9/10 || len(resp) > maxFrame {
 		t.Fatalf("big probe: %d bytes, %v; want a reply of nearly maxFrame", len(resp), err)
 	}
@@ -217,7 +219,7 @@ func allocServer(t *testing.T, reg *metrics.Registry) (s *Server, key uint64) {
 func TestServeStepZeroAlloc(t *testing.T) {
 	for name, reg := range map[string]*metrics.Registry{"metrics on": metrics.New(), "nil registry": nil} {
 		s, key := allocServer(t, reg)
-		tuple := wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 4, TTL: 1200})
+		tuple := tupleOf(wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 4, TTL: 1200}))
 		run := wire.ProbeReq{Bit: 2, Span: 6, NumVecs: 64, Metrics: []uint64{7}}
 		probe, err := wire.EncodeProbeReq(run)
 		if err != nil {
@@ -228,7 +230,7 @@ func TestServeStepZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := findSuccMsg{key: key, store: tuple}
+		store := findSuccMsg{key: key, tuple: tuple}
 		kept, _ := onSocket([]findSuccMsg{store, store}, nil)
 		keptProbe := askAfter(t, run, run)
 		in := s.newInbound()
@@ -279,10 +281,7 @@ func TestExchangeZeroAlloc(t *testing.T) {
 	}
 
 	q := wire.ProbeReq{Bit: 2, Span: 6, NumVecs: 64, Metrics: []uint64{7}}
-	probe, err := wire.EncodeProbeReq(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	probe := probeReq(q)
 	decode := func(reply []byte, mem *wire.Memory) error {
 		_, err := wire.DecodeProbeRespTo(nil, q, reply, mem, nil)
 		return err
@@ -294,7 +293,7 @@ func TestExchangeZeroAlloc(t *testing.T) {
 		return nil
 	}
 	ask := func(read func([]byte, *wire.Memory) error) {
-		if err := p.exchange(s.Addr(), probe, read); err != nil {
+		if err := p.exchange(s.Addr(), wire.TagProbeReq, probe, read); err != nil {
 			t.Fatalf("probe: %v", err)
 		}
 	}
@@ -353,6 +352,9 @@ func TestProbeMasksEquivalence(t *testing.T) {
 	t.Cleanup(full.Close)
 	pred := chord.Ref{ID: 77, Addr: "127.0.0.1:1"}
 	full.Protocol().HandleNotify(pred)
+	// The empty one knows a successor and no predecessor: it states no arc.
+	_, _, fingers := empty.Protocol().State()
+	empty.Protocol().Seed(chord.Ref{}, []chord.Ref{pred}, fingers)
 
 	// Vectors 0 … 699 of a 1024-vector writer, a third of them expired by
 	// now, over positions 0 … 8 of three metrics and part of a fourth.
@@ -381,7 +383,7 @@ func TestProbeMasksEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := refProbeReply(t, st, now, q, s.Protocol().Neighbors().Pred)
+					want := refProbeReply(t, st, now, q, s.near().Pred)
 					if got := s.dispatch(req); !bytes.Equal(got, want) {
 						t.Errorf("m=%d span=%d metrics=%v store=%v:\n got % x\nwant % x", m, span, metrics, st != nil, got, want)
 					}
@@ -500,7 +502,7 @@ func TestRelayedStoreKeepsItsBytes(t *testing.T) {
 				tuple := wire.Insert{Metric: uint64(100 + w), Vector: uint16(rng.IntN(64)), Bit: uint8(rng.IntN(12)), TTL: 0}
 				target := rng.Uint64()
 				// Undirected and unflagged: the entry routes it like a peer's.
-				ack, err := c.peers.route(servers[0].Addr(), findSuccMsg{key: target, store: wire.EncodeInsert(tuple)}, nil)
+				ack, err := c.peers.route(servers[0].Addr(), findSuccMsg{key: target, tuple: tupleOf(wire.EncodeInsert(tuple))}, nil)
 				if err != nil {
 					t.Errorf("writer %d store %d: %v", w, i, err)
 					return
@@ -668,5 +670,42 @@ func TestRoundZeroAlloc(t *testing.T) {
 				t.Errorf("%s: one %s round allocated %.2f/op, want 0", name, round.name, n)
 			}
 		}
+	}
+}
+
+// TestRelayedBulkStoreZeroAlloc: a bulk store of one bit position's 48
+// vectors — the frame Geometry.Place sends for a batch — relayed by one node
+// to the owner of its key allocates nothing at the relay, which decodes it
+// once and encodes it from its read buffer onto its outbound socket, nor at
+// the owner, which stores its vectors where they arrived. AllocsPerRun counts
+// the whole process: the client's exchange, both serve steps and the relay's
+// own exchange, with metrics on.
+func TestRelayedBulkStoreZeroAlloc(t *testing.T) {
+	cl := meteredCluster(t, 2, true)
+	relay, owner := cl.Servers()[0], cl.Servers()[1]
+	key := owner.ID() // owned by the other node, so relay routes it on
+	vectors := make([]uint16, 48)
+	for i := range vectors {
+		vectors[i] = uint16(i)
+	}
+	tuple := tupleOf(wire.EncodeBulkInsert(wire.BulkInsert{Metric: 8, Bit: 3, TTL: 1200, Vectors: vectors}))
+	p := newPeerPool(DefaultPeerConns, metrics.New())
+	defer p.close()
+	store := func() {
+		if ack, err := p.route(relay.Addr(), findSuccMsg{key: key, tuple: tuple}, nil); err != nil || ack.Hops != 1 {
+			t.Fatalf("relayed store: ack %+v, %v; want one hop", ack, err)
+		}
+	}
+	store() // dial both sockets, grow the buffers, create the owner's store
+	if n := testing.AllocsPerRun(100, store); n != 0 {
+		t.Errorf("a relayed bulk store of %d vectors allocated %.2f/op, want 0", len(vectors), n)
+	}
+	for _, v := range vectors {
+		if !tupleAt(owner, wire.Insert{Metric: 8, Vector: v, Bit: 3}) {
+			t.Fatalf("vector %d is not stored on the owner", v)
+		}
+	}
+	if relay.App() != nil {
+		t.Error("the relay stored the tuple itself")
 	}
 }

@@ -196,7 +196,7 @@ func (s *lockedSource) Uint64() uint64 {
 	return s.src.Uint64()
 }
 
-// store sends a tuple frame into the ring as a routed store for key and
+// store sends a tuple into the ring as a routed store for key and
 // returns the ack of the node the route ended at, which stored it. The view
 // picks the route's first hop and nothing more: a remembered owner of key is
 // sent the request the entry would have been sent, undelivered, and its own
@@ -208,11 +208,11 @@ func (s *lockedSource) Uint64() uint64 {
 // goes through the entry with flagNeighbors, and the ack brings the storing
 // node's neighbourhood back for the view to learn. Each gets one exchange: a
 // failed store is retried by the insertion rule, at a fresh target.
-func (c *Client) store(key uint64, frame []byte) (chord.Found, error) {
+func (c *Client) store(key uint64, t wire.Tuple) (chord.Found, error) {
 	arc, remembered := c.view.resolve(key)
 	c.peers.m.storeFirstHop(remembered)
 	if remembered {
-		ack, err := c.peers.route(arc.owner.Addr, findSuccMsg{key: key, store: frame}, nil)
+		ack, err := c.peers.route(arc.owner.Addr, findSuccMsg{key: key, tuple: t}, nil)
 		if err != nil || ack.Hops > 0 {
 			c.view.drop(arc.owner.ID)
 		}
@@ -220,7 +220,7 @@ func (c *Client) store(key uint64, frame []byte) (chord.Found, error) {
 			return ack, nil
 		}
 	}
-	ack, err := c.peers.route(c.cfg.Entry, findSuccMsg{flags: flagNeighbors, key: key, store: frame}, nil)
+	ack, err := c.peers.route(c.cfg.Entry, findSuccMsg{flags: flagNeighbors, key: key, tuple: t}, nil)
 	if err != nil {
 		return chord.Found{}, fmt.Errorf("via %s: %w", c.cfg.Entry, err)
 	}
@@ -266,22 +266,20 @@ var insertStreams = sync.Pool{New: func() any {
 func (s *insertStream) seed(seed, metric, item uint64) { s.pcg.Seed(seed^metric, item) }
 
 // wirePlacer is the wire half of core's insertion rule: one attempt is one
-// routed store of a wire.Insert frame, or of a wire.BulkInsert for a group
-// of several vectors, and the backoff sleeps.
+// routed store of an insert tuple, or of a bulk one for a group of several
+// vectors, and the backoff sleeps.
 type wirePlacer Client
 
 func (p *wirePlacer) Store(metric uint64, bit uint, target uint64, vectors []int32) error {
-	ttl := wire.ClampTTL(p.cfg.TTL)
-	var tuple [16]byte
-	frame := wire.AppendInsert(tuple[:0], wire.Insert{Metric: metric, Vector: uint16(vectors[0]), Bit: uint8(bit), TTL: ttl})
+	var one [2]byte
+	t := wire.Tuple{Tag: wire.TagInsert, Metric: wire.FoldMetric(metric), Bit: uint8(bit), TTL: wire.ClampTTL(p.cfg.TTL), Vectors: one[:0]}
 	if len(vectors) > 1 {
-		vs := make([]uint16, len(vectors))
-		for i, v := range vectors {
-			vs[i] = uint16(v)
-		}
-		frame = wire.EncodeBulkInsert(wire.BulkInsert{Metric: metric, Bit: uint8(bit), TTL: ttl, Vectors: vs})
+		t.Tag = wire.TagBulkInsert
 	}
-	_, err := (*Client)(p).store(target, frame)
+	for _, v := range vectors {
+		t.Vectors = binary.BigEndian.AppendUint16(t.Vectors, uint16(v))
+	}
+	_, err := (*Client)(p).store(target, t)
 	return err
 }
 
@@ -638,17 +636,12 @@ func (p *rpcProber) ProbeInterval(bit uint, lim int, v *core.Visitor) core.Inter
 // dense masks that is the scan's own — the frame's mask bytes copied, a
 // coded reply's expanded, a kept mask copied out of the socket's memory —
 // one copy per owner, and no frame or memory bytes are kept. The request is
-// built stateless on the stack and encoded against the socket's memory
-// in the slot (appendRequest); a reply without its header is read as
-// answering req.
+// encoded in the slot, against the socket's memory (wire.AppendProbeReqOn),
+// and a reply without its header is read as answering req.
 func (c *Client) probe(addr string, req wire.ProbeReq, into *wire.MaskArena) (resp wire.ProbeResp, err error) {
-	var scratch [rpcScratch]byte
-	frame, err := wire.AppendProbeReq(scratch[:0], req)
-	if err != nil {
-		return wire.ProbeResp{}, err
-	}
 	var forms wire.MaskForms
-	err = c.peers.exchange(addr, frame, func(reply []byte, mem *wire.Memory) (err error) {
+	ask := func(dst []byte, mem *wire.Memory) []byte { return wire.AppendProbeReqOn(dst, req, mem) }
+	err = c.peers.exchange(addr, wire.TagProbeReq, ask, func(reply []byte, mem *wire.Memory) (err error) {
 		if err = replyErr(reply); err == nil {
 			resp, err = wire.DecodeProbeRespTo(into, req, reply, mem, &forms)
 		}

@@ -321,7 +321,7 @@ func TestTypedFailureEveryRPC(t *testing.T) {
 			return err
 		},
 		"store": func() error {
-			_, err := c.store(42, wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2}))
+			_, err := c.store(42, tupleOf(wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2})))
 			return err
 		},
 	} {
@@ -351,7 +351,7 @@ func TestRefusedReplyDropsSocket(t *testing.T) {
 	goodAck := encodeStoreAck(chord.Found{Hops: 1})
 	badAck := encodeStoreAck(chord.Found{Owner: owner, Hops: 1, Near: &chord.Neighbors{Succ: []chord.Ref{owner}}})
 	badAck = badAck[:len(badAck)-3] // cut inside the neighbourhood's last ref
-	tuple := wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2})
+	tuple := tupleOf(wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2}))
 	for _, tc := range []struct {
 		name          string
 		first, second []byte
@@ -363,15 +363,15 @@ func TestRefusedReplyDropsSocket(t *testing.T) {
 			return err
 		}, 2},
 		{"refused store ack", badAck, goodAck, func(c *Client, addr string) error {
-			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple}, nil)
+			_, err := c.peers.route(addr, findSuccMsg{key: 42, tuple: tuple}, nil)
 			return err
 		}, 2},
 		{"request the peer could not read", encodeErr(dht.ClassOther, 0, 0), goodAck, func(c *Client, addr string) error {
-			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple}, nil)
+			_, err := c.peers.route(addr, findSuccMsg{key: 42, tuple: tuple}, nil)
 			return err
 		}, 2},
 		{"typed failure", encodeErr(dht.ClassNoRoute, 0, 0), goodAck, func(c *Client, addr string) error {
-			_, err := c.peers.route(addr, findSuccMsg{key: 42, store: tuple}, nil)
+			_, err := c.peers.route(addr, findSuccMsg{key: 42, tuple: tuple}, nil)
 			return err
 		}, 1},
 	} {

@@ -36,7 +36,7 @@ func fakePeer(t *testing.T, handle func(self string, req []byte) []byte) string 
 			}
 			go func() {
 				defer c.Close()
-				var req, tuple []byte
+				var req []byte
 				var mem wire.Memory
 				for {
 					var err error
@@ -51,8 +51,7 @@ func fakePeer(t *testing.T, handle func(self string, req []byte) []byte) string 
 							asked, _ = wire.EncodeProbeReq(q)
 						}
 					default:
-						var m findSuccMsg
-						if m, tuple, err = decodeFindSuccOn(req, &mem, tuple); err == nil && m.store != nil {
+						if m, err := decodeFindSucc(req, &mem); err == nil && m.isStore() {
 							asked = encodeFindSucc(m)
 						}
 					}

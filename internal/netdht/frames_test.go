@@ -40,11 +40,7 @@ func askAfter(t *testing.T, reqs ...wire.ProbeReq) []byte {
 	var kept wire.Memory
 	var frame []byte
 	for _, q := range reqs {
-		whole, err := wire.EncodeProbeReq(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frame = wire.AppendProbeReqOn(nil, whole, &kept)
+		frame = wire.AppendProbeReqOn(nil, q, &kept)
 	}
 	return frame
 }
@@ -86,8 +82,8 @@ func TestControlFrameBytes(t *testing.T) {
 	b := chord.Ref{ID: 1 << 63, Addr: "b:2"}
 	near := &chord.Neighbors{Pred: b, Succ: []chord.Ref{b, a}}
 	const key = 0xDEADBEEFCAFE0042
-	insert := wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2, TTL: 9})
-	bulk := wire.EncodeBulkInsert(wire.BulkInsert{Metric: 7, Bit: 2, TTL: 9, Vectors: []uint16{1, 300}})
+	insert := tupleOf(wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2, TTL: 9}))
+	bulk := tupleOf(wire.EncodeBulkInsert(wire.BulkInsert{Metric: 7, Bit: 2, TTL: 9, Vectors: []uint16{1, 300}}))
 	must := func(frame []byte, err error) []byte {
 		if err != nil {
 			t.Fatal(err)
@@ -116,21 +112,21 @@ func TestControlFrameBytes(t *testing.T) {
 	// Stores on one socket: the first through the entry, flagged, then two by
 	// the view — the same tuple fields under another key, and another metric
 	// and vector.
-	entryStore := findSuccMsg{flags: flagNeighbors, key: key, store: insert}
-	viewStore := findSuccMsg{key: key + 1, store: insert}
-	otherMetric := findSuccMsg{key: key + 2, store: wire.EncodeInsert(wire.Insert{Metric: 8, Vector: 5, Bit: 2, TTL: 9})}
+	entryStore := findSuccMsg{flags: flagNeighbors, key: key, tuple: insert}
+	viewStore := findSuccMsg{key: key + 1, tuple: insert}
+	otherMetric := findSuccMsg{key: key + 2, tuple: tupleOf(wire.EncodeInsert(wire.Insert{Metric: 8, Vector: 5, Bit: 2, TTL: 9}))}
 	keptStore, keptAck := onSocket([]findSuccMsg{entryStore, viewStore, viewStore}, []chord.Found{{}, {}})
 	changedStore, changedAck := onSocket([]findSuccMsg{entryStore, otherMetric}, []chord.Found{{Hops: 1}, {}})
-	bulkStore := findSuccMsg{key: key + 3, store: bulk}
-	keptBulk, _ := onSocket([]findSuccMsg{bulkStore, {key: key + 4, store: bulk}}, nil)
+	bulkStore := findSuccMsg{key: key + 3, tuple: bulk}
+	keptBulk, _ := onSocket([]findSuccMsg{bulkStore, {key: key + 4, tuple: bulk}}, nil)
 	// A bulk store with another TTL after the flagged insert: the tuple tag and
 	// the TTL change.
 	tagAndTTL, _ := onSocket([]findSuccMsg{entryStore, {flags: flagNeighbors, key: key + 5,
-		store: wire.EncodeBulkInsert(wire.BulkInsert{Metric: 7, Bit: 2, TTL: 600, Vectors: []uint16{1, 300}})}}, nil)
+		tuple: tupleOf(wire.EncodeBulkInsert(wire.BulkInsert{Metric: 7, Bit: 2, TTL: 600, Vectors: []uint16{1, 300}}))}}, nil)
 	// An insert after a bulk store that shares none of its six fields: the
 	// kept form is as long as the whole one.
 	allChanged, _ := onSocket([]findSuccMsg{bulkStore, {flags: flagForwarded, key: key + 6, hops: 2, stale: 1,
-		store: wire.EncodeInsert(wire.Insert{Metric: 8, Vector: 5, Bit: 2, TTL: 600})}}, nil)
+		tuple: tupleOf(wire.EncodeInsert(wire.Insert{Metric: 8, Vector: 5, Bit: 2, TTL: 600}))}}, nil)
 	wideRun := run
 	wideRun.Span, wideRun.NumVecs = 4, 512
 	for _, tc := range []struct {
@@ -144,9 +140,9 @@ func TestControlFrameBytes(t *testing.T) {
 			"011004deadbeefcafe004200000000"},
 		{"find_succ forwarded, deliver", encodeFindSucc(findSuccMsg{flags: flagForwarded | flagDeliver, key: key, hops: 3, stale: 1}),
 			"011003deadbeefcafe004200030001"},
-		{"store insert", encodeFindSucc(findSuccMsg{flags: flagNeighbors, key: key, store: insert}),
+		{"store insert", encodeFindSucc(findSuccMsg{flags: flagNeighbors, key: key, tuple: insert}),
 			"011804deadbeefcafe004200000000010100070003020009"},
-		{"store bulk, forwarded", encodeFindSucc(findSuccMsg{flags: flagForwarded, key: key, hops: 2, store: bulk}),
+		{"store bulk, forwarded", encodeFindSucc(findSuccMsg{flags: flagForwarded, key: key, hops: 2, tuple: bulk}),
 			"011801deadbeefcafe00420002000001020007020009000001012c"},
 		{"store ack short", encodeStoreAck(chord.Found{Hops: 513, Stale: 2}),
 			"011902010002"},

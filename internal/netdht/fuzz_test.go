@@ -28,9 +28,9 @@ func FuzzDecodeControl(f *testing.F) {
 		encodeFindSucc(findSuccMsg{flags: flagForwarded | flagDeliver, key: 42, hops: 3, stale: 1}),
 		encodeFindSucc(findSuccMsg{flags: flagNeighbors, key: 42}),
 		// The routed store: the same header, a tuple frame behind it; and its ack.
-		encodeFindSucc(findSuccMsg{flags: flagForwarded, key: 42, hops: 1, store: wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2, TTL: 9})}),
-		encodeFindSucc(findSuccMsg{key: 42, store: wire.EncodeBulkInsert(wire.BulkInsert{Metric: 7, Bit: 2, Vectors: []uint16{1, 2}})}),
-		encodeFindSucc(findSuccMsg{key: 42, store: encodePing()}),
+		encodeFindSucc(findSuccMsg{flags: flagForwarded, key: 42, hops: 1, tuple: tupleOf(wire.EncodeInsert(wire.Insert{Metric: 7, Vector: 3, Bit: 2, TTL: 9}))}),
+		encodeFindSucc(findSuccMsg{key: 42, tuple: tupleOf(wire.EncodeBulkInsert(wire.BulkInsert{Metric: 7, Bit: 2, Vectors: []uint16{1, 2}}))}),
+		storeFrame(findSuccMsg{key: 42}, encodePing()),
 		encodeStoreAck(chord.Found{Hops: 3, Stale: 1}),
 		// The kept forms, which only a memory decodes.
 		{wire.Version, tagStoreKept, 1 << 5, 0, 0, 0, 0, 0, 0, 0, 42, 0, 9, 2, 0, 3}, // the TTL changed
@@ -69,7 +69,7 @@ func FuzzDecodeControl(f *testing.F) {
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		// Every decoder sees every input: each must reject the others'
 		// tags, not misparse them.
-		fixpoint(t, buf, decodeFindSucc, encodeFindSucc)
+		fixpoint(t, buf, func(b []byte) (findSuccMsg, error) { return decodeFindSucc(b, nil) }, encodeFindSucc)
 		fixpoint(t, buf, func(b []byte) (chord.Found, error) { return decodeFindSuccResp(b, nil) }, encodeFindSuccResp)
 		// A neighbors reply decodes to the neighbourhood alone; the sender's
 		// ref ahead of it is read again here to re-encode it.
@@ -94,8 +94,8 @@ func FuzzDecodeControl(f *testing.F) {
 			func(e [3]uint16) []byte { return encodeErr(dht.Class(e[0]), e[1], e[2]) })
 
 		// A routed store carries one data-plane tuple frame.
-		if m, err := decodeFindSucc(buf); err == nil && m.store != nil {
-			if tag := m.store[1]; tag != wire.TagInsert && tag != wire.TagBulkInsert {
+		if m, err := decodeFindSucc(buf, nil); err == nil && m.isStore() {
+			if tag := m.tuple.Tag; tag != wire.TagInsert && tag != wire.TagBulkInsert {
 				t.Fatalf("store accepted a payload with tag %#x", tag)
 			}
 		}
@@ -267,14 +267,16 @@ func storeStep(data []byte) (m findSuccMsg, ack chord.Found, rest []byte, ok boo
 	for i := range vs {
 		vs[i] = binary.BigEndian.Uint16(data[head+2*i:])
 	}
+	var frame []byte
 	if shape&1 == 0 {
-		m.store = wire.EncodeInsert(wire.Insert{Metric: metric, Vector: vs[0], Bit: data[8], TTL: ttl})
+		frame = wire.EncodeInsert(wire.Insert{Metric: metric, Vector: vs[0], Bit: data[8], TTL: ttl})
 	} else {
-		m.store = wire.EncodeBulkInsert(wire.BulkInsert{Metric: metric, Bit: data[8], TTL: ttl, Vectors: vs})
+		frame = wire.EncodeBulkInsert(wire.BulkInsert{Metric: metric, Bit: data[8], TTL: ttl, Vectors: vs})
 		if shape&16 != 0 {
-			m.store[7] = 1
+			frame[7] = 1
 		}
 	}
+	m.tuple = tupleOf(frame)
 	ack = chord.Found{Hops: int(data[17]), Stale: int(data[18])}
 	if shape&32 != 0 {
 		ack.Owner = chord.Ref{ID: m.key, Addr: "a:1"}
@@ -299,7 +301,6 @@ func storeStep(data []byte) (m findSuccMsg, ack chord.Found, rest []byte, ok boo
 func FuzzStoreMemory(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cli, srv wire.Memory
-		var tuple []byte
 		var held bool // whether the memories hold a store
 		for step := 0; ; step++ {
 			m, ack, rest, ok := storeStep(data)
@@ -308,7 +309,7 @@ func FuzzStoreMemory(f *testing.F) {
 			}
 			data = rest
 			stateless := encodeFindSucc(m)
-			fields, _, _ := splitStore(nil, m)
+			fields := storeFields(nil, m)
 			leans := held && fields != nil // a kept store is never longer than the whole one
 			held = fields != nil
 			frame := appendFindSucc(nil, m, &cli)
@@ -319,15 +320,13 @@ func FuzzStoreMemory(f *testing.F) {
 				t.Fatalf("step %d: store % x, stateless % x; want it kept: %v", step, frame, stateless, leans)
 			}
 			if frame[1] == tagStoreKept {
-				_, serr := decodeFindSucc(frame)
-				_, _, eerr := decodeFindSuccOn(frame, &wire.Memory{}, nil)
+				_, serr := decodeFindSucc(frame, nil)
+				_, eerr := decodeFindSucc(frame, &wire.Memory{})
 				if serr == nil || eerr == nil {
 					t.Fatalf("step %d: a kept store decoded statelessly (%v) or by an empty memory (%v)", step, serr, eerr)
 				}
 			}
-			var got findSuccMsg
-			var err error
-			if got, tuple, err = decodeFindSuccOn(frame, &srv, tuple); err != nil || !reflect.DeepEqual(got, m) {
+			if got, err := decodeFindSucc(frame, &srv); err != nil || !reflect.DeepEqual(got, m) {
 				t.Fatalf("step %d: store %+v decoded as %+v, %v", step, m, got, err)
 			}
 			if !reflect.DeepEqual(cli, srv) {
@@ -357,7 +356,7 @@ func FuzzStoreMemory(f *testing.F) {
 		// Hostile bytes against the primed memories, which are equal: a kept
 		// store is refused by the server's, or is the one kept form of what it
 		// decodes to, which the client's encodes.
-		if m, _, err := decodeFindSuccOn(data, &srv, nil); err == nil && data[1] == tagStoreKept {
+		if m, err := decodeFindSucc(data, &srv); err == nil && data[1] == tagStoreKept {
 			if again := appendFindSucc(nil, m, &cli); !bytes.Equal(again, data) || !reflect.DeepEqual(cli, srv) {
 				t.Fatalf("kept store % x accepted, re-encodes as % x", data, again)
 			}

@@ -9,6 +9,7 @@ import (
 	"dhsketch/internal/core"
 	"dhsketch/internal/dht"
 	"dhsketch/internal/obs"
+	"dhsketch/internal/wire"
 )
 
 // The codecs as the tests like them: each message in a slice of its own.
@@ -26,6 +27,32 @@ func encodeAck(changed bool) []byte                    { return appendAck(nil, c
 func encodeErr(c dht.Class, hops, stale uint16) []byte { return appendErr(nil, c, hops, stale) }
 func encodePing() []byte                               { return bytes.Clone(pingFrame) }
 func encodePong() []byte                               { return bytes.Clone(pongFrame) }
+
+// decodeStoreAck is the stateless decoder of the store ack, and refuses
+// tagStoreAckKept.
+func decodeStoreAck(buf []byte) (chord.Found, error) { return decodeStoreAckOn(buf, nil, nil) }
+
+// tupleOf is the tuple a tuple frame reads as; the frame must be one.
+func tupleOf(frame []byte) wire.Tuple {
+	t, err := wire.ReadTuple(frame)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+// raw is the request that sends frame as it is, on any socket.
+func raw(frame []byte) request {
+	return func(dst []byte, _ *wire.Memory) []byte { return append(dst, frame...) }
+}
+
+// storeFrame is the stateless routed store of m's header with payload
+// behind it, whatever the payload: the frame a peer could send.
+func storeFrame(m findSuccMsg, payload []byte) []byte {
+	frame := encodeFindSucc(m)
+	frame[1] = tagStore
+	return append(frame, payload...)
+}
 
 // shrinkBound sets one of the package's bounds to v for the rest of tb and
 // restores it when tb ends. Call it before starting what reads the bound:

@@ -254,7 +254,7 @@ func TestStoreMemoryJoinInFront(t *testing.T) {
 	if !ok {
 		t.Fatal("the warm view holds no arc for the owner")
 	}
-	tuple := wire.EncodeInsert(wire.Insert{Metric: 1, Vector: 3, Bit: 2, TTL: 9})
+	tuple := tupleOf(wire.EncodeInsert(wire.Insert{Metric: 1, Vector: 3, Bit: 2, TTL: 9}))
 	for key := owner.ID() - 3; key <= owner.ID(); key++ { // the owner's own, acked with hops 0
 		if ack, err := c.store(key, tuple); err != nil || ack.Hops != 0 {
 			t.Fatalf("store on the owner's arc: %+v, %v", ack, err)
@@ -413,25 +413,23 @@ func probeHalf(t *testing.T) memoryHalf {
 		spoil: func(t *testing.T, mem *wire.Memory) {
 			other := trioProbe
 			other.Bit = 9
-			frame, err := wire.EncodeProbeReq(other)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wire.AppendProbeReqOn(nil, frame, mem)
+			wire.AppendProbeReqOn(nil, other, mem)
 		},
 	}
 }
 
 // storeHalf is the store half: a routed store of trioInsert to a ring of one,
-// which must then hold the tuple.
+// which must then hold the tuple. It goes to the server in one exchange,
+// unflagged, whatever the client's view holds: Client.store would take a
+// refused store by the view to the entry again.
 func storeHalf() memoryHalf {
-	tuple := wire.EncodeInsert(trioInsert)
+	tuple := tupleOf(wire.EncodeInsert(trioInsert))
 	return memoryHalf{
 		name:   "store",
 		server: soloServer,
-		whole:  uint64(findSuccHeader + len(tuple)),
+		whole:  uint64(findSuccHeader + tuple.Size()),
 		ask: func(c *Client, s *Server) (any, error) {
-			ack, err := c.store(1, tuple)
+			ack, err := c.peers.route(s.Addr(), findSuccMsg{key: 1, tuple: tuple}, nil)
 			if err == nil && !tupleAt(s, wire.Insert{Metric: 7, Vector: 3, Bit: 2}) {
 				err = errors.New("the server does not hold the tuple")
 			}
@@ -442,7 +440,7 @@ func storeHalf() memoryHalf {
 		spoil: func(t *testing.T, mem *wire.Memory) {
 			other := trioInsert
 			other.TTL++
-			appendFindSucc(nil, findSuccMsg{key: 1, store: wire.EncodeInsert(other)}, mem)
+			appendFindSucc(nil, findSuccMsg{key: 1, tuple: tupleOf(wire.EncodeInsert(other))}, mem)
 		},
 	}
 }

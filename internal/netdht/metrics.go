@@ -191,7 +191,7 @@ type poolMetrics struct {
 	// each travelled in (wire.FormNames).
 	masksByForm [len(wire.MaskForms{})]*metrics.Counter
 	// storeFrames counts routed-store frames by direction — the requests
-	// sent, the acks accepted — and form: whole, or kept (appendStore).
+	// sent, the acks accepted — and form: whole, or kept (appendFindSucc).
 	storeFrames [2][2]*metrics.Counter
 
 	bytesOut *metrics.Counter
@@ -238,9 +238,10 @@ func newPoolMetrics(reg *metrics.Registry) poolMetrics {
 	return m
 }
 
-// startRPC meters one outbound exchange and begins its timer.
-func (m *poolMetrics) startRPC(req []byte) (int, metrics.Timer) {
-	slot := reqSlot(req)
+// startRPC meters one outbound exchange of a request tagged tag and begins
+// its timer.
+func (m *poolMetrics) startRPC(tag byte) (int, metrics.Timer) {
+	slot := tagSlot(tag)
 	m.rpcTotal[slot].Inc()
 	return slot, m.rpcSeconds[slot].Start()
 }

@@ -15,11 +15,13 @@ import (
 // collide, and every control message keeps wire's layout conventions: version
 // byte first, tag second, fixed-width big-endian integers. A control frame
 // ends where its message does: every decoder refuses bytes behind it. Every
-// encoder appends to a buffer the caller names — a connection's write
-// buffer, or a few bytes of the caller's stack — and every decoder returns
-// values that share nothing with the frame (a ref's address is a string the
-// decoding node already holds, or a copy of the bytes), so a decoded message
-// outlives the buffer it arrived in.
+// encoder appends to a connection's write buffer: a request once a try, in
+// the slot that sends it (peerPool.exchange), a reply in the connection that
+// answers. Every reply decoder returns values that share nothing with the
+// frame (a ref's address is a string the decoding node already holds, or a
+// copy of the bytes), so a decoded reply outlives the buffer it arrived in;
+// a routed store's vectors stay in the frame it arrived in, which outlives
+// the request's handling (decodeFindSucc).
 const (
 	tagFindSucc      = 0x10 // route a key toward its owner
 	tagFindSuccResp  = 0x11 // terminal reply: the owner plus route cost
@@ -31,7 +33,7 @@ const (
 	tagPong          = 0x17
 	tagStore         = 0x18 // route a key like tagFindSucc and store the enclosed tuple frame where the route ends
 	tagStoreAck      = 0x19 // terminal reply to tagStore: the tuple is stored; route cost and, to a flagged store, the storing node and its neighbourhood
-	tagStoreKept     = 0x1A // a tagStore that sends only what differs from the connection's last store (appendStore)
+	tagStoreKept     = 0x1A // a tagStore that sends only what differs from the connection's last store (appendFindSucc)
 	tagStoreAckKept  = 0x1B // a short tagStoreAck equal to the connection's last store ack: the tag alone
 	tagErr           = 0x1F // typed failure reply
 )
@@ -109,163 +111,124 @@ func refOf(id uint64, addr []byte, known *chord.Machine) chord.Ref {
 
 // findSuccMsg is one routing step in flight: the key, the flags above,
 // and the route cost accumulated so far (hops and stale hops), which
-// the eventual owner echoes back in its reply. With store set it is a
-// tagStore frame — the paper's one-lookup insertion: the same header with
-// a whole tuple frame behind it, set by the inserting client, carried whole
-// by every hop — each decodes it from its inbound socket and encodes it
-// again on its outbound one — and applied by the node the route ends at.
+// the eventual owner echoes back in its reply. With a tuple it is a
+// tagStore — the paper's one-lookup insertion: the same header with a
+// tuple frame behind it, set by the inserting client, carried by every hop
+// as the value its inbound socket's frame decoded to, its vectors still in
+// that socket's read buffer, encoded again only onto its outbound socket,
+// and applied by the node the route ends at.
 type findSuccMsg struct {
 	flags byte
 	key   uint64
 	hops  uint16
 	stale uint16
-	store []byte // nil: a plain tagFindSucc
+	tuple wire.Tuple // no tag: a plain tagFindSucc
 }
+
+func (m findSuccMsg) isStore() bool { return m.tuple.Tag != 0 }
 
 const findSuccHeader = 15
 
-// appendFindSucc is the one encoder of the routed request. With mem nil it is
-// stateless: the header, and a store's tuple frame behind it. With the memory
-// of the connection it goes out on, a store is recorded there and, once that
-// memory holds an earlier one, sent as tagStoreKept (appendStore); a plain
+// appendFindSucc is the one encoder of the routed request: the header, and
+// a store's tuple frame behind it (wire.AppendTuple). With the memory of the
+// connection it goes out on, a store is recorded there and, once that memory
+// holds an earlier one, sent as tagStoreKept when that is no longer; a plain
 // find_succ is the same either way.
 func appendFindSucc(dst []byte, m findSuccMsg, mem *wire.Memory) []byte {
-	if m.store != nil && mem != nil {
-		return appendStore(dst, m, mem)
+	if m.isStore() && mem != nil {
+		var f [storeFieldBytes]byte
+		var key [8]byte
+		binary.BigEndian.PutUint64(key[:], m.key)
+		fields := storeFields(f[:0], m)
+		out, kept := mem.Store.AppendKept(dst, tagStoreKept, key[:], storeLayout, fields, 1+len(m.tuple.Vectors), findSuccHeader+m.tuple.Size())
+		if mem.Store.Record(fields); kept {
+			return append(append(out, m.tuple.Bit), m.tuple.Vectors...)
+		}
 	}
-	return appendWhole(dst, m)
-}
-
-// appendWhole is the stateless frame of the routed request. It is not
-// appendFindSucc with a nil memory because appendStore calls it: a call cycle
-// would make the compiler move every caller's stack buffer to the heap.
-func appendWhole(dst []byte, m findSuccMsg) []byte {
 	tag := byte(tagFindSucc)
-	if m.store != nil {
+	if m.isStore() {
 		tag = tagStore
 	}
 	dst = append(dst, wire.Version, tag, m.flags)
 	dst = binary.BigEndian.AppendUint64(dst, m.key)
 	dst = binary.BigEndian.AppendUint16(dst, m.hops)
 	dst = binary.BigEndian.AppendUint16(dst, m.stale)
-	return append(dst, m.store...)
+	if m.isStore() {
+		dst = wire.AppendTuple(dst, m.tuple)
+	}
+	return dst
 }
 
-// decodeFindSucc is the stateless decoder of the routed request: it refuses
-// tagStoreKept, which only the memory it was sent against can expand.
-func decodeFindSucc(buf []byte) (findSuccMsg, error) {
+// decodeFindSucc is the one decoder of the routed request. A store's tuple
+// is read in place (wire.ReadTuple), its vectors left in buf. With the
+// memory of the connection the request arrived on, a store is recorded
+// there and a tagStoreKept expanded from it; without one, or with one that
+// holds no store, tagStoreKept is refused.
+func decodeFindSucc(buf []byte, mem *wire.Memory) (m findSuccMsg, err error) {
+	if len(buf) >= 2 && buf[1] == tagStoreKept {
+		return decodeKept(buf, mem)
+	}
 	if len(buf) < findSuccHeader {
 		return findSuccMsg{}, wire.ErrShort
 	}
 	if buf[0] != wire.Version || (buf[1] != tagFindSucc && buf[1] != tagStore) {
 		return findSuccMsg{}, wire.ErrBadMessage
 	}
-	m := findSuccMsg{
+	m = findSuccMsg{
 		flags: buf[2],
 		key:   binary.BigEndian.Uint64(buf[3:]),
 		hops:  binary.BigEndian.Uint16(buf[11:]),
 		stale: binary.BigEndian.Uint16(buf[13:]),
 	}
-	if buf[1] == tagStore {
-		m.store = buf[findSuccHeader:]
-		return m, checkTupleFrame(m.store)
+	if buf[1] == tagFindSucc {
+		if len(buf) != findSuccHeader {
+			return findSuccMsg{}, wire.ErrBadMessage
+		}
+		return m, nil
 	}
-	if len(buf) != findSuccHeader {
-		return findSuccMsg{}, wire.ErrBadMessage
+	// The payload is exactly one tuple frame: the storing node applies it,
+	// so nothing else, and no bytes behind it, get past the first hop.
+	if m.tuple, err = wire.ReadTuple(buf[findSuccHeader:]); err != nil {
+		return findSuccMsg{}, err
+	}
+	if mem != nil {
+		var f [storeFieldBytes]byte
+		mem.Store.Record(storeFields(f[:0], m))
 	}
 	return m, nil
 }
 
-// decodeFindSuccOn decodes a routed request that arrived on a connection
-// whose memory is mem, and records a store there. A tagStoreKept is expanded
-// from mem into a whole tuple frame built in tuple, which is returned, grown
-// when it had to be, for the caller to keep for the next one; m.store points
-// into it, or into buf for a stateless store.
-func decodeFindSuccOn(buf []byte, mem *wire.Memory, tuple []byte) (m findSuccMsg, _ []byte, err error) {
-	if len(buf) >= 2 && buf[1] == tagStoreKept {
-		return decodeKept(buf, mem, tuple)
-	}
-	if m, err = decodeFindSucc(buf); err == nil && m.store != nil && mem != nil {
-		var f [storeFieldBytes]byte
-		fields, _, _ := splitStore(f[:0], m)
-		mem.Store.Record(fields)
-	}
-	return m, tuple, err
-}
-
-// appendRequest appends req, a request frame as the stateless encoders build
-// it, to dst as the connection whose memory is mem sends it: a routed store
-// or a probe encoded again against the memory (appendFindSucc,
-// wire.AppendProbeReqOn), any other request as it is. A store or a probe that
-// does not decode goes as it is too, and is not recorded; its receiver
-// refuses it and ends the connection.
-func appendRequest(dst, req []byte, mem *wire.Memory) []byte {
-	if len(req) > 1 {
-		switch req[1] {
-		case tagStore:
-			if m, err := decodeFindSucc(req); err == nil {
-				return appendFindSucc(dst, m, mem)
-			}
-		case wire.TagProbeReq:
-			return wire.AppendProbeReqOn(dst, req, mem)
-		}
-	}
-	return append(dst, req...)
-}
-
 // storeLayout is a routed store's fields that its kept form (tagStoreKept,
 // held in wire.Memory.Store) leaves out when they are the connection's last
-// store's: flags, hops, stale, the tuple frame's tag (wire.TagInsert or
-// wire.TagBulkInsert), and the tuple's folded metric and TTL as its frame
-// carries them. Under the soft-state rule (§3.3) a writer stores every item
-// again each TTL, so these are mostly the last store's, while the key ahead
-// of them and the bit and vectors behind them always travel. A kept insert
-// that changes all six is as long as the stateless frame; a kept bulk store
-// is always shorter, since it leaves out the bulk frame's reserved byte.
+// store's: flags, hops, stale, the tuple's tag (wire.TagInsert or
+// wire.TagBulkInsert), folded metric and TTL. Under the soft-state rule
+// (§3.3) a writer stores every item again each TTL, so these are mostly the
+// last store's, while the key ahead of them and the bit and vectors behind
+// them always travel. A kept insert that changes all six is as long as the
+// stateless frame; a kept bulk store is always shorter, since it leaves out
+// the bulk frame's reserved byte.
 var storeLayout = wire.Layout{1, 2, 2, 1, 2, 2}
 
 const storeFieldBytes = 10 // the fields of storeLayout, one after another
 
-// splitStore appends a routed store's fields in storeLayout to dst and
-// returns them with the bit and the vectors (2 bytes each) — no fields when
-// a kept form cannot carry the tuple frame byte for byte: a bulk frame whose
-// reserved byte is set. m.store must be a frame checkTupleFrame admits.
-func splitStore(dst []byte, m findSuccMsg) (fields []byte, bit byte, vectors []byte) {
-	p := m.store
-	fields = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(append(dst, m.flags), m.hops), m.stale)
-	fields = append(fields, p[1], p[2], p[3])
-	if p[1] == wire.TagInsert {
-		return append(fields, p[7], p[8]), p[6], p[4:6]
+// storeFields appends a routed store's fields in storeLayout to dst, or
+// returns nil when a kept form cannot carry its tuple byte for byte: a bulk
+// frame whose reserved byte is set.
+func storeFields(dst []byte, m findSuccMsg) []byte {
+	t := m.tuple
+	if t.Reserved != 0 {
+		return nil
 	}
-	if p[7] != 0 {
-		return nil, p[4], p[8:]
-	}
-	return append(fields, p[5], p[6]), p[4], p[8:]
+	dst = binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint16(append(dst, m.flags), m.hops), m.stale)
+	dst = binary.BigEndian.AppendUint16(append(dst, t.Tag), t.Metric)
+	return binary.BigEndian.AppendUint16(dst, t.TTL)
 }
 
-// appendStore is appendFindSucc for a store on a connection with a memory.
-func appendStore(dst []byte, m findSuccMsg, mem *wire.Memory) []byte {
-	if checkTupleFrame(m.store) != nil {
-		return appendWhole(dst, m) // refused by its receiver, and recorded by neither end
-	}
-	var f [storeFieldBytes]byte
-	var key [8]byte
-	binary.BigEndian.PutUint64(key[:], m.key)
-	fields, bit, vectors := splitStore(f[:0], m)
-	dst, kept := mem.Store.AppendKept(dst, tagStoreKept, key[:], storeLayout, fields, 1+len(vectors), findSuccHeader+len(m.store))
-	mem.Store.Record(fields)
-	if !kept {
-		return appendWhole(dst, m)
-	}
-	return append(append(dst, bit), vectors...)
-}
-
-// decodeKept expands a tagStoreKept frame against mem, which it refuses when
-// mem is nil or holds no store: the tuple frame is built in tuple, and the
-// store recorded.
-func decodeKept(buf []byte, mem *wire.Memory, tuple []byte) (findSuccMsg, []byte, error) {
+// decodeKept reads a tagStoreKept frame against mem, which it refuses when
+// mem is nil or holds no store, and records the store.
+func decodeKept(buf []byte, mem *wire.Memory) (findSuccMsg, error) {
 	if mem == nil {
-		return findSuccMsg{}, tuple, wire.ErrBadMessage
+		return findSuccMsg{}, wire.ErrBadMessage
 	}
 	var b [storeFieldBytes]byte
 	f, key, rest, err := mem.Store.ReadKept(b[:0], buf, 8, storeLayout)
@@ -273,47 +236,18 @@ func decodeKept(buf []byte, mem *wire.Memory, tuple []byte) (findSuccMsg, []byte
 		err = wire.ErrShort
 	}
 	if err != nil {
-		return findSuccMsg{}, tuple, err
+		return findSuccMsg{}, err
 	}
-	bit, vectors := rest[0], rest[1:]
-	tuple = append(tuple[:0], wire.Version, f[5], f[6], f[7])
-	switch {
-	case f[5] == wire.TagInsert && len(vectors) == 2:
-		tuple = append(append(tuple, vectors...), bit, f[8], f[9])
-	case f[5] == wire.TagBulkInsert && len(vectors)%2 == 0:
-		tuple = append(append(tuple, bit, f[8], f[9], 0), vectors...)
-	default:
-		return findSuccMsg{}, tuple, wire.ErrBadMessage
+	m := findSuccMsg{flags: f[0], key: binary.BigEndian.Uint64(key), hops: binary.BigEndian.Uint16(f[1:]), stale: binary.BigEndian.Uint16(f[3:]),
+		tuple: wire.Tuple{Tag: f[5], Metric: binary.BigEndian.Uint16(f[6:]), TTL: binary.BigEndian.Uint16(f[8:]), Bit: rest[0], Vectors: rest[1:]}}
+	size := m.tuple.Size()
+	if size == 0 {
+		return findSuccMsg{}, wire.ErrBadMessage
 	}
-	if err := mem.Store.Accept(len(buf), f, findSuccHeader+len(tuple)); err != nil {
-		return findSuccMsg{}, tuple, err
+	if err := mem.Store.Accept(len(buf), f, findSuccHeader+size); err != nil {
+		return findSuccMsg{}, err
 	}
-	m := findSuccMsg{flags: f[0], key: binary.BigEndian.Uint64(key), hops: binary.BigEndian.Uint16(f[1:]), stale: binary.BigEndian.Uint16(f[3:]), store: tuple}
-	return m, tuple, nil
-}
-
-// insertFrameLen is the one length a wire.TagInsert frame has.
-var insertFrameLen = len(wire.AppendInsert(nil, wire.Insert{}))
-
-// checkTupleFrame admits as a routed store's payload exactly one
-// data-plane tuple frame and nothing behind it: the storing node hands
-// the payload to its insert handlers, so a nested control frame, or bytes
-// wire's own decoders would skip, must not get past the first hop.
-func checkTupleFrame(p []byte) (err error) {
-	if len(p) < 2 {
-		return wire.ErrShort
-	}
-	switch p[1] {
-	case wire.TagInsert:
-		if _, err = wire.DecodeInsert(p); err == nil && len(p) != insertFrameLen {
-			err = wire.ErrBadMessage
-		}
-	case wire.TagBulkInsert:
-		_, err = wire.DecodeBulkInsert(p) // its vector count is the frame's length
-	default:
-		err = wire.ErrBadMessage
-	}
-	return err
+	return m, nil
 }
 
 // The routed request's two terminal replies decode into the chord.Found the
@@ -404,10 +338,6 @@ func decodeFindSuccResp(buf []byte, known *chord.Machine) (chord.Found, error) {
 	}
 	return decodeOwner(f, buf[routedHead:], known)
 }
-
-// decodeStoreAck is the stateless decoder of the store ack, and refuses
-// tagStoreAckKept.
-func decodeStoreAck(buf []byte) (chord.Found, error) { return decodeStoreAckOn(buf, nil, nil) }
 
 // decodeStoreAckOn decodes a store ack that arrived on a connection whose
 // memory is mem, expands tagStoreAckKept from it — refused when mem is nil or

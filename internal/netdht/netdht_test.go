@@ -95,7 +95,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // fixpoint, and decoders reject foreign tags.
 func TestControlMessageRoundTrips(t *testing.T) {
 	fs := findSuccMsg{flags: flagForwarded | flagDeliver, key: 0xDEADBEEFCAFE, hops: 7, stale: 2}
-	gotFS, err := decodeFindSucc(encodeFindSucc(fs))
+	gotFS, err := decodeFindSucc(encodeFindSucc(fs), nil)
 	if err != nil || !reflect.DeepEqual(gotFS, fs) {
 		t.Fatalf("findSucc round trip: %+v, %v", gotFS, err)
 	}
@@ -143,7 +143,7 @@ func TestControlMessageRoundTrips(t *testing.T) {
 	}
 
 	// Cross-tag decode is refused.
-	if _, err := decodeFindSucc(encodeNotify(n)); err == nil {
+	if _, err := decodeFindSucc(encodeNotify(n), nil); err == nil {
 		t.Fatal("decodeFindSucc accepted a notify frame")
 	}
 	if _, err := decodeAck(encodePong()); err == nil {

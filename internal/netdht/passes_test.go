@@ -55,6 +55,46 @@ func TestCountZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestCountAllWideZeroAlloc: a warm CountAll of 64 metrics allocates
+// nothing either. Its probe requests carry 128 bytes of metric list, more
+// than any request a caller could build on its stack: the request is encoded
+// once, in the slot that sends it, against the socket's memory.
+func TestCountAllWideZeroAlloc(t *testing.T) {
+	env := sim.NewEnv(22)
+	cl := newTestCluster(t, env, 8)
+	settleCluster(t, cl, env)
+	c, reg := storeClient(t, cl.Servers()[0].Addr(), 7)
+	metrics := make([]uint64, 64)
+	for m := range metrics {
+		metrics[m] = uint64(m + 1)
+		for i := 0; i < 20; i++ {
+			if err := c.Insert(metrics[m], core.ItemID(fmt.Sprint("item-", m, "-", i))); err != nil {
+				t.Fatalf("insert: %v", err)
+			}
+		}
+	}
+	dst := make([]CountResult, 0, len(metrics))
+	var failed error
+	countAll := func() {
+		if _, err := c.CountAll(dst, metrics); err != nil {
+			failed = err
+		}
+	}
+	for i := 0; i < 5; i++ {
+		countAll() // dial, fill the view, and grow the pass's state
+	}
+	before := outRPCs(reg, "probe")
+	if n := testing.AllocsPerRun(20, countAll); n != 0 {
+		t.Errorf("a warm CountAll of 64 allocated %.2f/op, want 0", n)
+	}
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if outRPCs(reg, "probe") == before {
+		t.Fatal("the warm passes sent no probe: the test did not bite")
+	}
+}
+
 // TestPooledPassStateIsHistoryFree: a pass in the state an earlier pass left
 // behind counts what a pass in fresh memory counts. Two clients of one seed
 // run the same sequence of CountAll on one converged ring — one, three and

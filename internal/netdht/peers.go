@@ -186,6 +186,13 @@ func (p *peerPool) dropConn(pc *peerConn) {
 	p.live.Add(-1)
 }
 
+// A request is what an exchange asks, kept a value until the slot that
+// sends it encodes it: it appends its frame to dst as the socket whose
+// memory is mem sends it — a routed message (appendFindSucc), a probe
+// (wire.AppendProbeReqOn) or a control frame, which ignores mem. A slot
+// calls it once a try.
+type request func(dst []byte, mem *wire.Memory) []byte
+
 // exchange performs one framed request/reply round trip with addr and hands
 // the reply to read where it arrived: in the slot's own buffer, once, after
 // a successful round trip and before the slot is released, with the
@@ -196,22 +203,22 @@ func (p *peerPool) dropConn(pc *peerConn) {
 // that a socket whose replies the asker stopped following — and whose two
 // memories may no longer agree — never carries another. One typed failure
 // drops the socket too: dht.ClassOther, a request the peer could not read, after
-// which a peer that could not read a store ends its own end. req is the
-// request as the stateless encoders build it, and may live on the caller's
-// stack; it is encoded into the slot against the socket's memory
-// (appendRequest). A failure on a socket an earlier exchange left in the slot
-// is retried once on a fresh dial: a stale cached socket (the peer restarted,
-// an idle timeout fired) is indistinguishable from a dead peer until a second
-// dial answers, and the new socket's memory is empty, so the re-send is
-// stateless. A failure on a socket this exchange dialled is final — the caller's one
+// which a peer that could not read a store ends its own end. req is encoded
+// once into the slot's write buffer, against the socket's memory; tag names
+// it to the meters. A failure on a socket an earlier exchange left in the
+// slot is retried once on a fresh dial: a stale cached socket (the peer
+// restarted, an idle timeout fired) is indistinguishable from a dead peer
+// until a second dial answers. req is encoded again for it, against the new
+// socket's empty memory, so the re-send goes whole. A failure on a socket
+// this exchange dialled is final — the caller's one
 // spent attempt (DESIGN.md §8). Safe for the idempotent RPC set this
 // package speaks. The metrics hooks meter the exchange per tag (count,
 // bytes as they went on the socket, frame size, round-trip latency) and
 // transport failures by class — a refused reply is an exchange that
 // moved its bytes; with metrics off each instrument they touch is nil and
 // no-ops on its own receiver.
-func (p *peerPool) exchange(addr string, req []byte, read func(reply []byte, mem *wire.Memory) error) error {
-	slot, tm := p.m.startRPC(req)
+func (p *peerPool) exchange(addr string, tag byte, req request, read func(reply []byte, mem *wire.Memory) error) error {
+	slot, tm := p.m.startRPC(tag)
 	n, err, refused := p.doExchange(addr, req, read)
 	p.m.finishRPC(slot, n, err, tm)
 	if err != nil {
@@ -220,7 +227,7 @@ func (p *peerPool) exchange(addr string, req []byte, read func(reply []byte, mem
 	return refused
 }
 
-func (p *peerPool) doExchange(addr string, req []byte, read func([]byte, *wire.Memory) error) (n int, err, refused error) {
+func (p *peerPool) doExchange(addr string, req request, read func([]byte, *wire.Memory) error) (n int, err, refused error) {
 	pc, dialled, err := p.get(addr)
 	if err != nil {
 		return 0, err, nil
@@ -257,8 +264,8 @@ func (p *peerPool) doExchange(addr string, req []byte, read func([]byte, *wire.M
 // slot, or refused. Every reply decoder returns values that share nothing
 // with the frame (msg.go), so nothing a caller keeps points into the slot;
 // with an error, v is the zero T, as the decoders return it.
-func call[T any](p *peerPool, addr string, req []byte, decode func([]byte) (T, error)) (v T, err error) {
-	err = p.exchange(addr, req, func(reply []byte, _ *wire.Memory) (err error) {
+func call[T any](p *peerPool, addr string, tag byte, req request, decode func([]byte) (T, error)) (v T, err error) {
+	err = p.exchange(addr, tag, req, func(reply []byte, _ *wire.Memory) (err error) {
 		if err = replyErr(reply); err == nil {
 			v, err = decode(reply)
 		}
@@ -267,24 +274,21 @@ func call[T any](p *peerPool, addr string, req []byte, decode func([]byte) (T, e
 	return v, err
 }
 
-// rpcScratch is the stack room a caller gives a request it builds: every
-// fixed-size request and a ref or two fit; a longer one spills to the heap.
-const rpcScratch = 96
-
-// route sends the routed request — a find_succ, or with m.store set the
-// routed store — to addr, and returns its terminal reply: a find_succ
-// reply, or to a store the store ack and nothing else, so that a node that
-// routed the key and says nothing of the tuple is never read as having
-// stored it. Client lookups and stores, and every relayed hop, go out here.
-// A store and its ack travel against the socket's memory. The reply's refs
-// are decoded against known, the asking node's machine, or nil (decodeRef).
+// route sends the routed request — a find_succ, or with a tuple the routed
+// store — to addr, and returns its terminal reply: a find_succ reply, or to
+// a store the store ack and nothing else, so that a node that routed the key
+// and says nothing of the tuple is never read as having stored it. Client
+// lookups and stores, and every relayed hop, go out here, m encoded in the
+// slot (appendFindSucc): a relay's tuple goes from its inbound read buffer
+// to its outbound write buffer, and is read nowhere between. A store and
+// its ack travel against the socket's memory. The reply's refs are decoded
+// against known, the asking node's machine, or nil (decodeRef).
 func (p *peerPool) route(addr string, m findSuccMsg, known *chord.Machine) (f chord.Found, err error) {
-	var req [rpcScratch]byte
-	frame := appendFindSucc(req[:0], m, nil)
-	if m.store == nil {
-		return call(p, addr, frame, func(reply []byte) (chord.Found, error) { return decodeFindSuccResp(reply, known) })
+	req := func(dst []byte, mem *wire.Memory) []byte { return appendFindSucc(dst, m, mem) }
+	if !m.isStore() {
+		return call(p, addr, tagFindSucc, req, func(reply []byte) (chord.Found, error) { return decodeFindSuccResp(reply, known) })
 	}
-	err = p.exchange(addr, frame, func(reply []byte, mem *wire.Memory) (err error) {
+	err = p.exchange(addr, tagStore, req, func(reply []byte, mem *wire.Memory) (err error) {
 		if err = replyErr(reply); err == nil {
 			if f, err = decodeStoreAckOn(reply, mem, known); err == nil {
 				p.m.storeAck(reply)
@@ -297,7 +301,7 @@ func (p *peerPool) route(addr string, m findSuccMsg, known *chord.Machine) (f ch
 
 // ping is one ping exchange with addr; a reply but a pong is an error.
 func (p *peerPool) ping(addr string) error {
-	_, err := call(p, addr, pingFrame, decodePong)
+	_, err := call(p, addr, tagPing, func(dst []byte, _ *wire.Memory) []byte { return append(dst, pingFrame...) }, decodePong)
 	return err
 }
 
@@ -308,16 +312,13 @@ func (pc *peerConn) release() {
 	pc.mu.Unlock()
 }
 
-// roundTrip sends req, encoded against the socket's memory, and reads the
-// reply into pc.rbuf. Caller holds pc.mu.
-func (p *peerPool) roundTrip(pc *peerConn, req []byte) error {
-	if len(req) > maxFrame {
-		return errFrameTooBig // before the slot's buffer grows for it
-	}
+// roundTrip encodes req into pc.wbuf against the socket's memory, sends it
+// and reads the reply into pc.rbuf. Caller holds pc.mu.
+func (p *peerPool) roundTrip(pc *peerConn, req request) error {
 	if err := pc.c.SetDeadline(time.Now().Add(p.rpcTimeout)); err != nil {
 		return err
 	}
-	pc.wbuf = appendRequest(beginFrame(pc.wbuf), req, &pc.mem)
+	pc.wbuf = req(beginFrame(pc.wbuf), &pc.mem)
 	if err := writeFrame(pc.c, pc.wbuf); err != nil {
 		return err
 	}

@@ -23,8 +23,8 @@ func TestInsertRetriesAtFreshTarget(t *testing.T) {
 	var mu sync.Mutex
 	var keys []uint64
 	entry := fakePeer(t, func(_ string, req []byte) []byte {
-		m, err := decodeFindSucc(req)
-		if err != nil || m.store == nil {
+		m, err := decodeFindSucc(req, nil)
+		if err != nil || !m.isStore() {
 			t.Errorf("entry got %x (%v), want a routed store", req, err)
 			return encodeErr(dht.ClassOther, 0, 0)
 		}

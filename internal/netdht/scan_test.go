@@ -67,12 +67,17 @@ func TestSegmentMapResolve(t *testing.T) {
 		t.Errorf("view not a sorted set of 5 owners: %+v", m.arcs)
 	}
 	// A reply without a neighbourhood, or one that repeats a node, teaches
-	// nothing — in particular no arc that spans the whole circle.
+	// nothing — in particular no arc that spans the whole circle — unless its
+	// owner names itself its predecessor: a ring of one answers for all of it.
 	m.arcs = nil
 	m.learn(chord.Found{Owner: ref(100)})
-	m.learn(chord.Found{Owner: ref(100), Near: &chord.Neighbors{Pred: ref(100), Succ: []chord.Ref{ref(100)}}})
+	m.learn(chord.Found{Owner: ref(100), Near: &chord.Neighbors{Succ: []chord.Ref{ref(100)}}})
 	if got, ok := m.resolve(42); ok {
 		t.Errorf("degenerate replies resolved a target to %v", got)
+	}
+	m.learn(chord.Found{Owner: ref(100), Near: &chord.Neighbors{Pred: ref(100)}})
+	if got, ok := m.resolve(42); !ok || got.owner.ID != 100 || len(m.arcs) != 1 {
+		t.Errorf("a ring of one's reply resolved 42 to %v, %v; want node 100", got, ok)
 	}
 }
 
@@ -484,7 +489,7 @@ func TestScanStaleMapEntry(t *testing.T) {
 				live := chord.Ref{ID: liveID, Addr: self}
 				switch req[1] {
 				case tagFindSucc:
-					m, err := decodeFindSucc(req)
+					m, err := decodeFindSucc(req, nil)
 					if err != nil || m.flags&flagNeighbors == 0 {
 						t.Errorf("scan lookup %x: err %v, want flagNeighbors set", req, err)
 					}

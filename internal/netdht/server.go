@@ -220,16 +220,16 @@ func (s *Server) handleConn(c net.Conn) {
 // built in, and the scratch the handlers decode and route with. A request
 // is valid until the next one is read, a reply until the next one is
 // started; nothing a handler produces points into either once the reply is
-// written — a tuple is stored as a key, a relayed store is copied into the
-// outbound slot before it is sent (peerPool.exchange) — so a request leaves
-// no garbage behind and no bytes for the next one to find.
+// written — a tuple is stored as a key, a relayed store is encoded from the
+// read buffer into the outbound slot before it is sent (peerPool.route) —
+// so a request leaves no garbage behind and no bytes for the next one to
+// find.
 type inbound struct {
 	s          *Server
 	rbuf, wbuf []byte
 	route      tcpPeers // handed to the state machine by pointer, per request
 	metrics    []uint64 // a probe request's metric list
 	words      []uint64 // one (metric, bit) answer out of the store
-	tuple      []byte   // a kept store's tuple frame, expanded from the memory
 	// mem is what the connection's probes and routed stores have carried,
 	// the asking slot's memory at this end: born empty with the connection,
 	// gone with it.
@@ -260,7 +260,7 @@ func (in *inbound) step(c net.Conn) (err error) {
 		return err
 	}
 	err = writeFrame(c, in.dispatch(in.rbuf))
-	in.rbuf, in.wbuf, in.tuple = trimFrame(in.rbuf), trimFrame(in.wbuf), trimFrame(in.tuple)
+	in.rbuf, in.wbuf = trimFrame(in.rbuf), trimFrame(in.wbuf)
 	if err == nil && in.end {
 		err = errRefused
 	}
@@ -327,11 +327,12 @@ func (in *inbound) handleRequest(dst, req []byte) []byte {
 // A client that believes this node owns the key sends the store here
 // first, unflagged: Route's own (pred, self] check decides whether it does.
 // A store and its ack travel against the connection's memory, and a store
-// that does not decode ends the connection once it is refused.
+// that does not decode ends the connection once it is refused. The request
+// is decoded once, here: a relay hands the value on (tcpPeers.FindSucc) and
+// the storing node applies it, its vectors read where they arrived.
 func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 	s := in.s
-	m, tuple, err := decodeFindSuccOn(req, &in.mem, in.tuple)
-	in.tuple = tuple
+	m, err := decodeFindSucc(req, &in.mem)
 	if err != nil {
 		in.end = req[1] != tagFindSucc
 		return appendErr(dst, dht.ClassOther, 0, 0)
@@ -343,11 +344,11 @@ func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 		s.Counters().AddRouted()
 	}
 	near := m.flags&flagNeighbors != 0
-	// m.store points into the connection's read buffer or, expanded from a
-	// kept store, its tuple scratch, and stays good until this request is
-	// answered: a relay encodes it into the outbound slot before sending,
-	// the storing node keeps a key, not the bytes.
-	in.route.near, in.route.store = near, m.store
+	// m.tuple's vectors point into the connection's read buffer, and stay
+	// good until this request is answered: a relay encodes them into the
+	// outbound slot before sending, the storing node keeps a key, not the
+	// bytes.
+	in.route.near, in.route.tuple = near, m.tuple
 	f := s.Protocol().HandleFindSucc(&in.route, m.key, int(m.hops), int(m.stale), m.flags&flagDeliver != 0)
 	if f.Err != nil {
 		return appendErr(dst, dht.ClassOf(f.Err), uint16(f.Hops), uint16(f.Stale))
@@ -356,26 +357,39 @@ func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 	// built in a copy, because f.Err reaches dht.ClassOf and a neighbourhood
 	// stored in f would go to the heap with it.
 	reply := f
-	if m.store != nil {
+	if m.isStore() {
 		// The machine names this node, and no peer's ack does (a short one
 		// names nobody, a long one comes with a neighbourhood): the route
 		// ended here.
 		if f.Owner.Addr == s.addr && f.Near == nil {
-			if c := s.applyStore(m.store); c != dht.ClassNone {
+			if c := s.applyStore(m.tuple); c != dht.ClassNone {
 				return appendErr(dst, c, uint16(f.Hops), uint16(f.Stale))
 			}
 			if near {
-				nb := s.Protocol().Neighbors()
+				nb := s.near()
 				reply.Near = &nb
 			}
 		}
 		return appendStoreAck(dst, reply, &in.mem)
 	}
 	if near && f.Owner.ID == s.ID() {
-		nb := s.Protocol().Neighbors()
+		nb := s.near()
 		reply.Near = &nb
 	}
 	return appendFindSuccResp(dst, reply)
+}
+
+// near is the neighbourhood this node states in its replies — its own word
+// on its arc: the protocol's, except that a ring of one, with neither a
+// predecessor nor a successor, names itself its predecessor, since its Route
+// answers for the whole circle. A node that knows successors but no
+// predecessor names none, and a client keeps no arc for it.
+func (s *Server) near() chord.Neighbors {
+	nb := s.Protocol().Neighbors()
+	if !nb.Pred.Valid() && len(nb.Succ) == 0 {
+		nb.Pred = s.Protocol().Self()
+	}
+	return nb
 }
 
 // tcpPeers is the TCP transport of the Chord protocol: each call is one
@@ -389,14 +403,15 @@ func (in *inbound) handleFindSucc(dst, req []byte) []byte {
 type tcpPeers struct {
 	s     *Server
 	near  bool        // relaying a request with flagNeighbors: forward it set
-	store []byte      // relaying a tagStore: the tuple frame to forward with it
+	tuple wire.Tuple  // relaying a tagStore: the tuple to forward with it
 	succ  []chord.Ref // the array the last neighbors reply was decoded into
 }
 
 // Neighbors decodes the reply's successor list into p's own array, which the
 // next call reuses (chord.Peers).
 func (p *tcpPeers) Neighbors(to chord.Ref) (chord.Neighbors, error) {
-	nb, err := call(p.s.peers, to.Addr, neighborsReqFrame, func(reply []byte) (chord.Neighbors, error) {
+	req := func(dst []byte, _ *wire.Memory) []byte { return append(dst, neighborsReqFrame...) }
+	nb, err := call(p.s.peers, to.Addr, tagNeighbors, req, func(reply []byte) (chord.Neighbors, error) {
 		return decodeNeighborsResp(reply, p.succ, p.s.Protocol())
 	})
 	if err != nil {
@@ -408,8 +423,8 @@ func (p *tcpPeers) Neighbors(to chord.Ref) (chord.Neighbors, error) {
 }
 
 func (p *tcpPeers) Notify(to, self chord.Ref) (bool, error) {
-	var req [rpcScratch]byte
-	return call(p.s.peers, to.Addr, appendNotify(req[:0], self), decodeAck)
+	req := func(dst []byte, _ *wire.Memory) []byte { return appendNotify(dst, self) }
+	return call(p.s.peers, to.Addr, tagNotify, req, decodeAck)
 }
 
 func (p *tcpPeers) Ping(to chord.Ref) error { return p.s.peers.ping(to.Addr) }
@@ -423,7 +438,7 @@ func (p *tcpPeers) Ping(to chord.Ref) error { return p.s.peers.ping(to.Addr) }
 // (dht.ClassDown, or dht.ClassNone, which no failure is), and, to a relayed store,
 // any reply but a store ack (peerPool.route).
 func (p *tcpPeers) FindSucc(to chord.Ref, key uint64, hops, stale int, deliver bool) (chord.Found, error) {
-	m := findSuccMsg{key: key, hops: uint16(hops), stale: uint16(stale), store: p.store}
+	m := findSuccMsg{key: key, hops: uint16(hops), stale: uint16(stale), tuple: p.tuple}
 	if deliver {
 		m.flags |= flagDeliver
 	}
@@ -448,34 +463,22 @@ func (p *tcpPeers) Reseed(_, pred chord.Ref) chord.Ref { return pred }
 // ---------------------------------------------------------------------
 // Data plane: insert and probe RPCs (the cmd/dhsnode path; in-process
 // clusters let core access the store directly, like the simulator). The
-// client's inserts reach applyStore as the payload of a routed store
+// client's inserts reach applyStore as the tuple of a routed store
 // (handleFindSucc) and no other way: handleRequest refuses a bare insert
 // frame.
 
-// applyStore stores the tuple frame a routed store ended here with — one
-// tuple or one bit position's batch — and returns the class to refuse it
-// with, dht.ClassNone when it is stored. The ack is the routed store's own
+// applyStore stores the tuple a routed store ended here with — one tuple
+// or one bit position's batch — and returns the class to refuse it with,
+// dht.ClassNone when it is stored. The ack is the routed store's own
 // (tagStoreAck).
-func (s *Server) applyStore(frame []byte) dht.Class {
-	var m wire.BulkInsert
-	var err error
-	if frame[1] == wire.TagBulkInsert {
-		m, err = wire.DecodeBulkInsert(frame)
-	} else {
-		var t wire.Insert
-		t, err = wire.DecodeInsert(frame)
-		m = wire.BulkInsert{Metric: t.Metric, Bit: t.Bit, TTL: t.TTL, Vectors: []uint16{t.Vector}}
-	}
-	if err != nil {
-		return dht.ClassOther
-	}
+func (s *Server) applyStore(t wire.Tuple) dht.Class {
 	if !s.Alive() {
 		return dht.ClassDown
 	}
 	st := s.ensureStore()
-	expiry := store.Expiry(s.nowFn(), int64(m.TTL))
-	for _, v := range m.Vectors {
-		st.Set(store.Key{Metric: m.Metric, Vector: int32(v), Bit: m.Bit}, expiry)
+	expiry := store.Expiry(s.nowFn(), int64(t.TTL))
+	for i := 0; i < len(t.Vectors)/2; i++ {
+		st.Set(store.Key{Metric: uint64(t.Metric), Vector: int32(t.Vector(i)), Bit: t.Bit}, expiry)
 	}
 	s.Counters().AddStoreOps()
 	return dht.ClassNone
@@ -524,10 +527,11 @@ func (in *inbound) handleProbeReq(dst, req []byte) []byte {
 		}
 	}
 	// The reply ends with the arc this node answers for — from its
-	// predecessor, when it knows one, up to itself — so that a client which
-	// remembered the node hears of a join or a leave in front of it from the
-	// reply it came for (DESIGN.md §14).
-	if pred := s.Protocol().Neighbors().Pred; pred.Valid() {
+	// predecessor, when it knows one, up to itself, or all of the circle on a
+	// ring of one (near) — so that a client which remembered the node hears
+	// of a join or a leave in front of it from the reply it came for
+	// (DESIGN.md §14).
+	if pred := s.near().Pred; pred.Valid() {
 		resp = wire.AppendArc(resp, pred.ID)
 	}
 	// The dense reply goes out in its shortest form: each mask dense, as the

@@ -67,7 +67,7 @@ func firstHops(reg *metrics.Registry) (view, entry uint64) {
 // reports whether the view chose its first hop.
 func storeTracked(c *Client, reg *metrics.Registry, target uint64, tuple wire.Insert) (ack chord.Found, byView bool, err error) {
 	before, _ := firstHops(reg)
-	ack, err = c.store(target, wire.EncodeInsert(tuple))
+	ack, err = c.store(target, tupleOf(wire.EncodeInsert(tuple)))
 	after, _ := firstHops(reg)
 	return ack, after != before, err
 }
@@ -196,7 +196,7 @@ func TestInsertPlacementAndBudget(t *testing.T) {
 	for _, w := range want {
 		_, warm := c2.view.resolve(w.target)
 		routed0 := routedTotal(servers)
-		ack, err := c2.store(w.target, wire.EncodeInsert(w.tuple))
+		ack, err := c2.store(w.target, tupleOf(wire.EncodeInsert(w.tuple)))
 		if err != nil {
 			t.Fatalf("store at %016x: %v", w.target, err)
 		}
@@ -270,7 +270,7 @@ func TestStoreSeesJoin(t *testing.T) {
 	}
 	// The old owner keeps what is still its own, at no hops.
 	tuple := wire.Insert{Metric: 6, Vector: 9, Bit: 1}
-	if ack, err := c.store(first.ID(), wire.EncodeInsert(tuple)); err != nil || ack.Hops != 0 || ack.Near != nil {
+	if ack, err := c.store(first.ID(), tupleOf(wire.EncodeInsert(tuple))); err != nil || ack.Hops != 0 || ack.Near != nil {
 		t.Errorf("store at the first server's identifier: ack %+v, %v", ack, err)
 	}
 	if on := onOracleOwner(t, cl, first.ID(), tuple); on != first {
@@ -479,7 +479,7 @@ func TestStoreConcurrentChurn(t *testing.T) {
 		vector, bit := c.geom.Split(uint64(i)*0x9e3779b97f4a7c15 + 1)
 		tuple := wire.Insert{Metric: 6, Vector: uint16(vector), Bit: uint8(bit)}
 		target := c.randomTarget(bit)
-		if _, err := c.store(target, wire.EncodeInsert(tuple)); err != nil {
+		if _, err := c.store(target, tupleOf(wire.EncodeInsert(tuple))); err != nil {
 			t.Fatalf("store %d at %016x on the settled ring: %v", i, target, err)
 		}
 		owner := onOracleOwner(t, cl, target, tuple)
@@ -576,7 +576,7 @@ func TestRoutedStoreBulkFrame(t *testing.T) {
 	t.Cleanup(s.Close)
 	c, _ := storeClient(t, s.Addr(), 1)
 	vectors := []uint16{1, 5, 63}
-	if _, err := c.store(42, wire.EncodeBulkInsert(wire.BulkInsert{Metric: 4, Bit: 3, Vectors: vectors})); err != nil {
+	if _, err := c.store(42, tupleOf(wire.EncodeBulkInsert(wire.BulkInsert{Metric: 4, Bit: 3, Vectors: vectors}))); err != nil {
 		t.Fatalf("bulk store: %v", err)
 	}
 	for _, v := range vectors {
@@ -603,7 +603,7 @@ func TestBareInsertFrameRefused(t *testing.T) {
 		"insert":      wire.EncodeInsert(wire.Insert{Metric: 4, Vector: 5, Bit: 3}),
 		"bulk insert": wire.EncodeBulkInsert(wire.BulkInsert{Metric: 4, Bit: 3, Vectors: []uint16{1, 5}}),
 	} {
-		_, err := call(c.peers, s.Addr(), frame, decodeAck)
+		_, err := call(c.peers, s.Addr(), frame[1], raw(frame), decodeAck)
 		if re, ok := err.(remoteErr); !ok || re.class != dht.ClassOther {
 			t.Errorf("bare %s frame got %v, want dht.ClassOther", name, err)
 		}
@@ -637,7 +637,7 @@ func TestRoutedStoreCrashedOwner(t *testing.T) {
 
 	tuple := wire.Insert{Metric: 5, Vector: 3, Bit: 2}
 	start := time.Now()
-	ack, err := c.store(target, wire.EncodeInsert(tuple))
+	ack, err := c.store(target, tupleOf(wire.EncodeInsert(tuple)))
 	if took := time.Since(start); took > defaultRPCTimeout {
 		t.Errorf("store over a crashed owner took %v, past the RPC timeout", took)
 	}
@@ -673,7 +673,7 @@ func TestRoutedStoreDownTerminal(t *testing.T) {
 	defer down.SetAlive(true)
 
 	_, err := c.peers.route(down.Addr(), findSuccMsg{
-		flags: flagForwarded | flagDeliver, key: target, hops: 2, stale: 1, store: wire.EncodeInsert(tuple)}, nil)
+		flags: flagForwarded | flagDeliver, key: target, hops: 2, stale: 1, tuple: tupleOf(wire.EncodeInsert(tuple))}, nil)
 	if re, ok := err.(remoteErr); !ok || re.class != dht.ClassDown || re.hops != 2 || re.stale != 1 || !errors.Is(err, dht.ErrNodeDown) {
 		t.Fatalf("down node answered %+v (%v), want dht.ClassDown with the cost so far", re, err)
 	}
@@ -682,7 +682,7 @@ func TestRoutedStoreDownTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("find_succ around the down node: %v", err)
 	}
-	ack, err := c.store(target, wire.EncodeInsert(tuple))
+	ack, err := c.store(target, tupleOf(wire.EncodeInsert(tuple)))
 	if err != nil {
 		t.Fatalf("store around the down node: %v", err)
 	}
@@ -702,8 +702,8 @@ func TestRoutedStoreDownTerminal(t *testing.T) {
 func TestRoutedStoreUnhonoured(t *testing.T) {
 	const fakeID = 1 << 62
 	fake := fakePeer(t, func(self string, req []byte) []byte {
-		m, err := decodeFindSucc(req)
-		if err != nil || m.store == nil {
+		m, err := decodeFindSucc(req, nil)
+		if err != nil || !m.isStore() {
 			t.Errorf("fake peer got %x (%v), want a routed store", req, err)
 		}
 		return encodeFindSuccResp(chord.Found{Hops: int(m.hops), Stale: int(m.stale), Owner: chord.Ref{ID: fakeID, Addr: self}})
@@ -729,7 +729,7 @@ func TestRoutedStoreUnhonoured(t *testing.T) {
 		s.Protocol().Seed(ref, []chord.Ref{ref}, fingers)
 
 		c, _ := storeClient(t, s.Addr(), 1)
-		ack, err := c.store(fakeID, wire.EncodeInsert(wire.Insert{Metric: 1}))
+		ack, err := c.store(fakeID, tupleOf(wire.EncodeInsert(wire.Insert{Metric: 1})))
 		if !errors.Is(err, dht.ErrNoRoute) {
 			t.Fatalf("store relayed to a peer that ignores the tuple: ack %+v, err %v; want dht.ErrNoRoute", ack, err)
 		}
@@ -748,12 +748,12 @@ func TestRoutedStoreCodec(t *testing.T) {
 	insert := wire.EncodeInsert(wire.Insert{Metric: 0xabcdef, Vector: 63, Bit: 10, TTL: 1200})
 	bulk := wire.EncodeBulkInsert(wire.BulkInsert{Metric: 9, Bit: 4, TTL: 7, Vectors: []uint16{1, 2, 3}})
 	for _, payload := range [][]byte{insert, bulk, wire.EncodeBulkInsert(wire.BulkInsert{Metric: 9})} {
-		m := findSuccMsg{flags: flagForwarded | flagDeliver, key: math.MaxUint64, hops: 7, stale: 2, store: payload}
+		m := findSuccMsg{flags: flagForwarded | flagDeliver, key: math.MaxUint64, hops: 7, stale: 2, tuple: tupleOf(payload)}
 		frame := encodeFindSucc(m)
 		if len(frame) != findSuccHeader+len(payload) || frame[1] != tagStore {
 			t.Fatalf("store frame is %d bytes with tag %#x, want %d with tagStore", len(frame), frame[1], findSuccHeader+len(payload))
 		}
-		if got, err := decodeFindSucc(frame); err != nil || !reflect.DeepEqual(got, m) {
+		if got, err := decodeFindSucc(frame, nil); err != nil || !reflect.DeepEqual(got, m) {
 			t.Errorf("round trip of %x: %+v, %v", payload, got, err)
 		}
 	}
@@ -761,11 +761,11 @@ func TestRoutedStoreCodec(t *testing.T) {
 	if len(plain) != findSuccHeader || plain[1] != tagFindSucc {
 		t.Errorf("plain find_succ is %d bytes with tag %#x", len(plain), plain[1])
 	}
-	if len(insert) != insertFrameLen {
-		t.Fatalf("insert frame is %d bytes, insertFrameLen says %d", len(insert), insertFrameLen)
+	if size := tupleOf(insert).Size(); size != len(insert) {
+		t.Fatalf("insert frame is %d bytes, its tuple's Size says %d", len(insert), size)
 	}
 
-	with := func(payload []byte) []byte { return encodeFindSucc(findSuccMsg{key: 1, store: payload}) }
+	with := func(payload []byte) []byte { return storeFrame(findSuccMsg{key: 1}, payload) }
 	retag := func(frame []byte, at int, b byte) []byte {
 		out := append([]byte(nil), frame...)
 		out[at] = b
@@ -792,7 +792,7 @@ func TestRoutedStoreCodec(t *testing.T) {
 		"foreign frame version":   retag(with(insert), 0, wire.Version+1),
 		"truncated header":        with(insert)[:findSuccHeader-1],
 	} {
-		if m, err := decodeFindSucc(frame); err == nil {
+		if m, err := decodeFindSucc(frame, nil); err == nil {
 			t.Errorf("%s: accepted as %+v", name, m)
 		} else if !errors.Is(err, wire.ErrShort) && !errors.Is(err, wire.ErrBadMessage) {
 			t.Errorf("%s: error %v is not a wire decode error", name, err)

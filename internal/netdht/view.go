@@ -10,8 +10,8 @@ import (
 )
 
 // segment is one arc (lo, owner.ID] of the identifier circle; lo ==
-// owner.ID is the whole circle, which neither learn nor confirm records
-// and only an inherited arc (rpcProber.reroute) reaches.
+// owner.ID is the whole circle: a ring of one's (Server.near), or an
+// inherited arc (rpcProber.reroute).
 type segment struct {
 	lo    uint64
 	owner chord.Ref
@@ -89,18 +89,20 @@ func (v *ringView) arc(id uint64) (segment, bool) {
 
 // learn adds the arcs one routed reply's neighbourhood spells out — (pred,
 // owner], (owner, s₀], (s₀, s₁], … — each replacing, as put has it, what
-// earlier replies said of the nodes on it.
+// earlier replies said of the nodes on it. An owner that names itself its
+// predecessor, a ring of one (Server.near), answers for the whole circle.
 func (v *ringView) learn(f chord.Found) {
 	if f.Near == nil {
 		return
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	prev := f.Near.Pred
-	for _, n := range append([]chord.Ref{f.Owner}, f.Near.Succ...) {
-		// An unknown predecessor leaves the owner's own arc unknown, and a
-		// reply that repeats a node spells out no arc.
-		if prev.Valid() && prev.ID != n.ID {
+	if pred := f.Near.Pred; pred.Valid() { // an unknown one leaves the owner's arc unknown
+		v.put(segment{lo: pred.ID, owner: f.Owner})
+	}
+	prev := f.Owner
+	for _, n := range f.Near.Succ {
+		if prev.ID != n.ID { // a reply that repeats a node spells out no arc
 			v.put(segment{lo: prev.ID, owner: n})
 		}
 		prev = n
@@ -125,11 +127,11 @@ func (v *ringView) drop(id uint64) {
 // starts, and reports whether the arc holds target. The word replaces what
 // the view remembered (put): a shorter arc leaves the identifiers in front
 // of it to a node the view has yet to hear of; a longer one swallows the
-// entries now inside it. An owner that cannot say (known is
-// false, or the start is its own identifier) keeps no arc at all, as learn
-// gives none to an owner whose predecessor is unknown.
+// entries now inside it, and a start at the owner's own identifier is the
+// whole circle. An owner that cannot say (known is false) keeps no arc at
+// all, as learn gives none to an owner whose predecessor is unknown.
 func (v *ringView) confirm(owner chord.Ref, lo uint64, known bool, target uint64) bool {
-	if !known || lo == owner.ID {
+	if !known {
 		v.drop(owner.ID)
 		return false
 	}

@@ -63,10 +63,12 @@ func TestViewConfirm(t *testing.T) {
 	if got := owners(); !reflect.DeepEqual(got, []uint64{100, 500}) {
 		t.Errorf("owners after 100 swallowed 900: %v", got)
 	}
-	// An owner that does not know, or names itself, keeps no arc.
-	if v.confirm(ref(500), 0, false, 400) || v.confirm(ref(100), 100, true, 50) || len(v.arcs) != 0 {
-		t.Errorf("unknown arcs were kept: %+v", v.arcs)
+	// An owner that does not know keeps no arc; one that names itself, a ring
+	// of one, keeps the whole circle.
+	if v.confirm(ref(500), 0, false, 400) || !v.confirm(ref(100), 100, true, 50) || len(v.arcs) != 1 {
+		t.Errorf("after an unknown arc and a whole circle the view holds %+v", v.arcs)
 	}
+	v.drop(100)
 	// A lookup's word weighs the same: 300 left, and a reply that spells out
 	// (100, 500] leaves no 300 for 150 to resolve to.
 	v.learn(ring)
@@ -521,5 +523,37 @@ func TestRestartOnNewAddress(t *testing.T) {
 	}
 	if arc, known := c.view.arc(old.ID()); !known || arc.owner.Addr != restarted.Addr() {
 		t.Errorf("the view holds %+v (%v) of the restarted node, want it at %s", arc, known, restarted.Addr())
+	}
+}
+
+// TestViewRingOfOne: a ring of one answers for the whole circle and says so
+// — itself for predecessor in a flagged reply, its own identifier as the arc
+// of a probe reply — so a client keeps its one arc after one count, and the
+// counts after it route nothing and are not repairs.
+func TestViewRingOfOne(t *testing.T) {
+	s, err := NewServer("127.0.0.1:0", Options{})
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	t.Cleanup(s.Close)
+	loadRing(t, s.Addr(), sketch.KindSuperLogLog, 0, 600)
+	c, reg := storeClient(t, s.Addr(), 3)
+	first, err := c.Count(5)
+	if err != nil {
+		t.Fatalf("Count: %v", err)
+	}
+	id := fmt.Sprintf("%016x", s.ID())
+	if v := c.View(); len(v) != 1 || v[0].ID != id || v[0].From != id {
+		t.Fatalf("after one count the view holds %+v, want the whole circle of %s", v, id)
+	}
+	lookups := outRPCs(reg, "find_succ")
+	for i := 0; i < 3; i++ {
+		res, err := c.Count(5)
+		if err != nil || res != first || res.RepairWindow {
+			t.Fatalf("count %d: %+v, %v; want %+v, no repair", i, res, err, first)
+		}
+	}
+	if n := outRPCs(reg, "find_succ") - lookups; n != 0 {
+		t.Errorf("warm counts on a ring of one sent %d find_succ, want 0", n)
 	}
 }

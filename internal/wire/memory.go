@@ -312,24 +312,21 @@ func (k *KeptReq) Accept(kept int, fields []byte, whole int) error {
 // metric list, folded two bytes each.
 var probeLayout = Layout{1, 1, 2, List}
 
-// AppendProbeReqOn appends req, a probe request frame as AppendProbeReq
-// builds it, to dst as the connection whose memory is kept sends it: as
-// TagProbeReqKept when the memory holds a request and the kept form is no
-// longer than req, else as it is; and records it there. With kept nil it goes
-// as it is. A frame that does not decode goes as it is too, and is not
-// recorded: its receiver refuses it and ends the connection.
-func AppendProbeReqOn(dst, req []byte, kept *Memory) []byte {
-	h, err := splitProbeReq(req)
-	if err != nil || kept == nil {
-		return append(dst, req...)
+// AppendProbeReqOn appends req to dst as the connection whose memory is
+// kept sends it: as TagProbeReqKept when the memory holds a request and the
+// kept form is no longer than the stateless frame (AppendProbeReq), else as
+// that; and records it there. With kept nil it goes stateless. A request
+// AppendProbeReq refuses appends nothing and is not recorded.
+func AppendProbeReqOn(dst []byte, req ProbeReq, kept *Memory) []byte {
+	if kept != nil && req.check() == nil {
+		var f [keptBytes]byte
+		now := req.fields(f[:0])
+		out, ok := kept.probe.AppendKept(dst, TagProbeReqKept, nil, probeLayout, now, 0, req.wholeLen())
+		if kept.probe.Record(now); ok {
+			return out
+		}
 	}
-	var f [keptBytes]byte
-	now := h.fields(f[:0])
-	dst, ok := kept.probe.AppendKept(dst, TagProbeReqKept, nil, probeLayout, now, 0, len(req))
-	if !ok {
-		dst = append(dst, req...)
-	}
-	kept.probe.Record(now)
+	dst, _ = AppendProbeReq(dst, req)
 	return dst
 }
 
@@ -344,10 +341,11 @@ func DecodeProbeReqOn(metrics []uint64, buf []byte, kept *Memory) (ProbeReq, err
 		if err != nil {
 			return ProbeReq{}, err
 		}
+		req := h.req(metrics)
 		if kept != nil {
-			kept.probe.Record(h.fields(f[:0]))
+			kept.probe.Record(req.fields(f[:0]))
 		}
-		return h.req(metrics), nil
+		return req, nil
 	}
 	if kept == nil {
 		return ProbeReq{}, ErrBadMessage
@@ -360,8 +358,9 @@ func DecodeProbeReqOn(metrics []uint64, buf []byte, kept *Memory) (ProbeReq, err
 	if len(rest) != 0 || !runFits(h.bit, h.span) {
 		return ProbeReq{}, ErrBadMessage
 	}
-	if err := kept.probe.Accept(len(buf), fields, h.wholeLen()); err != nil {
+	req := h.req(metrics)
+	if err := kept.probe.Accept(len(buf), fields, req.wholeLen()); err != nil {
 		return ProbeReq{}, err
 	}
-	return h.req(metrics), nil
+	return req, nil
 }

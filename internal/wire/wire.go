@@ -136,31 +136,25 @@ func FoldMetric(metric uint64) uint16 {
 
 // AppendInsert appends the serialized Insert message to dst.
 func AppendInsert(dst []byte, m Insert) []byte {
-	dst = append(dst, Version, TagInsert)
-	dst = binary.BigEndian.AppendUint16(dst, FoldMetric(m.Metric))
-	dst = binary.BigEndian.AppendUint16(dst, m.Vector)
-	dst = append(dst, m.Bit)
-	return binary.BigEndian.AppendUint16(dst, m.TTL)
+	var v [2]byte
+	binary.BigEndian.PutUint16(v[:], m.Vector)
+	return AppendTuple(dst, Tuple{Tag: TagInsert, Metric: FoldMetric(m.Metric), Bit: m.Bit, TTL: m.TTL, Vectors: v[:]})
 }
 
 // EncodeInsert serializes an Insert message into a buffer of its own.
 func EncodeInsert(m Insert) []byte { return AppendInsert(make([]byte, 0, insertSize), m) }
 
-// DecodeInsert parses an Insert message. The Metric field of the result
-// holds the folded 16-bit identifier.
+// DecodeInsert parses an Insert message; bytes behind its nine are not
+// read. The Metric field of the result holds the folded 16-bit identifier.
 func DecodeInsert(buf []byte) (Insert, error) {
-	if len(buf) < insertSize {
-		return Insert{}, ErrShort
+	t, err := ReadTuple(buf[:min(len(buf), insertSize)])
+	if err == nil && t.Tag != TagInsert {
+		err = ErrBadMessage
 	}
-	if buf[0] != Version || buf[1] != TagInsert {
-		return Insert{}, ErrBadMessage
+	if err != nil {
+		return Insert{}, err
 	}
-	return Insert{
-		Metric: uint64(binary.BigEndian.Uint16(buf[2:])),
-		Vector: binary.BigEndian.Uint16(buf[4:]),
-		Bit:    buf[6],
-		TTL:    binary.BigEndian.Uint16(buf[7:]),
-	}, nil
+	return Insert{Metric: uint64(t.Metric), Vector: t.Vector(0), Bit: t.Bit, TTL: t.TTL}, nil
 }
 
 // BulkInsert carries every vector that sets one bit position of one
@@ -175,39 +169,90 @@ type BulkInsert struct {
 // EncodeBulkInsert serializes a BulkInsert message: an 8-byte header
 // followed by 2 bytes per vector.
 func EncodeBulkInsert(m BulkInsert) []byte {
-	buf := make([]byte, 8+2*len(m.Vectors))
-	buf[0] = Version
-	buf[1] = TagBulkInsert
-	binary.BigEndian.PutUint16(buf[2:], FoldMetric(m.Metric))
-	buf[4] = m.Bit
-	binary.BigEndian.PutUint16(buf[5:], m.TTL)
-	// buf[7] reserved; the vector count is implicit in the length.
-	for i, v := range m.Vectors {
-		binary.BigEndian.PutUint16(buf[8+2*i:], v)
+	buf := AppendTuple(make([]byte, 0, 8+2*len(m.Vectors)), Tuple{Tag: TagBulkInsert, Metric: FoldMetric(m.Metric), Bit: m.Bit, TTL: m.TTL})
+	for _, v := range m.Vectors {
+		buf = binary.BigEndian.AppendUint16(buf, v)
 	}
 	return buf
 }
 
 // DecodeBulkInsert parses a BulkInsert message.
 func DecodeBulkInsert(buf []byte) (BulkInsert, error) {
-	if len(buf) < 8 {
-		return BulkInsert{}, ErrShort
+	t, err := ReadTuple(buf)
+	if err == nil && t.Tag != TagBulkInsert {
+		err = ErrBadMessage
 	}
-	if buf[0] != Version || buf[1] != TagBulkInsert {
-		return BulkInsert{}, ErrBadMessage
+	if err != nil {
+		return BulkInsert{}, err
 	}
-	if (len(buf)-8)%2 != 0 {
-		return BulkInsert{}, ErrBadMessage
-	}
-	m := BulkInsert{
-		Metric: uint64(binary.BigEndian.Uint16(buf[2:])),
-		Bit:    buf[4],
-		TTL:    binary.BigEndian.Uint16(buf[5:]),
-	}
-	for i := 8; i < len(buf); i += 2 {
-		m.Vectors = append(m.Vectors, binary.BigEndian.Uint16(buf[i:]))
+	m := BulkInsert{Metric: uint64(t.Metric), Bit: t.Bit, TTL: t.TTL}
+	for i := 0; i < len(t.Vectors)/2; i++ {
+		m.Vectors = append(m.Vectors, t.Vector(i))
 	}
 	return m, nil
+}
+
+// Tuple is a tuple frame of either kind, an Insert's (one vector) or a
+// BulkInsert's, as the one codec of its layout reads it in place: Metric
+// folded, Vectors the frame's own run of 2-byte vectors, and a bulk frame's
+// Reserved byte, so that the value encodes to the frame it was read from.
+// The Insert and BulkInsert codecs go through it.
+type Tuple struct {
+	Tag      byte
+	Metric   uint16
+	Bit      uint8
+	TTL      uint16
+	Reserved byte
+	Vectors  []byte
+}
+
+// Vector returns t's i-th vector, of len(t.Vectors)/2.
+func (t Tuple) Vector(i int) uint16 { return binary.BigEndian.Uint16(t.Vectors[2*i:]) }
+
+// Size is the length of t's frame, or 0 when t is no tuple frame: a tag
+// of neither kind, an Insert with other than one vector or with a reserved
+// byte, or a run of vectors cut mid-vector.
+func (t Tuple) Size() int {
+	switch {
+	case t.Tag == TagInsert && len(t.Vectors) == 2 && t.Reserved == 0:
+		return insertSize
+	case t.Tag == TagBulkInsert && len(t.Vectors)%2 == 0:
+		return 8 + len(t.Vectors)
+	}
+	return 0
+}
+
+// AppendTuple appends t's frame to dst: version, tag, the folded metric,
+// then for an Insert its vector, bit and TTL, and for a BulkInsert its bit,
+// TTL, reserved byte and vectors, whose count is the frame's length.
+func AppendTuple(dst []byte, t Tuple) []byte {
+	dst = binary.BigEndian.AppendUint16(append(dst, Version, t.Tag), t.Metric)
+	if t.Tag == TagInsert {
+		return binary.BigEndian.AppendUint16(append(append(dst, t.Vectors...), t.Bit), t.TTL)
+	}
+	dst = binary.BigEndian.AppendUint16(append(dst, t.Bit), t.TTL)
+	return append(append(dst, t.Reserved), t.Vectors...)
+}
+
+// ReadTuple reads buf, which must be one whole tuple frame and nothing
+// behind it, into a Tuple whose Vectors point into buf.
+func ReadTuple(buf []byte) (Tuple, error) {
+	if len(buf) < 8 || buf[1] == TagInsert && len(buf) < insertSize {
+		return Tuple{}, ErrShort
+	}
+	t := Tuple{Tag: buf[1], Metric: binary.BigEndian.Uint16(buf[2:])}
+	switch {
+	case buf[0] != Version:
+		return Tuple{}, ErrBadMessage
+	case t.Tag == TagInsert:
+		t.Vectors, t.Bit, t.TTL = buf[4:6], buf[6], binary.BigEndian.Uint16(buf[7:])
+	case t.Tag == TagBulkInsert:
+		t.Bit, t.TTL, t.Reserved, t.Vectors = buf[4], binary.BigEndian.Uint16(buf[5:]), buf[7], buf[8:]
+	}
+	if t.Size() != len(buf) {
+		return Tuple{}, ErrBadMessage
+	}
+	return t, nil
 }
 
 // ProbeReq asks a node which bitmap vectors have the given bit set, for
@@ -240,11 +285,8 @@ func runFits(bit, span uint8) bool { return int(bit)+int(span) <= math.MaxUint8 
 // metrics as a valid-looking zero-metric request. So does a run past
 // position 255. On error dst comes back as it was.
 func AppendProbeReq(dst []byte, m ProbeReq) ([]byte, error) {
-	if len(m.Metrics) > math.MaxUint16 {
-		return dst, fmt.Errorf("%w: %d probe metrics exceed the uint16 count field", ErrBadMessage, len(m.Metrics))
-	}
-	if !runFits(m.Bit, m.Span) {
-		return dst, fmt.Errorf("%w: probe run %d+%d leaves the bit field", ErrBadMessage, m.Bit, m.Span)
+	if err := m.check(); err != nil {
+		return dst, err
 	}
 	dst = append(dst, Version, TagProbeReq, m.Bit)
 	dst = binary.BigEndian.AppendUint16(dst, m.NumVecs)
@@ -256,6 +298,39 @@ func AppendProbeReq(dst []byte, m ProbeReq) ([]byte, error) {
 		dst = append(dst, m.Span)
 	}
 	return dst, nil
+}
+
+// check refuses a request whose metric count or run its frame cannot carry.
+func (m ProbeReq) check() error {
+	if len(m.Metrics) > math.MaxUint16 {
+		return fmt.Errorf("%w: %d probe metrics exceed the uint16 count field", ErrBadMessage, len(m.Metrics))
+	}
+	if !runFits(m.Bit, m.Span) {
+		return fmt.Errorf("%w: probe run %d+%d leaves the bit field", ErrBadMessage, m.Bit, m.Span)
+	}
+	return nil
+}
+
+// wholeLen is the length of m's stateless frame (AppendProbeReq).
+func (m ProbeReq) wholeLen() int {
+	if m.Span > 0 {
+		return 8 + 2*len(m.Metrics)
+	}
+	return 7 + 2*len(m.Metrics)
+}
+
+// fields appends m's fields in probeLayout to dst, its metrics folded, or
+// returns nil when they are more than a memory holds.
+func (m ProbeReq) fields(dst []byte) []byte {
+	if 6+2*len(m.Metrics) > keptBytes {
+		return nil
+	}
+	dst = binary.BigEndian.AppendUint16(append(dst, m.Bit, m.Span), m.NumVecs)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.Metrics)))
+	for _, metric := range m.Metrics {
+		dst = binary.BigEndian.AppendUint16(dst, FoldMetric(metric))
+	}
+	return dst
 }
 
 // EncodeProbeReq serializes a probe request into a buffer of its own.
@@ -319,24 +394,6 @@ func (h probeHead) req(metrics []uint64) ProbeReq {
 		m.Metrics = append(m.Metrics, uint64(binary.BigEndian.Uint16(h.metrics[i:])))
 	}
 	return m
-}
-
-// fields appends h's fields in probeLayout to dst, or returns nil when they
-// are more than a memory holds.
-func (h probeHead) fields(dst []byte) []byte {
-	if 6+len(h.metrics) > keptBytes {
-		return nil
-	}
-	dst = binary.BigEndian.AppendUint16(append(dst, h.bit, h.span), h.numVecs)
-	return append(binary.BigEndian.AppendUint16(dst, uint16(len(h.metrics)/2)), h.metrics...)
-}
-
-// wholeLen is the length of h's stateless frame (AppendProbeReq).
-func (h probeHead) wholeLen() int {
-	if h.span > 0 {
-		return 8 + len(h.metrics)
-	}
-	return 7 + len(h.metrics)
 }
 
 // headOf reads a probe request's fields in probeLayout.

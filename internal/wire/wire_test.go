@@ -767,10 +767,7 @@ func TestProbeMemoryKeptFormsRefused(t *testing.T) {
 	if q, err := DecodeProbeReqOn(nil, tie, primed()); err != nil || q.Bit != 3 || q.NumVecs != 128 || !slices.Equal(q.Metrics, []uint64{8}) {
 		t.Fatalf("a kept request as long as the whole one: %+v, %v", q, err)
 	}
-	wide, err := EncodeProbeReq(ProbeReq{Bit: 3, NumVecs: 128, Metrics: []uint64{8}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	wide := ProbeReq{Bit: 3, NumVecs: 128, Metrics: []uint64{8}}
 	if again := AppendProbeReqOn(nil, wide, primed()); !bytes.Equal(again, tie) {
 		t.Fatalf("a request whose kept form is as long as the whole one went as % x, want % x", again, tie)
 	}
